@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-wcoj bench-fastpath bench-reach bench-baseline bench-compare clean
+.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-wcoj bench-fastpath bench-reach bench-baseline bench-compare clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels and the parallel operator suite — the hot paths a perf PR must
@@ -80,14 +80,26 @@ bench:
 	$(GO) run ./cmd/fgmbench -exp fastpath -out BENCH_fastpath.json
 	$(GO) run ./cmd/fgmbench -exp reach -out BENCH_reach.json
 
+# bench-served runs the served-path benchmark (BENCHMARK.json: five
+# workloads over loopback HTTP, every answer verified, end-to-end and
+# per-layer metrics). It takes minutes, so it stays out of verify.
+# bench-served-trace prints only the per-layer metrics of the two read
+# workloads a read-path change must account for.
+bench-served:
+	$(GO) run ./benchmark
+
+bench-served-trace:
+	$(GO) run ./benchmark --workload read_pipeline --trace 1
+	$(GO) run ./benchmark --workload read_fastpath --trace 1
+
 # bench-wcoj measures the worst-case-optimal multiway join against the
 # binary pipeline on the cyclic workload battery and refreshes the
 # committed BENCH_wcoj.json baseline.
 bench-wcoj:
 	$(GO) run ./cmd/fgmbench -exp wcoj -out BENCH_wcoj.json
 
-# bench-fastpath measures the tiered execution router against the forced
-# full pipeline on the fast-path battery and refreshes the committed
+# bench-fastpath measures default execution against the counted-I/O
+# reference mode on the index-only battery and refreshes the committed
 # BENCH_fastpath.json baseline.
 bench-fastpath:
 	$(GO) run ./cmd/fgmbench -exp fastpath -out BENCH_fastpath.json

@@ -263,7 +263,13 @@ func TestServeQuery(t *testing.T) {
 		t.Fatalf("stats: %+v", stats)
 	}
 
-	// Graceful shutdown on SIGTERM.
+	// Graceful shutdown on SIGTERM. The burst left the transport holding
+	// connections it dialled speculatively and never sent a request on;
+	// http.Server.Shutdown refuses to treat such a connection as idle until
+	// it is 5 s old, which is also fgmserve's shutdown deadline — so drop
+	// them first, or a server that answers the queries above in under 5 s
+	// exits with "context deadline exceeded".
+	client.CloseIdleConnections()
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +381,8 @@ func TestRepackCLI(t *testing.T) {
 	for i := 0; i+1 < 40; i++ {
 		b.AddEdge(nodes[i], nodes[i+1])
 	}
-	eng, err := fastmatch.NewEngine(b.Build(), fastmatch.Options{Path: src})
+	// A non-default backend: the repacked copy must keep it, and say so.
+	eng, err := fastmatch.NewEngine(b.Build(), fastmatch.Options{Path: src, ReachIndex: "pll"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +401,7 @@ func TestRepackCLI(t *testing.T) {
 	p1 := filepath.Join(dir, "p1.fdb")
 	p2 := filepath.Join(dir, "p2.fdb")
 	out := run(t, "run", "./cmd/fgmatch", "-db", src, "-repack", p1)
-	if !strings.Contains(out, "repacked") {
+	if !strings.Contains(out, "repacked") || !strings.Contains(out, "reach backend pll") {
 		t.Fatalf("repack output: %q", out)
 	}
 	run(t, "run", "./cmd/fgmatch", "-db", src, "-repack", p2)

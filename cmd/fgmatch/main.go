@@ -177,19 +177,20 @@ func run() error {
 }
 
 // runRepack rewrites src into the bulk layout at dst and reports the file
-// size change.
+// size change and the reachability backend written.
 func runRepack(src, dst string) error {
 	before, err := os.Stat(src)
 	if err != nil {
 		return err
 	}
-	if err := fastmatch.Repack(src, dst); err != nil {
+	backend, err := fastmatch.Repack(src, dst)
+	if err != nil {
 		return err
 	}
 	after, err := os.Stat(dst)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("repacked %s (%d bytes) -> %s (%d bytes)\n", src, before.Size(), dst, after.Size())
+	fmt.Printf("repacked %s (%d bytes) -> %s (%d bytes, reach backend %s)\n", src, before.Size(), dst, after.Size(), backend)
 	return nil
 }

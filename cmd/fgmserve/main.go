@@ -62,7 +62,6 @@ func run() error {
 		buildPar     = flag.Int("build-parallelism", 0, "index-build workers (0/1 = serial, -1 = GOMAXPROCS)")
 		reachIndex   = flag.String("reach-index", "", "reachability-index backend: "+strings.Join(fastmatch.ReachBackends(), ", ")+" (default twohop)")
 		readonly     = flag.Bool("readonly", false, "reject every mutating endpoint (POST /insert, /delete) with 403; the graph stays immutable")
-		noFastPath   = flag.Bool("no-fastpath", false, "disable tiered fast-path execution; every query runs the full operator pipeline")
 	)
 	flag.Parse()
 	if *graphPath == "" {
@@ -110,7 +109,6 @@ func run() error {
 		MaxIntermediateBytes: *maxIMBytes,
 		MaxRequestBytes:      *maxReqBytes,
 		ReadOnly:             *readonly,
-		NoFastPath:           *noFastPath,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -387,8 +387,11 @@ func (e *Engine) Sync() error { return e.db.Sync() }
 // and repacking restores the dense layout Build produces. It runs offline
 // — src is only read, dst is replaced — and deterministically: repacking
 // the same source twice yields byte-identical output. src and dst must
-// differ.
-func Repack(src, dst string) error { return gdb.Repack(src, dst, gdb.Options{}) }
+// differ. The copy keeps the source's reachability backend, whose name is
+// returned.
+func Repack(src, dst string) (backend string, err error) {
+	return gdb.Repack(src, dst, gdb.Options{})
+}
 
 // IOStats returns the accumulated buffer pool counters.
 func (e *Engine) IOStats() IOStats {

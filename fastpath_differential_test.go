@@ -5,19 +5,31 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
+	"fastmatch/internal/optimizer"
 	"fastmatch/internal/pattern"
 	"fastmatch/internal/rjoin"
+	"fastmatch/internal/workload"
+	"fastmatch/internal/xmark"
 )
 
-// fastpathRandomGraph builds a labeled random digraph for the tiered-router
-// differential (labels A..E, possibly cyclic), plus one isolated Z-labeled
-// node: Z participates in no edge, so any pattern touching Z is provably
-// empty and must route to the tier-2 prefilter.
+// These tests hold the default executor — decoded per-epoch read path, no
+// per-step spill, permuting final projection — against the counted-I/O
+// reference mode (exec.PlanConfig{NoFastPath: true}: pool reads per access,
+// spill, hash-dedup projection). The two must be indistinguishable in
+// everything a caller can observe: rows, their order, truncation, typed
+// budget kills and byte accounting.
+
+// fastpathRandomGraph builds a labeled random digraph (labels A..E,
+// possibly cyclic), plus one isolated Z-labeled node: Z participates in no
+// edge, so any pattern touching Z is provably empty and must be answered
+// by the tier-2 prefilter.
 func fastpathRandomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
@@ -34,9 +46,9 @@ func fastpathRandomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	return b.Build()
 }
 
-// fastpathBattery spans the router's decision space: shapes the classifier
-// admits to tier 1 (single edges, stars), shapes it must reject to tier 3
-// (paths, cycles, cliques), and signature-refuted patterns for tier 2.
+// fastpathBattery spans the plan shapes on the random graphs: index-only
+// shapes (single edges, stars), pipelines (paths, cycles, cliques), and
+// signature-refuted patterns.
 var fastpathBattery = []string{
 	"A->B",
 	"B->A",
@@ -50,12 +62,114 @@ var fastpathBattery = []string{
 	"Z->A; A->B",
 }
 
-// TestFastPathTierClassification pins the router's guarantees that do not
-// depend on cost estimates: a single-edge pattern always classifies tier 1
-// (every planner head shape for one edge is admitted), a pattern with a
-// signature-refuted edge always short-circuits to tier 2, and a cyclic
-// pattern — whose plans need a Selection or a multi-edge WCOJ core — always
-// falls through to tier 3.
+var allPlanners = []exec.Algorithm{exec.DP, exec.DPS, exec.DPSMerged, exec.WCOJ}
+
+// servedBattery is what the served-path benchmark sends: the paper's path,
+// tree and graph patterns plus the cyclic battery, over XMark labels.
+func servedBattery() []*pattern.Pattern {
+	var ps []*pattern.Pattern
+	for _, ws := range [][]workload.Workload{workload.Paths(), workload.Trees(), workload.Graphs4B(), workload.Cyclic()} {
+		for _, w := range ws {
+			ps = append(ps, w.Pattern)
+		}
+	}
+	return ps
+}
+
+// diffCase is one database with the patterns to run on it.
+type diffCase struct {
+	name     string
+	g        *graph.Graph
+	patterns []*pattern.Pattern
+}
+
+func differentialCases() []diffCase {
+	var shapes []*pattern.Pattern
+	for _, ps := range fastpathBattery {
+		shapes = append(shapes, pattern.MustParse(ps))
+	}
+	return []diffCase{
+		{"random-41", fastpathRandomGraph(41, 100, 130, 5), shapes},
+		{"random-42", fastpathRandomGraph(42, 140, 190, 5), shapes},
+		{"random-43", fastpathRandomGraph(43, 80, 120, 5), shapes},
+		{"xmark", xmark.Generate(xmark.Config{Nodes: 1500, Seed: 5}).Graph, servedBattery()},
+	}
+}
+
+// planPair builds p's default plan and its reference twin. Apart from the
+// prefilter's one-step plan, the two must be the same plan: NoFastPath
+// selects how a plan is executed, never which plan is chosen.
+func planPair(t testing.TB, snap *gdb.Snap, p *pattern.Pattern, algo exec.Algorithm) (def, ref *optimizer.Plan) {
+	t.Helper()
+	def, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
+	if err != nil {
+		t.Fatalf("%v %v: %v", p, algo, err)
+	}
+	ref, err = exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: true})
+	if err != nil {
+		t.Fatalf("%v %v reference: %v", p, algo, err)
+	}
+	if !ref.Reference || def.Reference {
+		t.Fatalf("%v %v: Reference flags %v/%v, want false/true", p, algo, def.Reference, ref.Reference)
+	}
+	if def.Tier() != 2 && !reflect.DeepEqual(def.Steps, ref.Steps) {
+		t.Fatalf("%v %v: default and reference plans differ:\n%v\n%v", p, algo, def, ref)
+	}
+	return def, ref
+}
+
+// caps are a budget's settings (a Budget itself holds counters and must
+// not be copied).
+type caps struct {
+	ResultRows, MaxTableRows int
+	MaxBytes                 int64
+}
+
+func (c caps) budget() *rjoin.Budget {
+	return &rjoin.Budget{ResultRows: c.ResultRows, MaxTableRows: c.MaxTableRows, MaxBytes: c.MaxBytes}
+}
+
+// runBoth executes the two plans under equal budgets at one worker degree
+// and asserts every observable agrees. It returns the (shared) result, or
+// nil when both runs died of the same typed budget kill.
+func runBoth(t testing.TB, snap *gdb.Snap, def, ref *optimizer.Plan, workers int, c caps, what string) *rjoin.Table {
+	t.Helper()
+	ctx := context.Background()
+	bd, br := c.budget(), c.budget()
+	got, gotErr := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Workers: workers, Budget: bd})
+	want, wantErr := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: workers, Budget: br})
+	if wantErr != nil || gotErr != nil {
+		for _, sentinel := range []error{rjoin.ErrRowLimit, rjoin.ErrBudgetExceeded} {
+			if errors.Is(wantErr, sentinel) != errors.Is(gotErr, sentinel) {
+				t.Fatalf("%s: default failed with %v, reference with %v", what, gotErr, wantErr)
+			}
+		}
+		if !errors.Is(wantErr, rjoin.ErrRowLimit) && !errors.Is(wantErr, rjoin.ErrBudgetExceeded) {
+			t.Fatalf("%s: untyped failure: default %v, reference %v", what, gotErr, wantErr)
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(got.Cols, want.Cols) {
+		t.Fatalf("%s: cols %v vs reference %v", what, got.Cols, want.Cols)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("%s: default result (%d rows) differs from the reference (%d rows)", what, got.Len(), want.Len())
+	}
+	if bd.Truncated() != br.Truncated() {
+		t.Fatalf("%s: Truncated %v vs reference %v", what, bd.Truncated(), br.Truncated())
+	}
+	if bd.Bytes() != br.Bytes() || bd.PeakRows() != br.PeakRows() {
+		t.Fatalf("%s: accounting bytes=%d peak=%d, reference bytes=%d peak=%d",
+			what, bd.Bytes(), bd.PeakRows(), br.Bytes(), br.PeakRows())
+	}
+	return got
+}
+
+// TestFastPathTierClassification pins the tier labels that do not depend
+// on cost estimates: a single-edge pattern always labels tier 1, a pattern
+// with a signature-refuted edge always short-circuits to tier 2, a cyclic
+// pattern — whose plans need a Selection or a multi-edge WCOJ core — is
+// always tier 3, and a reference plan is never classified.
 func TestFastPathTierClassification(t *testing.T) {
 	g := fastpathRandomGraph(41, 100, 130, 5)
 	db, err := gdb.Build(g, gdb.Options{})
@@ -76,44 +190,31 @@ func TestFastPathTierClassification(t *testing.T) {
 		{"Z->A; A->B", 2},
 		{"A->B; B->C; C->A", 3},
 	}
-	for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.DPSMerged, exec.WCOJ} {
+	for _, algo := range allPlanners {
 		for _, c := range cases {
-			plan, err := exec.BuildPlanSnapConfig(snap, pattern.MustParse(c.text), algo, exec.PlanConfig{})
-			if err != nil {
-				t.Fatalf("%v %q: %v", algo, c.text, err)
+			def, ref := planPair(t, snap, pattern.MustParse(c.text), algo)
+			if def.Tier() != c.tier {
+				t.Errorf("%v %q: tier %d, want %d", algo, c.text, def.Tier(), c.tier)
 			}
-			if plan.Tier() != c.tier {
-				t.Errorf("%v %q: tier %d, want %d", algo, c.text, plan.Tier(), c.tier)
-			}
-			forced, err := exec.BuildPlanSnapConfig(snap, pattern.MustParse(c.text), algo, exec.PlanConfig{NoFastPath: true})
-			if err != nil {
-				t.Fatalf("%v %q forced: %v", algo, c.text, err)
-			}
-			if forced.Tier() != 3 {
-				t.Errorf("%v %q: NoFastPath plan routed to tier %d", algo, c.text, forced.Tier())
+			if ref.Tier() != 3 {
+				t.Errorf("%v %q: reference plan labelled tier %d", algo, c.text, ref.Tier())
 			}
 		}
 	}
 }
 
-// TestFastPathDifferential is the tiered router's result-identical proof on
-// random graphs: for every battery pattern, every planner, and worker
-// degrees 1 and 4, the tier-routed execution must return exactly the rows of
-// the forced tier-3 pipeline in exactly its order. Run under -race this also
-// exercises the fast-path epoch memos against the parallel reference
-// pipeline's readers.
+// TestFastPathDifferential is the result-identity proof: for every battery
+// pattern, every planner, and worker degrees 1 and 4, default execution
+// returns exactly the reference mode's rows in exactly its order, charges
+// the same bytes, and notes the same peak. The final projection is checked
+// on its own too: on every result, the permuting projection and the
+// hash-dedup one agree under a column order that is not the identity. Run
+// under -race this also exercises concurrent partitions filling the epoch
+// memos.
 func TestFastPathDifferential(t *testing.T) {
-	ctx := context.Background()
-	for _, gc := range []struct {
-		seed int64
-		n, m int
-	}{
-		{41, 100, 130},
-		{42, 140, 190},
-		{43, 80, 120},
-	} {
-		g := fastpathRandomGraph(gc.seed, gc.n, gc.m, 5)
-		db, err := gdb.Build(g, gdb.Options{})
+	tiers := map[int]bool{}
+	for _, dc := range differentialCases() {
+		db, err := gdb.Build(dc.g, gdb.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,154 +222,172 @@ func TestFastPathDifferential(t *testing.T) {
 		snap, release := db.Pin()
 		defer release()
 
-		totalRows, tier1Seen := 0, false
-		for _, ps := range fastpathBattery {
-			p := pattern.MustParse(ps)
-			for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.DPSMerged, exec.WCOJ} {
-				tiered, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
-				if err != nil {
-					t.Fatalf("seed %d %q %v: %v", gc.seed, ps, algo, err)
-				}
-				got, err := exec.RunSnapConfig(ctx, snap, tiered, exec.RunConfig{})
-				if err != nil {
-					t.Fatalf("seed %d %q %v tiered: %v", gc.seed, ps, algo, err)
-				}
-				totalRows += got.Len()
-				if tiered.Tier() == 1 {
-					tier1Seen = true
-				}
-				forcedPlan, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: true})
-				if err != nil {
-					t.Fatalf("seed %d %q %v forced plan: %v", gc.seed, ps, algo, err)
-				}
+		totalRows := 0
+		for _, p := range dc.patterns {
+			for _, algo := range allPlanners {
+				def, ref := planPair(t, snap, p, algo)
+				tiers[def.Tier()] = true
 				for _, workers := range []int{1, 4} {
-					want, err := exec.RunSnapConfig(ctx, snap, forcedPlan, exec.RunConfig{Workers: workers})
+					what := dc.name + " " + p.String() + " " + algo.String()
+					got := runBoth(t, snap, def, ref, workers, caps{}, what)
+					totalRows += got.Len()
+
+					rev := slices.Clone(got.Cols)
+					slices.Reverse(rev)
+					projected, err := got.Project(rev)
 					if err != nil {
-						t.Fatalf("seed %d %q %v workers=%d forced: %v", gc.seed, ps, algo, workers, err)
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got.Cols, want.Cols) {
-						t.Fatalf("seed %d %q %v workers=%d: cols %v vs %v",
-							gc.seed, ps, algo, workers, got.Cols, want.Cols)
+					permuted, err := got.Permute(rev)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got.Rows, want.Rows) {
-						t.Fatalf("seed %d %q %v workers=%d: tier-%d result (%d rows) differs from forced tier-3 (%d rows)",
-							gc.seed, ps, algo, workers, tiered.Tier(), got.Len(), want.Len())
+					if !reflect.DeepEqual(projected.Rows, permuted.Rows) {
+						t.Fatalf("%s: Project (%d rows) and Permute (%d rows) disagree on the final table",
+							what, projected.Len(), permuted.Len())
 					}
 				}
 			}
 		}
 		if totalRows == 0 {
-			t.Fatalf("seed %d: whole battery empty — graph too sparse to prove anything", gc.seed)
+			t.Fatalf("%s: whole battery empty — graph too sparse to prove anything", dc.name)
 		}
-		if !tier1Seen {
-			t.Fatalf("seed %d: no battery pattern classified tier 1", gc.seed)
+	}
+	if !tiers[1] || !tiers[2] || !tiers[3] {
+		t.Fatalf("batteries covered tiers %v, want all three plan shapes", tiers)
+	}
+}
+
+// TestFastPathBudgetIdentity: limits and budgets behave identically in both
+// modes at both worker degrees — same truncation prefix and Truncated flag,
+// same bytes charged, and the same typed kill whenever a cap is below what
+// the query needs (and none when the cap is exactly what it needs).
+func TestFastPathBudgetIdentity(t *testing.T) {
+	for _, dc := range differentialCases()[1:] { // one random graph, and xmark
+		if dc.name == "random-43" {
+			continue
+		}
+		db, err := gdb.Build(dc.g, gdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		snap, release := db.Pin()
+		defer release()
+
+		truncations, kills := 0, 0
+		for _, p := range dc.patterns {
+			for _, algo := range allPlanners {
+				def, ref := planPair(t, snap, p, algo)
+				for _, workers := range []int{1, 4} {
+					what := dc.name + " " + p.String() + " " + algo.String()
+					free := &rjoin.Budget{}
+					full, err := exec.RunSnapConfig(context.Background(), snap, ref, exec.RunConfig{Workers: workers, Budget: free})
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := full.Len()
+					for _, limit := range []int{1, n / 2, n, n + 10} {
+						if limit <= 0 {
+							continue
+						}
+						got := runBoth(t, snap, def, ref, workers, caps{ResultRows: limit}, what+" limit")
+						if want := full.Rows[:min(limit, n)]; !reflect.DeepEqual(got.Rows, want) && (len(got.Rows) != 0 || len(want) != 0) {
+							t.Fatalf("%s limit=%d: %d rows are not the unlimited result's prefix", what, limit, got.Len())
+						}
+						if limit < n {
+							truncations++
+						}
+					}
+					if peak := int(free.PeakRows()); peak >= 2 {
+						if runBoth(t, snap, def, ref, workers, caps{MaxTableRows: peak / 2}, what+" row cap") != nil {
+							t.Fatalf("%s: survived a row cap of %d with a %d-row table", what, peak/2, peak)
+						}
+						kills++
+						// At exactly the peak an HPSJ may still die on its
+						// pre-dedup pair count; both modes must agree either way.
+						runBoth(t, snap, def, ref, workers, caps{MaxTableRows: peak}, what+" exact row cap")
+					}
+					if bytes := free.Bytes(); bytes >= 2 {
+						if runBoth(t, snap, def, ref, workers, caps{MaxBytes: bytes / 2}, what+" byte cap") != nil {
+							t.Fatalf("%s: survived a byte cap of %d having charged %d", what, bytes/2, bytes)
+						}
+						kills++
+						if runBoth(t, snap, def, ref, workers, caps{MaxBytes: bytes}, what+" exact byte cap") == nil {
+							t.Fatalf("%s: killed at a byte cap equal to its charge %d", what, bytes)
+						}
+					}
+				}
+			}
+		}
+		if truncations == 0 || kills == 0 {
+			t.Fatalf("%s: %d truncations and %d kills exercised — battery too small", dc.name, truncations, kills)
 		}
 	}
 }
 
-// TestFastPathBudgetIdentity: the budget and limit semantics on tier-1
-// answers are those of the forced pipeline at one worker — same truncation
-// prefix, same Truncated flag, same typed kills, same byte accounting.
-func TestFastPathBudgetIdentity(t *testing.T) {
-	ctx := context.Background()
-	g := fastpathRandomGraph(42, 140, 190, 5)
-	db, err := gdb.Build(g, gdb.Options{})
+// TestFastPathColdSnapshotConcurrentReaders: many queries start at once on
+// a snapshot whose decoded memos are empty, so every partition of every
+// query races to fill the same maps. Each must still return the reference
+// result (computed first; reference mode never touches the memos). Run
+// under -race.
+func TestFastPathColdSnapshotConcurrentReaders(t *testing.T) {
+	dc := differentialCases()[3]
+	db, err := gdb.Build(dc.g, gdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	snap, release := db.Pin()
 	defer release()
+	ctx := context.Background()
 
-	for _, ps := range []string{"A->B", "A->B; A->C"} {
-		p := pattern.MustParse(ps)
-		tiered, err := exec.BuildPlanSnapConfig(snap, p, exec.DPS, exec.PlanConfig{})
+	type job struct {
+		plan *optimizer.Plan
+		want [][]graph.NodeID
+	}
+	var jobs []job
+	for _, p := range dc.patterns {
+		def, ref := planPair(t, snap, p, exec.DPS)
+		want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tiered.Tier() != 1 {
-			t.Fatalf("%q: tier %d, want 1 (battery assumption)", ps, tiered.Tier())
-		}
-		forced, err := exec.BuildPlanSnapConfig(snap, p, exec.DPS, exec.PlanConfig{NoFastPath: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := exec.RunSnapConfig(ctx, snap, forced, exec.RunConfig{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Len() < 3 {
-			t.Fatalf("%q: only %d rows — graph too sparse for truncation sweeps", ps, full.Len())
-		}
-
-		// Result-row limits: identical prefixes and Truncated flags.
-		for _, limit := range []int{1, 2, full.Len() - 1, full.Len(), full.Len() + 10} {
-			bt := &rjoin.Budget{ResultRows: limit}
-			bf := &rjoin.Budget{ResultRows: limit}
-			got, err := exec.RunSnapConfig(ctx, snap, tiered, exec.RunConfig{Budget: bt})
+		jobs = append(jobs, job{def, want.Rows})
+	}
+	if snap.DecodedMemoNodes() != 0 {
+		t.Fatalf("reference runs filled the decoded memos (%d nodes)", snap.DecodedMemoNodes())
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := exec.RunSnapConfig(ctx, snap, j.plan, exec.RunConfig{Workers: 2})
 			if err != nil {
-				t.Fatalf("%q limit=%d tiered: %v", ps, limit, err)
+				t.Errorf("job %d: %v", i, err)
+				return
 			}
-			want, err := exec.RunSnapConfig(ctx, snap, forced, exec.RunConfig{Workers: 1, Budget: bf})
-			if err != nil {
-				t.Fatalf("%q limit=%d forced: %v", ps, limit, err)
+			if !reflect.DeepEqual(got.Rows, j.want) && (got.Len() != 0 || len(j.want) != 0) {
+				t.Errorf("job %d: %d rows racing a cold memo, reference has %d", i, got.Len(), len(j.want))
 			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%q limit=%d: tiered prefix (%d rows) differs from forced (%d rows)",
-					ps, limit, got.Len(), want.Len())
-			}
-			if bt.Truncated() != bf.Truncated() {
-				t.Fatalf("%q limit=%d: Truncated %v vs forced %v", ps, limit, bt.Truncated(), bf.Truncated())
-			}
-			if wantTrunc := full.Len() > limit; bt.Truncated() != wantTrunc {
-				t.Fatalf("%q limit=%d: Truncated=%v, want %v", ps, limit, bt.Truncated(), wantTrunc)
-			}
-		}
-
-		// Typed kills: both modes must fail with the same sentinel.
-		for _, tc := range []struct {
-			name   string
-			budget func() *rjoin.Budget
-			want   error
-		}{
-			{"rows", func() *rjoin.Budget { return &rjoin.Budget{MaxTableRows: 2} }, rjoin.ErrRowLimit},
-			{"bytes", func() *rjoin.Budget { return &rjoin.Budget{MaxBytes: 16} }, rjoin.ErrBudgetExceeded},
-		} {
-			if _, err := exec.RunSnapConfig(ctx, snap, tiered, exec.RunConfig{Budget: tc.budget()}); !errors.Is(err, tc.want) {
-				t.Fatalf("%q %s tiered: got %v, want %v", ps, tc.name, err, tc.want)
-			}
-			if _, err := exec.RunSnapConfig(ctx, snap, forced, exec.RunConfig{Workers: 1, Budget: tc.budget()}); !errors.Is(err, tc.want) {
-				t.Fatalf("%q %s forced: got %v, want %v", ps, tc.name, err, tc.want)
-			}
-		}
-
-		// Unconstrained accounting: the fast path charges exactly what the
-		// serial pipeline charges (the skipped spill was never
-		// budget-charged), so the counters agree too.
-		bt, bf := &rjoin.Budget{}, &rjoin.Budget{}
-		if _, err := exec.RunSnapConfig(ctx, snap, tiered, exec.RunConfig{Budget: bt}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := exec.RunSnapConfig(ctx, snap, forced, exec.RunConfig{Workers: 1, Budget: bf}); err != nil {
-			t.Fatal(err)
-		}
-		if bt.Bytes() != bf.Bytes() || bt.PeakRows() != bf.PeakRows() {
-			t.Fatalf("%q: tiered accounting (bytes=%d peak=%d) differs from forced (bytes=%d peak=%d)",
-				ps, bt.Bytes(), bt.PeakRows(), bf.Bytes(), bf.PeakRows())
-		}
+		}()
+	}
+	wg.Wait()
+	if snap.DecodedMemoNodes() == 0 {
+		t.Fatal("default runs left the decoded memos empty")
 	}
 }
 
 // FuzzFastPathDifferential lets the fuzzer choose the graph and the pattern:
-// whatever the topology, the tier-routed result must match the forced
-// tier-3 pipeline row for row, in order, for every planner.
+// whatever the topology, default execution must match the reference mode
+// row for row, in order, for every planner.
 func FuzzFastPathDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(120))
 	f.Add(int64(7), uint8(3), uint8(200))
 	f.Add(int64(42), uint8(8), uint8(60))
 	f.Fuzz(func(t *testing.T, seed int64, pick uint8, density uint8) {
-		ps := fastpathBattery[int(pick)%len(fastpathBattery)]
-		p := pattern.MustParse(ps)
+		p := pattern.MustParse(fastpathBattery[int(pick)%len(fastpathBattery)])
 		n := 60
 		m := 20 + int(density)%121 // 20..140 edges
 		g := fastpathRandomGraph(seed, n, m, 5)
@@ -279,28 +398,9 @@ func FuzzFastPathDifferential(f *testing.F) {
 		defer db.Close()
 		snap, release := db.Pin()
 		defer release()
-		ctx := context.Background()
 		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ} {
-			tiered, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := exec.RunSnapConfig(ctx, snap, tiered, exec.RunConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			forced, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := exec.RunSnapConfig(ctx, snap, forced, exec.RunConfig{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%q %v: tier-%d result (%d rows) differs from forced tier-3 (%d rows)",
-					ps, algo, tiered.Tier(), got.Len(), want.Len())
-			}
+			def, ref := planPair(t, snap, p, algo)
+			runBoth(t, snap, def, ref, 1, caps{}, p.String()+" "+algo.String())
 		}
 	})
 }

@@ -118,7 +118,7 @@ func (r *Runner) AblationPoolSize() (*Report, error) {
 			db.ClearCaches()
 			db.ResetIOStats()
 			start := time.Now()
-			res, err := exec.Query(db, w.Pattern, exec.DPS)
+			res, err := queryCounted(db, w.Pattern, exec.DPS)
 			if err != nil {
 				db.Close()
 				return nil, err

@@ -31,19 +31,19 @@ type StepTrace struct {
 	// Workers is the intra-operator parallelism degree the step ran under.
 	Workers int
 	// CenterCacheHits is how many getCenters computations the step skipped
-	// via the per-query center cache (e.g. a Fetch reusing its Filter's
-	// center sets).
+	// via the snapshot's center-set memo (e.g. a Fetch reusing its
+	// Filter's center sets, or an earlier query's).
 	CenterCacheHits int64
 	// Seeks/IterNexts are the step's sorted-iterator counters: positioning
 	// operations and candidate values advanced through, respectively.
 	// Nonzero only for WCOJ steps (see rjoin.RuntimeStats).
 	Seeks     int64
 	IterNexts int64
-	// Tier is the execution tier the plan ran under: 1 = index-only fast
-	// path, 2 = fan-signature prefilter (impossible pattern), 3 = full
-	// operator pipeline.
+	// Tier is the plan's descriptive shape label (see optimizer.Plan.Tier):
+	// 1 = index-only shape, 2 = fan-signature prefilter (impossible
+	// pattern), 3 = general pipeline. Tiers 1 and 3 execute identically.
 	Tier int
-	// FastIndex names the index structure a tier-1/2 answer was read from
+	// FastIndex names the index structure a tier-1/2 answer is read from
 	// (empty on tier 3).
 	FastIndex string
 }
@@ -68,19 +68,11 @@ type RunConfig struct {
 	Budget *rjoin.Budget
 }
 
-// runtimeFor returns the operator runtime for one plan execution. A
-// tier-1 fast-path plan (when no runtime is supplied) gets the
-// lightweight serial runtime instead of a worker pool; it reads center
-// sets and subclusters through the snapshot's per-epoch memos rather
-// than a per-query cache.
-func (cfg RunConfig) runtimeFor(plan *optimizer.Plan) *rjoin.Runtime {
+// runtime returns the operator runtime for one plan execution.
+func (cfg RunConfig) runtime() *rjoin.Runtime {
 	rt := cfg.Runtime
 	if rt == nil {
-		if plan.Fast != nil {
-			rt = rjoin.NewFastRuntime()
-		} else {
-			rt = rjoin.NewRuntime(cfg.Workers)
-		}
+		rt = rjoin.NewRuntime(cfg.Workers)
 	}
 	if cfg.Budget != nil {
 		rt.SetBudget(cfg.Budget)
@@ -115,9 +107,8 @@ func RunWithTrace(ctx context.Context, db *gdb.DB, plan *optimizer.Plan, trace b
 }
 
 // RunWithTraceConfig executes a plan under cfg: one rjoin.Runtime — the
-// worker-pool degree and the per-query center cache — is shared by all
-// steps of the plan, so a JoinFilterFetch's Fetch reuses the center sets
-// its Filter computed.
+// worker-pool degree, budget and counters — is shared by all steps of the
+// plan.
 func RunWithTraceConfig(ctx context.Context, db *gdb.DB, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Table, []StepTrace, error) {
 	// The whole execution pins one snapshot epoch: concurrent edge inserts
 	// publish new epochs without blocking this run, and every operator of
@@ -140,22 +131,21 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 	if plan.Fast != nil && plan.Fast.Kind == optimizer.FPImpossible {
 		return runImpossible(ctx, plan, trace)
 	}
-	// Tier-1 fast path: the plan's own operators run, but on a serial
-	// runtime with no per-step spill and a dedup-free final projection.
-	// The spill is I/O-charged but never budget-charged, and the admitted
-	// plan shapes produce pairwise distinct rows, so the result rows, their
-	// order, and all budget/limit behaviour are identical to the full
-	// pipeline at workers=1.
-	fast := plan.Fast != nil
-	rt := cfg.runtimeFor(plan)
+	rt := cfg.runtime()
 	b := plan.Binding
-	// Intermediate results spill through a scratch heap private to this
-	// run: the pages share the database's buffer pool (so their size is
-	// charged as I/O, as in the paper's disk-resident executor) but no
-	// state is shared between concurrent queries, and Release recycles the
-	// pages afterwards.
+	// The plan, not the caller's runtime, chooses the read path. By default
+	// every operator reads the snapshot's decoded per-epoch memos and the
+	// temporal table stays in memory between steps. A reference plan
+	// (PlanConfig.NoFastPath) instead runs the paper's counted-I/O model:
+	// every index read goes through the buffer pool, and intermediate
+	// results spill through a scratch heap private to this run — its pages
+	// share the database's pool, so their size is charged as I/O as in the
+	// paper's disk-resident executor, and Release recycles them afterwards.
+	// The spill is I/O-charged but never budget-charged, so rows, order and
+	// all budget/limit behaviour are identical in both modes.
 	var scratch *storage.HeapFile
-	if !fast {
+	if plan.Reference {
+		rt.CountIO()
 		scratch = db.NewScratchHeap()
 		defer scratch.Release()
 	}
@@ -249,10 +239,11 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 		if err := bdg.CheckBytes(); err != nil {
 			return nil, nil, fmt.Errorf("exec: step %d (%v): %w", si+1, s.Kind, err)
 		}
-		// Materialise the temporal table through the storage engine: the
-		// paper's executor keeps intermediate results in disk-resident
-		// tables, so their size is part of the measured I/O cost.
-		if !fast {
+		// Reference mode materialises the temporal table through the
+		// storage engine: the paper's executor keeps intermediate results
+		// in disk-resident tables, so their size is part of the measured
+		// I/O cost.
+		if plan.Reference {
 			if err := spill(scratch, t); err != nil {
 				return nil, nil, fmt.Errorf("exec: step %d (%v): spill: %w", si+1, s.Kind, err)
 			}
@@ -270,7 +261,7 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 				IterNexts:       statsAfter.IterNexts - statsBefore.IterNexts,
 				Tier:            plan.Tier(),
 			}
-			if fast {
+			if plan.Fast != nil {
 				st.FastIndex = plan.Fast.Index
 			}
 			traces = append(traces, st)
@@ -283,14 +274,18 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 	for i := range nodes {
 		nodes[i] = i
 	}
+	// Every operator preserves pairwise-distinct rows (HPSJ and WCOJ emit
+	// distinct tuples, Fetch extends distinct rows by distinct nodes,
+	// filters and selections take subsets) and the final table binds each
+	// pattern node exactly once, so the dedup projection is a pure column
+	// permutation. Reference mode keeps the hashing Project, which the
+	// differential tests hold the permutation against.
 	var out *rjoin.Table
 	var err error
-	if fast {
-		// Tier-1 plans produce pairwise distinct rows by construction, so
-		// the dedup projection reduces to a pure column permutation.
-		out, err = t.Permute(nodes)
-	} else {
+	if plan.Reference {
 		out, err = t.Project(nodes)
+	} else {
+		out, err = t.Permute(nodes)
 	}
 	// Safety net for the result-row limit after projection. Operators
 	// already truncated at their merge points, so this only fires if a
@@ -433,26 +428,28 @@ func BuildPlan(db *gdb.DB, p *pattern.Pattern, algo Algorithm) (*optimizer.Plan,
 }
 
 // BuildPlanSnap is BuildPlan against an explicitly pinned snapshot epoch.
-// Plans are tiered by default; use BuildPlanSnapConfig to force tier 3.
 func BuildPlanSnap(s *gdb.Snap, p *pattern.Pattern, algo Algorithm) (*optimizer.Plan, error) {
 	return BuildPlanSnapConfig(s, p, algo, PlanConfig{})
 }
 
 // PlanConfig tunes plan construction.
 type PlanConfig struct {
-	// NoFastPath disables tiered execution: the fan-signature prefilter is
-	// skipped and the optimized plan is not classified, so it always runs
-	// the full tier-3 operator pipeline. Used by the differential tests and
-	// benchmarks as the reference path, and by the server's -no-fastpath
-	// escape hatch.
+	// NoFastPath builds a reference plan: the fan-signature prefilter is
+	// skipped, and the executor runs the plan in the paper's counted-I/O
+	// mode — index reads through the buffer pool per access, a scratch-heap
+	// spill after every step, a hash-dedup final projection — instead of
+	// the decoded in-memory read path. It is the differential tests'
+	// reference and the measurement mode of the paper experiments
+	// (EXPERIMENTS.md Fig. 5–7); no served request can reach it.
 	NoFastPath bool
 }
 
 // BuildPlanSnapConfig is BuildPlanSnap with explicit plan configuration.
 // Unless pc.NoFastPath is set, the pattern first passes the tier-2
-// fan-signature prefilter (provably empty patterns get a single-step
-// fast-path plan with no statistics scans at all), and the optimized plan
-// is classified for the tier-1 index-only fast path.
+// fan-signature prefilter (provably empty patterns get a single-step plan
+// with no statistics scans at all), and the optimized plan is labelled
+// with its tier for -explain and /stats. The label describes the plan's
+// shape; it does not change how the plan executes.
 func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc PlanConfig) (*optimizer.Plan, error) {
 	if !pc.NoFastPath {
 		if plan, err := optimizer.Prefilter(s, p); err != nil {
@@ -480,7 +477,9 @@ func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc Pla
 	if err != nil {
 		return nil, err
 	}
-	if !pc.NoFastPath {
+	if pc.NoFastPath {
+		plan.Reference = true
+	} else {
 		optimizer.Classify(plan)
 	}
 	return plan, nil

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,8 @@ import (
 	"fastmatch/internal/optimizer"
 	"fastmatch/internal/pattern"
 	"fastmatch/internal/rjoin"
+	"fastmatch/internal/workload"
+	"fastmatch/internal/xmark"
 )
 
 // randomGraph builds a forest of random trees (blocks of ~40 nodes) with
@@ -225,16 +229,23 @@ func TestRunRejectsBadPlans(t *testing.T) {
 
 // TestDPSLowerIO: on a star pattern over a mid-sized graph, the DPS plan
 // should incur no more I/O than the DP plan (the paper's Section 6.2
-// finding, in weak form).
+// finding, in weak form). I/O is the paper's metric, so the plans run in
+// the counted-I/O reference mode.
 func TestDPSLowerIO(t *testing.T) {
 	g := randomGraph(7, 2000, 5000, 5)
 	db := mustDB(t, g)
 	p := pattern.MustParse("A->C; B->C; C->D; C->E")
+	snap, release := db.Pin()
+	defer release()
 
 	run := func(algo Algorithm) int64 {
 		db.ClearCaches()
 		db.ResetIOStats()
-		if _, err := Query(db, p, algo); err != nil {
+		plan, err := BuildPlanSnapConfig(snap, p, algo, PlanConfig{NoFastPath: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunSnapConfig(context.Background(), snap, plan, RunConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		return db.IOStats().Logical()
@@ -280,6 +291,41 @@ func BenchmarkQueryDPS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Query(db, p, DPS); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestParallelQueryAfterPoolShrink: a database built under a large pool
+// and then shrunk to the paper's buffer-to-data ratio (what the experiment
+// runner does) must still answer parallel queries. The pool used to keep
+// its construction-time 16 shards, so 64 KB left one frame per shard and
+// two workers meeting in a shard failed the query with "buffer pool
+// exhausted" on every multi-core run. Reference mode is what reads the
+// pool per access.
+func TestParallelQueryAfterPoolShrink(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := xmark.Generate(xmark.Config{Nodes: 8000, Seed: 3})
+	db, err := gdb.Build(d.Graph, gdb.Options{PoolBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.ResizePool(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	snap, release := db.Pin()
+	defer release()
+	ctx := context.Background()
+	for _, w := range append(workload.Graphs4A(), workload.Paths()...) {
+		for _, algo := range []Algorithm{DP, DPS} {
+			plan, err := BuildPlanSnapConfig(snap, w.Pattern, algo, PlanConfig{NoFastPath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.ClearCaches()
+			if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: 4}); err != nil {
+				t.Fatalf("%s %v: %v", w.Name, algo, err)
+			}
 		}
 	}
 }

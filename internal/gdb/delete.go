@@ -127,6 +127,9 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 		return st, nil // a redundant edge: the cover never relied on it
 	}
 
+	for _, d := range deltas {
+		w.touchedNodes[d.Node] = struct{}{} // before the trees change, as in applyOne
+	}
 	if err := w.applyBaseDeltas(deltas); err != nil {
 		return st, err
 	}
@@ -138,10 +141,6 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 	st.DroppedCenters = cs.died
 	st.NewWPairs = cs.wAdded
 	st.RemovedWPairs = cs.wRemoved
-
-	for _, d := range deltas {
-		w.touchedNodes[d.Node] = struct{}{}
-	}
 	w.coverSize += st.AddedLabelEntries - st.RemovedLabelEntries
 	return st, nil
 }
@@ -320,6 +319,7 @@ func (w *snapWriter) updateClusterSlot(c graph.NodeID, s clusterSlot, rem, add [
 	if !changed {
 		return nil
 	}
+	w.touchedCl[clKey{c, s.dir, s.l}] = struct{}{}
 	if len(members) == 0 {
 		if !ok {
 			return nil
@@ -381,6 +381,7 @@ func (w *snapWriter) dropCenterKeys(c graph.NodeID) error {
 			return err
 		}
 		for _, l := range ls {
+			w.touchedCl[clKey{c, dir, l}] = struct{}{}
 			nt, _, err := w.cluster.DeleteCow(w.cow, clusterKey(c, dir, l))
 			if err != nil {
 				return err

@@ -94,6 +94,11 @@ type DB struct {
 
 	wcacheOn         bool
 	codeCacheEntries int
+	// memoBound is each decoded memo's size bound in node IDs
+	// (fastClusterCacheNodes; tests shrink it to force resets) and
+	// memoResets counts the overflow resets across all epochs.
+	memoBound  int
+	memoResets atomic.Int64
 
 	closed atomic.Bool
 
@@ -299,6 +304,7 @@ func BuildFromIndex(g *graph.Graph, idx reach.Index, opt Options) (*DB, error) {
 		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
 		wcacheOn:         !opt.DisableWTableCache,
 		codeCacheEntries: opt.CodeCacheEntries,
+		memoBound:        fastClusterCacheNodes,
 	}
 	db.heap = storage.NewHeapFile(db.pool)
 	db.path = opt.Path
@@ -415,6 +421,13 @@ func (db *DB) CoverSize() int { return db.mgr.Current().coverSize }
 
 // IOStats returns the buffer pool counters.
 func (db *DB) IOStats() storage.IOStats { return db.pool.Stats() }
+
+// DecodedMemoStats reports the decoded read path's memos: the node IDs
+// the current epoch's memos hold, and how often a memo overflowed its
+// bound and reset, across all epochs.
+func (db *DB) DecodedMemoStats() (nodes int, resets int64) {
+	return db.mgr.Current().DecodedMemoNodes(), db.memoResets.Load()
+}
 
 // ResetIOStats zeroes the buffer pool counters (e.g. after Build, before a
 // measured query).

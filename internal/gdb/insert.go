@@ -118,6 +118,7 @@ type snapWriter struct {
 
 	touchedNodes map[graph.NodeID]struct{} // stale code-cache entries
 	touchedW     map[wKey]struct{}         // stale W-cache entries
+	touchedCl    map[clKey]struct{}        // stale decoded subclusters
 	changed      bool
 }
 
@@ -138,6 +139,7 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 		curSig:       cur.sig,
 		touchedNodes: make(map[graph.NodeID]struct{}),
 		touchedW:     make(map[wKey]struct{}),
+		touchedCl:    make(map[clKey]struct{}),
 	}
 }
 
@@ -177,12 +179,43 @@ func (w *snapWriter) publish(cur *Snap) {
 		}
 	}
 	cur.wmu.RUnlock()
+	w.inheritDecoded(cur, next)
 	if db.insertPublishHook != nil {
 		db.insertPublishHook()
 	}
 	db.mgr.Publish(next, w.cow.Freed())
 	db.graphDirty = true
 	db.bulkBuilt = false
+}
+
+// inheritDecoded seeds next's decoded memos with cur's survivors: every
+// decoded subcluster whose slot the batch did not rewrite, and every
+// center set out(v) ∩ W(X, Y) (or in(v) ∩ W) whose code and W row both
+// stand. The lists are immutable, so the two epochs share them; a reader
+// still pinned to cur keeps reading cur's own maps.
+func (w *snapWriter) inheritDecoded(cur, next *Snap) {
+	cur.clmu.RLock()
+	defer cur.clmu.RUnlock()
+	if len(cur.clcache) > 0 {
+		next.clcache = make(map[clKey][]graph.NodeID, len(cur.clcache))
+		for k, nodes := range cur.clcache {
+			if _, stale := w.touchedCl[k]; !stale {
+				next.clcache[k] = nodes
+				next.clNodes += len(nodes)
+			}
+		}
+	}
+	if len(cur.ccache) > 0 {
+		next.ccache = make(map[ccKey][]graph.NodeID, len(cur.ccache))
+		for k, cs := range cur.ccache {
+			_, staleCode := w.touchedNodes[k.v]
+			_, staleW := w.touchedW[wKey{k.x, k.y}]
+			if !staleCode && !staleW {
+				next.ccache[k] = cs
+				next.ccNodes += len(cs) + 1
+			}
+		}
+	}
 }
 
 func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
@@ -207,6 +240,11 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 		return st, nil // u already reached v: the cover was complete
 	}
 
+	// Marked before the trees change: a batch that fails midway still
+	// publishes its applied prefix, and no cache may outlive that.
+	for _, d := range deltas {
+		w.touchedNodes[d.Node] = struct{}{}
+	}
 	if err := w.applyBaseDeltas(deltas); err != nil {
 		return st, err
 	}
@@ -216,10 +254,6 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 	}
 	st.NewCenter = cs.born > 0
 	st.NewWPairs = cs.wAdded
-
-	for _, d := range deltas {
-		w.touchedNodes[d.Node] = struct{}{}
-	}
 	w.coverSize += len(deltas)
 	return st, nil
 }

@@ -1,0 +1,77 @@
+package gdb_test
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"fastmatch/internal/exec"
+	"fastmatch/internal/gdb"
+	"fastmatch/internal/graph"
+	"fastmatch/internal/pattern"
+)
+
+// TestDecodedMemoOverflowMidQuery shrinks the decoded memos' bound until
+// they overflow and reset many times inside every operator, and checks
+// that nothing observable changes: the memos are a cache, so a query that
+// keeps losing them returns the reference executor's rows in its order, at
+// one worker and at four.
+func TestDecodedMemoOverflowMidQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	b := graph.NewBuilder()
+	const n = 120
+	for i := 0; i < n; i++ {
+		b.AddNode(string(rune('A' + rng.Intn(4))))
+	}
+	for i := 0; i < 170; i++ {
+		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	db, err := gdb.Build(b.Build(), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetDecodedMemoBound(8)
+	snap, release := db.Pin()
+	defer release()
+
+	ctx := context.Background()
+	rows := 0
+	for _, ps := range []string{
+		"A->B", "A->B; B->C", "A->B; A->C; A->D", "A->B; B->C; C->A", "A->B; A->C; B->D; C->D",
+	} {
+		p := pattern.MustParse(ps)
+		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ} {
+			ref, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := exec.BuildPlanSnap(snap, p, algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				got, err := exec.RunSnapConfig(ctx, snap, plan, exec.RunConfig{Workers: workers})
+				if err != nil {
+					t.Fatalf("%q %v workers=%d: %v", ps, algo, workers, err)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%q %v workers=%d: %d rows under a resetting memo, reference has %d",
+						ps, algo, workers, got.Len(), want.Len())
+				}
+			}
+			rows += want.Len()
+		}
+	}
+	if rows == 0 {
+		t.Fatal("whole battery empty: graph too sparse to prove anything")
+	}
+	if _, resets := db.DecodedMemoStats(); resets < 10 {
+		t.Fatalf("memo reset only %d times; the bound hook did not bite", resets)
+	}
+}

@@ -147,3 +147,162 @@ func TestBatchPublishesOneEpoch(t *testing.T) {
 		t.Fatalf("duplicate-only batch published epoch %d", got)
 	}
 }
+
+// warmDecodedMemos reads every subcluster of every center and the center
+// set of every node under every label pair through the snapshot's decoded
+// memos, so both memos hold everything they can.
+func warmDecodedMemos(t *testing.T, s *Snap) {
+	t.Helper()
+	r := s.Reader()
+	nl := s.g.Labels().Len()
+	for x := graph.Label(0); int(x) < nl; x++ {
+		for y := graph.Label(0); int(y) < nl; y++ {
+			ws, err := s.Centers(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range ws {
+				if _, err := r.F(w, x); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.T(w, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for v := graph.NodeID(0); int(v) < s.g.NumNodes(); v++ {
+				for _, fwd := range []bool{true, false} {
+					if _, err := r.Centers(v, x, y, fwd); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkDecodedMemos asserts every entry the snapshot's decoded memos hold
+// equals what the snapshot's own index says: the stored subcluster, and
+// code(v) ∩ W(X, Y) from the stored code and W row.
+func checkDecodedMemos(t *testing.T, s *Snap, what string) {
+	t.Helper()
+	s.clmu.RLock()
+	defer s.clmu.RUnlock()
+	for k, got := range s.clcache {
+		want, err := s.clusterLookup(k.w, k.dir, k.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: memoised subcluster %+v = %v, index holds %v", what, k, got, want)
+		}
+	}
+	for k, got := range s.ccache {
+		code, err := s.OutCode(k.v)
+		if !k.fwd {
+			code, err = s.InCode(k.v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := s.Centers(k.x, k.y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Intersect(code, ws); !slices.Equal(got, want) {
+			t.Fatalf("%s: memoised center set %+v = %v, index gives %v", what, k, got, want)
+		}
+	}
+}
+
+// TestSuccessorInheritsDecodedMemos: a published epoch starts with its
+// predecessor's decoded subclusters and center sets minus exactly what
+// the write batch changed. The new epoch must serve post-batch lists
+// (from inherited entries where the batch left them alone, from storage
+// where it did not) while a reader still pinned to the old epoch keeps
+// serving pre-batch lists.
+func TestSuccessorInheritsDecodedMemos(t *testing.T) {
+	g := randomGraph(14, 40, 70, 3)
+	db := mustBuild(t, g, Options{})
+	old, releaseOld := db.Pin()
+	defer releaseOld()
+	warmDecodedMemos(t, old)
+	before := make(map[clKey][]graph.NodeID, len(old.clcache))
+	for k, v := range old.clcache {
+		before[k] = v
+	}
+	clBefore, ccBefore := len(old.clcache), len(old.ccache)
+
+	// One batch that both adds and removes label entries: insert edges
+	// until the cover grows, then delete an existing edge.
+	cur := g
+	grew := false
+	for !grew {
+		u, v := freshEdge(t, cur)
+		st, err := db.ApplyEdgeInsert(u, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = cur.WithEdge(u, v)
+		grew = st.LabelEntries > 0
+	}
+	var del [2]graph.NodeID
+	for u := graph.NodeID(0); ; u++ {
+		if succ := g.Successors(u); len(succ) > 0 {
+			del = [2]graph.NodeID{u, succ[0]}
+			break
+		}
+	}
+	if _, err := db.ApplyEdgeDelete(del[0], del[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	next, releaseNext := db.Pin()
+	defer releaseNext()
+	if next.Epoch() == old.Epoch() {
+		t.Fatal("batches published no epoch")
+	}
+	// Nothing has read through next yet: whatever its memos hold was
+	// inherited, and every inherited entry must be post-batch truth.
+	next.clmu.RLock()
+	clInherited, ccInherited := len(next.clcache), len(next.ccache)
+	next.clmu.RUnlock()
+	if clInherited == 0 || ccInherited == 0 {
+		t.Fatalf("successor inherited %d subclusters and %d center sets of %d and %d", clInherited, ccInherited, clBefore, ccBefore)
+	}
+	checkDecodedMemos(t, next, "inherited")
+	changed := 0
+	for k, pre := range before {
+		post, err := next.clusterLookup(k.w, k.dir, k.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pre, post) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the batches changed no memoised subcluster; the test proves nothing")
+	}
+	if clInherited > clBefore-changed {
+		t.Fatalf("inherited %d of %d subclusters though %d changed", clInherited, clBefore, changed)
+	}
+	// Reading everything through next fills the gaps from storage.
+	warmDecodedMemos(t, next)
+	checkDecodedMemos(t, next, "refilled")
+
+	// The pinned old epoch still serves exactly what it memoised.
+	checkDecodedMemos(t, old, "old epoch")
+	r := old.Reader()
+	for k, pre := range before {
+		got, err := r.cluster(k.w, k.dir, k.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, pre) {
+			t.Fatalf("old epoch's subcluster %+v changed under a pinned reader: %v -> %v", k, pre, got)
+		}
+	}
+	if r.Misses != 0 {
+		t.Fatalf("old epoch lost %d memo entries to the publish", r.Misses)
+	}
+}

@@ -181,6 +181,7 @@ func Open(path string, opt Options) (*DB, error) {
 		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
 		wcacheOn:         !opt.DisableWTableCache,
 		codeCacheEntries: opt.CodeCacheEntries,
+		memoBound:        fastClusterCacheNodes,
 	}
 	db.heap = storage.NewHeapFile(db.pool)
 

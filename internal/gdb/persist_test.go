@@ -257,3 +257,41 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatal("expected error for bad version")
 	}
 }
+
+// TestRepackKeepsReachBackend: Repack with default options rebuilds under
+// the backend the source manifest records (it used to fall back to the
+// default and silently turn a pll database into a twohop one); an explicit
+// Options.ReachIndex converts.
+func TestRepackKeepsReachBackend(t *testing.T) {
+	b := graph.NewBuilder()
+	x := b.AddNode("A")
+	y := b.AddNode("B")
+	b.AddEdge(x, y)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.fdb")
+	db, err := Build(b.Build(), Options{Path: src, ReachIndex: "pll"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ ask, want string }{
+		{"", "pll"},
+		{"twohop", "twohop"},
+	} {
+		dst := filepath.Join(dir, "dst-"+tc.want+".fdb")
+		wrote, err := Repack(src, dst, Options{ReachIndex: tc.ask})
+		if err != nil {
+			t.Fatalf("repack ReachIndex=%q: %v", tc.ask, err)
+		}
+		re, err := Open(dst, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := re.ReachBackend(); got != tc.want || wrote != tc.want {
+			t.Errorf("repack ReachIndex=%q: reported %q, reopened as %q, want %q", tc.ask, wrote, got, tc.want)
+		}
+		re.Close()
+	}
+}

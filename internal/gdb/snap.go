@@ -17,10 +17,12 @@ import (
 // publishes it atomically.
 //
 // Index content is immutable within an epoch, so the caches memoizing
-// decoded content (W lists, graph codes, optimizer statistics) are never
-// invalidated; a successor epoch starts from the survivors of its
-// predecessor minus the entries the insert batch touched. The caches are
-// internally locked only to coordinate concurrent readers filling them.
+// decoded content (W lists, graph codes, decoded subclusters, center sets)
+// are never invalidated; a successor epoch starts from the survivors of
+// its predecessor minus the entries the write batch touched (see
+// snapWriter.publish). The optimizer statistics and projections are
+// recomputed per epoch. The caches are internally locked only to
+// coordinate concurrent readers filling them.
 type Snap struct {
 	db *DB
 	g  *graph.Graph
@@ -42,11 +44,11 @@ type Snap struct {
 	wcache    map[wKey][]graph.NodeID
 	codeCache *codeCache
 
-	// clmu guards the tier-1 fast path's memos: the decoded-subcluster
-	// memo (FastF/FastT) and the per-value center-set memo (FastCenters).
-	// Only the fast-path runtime reads through them; the full pipeline
-	// keeps the paper's disk-resident cost model, fetching every
-	// subcluster and code through the buffer pool.
+	// clmu guards the decoded read path's memos: the decoded-subcluster
+	// memo and the per-value center-set memo every operator reads through
+	// (see Reader). Only the counted-I/O reference mode bypasses them,
+	// fetching every subcluster and code through the buffer pool as the
+	// paper's disk-resident executor does.
 	clmu    sync.RWMutex
 	clcache map[clKey][]graph.NodeID
 	clNodes int // total node IDs held, for the memo's size bound
@@ -137,80 +139,102 @@ func (s *Snap) GetT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
 	return s.clusterLookup(w, dirT, y)
 }
 
-// clKey identifies one decoded subcluster in the fast-path memo.
+// clKey identifies one decoded subcluster in the memo.
 type clKey struct {
 	w   graph.NodeID
 	dir byte
 	l   graph.Label
 }
 
-// fastClusterCacheNodes bounds the fast-path subcluster memo: the total
-// node IDs held across all cached lists (≈4 MB at the 1M default). On
-// overflow the memo resets — an epoch-local cache, not a second index.
+// fastClusterCacheNodes bounds each decoded memo: the total node IDs held
+// across all cached lists (≈4 MB at the 1M default). On overflow the memo
+// resets — an epoch-local cache, not a second index.
 const fastClusterCacheNodes = 1 << 20
 
-// FastF is GetF through the epoch's decoded-subcluster memo: the tier-1
-// index-only read path. The first access per (center, label) decodes the
-// list from storage; repeats are served from memory without buffer-pool
-// traffic. The returned slice is shared — callers must not mutate it.
+// Reader is one goroutine's handle on a snapshot's decoded read path: the
+// per-epoch memos of decoded subclusters and center sets that every
+// operator reads through. The first access per key decodes from storage
+// through the buffer pool (GetF/GetT, graph codes); repeats — by any query
+// on the epoch — are served from memory. A Reader counts its own lookups,
+// so the shared memo carries no counter on the hit path. Not safe for
+// concurrent use; returned slices are shared and must not be mutated.
+type Reader struct {
+	s *Snap
+	// Hits/Misses count every memo lookup this reader made;
+	// CenterHits/CenterMisses the center-set share of them.
+	Hits, Misses             int64
+	CenterHits, CenterMisses int64
+}
+
+// Reader returns a fresh decoded-path reader on this snapshot.
+func (s *Snap) Reader() *Reader { return &Reader{s: s} }
+
+// F is GetF through the epoch's decoded-subcluster memo.
+func (r *Reader) F(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
+	return r.cluster(w, dirF, x)
+}
+
+// T is GetT through the epoch's decoded-subcluster memo.
+func (r *Reader) T(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
+	return r.cluster(w, dirT, y)
+}
+
+// FastF is GetF through the epoch's decoded-subcluster memo, for callers
+// that do not keep a Reader.
 func (s *Snap) FastF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
-	return s.fastClusterLookup(w, dirF, x)
+	return s.Reader().F(w, x)
 }
 
 // FastT is GetT through the epoch's decoded-subcluster memo (see FastF).
 func (s *Snap) FastT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
-	return s.fastClusterLookup(w, dirT, y)
+	return s.Reader().T(w, y)
 }
 
-func (s *Snap) fastClusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
+func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
+	s := r.s
 	k := clKey{w, dir, l}
 	s.clmu.RLock()
 	nodes, ok := s.clcache[k]
 	s.clmu.RUnlock()
 	if ok {
+		r.Hits++
 		return nodes, nil
 	}
+	r.Misses++
 	nodes, err := s.clusterLookup(w, dir, l)
 	if err != nil {
 		return nil, err
 	}
-	s.clmu.Lock()
-	if s.clNodes+len(nodes) > fastClusterCacheNodes {
-		s.clcache, s.clNodes = nil, 0
-	}
-	if s.clcache == nil {
-		s.clcache = make(map[clKey][]graph.NodeID)
-	}
-	if _, dup := s.clcache[k]; !dup {
-		s.clcache[k] = nodes
-		s.clNodes += len(nodes)
-	}
-	s.clmu.Unlock()
+	memoPut(s, &s.clcache, &s.clNodes, k, nodes, len(nodes))
 	return nodes, nil
 }
 
-// ccKey identifies one bound value's center set in the fast-path memo.
+// ccKey identifies one bound value's center set in the memo.
 type ccKey struct {
 	v    graph.NodeID
 	x, y graph.Label
 	fwd  bool
 }
 
-// FastCenters returns getCenters for one bound value — out(v) ∩ W(X, Y)
-// forward, in(v) ∩ W(X, Y) reverse — through the epoch's memo: the tier-1
-// index-only read path behind Fetch. The intersection is a pure function of
-// the epoch's codes and W-table, so a value revisited by any later query on
-// the same snapshot costs a map lookup instead of a code fetch and a
-// gallop. Bounded and reset like the subcluster memo; the returned slice is
-// shared — callers must not mutate it.
-func (s *Snap) FastCenters(v graph.NodeID, x, y graph.Label, forward bool) ([]graph.NodeID, error) {
+// Centers returns getCenters for one bound value — out(v) ∩ W(X, Y)
+// forward, in(v) ∩ W(X, Y) reverse — through the epoch's memo. The
+// intersection is a pure function of the epoch's codes and W-table, so a
+// value revisited by any later operator or query on the same snapshot
+// costs a map lookup instead of a code fetch and a gallop. Bounded and
+// reset like the subcluster memo.
+func (r *Reader) Centers(v graph.NodeID, x, y graph.Label, forward bool) ([]graph.NodeID, error) {
+	s := r.s
 	k := ccKey{v, x, y, forward}
 	s.clmu.RLock()
 	cs, ok := s.ccache[k]
 	s.clmu.RUnlock()
 	if ok {
+		r.Hits++
+		r.CenterHits++
 		return cs, nil
 	}
+	r.Misses++
+	r.CenterMisses++
 	var code []graph.NodeID
 	var err error
 	if forward {
@@ -226,19 +250,37 @@ func (s *Snap) FastCenters(v graph.NodeID, x, y graph.Label, forward bool) ([]gr
 		return nil, err
 	}
 	cs = Intersect(code, ws)
-	s.clmu.Lock()
-	if s.ccNodes+len(cs)+1 > fastClusterCacheNodes {
-		s.ccache, s.ccNodes = nil, 0
-	}
-	if s.ccache == nil {
-		s.ccache = make(map[ccKey][]graph.NodeID)
-	}
-	if _, dup := s.ccache[k]; !dup {
-		s.ccache[k] = cs
-		s.ccNodes += len(cs) + 1 // +1 so empty sets still count toward the bound
-	}
-	s.clmu.Unlock()
+	memoPut(s, &s.ccache, &s.ccNodes, k, cs, len(cs)+1) // +1 so empty sets still count toward the bound
 	return cs, nil
+}
+
+// memoPut stores one decoded list in a memo of s (under clmu), charging
+// cost node IDs against the memo's bound. A memo that would overflow is
+// emptied first: it is an epoch-local cache, not a second index. Readers
+// hold the lists, not the map, so a reset never disturbs a running query.
+func memoPut[K comparable](s *Snap, memo *map[K][]graph.NodeID, held *int, k K, list []graph.NodeID, cost int) {
+	s.clmu.Lock()
+	defer s.clmu.Unlock()
+	if *held+cost > s.db.memoBound {
+		*memo, *held = nil, 0
+		s.db.memoResets.Add(1)
+	}
+	if *memo == nil {
+		*memo = make(map[K][]graph.NodeID)
+	}
+	if _, dup := (*memo)[k]; !dup {
+		(*memo)[k] = list
+		*held += cost
+	}
+}
+
+// DecodedMemoNodes returns the node IDs this epoch's decoded memos hold
+// (subcluster lists plus center sets): their resident size in 4-byte
+// units.
+func (s *Snap) DecodedMemoNodes() int {
+	s.clmu.RLock()
+	defer s.clmu.RUnlock()
+	return s.clNodes + s.ccNodes
 }
 
 func (s *Snap) clusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {

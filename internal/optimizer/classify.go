@@ -9,16 +9,19 @@ import (
 	"fastmatch/internal/rjoin"
 )
 
-// Tiered execution (see DESIGN.md "Tiered execution"): every plan is
-// routed to one of three tiers with a result-identical guarantee — the
-// same rows in the same deterministic order as the full pipeline.
+// Plan tiers (see DESIGN.md "One read path; counted-I/O reference mode")
+// label a plan's shape for -explain, StepTrace and the /stats counters:
 //
-//	tier 1 — index-only fast path: the classified plan's operators run on
-//	         a lightweight serial runtime that skips the worker pool, the
-//	         per-step scratch-heap spill, and the dedup projection.
+//	tier 1 — index-only shape: a head step plus fetches from its bindings
+//	         (single edges, stars, point probes).
 //	tier 2 — fan-signature prefilter: the pattern is provably empty; the
 //	         executor answers it with zero operator work.
-//	tier 3 — the existing DP/DPS/WCOJ pipeline.
+//	tier 3 — any other DP/DPS/WCOJ plan.
+//
+// Only tier 2 executes differently. Tiers 1 and 3 run the same operators
+// over the same decoded read path; the label survives because the two
+// shapes have very different cost profiles and operators want them counted
+// apart.
 
 // FastPathKind discriminates the fast-path classifications.
 type FastPathKind int
@@ -33,7 +36,7 @@ const (
 	FPEdge
 )
 
-// FastPath is a plan's tier classification.
+// FastPath is a plan's tier label.
 type FastPath struct {
 	Kind FastPathKind
 	// Probe marks a point-reachability probe: a single-edge pattern whose
@@ -52,8 +55,7 @@ func (f *FastPath) Describe() string {
 	return "index-only (" + f.Index + ")"
 }
 
-// Classify inspects an optimized plan and marks it tier-1 when its shape
-// is answerable index-only with provably distinct output rows:
+// Classify labels an optimized plan tier 1 when its shape is index-only:
 //
 //   - the head step is an HPSJ, a single-edge WCOJ, or a semijoin group,
 //     and
@@ -62,11 +64,8 @@ func (f *FastPath) Describe() string {
 //     stars around the head's bindings.
 //
 // Selection and JoinFilterFetch steps, multi-edge WCOJ cores, and fetch
-// chains fall through to tier 3. Admitted shapes produce pairwise
-// distinct rows at every step (HPSJ emits distinct pairs, a fetch of a
-// distinct input stays distinct), which is what lets the tier-1 executor
-// replace the final dedup projection with a pure column permutation and
-// still return exactly the pipeline's rows in the pipeline's order.
+// chains stay tier 3. The label is descriptive only: the executor runs
+// every plan the same way.
 func Classify(p *Plan) {
 	if p.Fast != nil || len(p.Steps) == 0 {
 		return

@@ -91,15 +91,22 @@ type Plan struct {
 	EstimatedRows float64
 	// Algorithm names the planner that produced the plan ("DP" or "DPS").
 	Algorithm string
-	// Fast is the tier router's classification, set by Classify (tier 1)
-	// or the prefilter (tier 2); nil means the plan runs on the full
-	// pipeline (tier 3). See classify.go for the admission rules.
+	// Fast is the plan's shape label, set by Classify (tier 1) or the
+	// prefilter (tier 2); nil labels a general pipeline plan (tier 3). Only
+	// the tier-2 label changes execution (a proven-empty pattern runs no
+	// operator); tiers 1 and 3 run the same operators over the same read
+	// path. See classify.go.
 	Fast *FastPath
+	// Reference marks a plan the executor must run in the paper's
+	// counted-I/O mode (pool reads per access, per-step spill, hash-dedup
+	// projection) rather than over the decoded read path. Set only by
+	// exec.PlanConfig{NoFastPath: true}.
+	Reference bool
 }
 
-// Tier returns the execution tier the plan runs under: 1 for an
-// index-only fast-path plan, 2 for a pattern the fan-signature prefilter
-// proved empty, 3 for the full operator pipeline.
+// Tier returns the plan's descriptive label for -explain and /stats: 1 for
+// an index-only shape (see Classify), 2 for a pattern the fan-signature
+// prefilter proved empty, 3 for everything else.
 func (p *Plan) Tier() int {
 	switch {
 	case p.Fast == nil:
@@ -115,10 +122,13 @@ func (p *Plan) Tier() int {
 func (p *Plan) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s plan (est cost %.1f, est rows %.1f)\n", p.Algorithm, p.EstimatedCost, p.EstimatedRows)
-	if p.Fast != nil {
-		fmt.Fprintf(&sb, "  tier %d fast path: %s\n", p.Tier(), p.Fast.Describe())
-	} else {
-		sb.WriteString("  tier 3: full operator pipeline\n")
+	switch {
+	case p.Fast != nil:
+		fmt.Fprintf(&sb, "  tier %d: %s\n", p.Tier(), p.Fast.Describe())
+	case p.Reference:
+		sb.WriteString("  tier 3: operator pipeline, counted-I/O reference mode\n")
+	default:
+		sb.WriteString("  tier 3: operator pipeline\n")
 	}
 	for i, s := range p.Steps {
 		fmt.Fprintf(&sb, "  %2d. %-9s", i+1, s.Kind)

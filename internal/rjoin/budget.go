@@ -83,6 +83,11 @@ func (b *Budget) CheckBytes() error {
 	return nil
 }
 
+// overBytes reports whether charging n more bytes would pass MaxBytes.
+func (b *Budget) overBytes(n int64) bool {
+	return b != nil && b.MaxBytes > 0 && b.bytes.Load()+n > b.MaxBytes
+}
+
 // CheckRows returns ErrRowLimit when an intermediate table (or a single
 // partition of one) holds more than MaxTableRows rows.
 func (b *Budget) CheckRows(n int) error {

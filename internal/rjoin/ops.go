@@ -52,10 +52,9 @@ func (c *cancelCheck) tickN(n int) error {
 	return c.b.CheckBytes()
 }
 
-// Package-level operator functions are the serial reference path: they run
-// single-threaded with no per-query state, exactly reproducing what a
-// Runtime with one worker computes. Parallel execution goes through
-// Runtime's methods of the same names.
+// Package-level operator functions are the serial path: they run
+// single-threaded on a fresh one-worker Runtime. Parallel execution goes
+// through Runtime's methods of the same names.
 
 // HPSJ processes an R-join between two base tables (Algorithm 1). See
 // Runtime.HPSJ.
@@ -108,16 +107,18 @@ func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Table, erro
 	bufs := make([][]uint64, parts)
 	err = rt.runParts(ctx, len(ws), parts, func(ctx context.Context, part, lo, hi int) error {
 		cc := rt.check(ctx)
+		rd := rt.open(db)
+		defer rd.done()
 		var pairs []uint64
 		for _, w := range ws[lo:hi] {
-			xs, err := rt.getF(db, w, c.FromLabel)
+			xs, err := rd.getF(w, c.FromLabel)
 			if err != nil {
 				return err
 			}
 			if len(xs) == 0 {
 				continue
 			}
-			ys, err := rt.getT(db, w, c.ToLabel)
+			ys, err := rd.getT(w, c.ToLabel)
 			if err != nil {
 				return err
 			}
@@ -178,22 +179,6 @@ func boundSide(t *Table, c Cond) (boundNode int, forward bool, err error) {
 	}
 }
 
-// centersFor computes getCenters for one bound value: out(x) ∩ W(X, Y) in
-// the forward direction, in(y) ∩ W(X, Y) in the reverse direction.
-func centersFor(db *gdb.Snap, v graph.NodeID, ws []graph.NodeID, forward bool) ([]graph.NodeID, error) {
-	var code []graph.NodeID
-	var err error
-	if forward {
-		code, err = db.OutCode(v)
-	} else {
-		code, err = db.InCode(v)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return gdb.Intersect(code, ws), nil
-}
-
 // Filter is the R-semijoin (Algorithm 2, Filter; Eq. 7/8): it keeps the
 // rows of t whose bound value can join some node of the other side's base
 // table, determined from the W-table and graph codes alone.
@@ -204,12 +189,10 @@ func (rt *Runtime) Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (
 // FilterMulti evaluates several R-semijoins in one scan of t (Remark 3.1).
 // All conditions must bind the same temporal column or, more generally,
 // columns already present in t; a row survives only if every condition's
-// center set is non-empty. Graph codes are fetched once per (row, column)
-// through the database's working cache, sharing the dominant cost; computed
-// center sets go through the per-query center cache, so a later Fetch on
-// the same condition reuses them. The row range is partitioned across the
-// runtime's workers; partitions keep input order, so concatenating them in
-// partition order reproduces the serial output.
+// center set is non-empty. Center sets come from the snapshot's per-epoch
+// memo, so a later Fetch on the same condition reuses them. The row range
+// is partitioned across the runtime's workers; partitions keep input order,
+// so concatenating them in partition order reproduces the serial output.
 func (rt *Runtime) FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond) (*Table, error) {
 	if len(conds) == 0 {
 		return t, nil
@@ -237,6 +220,8 @@ func (rt *Runtime) FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, cond
 	limit := rt.rowTarget
 	err := rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
 		cc := rt.check(ctx)
+		rd := rt.open(db)
+		defer rd.done()
 		var rows [][]graph.NodeID
 		for _, row := range t.Rows[lo:hi] {
 			if err := cc.tick(); err != nil {
@@ -248,7 +233,7 @@ func (rt *Runtime) FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, cond
 					keep = false
 					break
 				}
-				cs, err := rt.centersFor(db, row[p.col], p.ws, p.cond, p.forward)
+				cs, err := rd.centers(row[p.col], p.ws, p.cond, p.forward)
 				if err != nil {
 					return err
 				}
@@ -295,7 +280,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 	if col < 0 {
 		return nil, fmt.Errorf("rjoin: filter group on unbound node %d in %v", node, t.Cols)
 	}
-	wss := make([][]graph.NodeID, len(conds))
+	g := &semijoinGroup{conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
 	for i, c := range conds {
 		if outSide && c.FromNode != node || !outSide && c.ToNode != node {
 			return nil, fmt.Errorf("rjoin: condition %v not incident on node %d's %s side", c, node, side(outSide))
@@ -308,69 +293,26 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 			// Some condition can never be satisfied: the group empties t.
 			return NewTable(t.Cols...), nil
 		}
-		wss[i] = ws
+		g.wss[i] = ws
 	}
-	// Fast path: the per-row code test out(v) ∩ W(X, Y) ≠ ∅ is, for a
-	// v carrying the condition's bound-side label, exactly membership in
-	// the memoized distinct projection π_X(T_X ⋈ T_Y) — the cluster index
-	// defines F(w) = {u : w ∈ out(u)}, so some center of W lies in out(v)
-	// iff v is in some X-labeled F-subcluster over W (dually for in-codes
-	// and π_Y). Bound columns only ever hold values of their pattern
-	// node's label, so the semijoin group reduces to sorted-list searches
-	// against per-epoch memos: no per-row code fetch at all. Kept rows,
-	// their order, ticks, and limit handling are identical.
-	var projs [][]graph.NodeID
-	if rt.fast {
-		projs = make([][]graph.NodeID, len(conds))
-		for i, c := range conds {
-			var p []graph.NodeID
-			var err error
-			if outSide {
-				p, err = db.ProjectFrom(c.FromLabel, c.ToLabel)
-			} else {
-				p, err = db.ProjectTo(c.FromLabel, c.ToLabel)
-			}
-			if err != nil {
-				return nil, err
-			}
-			projs[i] = p
-		}
+	if err := rt.open(db).prepare(g); err != nil {
+		return nil, err
 	}
 	parts := rt.split(len(t.Rows), rowGrain)
 	kept := make([][][]graph.NodeID, parts)
 	limit := rt.rowTarget
 	err := rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
 		cc := rt.check(ctx)
+		rd := rt.open(db)
+		defer rd.done()
 		var rows [][]graph.NodeID
 		for _, row := range t.Rows[lo:hi] {
 			if err := cc.tick(); err != nil {
 				return err
 			}
-			keep := true
-			if rt.fast {
-				for _, p := range projs {
-					if !gdb.Contains(p, row[col]) {
-						keep = false
-						break
-					}
-				}
-			} else {
-				var code []graph.NodeID
-				var err error
-				if outSide {
-					code, err = db.OutCode(row[col])
-				} else {
-					code, err = db.InCode(row[col])
-				}
-				if err != nil {
-					return err
-				}
-				for _, ws := range wss {
-					if !gdb.IntersectNonEmpty(code, ws) {
-						keep = false
-						break
-					}
-				}
+			keep, err := rd.semijoin(g, row[col])
+			if err != nil {
+				return err
 			}
 			if keep {
 				rows = append(rows, row)
@@ -398,26 +340,24 @@ func side(out bool) string {
 }
 
 // Fetch completes an HPSJ+ R-join (Algorithm 2, Fetch): for each row of t
-// it computes the row's center set (served by the per-query cache when
-// Filter already computed it) and expands the row with every matching node
-// from the centers' T-subclusters (forward) or F-subclusters (reverse). The
-// new pattern-node column is appended; each row's expansion nodes are
-// emitted in ascending order (the sorted-set union of the subcluster
-// lists), giving a deterministic order identical across worker degrees.
-// Rows whose center set is empty produce nothing, so Fetch subsumes Filter;
-// running Filter first simply prunes earlier. The row range partitions
-// across the runtime's workers; output rows are drawn from per-partition
-// arenas and concatenated in partition order.
+// it computes the row's center set (already memoised when a Filter ran
+// first) and expands the row with every matching node from the centers'
+// T-subclusters (forward) or F-subclusters (reverse). The new pattern-node
+// column is appended; each row's expansion nodes are emitted in ascending
+// order (the sorted-set union of the subcluster lists), giving a
+// deterministic order identical across worker degrees. Rows whose center
+// set is empty produce nothing, so Fetch subsumes Filter; running Filter
+// first simply prunes earlier. The row range partitions across the
+// runtime's workers; each partition sizes its output exactly before
+// emitting (see expand), and partitions concatenate in partition order.
 func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
 		return nil, err
 	}
 	newNode := c.ToNode
-	fetchLabel := c.ToLabel
 	if !forward {
 		newNode = c.FromNode
-		fetchLabel = c.FromLabel
 	}
 	ws, err := db.Centers(c.FromLabel, c.ToLabel)
 	if err != nil {
@@ -425,68 +365,40 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 	}
 	col := t.ColIndex(boundNode)
 	cols := append(append([]int(nil), t.Cols...), newNode)
+	width := len(cols)
 
-	// Per-row expansion, as in Algorithm 2's Fetch loop: the row's
-	// subclusters are fetched from the R-join index through the buffer
-	// pool. Repeated accesses for popular centers are served — and counted
-	// — by the pool, matching the paper's per-row cost accounting.
 	parts := rt.split(len(t.Rows), rowGrain)
-	outs := make([]*Table, parts)
-	limit := rt.rowTarget
+	outs := make([][][]graph.NodeID, parts)
 	err = rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
+		rd := rt.open(db)
+		defer rd.done()
+		exp, total, err := rt.expand(ctx, rd, t.Rows[lo:hi], col, ws, c, forward, width)
+		if err != nil || total == 0 {
+			return err
+		}
+		// One row-header slice and one arena for the whole partition, both
+		// exact: counting first is what removes append growth from the
+		// emit loop.
+		out := make([][]graph.NodeID, 0, total)
+		arena := make([]graph.NodeID, total*width)
 		cc := rt.check(ctx)
-		out := rt.newTable(cols...)
-		// targets/scratch are the partition's reusable union buffers: the
-		// row under expansion never keeps a reference into them (NewRow
-		// copies), so they recycle across rows.
-		var targets, scratch []graph.NodeID
-		for _, row := range t.Rows[lo:hi] {
-			v := row[col]
-			cs, err := rt.centersFor(db, v, ws, c, forward)
-			if err != nil {
-				return err
-			}
-			targets = targets[:0]
-			for _, w := range cs {
-				var nodes []graph.NodeID
-				if forward {
-					nodes, err = rt.getT(db, w, fetchLabel)
-				} else {
-					nodes, err = rt.getF(db, w, fetchLabel)
-				}
-				if err != nil {
-					return err
-				}
-				if len(nodes) == 0 {
-					continue
-				}
-				if len(targets) == 0 {
-					targets = append(targets, nodes...)
-					continue
-				}
-				scratch = mergeUnion(scratch, targets, nodes)
-				targets, scratch = scratch, targets
-			}
+		for i, targets := range exp {
 			// One cancellation charge per row unit: the scan itself plus
-			// every row it emitted (the old code ticked the center loop and
-			// the emit loop separately, double-counting each output row).
+			// every row it emits.
 			if err := cc.tickN(1 + len(targets)); err != nil {
 				return err
 			}
+			rt.budget.AddBytes(int64(len(targets)) * int64(width) * nodeIDBytes)
+			row := t.Rows[lo+i]
 			for _, n := range targets {
-				nr := out.NewRow()
+				nr := arena[:width:width]
+				arena = arena[width:]
 				copy(nr, row)
-				nr[len(row)] = n
-				out.Rows = append(out.Rows, nr)
+				nr[width-1] = n
+				out = append(out, nr)
 			}
-			if err := rt.budget.CheckRows(len(out.Rows)); err != nil {
+			if err := rt.budget.CheckRows(len(out)); err != nil {
 				return err
-			}
-			// Pushed-down limit: stop after limit+1 rows (whole-row
-			// expansions keep the output a prefix of this range's serial
-			// output, so the merged prefix is degree-independent).
-			if limit > 0 && len(out.Rows) > limit {
-				break
 			}
 		}
 		outs[part] = out
@@ -496,10 +408,85 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 		return nil, err
 	}
 	out := NewTable(cols...)
-	for _, p := range outs {
-		out.Rows = append(out.Rows, p.Rows...)
-	}
+	out.Rows = concatRows(outs)
 	return rt.finishOp(out)
+}
+
+// unionChunk is the allocation unit (in node IDs) of expand's arena for
+// multi-center unions.
+const unionChunk = 16 << 10
+
+// expand is Fetch's counting pass over one partition: it resolves each
+// input row's expansion list — the ascending union of its centers'
+// subclusters — and the total rows they will emit at the given output
+// width, without emitting anything. A row with a single non-empty
+// subcluster aliases the shared decoded list; unions of several are carved
+// from a partition-local arena. It stops after the first row at which the
+// emit loop would stop anyway: where the pushed-down limit is exceeded
+// (limit+1 rows prove truncation, and whole-row expansions keep the output
+// a prefix of this range's serial output, so the merged prefix is
+// degree-independent), where the partition outgrows the row budget (the
+// emit loop's CheckRows then fails on exactly that row), or where its
+// bytes alone would blow the byte budget (the emit loop charges them and
+// the next poll or the merge checkpoint fails the query) — so a doomed
+// query never allocates its full output.
+func (rt *Runtime) expand(ctx context.Context, rd reads, rows [][]graph.NodeID, col int, ws []graph.NodeID, c Cond, forward bool, width int) (exp [][]graph.NodeID, total int, err error) {
+	limit := rt.rowTarget
+	n := len(rows)
+	if limit > 0 && limit < n {
+		n = limit + 1
+	}
+	exp = make([][]graph.NodeID, 0, n)
+	cc := newCancelCheck(ctx)
+	var arena, merged, scratch []graph.NodeID
+	for _, row := range rows {
+		if err := cc.tick(); err != nil {
+			return nil, 0, err
+		}
+		cs, err := rd.centers(row[col], ws, c, forward)
+		if err != nil {
+			return nil, 0, err
+		}
+		var targets []graph.NodeID
+		union := false
+		for _, w := range cs {
+			var nodes []graph.NodeID
+			if forward {
+				nodes, err = rd.getT(w, c.ToLabel)
+			} else {
+				nodes, err = rd.getF(w, c.FromLabel)
+			}
+			if err != nil {
+				return nil, 0, err
+			}
+			switch {
+			case len(nodes) == 0:
+			case len(targets) == 0:
+				targets = nodes
+			default:
+				scratch = mergeUnion(scratch, targets, nodes)
+				targets, merged, scratch = scratch, scratch, merged
+				union = true
+			}
+		}
+		if union {
+			// targets lives in a merge buffer the next row reuses.
+			if cap(arena)-len(arena) < len(targets) {
+				arena = make([]graph.NodeID, 0, max(unionChunk, len(targets)))
+			}
+			at := len(arena)
+			arena = append(arena, targets...)
+			targets = arena[at:len(arena):len(arena)]
+		}
+		exp = append(exp, targets)
+		total += len(targets)
+		if limit > 0 && total > limit ||
+			rt.budget.CheckRows(total) != nil ||
+			rt.budget.overBytes(int64(total)*int64(width)*nodeIDBytes) {
+			break
+		}
+	}
+	return exp, total, nil
 }
 
 // Selection processes a self R-join (Eq. 5): both pattern nodes of the

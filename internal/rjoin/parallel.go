@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 )
 
@@ -29,21 +28,17 @@ const (
 const minParallelGrains = 8
 
 // Runtime carries one query's intra-operator execution resources: the
-// worker-pool degree shared by all operators of the query and the per-query
-// center cache memoizing getCenters results across Filter and Fetch steps.
-// A Runtime is scoped to a single query against a single database — reusing
-// one across databases would serve stale center sets. All methods are safe
-// for concurrent use (a query's operators run one at a time, but the
-// partitions of one operator run on many goroutines).
+// worker-pool degree shared by all operators of the query, its budget, and
+// its counters. Every operator reads the index through the snapshot's
+// decoded per-epoch memos (see reads.go), which outlive the query — a
+// Fetch reuses the center sets its Filter computed, and so does the next
+// query on the epoch. A Runtime is scoped to a single query. All methods
+// are safe for concurrent use (a query's operators run one at a time, but
+// the partitions of one operator run on many goroutines).
 type Runtime struct {
 	workers int
-	centers *centerCache
-	// fast routes subcluster reads through the snapshot's decoded-list
-	// memo (gdb.Snap.FastF/FastT) instead of the buffer pool: the tier-1
-	// index-only read path. The decoded lists are identical to what GetF/
-	// GetT return, so operator results are unchanged; only the read cost
-	// moves from per-record page fetches to a per-epoch memory cache.
-	fast bool
+	// countIO selects the counted-I/O reference read path (see CountIO).
+	countIO bool
 
 	// budget is the query's resource governor (nil = unbudgeted). Set it
 	// with SetBudget before the first operator runs.
@@ -54,58 +49,41 @@ type Runtime struct {
 	// sets it only for a plan's final step.
 	rowTarget int
 
-	ops         atomic.Int64
-	parallelOps atomic.Int64
-	tasks       atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	seeks       atomic.Int64
-	iterNexts   atomic.Int64
+	ops          atomic.Int64
+	parallelOps  atomic.Int64
+	tasks        atomic.Int64
+	memoHits     atomic.Int64
+	memoMisses   atomic.Int64
+	centerHits   atomic.Int64
+	centerMisses atomic.Int64
+	seeks        atomic.Int64
+	iterNexts    atomic.Int64
 }
 
 // NewRuntime returns a Runtime executing each operator on up to workers
-// goroutines (workers <= 0 selects GOMAXPROCS) with the per-query center
-// cache enabled.
+// goroutines (workers <= 0 selects GOMAXPROCS).
 func NewRuntime(workers int) *Runtime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runtime{workers: workers, centers: newCenterCache(defaultCenterCacheEntries)}
+	return &Runtime{workers: workers}
 }
 
-// serial returns a zero-overhead single-worker runtime with no center
-// cache; it backs the package-level operator functions, which predate the
-// Runtime API and must stay independent across calls (they may be used
-// against many databases).
-func serial() *Runtime { return &Runtime{workers: 1} }
+// serial returns the single-worker runtime backing the package-level
+// operator functions.
+func serial() *Runtime { return NewRuntime(1) }
 
-// NewFastRuntime returns the tier-1 fast-path runtime: a single worker (no
-// pool, no partition bookkeeping) and no per-query center cache — fast-path
-// center sets come from the snapshot's per-epoch memo (gdb.Snap.FastCenters),
-// which outlives the query. Budget, limit-pushdown, and operator semantics
-// are exactly NewRuntime(1)'s, which is what makes tier-1 results and budget
-// kills identical to the pipeline's at one worker.
-func NewFastRuntime() *Runtime {
-	return &Runtime{workers: 1, fast: true}
-}
+// NewFastRuntime is NewRuntime(1). Kept for benchmark/trace.go, which
+// predates the single read path and still picks a constructor by tier.
+func NewFastRuntime() *Runtime { return NewRuntime(1) }
 
-// getF reads an F-subcluster through the runtime's read path: the
-// snapshot's decoded-list memo on the fast path, the buffer pool
-// otherwise. Both return the same list; callers must not mutate it.
-func (rt *Runtime) getF(db *gdb.Snap, w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
-	if rt.fast {
-		return db.FastF(w, x)
-	}
-	return db.GetF(w, x)
-}
-
-// getT is getF for T-subclusters.
-func (rt *Runtime) getT(db *gdb.Snap, w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
-	if rt.fast {
-		return db.FastT(w, y)
-	}
-	return db.GetT(w, y)
-}
+// CountIO switches the runtime to the counted-I/O reference read path:
+// every subcluster and graph code is fetched through the buffer pool per
+// access, with no decoded memo in between, so logical page counts are the
+// paper's I/O cost. The executor calls it for plans built with
+// exec.PlanConfig{NoFastPath: true} and for nothing else; like SetBudget
+// it must precede the first operator.
+func (rt *Runtime) CountIO() { rt.countIO = true }
 
 // Workers returns the resolved parallelism degree.
 func (rt *Runtime) Workers() int {
@@ -172,7 +150,13 @@ type RuntimeStats struct {
 	// the achieved fan-out; compare against the configured worker degree
 	// for utilisation).
 	Tasks int64
-	// CenterCacheHits/Misses count per-query center cache lookups.
+	// MemoHits/Misses count the runtime's lookups in the snapshot's decoded
+	// memos (subclusters and center sets); CenterCacheHits/Misses are the
+	// center-set share: a hit is a getCenters intersection some earlier
+	// operator or query on the epoch already computed. All zero in the
+	// counted-I/O reference mode, which bypasses the memos.
+	MemoHits          int64
+	MemoMisses        int64
 	CenterCacheHits   int64
 	CenterCacheMisses int64
 	// Seeks counts WCOJ sorted-iterator positioning operations: one per
@@ -191,8 +175,10 @@ func (rt *Runtime) Stats() RuntimeStats {
 		Ops:               rt.ops.Load(),
 		ParallelOps:       rt.parallelOps.Load(),
 		Tasks:             rt.tasks.Load(),
-		CenterCacheHits:   rt.cacheHits.Load(),
-		CenterCacheMisses: rt.cacheMisses.Load(),
+		MemoHits:          rt.memoHits.Load(),
+		MemoMisses:        rt.memoMisses.Load(),
+		CenterCacheHits:   rt.centerHits.Load(),
+		CenterCacheMisses: rt.centerMisses.Load(),
 		Seeks:             rt.seeks.Load(),
 		IterNexts:         rt.iterNexts.Load(),
 	}
@@ -262,90 +248,6 @@ func (rt *Runtime) runParts(ctx context.Context, n, parts int, f func(ctx contex
 		}
 	}
 	return first
-}
-
-// Per-query center cache: getCenters(v, X, Y) = out(v) ∩ W(X, Y) is a pure
-// function of the (read-only) database, so within one query its results are
-// memoized across operators — a JoinFilterFetch's Fetch step reuses the
-// center sets its Filter step just computed instead of re-intersecting.
-
-const (
-	defaultCenterCacheEntries = 1 << 16
-	centerCacheShards         = 8
-)
-
-type centerKey struct {
-	v    graph.NodeID
-	x, y graph.Label
-	fwd  bool
-}
-
-type centerCache struct {
-	shardCap int
-	shards   [centerCacheShards]centerCacheShard
-}
-
-type centerCacheShard struct {
-	mu sync.Mutex
-	m  map[centerKey][]graph.NodeID
-}
-
-func newCenterCache(entries int) *centerCache {
-	c := &centerCache{shardCap: entries / centerCacheShards}
-	if c.shardCap < 1 {
-		c.shardCap = 1
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[centerKey][]graph.NodeID)
-	}
-	return c
-}
-
-func (c *centerCache) get(k centerKey) ([]graph.NodeID, bool) {
-	s := &c.shards[int(uint32(k.v))%centerCacheShards]
-	s.mu.Lock()
-	v, ok := s.m[k]
-	s.mu.Unlock()
-	return v, ok
-}
-
-func (c *centerCache) put(k centerKey, v []graph.NodeID) {
-	s := &c.shards[int(uint32(k.v))%centerCacheShards]
-	s.mu.Lock()
-	if len(s.m) >= c.shardCap {
-		// Bounded like the database's code cache: drop an arbitrary entry.
-		for dk := range s.m {
-			delete(s.m, dk)
-			break
-		}
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// centersFor computes getCenters for one bound value — out(v) ∩ W(X, Y)
-// forward, in(v) ∩ W(X, Y) reverse — through the per-query cache when the
-// runtime has one. The fast path reads the snapshot's per-epoch memo
-// instead: same intersection, amortised across every query on the epoch.
-func (rt *Runtime) centersFor(db *gdb.Snap, v graph.NodeID, ws []graph.NodeID, c Cond, forward bool) ([]graph.NodeID, error) {
-	if rt.fast {
-		return db.FastCenters(v, c.FromLabel, c.ToLabel, forward)
-	}
-	if rt.centers == nil {
-		return centersFor(db, v, ws, forward)
-	}
-	k := centerKey{v: v, x: c.FromLabel, y: c.ToLabel, fwd: forward}
-	if cs, ok := rt.centers.get(k); ok {
-		rt.cacheHits.Add(1)
-		return cs, nil
-	}
-	rt.cacheMisses.Add(1)
-	cs, err := centersFor(db, v, ws, forward)
-	if err != nil {
-		return nil, err
-	}
-	rt.centers.put(k, cs)
-	return cs, nil
 }
 
 // Sorted-set kernels shared by the operators.

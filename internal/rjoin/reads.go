@@ -1,0 +1,156 @@
+package rjoin
+
+import (
+	"fastmatch/internal/gdb"
+	"fastmatch/internal/graph"
+)
+
+// reads is the index read path of one operator partition: how it obtains
+// subclusters, center sets, and a semijoin group's keep-test. Both
+// implementations return identical lists, so operator output never depends
+// on which one serves it. A reads value belongs to one goroutine.
+type reads interface {
+	// getF/getT return center w's X-labeled F-subcluster / Y-labeled
+	// T-subcluster; the slice is shared and must not be mutated.
+	getF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error)
+	getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error)
+	// centers computes getCenters for one bound value: out(v) ∩ W(X, Y)
+	// forward, in(v) ∩ W(X, Y) reverse, where ws = W(X, Y).
+	centers(v graph.NodeID, ws []graph.NodeID, c Cond, forward bool) ([]graph.NodeID, error)
+	// prepare loads what semijoin needs for one R-semijoin group, once per
+	// operator; semijoin then reports whether a value bound to the group's
+	// node survives every condition (see Runtime.FilterGroup).
+	prepare(g *semijoinGroup) error
+	semijoin(g *semijoinGroup, v graph.NodeID) (bool, error)
+	// done folds the reader's lookup counters into the runtime's.
+	done()
+}
+
+// semijoinGroup is one FilterGroup's state: its conditions, which code
+// side they read, each condition's W(X, Y), and — on the decoded path —
+// each condition's bound-side distinct projection.
+type semijoinGroup struct {
+	conds   []Cond
+	outSide bool
+	wss     [][]graph.NodeID
+	projs   [][]graph.NodeID
+}
+
+// open returns the read path for one partition over db: the snapshot's
+// decoded per-epoch memos, or — for a runtime the executor switched to
+// the counted-I/O reference mode — the buffer pool.
+func (rt *Runtime) open(db *gdb.Snap) reads {
+	if rt.countIO {
+		return pooledReads{db}
+	}
+	return &decodedReads{rt: rt, db: db, r: db.Reader()}
+}
+
+// decodedReads reads through gdb.Reader: decoded subclusters and center
+// sets memoised per epoch, shared by every query on the snapshot.
+type decodedReads struct {
+	rt *Runtime
+	db *gdb.Snap
+	r  *gdb.Reader
+}
+
+func (d *decodedReads) getF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
+	return d.r.F(w, x)
+}
+
+func (d *decodedReads) getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
+	return d.r.T(w, y)
+}
+
+func (d *decodedReads) centers(v graph.NodeID, _ []graph.NodeID, c Cond, forward bool) ([]graph.NodeID, error) {
+	return d.r.Centers(v, c.FromLabel, c.ToLabel, forward)
+}
+
+func (d *decodedReads) prepare(g *semijoinGroup) error {
+	g.projs = make([][]graph.NodeID, len(g.conds))
+	for i, c := range g.conds {
+		var err error
+		if g.outSide {
+			g.projs[i], err = d.db.ProjectFrom(c.FromLabel, c.ToLabel)
+		} else {
+			g.projs[i], err = d.db.ProjectTo(c.FromLabel, c.ToLabel)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// semijoin tests membership in the memoized distinct projections. The
+// per-row code test out(v) ∩ W(X, Y) ≠ ∅ is, for a v carrying the
+// condition's bound-side label, exactly membership in π_X(T_X ⋈ T_Y): the
+// cluster index defines F(w) = {u : w ∈ out(u)}, so some center of W lies
+// in out(v) iff v is in some X-labeled F-subcluster over W (dually for
+// in-codes and π_Y). Bound columns only ever hold values of their pattern
+// node's label, so the group reduces to sorted-list searches with no
+// per-row code fetch at all.
+func (d *decodedReads) semijoin(g *semijoinGroup, v graph.NodeID) (bool, error) {
+	for _, p := range g.projs {
+		if !gdb.Contains(p, v) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+func (d *decodedReads) done() {
+	d.rt.memoHits.Add(d.r.Hits)
+	d.rt.memoMisses.Add(d.r.Misses)
+	d.rt.centerHits.Add(d.r.CenterHits)
+	d.rt.centerMisses.Add(d.r.CenterMisses)
+}
+
+// pooledReads is the counted-I/O reference mode (exec.PlanConfig's
+// NoFastPath): every subcluster and graph code is fetched through the
+// buffer pool per access, as in the paper's disk-resident executor, so a
+// step's logical page count is the paper's I/O cost. It is also what the
+// differential tests compare the decoded path against.
+type pooledReads struct{ db *gdb.Snap }
+
+func (p pooledReads) getF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
+	return p.db.GetF(w, x)
+}
+
+func (p pooledReads) getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
+	return p.db.GetT(w, y)
+}
+
+func (p pooledReads) centers(v graph.NodeID, ws []graph.NodeID, _ Cond, forward bool) ([]graph.NodeID, error) {
+	code, err := p.code(v, forward)
+	if err != nil {
+		return nil, err
+	}
+	return gdb.Intersect(code, ws), nil
+}
+
+func (p pooledReads) code(v graph.NodeID, out bool) ([]graph.NodeID, error) {
+	if out {
+		return p.db.OutCode(v)
+	}
+	return p.db.InCode(v)
+}
+
+func (pooledReads) prepare(*semijoinGroup) error { return nil }
+
+// semijoin is Algorithm 2's Filter as written: one code retrieval per row,
+// shared by the group's conditions (Remark 3.1).
+func (p pooledReads) semijoin(g *semijoinGroup, v graph.NodeID) (bool, error) {
+	code, err := p.code(v, g.outSide)
+	if err != nil {
+		return false, err
+	}
+	for _, ws := range g.wss {
+		if !gdb.IntersectNonEmpty(code, ws) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+func (pooledReads) done() {}

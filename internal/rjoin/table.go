@@ -13,9 +13,10 @@
 //     two columns both already bound in the temporal table, checked from
 //     graph codes.
 //
-// Temporal tables are in-memory, as in the paper's executor; all base
-// table, W-table, and cluster index accesses go through the graph
-// database's buffer pool and are counted as I/O.
+// Temporal tables are in-memory. Operators read the cluster index and the
+// graph codes through the snapshot's decoded per-epoch memos (reads.go);
+// in the counted-I/O reference mode every access instead goes through the
+// graph database's buffer pool and is counted as I/O, as in the paper.
 package rjoin
 
 import (
@@ -129,10 +130,10 @@ func (t *Table) Project(nodes []int) (*Table, error) {
 // Permute returns a new table with the given pattern-node columns in the
 // given order, preserving row order and WITHOUT deduplication — Project
 // minus the hash set. It is correct only when the permuted rows are known
-// pairwise distinct, which holds for full-width projections of the
-// tier-1 fast-path plans (each admitted operator chain produces distinct
-// rows); the fast-path executor uses it to skip Project's per-row key
-// hashing on the result path.
+// pairwise distinct, which holds for the full-width projection of any
+// plan's final table (every operator preserves distinct rows); the
+// executor uses it to skip Project's per-row key hashing on the result
+// path.
 func (t *Table) Permute(nodes []int) (*Table, error) {
 	idx := make([]int, len(nodes))
 	identity := len(nodes) == len(t.Cols)

@@ -142,7 +142,7 @@ type wcojTargets struct {
 // wcojRun is one partition's enumeration state.
 type wcojRun struct {
 	rt   *Runtime
-	db   *gdb.Snap
+	rd   reads
 	plan *wcojPlan
 	out  *Table
 	cc   cancelCheck
@@ -163,11 +163,11 @@ type wcojRun struct {
 	seeks, nexts int64
 }
 
-func newWCOJRun(rt *Runtime, db *gdb.Snap, plan *wcojPlan, cc cancelCheck) *wcojRun {
+func newWCOJRun(rt *Runtime, rd reads, plan *wcojPlan, cc cancelCheck) *wcojRun {
 	n := len(plan.levels)
 	r := &wcojRun{
 		rt:      rt,
-		db:      db,
+		rd:      rd,
 		plan:    plan,
 		cc:      cc,
 		binding: make([]graph.NodeID, n),
@@ -183,9 +183,9 @@ func newWCOJRun(rt *Runtime, db *gdb.Snap, plan *wcojPlan, cc cancelCheck) *wcoj
 
 // targets returns the partner list of bound constraint j at level k under
 // the current binding, through the single-entry memo. The computation is
-// Fetch's per-row expansion: centers out(v) ∩ W (in(v) ∩ W reverse) via the
-// per-query center cache, then the sorted-set union of their T-subclusters
-// (F-subclusters reverse).
+// Fetch's per-row expansion: centers out(v) ∩ W (in(v) ∩ W reverse), then
+// the sorted-set union of their T-subclusters (F-subclusters reverse), both
+// through the partition's read path.
 func (r *wcojRun) targets(k, j int) ([]graph.NodeID, error) {
 	b := &r.plan.levels[k].bound[j]
 	v := r.binding[b.level]
@@ -193,7 +193,7 @@ func (r *wcojRun) targets(k, j int) ([]graph.NodeID, error) {
 	if m.valid && m.value == v {
 		return m.targets, nil
 	}
-	cs, err := r.rt.centersFor(r.db, v, b.ws, b.cond, b.forward)
+	cs, err := r.rd.centers(v, b.ws, b.cond, b.forward)
 	if err != nil {
 		return nil, err
 	}
@@ -202,9 +202,9 @@ func (r *wcojRun) targets(k, j int) ([]graph.NodeID, error) {
 	for _, w := range cs {
 		var nodes []graph.NodeID
 		if b.forward {
-			nodes, err = r.rt.getT(r.db, w, b.cond.ToLabel)
+			nodes, err = r.rd.getT(w, b.cond.ToLabel)
 		} else {
-			nodes, err = r.rt.getF(r.db, w, b.cond.FromLabel)
+			nodes, err = r.rd.getF(w, b.cond.FromLabel)
 		}
 		if err != nil {
 			return nil, err
@@ -315,15 +315,19 @@ func (rt *Runtime) WCOJ(ctx context.Context, db *gdb.Snap, conds []Cond, order [
 	}
 	// The first level's candidates are intersections of snapshot-memoized
 	// projections only — computed once, then partitioned.
-	seed := newWCOJRun(rt, db, plan, rt.check(ctx))
+	seedReads := rt.open(db)
+	seed := newWCOJRun(rt, seedReads, plan, rt.check(ctx))
 	c0, err := seed.candidates(0)
+	seedReads.done()
 	if err != nil {
 		return nil, err
 	}
 	parts := rt.split(len(c0), wcojGrain)
 	outs := make([]*Table, parts)
 	err = rt.runParts(ctx, len(c0), parts, func(ctx context.Context, part, lo, hi int) error {
-		r := newWCOJRun(rt, db, plan, rt.check(ctx))
+		rd := rt.open(db)
+		defer rd.done()
+		r := newWCOJRun(rt, rd, plan, rt.check(ctx))
 		r.out = rt.newTable(plan.order...)
 		r.limit = rt.rowTarget
 		err := r.enumerate(0, c0[lo:hi])

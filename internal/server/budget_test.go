@@ -15,6 +15,7 @@ import (
 
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/rjoin"
+	"fastmatch/internal/storage"
 )
 
 // TestStatusFor: client faults map to 4xx, budget kills to 422, and —
@@ -30,6 +31,7 @@ func TestStatusFor(t *testing.T) {
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{context.Canceled, 499},
 		{gdb.ErrClosed, http.StatusServiceUnavailable},
+		{fmt.Errorf("exec: step 1 (hpsj): %w (16 frames all pinned)", storage.ErrPoolExhausted), http.StatusServiceUnavailable},
 		{badQuery(errors.New("no such label")), http.StatusBadRequest},
 		{rjoin.ErrRowLimit, http.StatusUnprocessableEntity},
 		{rjoin.ErrBudgetExceeded, http.StatusUnprocessableEntity},

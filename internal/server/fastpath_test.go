@@ -35,9 +35,9 @@ func fastpathTestServer(t testing.TB, cfg Config) *Server {
 	return New(db, cfg)
 }
 
-// TestStatsTierCounters: /stats attributes each served query to the tier
-// the router chose — index-only answers, signature prunes, and pipeline
-// queries — with per-tier latency sums.
+// TestStatsTierCounters: /stats attributes each served query to its plan's
+// tier label — index-only shapes, signature prunes, and everything else —
+// with per-tier latency sums.
 func TestStatsTierCounters(t *testing.T) {
 	s := fastpathTestServer(t, Config{})
 	ctx := context.Background()
@@ -69,31 +69,38 @@ func TestStatsTierCounters(t *testing.T) {
 	}
 }
 
-// TestNoFastPathConfig: the -no-fastpath escape hatch forces every query
-// down the pipeline — results unchanged, tier counters all tier 3.
-func TestNoFastPathConfig(t *testing.T) {
-	tiered := fastpathTestServer(t, Config{})
-	forced := fastpathTestServer(t, Config{NoFastPath: true})
+// TestStatsDecodedMemo: served queries read through the snapshot's decoded
+// memos, and /stats reports what those memos hold and how they hit. The
+// second run of the same queries must be served from memory: more hits, no
+// new misses, no growth.
+func TestStatsDecodedMemo(t *testing.T) {
+	s := fastpathTestServer(t, Config{})
 	ctx := context.Background()
-
-	for _, q := range []string{"A->B", "A->Z", "A->B; B->C"} {
-		rt, err := tiered.Query(ctx, q, "")
-		if err != nil {
-			t.Fatalf("%s tiered: %v", q, err)
-		}
-		rf, err := forced.Query(ctx, q, "")
-		if err != nil {
-			t.Fatalf("%s forced: %v", q, err)
-		}
-		if len(rt.Rows) != len(rf.Rows) {
-			t.Fatalf("%s: tiered %d rows, forced %d rows", q, len(rt.Rows), len(rf.Rows))
+	run := func() {
+		for _, q := range []string{"A->B; B->C", "A->B; A->C", "A->B; B->C; C->A"} {
+			if _, err := s.Query(ctx, q, "dp"); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
 		}
 	}
-	st := forced.Stats()
-	if st.FastpathTier1Queries != 0 || st.FastpathTier2Prunes != 0 {
-		t.Fatalf("NoFastPath server still fast-pathed: %+v", st)
+	run()
+	cold := s.Stats()
+	if cold.DecodedMemoMisses == 0 || cold.DecodedMemoNodes == 0 {
+		t.Fatalf("cold run filled no decoded memo: %+v", cold)
 	}
-	if st.Tier3Queries != 3 {
-		t.Fatalf("NoFastPath tier-3 count = %d, want 3", st.Tier3Queries)
+	if cold.CenterCacheHits+cold.CenterCacheMisses == 0 {
+		t.Fatalf("no center-set lookups counted: %+v", cold)
+	}
+	run()
+	warm := s.Stats()
+	if warm.DecodedMemoMisses != cold.DecodedMemoMisses || warm.DecodedMemoNodes != cold.DecodedMemoNodes {
+		t.Fatalf("warm run missed the memo: misses %d -> %d, nodes %d -> %d",
+			cold.DecodedMemoMisses, warm.DecodedMemoMisses, cold.DecodedMemoNodes, warm.DecodedMemoNodes)
+	}
+	if warm.DecodedMemoHits <= cold.DecodedMemoHits {
+		t.Fatalf("warm run counted no hits: %d -> %d", cold.DecodedMemoHits, warm.DecodedMemoHits)
+	}
+	if warm.DecodedMemoResets != 0 {
+		t.Fatalf("memo reset %d times on a 61-node graph", warm.DecodedMemoResets)
 	}
 }

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 	"fastmatch/internal/rjoin"
+	"fastmatch/internal/storage"
 )
 
 // QueryRequest is the JSON body of POST /query.
@@ -51,10 +55,10 @@ type errorResponse struct {
 //
 // Admission-control rejections map to 429 with a Retry-After header,
 // per-request deadline expiry to 504, resource-budget kills to 422, a
-// closed database to 503, and oversized request bodies to 413. Malformed
-// requests and unanswerable patterns are 400; anything unclassified is a
-// server fault and answers 500. With Config.ReadOnly set, every mutating
-// route answers 403.
+// closed database or an exhausted buffer pool to 503, and oversized
+// request bodies to 413. Malformed requests and unanswerable patterns are
+// 400; anything unclassified is a server fault and answers 500. With
+// Config.ReadOnly set, every mutating route answers 403.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -145,7 +149,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.Rows == nil {
 		resp.Rows = [][]graph.NodeID{}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, &resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -174,7 +178,7 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, gdb.ErrClosed):
+	case errors.Is(err, gdb.ErrClosed), errors.Is(err, storage.ErrPoolExhausted):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, rjoin.ErrRowLimit), errors.Is(err, rjoin.ErrBudgetExceeded):
 		return http.StatusUnprocessableEntity
@@ -190,6 +194,81 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// maxPooledResponse is the largest encode buffer kept for reuse; a rare
+// huge result must not pin its buffer under steady small traffic.
+const maxPooledResponse = 32 << 20
+
+var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeQueryResponse writes a 200 QueryResponse. The rows array — all of
+// a large response — is formatted with strconv into a pooled buffer
+// instead of being walked by encoding/json's reflection.
+func writeQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
+	bp := responseBufs.Get().(*[]byte)
+	buf := append(appendQueryResponse((*bp)[:0], resp), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf)
+	if cap(buf) <= maxPooledResponse {
+		*bp = buf
+		responseBufs.Put(bp)
+	}
+}
+
+// appendQueryResponse appends exactly the bytes json.Marshal(resp) yields.
+func appendQueryResponse(buf []byte, resp *QueryResponse) []byte {
+	width := 0
+	if len(resp.Rows) > 0 {
+		width = len(resp.Rows[0])
+	}
+	// Node IDs average under 7 digits on the graphs this serves; one
+	// reservation that is about right beats doubling through a large result.
+	buf = slices.Grow(buf, 128+len(resp.Rows)*(8*width+3))
+	buf = append(buf, `{"cols":`...)
+	buf = appendJSON(buf, resp.Cols)
+	buf = append(buf, `,"rows":`...)
+	if resp.Rows == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, row := range resp.Rows {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if row == nil {
+				buf = append(buf, "null"...)
+				continue
+			}
+			buf = append(buf, '[')
+			for j, v := range row {
+				if j > 0 {
+					buf = append(buf, ',')
+				}
+				buf = strconv.AppendInt(buf, int64(v), 10)
+			}
+			buf = append(buf, ']')
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `,"row_count":`...)
+	buf = strconv.AppendInt(buf, int64(resp.RowCount), 10)
+	if resp.Truncated {
+		buf = append(buf, `,"truncated":true`...)
+	}
+	buf = append(buf, `,"plan_cached":`...)
+	buf = strconv.AppendBool(buf, resp.PlanCached)
+	buf = append(buf, `,"elapsed_ms":`...)
+	buf = appendJSON(buf, resp.ElapsedMS)
+	return append(buf, '}')
+}
+
+// appendJSON appends encoding/json's rendering of a value that cannot fail
+// to marshal (strings, finite floats).
+func appendJSON(buf []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(buf, b...)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -54,20 +54,22 @@ type metrics struct {
 	operatorOps   atomic.Int64 // operator executions
 	parallelOps   atomic.Int64 // operators that split across >1 worker
 	operatorTasks atomic.Int64 // partition tasks executed
-	centerHits    atomic.Int64 // per-query center cache hits
-	centerMisses  atomic.Int64 // per-query center cache misses
+	centerHits    atomic.Int64 // center-set memo hits
+	centerMisses  atomic.Int64 // center-set memo misses
+	memoHits      atomic.Int64 // decoded-memo hits (subclusters + center sets)
+	memoMisses    atomic.Int64 // decoded-memo misses
 
 	// Worst-case-optimal multiway join (leapfrog) observability.
 	wcojQueries atomic.Int64 // queries whose plan opened with a WCOJ step
 	wcojSeeks   atomic.Int64 // trie-iterator lists opened across WCOJ steps
 	wcojNexts   atomic.Int64 // candidate values produced across WCOJ steps
 
-	// Tiered fast-path execution (see optimizer.Classify/Prefilter). Each
-	// successful query is attributed to exactly one tier; the latency sums
-	// (µs) divide by the tier counters for per-tier means.
-	tier1Queries   atomic.Int64 // answered index-only (tier 1)
+	// Plan tiers (see optimizer.Classify/Prefilter): descriptive shape
+	// labels. Each successful query is attributed to exactly one; the
+	// latency sums (µs) divide by the tier counters for per-tier means.
+	tier1Queries   atomic.Int64 // index-only shape (tier 1)
 	tier2Prunes    atomic.Int64 // proven empty by the signature prefilter
-	tier3Queries   atomic.Int64 // ran the full operator pipeline
+	tier3Queries   atomic.Int64 // any other plan
 	tier1LatencyUS atomic.Int64
 	tier2LatencyUS atomic.Int64
 	tier3LatencyUS atomic.Int64
@@ -83,6 +85,8 @@ func (m *metrics) recordRuntime(rs rjoin.RuntimeStats) {
 	m.operatorTasks.Add(rs.Tasks)
 	m.centerHits.Add(rs.CenterCacheHits)
 	m.centerMisses.Add(rs.CenterCacheMisses)
+	m.memoHits.Add(rs.MemoHits)
+	m.memoMisses.Add(rs.MemoMisses)
 	m.wcojSeeks.Add(rs.Seeks)
 	m.wcojNexts.Add(rs.IterNexts)
 }
@@ -97,7 +101,7 @@ func (m *metrics) recordQuery(elapsed time.Duration, rowCount int, planCached bo
 	m.latency[bits.Len64(uint64(us))].Add(1)
 }
 
-// recordTier attributes one successful query to its execution tier.
+// recordTier attributes one successful query to its plan's tier label.
 func (m *metrics) recordTier(tier int, elapsed time.Duration) {
 	us := elapsed.Microseconds()
 	if us < 0 {
@@ -258,9 +262,20 @@ type Stats struct {
 	// WorkerUtilization is OperatorTasks/(OperatorOps × resolved degree):
 	// 1.0 means every operator filled every worker slot.
 	WorkerUtilization float64 `json:"worker_utilization"`
-	// CenterCacheHits/Misses aggregate the per-query center caches.
+	// CenterCacheHits/Misses aggregate the queries' center-set lookups in
+	// the snapshots' decoded memos: a hit is a getCenters intersection an
+	// earlier operator or query on the epoch already computed.
 	CenterCacheHits   int64 `json:"center_cache_hits"`
 	CenterCacheMisses int64 `json:"center_cache_misses"`
+	// DecodedMemoHits/Misses aggregate every decoded-memo lookup served
+	// queries made (decoded subclusters plus center sets); a miss is a
+	// buffer-pool read and a decode. DecodedMemoNodes is the node IDs the
+	// current epoch's memos hold (×4 bytes resident); DecodedMemoResets
+	// counts overflows of the memo bound, each of which emptied a memo.
+	DecodedMemoNodes  int   `json:"decoded_memo_nodes"`
+	DecodedMemoHits   int64 `json:"decoded_memo_hits"`
+	DecodedMemoMisses int64 `json:"decoded_memo_misses"`
+	DecodedMemoResets int64 `json:"decoded_memo_resets"`
 	// WCOJQueries counts queries whose chosen plan opened with a
 	// worst-case-optimal multiway join step (the hybrid planner picked a
 	// leapfrog core over a binary pipeline, or the client forced algo=wcoj);
@@ -269,10 +284,11 @@ type Stats struct {
 	WCOJQueries   int64 `json:"wcoj_queries"`
 	WCOJSeeks     int64 `json:"wcoj_seeks"`
 	WCOJIterNexts int64 `json:"wcoj_iter_nexts"`
-	// FastpathTier1Queries counts successful queries answered on the tier-1
-	// index-only fast path; FastpathTier2Prunes patterns the fan-signature
-	// prefilter proved empty (tier 2); Tier3Queries the full operator
-	// pipeline. The latency fields are per-tier cumulative server-side
+	// FastpathTier1Queries counts successful queries whose plan had the
+	// tier-1 index-only shape; FastpathTier2Prunes patterns the
+	// fan-signature prefilter proved empty (tier 2); Tier3Queries every
+	// other plan. The tiers are descriptive labels — tiers 1 and 3 execute
+	// identically. The latency fields are per-tier cumulative server-side
 	// latency in milliseconds — divide by the matching counter for a mean.
 	FastpathTier1Queries   int64   `json:"fastpath_tier1_queries"`
 	FastpathTier2Prunes    int64   `json:"fastpath_tier2_prunes"`
@@ -328,6 +344,8 @@ func (s *Server) Stats() Stats {
 		OperatorTasks:          s.met.operatorTasks.Load(),
 		CenterCacheHits:        s.met.centerHits.Load(),
 		CenterCacheMisses:      s.met.centerMisses.Load(),
+		DecodedMemoHits:        s.met.memoHits.Load(),
+		DecodedMemoMisses:      s.met.memoMisses.Load(),
 		WCOJQueries:            s.met.wcojQueries.Load(),
 		WCOJSeeks:              s.met.wcojSeeks.Load(),
 		WCOJIterNexts:          s.met.wcojNexts.Load(),
@@ -349,6 +367,7 @@ func (s *Server) Stats() Stats {
 	if !s.db.Closed() {
 		st.ReachBackend = s.db.ReachBackend()
 		st.IO = s.db.IOStats()
+		st.DecodedMemoNodes, st.DecodedMemoResets = s.db.DecodedMemoStats()
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current
 		st.PinnedEpochs = es.Pinned

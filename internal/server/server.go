@@ -100,12 +100,6 @@ type Config struct {
 	// the HTTP surface only; the in-process InsertEdges/DeleteEdges
 	// methods stay available to the embedding program.
 	ReadOnly bool
-	// NoFastPath disables tiered execution: every query is planned without
-	// the fan-signature prefilter or tier-1 classification and runs the
-	// full operator pipeline. An escape hatch for debugging and for
-	// measuring the fast path's benefit (the fgmbench fastpath experiment
-	// uses the library-level equivalent).
-	NoFastPath bool
 }
 
 func (c Config) withDefaults() Config {
@@ -271,19 +265,10 @@ func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo 
 		s.met.recordError(err)
 		return nil, err
 	}
-	// One operator runtime per query: the worker-pool degree plus the
-	// per-query center cache, whose counters feed the server metrics; the
-	// budget governs what the query may materialise. Fast-path plans
-	// (tier 1 and 2) get the lightweight serial runtime — their answers
-	// come straight from the index, so a worker pool would only add setup
-	// cost.
-	tier := plan.Tier()
-	var rt *rjoin.Runtime
-	if tier != 3 {
-		rt = rjoin.NewFastRuntime()
-	} else {
-		rt = rjoin.NewRuntime(s.cfg.QueryParallelism)
-	}
+	// One operator runtime per query: the worker-pool degree and the
+	// counters that feed the server metrics; the budget governs what the
+	// query may materialise.
+	rt := rjoin.NewRuntime(s.cfg.QueryParallelism)
 	bdg := &rjoin.Budget{
 		ResultRows:   opts.Limit,
 		MaxTableRows: s.cfg.MaxTableRows,
@@ -301,7 +286,7 @@ func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo 
 	}
 	elapsed := time.Since(start)
 	s.met.recordQuery(elapsed, len(t.Rows), cached)
-	s.met.recordTier(tier, elapsed)
+	s.met.recordTier(plan.Tier(), elapsed)
 	// Column labels come from the plan's own pattern: a cache hit may have
 	// been planned for an equivalent pattern whose nodes were declared in
 	// a different order.
@@ -381,7 +366,7 @@ func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, a
 	if s.planBuildHook != nil {
 		s.planBuildHook()
 	}
-	c.plan, c.err = exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: s.cfg.NoFastPath})
+	c.plan, c.err = exec.BuildPlanSnap(snap, p, algo)
 	if c.err != nil {
 		// Bind/plan failures are malformed or unanswerable queries —
 		// client faults, and shared verbatim with coalesced waiters.

@@ -2,10 +2,16 @@ package storage
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
+
+// ErrPoolExhausted reports a page request that found every frame of its
+// shard pinned: the pool is too small for the number of goroutines reading
+// through it at once. Match with errors.Is.
+var ErrPoolExhausted = errors.New("storage: buffer pool exhausted")
 
 // IOStats counts page traffic through a buffer pool. Logical accesses are
 // Hits+Misses; physical I/O is Reads+Writes. The experiment harness reports
@@ -64,9 +70,12 @@ const (
 // by their single owner (the storage engine is read-only after build except
 // for per-query scratch heaps, which are single-writer).
 type BufferPool struct {
-	pager   Pager
-	shards  []*poolShard
-	nframes int
+	pager Pager
+	// shards is replaced as a whole by Resize (under resizeMu and every old
+	// shard's lock); page operations reach a shard only through lockShard.
+	shards   atomic.Pointer[[]*poolShard]
+	nframes  atomic.Int64
+	resizeMu sync.Mutex
 
 	statReads  atomic.Int64
 	statWrites atomic.Int64
@@ -93,37 +102,54 @@ func shardCount(nframes int) int {
 	return n
 }
 
-// NewBufferPool wraps pager with a pool of poolBytes/PageSize frames
-// (minimum 8).
-func NewBufferPool(pager Pager, poolBytes int) *BufferPool {
+// poolFrames converts a byte budget to a frame count (minimum 8).
+func poolFrames(poolBytes int) int {
 	n := poolBytes / PageSize
 	if n < 8 {
 		n = 8
 	}
-	bp := &BufferPool{pager: pager, nframes: n}
-	ns := shardCount(n)
-	bp.shards = make([]*poolShard, ns)
-	for i := range bp.shards {
-		bp.shards[i] = &poolShard{frames: make(map[PageID]*Frame), lru: list.New()}
+	return n
+}
+
+// newShards returns the empty shard set for an n-frame pool, the frame
+// budget spread evenly across it.
+func newShards(n int) []*poolShard {
+	shards := make([]*poolShard, shardCount(n))
+	base, rem := n/len(shards), n%len(shards)
+	for i := range shards {
+		shards[i] = &poolShard{frames: make(map[PageID]*Frame), lru: list.New(), cap: base}
+		if i < rem {
+			shards[i].cap++
+		}
 	}
-	bp.setShardCaps(n)
+	return shards
+}
+
+// NewBufferPool wraps pager with a pool of poolBytes/PageSize frames
+// (minimum 8).
+func NewBufferPool(pager Pager, poolBytes int) *BufferPool {
+	n := poolFrames(poolBytes)
+	bp := &BufferPool{pager: pager}
+	shards := newShards(n)
+	bp.shards.Store(&shards)
+	bp.nframes.Store(int64(n))
 	return bp
 }
 
-// setShardCaps distributes a total frame budget across the shards.
-func (bp *BufferPool) setShardCaps(n int) {
-	ns := len(bp.shards)
-	base, rem := n/ns, n%ns
-	for i, s := range bp.shards {
-		s.cap = base
-		if i < rem {
-			s.cap++
+// lockShard returns the shard holding page id, locked. Resize swaps the
+// shard set while holding every old shard's lock, so a caller that waited
+// out a Resize finds the set changed once it gets the lock, and retries
+// on the new one.
+func (bp *BufferPool) lockShard(id PageID) *poolShard {
+	for {
+		set := bp.shards.Load()
+		s := (*set)[int(id)%len(*set)]
+		s.mu.Lock()
+		if bp.shards.Load() == set {
+			return s
 		}
+		s.mu.Unlock()
 	}
-}
-
-func (bp *BufferPool) shard(id PageID) *poolShard {
-	return bp.shards[int(id)%len(bp.shards)]
 }
 
 // Stats returns the accumulated I/O counters.
@@ -145,15 +171,14 @@ func (bp *BufferPool) ResetStats() {
 }
 
 // Capacity returns the number of frames.
-func (bp *BufferPool) Capacity() int { return bp.nframes }
+func (bp *BufferPool) Capacity() int { return int(bp.nframes.Load()) }
 
 // Pager exposes the underlying pager.
 func (bp *BufferPool) Pager() Pager { return bp.pager }
 
 // Fetch pins page id and returns its Frame data. The caller must Unpin it.
 func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
-	s := bp.shard(id)
-	s.mu.Lock()
+	s := bp.lockShard(id)
 	defer s.mu.Unlock()
 	if f, ok := s.frames[id]; ok {
 		bp.statHits.Add(1)
@@ -197,8 +222,7 @@ func (bp *BufferPool) NewPage() (*Frame, PageID, error) {
 			return nil, InvalidPage, err
 		}
 	}
-	s := bp.shard(id)
-	s.mu.Lock()
+	s := bp.lockShard(id)
 	defer s.mu.Unlock()
 	f, err := s.victim(bp)
 	if err != nil {
@@ -223,8 +247,7 @@ func (bp *BufferPool) NewPage() (*Frame, PageID, error) {
 // later NewPage. A resident frame is dropped without flushing (the content
 // is dead). Freeing a pinned page is an error.
 func (bp *BufferPool) FreePage(id PageID) error {
-	s := bp.shard(id)
-	s.mu.Lock()
+	s := bp.lockShard(id)
 	if f, ok := s.frames[id]; ok {
 		if f.pins > 0 {
 			s.mu.Unlock()
@@ -243,8 +266,7 @@ func (bp *BufferPool) FreePage(id PageID) error {
 
 // Unpin releases one pin on f, marking it dirty if the caller modified it.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
-	s := bp.shard(f.id)
-	s.mu.Lock()
+	s := bp.lockShard(f.id)
 	defer s.mu.Unlock()
 	if f.pins <= 0 {
 		panic("storage: Unpin of unpinned Frame")
@@ -283,73 +305,128 @@ func (s *poolShard) victim(bp *BufferPool) (*Frame, error) {
 	}
 	el := s.lru.Back()
 	if el == nil {
-		return nil, fmt.Errorf("storage: buffer pool exhausted (%d frames all pinned)", len(s.frames))
+		return nil, fmt.Errorf("%w (%d frames all pinned)", ErrPoolExhausted, len(s.frames))
 	}
 	f := el.Value.(*Frame)
 	s.lru.Remove(el)
 	f.lru = nil
 	delete(s.frames, f.id)
-	if f.dirty {
-		if err := bp.pager.WritePage(f.id, f.data[:]); err != nil {
-			return nil, err
-		}
-		bp.statWrites.Add(1)
-		f.dirty = false
+	if err := bp.flush(f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// Resize changes the pool's capacity to poolBytes/PageSize frames (minimum
-// 8), flushing and evicting unpinned pages as needed. The shard count is
-// fixed at construction; Resize redistributes the frame budget across the
-// existing shards. Used to measure queries under a buffer-to-data ratio
-// matching the paper's setting after building with a larger pool.
-func (bp *BufferPool) Resize(poolBytes int) error {
-	n := poolBytes / PageSize
-	if n < 8 {
-		n = 8
+// flush writes f back to the pager if it is dirty. Caller holds the lock
+// of the shard f belongs to.
+func (bp *BufferPool) flush(f *Frame) error {
+	if !f.dirty {
+		return nil
 	}
-	bp.nframes = n
-	bp.setShardCaps(n)
-	for _, s := range bp.shards {
+	if err := bp.pager.WritePage(f.id, f.data[:]); err != nil {
+		return err
+	}
+	bp.statWrites.Add(1)
+	f.dirty = false
+	return nil
+}
+
+// Resize changes the pool's capacity to poolBytes/PageSize frames (minimum
+// 8) and re-shards it for the new size, so a pool shrunk far below its
+// construction size does not end up with one frame per shard (where two
+// concurrent pins in a shard exhaust it). Pinned frames stay resident;
+// unpinned ones keep their place, most recently used first, while their
+// new shard has room, and the rest are flushed and evicted. Safe under
+// concurrent page traffic, which waits out the swap. Used to measure
+// queries under a buffer-to-data ratio matching the paper's setting after
+// building with a larger pool.
+func (bp *BufferPool) Resize(poolBytes int) error {
+	n := poolFrames(poolBytes)
+	bp.resizeMu.Lock()
+	defer bp.resizeMu.Unlock()
+	old := *bp.shards.Load()
+	for _, s := range old {
 		s.mu.Lock()
-		for len(s.frames) > s.cap {
-			el := s.lru.Back()
-			if el == nil {
-				pinned := len(s.frames)
-				s.mu.Unlock()
-				return fmt.Errorf("storage: cannot shrink pool below %d pinned frames", pinned)
-			}
-			f := el.Value.(*Frame)
-			s.lru.Remove(el)
-			f.lru = nil
-			delete(s.frames, f.id)
-			if f.dirty {
-				if err := bp.pager.WritePage(f.id, f.data[:]); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				bp.statWrites.Add(1)
-				f.dirty = false
+	}
+	defer func() {
+		for _, s := range old {
+			s.mu.Unlock()
+		}
+	}()
+
+	next := newShards(n)
+	home := func(id PageID) *poolShard { return next[int(id)%len(next)] }
+	for _, s := range old {
+		for id, f := range s.frames {
+			if f.pins > 0 {
+				home(id).frames[id] = f
 			}
 		}
-		s.mu.Unlock()
 	}
+	for _, ns := range next {
+		if len(ns.frames) > ns.cap {
+			return fmt.Errorf("storage: cannot shrink pool below %d pinned frames", len(ns.frames))
+		}
+	}
+	// Deal the unpinned frames out of the old LRU lists one recency rank at
+	// a time (every shard's most recent, then every shard's second, ...).
+	var keep, evict []*Frame
+	room := make(map[*poolShard]int, len(next))
+	for _, ns := range next {
+		room[ns] = ns.cap - len(ns.frames)
+	}
+	cursors := make([]*list.Element, len(old))
+	for i, s := range old {
+		cursors[i] = s.lru.Front()
+	}
+	for more := true; more; {
+		more = false
+		for i, el := range cursors {
+			if el == nil {
+				continue
+			}
+			more = true
+			cursors[i] = el.Next()
+			f := el.Value.(*Frame)
+			if ns := home(f.id); room[ns] > 0 {
+				room[ns]--
+				keep = append(keep, f)
+			} else {
+				evict = append(evict, f)
+			}
+		}
+	}
+	// Flush before anything moves: a write error leaves the old shard set
+	// in place and intact.
+	for _, f := range evict {
+		if err := bp.flush(f); err != nil {
+			return err
+		}
+	}
+	for _, f := range evict {
+		f.lru = nil
+	}
+	for i := len(keep) - 1; i >= 0; i-- { // least recent first, so PushFront restores the order
+		f := keep[i]
+		ns := home(f.id)
+		ns.frames[f.id] = f
+		f.lru = ns.lru.PushFront(f)
+	}
+	bp.shards.Store(&next)
+	bp.nframes.Store(int64(n))
 	return nil
 }
 
 // FlushAll writes every dirty resident page back to the pager.
 func (bp *BufferPool) FlushAll() error {
-	for _, s := range bp.shards {
+	bp.resizeMu.Lock() // the shard set must not be swapped mid-walk
+	defer bp.resizeMu.Unlock()
+	for _, s := range *bp.shards.Load() {
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if f.dirty {
-				if err := bp.pager.WritePage(f.id, f.data[:]); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				bp.statWrites.Add(1)
-				f.dirty = false
+			if err := bp.flush(f); err != nil {
+				s.mu.Unlock()
+				return err
 			}
 		}
 		s.mu.Unlock()
@@ -360,7 +437,7 @@ func (bp *BufferPool) FlushAll() error {
 // lruLen is exported for white-box tests.
 func (bp *BufferPool) lruLen() int {
 	n := 0
-	for _, s := range bp.shards {
+	for _, s := range *bp.shards.Load() {
 		s.mu.Lock()
 		n += s.lru.Len()
 		s.mu.Unlock()

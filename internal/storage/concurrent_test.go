@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -146,6 +147,114 @@ func TestConcurrentScratchHeaps(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestResizeReshardsUnderLoad shrinks and regrows the pool while readers
+// pin and unpin through it. Before Resize re-sharded, a pool built with 16
+// shards and shrunk to 16 frames had one frame per shard, and two readers
+// meeting in a shard got "buffer pool exhausted"; now the shard count
+// follows the size, every read must succeed, and content must survive the
+// moves. Run with -race.
+func TestResizeReshardsUnderLoad(t *testing.T) {
+	p := NewMemPager()
+	bp := NewBufferPool(p, 4096*PageSize) // 16 shards
+	const nPages = 512
+	ids := make([]PageID, nPages)
+	for i := range ids {
+		f, id, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data()[0], f.Data()[1] = byte(i), byte(i>>8)
+		bp.Unpin(f, true)
+		ids[i] = id
+	}
+	if n := len(*bp.shards.Load()); n != maxPoolShards {
+		t.Fatalf("large pool has %d shards, want %d", n, maxPoolShards)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			for it := 0; ; it++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := (seed*7919 + it*31) % nPages
+				f, err := bp.Fetch(ids[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := int(f.Data()[0]) | int(f.Data()[1])<<8
+				bp.Unpin(f, false)
+				if got != i {
+					errs <- fmt.Errorf("page %d read back %d", i, got)
+					return
+				}
+			}
+		}(w)
+	}
+	for round := 0; round < 20; round++ {
+		for _, frames := range []int{16, 4096, 64} {
+			if err := bp.Resize(frames * PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(*bp.shards.Load()), shardCount(frames); got != want {
+				t.Fatalf("pool of %d frames has %d shards, want %d", frames, got, want)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if bp.Capacity() != 64 || bp.lruLen() > 64 {
+		t.Fatalf("capacity %d, %d unpinned frames resident, want 64 and at most 64", bp.Capacity(), bp.lruLen())
+	}
+}
+
+// TestPoolExhaustionIsTyped: pinning more pages than the pool has frames
+// fails with ErrPoolExhausted, and Resize refuses to shrink below the
+// pinned set without disturbing it.
+func TestPoolExhaustionIsTyped(t *testing.T) {
+	bp := NewBufferPool(NewMemPager(), 8*PageSize)
+	var pinned []*Frame
+	for i := 0; i < 8; i++ {
+		f, _, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned = append(pinned, f)
+	}
+	if _, _, err := bp.NewPage(); !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("ninth pin on an 8-frame pool: %v, want ErrPoolExhausted", err)
+	}
+	if err := bp.Resize(64 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := bp.NewPage()
+	if err != nil {
+		t.Fatalf("pin after growing the pool: %v", err)
+	}
+	pinned = append(pinned, f)
+	if err := bp.Resize(8 * PageSize); err == nil {
+		t.Fatal("shrank a pool below its 9 pinned frames")
+	}
+	for _, f := range pinned {
+		bp.Unpin(f, false)
+	}
+	if err := bp.Resize(8 * PageSize); err != nil {
 		t.Fatal(err)
 	}
 }
