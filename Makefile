@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-wcoj bench-fastpath bench-reach bench-baseline bench-compare clean
+.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-baseline bench-compare clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels and the parallel operator suite — the hot paths a perf PR must
-# not regress.
-BENCH_PKGS   = ./internal/gdb ./internal/rjoin
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkOperatorParallel'
+# not regress — plus the two open strategy questions (binary vs
+# worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
+BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkOperatorParallel|BenchmarkCyclicPlans|BenchmarkReachBackends'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -22,7 +23,9 @@ test-short:
 # short budget ($(FUZZTIME) per target) on top of the seeded corpus, so
 # the differential edge-insert harness and the 2-hop delta invariants get
 # fresh random sequences on every verify run, not just the checked-in
-# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m).
+# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last line
+# runs the two strategy benchmarks once, for their cross-variant row-count
+# checks: they replace harnesses that had their own, and must not rot.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -32,6 +35,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzIncrementalInsert -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzIncrementalDelete -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
+	$(GO) test -run XXX -bench 'BenchmarkCyclicPlans|BenchmarkReachBackends' -benchtime 1x ./internal/exec
 
 # test-cover enforces a per-package statement-coverage floor on the
 # reachability-index packages: the generic labeling core and registry, and
@@ -74,11 +78,6 @@ verify:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/fgmbench -exp rjoin -out BENCH_rjoin.json
-	$(GO) run ./cmd/fgmbench -exp build -out BENCH_build.json
-	$(GO) run ./cmd/fgmbench -exp wcoj -out BENCH_wcoj.json
-	$(GO) run ./cmd/fgmbench -exp fastpath -out BENCH_fastpath.json
-	$(GO) run ./cmd/fgmbench -exp reach -out BENCH_reach.json
 
 # bench-served runs the served-path benchmark (BENCHMARK.json: five
 # workloads over loopback HTTP, every answer verified, end-to-end and
@@ -92,24 +91,6 @@ bench-served-trace:
 	$(GO) run ./benchmark --workload read_pipeline --trace 1
 	$(GO) run ./benchmark --workload read_fastpath --trace 1
 
-# bench-wcoj measures the worst-case-optimal multiway join against the
-# binary pipeline on the cyclic workload battery and refreshes the
-# committed BENCH_wcoj.json baseline.
-bench-wcoj:
-	$(GO) run ./cmd/fgmbench -exp wcoj -out BENCH_wcoj.json
-
-# bench-fastpath measures default execution against the counted-I/O
-# reference mode on the index-only battery and refreshes the committed
-# BENCH_fastpath.json baseline.
-bench-fastpath:
-	$(GO) run ./cmd/fgmbench -exp fastpath -out BENCH_fastpath.json
-
-# bench-reach compares the registered reachability-index backends (build
-# time, labeling size, probe and query latency) and refreshes the
-# committed BENCH_reach.json baseline.
-bench-reach:
-	$(GO) run ./cmd/fgmbench -exp reach -out BENCH_reach.json
-
 # bench-baseline records the kernel benchmarks (10 runs, for benchstat
 # confidence intervals) into $(BENCH_BASE); run it on the commit you want
 # to compare against, then run bench-compare on your change.
@@ -118,10 +99,7 @@ bench-baseline:
 
 # bench-compare reruns the same benchmarks and diffs them against the
 # stored baseline with benchstat when it is installed (golang.org/x/perf);
-# without benchstat it leaves both files for manual inspection. Each named
-# BENCH_*.json guard runs only when its baseline is committed — a missing
-# baseline skips that guard (with a note) instead of failing, so partial
-# checkouts and fresh experiment IDs don't break the target.
+# without benchstat it leaves both files for manual inspection.
 bench-compare:
 	@test -f $(BENCH_BASE) || { echo "no $(BENCH_BASE); run 'make bench-baseline' on the base commit first" >&2; exit 1; }
 	$(GO) test -run XXX -bench $(BENCH_FILTER) -benchmem -count 10 $(BENCH_PKGS) | tee bench-head.txt
@@ -130,13 +108,6 @@ bench-compare:
 	else \
 		echo "benchstat not installed; compare $(BENCH_BASE) vs bench-head.txt by hand" >&2; \
 	fi
-	@for exp in wcoj fastpath reach; do \
-		if [ -f BENCH_$$exp.json ]; then \
-			$(GO) run ./cmd/fgmbench -exp $$exp -out bench-$$exp-head.json -compare BENCH_$$exp.json || exit 1; \
-		else \
-			echo "no BENCH_$$exp.json baseline; skipping $$exp guard (run 'make bench-$$exp' to record one)"; \
-		fi; \
-	done
 
 clean:
 	$(GO) clean ./...

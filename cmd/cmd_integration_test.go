@@ -7,7 +7,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -263,13 +265,15 @@ func TestServeQuery(t *testing.T) {
 		t.Fatalf("stats: %+v", stats)
 	}
 
-	// Graceful shutdown on SIGTERM. The burst left the transport holding
-	// connections it dialled speculatively and never sent a request on;
-	// http.Server.Shutdown refuses to treat such a connection as idle until
-	// it is 5 s old, which is also fgmserve's shutdown deadline — so drop
-	// them first, or a server that answers the queries above in under 5 s
-	// exits with "context deadline exceeded".
-	client.CloseIdleConnections()
+	// Graceful shutdown on SIGTERM, with a never-used connection open (and
+	// whatever the burst's transport dialled speculatively): a client that
+	// connected and sent nothing must not hold the server past its
+	// shutdown deadline or turn the stop into a non-zero exit.
+	idle, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +284,8 @@ func TestServeQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("server exit: %v", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not shut down on SIGTERM")
+	case <-time.After(2 * time.Second):
+		t.Fatal("server did not shut down within 2s of SIGTERM")
 	}
 
 	// Deadline honoring: a server whose default per-query budget (-timeout)
@@ -331,20 +335,50 @@ func TestServeQuery(t *testing.T) {
 	}
 }
 
+// fails runs a go command that must exit non-zero and returns its output.
+func fails(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command("go", args...)
+	cmd.Dir = ".."
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go %s should fail, got: %s", strings.Join(args, " "), out)
+	}
+	return string(out)
+}
+
+// TestBenchList pins fgmbench to the paper's experiments and the ablations:
+// the retired micro-harness IDs and their -out/-compare flags are usage
+// errors, not silently accepted.
 func TestBenchList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out := run(t, "run", "./cmd/fgmbench", "-list")
-	for _, id := range []string{"table2", "fig5a", "fig7c", "iocost", "ablation-merged"} {
-		if !strings.Contains(out, id) {
-			t.Fatalf("fgmbench -list missing %s:\n%s", id, out)
+	bin := filepath.Join(t.TempDir(), "fgmbench")
+	run(t, "build", "-o", bin, "./cmd/fgmbench")
+	out, err := exec.Command(bin, "-list").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "table2 fig5a fig5b fig6a fig6b fig6c fig6d fig7a fig7b fig7c iocost " +
+		"ablation-order ablation-pool ablation-merged ablation-naive"
+	if got := strings.Join(strings.Fields(string(out)), " "); got != want {
+		t.Fatalf("fgmbench -list:\n got %s\nwant %s", got, want)
+	}
+	for _, args := range [][]string{
+		{"-exp", "rjoin"}, {"-exp", "ablation-wcache"},
+		{"-exp", "table2", "-out", "x.json"}, {"-exp", "table2", "-compare", "x.json"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "Usage of") {
+			t.Fatalf("fgmbench %v: err %v, want a usage error (status 2):\n%s", args, err, out)
 		}
 	}
 	// One tiny real experiment through the CLI.
-	out = run(t, "run", "./cmd/fgmbench", "-exp", "table2", "-mult", "0.05")
-	if !strings.Contains(out, "table2") || !strings.Contains(out, "100M") {
-		t.Fatalf("table2 output: %q", out)
+	out, err = exec.Command(bin, "-exp", "table2", "-mult", "0.05").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "table2") || !strings.Contains(string(out), "100M") {
+		t.Fatalf("table2: %v\n%s", err, out)
 	}
 }
 
@@ -352,15 +386,18 @@ func TestCLIErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cmd := exec.Command("go", "run", "./cmd/fgmatch", "-query", "A->B")
-	cmd.Dir = ".."
-	if out, err := cmd.CombinedOutput(); err == nil {
-		t.Fatalf("fgmatch without -graph should fail, got: %s", out)
-	}
-	cmd = exec.Command("go", "run", "./cmd/fgmbench", "-exp", "nope")
-	cmd.Dir = ".."
-	if out, err := cmd.CombinedOutput(); err == nil {
-		t.Fatalf("unknown experiment should fail, got: %s", out)
+	fails(t, "run", "./cmd/fgmatch", "-query", "A->B")
+	fails(t, "run", "./cmd/fgmbench", "-exp", "nope")
+	// Both binaries parse -algo with fastmatch.ParseAlgorithm before they
+	// open the graph: a known spelling gets as far as the missing -graph,
+	// an unknown one is refused with the parser's message.
+	for _, c := range [][2]string{{"./cmd/fgmserve", "wcoj"}, {"./cmd/fgmatch", "dps-merged"}} {
+		if out := fails(t, "run", c[0], "-algo", c[1]); !strings.Contains(out, "-graph is required") {
+			t.Fatalf("%s -algo %s should be accepted: %s", c[0], c[1], out)
+		}
+		if out := fails(t, "run", c[0], "-algo", "nope"); !strings.Contains(out, `unknown algorithm "nope" (want dp, dps, dps-merged, or wcoj)`) {
+			t.Fatalf("%s -algo nope: %s", c[0], out)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func run() error {
 	var (
 		graphPath   = flag.String("graph", "", "data graph file (text format; required)")
 		query       = flag.String("query", "", "pattern, e.g. \"A->C; B->C\"")
-		algo        = flag.String("algo", "dps", "optimizer: dp, dps, dpsmerged, or wcoj (forced multiway join)")
+		algo        = flag.String("algo", "dps", "optimizer: dp, dps, dps-merged, or wcoj (forced multiway join)")
 		explain     = flag.Bool("explain", false, "print the chosen plan (operator kinds, variable order, cost estimates) instead of running it")
 		analyze     = flag.Bool("analyze", false, "run and print per-step rows/IO/time")
 		stats       = flag.Bool("stats", false, "print index statistics")
@@ -58,6 +58,10 @@ func run() error {
 			return fmt.Errorf("-repack requires -db")
 		}
 		return runRepack(*dbPath, *repack)
+	}
+	algorithm, err := fastmatch.ParseAlgorithm(*algo)
+	if err != nil {
+		return err
 	}
 	if *graphPath == "" {
 		return fmt.Errorf("-graph is required")
@@ -101,19 +105,6 @@ func run() error {
 	p, err := fastmatch.ParsePattern(*query)
 	if err != nil {
 		return err
-	}
-	var algorithm fastmatch.Algorithm
-	switch *algo {
-	case "dp":
-		algorithm = fastmatch.DP
-	case "dps":
-		algorithm = fastmatch.DPS
-	case "dpsmerged":
-		algorithm = fastmatch.DPSMerged
-	case "wcoj":
-		algorithm = fastmatch.WCOJ
-	default:
-		return fmt.Errorf("unknown -algo %q (want dp, dps, dpsmerged, or wcoj)", *algo)
 	}
 
 	if *explain {

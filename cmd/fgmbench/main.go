@@ -7,29 +7,18 @@
 //	fgmbench -exp all                # every experiment
 //	fgmbench -exp table2             # one experiment
 //	fgmbench -exp fig6a -mult 0.5    # half-size datasets
-//	fgmbench -exp rjoin              # operator micros + BENCH_rjoin.json
-//	fgmbench -exp wcoj               # WCOJ vs binary joins + BENCH_wcoj.json
-//	fgmbench -exp reach              # reachability-index backends + BENCH_reach.json
-//	fgmbench -exp wcoj -compare BENCH_wcoj.json  # fail on >10% WCOJ regression
+//	fgmbench -exp ablations          # the design-choice ablations
 //	fgmbench -list                   # list experiment IDs
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 
 	"fastmatch/internal/bench"
 )
-
-var experimentIDs = []string{
-	"table2", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig6d",
-	"fig7a", "fig7b", "fig7c", "iocost",
-	"ablation-order", "ablation-wcache", "ablation-pool", "ablation-merged", "ablation-naive",
-	"rjoin", "build", "wcoj", "fastpath", "reach",
-}
 
 func main() {
 	var (
@@ -38,19 +27,31 @@ func main() {
 		seed = flag.Int64("seed", 1, "data generation seed")
 		reps = flag.Int("reps", 2, "timed repetitions per query (minimum reported)")
 		list = flag.Bool("list", false, "list experiment IDs and exit")
-		out  = flag.String("out", "", "machine-readable output path for -exp rjoin / build / wcoj (default BENCH_<exp>.json)")
 		bp   = flag.Int("build-parallelism", 0, "workers for experiment database builds (0/1 = serial, -1 = GOMAXPROCS)")
-		cmp  = flag.String("compare", "", "for -exp wcoj / fastpath: committed BENCH_<exp>.json to guard against; exit non-zero on a >10% regression")
 	)
 	flag.Parse()
+	ids := append(append([]string{}, bench.PaperIDs...), bench.AblationIDs...)
 	if *list {
-		for _, id := range experimentIDs {
+		for _, id := range ids {
 			fmt.Println(id)
 		}
 		return
 	}
-	// Stamp every text artifact with the machine context: worker-degree
-	// sweeps and build parallelism read differently on 1 CPU than on 16.
+	var run []string
+	switch {
+	case *exp == "all":
+		run = bench.PaperIDs
+	case *exp == "ablations":
+		run = bench.AblationIDs
+	case slices.Contains(ids, *exp):
+		run = []string{*exp}
+	default:
+		fmt.Fprintf(os.Stderr, "fgmbench: unknown experiment %q (see -list)\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
+	// Stamp every text artifact with the machine context: build
+	// parallelism reads differently on 1 CPU than on 16.
 	fmt.Println(bench.CurrentEnv())
 
 	r := bench.NewRunner(*mult, *seed)
@@ -58,222 +59,12 @@ func main() {
 	r.BuildParallelism = *bp
 	defer r.Close()
 
-	if *exp == "ablations" {
-		reports, err := r.Ablations()
-		for _, rep := range reports {
-			rep.Print(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "all" {
-		reports, err := r.All()
-		for _, rep := range reports {
-			rep.Print(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "rjoin" || *exp == "build" || *exp == "wcoj" || *exp == "fastpath" || *exp == "reach" {
-		// These micros also emit a machine-readable file so bench-compare
-		// and CI can diff runs without parsing the table.
-		var (
-			rep       *bench.Report
-			results   any
-			wcojRows  []bench.WCOJResult
-			fpRows    []bench.FastpathResult
-			reachRows []bench.ReachResult
-			n         int
-			err       error
-		)
-		switch *exp {
-		case "rjoin":
-			var rows []bench.RJoinResult
-			rep, rows, err = r.RJoinMicro()
-			results, n = rows, len(rows)
-		case "build":
-			var rows []bench.BuildResult
-			rep, rows, err = r.BuildMicro()
-			results, n = rows, len(rows)
-		case "wcoj":
-			rep, wcojRows, err = r.WCOJMicro()
-			results, n = wcojRows, len(wcojRows)
-		case "fastpath":
-			rep, fpRows, err = r.FastpathMicro()
-			results, n = fpRows, len(fpRows)
-		case "reach":
-			rep, reachRows, err = r.ReachMicro()
-			results, n = reachRows, len(reachRows)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgmbench:", err)
-			os.Exit(1)
-		}
+	reports, err := r.Run(run)
+	for _, rep := range reports {
 		rep.Print(os.Stdout)
-		path := *out
-		if path == "" {
-			path = "BENCH_" + *exp + ".json"
-		}
-		// The envelope carries the measurement environment next to the rows.
-		envelope := struct {
-			Env     bench.Env `json:"env"`
-			Results any       `json:"results"`
-		}{bench.CurrentEnv(), results}
-		data, err := json.MarshalIndent(envelope, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgmbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "fgmbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d rows)\n", path, n)
-		if *exp == "wcoj" && *cmp != "" {
-			if err := compareWCOJ(*cmp, wcojRows); err != nil {
-				fmt.Fprintln(os.Stderr, "fgmbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("no WCOJ regression vs %s\n", *cmp)
-		}
-		if *exp == "fastpath" && *cmp != "" {
-			if err := compareFastpath(*cmp, fpRows); err != nil {
-				fmt.Fprintln(os.Stderr, "fgmbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("no fast-path regression vs %s\n", *cmp)
-		}
-		if *exp == "reach" && *cmp != "" {
-			if err := compareReach(*cmp, reachRows); err != nil {
-				fmt.Fprintln(os.Stderr, "fgmbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("no reach-backend regression vs %s\n", *cmp)
-		}
-		return
 	}
-	rep, err := r.ByID(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fgmbench:", err)
 		os.Exit(1)
 	}
-	rep.Print(os.Stdout)
-}
-
-// compareWCOJ guards against multiway-join performance regressions: each
-// cyclic query's forced-WCOJ time in head must stay within 10% of the
-// committed baseline (plus a 1ms absolute grace, so sub-millisecond timer
-// noise cannot fail a build). Queries present only on one side are
-// ignored — adding or renaming workloads is not a regression.
-func compareWCOJ(basePath string, head []bench.WCOJResult) error {
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	var envelope struct {
-		Results []bench.WCOJResult `json:"results"`
-	}
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	base := make(map[string]bench.WCOJResult, len(envelope.Results))
-	for _, b := range envelope.Results {
-		base[b.Name] = b
-	}
-	var failures []string
-	for _, h := range head {
-		b, ok := base[h.Name]
-		if !ok {
-			continue
-		}
-		if allowed := b.WCOJMS*1.10 + 1.0; h.WCOJMS > allowed {
-			failures = append(failures, fmt.Sprintf(
-				"%s: wcoj %.2fms vs baseline %.2fms (allowed %.2fms)",
-				h.Name, h.WCOJMS, b.WCOJMS, allowed))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("WCOJ regression vs %s:\n  %s", basePath, strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// compareFastpath guards the tiered router's benefit: each battery entry's
-// tiered time in head must stay within 10% of the committed baseline (plus
-// the same 1ms absolute grace as compareWCOJ, since the battery is
-// microsecond-scale). Entries present only on one side are ignored.
-func compareFastpath(basePath string, head []bench.FastpathResult) error {
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	var envelope struct {
-		Results []bench.FastpathResult `json:"results"`
-	}
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	base := make(map[string]bench.FastpathResult, len(envelope.Results))
-	for _, b := range envelope.Results {
-		base[b.Name] = b
-	}
-	var failures []string
-	for _, h := range head {
-		b, ok := base[h.Name]
-		if !ok {
-			continue
-		}
-		if allowed := b.TieredMS*1.10 + 1.0; h.TieredMS > allowed {
-			failures = append(failures, fmt.Sprintf(
-				"%s: tiered %.3fms vs baseline %.3fms (allowed %.3fms)",
-				h.Name, h.TieredMS, b.TieredMS, allowed))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("fast-path regression vs %s:\n  %s", basePath, strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// compareReach guards each backend's end-to-end query time against the
-// committed baseline with the same 10% + 1ms tolerance as the other micro
-// guards. Backends present only on one side are ignored — registering a
-// new backend is not a regression.
-func compareReach(basePath string, head []bench.ReachResult) error {
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		return err
-	}
-	var envelope struct {
-		Results []bench.ReachResult `json:"results"`
-	}
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return fmt.Errorf("%s: %w", basePath, err)
-	}
-	base := make(map[string]bench.ReachResult, len(envelope.Results))
-	for _, b := range envelope.Results {
-		base[b.Backend+"/"+b.Dataset] = b
-	}
-	var failures []string
-	for _, h := range head {
-		b, ok := base[h.Backend+"/"+h.Dataset]
-		if !ok {
-			continue
-		}
-		if allowed := b.QueryMS*1.10 + 1.0; h.QueryMS > allowed {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: query %.2fms vs baseline %.2fms (allowed %.2fms)",
-				h.Backend, h.Dataset, h.QueryMS, b.QueryMS, allowed))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("reach-backend regression vs %s:\n  %s", basePath, strings.Join(failures, "\n  "))
-	}
-	return nil
 }

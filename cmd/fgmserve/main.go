@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -53,7 +54,7 @@ func run() error {
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently executing queries (default 8)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max wait for an execution slot before 429 (default 100ms)")
 		planCache    = flag.Int("plancache", 0, "plan cache entries (default 256; -1 disables)")
-		algo         = flag.String("algo", "dps", "default optimizer: dp, dps, or dps-merged")
+		algo         = flag.String("algo", "dps", "default optimizer: dp, dps, dps-merged, or wcoj")
 		timeout      = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
 		parallelism  = flag.Int("parallelism", 0, "intra-query operator workers (0 = GOMAXPROCS, 1 = serial)")
 		maxTableRows = flag.Int("max-table-rows", 0, "per-query intermediate-table row budget (0 = unbounded; exceeding answers 422)")
@@ -64,6 +65,10 @@ func run() error {
 		readonly     = flag.Bool("readonly", false, "reject every mutating endpoint (POST /insert, /delete) with 403; the graph stays immutable")
 	)
 	flag.Parse()
+	defaultAlgo, err := fastmatch.ParseAlgorithm(*algo)
+	if err != nil {
+		return err
+	}
 	if *graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}
@@ -76,18 +81,6 @@ func run() error {
 	f.Close()
 	if err != nil {
 		return err
-	}
-
-	defaultAlgo := fastmatch.DPS
-	switch *algo {
-	case "dp":
-		defaultAlgo = fastmatch.DP
-	case "dps":
-		defaultAlgo = fastmatch.DPS
-	case "dps-merged", "dpsmerged":
-		defaultAlgo = fastmatch.DPSMerged
-	default:
-		return fmt.Errorf("unknown -algo %q (want dp, dps, or dps-merged)", *algo)
 	}
 
 	build := time.Now()
@@ -122,6 +115,26 @@ func run() error {
 	// registry (every writer endpoint is wired through one guard), not by
 	// matching paths out here where a new route could be forgotten.
 	srv := &http.Server{Handler: svc.Handler()}
+	// http.Server.Shutdown will not close a connection that has never sent
+	// a request until it is 5 s old, which would turn a clean stop into a
+	// missed deadline for as long as one client holds a freshly dialled
+	// connection. Track those connections and close them once stopping.
+	var (
+		connMu   sync.Mutex
+		stopping bool
+		unused   = make(map[net.Conn]struct{})
+	)
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		connMu.Lock()
+		defer connMu.Unlock()
+		if st != http.StateNew {
+			delete(unused, c)
+		} else if stopping {
+			c.Close()
+		} else {
+			unused[c] = struct{}{}
+		}
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -132,6 +145,12 @@ func run() error {
 		return err
 	case sig := <-sigc:
 		fmt.Printf("shutting down on %v\n", sig)
+		connMu.Lock()
+		stopping = true
+		for c := range unused {
+			c.Close()
+		}
+		connMu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		return srv.Shutdown(ctx)

@@ -38,18 +38,28 @@ func diffWorkloads() []workload.Workload {
 	return ws
 }
 
+// planAndRun plans and runs p on one pinned snapshot at the given worker
+// degree.
+func planAndRun(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm, workers int) *rjoin.Table {
+	t.Helper()
+	snap, release := db.Pin()
+	defer release()
+	plan, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	tab, err := exec.RunSnapConfig(context.Background(), snap, plan, exec.RunConfig{Workers: workers})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return tab
+}
+
 // sortedRows plans and runs p at the given worker degree, returning
 // canonically sorted rows.
 func sortedRows(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm, workers int) [][]graph.NodeID {
 	t.Helper()
-	plan, err := exec.BuildPlan(db, p, algo)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	tab, err := exec.RunContextConfig(context.Background(), db, plan, exec.RunConfig{Workers: workers})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	tab := planAndRun(t, db, p, algo, workers)
 	tab.SortRows()
 	return tab.Rows
 }
@@ -61,14 +71,7 @@ func sortedRows(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorith
 // not directly comparable.
 func sortedRowsNormalized(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm, workers int) [][]graph.NodeID {
 	t.Helper()
-	plan, err := exec.BuildPlan(db, p, algo)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	res, err := exec.RunContextConfig(context.Background(), db, plan, exec.RunConfig{Workers: workers})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	res := planAndRun(t, db, p, algo, workers)
 	cols := make([]int, p.NumNodes())
 	for i := range cols {
 		cols[i] = i

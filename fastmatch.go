@@ -118,6 +118,11 @@ const (
 	WCOJ = exec.WCOJ
 )
 
+// ParseAlgorithm maps an algorithm name ("dp", "dps", "dps-merged", "wcoj";
+// empty selects DPS) to an Algorithm. It is the parser behind the -algo
+// flags and the HTTP API's "algorithm" field.
+func ParseAlgorithm(name string) (Algorithm, error) { return exec.ParseAlgorithm(name) }
+
 // IOStats reports page-level I/O counters of the engine's buffer pool.
 type IOStats = storage.IOStats
 
@@ -237,11 +242,7 @@ func (e *Engine) QueryPattern(p *Pattern, algo Algorithm) (*Result, error) {
 // QueryPatternContext is QueryPattern honouring ctx for cancellation and
 // deadlines.
 func (e *Engine) QueryPatternContext(ctx context.Context, p *Pattern, algo Algorithm) (*Result, error) {
-	plan, err := e.plan(p, algo)
-	if err != nil {
-		return nil, err
-	}
-	return exec.RunContextConfig(ctx, e.db, plan, exec.RunConfig{Workers: e.parallelism})
+	return e.QueryPatternBudget(ctx, p, algo, nil)
 }
 
 // QueryPatternBudget is QueryPatternContext under a resource budget: b's
@@ -250,44 +251,50 @@ func (e *Engine) QueryPatternContext(ctx context.Context, p *Pattern, algo Algor
 // ErrBudgetExceeded. b may be nil for an unbudgeted run; a non-nil b must
 // be fresh (it accumulates this query's accounting).
 func (e *Engine) QueryPatternBudget(ctx context.Context, p *Pattern, algo Algorithm, b *Budget) (*Result, error) {
-	plan, err := e.plan(p, algo)
-	if err != nil {
-		return nil, err
-	}
-	return exec.RunContextConfig(ctx, e.db, plan, exec.RunConfig{Workers: e.parallelism, Budget: b})
+	res, _, _, err := e.run(ctx, p, algo, false, b)
+	return res, err
 }
 
-// plan is the single bind-then-optimize step shared by every query and
-// explain path.
-func (e *Engine) plan(p *Pattern, algo Algorithm) (*Plan, error) {
+// run is the single bind-optimize-execute step shared by every query and
+// explain path. It pins one snapshot epoch for planning and execution, so
+// the plan's statistics and the rows it produces come from the same index
+// version even while edges are being inserted.
+func (e *Engine) run(ctx context.Context, p *Pattern, algo Algorithm, trace bool, b *Budget) (*Result, *Plan, []StepTrace, error) {
 	if e.db.Closed() {
-		return nil, ErrClosed
+		return nil, nil, nil, ErrClosed
 	}
-	return exec.BuildPlan(e.db, p, algo)
-}
-
-// Explain returns the plan the optimizer would choose, without running it.
-func (e *Engine) Explain(p *Pattern, algo Algorithm) (*Plan, error) {
-	return e.plan(p, algo)
-}
-
-// ExplainAnalyze runs a plan and returns the result together with per-step
-// actual row counts, I/O, and timings.
-func (e *Engine) ExplainAnalyze(p *Pattern, algo Algorithm) (*Result, *Plan, []exec.StepTrace, error) {
-	return e.ExplainAnalyzeContext(context.Background(), p, algo)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze honouring ctx.
-func (e *Engine) ExplainAnalyzeContext(ctx context.Context, p *Pattern, algo Algorithm) (*Result, *Plan, []exec.StepTrace, error) {
-	plan, err := e.plan(p, algo)
+	snap, release := e.db.Pin()
+	defer release()
+	plan, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, traces, err := exec.RunWithTraceConfig(ctx, e.db, plan, true, exec.RunConfig{Workers: e.parallelism})
+	res, traces, err := exec.RunSnapWithTraceConfig(ctx, snap, plan, trace, exec.RunConfig{Workers: e.parallelism, Budget: b})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return res, plan, traces, nil
+}
+
+// Explain returns the plan the optimizer would choose, without running it.
+func (e *Engine) Explain(p *Pattern, algo Algorithm) (*Plan, error) {
+	if e.db.Closed() {
+		return nil, ErrClosed
+	}
+	snap, release := e.db.Pin()
+	defer release()
+	return exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
+}
+
+// ExplainAnalyze runs a plan and returns the result together with per-step
+// actual row counts, I/O, and timings.
+func (e *Engine) ExplainAnalyze(p *Pattern, algo Algorithm) (*Result, *Plan, []StepTrace, error) {
+	return e.ExplainAnalyzeContext(context.Background(), p, algo)
+}
+
+// ExplainAnalyzeContext is ExplainAnalyze honouring ctx.
+func (e *Engine) ExplainAnalyzeContext(ctx context.Context, p *Pattern, algo Algorithm) (*Result, *Plan, []StepTrace, error) {
+	return e.run(ctx, p, algo, true, nil)
 }
 
 // StepTrace reports one executed plan step (see ExplainAnalyze).

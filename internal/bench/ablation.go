@@ -15,20 +15,7 @@ import (
 // not paper artifacts; run them with `fgmbench -exp ablations` or by ID.
 
 // AblationIDs lists the ablation experiment IDs.
-var AblationIDs = []string{"ablation-order", "ablation-wcache", "ablation-pool", "ablation-merged", "ablation-naive"}
-
-// Ablations runs every ablation.
-func (r *Runner) Ablations() ([]*Report, error) {
-	var out []*Report
-	for _, id := range AblationIDs {
-		rep, err := r.ByID(id)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
+var AblationIDs = []string{"ablation-order", "ablation-pool", "ablation-merged", "ablation-naive"}
 
 // ablationScale is the mid ladder point, enough to show the effects without
 // slow rebuilds (each ablation builds several database variants).
@@ -60,35 +47,6 @@ func (r *Runner) AblationCenterOrder() (*Report, error) {
 		st := cover.Stats()
 		rep.AddRow(ord.String(), fmt.Sprintf("%d", st.Size), fmt.Sprintf("%.2f", st.Ratio),
 			ms(buildMS), ms(m.ElapsedMS), fmt.Sprintf("%d", m.IO))
-	}
-	return rep, nil
-}
-
-// AblationWTableCache measures the in-memory W-table cache (Section 3.4
-// keeps frequently used W entries in memory).
-func (r *Runner) AblationWTableCache() (*Report, error) {
-	rep := &Report{
-		ID:     "ablation-wcache",
-		Title:  "W-table memory cache on/off: query cost",
-		Header: []string{"config", "query ms", "query io"},
-	}
-	g := r.dataset(r.ablationScale()).Graph
-	w := workload.ScalabilityGraph()
-	for _, disabled := range []bool{false, true} {
-		db, err := gdb.Build(g, gdb.Options{DisableWTableCache: disabled, CodeCacheEntries: 4096})
-		if err != nil {
-			return nil, err
-		}
-		m, err := r.timeQuery(db, w.Pattern, exec.DPS)
-		db.Close()
-		if err != nil {
-			return nil, err
-		}
-		name := "cache on"
-		if disabled {
-			name = "cache off"
-		}
-		rep.AddRow(name, ms(m.ElapsedMS), fmt.Sprintf("%d", m.IO))
 	}
 	return rep, nil
 }

@@ -11,7 +11,7 @@ import (
 func TestAllExperimentsSmoke(t *testing.T) {
 	r := NewRunner(0.1, 1)
 	defer r.Close()
-	reports, err := r.All()
+	reports, err := r.Run(PaperIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 	r := NewRunner(0.1, 1)
 	defer r.Close()
-	reports, err := r.Ablations()
+	reports, err := r.Run(AblationIDs)
 	if err != nil {
 		t.Fatal(err)
 	}

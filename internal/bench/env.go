@@ -6,18 +6,18 @@ import (
 )
 
 // Env records the machine context a benchmark artifact was produced under,
-// so numbers in BENCH_*.json / bench_results.txt can be compared across
-// runs with their parallelism in view: operator "workers" sweeps and build
-// parallelism mean something very different on a 1-CPU box than on 16.
+// so numbers in bench_results.txt can be compared across runs with their
+// parallelism in view: build parallelism means something very different on
+// a 1-CPU box than on 16.
 type Env struct {
 	// GOMAXPROCS is the scheduler's processor limit at measurement time.
-	GOMAXPROCS int `json:"gomaxprocs"`
+	GOMAXPROCS int
 	// NumCPU is the machine's logical CPU count.
-	NumCPU int `json:"num_cpu"`
+	NumCPU int
 	// GoVersion, GOOS, and GOARCH identify the toolchain and platform.
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
+	GoVersion string
+	GOOS      string
+	GOARCH    string
 }
 
 // CurrentEnv captures the running process's environment.

@@ -63,8 +63,7 @@ type Runner struct {
 	Reps int
 	// BuildParallelism is the worker count used to build the cached
 	// experiment databases (0/1 = serial, -1 = GOMAXPROCS). It shortens
-	// experiment setup on multi-core hosts; the "build" experiment sweeps
-	// its own degrees and ignores it.
+	// experiment setup on multi-core hosts.
 	BuildParallelism int
 
 	dbs    map[string]*gdb.DB
@@ -269,30 +268,20 @@ func (r *Runner) CoverStats(s Scale) twohop.Stats {
 	return twohop.Compute(g, twohop.Options{}).Stats()
 }
 
-// All runs every experiment in DESIGN.md's index, in order.
-func (r *Runner) All() ([]*Report, error) {
-	type expFn struct {
-		name string
-		fn   func() (*Report, error)
-	}
-	exps := []expFn{
-		{"table2", r.Table2},
-		{"fig5a", r.Fig5a},
-		{"fig5b", r.Fig5b},
-		{"fig6a", r.Fig6a},
-		{"fig6b", r.Fig6b},
-		{"fig6c", r.Fig6c},
-		{"fig6d", r.Fig6d},
-		{"fig7a", r.Fig7a},
-		{"fig7b", r.Fig7b},
-		{"fig7c", r.Fig7c},
-		{"iocost", r.IOCost},
-	}
+// PaperIDs lists the Section 6 experiment IDs in DESIGN.md's index order.
+var PaperIDs = []string{
+	"table2", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig6d",
+	"fig7a", "fig7b", "fig7c", "iocost",
+}
+
+// Run runs the named experiments in order and returns the reports finished
+// before the first error.
+func (r *Runner) Run(ids []string) ([]*Report, error) {
 	var out []*Report
-	for _, e := range exps {
-		rep, err := e.fn()
+	for _, id := range ids {
+		rep, err := r.ByID(id)
 		if err != nil {
-			return out, fmt.Errorf("bench: %s: %w", e.name, err)
+			return out, fmt.Errorf("bench: %s: %w", id, err)
 		}
 		out = append(out, rep)
 	}
@@ -326,29 +315,12 @@ func (r *Runner) ByID(id string) (*Report, error) {
 		return r.IOCost()
 	case "ablation-order":
 		return r.AblationCenterOrder()
-	case "ablation-wcache":
-		return r.AblationWTableCache()
 	case "ablation-pool":
 		return r.AblationPoolSize()
 	case "ablation-merged":
 		return r.AblationDPSMerged()
 	case "ablation-naive":
 		return r.AblationNaive()
-	case "rjoin":
-		rep, _, err := r.RJoinMicro()
-		return rep, err
-	case "build":
-		rep, _, err := r.BuildMicro()
-		return rep, err
-	case "wcoj":
-		rep, _, err := r.WCOJMicro()
-		return rep, err
-	case "fastpath":
-		rep, _, err := r.FastpathMicro()
-		return rep, err
-	case "reach":
-		rep, _, err := r.ReachMicro()
-		return rep, err
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q", id)
 	}

@@ -18,24 +18,24 @@ import (
 // the verify tier, so it also exercises the budget's concurrent accounting.
 func TestBudgetCrosscheck(t *testing.T) {
 	g := randomGraph(21, 160, 220, 5)
-	db := mustDB(t, g)
+	snap := mustSnap(t, g)
 	ctx := context.Background()
 
 	for _, ps := range execPatterns {
 		p := pattern.MustParse(ps)
 		for _, algo := range []Algorithm{DP, DPS, DPSMerged} {
-			plan, err := BuildPlan(db, p, algo)
+			plan, err := BuildPlanSnapConfig(snap, p, algo, PlanConfig{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", ps, algo, err)
 			}
-			full, err := RunContextConfig(ctx, db, plan, RunConfig{Workers: 1})
+			full, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", ps, algo, err)
 			}
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 				// The full run is row-identical at every degree (the
 				// PR-2 determinism guarantee the pushdown builds on).
-				again, err := RunContextConfig(ctx, db, plan, RunConfig{Workers: workers})
+				again, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s/%v w=%d: %v", ps, algo, workers, err)
 				}
@@ -47,7 +47,7 @@ func TestBudgetCrosscheck(t *testing.T) {
 						continue // 0 means "no limit"
 					}
 					b := &rjoin.Budget{ResultRows: n}
-					got, err := RunContextConfig(ctx, db, plan, RunConfig{Workers: workers, Budget: b})
+					got, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: workers, Budget: b})
 					if err != nil {
 						t.Fatalf("%s/%v w=%d limit=%d: %v", ps, algo, workers, n, err)
 					}
@@ -74,14 +74,14 @@ func TestBudgetCrosscheck(t *testing.T) {
 // typed errors, wrapped with the failing step's position.
 func TestBudgetKillsQuery(t *testing.T) {
 	g := randomGraph(22, 160, 220, 5)
-	db := mustDB(t, g)
+	snap := mustSnap(t, g)
 	ctx := context.Background()
 	p := pattern.MustParse("A->C; B->C; C->D; D->E")
-	plan, err := BuildPlan(db, p, DPS)
+	plan, err := BuildPlanSnapConfig(snap, p, DPS, PlanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunContextConfig(ctx, db, plan, RunConfig{})
+	full, err := RunSnapConfig(ctx, snap, plan, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,13 @@ func TestBudgetKillsQuery(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 0} {
-		if _, err := RunContextConfig(ctx, db, plan, RunConfig{
+		if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{
 			Workers: workers,
 			Budget:  &rjoin.Budget{MaxTableRows: 1},
 		}); !errors.Is(err, rjoin.ErrRowLimit) {
 			t.Fatalf("workers=%d: got %v, want ErrRowLimit", workers, err)
 		}
-		if _, err := RunContextConfig(ctx, db, plan, RunConfig{
+		if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{
 			Workers: workers,
 			Budget:  &rjoin.Budget{MaxBytes: 8},
 		}); !errors.Is(err, rjoin.ErrBudgetExceeded) {
@@ -106,7 +106,7 @@ func TestBudgetKillsQuery(t *testing.T) {
 
 	// A generous budget lets the query through and reports its footprint.
 	b := &rjoin.Budget{MaxTableRows: 1 << 20, MaxBytes: 1 << 30}
-	got, err := RunContextConfig(ctx, db, plan, RunConfig{Budget: b})
+	got, err := RunSnapConfig(ctx, snap, plan, RunConfig{Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}

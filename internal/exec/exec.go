@@ -80,53 +80,22 @@ func (cfg RunConfig) runtime() *rjoin.Runtime {
 	return rt
 }
 
-// Run executes a plan and returns the full result table, with one column
-// per pattern node in pattern-node order and duplicate rows removed.
-func Run(db *gdb.DB, plan *optimizer.Plan) (*rjoin.Table, error) {
-	return RunContext(context.Background(), db, plan)
-}
-
-// RunContext is Run honouring ctx: execution is abandoned mid-operator
-// (with ctx.Err()) once the context is cancelled or past its deadline.
-func RunContext(ctx context.Context, db *gdb.DB, plan *optimizer.Plan) (*rjoin.Table, error) {
-	t, _, err := RunWithTrace(ctx, db, plan, false)
-	return t, err
-}
-
-// RunContextConfig is RunContext with explicit execution configuration.
-func RunContextConfig(ctx context.Context, db *gdb.DB, plan *optimizer.Plan, cfg RunConfig) (*rjoin.Table, error) {
-	t, _, err := RunWithTraceConfig(ctx, db, plan, false, cfg)
-	return t, err
-}
-
-// RunWithTrace is RunContext that also reports per-step actual row counts,
-// I/O, and elapsed time when trace is true. It runs under the default
-// configuration (GOMAXPROCS intra-operator workers).
-func RunWithTrace(ctx context.Context, db *gdb.DB, plan *optimizer.Plan, trace bool) (*rjoin.Table, []StepTrace, error) {
-	return RunWithTraceConfig(ctx, db, plan, trace, RunConfig{})
-}
-
-// RunWithTraceConfig executes a plan under cfg: one rjoin.Runtime — the
-// worker-pool degree, budget and counters — is shared by all steps of the
-// plan.
-func RunWithTraceConfig(ctx context.Context, db *gdb.DB, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Table, []StepTrace, error) {
-	// The whole execution pins one snapshot epoch: concurrent edge inserts
-	// publish new epochs without blocking this run, and every operator of
-	// this plan reads the index version pinned here — never a torn state.
-	s, release := db.Pin()
-	defer release()
-	return RunSnapWithTraceConfig(ctx, s, plan, trace, cfg)
-}
-
-// RunSnapConfig executes a plan against an explicitly pinned snapshot
-// epoch. Callers that plan and execute as one operation (the query server)
-// pin once and pass the same snapshot to BuildPlanSnap and here.
+// RunSnapConfig executes a plan against a pinned snapshot epoch and returns
+// the full result table, with one column per pattern node in pattern-node
+// order and duplicate rows removed. Execution is abandoned mid-operator
+// (with ctx.Err()) once ctx is cancelled or past its deadline. Callers pin
+// once and pass the same snapshot to BuildPlanSnapConfig and here, so a
+// query plans and executes on one index version — concurrent edge inserts
+// publish new epochs without blocking or tearing the run.
 func RunSnapConfig(ctx context.Context, s *gdb.Snap, plan *optimizer.Plan, cfg RunConfig) (*rjoin.Table, error) {
 	t, _, err := RunSnapWithTraceConfig(ctx, s, plan, false, cfg)
 	return t, err
 }
 
-// RunSnapWithTraceConfig is RunWithTraceConfig against a pinned snapshot.
+// RunSnapWithTraceConfig is RunSnapConfig that also reports per-step actual
+// row counts, I/O, and elapsed time when trace is true. One rjoin.Runtime —
+// the worker-pool degree, budget and counters — is shared by all steps of
+// the plan.
 func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Table, []StepTrace, error) {
 	if plan.Fast != nil && plan.Fast.Kind == optimizer.FPImpossible {
 		return runImpossible(ctx, plan, trace)
@@ -371,10 +340,11 @@ func extentTable(g *graph.Graph, b *optimizer.Binding, node int) *rjoin.Table {
 type Algorithm int
 
 const (
+	// DPS interleaves R-joins with R-semijoins (Section 4.2). It is the
+	// zero value, so an unset Algorithm field means the default planner.
+	DPS Algorithm = iota
 	// DP is R-join order selection only (Section 4.1).
-	DP Algorithm = iota
-	// DPS interleaves R-joins with R-semijoins (Section 4.2).
-	DPS
+	DP
 	// DPSMerged is DPS over the reduced status space with B_in and B_out
 	// merged (the O(3^n) variant of Section 4.2).
 	DPSMerged
@@ -415,23 +385,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	}
 }
 
-// BuildPlan binds a pattern against the database and optimizes it with the
-// chosen planner under default cost parameters. It is the single planning
-// entry point shared by Query, the Engine's Explain paths, and the query
-// server's plan cache.
-func BuildPlan(db *gdb.DB, p *pattern.Pattern, algo Algorithm) (*optimizer.Plan, error) {
-	// Planning pins one snapshot epoch so the optimizer statistics it reads
-	// never race a concurrent edge insert.
-	s, release := db.Pin()
-	defer release()
-	return BuildPlanSnap(s, p, algo)
-}
-
-// BuildPlanSnap is BuildPlan against an explicitly pinned snapshot epoch.
-func BuildPlanSnap(s *gdb.Snap, p *pattern.Pattern, algo Algorithm) (*optimizer.Plan, error) {
-	return BuildPlanSnapConfig(s, p, algo, PlanConfig{})
-}
-
 // PlanConfig tunes plan construction.
 type PlanConfig struct {
 	// NoFastPath builds a reference plan: the fan-signature prefilter is
@@ -444,12 +397,14 @@ type PlanConfig struct {
 	NoFastPath bool
 }
 
-// BuildPlanSnapConfig is BuildPlanSnap with explicit plan configuration.
-// Unless pc.NoFastPath is set, the pattern first passes the tier-2
-// fan-signature prefilter (provably empty patterns get a single-step plan
-// with no statistics scans at all), and the optimized plan is labelled
-// with its tier for -explain and /stats. The label describes the plan's
-// shape; it does not change how the plan executes.
+// BuildPlanSnapConfig binds a pattern against a pinned snapshot epoch and
+// optimizes it with the chosen planner under default cost parameters. It is
+// the single planning entry point shared by Query, the Engine and the query
+// server's plan cache. Unless pc.NoFastPath is set, the pattern first
+// passes the tier-2 fan-signature prefilter (provably empty patterns get a
+// single-step plan with no statistics scans at all), and the optimized plan
+// is labelled with its tier for -explain and /stats. The label describes
+// the plan's shape; it does not change how the plan executes.
 func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc PlanConfig) (*optimizer.Plan, error) {
 	if !pc.NoFastPath {
 		if plan, err := optimizer.Prefilter(s, p); err != nil {
@@ -486,30 +441,13 @@ func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc Pla
 }
 
 // Query binds, optimizes (with default cost parameters), and runs a pattern
-// in one call.
+// on one pinned snapshot epoch, in one call.
 func Query(db *gdb.DB, p *pattern.Pattern, algo Algorithm) (*rjoin.Table, error) {
-	t, _, err := QueryWithPlan(db, p, algo)
-	return t, err
-}
-
-// QueryContext is Query honouring ctx for cancellation and deadlines.
-func QueryContext(ctx context.Context, db *gdb.DB, p *pattern.Pattern, algo Algorithm) (*rjoin.Table, error) {
-	plan, err := BuildPlan(db, p, algo)
+	s, release := db.Pin()
+	defer release()
+	plan, err := BuildPlanSnapConfig(s, p, algo, PlanConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return RunContext(ctx, db, plan)
-}
-
-// QueryWithPlan is Query returning the chosen plan as well.
-func QueryWithPlan(db *gdb.DB, p *pattern.Pattern, algo Algorithm) (*rjoin.Table, *optimizer.Plan, error) {
-	plan, err := BuildPlan(db, p, algo)
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := Run(db, plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, plan, nil
+	return RunSnapConfig(context.Background(), s, plan, RunConfig{})
 }

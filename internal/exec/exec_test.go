@@ -79,6 +79,14 @@ func mustDB(t testing.TB, g *graph.Graph) *gdb.DB {
 	return db
 }
 
+// mustSnap builds a database over g and pins its snapshot for the test.
+func mustSnap(t testing.TB, g *graph.Graph) *gdb.Snap {
+	t.Helper()
+	snap, release := mustDB(t, g).Pin()
+	t.Cleanup(release)
+	return snap
+}
+
 func sortedRows(t *rjoin.Table) [][]graph.NodeID {
 	t.SortRows()
 	return t.Rows
@@ -151,9 +159,13 @@ func TestDPAndDPSMatchNaive(t *testing.T) {
 
 func TestQueryWithPlanReturnsPlan(t *testing.T) {
 	g := randomGraph(3, 80, 200, 5)
-	db := mustDB(t, g)
+	snap := mustSnap(t, g)
 	p := pattern.MustParse("A->C; B->C; C->D")
-	res, plan, err := QueryWithPlan(db, p, DPS)
+	plan, err := BuildPlanSnapConfig(snap, p, DPS, PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSnapConfig(context.Background(), snap, plan, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +219,7 @@ func TestNaiveMatchLabelsMissing(t *testing.T) {
 
 func TestRunRejectsBadPlans(t *testing.T) {
 	g := randomGraph(6, 40, 80, 5)
-	db := mustDB(t, g)
-	snap, release := db.Pin()
-	defer release()
+	snap := mustSnap(t, g)
 	b, err := optimizer.Bind(snap, pattern.MustParse("A->B; B->C"))
 	if err != nil {
 		t.Fatal(err)
@@ -218,11 +228,11 @@ func TestRunRejectsBadPlans(t *testing.T) {
 		Binding: b,
 		Steps:   []optimizer.Step{{Kind: optimizer.StepFetch, Edges: []int{0}}},
 	}
-	if _, err := Run(db, bad); err == nil {
+	if _, err := RunSnapConfig(context.Background(), snap, bad, RunConfig{}); err == nil {
 		t.Fatal("expected error running fetch without a table")
 	}
 	empty := &optimizer.Plan{Binding: b}
-	if _, err := Run(db, empty); err == nil {
+	if _, err := RunSnapConfig(context.Background(), snap, empty, RunConfig{}); err == nil {
 		t.Fatal("expected error for empty plan")
 	}
 }

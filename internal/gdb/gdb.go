@@ -55,10 +55,6 @@ type Options struct {
 	// file-backed database, and Open refuses to reattach under a different
 	// backend.
 	ReachIndex string
-	// DisableWTableCache turns off the in-memory W-table cache. The paper
-	// keeps frequently used W entries in memory (Section 3.4); the cache is
-	// on by default and this switch exists for ablation benchmarks.
-	DisableWTableCache bool
 	// CodeCacheEntries bounds the working cache of decoded graph codes
 	// (the paper's getCenters cache). Default 65536; negative disables.
 	CodeCacheEntries int
@@ -92,7 +88,6 @@ type DB struct {
 	// mgr publishes snapshot epochs; garbage is superseded page IDs.
 	mgr *epoch.Manager[*Snap, storage.PageID]
 
-	wcacheOn         bool
 	codeCacheEntries int
 	// memoBound is each decoded memo's size bound in node IDs
 	// (fastClusterCacheNodes; tests shrink it to force resets) and
@@ -302,7 +297,6 @@ func BuildFromIndex(g *graph.Graph, idx reach.Index, opt Options) (*DB, error) {
 		backend:          backend,
 		pager:            pager,
 		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
-		wcacheOn:         !opt.DisableWTableCache,
 		codeCacheEntries: opt.CodeCacheEntries,
 		memoBound:        fastClusterCacheNodes,
 	}

@@ -335,20 +335,6 @@ func TestIOAccountingAndCaches(t *testing.T) {
 	}
 }
 
-func TestDisableWTableCache(t *testing.T) {
-	g, _ := figure1Graph()
-	db := mustBuild(t, g, Options{DisableWTableCache: true})
-	db.ResetIOStats()
-	a := g.Labels().Lookup("A")
-	bLbl := g.Labels().Lookup("B")
-	db.Centers(a, bLbl)
-	io1 := db.IOStats().Logical()
-	db.Centers(a, bLbl)
-	if db.IOStats().Logical() <= io1 {
-		t.Fatal("uncached W-table probe should touch pages every time")
-	}
-}
-
 func TestCodeCacheBound(t *testing.T) {
 	g := randomGraph(5, 200, 400, 4)
 	db := mustBuild(t, g, Options{CodeCacheEntries: 10})

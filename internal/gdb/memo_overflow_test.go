@@ -51,7 +51,7 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := exec.BuildPlanSnap(snap, p, algo)
+			plan, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

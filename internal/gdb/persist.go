@@ -179,7 +179,6 @@ func Open(path string, opt Options) (*DB, error) {
 		backend:          backend,
 		pager:            pager,
 		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
-		wcacheOn:         !opt.DisableWTableCache,
 		codeCacheEntries: opt.CodeCacheEntries,
 		memoBound:        fastClusterCacheNodes,
 	}

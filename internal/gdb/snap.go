@@ -99,19 +99,16 @@ func (s *Snap) Centers(x, y graph.Label) ([]graph.NodeID, error) {
 		return nil, ErrClosed
 	}
 	k := wKey{x, y}
-	if s.db.wcacheOn {
-		s.wmu.RLock()
-		ws, ok := s.wcache[k]
-		s.wmu.RUnlock()
-		if ok {
-			return ws, nil
-		}
+	s.wmu.RLock()
+	ws, ok := s.wcache[k]
+	s.wmu.RUnlock()
+	if ok {
+		return ws, nil
 	}
 	v, ok, err := s.wtable.Get(wtableKey(x, y))
 	if err != nil {
 		return nil, err
 	}
-	var ws []graph.NodeID
 	if ok {
 		rec, err := s.db.heap.Read(storage.DecodeRID(v))
 		if err != nil {
@@ -119,11 +116,9 @@ func (s *Snap) Centers(x, y graph.Label) ([]graph.NodeID, error) {
 		}
 		ws = decodeNodeList(rec)
 	}
-	if s.db.wcacheOn {
-		s.wmu.Lock()
-		s.wcache[k] = ws
-		s.wmu.Unlock()
-	}
+	s.wmu.Lock()
+	s.wcache[k] = ws
+	s.wmu.Unlock()
 	return ws, nil
 }
 

@@ -18,8 +18,8 @@
 //
 // Skipping the condensation trades index size on cycle-heavy graphs (every
 // member of an SCC carries its own labels) for a simpler build with no SCC
-// pass and per-vertex granularity; BENCH_reach.json records how the
-// trade-off lands per dataset. The labels follow the same compact
+// pass and per-vertex granularity; BenchmarkReachBackends (internal/exec)
+// measures how the trade-off lands. The labels follow the same compact
 // convention as every backend: the node itself is removed, full codes add
 // it back, and Reaches applies the convention.
 package pll

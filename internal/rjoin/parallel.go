@@ -22,7 +22,7 @@ const (
 // minParallelGrains is the serial cutoff: an operator goes parallel only
 // when it has at least this many grains of work to share out. Below that,
 // the partition bookkeeping and result merge cost more than the concurrency
-// returns — BENCH_rjoin.json showed parallel Fetch *losing* to serial on
+// returns — the operator micro-benchmark showed parallel Fetch *losing* to serial on
 // ~thousand-row inputs (6.33ms at 4 workers vs 5.61ms serial) before this
 // cutoff existed. Eight grains ≈ 2k rows or 64 centers.
 const minParallelGrains = 8

@@ -366,7 +366,7 @@ func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, a
 	if s.planBuildHook != nil {
 		s.planBuildHook()
 	}
-	c.plan, c.err = exec.BuildPlanSnap(snap, p, algo)
+	c.plan, c.err = exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
 	if c.err != nil {
 		// Bind/plan failures are malformed or unanswerable queries —
 		// client faults, and shared verbatim with coalesced waiters.

@@ -130,6 +130,21 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// TestZeroConfigPlansWithDPS: a zero Config means the documented defaults,
+// including the planner — DPS is the zero Algorithm.
+func TestZeroConfigPlansWithDPS(t *testing.T) {
+	s := testServer(t, Config{})
+	snap, release := s.db.Pin()
+	defer release()
+	plan, _, err := s.plan(context.Background(), snap, pattern.MustParse("A->B; B->C"), s.Config().DefaultAlgorithm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Algorithm != "DPS" {
+		t.Fatalf("server.Config{} planned with %s, want DPS", plan.Algorithm)
+	}
+}
+
 func TestPlanCacheDisabled(t *testing.T) {
 	s := testServer(t, Config{PlanCacheSize: -1})
 	ctx := context.Background()

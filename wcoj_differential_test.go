@@ -72,6 +72,8 @@ func TestWCOJDifferential(t *testing.T) {
 		}
 		defer db.Close()
 		ctx := context.Background()
+		snap, release := db.Pin()
+		defer release()
 
 		for _, ps := range wcojBattery {
 			p := pattern.MustParse(ps)
@@ -92,13 +94,13 @@ func TestWCOJDifferential(t *testing.T) {
 					gc.seed, ps, want.Len(), dps.Len())
 			}
 
-			plan, err := exec.BuildPlan(db, p, exec.WCOJ)
+			plan, err := exec.BuildPlanSnapConfig(snap, p, exec.WCOJ, exec.PlanConfig{})
 			if err != nil {
 				t.Fatalf("seed %d %q: WCOJ plan: %v", gc.seed, ps, err)
 			}
 			var prev [][]graph.NodeID
 			for _, workers := range []int{1, 4} {
-				res, err := exec.RunContextConfig(ctx, db, plan, exec.RunConfig{Workers: workers})
+				res, err := exec.RunSnapConfig(ctx, snap, plan, exec.RunConfig{Workers: workers})
 				if err != nil {
 					t.Fatalf("seed %d %q workers=%d: %v", gc.seed, ps, workers, err)
 				}
