@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-baseline bench-compare clean
+.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels and the parallel operator suite — the hot paths a perf PR must
@@ -90,6 +90,16 @@ bench-served:
 bench-served-trace:
 	$(GO) run ./benchmark --workload read_pipeline --trace 1
 	$(GO) run ./benchmark --workload read_fastpath --trace 1
+
+# bench-served-pair is the paired comparison a performance claim needs:
+#   make bench-served-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+# builds ./benchmark at BASE (exported to a temporary directory) and at the
+# working tree, runs WORKLOAD untraced for 15 s with seeds 1..PAIRS,
+# alternating which side goes first, and prints per end-to-end metric each
+# side's median and quartiles and how many pairs the working tree won.
+PAIRS ?= 10
+bench-served-pair:
+	$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS)
 
 # bench-baseline records the kernel benchmarks (10 runs, for benchstat
 # confidence intervals) into $(BENCH_BASE); run it on the commit you want

@@ -73,11 +73,10 @@ type Manager[T, G any] struct {
 	// the garbage.
 	free func([]G)
 
-	mu       sync.Mutex
-	live     map[uint64]*node[T]
-	pending  []garbage[G] // ascending by epoch
-	retired  uint64
-	onRetire func(minLive uint64)
+	mu      sync.Mutex
+	live    map[uint64]*node[T]
+	pending []garbage[G] // ascending by epoch
+	retired uint64
 }
 
 // garbage is the deferred-free list attached to the publish that created
@@ -145,20 +144,6 @@ func (m *Manager[T, G]) Publish(v T, garb []G) uint64 {
 	return n.epoch
 }
 
-// OnRetire registers fn to run after an epoch retires, with the minimum
-// epoch still live at that moment: every epoch below it is gone for good
-// and can never be pinned or queried again, so per-epoch derived state
-// (e.g. a server's plan-cache entries) keyed below minLive is dead weight.
-// fn runs outside the manager's lock but on whichever goroutine dropped
-// the last reference — publish path or a reader's release — so it must be
-// cheap and must not call back into the manager. One callback is
-// supported; the last registration wins.
-func (m *Manager[T, G]) OnRetire(fn func(minLive uint64)) {
-	m.mu.Lock()
-	m.onRetire = fn
-	m.mu.Unlock()
-}
-
 // release drops one reference; the last one retires the node and releases
 // any pending garbage whose horizon was waiting on it.
 func (m *Manager[T, G]) release(n *node[T]) {
@@ -169,16 +154,11 @@ func (m *Manager[T, G]) release(n *node[T]) {
 	delete(m.live, n.epoch)
 	m.retired++
 	freeable := m.collectFreeableLocked()
-	minLive := m.minLiveLocked()
-	hook := m.onRetire
 	m.mu.Unlock()
 	if m.free != nil {
 		for _, g := range freeable {
 			m.free(g.items)
 		}
-	}
-	if hook != nil {
-		hook(minLive)
 	}
 }
 

@@ -127,13 +127,7 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 		return st, nil // a redundant edge: the cover never relied on it
 	}
 
-	for _, d := range deltas {
-		w.touchedNodes[d.Node] = struct{}{} // before the trees change, as in applyOne
-	}
-	if err := w.applyBaseDeltas(deltas); err != nil {
-		return st, err
-	}
-	cs, err := w.applyCenterDeltas(deltas)
+	cs, err := w.applyDeltas(deltas)
 	if err != nil {
 		return st, err
 	}

@@ -95,6 +95,11 @@ type DB struct {
 	memoBound  int
 	memoResets atomic.Int64
 
+	// Projection-list accounting across all epochs: full computations
+	// (Snap.projection), lists a publish carried into the successor epoch,
+	// and those of them whose content the batch changed.
+	projScans, projInherited, projPatched atomic.Int64
+
 	closed atomic.Bool
 
 	// writeMu serialises writers: insert batches and Sync/Persist. Readers
@@ -333,9 +338,6 @@ func (db *DB) newSnap(g *graph.Graph) *Snap {
 		sig:       newSignature(),
 		wcache:    make(map[wKey][]graph.NodeID),
 		codeCache: newCodeCache(db.codeCacheEntries),
-		joinSizes: make(map[wKey]int64),
-		distFrom:  make(map[wKey]int64),
-		distTo:    make(map[wKey]int64),
 		projFrom:  make(map[wKey][]graph.NodeID),
 		projTo:    make(map[wKey][]graph.NodeID),
 	}
@@ -386,13 +388,6 @@ func (db *DB) Pin() (*Snap, func()) { return db.mgr.Pin() }
 // superseded epochs have been retired.
 func (db *DB) EpochStats() epoch.Stats { return db.mgr.Stats() }
 
-// OnEpochRetire registers fn to run whenever a snapshot epoch retires,
-// with the minimum still-live epoch. Consumers keying derived state by
-// epoch (the server's plan cache) use it to drop entries no pin can ever
-// reach again. fn may run on any goroutine releasing the last pin of an
-// epoch, so it must be cheap and non-blocking; the last registration wins.
-func (db *DB) OnEpochRetire(fn func(minLive uint64)) { db.mgr.OnRetire(fn) }
-
 // Graph returns the underlying data graph as of the current epoch. The
 // returned handle is immutable: edge inserts publish a copy-on-write
 // successor, so a held pointer keeps describing the graph as of when it
@@ -421,6 +416,13 @@ func (db *DB) IOStats() storage.IOStats { return db.pool.Stats() }
 // bound and reset, across all epochs.
 func (db *DB) DecodedMemoStats() (nodes int, resets int64) {
 	return db.mgr.Current().DecodedMemoNodes(), db.memoResets.Load()
+}
+
+// ProjectionStats reports, across all epochs, how many projection lists
+// were computed in full (scans), carried by a publish into the successor
+// epoch (inherited), and of those changed by the batch (patched).
+func (db *DB) ProjectionStats() (scans, inherited, patched int64) {
+	return db.projScans.Load(), db.projInherited.Load(), db.projPatched.Load()
 }
 
 // ResetIOStats zeroes the buffer pool counters (e.g. after Build, before a

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"fastmatch/internal/graph"
@@ -120,6 +121,7 @@ type snapWriter struct {
 	touchedW     map[wKey]struct{}         // stale W-cache entries
 	touchedCl    map[clKey]struct{}        // stale decoded subclusters
 	changed      bool
+	torn         bool // an edge failed partway through its tree updates
 }
 
 func newSnapWriter(db *DB, cur *Snap) *snapWriter {
@@ -165,11 +167,6 @@ func (w *snapWriter) publish(cur *Snap) {
 		sig:        sig,
 		epoch:      db.mgr.CurrentEpoch() + 1,
 		codeCache:  cur.codeCache.cloneWithout(w.touchedNodes),
-		joinSizes:  make(map[wKey]int64),
-		distFrom:   make(map[wKey]int64),
-		distTo:     make(map[wKey]int64),
-		projFrom:   make(map[wKey][]graph.NodeID),
-		projTo:     make(map[wKey][]graph.NodeID),
 	}
 	cur.wmu.RLock()
 	next.wcache = make(map[wKey][]graph.NodeID, len(cur.wcache))
@@ -180,6 +177,7 @@ func (w *snapWriter) publish(cur *Snap) {
 	}
 	cur.wmu.RUnlock()
 	w.inheritDecoded(cur, next)
+	w.inheritProjections(cur, next)
 	if db.insertPublishHook != nil {
 		db.insertPublishHook()
 	}
@@ -218,6 +216,130 @@ func (w *snapWriter) inheritDecoded(cur, next *Snap) {
 	}
 }
 
+// inheritProjections seeds next's projection memos with cur's lists,
+// patched to next's content. The rule is exact: π_X(X→Y) = {x ∈ ext(X) :
+// out(x) ∩ W(X, Y) ≠ ∅} (in(y) for π_Y), so a node's membership can only
+// have changed if the batch changed its code (touchedNodes) or changed the
+// W row (touchedW) — and then only for members of the centers that entered
+// or left the row. Those candidates are re-tested against next; a list
+// none of them moved is shared between the epochs, one that changed is
+// copied. A list that cannot be patched is left out, and Snap.projection
+// recomputes it on first use. After a batch that failed inside an edge
+// (torn) the trees may disagree with each other, so nothing is inherited.
+func (w *snapWriter) inheritProjections(cur, next *Snap) {
+	if w.torn {
+		next.projFrom = make(map[wKey][]graph.NodeID)
+		next.projTo = make(map[wKey][]graph.NodeID)
+		return
+	}
+	cur.statMu.Lock()
+	next.projFrom, next.projTo = maps.Clone(cur.projFrom), maps.Clone(cur.projTo)
+	cur.statMu.Unlock()
+	touched := make(map[graph.Label][]graph.NodeID) // ascending per label
+	for v := range w.touchedNodes {
+		l := next.g.LabelOf(v)
+		touched[l] = append(touched[l], v)
+	}
+	for _, vs := range touched {
+		slices.Sort(vs)
+	}
+	patchAll := func(memo map[wKey][]graph.NodeID, forward bool) {
+		for k, list := range memo {
+			patched, changed, err := w.patchProjection(cur, next, k, list, forward, touched)
+			if err != nil {
+				delete(memo, k)
+				continue
+			}
+			memo[k] = patched
+			w.db.projInherited.Add(1)
+			if changed {
+				w.db.projPatched.Add(1)
+			}
+		}
+	}
+	patchAll(next.projFrom, true)
+	patchAll(next.projTo, false)
+}
+
+// patchProjection returns next's version of one projection list of cur:
+// list itself when no candidate's membership moved, else a patched copy.
+// forward selects π_X (F-side members, out-codes) over π_Y (T-side, in-).
+func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, list []graph.NodeID, forward bool, touched map[graph.Label][]graph.NodeID) (_ []graph.NodeID, changed bool, _ error) {
+	side, dir, code := k.x, dirF, next.OutCode
+	if !forward {
+		side, dir, code = k.y, dirT, next.InCode
+	}
+	ws, err := next.Centers(k.x, k.y)
+	if err != nil {
+		return nil, false, err
+	}
+	cands := touched[side]
+	if _, ok := w.touchedW[k]; ok {
+		cands = slices.Clone(cands)
+		ws0, err := cur.Centers(k.x, k.y)
+		if err != nil {
+			return nil, false, err
+		}
+		// A center that left the row takes its old members' support with
+		// it; one that entered brings its new members. Members that differ
+		// between the two epochs' subclusters are touched nodes already.
+		membersOfMoved := func(s *Snap, row, other []graph.NodeID) error {
+			j := 0
+			for _, c := range row {
+				for j < len(other) && other[j] < c {
+					j++
+				}
+				if j < len(other) && other[j] == c {
+					continue // c is in both rows
+				}
+				members, err := s.clusterLookup(c, dir, side)
+				if err != nil {
+					return err
+				}
+				cands = append(cands, members...)
+			}
+			return nil
+		}
+		if err := membersOfMoved(cur, ws0, ws); err != nil {
+			return nil, false, err
+		}
+		if err := membersOfMoved(next, ws, ws0); err != nil {
+			return nil, false, err
+		}
+		slices.Sort(cands)
+		cands = slices.Compact(cands)
+	}
+	var add, rem []graph.NodeID
+	for _, v := range cands {
+		c, err := code(v)
+		if err != nil {
+			return nil, false, err
+		}
+		had := Contains(list, v)
+		switch in := IntersectNonEmpty(c, ws); {
+		case in && !had:
+			add = append(add, v)
+		case had && !in:
+			rem = append(rem, v)
+		}
+	}
+	if len(add) == 0 && len(rem) == 0 {
+		return list, false, nil
+	}
+	out := make([]graph.NodeID, 0, len(list)+len(add)-len(rem))
+	for _, v := range list {
+		for len(add) > 0 && add[0] < v {
+			out, add = append(out, add[0]), add[1:]
+		}
+		if len(rem) > 0 && rem[0] == v {
+			rem = rem[1:]
+			continue
+		}
+		out = append(out, v)
+	}
+	return append(out, add...), true, nil
+}
+
 func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 	var st EdgeInsertStats
 	n := graph.NodeID(w.g.NumNodes())
@@ -240,15 +362,7 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 		return st, nil // u already reached v: the cover was complete
 	}
 
-	// Marked before the trees change: a batch that fails midway still
-	// publishes its applied prefix, and no cache may outlive that.
-	for _, d := range deltas {
-		w.touchedNodes[d.Node] = struct{}{}
-	}
-	if err := w.applyBaseDeltas(deltas); err != nil {
-		return st, err
-	}
-	cs, err := w.applyCenterDeltas(deltas)
+	cs, err := w.applyDeltas(deltas)
 	if err != nil {
 		return st, err
 	}
@@ -294,6 +408,23 @@ func (w *snapWriter) ensureIncremental() error {
 	}
 	db.inc = db.backend.DynamicFromLabels(w.g, in, out)
 	return nil
+}
+
+// applyDeltas applies one edge's label deltas to the base tables, the
+// cluster index and the W-table.
+func (w *snapWriter) applyDeltas(deltas []reach.LabelDelta) (centerChangeStats, error) {
+	// Marked before the trees change: a batch that fails midway still
+	// publishes its applied prefix, and no cache may outlive that.
+	for _, d := range deltas {
+		w.touchedNodes[d.Node] = struct{}{}
+	}
+	err := w.applyBaseDeltas(deltas)
+	var cs centerChangeStats
+	if err == nil {
+		cs, err = w.applyCenterDeltas(deltas)
+	}
+	w.torn = w.torn || err != nil
+	return cs, err
 }
 
 // applyBaseDeltas rewrites the base-table record of every node whose

@@ -20,9 +20,10 @@ import (
 // decoded content (W lists, graph codes, decoded subclusters, center sets)
 // are never invalidated; a successor epoch starts from the survivors of
 // its predecessor minus the entries the write batch touched (see
-// snapWriter.publish). The optimizer statistics and projections are
-// recomputed per epoch. The caches are internally locked only to
-// coordinate concurrent readers filling them.
+// snapWriter.publish). The memoized projections are inherited too, patched
+// from the batch's label deltas rather than dropped (inheritProjections);
+// the fan signature is maintained by the writer. The caches are internally
+// locked only to coordinate concurrent readers filling them.
 type Snap struct {
 	db *DB
 	g  *graph.Graph
@@ -55,13 +56,11 @@ type Snap struct {
 	ccache  map[ccKey][]graph.NodeID
 	ccNodes int
 
-	statMu    sync.Mutex     // guards the memo maps below
-	joinSizes map[wKey]int64 // memoized base-table R-join size estimates
-	distFrom  map[wKey]int64 // memoized |π_X(T_X ⋈ T_Y)|
-	distTo    map[wKey]int64 // memoized |π_Y(T_X ⋈ T_Y)|
-	// projFrom/projTo memoize the sorted distinct projections themselves
-	// (the lists whose lengths distFrom/distTo report): the per-edge
-	// unary iterators of the worst-case-optimal multiway R-join.
+	// projFrom/projTo memoize the sorted distinct projections
+	// π_X(T_X ⋈ T_Y) and π_Y(T_X ⋈ T_Y): the optimizer's DistinctFrom/To
+	// statistics are their lengths, and they are the per-edge unary
+	// iterators of the worst-case-optimal multiway R-join.
+	statMu   sync.Mutex // guards the two maps
 	projFrom map[wKey][]graph.NodeID
 	projTo   map[wKey][]graph.NodeID
 }
@@ -355,17 +354,11 @@ func (s *Snap) Reaches(u, v graph.NodeID) (bool, error) {
 }
 
 // JoinSize estimates |T_X ⋈_{X→Y} T_Y| as Σ_{w∈W(X,Y)} |F_X(w)|·|T_Y(w)|
-// (an upper bound: a pair may be covered by several centers). Results are
-// memoized; the paper maintains these base-table join sizes for the
-// optimizer.
+// (an upper bound: a pair may be covered by several centers) by scanning
+// the clusters. The optimizer reads the same value from the maintained fan
+// signature (Signature.Pair); this scan is the reference it is tested
+// against.
 func (s *Snap) JoinSize(x, y graph.Label) (int64, error) {
-	k := wKey{x, y}
-	s.statMu.Lock()
-	sz, ok := s.joinSizes[k]
-	s.statMu.Unlock()
-	if ok {
-		return sz, nil
-	}
 	ws, err := s.Centers(x, y)
 	if err != nil {
 		return 0, err
@@ -382,9 +375,6 @@ func (s *Snap) JoinSize(x, y graph.Label) (int64, error) {
 		}
 		total += int64(len(f)) * int64(len(t))
 	}
-	s.statMu.Lock()
-	s.joinSizes[k] = total
-	s.statMu.Unlock()
 	return total, nil
 }
 
@@ -410,17 +400,20 @@ func (s *Snap) DistinctTo(x, y graph.Label) (int64, error) {
 // unary (first trie level) iterator of edge X→Y in the worst-case-optimal
 // multiway R-join.
 func (s *Snap) ProjectFrom(x, y graph.Label) ([]graph.NodeID, error) {
-	return s.projection(x, y, dirF, x, s.projFrom, s.distFrom)
+	return s.projection(x, y, dirF, x, s.projFrom)
 }
 
 // ProjectTo returns π_Y(T_X ⋈_{X→Y} T_Y) as a sorted ascending list: every
 // Y-labeled node reached from at least one X-labeled node (union of the
 // Y-labeled T-subclusters over W(X, Y)). Memoized and shared; do not mutate.
 func (s *Snap) ProjectTo(x, y graph.Label) ([]graph.NodeID, error) {
-	return s.projection(x, y, dirT, y, s.projTo, s.distTo)
+	return s.projection(x, y, dirT, y, s.projTo)
 }
 
-func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map[wKey][]graph.NodeID, count map[wKey]int64) ([]graph.NodeID, error) {
+// projection is the one full computation of a projection list: the cold
+// start of an epoch's memo, and the reference the lists a successor epoch
+// inherits (inheritProjections) are tested against.
+func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map[wKey][]graph.NodeID) ([]graph.NodeID, error) {
 	k := wKey{x, y}
 	s.statMu.Lock()
 	p, ok := memo[k]
@@ -428,6 +421,7 @@ func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map
 	if ok {
 		return p, nil
 	}
+	s.db.projScans.Add(1)
 	ws, err := s.Centers(x, y)
 	if err != nil {
 		return nil, err
@@ -450,7 +444,6 @@ func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map
 	}
 	s.statMu.Lock()
 	memo[k] = union
-	count[k] = int64(len(union)) // keep the length memo coherent for free
 	s.statMu.Unlock()
 	return union, nil
 }
@@ -478,9 +471,9 @@ func mergeUnionNodes(dst, a, b []graph.NodeID) []graph.NodeID {
 }
 
 // clearCaches empties this epoch's derived data caches (cold-start
-// benchmarks). The optimizer stat memos (JoinSize, DistinctFrom/To) stay:
-// they hold exact per-snapshot values that cannot go stale within an
-// epoch, and benchmarks charge their cost on first access only.
+// benchmarks). The memoized projections stay: they hold exact per-snapshot
+// values that cannot go stale within an epoch, and benchmarks charge their
+// cost on first access only.
 func (s *Snap) clearCaches() {
 	s.wmu.Lock()
 	s.wcache = make(map[wKey][]graph.NodeID)

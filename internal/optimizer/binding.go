@@ -10,6 +10,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
@@ -43,7 +44,8 @@ type Binding struct {
 // Per-edge join sizes and W counts come from the snapshot's fan-signature
 // table (maintained incrementally; exactly the values the JoinSize /
 // Centers scans would compute) so binding pays no W-table reads for them;
-// the distinct projections stay exact via the memoized projection scans.
+// the distinct projections are the lengths of the snapshot's memoized
+// projection lists, which successor epochs inherit.
 func Bind(db *gdb.Snap, p *pattern.Pattern) (*Binding, error) {
 	g := db.Graph()
 	sig := db.Signature()
@@ -72,22 +74,7 @@ func Bind(db *gdb.Snap, p *pattern.Pattern) (*Binding, error) {
 			FromLabel: b.Labels[e.From],
 			ToLabel:   b.Labels[e.To],
 		}
-		var js int64
-		var wcount int
-		if sig != nil {
-			ps := sig.Pair(b.Labels[e.From], b.Labels[e.To])
-			js, wcount = ps.JoinSize, ps.Centers
-		} else {
-			v, err := db.JoinSize(b.Labels[e.From], b.Labels[e.To])
-			if err != nil {
-				return nil, err
-			}
-			ws, err := db.Centers(b.Labels[e.From], b.Labels[e.To])
-			if err != nil {
-				return nil, err
-			}
-			js, wcount = v, len(ws)
-		}
+		ps := sig.Pair(b.Labels[e.From], b.Labels[e.To])
 		df, err := db.DistinctFrom(b.Labels[e.From], b.Labels[e.To])
 		if err != nil {
 			return nil, err
@@ -96,15 +83,23 @@ func Bind(db *gdb.Snap, p *pattern.Pattern) (*Binding, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.JS[ei] = float64(js)
+		b.JS[ei] = float64(ps.JoinSize)
 		if ddt := float64(df) * float64(dt); b.JS[ei] > ddt {
 			b.JS[ei] = ddt // duplicate-covered pairs cannot exceed df·dt
 		}
 		b.DF[ei] = float64(df)
 		b.DT[ei] = float64(dt)
-		b.WCount[ei] = float64(wcount)
+		b.WCount[ei] = float64(ps.Centers)
 	}
 	return b, nil
+}
+
+// SameStats reports whether o, a binding of the same pattern, carries
+// exactly b's statistics — the planners' whole input besides the pattern,
+// so equal statistics mean an equal plan.
+func (b *Binding) SameStats(o *Binding) bool {
+	return slices.Equal(b.Ext, o.Ext) && slices.Equal(b.JS, o.JS) &&
+		slices.Equal(b.DF, o.DF) && slices.Equal(b.DT, o.DT) && slices.Equal(b.WCount, o.WCount)
 }
 
 // sel returns the R-join selectivity of edge e (Eq. 10's second factor).

@@ -135,9 +135,6 @@ func Classify(p *Plan) {
 // O(pattern); otherwise it returns (nil, nil) and planning proceeds.
 func Prefilter(db *gdb.Snap, p *pattern.Pattern) (*Plan, error) {
 	sig := db.Signature()
-	if sig == nil {
-		return nil, nil
-	}
 	g := db.Graph()
 	labels := make([]graph.Label, p.NumNodes())
 	ext := make([]float64, p.NumNodes())

@@ -159,7 +159,7 @@ func TestPlanSingleflightError(t *testing.T) {
 // explicit negative — or a direct zero — disables).
 func TestPlanCacheZeroCapacity(t *testing.T) {
 	c := newPlanCache(0)
-	k := planKey{epoch: 0, rest: "k"}
+	k := "k"
 	c.put(k, nil)
 	if _, ok := c.get(k); ok {
 		t.Fatal("zero-capacity cache stored an entry")

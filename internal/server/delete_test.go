@@ -14,6 +14,7 @@ import (
 	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
+	"fastmatch/internal/optimizer"
 	"fastmatch/internal/pattern"
 )
 
@@ -179,78 +180,87 @@ func TestReadOnlyRejectsAllMutatingRoutes(t *testing.T) {
 	}
 }
 
-// TestPlanCachePurgeBefore: unit check of the horizon eviction — only
-// entries keyed below minLive go.
-func TestPlanCachePurgeBefore(t *testing.T) {
-	c := newPlanCache(16)
-	for epoch := uint64(0); epoch < 4; epoch++ {
-		c.put(planKey{epoch: epoch, rest: "a"}, nil)
-		c.put(planKey{epoch: epoch, rest: "b"}, nil)
+// TestPlanCacheAcrossEpochs: a cached plan is reused across a publish
+// exactly while its statistics hold. A write elsewhere in the graph leaves
+// the plan cached (the same plan, not an equal one); a write that moves the
+// pattern's statistics re-plans and replaces the entry; and the tier-2
+// "proven empty" answer is never cached, so a write that makes an
+// impossible pattern possible (or back) is visible on the next query.
+func TestPlanCacheAcrossEpochs(t *testing.T) {
+	b := graph.NewBuilder()
+	for _, l := range []string{"A", "A", "A", "B", "B", "B", "C", "C"} {
+		b.AddNode(l)
 	}
-	c.purgeBefore(2)
-	if n := c.len(); n != 4 {
-		t.Fatalf("after purgeBefore(2): %d entries, want 4", n)
-	}
-	for epoch := uint64(0); epoch < 4; epoch++ {
-		for _, rest := range []string{"a", "b"} {
-			_, ok := c.get(planKey{epoch: epoch, rest: rest})
-			if want := epoch >= 2; ok != want {
-				t.Fatalf("entry {%d,%s} present=%v, want %v", epoch, rest, ok, want)
-			}
-		}
-	}
-	// Disabled cache: purge is a no-op, not a panic.
-	newPlanCache(0).purgeBefore(5)
-}
-
-// TestPlanCachePurgedOnEpochRetire: S1 — a superseded epoch's plan entries
-// are evicted the moment the epoch retires, survive exactly as long as a
-// reader still pins that epoch, and the current epoch's entries stay.
-func TestPlanCachePurgedOnEpochRetire(t *testing.T) {
-	db, err := gdb.Build(insertTestGraph(), gdb.Options{})
+	b.AddEdge(0, 3) // A0->B0: the only edge
+	db, err := gdb.Build(b.Build(), gdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	s := New(db, Config{})
 	ctx := context.Background()
+	planOf := func(pat string) (*optimizer.Plan, bool) {
+		t.Helper()
+		snap, release := db.Pin()
+		defer release()
+		plan, cached, err := s.plan(ctx, snap, pattern.MustParse(pat), exec.DPS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, cached
+	}
+	query := func(pat string, wantRows int, wantCached bool) {
+		t.Helper()
+		r, err := s.Query(ctx, pat, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != wantRows || r.PlanCached != wantCached {
+			t.Fatalf("%s: %d rows, cached=%v; want %d rows, cached=%v", pat, len(r.Rows), r.PlanCached, wantRows, wantCached)
+		}
+	}
+	insert := func(u, v graph.NodeID) {
+		t.Helper()
+		if _, err := s.InsertEdges(ctx, [][2]graph.NodeID{{u, v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	if _, err := s.Query(ctx, "A->B", ""); err != nil {
-		t.Fatal(err)
+	query("A->B", 1, false)
+	first, cached := planOf("A->B")
+	if !cached {
+		t.Fatal("repeat on the same epoch missed the plan cache")
+	}
+
+	// C0->C1 publishes an epoch that leaves every A->B statistic alone.
+	insert(6, 7)
+	query("A->B", 1, true)
+	if same, cached := planOf("A->B"); !cached || same != first {
+		t.Fatalf("after an unrelated publish: cached=%v, same plan=%v", cached, same == first)
+	}
+
+	// A1->B1 moves the pair's join size, projections and W count.
+	insert(1, 4)
+	query("A->B", 2, false)
+	if replaced, cached := planOf("A->B"); !cached || replaced == first {
+		t.Fatalf("after the pair's statistics moved: cached=%v, still the old plan=%v", cached, replaced == first)
 	}
 	if n := s.plans.len(); n != 1 {
-		t.Fatalf("after first query: %d cached plans, want 1", n)
+		t.Fatalf("re-planning left %d cache entries, want 1 (replaced)", n)
 	}
 
-	// A pinned reader keeps the old epoch — and its plan — alive across a
-	// publish.
-	_, release := db.Pin()
-	if _, err := s.InsertEdges(ctx, [][2]graph.NodeID{{1, 7}}); err != nil {
+	// No B reaches a C yet: tier 2 answers, and must not be remembered.
+	query("B->C", 0, false)
+	query("B->C", 0, false)
+	insert(3, 6) // B0->C0
+	query("B->C", 2, false)
+	query("B->C", 2, true)
+	if _, err := s.DeleteEdges(ctx, [][2]graph.NodeID{{3, 6}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.plans.len(); n != 1 {
-		t.Fatalf("old plan evicted while its epoch is still pinned: %d entries", n)
-	}
-	// Dropping the pin retires the epoch; the retire callback purges its
-	// plans synchronously on this goroutine.
-	release()
-	if n := s.plans.len(); n != 0 {
-		t.Fatalf("after epoch retired: %d cached plans, want 0", n)
-	}
-
-	// The replacement epoch's plans persist across further queries.
-	if _, err := s.Query(ctx, "A->B", ""); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Query(ctx, "A->B", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.PlanCached {
-		t.Fatal("repeat query on the live epoch missed the plan cache")
-	}
-	if n := s.plans.len(); n != 1 {
-		t.Fatalf("live epoch: %d cached plans, want 1", n)
+	query("B->C", 0, false) // impossible again, although a plan is cached
+	if st := s.Stats(); st.FastpathTier2Prunes != 3 {
+		t.Fatalf("tier-2 prunes = %d, want 3", st.FastpathTier2Prunes)
 	}
 }
 
@@ -370,7 +380,11 @@ func TestConcurrentMutateAndQueryPrefixConsistency(t *testing.T) {
 		}()
 	}
 
-	// Writer: stream the mutations one request at a time.
+	// Writer: stream the mutations one request at a time. Every projection
+	// list is memoized on the first epoch; each publish must hand exact
+	// lists to its successor without a single full scan.
+	checkProjectionsExact(t, s)
+	scans := s.Stats().ProjectionScans
 	for _, o := range ops {
 		path := "/insert"
 		if o.del {
@@ -388,6 +402,10 @@ func TestConcurrentMutateAndQueryPrefixConsistency(t *testing.T) {
 			t.Fatalf("%s status %d: %s", path, resp.StatusCode, buf.String())
 		}
 		resp.Body.Close()
+		checkProjectionsExact(t, s)
+		if got := s.Stats().ProjectionScans; got != scans {
+			t.Fatalf("after %s %d->%d: %d full projection scans, want 0 (inherited)", path, o.u, o.v, got-scans)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -404,4 +422,9 @@ func TestConcurrentMutateAndQueryPrefixConsistency(t *testing.T) {
 	if got != prefixes[len(ops)] {
 		t.Fatalf("final result is not the full-sequence result:\n got %s\nwant %s", got, prefixes[len(ops)])
 	}
+	if st := s.Stats(); st.ProjectionsInherited != int64(len(ops)*2*2*2) || st.ProjectionsPatched == 0 {
+		t.Fatalf("%d publishes inherited %d projection lists (want %d) and patched %d (want > 0)",
+			len(ops), st.ProjectionsInherited, len(ops)*2*2*2, st.ProjectionsPatched)
+	}
+	checkQuiesced(t, db)
 }

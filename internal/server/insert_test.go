@@ -269,4 +269,5 @@ func TestConcurrentInsertAndQueryPrefixConsistency(t *testing.T) {
 	if got != prefixes[len(inserts)] {
 		t.Fatalf("final result is not the full-sequence result:\n got %s\nwant %s", got, prefixes[len(inserts)])
 	}
+	checkQuiesced(t, db)
 }

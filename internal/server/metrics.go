@@ -276,6 +276,13 @@ type Stats struct {
 	DecodedMemoHits   int64 `json:"decoded_memo_hits"`
 	DecodedMemoMisses int64 `json:"decoded_memo_misses"`
 	DecodedMemoResets int64 `json:"decoded_memo_resets"`
+	// ProjectionScans counts full computations of a projection list
+	// (π_X or π_Y of a label pair's R-join), ProjectionsInherited the
+	// lists publishes carried into their successor epoch instead, and
+	// ProjectionsPatched those of them whose content the batch changed.
+	ProjectionScans      int64 `json:"projection_scans"`
+	ProjectionsInherited int64 `json:"projections_inherited"`
+	ProjectionsPatched   int64 `json:"projections_patched"`
 	// WCOJQueries counts queries whose chosen plan opened with a
 	// worst-case-optimal multiway join step (the hybrid planner picked a
 	// leapfrog core over a binary pipeline, or the client forced algo=wcoj);
@@ -368,6 +375,7 @@ func (s *Server) Stats() Stats {
 		st.ReachBackend = s.db.ReachBackend()
 		st.IO = s.db.IOStats()
 		st.DecodedMemoNodes, st.DecodedMemoResets = s.db.DecodedMemoStats()
+		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current
 		st.PinnedEpochs = es.Pinned

@@ -7,31 +7,23 @@ import (
 	"fastmatch/internal/optimizer"
 )
 
-// planKey identifies one cached plan: the snapshot epoch it was costed
-// against plus "algorithm|canonical pattern". Keeping the epoch as a
-// structured field (rather than folded into one string) lets the cache
-// purge everything below a retirement horizon without parsing keys.
-type planKey struct {
-	epoch uint64
-	rest  string
-}
-
-// planCache is a bounded LRU of optimized plans keyed by (snapshot epoch,
-// algorithm, canonical pattern). Cached *optimizer.Plan values are
-// immutable after optimization (the executor only reads them), so one plan
-// is shared by any number of concurrent runs. Entries keyed by superseded
-// epochs stop being looked up once the epoch retires; purgeBefore — driven
-// by the epoch manager's retire callback — evicts them eagerly so they
-// cannot sit in the LRU displacing live-epoch plans under write churn.
+// planCache is a bounded LRU of optimized plans keyed by "algorithm|
+// canonical pattern". A pipeline plan is a pure function of the algorithm,
+// the pattern and the Binding statistics it was costed with, and any join
+// order answers correctly on any epoch, so entries outlive publishes: the
+// server reuses one while the pinned snapshot's statistics equal the plan's
+// own (Server.cachedPlan) and replaces it when they moved. Cached
+// *optimizer.Plan values are immutable after optimization (the executor
+// only reads them), so one plan is shared by any number of concurrent runs.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // of *planCacheEntry, front = most recently used
-	items map[planKey]*list.Element
+	items map[string]*list.Element
 }
 
 type planCacheEntry struct {
-	key  planKey
+	key  string
 	plan *optimizer.Plan
 }
 
@@ -43,12 +35,12 @@ func newPlanCache(capacity int) *planCache {
 	c := &planCache{cap: capacity}
 	if capacity > 0 {
 		c.ll = list.New()
-		c.items = make(map[planKey]*list.Element, capacity)
+		c.items = make(map[string]*list.Element, capacity)
 	}
 	return c
 }
 
-func (c *planCache) get(key planKey) (*optimizer.Plan, bool) {
+func (c *planCache) get(key string) (*optimizer.Plan, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -62,7 +54,7 @@ func (c *planCache) get(key planKey) (*optimizer.Plan, bool) {
 	return el.Value.(*planCacheEntry).plan, true
 }
 
-func (c *planCache) put(key planKey, plan *optimizer.Plan) {
+func (c *planCache) put(key string, plan *optimizer.Plan) {
 	if c.cap <= 0 {
 		return
 	}
@@ -78,26 +70,6 @@ func (c *planCache) put(key planKey, plan *optimizer.Plan) {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		delete(c.items, el.Value.(*planCacheEntry).key)
-	}
-}
-
-// purgeBefore evicts every entry whose epoch is below minLive. Epochs
-// below the horizon have retired: no pin can reach them again, so their
-// plans can never be served and only occupy capacity.
-func (c *planCache) purgeBefore(minLive uint64) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*planCacheEntry)
-		if e.key.epoch < minLive {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-		}
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package server is the concurrent query-serving subsystem: it wraps a
 // gdb.DB with admission control (a bounded worker-pool semaphore with
-// queue timeout), a plan cache keyed by snapshot epoch and canonical
-// pattern form, per-server metrics, and an HTTP front-end. The paper's
-// engine is single-threaded; the storage and database layers were made
-// safe for parallel readers (sharded buffer-pool and code-cache locks,
-// per-query scratch heaps), so N queries execute simultaneously with no
-// global engine mutex — this package adds the serving policy on top.
+// queue timeout), a plan cache keyed by canonical pattern form and
+// validated against each pinned epoch's statistics, per-server metrics,
+// and an HTTP front-end. The paper's engine is single-threaded; the
+// storage and database layers were made safe for parallel readers (sharded
+// buffer-pool and code-cache locks, per-query scratch heaps), so N queries
+// execute simultaneously with no global engine mutex — this package adds
+// the serving policy on top.
 //
 // Reads and writes never block each other: each query pins one immutable
 // snapshot epoch (gdb.DB.Pin) for its whole plan+execute lifetime, and
@@ -160,7 +161,7 @@ type Server struct {
 	// flight coalesces concurrent plan-cache misses on one canonical key:
 	// one goroutine plans, the rest wait for its result (single-flight).
 	flightMu sync.Mutex
-	flight   map[planKey]*planCall
+	flight   map[string]*planCall
 	// planBuildHook, when non-nil, runs on the planning goroutine after it
 	// claims the flight slot and before it builds — a test seam for
 	// forcing misses to overlap.
@@ -181,19 +182,14 @@ type planCall struct {
 // keeps in-flight queries consistent.
 func New(db *gdb.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		db:     db,
 		cfg:    cfg,
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		plans:  newPlanCache(cfg.PlanCacheSize),
-		flight: make(map[planKey]*planCall),
+		flight: make(map[string]*planCall),
 		start:  time.Now(),
 	}
-	// Epoch retirements evict the retired epochs' plans eagerly; without
-	// this they sit in the LRU until churn pushes them off the tail,
-	// displacing live-epoch plans in the meantime.
-	db.OnEpochRetire(s.plans.purgeBefore)
-	return s
 }
 
 // DB exposes the underlying database (read-only).
@@ -324,18 +320,24 @@ func (s *Server) acquire(ctx context.Context) error {
 }
 
 // plan returns the execution plan for (p, algo) against the pinned
-// snapshot, consulting the LRU plan cache keyed by (epoch, algorithm,
-// canonical pattern) so repeated patterns skip DP/DPS planning entirely.
-// The epoch in the key replaces the old clear-on-insert policy: plans
-// costed against a superseded snapshot simply stop matching and age out
-// of the LRU, while the current epoch's entries survive insert batches
-// that used to wipe the whole cache. Concurrent misses on the same key
-// coalesce: exactly one goroutine runs the exponential DP/DPS search and
-// the others share its result (or its error) instead of racing N
-// identical planners.
+// snapshot. The tier-2 prefilter runs on every request and is never
+// cached: "proven empty" holds for one epoch only, and costs O(pattern).
+// Every other plan comes from the LRU plan cache keyed by (algorithm,
+// canonical pattern), reused across epochs for as long as the pinned
+// snapshot's statistics equal the ones it was costed with, so repeated
+// patterns skip DP/DPS planning whether or not a write published in
+// between. Concurrent misses on the same key coalesce: exactly one
+// goroutine runs the exponential DP/DPS search and the others share its
+// result (or its error) instead of racing N identical planners — also
+// across epochs, since any plan answers correctly on any snapshot.
 func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, algo exec.Algorithm) (*optimizer.Plan, bool, error) {
-	key := planKey{epoch: snap.Epoch(), rest: algo.String() + "|" + p.Canonical()}
-	if e, ok := s.plans.get(key); ok {
+	if empty, err := optimizer.Prefilter(snap, p); err != nil {
+		return nil, false, badQuery(err)
+	} else if empty != nil {
+		return empty, false, nil
+	}
+	key := algo.String() + "|" + p.Canonical()
+	if e, ok := s.cachedPlan(snap, key); ok {
 		s.met.planHits.Add(1)
 		return e, true, nil
 	}
@@ -353,7 +355,7 @@ func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, a
 	}
 	// Re-check the cache under the flight lock: a previous leader may have
 	// filled it between our miss and claiming the slot.
-	if e, ok := s.plans.get(key); ok {
+	if e, ok := s.cachedPlan(snap, key); ok {
 		s.flightMu.Unlock()
 		s.met.planHits.Add(1)
 		return e, true, nil
@@ -379,6 +381,23 @@ func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, a
 	s.flightMu.Unlock()
 	close(c.done)
 	return c.plan, false, c.err
+}
+
+// cachedPlan returns the cached plan for key when the statistics it was
+// costed with still hold on snap: the planner would choose it again. The
+// plan's own pattern is re-bound (a request may spell an equivalent
+// pattern with its nodes in another order); with projections inherited
+// across publishes that is a handful of map lookups.
+func (s *Server) cachedPlan(snap *gdb.Snap, key string) (*optimizer.Plan, bool) {
+	plan, ok := s.plans.get(key)
+	if !ok {
+		return nil, false
+	}
+	b, err := optimizer.Bind(snap, plan.Binding.Pattern)
+	if err != nil || !b.SameStats(plan.Binding) {
+		return nil, false // the planning path reports err, or replaces the entry
+	}
+	return plan, true
 }
 
 // InFlight reports the number of queries currently executing.

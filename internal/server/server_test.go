@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,8 +45,68 @@ func testServer(t testing.TB, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() {
+		checkQuiesced(t, db)
+		db.Close()
+	})
 	return New(db, cfg)
+}
+
+// checkQuiesced asserts the epoch bookkeeping of an idle database: with
+// every query answered and every write applied, exactly one epoch — the
+// current one — is live and every superseded one has retired. A second
+// live epoch or a retirement lag is a leaked pin.
+func checkQuiesced(t testing.TB, db *gdb.DB) {
+	t.Helper()
+	if es := db.EpochStats(); es.Pinned != 1 || es.Retired != es.Current {
+		t.Errorf("database not quiesced: %d live epochs (want 1), %d of %d superseded epochs retired",
+			es.Pinned, es.Retired, es.Current)
+	}
+}
+
+// checkProjectionsExact compares both projection lists of every label pair
+// on s's current epoch — memoized, inherited or computed on the spot — with
+// a recomputation from the epoch's own trees: the union of the W row's
+// subclusters, read unmemoized.
+func checkProjectionsExact(t testing.TB, s *Server) {
+	t.Helper()
+	snap, release := s.db.Pin()
+	defer release()
+	union := func(ws []graph.NodeID, sub func(graph.NodeID) ([]graph.NodeID, error)) []graph.NodeID {
+		var all []graph.NodeID
+		for _, w := range ws {
+			nodes, err := sub(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, nodes...)
+		}
+		slices.Sort(all)
+		return slices.Compact(all)
+	}
+	nl := snap.Graph().Labels().Len()
+	for x := graph.Label(0); int(x) < nl; x++ {
+		for y := graph.Label(0); int(y) < nl; y++ {
+			ws, err := snap.Centers(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, err := snap.ProjectFrom(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			to, err := snap.ProjectTo(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFrom := union(ws, func(w graph.NodeID) ([]graph.NodeID, error) { return snap.GetF(w, x) })
+			wantTo := union(ws, func(w graph.NodeID) ([]graph.NodeID, error) { return snap.GetT(w, y) })
+			if !slices.Equal(from, wantFrom) || !slices.Equal(to, wantTo) {
+				t.Fatalf("epoch %d, pair (%d,%d): projections %v / %v, index holds %v / %v",
+					snap.Epoch(), x, y, from, to, wantFrom, wantTo)
+			}
+		}
+	}
 }
 
 // TestQueryMatchesNaive: results served through the full stack (admission
