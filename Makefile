@@ -3,11 +3,12 @@ GO ?= go
 .PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
-# kernels and the parallel operator suite — the hot paths a perf PR must
-# not regress — plus the two open strategy questions (binary vs
+# kernels, the two per-row index reads (partner slot, reachability test)
+# and the parallel operator suite — the hot paths a perf PR must not
+# regress — plus the two open strategy questions (binary vs
 # worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkOperatorParallel|BenchmarkCyclicPlans|BenchmarkReachBackends'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperatorParallel|BenchmarkCyclicPlans|BenchmarkReachBackends'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -23,9 +24,10 @@ test-short:
 # short budget ($(FUZZTIME) per target) on top of the seeded corpus, so
 # the differential edge-insert harness and the 2-hop delta invariants get
 # fresh random sequences on every verify run, not just the checked-in
-# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last line
-# runs the two strategy benchmarks once, for their cross-variant row-count
-# checks: they replace harnesses that had their own, and must not rot.
+# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last two
+# lines run benchmarks once for the checks they carry: the strategy
+# benchmarks' cross-variant row counts (they replace harnesses that had
+# their own, and must not rot) and the read path's allocation-free hit path.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -36,6 +38,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzIncrementalDelete -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
 	$(GO) test -run XXX -bench 'BenchmarkCyclicPlans|BenchmarkReachBackends' -benchtime 1x ./internal/exec
+	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
 
 # test-cover enforces a per-package statement-coverage floor on the
 # reachability-index packages: the generic labeling core and registry, and
@@ -55,12 +58,13 @@ test-cover:
 
 # test-race-stress repeats the MVCC snapshot-epoch stress tests under the
 # race detector: concurrent insert batches against lock-free readers
-# (prefix consistency, epoch retirement) and the stalled-writer
-# no-reader-blocking probe. The full -race suite runs them once; the
-# elevated count shakes out more interleavings.
+# (prefix consistency, epoch retirement), the stalled-writer
+# no-reader-blocking probe, and readers racing to fill one partner table.
+# The full -race suite runs them once; the elevated count shakes out more
+# interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
-	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch' ./internal/gdb
+	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestCodeCacheBound' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
 

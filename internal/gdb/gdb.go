@@ -89,11 +89,16 @@ type DB struct {
 	mgr *epoch.Manager[*Snap, storage.PageID]
 
 	codeCacheEntries int
-	// memoBound is each decoded memo's size bound in node IDs
-	// (fastClusterCacheNodes; tests shrink it to force resets) and
+	// memoBound is each decoded memo's size bound in node-ID units — the
+	// subcluster memo's and the partner tables' alike
+	// (fastClusterCacheNodes; tests shrink it to force resets) — and
 	// memoResets counts the overflow resets across all epochs.
 	memoBound  int
 	memoResets atomic.Int64
+	// rank[v] is v's position in the extent of its label: the slot a
+	// partner table gives v. The node set never changes, so it is computed
+	// once, when the first snapshot is published.
+	rank []int32
 
 	// Projection-list accounting across all epochs: full computations
 	// (Snap.projection), lists a publish carried into the successor epoch,
@@ -128,129 +133,6 @@ type DB struct {
 type wKey struct{ x, y graph.Label }
 
 type codes struct{ in, out []graph.NodeID }
-
-// codeCache is the working cache of decoded graph codes (the paper's
-// getCenters cache, Section 3.3), sharded by node ID so parallel queries
-// sharing hot codes do not serialise on one lock. Each shard is bounded;
-// on overflow an arbitrary entry of the shard is dropped.
-type codeCache struct {
-	disabled bool
-	shardCap int
-	shards   [codeCacheShards]codeCacheShard
-}
-
-type codeCacheShard struct {
-	mu sync.Mutex
-	m  map[graph.NodeID]codes
-}
-
-const codeCacheShards = 16
-
-func newCodeCache(entries int) *codeCache {
-	c := &codeCache{}
-	if entries < 0 {
-		c.disabled = true
-		return c
-	}
-	c.shardCap = entries / codeCacheShards
-	if c.shardCap < 1 {
-		c.shardCap = 1
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[graph.NodeID]codes)
-	}
-	return c
-}
-
-func (c *codeCache) get(x graph.NodeID) (codes, bool) {
-	if c.disabled {
-		return codes{}, false
-	}
-	s := &c.shards[int(x)%codeCacheShards]
-	s.mu.Lock()
-	v, ok := s.m[x]
-	s.mu.Unlock()
-	return v, ok
-}
-
-func (c *codeCache) put(x graph.NodeID, v codes) {
-	if c.disabled {
-		return
-	}
-	s := &c.shards[int(x)%codeCacheShards]
-	s.mu.Lock()
-	if len(s.m) >= c.shardCap {
-		// Simple bounded cache: drop an arbitrary entry of the shard.
-		for k := range s.m {
-			delete(s.m, k)
-			break
-		}
-	}
-	s.m[x] = v
-	s.mu.Unlock()
-}
-
-// len returns the total number of cached entries (for white-box tests).
-func (c *codeCache) len() int {
-	if c.disabled {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// invalidate drops one node's cached codes (after its stored record
-// changed).
-func (c *codeCache) invalidate(x graph.NodeID) {
-	if c.disabled {
-		return
-	}
-	s := &c.shards[int(x)%codeCacheShards]
-	s.mu.Lock()
-	delete(s.m, x)
-	s.mu.Unlock()
-}
-
-func (c *codeCache) clear() {
-	if c.disabled {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[graph.NodeID]codes)
-		s.mu.Unlock()
-	}
-}
-
-// cloneWithout returns a new cache holding every entry of c except the
-// dropped nodes — the warm start for the next epoch's cache, minus the
-// nodes an insert batch touched.
-func (c *codeCache) cloneWithout(drop map[graph.NodeID]struct{}) *codeCache {
-	n := &codeCache{disabled: c.disabled, shardCap: c.shardCap}
-	if c.disabled {
-		return n
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		m := make(map[graph.NodeID]codes, len(s.m))
-		for k, v := range s.m {
-			if _, ok := drop[k]; !ok {
-				m[k] = v
-			}
-		}
-		s.mu.Unlock()
-		n.shards[i].m = m
-	}
-	return n
-}
 
 const (
 	dirF byte = 0
@@ -337,16 +219,22 @@ func (db *DB) newSnap(g *graph.Graph) *Snap {
 		base:      make(map[graph.Label]*storage.BTree),
 		sig:       newSignature(),
 		wcache:    make(map[wKey][]graph.NodeID),
-		codeCache: newCodeCache(db.codeCacheEntries),
+		codeCache: newCodeCache(g.NumNodes(), db.codeCacheEntries),
 		projFrom:  make(map[wKey][]graph.NodeID),
 		projTo:    make(map[wKey][]graph.NodeID),
 	}
 }
 
-// publishInitial seals the heap and installs s as epoch 0. Called once,
-// from Build or Open, before any concurrency exists.
+// publishInitial seals the heap, ranks the nodes, and installs s as epoch
+// 0. Called once, from Build or Open, before any concurrency exists.
 func (db *DB) publishInitial(s *Snap) {
 	db.heap.Seal()
+	db.rank = make([]int32, s.g.NumNodes())
+	for l := 0; l < s.g.Labels().Len(); l++ {
+		for i, v := range s.g.Extent(graph.Label(l)) {
+			db.rank[v] = int32(i)
+		}
+	}
 	db.mgr = epoch.NewManager[*Snap, storage.PageID](s, db.freePages)
 }
 
@@ -411,11 +299,13 @@ func (db *DB) CoverSize() int { return db.mgr.Current().coverSize }
 // IOStats returns the buffer pool counters.
 func (db *DB) IOStats() storage.IOStats { return db.pool.Stats() }
 
-// DecodedMemoStats reports the decoded read path's memos: the node IDs
-// the current epoch's memos hold, and how often a memo overflowed its
-// bound and reset, across all epochs.
-func (db *DB) DecodedMemoStats() (nodes int, resets int64) {
-	return db.mgr.Current().DecodedMemoNodes(), db.memoResets.Load()
+// DecodedMemoStats reports the decoded read path's memos: what the current
+// epoch's subcluster memo and partner tables hold, in node-ID (4-byte)
+// units, how many partner tables there are, and how often a memo overflowed
+// its bound and reset, across all epochs.
+func (db *DB) DecodedMemoStats() (nodes, tables int, resets int64) {
+	nodes, tables = db.mgr.Current().decodedMemo()
+	return nodes, tables, db.memoResets.Load()
 }
 
 // ProjectionStats reports, across all epochs, how many projection lists

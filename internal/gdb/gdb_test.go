@@ -3,6 +3,7 @@ package gdb
 import (
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -335,19 +336,71 @@ func TestIOAccountingAndCaches(t *testing.T) {
 	}
 }
 
+// TestCodeCacheBound: CodeCacheEntries is the number of codes the cache
+// holds at most — also while entries are re-read (a put over a cached node
+// evicts nothing), under concurrent fills, and in the epoch a publish seeds
+// from this one.
 func TestCodeCacheBound(t *testing.T) {
+	const entries = 10
 	g := randomGraph(5, 200, 400, 4)
-	db := mustBuild(t, g, Options{CodeCacheEntries: 10})
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if _, err := db.OutCode(v); err != nil {
-			t.Fatal(err)
+	db := mustBuild(t, g, Options{CodeCacheEntries: entries})
+	check := func(what string) {
+		t.Helper()
+		c := db.mgr.Current().codeCache
+		filled := 0
+		for i := range c.slots {
+			if c.slots[i].Load() != nil {
+				filled++
+			}
+		}
+		if filled != c.len() || filled > entries {
+			t.Fatalf("%s: code cache holds %d codes and counts %d, bound %d", what, filled, c.len(), entries)
 		}
 	}
-	// The cache is sharded; each of the codeCacheShards shards holds at
-	// least one entry, so the effective bound is max(10, codeCacheShards).
-	if n := db.mgr.Current().codeCache.len(); n > codeCacheShards {
-		t.Fatalf("code cache grew to %d entries, bound %d", n, codeCacheShards)
+	for round := 0; round < 2; round++ {
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			if _, err := db.OutCode(v); err != nil {
+				t.Fatal(err)
+			}
+			check("serial fill")
+		}
 	}
+	if n := db.mgr.Current().codeCache.len(); n != entries {
+		t.Fatalf("code cache holds %d codes after reading %d nodes, want the bound %d", n, g.NumNodes(), entries)
+	}
+	// A cached node read again costs no eviction: the cache stays full.
+	var cached graph.NodeID
+	for v := range db.mgr.Current().codeCache.slots {
+		if db.mgr.Current().codeCache.slots[v].Load() != nil {
+			cached = graph.NodeID(v)
+		}
+	}
+	if _, err := db.InCode(cached); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.mgr.Current().codeCache.len(); n != entries {
+		t.Fatalf("re-reading a cached node left %d codes, want %d", n, entries)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < g.NumNodes(); i++ {
+				if _, err := db.OutCode(graph.NodeID((i*7 + w*31) % g.NumNodes())); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	check("concurrent fill")
+	u, v := freshEdge(t, g)
+	if _, err := db.ApplyEdgeInsert(u, v); err != nil {
+		t.Fatal(err)
+	}
+	check("successor epoch")
 }
 
 func TestCentersEmptyPair(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync/atomic"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/reach"
@@ -117,7 +118,7 @@ type snapWriter struct {
 	sig    *Signature
 	curSig *Signature
 
-	touchedNodes map[graph.NodeID]struct{} // stale code-cache entries
+	touchedNodes map[graph.NodeID]struct{} // stale graph codes
 	touchedW     map[wKey]struct{}         // stale W-cache entries
 	touchedCl    map[clKey]struct{}        // stale decoded subclusters
 	changed      bool
@@ -177,7 +178,16 @@ func (w *snapWriter) publish(cur *Snap) {
 	}
 	cur.wmu.RUnlock()
 	w.inheritDecoded(cur, next)
-	w.inheritProjections(cur, next)
+	if w.torn {
+		// An edge failed inside its tree updates: the trees may disagree
+		// with each other, so nothing derived from several of them is kept.
+		next.projFrom = make(map[wKey][]graph.NodeID)
+		next.projTo = make(map[wKey][]graph.NodeID)
+	} else {
+		touched := w.touchedByLabel()
+		w.inheritPartners(cur, next, touched)
+		w.inheritProjections(cur, next, touched)
+	}
 	if db.insertPublishHook != nil {
 		db.insertPublishHook()
 	}
@@ -186,33 +196,82 @@ func (w *snapWriter) publish(cur *Snap) {
 	db.bulkBuilt = false
 }
 
-// inheritDecoded seeds next's decoded memos with cur's survivors: every
-// decoded subcluster whose slot the batch did not rewrite, and every
-// center set out(v) ∩ W(X, Y) (or in(v) ∩ W) whose code and W row both
-// stand. The lists are immutable, so the two epochs share them; a reader
-// still pinned to cur keeps reading cur's own maps.
+// inheritDecoded seeds next's subcluster memo with cur's survivors: every
+// decoded subcluster whose slot the batch did not rewrite. The lists are
+// immutable, so the two epochs share them; a reader still pinned to cur
+// keeps reading cur's own map. cur's lock is held for one map clone — no
+// per-row read takes it (those are partner-table slots and dense codes) —
+// and the batch's keys are dropped from the private copy.
 func (w *snapWriter) inheritDecoded(cur, next *Snap) {
 	cur.clmu.RLock()
-	defer cur.clmu.RUnlock()
-	if len(cur.clcache) > 0 {
-		next.clcache = make(map[clKey][]graph.NodeID, len(cur.clcache))
-		for k, nodes := range cur.clcache {
-			if _, stale := w.touchedCl[k]; !stale {
-				next.clcache[k] = nodes
-				next.clNodes += len(nodes)
-			}
+	next.clcache, next.clNodes = maps.Clone(cur.clcache), cur.clNodes
+	cur.clmu.RUnlock()
+	for k := range w.touchedCl {
+		if nodes, ok := next.clcache[k]; ok {
+			delete(next.clcache, k)
+			next.clNodes -= len(nodes)
 		}
 	}
-	if len(cur.ccache) > 0 {
-		next.ccache = make(map[ccKey][]graph.NodeID, len(cur.ccache))
-		for k, cs := range cur.ccache {
-			_, staleCode := w.touchedNodes[k.v]
-			_, staleW := w.touchedW[wKey{k.x, k.y}]
-			if !staleCode && !staleW {
-				next.ccache[k] = cs
-				next.ccNodes += len(cs) + 1
+}
+
+// touchedByLabel groups the nodes whose codes the batch changed by label,
+// ascending within each.
+func (w *snapWriter) touchedByLabel() map[graph.Label][]graph.NodeID {
+	touched := make(map[graph.Label][]graph.NodeID)
+	for v := range w.touchedNodes {
+		l := w.g.LabelOf(v)
+		touched[l] = append(touched[l], v)
+	}
+	for _, vs := range touched {
+		slices.Sort(vs)
+	}
+	return touched
+}
+
+// inheritPartners carries into next every partner table of cur the batch
+// cannot have changed. A slot holds ∪ T_Y(w) over w ∈ out(v) ∩ W(X, Y)
+// (dually F_X, in(v)), so it stands unless the batch changed v's code, the
+// W row, or some center's subcluster on the table's target side. The rule is
+// per table, not per slot: a table whose W row or target (direction, label)
+// the batch touched starts over — empty, refilled slot by slot from the
+// inherited subclusters, codes and W rows — and any other table is copied
+// minus the slots of the touched nodes of its bound label. next gets its own
+// slot arrays, so readers pinned to cur never see the copy. Not called
+// after a torn batch: nothing is carried then.
+func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]graph.NodeID) {
+	cur.pmu.Lock()
+	tabs := maps.Clone(cur.ptabs)
+	cur.pmu.Unlock()
+	next.ptabs = make(map[partnerKey]*partnerTable, len(tabs))
+	targets := make(map[clusterSlot]struct{}, len(w.touchedCl))
+	for k := range w.touchedCl {
+		targets[clusterSlot{k.dir, k.l}] = struct{}{}
+	}
+	for k, t := range tabs {
+		target := clusterSlot{dirT, k.y}
+		if !k.forward {
+			target = clusterSlot{dirF, k.x}
+		}
+		_, staleW := w.touchedW[wKey{k.x, k.y}]
+		if _, staleCl := targets[target]; staleW || staleCl {
+			continue
+		}
+		nt := &partnerTable{key: k, bound: t.bound, ws: t.ws, slots: make([]atomic.Pointer[partnerList], len(t.slots))}
+		for i := range t.slots {
+			nt.slots[i].Store(t.slots[i].Load())
+		}
+		// Read after the copy: a slot filled meanwhile is at worst charged
+		// without having been copied.
+		cur.pmu.Lock()
+		nt.nodes = t.nodes
+		cur.pmu.Unlock()
+		for _, v := range touched[t.bound] {
+			if l := nt.slots[w.db.rank[v]].Swap(nil); l != nil {
+				nt.nodes -= l.cost()
 			}
 		}
+		next.ptabs[k] = nt
+		next.pNodes += nt.nodes
 	}
 }
 
@@ -224,25 +283,11 @@ func (w *snapWriter) inheritDecoded(cur, next *Snap) {
 // or left the row. Those candidates are re-tested against next; a list
 // none of them moved is shared between the epochs, one that changed is
 // copied. A list that cannot be patched is left out, and Snap.projection
-// recomputes it on first use. After a batch that failed inside an edge
-// (torn) the trees may disagree with each other, so nothing is inherited.
-func (w *snapWriter) inheritProjections(cur, next *Snap) {
-	if w.torn {
-		next.projFrom = make(map[wKey][]graph.NodeID)
-		next.projTo = make(map[wKey][]graph.NodeID)
-		return
-	}
+// recomputes it on first use. Not called after a torn batch.
+func (w *snapWriter) inheritProjections(cur, next *Snap, touched map[graph.Label][]graph.NodeID) {
 	cur.statMu.Lock()
 	next.projFrom, next.projTo = maps.Clone(cur.projFrom), maps.Clone(cur.projTo)
 	cur.statMu.Unlock()
-	touched := make(map[graph.Label][]graph.NodeID) // ascending per label
-	for v := range w.touchedNodes {
-		l := next.g.LabelOf(v)
-		touched[l] = append(touched[l], v)
-	}
-	for _, vs := range touched {
-		slices.Sort(vs)
-	}
 	patchAll := func(memo map[wKey][]graph.NodeID, forward bool) {
 		for k, list := range memo {
 			patched, changed, err := w.patchProjection(cur, next, k, list, forward, touched)

@@ -71,7 +71,7 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("whole battery empty: graph too sparse to prove anything")
 	}
-	if _, resets := db.DecodedMemoStats(); resets < 10 {
+	if _, _, resets := db.DecodedMemoStats(); resets < 10 {
 		t.Fatalf("memo reset only %d times; the bound hook did not bite", resets)
 	}
 }

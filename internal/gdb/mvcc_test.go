@@ -1,6 +1,7 @@
 package gdb
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -148,75 +149,9 @@ func TestBatchPublishesOneEpoch(t *testing.T) {
 	}
 }
 
-// warmDecodedMemos reads every subcluster of every center and the center
-// set of every node under every label pair through the snapshot's decoded
-// memos, so both memos hold everything they can.
-func warmDecodedMemos(t *testing.T, s *Snap) {
-	t.Helper()
-	r := s.Reader()
-	nl := s.g.Labels().Len()
-	for x := graph.Label(0); int(x) < nl; x++ {
-		for y := graph.Label(0); int(y) < nl; y++ {
-			ws, err := s.Centers(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range ws {
-				if _, err := r.F(w, x); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.T(w, y); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for v := graph.NodeID(0); int(v) < s.g.NumNodes(); v++ {
-				for _, fwd := range []bool{true, false} {
-					if _, err := r.Centers(v, x, y, fwd); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-}
-
-// checkDecodedMemos asserts every entry the snapshot's decoded memos hold
-// equals what the snapshot's own index says: the stored subcluster, and
-// code(v) ∩ W(X, Y) from the stored code and W row.
-func checkDecodedMemos(t *testing.T, s *Snap, what string) {
-	t.Helper()
-	s.clmu.RLock()
-	defer s.clmu.RUnlock()
-	for k, got := range s.clcache {
-		want, err := s.clusterLookup(k.w, k.dir, k.l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: memoised subcluster %+v = %v, index holds %v", what, k, got, want)
-		}
-	}
-	for k, got := range s.ccache {
-		code, err := s.OutCode(k.v)
-		if !k.fwd {
-			code, err = s.InCode(k.v)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := s.Centers(k.x, k.y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := Intersect(code, ws); !slices.Equal(got, want) {
-			t.Fatalf("%s: memoised center set %+v = %v, index gives %v", what, k, got, want)
-		}
-	}
-}
-
 // TestSuccessorInheritsDecodedMemos: a published epoch starts with its
-// predecessor's decoded subclusters and center sets minus exactly what
-// the write batch changed. The new epoch must serve post-batch lists
+// predecessor's decoded subclusters and graph codes minus exactly what
+// the write batch changed, and fills its partner tables from them. The new epoch must serve post-batch lists
 // (from inherited entries where the batch left them alone, from storage
 // where it did not) while a reader still pinned to the old epoch keeps
 // serving pre-batch lists.
@@ -225,12 +160,9 @@ func TestSuccessorInheritsDecodedMemos(t *testing.T) {
 	db := mustBuild(t, g, Options{})
 	old, releaseOld := db.Pin()
 	defer releaseOld()
-	warmDecodedMemos(t, old)
-	before := make(map[clKey][]graph.NodeID, len(old.clcache))
-	for k, v := range old.clcache {
-		before[k] = v
-	}
-	clBefore, ccBefore := len(old.clcache), len(old.ccache)
+	warmReadPath(t, old)
+	before := maps.Clone(old.clcache)
+	clBefore, codesBefore := len(old.clcache), old.codeCache.len()
 
 	// One batch that both adds and removes label entries: insert edges
 	// until the cover grows, then delete an existing edge.
@@ -264,12 +196,12 @@ func TestSuccessorInheritsDecodedMemos(t *testing.T) {
 	// Nothing has read through next yet: whatever its memos hold was
 	// inherited, and every inherited entry must be post-batch truth.
 	next.clmu.RLock()
-	clInherited, ccInherited := len(next.clcache), len(next.ccache)
+	clInherited, codesInherited := len(next.clcache), next.codeCache.len()
 	next.clmu.RUnlock()
-	if clInherited == 0 || ccInherited == 0 {
-		t.Fatalf("successor inherited %d subclusters and %d center sets of %d and %d", clInherited, ccInherited, clBefore, ccBefore)
+	if clInherited == 0 || codesInherited == 0 || codesInherited >= codesBefore {
+		t.Fatalf("successor inherited %d subclusters and %d codes of %d and %d", clInherited, codesInherited, clBefore, codesBefore)
 	}
-	checkDecodedMemos(t, next, "inherited")
+	checkReadPath(t, next, "inherited")
 	changed := 0
 	for k, pre := range before {
 		post, err := next.clusterLookup(k.w, k.dir, k.l)
@@ -287,11 +219,13 @@ func TestSuccessorInheritsDecodedMemos(t *testing.T) {
 		t.Fatalf("inherited %d of %d subclusters though %d changed", clInherited, clBefore, changed)
 	}
 	// Reading everything through next fills the gaps from storage.
-	warmDecodedMemos(t, next)
-	checkDecodedMemos(t, next, "refilled")
+	warmReadPath(t, next)
+	if slots, _ := checkReadPath(t, next, "refilled"); slots == 0 {
+		t.Fatal("warming the successor filled no partner slot")
+	}
 
 	// The pinned old epoch still serves exactly what it memoised.
-	checkDecodedMemos(t, old, "old epoch")
+	checkReadPath(t, old, "old epoch")
 	r := old.Reader()
 	for k, pre := range before {
 		got, err := r.cluster(k.w, k.dir, k.l)

@@ -32,8 +32,7 @@ func warmProjections(t testing.TB, s *Snap) {
 // lists it compared.
 func checkProjections(t testing.TB, s *Snap, what string) int {
 	t.Helper()
-	cold := s.db.newSnap(s.g)
-	cold.base, cold.wtable, cold.cluster = s.base, s.wtable, s.cluster
+	cold := coldView(s)
 	s.statMu.Lock()
 	from, to := maps.Clone(s.projFrom), maps.Clone(s.projTo)
 	s.statMu.Unlock()
@@ -56,6 +55,66 @@ func checkProjections(t testing.TB, s *Snap, what string) int {
 		}
 	}
 	return len(from) + len(to)
+}
+
+// coldView returns a snapshot over s's trees with empty caches: the
+// reference every inherited or memoized structure of s is compared with.
+func coldView(s *Snap) *Snap {
+	cold := s.db.newSnap(s.g)
+	cold.base, cold.wtable, cold.cluster = s.base, s.wtable, s.cluster
+	return cold
+}
+
+// mixedOp applies one step of the random insert/delete stream the
+// exactness tests drive — delete the drawn edge if present, else insert it
+// or (half the time, to keep the graph sparse) delete u's first edge — and
+// checks it published exactly one epoch. It returns the graph after the
+// step and how many centers were born and died.
+func mixedOp(t *testing.T, db *DB, rng *rand.Rand, cur *graph.Graph, step int) (next *graph.Graph, births, deaths int) {
+	t.Helper()
+	n := cur.NumNodes()
+	u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+	del := slices.Contains(cur.Successors(u), v)
+	if !del && rng.Intn(2) == 0 {
+		if succ := cur.Successors(u); len(succ) > 0 {
+			v, del = succ[0], true
+		}
+	}
+	epoch := db.EpochStats().Current
+	if del {
+		st, err := db.ApplyEdgeDelete(u, v)
+		if err != nil {
+			t.Fatalf("step %d delete %d->%d: %v", step, u, v, err)
+		}
+		next, births, deaths = cur.WithoutEdge(u, v), st.NewCenters, st.DroppedCenters
+	} else {
+		st, err := db.ApplyEdgeInsert(u, v)
+		if err != nil {
+			t.Fatalf("step %d insert %d->%d: %v", step, u, v, err)
+		}
+		next = cur.WithEdge(u, v)
+		if st.NewCenter {
+			births = 1
+		}
+	}
+	if got := db.EpochStats().Current; got != epoch+1 {
+		t.Fatalf("step %d: epoch %d -> %d, want one publish", step, epoch, got)
+	}
+	return next, births, deaths
+}
+
+// wRowMoves counts the W rows that emptied and that were created between
+// two wRowSizes results.
+func wRowMoves(before, now map[wKey]int) (emptied, created int) {
+	for k, b := range before {
+		switch {
+		case b > 0 && now[k] == 0:
+			emptied++
+		case b == 0 && now[k] > 0:
+			created++
+		}
+	}
+	return emptied, created
 }
 
 // wRowSizes returns |W(X, Y)| for every label pair of s.
@@ -97,36 +156,9 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 			cur := g
 			var births, deaths, emptied, created int
 			for step := 0; step < 200; step++ {
-				u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-				del := slices.Contains(cur.Successors(u), v)
-				if !del && rng.Intn(2) == 0 { // keep the graph sparse: delete u's first edge instead
-					if succ := cur.Successors(u); len(succ) > 0 {
-						v, del = succ[0], true
-					}
-				}
 				scans, _, _ := db.ProjectionStats()
-				epoch := db.EpochStats().Current
-				if del {
-					st, err := db.ApplyEdgeDelete(u, v)
-					if err != nil {
-						t.Fatalf("step %d delete %d->%d: %v", step, u, v, err)
-					}
-					cur = cur.WithoutEdge(u, v)
-					births += st.NewCenters
-					deaths += st.DroppedCenters
-				} else {
-					st, err := db.ApplyEdgeInsert(u, v)
-					if err != nil {
-						t.Fatalf("step %d insert %d->%d: %v", step, u, v, err)
-					}
-					cur = cur.WithEdge(u, v)
-					if st.NewCenter {
-						births++
-					}
-				}
-				if got := db.EpochStats().Current; got != epoch+1 {
-					t.Fatalf("step %d: epoch %d -> %d, want one publish", step, epoch, got)
-				}
+				next, b, d := mixedOp(t, db, rng, cur, step)
+				cur, births, deaths = next, births+b, deaths+d
 				if after, _, _ := db.ProjectionStats(); after != scans {
 					t.Fatalf("step %d: the publish ran %d full projection scans", step, after-scans)
 				}
@@ -136,15 +168,8 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 				}
 				now := wRowSizes(t, s)
 				release()
-				for k, before := range rows {
-					switch {
-					case before > 0 && now[k] == 0:
-						emptied++
-					case before == 0 && now[k] > 0:
-						created++
-					}
-				}
-				rows = now
+				e, c := wRowMoves(rows, now)
+				emptied, created, rows = emptied+e, created+c, now
 			}
 			checkIndexConsistent(t, db, cur)
 			_, inherited, patched := db.ProjectionStats()

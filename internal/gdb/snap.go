@@ -17,13 +17,15 @@ import (
 // publishes it atomically.
 //
 // Index content is immutable within an epoch, so the caches memoizing
-// decoded content (W lists, graph codes, decoded subclusters, center sets)
-// are never invalidated; a successor epoch starts from the survivors of
-// its predecessor minus the entries the write batch touched (see
-// snapWriter.publish). The memoized projections are inherited too, patched
-// from the batch's label deltas rather than dropped (inheritProjections);
-// the fan signature is maintained by the writer. The caches are internally
-// locked only to coordinate concurrent readers filling them.
+// decoded content (W lists, graph codes, decoded subclusters, partner
+// tables) are never invalidated; a successor epoch starts from the survivors
+// of its predecessor minus the entries the write batch touched (see
+// snapWriter.publish). The memoized projections are inherited
+// too, patched from the batch's label deltas rather than dropped
+// (inheritProjections); the fan signature is maintained by the writer. What
+// a query reads per row — graph codes and partner-table slots — is read with
+// atomic loads and no lock; the locks below only coordinate readers filling
+// the per-operator structures behind them.
 type Snap struct {
 	db *DB
 	g  *graph.Graph
@@ -45,16 +47,19 @@ type Snap struct {
 	wcache    map[wKey][]graph.NodeID
 	codeCache *codeCache
 
-	// clmu guards the decoded read path's memos: the decoded-subcluster
-	// memo and the per-value center-set memo every operator reads through
-	// (see Reader). Only the counted-I/O reference mode bypasses them,
-	// fetching every subcluster and code through the buffer pool as the
-	// paper's disk-resident executor does.
+	// clmu guards the decoded-subcluster memo: what HPSJ reads per center
+	// and what fills a partner-table slot (see Reader). Only the counted-I/O
+	// reference mode bypasses it, fetching every subcluster and code through
+	// the buffer pool as the paper's disk-resident executor does.
 	clmu    sync.RWMutex
 	clcache map[clKey][]graph.NodeID
 	clNodes int // total node IDs held, for the memo's size bound
-	ccache  map[ccKey][]graph.NodeID
-	ccNodes int
+
+	// pmu guards the set of partner tables and its share of the memo
+	// budget, never a slot (see partners.go).
+	pmu    sync.Mutex
+	ptabs  map[partnerKey]*partnerTable
+	pNodes int
 
 	// projFrom/projTo memoize the sorted distinct projections
 	// π_X(T_X ⋈ T_Y) and π_Y(T_X ⋈ T_Y): the optimizer's DistinctFrom/To
@@ -146,16 +151,16 @@ type clKey struct {
 const fastClusterCacheNodes = 1 << 20
 
 // Reader is one goroutine's handle on a snapshot's decoded read path: the
-// per-epoch memos of decoded subclusters and center sets that every
+// per-epoch memo of decoded subclusters and the partner tables that every
 // operator reads through. The first access per key decodes from storage
 // through the buffer pool (GetF/GetT, graph codes); repeats — by any query
 // on the epoch — are served from memory. A Reader counts its own lookups,
-// so the shared memo carries no counter on the hit path. Not safe for
+// so the shared structures carry no counter on the hit path. Not safe for
 // concurrent use; returned slices are shared and must not be mutated.
 type Reader struct {
 	s *Snap
-	// Hits/Misses count every memo lookup this reader made;
-	// CenterHits/CenterMisses the center-set share of them.
+	// Hits/Misses count every subcluster-memo and partner-slot lookup this
+	// reader made; CenterHits/CenterMisses the partner-slot share of them.
 	Hits, Misses             int64
 	CenterHits, CenterMisses int64
 }
@@ -199,82 +204,45 @@ func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeI
 	if err != nil {
 		return nil, err
 	}
-	memoPut(s, &s.clcache, &s.clNodes, k, nodes, len(nodes))
+	s.memoPut(k, nodes)
 	return nodes, nil
 }
 
-// ccKey identifies one bound value's center set in the memo.
-type ccKey struct {
-	v    graph.NodeID
-	x, y graph.Label
-	fwd  bool
-}
-
-// Centers returns getCenters for one bound value — out(v) ∩ W(X, Y)
-// forward, in(v) ∩ W(X, Y) reverse — through the epoch's memo. The
-// intersection is a pure function of the epoch's codes and W-table, so a
-// value revisited by any later operator or query on the same snapshot
-// costs a map lookup instead of a code fetch and a gallop. Bounded and
-// reset like the subcluster memo.
-func (r *Reader) Centers(v graph.NodeID, x, y graph.Label, forward bool) ([]graph.NodeID, error) {
-	s := r.s
-	k := ccKey{v, x, y, forward}
-	s.clmu.RLock()
-	cs, ok := s.ccache[k]
-	s.clmu.RUnlock()
-	if ok {
-		r.Hits++
-		r.CenterHits++
-		return cs, nil
-	}
-	r.Misses++
-	r.CenterMisses++
-	var code []graph.NodeID
-	var err error
-	if forward {
-		code, err = s.OutCode(v)
-	} else {
-		code, err = s.InCode(v)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ws, err := s.Centers(x, y)
-	if err != nil {
-		return nil, err
-	}
-	cs = Intersect(code, ws)
-	memoPut(s, &s.ccache, &s.ccNodes, k, cs, len(cs)+1) // +1 so empty sets still count toward the bound
-	return cs, nil
-}
-
-// memoPut stores one decoded list in a memo of s (under clmu), charging
-// cost node IDs against the memo's bound. A memo that would overflow is
-// emptied first: it is an epoch-local cache, not a second index. Readers
-// hold the lists, not the map, so a reset never disturbs a running query.
-func memoPut[K comparable](s *Snap, memo *map[K][]graph.NodeID, held *int, k K, list []graph.NodeID, cost int) {
+// memoPut stores one decoded subcluster in the memo, charging its length
+// against the bound. A memo that would overflow is emptied first: it is an
+// epoch-local cache, not a second index. Readers hold the lists, not the
+// map, so a reset never disturbs a running query.
+func (s *Snap) memoPut(k clKey, list []graph.NodeID) {
 	s.clmu.Lock()
 	defer s.clmu.Unlock()
-	if *held+cost > s.db.memoBound {
-		*memo, *held = nil, 0
+	if s.clNodes+len(list) > s.db.memoBound {
+		s.clcache, s.clNodes = nil, 0
 		s.db.memoResets.Add(1)
 	}
-	if *memo == nil {
-		*memo = make(map[K][]graph.NodeID)
+	if s.clcache == nil {
+		s.clcache = make(map[clKey][]graph.NodeID)
 	}
-	if _, dup := (*memo)[k]; !dup {
-		(*memo)[k] = list
-		*held += cost
+	if _, dup := s.clcache[k]; !dup {
+		s.clcache[k] = list
+		s.clNodes += len(list)
 	}
 }
 
-// DecodedMemoNodes returns the node IDs this epoch's decoded memos hold
-// (subcluster lists plus center sets): their resident size in 4-byte
+// DecodedMemoNodes returns what this epoch's decoded memos hold
+// (subcluster lists plus partner tables): their resident size in 4-byte
 // units.
 func (s *Snap) DecodedMemoNodes() int {
+	nodes, _ := s.decodedMemo()
+	return nodes
+}
+
+func (s *Snap) decodedMemo() (nodes, tables int) {
 	s.clmu.RLock()
-	defer s.clmu.RUnlock()
-	return s.clNodes + s.ccNodes
+	nodes = s.clNodes
+	s.clmu.RUnlock()
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	return nodes + s.pNodes, len(s.ptabs)
 }
 
 func (s *Snap) clusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
@@ -313,26 +281,26 @@ func (s *Snap) InCode(x graph.NodeID) ([]graph.NodeID, error) {
 	return c.in, nil
 }
 
-func (s *Snap) getCodes(x graph.NodeID) (codes, error) {
-	if c, ok := s.codeCache.get(x); ok {
+func (s *Snap) getCodes(x graph.NodeID) (*codes, error) {
+	if c := s.codeCache.get(x); c != nil {
 		return c, nil
 	}
 	if s.db.closed.Load() {
-		return codes{}, ErrClosed
+		return nil, ErrClosed
 	}
 	v, ok, err := s.base[s.g.LabelOf(x)].Get(nodeKey(x))
 	if err != nil {
-		return codes{}, err
+		return nil, err
 	}
 	if !ok {
-		return codes{}, fmt.Errorf("gdb: node %d missing from base table", x)
+		return nil, fmt.Errorf("gdb: node %d missing from base table", x)
 	}
 	rec, err := s.db.heap.Read(storage.DecodeRID(v))
 	if err != nil {
-		return codes{}, err
+		return nil, err
 	}
 	in, out := decodeCodes(rec)
-	c := codes{in: insertSorted(in, x), out: insertSorted(out, x)}
+	c := &codes{in: insertSorted(in, x), out: insertSorted(out, x)}
 	s.codeCache.put(x, c)
 	return c, nil
 }
@@ -480,7 +448,9 @@ func (s *Snap) clearCaches() {
 	s.wmu.Unlock()
 	s.clmu.Lock()
 	s.clcache, s.clNodes = nil, 0
-	s.ccache, s.ccNodes = nil, 0
 	s.clmu.Unlock()
+	s.pmu.Lock()
+	s.ptabs, s.pNodes = nil, 0
+	s.pmu.Unlock()
 	s.codeCache.clear()
 }

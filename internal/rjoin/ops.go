@@ -189,21 +189,12 @@ func (rt *Runtime) Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (
 // FilterMulti evaluates several R-semijoins in one scan of t (Remark 3.1).
 // All conditions must bind the same temporal column or, more generally,
 // columns already present in t; a row survives only if every condition's
-// center set is non-empty. Center sets come from the snapshot's per-epoch
-// memo, so a later Fetch on the same condition reuses them. The row range
-// is partitioned across the runtime's workers; partitions keep input order,
-// so concatenating them in partition order reproduces the serial output.
+// center set is non-empty. Each condition is a semijoin group of one, so the
+// keep-test is FilterGroup's. The row range is partitioned across the
+// runtime's workers; partitions keep input order, so concatenating them in
+// partition order reproduces the serial output.
 func (rt *Runtime) FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond) (*Table, error) {
-	if len(conds) == 0 {
-		return t, nil
-	}
-	type plan struct {
-		cond    Cond
-		col     int
-		forward bool
-		ws      []graph.NodeID
-	}
-	plans := make([]plan, len(conds))
+	groups := make([]*semijoinGroup, len(conds))
 	for i, c := range conds {
 		boundNode, forward, err := boundSide(t, c)
 		if err != nil {
@@ -213,55 +204,9 @@ func (rt *Runtime) FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, cond
 		if err != nil {
 			return nil, err
 		}
-		plans[i] = plan{cond: c, col: t.ColIndex(boundNode), forward: forward, ws: ws}
+		groups[i] = &semijoinGroup{col: t.ColIndex(boundNode), conds: conds[i : i+1], outSide: forward, wss: [][]graph.NodeID{ws}}
 	}
-	parts := rt.split(len(t.Rows), rowGrain)
-	kept := make([][][]graph.NodeID, parts)
-	limit := rt.rowTarget
-	err := rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
-		cc := rt.check(ctx)
-		rd := rt.open(db)
-		defer rd.done()
-		var rows [][]graph.NodeID
-		for _, row := range t.Rows[lo:hi] {
-			if err := cc.tick(); err != nil {
-				return err
-			}
-			keep := true
-			for _, p := range plans {
-				if len(p.ws) == 0 {
-					keep = false
-					break
-				}
-				cs, err := rd.centers(row[p.col], p.ws, p.cond, p.forward)
-				if err != nil {
-					return err
-				}
-				if len(cs) == 0 {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				rows = append(rows, row)
-				// Pushed-down limit: limit+1 rows prove truncation, and
-				// each partition either completes its range or alone
-				// covers the whole limit — so the merged prefix equals
-				// the serial prefix at every worker degree.
-				if limit > 0 && len(rows) > limit {
-					break
-				}
-			}
-		}
-		kept[part] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(t.Cols...)
-	out.Rows = concatRows(kept)
-	return rt.finishOp(out)
+	return rt.semijoinScan(ctx, db, t, groups)
 }
 
 // FilterGroup applies a group of R-semijoins that all read the same code
@@ -280,7 +225,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 	if col < 0 {
 		return nil, fmt.Errorf("rjoin: filter group on unbound node %d in %v", node, t.Cols)
 	}
-	g := &semijoinGroup{conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
+	g := &semijoinGroup{col: col, conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
 	for i, c := range conds {
 		if outSide && c.FromNode != node || !outSide && c.ToNode != node {
 			return nil, fmt.Errorf("rjoin: condition %v not incident on node %d's %s side", c, node, side(outSide))
@@ -295,8 +240,19 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 		}
 		g.wss[i] = ws
 	}
-	if err := rt.open(db).prepare(g); err != nil {
-		return nil, err
+	return rt.semijoinScan(ctx, db, t, []*semijoinGroup{g})
+}
+
+// semijoinScan keeps the rows of t whose bound values survive every group.
+func (rt *Runtime) semijoinScan(ctx context.Context, db *gdb.Snap, t *Table, groups []*semijoinGroup) (*Table, error) {
+	if len(groups) == 0 {
+		return t, nil
+	}
+	prep := rt.open(db)
+	for _, g := range groups {
+		if err := prep.prepare(g); err != nil {
+			return nil, err
+		}
 	}
 	parts := rt.split(len(t.Rows), rowGrain)
 	kept := make([][][]graph.NodeID, parts)
@@ -306,19 +262,27 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 		rd := rt.open(db)
 		defer rd.done()
 		var rows [][]graph.NodeID
+	scan:
 		for _, row := range t.Rows[lo:hi] {
 			if err := cc.tick(); err != nil {
 				return err
 			}
-			keep, err := rd.semijoin(g, row[col])
-			if err != nil {
-				return err
-			}
-			if keep {
-				rows = append(rows, row)
-				if limit > 0 && len(rows) > limit {
-					break
+			for _, g := range groups {
+				keep, err := rd.semijoin(g, row[g.col])
+				if err != nil {
+					return err
 				}
+				if !keep {
+					continue scan
+				}
+			}
+			rows = append(rows, row)
+			// Pushed-down limit: limit+1 rows prove truncation, and each
+			// partition either completes its range or alone covers the
+			// whole limit — so the merged prefix equals the serial prefix
+			// at every worker degree.
+			if limit > 0 && len(rows) > limit {
+				break
 			}
 		}
 		kept[part] = rows
@@ -340,9 +304,9 @@ func side(out bool) string {
 }
 
 // Fetch completes an HPSJ+ R-join (Algorithm 2, Fetch): for each row of t
-// it computes the row's center set (already memoised when a Filter ran
-// first) and expands the row with every matching node from the centers'
-// T-subclusters (forward) or F-subclusters (reverse). The new pattern-node
+// it looks up the bound value's partners — every matching node from its
+// centers' T-subclusters (forward) or F-subclusters (reverse) — and expands
+// the row with each. The new pattern-node
 // column is appended; each row's expansion nodes are emitted in ascending
 // order (the sorted-set union of the subcluster lists), giving a
 // deterministic order identical across worker degrees. Rows whose center
@@ -359,10 +323,6 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 	if !forward {
 		newNode = c.FromNode
 	}
-	ws, err := db.Centers(c.FromLabel, c.ToLabel)
-	if err != nil {
-		return nil, err
-	}
 	col := t.ColIndex(boundNode)
 	cols := append(append([]int(nil), t.Cols...), newNode)
 	width := len(cols)
@@ -372,7 +332,11 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 	err = rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
 		rd := rt.open(db)
 		defer rd.done()
-		exp, total, err := rt.expand(ctx, rd, t.Rows[lo:hi], col, ws, c, forward, width)
+		partners, err := rd.partners(c, forward)
+		if err != nil {
+			return err
+		}
+		exp, total, err := rt.expand(ctx, partners, t.Rows[lo:hi], col, width)
 		if err != nil || total == 0 {
 			return err
 		}
@@ -412,25 +376,19 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 	return rt.finishOp(out)
 }
 
-// unionChunk is the allocation unit (in node IDs) of expand's arena for
-// multi-center unions.
-const unionChunk = 16 << 10
-
 // expand is Fetch's counting pass over one partition: it resolves each
-// input row's expansion list — the ascending union of its centers'
-// subclusters — and the total rows they will emit at the given output
-// width, without emitting anything. A row with a single non-empty
-// subcluster aliases the shared decoded list; unions of several are carved
-// from a partition-local arena. It stops after the first row at which the
-// emit loop would stop anyway: where the pushed-down limit is exceeded
-// (limit+1 rows prove truncation, and whole-row expansions keep the output
-// a prefix of this range's serial output, so the merged prefix is
+// input row's expansion list — its bound value's partners, shared with the
+// read path and never copied — and the total rows they will emit at the
+// given output width, without emitting anything. It stops after the first
+// row at which the emit loop would stop anyway: where the pushed-down limit
+// is exceeded (limit+1 rows prove truncation, and whole-row expansions keep
+// the output a prefix of this range's serial output, so the merged prefix is
 // degree-independent), where the partition outgrows the row budget (the
 // emit loop's CheckRows then fails on exactly that row), or where its
 // bytes alone would blow the byte budget (the emit loop charges them and
 // the next poll or the merge checkpoint fails the query) — so a doomed
 // query never allocates its full output.
-func (rt *Runtime) expand(ctx context.Context, rd reads, rows [][]graph.NodeID, col int, ws []graph.NodeID, c Cond, forward bool, width int) (exp [][]graph.NodeID, total int, err error) {
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]graph.NodeID, col, width int) (exp [][]graph.NodeID, total int, err error) {
 	limit := rt.rowTarget
 	n := len(rows)
 	if limit > 0 && limit < n {
@@ -438,45 +396,13 @@ func (rt *Runtime) expand(ctx context.Context, rd reads, rows [][]graph.NodeID, 
 	}
 	exp = make([][]graph.NodeID, 0, n)
 	cc := newCancelCheck(ctx)
-	var arena, merged, scratch []graph.NodeID
 	for _, row := range rows {
 		if err := cc.tick(); err != nil {
 			return nil, 0, err
 		}
-		cs, err := rd.centers(row[col], ws, c, forward)
+		targets, err := partners(row[col])
 		if err != nil {
 			return nil, 0, err
-		}
-		var targets []graph.NodeID
-		union := false
-		for _, w := range cs {
-			var nodes []graph.NodeID
-			if forward {
-				nodes, err = rd.getT(w, c.ToLabel)
-			} else {
-				nodes, err = rd.getF(w, c.FromLabel)
-			}
-			if err != nil {
-				return nil, 0, err
-			}
-			switch {
-			case len(nodes) == 0:
-			case len(targets) == 0:
-				targets = nodes
-			default:
-				scratch = mergeUnion(scratch, targets, nodes)
-				targets, merged, scratch = scratch, scratch, merged
-				union = true
-			}
-		}
-		if union {
-			// targets lives in a merge buffer the next row reuses.
-			if cap(arena)-len(arena) < len(targets) {
-				arena = make([]graph.NodeID, 0, max(unionChunk, len(targets)))
-			}
-			at := len(arena)
-			arena = append(arena, targets...)
-			targets = arena[at:len(arena):len(arena)]
 		}
 		exp = append(exp, targets)
 		total += len(targets)
@@ -503,12 +429,14 @@ func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Table, c Cond
 	limit := rt.rowTarget
 	err := rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
 		cc := rt.check(ctx)
+		rd := rt.open(db)
+		defer rd.done()
 		var rows [][]graph.NodeID
 		for _, row := range t.Rows[lo:hi] {
 			if err := cc.tick(); err != nil {
 				return err
 			}
-			ok, err := db.Reaches(row[fi], row[ti])
+			ok, err := rd.reaches(row[fi], row[ti])
 			if err != nil {
 				return err
 			}

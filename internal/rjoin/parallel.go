@@ -31,8 +31,8 @@ const minParallelGrains = 8
 // worker-pool degree shared by all operators of the query, its budget, and
 // its counters. Every operator reads the index through the snapshot's
 // decoded per-epoch memos (see reads.go), which outlive the query — a
-// Fetch reuses the center sets its Filter computed, and so does the next
-// query on the epoch. A Runtime is scoped to a single query. All methods
+// Fetch reuses the partner lists an earlier Fetch or WCOJ filled, and so
+// does the next query on the epoch. A Runtime is scoped to a single query. All methods
 // are safe for concurrent use (a query's operators run one at a time, but
 // the partitions of one operator run on many goroutines).
 type Runtime struct {
@@ -151,18 +151,18 @@ type RuntimeStats struct {
 	// for utilisation).
 	Tasks int64
 	// MemoHits/Misses count the runtime's lookups in the snapshot's decoded
-	// memos (subclusters and center sets); CenterCacheHits/Misses are the
-	// center-set share: a hit is a getCenters intersection some earlier
-	// operator or query on the epoch already computed. All zero in the
-	// counted-I/O reference mode, which bypasses the memos.
+	// memos (subclusters and partner-table slots); CenterCacheHits/Misses
+	// are the partner-slot share: a hit is a getCenters intersection and
+	// subcluster union some earlier operator or query on the epoch already
+	// computed. All zero in the counted-I/O reference mode, which bypasses
+	// the memos.
 	MemoHits          int64
 	MemoMisses        int64
 	CenterCacheHits   int64
 	CenterCacheMisses int64
-	// Seeks counts WCOJ sorted-iterator positioning operations: one per
-	// constraint list entering a leapfrog intersection plus one per
-	// subcluster list opened while materialising a bound constraint's
-	// partner union.
+	// Seeks counts the sorted lists WCOJ opened: one per constraint list
+	// entering a leapfrog intersection plus one per partner list looked up
+	// for a bound constraint's new value.
 	Seeks int64
 	// IterNexts counts candidate values the leapfrog intersections
 	// produced (values the enumeration advanced through).
@@ -302,27 +302,4 @@ func mergePairU64(a, b []uint64) []uint64 {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// mergeUnion appends the sorted-set union of two ascending duplicate-free
-// slices to dst[:0]; it backs Fetch's per-row cluster-expansion dedup.
-func mergeUnion(dst, a, b []graph.NodeID) []graph.NodeID {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }

@@ -182,40 +182,87 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestCenterCacheReuse: within one runtime, Fetch after Filter on the same
-// condition serves its center sets from the per-query cache (the
-// JoinFilterFetch pattern), and cached execution stays correct.
+// TestCenterCacheReuse: the first Fetch on an epoch fills one partner slot
+// per distinct bound value; a second Fetch — another query's runtime on the
+// same snapshot — hits every slot, and returns the same rows as the
+// counted-I/O reference path.
 func TestCenterCacheReuse(t *testing.T) {
 	g := randomGraph(44, 500, 1400, 3)
 	db := mustDB(t, g)
 	c := cond(g, "A", "B", 0, 1)
-	tbl := extentOf(g, g.Labels().Lookup("A"), 0, 1)
+	tbl := extentOf(g, g.Labels().Lookup("A"), 0, 2)
 	ctx := context.Background()
 
-	rt := NewRuntime(1)
-	filtered, err := rt.Filter(ctx, db, tbl, c)
+	first := NewRuntime(1)
+	want, err := first.Fetch(ctx, db, tbl, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterFilter := rt.Stats()
-	if afterFilter.CenterCacheMisses == 0 {
-		t.Fatal("Filter recorded no center cache misses")
+	distinct := int64(g.ExtentSize(g.Labels().Lookup("A")))
+	if st := first.Stats(); st.CenterCacheMisses != distinct || st.CenterCacheHits != int64(tbl.Len())-distinct {
+		t.Fatalf("first Fetch over %d rows of %d values: %d slot misses, %d hits", tbl.Len(), distinct, st.CenterCacheMisses, st.CenterCacheHits)
 	}
-	got, err := rt.Fetch(ctx, db, filtered, c)
+	second := NewRuntime(1)
+	got, err := second.Fetch(ctx, db, tbl, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterFetch := rt.Stats()
-	if hits := afterFetch.CenterCacheHits - afterFilter.CenterCacheHits; hits < int64(filtered.Len()) {
-		t.Fatalf("Fetch hit the center cache %d times, want >= %d (one per surviving row)", hits, filtered.Len())
+	if st := second.Stats(); st.CenterCacheHits != int64(tbl.Len()) || st.CenterCacheMisses != 0 || st.MemoMisses != 0 {
+		t.Fatalf("second Fetch over %d rows: %d slot hits, %d slot misses, %d memo misses", tbl.Len(), st.CenterCacheHits, st.CenterCacheMisses, st.MemoMisses)
 	}
-	// Correctness under caching: equals the uncached package-level path.
-	want, err := Fetch(ctx, db, filtered, c)
+	ref := NewRuntime(1)
+	ref.CountIO()
+	refRows, err := ref.Fetch(ctx, db, tbl, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Fatal("cached Fetch differs from uncached Fetch")
+	if want.Len() == 0 || !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Rows, refRows.Rows) {
+		t.Fatalf("Fetch rows differ: first %d, second %d, reference %d", want.Len(), got.Len(), refRows.Len())
+	}
+}
+
+// TestFetchForeignLabelColumn: package-level callers may hand Fetch a column
+// whose values do not carry the condition's bound label. Such a value must
+// not index another node's partner slot: both directions return the
+// counted-I/O reference path's rows, before and after the table is warm.
+func TestFetchForeignLabelColumn(t *testing.T) {
+	g := randomGraph(44, 500, 1400, 3)
+	db := mustDB(t, g)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		c   Cond
+		col int
+	}{
+		{cond(g, "A", "B", 0, 1), 0}, // column 0 stands for A, holds C nodes
+		{cond(g, "A", "B", 1, 0), 0}, // column 0 stands for B, holds C nodes
+	} {
+		foreign := extentOf(g, g.Labels().Lookup("C"), tc.col, 1)
+		ref := NewRuntime(1)
+		ref.CountIO()
+		want, err := ref.Fetch(ctx, db, foreign, tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("%v: reference Fetch over C nodes is empty; the test proves nothing", tc.c)
+		}
+		for _, state := range []string{"cold", "warm"} {
+			got, err := Fetch(ctx, db, foreign, tc.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%v, %s table: Fetch over a C-labeled column returned %d rows, reference %d", tc.c, state, got.Len(), want.Len())
+			}
+			// Warm the table with its own label's values for the second round.
+			own := tc.c.FromLabel
+			if tc.c.FromNode != tc.col {
+				own = tc.c.ToLabel
+			}
+			if _, err := Fetch(ctx, db, extentOf(g, own, tc.col, 1), tc.c); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -6,17 +6,23 @@ import (
 )
 
 // reads is the index read path of one operator partition: how it obtains
-// subclusters, center sets, and a semijoin group's keep-test. Both
-// implementations return identical lists, so operator output never depends
-// on which one serves it. A reads value belongs to one goroutine.
+// subclusters, a bound value's partners, reachability between two bound
+// values, and a semijoin group's keep-test. Both implementations return
+// identical lists, so operator output never depends on which one serves
+// it. A reads value belongs to one goroutine.
 type reads interface {
 	// getF/getT return center w's X-labeled F-subcluster / Y-labeled
 	// T-subcluster; the slice is shared and must not be mutated.
 	getF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error)
 	getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error)
-	// centers computes getCenters for one bound value: out(v) ∩ W(X, Y)
-	// forward, in(v) ∩ W(X, Y) reverse, where ws = W(X, Y).
-	centers(v graph.NodeID, ws []graph.NodeID, c Cond, forward bool) ([]graph.NodeID, error)
+	// partners resolves, once per partition, the per-row lookup of
+	// condition c read from its From side (forward) or its To side: for a
+	// bound value v, the ascending union of the T_Y-subclusters of the
+	// centers out(v) ∩ W(X, Y) (F_X and in(v) reverse). The lists are
+	// shared and must not be mutated.
+	partners(c Cond, forward bool) (partnerFunc, error)
+	// reaches tests u ⇝ v from graph codes.
+	reaches(u, v graph.NodeID) (bool, error)
 	// prepare loads what semijoin needs for one R-semijoin group, once per
 	// operator; semijoin then reports whether a value bound to the group's
 	// node survives every condition (see Runtime.FilterGroup).
@@ -26,10 +32,14 @@ type reads interface {
 	done()
 }
 
-// semijoinGroup is one FilterGroup's state: its conditions, which code
-// side they read, each condition's W(X, Y), and — on the decoded path —
-// each condition's bound-side distinct projection.
+type partnerFunc func(v graph.NodeID) ([]graph.NodeID, error)
+
+// semijoinGroup is one R-semijoin group's state: the column holding its
+// bound values, its conditions, which code side they read, each
+// condition's W(X, Y), and — on the decoded path — each condition's
+// bound-side distinct projection.
 type semijoinGroup struct {
+	col     int
 	conds   []Cond
 	outSide bool
 	wss     [][]graph.NodeID
@@ -46,8 +56,9 @@ func (rt *Runtime) open(db *gdb.Snap) reads {
 	return &decodedReads{rt: rt, db: db, r: db.Reader()}
 }
 
-// decodedReads reads through gdb.Reader: decoded subclusters and center
-// sets memoised per epoch, shared by every query on the snapshot.
+// decodedReads reads through gdb.Reader: decoded subclusters, partner
+// tables and graph codes memoised per epoch, shared by every query on the
+// snapshot.
 type decodedReads struct {
 	rt *Runtime
 	db *gdb.Snap
@@ -62,9 +73,12 @@ func (d *decodedReads) getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, erro
 	return d.r.T(w, y)
 }
 
-func (d *decodedReads) centers(v graph.NodeID, _ []graph.NodeID, c Cond, forward bool) ([]graph.NodeID, error) {
-	return d.r.Centers(v, c.FromLabel, c.ToLabel, forward)
+func (d *decodedReads) partners(c Cond, forward bool) (partnerFunc, error) {
+	p, err := d.r.Partners(c.FromLabel, c.ToLabel, forward)
+	return p.Of, err
 }
+
+func (d *decodedReads) reaches(u, v graph.NodeID) (bool, error) { return d.r.Reaches(u, v) }
 
 func (d *decodedReads) prepare(g *semijoinGroup) error {
 	g.projs = make([][]graph.NodeID, len(g.conds))
@@ -121,13 +135,28 @@ func (p pooledReads) getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error)
 	return p.db.GetT(w, y)
 }
 
-func (p pooledReads) centers(v graph.NodeID, ws []graph.NodeID, _ Cond, forward bool) ([]graph.NodeID, error) {
-	code, err := p.code(v, forward)
+// partners is Algorithm 2's Fetch as written: per row, one code retrieval,
+// getCenters against W(X, Y), and one subcluster read per center.
+func (p pooledReads) partners(c Cond, forward bool) (partnerFunc, error) {
+	ws, err := p.db.Centers(c.FromLabel, c.ToLabel)
 	if err != nil {
 		return nil, err
 	}
-	return gdb.Intersect(code, ws), nil
+	get := func(w graph.NodeID) ([]graph.NodeID, error) { return p.db.GetT(w, c.ToLabel) }
+	if !forward {
+		get = func(w graph.NodeID) ([]graph.NodeID, error) { return p.db.GetF(w, c.FromLabel) }
+	}
+	return func(v graph.NodeID) ([]graph.NodeID, error) {
+		code, err := p.code(v, forward)
+		if err != nil {
+			return nil, err
+		}
+		list, _, err := gdb.UnionOver(gdb.Intersect(code, ws), get)
+		return list, err
+	}, nil
 }
+
+func (p pooledReads) reaches(u, v graph.NodeID) (bool, error) { return p.db.Reaches(u, v) }
 
 func (p pooledReads) code(v graph.NodeID, out bool) ([]graph.NodeID, error) {
 	if out {

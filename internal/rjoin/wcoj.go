@@ -74,7 +74,6 @@ type wcojBound struct {
 	// forward reports that the bound endpoint is the condition's From side
 	// (candidates expand T-subclusters); reverse expands F-subclusters.
 	forward bool
-	ws      []graph.NodeID
 }
 
 func buildWCOJPlan(db *gdb.Snap, conds []Cond, order []int) (*wcojPlan, error) {
@@ -98,10 +97,6 @@ func buildWCOJPlan(db *gdb.Snap, conds []Cond, order []int) (*wcojPlan, error) {
 		if !okF || !okT {
 			return nil, fmt.Errorf("rjoin: wcoj: condition %v not covered by variable order %v", c, order)
 		}
-		ws, err := db.Centers(c.FromLabel, c.ToLabel)
-		if err != nil {
-			return nil, err
-		}
 		if pf < pt {
 			// From binds first: its level prunes against π_From, the To
 			// level intersects From's forward targets.
@@ -110,14 +105,14 @@ func buildWCOJPlan(db *gdb.Snap, conds []Cond, order []int) (*wcojPlan, error) {
 				return nil, err
 			}
 			p.levels[pf].proj = append(p.levels[pf].proj, proj)
-			p.levels[pt].bound = append(p.levels[pt].bound, wcojBound{cond: c, level: pf, forward: true, ws: ws})
+			p.levels[pt].bound = append(p.levels[pt].bound, wcojBound{cond: c, level: pf, forward: true})
 		} else {
 			proj, err := db.ProjectTo(c.FromLabel, c.ToLabel)
 			if err != nil {
 				return nil, err
 			}
 			p.levels[pt].proj = append(p.levels[pt].proj, proj)
-			p.levels[pf].bound = append(p.levels[pf].bound, wcojBound{cond: c, level: pt, forward: false, ws: ws})
+			p.levels[pf].bound = append(p.levels[pf].bound, wcojBound{cond: c, level: pt, forward: false})
 		}
 	}
 	for i := range p.levels {
@@ -128,21 +123,20 @@ func buildWCOJPlan(db *gdb.Snap, conds []Cond, order []int) (*wcojPlan, error) {
 	return p, nil
 }
 
-// wcojTargets is the single-entry memo of one bound constraint's partner
-// list: the bound endpoint's value only changes when its (earlier) level
-// advances, so one entry gives full reuse across the entire subtree
-// enumerated underneath it. Buffers recycle across refills.
+// wcojTargets is one bound constraint's partner lookup on the partition's
+// read path, with a single-entry memo in front: the bound endpoint's value
+// only changes when its (earlier) level advances, so one entry gives full
+// reuse across the entire subtree enumerated underneath it.
 type wcojTargets struct {
-	valid   bool
-	value   graph.NodeID
-	targets []graph.NodeID
-	scratch []graph.NodeID
+	partners partnerFunc
+	valid    bool
+	value    graph.NodeID
+	targets  []graph.NodeID
 }
 
 // wcojRun is one partition's enumeration state.
 type wcojRun struct {
 	rt   *Runtime
-	rd   reads
 	plan *wcojPlan
 	out  *Table
 	cc   cancelCheck
@@ -163,11 +157,10 @@ type wcojRun struct {
 	seeks, nexts int64
 }
 
-func newWCOJRun(rt *Runtime, rd reads, plan *wcojPlan, cc cancelCheck) *wcojRun {
+func newWCOJRun(rt *Runtime, rd reads, plan *wcojPlan, cc cancelCheck) (*wcojRun, error) {
 	n := len(plan.levels)
 	r := &wcojRun{
 		rt:      rt,
-		rd:      rd,
 		plan:    plan,
 		cc:      cc,
 		binding: make([]graph.NodeID, n),
@@ -177,49 +170,31 @@ func newWCOJRun(rt *Runtime, rd reads, plan *wcojPlan, cc cancelCheck) *wcojRun 
 	}
 	for i := range plan.levels {
 		r.memo[i] = make([]wcojTargets, len(plan.levels[i].bound))
+		for j, b := range plan.levels[i].bound {
+			var err error
+			if r.memo[i][j].partners, err = rd.partners(b.cond, b.forward); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return r
+	return r, nil
 }
 
 // targets returns the partner list of bound constraint j at level k under
-// the current binding, through the single-entry memo. The computation is
-// Fetch's per-row expansion: centers out(v) ∩ W (in(v) ∩ W reverse), then
-// the sorted-set union of their T-subclusters (F-subclusters reverse), both
-// through the partition's read path.
+// the current binding — Fetch's per-row expansion — through the single-entry
+// memo.
 func (r *wcojRun) targets(k, j int) ([]graph.NodeID, error) {
-	b := &r.plan.levels[k].bound[j]
-	v := r.binding[b.level]
+	v := r.binding[r.plan.levels[k].bound[j].level]
 	m := &r.memo[k][j]
 	if m.valid && m.value == v {
 		return m.targets, nil
 	}
-	cs, err := r.rd.centers(v, b.ws, b.cond, b.forward)
+	targets, err := m.partners(v)
 	if err != nil {
 		return nil, err
 	}
-	r.seeks += int64(len(cs))
-	targets, scratch := m.targets[:0], m.scratch
-	for _, w := range cs {
-		var nodes []graph.NodeID
-		if b.forward {
-			nodes, err = r.rd.getT(w, b.cond.ToLabel)
-		} else {
-			nodes, err = r.rd.getF(w, b.cond.FromLabel)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(nodes) == 0 {
-			continue
-		}
-		if len(targets) == 0 {
-			targets = append(targets, nodes...)
-			continue
-		}
-		scratch = mergeUnion(scratch, targets, nodes)
-		targets, scratch = scratch, targets
-	}
-	m.valid, m.value, m.targets, m.scratch = true, v, targets, scratch
+	r.seeks++
+	m.valid, m.value, m.targets = true, v, targets
 	return targets, nil
 }
 
@@ -316,7 +291,10 @@ func (rt *Runtime) WCOJ(ctx context.Context, db *gdb.Snap, conds []Cond, order [
 	// The first level's candidates are intersections of snapshot-memoized
 	// projections only — computed once, then partitioned.
 	seedReads := rt.open(db)
-	seed := newWCOJRun(rt, seedReads, plan, rt.check(ctx))
+	seed, err := newWCOJRun(rt, seedReads, plan, rt.check(ctx))
+	if err != nil {
+		return nil, err
+	}
 	c0, err := seed.candidates(0)
 	seedReads.done()
 	if err != nil {
@@ -327,10 +305,13 @@ func (rt *Runtime) WCOJ(ctx context.Context, db *gdb.Snap, conds []Cond, order [
 	err = rt.runParts(ctx, len(c0), parts, func(ctx context.Context, part, lo, hi int) error {
 		rd := rt.open(db)
 		defer rd.done()
-		r := newWCOJRun(rt, rd, plan, rt.check(ctx))
+		r, err := newWCOJRun(rt, rd, plan, rt.check(ctx))
+		if err != nil {
+			return err
+		}
 		r.out = rt.newTable(plan.order...)
 		r.limit = rt.rowTarget
-		err := r.enumerate(0, c0[lo:hi])
+		err = r.enumerate(0, c0[lo:hi])
 		rt.seeks.Add(r.seeks)
 		rt.iterNexts.Add(r.nexts)
 		outs[part] = r.out

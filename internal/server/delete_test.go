@@ -382,8 +382,10 @@ func TestConcurrentMutateAndQueryPrefixConsistency(t *testing.T) {
 
 	// Writer: stream the mutations one request at a time. Every projection
 	// list is memoized on the first epoch; each publish must hand exact
-	// lists to its successor without a single full scan.
+	// lists to its successor without a single full scan, and exact partner
+	// slots where it carries a table over.
 	checkProjectionsExact(t, s)
+	checkPartnersExact(t, s)
 	scans := s.Stats().ProjectionScans
 	for _, o := range ops {
 		path := "/insert"
@@ -403,6 +405,7 @@ func TestConcurrentMutateAndQueryPrefixConsistency(t *testing.T) {
 		}
 		resp.Body.Close()
 		checkProjectionsExact(t, s)
+		checkPartnersExact(t, s)
 		if got := s.Stats().ProjectionScans; got != scans {
 			t.Fatalf("after %s %d->%d: %d full projection scans, want 0 (inherited)", path, o.u, o.v, got-scans)
 		}

@@ -88,12 +88,15 @@ func TestStatsDecodedMemo(t *testing.T) {
 	if cold.DecodedMemoMisses == 0 || cold.DecodedMemoNodes == 0 {
 		t.Fatalf("cold run filled no decoded memo: %+v", cold)
 	}
-	if cold.CenterCacheHits+cold.CenterCacheMisses == 0 {
-		t.Fatalf("no center-set lookups counted: %+v", cold)
+	if cold.CenterCacheHits+cold.CenterCacheMisses == 0 || cold.PartnerTables == 0 {
+		t.Fatalf("no partner-slot lookups counted: %+v", cold)
+	}
+	if cold.DecodedMemoBytes != 4*cold.DecodedMemoNodes {
+		t.Fatalf("decoded_memo_bytes = %d for %d node-ID units", cold.DecodedMemoBytes, cold.DecodedMemoNodes)
 	}
 	run()
 	warm := s.Stats()
-	if warm.DecodedMemoMisses != cold.DecodedMemoMisses || warm.DecodedMemoNodes != cold.DecodedMemoNodes {
+	if warm.DecodedMemoMisses != cold.DecodedMemoMisses || warm.DecodedMemoNodes != cold.DecodedMemoNodes || warm.PartnerTables != cold.PartnerTables {
 		t.Fatalf("warm run missed the memo: misses %d -> %d, nodes %d -> %d",
 			cold.DecodedMemoMisses, warm.DecodedMemoMisses, cold.DecodedMemoNodes, warm.DecodedMemoNodes)
 	}

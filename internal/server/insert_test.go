@@ -239,7 +239,9 @@ func TestConcurrentInsertAndQueryPrefixConsistency(t *testing.T) {
 		}()
 	}
 
-	// Writer: stream the inserts one request at a time.
+	// Writer: stream the inserts one request at a time, checking after each
+	// that the new epoch's partner slots — carried or refilled — are exact.
+	checkPartnersExact(t, s)
 	for _, e := range inserts {
 		body, _ := json.Marshal(InsertRequest{Edges: [][2]graph.NodeID{e}})
 		resp, err := http.Post(ts.URL+"/insert", "application/json", bytes.NewBuffer(body))
@@ -253,6 +255,7 @@ func TestConcurrentInsertAndQueryPrefixConsistency(t *testing.T) {
 			t.Fatalf("insert status %d: %s", resp.StatusCode, buf.String())
 		}
 		resp.Body.Close()
+		checkPartnersExact(t, s)
 	}
 	close(stop)
 	wg.Wait()

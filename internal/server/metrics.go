@@ -262,17 +262,21 @@ type Stats struct {
 	// WorkerUtilization is OperatorTasks/(OperatorOps × resolved degree):
 	// 1.0 means every operator filled every worker slot.
 	WorkerUtilization float64 `json:"worker_utilization"`
-	// CenterCacheHits/Misses aggregate the queries' center-set lookups in
-	// the snapshots' decoded memos: a hit is a getCenters intersection an
+	// CenterCacheHits/Misses aggregate the queries' partner-table slot
+	// lookups: a hit is a getCenters intersection and subcluster union an
 	// earlier operator or query on the epoch already computed.
 	CenterCacheHits   int64 `json:"center_cache_hits"`
 	CenterCacheMisses int64 `json:"center_cache_misses"`
 	// DecodedMemoHits/Misses aggregate every decoded-memo lookup served
-	// queries made (decoded subclusters plus center sets); a miss is a
-	// buffer-pool read and a decode. DecodedMemoNodes is the node IDs the
-	// current epoch's memos hold (×4 bytes resident); DecodedMemoResets
-	// counts overflows of the memo bound, each of which emptied a memo.
+	// queries made (decoded subclusters plus partner-table slots); a miss
+	// is a decode or a union. DecodedMemoNodes is what the current epoch's
+	// subcluster memo and its PartnerTables partner tables hold, in 4-byte
+	// node-ID units (DecodedMemoBytes the same in bytes);
+	// DecodedMemoResets counts overflows of the memo bound, each of which
+	// emptied a memo.
 	DecodedMemoNodes  int   `json:"decoded_memo_nodes"`
+	DecodedMemoBytes  int   `json:"decoded_memo_bytes"`
+	PartnerTables     int   `json:"partner_tables"`
 	DecodedMemoHits   int64 `json:"decoded_memo_hits"`
 	DecodedMemoMisses int64 `json:"decoded_memo_misses"`
 	DecodedMemoResets int64 `json:"decoded_memo_resets"`
@@ -374,7 +378,8 @@ func (s *Server) Stats() Stats {
 	if !s.db.Closed() {
 		st.ReachBackend = s.db.ReachBackend()
 		st.IO = s.db.IOStats()
-		st.DecodedMemoNodes, st.DecodedMemoResets = s.db.DecodedMemoStats()
+		st.DecodedMemoNodes, st.PartnerTables, st.DecodedMemoResets = s.db.DecodedMemoStats()
+		st.DecodedMemoBytes = 4 * st.DecodedMemoNodes
 		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current

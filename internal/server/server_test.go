@@ -109,6 +109,63 @@ func checkProjectionsExact(t testing.TB, s *Server) {
 	}
 }
 
+// checkPartnersExact compares the partner list of every node under every
+// pair of distinct labels, in both directions, on s's current epoch — a slot
+// a query filled, one the publish carried over, or one filled on the spot —
+// with the graph itself: the nodes of the other label a search from the node
+// reaches (forward) or is reached from.
+func checkPartnersExact(t testing.TB, s *Server) {
+	t.Helper()
+	snap, release := s.db.Pin()
+	defer release()
+	g, r := snap.Graph(), snap.Reader()
+	reach := func(v graph.NodeID, next func(graph.NodeID) []graph.NodeID, l graph.Label) []graph.NodeID {
+		seen := map[graph.NodeID]bool{v: true}
+		var found []graph.NodeID
+		for queue := []graph.NodeID{v}; len(queue) > 0; queue = queue[1:] {
+			for _, u := range next(queue[0]) {
+				if !seen[u] {
+					seen[u] = true
+					queue = append(queue, u)
+					if g.LabelOf(u) == l {
+						found = append(found, u)
+					}
+				}
+			}
+		}
+		slices.Sort(found)
+		return found
+	}
+	nl := g.Labels().Len()
+	for x := graph.Label(0); int(x) < nl; x++ {
+		for y := graph.Label(0); int(y) < nl; y++ {
+			if x == y {
+				continue
+			}
+			for _, fwd := range []bool{true, false} {
+				p, err := r.Partners(x, y, fwd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound, other, next := x, y, g.Successors
+				if !fwd {
+					bound, other, next = y, x, g.Predecessors
+				}
+				for _, v := range g.Extent(bound) {
+					got, err := p.Of(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := reach(v, next, other); !slices.Equal(got, want) {
+						t.Fatalf("epoch %d, pair (%d,%d) forward=%v: partners of node %d = %v, the graph says %v",
+							snap.Epoch(), x, y, fwd, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestQueryMatchesNaive: results served through the full stack (admission
 // control, plan cache, context plumbing) equal the naive matcher's.
 func TestQueryMatchesNaive(t *testing.T) {
