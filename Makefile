@@ -3,12 +3,13 @@ GO ?= go
 .PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
-# kernels, the two per-row index reads (partner slot, reachability test)
-# and the parallel operator suite — the hot paths a perf PR must not
+# kernels, the two per-row index reads (partner slot, reachability test),
+# the parallel operator suite and the response encoder (ns per row from a
+# factorised and from a plain result) — the hot paths a perf PR must not
 # regress — plus the two open strategy questions (binary vs
 # worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
-BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperatorParallel|BenchmarkCyclicPlans|BenchmarkReachBackends'
+BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec ./internal/server
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperatorParallel|BenchmarkFilterFetch|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -24,10 +25,11 @@ test-short:
 # short budget ($(FUZZTIME) per target) on top of the seeded corpus, so
 # the differential edge-insert harness and the 2-hop delta invariants get
 # fresh random sequences on every verify run, not just the checked-in
-# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last two
-# lines run benchmarks once for the checks they carry: the strategy
+# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last
+# three lines run benchmarks once for the checks they carry: the strategy
 # benchmarks' cross-variant row counts (they replace harnesses that had
-# their own, and must not rot) and the read path's allocation-free hit path.
+# their own, and must not rot), the read path's allocation-free hit path
+# and the response encoder's allocation-free warm buffer.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -39,6 +41,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
 	$(GO) test -run XXX -bench 'BenchmarkCyclicPlans|BenchmarkReachBackends' -benchtime 1x ./internal/exec
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
+	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 
 # test-cover enforces a per-package statement-coverage floor on the
 # reachability-index packages: the generic labeling core and registry, and

@@ -3,6 +3,7 @@ package fastmatch_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -20,9 +21,10 @@ import (
 )
 
 // These tests hold the default executor — decoded per-epoch read path, no
-// per-step spill, permuting final projection — against the counted-I/O
-// reference mode (exec.PlanConfig{NoFastPath: true}: pool reads per access,
-// spill, hash-dedup projection). The two must be indistinguishable in
+// per-step spill, last expansion left factorised and permuted as it is
+// written out — against the counted-I/O reference mode
+// (exec.PlanConfig{NoFastPath: true}: pool reads per access, spill, every
+// step materialised, hash-dedup projection). The two must be indistinguishable in
 // everything a caller can observe: rows, their order, truncation, typed
 // budget kills and byte accounting.
 
@@ -207,12 +209,14 @@ func TestFastPathTierClassification(t *testing.T) {
 // pattern, every planner, and worker degrees 1 and 4, default execution
 // returns exactly the reference mode's rows in exactly its order, charges
 // the same bytes, and notes the same peak. The final projection is checked
-// on its own too: on every result, the permuting projection and the
-// hash-dedup one agree under a column order that is not the identity. Run
-// under -race this also exercises concurrent partitions filling the epoch
-// memos.
+// on its own too: on every result, the default plan's Result written out in
+// a column order that is not the identity equals the reference plan's
+// hash-dedup Project into that order, rows and order. Run under -race this
+// also exercises concurrent partitions filling the epoch memos.
 func TestFastPathDifferential(t *testing.T) {
 	tiers := map[int]bool{}
+	factorised := 0
+	ctx := context.Background()
 	for _, dc := range differentialCases() {
 		db, err := gdb.Build(dc.g, gdb.Options{})
 		if err != nil {
@@ -234,17 +238,28 @@ func TestFastPathDifferential(t *testing.T) {
 
 					rev := slices.Clone(got.Cols)
 					slices.Reverse(rev)
-					projected, err := got.Project(rev)
+					want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
-					permuted, err := got.Permute(rev)
+					projected, err := want.Project(rev)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(projected.Rows, permuted.Rows) {
-						t.Fatalf("%s: Project (%d rows) and Permute (%d rows) disagree on the final table",
-							what, projected.Len(), permuted.Len())
+					res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Exp != nil {
+						factorised++
+					}
+					written, err := res.Table(rev)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(projected.Rows, written.Rows) && (projected.Len() != 0 || written.Len() != 0) {
+						t.Fatalf("%s: the reference's Project (%d rows) and Result.Table (%d rows) disagree on the final table",
+							what, projected.Len(), written.Len())
 					}
 				}
 			}
@@ -255,6 +270,79 @@ func TestFastPathDifferential(t *testing.T) {
 	}
 	if !tiers[1] || !tiers[2] || !tiers[3] {
 		t.Fatalf("batteries covered tiers %v, want all three plan shapes", tiers)
+	}
+	if factorised == 0 {
+		t.Fatal("no plan ended on a Fetch: the factorised result was never exercised")
+	}
+}
+
+// TestFactorisedLimits: a limit on a plan whose last expansion stays
+// factorised cuts inside one partner list. For every such plan of the
+// batteries, with the limit at 1, inside a list, exactly on a list boundary,
+// at N and at N+1, at worker degrees 1, 2 and 4, the rows are the unlimited
+// run's prefix, and Truncated, Bytes() and PeakRows() are the reference
+// plan's (runBoth).
+func TestFactorisedLimits(t *testing.T) {
+	ctx := context.Background()
+	for _, dc := range differentialCases()[2:] { // one random graph, and xmark
+		db, err := gdb.Build(dc.g, gdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		snap, release := db.Pin()
+		defer release()
+
+		inside, onBoundary := 0, 0
+		for _, p := range dc.patterns {
+			for _, algo := range allPlanners {
+				def, ref := planPair(t, snap, p, algo)
+				res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Exp == nil || res.N == 0 {
+					continue
+				}
+				full, err := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A limit inside the first list of two or more rows, and one
+				// exactly on the end of the first list with rows after it.
+				in, on := 0, 0
+				for i, n := 0, 0; i < len(res.Exp); i++ {
+					l := len(res.Exp[i])
+					if in == 0 && l >= 2 {
+						in = n + 1
+					}
+					if n += l; on == 0 && l > 0 && n < res.N {
+						on = n
+					}
+				}
+				limits := []int{1, res.N, res.N + 1}
+				if in > 0 {
+					limits = append(limits, in)
+					inside++
+				}
+				if on > 0 {
+					limits = append(limits, on)
+					onBoundary++
+				}
+				for _, workers := range []int{1, 2, 4} {
+					for _, limit := range limits {
+						what := fmt.Sprintf("%s %v %v workers=%d limit=%d of %d", dc.name, p, algo, workers, limit, res.N)
+						got := runBoth(t, snap, def, ref, workers, caps{ResultRows: limit}, what)
+						if want := full.Rows[:min(limit, res.N)]; !reflect.DeepEqual(got.Rows, want) {
+							t.Fatalf("%s: %d rows are not the unlimited result's prefix", what, got.Len())
+						}
+					}
+				}
+			}
+		}
+		if inside == 0 || onBoundary == 0 {
+			t.Fatalf("%s: %d limits inside a list and %d on a boundary — battery too small", dc.name, inside, onBoundary)
+		}
 	}
 }
 

@@ -30,9 +30,9 @@ type StepTrace struct {
 	ElapsedMS float64
 	// Workers is the intra-operator parallelism degree the step ran under.
 	Workers int
-	// CenterCacheHits is how many getCenters computations the step skipped
-	// via the snapshot's center-set memo (e.g. a Fetch reusing its
-	// Filter's center sets, or an earlier query's).
+	// CenterCacheHits counts the step's partner-table slot hits: rows whose
+	// getCenters intersection and subcluster union an earlier operator or
+	// query on the epoch had already computed (see rjoin.RuntimeStats).
 	CenterCacheHits int64
 	// Seeks/IterNexts are the step's sorted-iterator counters: positioning
 	// operations and candidate values advanced through, respectively.
@@ -80,23 +80,48 @@ func (cfg RunConfig) runtime() *rjoin.Runtime {
 	return rt
 }
 
-// RunSnapConfig executes a plan against a pinned snapshot epoch and returns
-// the full result table, with one column per pattern node in pattern-node
-// order and duplicate rows removed. Execution is abandoned mid-operator
-// (with ctx.Err()) once ctx is cancelled or past its deadline. Callers pin
-// once and pass the same snapshot to BuildPlanSnapConfig and here, so a
-// query plans and executes on one index version — concurrent edge inserts
-// publish new epochs without blocking or tearing the run.
+// RunSnapConfig is Run without a trace, with the result written out as a
+// table: one column per pattern node in pattern-node order, rows in the
+// plan's deterministic order. Kept, under this name, for benchmark/ until
+// ROADMAP 2(c); the server encodes Run's Result directly.
 func RunSnapConfig(ctx context.Context, s *gdb.Snap, plan *optimizer.Plan, cfg RunConfig) (*rjoin.Table, error) {
 	t, _, err := RunSnapWithTraceConfig(ctx, s, plan, false, cfg)
 	return t, err
 }
 
-// RunSnapWithTraceConfig is RunSnapConfig that also reports per-step actual
-// row counts, I/O, and elapsed time when trace is true. One rjoin.Runtime —
-// the worker-pool degree, budget and counters — is shared by all steps of
-// the plan.
+// RunSnapWithTraceConfig is Run followed by Result.Table in pattern-node
+// order. Kept for benchmark/ like RunSnapConfig.
 func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Table, []StepTrace, error) {
+	res, traces, err := Run(ctx, db, plan, trace, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := res.Table(patternOrder(plan))
+	return t, traces, err
+}
+
+// patternOrder lists plan's pattern nodes in pattern order, the column
+// order tables are reported in.
+func patternOrder(plan *optimizer.Plan) []int {
+	nodes := make([]int, plan.Binding.Pattern.NumNodes())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return nodes
+}
+
+// Run executes a plan against a pinned snapshot epoch and returns its
+// result, with per-step actual row counts, I/O and elapsed time when trace
+// is true. The result's columns stand in the order the plan bound them and
+// its last expansion is left factorised (see rjoin.Result); callers choose
+// the column order when they consume it. Execution is abandoned
+// mid-operator (with ctx.Err()) once ctx is cancelled or past its deadline.
+// Callers pin once and pass the same snapshot to BuildPlanSnapConfig and
+// here, so a query plans and executes on one index version — concurrent
+// edge inserts publish new epochs without blocking or tearing the run. One
+// rjoin.Runtime — the worker-pool degree, budget and counters — is shared
+// by all steps of the plan.
+func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Result, []StepTrace, error) {
 	if plan.Fast != nil && plan.Fast.Kind == optimizer.FPImpossible {
 		return runImpossible(ctx, plan, trace)
 	}
@@ -121,6 +146,9 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 	bdg := cfg.Budget
 	var traces []StepTrace
 	var t *rjoin.Table
+	// res is set by a last step that leaves its expansion factorised;
+	// every other step leaves a table.
+	var res *rjoin.Result
 	last := len(plan.Steps) - 1
 	for si, s := range plan.Steps {
 		if err := ctx.Err(); err != nil {
@@ -136,6 +164,19 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 			if si == last && bdg != nil && bdg.ResultRows > 0 {
 				rt.PushLimit(bdg.ResultRows)
 			}
+		}
+		// The last expansion is handed up as the operator resolved it, not
+		// written out. A reference plan writes every step out: its spill
+		// and hash-dedup projection are what the paper's executor does and
+		// what the differential tests hold the factorised result against.
+		fetch := func() (err error) {
+			pushLimit()
+			if si == last && !plan.Reference {
+				res, err = rt.FetchResult(ctx, db, t, b.Conds[s.Edges[0]])
+			} else {
+				t, err = rt.Fetch(ctx, db, t, b.Conds[s.Edges[0]])
+			}
+			return err
 		}
 		stepStart := time.Now()
 		ioBefore := db.IOStats().Logical()
@@ -174,8 +215,7 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 		case optimizer.StepFetch:
 			t, err = requireTable(t, si)
 			if err == nil {
-				pushLimit()
-				t, err = rt.Fetch(ctx, db, t, b.Conds[s.Edges[0]])
+				err = fetch()
 			}
 		case optimizer.StepJoinFilterFetch:
 			t, err = requireTable(t, si)
@@ -183,8 +223,7 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 				t, err = rt.Filter(ctx, db, t, b.Conds[s.Edges[0]])
 			}
 			if err == nil {
-				pushLimit()
-				t, err = rt.Fetch(ctx, db, t, b.Conds[s.Edges[0]])
+				err = fetch()
 			}
 		case optimizer.StepSelection:
 			t, err = requireTable(t, si)
@@ -198,11 +237,15 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 		if err != nil {
 			return nil, nil, fmt.Errorf("exec: step %d (%v): %w", si+1, s.Kind, err)
 		}
+		rows := t.Len()
+		if res != nil {
+			rows = res.N
+		}
 		// Per-step budget checkpoint: operators check at their own merge
 		// points; this additionally covers tables the executor builds
 		// itself (extent tables) and keeps the peak-rows statistic exact.
-		bdg.NoteRows(t.Len())
-		if err := bdg.CheckRows(t.Len()); err != nil {
+		bdg.NoteRows(rows)
+		if err := bdg.CheckRows(rows); err != nil {
 			return nil, nil, fmt.Errorf("exec: step %d (%v): %w", si+1, s.Kind, err)
 		}
 		if err := bdg.CheckBytes(); err != nil {
@@ -221,7 +264,7 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 			statsAfter := rt.Stats()
 			st := StepTrace{
 				Step:            s,
-				Rows:            t.Len(),
+				Rows:            rows,
 				IO:              db.IOStats().Logical() - ioBefore,
 				ElapsedMS:       float64(time.Since(stepStart).Microseconds()) / 1000,
 				Workers:         rt.Workers(),
@@ -239,46 +282,34 @@ func RunSnapWithTraceConfig(ctx context.Context, db *gdb.Snap, plan *optimizer.P
 	if t == nil {
 		return nil, nil, fmt.Errorf("exec: empty plan")
 	}
-	nodes := make([]int, b.Pattern.NumNodes())
-	for i := range nodes {
-		nodes[i] = i
-	}
 	// Every operator preserves pairwise-distinct rows (HPSJ and WCOJ emit
 	// distinct tuples, Fetch extends distinct rows by distinct nodes,
 	// filters and selections take subsets) and the final table binds each
 	// pattern node exactly once, so the dedup projection is a pure column
-	// permutation. Reference mode keeps the hashing Project, which the
-	// differential tests hold the permutation against.
-	var out *rjoin.Table
-	var err error
+	// permutation, which the result's consumer applies as it writes.
+	// Reference mode keeps the hashing Project, which the differential
+	// tests hold that against.
 	if plan.Reference {
-		out, err = t.Project(nodes)
-	} else {
-		out, err = t.Permute(nodes)
+		out, err := t.Project(patternOrder(plan))
+		if err != nil {
+			return nil, nil, err
+		}
+		res = out.Result()
+	} else if res == nil {
+		res = t.Result()
 	}
-	// Safety net for the result-row limit after projection. Operators
-	// already truncated at their merge points, so this only fires if a
-	// future operator forgets the pushdown.
-	if err == nil && bdg != nil && bdg.ResultRows > 0 && out.Len() > bdg.ResultRows {
-		out.Rows = out.Rows[:bdg.ResultRows]
-		bdg.MarkTruncated()
-	}
-	return out, traces, err
+	return res, traces, nil
 }
 
 // runImpossible answers a tier-2 plan — one the fan-signature prefilter
 // proved empty — with zero operator work: an empty table with one column
 // per pattern node, exactly what the full pipeline's final projection of
 // an empty temporal table produces.
-func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoin.Table, []StepTrace, error) {
+func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoin.Result, []StepTrace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	nodes := make([]int, plan.Binding.Pattern.NumNodes())
-	for i := range nodes {
-		nodes[i] = i
-	}
-	out := rjoin.NewTable(nodes...)
+	out := &rjoin.Result{Cols: patternOrder(plan)}
 	var traces []StepTrace
 	if trace {
 		traces = []StepTrace{{

@@ -25,9 +25,12 @@ var (
 // of the budget — they ride the context, as before.
 //
 // Accounting happens where rows are produced (Table.NewRow arena carving,
-// HPSJ's center cross-products); checks sit in the operators' cancellation
-// polls and at every partition-merge point, so one partition exceeding the
-// budget cancels its siblings through the operator's shared sub-context.
+// HPSJ's center cross-products, Fetch's per-row expansions) and counts their
+// logical size, 4 bytes per cell, whether the rows are written out or — the
+// plan's last expansion — left factorised in the Result; checks sit in the
+// operators' cancellation polls and at every partition-merge point, so one
+// partition exceeding the budget cancels its siblings through the
+// operator's shared sub-context.
 // All methods are safe for concurrent use and safe on a nil *Budget (every
 // check passes), so unbudgeted paths pay only a nil test.
 type Budget struct {

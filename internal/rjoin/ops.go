@@ -315,6 +315,28 @@ func side(out bool) string {
 // runtime's workers; each partition sizes its output exactly before
 // emitting (see expand), and partitions concatenate in partition order.
 func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+	res, err := rt.fetch(ctx, db, t, c, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Table{Cols: res.Cols, Rows: res.Rows}, nil
+}
+
+// FetchResult is Fetch for a plan's last step: the same rows in the same
+// order, handed up as the factorised Result expand resolved — t's rows and
+// one shared partner list each — instead of being written out. Limit,
+// budget and cancellation behave as in Fetch: the same logical bytes and
+// rows are charged at the same points, so every counter and typed kill is
+// the materialising run's.
+func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Result, error) {
+	return rt.fetch(ctx, db, t, c, false)
+}
+
+// fetch is expand → Result per partition; emit says whether each partition
+// then writes its rows out (an intermediate step, whose consumer is the
+// next operator) or leaves them factorised (the last step, whose consumer
+// iterates).
+func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, emit bool) (*Result, error) {
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
 		return nil, err
@@ -328,7 +350,7 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 	width := len(cols)
 
 	parts := rt.split(len(t.Rows), rowGrain)
-	outs := make([][][]graph.NodeID, parts)
+	outs := make([]Result, parts)
 	err = rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
 		rd := rt.open(db)
 		defer rd.done()
@@ -340,45 +362,49 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 		if err != nil || total == 0 {
 			return err
 		}
+		res := &outs[part]
+		*res = Result{Cols: cols, Rows: t.Rows[lo : lo+len(exp)], Exp: exp, N: total}
 		// One row-header slice and one arena for the whole partition, both
 		// exact: counting first is what removes append growth from the
 		// emit loop.
-		out := make([][]graph.NodeID, 0, total)
-		arena := make([]graph.NodeID, total*width)
+		var rows [][]graph.NodeID
+		var arena []graph.NodeID
+		if emit {
+			rows = make([][]graph.NodeID, 0, total)
+			arena = make([]graph.NodeID, total*width)
+		}
 		cc := rt.check(ctx)
+		n := 0
 		for i, targets := range exp {
 			// One cancellation charge per row unit: the scan itself plus
-			// every row it emits.
+			// every row it stands for. The budget is charged the rows'
+			// logical size whether or not they are written out.
 			if err := cc.tickN(1 + len(targets)); err != nil {
 				return err
 			}
 			rt.budget.AddBytes(int64(len(targets)) * int64(width) * nodeIDBytes)
-			row := t.Rows[lo+i]
-			for _, n := range targets {
-				nr := arena[:width:width]
-				arena = arena[width:]
-				copy(nr, row)
-				nr[width-1] = n
-				out = append(out, nr)
+			if emit {
+				rows, arena = res.appendRows(rows, arena, i, nil)
 			}
-			if err := rt.budget.CheckRows(len(out)); err != nil {
+			n += len(targets)
+			if err := rt.budget.CheckRows(n); err != nil {
 				return err
 			}
 		}
-		outs[part] = out
+		if emit {
+			res.Rows, res.Exp = rows, nil
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := NewTable(cols...)
-	out.Rows = concatRows(outs)
-	return rt.finishOp(out)
+	return rt.finishResult(concatResults(cols, outs))
 }
 
 // expand is Fetch's counting pass over one partition: it resolves each
 // input row's expansion list — its bound value's partners, shared with the
-// read path and never copied — and the total rows they will emit at the
+// read path and never copied — and the total rows they stand for at the
 // given output width, without emitting anything. It stops after the first
 // row at which the emit loop would stop anyway: where the pushed-down limit
 // is exceeded (limit+1 rows prove truncation, and whole-row expansions keep

@@ -122,21 +122,30 @@ func (rt *Runtime) newTable(cols ...int) *Table {
 	return t
 }
 
-// finishOp is the partition-merge checkpoint every operator returns
+// finishResult is the partition-merge checkpoint every operator returns
 // through: it applies the pushed-down row limit to the merged output and
-// validates the merged table against the budget's row and byte caps.
-func (rt *Runtime) finishOp(t *Table) (*Table, error) {
-	if rt.rowTarget > 0 && len(t.Rows) > rt.rowTarget {
-		t.Rows = t.Rows[:rt.rowTarget]
+// validates its size against the budget's row and byte caps.
+func (rt *Runtime) finishResult(r *Result) (*Result, error) {
+	if r.truncate(rt.rowTarget) {
 		rt.budget.MarkTruncated()
 	}
-	rt.budget.NoteRows(len(t.Rows))
-	if err := rt.budget.CheckRows(len(t.Rows)); err != nil {
+	rt.budget.NoteRows(r.N)
+	if err := rt.budget.CheckRows(r.N); err != nil {
 		return nil, err
 	}
 	if err := rt.budget.CheckBytes(); err != nil {
 		return nil, err
 	}
+	return r, nil
+}
+
+// finishOp is finishResult for an operator whose merged output is a table.
+func (rt *Runtime) finishOp(t *Table) (*Table, error) {
+	r, err := rt.finishResult(t.Result())
+	if err != nil {
+		return nil, err
+	}
+	t.Rows = r.Rows
 	return t, nil
 }
 

@@ -127,44 +127,6 @@ func (t *Table) Project(nodes []int) (*Table, error) {
 	return out, nil
 }
 
-// Permute returns a new table with the given pattern-node columns in the
-// given order, preserving row order and WITHOUT deduplication — Project
-// minus the hash set. It is correct only when the permuted rows are known
-// pairwise distinct, which holds for the full-width projection of any
-// plan's final table (every operator preserves distinct rows); the
-// executor uses it to skip Project's per-row key hashing on the result
-// path.
-func (t *Table) Permute(nodes []int) (*Table, error) {
-	idx := make([]int, len(nodes))
-	identity := len(nodes) == len(t.Cols)
-	for i, n := range nodes {
-		idx[i] = t.ColIndex(n)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("rjoin: project: node %d not bound in %v", n, t.Cols)
-		}
-		identity = identity && idx[i] == i
-	}
-	if identity {
-		// The columns already stand in the requested order; the permuted
-		// table would be a row-by-row copy of t.
-		return t, nil
-	}
-	out := NewTable(nodes...)
-	if len(t.Rows) > 0 {
-		out.arena = make([]graph.NodeID, 0, len(t.Rows)*len(idx))
-	}
-	for _, r := range t.Rows {
-		n := len(out.arena)
-		out.arena = out.arena[: n+len(idx) : cap(out.arena)]
-		row := out.arena[n : n+len(idx) : n+len(idx)]
-		for i, j := range idx {
-			row[i] = r[j]
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
 // SortRows orders rows lexicographically (for deterministic output and
 // test comparison).
 func (t *Table) SortRows() {

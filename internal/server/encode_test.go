@@ -2,51 +2,399 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
+	"fastmatch/internal/exec"
+	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
+	"fastmatch/internal/pattern"
+	"fastmatch/internal/rjoin"
 )
 
-// TestQueryResponseEncoding: the hand-rolled row encoder must write exactly
-// what encoding/json writes for the same QueryResponse, so no client can
-// tell the two apart.
+// plainResult is n rows over cols with values that exercise every digit
+// count, including NodeID 0 and math.MaxInt32.
+func plainResult(cols []int, n int) *rjoin.Result {
+	w := len(cols)
+	t := rjoin.NewTable(cols...)
+	arena := make([]graph.NodeID, n*w)
+	for i := 0; i < n; i++ {
+		row := arena[i*w : (i+1)*w : (i+1)*w]
+		for j := range row {
+			switch j % 3 {
+			case 0:
+				row[j] = graph.NodeID(i)
+			case 1:
+				row[j] = graph.NodeID(i * 7919 % 1_000_003)
+			default:
+				row[j] = graph.NodeID(math.MaxInt32 - i)
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t.Result()
+}
+
+// factorisedResult is a Result over cols whose last column is expanded: one
+// prefix row per entry of lens, standing for that many rows.
+func factorisedResult(cols []int, lens ...int) *rjoin.Result {
+	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
+	for i, n := range lens {
+		prefix := make([]graph.NodeID, len(cols)-1)
+		for j := range prefix {
+			prefix[j] = graph.NodeID((i*31 + j) * (j*1009 + 1))
+		}
+		if i == 1 {
+			for j := range prefix {
+				prefix[j] = math.MaxInt32 - graph.NodeID(j)
+			}
+		}
+		list := make([]graph.NodeID, n)
+		for k := range list {
+			list[k] = graph.NodeID(k * (i + 1))
+		}
+		if n > 1 {
+			list[n-1] = math.MaxInt32
+		}
+		r.Rows = append(r.Rows, prefix)
+		r.Exp = append(r.Exp, list)
+		r.N += n
+	}
+	return r
+}
+
+func identityNodes(n int) []int {
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return nodes
+}
+
+// wantBody is what encoding/json writes for the response: the rows written
+// out by Result.Table in pattern-node order.
+func wantBody(t *testing.T, res *Result) []byte {
+	t.Helper()
+	tab, err := res.rows.Table(res.nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := QueryResponse{
+		Cols: res.Cols, Rows: tab.Rows, RowCount: tab.Len(), Truncated: res.Truncated,
+		PlanCached: res.PlanCached, ElapsedMS: float64(res.Elapsed.Microseconds()) / 1000,
+	}
+	if resp.Rows == nil {
+		resp.Rows = [][]graph.NodeID{}
+	}
+	if resp.RowCount != res.rows.N {
+		t.Fatalf("Result.N = %d but Table wrote %d rows", res.rows.N, resp.RowCount)
+	}
+	want, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(want, '\n')
+}
+
+func encodingCases() map[string]*Result {
+	names := []string{"A", "B", "C", "D"}
+	fact := func(cols []int, lens ...int) *Result {
+		return &Result{Cols: names[:len(cols)], rows: factorisedResult(cols, lens...), nodes: identityNodes(len(cols))}
+	}
+	plain := func(cols []int, n int) *Result {
+		return &Result{Cols: names[:len(cols)], rows: plainResult(cols, n), nodes: identityNodes(len(cols))}
+	}
+	cases := map[string]*Result{
+		"plain empty":       plain([]int{0, 1}, 0),
+		"plain one row":     plain([]int{0}, 1),
+		"plain identity":    plain([]int{0, 1, 2}, 50),
+		"plain permuted":    plain([]int{2, 0, 3, 1}, 50),
+		"plain 100k rows":   plain([]int{1, 2, 0}, 100_000),
+		"expanded first":    fact([]int{1, 2, 0}, 3, 1, 4),
+		"expanded middle":   fact([]int{0, 2, 1}, 3, 1, 4),
+		"expanded last":     fact([]int{1, 0, 2}, 3, 1, 4),
+		"expanded only":     fact([]int{1, 0}, 2, 5),
+		"empty lists":       fact([]int{0, 2, 1}, 0, 2, 0, 0, 3, 0),
+		"factorised empty":  fact([]int{0, 1, 2}),
+		"all lists empty":   fact([]int{0, 1, 2}, 0, 0),
+		"factorised 1 row":  fact([]int{2, 1, 0}, 1),
+		"factorised 100k":   fact([]int{3, 0, 2, 1}, 60_000, 0, 1, 39_999),
+		"many short blocks": fact([]int{1, 0}, make([]int, 3000)...),
+	}
+	for i, list := range cases["many short blocks"].rows.Exp {
+		cases["many short blocks"].rows.Exp[i] = append(list, graph.NodeID(i), graph.NodeID(i+1))
+		cases["many short blocks"].rows.N += 2
+	}
+	meta := &Result{
+		Cols: []string{"a\"b", "<c>", "é"}, rows: plainResult([]int{0, 1, 2}, 2), nodes: identityNodes(3),
+		Truncated: true, PlanCached: true, Elapsed: 1234567891 * time.Microsecond,
+	}
+	cases["escapes and flags"] = meta
+	cases["tiny elapsed"] = &Result{Cols: nil, rows: plainResult([]int{0}, 1), nodes: identityNodes(1), Elapsed: 100 * time.Nanosecond}
+	return cases
+}
+
+// TestQueryResponseEncoding: the encoder must write, straight from the
+// executor's result, exactly what encoding/json writes for the same
+// response with its rows written out — so no client can tell the two apart
+// — for plain results and for factorised ones wherever the expanded column
+// lands, also when the pooled buffer comes back from an earlier response.
 func TestQueryResponseEncoding(t *testing.T) {
-	big := make([][]graph.NodeID, 100_000)
-	arena := make([]graph.NodeID, 3*len(big))
-	for i := range big {
-		row := arena[3*i : 3*i+3 : 3*i+3]
-		row[0], row[1], row[2] = graph.NodeID(i), graph.NodeID(i*7919%1_000_003), graph.NodeID(2147483647-i)
-		big[i] = row
-	}
-	cases := map[string]QueryResponse{
-		"empty":     {Cols: []string{"A", "B"}, Rows: [][]graph.NodeID{}, ElapsedMS: 0.004},
-		"one row":   {Cols: []string{"person"}, Rows: [][]graph.NodeID{{42}}, RowCount: 1, PlanCached: true, ElapsedMS: 12},
-		"truncated": {Cols: []string{"a\"b", "<c>", "é"}, Rows: [][]graph.NodeID{{1, 2, 3}, {4, 5, 6}}, RowCount: 2, Truncated: true, ElapsedMS: 1e-7},
-		"nil rows":  {Cols: nil, Rows: nil, ElapsedMS: 1234567.891},
-		"nil row":   {Cols: []string{"A"}, Rows: [][]graph.NodeID{nil, {}, {-1}}, RowCount: 3},
-		"100k rows": {Cols: []string{"A", "B", "C"}, Rows: big, RowCount: len(big), ElapsedMS: 87.125},
-	}
-	for name, resp := range cases {
-		want, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendQueryResponse(nil, &resp); !bytes.Equal(got, want) {
-			t.Errorf("%s: encoder and json.Marshal disagree (%d vs %d bytes)\n got %.200s\nwant %.200s", name, len(got), len(want), got, want)
-		}
-		// The HTTP body is that plus the newline json.Encoder always wrote,
-		// also when the pooled buffer comes back from an earlier response.
+	for name, res := range encodingCases() {
+		want := wantBody(t, res)
 		for range 2 {
 			rec := httptest.NewRecorder()
-			writeQueryResponse(rec, &resp)
-			if body := rec.Body.Bytes(); !bytes.Equal(body, append(want[:len(want):len(want)], '\n')) {
-				t.Errorf("%s: HTTP body differs from json.Marshal + newline (%d vs %d bytes)", name, len(body), len(want)+1)
+			n, err := writeQueryResponse(rec, res)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if body := rec.Body.Bytes(); !bytes.Equal(body, want) {
+				t.Errorf("%s: HTTP body differs from json.Marshal + newline (%d vs %d bytes)\n got %.200s\nwant %.200s",
+					name, len(body), len(want), body, want)
+			}
+			if n != int64(len(want)) {
+				t.Errorf("%s: reported %d bytes, wrote %d", name, n, len(want))
 			}
 			if ct := rec.Header().Get("Content-Type"); ct != "application/json" || rec.Code != 200 {
 				t.Errorf("%s: status %d content type %q", name, rec.Code, ct)
 			}
 		}
+	}
+}
+
+// countingWriter records how the body arrived.
+type countingWriter struct {
+	bytes.Buffer
+	writes, largest int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	c.largest = max(c.largest, len(p))
+	return c.Buffer.Write(p)
+}
+
+// TestEncodeBufferBounded: with the buffer cap far below the body's size
+// the encoder writes the body out in pieces — the same bytes — and its
+// buffer never grows past the cap plus one row.
+func TestEncodeBufferBounded(t *testing.T) {
+	const bufCap = 4096
+	for name, res := range encodingCases() {
+		want := wantBody(t, res)
+		src, err := res.rows.Order(res.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &encoder{max: bufCap}
+		for range 2 {
+			var w countingWriter
+			e.w, e.n, e.err = &w, 0, nil
+			e.response(res, src)
+			if !bytes.Equal(w.Bytes(), want) {
+				t.Fatalf("%s: body written in %d pieces differs from the single-buffer body (%d vs %d bytes)",
+					name, w.writes, w.Len(), len(want))
+			}
+			rowMax := 12*len(src) + 3
+			if cap(e.buf) > bufCap+rowMax || w.largest > bufCap {
+				t.Fatalf("%s: buffer capacity %d, largest write %d, cap %d", name, cap(e.buf), w.largest, bufCap)
+			}
+			if len(want) > 2*bufCap && w.writes < len(want)/bufCap {
+				t.Fatalf("%s: %d bytes arrived in %d writes", name, len(want), w.writes)
+			}
+			if e.n != int64(len(want)) {
+				t.Fatalf("%s: counted %d bytes of %d", name, e.n, len(want))
+			}
+		}
+	}
+}
+
+// failingWriter accepts limit bytes and then fails.
+type failingWriter struct{ limit, writes int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.limit -= len(p); f.limit < 0 {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
+
+// TestEncodeStopsOnWriteError: once a write fails the rest of the result
+// is not formatted.
+func TestEncodeStopsOnWriteError(t *testing.T) {
+	res := encodingCases()["factorised 100k"]
+	src, _ := res.rows.Order(res.nodes)
+	w := &failingWriter{limit: 10_000}
+	e := &encoder{w: w, max: 4096}
+	e.response(res, src)
+	if e.err != io.ErrClosedPipe || w.writes != 3 {
+		t.Fatalf("err %v after %d writes, want the pipe error on the third", e.err, w.writes)
+	}
+}
+
+// TestEncodeAfterEpochRetired: a query's result holds the partner lists it
+// loaded, not the epoch. Take a factorised result (its epoch is released
+// when run returns), publish insert and delete batches that touch the
+// partner table it read — the successor's table restarts and the old epoch
+// retires — and only then encode: the bytes are those encoded before the
+// writes.
+func TestEncodeAfterEpochRetired(t *testing.T) {
+	db, err := gdb.Build(testGraph(1, 60), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := New(db, Config{})
+	ctx := context.Background()
+
+	var res *Result
+	for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
+		r, err := s.run(ctx, pattern.MustParse("A->B; B->C"), algo, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.rows.Exp != nil && r.rows.N > 0 {
+			res = r
+			break
+		}
+	}
+	if res == nil {
+		t.Fatal("no planner ended A->B; B->C on a Fetch: nothing factorised to test")
+	}
+	encode := func() []byte {
+		rec := httptest.NewRecorder()
+		if _, err := writeQueryResponse(rec, res); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Body.Bytes()
+	}
+	before := encode()
+
+	// B and C nodes the result joins, and an A node: the new B→C and A→B
+	// edges change W rows and subclusters of every table the plan read.
+	g := db.Graph()
+	var a, b, c graph.NodeID
+	for v := graph.NodeID(g.NumNodes() - 1); v >= 0; v-- {
+		switch g.LabelNameOf(v) {
+		case "A":
+			a = v
+		case "B":
+			b = v
+		case "C":
+			c = v
+		}
+	}
+	epoch := s.Stats().CurrentEpoch
+	edges := [][2]graph.NodeID{{b, c}, {a, b}, {a, c}}
+	if ir, err := s.InsertEdges(ctx, edges); err != nil || ir.Applied == 0 {
+		t.Fatalf("insert: %+v %v", ir, err)
+	}
+	if dr, err := s.DeleteEdges(ctx, edges); err != nil || dr.Applied == 0 {
+		t.Fatalf("delete: %+v %v", dr, err)
+	}
+	// A query on the new epoch refills the restarted tables.
+	if _, err := s.Query(ctx, "A->B; B->C", "dp"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CurrentEpoch < epoch+2 || st.PinnedEpochs != 1 || st.SnapshotsRetired != st.CurrentEpoch {
+		t.Fatalf("the result's epoch did not retire: %+v", st)
+	}
+	if after := encode(); !bytes.Equal(after, before) {
+		t.Fatalf("body changed after its epoch retired (%d vs %d bytes)", len(after), len(before))
+	}
+}
+
+// TestServedBodyAndEncodeStats: over HTTP, every planner's answer is the
+// in-process answer (the same Result, written out instead of encoded), and
+// /stats response_bytes is exactly the bytes of the 200 bodies — an error
+// response adds nothing — with encode_ms moving too.
+func TestServedBodyAndEncodeStats(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var shipped int64
+	for _, algo := range []string{"dp", "dps", "dps-merged", "wcoj"} {
+		for _, q := range []string{"A->B", "A->B; B->C", "A->B; A->C; C->D", "A->B; B->C; C->A", "B->A"} {
+			for _, limit := range []int{0, 5} {
+				want, err := s.QueryOpts(context.Background(), q, algo, QueryOptions{Limit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				req, _ := json.Marshal(QueryRequest{Pattern: q, Algorithm: algo, Limit: limit})
+				resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader(req))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 {
+					t.Fatalf("%s %s: %d %v", algo, q, resp.StatusCode, err)
+				}
+				shipped += int64(len(body))
+				var got QueryResponse
+				if err := json.Unmarshal(body, &got); err != nil {
+					t.Fatal(err)
+				}
+				if got.RowCount != len(want.Rows) || got.Truncated != want.Truncated || !slices.Equal(got.Cols, want.Cols) ||
+					!slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]graph.NodeID]) {
+					t.Fatalf("%s %s limit=%d: HTTP answer (%d rows, truncated=%v) differs from in-process (%d rows, truncated=%v)",
+						algo, q, limit, got.RowCount, got.Truncated, len(want.Rows), want.Truncated)
+				}
+			}
+		}
+	}
+	resp, err := ts.Client().Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{"pattern": "A->"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := s.Stats(); st.ResponseBytes != shipped || st.EncodeMs <= 0 || resp.StatusCode != 400 {
+		t.Fatalf("response_bytes %d for %d body bytes, encode_ms %v", st.ResponseBytes, shipped, st.EncodeMs)
+	}
+}
+
+// BenchmarkEncodeResult times the row encoder into a warm buffer: a
+// site->name-shaped factorised result (few prefix rows, long lists) and a
+// 4-column plain one of the same size. It fails if encoding allocates.
+func BenchmarkEncodeResult(b *testing.B) {
+	lens := make([]int, 95)
+	for i := range lens {
+		lens[i] = 540
+	}
+	fact := factorisedResult([]int{0, 1}, lens...)
+	for _, bc := range []struct {
+		name string
+		r    *rjoin.Result
+	}{
+		{"factorised", fact},
+		{"plain4", plainResult([]int{2, 0, 3, 1}, fact.N)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			src, err := bc.r.Order(identityNodes(len(bc.r.Cols)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := &encoder{w: io.Discard, max: maxPooledResponse}
+			e.rows(bc.r, src)
+			size := len(e.buf)
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.buf = e.buf[:0]
+				e.rows(bc.r, src)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.r.N), "ns/row")
+			if allocs := testing.AllocsPerRun(10, func() { e.buf = e.buf[:0]; e.rows(bc.r, src) }); allocs != 0 {
+				b.Fatalf("encoding into a warm buffer allocates %.0f times per run", allocs)
+			}
+		})
 	}
 }

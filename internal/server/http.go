@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"slices"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"fastmatch/internal/gdb"
@@ -21,7 +18,8 @@ import (
 type QueryRequest struct {
 	// Pattern is the query, e.g. "A->B; B->C".
 	Pattern string `json:"pattern"`
-	// Algorithm selects the planner: "dp", "dps" (default), "dps-merged".
+	// Algorithm selects the planner: "dp", "dps" (default), "dps-merged",
+	// "wcoj".
 	Algorithm string `json:"algorithm,omitempty"`
 	// TimeoutMS bounds the query's server-side execution in milliseconds.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -31,7 +29,9 @@ type QueryRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-// QueryResponse is the JSON body answering POST /query.
+// QueryResponse is the JSON body answering POST /query. The handler does
+// not build one: it formats the same bytes from the executor's result
+// (writeQueryResponse); the type is what clients decode into.
 type QueryResponse struct {
 	Cols       []string         `json:"cols"`
 	Rows       [][]graph.NodeID `json:"rows"`
@@ -133,23 +133,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := s.QueryOpts(ctx, req.Pattern, req.Algorithm, QueryOptions{Limit: req.Limit})
+	p, algo, err := s.parse(req.Pattern, req.Algorithm)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	resp := QueryResponse{
-		Cols:       res.Cols,
-		Rows:       res.Rows,
-		RowCount:   len(res.Rows),
-		Truncated:  res.Truncated,
-		PlanCached: res.PlanCached,
-		ElapsedMS:  float64(res.Elapsed.Microseconds()) / 1000,
+	res, err := s.run(ctx, p, algo, QueryOptions{Limit: req.Limit})
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
 	}
-	if resp.Rows == nil {
-		resp.Rows = [][]graph.NodeID{}
-	}
-	writeQueryResponse(w, &resp)
+	// The slot and the epoch are already released: encoding and writing a
+	// large body must not hold either.
+	start := time.Now()
+	n, _ := writeQueryResponse(w, res) // a failed write is a client that went away
+	s.met.recordEncode(time.Since(start), n)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -194,81 +192,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// maxPooledResponse is the largest encode buffer kept for reuse; a rare
-// huge result must not pin its buffer under steady small traffic.
-const maxPooledResponse = 32 << 20
-
-var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeQueryResponse writes a 200 QueryResponse. The rows array — all of
-// a large response — is formatted with strconv into a pooled buffer
-// instead of being walked by encoding/json's reflection.
-func writeQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
-	bp := responseBufs.Get().(*[]byte)
-	buf := append(appendQueryResponse((*bp)[:0], resp), '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf)
-	if cap(buf) <= maxPooledResponse {
-		*bp = buf
-		responseBufs.Put(bp)
-	}
-}
-
-// appendQueryResponse appends exactly the bytes json.Marshal(resp) yields.
-func appendQueryResponse(buf []byte, resp *QueryResponse) []byte {
-	width := 0
-	if len(resp.Rows) > 0 {
-		width = len(resp.Rows[0])
-	}
-	// Node IDs average under 7 digits on the graphs this serves; one
-	// reservation that is about right beats doubling through a large result.
-	buf = slices.Grow(buf, 128+len(resp.Rows)*(8*width+3))
-	buf = append(buf, `{"cols":`...)
-	buf = appendJSON(buf, resp.Cols)
-	buf = append(buf, `,"rows":`...)
-	if resp.Rows == nil {
-		buf = append(buf, "null"...)
-	} else {
-		buf = append(buf, '[')
-		for i, row := range resp.Rows {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if row == nil {
-				buf = append(buf, "null"...)
-				continue
-			}
-			buf = append(buf, '[')
-			for j, v := range row {
-				if j > 0 {
-					buf = append(buf, ',')
-				}
-				buf = strconv.AppendInt(buf, int64(v), 10)
-			}
-			buf = append(buf, ']')
-		}
-		buf = append(buf, ']')
-	}
-	buf = append(buf, `,"row_count":`...)
-	buf = strconv.AppendInt(buf, int64(resp.RowCount), 10)
-	if resp.Truncated {
-		buf = append(buf, `,"truncated":true`...)
-	}
-	buf = append(buf, `,"plan_cached":`...)
-	buf = strconv.AppendBool(buf, resp.PlanCached)
-	buf = append(buf, `,"elapsed_ms":`...)
-	buf = appendJSON(buf, resp.ElapsedMS)
-	return append(buf, '}')
-}
-
-// appendJSON appends encoding/json's rendering of a value that cannot fail
-// to marshal (strings, finite floats).
-func appendJSON(buf []byte, v any) []byte {
-	b, _ := json.Marshal(v)
-	return append(buf, b...)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

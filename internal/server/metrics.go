@@ -54,9 +54,9 @@ type metrics struct {
 	operatorOps   atomic.Int64 // operator executions
 	parallelOps   atomic.Int64 // operators that split across >1 worker
 	operatorTasks atomic.Int64 // partition tasks executed
-	centerHits    atomic.Int64 // center-set memo hits
-	centerMisses  atomic.Int64 // center-set memo misses
-	memoHits      atomic.Int64 // decoded-memo hits (subclusters + center sets)
+	centerHits    atomic.Int64 // partner-slot hits
+	centerMisses  atomic.Int64 // partner-slot fills
+	memoHits      atomic.Int64 // decoded-memo hits (subclusters + partner slots)
 	memoMisses    atomic.Int64 // decoded-memo misses
 
 	// Worst-case-optimal multiway join (leapfrog) observability.
@@ -74,7 +74,18 @@ type metrics struct {
 	tier2LatencyUS atomic.Int64
 	tier3LatencyUS atomic.Int64
 
+	// Result shipping (POST /query's encode + write, after the query's own
+	// latency is recorded).
+	encodeNS      atomic.Int64
+	responseBytes atomic.Int64
+
 	latency [latencyBuckets]atomic.Int64
+}
+
+// recordEncode adds one response's encode-and-write time and body size.
+func (m *metrics) recordEncode(d time.Duration, bytes int64) {
+	m.encodeNS.Add(int64(d))
+	m.responseBytes.Add(bytes)
 }
 
 // recordRuntime folds one query's operator-runtime counters into the
@@ -202,9 +213,11 @@ type Stats struct {
 	BudgetKills int64 `json:"budget_kills"`
 	// TruncatedQueries counts results cut at a pushed-down row limit.
 	TruncatedQueries int64 `json:"truncated_queries"`
-	// IntermediateBytes is the cumulative intermediate-result allocation
-	// across queries; PeakIntermediateBytes/Rows are the largest a single
-	// query charged (high-water marks, including killed queries).
+	// IntermediateBytes is the cumulative size of the rows queries'
+	// operators produced (4 bytes per cell), whether they were written out
+	// or, like a plan's last expansion, handed to the encoder factorised;
+	// PeakIntermediateBytes/Rows are the largest a single query charged
+	// (high-water marks, including killed queries).
 	IntermediateBytes     int64 `json:"intermediate_bytes"`
 	PeakIntermediateBytes int64 `json:"peak_intermediate_bytes"`
 	PeakIntermediateRows  int64 `json:"peak_intermediate_rows"`
@@ -308,9 +321,14 @@ type Stats struct {
 	FastpathTier2LatencyMs float64 `json:"fastpath_tier2_latency_ms"`
 	Tier3LatencyMs         float64 `json:"tier3_latency_ms"`
 	// P50ms and P99ms are approximate latency quantiles in milliseconds
-	// (histogram-bucketed; 0 when no queries completed).
-	P50ms float64 `json:"p50_ms"`
-	P99ms float64 `json:"p99_ms"`
+	// (histogram-bucketed; 0 when no queries completed). Like every latency
+	// here and a response's elapsed_ms they stop when the query's result is
+	// resolved; EncodeMs is the cumulative time POST /query then spent
+	// encoding and writing response bodies, ResponseBytes their total size.
+	P50ms         float64 `json:"p50_ms"`
+	P99ms         float64 `json:"p99_ms"`
+	EncodeMs      float64 `json:"encode_ms"`
+	ResponseBytes int64   `json:"response_bytes"`
 	// IO is the database buffer pool's accumulated counters.
 	IO storage.IOStats `json:"io"`
 	// ReachBackend is the reachability-index backend the database's graph
@@ -366,6 +384,8 @@ func (s *Server) Stats() Stats {
 		FastpathTier1LatencyMs: float64(s.met.tier1LatencyUS.Load()) / 1000,
 		FastpathTier2LatencyMs: float64(s.met.tier2LatencyUS.Load()) / 1000,
 		Tier3LatencyMs:         float64(s.met.tier3LatencyUS.Load()) / 1000,
+		EncodeMs:               float64(s.met.encodeNS.Load()) / 1e6,
+		ResponseBytes:          s.met.responseBytes.Load(),
 		UptimeSeconds:          time.Since(s.start).Seconds(),
 	}
 	if st.OperatorOps > 0 {

@@ -3,10 +3,10 @@
 // queue timeout), a plan cache keyed by canonical pattern form and
 // validated against each pinned epoch's statistics, per-server metrics,
 // and an HTTP front-end. The paper's engine is single-threaded; the
-// storage and database layers were made safe for parallel readers (sharded
-// buffer-pool and code-cache locks, per-query scratch heaps), so N queries
-// execute simultaneously with no global engine mutex — this package adds
-// the serving policy on top.
+// storage and database layers were made safe for parallel readers (a
+// sharded buffer pool, lock-free per-epoch partner tables and graph codes),
+// so N queries execute simultaneously with no global engine mutex — this
+// package adds the serving policy on top.
 //
 // Reads and writes never block each other: each query pins one immutable
 // snapshot epoch (gdb.DB.Pin) for its whole plan+execute lifetime, and
@@ -130,13 +130,23 @@ type Result struct {
 	// Truncated reports that Rows was cut at the request's row limit; the
 	// rows beyond it were never materialised.
 	Truncated bool
-	// IntermediateBytes is the intermediate-result allocation the query
-	// charged against its budget; PeakRows the largest temporal table it
-	// held.
+	// IntermediateBytes is what the query charged against its budget: the
+	// logical size of every row its operators produced, written out or not
+	// (the last expansion never is); PeakRows the largest temporal table it
+	// held, counted the same way.
 	IntermediateBytes int64
 	PeakRows          int64
 	// Elapsed is the server-side latency (queueing + planning + execution).
+	// It stops before the result is shipped: writing Rows out here, or
+	// encoding the HTTP response (/stats encode_ms).
 	Elapsed time.Duration
+
+	// rows is the executor's result, its last expansion still factorised,
+	// and nodes the pattern-node order Cols reports it in. Rows is written
+	// out from them for in-process callers; the HTTP handler encodes them
+	// directly and leaves Rows nil.
+	rows  *rjoin.Result
+	nodes []int
 }
 
 // QueryOptions carries per-request execution options.
@@ -199,7 +209,7 @@ func (s *Server) DB() *gdb.DB { return s.db }
 func (s *Server) Config() Config { return s.cfg }
 
 // Query parses and evaluates a pattern. algo is a planner name ("dp",
-// "dps", "dps-merged"); empty selects the configured default.
+// "dps", "dps-merged", "wcoj"); empty selects the configured default.
 func (s *Server) Query(ctx context.Context, patternText, algo string) (*Result, error) {
 	return s.QueryOpts(ctx, patternText, algo, QueryOptions{})
 }
@@ -207,17 +217,26 @@ func (s *Server) Query(ctx context.Context, patternText, algo string) (*Result, 
 // QueryOpts is Query with per-request options (e.g. a pushed-down row
 // limit).
 func (s *Server) QueryOpts(ctx context.Context, patternText, algo string, opts QueryOptions) (*Result, error) {
+	p, a, err := s.parse(patternText, algo)
+	if err != nil {
+		return nil, err
+	}
+	return s.QueryPatternOpts(ctx, p, a, opts)
+}
+
+// parse resolves a request's pattern text and planner name.
+func (s *Server) parse(patternText, algo string) (*pattern.Pattern, exec.Algorithm, error) {
 	p, err := pattern.Parse(patternText)
 	if err != nil {
-		return nil, badQuery(err)
+		return nil, 0, badQuery(err)
 	}
 	a := s.cfg.DefaultAlgorithm
 	if algo != "" {
 		if a, err = exec.ParseAlgorithm(algo); err != nil {
-			return nil, badQuery(err)
+			return nil, 0, badQuery(err)
 		}
 	}
-	return s.QueryPatternOpts(ctx, p, a, opts)
+	return p, a, nil
 }
 
 // QueryPattern evaluates a parsed pattern under admission control: the
@@ -233,6 +252,23 @@ func (s *Server) QueryPattern(ctx context.Context, p *pattern.Pattern, algo exec
 // server's intermediate-table caps; budget kills surface as the typed
 // rjoin.ErrRowLimit / rjoin.ErrBudgetExceeded.
 func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo exec.Algorithm, opts QueryOptions) (*Result, error) {
+	res, err := s.run(ctx, p, algo, opts)
+	if err != nil {
+		return nil, err
+	}
+	t, err := res.rows.Table(res.nodes)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = t.Rows
+	return res, nil
+}
+
+// run evaluates a parsed pattern and returns its answer with the rows as
+// the executor produced them (Result.rows), for the caller to write out or
+// encode. The execution slot and the epoch are released on return; what the
+// result holds outlives both (see rjoin.Result).
+func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorithm, opts QueryOptions) (*Result, error) {
 	if s.db.Closed() {
 		return nil, gdb.ErrClosed
 	}
@@ -263,7 +299,7 @@ func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo 
 	}
 	// One operator runtime per query: the worker-pool degree and the
 	// counters that feed the server metrics; the budget governs what the
-	// query may materialise.
+	// query may produce.
 	rt := rjoin.NewRuntime(s.cfg.QueryParallelism)
 	bdg := &rjoin.Budget{
 		ResultRows:   opts.Limit,
@@ -273,7 +309,7 @@ func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo 
 	if len(plan.Steps) > 0 && plan.Steps[0].Kind == optimizer.StepWCOJ {
 		s.met.wcojQueries.Add(1)
 	}
-	t, err := exec.RunSnapConfig(ctx, snap, plan, exec.RunConfig{Runtime: rt, Budget: bdg})
+	rows, _, err := exec.Run(ctx, snap, plan, false, exec.RunConfig{Runtime: rt, Budget: bdg})
 	s.met.recordRuntime(rt.Stats())
 	s.met.recordBudget(bdg)
 	if err != nil {
@@ -281,19 +317,24 @@ func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo 
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	s.met.recordQuery(elapsed, len(t.Rows), cached)
+	s.met.recordQuery(elapsed, rows.N, cached)
 	s.met.recordTier(plan.Tier(), elapsed)
 	// Column labels come from the plan's own pattern: a cache hit may have
 	// been planned for an equivalent pattern whose nodes were declared in
 	// a different order.
+	nodes := make([]int, len(plan.Binding.Pattern.Nodes))
+	for i := range nodes {
+		nodes[i] = i
+	}
 	return &Result{
 		Cols:              append([]string(nil), plan.Binding.Pattern.Nodes...),
-		Rows:              t.Rows,
 		PlanCached:        cached,
 		Truncated:         bdg.Truncated(),
 		IntermediateBytes: bdg.Bytes(),
 		PeakRows:          bdg.PeakRows(),
 		Elapsed:           elapsed,
+		rows:              rows,
+		nodes:             nodes,
 	}, nil
 }
 
