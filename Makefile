@@ -4,12 +4,14 @@ GO ?= go
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels, the two per-row index reads (partner slot, reachability test),
-# the parallel operator suite and the response encoder (ns per row from a
-# factorised and from a plain result) — the hot paths a perf PR must not
-# regress — plus the two open strategy questions (binary vs
+# the parallel operator suite, a Fetch with the filters on its new node
+# fused against the step-by-step pipeline (ns per input row) and the
+# response encoder (ns per row from a factorised and from a plain result)
+# — the hot paths a perf PR must not regress — plus the two open strategy
+# questions (binary vs
 # worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperatorParallel|BenchmarkFilterFetch|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperatorParallel|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -26,10 +28,11 @@ test-short:
 # the differential edge-insert harness and the 2-hop delta invariants get
 # fresh random sequences on every verify run, not just the checked-in
 # seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last
-# three lines run benchmarks once for the checks they carry: the strategy
+# four lines run benchmarks once for the checks they carry: the strategy
 # benchmarks' cross-variant row counts (they replace harnesses that had
-# their own, and must not rot), the read path's allocation-free hit path
-# and the response encoder's allocation-free warm buffer.
+# their own, and must not rot), the read path's allocation-free hit path,
+# the fused Fetch's row count against the step-by-step pipeline's and the
+# response encoder's allocation-free warm buffer.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -41,6 +44,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
 	$(GO) test -run XXX -bench 'BenchmarkCyclicPlans|BenchmarkReachBackends' -benchtime 1x ./internal/exec
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
+	$(GO) test -run XXX -bench BenchmarkFetchFilters -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 
 # test-cover enforces a per-package statement-coverage floor on the
@@ -99,11 +103,13 @@ bench-served-trace:
 	$(GO) run ./benchmark --workload read_fastpath --trace 1
 
 # bench-served-pair is the paired comparison a performance claim needs:
-#   make bench-served-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+#   make bench-served-pair BASE=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10]
 # builds ./benchmark at BASE (exported to a temporary directory) and at the
-# working tree, runs WORKLOAD untraced for 15 s with seeds 1..PAIRS,
-# alternating which side goes first, and prints per end-to-end metric each
-# side's median and quartiles and how many pairs the working tree won.
+# working tree, runs each WORKLOAD untraced for 15 s with seeds 1..PAIRS,
+# alternating which side goes first, and prints one block per workload:
+# per end-to-end metric each side's median and quartiles and how many pairs
+# the working tree won. A comma-separated list makes a "must not move"
+# table one command.
 PAIRS ?= 10
 bench-served-pair:
 	$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS)

@@ -126,8 +126,14 @@ func run() error {
 		}
 		fmt.Print(plan)
 		for i, tr := range traces {
-			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d workers=%-2d chits=%-6d %.2fms",
-				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.Workers, tr.CenterCacheHits, tr.ElapsedMS)
+			// A step the Fetch before it absorbed ran as intersections of
+			// that Fetch's partner lists: its time is on the Fetch's line.
+			elapsed := fmt.Sprintf("%.2fms", tr.ElapsedMS)
+			if tr.Fused {
+				elapsed = "fused"
+			}
+			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d workers=%-2d chits=%-6d %s",
+				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.Workers, tr.CenterCacheHits, elapsed)
 			if tr.Seeks > 0 || tr.IterNexts > 0 {
 				fmt.Printf(" seeks=%d nexts=%d", tr.Seeks, tr.IterNexts)
 			}

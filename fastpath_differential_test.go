@@ -213,9 +213,16 @@ func TestFastPathTierClassification(t *testing.T) {
 // a column order that is not the identity equals the reference plan's
 // hash-dedup Project into that order, rows and order. Run under -race this
 // also exercises concurrent partitions filling the epoch memos.
+//
+// The batteries must reach the fused operator — a Fetch running the
+// Selections and R-semijoin groups on the node it binds as intersections of
+// its partner lists (rjoin.FetchFiltered) — under the served planner, and a
+// reference plan must never take it: it is the step-by-step pipeline the
+// fused one is held against.
 func TestFastPathDifferential(t *testing.T) {
 	tiers := map[int]bool{}
 	factorised := 0
+	fused := map[exec.Algorithm]int64{}
 	ctx := context.Background()
 	for _, dc := range differentialCases() {
 		db, err := gdb.Build(dc.g, gdb.Options{})
@@ -238,7 +245,8 @@ func TestFastPathDifferential(t *testing.T) {
 
 					rev := slices.Clone(got.Cols)
 					slices.Reverse(rev)
-					want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: workers})
+					rtRef, rtDef := rjoin.NewRuntime(workers), rjoin.NewRuntime(workers)
+					want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Runtime: rtRef})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -246,13 +254,17 @@ func TestFastPathDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Workers: workers})
+					res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Runtime: rtDef})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if res.Exp != nil {
 						factorised++
 					}
+					if n := rtRef.Stats().FusedFilters; n != 0 {
+						t.Fatalf("%s: the reference plan fused %d steps", what, n)
+					}
+					fused[algo] += rtDef.Stats().FusedFilters
 					written, err := res.Table(rev)
 					if err != nil {
 						t.Fatal(err)
@@ -274,16 +286,22 @@ func TestFastPathDifferential(t *testing.T) {
 	if factorised == 0 {
 		t.Fatal("no plan ended on a Fetch: the factorised result was never exercised")
 	}
+	if fused[exec.DPS] == 0 || fused[exec.DP] == 0 {
+		t.Fatalf("fused filters per planner %v: the batteries never reached the fused operator", fused)
+	}
 }
 
 // TestFactorisedLimits: a limit on a plan whose last expansion stays
-// factorised cuts inside one partner list. For every such plan of the
-// batteries, with the limit at 1, inside a list, exactly on a list boundary,
-// at N and at N+1, at worker degrees 1, 2 and 4, the rows are the unlimited
-// run's prefix, and Truncated, Bytes() and PeakRows() are the reference
-// plan's (runBoth).
+// factorised cuts inside one partner list — a shared one after a plain
+// Fetch, an intersected one the result owns after a Fetch that absorbed the
+// filters following it. For every such plan of the batteries, with the
+// limit at 1, inside a list, exactly on a list boundary, at N and at N+1,
+// at worker degrees 1, 2 and 4, the rows are the unlimited run's prefix, and
+// Truncated, Bytes() and PeakRows() are the reference plan's (runBoth),
+// whose Fetch ran unlimited and whose last filter took the limit.
 func TestFactorisedLimits(t *testing.T) {
 	ctx := context.Background()
+	fusedInside, fusedOnBoundary := 0, 0
 	for _, dc := range differentialCases()[2:] { // one random graph, and xmark
 		db, err := gdb.Build(dc.g, gdb.Options{})
 		if err != nil {
@@ -297,13 +315,16 @@ func TestFactorisedLimits(t *testing.T) {
 		for _, p := range dc.patterns {
 			for _, algo := range allPlanners {
 				def, ref := planPair(t, snap, p, algo)
-				res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Workers: 1})
+				res, traces, err := exec.Run(ctx, snap, def, true, exec.RunConfig{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.Exp == nil || res.N == 0 {
 					continue
 				}
+				// The plan's last step ran inside the Fetch before it: the
+				// lists are intersections the result owns.
+				fused := traces[len(traces)-1].Fused
 				full, err := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
@@ -324,10 +345,16 @@ func TestFactorisedLimits(t *testing.T) {
 				if in > 0 {
 					limits = append(limits, in)
 					inside++
+					if fused {
+						fusedInside++
+					}
 				}
 				if on > 0 {
 					limits = append(limits, on)
 					onBoundary++
+					if fused {
+						fusedOnBoundary++
+					}
 				}
 				for _, workers := range []int{1, 2, 4} {
 					for _, limit := range limits {
@@ -343,6 +370,9 @@ func TestFactorisedLimits(t *testing.T) {
 		if inside == 0 || onBoundary == 0 {
 			t.Fatalf("%s: %d limits inside a list and %d on a boundary — battery too small", dc.name, inside, onBoundary)
 		}
+	}
+	if fusedInside == 0 || fusedOnBoundary == 0 {
+		t.Fatalf("plans ending on a fused group: %d limits inside an intersected list and %d on a boundary — batteries too small", fusedInside, fusedOnBoundary)
 	}
 }
 

@@ -39,12 +39,23 @@ type StepTrace struct {
 	// Nonzero only for WCOJ steps (see rjoin.RuntimeStats).
 	Seeks     int64
 	IterNexts int64
+	// Fused marks a step that did not run as an operator of its own: a
+	// Selection or R-semijoin group on the node the preceding Fetch binds,
+	// which that Fetch applied to its partner lists (rjoin.FetchFiltered).
+	// Rows is still the exact count the step left; ElapsedMS, IO and the
+	// counters are zero, the group's being on the Fetch's entry — whose
+	// Rows is the Fetch's logical output, the rows it would have written
+	// had the filters run after it. Reference plans never fuse.
+	Fused bool
 	// Tier is the plan's descriptive shape label (see optimizer.Plan.Tier):
 	// 1 = index-only shape, 2 = fan-signature prefilter (impossible
-	// pattern), 3 = general pipeline. Tiers 1 and 3 execute identically.
+	// pattern), 3 = general pipeline. Tiers 1 and 3 execute identically:
+	// on either, a Selection or R-semijoin group directly after the Fetch
+	// that binds its node is absorbed by that Fetch (see Fused), and every
+	// other step runs as its own operator.
 	Tier int
 	// FastIndex names the index structure a tier-1/2 answer is read from
-	// (empty on tier 3).
+	// (empty on tier 3). It labels the plan, so a fused entry repeats it.
 	FastIndex string
 }
 
@@ -150,10 +161,14 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	// every other step leaves a table.
 	var res *rjoin.Result
 	last := len(plan.Steps) - 1
-	for si, s := range plan.Steps {
+	for si := 0; si < len(plan.Steps); si++ {
+		s := plan.Steps[si]
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
+		// end is the last plan step this iteration executes: si itself, or —
+		// when a Fetch absorbs the filters that follow it — the last of them.
+		end := si
 		// Limit pushdown: the plan's final operator stops producing once
 		// the result-row limit is exceeded and truncates its merged
 		// output, so rows past the limit are never materialised. For a
@@ -161,22 +176,39 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		// truncating the filtered input would drop rows the Fetch still
 		// needs.
 		pushLimit := func() {
-			if si == last && bdg != nil && bdg.ResultRows > 0 {
+			if end == last && bdg != nil && bdg.ResultRows > 0 {
 				rt.PushLimit(bdg.ResultRows)
 			}
 		}
-		// The last expansion is handed up as the operator resolved it, not
-		// written out. A reference plan writes every step out: its spill
-		// and hash-dedup projection are what the paper's executor does and
-		// what the differential tests hold the factorised result against.
+		// counts, after a Fetch, holds its logical row count and the count
+		// after each step it absorbed.
+		var counts []int
+		// A Fetch takes over the filters that follow it on the node it binds
+		// (absorbed), and the group that ends the plan hands its expansion up
+		// as the operator resolved it, not written out. A reference plan
+		// writes every step out and runs every step on its own: its spill and
+		// hash-dedup projection are what the paper's executor does and what
+		// the differential tests hold the fused, factorised result against.
 		fetch := func() (err error) {
-			pushLimit()
-			if si == last && !plan.Reference {
-				res, err = rt.FetchResult(ctx, db, t, b.Conds[s.Edges[0]])
-			} else {
-				t, err = rt.Fetch(ctx, db, t, b.Conds[s.Edges[0]])
+			cond := b.Conds[s.Edges[0]]
+			if plan.Reference {
+				pushLimit()
+				t, err = rt.Fetch(ctx, db, t, cond)
+				return err
 			}
-			return err
+			filters := absorbed(plan, si, t, cond)
+			end = si + len(filters)
+			pushLimit()
+			var r *rjoin.Result
+			if r, counts, err = rt.FetchFiltered(ctx, db, t, cond, filters, end == last); err != nil {
+				return err
+			}
+			if end == last {
+				res = r
+			} else {
+				t = &rjoin.Table{Cols: r.Cols, Rows: r.Rows}
+			}
+			return nil
 		}
 		stepStart := time.Now()
 		ioBefore := db.IOStats().Logical()
@@ -193,12 +225,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			if t != nil {
 				return nil, nil, fmt.Errorf("exec: step %d: WCOJ mid-plan", si+1)
 			}
-			conds := make([]rjoin.Cond, len(s.Edges))
-			for i, e := range s.Edges {
-				conds[i] = b.Conds[e]
-			}
 			pushLimit()
-			t, err = rt.WCOJ(ctx, db, conds, s.VarOrder)
+			t, err = rt.WCOJ(ctx, db, stepConds(b, s), s.VarOrder)
 		case optimizer.StepSemijoinGroup:
 			if t == nil {
 				t = extentTable(db.Graph(), b, s.Node)
@@ -206,12 +234,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 					return nil, nil, fmt.Errorf("exec: step %d (%v): %w", si+1, s.Kind, err)
 				}
 			}
-			conds := make([]rjoin.Cond, len(s.Edges))
-			for i, e := range s.Edges {
-				conds[i] = b.Conds[e]
-			}
 			pushLimit()
-			t, err = rt.FilterGroup(ctx, db, t, conds, s.Node, s.OutSide)
+			t, err = rt.FilterGroup(ctx, db, t, stepConds(b, s), s.Node, s.OutSide)
 		case optimizer.StepFetch:
 			t, err = requireTable(t, si)
 			if err == nil {
@@ -276,8 +300,22 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			if plan.Fast != nil {
 				st.FastIndex = plan.Fast.Index
 			}
+			// A Fetch that absorbed steps reports its logical output and
+			// carries the group's time; each absorbed step keeps its own
+			// entry with the row count it left (the last one's being the
+			// group's output, after any limit).
+			if end > si {
+				st.Rows, counts[end-si] = counts[0], rows
+			}
 			traces = append(traces, st)
+			for k := si + 1; k <= end; k++ {
+				traces = append(traces, StepTrace{
+					Step: plan.Steps[k], Rows: counts[k-si], Fused: true,
+					Workers: st.Workers, Tier: st.Tier, FastIndex: st.FastIndex,
+				})
+			}
 		}
+		si = end
 	}
 	if t == nil {
 		return nil, nil, fmt.Errorf("exec: empty plan")
@@ -341,6 +379,47 @@ func spill(scratch *storage.HeapFile, t *rjoin.Table) error {
 		return err
 	}
 	return t.DecodeRows(data)
+}
+
+// stepConds resolves a step's pattern edges to their conditions.
+func stepConds(b *optimizer.Binding, s optimizer.Step) []rjoin.Cond {
+	conds := make([]rjoin.Cond, len(s.Edges))
+	for i, e := range s.Edges {
+		conds[i] = b.Conds[e]
+	}
+	return conds
+}
+
+// absorbed returns the filters the Fetch of cond at step si takes over from
+// the plan: the maximal run of directly following steps that constrain only
+// the node it binds — a Selection with that node as one endpoint (the other
+// is bound, or the step would not be a Selection), an R-semijoin group on
+// it. Such a step reads nothing of the Fetch's output but the new column,
+// and its keep-test is membership in a sorted list, so the Fetch applies it
+// to its partner lists before any row exists (rjoin.FetchFiltered). The
+// steps stay in plan order, which is what lets the trace report the row
+// count each one left. A filter on an older column is not absorbed: it
+// would have to be evaluated per input row, which is the operator it
+// already is.
+func absorbed(plan *optimizer.Plan, si int, t *rjoin.Table, cond rjoin.Cond) []rjoin.NodeFilter {
+	newNode := cond.ToNode
+	if t.HasCol(newNode) {
+		newNode = cond.FromNode
+	}
+	b := plan.Binding
+	var filters []rjoin.NodeFilter
+	for _, s := range plan.Steps[si+1:] {
+		switch {
+		case s.Kind == optimizer.StepSelection &&
+			(b.Conds[s.Edges[0]].FromNode == newNode || b.Conds[s.Edges[0]].ToNode == newNode):
+			filters = append(filters, rjoin.NodeFilter{Conds: stepConds(b, s)})
+		case s.Kind == optimizer.StepSemijoinGroup && s.Node == newNode:
+			filters = append(filters, rjoin.NodeFilter{Conds: stepConds(b, s), Semijoin: true, OutSide: s.OutSide})
+		default:
+			return filters
+		}
+	}
+	return filters
 }
 
 func requireTable(t *rjoin.Table, si int) (*rjoin.Table, error) {

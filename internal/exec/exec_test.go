@@ -339,3 +339,68 @@ func TestParallelQueryAfterPoolShrink(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedStepTrace: a Fetch that absorbs the filters following it still
+// reports one trace entry per plan step, with the row counts the
+// step-by-step reference run reports — the Fetch its logical output, each
+// absorbed step what it left — the absorbed entries marked Fused with no
+// time or I/O of their own, and a pushed-down limit showing on the last
+// entry only. Reference plans never fuse.
+func TestFusedStepTrace(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 1500, Seed: 5}).Graph
+	snap := mustSnap(t, g)
+	ctx := context.Background()
+	fusedSteps := 0
+	for _, w := range append(workload.Graphs4B(), workload.Cyclic()...) {
+		for _, algo := range []Algorithm{DP, DPS} {
+			def, err := BuildPlanSnapConfig(snap, w.Pattern, algo, PlanConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := BuildPlanSnapConfig(snap, w.Pattern, algo, PlanConfig{NoFastPath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, limit := range []int{0, 3} {
+				_, got, err := Run(ctx, snap, def, true, RunConfig{Workers: 2, Budget: &rjoin.Budget{ResultRows: limit}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, want, err := Run(ctx, snap, ref, true, RunConfig{Workers: 2, Budget: &rjoin.Budget{ResultRows: limit}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(def.Steps) || len(want) != len(got) {
+					t.Fatalf("%v %v: %d / %d trace entries for %d steps", w.Pattern, algo, len(got), len(want), len(def.Steps))
+				}
+				for i := range got {
+					if want[i].Fused {
+						t.Fatalf("%v %v: reference step %d is marked fused", w.Pattern, algo, i+1)
+					}
+					if !reflect.DeepEqual(got[i].Step, def.Steps[i]) {
+						t.Fatalf("%v %v: entry %d traces %v, step is %v", w.Pattern, algo, i+1, got[i].Step, def.Steps[i])
+					}
+					// Under a limit only the last step is cut; an absorbed
+					// step before it may have stopped early.
+					if got[i].Rows != want[i].Rows && (limit == 0 || i == len(got)-1 || !got[i].Fused) {
+						t.Fatalf("%v %v limit=%d: step %d (%v) left %d rows, reference %d",
+							w.Pattern, algo, limit, i+1, got[i].Step.Kind, got[i].Rows, want[i].Rows)
+					}
+					if !got[i].Fused {
+						continue
+					}
+					fusedSteps++
+					if k := got[i].Step.Kind; k != optimizer.StepSelection && k != optimizer.StepSemijoinGroup {
+						t.Fatalf("%v %v: a %v step was absorbed", w.Pattern, algo, k)
+					}
+					if got[i].ElapsedMS != 0 || got[i].IO != 0 || got[i].CenterCacheHits != 0 {
+						t.Fatalf("%v %v: fused step %d carries its own time or I/O: %+v", w.Pattern, algo, i+1, got[i])
+					}
+				}
+			}
+		}
+	}
+	if fusedSteps == 0 {
+		t.Fatal("no plan of the graph and cyclic batteries absorbed a step")
+	}
+}

@@ -625,6 +625,15 @@ func Contains(s []graph.NodeID, v graph.NodeID) bool {
 // IntersectTo is Intersect writing into dst (reset to length zero), reusing
 // its capacity. The leapfrog multiway R-join calls it once per trie level
 // per binding, where a fresh allocation per intersection would dominate.
+//
+// dst may start where an input starts — IntersectTo(cur[:0], cur, other)
+// intersects cur in place, which is how a Fetch applies one filter after
+// another to a list it owns: in the merge and in the gallop branch alike,
+// and whichever of the two inputs is the shorter, the k-th match is written
+// at index k, no further than the entry of cur it was just read from and
+// behind everything still to be read or searched. No other overlap is
+// supported: dst must not share storage with the other input, nor start
+// inside either one.
 func IntersectTo(dst, a, b []graph.NodeID) []graph.NodeID {
 	dst = dst[:0]
 	if len(a) > len(b) {

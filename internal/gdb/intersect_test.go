@@ -226,6 +226,42 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 	})
 }
 
+// TestIntersectToInPlace pins the one overlap IntersectTo supports: a
+// destination that starts where an input starts, cur = IntersectTo(cur[:0],
+// cur, other), which is how a Fetch shrinks a list it owns by one filter
+// after another. Over random pairs — balanced, and skewed past gallopRatio
+// with cur as the short side and as the long one, so that the merge branch
+// and both roles in the gallop branch write over their own input — the
+// in-place result is Intersect's and the other input is untouched.
+func TestIntersectToInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 400; trial++ {
+		na, nb := 1+rng.Intn(40), 1+rng.Intn(40)
+		switch trial % 3 {
+		case 1:
+			nb = na * (gallopRatio + rng.Intn(gallopRatio))
+		case 2:
+			na = nb * (gallopRatio + rng.Intn(gallopRatio))
+		}
+		span := max(na, nb) * (1 + rng.Intn(3))
+		cur, other := sortedUnique(rng, na, span), sortedUnique(rng, nb, span)
+		want := Intersect(cur, other)
+		otherBefore := append([]graph.NodeID(nil), other...)
+		curLen := len(cur)
+
+		got := IntersectTo(cur[:0], cur, other)
+		if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+			t.Fatalf("trial %d (%d vs %d entries): in place %v, Intersect %v", trial, curLen, len(other), got, want)
+		}
+		if len(got) > 0 && &got[0] != &cur[0] {
+			t.Fatalf("trial %d: the result left the destination's storage", trial)
+		}
+		if !reflect.DeepEqual(other, otherBefore) {
+			t.Fatalf("trial %d: the other input was written", trial)
+		}
+	}
+}
+
 func ExampleIntersect() {
 	a := []graph.NodeID{1, 3, 5, 7}
 	b := []graph.NodeID{3, 4, 5, 6, 7, 8, 9, 10, 11, 12}

@@ -10,6 +10,7 @@ import (
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 	"fastmatch/internal/pattern"
+	"fastmatch/internal/xmark"
 )
 
 // TestDecodedMemoOverflowMidQuery shrinks the decoded memos' bound until
@@ -73,5 +74,77 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 	}
 	if _, _, resets := db.DecodedMemoStats(); resets < 10 {
 		t.Fatalf("memo reset only %d times; the bound hook did not bite", resets)
+	}
+}
+
+// TestDecodedMemoFusedSelectionTable: a Fetch that absorbs the Selection
+// closing a cycle opens one partner table more than the plan's own steps —
+// the Selection's, read from its bound endpoint. With the bound shrunk so
+// that table does not fit beside the Fetch's, opening it forgets every
+// table of the epoch, the Fetch's included, in the middle of the operator.
+// The lists a query loaded stay its own, so the fused query still returns
+// the reference rows, at one worker and at four.
+func TestDecodedMemoFusedSelectionTable(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 1500, Seed: 5}).Graph
+	db, err := gdb.Build(g, gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap, release := db.Pin()
+	defer release()
+	ctx := context.Background()
+
+	fused := 0
+	for _, ps := range []string{
+		"site->item; site->person; item->category; person->category",
+		"open_auction->person; person->category; open_auction->category",
+	} {
+		p := pattern.MustParse(ps)
+		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
+			ref, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Room for the largest single table's slots (two units per node of
+			// its bound label) and a few lists, never for two tables.
+			largest := 0
+			for _, name := range p.Nodes {
+				largest = max(largest, g.ExtentSize(g.Labels().Lookup(name)))
+			}
+			db.SetDecodedMemoBound(2*largest + 32)
+			for _, workers := range []int{1, 4} {
+				_, _, before := db.DecodedMemoStats()
+				res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{Workers: workers})
+				if err != nil {
+					t.Fatalf("%q %v workers=%d: %v", ps, algo, workers, err)
+				}
+				got, err := res.Table(want.Cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%q %v workers=%d: %d rows with the Selection's table evicting the Fetch's, reference has %d",
+						ps, algo, workers, got.Len(), want.Len())
+				}
+				if last := traces[len(traces)-1]; last.Fused && want.Len() > 0 {
+					fused++
+					if _, _, after := db.DecodedMemoStats(); after == before {
+						t.Fatalf("%q %v workers=%d: both tables fit a bound of %d units; the case proves nothing", ps, algo, workers, 2*largest+32)
+					}
+				}
+			}
+		}
+	}
+	if fused == 0 {
+		t.Fatal("no cyclic plan ended on a fused Selection with rows")
 	}
 }

@@ -27,7 +27,11 @@ var (
 // Accounting happens where rows are produced (Table.NewRow arena carving,
 // HPSJ's center cross-products, Fetch's per-row expansions) and counts their
 // logical size, 4 bytes per cell, whether the rows are written out or — the
-// plan's last expansion — left factorised in the Result; checks sit in the
+// plan's last expansion — left factorised in the Result. A Fetch that
+// absorbed the filters following it (FetchFiltered) is charged, and its
+// row counts are checked and noted, for its whole expansion — the rows it
+// would have written had the filters run after it — not for the survivors,
+// so a plan costs the same fused or step by step. Checks sit in the
 // operators' cancellation polls and at every partition-merge point, so one
 // partition exceeding the budget cancels its siblings through the
 // operator's shared sub-context.

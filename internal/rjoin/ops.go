@@ -227,8 +227,8 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 	}
 	g := &semijoinGroup{col: col, conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
 	for i, c := range conds {
-		if outSide && c.FromNode != node || !outSide && c.ToNode != node {
-			return nil, fmt.Errorf("rjoin: condition %v not incident on node %d's %s side", c, node, side(outSide))
+		if err := incident(c, node, outSide); err != nil {
+			return nil, err
 		}
 		ws, err := db.Centers(c.FromLabel, c.ToLabel)
 		if err != nil {
@@ -296,6 +296,15 @@ func (rt *Runtime) semijoinScan(ctx context.Context, db *gdb.Snap, t *Table, gro
 	return rt.finishOp(out)
 }
 
+// incident checks that c is read from node's given code side: node→Y for
+// out-codes, X→node for in-codes.
+func incident(c Cond, node int, outSide bool) error {
+	if outSide && c.FromNode != node || !outSide && c.ToNode != node {
+		return fmt.Errorf("rjoin: condition %v not incident on node %d's %s side", c, node, side(outSide))
+	}
+	return nil
+}
+
 func side(out bool) string {
 	if out {
 		return "out"
@@ -315,7 +324,7 @@ func side(out bool) string {
 // runtime's workers; each partition sizes its output exactly before
 // emitting (see expand), and partitions concatenate in partition order.
 func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
-	res, err := rt.fetch(ctx, db, t, c, true)
+	res, _, err := rt.fetch(ctx, db, t, c, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -329,17 +338,182 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 // rows are charged at the same points, so every counter and typed kill is
 // the materialising run's.
 func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Result, error) {
-	return rt.fetch(ctx, db, t, c, false)
+	res, _, err := rt.fetch(ctx, db, t, c, nil, false)
+	return res, err
 }
 
-// fetch is expand → Result per partition; emit says whether each partition
-// then writes its rows out (an intermediate step, whose consumer is the
-// next operator) or leaves them factorised (the last step, whose consumer
-// iterates).
-func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, emit bool) (*Result, error) {
+// NodeFilter is a plan step a Fetch absorbs (see FetchFiltered): a filter
+// that constrains only the node the Fetch binds.
+type NodeFilter struct {
+	// Conds holds a Selection's one condition — one endpoint is the Fetch's
+	// new node, the other is bound in the Fetch's input — or, with Semijoin
+	// set, the conditions of an R-semijoin group on the new node, all read
+	// from its OutSide code side (see FilterGroup).
+	Conds    []Cond
+	Semijoin bool
+	OutSide  bool
+}
+
+// FetchFiltered is Fetch followed by the given filters on the node it
+// binds — Selections between that node and a bound column (Eq. 5),
+// R-semijoin groups on it (Eq. 6, Remark 3.1) — run as one operator: every
+// such filter is membership of the new value in an ascending list (a
+// Selection's is the bound endpoint's partner list under its condition,
+// exactly the nodes of the new label that endpoint reaches or is reached
+// from; a semijoin condition's is its distinct projection), so per input
+// row the Fetch's partner list is intersected with each filter's list, in
+// the order given, and only the survivors ever become rows. The output is
+// what Fetch, then Selection/FilterGroup per filter, returns: the same rows
+// in the same order at every worker degree (input order × ascending
+// survivors).
+//
+// The budget is charged the Fetch's logical output — every partner of
+// every input row, whether or not it survives — at the points the unfused
+// Fetch charges it, so Bytes(), PeakRows() and every typed kill are the
+// step-by-step run's. A pushed-down limit applies to the survivors: each
+// partition stops intersecting once it holds limit+1 of them but keeps
+// accounting for the rest of its range (the unfused Fetch was not the last
+// step and ran unlimited).
+//
+// With no filters this is Fetch, or with last set FetchResult. With last
+// set the group ends the plan and the survivors stay factorised:
+// t's rows and one list each, owned by the Result (shared partner lists are
+// never written). Otherwise they are written out at their exact size.
+// counts holds the Fetch's logical row count and then the row count after
+// each filter, for per-step traces; under a limit the latter cover only the
+// rows intersected.
+func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Table, c Cond, filters []NodeFilter, last bool) (res *Result, counts []int, err error) {
+	return rt.fetch(ctx, db, t, c, filters, !last)
+}
+
+// nodeFilter is a NodeFilter resolved against the Fetch's input: a
+// Selection reads the partner list of the value in column col under cond
+// (looked up per row, through a partner table resolved per partition); a
+// semijoin group intersects with fixed lists, loaded once per operator.
+type nodeFilter struct {
+	cond    Cond
+	forward bool
+	col     int
+	lists   [][]graph.NodeID
+}
+
+// resolveFilters binds filters on newNode to the columns of t.
+func resolveFilters(db *gdb.Snap, t *Table, newNode int, filters []NodeFilter) ([]nodeFilter, error) {
+	out := make([]nodeFilter, len(filters))
+	for i, f := range filters {
+		if f.Semijoin {
+			for _, c := range f.Conds {
+				if err := incident(c, newNode, f.OutSide); err != nil {
+					return nil, err
+				}
+			}
+			lists, err := projections(db, f.Conds, f.OutSide)
+			if err != nil {
+				return nil, err
+			}
+			out[i].lists = lists
+			continue
+		}
+		if len(f.Conds) != 1 {
+			return nil, fmt.Errorf("rjoin: fused selection with %d conditions", len(f.Conds))
+		}
+		c := f.Conds[0]
+		nf := nodeFilter{cond: c, col: -1}
+		switch newNode {
+		case c.ToNode:
+			nf.forward, nf.col = true, t.ColIndex(c.FromNode)
+		case c.FromNode:
+			nf.col = t.ColIndex(c.ToNode)
+		}
+		if nf.col < 0 {
+			return nil, fmt.Errorf("rjoin: fused selection %v needs node %d and a column of %v", c, newNode, t.Cols)
+		}
+		out[i] = nf
+	}
+	return out, nil
+}
+
+// partFilters is one partition's state for an operator's filters: each
+// Selection's partner table, resolved once like the Fetch's own, and the
+// arena the surviving lists are written to — append-only chunks, so a list
+// never moves once it is in a Result.
+type partFilters struct {
+	fs    []nodeFilter
+	sel   []partnerFunc // per filter; nil for a semijoin group
+	arena []graph.NodeID
+	one   [1][]graph.NodeID
+}
+
+// listArenaChunk is the arena's chunk size in node IDs (32 KB).
+const listArenaChunk = 8192
+
+func openFilters(rd reads, fs []nodeFilter) (*partFilters, error) {
+	p := &partFilters{fs: fs, sel: make([]partnerFunc, len(fs))}
+	for k, f := range fs {
+		if f.lists != nil {
+			continue
+		}
+		var err error
+		if p.sel[k], err = rd.partners(f.cond, f.forward); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// apply returns the members of targets — row's partner list, shared and
+// left untouched — that pass every filter, adding the count left after
+// filter k to counts[k+1]. The first intersection writes to fresh arena
+// space and later ones shrink that list in place (gdb.IntersectTo allows a
+// destination that starts where an input does); bound is the most the rest
+// of the partition can still keep, which sizes a new chunk.
+func (p *partFilters) apply(row, targets []graph.NodeID, counts []int, bound int) ([]graph.NodeID, error) {
+	cur, owned := targets, false
+	for k, f := range p.fs {
+		lists := f.lists
+		if lists == nil && len(cur) > 0 {
+			other, err := p.sel[k](row[f.col])
+			if err != nil {
+				return nil, err
+			}
+			p.one[0] = other
+			lists = p.one[:]
+		}
+		for _, other := range lists {
+			if len(cur) == 0 {
+				break
+			}
+			dst := cur[:0]
+			if !owned {
+				n := min(len(cur), len(other))
+				if cap(p.arena)-len(p.arena) < n {
+					p.arena = make([]graph.NodeID, 0, max(n, min(listArenaChunk, bound)))
+				}
+				dst, owned = p.arena[len(p.arena):len(p.arena):len(p.arena)+n], true
+			}
+			cur = gdb.IntersectTo(dst, cur, other)
+		}
+		counts[k+1] += len(cur)
+	}
+	if owned {
+		// Commit the arena's newest list at its final length.
+		p.arena = p.arena[:len(p.arena)+len(cur)]
+		cur = cur[:len(cur):len(cur)]
+	}
+	return cur, nil
+}
+
+// fetch is the one partition loop behind Fetch, FetchResult and
+// FetchFiltered: expand resolves each row's partner list, the loop charges
+// the budget for every row the lists stand for, and — with filters — each
+// list is cut down to its survivors as it is charged. emit says whether
+// each partition then writes its rows out (an intermediate step, whose
+// consumer is the next operator) or leaves them factorised (the last step,
+// whose consumer iterates).
+func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	newNode := c.ToNode
 	if !forward {
@@ -348,9 +522,22 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, em
 	col := t.ColIndex(boundNode)
 	cols := append(append([]int(nil), t.Cols...), newNode)
 	width := len(cols)
+	fs, err := resolveFilters(db, t, newNode, filters)
+	if err != nil {
+		return nil, nil, err
+	}
+	fused := len(fs) > 0
+	// The limit is on the operator's output: the expansion's without
+	// filters, the survivors' with them.
+	limit, expandLimit := rt.rowTarget, rt.rowTarget
+	if fused {
+		expandLimit = 0
+		rt.fusedFilters.Add(int64(len(fs)))
+	}
 
 	parts := rt.split(len(t.Rows), rowGrain)
 	outs := make([]Result, parts)
+	partCounts := make([][]int, parts)
 	err = rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
 		rd := rt.open(db)
 		defer rd.done()
@@ -358,7 +545,15 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, em
 		if err != nil {
 			return err
 		}
-		exp, total, err := rt.expand(ctx, partners, t.Rows[lo:hi], col, width)
+		var pf *partFilters
+		if fused {
+			if pf, err = openFilters(rd, fs); err != nil {
+				return err
+			}
+		}
+		counts := make([]int, 1+len(fs))
+		partCounts[part] = counts
+		exp, total, err := rt.expand(ctx, partners, t.Rows[lo:hi], col, width, expandLimit)
 		if err != nil || total == 0 {
 			return err
 		}
@@ -369,26 +564,44 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, em
 		// emit loop.
 		var rows [][]graph.NodeID
 		var arena []graph.NodeID
-		if emit {
+		if emit && !fused {
 			rows = make([][]graph.NodeID, 0, total)
 			arena = make([]graph.NodeID, total*width)
 		}
 		cc := rt.check(ctx)
-		n := 0
+		n, kept := 0, 0
 		for i, targets := range exp {
 			// One cancellation charge per row unit: the scan itself plus
 			// every row it stands for. The budget is charged the rows'
-			// logical size whether or not they are written out.
+			// logical size whether or not they are written out — or, under
+			// filters, survive.
 			if err := cc.tickN(1 + len(targets)); err != nil {
 				return err
 			}
 			rt.budget.AddBytes(int64(len(targets)) * int64(width) * nodeIDBytes)
-			if emit {
+			switch {
+			case fused && limit > 0 && kept > limit:
+				// limit+1 survivors prove truncation; the rest of the range
+				// is only accounted for.
+				exp[i] = nil
+			case fused:
+				if exp[i], err = pf.apply(res.Rows[i], targets, counts, total-n); err != nil {
+					return err
+				}
+				kept += len(exp[i])
+			case emit:
 				rows, arena = res.appendRows(rows, arena, i, nil)
 			}
 			n += len(targets)
 			if err := rt.budget.CheckRows(n); err != nil {
 				return err
+			}
+		}
+		counts[0] = n
+		if fused {
+			res.N = kept
+			if emit {
+				rows = res.rows(nil)
 			}
 		}
 		if emit {
@@ -397,16 +610,30 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, em
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rt.finishResult(concatResults(cols, outs))
+	counts := make([]int, 1+len(fs))
+	for _, pc := range partCounts {
+		for k, n := range pc {
+			counts[k] += n
+		}
+	}
+	if fused {
+		// The unfused Fetch's merge checkpoint, on the rows it would have
+		// produced.
+		if err := rt.checkpoint(counts[0]); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, err := rt.finishResult(concatResults(cols, outs))
+	return res, counts, err
 }
 
 // expand is Fetch's counting pass over one partition: it resolves each
 // input row's expansion list — its bound value's partners, shared with the
 // read path and never copied — and the total rows they stand for at the
 // given output width, without emitting anything. It stops after the first
-// row at which the emit loop would stop anyway: where the pushed-down limit
+// row at which the emit loop would stop anyway: where the given limit
 // is exceeded (limit+1 rows prove truncation, and whole-row expansions keep
 // the output a prefix of this range's serial output, so the merged prefix is
 // degree-independent), where the partition outgrows the row budget (the
@@ -414,8 +641,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, em
 // bytes alone would blow the byte budget (the emit loop charges them and
 // the next poll or the merge checkpoint fails the query) — so a doomed
 // query never allocates its full output.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]graph.NodeID, col, width int) (exp [][]graph.NodeID, total int, err error) {
-	limit := rt.rowTarget
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]graph.NodeID, col, width, limit int) (exp [][]graph.NodeID, total int, err error) {
 	n := len(rows)
 	if limit > 0 && limit < n {
 		n = limit + 1

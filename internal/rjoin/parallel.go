@@ -51,6 +51,7 @@ type Runtime struct {
 
 	ops          atomic.Int64
 	parallelOps  atomic.Int64
+	fusedFilters atomic.Int64
 	tasks        atomic.Int64
 	memoHits     atomic.Int64
 	memoMisses   atomic.Int64
@@ -129,14 +130,20 @@ func (rt *Runtime) finishResult(r *Result) (*Result, error) {
 	if r.truncate(rt.rowTarget) {
 		rt.budget.MarkTruncated()
 	}
-	rt.budget.NoteRows(r.N)
-	if err := rt.budget.CheckRows(r.N); err != nil {
-		return nil, err
-	}
-	if err := rt.budget.CheckBytes(); err != nil {
+	if err := rt.checkpoint(r.N); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// checkpoint notes an operator's merged output of n rows and validates it
+// against the budget's row and byte caps.
+func (rt *Runtime) checkpoint(n int) error {
+	rt.budget.NoteRows(n)
+	if err := rt.budget.CheckRows(n); err != nil {
+		return err
+	}
+	return rt.budget.CheckBytes()
 }
 
 // finishOp is finishResult for an operator whose merged output is a table.
@@ -159,6 +166,11 @@ type RuntimeStats struct {
 	// the achieved fan-out; compare against the configured worker degree
 	// for utilisation).
 	Tasks int64
+	// FusedFilters counts the plan steps — Selections and R-semijoin groups
+	// on the node a Fetch binds — that ran inside that Fetch as list
+	// intersections (see FetchFiltered) instead of as operators of their
+	// own; they are not in Ops.
+	FusedFilters int64
 	// MemoHits/Misses count the runtime's lookups in the snapshot's decoded
 	// memos (subclusters and partner-table slots); CenterCacheHits/Misses
 	// are the partner-slot share: a hit is a getCenters intersection and
@@ -184,6 +196,7 @@ func (rt *Runtime) Stats() RuntimeStats {
 		Ops:               rt.ops.Load(),
 		ParallelOps:       rt.parallelOps.Load(),
 		Tasks:             rt.tasks.Load(),
+		FusedFilters:      rt.fusedFilters.Load(),
 		MemoHits:          rt.memoHits.Load(),
 		MemoMisses:        rt.memoMisses.Load(),
 		CenterCacheHits:   rt.centerHits.Load(),

@@ -80,20 +80,29 @@ func (d *decodedReads) partners(c Cond, forward bool) (partnerFunc, error) {
 
 func (d *decodedReads) reaches(u, v graph.NodeID) (bool, error) { return d.r.Reaches(u, v) }
 
-func (d *decodedReads) prepare(g *semijoinGroup) error {
-	g.projs = make([][]graph.NodeID, len(g.conds))
-	for i, c := range g.conds {
+func (d *decodedReads) prepare(g *semijoinGroup) (err error) {
+	g.projs, err = projections(d.db, g.conds, g.outSide)
+	return err
+}
+
+// projections loads each condition's bound-side distinct projection — π_X
+// of X→Y for out-codes, π_Y for in-codes — from the snapshot's memo: the
+// ascending list of values that pass the condition's R-semijoin (see
+// semijoin). The lists are shared and must not be mutated.
+func projections(db *gdb.Snap, conds []Cond, outSide bool) ([][]graph.NodeID, error) {
+	projs := make([][]graph.NodeID, len(conds))
+	for i, c := range conds {
 		var err error
-		if g.outSide {
-			g.projs[i], err = d.db.ProjectFrom(c.FromLabel, c.ToLabel)
+		if outSide {
+			projs[i], err = db.ProjectFrom(c.FromLabel, c.ToLabel)
 		} else {
-			g.projs[i], err = d.db.ProjectTo(c.FromLabel, c.ToLabel)
+			projs[i], err = db.ProjectTo(c.FromLabel, c.ToLabel)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return projs, nil
 }
 
 // semijoin tests membership in the memoized distinct projections. The

@@ -84,15 +84,23 @@ func (r *Result) Table(nodes []int) (*Table, error) {
 		src = nil
 	}
 	out := NewTable(nodes...)
+	out.Rows = r.rows(src)
+	return out, nil
+}
+
+// rows writes the result's rows out, output column j taken from source
+// column src[j] (a nil src is the identity): one exact row-header slice
+// and one exact arena.
+func (r *Result) rows(src []int) [][]graph.NodeID {
 	if r.N == 0 {
-		return out, nil
+		return nil
 	}
-	out.Rows = make([][]graph.NodeID, 0, r.N)
+	out := make([][]graph.NodeID, 0, r.N)
 	arena := make([]graph.NodeID, r.N*len(r.Cols))
 	for i := range r.Rows {
-		out.Rows, arena = r.appendRows(out.Rows, arena, i, src)
+		out, arena = r.appendRows(out, arena, i, src)
 	}
-	return out, nil
+	return out
 }
 
 // appendRows appends the result rows prefix row i stands for to out, carved

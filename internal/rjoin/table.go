@@ -13,6 +13,16 @@
 //     two columns both already bound in the temporal table, checked from
 //     graph codes.
 //
+// Selection and the R-semijoin run as operators of their own, over the rows
+// of a temporal table, when the column they test was bound by an earlier
+// step. When it is the column the Fetch just before them binds, the
+// executor hands them to that Fetch instead (FetchFiltered): each is then
+// membership in an ascending list — the other endpoint's partner list for
+// a Selection, the condition's distinct projection for an R-semijoin — and
+// the Fetch intersects its partner lists with them before any row exists.
+// The counted-I/O reference mode never does this; it runs the paper's
+// pipeline step by step.
+//
 // Temporal tables are in-memory. Operators read the cluster index and the
 // graph codes through the snapshot's decoded per-epoch memos (reads.go);
 // in the counted-I/O reference mode every access instead goes through the

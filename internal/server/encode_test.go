@@ -241,72 +241,86 @@ func TestEncodeStopsOnWriteError(t *testing.T) {
 // TestEncodeAfterEpochRetired: a query's result holds the partner lists it
 // loaded, not the epoch. Take a factorised result (its epoch is released
 // when run returns), publish insert and delete batches that touch the
-// partner table it read — the successor's table restarts and the old epoch
+// partner tables it read — the successor's tables restart and the old epoch
 // retires — and only then encode: the bytes are those encoded before the
-// writes.
+// writes. So for a plain last Fetch, whose lists are the partner table's
+// own, and for a fused one (the triangle's Fetch absorbs its closing
+// Selection), whose lists are intersections the result owns.
 func TestEncodeAfterEpochRetired(t *testing.T) {
-	db, err := gdb.Build(testGraph(1, 60), gdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := New(db, Config{})
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name, query string
+		fused       bool
+	}{
+		{"shared lists", "A->B; B->C", false},
+		{"intersected lists", "A->B; B->C; A->C", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := gdb.Build(testGraph(1, 60), gdb.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			s := New(db, Config{})
+			ctx := context.Background()
 
-	var res *Result
-	for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
-		r, err := s.run(ctx, pattern.MustParse("A->B; B->C"), algo, QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.rows.Exp != nil && r.rows.N > 0 {
-			res = r
-			break
-		}
-	}
-	if res == nil {
-		t.Fatal("no planner ended A->B; B->C on a Fetch: nothing factorised to test")
-	}
-	encode := func() []byte {
-		rec := httptest.NewRecorder()
-		if _, err := writeQueryResponse(rec, res); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Body.Bytes()
-	}
-	before := encode()
+			var res *Result
+			for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
+				fusedBefore := s.Stats().FusedFilters
+				r, err := s.run(ctx, pattern.MustParse(tc.query), algo, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.rows.Exp != nil && r.rows.N > 0 && (s.Stats().FusedFilters > fusedBefore) == tc.fused {
+					res = r
+					break
+				}
+			}
+			if res == nil {
+				t.Fatalf("no planner ended %s on a Fetch (fused=%v): nothing factorised to test", tc.query, tc.fused)
+			}
+			encode := func() []byte {
+				rec := httptest.NewRecorder()
+				if _, err := writeQueryResponse(rec, res); err != nil {
+					t.Fatal(err)
+				}
+				return rec.Body.Bytes()
+			}
+			before := encode()
 
-	// B and C nodes the result joins, and an A node: the new B→C and A→B
-	// edges change W rows and subclusters of every table the plan read.
-	g := db.Graph()
-	var a, b, c graph.NodeID
-	for v := graph.NodeID(g.NumNodes() - 1); v >= 0; v-- {
-		switch g.LabelNameOf(v) {
-		case "A":
-			a = v
-		case "B":
-			b = v
-		case "C":
-			c = v
-		}
-	}
-	epoch := s.Stats().CurrentEpoch
-	edges := [][2]graph.NodeID{{b, c}, {a, b}, {a, c}}
-	if ir, err := s.InsertEdges(ctx, edges); err != nil || ir.Applied == 0 {
-		t.Fatalf("insert: %+v %v", ir, err)
-	}
-	if dr, err := s.DeleteEdges(ctx, edges); err != nil || dr.Applied == 0 {
-		t.Fatalf("delete: %+v %v", dr, err)
-	}
-	// A query on the new epoch refills the restarted tables.
-	if _, err := s.Query(ctx, "A->B; B->C", "dp"); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.CurrentEpoch < epoch+2 || st.PinnedEpochs != 1 || st.SnapshotsRetired != st.CurrentEpoch {
-		t.Fatalf("the result's epoch did not retire: %+v", st)
-	}
-	if after := encode(); !bytes.Equal(after, before) {
-		t.Fatalf("body changed after its epoch retired (%d vs %d bytes)", len(after), len(before))
+			// B and C nodes the result joins, and an A node: the new B→C, A→B
+			// and A→C edges change W rows and subclusters of every table the
+			// plan read.
+			g := db.Graph()
+			var a, b, c graph.NodeID
+			for v := graph.NodeID(g.NumNodes() - 1); v >= 0; v-- {
+				switch g.LabelNameOf(v) {
+				case "A":
+					a = v
+				case "B":
+					b = v
+				case "C":
+					c = v
+				}
+			}
+			epoch := s.Stats().CurrentEpoch
+			edges := [][2]graph.NodeID{{b, c}, {a, b}, {a, c}}
+			if ir, err := s.InsertEdges(ctx, edges); err != nil || ir.Applied == 0 {
+				t.Fatalf("insert: %+v %v", ir, err)
+			}
+			if dr, err := s.DeleteEdges(ctx, edges); err != nil || dr.Applied == 0 {
+				t.Fatalf("delete: %+v %v", dr, err)
+			}
+			// A query on the new epoch refills the restarted tables.
+			if _, err := s.Query(ctx, tc.query, "dp"); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.CurrentEpoch < epoch+2 || st.PinnedEpochs != 1 || st.SnapshotsRetired != st.CurrentEpoch {
+				t.Fatalf("the result's epoch did not retire: %+v", st)
+			}
+			if after := encode(); !bytes.Equal(after, before) {
+				t.Fatalf("body changed after its epoch retired (%d vs %d bytes)", len(after), len(before))
+			}
+		})
 	}
 }
 

@@ -53,6 +53,7 @@ type metrics struct {
 	// Intra-query operator parallelism (aggregated rjoin.RuntimeStats).
 	operatorOps   atomic.Int64 // operator executions
 	parallelOps   atomic.Int64 // operators that split across >1 worker
+	fusedFilters  atomic.Int64 // plan steps a Fetch ran as list intersections
 	operatorTasks atomic.Int64 // partition tasks executed
 	centerHits    atomic.Int64 // partner-slot hits
 	centerMisses  atomic.Int64 // partner-slot fills
@@ -93,6 +94,7 @@ func (m *metrics) recordEncode(d time.Duration, bytes int64) {
 func (m *metrics) recordRuntime(rs rjoin.RuntimeStats) {
 	m.operatorOps.Add(rs.Ops)
 	m.parallelOps.Add(rs.ParallelOps)
+	m.fusedFilters.Add(rs.FusedFilters)
 	m.operatorTasks.Add(rs.Tasks)
 	m.centerHits.Add(rs.CenterCacheHits)
 	m.centerMisses.Add(rs.CenterCacheMisses)
@@ -268,9 +270,13 @@ type Stats struct {
 	// OperatorParallelOps those that split across more than one worker;
 	// OperatorTasks the partition tasks executed. OperatorTasks/OperatorOps
 	// is the achieved fan-out — compare against QueryParallelism for
-	// worker-pool utilisation.
+	// worker-pool utilisation. FusedFilters counts the plan steps that ran
+	// as no operator of their own: Selections and R-semijoin groups on the
+	// node a Fetch binds, applied by that Fetch to its partner lists
+	// (rjoin.FetchFiltered).
 	OperatorOps         int64 `json:"operator_ops"`
 	OperatorParallelOps int64 `json:"operator_parallel_ops"`
+	FusedFilters        int64 `json:"fused_filters"`
 	OperatorTasks       int64 `json:"operator_tasks"`
 	// WorkerUtilization is OperatorTasks/(OperatorOps × resolved degree):
 	// 1.0 means every operator filled every worker slot.
@@ -370,6 +376,7 @@ func (s *Server) Stats() Stats {
 		QueryParallelism:       s.cfg.QueryParallelism,
 		OperatorOps:            s.met.operatorOps.Load(),
 		OperatorParallelOps:    s.met.parallelOps.Load(),
+		FusedFilters:           s.met.fusedFilters.Load(),
 		OperatorTasks:          s.met.operatorTasks.Load(),
 		CenterCacheHits:        s.met.centerHits.Load(),
 		CenterCacheMisses:      s.met.centerMisses.Load(),

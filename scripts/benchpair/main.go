@@ -1,9 +1,10 @@
 // Command benchpair is the paired run behind `make bench-served-pair`: it
-// builds ./benchmark at a base revision and at the working tree, runs one
-// workload on both with seeds 1..pairs, alternating which side goes first,
-// and prints per end-to-end metric each side's median and quartiles and how
-// many pairs the working tree won (BENCHMARK.json names the metrics and
-// which direction is better; ties count for neither side).
+// builds ./benchmark at a base revision and at the working tree, runs each
+// of the given workloads on both with seeds 1..pairs, alternating which
+// side goes first, and prints one block per workload: per end-to-end metric
+// each side's median and quartiles and how many pairs the working tree won
+// (BENCHMARK.json names the metrics and which direction is better; ties
+// count for neither side).
 //
 // The base revision is exported with `git archive` into a temporary
 // directory, so an interrupted run leaves nothing behind in .git.
@@ -22,14 +23,14 @@ import (
 
 func main() {
 	base := flag.String("base", "", "revision to compare the working tree against")
-	workload := flag.String("workload", "", "benchmark workload to run")
+	workloads := flag.String("workload", "", "benchmark workloads to run, comma-separated")
 	pairs := flag.Int("pairs", 10, "number of base/head pairs (seeds 1..pairs)")
 	flag.Parse()
-	if *base == "" || *workload == "" || *pairs < 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchpair -base <rev> -workload <name> [-pairs 10]")
+	if *base == "" || *workloads == "" || *pairs < 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchpair -base <rev> -workload <name>[,<name>...] [-pairs 10]")
 		os.Exit(2)
 	}
-	if err := run(*base, *workload, *pairs); err != nil {
+	if err := run(*base, strings.Split(*workloads, ","), *pairs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
@@ -41,7 +42,7 @@ type metricSpec struct {
 	Better string `json:"better"`
 }
 
-func run(base, workload string, pairs int) error {
+func run(base string, workloads []string, pairs int) error {
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -73,6 +74,17 @@ func run(base, workload string, pairs int) error {
 		return fmt.Errorf("build working tree: %w", err)
 	}
 
+	for _, workload := range workloads {
+		if err := compare(bins, tmp, base, workload, pairs, manifest.EndToEnd); err != nil {
+			return fmt.Errorf("%s: %w", workload, err)
+		}
+	}
+	return nil
+}
+
+// compare runs one workload's pairs on the two binaries and prints its
+// block.
+func compare(bins map[string]string, tmp, base, workload string, pairs int, metrics []metricSpec) error {
 	samples := map[string]map[string][]float64{"base": {}, "head": {}}
 	for seed := 1; seed <= pairs; seed++ {
 		order := []string{"base", "head"}
@@ -87,12 +99,12 @@ func run(base, workload string, pairs int) error {
 			for name, v := range m {
 				samples[side][name] = append(samples[side][name], v)
 			}
-			fmt.Fprintf(os.Stderr, "seed %d %s: qps %.1f\n", seed, side, m["qps"])
+			fmt.Fprintf(os.Stderr, "%s seed %d %s: qps %.1f\n", workload, seed, side, m["qps"])
 		}
 	}
 
 	fmt.Printf("%s, %d pairs, base %s → working tree; median [q1, q3]\n", workload, pairs, base)
-	for _, spec := range manifest.EndToEnd {
+	for _, spec := range metrics {
 		b, h := samples["base"][spec.Name], samples["head"][spec.Name]
 		wins := 0
 		for i := range b {
