@@ -4,14 +4,14 @@ GO ?= go
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels, the two per-row index reads (partner slot, reachability test),
-# the parallel operator suite, a Fetch with the filters on its new node
+# the four binary R-join operators, a Fetch with the filters on its new node
 # fused against the step-by-step pipeline (ns per input row) and the
 # response encoder (ns per row from a factorised and from a plain result)
 # — the hot paths a perf PR must not regress — plus the two open strategy
 # questions (binary vs
 # worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperatorParallel|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -77,12 +77,14 @@ test-race-stress:
 
 # verify is the gating tier: vet plus the full suite under the race
 # detector, so concurrency regressions in the query-serving path cannot
-# land silently, then the coverage floor on the reachability packages, the
-# MVCC stress smoke, and a fuzz smoke over the incremental-maintenance
-# harnesses.
+# land silently, the differential and prefix-consistency suites again on
+# one core (the suite must be green at any core count), then the coverage
+# floor on the reachability packages, the MVCC stress smoke, and a fuzz
+# smoke over the incremental-maintenance harnesses.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	GOMAXPROCS=1 $(GO) test -run 'Differential|Crosscheck|PrefixConsistency' . ./internal/server
 	$(MAKE) test-cover
 	$(MAKE) test-race-stress
 	$(MAKE) test-fuzz-smoke

@@ -86,9 +86,13 @@ func TestServeQuery(t *testing.T) {
 	run(t, "build", "-o", bin, "./cmd/fgmserve")
 
 	// One execution slot and a queue timeout shorter than a heavy query:
-	// a concurrent burst must be shed, not absorbed.
+	// a concurrent burst must be shed, not absorbed. Two handlers only
+	// overlap with two Ps — on one, the query holding the slot runs to
+	// completion before the next handler is scheduled — so the server gets
+	// two whatever GOMAXPROCS the suite runs under.
 	cmd := exec.Command(bin, "-graph", graphPath, "-addr", "127.0.0.1:0",
 		"-max-inflight", "1", "-queue-timeout", "1ms")
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=2")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -398,6 +402,15 @@ func TestCLIErrors(t *testing.T) {
 		if out := fails(t, "run", c[0], "-algo", "nope"); !strings.Contains(out, `unknown algorithm "nope" (want dp, dps, dps-merged, or wcoj)`) {
 			t.Fatalf("%s -algo nope: %s", c[0], out)
 		}
+	}
+	// Operators run on the query's goroutine: the worker-degree flag is
+	// gone, and passing it is a usage error.
+	bin := filepath.Join(t.TempDir(), "fgmserve")
+	run(t, "build", "-o", bin, "./cmd/fgmserve")
+	out, err := exec.Command(bin, "-parallelism", "2").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -parallelism") {
+		t.Fatalf("fgmserve -parallelism 2: err %v, want a usage error (status 2):\n%s", err, out)
 	}
 }
 

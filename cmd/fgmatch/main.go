@@ -132,8 +132,8 @@ func run() error {
 			if tr.Fused {
 				elapsed = "fused"
 			}
-			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d workers=%-2d chits=%-6d %s",
-				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.Workers, tr.CenterCacheHits, elapsed)
+			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d chits=%-6d %s",
+				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.CenterCacheHits, elapsed)
 			if tr.Seeks > 0 || tr.IterNexts > 0 {
 				fmt.Printf(" seeks=%d nexts=%d", tr.Seeks, tr.IterNexts)
 			}

@@ -56,10 +56,9 @@ func run() error {
 		planCache    = flag.Int("plancache", 0, "plan cache entries (default 256; -1 disables)")
 		algo         = flag.String("algo", "dps", "default optimizer: dp, dps, dps-merged, or wcoj")
 		timeout      = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
-		parallelism  = flag.Int("parallelism", 0, "intra-query operator workers (0 = GOMAXPROCS, 1 = serial)")
 		maxTableRows = flag.Int("max-table-rows", 0, "per-query intermediate-table row budget (0 = unbounded; exceeding answers 422)")
 		maxIMBytes   = flag.Int64("max-intermediate-bytes", 0, "per-query intermediate-result byte budget (0 = unbounded; exceeding answers 422)")
-		maxReqBytes  = flag.Int64("max-request-bytes", 0, "max /query request body bytes (default 1 MB; larger answers 413)")
+		maxReqBytes  = flag.Int64("max-request-bytes", 0, "max request body bytes (default 1 MB; larger answers 413)")
 		buildPar     = flag.Int("build-parallelism", 0, "index-build workers (0/1 = serial, -1 = GOMAXPROCS)")
 		reachIndex   = flag.String("reach-index", "", "reachability-index backend: "+strings.Join(fastmatch.ReachBackends(), ", ")+" (default twohop)")
 		readonly     = flag.Bool("readonly", false, "reject every mutating endpoint (POST /insert, /delete) with 403; the graph stays immutable")
@@ -97,7 +96,6 @@ func run() error {
 		PlanCacheSize:        *planCache,
 		DefaultAlgorithm:     defaultAlgo,
 		DefaultTimeout:       *timeout,
-		QueryParallelism:     *parallelism,
 		MaxTableRows:         *maxTableRows,
 		MaxIntermediateBytes: *maxIMBytes,
 		MaxRequestBytes:      *maxReqBytes,

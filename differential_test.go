@@ -21,8 +21,7 @@ import (
 // The differential harness: an incrementally maintained database
 // (ApplyEdgeInsert per edge) must be query-equivalent to a database built
 // from scratch over the same mutated graph — identical DP and DPS result
-// rows on the paper's pattern workloads at worker degrees 1 and 4, and
-// identical Reaches answers on sampled node pairs. This is the correctness
+// rows on the paper's pattern workloads, and identical Reaches answers on sampled node pairs. This is the correctness
 // story for the whole incremental-maintenance path (label deltas → base
 // tables → cluster index → W-table); see DESIGN.md. The whole harness is
 // parameterized over every registered reachability backend: the engine
@@ -38,9 +37,8 @@ func diffWorkloads() []workload.Workload {
 	return ws
 }
 
-// planAndRun plans and runs p on one pinned snapshot at the given worker
-// degree.
-func planAndRun(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm, workers int) *rjoin.Table {
+// planAndRun plans and runs p on one pinned snapshot.
+func planAndRun(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm) *rjoin.Table {
 	t.Helper()
 	snap, release := db.Pin()
 	defer release()
@@ -48,18 +46,17 @@ func planAndRun(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorith
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	tab, err := exec.RunSnapConfig(context.Background(), snap, plan, exec.RunConfig{Workers: workers})
+	tab, err := exec.RunSnapConfig(context.Background(), snap, plan, exec.RunConfig{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return tab
 }
 
-// sortedRows plans and runs p at the given worker degree, returning
-// canonically sorted rows.
-func sortedRows(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm, workers int) [][]graph.NodeID {
+// sortedRows plans and runs p, returning canonically sorted rows.
+func sortedRows(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm) [][]graph.NodeID {
 	t.Helper()
-	tab := planAndRun(t, db, p, algo, workers)
+	tab := planAndRun(t, db, p, algo)
 	tab.SortRows()
 	return tab.Rows
 }
@@ -69,9 +66,9 @@ func sortedRows(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorith
 // order, which may differ between two databases whose statistics diverged
 // (the incremental cover is not the from-scratch cover), so raw rows are
 // not directly comparable.
-func sortedRowsNormalized(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm, workers int) [][]graph.NodeID {
+func sortedRowsNormalized(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exec.Algorithm) [][]graph.NodeID {
 	t.Helper()
-	res := planAndRun(t, db, p, algo, workers)
+	res := planAndRun(t, db, p, algo)
 	cols := make([]int, p.NumNodes())
 	for i := range cols {
 		cols[i] = i
@@ -90,8 +87,8 @@ func sortedRowsNormalized(t testing.TB, db *gdb.DB, p *pattern.Pattern, algo exe
 
 // compareDatabases asserts inc (incrementally maintained) and a fresh
 // rebuild over g — with the same reachability backend — agree on the full
-// battery: DP, DPS, and the forced full-pattern WCOJ plan, each at worker
-// degrees 1 and 4, plus sampled reachability.
+// battery: DP, DPS, and the forced full-pattern WCOJ plan, plus sampled
+// reachability.
 func compareDatabases(t *testing.T, inc *gdb.DB, g *graph.Graph, rng *rand.Rand, tag string) {
 	t.Helper()
 	rebuilt, err := gdb.Build(g, gdb.Options{ReachIndex: inc.ReachBackend()})
@@ -102,25 +99,21 @@ func compareDatabases(t *testing.T, inc *gdb.DB, g *graph.Graph, rng *rand.Rand,
 
 	for _, w := range diffWorkloads() {
 		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
-			for _, workers := range []int{1, 4} {
-				got := sortedRows(t, inc, w.Pattern, algo, workers)
-				want := sortedRows(t, rebuilt, w.Pattern, algo, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s %s workers=%d: incremental %d rows, rebuild %d rows",
-						tag, w.Name, algo, workers, len(got), len(want))
-				}
+			got := sortedRows(t, inc, w.Pattern, algo)
+			want := sortedRows(t, rebuilt, w.Pattern, algo)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s %s: incremental %d rows, rebuild %d rows",
+					tag, w.Name, algo, len(got), len(want))
 			}
 		}
 		// Every battery pattern is connected, so the forced WCOJ plan
 		// exists; its column order depends on per-database statistics, so
 		// compare in normalized pattern-node order.
-		for _, workers := range []int{1, 4} {
-			got := sortedRowsNormalized(t, inc, w.Pattern, exec.WCOJ, workers)
-			want := sortedRowsNormalized(t, rebuilt, w.Pattern, exec.WCOJ, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %s wcoj workers=%d: incremental %d rows, rebuild %d rows",
-					tag, w.Name, workers, len(got), len(want))
-			}
+		got := sortedRowsNormalized(t, inc, w.Pattern, exec.WCOJ)
+		want := sortedRowsNormalized(t, rebuilt, w.Pattern, exec.WCOJ)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s wcoj: incremental %d rows, rebuild %d rows",
+				tag, w.Name, len(got), len(want))
 		}
 	}
 
@@ -301,13 +294,10 @@ func FuzzEdgeInsertDifferential(f *testing.F) {
 				t.Fatal(err)
 			}
 			p := workload.Paths()[0].Pattern // site->regions; regions->item
-			for _, workers := range []int{1, 4} {
-				got := sortedRows(t, inc, p, exec.DPS, workers)
-				want := sortedRows(t, rebuilt, p, exec.DPS, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: workers=%d: incremental %d rows, rebuild %d rows",
-						backend, workers, len(got), len(want))
-				}
+			got := sortedRows(t, inc, p, exec.DPS)
+			want := sortedRows(t, rebuilt, p, exec.DPS)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: incremental %d rows, rebuild %d rows", backend, len(got), len(want))
 			}
 			rng := rand.New(rand.NewSource(int64(len(data))))
 			for i := 0; i < 60; i++ {

@@ -135,12 +135,6 @@ type Options struct {
 	// CodeCacheEntries bounds the working cache of decoded graph codes
 	// (default 65536; negative disables).
 	CodeCacheEntries int
-	// Parallelism is the intra-query parallelism degree: each R-join /
-	// R-semijoin operator partitions its work (HPSJ's center list, the
-	// other operators' row ranges) across up to this many goroutines.
-	// <= 0 selects GOMAXPROCS; 1 forces the serial reference path. Results
-	// are identical, row for row, at every degree.
-	Parallelism int
 	// BuildParallelism is the worker count for NewEngine's index build:
 	// batched 2-hop labeling, code encoding, and the sharded cover
 	// inversion all fan out across this many goroutines. 0 or 1 builds
@@ -174,8 +168,6 @@ func ReachBackends() []string { return reach.Names() }
 // and metrics, wrap the engine with Parallel.
 type Engine struct {
 	db *gdb.DB
-	// parallelism is the per-query operator worker degree (Options.Parallelism).
-	parallelism int
 }
 
 // NewEngine indexes g: it computes the 2-hop cover, writes base tables,
@@ -193,7 +185,7 @@ func NewEngine(g *Graph, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{db: db, parallelism: opt.Parallelism}, nil
+	return &Engine{db: db}, nil
 }
 
 // OpenEngine reattaches to a database previously created by NewEngine with
@@ -208,7 +200,7 @@ func OpenEngine(path string, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{db: db, parallelism: opt.Parallelism}, nil
+	return &Engine{db: db}, nil
 }
 
 // Close releases the engine's storage. Close is idempotent; afterwards
@@ -269,7 +261,7 @@ func (e *Engine) run(ctx context.Context, p *Pattern, algo Algorithm, trace bool
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	res, traces, err := exec.RunSnapWithTraceConfig(ctx, snap, plan, trace, exec.RunConfig{Workers: e.parallelism, Budget: b})
+	res, traces, err := exec.RunSnapWithTraceConfig(ctx, snap, plan, trace, exec.RunConfig{Budget: b})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -486,12 +478,7 @@ type ServiceResult = server.Result
 // Parallel wraps the engine in a Service for concurrent serving. The
 // engine must stay open for the service's lifetime; closing the engine
 // makes the service answer ErrClosed (and its HTTP health check 503).
-// When cfg.QueryParallelism is unset the engine's Options.Parallelism
-// carries over.
 func (e *Engine) Parallel(cfg ServeConfig) *Service {
-	if cfg.QueryParallelism == 0 {
-		cfg.QueryParallelism = e.parallelism
-	}
 	return server.New(e.db, cfg)
 }
 

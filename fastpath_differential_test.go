@@ -131,15 +131,15 @@ func (c caps) budget() *rjoin.Budget {
 	return &rjoin.Budget{ResultRows: c.ResultRows, MaxTableRows: c.MaxTableRows, MaxBytes: c.MaxBytes}
 }
 
-// runBoth executes the two plans under equal budgets at one worker degree
-// and asserts every observable agrees. It returns the (shared) result, or
-// nil when both runs died of the same typed budget kill.
-func runBoth(t testing.TB, snap *gdb.Snap, def, ref *optimizer.Plan, workers int, c caps, what string) *rjoin.Table {
+// runBoth executes the two plans under equal budgets and asserts every
+// observable agrees. It returns the (shared) result, or nil when both runs
+// died of the same typed budget kill.
+func runBoth(t testing.TB, snap *gdb.Snap, def, ref *optimizer.Plan, c caps, what string) *rjoin.Table {
 	t.Helper()
 	ctx := context.Background()
 	bd, br := c.budget(), c.budget()
-	got, gotErr := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Workers: workers, Budget: bd})
-	want, wantErr := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: workers, Budget: br})
+	got, gotErr := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Budget: bd})
+	want, wantErr := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Budget: br})
 	if wantErr != nil || gotErr != nil {
 		for _, sentinel := range []error{rjoin.ErrRowLimit, rjoin.ErrBudgetExceeded} {
 			if errors.Is(wantErr, sentinel) != errors.Is(gotErr, sentinel) {
@@ -206,13 +206,12 @@ func TestFastPathTierClassification(t *testing.T) {
 }
 
 // TestFastPathDifferential is the result-identity proof: for every battery
-// pattern, every planner, and worker degrees 1 and 4, default execution
-// returns exactly the reference mode's rows in exactly its order, charges
-// the same bytes, and notes the same peak. The final projection is checked
-// on its own too: on every result, the default plan's Result written out in
-// a column order that is not the identity equals the reference plan's
-// hash-dedup Project into that order, rows and order. Run under -race this
-// also exercises concurrent partitions filling the epoch memos.
+// pattern and every planner, default execution returns exactly the
+// reference mode's rows in exactly its order, charges the same bytes, and
+// notes the same peak. The final projection is checked on its own too: on
+// every result, the default plan's Result written out in a column order
+// that is not the identity equals the reference plan's hash-dedup Project
+// into that order, rows and order.
 //
 // The batteries must reach the fused operator — a Fetch running the
 // Selections and R-semijoin groups on the node it binds as intersections of
@@ -238,41 +237,39 @@ func TestFastPathDifferential(t *testing.T) {
 			for _, algo := range allPlanners {
 				def, ref := planPair(t, snap, p, algo)
 				tiers[def.Tier()] = true
-				for _, workers := range []int{1, 4} {
-					what := dc.name + " " + p.String() + " " + algo.String()
-					got := runBoth(t, snap, def, ref, workers, caps{}, what)
-					totalRows += got.Len()
+				what := dc.name + " " + p.String() + " " + algo.String()
+				got := runBoth(t, snap, def, ref, caps{}, what)
+				totalRows += got.Len()
 
-					rev := slices.Clone(got.Cols)
-					slices.Reverse(rev)
-					rtRef, rtDef := rjoin.NewRuntime(workers), rjoin.NewRuntime(workers)
-					want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Runtime: rtRef})
-					if err != nil {
-						t.Fatal(err)
-					}
-					projected, err := want.Project(rev)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Runtime: rtDef})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Exp != nil {
-						factorised++
-					}
-					if n := rtRef.Stats().FusedFilters; n != 0 {
-						t.Fatalf("%s: the reference plan fused %d steps", what, n)
-					}
-					fused[algo] += rtDef.Stats().FusedFilters
-					written, err := res.Table(rev)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(projected.Rows, written.Rows) && (projected.Len() != 0 || written.Len() != 0) {
-						t.Fatalf("%s: the reference's Project (%d rows) and Result.Table (%d rows) disagree on the final table",
-							what, projected.Len(), written.Len())
-					}
+				rev := slices.Clone(got.Cols)
+				slices.Reverse(rev)
+				rtRef, rtDef := new(rjoin.Runtime), new(rjoin.Runtime)
+				want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Runtime: rtRef})
+				if err != nil {
+					t.Fatal(err)
+				}
+				projected, err := want.Project(rev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := exec.Run(ctx, snap, def, false, exec.RunConfig{Runtime: rtDef})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Exp != nil {
+					factorised++
+				}
+				if n := rtRef.Stats().FusedFilters; n != 0 {
+					t.Fatalf("%s: the reference plan fused %d steps", what, n)
+				}
+				fused[algo] += rtDef.Stats().FusedFilters
+				written, err := res.Table(rev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(projected.Rows, written.Rows) && (projected.Len() != 0 || written.Len() != 0) {
+					t.Fatalf("%s: the reference's Project (%d rows) and Result.Table (%d rows) disagree on the final table",
+						what, projected.Len(), written.Len())
 				}
 			}
 		}
@@ -296,7 +293,7 @@ func TestFastPathDifferential(t *testing.T) {
 // Fetch, an intersected one the result owns after a Fetch that absorbed the
 // filters following it. For every such plan of the batteries, with the
 // limit at 1, inside a list, exactly on a list boundary, at N and at N+1,
-// at worker degrees 1, 2 and 4, the rows are the unlimited run's prefix, and
+// the rows are the unlimited run's prefix, and
 // Truncated, Bytes() and PeakRows() are the reference plan's (runBoth),
 // whose Fetch ran unlimited and whose last filter took the limit.
 func TestFactorisedLimits(t *testing.T) {
@@ -315,7 +312,7 @@ func TestFactorisedLimits(t *testing.T) {
 		for _, p := range dc.patterns {
 			for _, algo := range allPlanners {
 				def, ref := planPair(t, snap, p, algo)
-				res, traces, err := exec.Run(ctx, snap, def, true, exec.RunConfig{Workers: 1})
+				res, traces, err := exec.Run(ctx, snap, def, true, exec.RunConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -325,7 +322,7 @@ func TestFactorisedLimits(t *testing.T) {
 				// The plan's last step ran inside the Fetch before it: the
 				// lists are intersections the result owns.
 				fused := traces[len(traces)-1].Fused
-				full, err := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Workers: 1})
+				full, err := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -356,13 +353,11 @@ func TestFactorisedLimits(t *testing.T) {
 						fusedOnBoundary++
 					}
 				}
-				for _, workers := range []int{1, 2, 4} {
-					for _, limit := range limits {
-						what := fmt.Sprintf("%s %v %v workers=%d limit=%d of %d", dc.name, p, algo, workers, limit, res.N)
-						got := runBoth(t, snap, def, ref, workers, caps{ResultRows: limit}, what)
-						if want := full.Rows[:min(limit, res.N)]; !reflect.DeepEqual(got.Rows, want) {
-							t.Fatalf("%s: %d rows are not the unlimited result's prefix", what, got.Len())
-						}
+				for _, limit := range limits {
+					what := fmt.Sprintf("%s %v %v limit=%d of %d", dc.name, p, algo, limit, res.N)
+					got := runBoth(t, snap, def, ref, caps{ResultRows: limit}, what)
+					if want := full.Rows[:min(limit, res.N)]; !reflect.DeepEqual(got.Rows, want) {
+						t.Fatalf("%s: %d rows are not the unlimited result's prefix", what, got.Len())
 					}
 				}
 			}
@@ -377,7 +372,7 @@ func TestFactorisedLimits(t *testing.T) {
 }
 
 // TestFastPathBudgetIdentity: limits and budgets behave identically in both
-// modes at both worker degrees — same truncation prefix and Truncated flag,
+// modes — same truncation prefix and Truncated flag,
 // same bytes charged, and the same typed kill whenever a cap is below what
 // the query needs (and none when the cap is exactly what it needs).
 func TestFastPathBudgetIdentity(t *testing.T) {
@@ -397,43 +392,41 @@ func TestFastPathBudgetIdentity(t *testing.T) {
 		for _, p := range dc.patterns {
 			for _, algo := range allPlanners {
 				def, ref := planPair(t, snap, p, algo)
-				for _, workers := range []int{1, 4} {
-					what := dc.name + " " + p.String() + " " + algo.String()
-					free := &rjoin.Budget{}
-					full, err := exec.RunSnapConfig(context.Background(), snap, ref, exec.RunConfig{Workers: workers, Budget: free})
-					if err != nil {
-						t.Fatal(err)
+				what := dc.name + " " + p.String() + " " + algo.String()
+				free := &rjoin.Budget{}
+				full, err := exec.RunSnapConfig(context.Background(), snap, ref, exec.RunConfig{Budget: free})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := full.Len()
+				for _, limit := range []int{1, n / 2, n, n + 10} {
+					if limit <= 0 {
+						continue
 					}
-					n := full.Len()
-					for _, limit := range []int{1, n / 2, n, n + 10} {
-						if limit <= 0 {
-							continue
-						}
-						got := runBoth(t, snap, def, ref, workers, caps{ResultRows: limit}, what+" limit")
-						if want := full.Rows[:min(limit, n)]; !reflect.DeepEqual(got.Rows, want) && (len(got.Rows) != 0 || len(want) != 0) {
-							t.Fatalf("%s limit=%d: %d rows are not the unlimited result's prefix", what, limit, got.Len())
-						}
-						if limit < n {
-							truncations++
-						}
+					got := runBoth(t, snap, def, ref, caps{ResultRows: limit}, what+" limit")
+					if want := full.Rows[:min(limit, n)]; !reflect.DeepEqual(got.Rows, want) && (len(got.Rows) != 0 || len(want) != 0) {
+						t.Fatalf("%s limit=%d: %d rows are not the unlimited result's prefix", what, limit, got.Len())
 					}
-					if peak := int(free.PeakRows()); peak >= 2 {
-						if runBoth(t, snap, def, ref, workers, caps{MaxTableRows: peak / 2}, what+" row cap") != nil {
-							t.Fatalf("%s: survived a row cap of %d with a %d-row table", what, peak/2, peak)
-						}
-						kills++
-						// At exactly the peak an HPSJ may still die on its
-						// pre-dedup pair count; both modes must agree either way.
-						runBoth(t, snap, def, ref, workers, caps{MaxTableRows: peak}, what+" exact row cap")
+					if limit < n {
+						truncations++
 					}
-					if bytes := free.Bytes(); bytes >= 2 {
-						if runBoth(t, snap, def, ref, workers, caps{MaxBytes: bytes / 2}, what+" byte cap") != nil {
-							t.Fatalf("%s: survived a byte cap of %d having charged %d", what, bytes/2, bytes)
-						}
-						kills++
-						if runBoth(t, snap, def, ref, workers, caps{MaxBytes: bytes}, what+" exact byte cap") == nil {
-							t.Fatalf("%s: killed at a byte cap equal to its charge %d", what, bytes)
-						}
+				}
+				if peak := int(free.PeakRows()); peak >= 2 {
+					if runBoth(t, snap, def, ref, caps{MaxTableRows: peak / 2}, what+" row cap") != nil {
+						t.Fatalf("%s: survived a row cap of %d with a %d-row table", what, peak/2, peak)
+					}
+					kills++
+					// At exactly the peak an HPSJ may still die on its
+					// pre-dedup pair count; both modes must agree either way.
+					runBoth(t, snap, def, ref, caps{MaxTableRows: peak}, what+" exact row cap")
+				}
+				if bytes := free.Bytes(); bytes >= 2 {
+					if runBoth(t, snap, def, ref, caps{MaxBytes: bytes / 2}, what+" byte cap") != nil {
+						t.Fatalf("%s: survived a byte cap of %d having charged %d", what, bytes/2, bytes)
+					}
+					kills++
+					if runBoth(t, snap, def, ref, caps{MaxBytes: bytes}, what+" exact byte cap") == nil {
+						t.Fatalf("%s: killed at a byte cap equal to its charge %d", what, bytes)
 					}
 				}
 			}
@@ -445,8 +438,8 @@ func TestFastPathBudgetIdentity(t *testing.T) {
 }
 
 // TestFastPathColdSnapshotConcurrentReaders: many queries start at once on
-// a snapshot whose decoded memos are empty, so every partition of every
-// query races to fill the same maps. Each must still return the reference
+// a snapshot whose decoded memos are empty, so every query races to fill
+// the same maps. Each must still return the reference
 // result (computed first; reference mode never touches the memos). Run
 // under -race.
 func TestFastPathColdSnapshotConcurrentReaders(t *testing.T) {
@@ -467,7 +460,7 @@ func TestFastPathColdSnapshotConcurrentReaders(t *testing.T) {
 	var jobs []job
 	for _, p := range dc.patterns {
 		def, ref := planPair(t, snap, p, exec.DPS)
-		want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: 1})
+		want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +474,7 @@ func TestFastPathColdSnapshotConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := exec.RunSnapConfig(ctx, snap, j.plan, exec.RunConfig{Workers: 2})
+			got, err := exec.RunSnapConfig(ctx, snap, j.plan, exec.RunConfig{})
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
 				return
@@ -518,7 +511,7 @@ func FuzzFastPathDifferential(f *testing.F) {
 		defer release()
 		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ} {
 			def, ref := planPair(t, snap, p, algo)
-			runBoth(t, snap, def, ref, 1, caps{}, p.String()+" "+algo.String())
+			runBoth(t, snap, def, ref, caps{}, p.String()+" "+algo.String())
 		}
 	})
 }

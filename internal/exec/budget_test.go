@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"fastmatch/internal/pattern"
@@ -12,10 +11,9 @@ import (
 )
 
 // TestBudgetCrosscheck is the governor's end-to-end property: for every
-// algorithm, worker degree (serial and GOMAXPROCS), and row limit, the
-// budgeted run returns exactly the unbudgeted run's first-n rows, with the
-// Truncated flag set iff rows were actually dropped. Runs under -race in
-// the verify tier, so it also exercises the budget's concurrent accounting.
+// algorithm and row limit, the budgeted run returns exactly the unbudgeted
+// run's first-n rows, with the Truncated flag set iff rows were actually
+// dropped.
 func TestBudgetCrosscheck(t *testing.T) {
 	g := randomGraph(21, 160, 220, 5)
 	snap := mustSnap(t, g)
@@ -28,42 +26,28 @@ func TestBudgetCrosscheck(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", ps, algo, err)
 			}
-			full, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: 1})
+			full, err := RunSnapConfig(ctx, snap, plan, RunConfig{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", ps, algo, err)
 			}
-			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-				// The full run is row-identical at every degree (the
-				// PR-2 determinism guarantee the pushdown builds on).
-				again, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: workers})
+			for _, n := range []int{1, 2, 5, full.Len(), full.Len() + 3} {
+				if n == 0 {
+					continue // 0 means "no limit"
+				}
+				b := &rjoin.Budget{ResultRows: n}
+				got, err := RunSnapConfig(ctx, snap, plan, RunConfig{Budget: b})
 				if err != nil {
-					t.Fatalf("%s/%v w=%d: %v", ps, algo, workers, err)
+					t.Fatalf("%s/%v limit=%d: %v", ps, algo, n, err)
 				}
-				if !reflect.DeepEqual(again.Rows, full.Rows) {
-					t.Fatalf("%s/%v w=%d: unbudgeted run not row-identical to serial", ps, algo, workers)
+				wantLen := min(n, full.Len())
+				if got.Len() != wantLen {
+					t.Fatalf("%s/%v limit=%d: %d rows, want %d", ps, algo, n, got.Len(), wantLen)
 				}
-				for _, n := range []int{1, 2, 5, full.Len(), full.Len() + 3} {
-					if n == 0 {
-						continue // 0 means "no limit"
-					}
-					b := &rjoin.Budget{ResultRows: n}
-					got, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: workers, Budget: b})
-					if err != nil {
-						t.Fatalf("%s/%v w=%d limit=%d: %v", ps, algo, workers, n, err)
-					}
-					wantLen := min(n, full.Len())
-					if got.Len() != wantLen {
-						t.Fatalf("%s/%v w=%d limit=%d: %d rows, want %d",
-							ps, algo, workers, n, got.Len(), wantLen)
-					}
-					if !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
-						t.Fatalf("%s/%v w=%d limit=%d: rows are not the unbudgeted prefix",
-							ps, algo, workers, n)
-					}
-					if wantTrunc := full.Len() > n; b.Truncated() != wantTrunc {
-						t.Fatalf("%s/%v w=%d limit=%d: Truncated=%v, want %v",
-							ps, algo, workers, n, b.Truncated(), wantTrunc)
-					}
+				if !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
+					t.Fatalf("%s/%v limit=%d: rows are not the unbudgeted prefix", ps, algo, n)
+				}
+				if wantTrunc := full.Len() > n; b.Truncated() != wantTrunc {
+					t.Fatalf("%s/%v limit=%d: Truncated=%v, want %v", ps, algo, n, b.Truncated(), wantTrunc)
 				}
 			}
 		}
@@ -89,19 +73,11 @@ func TestBudgetKillsQuery(t *testing.T) {
 		t.Fatal("empty result; pick another seed")
 	}
 
-	for _, workers := range []int{1, 0} {
-		if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{
-			Workers: workers,
-			Budget:  &rjoin.Budget{MaxTableRows: 1},
-		}); !errors.Is(err, rjoin.ErrRowLimit) {
-			t.Fatalf("workers=%d: got %v, want ErrRowLimit", workers, err)
-		}
-		if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{
-			Workers: workers,
-			Budget:  &rjoin.Budget{MaxBytes: 8},
-		}); !errors.Is(err, rjoin.ErrBudgetExceeded) {
-			t.Fatalf("workers=%d: got %v, want ErrBudgetExceeded", workers, err)
-		}
+	if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{Budget: &rjoin.Budget{MaxTableRows: 1}}); !errors.Is(err, rjoin.ErrRowLimit) {
+		t.Fatalf("got %v, want ErrRowLimit", err)
+	}
+	if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{Budget: &rjoin.Budget{MaxBytes: 8}}); !errors.Is(err, rjoin.ErrBudgetExceeded) {
+		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
 
 	// A generous budget lets the query through and reports its footprint.

@@ -28,8 +28,6 @@ type StepTrace struct {
 	IO int64
 	// ElapsedMS is the step's wall time in milliseconds.
 	ElapsedMS float64
-	// Workers is the intra-operator parallelism degree the step ran under.
-	Workers int
 	// CenterCacheHits counts the step's partner-table slot hits: rows whose
 	// getCenters intersection and subcluster union an earlier operator or
 	// query on the epoch had already computed (see rjoin.RuntimeStats).
@@ -61,13 +59,8 @@ type StepTrace struct {
 
 // RunConfig tunes one plan execution.
 type RunConfig struct {
-	// Workers is the intra-operator parallelism degree: operators partition
-	// their center lists / row ranges across up to Workers goroutines
-	// (<= 0 selects GOMAXPROCS; 1 is the serial reference path).
-	Workers int
-	// Runtime, when non-nil, supplies a preconstructed operator runtime
-	// (overriding Workers); callers use this to read the runtime's
-	// counters after the run.
+	// Runtime, when non-nil, supplies a preconstructed operator runtime;
+	// callers use this to read the runtime's counters after the run.
 	Runtime *rjoin.Runtime
 	// Budget, when non-nil, is the query's resource governor: its
 	// ResultRows limit is pushed into the plan's final operator (the run
@@ -83,7 +76,7 @@ type RunConfig struct {
 func (cfg RunConfig) runtime() *rjoin.Runtime {
 	rt := cfg.Runtime
 	if rt == nil {
-		rt = rjoin.NewRuntime(cfg.Workers)
+		rt = new(rjoin.Runtime)
 	}
 	if cfg.Budget != nil {
 		rt.SetBudget(cfg.Budget)
@@ -129,9 +122,9 @@ func patternOrder(plan *optimizer.Plan) []int {
 // mid-operator (with ctx.Err()) once ctx is cancelled or past its deadline.
 // Callers pin once and pass the same snapshot to BuildPlanSnapConfig and
 // here, so a query plans and executes on one index version — concurrent
-// edge inserts publish new epochs without blocking or tearing the run. One
-// rjoin.Runtime — the worker-pool degree, budget and counters — is shared
-// by all steps of the plan.
+// edge inserts publish new epochs without blocking or tearing the run. The
+// steps run one after another on the calling goroutine and share one
+// rjoin.Runtime — its budget and counters.
 func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Result, []StepTrace, error) {
 	if plan.Fast != nil && plan.Fast.Kind == optimizer.FPImpossible {
 		return runImpossible(ctx, plan, trace)
@@ -170,8 +163,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		// when a Fetch absorbs the filters that follow it — the last of them.
 		end := si
 		// Limit pushdown: the plan's final operator stops producing once
-		// the result-row limit is exceeded and truncates its merged
-		// output, so rows past the limit are never materialised. For a
+		// the result-row limit is exceeded and truncates its output, so
+		// rows past the limit are never materialised. For a
 		// JoinFilterFetch the limit is armed only after its Filter phase —
 		// truncating the filtered input would drop rows the Fetch still
 		// needs.
@@ -265,8 +258,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		if res != nil {
 			rows = res.N
 		}
-		// Per-step budget checkpoint: operators check at their own merge
-		// points; this additionally covers tables the executor builds
+		// Per-step budget checkpoint: operators check when they finish;
+		// this additionally covers tables the executor builds
 		// itself (extent tables) and keeps the peak-rows statistic exact.
 		bdg.NoteRows(rows)
 		if err := bdg.CheckRows(rows); err != nil {
@@ -291,7 +284,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				Rows:            rows,
 				IO:              db.IOStats().Logical() - ioBefore,
 				ElapsedMS:       float64(time.Since(stepStart).Microseconds()) / 1000,
-				Workers:         rt.Workers(),
 				CenterCacheHits: statsAfter.CenterCacheHits - statsBefore.CenterCacheHits,
 				Seeks:           statsAfter.Seeks - statsBefore.Seeks,
 				IterNexts:       statsAfter.IterNexts - statsBefore.IterNexts,
@@ -311,7 +303,7 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			for k := si + 1; k <= end; k++ {
 				traces = append(traces, StepTrace{
 					Step: plan.Steps[k], Rows: counts[k-si], Fused: true,
-					Workers: st.Workers, Tier: st.Tier, FastIndex: st.FastIndex,
+					Tier: st.Tier, FastIndex: st.FastIndex,
 				})
 			}
 		}
@@ -353,7 +345,6 @@ func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoi
 		traces = []StepTrace{{
 			Step:      plan.Steps[0],
 			Rows:      0,
-			Workers:   1,
 			Tier:      2,
 			FastIndex: plan.Fast.Index,
 		}}

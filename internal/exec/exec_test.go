@@ -2,9 +2,11 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -309,9 +311,9 @@ func BenchmarkQueryDPS(b *testing.B) {
 // and then shrunk to the paper's buffer-to-data ratio (what the experiment
 // runner does) must still answer parallel queries. The pool used to keep
 // its construction-time 16 shards, so 64 KB left one frame per shard and
-// two workers meeting in a shard failed the query with "buffer pool
+// two readers meeting in a shard failed the query with "buffer pool
 // exhausted" on every multi-core run. Reference mode is what reads the
-// pool per access.
+// pool per access; each plan runs as two concurrent queries.
 func TestParallelQueryAfterPoolShrink(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	d := xmark.Generate(xmark.Config{Nodes: 8000, Seed: 3})
@@ -333,7 +335,17 @@ func TestParallelQueryAfterPoolShrink(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.ClearCaches()
-			if _, err := RunSnapConfig(ctx, snap, plan, RunConfig{Workers: 4}); err != nil {
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[i] = RunSnapConfig(ctx, snap, plan, RunConfig{})
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
 				t.Fatalf("%s %v: %v", w.Name, algo, err)
 			}
 		}
@@ -362,11 +374,11 @@ func TestFusedStepTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, limit := range []int{0, 3} {
-				_, got, err := Run(ctx, snap, def, true, RunConfig{Workers: 2, Budget: &rjoin.Budget{ResultRows: limit}})
+				_, got, err := Run(ctx, snap, def, true, RunConfig{Budget: &rjoin.Budget{ResultRows: limit}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, want, err := Run(ctx, snap, ref, true, RunConfig{Workers: 2, Budget: &rjoin.Budget{ResultRows: limit}})
+				_, want, err := Run(ctx, snap, ref, true, RunConfig{Budget: &rjoin.Budget{ResultRows: limit}})
 				if err != nil {
 					t.Fatal(err)
 				}

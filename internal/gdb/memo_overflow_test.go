@@ -16,8 +16,7 @@ import (
 // TestDecodedMemoOverflowMidQuery shrinks the decoded memos' bound until
 // they overflow and reset many times inside every operator, and checks
 // that nothing observable changes: the memos are a cache, so a query that
-// keeps losing them returns the reference executor's rows in its order, at
-// one worker and at four.
+// keeps losing them returns the reference executor's rows in its order.
 func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := graph.NewBuilder()
@@ -48,7 +47,7 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: 1})
+			want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,15 +55,12 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				got, err := exec.RunSnapConfig(ctx, snap, plan, exec.RunConfig{Workers: workers})
-				if err != nil {
-					t.Fatalf("%q %v workers=%d: %v", ps, algo, workers, err)
-				}
-				if !reflect.DeepEqual(got.Rows, want.Rows) {
-					t.Fatalf("%q %v workers=%d: %d rows under a resetting memo, reference has %d",
-						ps, algo, workers, got.Len(), want.Len())
-				}
+			got, err := exec.RunSnapConfig(ctx, snap, plan, exec.RunConfig{})
+			if err != nil {
+				t.Fatalf("%q %v: %v", ps, algo, err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%q %v: %d rows under a resetting memo, reference has %d", ps, algo, got.Len(), want.Len())
 			}
 			rows += want.Len()
 		}
@@ -83,7 +79,7 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 // that table does not fit beside the Fetch's, opening it forgets every
 // table of the epoch, the Fetch's included, in the middle of the operator.
 // The lists a query loaded stay its own, so the fused query still returns
-// the reference rows, at one worker and at four.
+// the reference rows.
 func TestDecodedMemoFusedSelectionTable(t *testing.T) {
 	g := xmark.Generate(xmark.Config{Nodes: 1500, Seed: 5}).Graph
 	db, err := gdb.Build(g, gdb.Options{})
@@ -106,7 +102,7 @@ func TestDecodedMemoFusedSelectionTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Workers: 1})
+			want, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,25 +117,23 @@ func TestDecodedMemoFusedSelectionTable(t *testing.T) {
 				largest = max(largest, g.ExtentSize(g.Labels().Lookup(name)))
 			}
 			db.SetDecodedMemoBound(2*largest + 32)
-			for _, workers := range []int{1, 4} {
-				_, _, before := db.DecodedMemoStats()
-				res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{Workers: workers})
-				if err != nil {
-					t.Fatalf("%q %v workers=%d: %v", ps, algo, workers, err)
-				}
-				got, err := res.Table(want.Cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Rows, want.Rows) {
-					t.Fatalf("%q %v workers=%d: %d rows with the Selection's table evicting the Fetch's, reference has %d",
-						ps, algo, workers, got.Len(), want.Len())
-				}
-				if last := traces[len(traces)-1]; last.Fused && want.Len() > 0 {
-					fused++
-					if _, _, after := db.DecodedMemoStats(); after == before {
-						t.Fatalf("%q %v workers=%d: both tables fit a bound of %d units; the case proves nothing", ps, algo, workers, 2*largest+32)
-					}
+			_, _, before := db.DecodedMemoStats()
+			res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{})
+			if err != nil {
+				t.Fatalf("%q %v: %v", ps, algo, err)
+			}
+			got, err := res.Table(want.Cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%q %v: %d rows with the Selection's table evicting the Fetch's, reference has %d",
+					ps, algo, got.Len(), want.Len())
+			}
+			if last := traces[len(traces)-1]; last.Fused && want.Len() > 0 {
+				fused++
+				if _, _, after := db.DecodedMemoStats(); after == before {
+					t.Fatalf("%q %v: both tables fit a bound of %d units; the case proves nothing", ps, algo, 2*largest+32)
 				}
 			}
 		}

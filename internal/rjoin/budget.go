@@ -32,18 +32,16 @@ var (
 // row counts are checked and noted, for its whole expansion — the rows it
 // would have written had the filters run after it — not for the survivors,
 // so a plan costs the same fused or step by step. Checks sit in the
-// operators' cancellation polls and at every partition-merge point, so one
-// partition exceeding the budget cancels its siblings through the
-// operator's shared sub-context.
+// operators' cancellation polls and at the end of every operator, and a
+// failed check returns the typed error from the operator.
 // All methods are safe for concurrent use and safe on a nil *Budget (every
 // check passes), so unbudgeted paths pay only a nil test.
 type Budget struct {
 	// ResultRows, when > 0, caps the rows of the final query result. The
 	// executor pushes it into the plan's last operator, which stops
 	// producing once the limit is definitively exceeded and truncates its
-	// merged output; Truncated reports whether rows were cut. The first
-	// ResultRows rows are exactly the unbudgeted run's prefix at every
-	// worker degree.
+	// output; Truncated reports whether rows were cut. The first ResultRows
+	// rows are exactly the unbudgeted run's prefix.
 	ResultRows int
 	// MaxTableRows, when > 0, fails the query with ErrRowLimit as soon as
 	// any intermediate temporal table exceeds this many rows.
@@ -60,7 +58,7 @@ type Budget struct {
 }
 
 // AddBytes records n bytes of intermediate-result allocation without
-// checking the cap (checks run at the next poll or merge point).
+// checking the cap (checks run at the next poll or operator end).
 func (b *Budget) AddBytes(n int64) {
 	if b == nil {
 		return
@@ -95,8 +93,8 @@ func (b *Budget) overBytes(n int64) bool {
 	return b != nil && b.MaxBytes > 0 && b.bytes.Load()+n > b.MaxBytes
 }
 
-// CheckRows returns ErrRowLimit when an intermediate table (or a single
-// partition of one) holds more than MaxTableRows rows.
+// CheckRows returns ErrRowLimit when an intermediate table holds more than
+// MaxTableRows rows.
 func (b *Budget) CheckRows(n int) error {
 	if b == nil || b.MaxTableRows <= 0 || n <= b.MaxTableRows {
 		return nil

@@ -63,7 +63,7 @@ func TestBudgetChecks(t *testing.T) {
 }
 
 // TestOperatorBudgetKill: each operator dies with the typed error once its
-// output exceeds the budget, at serial and parallel degrees.
+// output exceeds the budget, on the decoded and the counted-I/O read path.
 func TestOperatorBudgetKill(t *testing.T) {
 	g := randomGraph(11, 60, 150, 3)
 	db := mustDB(t, g)
@@ -78,34 +78,39 @@ func TestOperatorBudgetKill(t *testing.T) {
 		t.Fatalf("graph too sparse for the test: %d join rows", full.Len())
 	}
 
-	for _, workers := range []int{1, 4} {
+	for _, countIO := range []bool{false, true} {
+		budgeted := func(b *Budget) *Runtime {
+			rt := new(Runtime)
+			if countIO {
+				rt.CountIO()
+			}
+			rt.SetBudget(b)
+			return rt
+		}
 		t.Run("rows", func(t *testing.T) {
-			rt := NewRuntime(workers)
-			rt.SetBudget(&Budget{MaxTableRows: full.Len() - 1})
+			rt := budgeted(&Budget{MaxTableRows: full.Len() - 1})
 			if _, err := rt.HPSJ(ctx, db, c); !errors.Is(err, ErrRowLimit) {
-				t.Fatalf("workers=%d: got %v, want ErrRowLimit", workers, err)
+				t.Fatalf("countIO=%v: got %v, want ErrRowLimit", countIO, err)
 			}
 		})
 		t.Run("bytes", func(t *testing.T) {
-			rt := NewRuntime(workers)
-			rt.SetBudget(&Budget{MaxBytes: 16})
+			rt := budgeted(&Budget{MaxBytes: 16})
 			if _, err := rt.HPSJ(ctx, db, c); !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("workers=%d: got %v, want ErrBudgetExceeded", workers, err)
+				t.Fatalf("countIO=%v: got %v, want ErrBudgetExceeded", countIO, err)
 			}
 		})
 		t.Run("fetch-rows", func(t *testing.T) {
-			rt := NewRuntime(workers)
-			rt.SetBudget(&Budget{MaxTableRows: full.Len() - 1})
+			rt := budgeted(&Budget{MaxTableRows: full.Len() - 1})
 			in := extentOf(g, c.FromLabel, 0, 1)
 			if _, err := rt.Fetch(ctx, db, in, c); !errors.Is(err, ErrRowLimit) {
-				t.Fatalf("workers=%d: got %v, want ErrRowLimit", workers, err)
+				t.Fatalf("countIO=%v: got %v, want ErrRowLimit", countIO, err)
 			}
 		})
 	}
 
 	// A budget the query fits inside leaves the result untouched and
 	// accumulates accounting.
-	rt := NewRuntime(2)
+	rt := new(Runtime)
 	b := &Budget{MaxTableRows: full.Len() + 10, MaxBytes: 1 << 30}
 	rt.SetBudget(b)
 	got, err := rt.HPSJ(ctx, db, c)
@@ -124,8 +129,8 @@ func TestOperatorBudgetKill(t *testing.T) {
 }
 
 // TestLimitPushdownPrefix: with a pushed-down result limit each operator
-// returns exactly the first n rows of its unlimited output — identical at
-// every worker degree — and marks the budget truncated.
+// returns exactly the first n rows of its unlimited output and marks the
+// budget truncated.
 func TestLimitPushdownPrefix(t *testing.T) {
 	g := randomGraph(12, 60, 150, 3)
 	db := mustDB(t, g)
@@ -145,43 +150,40 @@ func TestLimitPushdownPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 7} {
-		for _, n := range []int{1, 2, full.Len() - 1, full.Len(), full.Len() + 5} {
-			rt := NewRuntime(workers)
-			b := &Budget{ResultRows: n}
-			rt.SetBudget(b)
-			rt.PushLimit(n)
-			got, err := rt.HPSJ(ctx, db, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLen := min(n, full.Len())
-			if got.Len() != wantLen {
-				t.Fatalf("workers=%d limit=%d: %d rows, want %d", workers, n, got.Len(), wantLen)
-			}
-			if !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
-				t.Fatalf("workers=%d limit=%d: rows are not the unlimited prefix", workers, n)
-			}
-			if wantTrunc := n < full.Len(); b.Truncated() != wantTrunc {
-				t.Fatalf("workers=%d limit=%d: Truncated=%v, want %v", workers, n, b.Truncated(), wantTrunc)
-			}
+	for _, n := range []int{1, 2, full.Len() - 1, full.Len(), full.Len() + 5} {
+		rt := new(Runtime)
+		b := &Budget{ResultRows: n}
+		rt.SetBudget(b)
+		rt.PushLimit(n)
+		got, err := rt.HPSJ(ctx, db, c)
+		if err != nil {
+			t.Fatal(err)
 		}
+		wantLen := min(n, full.Len())
+		if got.Len() != wantLen {
+			t.Fatalf("limit=%d: %d rows, want %d", n, got.Len(), wantLen)
+		}
+		if !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
+			t.Fatalf("limit=%d: rows are not the unlimited prefix", n)
+		}
+		if wantTrunc := n < full.Len(); b.Truncated() != wantTrunc {
+			t.Fatalf("limit=%d: Truncated=%v, want %v", n, b.Truncated(), wantTrunc)
+		}
+	}
 
-		// Fetch: same prefix property over its row-range partitioning.
-		for _, n := range []int{1, 3, fullFetch.Len()} {
-			rt := NewRuntime(workers)
-			b := &Budget{ResultRows: n}
-			rt.SetBudget(b)
-			rt.PushLimit(n)
-			got, err := rt.Fetch(ctx, db, in, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLen := min(n, fullFetch.Len())
-			if got.Len() != wantLen || !reflect.DeepEqual(got.Rows, fullFetch.Rows[:wantLen]) {
-				t.Fatalf("Fetch workers=%d limit=%d: not the unlimited prefix (%d rows, want %d)",
-					workers, n, got.Len(), wantLen)
-			}
+	// Fetch: same prefix property, stopping at whole input rows.
+	for _, n := range []int{1, 3, fullFetch.Len()} {
+		rt := new(Runtime)
+		b := &Budget{ResultRows: n}
+		rt.SetBudget(b)
+		rt.PushLimit(n)
+		got, err := rt.Fetch(ctx, db, in, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLen := min(n, fullFetch.Len())
+		if got.Len() != wantLen || !reflect.DeepEqual(got.Rows, fullFetch.Rows[:wantLen]) {
+			t.Fatalf("Fetch limit=%d: not the unlimited prefix (%d rows, want %d)", n, got.Len(), wantLen)
 		}
 	}
 }

@@ -36,9 +36,10 @@ func fusedDAG(seed int64, n, m int) *graph.Graph {
 }
 
 // fusedInput builds the tests' three-column input — (A, B, D) rows bound to
-// pattern nodes 0, 1, 2 with a ⇝ b and a ⇝ d, enough of them to split
-// across workers — and the Fetch that binds node 3 to the C nodes a row's b
-// reaches. Node 4 (E) and node 5 (Z) stay unbound.
+// pattern nodes 0, 1, 2 with a ⇝ b and a ⇝ d, replicated to a few thousand
+// so the operator's loops cross several cancellation polls — and the Fetch
+// that binds node 3 to the C nodes a row's b reaches. Node 4 (E) and node 5
+// (Z) stay unbound.
 func fusedInput(t testing.TB, g *graph.Graph, db *gdb.Snap) (*Table, Cond) {
 	t.Helper()
 	ctx := context.Background()
@@ -49,7 +50,7 @@ func fusedInput(t testing.TB, g *graph.Graph, db *gdb.Snap) (*Table, Cond) {
 	if err != nil || in.Len() == 0 {
 		t.Fatalf("fused input: %d rows, %v", in.Len(), err)
 	}
-	for len(in.Rows) < minParallelGrains*rowGrain {
+	for len(in.Rows) < 2048 {
 		in.Rows = append(in.Rows, in.Rows...)
 	}
 	return in, cond(g, "B", "C", 1, 3)
@@ -86,9 +87,9 @@ func stepwise(ctx context.Context, rt *Runtime, db *gdb.Snap, t *Table, c Cond, 
 
 // TestFetchFilteredMatchesStepwise: a Fetch that absorbs the filters on the
 // node it binds is the Fetch followed by those filters — same rows, same
-// order, same per-step counts, same budget — at every worker degree,
-// written out or left factorised, unlimited or limited, and it never writes
-// to a shared partner list.
+// order, same per-step counts, same budget — written out or left
+// factorised, unlimited or limited, and it never writes to a shared partner
+// list.
 func TestFetchFilteredMatchesStepwise(t *testing.T) {
 	g := fusedDAG(7, 400, 1200)
 	db := mustDB(t, g)
@@ -122,8 +123,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		free := NewRuntime(1)
-		full, fullCounts, err := stepwise(ctx, free, db, tc.in, fetch, 3, tc.filters, 0)
+		full, fullCounts, err := stepwise(ctx, new(Runtime), db, tc.in, fetch, 3, tc.filters, 0)
 		if err != nil {
 			t.Fatalf("%s: stepwise: %v", tc.name, err)
 		}
@@ -134,49 +134,47 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		if n := full.Len(); n > 0 {
 			limits = append(limits, n/2, n, n+1)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, last := range []bool{false, true} {
-				for _, limit := range limits {
-					what := fmt.Sprintf("%s workers=%d last=%v limit=%d", tc.name, workers, last, limit)
-					bw, bg := &Budget{ResultRows: limit}, &Budget{ResultRows: limit}
-					rtW, rtG := NewRuntime(workers), NewRuntime(workers)
-					rtW.SetBudget(bw)
-					rtG.SetBudget(bg)
-					want, wantCounts, err := stepwise(ctx, rtW, db, tc.in, fetch, 3, tc.filters, limit)
-					if err != nil {
-						t.Fatalf("%s: stepwise: %v", what, err)
-					}
-					rtG.PushLimit(limit)
-					res, counts, err := rtG.FetchFiltered(ctx, db, tc.in, fetch, tc.filters, last)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					if factorised := res.Exp != nil; factorised != (last && counts[0] > 0) {
-						t.Fatalf("%s: factorised=%v", what, factorised)
-					}
-					got, err := res.Table(want.Cols)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Len() != res.N || !reflect.DeepEqual(got.Rows, want.Rows) && (got.Len() != 0 || want.Len() != 0) {
-						t.Fatalf("%s: %d rows, the stepwise pipeline %d", what, got.Len(), want.Len())
-					}
-					if limit == 0 && !reflect.DeepEqual(counts, wantCounts) {
-						t.Fatalf("%s: per-step counts %v, stepwise %v", what, counts, wantCounts)
-					}
-					if counts[0] != fullCounts[0] {
-						t.Fatalf("%s: Fetch's logical count %d, want %d", what, counts[0], fullCounts[0])
-					}
-					if bg.Bytes() != bw.Bytes() || bg.PeakRows() != bw.PeakRows() || bg.Truncated() != bw.Truncated() {
-						t.Fatalf("%s: budget bytes=%d peak=%d truncated=%v, stepwise bytes=%d peak=%d truncated=%v",
-							what, bg.Bytes(), bg.PeakRows(), bg.Truncated(), bw.Bytes(), bw.PeakRows(), bw.Truncated())
-					}
-					if st := rtG.Stats(); st.FusedFilters != int64(len(tc.filters)) || st.Ops != 1 {
-						t.Fatalf("%s: stats %+v, want one operator and %d fused filters", what, st, len(tc.filters))
-					}
-					if rtW.Stats().FusedFilters != 0 {
-						t.Fatalf("%s: the stepwise pipeline counted fused filters", what)
-					}
+		for _, last := range []bool{false, true} {
+			for _, limit := range limits {
+				what := fmt.Sprintf("%s last=%v limit=%d", tc.name, last, limit)
+				bw, bg := &Budget{ResultRows: limit}, &Budget{ResultRows: limit}
+				rtW, rtG := new(Runtime), new(Runtime)
+				rtW.SetBudget(bw)
+				rtG.SetBudget(bg)
+				want, wantCounts, err := stepwise(ctx, rtW, db, tc.in, fetch, 3, tc.filters, limit)
+				if err != nil {
+					t.Fatalf("%s: stepwise: %v", what, err)
+				}
+				rtG.PushLimit(limit)
+				res, counts, err := rtG.FetchFiltered(ctx, db, tc.in, fetch, tc.filters, last)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if factorised := res.Exp != nil; factorised != (last && counts[0] > 0) {
+					t.Fatalf("%s: factorised=%v", what, factorised)
+				}
+				got, err := res.Table(want.Cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Len() != res.N || !reflect.DeepEqual(got.Rows, want.Rows) && (got.Len() != 0 || want.Len() != 0) {
+					t.Fatalf("%s: %d rows, the stepwise pipeline %d", what, got.Len(), want.Len())
+				}
+				if limit == 0 && !reflect.DeepEqual(counts, wantCounts) {
+					t.Fatalf("%s: per-step counts %v, stepwise %v", what, counts, wantCounts)
+				}
+				if counts[0] != fullCounts[0] {
+					t.Fatalf("%s: Fetch's logical count %d, want %d", what, counts[0], fullCounts[0])
+				}
+				if bg.Bytes() != bw.Bytes() || bg.PeakRows() != bw.PeakRows() || bg.Truncated() != bw.Truncated() {
+					t.Fatalf("%s: budget bytes=%d peak=%d truncated=%v, stepwise bytes=%d peak=%d truncated=%v",
+						what, bg.Bytes(), bg.PeakRows(), bg.Truncated(), bw.Bytes(), bw.PeakRows(), bw.Truncated())
+				}
+				if st := rtG.Stats(); st.FusedFilters != int64(len(tc.filters)) || st.Ops != 1 {
+					t.Fatalf("%s: stats %+v, want one operator and %d fused filters", what, st, len(tc.filters))
+				}
+				if rtW.Stats().FusedFilters != 0 {
+					t.Fatalf("%s: the stepwise pipeline counted fused filters", what)
 				}
 			}
 		}
@@ -200,7 +198,7 @@ func TestFetchFilteredBudgetKill(t *testing.T) {
 	in, fetch := fusedInput(t, g, db)
 	filters := []NodeFilter{{Conds: []Cond{cond(g, "D", "C", 2, 3)}}}
 	free := &Budget{}
-	rt := NewRuntime(1)
+	rt := new(Runtime)
 	rt.SetBudget(free)
 	res, counts, err := rt.FetchFiltered(ctx, db, in, fetch, filters, true)
 	if err != nil || res.N == 0 || res.N >= counts[0] {
@@ -218,14 +216,12 @@ func TestFetchFilteredBudgetKill(t *testing.T) {
 		{0, free.Bytes() - 1, ErrBudgetExceeded},
 		{counts[0], free.Bytes(), nil},
 	} {
-		for _, workers := range []int{1, 4} {
-			for _, last := range []bool{false, true} {
-				rt := NewRuntime(workers)
-				rt.SetBudget(&Budget{MaxTableRows: tc.rows, MaxBytes: tc.bytes})
-				_, _, err := rt.FetchFiltered(ctx, db, in, fetch, filters, last)
-				if !errors.Is(err, tc.want) {
-					t.Fatalf("workers=%d last=%v caps %d rows / %d bytes: %v, want %v", workers, last, tc.rows, tc.bytes, err, tc.want)
-				}
+		for _, last := range []bool{false, true} {
+			rt := new(Runtime)
+			rt.SetBudget(&Budget{MaxTableRows: tc.rows, MaxBytes: tc.bytes})
+			_, _, err := rt.FetchFiltered(ctx, db, in, fetch, filters, last)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("last=%v caps %d rows / %d bytes: %v, want %v", last, tc.rows, tc.bytes, err, tc.want)
 			}
 		}
 	}
@@ -245,7 +241,7 @@ func TestFetchFilteredErrors(t *testing.T) {
 		"group on another node":           {Conds: []Cond{cond(g, "B", "E", 1, 4)}, Semijoin: true, OutSide: true},
 		"group on the wrong side":         {Conds: []Cond{cond(g, "C", "E", 3, 4)}, Semijoin: true},
 	} {
-		if _, _, err := NewRuntime(1).FetchFiltered(ctx, db, in, fetch, []NodeFilter{f}, true); err == nil {
+		if _, _, err := new(Runtime).FetchFiltered(ctx, db, in, fetch, []NodeFilter{f}, true); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -288,14 +284,14 @@ func BenchmarkFetchFilters(b *testing.B) {
 			run  func() (int, error)
 		}{
 			{"fused", func() (int, error) {
-				res, _, err := NewRuntime(1).FetchFiltered(ctx, db, in, fetch, filters, true)
+				res, _, err := new(Runtime).FetchFiltered(ctx, db, in, fetch, filters, true)
 				if err != nil {
 					return 0, err
 				}
 				return res.N, nil
 			}},
 			{"stepwise", func() (int, error) {
-				out, _, err := stepwise(ctx, NewRuntime(1), db, in, fetch, 3, filters, 0)
+				out, _, err := stepwise(ctx, new(Runtime), db, in, fetch, 3, filters, 0)
 				if err != nil {
 					return 0, err
 				}

@@ -28,9 +28,8 @@ func newCancelCheck(ctx context.Context) cancelCheck {
 	return cancelCheck{ctx: ctx, left: cancelStride}
 }
 
-// check is newCancelCheck carrying the runtime's budget, so a partition
-// that blows the byte budget fails at its next poll and cancels its
-// siblings through runParts' shared sub-context.
+// check is newCancelCheck carrying the runtime's budget, so an operator
+// that blows the byte budget fails at its next poll.
 func (rt *Runtime) check(ctx context.Context) cancelCheck {
 	return cancelCheck{ctx: ctx, b: rt.budget, left: cancelStride}
 }
@@ -52,110 +51,101 @@ func (c *cancelCheck) tickN(n int) error {
 	return c.b.CheckBytes()
 }
 
-// Package-level operator functions are the serial path: they run
-// single-threaded on a fresh one-worker Runtime. Parallel execution goes
-// through Runtime's methods of the same names.
+// Package-level operator functions run on a fresh, unbudgeted Runtime.
 
 // HPSJ processes an R-join between two base tables (Algorithm 1). See
 // Runtime.HPSJ.
 func HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Table, error) {
-	return serial().HPSJ(ctx, db, c)
+	return new(Runtime).HPSJ(ctx, db, c)
 }
 
 // Filter is the R-semijoin (Algorithm 2, Filter). See Runtime.Filter.
 func Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
-	return serial().Filter(ctx, db, t, c)
-}
-
-// FilterMulti evaluates several R-semijoins in one scan of t (Remark 3.1).
-// See Runtime.FilterMulti.
-func FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond) (*Table, error) {
-	return serial().FilterMulti(ctx, db, t, conds)
+	return new(Runtime).Filter(ctx, db, t, c)
 }
 
 // FilterGroup applies a group of R-semijoins sharing one bound column and
 // code side. See Runtime.FilterGroup.
 func FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond, node int, outSide bool) (*Table, error) {
-	return serial().FilterGroup(ctx, db, t, conds, node, outSide)
+	return new(Runtime).FilterGroup(ctx, db, t, conds, node, outSide)
 }
 
 // Fetch completes an HPSJ+ R-join (Algorithm 2, Fetch). See Runtime.Fetch.
 func Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
-	return serial().Fetch(ctx, db, t, c)
+	return new(Runtime).Fetch(ctx, db, t, c)
 }
 
 // Selection processes a self R-join (Eq. 5). See Runtime.Selection.
 func Selection(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
-	return serial().Selection(ctx, db, t, c)
+	return new(Runtime).Selection(ctx, db, t, c)
+}
+
+// pairKey packs an (x, y) node pair into one ordered uint64, so HPSJ's
+// pair set sorts and deduplicates as a flat integer slice instead of a
+// hash map.
+func pairKey(x, y graph.NodeID) uint64 {
+	return uint64(uint32(x))<<32 | uint64(uint32(y))
+}
+
+func pairNodes(k uint64) (x, y graph.NodeID) {
+	return graph.NodeID(uint32(k >> 32)), graph.NodeID(uint32(k))
 }
 
 // HPSJ processes an R-join between two base tables (Algorithm 1): for every
 // center w ∈ W(X, Y) it emits getF(w, X) × getT(w, Y). Pairs covered by
-// several centers are deduplicated by sorting the packed pair keys, so the
-// result is ordered by (from, to) — a deterministic order identical across
-// worker degrees. Base tables are never touched — the answer comes entirely
-// from the W-table and the cluster-based index. The center list is
-// partitioned across the runtime's workers; each partition sorts and
-// deduplicates locally and the sorted runs merge in partition order.
+// several centers are deduplicated by one sort and compaction of the packed
+// pair keys, so the result is ordered by (from, to). Base tables are never
+// touched — the answer comes entirely from the W-table and the
+// cluster-based index.
 func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Table, error) {
-	out := rt.newTable(c.FromNode, c.ToNode)
 	ws, err := db.Centers(c.FromLabel, c.ToLabel)
 	if err != nil {
 		return nil, err
 	}
-	parts := rt.split(len(ws), centerGrain)
-	bufs := make([][]uint64, parts)
-	err = rt.runParts(ctx, len(ws), parts, func(ctx context.Context, part, lo, hi int) error {
-		cc := rt.check(ctx)
-		rd := rt.open(db)
-		defer rd.done()
-		var pairs []uint64
-		for _, w := range ws[lo:hi] {
-			xs, err := rd.getF(w, c.FromLabel)
-			if err != nil {
-				return err
-			}
-			if len(xs) == 0 {
-				continue
-			}
-			ys, err := rd.getT(w, c.ToLabel)
-			if err != nil {
-				return err
-			}
-			// Pre-flight the center's cross product against the budget:
-			// a blow-up fails here, before the pairs are materialised,
-			// and cancels the sibling partitions.
-			if err := rt.budget.ChargeBytes(int64(len(xs)) * int64(len(ys)) * 8); err != nil {
-				return err
-			}
-			if err := rt.budget.CheckRows(len(pairs) + len(xs)*len(ys)); err != nil {
-				return err
-			}
-			if err := cc.tickN(len(xs) * len(ys)); err != nil {
-				return err
-			}
-			for _, x := range xs {
-				for _, y := range ys {
-					pairs = append(pairs, pairKey(x, y))
-				}
+	rt.ops++
+	cc := rt.check(ctx)
+	rd := rt.open(db)
+	defer rd.done()
+	var pairs []uint64
+	for _, w := range ws {
+		xs, err := rd.getF(w, c.FromLabel)
+		if err != nil {
+			return nil, err
+		}
+		if len(xs) == 0 {
+			continue
+		}
+		ys, err := rd.getT(w, c.ToLabel)
+		if err != nil {
+			return nil, err
+		}
+		// Pre-flight the center's cross product against the budget: a
+		// blow-up fails here, before the pairs are materialised.
+		if err := rt.budget.ChargeBytes(int64(len(xs)) * int64(len(ys)) * 8); err != nil {
+			return nil, err
+		}
+		if err := rt.budget.CheckRows(len(pairs) + len(xs)*len(ys)); err != nil {
+			return nil, err
+		}
+		if err := cc.tickN(len(xs) * len(ys)); err != nil {
+			return nil, err
+		}
+		for _, x := range xs {
+			for _, y := range ys {
+				pairs = append(pairs, pairKey(x, y))
 			}
 		}
-		slices.Sort(pairs)
-		bufs[part] = slices.Compact(pairs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	merged := mergeUniqueU64(bufs)
-	// The merge is globally sorted and duplicate-free, so under a pushed-
-	// down limit the prefix is already the final answer's prefix — rows
-	// beyond it are never built.
-	if rt.rowTarget > 0 && len(merged) > rt.rowTarget {
-		merged = merged[:rt.rowTarget]
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	// The pairs are sorted and distinct, so under a pushed-down limit their
+	// prefix is already the answer's prefix — rows beyond it are never built.
+	if rt.pastLimit(len(pairs)) {
+		pairs = pairs[:rt.rowTarget]
 		rt.budget.MarkTruncated()
 	}
-	for _, k := range merged {
+	out := rt.newTable(c.FromNode, c.ToNode)
+	for _, k := range pairs {
 		row := out.NewRow()
 		row[0], row[1] = pairNodes(k)
 		out.Rows = append(out.Rows, row)
@@ -181,42 +171,24 @@ func boundSide(t *Table, c Cond) (boundNode int, forward bool, err error) {
 
 // Filter is the R-semijoin (Algorithm 2, Filter; Eq. 7/8): it keeps the
 // rows of t whose bound value can join some node of the other side's base
-// table, determined from the W-table and graph codes alone.
+// table, determined from the W-table and graph codes alone. It is a
+// one-condition FilterGroup on the condition's bound side.
 func (rt *Runtime) Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
-	return rt.FilterMulti(ctx, db, t, []Cond{c})
-}
-
-// FilterMulti evaluates several R-semijoins in one scan of t (Remark 3.1).
-// All conditions must bind the same temporal column or, more generally,
-// columns already present in t; a row survives only if every condition's
-// center set is non-empty. Each condition is a semijoin group of one, so the
-// keep-test is FilterGroup's. The row range is partitioned across the
-// runtime's workers; partitions keep input order, so concatenating them in
-// partition order reproduces the serial output.
-func (rt *Runtime) FilterMulti(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond) (*Table, error) {
-	groups := make([]*semijoinGroup, len(conds))
-	for i, c := range conds {
-		boundNode, forward, err := boundSide(t, c)
-		if err != nil {
-			return nil, err
-		}
-		ws, err := db.Centers(c.FromLabel, c.ToLabel)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = &semijoinGroup{col: t.ColIndex(boundNode), conds: conds[i : i+1], outSide: forward, wss: [][]graph.NodeID{ws}}
+	node, forward, err := boundSide(t, c)
+	if err != nil {
+		return nil, err
 	}
-	return rt.semijoinScan(ctx, db, t, groups)
+	return rt.FilterGroup(ctx, db, t, []Cond{c}, node, forward)
 }
 
 // FilterGroup applies a group of R-semijoins that all read the same code
-// side of the same bound column (Remark 3.1): node is the bound pattern
-// node and outSide selects out-codes (conditions node→Y) versus in-codes
-// (conditions X→node). Unlike FilterMulti it does not infer the bound side,
-// so it also accepts conditions whose other endpoint is already bound — the
-// semijoin then still prunes soundly against the other side's base table,
-// with the residual condition left to a later Selection. Rows partition
-// across the runtime's workers in input order.
+// side of the same bound column in one scan of t (Remark 3.1): node is the
+// bound pattern node and outSide selects out-codes (conditions node→Y)
+// versus in-codes (conditions X→node). A row survives only if it passes
+// every condition. It accepts conditions whose other endpoint is already
+// bound — the semijoin then still prunes soundly against the other side's
+// base table, with the residual condition left to a later Selection. Rows
+// keep their input order.
 func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond, node int, outSide bool) (*Table, error) {
 	if len(conds) == 0 {
 		return t, nil
@@ -225,7 +197,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 	if col < 0 {
 		return nil, fmt.Errorf("rjoin: filter group on unbound node %d in %v", node, t.Cols)
 	}
-	g := &semijoinGroup{col: col, conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
+	g := &semijoinGroup{conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
 	for i, c := range conds {
 		if err := incident(c, node, outSide); err != nil {
 			return nil, err
@@ -240,59 +212,29 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 		}
 		g.wss[i] = ws
 	}
-	return rt.semijoinScan(ctx, db, t, []*semijoinGroup{g})
-}
-
-// semijoinScan keeps the rows of t whose bound values survive every group.
-func (rt *Runtime) semijoinScan(ctx context.Context, db *gdb.Snap, t *Table, groups []*semijoinGroup) (*Table, error) {
-	if len(groups) == 0 {
-		return t, nil
+	rd := rt.open(db)
+	defer rd.done()
+	if err := rd.prepare(g); err != nil {
+		return nil, err
 	}
-	prep := rt.open(db)
-	for _, g := range groups {
-		if err := prep.prepare(g); err != nil {
+	rt.ops++
+	cc := rt.check(ctx)
+	out := NewTable(t.Cols...)
+	for _, row := range t.Rows {
+		if err := cc.tick(); err != nil {
 			return nil, err
 		}
-	}
-	parts := rt.split(len(t.Rows), rowGrain)
-	kept := make([][][]graph.NodeID, parts)
-	limit := rt.rowTarget
-	err := rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
-		cc := rt.check(ctx)
-		rd := rt.open(db)
-		defer rd.done()
-		var rows [][]graph.NodeID
-	scan:
-		for _, row := range t.Rows[lo:hi] {
-			if err := cc.tick(); err != nil {
-				return err
-			}
-			for _, g := range groups {
-				keep, err := rd.semijoin(g, row[g.col])
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue scan
-				}
-			}
-			rows = append(rows, row)
-			// Pushed-down limit: limit+1 rows prove truncation, and each
-			// partition either completes its range or alone covers the
-			// whole limit — so the merged prefix equals the serial prefix
-			// at every worker degree.
-			if limit > 0 && len(rows) > limit {
+		keep, err := rd.semijoin(g, row[col])
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			out.Rows = append(out.Rows, row)
+			if rt.pastLimit(len(out.Rows)) {
 				break
 			}
 		}
-		kept[part] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	out := NewTable(t.Cols...)
-	out.Rows = concatRows(kept)
 	return rt.finishOp(out)
 }
 
@@ -315,14 +257,12 @@ func side(out bool) string {
 // Fetch completes an HPSJ+ R-join (Algorithm 2, Fetch): for each row of t
 // it looks up the bound value's partners — every matching node from its
 // centers' T-subclusters (forward) or F-subclusters (reverse) — and expands
-// the row with each. The new pattern-node
-// column is appended; each row's expansion nodes are emitted in ascending
-// order (the sorted-set union of the subcluster lists), giving a
-// deterministic order identical across worker degrees. Rows whose center
-// set is empty produce nothing, so Fetch subsumes Filter; running Filter
-// first simply prunes earlier. The row range partitions across the
-// runtime's workers; each partition sizes its output exactly before
-// emitting (see expand), and partitions concatenate in partition order.
+// the row with each. The new pattern-node column is appended; each row's
+// expansion nodes are emitted in ascending order (the sorted-set union of
+// the subcluster lists), so rows come in input order × ascending partners.
+// Rows whose center set is empty produce nothing, so Fetch subsumes Filter;
+// running Filter first simply prunes earlier. The output is sized exactly
+// before it is written (see expand).
 func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
 	res, _, err := rt.fetch(ctx, db, t, c, nil, true)
 	if err != nil {
@@ -364,15 +304,14 @@ type NodeFilter struct {
 // row the Fetch's partner list is intersected with each filter's list, in
 // the order given, and only the survivors ever become rows. The output is
 // what Fetch, then Selection/FilterGroup per filter, returns: the same rows
-// in the same order at every worker degree (input order × ascending
-// survivors).
+// in the same order (input order × ascending survivors).
 //
 // The budget is charged the Fetch's logical output — every partner of
 // every input row, whether or not it survives — at the points the unfused
 // Fetch charges it, so Bytes(), PeakRows() and every typed kill are the
-// step-by-step run's. A pushed-down limit applies to the survivors: each
-// partition stops intersecting once it holds limit+1 of them but keeps
-// accounting for the rest of its range (the unfused Fetch was not the last
+// step-by-step run's. A pushed-down limit applies to the survivors: the
+// operator stops intersecting once it holds limit+1 of them but keeps
+// accounting for the rest of its input (the unfused Fetch was not the last
 // step and ran unlimited).
 //
 // With no filters this is Fetch, or with last set FetchResult. With last
@@ -388,8 +327,8 @@ func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Table, c 
 
 // nodeFilter is a NodeFilter resolved against the Fetch's input: a
 // Selection reads the partner list of the value in column col under cond
-// (looked up per row, through a partner table resolved per partition); a
-// semijoin group intersects with fixed lists, loaded once per operator.
+// (looked up per row, through a partner table resolved once per operator);
+// a semijoin group intersects with fixed lists, loaded once per operator.
 type nodeFilter struct {
 	cond    Cond
 	forward bool
@@ -433,11 +372,11 @@ func resolveFilters(db *gdb.Snap, t *Table, newNode int, filters []NodeFilter) (
 	return out, nil
 }
 
-// partFilters is one partition's state for an operator's filters: each
-// Selection's partner table, resolved once like the Fetch's own, and the
-// arena the surviving lists are written to — append-only chunks, so a list
-// never moves once it is in a Result.
-type partFilters struct {
+// fetchFilters is a Fetch's state for its filters: each Selection's partner
+// table, resolved once like the Fetch's own, and the arena the surviving
+// lists are written to — append-only chunks, so a list never moves once it
+// is in a Result.
+type fetchFilters struct {
 	fs    []nodeFilter
 	sel   []partnerFunc // per filter; nil for a semijoin group
 	arena []graph.NodeID
@@ -447,8 +386,8 @@ type partFilters struct {
 // listArenaChunk is the arena's chunk size in node IDs (32 KB).
 const listArenaChunk = 8192
 
-func openFilters(rd reads, fs []nodeFilter) (*partFilters, error) {
-	p := &partFilters{fs: fs, sel: make([]partnerFunc, len(fs))}
+func openFilters(rd reads, fs []nodeFilter) (*fetchFilters, error) {
+	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs))}
 	for k, f := range fs {
 		if f.lists != nil {
 			continue
@@ -466,8 +405,8 @@ func openFilters(rd reads, fs []nodeFilter) (*partFilters, error) {
 // filter k to counts[k+1]. The first intersection writes to fresh arena
 // space and later ones shrink that list in place (gdb.IntersectTo allows a
 // destination that starts where an input does); bound is the most the rest
-// of the partition can still keep, which sizes a new chunk.
-func (p *partFilters) apply(row, targets []graph.NodeID, counts []int, bound int) ([]graph.NodeID, error) {
+// of the input can still keep, which sizes a new chunk.
+func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	for k, f := range p.fs {
 		lists := f.lists
@@ -503,13 +442,12 @@ func (p *partFilters) apply(row, targets []graph.NodeID, counts []int, bound int
 	return cur, nil
 }
 
-// fetch is the one partition loop behind Fetch, FetchResult and
-// FetchFiltered: expand resolves each row's partner list, the loop charges
-// the budget for every row the lists stand for, and — with filters — each
-// list is cut down to its survivors as it is charged. emit says whether
-// each partition then writes its rows out (an intermediate step, whose
-// consumer is the next operator) or leaves them factorised (the last step,
-// whose consumer iterates).
+// fetch is the one loop behind Fetch, FetchResult and FetchFiltered: expand
+// resolves each row's partner list, the loop charges the budget for every
+// row the lists stand for, and — with filters — each list is cut down to
+// its survivors as it is charged. emit says whether the rows are then
+// written out (an intermediate step, whose consumer is the next operator)
+// or left factorised (the last step, whose consumer iterates).
 func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
@@ -521,126 +459,119 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, fi
 	}
 	col := t.ColIndex(boundNode)
 	cols := append(append([]int(nil), t.Cols...), newNode)
-	width := len(cols)
 	fs, err := resolveFilters(db, t, newNode, filters)
 	if err != nil {
 		return nil, nil, err
 	}
-	fused := len(fs) > 0
+	rd := rt.open(db)
+	defer rd.done()
+	partners, err := rd.partners(c, forward)
+	if err != nil {
+		return nil, nil, err
+	}
+	var pf *fetchFilters
+	if len(fs) > 0 {
+		if pf, err = openFilters(rd, fs); err != nil {
+			return nil, nil, err
+		}
+		rt.fusedFilters += int64(len(fs))
+	}
+	rt.ops++
 	// The limit is on the operator's output: the expansion's without
 	// filters, the survivors' with them.
-	limit, expandLimit := rt.rowTarget, rt.rowTarget
-	if fused {
+	expandLimit := rt.rowTarget
+	if pf != nil {
 		expandLimit = 0
-		rt.fusedFilters.Add(int64(len(fs)))
 	}
-
-	parts := rt.split(len(t.Rows), rowGrain)
-	outs := make([]Result, parts)
-	partCounts := make([][]int, parts)
-	err = rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
-		rd := rt.open(db)
-		defer rd.done()
-		partners, err := rd.partners(c, forward)
-		if err != nil {
-			return err
-		}
-		var pf *partFilters
-		if fused {
-			if pf, err = openFilters(rd, fs); err != nil {
-				return err
-			}
-		}
-		counts := make([]int, 1+len(fs))
-		partCounts[part] = counts
-		exp, total, err := rt.expand(ctx, partners, t.Rows[lo:hi], col, width, expandLimit)
-		if err != nil || total == 0 {
-			return err
-		}
-		res := &outs[part]
-		*res = Result{Cols: cols, Rows: t.Rows[lo : lo+len(exp)], Exp: exp, N: total}
-		// One row-header slice and one arena for the whole partition, both
-		// exact: counting first is what removes append growth from the
-		// emit loop.
-		var rows [][]graph.NodeID
-		var arena []graph.NodeID
-		if emit && !fused {
-			rows = make([][]graph.NodeID, 0, total)
-			arena = make([]graph.NodeID, total*width)
-		}
-		cc := rt.check(ctx)
-		n, kept := 0, 0
-		for i, targets := range exp {
-			// One cancellation charge per row unit: the scan itself plus
-			// every row it stands for. The budget is charged the rows'
-			// logical size whether or not they are written out — or, under
-			// filters, survive.
-			if err := cc.tickN(1 + len(targets)); err != nil {
-				return err
-			}
-			rt.budget.AddBytes(int64(len(targets)) * int64(width) * nodeIDBytes)
-			switch {
-			case fused && limit > 0 && kept > limit:
-				// limit+1 survivors prove truncation; the rest of the range
-				// is only accounted for.
-				exp[i] = nil
-			case fused:
-				if exp[i], err = pf.apply(res.Rows[i], targets, counts, total-n); err != nil {
-					return err
-				}
-				kept += len(exp[i])
-			case emit:
-				rows, arena = res.appendRows(rows, arena, i, nil)
-			}
-			n += len(targets)
-			if err := rt.budget.CheckRows(n); err != nil {
-				return err
-			}
-		}
-		counts[0] = n
-		if fused {
-			res.N = kept
-			if emit {
-				rows = res.rows(nil)
-			}
-		}
-		if emit {
-			res.Rows, res.Exp = rows, nil
-		}
-		return nil
-	})
+	exp, total, err := rt.expand(ctx, partners, t.Rows, col, len(cols), expandLimit)
 	if err != nil {
 		return nil, nil, err
 	}
 	counts := make([]int, 1+len(fs))
-	for _, pc := range partCounts {
-		for k, n := range pc {
-			counts[k] += n
+	res := &Result{Cols: cols}
+	if total > 0 {
+		res = &Result{Cols: cols, Rows: t.Rows[:len(exp)], Exp: exp, N: total}
+		if err := rt.fill(ctx, res, pf, counts, emit); err != nil {
+			return nil, nil, err
 		}
 	}
-	if fused {
-		// The unfused Fetch's merge checkpoint, on the rows it would have
-		// produced.
+	if pf != nil {
+		// The unfused Fetch's checkpoint, on the rows it would have produced.
 		if err := rt.checkpoint(counts[0]); err != nil {
 			return nil, nil, err
 		}
 	}
-	res, err := rt.finishResult(concatResults(cols, outs))
+	res, err = rt.finishResult(res)
 	return res, counts, err
 }
 
-// expand is Fetch's counting pass over one partition: it resolves each
-// input row's expansion list — its bound value's partners, shared with the
-// read path and never copied — and the total rows they stand for at the
-// given output width, without emitting anything. It stops after the first
-// row at which the emit loop would stop anyway: where the given limit
-// is exceeded (limit+1 rows prove truncation, and whole-row expansions keep
-// the output a prefix of this range's serial output, so the merged prefix is
-// degree-independent), where the partition outgrows the row budget (the
-// emit loop's CheckRows then fails on exactly that row), or where its
-// bytes alone would blow the byte budget (the emit loop charges them and
-// the next poll or the merge checkpoint fails the query) — so a doomed
-// query never allocates its full output.
+// fill is fetch's charging loop over the expansion in res: per prefix row
+// it charges the budget for every row the partner list stands for — whether
+// or not the row is written out or, under filters pf, survives — cuts the
+// list to its survivors when pf is set, and with emit writes the rows out
+// into one exact row-header slice and one exact arena (counting first is
+// what removes append growth from this loop). counts[0] receives the
+// expansion's logical row count, counts[k+1] the count after filter k.
+func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, counts []int, emit bool) error {
+	width := len(res.Cols)
+	var rows [][]graph.NodeID
+	var arena []graph.NodeID
+	if emit && pf == nil {
+		rows = make([][]graph.NodeID, 0, res.N)
+		arena = make([]graph.NodeID, res.N*width)
+	}
+	cc := rt.check(ctx)
+	n, kept := 0, 0
+	for i, targets := range res.Exp {
+		// One cancellation charge per row unit: the scan itself plus every
+		// row it stands for.
+		if err := cc.tickN(1 + len(targets)); err != nil {
+			return err
+		}
+		rt.budget.AddBytes(int64(len(targets)) * int64(width) * nodeIDBytes)
+		switch {
+		case pf != nil && rt.pastLimit(kept):
+			// limit+1 survivors prove truncation; the rest of the input is
+			// only accounted for.
+			res.Exp[i] = nil
+		case pf != nil:
+			var err error
+			if res.Exp[i], err = pf.apply(res.Rows[i], targets, counts, res.N-n); err != nil {
+				return err
+			}
+			kept += len(res.Exp[i])
+		case emit:
+			rows, arena = res.appendRows(rows, arena, i, nil)
+		}
+		n += len(targets)
+		if err := rt.budget.CheckRows(n); err != nil {
+			return err
+		}
+	}
+	counts[0] = n
+	if pf != nil {
+		res.N = kept
+		if emit {
+			rows = res.rows(nil)
+		}
+	}
+	if emit {
+		res.Rows, res.Exp = rows, nil
+	}
+	return nil
+}
+
+// expand is Fetch's counting pass: it resolves each input row's expansion
+// list — its bound value's partners, shared with the read path and never
+// copied — and the total rows they stand for at the given output width,
+// without emitting anything. It stops after the first row at which the
+// charging loop would stop anyway: where the given limit is exceeded
+// (limit+1 rows prove truncation, and whole-row expansions keep the output
+// a prefix of the unlimited one), where the output outgrows the row budget
+// (the loop's CheckRows then fails on exactly that row), or where its bytes
+// alone would blow the byte budget (the loop charges them and the next poll
+// or the final checkpoint fails the query) — so a doomed query never
+// allocates its full output.
 func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]graph.NodeID, col, width, limit int) (exp [][]graph.NodeID, total int, err error) {
 	n := len(rows)
 	if limit > 0 && limit < n {
@@ -669,66 +600,33 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]gr
 
 // Selection processes a self R-join (Eq. 5): both pattern nodes of the
 // condition are already bound in t, so the condition reduces to checking
-// out(x) ∩ in(y) ≠ ∅ per row from graph codes. Rows partition across the
-// runtime's workers in input order.
+// out(x) ∩ in(y) ≠ ∅ per row from graph codes. Rows keep their input order.
 func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
 	fi, ti := t.ColIndex(c.FromNode), t.ColIndex(c.ToNode)
 	if fi < 0 || ti < 0 {
 		return nil, fmt.Errorf("rjoin: selection %v needs both sides bound in %v", c, t.Cols)
 	}
-	parts := rt.split(len(t.Rows), rowGrain)
-	kept := make([][][]graph.NodeID, parts)
-	limit := rt.rowTarget
-	err := rt.runParts(ctx, len(t.Rows), parts, func(ctx context.Context, part, lo, hi int) error {
-		cc := rt.check(ctx)
-		rd := rt.open(db)
-		defer rd.done()
-		var rows [][]graph.NodeID
-		for _, row := range t.Rows[lo:hi] {
-			if err := cc.tick(); err != nil {
-				return err
-			}
-			ok, err := rd.reaches(row[fi], row[ti])
-			if err != nil {
-				return err
-			}
-			if ok {
-				rows = append(rows, row)
-				if limit > 0 && len(rows) > limit {
-					break
-				}
+	rt.ops++
+	cc := rt.check(ctx)
+	rd := rt.open(db)
+	defer rd.done()
+	out := NewTable(t.Cols...)
+	for _, row := range t.Rows {
+		if err := cc.tick(); err != nil {
+			return nil, err
+		}
+		ok, err := rd.reaches(row[fi], row[ti])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.Rows = append(out.Rows, row)
+			if rt.pastLimit(len(out.Rows)) {
+				break
 			}
 		}
-		kept[part] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	out := NewTable(t.Cols...)
-	out.Rows = concatRows(kept)
 	return rt.finishOp(out)
-}
-
-// concatRows flattens per-partition row buffers in partition order,
-// reusing the first non-empty buffer as the base to avoid a copy in the
-// single-partition case.
-func concatRows(parts [][][]graph.NodeID) [][]graph.NodeID {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	rows := make([][]graph.NodeID, 0, total)
-	for _, p := range parts {
-		rows = append(rows, p...)
-	}
-	return rows
 }
 
 // NestedLoopJoin is the reference R-join used by tests and as a measurable

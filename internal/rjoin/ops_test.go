@@ -298,9 +298,9 @@ func TestFilterThenFetchEqualsFetch(t *testing.T) {
 	}
 }
 
-// TestFilterMultiEqualsSequential: one shared scan (Remark 3.1) must equal
+// TestFilterGroupEqualsSequential: one shared scan (Remark 3.1) must equal
 // applying the semijoins one at a time.
-func TestFilterMultiEqualsSequential(t *testing.T) {
+func TestFilterGroupEqualsSequential(t *testing.T) {
 	g := randomGraph(13, 60, 130, 5)
 	db := mustDB(t, g)
 	// Temporal table: all C nodes in column 0; two semijoins C→D and C→E.
@@ -311,7 +311,7 @@ func TestFilterMultiEqualsSequential(t *testing.T) {
 	for _, x := range g.Extent(cl) {
 		tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
 	}
-	multi, err := FilterMulti(context.Background(), db, tbl, []Cond{cd, ce})
+	multi, err := FilterGroup(context.Background(), db, tbl, []Cond{cd, ce}, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFilterMultiEqualsSequential(t *testing.T) {
 	multi.SortRows()
 	seq.SortRows()
 	if !reflect.DeepEqual(multi.Rows, seq.Rows) {
-		t.Fatalf("FilterMulti %d rows != sequential %d rows", multi.Len(), seq.Len())
+		t.Fatalf("FilterGroup %d rows != sequential %d rows", multi.Len(), seq.Len())
 	}
 }
 
@@ -357,29 +357,87 @@ func TestSelection(t *testing.T) {
 	}
 }
 
-// TestOperatorCancellation: a cancelled context aborts operators from
-// inside their row loops (checked every cancelStride rows), so a large
-// join cannot run to completion after its caller gave up.
+// pollCounter is a context that counts how often an operator polls it.
+type pollCounter struct {
+	context.Context
+	polls int
+}
+
+func (c *pollCounter) Err() error {
+	c.polls++
+	return c.Context.Err()
+}
+
+// TestOperatorCancellation: a cancelled context stops every operator at
+// its first poll — which comes after at most cancelStride work units — with
+// the context's error, not a partial result, so a large join cannot run to
+// completion after its caller gave up. Every input is above the size at
+// which operators used to split across workers: 64 HPSJ centers, 2,048
+// rows, 512 first-level WCOJ candidates.
 func TestOperatorCancellation(t *testing.T) {
-	g := randomGraph(16, 30, 65, 2)
+	g := fusedDAG(16, 5000, 15000)
 	db := mustDB(t, g)
-	a, b := g.Labels().Lookup("A"), g.Labels().Lookup("B")
-	ext := g.Extent(a)
-	if len(ext) == 0 {
-		t.Fatal("no A nodes")
+	ctx := context.Background()
+	ab, bc := cond(g, "A", "B", 0, 1), cond(g, "B", "C", 1, 2)
+	_, tri := triangle(g)
+
+	rows := extentOf(g, ab.FromLabel, 0, 1+2048/g.ExtentSize(ab.FromLabel))
+	pairs := NewTable(0, 1)
+	for _, x := range g.Extent(ab.FromLabel) {
+		for _, y := range g.Extent(ab.ToLabel)[:4] {
+			pairs.Rows = append(pairs.Rows, []graph.NodeID{x, y})
+		}
 	}
-	tbl := NewTable(0)
-	for i := 0; i < 3*cancelStride; i++ {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{ext[i%len(ext)]})
+	ws, err := db.Centers(ab.FromLabel, ab.ToLabel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := Cond{0, 1, a, b}
-	if _, err := Filter(ctx, db, tbl, c); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Filter on cancelled ctx: err=%v, want context.Canceled", err)
+	plan, err := buildWCOJPlan(db, tri, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Fetch(ctx, db, tbl, c); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Fetch on cancelled ctx: err=%v, want context.Canceled", err)
+	seed, err := newWCOJRun(new(Runtime), new(Runtime).open(db), plan, newCancelCheck(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, err := seed.candidates(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) < 64 || rows.Len() < 2048 || pairs.Len() < 2048 || len(c0) < 512 {
+		t.Fatalf("inputs too small: %d centers, %d rows, %d pairs, %d WCOJ candidates", len(ws), rows.Len(), pairs.Len(), len(c0))
+	}
+
+	semijoinC := []NodeFilter{{Conds: []Cond{bc}, Semijoin: true, OutSide: true}}
+	cases := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"HPSJ", func(ctx context.Context) error { _, err := HPSJ(ctx, db, ab); return err }},
+		{"Filter", func(ctx context.Context) error { _, err := Filter(ctx, db, rows, ab); return err }},
+		{"FilterGroup", func(ctx context.Context) error {
+			_, err := FilterGroup(ctx, db, rows, []Cond{ab, cond(g, "A", "C", 0, 2)}, 0, true)
+			return err
+		}},
+		{"Fetch", func(ctx context.Context) error { _, err := Fetch(ctx, db, rows, ab); return err }},
+		{"FetchResult", func(ctx context.Context) error { _, err := new(Runtime).FetchResult(ctx, db, rows, ab); return err }},
+		{"FetchFiltered", func(ctx context.Context) error {
+			_, _, err := new(Runtime).FetchFiltered(ctx, db, rows, ab, semijoinC, true)
+			return err
+		}},
+		{"Selection", func(ctx context.Context) error { _, err := Selection(ctx, db, pairs, ab); return err }},
+		{"WCOJ", func(ctx context.Context) error { _, err := WCOJ(ctx, db, tri, []int{0, 1, 2}); return err }},
+	}
+	for _, tc := range cases {
+		if err := tc.run(ctx); err != nil {
+			t.Fatalf("%s on a live context: %v", tc.name, err)
+		}
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		pc := &pollCounter{Context: cancelled}
+		if err := tc.run(pc); !errors.Is(err, context.Canceled) || pc.polls != 1 {
+			t.Fatalf("%s on a cancelled context: %v after %d polls, want context.Canceled at the first", tc.name, err, pc.polls)
+		}
 	}
 }
 
@@ -428,10 +486,10 @@ func TestTableHelpers(t *testing.T) {
 	if tbl.String() == "" {
 		t.Fatal("empty String")
 	}
-	// FilterMulti with no conditions is the identity.
-	got, err := FilterMulti(context.Background(), nil, tbl, nil)
+	// FilterGroup with no conditions is the identity.
+	got, err := FilterGroup(context.Background(), nil, tbl, nil, 0, true)
 	if err != nil || got != tbl {
-		t.Fatal("empty FilterMulti should return the input table")
+		t.Fatal("empty FilterGroup should return the input table")
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fastmatch/internal/graph"
 )
 
-// reads is the index read path of one operator partition: how it obtains
+// reads is the index read path of one operator: how it obtains
 // subclusters, a bound value's partners, reachability between two bound
 // values, and a semijoin group's keep-test. Both implementations return
 // identical lists, so operator output never depends on which one serves
@@ -15,7 +15,7 @@ type reads interface {
 	// T-subcluster; the slice is shared and must not be mutated.
 	getF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error)
 	getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error)
-	// partners resolves, once per partition, the per-row lookup of
+	// partners resolves, once per operator, the per-row lookup of
 	// condition c read from its From side (forward) or its To side: for a
 	// bound value v, the ascending union of the T_Y-subclusters of the
 	// centers out(v) ∩ W(X, Y) (F_X and in(v) reverse). The lists are
@@ -34,19 +34,17 @@ type reads interface {
 
 type partnerFunc func(v graph.NodeID) ([]graph.NodeID, error)
 
-// semijoinGroup is one R-semijoin group's state: the column holding its
-// bound values, its conditions, which code side they read, each
-// condition's W(X, Y), and — on the decoded path — each condition's
-// bound-side distinct projection.
+// semijoinGroup is one R-semijoin group's state: its conditions, which
+// code side they read, each condition's W(X, Y), and — on the decoded
+// path — each condition's bound-side distinct projection.
 type semijoinGroup struct {
-	col     int
 	conds   []Cond
 	outSide bool
 	wss     [][]graph.NodeID
 	projs   [][]graph.NodeID
 }
 
-// open returns the read path for one partition over db: the snapshot's
+// open returns the read path for one operator over db: the snapshot's
 // decoded per-epoch memos, or — for a runtime the executor switched to
 // the counted-I/O reference mode — the buffer pool.
 func (rt *Runtime) open(db *gdb.Snap) reads {
@@ -123,10 +121,10 @@ func (d *decodedReads) semijoin(g *semijoinGroup, v graph.NodeID) (bool, error) 
 }
 
 func (d *decodedReads) done() {
-	d.rt.memoHits.Add(d.r.Hits)
-	d.rt.memoMisses.Add(d.r.Misses)
-	d.rt.centerHits.Add(d.r.CenterHits)
-	d.rt.centerMisses.Add(d.r.CenterMisses)
+	d.rt.memoHits += d.r.Hits
+	d.rt.memoMisses += d.r.Misses
+	d.rt.centerHits += d.r.CenterHits
+	d.rt.centerMisses += d.r.CenterMisses
 }
 
 // pooledReads is the counted-I/O reference mode (exec.PlanConfig's

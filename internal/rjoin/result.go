@@ -164,32 +164,3 @@ func (r *Result) truncate(limit int) bool {
 	r.N = limit
 	return true
 }
-
-// concatResults joins per-partition results over cols in partition order.
-// The parts are either all plain or all factorised (a part that produced
-// nothing is the zero Result either way).
-func concatResults(cols []int, parts []Result) *Result {
-	if len(parts) == 1 {
-		parts[0].Cols = cols
-		return &parts[0]
-	}
-	res := &Result{Cols: cols}
-	prefixes, lists := 0, 0
-	for i := range parts {
-		res.N += parts[i].N
-		prefixes += len(parts[i].Rows)
-		lists += len(parts[i].Exp)
-	}
-	if prefixes == 0 {
-		return res
-	}
-	res.Rows = make([][]graph.NodeID, 0, prefixes)
-	if lists > 0 {
-		res.Exp = make([][]graph.NodeID, 0, lists)
-	}
-	for i := range parts {
-		res.Rows = append(res.Rows, parts[i].Rows...)
-		res.Exp = append(res.Exp, parts[i].Exp...)
-	}
-	return res
-}

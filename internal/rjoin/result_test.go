@@ -11,11 +11,11 @@ import (
 )
 
 // TestFetchResultMatchesFetch: the factorised Fetch and the materialising
-// one are the same operator. At every worker degree, forward and reverse,
-// unlimited and with the limit at 1, inside a partner list, exactly on a
-// list boundary, at N and past it, FetchResult written out equals Fetch's
-// rows (the unlimited prefix), in any column order, and the budget saw the
-// same bytes, peak and truncation.
+// one are the same operator. Forward and reverse, unlimited and with the
+// limit at 1, inside a partner list, exactly on a list boundary, at N and
+// past it, FetchResult written out equals Fetch's rows (the unlimited
+// prefix), in any column order, and the budget saw the same bytes, peak
+// and truncation.
 func TestFetchResultMatchesFetch(t *testing.T) {
 	g := randomGraph(41, 300, 700, 3)
 	al, bl := g.Labels().Lookup("A"), g.Labels().Lookup("B")
@@ -24,7 +24,7 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 	c := Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl}
 
 	for name, in := range map[string]*Table{"forward": extentOf(g, al, 0, 24), "reverse": extentOf(g, bl, 1, 24)} {
-		full, err := NewRuntime(1).FetchResult(ctx, db, in, c)
+		full, err := new(Runtime).FetchResult(ctx, db, in, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,57 +43,52 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 		if boundary == 0 || boundary >= full.N {
 			t.Fatalf("%s: no interior list boundary in %d rows", name, full.N)
 		}
-		for _, workers := range []int{1, 2, 7} {
-			for _, limit := range []int{0, 1, inside, boundary, full.N, full.N + 1} {
-				bt, br := &Budget{ResultRows: limit}, &Budget{ResultRows: limit}
-				rtT, rtR := NewRuntime(workers), NewRuntime(workers)
-				rtT.SetBudget(bt)
-				rtR.SetBudget(br)
-				rtT.PushLimit(limit)
-				rtR.PushLimit(limit)
-				want, err := rtT.Fetch(ctx, db, in, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := rtR.FetchResult(ctx, db, in, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantN := full.N
-				if limit > 0 && limit < wantN {
-					wantN = limit
-				}
-				if res.N != wantN || want.Len() != wantN {
-					t.Fatalf("%s workers=%d limit=%d: %d / %d rows, want %d", name, workers, limit, res.N, want.Len(), wantN)
-				}
-				got, err := res.Table(want.Cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Len() != res.N || !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]graph.NodeID]) {
-					t.Fatalf("%s workers=%d limit=%d: FetchResult written out (%d rows) differs from Fetch (%d rows)",
-						name, workers, limit, got.Len(), want.Len())
-				}
-				if bt.Bytes() != br.Bytes() || bt.PeakRows() != br.PeakRows() || bt.Truncated() != br.Truncated() {
-					t.Fatalf("%s workers=%d limit=%d: budget bytes=%d peak=%d truncated=%v, materialising bytes=%d peak=%d truncated=%v",
-						name, workers, limit, br.Bytes(), br.PeakRows(), br.Truncated(), bt.Bytes(), bt.PeakRows(), bt.Truncated())
-				}
-				if workers > 1 && rtR.Stats().ParallelOps != 1 {
-					t.Fatalf("%s workers=%d: %d input rows did not split across workers", name, workers, len(in.Rows))
-				}
-				if br.Truncated() != (limit > 0 && limit < full.N) {
-					t.Fatalf("%s workers=%d limit=%d of %d: Truncated=%v", name, workers, limit, full.N, br.Truncated())
-				}
-				// Any column order is the same rows, permuted. (Not compared
-				// with Project: the replicated input repeats rows.)
-				swapped, err := res.Table([]int{want.Cols[1], want.Cols[0]})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, row := range swapped.Rows {
-					if row[0] != want.Rows[i][1] || row[1] != want.Rows[i][0] {
-						t.Fatalf("%s workers=%d limit=%d: row %d permuted to %v from %v", name, workers, limit, i, row, want.Rows[i])
-					}
+		for _, limit := range []int{0, 1, inside, boundary, full.N, full.N + 1} {
+			bt, br := &Budget{ResultRows: limit}, &Budget{ResultRows: limit}
+			rtT, rtR := new(Runtime), new(Runtime)
+			rtT.SetBudget(bt)
+			rtR.SetBudget(br)
+			rtT.PushLimit(limit)
+			rtR.PushLimit(limit)
+			want, err := rtT.Fetch(ctx, db, in, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := rtR.FetchResult(ctx, db, in, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN := full.N
+			if limit > 0 && limit < wantN {
+				wantN = limit
+			}
+			if res.N != wantN || want.Len() != wantN {
+				t.Fatalf("%s limit=%d: %d / %d rows, want %d", name, limit, res.N, want.Len(), wantN)
+			}
+			got, err := res.Table(want.Cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != res.N || !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]graph.NodeID]) {
+				t.Fatalf("%s limit=%d: FetchResult written out (%d rows) differs from Fetch (%d rows)",
+					name, limit, got.Len(), want.Len())
+			}
+			if bt.Bytes() != br.Bytes() || bt.PeakRows() != br.PeakRows() || bt.Truncated() != br.Truncated() {
+				t.Fatalf("%s limit=%d: budget bytes=%d peak=%d truncated=%v, materialising bytes=%d peak=%d truncated=%v",
+					name, limit, br.Bytes(), br.PeakRows(), br.Truncated(), bt.Bytes(), bt.PeakRows(), bt.Truncated())
+			}
+			if br.Truncated() != (limit > 0 && limit < full.N) {
+				t.Fatalf("%s limit=%d of %d: Truncated=%v", name, limit, full.N, br.Truncated())
+			}
+			// Any column order is the same rows, permuted. (Not compared
+			// with Project: the replicated input repeats rows.)
+			swapped, err := res.Table([]int{want.Cols[1], want.Cols[0]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range swapped.Rows {
+				if row[0] != want.Rows[i][1] || row[1] != want.Rows[i][0] {
+					t.Fatalf("%s limit=%d: row %d permuted to %v from %v", name, limit, i, row, want.Rows[i])
 				}
 			}
 		}
@@ -110,7 +105,7 @@ func TestFetchResultBudgetKill(t *testing.T) {
 	c := cond(g, "A", "B", 0, 1)
 	in := extentOf(g, c.FromLabel, 0, 1)
 	free := &Budget{}
-	rt := NewRuntime(1)
+	rt := new(Runtime)
 	rt.SetBudget(free)
 	full, err := rt.FetchResult(ctx, db, in, c)
 	if err != nil || full.N < 4 {
@@ -128,12 +123,10 @@ func TestFetchResultBudgetKill(t *testing.T) {
 		{0, free.Bytes() - 1, ErrBudgetExceeded},
 		{full.N, free.Bytes(), nil},
 	} {
-		for _, workers := range []int{1, 4} {
-			rt := NewRuntime(workers)
-			rt.SetBudget(&Budget{MaxTableRows: tc.rows, MaxBytes: tc.bytes})
-			if _, err := rt.FetchResult(ctx, db, in, c); !errors.Is(err, tc.want) {
-				t.Fatalf("workers=%d caps %d rows / %d bytes: %v, want %v", workers, tc.rows, tc.bytes, err, tc.want)
-			}
+		rt := new(Runtime)
+		rt.SetBudget(&Budget{MaxTableRows: tc.rows, MaxBytes: tc.bytes})
+		if _, err := rt.FetchResult(ctx, db, in, c); !errors.Is(err, tc.want) {
+			t.Fatalf("caps %d rows / %d bytes: %v, want %v", tc.rows, tc.bytes, err, tc.want)
 		}
 	}
 }

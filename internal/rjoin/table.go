@@ -7,8 +7,8 @@
 //     table and a base table. Filter is the R-semijoin
 //     getCenters(x, X, Y) = out(x) ∩ W(X, Y) (Eq. 6); Fetch expands the
 //     surviving rows from the center clusters.
-//   - FilterMulti: one shared scan evaluating several R-semijoins that bind
-//     the same temporal column (Remark 3.1).
+//   - FilterGroup: one shared scan evaluating several R-semijoins that read
+//     the same code side of one temporal column (Remark 3.1).
 //   - Selection: a self R-join (Eq. 5) — a reachability condition between
 //     two columns both already bound in the temporal table, checked from
 //     graph codes.
@@ -23,6 +23,7 @@
 // The counted-I/O reference mode never does this; it runs the paper's
 // pipeline step by step.
 //
+// Every operator is one loop on the calling goroutine (see Runtime).
 // Temporal tables are in-memory. Operators read the cluster index and the
 // graph codes through the snapshot's decoded per-epoch memos (reads.go);
 // in the counted-I/O reference mode every access instead goes through the
@@ -51,7 +52,7 @@ type Table struct {
 
 	// budget, when non-nil, is charged for every row carved from the
 	// arena; the query's operators check it at their cancellation polls
-	// and partition-merge points. Runtime.newTable attaches it.
+	// and when they finish. Runtime.newTable attaches it.
 	budget *Budget
 }
 
@@ -65,8 +66,7 @@ const nodeIDBytes = 4
 // NewRow returns a fresh zeroed row of len(Cols) carved from the table's
 // append-only arena. The row is NOT added to Rows — fill it and append it.
 // Rows are full-capacity slices, so appending to one never bleeds into its
-// arena neighbours. Not safe for concurrent use; parallel operators give
-// each partition its own table and merge the Rows slices afterwards.
+// arena neighbours. Not safe for concurrent use.
 func (t *Table) NewRow() []graph.NodeID {
 	w := len(t.Cols)
 	if w == 0 {

@@ -31,20 +31,11 @@ import (
 //
 // Every constraint list is ascending and duplicate-free, so the enumeration
 // emits distinct rows in lexicographic order of the variable-order columns.
-// Parallel execution partitions the first level's candidate list into
-// contiguous ranges; per-partition outputs concatenated in partition order
-// reproduce the serial output at every worker degree.
 
-// wcojGrain is the partition grain for the first-level candidate list. A
-// first-level candidate expands an entire enumeration subtree — far heavier
-// than one Fetch row, lighter than an HPSJ center — so the grain sits
-// between rowGrain and centerGrain.
-const wcojGrain = 64
-
-// WCOJ runs the worst-case-optimal multiway R-join single-threaded. See
-// Runtime.WCOJ.
+// WCOJ runs the worst-case-optimal multiway R-join on a fresh, unbudgeted
+// Runtime. See Runtime.WCOJ.
 func WCOJ(ctx context.Context, db *gdb.Snap, conds []Cond, order []int) (*Table, error) {
-	return serial().WCOJ(ctx, db, conds, order)
+	return new(Runtime).WCOJ(ctx, db, conds, order)
 }
 
 // wcojPlan is the compiled form of one multiway join: per variable-order
@@ -123,7 +114,7 @@ func buildWCOJPlan(db *gdb.Snap, conds []Cond, order []int) (*wcojPlan, error) {
 	return p, nil
 }
 
-// wcojTargets is one bound constraint's partner lookup on the partition's
+// wcojTargets is one bound constraint's partner lookup on the operator's
 // read path, with a single-entry memo in front: the bound endpoint's value
 // only changes when its (earlier) level advances, so one entry gives full
 // reuse across the entire subtree enumerated underneath it.
@@ -134,17 +125,15 @@ type wcojTargets struct {
 	targets  []graph.NodeID
 }
 
-// wcojRun is one partition's enumeration state.
+// wcojRun is one WCOJ's enumeration state.
 type wcojRun struct {
 	rt   *Runtime
 	plan *wcojPlan
 	out  *Table
 	cc   cancelCheck
-	// limit is the pushed-down result-row target (0 = none): the partition
-	// stops after limit+1 rows, which keeps the concatenated prefix equal to
-	// the serial prefix at every worker degree (see Runtime.PushLimit).
-	limit int
-	done  bool
+	// done is set once the enumeration holds limit+1 rows under a
+	// pushed-down limit (see Runtime.PushLimit).
+	done bool
 
 	binding []graph.NodeID
 	// cand/alt are per-level intersection double-buffers.
@@ -250,7 +239,7 @@ func (r *wcojRun) enumerate(k int, cand []graph.NodeID) error {
 			row := r.out.NewRow()
 			copy(row, r.binding)
 			r.out.Rows = append(r.out.Rows, row)
-			if r.limit > 0 && len(r.out.Rows) > r.limit {
+			if r.rt.pastLimit(len(r.out.Rows)) {
 				r.done = true
 				return nil
 			}
@@ -282,49 +271,30 @@ func (r *wcojRun) enumerate(k int, cand []graph.NodeID) error {
 // incident condition (the pattern must be connected through the order —
 // otherwise the join would be a cross product, which WCOJ refuses to
 // build). The result's columns are order itself and its rows are distinct
-// and lexicographically sorted — identical at every worker degree.
+// and lexicographically sorted.
 func (rt *Runtime) WCOJ(ctx context.Context, db *gdb.Snap, conds []Cond, order []int) (*Table, error) {
 	plan, err := buildWCOJPlan(db, conds, order)
 	if err != nil {
 		return nil, err
 	}
+	rd := rt.open(db)
+	defer rd.done()
+	r, err := newWCOJRun(rt, rd, plan, rt.check(ctx))
+	if err != nil {
+		return nil, err
+	}
+	rt.ops++
+	r.out = rt.newTable(plan.order...)
 	// The first level's candidates are intersections of snapshot-memoized
-	// projections only — computed once, then partitioned.
-	seedReads := rt.open(db)
-	seed, err := newWCOJRun(rt, seedReads, plan, rt.check(ctx))
+	// projections only.
+	c0, err := r.candidates(0)
+	if err == nil {
+		err = r.enumerate(0, c0)
+	}
+	rt.seeks += r.seeks
+	rt.iterNexts += r.nexts
 	if err != nil {
 		return nil, err
 	}
-	c0, err := seed.candidates(0)
-	seedReads.done()
-	if err != nil {
-		return nil, err
-	}
-	parts := rt.split(len(c0), wcojGrain)
-	outs := make([]*Table, parts)
-	err = rt.runParts(ctx, len(c0), parts, func(ctx context.Context, part, lo, hi int) error {
-		rd := rt.open(db)
-		defer rd.done()
-		r, err := newWCOJRun(rt, rd, plan, rt.check(ctx))
-		if err != nil {
-			return err
-		}
-		r.out = rt.newTable(plan.order...)
-		r.limit = rt.rowTarget
-		err = r.enumerate(0, c0[lo:hi])
-		rt.seeks.Add(r.seeks)
-		rt.iterNexts.Add(r.nexts)
-		outs[part] = r.out
-		return err
-	})
-	rt.seeks.Add(seed.seeks)
-	rt.iterNexts.Add(seed.nexts)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(plan.order...)
-	for _, p := range outs {
-		out.Rows = append(out.Rows, p.Rows...)
-	}
-	return rt.finishOp(out)
+	return rt.finishOp(r.out)
 }

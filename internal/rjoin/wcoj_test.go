@@ -113,35 +113,8 @@ func TestWCOJOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestWCOJParallelMatchesSerial: identical rows in identical order at every
-// worker degree (the level-0 partitioning is contiguous and concatenated in
-// partition order).
-func TestWCOJParallelMatchesSerial(t *testing.T) {
-	g := randomGraph(25, 80, 220, 3)
-	db := mustDB(t, g)
-	_, conds := triangle(g)
-	serial, err := WCOJ(context.Background(), db, conds, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("empty triangle result; pick a denser seed")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		rt := NewRuntime(workers)
-		got, err := rt.WCOJ(context.Background(), db, conds, []int{0, 1, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Rows, serial.Rows) {
-			t.Fatalf("workers=%d: rows differ from serial (got %d, want %d)",
-				workers, got.Len(), serial.Len())
-		}
-	}
-}
-
-// TestWCOJBudgetKill: the typed budget errors fire at serial and parallel
-// degrees, same contract as the binary operators.
+// TestWCOJBudgetKill: the typed budget errors fire, same contract as the
+// binary operators.
 func TestWCOJBudgetKill(t *testing.T) {
 	g := randomGraph(26, 80, 220, 3)
 	db := mustDB(t, g)
@@ -154,22 +127,20 @@ func TestWCOJBudgetKill(t *testing.T) {
 	if full.Len() < 4 {
 		t.Fatalf("graph too sparse for the test: %d rows", full.Len())
 	}
-	for _, workers := range []int{1, 4} {
-		rt := NewRuntime(workers)
-		rt.SetBudget(&Budget{MaxTableRows: full.Len() - 1})
-		if _, err := rt.WCOJ(ctx, db, conds, []int{0, 1, 2}); !errors.Is(err, ErrRowLimit) {
-			t.Fatalf("workers=%d: got %v, want ErrRowLimit", workers, err)
-		}
-		rt = NewRuntime(workers)
-		rt.SetBudget(&Budget{MaxBytes: 16})
-		if _, err := rt.WCOJ(ctx, db, conds, []int{0, 1, 2}); !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("workers=%d: got %v, want ErrBudgetExceeded", workers, err)
-		}
+	rt := new(Runtime)
+	rt.SetBudget(&Budget{MaxTableRows: full.Len() - 1})
+	if _, err := rt.WCOJ(ctx, db, conds, []int{0, 1, 2}); !errors.Is(err, ErrRowLimit) {
+		t.Fatalf("got %v, want ErrRowLimit", err)
+	}
+	rt = new(Runtime)
+	rt.SetBudget(&Budget{MaxBytes: 16})
+	if _, err := rt.WCOJ(ctx, db, conds, []int{0, 1, 2}); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
 }
 
 // TestWCOJLimitPushdown: a pushed-down result limit yields exactly the
-// first n rows of the unlimited output at every worker degree.
+// first n rows of the unlimited output.
 func TestWCOJLimitPushdown(t *testing.T) {
 	g := randomGraph(26, 80, 220, 3)
 	db := mustDB(t, g)
@@ -182,24 +153,21 @@ func TestWCOJLimitPushdown(t *testing.T) {
 	if full.Len() < 5 {
 		t.Fatalf("graph too sparse for the test: %d rows", full.Len())
 	}
-	for _, workers := range []int{1, 2, 7} {
-		for _, n := range []int{1, 2, full.Len() - 1, full.Len(), full.Len() + 5} {
-			rt := NewRuntime(workers)
-			b := &Budget{ResultRows: n}
-			rt.SetBudget(b)
-			rt.PushLimit(n)
-			got, err := rt.WCOJ(ctx, db, conds, []int{0, 1, 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLen := min(n, full.Len())
-			if got.Len() != wantLen || !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
-				t.Fatalf("workers=%d limit=%d: not the unlimited prefix (%d rows, want %d)",
-					workers, n, got.Len(), wantLen)
-			}
-			if wantTrunc := n < full.Len(); b.Truncated() != wantTrunc {
-				t.Fatalf("workers=%d limit=%d: Truncated=%v, want %v", workers, n, b.Truncated(), wantTrunc)
-			}
+	for _, n := range []int{1, 2, full.Len() - 1, full.Len(), full.Len() + 5} {
+		rt := new(Runtime)
+		b := &Budget{ResultRows: n}
+		rt.SetBudget(b)
+		rt.PushLimit(n)
+		got, err := rt.WCOJ(ctx, db, conds, []int{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLen := min(n, full.Len())
+		if got.Len() != wantLen || !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
+			t.Fatalf("limit=%d: not the unlimited prefix (%d rows, want %d)", n, got.Len(), wantLen)
+		}
+		if wantTrunc := n < full.Len(); b.Truncated() != wantTrunc {
+			t.Fatalf("limit=%d: Truncated=%v, want %v", n, b.Truncated(), wantTrunc)
 		}
 	}
 }
@@ -266,7 +234,7 @@ func TestWCOJCounters(t *testing.T) {
 	g := randomGraph(25, 80, 220, 3)
 	db := mustDB(t, g)
 	_, conds := triangle(g)
-	rt := NewRuntime(1)
+	rt := new(Runtime)
 	res, err := rt.WCOJ(context.Background(), db, conds, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)

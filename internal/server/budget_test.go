@@ -83,6 +83,85 @@ func TestRequestBodyLimits(t *testing.T) {
 	}
 }
 
+// TestStrictRequestBodies: every JSON route takes exactly one JSON value.
+// Trailing garbage or a second object answers 400 and does nothing, where
+// a bare Decode would act on the first value; trailing whitespace is fine.
+// A negative timeout_ms is rejected like a negative limit.
+func TestStrictRequestBodies(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	valid := map[string]string{
+		"/query":  `{"pattern": "A->B"}`,
+		"/insert": `{"edges": [[0, 59]]}`,
+		"/delete": `{"edges": [[0, 59]]}`,
+	}
+	for _, route := range []string{"/query", "/insert", "/delete"} {
+		body := valid[route]
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{body + ` garbage`, http.StatusBadRequest},
+			{body + body, http.StatusBadRequest},
+			{body + ` 7`, http.StatusBadRequest},
+			{body + " \n\t", http.StatusOK},
+		} {
+			resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("POST %s %q: %d %s, want %d", route, tc.body, resp.StatusCode, out, tc.want)
+			}
+		}
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"pattern": "A->B", "timeout_ms": -1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative timeout_ms: %d, want 400", resp.StatusCode)
+	}
+	st := s.Stats()
+	if st.Queries != 1 || st.EdgeInserts+st.InsertDuplicates != 1 || st.EdgeDeletes+st.DeleteNoops != 1 {
+		t.Fatalf("rejected bodies were acted on: %d queries, %d+%d inserts, %d+%d deletes",
+			st.Queries, st.EdgeInserts, st.InsertDuplicates, st.EdgeDeletes, st.DeleteNoops)
+	}
+}
+
+// TestStatsDropsParallelismKeys: operators run on the query's goroutine, so
+// /stats no longer reports a worker degree or partition counters.
+func TestStatsDropsParallelismKeys(t *testing.T) {
+	s := testServer(t, Config{})
+	if _, err := s.Query(context.Background(), "A->B; B->C", ""); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st["operator_ops"] == nil {
+		t.Fatalf("/stats lacks operator_ops: %v", st)
+	}
+	for _, key := range []string{"query_parallelism", "operator_parallel_ops", "operator_tasks", "worker_utilization"} {
+		if v, ok := st[key]; ok {
+			t.Errorf("/stats still reports %s = %v", key, v)
+		}
+	}
+}
+
 // TestPlanSingleflight: concurrent misses for the same pattern run DP/DPS
 // once; the rest coalesce onto the leader's in-flight planning.
 func TestPlanSingleflight(t *testing.T) {

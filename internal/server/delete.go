@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -85,17 +84,8 @@ func (s *Server) DeleteEdges(ctx context.Context, edges [][2]graph.NodeID) (Dele
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req DeleteRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {

@@ -322,7 +322,7 @@ func TestConcurrentMutateAndQueryPrefixConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s := New(db, Config{MaxInFlight: 16, QueryParallelism: 2})
+	s := New(db, Config{MaxInFlight: 16})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

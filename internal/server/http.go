@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -102,21 +103,36 @@ func (s *Server) guardMutating(h func(*Server, http.ResponseWriter, *http.Reques
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// Bound and strictly decode the body before any work happens: an
-	// oversized or garbage payload must not balloon memory ahead of
-	// admission control.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
+// decodeBody strictly decodes r's body into v before any work happens, so
+// an oversized or garbage payload cannot balloon memory ahead of admission
+// control: the body is bounded by MaxRequestBytes, unknown fields are
+// errors, and it must hold exactly one JSON value — anything after it is an
+// error too, where a bare Decode would ignore it. On failure decodeBody
+// answers 413 (body too large) or 400 itself and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
 	dec.DisallowUnknownFields()
-	var req QueryRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, err)
+		if err == nil {
+			err = errors.New("unexpected data after the JSON body")
+		}
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Pattern == "" {
@@ -125,6 +141,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Limit < 0 {
 		writeError(w, http.StatusBadRequest, errors.New("negative \"limit\""))
+		return
+	}
+	if req.TimeoutMS < 0 {
+		writeError(w, http.StatusBadRequest, errors.New("negative \"timeout_ms\""))
 		return
 	}
 	ctx := r.Context()

@@ -181,7 +181,7 @@ func TestConcurrentInsertAndQueryPrefixConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s := New(db, Config{MaxInFlight: 16, QueryParallelism: 2})
+	s := New(db, Config{MaxInFlight: 16})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -50,15 +49,13 @@ type metrics struct {
 	deleteLabelEntries atomic.Int64 // label entries removed + re-added
 	deleteErrors       atomic.Int64 // failed delete requests
 
-	// Intra-query operator parallelism (aggregated rjoin.RuntimeStats).
-	operatorOps   atomic.Int64 // operator executions
-	parallelOps   atomic.Int64 // operators that split across >1 worker
-	fusedFilters  atomic.Int64 // plan steps a Fetch ran as list intersections
-	operatorTasks atomic.Int64 // partition tasks executed
-	centerHits    atomic.Int64 // partner-slot hits
-	centerMisses  atomic.Int64 // partner-slot fills
-	memoHits      atomic.Int64 // decoded-memo hits (subclusters + partner slots)
-	memoMisses    atomic.Int64 // decoded-memo misses
+	// Operator activity (aggregated rjoin.RuntimeStats).
+	operatorOps  atomic.Int64 // operator executions
+	fusedFilters atomic.Int64 // plan steps a Fetch ran as list intersections
+	centerHits   atomic.Int64 // partner-slot hits
+	centerMisses atomic.Int64 // partner-slot fills
+	memoHits     atomic.Int64 // decoded-memo hits (subclusters + partner slots)
+	memoMisses   atomic.Int64 // decoded-memo misses
 
 	// Worst-case-optimal multiway join (leapfrog) observability.
 	wcojQueries atomic.Int64 // queries whose plan opened with a WCOJ step
@@ -90,12 +87,10 @@ func (m *metrics) recordEncode(d time.Duration, bytes int64) {
 }
 
 // recordRuntime folds one query's operator-runtime counters into the
-// server-wide utilisation metrics.
+// server-wide metrics.
 func (m *metrics) recordRuntime(rs rjoin.RuntimeStats) {
 	m.operatorOps.Add(rs.Ops)
-	m.parallelOps.Add(rs.ParallelOps)
 	m.fusedFilters.Add(rs.FusedFilters)
-	m.operatorTasks.Add(rs.Tasks)
 	m.centerHits.Add(rs.CenterCacheHits)
 	m.centerMisses.Add(rs.CenterCacheMisses)
 	m.memoHits.Add(rs.MemoHits)
@@ -263,24 +258,12 @@ type Stats struct {
 	PinnedEpochs           int     `json:"pinned_epochs"`
 	OldestPinnedAgeSeconds float64 `json:"oldest_pinned_age_seconds"`
 	SnapshotsRetired       uint64  `json:"snapshots_retired"`
-	// QueryParallelism is the configured intra-query worker degree
-	// (0 = GOMAXPROCS).
-	QueryParallelism int `json:"query_parallelism"`
-	// OperatorOps counts R-join/R-semijoin operator executions;
-	// OperatorParallelOps those that split across more than one worker;
-	// OperatorTasks the partition tasks executed. OperatorTasks/OperatorOps
-	// is the achieved fan-out — compare against QueryParallelism for
-	// worker-pool utilisation. FusedFilters counts the plan steps that ran
-	// as no operator of their own: Selections and R-semijoin groups on the
-	// node a Fetch binds, applied by that Fetch to its partner lists
-	// (rjoin.FetchFiltered).
-	OperatorOps         int64 `json:"operator_ops"`
-	OperatorParallelOps int64 `json:"operator_parallel_ops"`
-	FusedFilters        int64 `json:"fused_filters"`
-	OperatorTasks       int64 `json:"operator_tasks"`
-	// WorkerUtilization is OperatorTasks/(OperatorOps × resolved degree):
-	// 1.0 means every operator filled every worker slot.
-	WorkerUtilization float64 `json:"worker_utilization"`
+	// OperatorOps counts R-join/R-semijoin operator executions.
+	// FusedFilters counts the plan steps that ran as no operator of their
+	// own: Selections and R-semijoin groups on the node a Fetch binds,
+	// applied by that Fetch to its partner lists (rjoin.FetchFiltered).
+	OperatorOps  int64 `json:"operator_ops"`
+	FusedFilters int64 `json:"fused_filters"`
 	// CenterCacheHits/Misses aggregate the queries' partner-table slot
 	// lookups: a hit is a getCenters intersection and subcluster union an
 	// earlier operator or query on the epoch already computed.
@@ -373,11 +356,8 @@ func (s *Server) Stats() Stats {
 		DeleteNoops:            s.met.deleteNoops.Load(),
 		DeleteLabelEntries:     s.met.deleteLabelEntries.Load(),
 		DeleteErrors:           s.met.deleteErrors.Load(),
-		QueryParallelism:       s.cfg.QueryParallelism,
 		OperatorOps:            s.met.operatorOps.Load(),
-		OperatorParallelOps:    s.met.parallelOps.Load(),
 		FusedFilters:           s.met.fusedFilters.Load(),
-		OperatorTasks:          s.met.operatorTasks.Load(),
 		CenterCacheHits:        s.met.centerHits.Load(),
 		CenterCacheMisses:      s.met.centerMisses.Load(),
 		DecodedMemoHits:        s.met.memoHits.Load(),
@@ -394,13 +374,6 @@ func (s *Server) Stats() Stats {
 		EncodeMs:               float64(s.met.encodeNS.Load()) / 1e6,
 		ResponseBytes:          s.met.responseBytes.Load(),
 		UptimeSeconds:          time.Since(s.start).Seconds(),
-	}
-	if st.OperatorOps > 0 {
-		degree := s.cfg.QueryParallelism
-		if degree <= 0 {
-			degree = runtime.GOMAXPROCS(0)
-		}
-		st.WorkerUtilization = float64(st.OperatorTasks) / (float64(st.OperatorOps) * float64(degree))
 	}
 	if !s.db.Closed() {
 		st.ReachBackend = s.db.ReachBackend()

@@ -5,8 +5,8 @@
 // and an HTTP front-end. The paper's engine is single-threaded; the
 // storage and database layers were made safe for parallel readers (a
 // sharded buffer pool, lock-free per-epoch partner tables and graph codes),
-// so N queries execute simultaneously with no global engine mutex — this
-// package adds the serving policy on top.
+// so N queries execute simultaneously with no global engine mutex, each on
+// its own goroutine — this package adds the serving policy on top.
 //
 // Reads and writes never block each other: each query pins one immutable
 // snapshot epoch (gdb.DB.Pin) for its whole plan+execute lifetime, and
@@ -81,20 +81,16 @@ type Config struct {
 	// DefaultTimeout, when positive, bounds every query whose context has
 	// no explicit deadline.
 	DefaultTimeout time.Duration
-	// QueryParallelism is the intra-query operator worker degree: each
-	// R-join/R-semijoin partitions its centers/rows across up to this many
-	// goroutines (<= 0 selects GOMAXPROCS; 1 is the serial path). Total
-	// operator goroutines are bounded by MaxInFlight × QueryParallelism.
-	QueryParallelism int
 	// MaxTableRows, when > 0, caps any intermediate temporal table's rows
 	// per query; exceeding it fails the query with rjoin.ErrRowLimit
-	// (HTTP 422) and cancels its sibling partitions.
+	// (HTTP 422).
 	MaxTableRows int
 	// MaxIntermediateBytes, when > 0, caps the cumulative bytes of
 	// intermediate rows one query may allocate; exceeding it fails the
 	// query with rjoin.ErrBudgetExceeded (HTTP 422).
 	MaxIntermediateBytes int64
-	// MaxRequestBytes bounds the /query request body (default 1 MB).
+	// MaxRequestBytes bounds the /query, /insert and /delete request
+	// bodies (default 1 MB).
 	MaxRequestBytes int64
 	// ReadOnly rejects every mutating HTTP endpoint (POST /insert,
 	// POST /delete, and any writer route added later) with 403. It guards
@@ -297,10 +293,10 @@ func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorith
 		s.met.recordError(err)
 		return nil, err
 	}
-	// One operator runtime per query: the worker-pool degree and the
-	// counters that feed the server metrics; the budget governs what the
-	// query may produce.
-	rt := rjoin.NewRuntime(s.cfg.QueryParallelism)
+	// One operator runtime per query, run on this goroutine: its counters
+	// feed the server metrics; the budget governs what the query may
+	// produce.
+	rt := new(rjoin.Runtime)
 	bdg := &rjoin.Budget{
 		ResultRows:   opts.Limit,
 		MaxTableRows: s.cfg.MaxTableRows,

@@ -88,7 +88,7 @@ func TestReachCrossBackendAgreement(t *testing.T) {
 
 // TestReachCrossBackendQueries builds one engine per backend over the same
 // XMark graph and asserts identical sorted result rows on the pattern
-// battery, DP and DPS at worker degrees 1 and 4.
+// battery, DP and DPS.
 func TestReachCrossBackendQueries(t *testing.T) {
 	g := xmark.Generate(xmark.Config{Nodes: 1200, Seed: 9}).Graph
 	names := reach.Names()
@@ -106,14 +106,12 @@ func TestReachCrossBackendQueries(t *testing.T) {
 	}
 	for _, w := range diffWorkloads() {
 		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
-			for _, workers := range []int{1, 4} {
-				want := sortedRows(t, dbs[0], w.Pattern, algo, workers)
-				for i := 1; i < len(dbs); i++ {
-					got := sortedRows(t, dbs[i], w.Pattern, algo, workers)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %s workers=%d: %s returned %d rows, %s returned %d",
-							w.Name, algo, workers, names[i], len(got), names[0], len(want))
-					}
+			want := sortedRows(t, dbs[0], w.Pattern, algo)
+			for i := 1; i < len(dbs); i++ {
+				got := sortedRows(t, dbs[i], w.Pattern, algo)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %s: %s returned %d rows, %s returned %d",
+						w.Name, algo, names[i], len(got), names[0], len(want))
 				}
 			}
 		}
@@ -175,7 +173,7 @@ func FuzzReachCrossBackend(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			rows := sortedRows(t, db, p, exec.DPS, 1)
+			rows := sortedRows(t, db, p, exec.DPS)
 			db.Close()
 			if i == 0 {
 				want = rows
