@@ -6,9 +6,9 @@ GO ?= go
 # kernels, the two per-row index reads (partner slot, reachability test),
 # the four binary R-join operators, a Fetch with the filters on its new node
 # fused against the step-by-step pipeline (ns per input row) and the
-# response encoder (ns per row from a factorised and from a plain result)
-# — the hot paths a perf PR must not regress — plus the two open strategy
-# questions (binary vs
+# response encoder (ns per row from a served-shaped and a synthetic
+# factorised result and from a plain one) — the hot paths a perf PR must
+# not regress — plus the two open strategy questions (binary vs
 # worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec ./internal/server
 BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
@@ -27,8 +27,9 @@ test-short:
 # short budget ($(FUZZTIME) per target) on top of the seeded corpus, so
 # the differential edge-insert harness and the 2-hop delta invariants get
 # fresh random sequences on every verify run, not just the checked-in
-# seeds. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The last
-# four lines run benchmarks once for the checks they carry: the strategy
+# seeds, and the response encoder gets random results to match against
+# encoding/json. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The
+# last four lines run benchmarks once for the checks they carry: the strategy
 # benchmarks' cross-variant row counts (they replace harnesses that had
 # their own, and must not rot), the read path's allocation-free hit path,
 # the fused Fetch's row count against the step-by-step pipeline's and the
@@ -42,6 +43,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzIncrementalInsert -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzIncrementalDelete -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
+	$(GO) test -run XXX -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run XXX -bench 'BenchmarkCyclicPlans|BenchmarkReachBackends' -benchtime 1x ./internal/exec
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
 	$(GO) test -run XXX -bench BenchmarkFetchFilters -benchtime 1x ./internal/rjoin

@@ -119,13 +119,18 @@ func TestStrictRequestBodies(t *testing.T) {
 			}
 		}
 	}
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"pattern": "A->B", "timeout_ms": -1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative timeout_ms: %d, want 400", resp.StatusCode)
+	// A negative timeout_ms, and one too large for a time.Duration (which
+	// would overflow into a deadline in the past), is rejected.
+	for _, timeout := range []string{"-1", "10000000000000"} {
+		resp, err := http.Post(ts.URL+"/query", "application/json",
+			strings.NewReader(`{"pattern": "A->B", "timeout_ms": `+timeout+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("timeout_ms %s: %d, want 400", timeout, resp.StatusCode)
+		}
 	}
 	st := s.Stats()
 	if st.Queries != 1 || st.EdgeInserts+st.InsertDuplicates != 1 || st.EdgeDeletes+st.DeleteNoops != 1 {

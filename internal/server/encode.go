@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -32,7 +33,8 @@ type encoder struct {
 	n   int64
 	err error
 	// head and tail hold the current prefix row's share of each of its
-	// rows, formatted once.
+	// rows, formatted once; each is rowRoom bytes, the formatter's
+	// overshoot included.
 	head, tail []byte
 }
 
@@ -41,8 +43,8 @@ var encoders = sync.Pool{New: func() any { return &encoder{max: maxPooledRespons
 // writeQueryResponse writes res as a 200 QueryResponse — exactly the bytes
 // json.Encoder writes for it with the rows written out in pattern-node
 // order — and returns the body's size. The rows array, all of a large
-// response, is formatted with strconv from res.rows; the column permutation
-// is an index vector applied while formatting.
+// response, is formatted from res.rows by table loads (putNodeID); the
+// column permutation is an index vector applied while formatting.
 func writeQueryResponse(w http.ResponseWriter, res *Result) (int64, error) {
 	src, err := res.rows.Order(res.nodes)
 	if err != nil {
@@ -83,34 +85,55 @@ func (e *encoder) response(res *Result, src []int) {
 	e.flush()
 }
 
+// rowRoom is the room rows reserves before writing a row of width cells:
+// the widest row text — ten digits per cell, a comma before each cell and
+// the brackets — and the 15 bytes past it that the 16-byte store of a
+// factorised row's tail can write. Every fixed-width store of a row falls
+// inside it.
+func rowRoom(width int) int { return 11*width + 2 + 15 }
+
 // rows appends r's rows as JSON arrays, comma-separated, with output
-// column j taken from source column src[j]. For a factorised result each
-// prefix row's cells are formatted once, as the text before and after the
-// expanded column, and every row it stands for is head + one number + tail.
+// column j taken from source column src[j]. Every cell is written by
+// putNodeID. For a factorised result each prefix row's cells are formatted
+// once, as the text before and after the expanded column, and every row it
+// stands for is a 16-byte store of the head, one number and a 16-byte store
+// of the tail (a copy finishes a head or tail longer than 16 bytes).
 func (e *encoder) rows(r *rjoin.Result, src []int) {
 	width := len(src)
-	rowMax := 12*width + 3 // a cell is at most "-2147483648" and a comma
+	need := rowRoom(width)
+	// b is the buffer up to its capacity and n the length written: the
+	// fixed-width stores write past n, inside the room reserved for the row.
+	b, n := e.buf[:cap(e.buf)], len(e.buf)
 	first := true
 	if r.Exp == nil {
 		for _, row := range r.Rows {
-			if cap(e.buf)-len(e.buf) < rowMax && !e.room(rowMax) {
-				return
+			if len(b)-n < need {
+				if b, n = e.grow(b, n, need); b == nil {
+					return
+				}
 			}
-			buf := e.buf
 			if !first {
-				buf = append(buf, ',')
+				b[n] = ','
+				n++
 			}
 			first = false
-			buf = append(buf, '[')
+			b[n] = '['
+			n++
 			for j, s := range src {
 				if j > 0 {
-					buf = append(buf, ',')
+					b[n] = ','
+					n++
 				}
-				buf = appendNodeID(buf, row[s])
+				n = putNodeID(b, n, row[s])
 			}
-			e.buf = append(buf, ']')
+			b[n] = ']'
+			n++
 		}
+		e.buf = b[:n]
 		return
+	}
+	if cap(e.head) < need {
+		e.head, e.tail = make([]byte, need), make([]byte, need)
 	}
 	pos := slices.Index(src, width-1)
 	for i, list := range r.Exp {
@@ -118,34 +141,65 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 			continue
 		}
 		prefix := r.Rows[i]
-		head := append(e.head[:0], ',', '[')
+		h := e.head[:cap(e.head)]
+		h[0], h[1] = ',', '['
+		hn := 2
 		for _, s := range src[:pos] {
-			head = append(strconv.AppendInt(head, int64(prefix[s]), 10), ',')
+			hn = putNodeID(h, hn, prefix[s])
+			h[hn] = ','
+			hn++
 		}
-		tail := e.tail[:0]
+		t := e.tail[:cap(e.tail)]
+		tn := 0
 		for _, s := range src[pos+1:] {
-			tail = strconv.AppendInt(append(tail, ','), int64(prefix[s]), 10)
+			t[tn] = ','
+			tn = putNodeID(t, tn+1, prefix[s])
 		}
-		tail = append(tail, ']')
-		e.head, e.tail = head, tail
-		buf := e.buf
-		for _, n := range list {
-			if cap(buf)-len(buf) < rowMax {
-				if e.buf = buf; !e.room(rowMax) {
+		t[tn] = ']'
+		tn++
+		head, tail := h[:hn], t[:tn]
+		if first {
+			if len(b)-n < need {
+				if b, n = e.grow(b, n, need); b == nil {
 					return
 				}
-				buf = e.buf
 			}
-			if first {
-				buf, first = append(buf, head[1:]...), false
-			} else {
-				buf = append(buf, head...)
-			}
-			buf = appendNodeID(buf, n)
-			buf = append(buf, tail...)
+			n += copy(b[n:], head[1:])
+			n = putNodeID(b, n, list[0])
+			n += copy(b[n:], tail)
+			list, first = list[1:], false
 		}
-		e.buf = buf
+		h16, t16 := [16]byte(h), [16]byte(t)
+		for _, v := range list {
+			if len(b)-n < need {
+				if b, n = e.grow(b, n, need); b == nil {
+					return
+				}
+			}
+			*(*[16]byte)(b[n:]) = h16
+			if hn > 16 {
+				copy(b[n+16:], head[16:])
+			}
+			n = putNodeID(b, n+hn, v)
+			*(*[16]byte)(b[n:]) = t16
+			if tn > 16 {
+				copy(b[n+16:], tail[16:])
+			}
+			n += tn
+		}
 	}
+	e.buf = b[:n]
+}
+
+// grow is room for rows, which writes into b — e.buf up to its capacity —
+// with n bytes written: it makes room for need bytes after them and returns
+// the new b and n, or a nil b once the response is abandoned.
+func (e *encoder) grow(b []byte, n, need int) ([]byte, int) {
+	e.buf = b[:n]
+	if !e.room(need) {
+		return nil, 0
+	}
+	return e.buf[:cap(e.buf)], len(e.buf)
 }
 
 // put appends s, making room for it first.
@@ -190,60 +244,54 @@ func marshal(v any) string {
 	return string(b)
 }
 
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
+// digits and padded are the decimal table putNodeID reads, built once:
+// for u < 10⁴, digits[u] holds u's digits from its lowest byte up and their
+// count in its top byte, and padded[u] holds u as four digits with leading
+// zeros. 120 KB in all, so the entries a response uses stay in cache.
+var (
+	digits [1e4]uint64
+	padded [1e4]uint32
+)
 
-// appendNodeID is strconv.AppendInt(buf, int64(v), 10) for a node ID, which
-// is never negative and has at most ten digits: the digits are written in
-// place, two at a time, without strconv's scratch array and copy. On
-// read_fastpath it is worth 7% of qps (EXPERIMENTS.md, "result shipping").
-func appendNodeID(buf []byte, v graph.NodeID) []byte {
-	if v < 0 {
-		return strconv.AppendInt(buf, int64(v), 10)
+func init() {
+	for u := range digits {
+		d := [4]byte{'0' + byte(u/1000), '0' + byte(u/100%10), '0' + byte(u/10%10), '0' + byte(u%10)}
+		n := 1
+		for x := u; x >= 10; x /= 10 {
+			n++
+		}
+		var x [8]byte
+		copy(x[:], d[4-n:])
+		x[7] = byte(n)
+		digits[u] = binary.LittleEndian.Uint64(x[:])
+		padded[u] = binary.LittleEndian.Uint32(d[:])
 	}
+}
+
+// putNodeID writes v, which must not be negative, in decimal at b[i:] and
+// returns the index after it: one table load and one 8-byte store for the
+// leading group of up to four digits, and one more load and store for the
+// four or eight digits after it — at most three loads for an int32. The
+// first store can reach 7 bytes past the digits; those bytes are left for
+// the caller to overwrite, and b must have room for them.
+func putNodeID(b []byte, i int, v graph.NodeID) int {
 	u := uint32(v)
-	n := 1
 	switch {
-	case u >= 1e9:
-		n = 10
-	case u >= 1e8:
-		n = 9
-	case u >= 1e7:
-		n = 8
-	case u >= 1e6:
-		n = 7
-	case u >= 1e5:
-		n = 6
-	case u >= 1e4:
-		n = 5
-	case u >= 1e3:
-		n = 4
-	case u >= 100:
-		n = 3
-	case u >= 10:
-		n = 2
+	case u < 1e4:
+		x := digits[u]
+		binary.LittleEndian.PutUint64(b[i:], x)
+		return i + int(x>>56)
+	case u < 1e8:
+		x := digits[u/1e4]
+		binary.LittleEndian.PutUint64(b[i:], x)
+		i += int(x >> 56)
+		binary.LittleEndian.PutUint32(b[i:], padded[u%1e4])
+		return i + 4
+	default:
+		x := digits[u/1e8]
+		binary.LittleEndian.PutUint64(b[i:], x)
+		i += int(x >> 56)
+		binary.LittleEndian.PutUint64(b[i:], uint64(padded[u/1e4%1e4])|uint64(padded[u%1e4])<<32)
+		return i + 8
 	}
-	buf = append(buf, "0000000000"[:n]...)
-	i := len(buf)
-	for u >= 100 {
-		q := u / 100
-		r := 2 * (u - q*100)
-		i -= 2
-		buf[i], buf[i+1] = digitPairs[r], digitPairs[r+1]
-		u = q
-	}
-	if u >= 10 {
-		buf[i-2], buf[i-1] = digitPairs[2*u], digitPairs[2*u+1]
-	} else {
-		buf[i-1] = byte('0' + u)
-	}
-	return buf
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -127,6 +129,28 @@ func encodingCases() map[string]*Result {
 		"factorised 100k":   fact([]int{3, 0, 2, 1}, 60_000, 0, 1, 39_999),
 		"many short blocks": fact([]int{1, 0}, make([]int, 3000)...),
 	}
+	for name, cols := range map[string][]int{
+		"digit boundaries first":  {1, 2, 3, 0},
+		"digit boundaries middle": {0, 3, 2, 1},
+		"digit boundaries last":   {1, 0, 3, 2},
+		"digit boundaries pair":   {1, 0},
+	} {
+		cases[name] = &Result{Cols: names[:len(cols)], rows: digitBoundaryResult(cols), nodes: identityNodes(len(cols))}
+	}
+	// Rows as wide as rowRoom allows — every cell ten digits, the expanded
+	// column last so the tail is "]" — whose tail stores reach the end of
+	// the reserved room.
+	widest := &rjoin.Result{Cols: []int{0, 1}, Exp: [][]graph.NodeID{}}
+	for i := range 20 {
+		list := make([]graph.NodeID, 300)
+		for k := range list {
+			list[k] = graph.NodeID(1e9 + i*1000 + k)
+		}
+		widest.Rows = append(widest.Rows, []graph.NodeID{math.MaxInt32 - graph.NodeID(i)})
+		widest.Exp = append(widest.Exp, list)
+		widest.N += len(list)
+	}
+	cases["widest rows"] = &Result{Cols: names[:2], rows: widest, nodes: identityNodes(2)}
 	for i, list := range cases["many short blocks"].rows.Exp {
 		cases["many short blocks"].rows.Exp[i] = append(list, graph.NodeID(i), graph.NodeID(i+1))
 		cases["many short blocks"].rows.N += 2
@@ -138,6 +162,59 @@ func encodingCases() map[string]*Result {
 	cases["escapes and flags"] = meta
 	cases["tiny elapsed"] = &Result{Cols: nil, rows: plainResult([]int{0}, 1), nodes: identityNodes(1), Elapsed: 100 * time.Nanosecond}
 	return cases
+}
+
+// TestPutNodeID: the table formatter writes what strconv writes, on every
+// value up to 10⁶, on both sides of every power of ten up to 10⁹, and on
+// math.MaxInt32 and the 10⁶ values below it; and its fixed-width stores
+// reach at most 7 bytes past the digits.
+func TestPutNodeID(t *testing.T) {
+	var vals []int64
+	for v := int64(0); v <= 1e6; v++ {
+		vals = append(vals, v)
+	}
+	for p := int64(1); p <= 1e9; p *= 10 {
+		vals = append(vals, p-1, p, p+1)
+	}
+	for v := int64(math.MaxInt32); v >= math.MaxInt32-1e6; v-- {
+		vals = append(vals, v)
+	}
+	const at = 3
+	b := make([]byte, at+10+7)
+	for _, v := range vals {
+		for i := range b {
+			b[i] = '#'
+		}
+		want := strconv.FormatInt(v, 10)
+		end := putNodeID(b, at, graph.NodeID(v))
+		if got := string(b[at:end]); got != want || string(b[:at]) != "###" {
+			t.Fatalf("putNodeID(%d) wrote %q after %q, want %q", v, got, b[:at], want)
+		}
+		if reach := bytes.LastIndexFunc(b, func(r rune) bool { return r != '#' }) + 1; reach > end+7 {
+			t.Fatalf("putNodeID(%d) stored %d bytes past its %d digits", v, reach-end, len(want))
+		}
+	}
+}
+
+// digitBoundaryResult is a factorised Result over cols whose prefix cells
+// and list values cross every digit-count boundary the formatter's table
+// splits at — 9/10, 9999/10000, 99,999,999/100,000,000 — and reach
+// math.MaxInt32. At width 4 a head or tail of three cells is longer than
+// the 16 bytes one store writes.
+func digitBoundaryResult(cols []int) *rjoin.Result {
+	ids := []graph.NodeID{0, 9, 10, 9999, 10_000, 99_999_999, 100_000_000, 999_999_999, 1_000_000_000, math.MaxInt32}
+	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
+	for i := range ids {
+		prefix := make([]graph.NodeID, len(cols)-1)
+		for j := range prefix {
+			prefix[j] = ids[(i+j)%len(ids)]
+		}
+		list := ids[i%3:]
+		r.Rows = append(r.Rows, prefix)
+		r.Exp = append(r.Exp, list)
+		r.N += len(list)
+	}
+	return r
 }
 
 // TestQueryResponseEncoding: the encoder must write, straight from the
@@ -166,6 +243,87 @@ func TestQueryResponseEncoding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEncodeResult: for a random Result — width 1 to 4 in any column
+// order, plain or factorised with lists of any length including 0, IDs of
+// every digit count — the body is json.Marshal's plus a newline, whether
+// it leaves in one write or through a buffer smaller than a few rows.
+func FuzzEncodeResult(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0x83, 2, 1, 3, 9, 0xff, 0xff, 0xff, 0x7f, 0, 1, 0, 0, 0, 4, 8, 7, 6, 5})
+	f.Add([]byte{0x82, 0, 1, 5, 0, 0, 0, 0, 0, 9, 9, 9, 9, 9, 1, 1, 2, 3, 4})
+	f.Add([]byte{0x03, 1, 0, 2, 7, 1, 2, 3, 4, 9, 4, 3, 2, 1, 3, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// id spends a byte on the digit count and four on the value.
+		id := func() graph.NodeID {
+			count := int(next()%10) + 1
+			lo, hi := int64(0), int64(10)
+			for range count - 1 {
+				lo, hi = hi, hi*10
+			}
+			hi = min(hi, math.MaxInt32+1)
+			v := int64(next()) | int64(next())<<8 | int64(next())<<16 | int64(next())<<24
+			return graph.NodeID(lo + v%(hi-lo))
+		}
+		shape := next()
+		width, factorised := 1+int(shape%4), shape&0x80 != 0
+		cols := identityNodes(width)
+		for i := width - 1; i > 0; i-- {
+			j := int(next()) % (i + 1)
+			cols[i], cols[j] = cols[j], cols[i]
+		}
+		r, prefixWidth := &rjoin.Result{Cols: cols}, width
+		if factorised {
+			r.Exp, prefixWidth = [][]graph.NodeID{}, width-1
+		}
+		for len(data) > 0 && len(r.Rows) < 64 {
+			n := 1
+			if factorised {
+				n = int(next() % 6)
+			}
+			row := make([]graph.NodeID, prefixWidth)
+			for j := range row {
+				row[j] = id()
+			}
+			r.Rows = append(r.Rows, row)
+			if factorised {
+				list := make([]graph.NodeID, n)
+				for k := range list {
+					list[k] = id()
+				}
+				slices.Sort(list)
+				r.Exp = append(r.Exp, list)
+			}
+			r.N += n
+		}
+		res := &Result{Cols: []string{"A", "B", "C", "D"}[:width], rows: r, nodes: identityNodes(width)}
+		want := wantBody(t, res)
+		rec := httptest.NewRecorder()
+		if _, err := writeQueryResponse(rec, res); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("body differs from json.Marshal + newline\n got %s\nwant %s", rec.Body.Bytes(), want)
+		}
+		src, err := r.Order(res.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w bytes.Buffer
+		e := &encoder{w: &w, max: 64}
+		if e.response(res, src); !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("body through a 64-byte buffer differs from json.Marshal + newline\n got %s\nwant %s", w.Bytes(), want)
+		}
+	})
 }
 
 // countingWriter records how the body arrived.
@@ -200,8 +358,7 @@ func TestEncodeBufferBounded(t *testing.T) {
 				t.Fatalf("%s: body written in %d pieces differs from the single-buffer body (%d vs %d bytes)",
 					name, w.writes, w.Len(), len(want))
 			}
-			rowMax := 12*len(src) + 3
-			if cap(e.buf) > bufCap+rowMax || w.largest > bufCap {
+			if cap(e.buf) > bufCap+rowRoom(len(src)) || w.largest > bufCap {
 				t.Fatalf("%s: buffer capacity %d, largest write %d, cap %d", name, cap(e.buf), w.largest, bufCap)
 			}
 			if len(want) > 2*bufCap && w.writes < len(want)/bufCap {
@@ -209,6 +366,32 @@ func TestEncodeBufferBounded(t *testing.T) {
 			}
 			if e.n != int64(len(want)) {
 				t.Fatalf("%s: counted %d bytes of %d", name, e.n, len(want))
+			}
+		}
+	}
+}
+
+// TestEncodeRowRoom: the fixed-width stores of a row stay inside the room
+// reserved for it. Each result is encoded into buffers whose capacity ends
+// at every offset across two rows' reserve; a store past the reserve would
+// panic, and the rows must be those json.Marshal writes.
+func TestEncodeRowRoom(t *testing.T) {
+	for name, res := range encodingCases() {
+		if res.rows.N > 10_000 {
+			continue
+		}
+		body := wantBody(t, res)
+		rows := body[bytes.Index(body, []byte(`"rows":[`))+8 : bytes.LastIndex(body, []byte(`],"row_count"`))]
+		src, err := res.rows.Order(res.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backing := make([]byte, 2*rowRoom(len(src)))
+		for c := range backing {
+			e := &encoder{w: io.Discard, max: maxPooledResponse, buf: backing[:0:c]}
+			e.rows(res.rows, src)
+			if !bytes.Equal(e.buf, rows) {
+				t.Fatalf("%s: rows from a %d-byte buffer differ from json.Marshal's\n got %.200s\nwant %.200s", name, c, e.buf, rows)
 			}
 		}
 	}
@@ -373,9 +556,28 @@ func TestServedBodyAndEncodeStats(t *testing.T) {
 	}
 }
 
+// servedResult is shaped like site->name on the 100k-node XMark graph the
+// served benchmark reads: 95 prefix rows, each with 540 ascending partners
+// about 185 apart across the whole node range.
+func servedResult() *rjoin.Result {
+	rnd := rand.New(rand.NewSource(1))
+	r := &rjoin.Result{Cols: []int{0, 1}}
+	for i := range 95 {
+		list := make([]graph.NodeID, 540)
+		for k := range list {
+			list[k] = graph.NodeID(k*185 + rnd.Intn(185))
+		}
+		r.Rows = append(r.Rows, []graph.NodeID{graph.NodeID(i*1052 + rnd.Intn(1052))})
+		r.Exp = append(r.Exp, list)
+		r.N += len(list)
+	}
+	return r
+}
+
 // BenchmarkEncodeResult times the row encoder into a warm buffer: a
-// site->name-shaped factorised result (few prefix rows, long lists) and a
-// 4-column plain one of the same size. It fails if encoding allocates.
+// site->name-shaped factorised result with served IDs, the same shape with
+// small consecutive IDs and math.MaxInt32, and a 4-column plain result of
+// the same size. It fails if encoding allocates.
 func BenchmarkEncodeResult(b *testing.B) {
 	lens := make([]int, 95)
 	for i := range lens {
@@ -386,6 +588,7 @@ func BenchmarkEncodeResult(b *testing.B) {
 		name string
 		r    *rjoin.Result
 	}{
+		{"served", servedResult()},
 		{"factorised", fact},
 		{"plain4", plainResult([]int{2, 0, 3, 1}, fact.N)},
 	} {

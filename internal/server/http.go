@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"time"
@@ -145,6 +146,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.TimeoutMS < 0 {
 		writeError(w, http.StatusBadRequest, errors.New("negative \"timeout_ms\""))
+		return
+	}
+	if int64(req.TimeoutMS) > int64(math.MaxInt64/time.Millisecond) {
+		writeError(w, http.StatusBadRequest, errors.New("\"timeout_ms\" does not fit in a duration"))
 		return
 	}
 	ctx := r.Context()
