@@ -8,10 +8,10 @@ GO ?= go
 # fused against the step-by-step pipeline (ns per input row) and the
 # response encoder (ns per row from a served-shaped and a synthetic
 # factorised result and from a plain one) — the hot paths a perf PR must
-# not regress — plus the two open strategy questions (binary vs
-# worst-case-optimal plans on cyclic cores, twohop vs pll labelings).
+# not regress — plus the open strategy question of binary vs
+# worst-case-optimal plans on cyclic cores.
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans|BenchmarkReachBackends'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -30,32 +30,31 @@ test-short:
 # seeds, and the response encoder gets random results to match against
 # encoding/json. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The
 # last four lines run benchmarks once for the checks they carry: the strategy
-# benchmarks' cross-variant row counts (they replace harnesses that had
-# their own, and must not rot), the read path's allocation-free hit path,
+# benchmark's cross-variant row counts (it replaces a harness that had its
+# own, and must not rot), the read path's allocation-free hit path,
 # the fused Fetch's row count against the step-by-step pipeline's and the
 # response encoder's allocation-free warm buffer.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
 	$(GO) test -run XXX -fuzz FuzzEdgeDeleteDifferential -fuzztime $(FUZZTIME) .
-	$(GO) test -run XXX -fuzz FuzzReachCrossBackend -fuzztime $(FUZZTIME) .
 	$(GO) test -run XXX -fuzz FuzzFastPathDifferential -fuzztime $(FUZZTIME) .
 	$(GO) test -run XXX -fuzz FuzzIncrementalInsert -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzIncrementalDelete -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
 	$(GO) test -run XXX -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run XXX -bench 'BenchmarkCyclicPlans|BenchmarkReachBackends' -benchtime 1x ./internal/exec
+	$(GO) test -run XXX -bench BenchmarkCyclicPlans -benchtime 1x ./internal/exec
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
 	$(GO) test -run XXX -bench BenchmarkFetchFilters -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 
 # test-cover enforces a per-package statement-coverage floor on the
-# reachability-index packages: the generic labeling core and registry, and
-# both backends. These packages carry the correctness story for every
-# graph code the engine stores, so untested lines there are disallowed
-# rather than discouraged.
+# reachability packages: the 2-hop cover and its labeling core (twohop)
+# and its incremental repair (reach). These packages carry the correctness
+# story for every graph code the engine stores, so untested lines there
+# are disallowed rather than discouraged.
 COVER_FLOOR ?= 80
-COVER_PKGS   = ./internal/reach ./internal/pll ./internal/twohop
+COVER_PKGS   = ./internal/reach ./internal/twohop
 test-cover:
 	@set -e; for pkg in $(COVER_PKGS); do \
 		out=$$($(GO) test -cover $$pkg); echo "$$out"; \

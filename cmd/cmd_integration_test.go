@@ -403,19 +403,31 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("%s -algo nope: %s", c[0], out)
 		}
 	}
-	// Operators run on the query's goroutine: the worker-degree flag is
-	// gone, and passing it is a usage error.
-	bin := filepath.Join(t.TempDir(), "fgmserve")
-	run(t, "build", "-o", bin, "./cmd/fgmserve")
-	out, err := exec.Command(bin, "-parallelism", "2").CombinedOutput()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -parallelism") {
-		t.Fatalf("fgmserve -parallelism 2: err %v, want a usage error (status 2):\n%s", err, out)
+	// Removed flags are usage errors (status 2): operators run on the
+	// query's goroutine, so there is no worker degree, and the engine has
+	// one reachability labeling, so there is no backend to choose.
+	dir := t.TempDir()
+	for _, c := range []struct{ cmd, flag, value string }{
+		{"fgmserve", "parallelism", "2"},
+		{"fgmserve", "reach-index", "pll"},
+		{"fgmatch", "reach-index", "pll"},
+		{"fgmgen", "reach-index", "pll"},
+	} {
+		bin := filepath.Join(dir, c.cmd)
+		if _, err := os.Stat(bin); err != nil {
+			run(t, "build", "-o", bin, "./cmd/"+c.cmd)
+		}
+		out, err := exec.Command(bin, "-"+c.flag, c.value).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -"+c.flag) {
+			t.Fatalf("%s -%s %s: err %v, want a usage error (status 2):\n%s", c.cmd, c.flag, c.value, err, out)
+		}
 	}
 }
 
 // TestRepackCLI persists a database, fragments it with inserts, and checks
-// `fgmatch -db ... -repack ...` produces a byte-stable bulk-loaded copy.
+// `fgmatch -db ... -repack ...` produces a byte-stable bulk-loaded copy:
+// two runs write identical page files and manifests.
 func TestRepackCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -431,8 +443,7 @@ func TestRepackCLI(t *testing.T) {
 	for i := 0; i+1 < 40; i++ {
 		b.AddEdge(nodes[i], nodes[i+1])
 	}
-	// A non-default backend: the repacked copy must keep it, and say so.
-	eng, err := fastmatch.NewEngine(b.Build(), fastmatch.Options{Path: src, ReachIndex: "pll"})
+	eng, err := fastmatch.NewEngine(b.Build(), fastmatch.Options{Path: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,20 +462,22 @@ func TestRepackCLI(t *testing.T) {
 	p1 := filepath.Join(dir, "p1.fdb")
 	p2 := filepath.Join(dir, "p2.fdb")
 	out := run(t, "run", "./cmd/fgmatch", "-db", src, "-repack", p1)
-	if !strings.Contains(out, "repacked") || !strings.Contains(out, "reach backend pll") {
+	if !strings.HasPrefix(out, "repacked "+src) || strings.Contains(out, "backend") {
 		t.Fatalf("repack output: %q", out)
 	}
 	run(t, "run", "./cmd/fgmatch", "-db", src, "-repack", p2)
-	b1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("repack output is not byte-stable across runs")
+	for _, suffix := range []string{"", ".manifest"} {
+		b1, err := os.ReadFile(p1 + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := os.ReadFile(p2 + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("repack output %q is not byte-stable across runs", suffix)
+		}
 	}
 
 	packed, err := fastmatch.OpenEngine(p1, fastmatch.Options{})

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"fastmatch"
 	"fastmatch/internal/graph"
@@ -46,7 +45,6 @@ func run() error {
 		budgetBytes = flag.Int64("budget-bytes", 0, "kill the query once intermediate results exceed this many bytes (0 = unbounded)")
 		pool        = flag.Int("pool", 0, "buffer pool bytes (default 1 MB)")
 		buildPar    = flag.Int("build-parallelism", 0, "index-build workers (0/1 = serial, -1 = GOMAXPROCS)")
-		reachIndex  = flag.String("reach-index", "", "reachability-index backend: "+strings.Join(fastmatch.ReachBackends(), ", ")+" (default twohop)")
 		dot         = flag.String("dot", "", "write the data graph in Graphviz DOT format to this file and exit")
 		dotMax      = flag.Int("dotmax", 200, "max nodes in -dot output (0 = all)")
 		dbPath      = flag.String("db", "", "persisted database file (for -repack)")
@@ -86,7 +84,7 @@ func run() error {
 		return graph.WriteDOT(f, g, *dotMax)
 	}
 
-	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool, BuildParallelism: *buildPar, ReachIndex: *reachIndex})
+	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool, BuildParallelism: *buildPar})
 	if err != nil {
 		return err
 	}
@@ -174,20 +172,19 @@ func run() error {
 }
 
 // runRepack rewrites src into the bulk layout at dst and reports the file
-// size change and the reachability backend written.
+// size change.
 func runRepack(src, dst string) error {
 	before, err := os.Stat(src)
 	if err != nil {
 		return err
 	}
-	backend, err := fastmatch.Repack(src, dst)
-	if err != nil {
+	if err := fastmatch.Repack(src, dst); err != nil {
 		return err
 	}
 	after, err := os.Stat(dst)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("repacked %s (%d bytes) -> %s (%d bytes, reach backend %s)\n", src, before.Size(), dst, after.Size(), backend)
+	fmt.Printf("repacked %s (%d bytes) -> %s (%d bytes)\n", src, before.Size(), dst, after.Size())
 	return nil
 }

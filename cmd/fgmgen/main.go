@@ -14,28 +14,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"fastmatch/internal/graph"
-	"fastmatch/internal/reach"
+	"fastmatch/internal/twohop"
 	"fastmatch/internal/xmark"
-
-	// Register the reachability backends selectable with -reach-index.
-	_ "fastmatch/internal/pll"
-	_ "fastmatch/internal/twohop"
 )
 
 func main() {
 	var (
-		nodes   = flag.Int("nodes", 0, "approximate node budget")
-		factor  = flag.Float64("factor", 0, "XMark scale factor (1.0 ≈ 1.67M nodes)")
-		seed    = flag.Int64("seed", 0, "generator seed")
-		dag     = flag.Bool("dag", false, "generate an acyclic graph (references point to later documents)")
-		out     = flag.String("out", "", "output file (default stdout)")
-		stats   = flag.Bool("cover-stats", false, "also compute the reachability index and print its statistics to stderr")
-		par     = flag.Int("build-parallelism", 0, "index-computation workers for -cover-stats (0/1 = serial, -1 = GOMAXPROCS)")
-		backend = flag.String("reach-index", "", "reachability-index backend for -cover-stats: "+strings.Join(reach.Names(), ", ")+" (default twohop)")
+		nodes  = flag.Int("nodes", 0, "approximate node budget")
+		factor = flag.Float64("factor", 0, "XMark scale factor (1.0 ≈ 1.67M nodes)")
+		seed   = flag.Int64("seed", 0, "generator seed")
+		dag    = flag.Bool("dag", false, "generate an acyclic graph (references point to later documents)")
+		out    = flag.String("out", "", "output file (default stdout)")
+		stats  = flag.Bool("cover-stats", false, "also compute the 2-hop cover and print its statistics to stderr")
+		par    = flag.Int("build-parallelism", 0, "cover-computation workers for -cover-stats (0/1 = serial, -1 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if (*nodes <= 0) == (*factor <= 0) {
@@ -65,14 +59,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fgmgen: %d docs, %d nodes, %d edges, %d labels\n",
 		d.Docs, d.Graph.NumNodes(), d.Graph.NumEdges(), d.Graph.Labels().Len())
 	if *stats {
-		b, err := reach.Lookup(*backend)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fgmgen:", err)
-			os.Exit(2)
-		}
 		start := time.Now()
-		idx := b.Build(d.Graph, reach.Options{Parallelism: *par})
+		cover := twohop.Compute(d.Graph, twohop.Options{Parallelism: *par})
 		fmt.Fprintf(os.Stderr, "fgmgen: %v (computed in %s, %d workers)\n",
-			idx.Stats(), time.Since(start).Round(time.Millisecond), *par)
+			cover.Stats(), time.Since(start).Round(time.Millisecond), *par)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -60,7 +59,6 @@ func run() error {
 		maxIMBytes   = flag.Int64("max-intermediate-bytes", 0, "per-query intermediate-result byte budget (0 = unbounded; exceeding answers 422)")
 		maxReqBytes  = flag.Int64("max-request-bytes", 0, "max request body bytes (default 1 MB; larger answers 413)")
 		buildPar     = flag.Int("build-parallelism", 0, "index-build workers (0/1 = serial, -1 = GOMAXPROCS)")
-		reachIndex   = flag.String("reach-index", "", "reachability-index backend: "+strings.Join(fastmatch.ReachBackends(), ", ")+" (default twohop)")
 		readonly     = flag.Bool("readonly", false, "reject every mutating endpoint (POST /insert, /delete) with 403; the graph stays immutable")
 	)
 	flag.Parse()
@@ -83,7 +81,7 @@ func run() error {
 	}
 
 	build := time.Now()
-	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool, BuildParallelism: *buildPar, ReachIndex: *reachIndex})
+	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool, BuildParallelism: *buildPar})
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,12 @@
 package fastmatch_test
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -10,7 +14,7 @@ import (
 	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
-	"fastmatch/internal/reach"
+	"fastmatch/internal/twohop"
 	"fastmatch/internal/workload"
 	"fastmatch/internal/xmark"
 )
@@ -43,14 +47,11 @@ func TestDifferentialMixedStreamMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, backend := range reach.Names() {
-		t.Run(backend, func(t *testing.T) {
+	for _, l := range labelings {
+		t.Run(l.name, func(t *testing.T) {
 			d := xmark.Generate(xmark.Config{Nodes: 2500, Seed: 17})
 			g := d.Graph
-			inc, err := gdb.Build(g, gdb.Options{ReachIndex: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
+			inc := buildLabeled(t, g, l.opt)
 			defer inc.Close()
 
 			rng := rand.New(rand.NewSource(103))
@@ -92,6 +93,85 @@ func TestDifferentialMixedStreamMatchesRebuild(t *testing.T) {
 				t.Fatalf("stream held only %d deletes; not a meaningful mixed workload", deletes)
 			}
 		})
+	}
+}
+
+// TestReopenDoesNotDependOnLabeling: a file whose stored codes are not the
+// cover gdb.Build computes, and whose manifest names the backend that wrote
+// them ("reach_backend": "pll", as files written before the backend
+// registry was removed do), reopens and is maintained from those codes:
+// after every publish of a mixed insert/delete stream it answers like a
+// from-scratch build.
+func TestReopenDoesNotDependOnLabeling(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 500, Seed: 23}).Graph
+	cover := twohop.Compute(g, twohop.Options{Order: twohop.OrderRandom, Seed: 3})
+	if def := twohop.Compute(g, twohop.Options{}); cover.Size() == def.Size() {
+		t.Fatalf("the random-order cover has the default's size %d; pick a labeling Build would not compute", def.Size())
+	}
+	path := filepath.Join(t.TempDir(), "pll.fdb")
+	db, err := gdb.BuildFromIndex(g, cover, gdb.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path + ".manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["reach_backend"] = json.RawMessage(`"pll"`)
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".manifest", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = gdb.Open(path, gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.CoverSize() != cover.Size() {
+		t.Fatalf("reopened cover size %d, the stored labeling has %d", db.CoverSize(), cover.Size())
+	}
+	rng := rand.New(rand.NewSource(29))
+	cur := g
+	n := g.NumNodes()
+	publishes := 0
+	for i := 1; i <= 60; i++ {
+		epoch := db.EpochStats().Current
+		if i%3 == 0 {
+			u, v, ok := pickPresentEdge(cur, rng)
+			if !ok {
+				t.Fatalf("op %d: graph ran out of edges", i)
+			}
+			if _, err := db.ApplyEdgeDelete(u, v); err != nil {
+				t.Fatalf("op %d delete %d->%d: %v", i, u, v, err)
+			}
+			cur = cur.WithoutEdge(u, v)
+		} else {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			st, err := db.ApplyEdgeInsert(u, v)
+			if err != nil {
+				t.Fatalf("op %d insert %d->%d: %v", i, u, v, err)
+			}
+			if !st.Duplicate {
+				cur = cur.WithEdge(u, v)
+			}
+		}
+		if db.EpochStats().Current != epoch {
+			publishes++
+			compareDatabases(t, db, cur, rng, fmt.Sprintf("op %d", i))
+		}
+	}
+	if publishes < 50 {
+		t.Fatalf("only %d of 60 operations published", publishes)
 	}
 }
 
@@ -178,70 +258,68 @@ func FuzzEdgeDeleteDifferential(f *testing.F) {
 		d := xmark.Generate(xmark.Config{Nodes: 100, Seed: seed % 8})
 		g := d.Graph
 		n := g.NumNodes()
-		for _, backend := range reach.Names() {
-			inc, err := gdb.Build(g, gdb.Options{ReachIndex: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur := g
-			hasEdge := func(u, v graph.NodeID) bool {
-				for _, w := range cur.Successors(u) {
-					if w == v {
-						return true
-					}
-				}
-				return false
-			}
-			for i := 0; i+2 < len(data); i += 3 {
-				del := data[i]&0x80 != 0
-				u := graph.NodeID(int(data[i+1]) % n)
-				v := graph.NodeID(int(data[i+2]) % n)
-				if del {
-					st, err := inc.ApplyEdgeDelete(u, v)
-					if err != nil {
-						t.Fatalf("%s: delete %d->%d: %v", backend, u, v, err)
-					}
-					if st.Missing != !hasEdge(u, v) {
-						t.Fatalf("%s: delete %d->%d: Missing=%v but edge present=%v",
-							backend, u, v, st.Missing, hasEdge(u, v))
-					}
-					if !st.Missing {
-						cur = cur.WithoutEdge(u, v)
-					}
-				} else {
-					st, err := inc.ApplyEdgeInsert(u, v)
-					if err != nil {
-						t.Fatalf("%s: insert %d->%d: %v", backend, u, v, err)
-					}
-					if !st.Duplicate {
-						cur = cur.WithEdge(u, v)
-					}
-				}
-			}
-			rebuilt, err := gdb.Build(cur, gdb.Options{ReachIndex: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := workload.Paths()[0].Pattern // site->regions; regions->item
-			got := sortedRows(t, inc, p, exec.DPS)
-			want := sortedRows(t, rebuilt, p, exec.DPS)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: incremental %d rows, rebuild %d rows", backend, len(got), len(want))
-			}
-			rng := rand.New(rand.NewSource(int64(len(data))))
-			for i := 0; i < 60; i++ {
-				u := graph.NodeID(rng.Intn(n))
-				v := graph.NodeID(rng.Intn(n))
-				gi, err := inc.Reaches(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := graph.Reaches(cur, u, v); gi != want {
-					t.Fatalf("%s: Reaches(%d,%d) = %v, BFS says %v", backend, u, v, gi, want)
-				}
-			}
-			rebuilt.Close()
-			inc.Close()
+		inc, err := gdb.Build(g, gdb.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		cur := g
+		hasEdge := func(u, v graph.NodeID) bool {
+			for _, w := range cur.Successors(u) {
+				if w == v {
+					return true
+				}
+			}
+			return false
+		}
+		for i := 0; i+2 < len(data); i += 3 {
+			del := data[i]&0x80 != 0
+			u := graph.NodeID(int(data[i+1]) % n)
+			v := graph.NodeID(int(data[i+2]) % n)
+			if del {
+				st, err := inc.ApplyEdgeDelete(u, v)
+				if err != nil {
+					t.Fatalf("delete %d->%d: %v", u, v, err)
+				}
+				if st.Missing != !hasEdge(u, v) {
+					t.Fatalf("delete %d->%d: Missing=%v but edge present=%v",
+						u, v, st.Missing, hasEdge(u, v))
+				}
+				if !st.Missing {
+					cur = cur.WithoutEdge(u, v)
+				}
+			} else {
+				st, err := inc.ApplyEdgeInsert(u, v)
+				if err != nil {
+					t.Fatalf("insert %d->%d: %v", u, v, err)
+				}
+				if !st.Duplicate {
+					cur = cur.WithEdge(u, v)
+				}
+			}
+		}
+		rebuilt, err := gdb.Build(cur, gdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := workload.Paths()[0].Pattern // site->regions; regions->item
+		got := sortedRows(t, inc, p, exec.DPS)
+		want := sortedRows(t, rebuilt, p, exec.DPS)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("incremental %d rows, rebuild %d rows", len(got), len(want))
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for i := 0; i < 60; i++ {
+			u := graph.NodeID(rng.Intn(n))
+			v := graph.NodeID(rng.Intn(n))
+			gi, err := inc.Reaches(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := graph.Reaches(cur, u, v); gi != want {
+				t.Fatalf("Reaches(%d,%d) = %v, BFS says %v", u, v, gi, want)
+			}
+		}
+		rebuilt.Close()
+		inc.Close()
 	})
 }

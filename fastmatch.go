@@ -40,6 +40,7 @@ import (
 	"fastmatch/internal/rjoin"
 	"fastmatch/internal/server"
 	"fastmatch/internal/storage"
+	"fastmatch/internal/twohop"
 )
 
 // ErrClosed is returned by Engine and Service methods called after Close.
@@ -143,29 +144,18 @@ type Options struct {
 	// identical at every setting. Ignored by OpenEngine (nothing is
 	// rebuilt).
 	BuildParallelism int
-	// ReachIndex names the reachability-index backend that computes the
-	// graph codes the engine is built on. Empty selects the default
-	// ("twohop", the paper's SCC-condensed 2-hop cover); "pll" selects
-	// pruned landmark labeling over the raw digraph. See ReachBackends for
-	// the registered names. Query results are identical under every
-	// backend; only index size and build/query cost differ. For OpenEngine
-	// the stored database's backend wins, and a non-empty mismatching
-	// ReachIndex is an error.
-	ReachIndex string
 }
-
-// ReachBackends lists the registered reachability-index backend names,
-// sorted; any of them is a valid Options.ReachIndex.
-func ReachBackends() []string { return reach.Names() }
 
 // Engine is a queryable graph database built from a data graph. Build
 // once, query many times. Methods are safe for concurrent use and queries
-// execute in parallel: the storage engine's buffer pool and caches use
-// sharded locks and every query spills intermediate results to a private
-// scratch area, so no global mutex serialises the read path. (The paper's
-// executor is single-threaded; see DESIGN.md for how the concurrent read
-// path maps onto it.) For serving with admission control, a plan cache,
-// and metrics, wrap the engine with Parallel.
+// run in parallel without blocking on a writer: each pins a snapshot epoch
+// and reads the per-row index entries it needs (partner lists, graph
+// codes) from that epoch's lock-free arrays. Only reference plans
+// (exec.PlanConfig.NoFastPath) spill intermediate results to a private
+// scratch area. (The paper's executor is single-threaded; see DESIGN.md
+// for how the concurrent read path maps onto it.) For serving with
+// admission control, a plan cache, and metrics, wrap the engine with
+// Parallel.
 type Engine struct {
 	db *gdb.DB
 }
@@ -180,7 +170,6 @@ func NewEngine(g *Graph, opt Options) (*Engine, error) {
 		PoolBytes:        opt.PoolBytes,
 		CodeCacheEntries: opt.CodeCacheEntries,
 		BuildParallelism: opt.BuildParallelism,
-		ReachIndex:       opt.ReachIndex,
 	})
 	if err != nil {
 		return nil, err
@@ -195,7 +184,6 @@ func OpenEngine(path string, opt Options) (*Engine, error) {
 	db, err := gdb.Open(path, gdb.Options{
 		PoolBytes:        opt.PoolBytes,
 		CodeCacheEntries: opt.CodeCacheEntries,
-		ReachIndex:       opt.ReachIndex,
 	})
 	if err != nil {
 		return nil, err
@@ -386,9 +374,8 @@ func (e *Engine) Sync() error { return e.db.Sync() }
 // and repacking restores the dense layout Build produces. It runs offline
 // — src is only read, dst is replaced — and deterministically: repacking
 // the same source twice yields byte-identical output. src and dst must
-// differ. The copy keeps the source's reachability backend, whose name is
-// returned.
-func Repack(src, dst string) (backend string, err error) {
+// differ.
+func Repack(src, dst string) error {
 	return gdb.Repack(src, dst, gdb.Options{})
 }
 
@@ -441,22 +428,16 @@ func (s Stats) String() string {
 		s.Nodes, s.Edges, s.Labels, s.CoverSize, s.CoverRatio, s.Centers, s.SizeBytes/1024)
 }
 
-// CoverStats exposes the full reachability-index statistics of the active
-// backend. The second return is false for an engine reattached with
-// OpenEngine (only the index's size is persisted; see Stats).
-func (e *Engine) CoverStats() (reach.Stats, bool) {
+// CoverStats exposes the full 2-hop cover statistics. The second return is
+// false for an engine reattached with OpenEngine (only the cover's size is
+// persisted; see Stats).
+func (e *Engine) CoverStats() (twohop.Stats, bool) {
 	idx := e.db.Index()
 	if idx == nil {
-		return reach.Stats{}, false
+		return twohop.Stats{}, false
 	}
 	return idx.Stats(), true
 }
-
-// ReachBackend reports the name of the reachability-index backend the
-// engine's graph codes were computed by ("twohop", "pll", ...). For an
-// engine reattached with OpenEngine this is the backend recorded in the
-// manifest.
-func (e *Engine) ReachBackend() string { return e.db.ReachBackend() }
 
 // Service is a concurrent query server over one engine: a bounded worker
 // pool (admission control with queue timeout), an LRU plan cache keyed by

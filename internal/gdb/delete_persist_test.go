@@ -91,10 +91,10 @@ func TestRepackAfterDeletes(t *testing.T) {
 
 	p1 := filepath.Join(dir, "packed1.fdb")
 	p2 := filepath.Join(dir, "packed2.fdb")
-	if _, err := Repack(src, p1, Options{}); err != nil {
+	if err := Repack(src, p1, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Repack(src, p2, Options{}); err != nil {
+	if err := Repack(src, p2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]string{{p1, p2}, {manifestPath(p1), manifestPath(p2)}} {

@@ -23,7 +23,6 @@ package gdb
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,11 +31,7 @@ import (
 	"fastmatch/internal/graph"
 	"fastmatch/internal/reach"
 	"fastmatch/internal/storage"
-
-	// Register the built-in reachability backends so every database user can
-	// select them by name through Options.ReachIndex.
-	_ "fastmatch/internal/pll"
-	_ "fastmatch/internal/twohop"
+	"fastmatch/internal/twohop"
 )
 
 // ErrClosed is returned by DB (and Engine) methods called after Close.
@@ -49,12 +44,6 @@ type Options struct {
 	// PoolBytes sizes the buffer pool (default storage.DefaultPoolBytes,
 	// the paper's 1 MB).
 	PoolBytes int
-	// ReachIndex names the reachability-index backend that computes the
-	// labeling the database is built on ("twohop", "pll", ...; empty selects
-	// reach.DefaultBackend). The choice is recorded in the manifest of a
-	// file-backed database, and Open refuses to reattach under a different
-	// backend.
-	ReachIndex string
 	// CodeCacheEntries bounds the working cache of decoded graph codes
 	// (the paper's getCenters cache). Default 65536; negative disables.
 	CodeCacheEntries int
@@ -63,7 +52,7 @@ type Options struct {
 	// feeding the cluster index. 0 or 1 builds serially, n > 1 uses n
 	// workers, < 0 uses GOMAXPROCS. The built database is identical at every
 	// setting except the labeling itself, which at parallelism > 1 may carry
-	// a few extra (still valid) entries — see reach.PrunedLabeling.
+	// a few extra (still valid) entries — see twohop.Options.Parallelism.
 	BuildParallelism int
 }
 
@@ -77,9 +66,8 @@ type Options struct {
 // publish it atomically. Pages superseded by a publish are returned to the
 // pool's free list once the last epoch referencing them retires.
 type DB struct {
-	idx     reach.Index   // nil for a database reattached with Open
-	inc     reach.Dynamic // lazily seeded by ApplyEdgeInsert
-	backend reach.Backend
+	idx *twohop.Cover      // nil for a database reattached with Open
+	inc *reach.Incremental // lazily seeded by the first edge update
 
 	pager storage.Pager
 	pool  *storage.BufferPool
@@ -139,30 +127,16 @@ const (
 	dirT byte = 1
 )
 
-// Build constructs the database for g: computes the reachability labeling
-// with the backend Options.ReachIndex selects, then writes the base
-// tables, the cluster-based R-join index, and the W-table.
+// Build constructs the database for g: computes the 2-hop cover, then
+// writes the base tables, the cluster-based R-join index, and the W-table.
 func Build(g *graph.Graph, opt Options) (*DB, error) {
-	backend, err := reach.Lookup(opt.ReachIndex)
-	if err != nil {
-		return nil, err
-	}
-	idx := backend.Build(g, reach.Options{Parallelism: opt.BuildParallelism})
-	return BuildFromIndex(g, idx, opt)
+	return BuildFromIndex(g, twohop.Compute(g, twohop.Options{Parallelism: opt.BuildParallelism}), opt)
 }
 
-// BuildFromIndex is Build with a precomputed reachability index (to share
-// one labeling across several database configurations in benchmarks). The
-// index's backend must be registered; a non-empty Options.ReachIndex that
-// names a different backend is an error.
-func BuildFromIndex(g *graph.Graph, idx reach.Index, opt Options) (*DB, error) {
-	if opt.ReachIndex != "" && opt.ReachIndex != idx.Backend() {
-		return nil, fmt.Errorf("gdb: index built by backend %q, options ask for %q", idx.Backend(), opt.ReachIndex)
-	}
-	backend, err := reach.Lookup(idx.Backend())
-	if err != nil {
-		return nil, err
-	}
+// BuildFromIndex is Build with a precomputed cover of g (to share one
+// labeling across several database configurations in benchmarks, or to
+// store a cover in a non-default landmark order).
+func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error) {
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
 	}
@@ -181,7 +155,6 @@ func BuildFromIndex(g *graph.Graph, idx reach.Index, opt Options) (*DB, error) {
 	}
 	db := &DB{
 		idx:              idx,
-		backend:          backend,
 		pager:            pager,
 		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
 		codeCacheEntries: opt.CodeCacheEntries,
@@ -282,15 +255,10 @@ func (db *DB) EpochStats() epoch.Stats { return db.mgr.Stats() }
 // was taken.
 func (db *DB) Graph() *graph.Graph { return db.mgr.Current().g }
 
-// Index returns the reachability index the database was built from, or
-// nil for a database reattached with Open (the labeling's information
-// lives in the stored graph codes; only the object is not reloaded).
-func (db *DB) Index() reach.Index { return db.idx }
-
-// ReachBackend returns the name of the reachability backend the database
-// was built with — available on both built and opened databases (Open
-// reads it from the manifest).
-func (db *DB) ReachBackend() string { return db.backend.Name() }
+// Index returns the cover the database was built from, or nil for a
+// database reattached with Open (the labeling's information lives in the
+// stored graph codes; only the object is not reloaded).
+func (db *DB) Index() *twohop.Cover { return db.idx }
 
 // CoverSize returns the labeling size |H| as of the current epoch,
 // available on both built and opened databases.

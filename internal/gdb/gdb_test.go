@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"fastmatch/internal/graph"
-	"fastmatch/internal/reach"
 	"fastmatch/internal/twohop"
 )
 
@@ -445,7 +444,7 @@ func TestBuildFromIndexSharesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.Index() != reach.Index(cover) {
+	if db.Index() != cover {
 		t.Fatal("DB should retain the provided cover")
 	}
 	if db.NumCenters() == 0 {

@@ -427,31 +427,28 @@ func (w *snapWriter) ensureIncremental() error {
 	if db.inc != nil {
 		return nil
 	}
+	if db.idx != nil {
+		db.inc = reach.NewIncremental(db.idx)
+		return nil
+	}
 	n := w.g.NumNodes()
 	in := make([][]graph.NodeID, n)
 	out := make([][]graph.NodeID, n)
-	if db.idx != nil {
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			in[v] = db.idx.In(v)
-			out[v] = db.idx.Out(v)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		rid, ok, err := w.base[w.g.LabelOf(v)].Get(nodeKey(v))
+		if err != nil {
+			return err
 		}
-	} else {
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			rid, ok, err := w.base[w.g.LabelOf(v)].Get(nodeKey(v))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("gdb: node %d missing from base table", v)
-			}
-			rec, err := db.heap.Read(storage.DecodeRID(rid))
-			if err != nil {
-				return err
-			}
-			in[v], out[v] = decodeCodes(rec)
+		if !ok {
+			return fmt.Errorf("gdb: node %d missing from base table", v)
 		}
+		rec, err := db.heap.Read(storage.DecodeRID(rid))
+		if err != nil {
+			return err
+		}
+		in[v], out[v] = decodeCodes(rec)
 	}
-	db.inc = db.backend.DynamicFromLabels(w.g, in, out)
+	db.inc = reach.NewIncrementalFromLabels(w.g, in, out)
 	return nil
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // buildWorkers resolves Options.BuildParallelism to a worker count, with
-// the same convention as reach.Options.Parallelism.
+// the same convention as twohop.Options.Parallelism.
 func buildWorkers(p int) int {
 	if p < 0 {
 		return runtime.GOMAXPROCS(0)

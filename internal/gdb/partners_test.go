@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fastmatch/internal/graph"
-	"fastmatch/internal/reach"
 	"fastmatch/internal/xmark"
 )
 
@@ -149,16 +148,16 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 }
 
 // TestReadPathExactAfterEveryPublish: after every publish of a mixed
-// insert/delete stream — under both reach backends, through center births
+// insert/delete stream — on both labelings, through center births
 // and deaths, W rows that empty and rows that are created — everything the
 // successor epoch inherited (subclusters, graph codes, partner slots) and
 // every slot it then refills equals a cold recomputation on the same trees.
 func TestReadPathExactAfterEveryPublish(t *testing.T) {
-	for _, backend := range reach.Names() {
-		t.Run(backend, func(t *testing.T) {
+	for _, l := range labelings {
+		t.Run(l.name, func(t *testing.T) {
 			const n, labels = 36, 6
 			g := randomGraph(5, n, 30, labels)
-			db := mustBuild(t, g, Options{ReachIndex: backend})
+			db := buildLabeled(t, g, l.opt)
 			first, release := db.Pin()
 			warmReadPath(t, first)
 			rows := wRowSizes(t, first)

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"fastmatch/internal/graph"
-	"fastmatch/internal/reach"
 	"fastmatch/internal/storage"
 )
 
@@ -27,11 +26,6 @@ type manifest struct {
 	EdgesRID   uint64            `json:"edges_rid"` // heap record: edge list
 	NumCenters int               `json:"num_centers"`
 	CoverSize  int               `json:"cover_size"`
-	// ReachBackend names the reachability backend the stored labeling was
-	// computed by. Absent (manifests written before backends were pluggable)
-	// means reach.DefaultBackend; Open refuses to reattach under a
-	// different backend than the manifest records.
-	ReachBackend string `json:"reach_backend,omitempty"`
 	// BulkBuilt records that the trees were bulk-loaded and have not been
 	// point-updated since, so a reopened database knows whether the dense
 	// bulk layout survives. Informational for tooling; both layouts read
@@ -91,17 +85,16 @@ func (db *DB) Persist(path string) error {
 	}
 
 	m := manifest{
-		Version:      manifestVersion,
-		Labels:       g.Labels().Names(),
-		BaseRoots:    make(map[string]uint32, len(s.base)),
-		WTableRoot:   uint32(s.wtable.Root()),
-		ClustRoot:    uint32(s.cluster.Root()),
-		NodesRID:     db.nodesRID,
-		EdgesRID:     db.edgesRID,
-		NumCenters:   s.numCenters,
-		CoverSize:    s.coverSize,
-		ReachBackend: db.backend.Name(),
-		BulkBuilt:    db.bulkBuilt,
+		Version:    manifestVersion,
+		Labels:     g.Labels().Names(),
+		BaseRoots:  make(map[string]uint32, len(s.base)),
+		WTableRoot: uint32(s.wtable.Root()),
+		ClustRoot:  uint32(s.cluster.Root()),
+		NodesRID:   db.nodesRID,
+		EdgesRID:   db.edgesRID,
+		NumCenters: s.numCenters,
+		CoverSize:  s.coverSize,
+		BulkBuilt:  db.bulkBuilt,
 	}
 	for l, bt := range s.base {
 		m.BaseRoots[g.Labels().Name(l)] = uint32(bt.Root())
@@ -140,11 +133,10 @@ func (db *DB) Sync() error {
 // Open reattaches to a database previously built with a non-empty
 // Options.Path. The reachability-index object itself is not reloaded (its
 // information lives in the stored graph codes); Index returns nil on an
-// opened database and CoverSize reports the persisted size. The manifest
-// records which backend computed the stored labeling; Open resolves it
-// (so incremental maintenance resumes under the same backend) and refuses
-// a non-empty Options.ReachIndex that names a different one — the stored
-// codes are the other backend's labeling, not a drop-in.
+// opened database and CoverSize reports the persisted size. Incremental
+// maintenance resumes from the stored codes, which are a valid 2-hop
+// labeling whatever computed them; a manifest key naming the labeling's
+// author is ignored like any other unknown key.
 func Open(path string, opt Options) (*DB, error) {
 	raw, err := os.ReadFile(manifestPath(path))
 	if err != nil {
@@ -157,14 +149,6 @@ func Open(path string, opt Options) (*DB, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("gdb: manifest version %d (want %d)", m.Version, manifestVersion)
 	}
-	backend, err := reach.Lookup(m.ReachBackend)
-	if err != nil {
-		return nil, fmt.Errorf("gdb: manifest names unavailable reach backend: %w", err)
-	}
-	if opt.ReachIndex != "" && opt.ReachIndex != backend.Name() {
-		return nil, fmt.Errorf("gdb: database was built with reach backend %q, options ask for %q",
-			backend.Name(), opt.ReachIndex)
-	}
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
 	}
@@ -176,7 +160,6 @@ func Open(path string, opt Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		backend:          backend,
 		pager:            pager,
 		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
 		codeCacheEntries: opt.CodeCacheEntries,
@@ -195,12 +178,19 @@ func Open(path string, opt Options) (*DB, error) {
 		db.Close()
 		return nil, fmt.Errorf("gdb: read edge record: %w", err)
 	}
+	nNodes, err := recordCount(nodeRec, 4, "node")
+	if err == nil {
+		_, err = recordCount(edgeRec, 8, "edge")
+	}
+	if err != nil {
+		db.Close()
+		return nil, err
+	}
 	gb := graph.NewBuilder()
 	labelIDs := make([]graph.Label, len(m.Labels))
 	for i, name := range m.Labels {
 		labelIDs[i] = gb.Intern(name)
 	}
-	nNodes := int(binary.LittleEndian.Uint32(nodeRec))
 	for v := 0; v < nNodes; v++ {
 		li := binary.LittleEndian.Uint32(nodeRec[4+4*v:])
 		if int(li) >= len(labelIDs) {
@@ -209,13 +199,14 @@ func Open(path string, opt Options) (*DB, error) {
 		}
 		gb.AddNodeLabel(labelIDs[li])
 	}
-	nEdges := int(binary.LittleEndian.Uint32(edgeRec))
-	o := 4
-	for i := 0; i < nEdges; i++ {
-		from := graph.NodeID(binary.LittleEndian.Uint32(edgeRec[o:]))
-		to := graph.NodeID(binary.LittleEndian.Uint32(edgeRec[o+4:]))
-		o += 8
-		gb.AddEdge(from, to)
+	for o := 4; o < len(edgeRec); o += 8 {
+		from := binary.LittleEndian.Uint32(edgeRec[o:])
+		to := binary.LittleEndian.Uint32(edgeRec[o+4:])
+		if from >= uint32(nNodes) || to >= uint32(nNodes) {
+			db.Close()
+			return nil, fmt.Errorf("gdb: edge %d->%d has an endpoint outside %d nodes", from, to, nNodes)
+		}
+		gb.AddEdge(graph.NodeID(from), graph.NodeID(to))
 	}
 	s := db.newSnap(gb.Build())
 	s.numCenters = m.NumCenters
@@ -247,4 +238,17 @@ func Open(path string, opt Options) (*DB, error) {
 	s.sig = sig
 	db.publishInitial(s)
 	return db, nil
+}
+
+// recordCount returns the entry count a graph record starts with, after
+// checking that the record holds exactly that many entries of width bytes.
+func recordCount(rec []byte, width int, what string) (int, error) {
+	if len(rec) < 4 {
+		return 0, fmt.Errorf("gdb: %s record is %d bytes", what, len(rec))
+	}
+	n := int(binary.LittleEndian.Uint32(rec))
+	if len(rec) != 4+width*n {
+		return 0, fmt.Errorf("gdb: %s record is %d bytes, its count %d needs %d", what, len(rec), n, 4+width*n)
+	}
+	return n, nil
 }

@@ -1,6 +1,7 @@
 package gdb
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -256,42 +257,53 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(path, Options{}); err == nil {
 		t.Fatal("expected error for bad version")
 	}
-}
 
-// TestRepackKeepsReachBackend: Repack with default options rebuilds under
-// the backend the source manifest records (it used to fall back to the
-// default and silently turn a pll database into a twohop one); an explicit
-// Options.ReachIndex converts.
-func TestRepackKeepsReachBackend(t *testing.T) {
-	b := graph.NewBuilder()
-	x := b.AddNode("A")
-	y := b.AddNode("B")
-	b.AddEdge(x, y)
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src.fdb")
-	db, err := Build(b.Build(), Options{Path: src, ReachIndex: "pll"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ ask, want string }{
-		{"", "pll"},
-		{"twohop", "twohop"},
+	// Graph records that contradict their count or the node count: Open
+	// returns an error rather than panicking while it rebuilds the graph.
+	g := randomGraph(16, 20, 30, 3)
+	for _, tc := range []struct {
+		name string
+		rec  []byte // the edge record the manifest points at; nil: the node record
+	}{
+		{"edges_rid names the node record", nil},
+		{"count larger than its record", []byte{5, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}},
+		{"endpoint past the node count", []byte{1, 0, 0, 0, 1, 0, 0, 0, 20, 0, 0, 0}},
 	} {
-		dst := filepath.Join(dir, "dst-"+tc.want+".fdb")
-		wrote, err := Repack(src, dst, Options{ReachIndex: tc.ask})
-		if err != nil {
-			t.Fatalf("repack ReachIndex=%q: %v", tc.ask, err)
-		}
-		re, err := Open(dst, Options{})
+		p := filepath.Join(dir, "records.pages")
+		db, err := Build(g, Options{Path: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := re.ReachBackend(); got != tc.want || wrote != tc.want {
-			t.Errorf("repack ReachIndex=%q: reported %q, reopened as %q, want %q", tc.ask, wrote, got, tc.want)
+		raw, err := os.ReadFile(manifestPath(p))
+		if err != nil {
+			t.Fatal(err)
 		}
-		re.Close()
+		var m manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.EdgesRID = m.NodesRID
+		if tc.rec != nil {
+			rid, err := db.heap.Insert(tc.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			m.EdgesRID = rid.Encode()
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = json.Marshal(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifestPath(p), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(p, Options{}); err == nil {
+			t.Errorf("%s: Open succeeded", tc.name)
+		}
 	}
 }

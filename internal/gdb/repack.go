@@ -19,32 +19,24 @@ import (
 // manifests — and replaces any existing file at dst. src and dst must
 // differ; to repack in place, write to a temp path and rename over src
 // afterwards.
-//
-// The rebuilt labeling uses the reachability backend the source manifest
-// records, unless opt.ReachIndex names another one (a deliberate backend
-// conversion). Repack returns the backend it wrote.
-func Repack(src, dst string, opt Options) (backend string, err error) {
+func Repack(src, dst string, opt Options) error {
 	if src == dst {
-		return "", fmt.Errorf("gdb: repack in place is not supported (src == dst); write to a temp path and rename")
+		return fmt.Errorf("gdb: repack in place is not supported (src == dst); write to a temp path and rename")
 	}
 	srcOpt := opt
 	srcOpt.Path = ""
-	srcOpt.ReachIndex = "" // open under whatever backend the source records
 	srcDB, err := Open(src, srcOpt)
 	if err != nil {
-		return "", fmt.Errorf("gdb: repack open %s: %w", src, err)
+		return fmt.Errorf("gdb: repack open %s: %w", src, err)
 	}
 	g := srcDB.Graph() // immutable and fully in memory; outlives the close
-	if opt.ReachIndex == "" {
-		opt.ReachIndex = srcDB.ReachBackend()
-	}
 	if err := srcDB.Close(); err != nil {
-		return "", err
+		return err
 	}
 
 	for _, p := range []string{dst, manifestPath(dst)} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			return "", err
+			return err
 		}
 	}
 	// Serial build everywhere: parallel labeling may emit a slightly
@@ -54,7 +46,7 @@ func Repack(src, dst string, opt Options) (backend string, err error) {
 	opt.BuildParallelism = 0
 	db, err := Build(g, opt)
 	if err != nil {
-		return "", fmt.Errorf("gdb: repack build %s: %w", dst, err)
+		return fmt.Errorf("gdb: repack build %s: %w", dst, err)
 	}
-	return db.ReachBackend(), db.Close()
+	return db.Close()
 }

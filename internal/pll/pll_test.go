@@ -1,6 +1,15 @@
-package pll_test
+// Package pll holds no code any more: the pruned-landmark-labeling backend
+// it implemented was removed when the engine kept one reachability
+// labeling, twohop.Compute. Databases that backend wrote still open and
+// keep working, because gdb.Open resumes from the stored codes, which are a
+// valid 2-hop labeling whatever computed them. These tests hold that
+// promise on files the pll backend wrote.
+package pll
 
 import (
+	"compress/gzip"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,9 +18,30 @@ import (
 
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
-	"fastmatch/internal/pll"
-	"fastmatch/internal/reach"
+	"fastmatch/internal/twohop"
 )
+
+// The databases under testdata were written by the pll backend before its
+// removal, with gdb.Build(g, gdb.Options{Path: path, ReachIndex: "pll"})
+// on the graphs below. Each page file is gzipped; each manifest still
+// carries "reach_backend": "pll". want is the labeling summary the backend
+// reported for the graph (its Index.Stats).
+var fixtures = []struct {
+	name  string
+	graph func() *graph.Graph
+	want  stats
+}{
+	{"cyclic", func() *graph.Graph { return randomGraph(1, 120, 360, 3) },
+		stats{Nodes: 120, Edges: 360, Components: 15, Size: 225, MaxIn: 2, MaxOut: 2}},
+	{"sparse", func() *graph.Graph { return randomGraph(2, 150, 170, 4) },
+		stats{Nodes: 150, Edges: 170, Components: 145, Size: 332, MaxIn: 7, MaxOut: 8}},
+	{"chain", func() *graph.Graph { return chainGraph(40) },
+		stats{Nodes: 40, Edges: 39, Components: 40, Size: 742, MaxIn: 38, MaxOut: 1}},
+}
+
+type stats struct {
+	Nodes, Edges, Components, Size, MaxIn, MaxOut int
+}
 
 func randomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -41,268 +71,222 @@ func chainGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-// bfsClosure computes the full reachability closure by BFS from every node.
-func bfsClosure(g *graph.Graph) [][]bool {
-	n := g.NumNodes()
-	reach := make([][]bool, n)
-	for s := 0; s < n; s++ {
-		seen := make([]bool, n)
-		seen[s] = true
-		queue := []graph.NodeID{graph.NodeID(s)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Successors(u) {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		reach[s] = seen
+// unpack copies fixture name into a fresh directory and returns the path
+// of its page file.
+func unpack(t *testing.T, name string) string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", name+".fdb.gz"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return reach
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := os.ReadFile(filepath.Join("testdata", name+".fdb.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name+".fdb")
+	if err := os.WriteFile(path, page, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".manifest", man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-// TestVerifyAgainstBFS: Reaches agrees with BFS truth on every pair, on
-// cyclic random graphs, a DAG-ish sparse graph, and a chain.
+// openFixture opens fixture name and checks that it holds the graph the
+// file was built from.
+func openFixture(t *testing.T, name string, want *graph.Graph) *gdb.DB {
+	t.Helper()
+	db, err := gdb.Open(unpack(t, name), gdb.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	t.Cleanup(func() { db.Close() })
+	g := db.Graph()
+	if g.NumNodes() != want.NumNodes() || g.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: |V|=%d |E|=%d, built from |V|=%d |E|=%d", name, g.NumNodes(), g.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if g.Labels().Name(g.LabelOf(v)) != want.Labels().Name(want.LabelOf(v)) ||
+			!reflect.DeepEqual(g.Successors(v), want.Successors(v)) {
+			t.Fatalf("%s: node %d differs from the graph the file was built from", name, v)
+		}
+	}
+	return db
+}
+
+func reaches(t *testing.T, db *gdb.DB, u, v graph.NodeID) bool {
+	t.Helper()
+	ok, err := db.Reaches(u, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// TestVerifyAgainstBFS: a database the pll backend wrote answers Reaches
+// like BFS on every pair, on a cycle-heavy graph, a sparse one and a chain,
+// and at least one of them stores a labeling whose size differs from the
+// cover gdb.Build computes.
 func TestVerifyAgainstBFS(t *testing.T) {
-	graphs := []*graph.Graph{
-		randomGraph(1, 120, 360, 3), // cycle-heavy
-		randomGraph(2, 150, 170, 4), // sparse
-		chainGraph(40),
-	}
-	for gi, g := range graphs {
-		idx := pll.Compute(g, reach.Options{})
-		if err := idx.Verify(); err != nil {
-			t.Fatalf("graph %d: %v", gi, err)
-		}
-		truth := bfsClosure(g)
-		for u := 0; u < g.NumNodes(); u++ {
-			for v := 0; v < g.NumNodes(); v++ {
-				if got := idx.Reaches(graph.NodeID(u), graph.NodeID(v)); got != truth[u][v] {
-					t.Fatalf("graph %d: Reaches(%d,%d)=%v, BFS %v", gi, u, v, got, truth[u][v])
+	foreign := 0
+	for _, fx := range fixtures {
+		g := fx.graph()
+		db := openFixture(t, fx.name, g)
+		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+			truth := graph.ReachableFrom(g, u)
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				if got := reaches(t, db, u, v); got != truth[v] {
+					t.Fatalf("%s: Reaches(%d,%d)=%v, BFS %v", fx.name, u, v, got, truth[v])
 				}
 			}
+		}
+		if db.CoverSize() != twohop.Compute(g, twohop.Options{}).Size() {
+			foreign++
 		}
 	}
-}
-
-// TestLabelMinimality spot-checks the pruned-BFS invariant: a compact
-// entry c ∈ In(v) survives pruning only when no strictly higher-ranked
-// vertex h lies between them (c ⇝ h ⇝ v, h ≠ c) — such an h was labeled
-// first and its labels would have pruned c's BFS at v. Symmetrically for
-// Out. In particular the top-ranked vertex's own compact lists are empty.
-func TestLabelMinimality(t *testing.T) {
-	for _, seed := range []int64{3, 4, 5} {
-		g := randomGraph(seed, 60, 150, 3)
-		idx := pll.Compute(g, reach.Options{})
-		truth := bfsClosure(g)
-
-		// Recompute the build's degree rank: (din+1)(dout+1) desc, id asc.
-		n := g.NumNodes()
-		rank := make([]int, n)
-		{
-			order := make([]graph.NodeID, 0, n)
-			for v := 0; v < n; v++ {
-				order = append(order, graph.NodeID(v))
-			}
-			score := func(v graph.NodeID) int64 {
-				return int64(g.InDegree(v)+1) * int64(g.OutDegree(v)+1)
-			}
-			for i := 1; i < len(order); i++ { // insertion sort, stable
-				for j := i; j > 0 && score(order[j]) > score(order[j-1]); j-- {
-					order[j], order[j-1] = order[j-1], order[j]
-				}
-			}
-			for r, v := range order {
-				rank[v] = r
-			}
-		}
-
-		for v := 0; v < n; v++ {
-			for _, c := range idx.In(graph.NodeID(v)) {
-				if !truth[c][v] {
-					t.Fatalf("seed %d: unsound entry %d ∈ In(%d)", seed, c, v)
-				}
-				for h := 0; h < n; h++ {
-					if h != int(c) && rank[h] < rank[c] && truth[c][h] && truth[h][v] {
-						t.Fatalf("seed %d: redundant entry %d ∈ In(%d): higher-ranked %d between", seed, c, v, h)
-					}
-				}
-			}
-			for _, c := range idx.Out(graph.NodeID(v)) {
-				if !truth[v][c] {
-					t.Fatalf("seed %d: unsound entry %d ∈ Out(%d)", seed, c, v)
-				}
-				for h := 0; h < n; h++ {
-					if h != int(c) && rank[h] < rank[c] && truth[v][h] && truth[h][c] {
-						t.Fatalf("seed %d: redundant entry %d ∈ Out(%d): higher-ranked %d between", seed, c, v, h)
-					}
-				}
-			}
-		}
-
-		// The top-ranked vertex is labeled first: nothing can prune it, and
-		// nothing else may appear in its compact lists.
-		top := 0
-		for v := 1; v < n; v++ {
-			if rank[v] < rank[top] {
-				top = v
-			}
-		}
-		if len(idx.In(graph.NodeID(top)))+len(idx.Out(graph.NodeID(top))) != 0 {
-			t.Fatalf("seed %d: top-ranked vertex %d has non-empty compact labels In=%v Out=%v",
-				seed, top, idx.In(graph.NodeID(top)), idx.Out(graph.NodeID(top)))
-		}
+	if foreign == 0 {
+		t.Fatal("every fixture stores a cover the size of gdb.Build's; the test would not tell a pll-written file apart")
 	}
 }
 
-// TestDeterministicAcrossParallelism: at every parallelism degree the
-// build is deterministic (two builds agree entry for entry), and every
-// degree answers Reaches identically to the serial build.
+// TestDeterministicAcrossParallelism: rebuilding the labeling of a
+// pll-written graph is deterministic at every parallelism degree (two
+// builds agree entry for entry), and every degree answers Reaches exactly
+// as the stored pll labeling does.
 func TestDeterministicAcrossParallelism(t *testing.T) {
-	g := randomGraph(6, 200, 600, 3)
-	serial := pll.Compute(g, reach.Options{})
+	fx := fixtures[0]
+	g := fx.graph()
+	db := openFixture(t, fx.name, g)
 	for _, workers := range []int{1, 2, 3, 4, 8} {
-		a := pll.Compute(g, reach.Options{Parallelism: workers})
-		b := pll.Compute(g, reach.Options{Parallelism: workers})
-		for v := 0; v < g.NumNodes(); v++ {
-			if !reflect.DeepEqual(a.In(graph.NodeID(v)), b.In(graph.NodeID(v))) ||
-				!reflect.DeepEqual(a.Out(graph.NodeID(v)), b.Out(graph.NodeID(v))) {
+		a := twohop.Compute(g, twohop.Options{Parallelism: workers})
+		b := twohop.Compute(g, twohop.Options{Parallelism: workers})
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			if !reflect.DeepEqual(a.In(v), b.In(v)) || !reflect.DeepEqual(a.Out(v), b.Out(v)) {
 				t.Fatalf("workers=%d: two builds disagree at node %d", workers, v)
 			}
 		}
 		if err := a.Verify(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for u := 0; u < g.NumNodes(); u += 3 {
-			for v := 0; v < g.NumNodes(); v += 3 {
-				if a.Reaches(graph.NodeID(u), graph.NodeID(v)) != serial.Reaches(graph.NodeID(u), graph.NodeID(v)) {
-					t.Fatalf("workers=%d: Reaches(%d,%d) differs from serial", workers, u, v)
+		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				if a.Reaches(u, v) != reaches(t, db, u, v) {
+					t.Fatalf("workers=%d: Reaches(%d,%d) differs from the pll labeling", workers, u, v)
 				}
 			}
 		}
 	}
 }
 
-// TestStats checks the derived statistics against directly computed values.
+// TestStats: the labeling read back from a pll-written database has the
+// size and list maxima the backend reported when it wrote the file, and the
+// persisted cover size agrees with the stored codes.
 func TestStats(t *testing.T) {
-	g := chainGraph(10)
-	idx := pll.Compute(g, reach.Options{})
-	st := idx.Stats()
-	if st.Backend != pll.BackendName {
-		t.Fatalf("Backend = %q", st.Backend)
-	}
-	if st.Nodes != 10 || st.Edges != 9 {
-		t.Fatalf("|V|=%d |E|=%d", st.Nodes, st.Edges)
-	}
-	if st.Components != 10 {
-		t.Fatalf("chain has 10 trivial SCCs, got %d", st.Components)
-	}
-	size := 0
-	maxIn, maxOut := 0, 0
-	for v := 0; v < 10; v++ {
-		size += len(idx.In(graph.NodeID(v))) + len(idx.Out(graph.NodeID(v)))
-		maxIn = max(maxIn, len(idx.In(graph.NodeID(v))))
-		maxOut = max(maxOut, len(idx.Out(graph.NodeID(v))))
-	}
-	if st.Size != size || st.Size != idx.Size() {
-		t.Fatalf("Size=%d, recounted %d, idx.Size %d", st.Size, size, idx.Size())
-	}
-	if st.MaxIn != maxIn || st.MaxOut != maxOut {
-		t.Fatalf("MaxIn/MaxOut = %d/%d, recounted %d/%d", st.MaxIn, st.MaxOut, maxIn, maxOut)
-	}
-	if st.Ratio != float64(size)/10 {
-		t.Fatalf("Ratio = %v", st.Ratio)
-	}
-	if st.String() == "" {
-		t.Fatal("empty Stats string")
-	}
-}
-
-// TestRegistered: the package registers itself under "pll" and the
-// registry round-trips Build/Dynamic through the interface.
-func TestRegistered(t *testing.T) {
-	b, err := reach.Lookup(pll.BackendName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != pll.BackendName {
-		t.Fatalf("Name = %q", b.Name())
-	}
-	g := chainGraph(6)
-	idx := b.Build(g, reach.Options{})
-	if idx.Backend() != pll.BackendName {
-		t.Fatalf("Backend = %q", idx.Backend())
-	}
-	dyn := b.Dynamic(idx)
-	if !dyn.Reaches(0, 5) || dyn.Reaches(5, 0) {
-		t.Fatal("dynamic wrapper answers wrong")
-	}
-	dyn.InsertEdge(5, 0)
-	if !dyn.Reaches(5, 0) {
-		t.Fatal("insert through dynamic wrapper lost")
+	for _, fx := range fixtures {
+		g := fx.graph()
+		db := openFixture(t, fx.name, g)
+		got := stats{
+			Nodes:      g.NumNodes(),
+			Edges:      g.NumEdges(),
+			Components: graph.NewSCC(g).NumComponents(),
+		}
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			in, err := db.InCode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := db.OutCode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Full codes carry the node itself; the reported counts do not.
+			got.Size += len(in) - 1 + len(out) - 1
+			got.MaxIn = max(got.MaxIn, len(in)-1)
+			got.MaxOut = max(got.MaxOut, len(out)-1)
+		}
+		if got != fx.want {
+			t.Fatalf("%s: read back %+v, the pll backend reported %+v", fx.name, got, fx.want)
+		}
+		if db.CoverSize() != got.Size {
+			t.Fatalf("%s: CoverSize %d, stored codes hold %d entries", fx.name, db.CoverSize(), got.Size)
+		}
+		st := twohop.Compute(g, twohop.Options{}).Stats()
+		if st.Nodes != got.Nodes || st.Edges != got.Edges || st.Components != got.Components {
+			t.Fatalf("%s: the rebuilt cover sees %v, the file %+v", fx.name, st, got)
+		}
 	}
 }
 
-// TestPersistOpenPersistByteStable: a gdb database built on the PLL
-// backend persists, reopens under the same backend (recorded in the
-// manifest), and re-persists byte-identically — page file and manifest.
+// TestPersistOpenPersistByteStable: a database the pll backend wrote
+// opens, and re-persisting it leaves the page file byte-identical; the
+// manifest loses only its "reach_backend" key. A second open→persist
+// leaves both files byte-identical.
 func TestPersistOpenPersistByteStable(t *testing.T) {
-	g := randomGraph(7, 150, 400, 3)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pll.fdb")
-
-	db, err := gdb.Build(g, gdb.Options{Path: path, ReachIndex: pll.BackendName})
+	path := unpack(t, "cyclic")
+	page0, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.ReachBackend() != pll.BackendName {
-		t.Fatalf("built backend = %q", db.ReachBackend())
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	page1, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man1, err := os.ReadFile(path + ".manifest")
+	man0, err := os.ReadFile(path + ".manifest")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := gdb.Open(path, gdb.Options{})
-	if err != nil {
+	cycle := func() (page, man []byte) {
+		t.Helper()
+		db, err := gdb.Open(path, gdb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if page, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if man, err = os.ReadFile(path + ".manifest"); err != nil {
+			t.Fatal(err)
+		}
+		return page, man
+	}
+
+	page1, man1 := cycle()
+	if !reflect.DeepEqual(page0, page1) {
+		t.Fatal("page file changed across open→persist")
+	}
+	var want, got map[string]any
+	if err := json.Unmarshal(man0, &want); err != nil {
 		t.Fatal(err)
 	}
-	if re.ReachBackend() != pll.BackendName {
-		t.Fatalf("reopened backend = %q", re.ReachBackend())
-	}
-	if err := re.Sync(); err != nil {
+	if err := json.Unmarshal(man1, &got); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
+	if want["reach_backend"] != "pll" {
+		t.Fatalf("fixture manifest names backend %v", want["reach_backend"])
 	}
-	page2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	delete(want, "reach_backend")
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("manifest changed beyond reach_backend across open→persist:\n%s\nvs\n%s", man0, man1)
 	}
-	man2, err := os.ReadFile(path + ".manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
+
+	page2, man2 := cycle()
 	if !reflect.DeepEqual(page1, page2) {
 		t.Fatal("page file changed across persist→open→persist")
 	}
 	if !reflect.DeepEqual(man1, man2) {
 		t.Fatalf("manifest changed across persist→open→persist:\n%s\nvs\n%s", man1, man2)
-	}
-
-	// Opening under a mismatching explicit backend must refuse.
-	if _, err := gdb.Open(path, gdb.Options{ReachIndex: "twohop"}); err == nil {
-		t.Fatal("open with mismatching -reach-index should fail")
 	}
 }

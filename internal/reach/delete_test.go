@@ -57,14 +57,14 @@ func (m *mutableTruth) build() *graph.Graph {
 
 // TestDeleteEdgeMatchesBFS: random mixed insert/delete streams; after every
 // step the labeling must agree with BFS on the mutated graph for all pairs —
-// for every registered backend.
+// for both labelings.
 func TestDeleteEdgeMatchesBFS(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		check := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			n := 20
 			g := randomGraph(seed, n, 28, 3)
-			inc := newInc(b, g)
+			inc := newInc(opt, g)
 			truth := newMutableTruth(g)
 
 			for step := 0; step < 12; step++ {
@@ -102,10 +102,10 @@ func TestDeleteEdgeMatchesBFS(t *testing.T) {
 // TestDeleteEdgeChain: cutting a chain in the middle must sever exactly the
 // pairs that crossed the cut.
 func TestDeleteEdgeChain(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		const n = 8
 		g := chainGraph(n)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		deltas := inc.DeleteEdge(3, 4)
 		if len(deltas) == 0 {
 			t.Fatal("cutting a chain removed no label entries")
@@ -124,9 +124,9 @@ func TestDeleteEdgeChain(t *testing.T) {
 // TestDeleteEdgeAbsentIsNoop: deleting a never-present edge returns nil and
 // changes nothing.
 func TestDeleteEdgeAbsentIsNoop(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := chainGraph(5)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		before := inc.Size()
 		if d := inc.DeleteEdge(0, 3); d != nil {
 			t.Fatalf("absent-edge delete returned %d deltas", len(d))
@@ -143,7 +143,7 @@ func TestDeleteEdgeAbsentIsNoop(t *testing.T) {
 // TestDeleteEdgeParallelEdges: with two parallel copies of an edge, deleting
 // one must keep reachability; deleting the second severs it.
 func TestDeleteEdgeParallelEdges(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		b := graph.NewBuilder()
 		la := b.Intern("A")
 		for i := 0; i < 3; i++ {
@@ -153,7 +153,7 @@ func TestDeleteEdgeParallelEdges(t *testing.T) {
 		b.AddEdge(0, 1) // parallel copy
 		b.AddEdge(1, 2)
 		g := b.Build()
-		inc := newInc(be, g)
+		inc := newInc(opt, g)
 
 		inc.DeleteEdge(0, 1)
 		if !inc.HasEdge(0, 1) {
@@ -176,9 +176,9 @@ func TestDeleteEdgeParallelEdges(t *testing.T) {
 // removals must name entries that were present, additions entries that are
 // present afterwards, and lists stay sorted and self-free.
 func TestDeleteEdgeSizeAndDeltaAccounting(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := randomGraph(5, 18, 40, 3)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		rng := rand.New(rand.NewSource(13))
 		for step := 0; step < 25; step++ {
 			u := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -230,9 +230,9 @@ func TestDeleteEdgeSizeAndDeltaAccounting(t *testing.T) {
 // TestDeleteThenReinsert: deleting an edge and re-inserting it restores the
 // original reachability relation.
 func TestDeleteThenReinsert(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := randomGraph(21, 16, 30, 3)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		n := g.NumNodes()
 		want := make([][]bool, n)
 		for x := graph.NodeID(0); int(x) < n; x++ {

@@ -4,16 +4,16 @@ import (
 	"slices"
 
 	"fastmatch/internal/graph"
+	"fastmatch/internal/twohop"
 )
 
 // Incremental maintains a 2-hop-style reachability labeling under edge
 // insertions and deletions — the 2-hop cover update problem the paper
-// cites as [24] (Schenkel et al., ICDE'05). It seeds from any built Index
-// and keeps the invariant that u ⇝ v iff out(u) ∩ in(v) ≠ ∅ (with the
-// compact self convention) after every InsertEdge and DeleteEdge. The
-// repair arguments below never appeal to how the seed labeling was
-// constructed — only to its validity — so one Incremental serves every
-// backend.
+// cites as [24] (Schenkel et al., ICDE'05). It seeds from a computed cover
+// or from stored label lists and keeps the invariant that u ⇝ v iff
+// out(u) ∩ in(v) ≠ ∅ (with the compact self convention) after every
+// InsertEdge and DeleteEdge. The repair arguments below never appeal to
+// how the seed labeling was constructed — only to its validity.
 //
 // The update strategy for a new edge (u, v) follows the classic
 // center-insertion argument: every newly reachable pair (x, y) decomposes
@@ -44,9 +44,9 @@ type Incremental struct {
 	size     int
 }
 
-// NewIncremental seeds an updatable labeling from a built index and its
+// NewIncremental seeds an updatable labeling from a computed cover and its
 // graph's adjacency.
-func NewIncremental(idx Index) *Incremental {
+func NewIncremental(idx *twohop.Cover) *Incremental {
 	g := idx.Graph()
 	n := g.NumNodes()
 	inc := &Incremental{

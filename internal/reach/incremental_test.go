@@ -12,14 +12,14 @@ import (
 
 // TestIncrementalMatchesBFS: starting from a labeling of a random graph,
 // insert a stream of random edges and verify the labeling agrees with BFS
-// on the mutated graph after every step — for every registered backend.
+// on the mutated graph after every step — for both labelings.
 func TestIncrementalMatchesBFS(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		check := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			n := 24
 			g := randomGraph(seed, n, 30, 3)
-			inc := newInc(b, g)
+			inc := newInc(opt, g)
 
 			// Mirror builder to recompute ground truth after each insertion.
 			type edge struct{ u, v graph.NodeID }
@@ -65,9 +65,9 @@ func TestIncrementalMatchesBFS(t *testing.T) {
 }
 
 func TestIncrementalRedundantEdgeAddsNothing(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := chainGraph(6)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		// 0 already reaches 4 along the chain.
 		if deltas := inc.InsertEdge(0, 4); len(deltas) != 0 {
 			t.Fatalf("redundant edge added %d labels: %v", len(deltas), deltas)
@@ -90,9 +90,9 @@ func TestIncrementalRedundantEdgeAddsNothing(t *testing.T) {
 }
 
 func TestIncrementalSizeAccounting(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := chainGraph(8)
-		idx := b.Build(g, reach.Options{})
+		idx := twohop.Compute(g, opt)
 		inc := reach.NewIncremental(idx)
 		if inc.Size() != idx.Size() {
 			t.Fatalf("seed size %d != index size %d", inc.Size(), idx.Size())
@@ -121,9 +121,9 @@ func TestIncrementalSizeAccounting(t *testing.T) {
 }
 
 func TestIncrementalIdempotentInsert(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := chainGraph(5)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		first := inc.InsertEdge(4, 0)
 		if len(first) == 0 {
 			t.Fatal("first insert should add labels")
@@ -139,9 +139,9 @@ func TestIncrementalIdempotentInsert(t *testing.T) {
 // actually present in the labeling afterwards, no delta is a self entry,
 // and the delta count matches the size growth exactly (no silent extras).
 func TestIncrementalInsertDeltas(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := chainGraph(6)
-		inc := newInc(b, g)
+		inc := newInc(opt, g)
 		before := inc.Size()
 		u, v := graph.NodeID(5), graph.NodeID(1) // backward edge: new pairs
 		// Every x ⇝ u must carry u in out(x) afterwards; record which
@@ -190,9 +190,9 @@ func TestIncrementalInsertDeltas(t *testing.T) {
 // TestNewIncrementalFromLabels: seeding from materialised label lists must
 // behave identically to seeding from the index itself.
 func TestNewIncrementalFromLabels(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		g := randomGraph(11, 20, 28, 3)
-		idx := be.Build(g, reach.Options{})
+		idx := twohop.Compute(g, opt)
 		n := g.NumNodes()
 		in := make([][]graph.NodeID, n)
 		out := make([][]graph.NodeID, n)

@@ -1,47 +1,22 @@
-// Package reach defines the pluggable reachability-index abstraction the
-// graph database builds on: a backend computes a 2-hop-style labeling
-// L(v) = (L_in(v), L_out(v)) with the invariant u ⇝ v iff
-// out(u) ∩ in(v) ≠ ∅ (full codes; the stored compact lists omit the node
-// itself, see Index), answers Reaches from it, and supports incremental
-// repair under edge inserts and deletes through the shared Incremental
-// engine.
+// Package reach keeps the engine's 2-hop labeling (twohop.Compute) valid
+// under edge inserts and deletes: Incremental repairs the labeling with the
+// invariant u ⇝ v iff out(u) ∩ in(v) ≠ ∅ (full codes; the stored compact
+// lists omit the node itself) and reports every changed entry as a
+// LabelDelta, the stream the graph database applies to its base-table
+// codes, cluster index and W-table.
 //
-// Everything above this layer — base-table codes, the cluster index, the
-// W-table, plan optimization, fast paths — consumes the labeling only
-// through the compact In/Out lists and the LabelDelta stream, so any
-// registered backend is a drop-in replacement. Backends register
-// themselves in init (internal/twohop, internal/pll); consumers select
-// one by name through Lookup. The differential harness at the repository
-// root proves every registered backend query-equivalent to from-scratch
-// rebuilds.
+// The repair never asks how the labeling was built, only that it is a
+// valid 2-hop labeling, so a database reattached with its stored codes
+// resumes maintenance whatever wrote them.
 package reach
 
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"fastmatch/internal/graph"
+	"fastmatch/internal/twohop"
 )
-
-// DefaultBackend is the backend selected by an empty name: the paper's
-// 2-hop cover over the SCC condensation.
-const DefaultBackend = "twohop"
-
-// Options configures index construction. Interpretation is up to the
-// backend, but every backend must honour the determinism contract:
-// identical (graph, Options) inputs produce identical labelings,
-// regardless of goroutine scheduling.
-type Options struct {
-	// Parallelism is the number of workers that process landmarks in
-	// rank-ordered batches (see PrunedLabeling). 0 or 1 selects the serial
-	// reference construction; n > 1 uses n workers; < 0 uses GOMAXPROCS.
-	Parallelism int
-	// Seed drives backend-specific randomized orders; unused by the
-	// default deterministic orders.
-	Seed int64
-}
 
 // LabelDelta records one label entry changed by an incremental edge
 // insert or delete: Center joined (Removed false) or left (Removed true)
@@ -55,147 +30,30 @@ type LabelDelta struct {
 	Removed bool
 }
 
-// Stats summarises a built index.
-type Stats struct {
-	// Backend is the registered name of the backend that built the index.
-	Backend    string
-	Nodes      int
-	Edges      int
-	Components int     // SCC count of the indexed graph
-	Size       int     // |H| = Σ_v |in(v)| + |out(v)| (compact entries)
-	Ratio      float64 // |H| / |V|
-	MaxIn      int
-	MaxOut     int
+// Index, Options, Builder and Lookup are kept for benchmark/, which builds
+// its labeling through them, until ROADMAP 2(c) lets it call twohop.Compute
+// directly.
+
+// Index is a built labeling: the engine's one cover.
+type Index = *twohop.Cover
+
+// Options is Builder.Build's argument; it has nothing to configure.
+type Options struct{}
+
+// Builder computes the engine's labeling.
+type Builder struct{}
+
+// Build computes the 2-hop cover of g, as gdb.Build does by default.
+func (Builder) Build(g *graph.Graph, _ Options) Index {
+	return twohop.Compute(g, twohop.Options{})
 }
 
-func (s Stats) String() string {
-	name := s.Backend
-	if name == "" {
-		name = "reach"
+// Lookup returns the Builder for the empty name, the only one it accepts.
+func Lookup(name string) (Builder, error) {
+	if name != "" {
+		return Builder{}, fmt.Errorf("reach: unknown labeling %q: the engine has one, named by the empty string", name)
 	}
-	return fmt.Sprintf("%s{|V|=%d |E|=%d scc=%d |H|=%d |H|/|V|=%.3f maxIn=%d maxOut=%d}",
-		name, s.Nodes, s.Edges, s.Components, s.Size, s.Ratio, s.MaxIn, s.MaxOut)
-}
-
-// Index is an immutable reachability labeling over one graph, safe for
-// concurrent readers. The In/Out lists follow the compact convention of
-// the paper's Example 3.1: the node itself is removed; full graph codes
-// are in(v) = In(v) ∪ {v} and out(v) = Out(v) ∪ {v}, and Reaches applies
-// that convention.
-type Index interface {
-	// Backend returns the registered name of the backend that built this
-	// index (persisted in the database manifest).
-	Backend() string
-	// Graph returns the graph the index labels.
-	Graph() *graph.Graph
-	// In returns the compact L_in(v), sorted ascending by NodeID,
-	// excluding v itself. The slice aliases internal storage.
-	In(v graph.NodeID) []graph.NodeID
-	// Out returns the compact L_out(v), sorted ascending, excluding v.
-	Out(v graph.NodeID) []graph.NodeID
-	// Size returns |H| counting compact entries.
-	Size() int
-	// Reaches reports u ⇝ v from the full graph codes.
-	Reaches(u, v graph.NodeID) bool
-	// Stats computes summary statistics.
-	Stats() Stats
-	// Verify exhaustively checks the labeling against BFS reachability on
-	// every node pair — a debugging and acceptance tool for small graphs.
-	Verify() error
-}
-
-// Dynamic is an updatable labeling: it preserves the Reaches invariant
-// across InsertEdge/DeleteEdge and reports every label entry changed so
-// persistent structures can be repaired in step. Implementations are not
-// required to be safe for concurrent use.
-type Dynamic interface {
-	NumNodes() int
-	Size() int
-	In(v graph.NodeID) []graph.NodeID
-	Out(v graph.NodeID) []graph.NodeID
-	Reaches(u, v graph.NodeID) bool
-	HasEdge(u, v graph.NodeID) bool
-	InsertEdge(u, v graph.NodeID) []LabelDelta
-	DeleteEdge(u, v graph.NodeID) []LabelDelta
-}
-
-// Backend constructs indexes and their incremental counterparts.
-type Backend interface {
-	// Name is the registry key ("twohop", "pll", ...).
-	Name() string
-	// Build computes the labeling for g.
-	Build(g *graph.Graph, opt Options) Index
-	// Dynamic seeds an updatable labeling from a built index.
-	Dynamic(idx Index) Dynamic
-	// DynamicFromLabels seeds an updatable labeling from g's adjacency and
-	// already-materialised compact label lists — the form stored in the
-	// graph database's base tables, so a reattached database can resume
-	// incremental maintenance without the original index object.
-	DynamicFromLabels(g *graph.Graph, in, out [][]graph.NodeID) Dynamic
-}
-
-var (
-	regMu    sync.RWMutex
-	backends = make(map[string]Backend)
-)
-
-// Register adds a backend to the registry. It panics on a duplicate or
-// empty name; backends call it from init.
-func Register(b Backend) {
-	name := b.Name()
-	if name == "" {
-		panic("reach: Register with empty backend name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("reach: backend %q registered twice", name))
-	}
-	backends[name] = b
-}
-
-// Lookup resolves a backend name; the empty string selects
-// DefaultBackend.
-func Lookup(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	regMu.RLock()
-	b, ok := backends[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("reach: unknown backend %q (registered: %v)", name, Names())
-	}
-	return b, nil
-}
-
-// Names returns the registered backend names, sorted.
-func Names() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	regMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// VerifyIndex is the shared Verify implementation: it checks idx against
-// BFS reachability on every node pair of its graph, returning the first
-// disagreement. O(|V|²·(|V|+|E|)).
-func VerifyIndex(idx Index) error {
-	g := idx.Graph()
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		r := graph.ReachableFrom(g, u)
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if got, want := idx.Reaches(u, v), r[v]; got != want {
-				return fmt.Errorf("reach: %s index disagrees with BFS on (%d, %d): labeling says %v",
-					idx.Backend(), u, v, got)
-			}
-		}
-	}
-	return nil
+	return Builder{}, nil
 }
 
 // intersectSorted reports whether two ascending NodeID slices share an

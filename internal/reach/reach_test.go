@@ -6,81 +6,52 @@ import (
 	"testing"
 
 	"fastmatch/internal/graph"
-	"fastmatch/internal/pll"
 	"fastmatch/internal/reach"
 	"fastmatch/internal/twohop"
 )
 
-// TestRegistry pins the registry contract: Names is sorted and holds both
-// built-in backends, Lookup resolves them plus the empty-string default,
-// unknown names error, and duplicate or empty registrations panic.
+// TestRegistry pins what is left of the backend registry: Lookup, kept for
+// benchmark/, accepts only the empty name, and its Builder computes the
+// cover gdb.Build stores; every other name, "twohop" and "pll" included, is
+// an error that names it.
 func TestRegistry(t *testing.T) {
-	names := reach.Names()
-	if !reflect.DeepEqual(names, []string{"pll", "twohop"}) {
-		t.Fatalf("Names() = %v, want [pll twohop]", names)
-	}
-	for _, name := range names {
-		b, err := reach.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Name() != name {
-			t.Fatalf("Lookup(%q).Name() = %q", name, b.Name())
-		}
-	}
-	def, err := reach.Lookup("")
+	g := randomGraph(36, 60, 150, 3)
+	b, err := reach.Lookup("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Name() != reach.DefaultBackend {
-		t.Fatalf("Lookup(\"\") = %q, want %q", def.Name(), reach.DefaultBackend)
+	got, want := b.Build(g, reach.Options{}), twohop.Compute(g, twohop.Options{})
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if !reflect.DeepEqual(got.In(v), want.In(v)) || !reflect.DeepEqual(got.Out(v), want.Out(v)) {
+			t.Fatalf("Lookup(\"\").Build differs from twohop.Compute at node %d", v)
+		}
 	}
-	if _, err := reach.Lookup("no-such-backend"); err == nil {
-		t.Fatal("Lookup of unknown backend should error")
-	} else if !strings.Contains(err.Error(), "no-such-backend") {
-		t.Fatalf("error should name the backend: %v", err)
+	for _, name := range []string{"twohop", "pll", "no-such-backend"} {
+		if _, err := reach.Lookup(name); err == nil {
+			t.Fatalf("Lookup(%q) should error", name)
+		} else if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error should name %q: %v", name, err)
+		}
 	}
-
-	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s should panic", what)
-			}
-		}()
-		fn()
-	}
-	b, _ := reach.Lookup("twohop")
-	mustPanic("duplicate Register", func() { reach.Register(b) })
-	mustPanic("empty-name Register", func() { reach.Register(emptyNameBackend{}) })
 }
 
-// emptyNameBackend is a Backend whose Name is empty; only Register's
-// validation ever touches it.
-type emptyNameBackend struct{}
-
-func (emptyNameBackend) Name() string                                  { return "" }
-func (emptyNameBackend) Build(*graph.Graph, reach.Options) reach.Index { return nil }
-func (emptyNameBackend) Dynamic(reach.Index) reach.Dynamic             { return nil }
-func (emptyNameBackend) DynamicFromLabels(*graph.Graph, [][]graph.NodeID, [][]graph.NodeID) reach.Dynamic {
-	return nil
-}
-
-// TestBatchedLabelingMatchesSerial drives the generic pruned-labeling core
-// through both backends at several worker degrees: the batched build must
-// verify against BFS truth and answer Reaches exactly like the serial
-// reference build at every degree.
+// TestBatchedLabelingMatchesSerial drives the pruned-labeling core in both
+// landmark orders at several worker degrees: the batched build must verify
+// against BFS truth and answer Reaches exactly like the serial reference
+// build at every degree.
 func TestBatchedLabelingMatchesSerial(t *testing.T) {
 	graphs := []*graph.Graph{
 		randomGraph(31, 180, 540, 3),
 		randomGraph(32, 220, 260, 2),
 		chainGraph(30),
 	}
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
 		for gi, g := range graphs {
-			serial := b.Build(g, reach.Options{Parallelism: 1})
+			opt.Parallelism = 1
+			serial := twohop.Compute(g, opt)
 			for _, workers := range []int{2, 3, 4, 8} {
-				par := b.Build(g, reach.Options{Parallelism: workers})
+				opt.Parallelism = workers
+				par := twohop.Compute(g, opt)
 				if err := par.Verify(); err != nil {
 					t.Fatalf("graph %d workers=%d: %v", gi, workers, err)
 				}
@@ -93,7 +64,7 @@ func TestBatchedLabelingMatchesSerial(t *testing.T) {
 					}
 				}
 				// Same degree twice → identical labeling, entry for entry.
-				again := b.Build(g, reach.Options{Parallelism: workers})
+				again := twohop.Compute(g, opt)
 				for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 					if !reflect.DeepEqual(par.In(v), again.In(v)) || !reflect.DeepEqual(par.Out(v), again.Out(v)) {
 						t.Fatalf("graph %d workers=%d: build is not deterministic at node %d", gi, workers, v)
@@ -108,86 +79,85 @@ func TestBatchedLabelingMatchesSerial(t *testing.T) {
 // degree and still verifies.
 func TestNegativeParallelismMeansGOMAXPROCS(t *testing.T) {
 	g := randomGraph(33, 120, 360, 3)
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
-		idx := b.Build(g, reach.Options{Parallelism: -1})
-		if err := idx.Verify(); err != nil {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
+		opt.Parallelism = -1
+		if err := twohop.Compute(g, opt).Verify(); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// brokenIndex wraps a correct index but lies about one pair, so
-// VerifyIndex must report it.
-type brokenIndex struct {
-	reach.Index
-	u, v graph.NodeID
-}
-
-func (b brokenIndex) Reaches(u, v graph.NodeID) bool {
-	if u == b.u && v == b.v {
-		return !b.Index.Reaches(u, v)
-	}
-	return b.Index.Reaches(u, v)
-}
-
-// TestVerifyIndex: a correct index passes, a corrupted wrapper fails with
-// the offending pair in the error.
+// TestVerifyIndex: the cover Lookup's Builder returns passes Verify, and
+// Verify reports the first pair a corrupted labeling stops covering. The
+// corruption goes through In, whose slice aliases the cover's storage.
 func TestVerifyIndex(t *testing.T) {
 	g := chainGraph(8)
-	idx := twohop.Compute(g, twohop.Options{})
-	if err := reach.VerifyIndex(idx); err != nil {
+	b, err := reach.Lookup("")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reach.VerifyIndex(brokenIndex{Index: idx, u: 2, v: 5}); err == nil {
-		t.Fatal("corrupted index should fail VerifyIndex")
+	idx := b.Build(g, reach.Options{})
+	if err := idx.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	last := graph.NodeID(7)
+	in := idx.In(last)
+	if len(in) == 0 {
+		t.Fatal("the end of a chain should carry in-entries")
+	}
+	for i := range in {
+		in[i] = last // every center of node 7 replaced by node 7 itself
+	}
+	if err := idx.Verify(); err == nil || !strings.Contains(err.Error(), "7)") {
+		t.Fatalf("corrupted cover: Verify = %v, want a disagreement on a pair ending at 7", err)
 	}
 }
 
-// TestStatsString covers the formatting of both backends' statistics.
+// TestStatsString covers the formatting of either labeling's statistics.
 func TestStatsString(t *testing.T) {
 	g := randomGraph(34, 50, 120, 2)
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
-		s := b.Build(g, reach.Options{}).Stats()
-		str := s.String()
-		if !strings.Contains(str, b.Name()) || !strings.Contains(str, "|H|") {
-			t.Fatalf("Stats string %q should name the backend and |H|", str)
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
+		str := twohop.Compute(g, opt).Stats().String()
+		if !strings.HasPrefix(str, "twohop{") || !strings.Contains(str, "|H|") {
+			t.Fatalf("Stats string %q should name the construction and |H|", str)
 		}
 	})
 }
 
-// TestIncrementalNumNodes covers the Dynamic surface accessors.
+// TestIncrementalNumNodes covers the Incremental's accessors.
 func TestIncrementalNumNodes(t *testing.T) {
 	g := chainGraph(7)
-	forEachBackend(t, func(t *testing.T, b reach.Backend) {
-		dyn := b.Dynamic(b.Build(g, reach.Options{}))
-		if dyn.NumNodes() != 7 {
-			t.Fatalf("NumNodes = %d", dyn.NumNodes())
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
+		inc := newInc(opt, g)
+		if inc.NumNodes() != 7 {
+			t.Fatalf("NumNodes = %d", inc.NumNodes())
 		}
-		if !dyn.HasEdge(0, 1) || dyn.HasEdge(1, 0) {
+		if !inc.HasEdge(0, 1) || inc.HasEdge(1, 0) {
 			t.Fatal("HasEdge wrong on chain")
 		}
 	})
 }
 
-// TestPLLRegisteredViaInterface: the two backends produce different
-// labelings (different families) yet identical answers — a quick
-// spot-check that the registry really returns distinct implementations.
+// TestBackendsAreDistinct: the two labelings every test runs on are
+// different covers — so the second subtest is not a copy of the first —
+// yet answer every Reaches question identically.
 func TestBackendsAreDistinct(t *testing.T) {
-	tb, _ := reach.Lookup(twohop.BackendName)
-	pb, _ := reach.Lookup(pll.BackendName)
-	if tb.Name() == pb.Name() {
-		t.Fatal("expected two distinct backends")
-	}
 	g := randomGraph(35, 90, 270, 3)
-	ti := tb.Build(g, reach.Options{})
-	pi := pb.Build(g, reach.Options{})
-	if ti.Backend() == pi.Backend() {
-		t.Fatal("indexes report the same backend")
+	a := twohop.Compute(g, labelings[0].opt)
+	b := twohop.Compute(g, labelings[1].opt)
+	differ := 0
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if !reflect.DeepEqual(a.In(v), b.In(v)) || !reflect.DeepEqual(a.Out(v), b.Out(v)) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two labelings are identical")
 	}
 	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if ti.Reaches(u, v) != pi.Reaches(u, v) {
-				t.Fatalf("backends disagree on Reaches(%d,%d)", u, v)
+			if a.Reaches(u, v) != b.Reaches(u, v) {
+				t.Fatalf("labelings disagree on Reaches(%d,%d)", u, v)
 			}
 		}
 	}

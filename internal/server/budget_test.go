@@ -140,7 +140,8 @@ func TestStrictRequestBodies(t *testing.T) {
 }
 
 // TestStatsDropsParallelismKeys: operators run on the query's goroutine, so
-// /stats no longer reports a worker degree or partition counters.
+// /stats no longer reports a worker degree or partition counters, and the
+// engine has one reachability labeling, so it names no backend.
 func TestStatsDropsParallelismKeys(t *testing.T) {
 	s := testServer(t, Config{})
 	if _, err := s.Query(context.Background(), "A->B; B->C", ""); err != nil {
@@ -160,7 +161,7 @@ func TestStatsDropsParallelismKeys(t *testing.T) {
 	if st["operator_ops"] == nil {
 		t.Fatalf("/stats lacks operator_ops: %v", st)
 	}
-	for _, key := range []string{"query_parallelism", "operator_parallel_ops", "operator_tasks", "worker_utilization"} {
+	for _, key := range []string{"query_parallelism", "operator_parallel_ops", "operator_tasks", "worker_utilization", "reach_backend"} {
 		if v, ok := st[key]; ok {
 			t.Errorf("/stats still reports %s = %v", key, v)
 		}

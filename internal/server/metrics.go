@@ -320,9 +320,6 @@ type Stats struct {
 	ResponseBytes int64   `json:"response_bytes"`
 	// IO is the database buffer pool's accumulated counters.
 	IO storage.IOStats `json:"io"`
-	// ReachBackend is the reachability-index backend the database's graph
-	// codes were computed by ("twohop", "pll", ...).
-	ReachBackend string `json:"reach_backend"`
 	// UptimeSeconds is time since New.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
@@ -376,7 +373,6 @@ func (s *Server) Stats() Stats {
 		UptimeSeconds:          time.Since(s.start).Seconds(),
 	}
 	if !s.db.Closed() {
-		st.ReachBackend = s.db.ReachBackend()
 		st.IO = s.db.IOStats()
 		st.DecodedMemoNodes, st.PartnerTables, st.DecodedMemoResets = s.db.DecodedMemoStats()
 		st.DecodedMemoBytes = 4 * st.DecodedMemoNodes

@@ -1,8 +1,9 @@
 // Package twohop computes 2-hop reachability covers and labelings for
 // directed graphs (Cohen et al., SODA'02; the paper's reference [17]),
 // playing the role of the fast 2-hop computation of the authors' EDBT'06
-// algorithm (reference [15]). It is the default reach.Index backend
-// ("twohop"), registered with the reach registry at init.
+// algorithm (reference [15]). It is the one reachability labeling the
+// engine stores; internal/reach maintains it under edge inserts and
+// deletes.
 //
 // A 2-hop cover H = {S(U_w, w, V_w), ...} assigns every node v a label
 // L(v) = (L_in(v), L_out(v)) such that u ⇝ v iff L_out(u) ∩ L_in(v) ≠ ∅,
@@ -16,9 +17,9 @@
 // from (to) w is not already answerable from previously assigned labels.
 // The labeling core itself (serial reference construction and the
 // batch-parallel construction with serial reconciliation) lives in
-// reach.PrunedLabeling, shared with the pll backend. Every valid 2-hop
-// cover supports the same R-join semantics; this construction keeps
-// |H|/|V| in the small-constant band the paper reports.
+// labeling.go. Every valid 2-hop cover supports the same R-join
+// semantics; this construction keeps |H|/|V| in the small-constant band
+// the paper reports.
 //
 // Following Example 3.1 of the paper, the labels returned by In and Out are
 // "compact": the node itself is removed. Full graph codes are
@@ -34,11 +35,7 @@ import (
 	"sync"
 
 	"fastmatch/internal/graph"
-	"fastmatch/internal/reach"
 )
-
-// BackendName is the name this package registers with the reach registry.
-const BackendName = "twohop"
 
 // CenterOrder selects the landmark processing order, which determines cover
 // size (not correctness).
@@ -101,7 +98,6 @@ func buildWorkers(p int) int {
 
 // Cover is a computed 2-hop reachability labeling for a graph.
 // It is immutable after Compute and safe for concurrent readers.
-// It implements reach.Index.
 type Cover struct {
 	g   *graph.Graph
 	scc *graph.SCC
@@ -144,7 +140,7 @@ func Compute(g *graph.Graph, opt Options) *Cover {
 	}
 
 	workers := buildWorkers(opt.Parallelism)
-	compIn, compOut := reach.PrunedLabeling(nc, scc.CondSuccessors, scc.CondPredecessors, order, rank, workers)
+	compIn, compOut := prunedLabeling(nc, scc.CondSuccessors, scc.CondPredecessors, order, rank, workers)
 
 	cov := &Cover{
 		g:      g,
@@ -248,9 +244,6 @@ func centerOrder(scc *graph.SCC, opt Options) []int32 {
 	}
 }
 
-// Backend returns the registered backend name, "twohop".
-func (c *Cover) Backend() string { return BackendName }
-
 // Graph returns the graph this cover labels.
 func (c *Cover) Graph() *graph.Graph { return c.g }
 
@@ -316,13 +309,25 @@ func containsSorted(a []graph.NodeID, x graph.NodeID) bool {
 	return lo < len(a) && a[lo] == x
 }
 
-// Stats is the shared per-backend index summary.
-type Stats = reach.Stats
+// Stats summarises a computed cover.
+type Stats struct {
+	Nodes      int
+	Edges      int
+	Components int     // SCC count of the indexed graph
+	Size       int     // |H| = Σ_v |in(v)| + |out(v)| (compact entries)
+	Ratio      float64 // |H| / |V|
+	MaxIn      int
+	MaxOut     int
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("twohop{|V|=%d |E|=%d scc=%d |H|=%d |H|/|V|=%.3f maxIn=%d maxOut=%d}",
+		s.Nodes, s.Edges, s.Components, s.Size, s.Ratio, s.MaxIn, s.MaxOut)
+}
 
 // Stats computes summary statistics.
 func (c *Cover) Stats() Stats {
 	s := Stats{
-		Backend:    BackendName,
 		Nodes:      c.g.NumNodes(),
 		Edges:      c.g.NumEdges(),
 		Components: c.scc.NumComponents(),
@@ -344,42 +349,16 @@ func (c *Cover) Stats() Stats {
 
 // Verify exhaustively checks that the cover agrees with BFS reachability on
 // every node pair of its graph, returning the first disagreement. It is
-// O(|V|²·|V+E|) — a debugging and acceptance tool for small graphs, also
-// usable on an Incremental labeling via its own Reaches.
-func (c *Cover) Verify() error { return reach.VerifyIndex(c) }
-
-// Incremental, LabelDelta and the incremental-repair machinery are shared
-// across backends; see fastmatch/internal/reach. The aliases keep the
-// historical twohop names working.
-type (
-	Incremental = reach.Incremental
-	LabelDelta  = reach.LabelDelta
-)
-
-// NewIncremental seeds an updatable labeling from a computed cover and its
-// graph's adjacency.
-func NewIncremental(c *Cover) *Incremental { return reach.NewIncremental(c) }
-
-// NewIncrementalFromLabels seeds an updatable labeling from g's adjacency
-// and already-materialised compact label lists; see
-// reach.NewIncrementalFromLabels.
-func NewIncrementalFromLabels(g *graph.Graph, in, out [][]graph.NodeID) *Incremental {
-	return reach.NewIncrementalFromLabels(g, in, out)
-}
-
-// backend adapts this package to the reach.Backend interface.
-type backend struct{}
-
-func init() { reach.Register(backend{}) }
-
-func (backend) Name() string { return BackendName }
-
-func (backend) Build(g *graph.Graph, opt reach.Options) reach.Index {
-	return Compute(g, Options{Seed: opt.Seed, Parallelism: opt.Parallelism})
-}
-
-func (backend) Dynamic(idx reach.Index) reach.Dynamic { return reach.NewIncremental(idx) }
-
-func (backend) DynamicFromLabels(g *graph.Graph, in, out [][]graph.NodeID) reach.Dynamic {
-	return reach.NewIncrementalFromLabels(g, in, out)
+// O(|V|²·|V+E|) — a debugging and acceptance tool for small graphs.
+func (c *Cover) Verify() error {
+	g := c.g
+	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+		r := graph.ReachableFrom(g, u)
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			if got := c.Reaches(u, v); got != r[v] {
+				return fmt.Errorf("twohop: cover disagrees with BFS on (%d, %d): labeling says %v", u, v, got)
+			}
+		}
+	}
+	return nil
 }

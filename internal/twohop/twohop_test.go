@@ -283,3 +283,66 @@ func insertForTest(s []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// TestLabelMinimality pins what pruning buys: the representative of
+// component c enters a label of component d only when no higher-ranked
+// component h lies between them (c ⇝ h ⇝ d, h ≠ c) — h was labeled first,
+// and its labels pruned c's BFS at d. Symmetrically for Out. In particular
+// the top-ranked component's members carry nothing but its own
+// representative.
+func TestLabelMinimality(t *testing.T) {
+	for _, seed := range []int64{3, 4, 5} {
+		g := randomGraph(seed, 60, 150, 3)
+		c := Compute(g, Options{})
+		nc := c.scc.NumComponents()
+		rank := make([]int, nc)
+		for r, comp := range centerOrder(c.scc, Options{}) {
+			rank[comp] = r
+		}
+		closure := make([][]bool, nc) // closure[a][v]: component a reaches node v
+		for a := range closure {
+			closure[a] = graph.ReachableFrom(g, c.rep[a])
+		}
+		reaches := func(a, b int32) bool { return closure[a][c.rep[b]] }
+		// between finds a component ranked above entry on a path from → to.
+		between := func(from, to, entry int32) (int32, bool) {
+			for h := int32(0); h < int32(nc); h++ {
+				if h != entry && rank[h] < rank[entry] && reaches(from, h) && reaches(h, to) {
+					return h, true
+				}
+			}
+			return 0, false
+		}
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			cv := c.scc.Comp[v]
+			for _, w := range c.In(v) {
+				cw := c.compOf[w]
+				if cw < 0 || !reaches(cw, cv) {
+					t.Fatalf("seed %d: unsound entry %d ∈ In(%d)", seed, w, v)
+				}
+				if h, ok := between(cw, cv, cw); ok {
+					t.Fatalf("seed %d: redundant entry %d ∈ In(%d): higher-ranked component %d between", seed, w, v, h)
+				}
+			}
+			for _, w := range c.Out(v) {
+				cw := c.compOf[w]
+				if cw < 0 || !reaches(cv, cw) {
+					t.Fatalf("seed %d: unsound entry %d ∈ Out(%d)", seed, w, v)
+				}
+				if h, ok := between(cv, cw, cw); ok {
+					t.Fatalf("seed %d: redundant entry %d ∈ Out(%d): higher-ranked component %d between", seed, w, v, h)
+				}
+			}
+		}
+		top := centerOrder(c.scc, Options{})[0]
+		for _, v := range c.scc.Members(top) {
+			for _, l := range [][]graph.NodeID{c.In(v), c.Out(v)} {
+				for _, w := range l {
+					if w != c.rep[top] {
+						t.Fatalf("seed %d: node %d of the top-ranked component carries %d", seed, v, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,14 +1,10 @@
 package fastmatch
 
 import (
-	"fmt"
 	"sync"
 
 	"fastmatch/internal/reach"
-
-	// Register the built-in backends for NewReachabilityOracleBackend.
-	_ "fastmatch/internal/pll"
-	_ "fastmatch/internal/twohop"
+	"fastmatch/internal/twohop"
 )
 
 // ReachabilityOracle answers u ⇝ v questions over a graph that changes by
@@ -21,37 +17,16 @@ import (
 //
 // Methods are safe for concurrent use.
 type ReachabilityOracle struct {
-	mu      sync.Mutex
-	backend string
-	inc     *reach.Incremental
+	mu  sync.Mutex
+	inc *reach.Incremental
 }
 
-// NewReachabilityOracle builds the initial labeling for g with the default
-// reachability backend. Later edge insertions and deletions go through
-// InsertEdge/DeleteEdge and do not affect g itself.
+// NewReachabilityOracle builds the initial 2-hop labeling for g. Later
+// edge insertions and deletions go through InsertEdge/DeleteEdge and do
+// not affect g itself.
 func NewReachabilityOracle(g *Graph) *ReachabilityOracle {
-	o, err := NewReachabilityOracleBackend(g, "")
-	if err != nil {
-		panic(err) // unreachable: the default backend is always registered
-	}
-	return o
+	return &ReachabilityOracle{inc: reach.NewIncremental(twohop.Compute(g, twohop.Options{}))}
 }
-
-// NewReachabilityOracleBackend is NewReachabilityOracle with an explicit
-// reachability backend ("twohop", "pll", ...; empty selects the default —
-// see ReachBackends). It errors only on an unknown backend name.
-func NewReachabilityOracleBackend(g *Graph, backend string) (*ReachabilityOracle, error) {
-	b, err := reach.Lookup(backend)
-	if err != nil {
-		return nil, fmt.Errorf("fastmatch: reachability oracle: %w", err)
-	}
-	idx := b.Build(g, reach.Options{})
-	return &ReachabilityOracle{backend: b.Name(), inc: reach.NewIncremental(idx)}, nil
-}
-
-// Backend reports the name of the reachability backend the oracle's
-// labeling was built by.
-func (o *ReachabilityOracle) Backend() string { return o.backend }
 
 // Reaches reports u ⇝ v under all insertions and deletions so far.
 func (o *ReachabilityOracle) Reaches(u, v NodeID) bool {

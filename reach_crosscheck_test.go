@@ -9,16 +9,16 @@ import (
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 	"fastmatch/internal/pattern"
-	"fastmatch/internal/reach"
+	"fastmatch/internal/twohop"
 	"fastmatch/internal/xmark"
 )
 
-// Cross-backend equivalence: every registered reachability backend is a
-// different algorithm producing a different labeling over the same graph,
-// but all of them must answer the same questions — all-pairs Reaches, and
-// identical result rows from an engine built on their codes. A divergence
-// here is a backend correctness bug by construction (one of them
-// contradicts BFS).
+// Cross-labeling equivalence: a graph has many valid 2-hop labelings — the
+// cover gdb.Build computes, the same construction in other landmark orders,
+// and whatever a database written by an earlier version stores — but all of
+// them must answer the same questions: all-pairs Reaches, and identical
+// result rows from an engine built on their codes. A divergence here is a
+// labeling or engine bug by construction (one of them contradicts BFS).
 
 // crossGraphs is the graph battery: random digraphs in several density
 // regimes (cycle-heavy, sparse, disconnected) plus an XMark-derived graph.
@@ -46,38 +46,31 @@ func crossGraphs() map[string]*graph.Graph {
 	}
 }
 
-// TestReachCrossBackendAgreement builds every registered backend over each
-// battery graph and asserts all-pairs Reaches agreement (anchored to BFS
-// truth via the first backend's Verify).
+// TestReachCrossBackendAgreement builds the cover in every landmark order
+// over each battery graph and asserts all-pairs Reaches agreement (anchored
+// to BFS truth via the first cover's Verify).
 func TestReachCrossBackendAgreement(t *testing.T) {
-	names := reach.Names()
-	if len(names) < 2 {
-		t.Fatalf("expected at least two registered backends, have %v", names)
-	}
+	orders := []twohop.CenterOrder{twohop.OrderDegreeProduct, twohop.OrderTopological, twohop.OrderRandom}
 	for gname, g := range crossGraphs() {
 		t.Run(gname, func(t *testing.T) {
-			idxs := make([]reach.Index, len(names))
-			for i, name := range names {
-				b, err := reach.Lookup(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				idxs[i] = b.Build(g, reach.Options{})
+			covers := make([]*twohop.Cover, len(orders))
+			for i, ord := range orders {
+				covers[i] = twohop.Compute(g, twohop.Options{Order: ord, Seed: 1})
 			}
-			// Anchor: the first backend against BFS truth; the rest against
+			// Anchor: the first cover against BFS truth; the rest against
 			// the first (transitively all against truth, without paying the
-			// O(|V|²·BFS) verify per backend).
-			if err := idxs[0].Verify(); err != nil {
-				t.Fatalf("%s: %v", names[0], err)
+			// O(|V|²·BFS) verify per cover).
+			if err := covers[0].Verify(); err != nil {
+				t.Fatalf("%s: %v", orders[0], err)
 			}
 			n := g.NumNodes()
 			for u := graph.NodeID(0); int(u) < n; u++ {
 				for v := graph.NodeID(0); int(v) < n; v++ {
-					want := idxs[0].Reaches(u, v)
-					for i := 1; i < len(idxs); i++ {
-						if got := idxs[i].Reaches(u, v); got != want {
+					want := covers[0].Reaches(u, v)
+					for i := 1; i < len(covers); i++ {
+						if got := covers[i].Reaches(u, v); got != want {
 							t.Fatalf("Reaches(%d,%d): %s says %v, %s says %v",
-								u, v, names[i], got, names[0], want)
+								u, v, orders[i], got, orders[0], want)
 						}
 					}
 				}
@@ -86,23 +79,15 @@ func TestReachCrossBackendAgreement(t *testing.T) {
 	}
 }
 
-// TestReachCrossBackendQueries builds one engine per backend over the same
-// XMark graph and asserts identical sorted result rows on the pattern
-// battery, DP and DPS.
+// TestReachCrossBackendQueries builds one engine per stored labeling over
+// the same XMark graph and asserts identical sorted result rows on the
+// pattern battery, DP and DPS.
 func TestReachCrossBackendQueries(t *testing.T) {
 	g := xmark.Generate(xmark.Config{Nodes: 1200, Seed: 9}).Graph
-	names := reach.Names()
-	dbs := make([]*gdb.DB, len(names))
-	for i, name := range names {
-		db, err := gdb.Build(g, gdb.Options{ReachIndex: name})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		defer db.Close()
-		if db.ReachBackend() != name {
-			t.Fatalf("built %q, engine reports %q", name, db.ReachBackend())
-		}
-		dbs[i] = db
+	dbs := make([]*gdb.DB, len(labelings))
+	for i, l := range labelings {
+		dbs[i] = buildLabeled(t, g, l.opt)
+		defer dbs[i].Close()
 	}
 	for _, w := range diffWorkloads() {
 		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
@@ -111,7 +96,7 @@ func TestReachCrossBackendQueries(t *testing.T) {
 				got := sortedRows(t, dbs[i], w.Pattern, algo)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %s: %s returned %d rows, %s returned %d",
-						w.Name, algo, names[i], len(got), names[0], len(want))
+						w.Name, algo, labelings[i].name, len(got), labelings[0].name, len(want))
 				}
 			}
 		}
@@ -119,9 +104,9 @@ func TestReachCrossBackendQueries(t *testing.T) {
 }
 
 // FuzzReachCrossBackend lets the fuzzer shape the graph: whatever digraph
-// the bytes encode, every registered backend must agree with BFS truth on
-// all pairs, and an engine built from each backend's codes must return the
-// same rows for a fixed two-edge pattern.
+// the bytes encode, both stored labelings must agree with BFS truth on all
+// pairs, and an engine built on each must return the same rows for a fixed
+// two-edge pattern.
 func FuzzReachCrossBackend(f *testing.F) {
 	f.Add(int64(1), []byte{0x01, 0x02, 0x02, 0x03, 0x03, 0x01})
 	f.Add(int64(5), []byte{0x00, 0x01, 0x10, 0x11, 0x22, 0x08})
@@ -142,44 +127,20 @@ func FuzzReachCrossBackend(f *testing.F) {
 		}
 		g := b.Build()
 
-		names := reach.Names()
-		idxs := make([]reach.Index, len(names))
-		for i, name := range names {
-			bk, err := reach.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idxs[i] = bk.Build(g, reach.Options{})
-			if err := idxs[i].Verify(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		for u := graph.NodeID(0); int(u) < n; u++ {
-			for v := graph.NodeID(0); int(v) < n; v++ {
-				want := idxs[0].Reaches(u, v)
-				for i := 1; i < len(idxs); i++ {
-					if got := idxs[i].Reaches(u, v); got != want {
-						t.Fatalf("Reaches(%d,%d): %s says %v, %s says %v",
-							u, v, names[i], got, names[0], want)
-					}
-				}
-			}
-		}
-
 		p := pattern.MustParse("A->B; B->C")
 		var want [][]graph.NodeID
-		for i, name := range names {
-			db, err := gdb.Build(g, gdb.Options{ReachIndex: name})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		for i, l := range labelings {
+			if err := twohop.Compute(g, l.opt).Verify(); err != nil {
+				t.Fatalf("%s: %v", l.name, err)
 			}
+			db := buildLabeled(t, g, l.opt)
 			rows := sortedRows(t, db, p, exec.DPS)
 			db.Close()
 			if i == 0 {
 				want = rows
 			} else if !reflect.DeepEqual(rows, want) {
 				t.Fatalf("query rows: %s returned %d, %s returned %d",
-					name, len(rows), names[0], len(want))
+					l.name, len(rows), labelings[0].name, len(want))
 			}
 		}
 	})
