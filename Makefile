@@ -49,12 +49,13 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 
 # test-cover enforces a per-package statement-coverage floor on the
-# reachability packages: the 2-hop cover and its labeling core (twohop)
-# and its incremental repair (reach). These packages carry the correctness
-# story for every graph code the engine stores, so untested lines there
-# are disallowed rather than discouraged.
+# reachability packages — the 2-hop cover and its labeling core (twohop)
+# and its incremental repair (reach), which carry the correctness story for
+# every graph code the engine stores — and on the optimizer, whose DP and
+# DPS plans every query runs. Untested lines there are disallowed rather
+# than discouraged.
 COVER_FLOOR ?= 80
-COVER_PKGS   = ./internal/reach ./internal/twohop
+COVER_PKGS   = ./internal/reach ./internal/twohop ./internal/optimizer
 test-cover:
 	@set -e; for pkg in $(COVER_PKGS); do \
 		out=$$($(GO) test -cover $$pkg); echo "$$out"; \

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -365,12 +366,12 @@ func TestBenchList(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "table2 fig5a fig5b fig6a fig6b fig6c fig6d fig7a fig7b fig7c iocost " +
-		"ablation-order ablation-pool ablation-merged ablation-naive"
+		"ablation-order ablation-pool ablation-naive"
 	if got := strings.Join(strings.Fields(string(out)), " "); got != want {
 		t.Fatalf("fgmbench -list:\n got %s\nwant %s", got, want)
 	}
 	for _, args := range [][]string{
-		{"-exp", "rjoin"}, {"-exp", "ablation-wcache"},
+		{"-exp", "rjoin"}, {"-exp", "ablation-wcache"}, {"-exp", "ablation-merged"},
 		{"-exp", "table2", "-out", "x.json"}, {"-exp", "table2", "-compare", "x.json"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -394,13 +395,17 @@ func TestCLIErrors(t *testing.T) {
 	fails(t, "run", "./cmd/fgmbench", "-exp", "nope")
 	// Both binaries parse -algo with fastmatch.ParseAlgorithm before they
 	// open the graph: a known spelling gets as far as the missing -graph,
-	// an unknown one is refused with the parser's message.
-	for _, c := range [][2]string{{"./cmd/fgmserve", "wcoj"}, {"./cmd/fgmatch", "dps-merged"}} {
+	// an unknown one — including the retired "dps-merged" — is refused with
+	// the parser's message.
+	for _, c := range [][2]string{{"./cmd/fgmserve", "wcoj"}, {"./cmd/fgmatch", "dp"}} {
 		if out := fails(t, "run", c[0], "-algo", c[1]); !strings.Contains(out, "-graph is required") {
 			t.Fatalf("%s -algo %s should be accepted: %s", c[0], c[1], out)
 		}
-		if out := fails(t, "run", c[0], "-algo", "nope"); !strings.Contains(out, `unknown algorithm "nope" (want dp, dps, dps-merged, or wcoj)`) {
-			t.Fatalf("%s -algo nope: %s", c[0], out)
+		for _, bad := range []string{"nope", "dps-merged"} {
+			want := fmt.Sprintf("unknown algorithm %q (want dp, dps, or wcoj)", bad)
+			if out := fails(t, "run", c[0], "-algo", bad); !strings.Contains(out, want) {
+				t.Fatalf("%s -algo %s: %s", c[0], bad, out)
+			}
 		}
 	}
 	// Removed flags are usage errors (status 2): operators run on the

@@ -36,7 +36,7 @@ func run() error {
 	var (
 		graphPath   = flag.String("graph", "", "data graph file (text format; required)")
 		query       = flag.String("query", "", "pattern, e.g. \"A->C; B->C\"")
-		algo        = flag.String("algo", "dps", "optimizer: dp, dps, dps-merged, or wcoj (forced multiway join)")
+		algo        = flag.String("algo", "dps", "optimizer: dp, dps, or wcoj (forced multiway join)")
 		explain     = flag.Bool("explain", false, "print the chosen plan (operator kinds, variable order, cost estimates) instead of running it")
 		analyze     = flag.Bool("analyze", false, "run and print per-step rows/IO/time")
 		stats       = flag.Bool("stats", false, "print index statistics")

@@ -53,7 +53,7 @@ func run() error {
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently executing queries (default 8)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max wait for an execution slot before 429 (default 100ms)")
 		planCache    = flag.Int("plancache", 0, "plan cache entries (default 256; -1 disables)")
-		algo         = flag.String("algo", "dps", "default optimizer: dp, dps, dps-merged, or wcoj")
+		algo         = flag.String("algo", "dps", "default optimizer: dp, dps, or wcoj")
 		timeout      = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
 		maxTableRows = flag.Int("max-table-rows", 0, "per-query intermediate-table row budget (0 = unbounded; exceeding answers 422)")
 		maxIMBytes   = flag.Int64("max-intermediate-bytes", 0, "per-query intermediate-result byte budget (0 = unbounded; exceeding answers 422)")

@@ -17,7 +17,7 @@ import (
 
 // TestAllSystemsAgree is the repository's acceptance test: on an
 // XMark-substitute DAG, every implemented system — the naive matcher, the
-// R-join engine under DP, DPS, and DPS-merged plans, TwigStackD, and
+// R-join engine under DP and DPS plans, TwigStackD, and
 // INT-DP/IGMJ — returns the identical result set for every path and tree
 // workload of Figure 5 (TSD only supports twigs, which is why this runs on
 // the path/tree batteries).
@@ -54,7 +54,7 @@ func TestAllSystemsAgree(t *testing.T) {
 		want.SortRows()
 
 		results := map[string]*rjoin.Table{}
-		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.DPSMerged} {
+		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
 			res, err := exec.Query(db, w.Pattern, algo)
 			if err != nil {
 				t.Fatalf("%s %s: %v", w.Name, algo, err)
@@ -129,7 +129,7 @@ func TestAllSystemsAgreeCyclic(t *testing.T) {
 			t.Fatalf("%s naive: %v", w.Name, err)
 		}
 		want.SortRows()
-		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.DPSMerged} {
+		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
 			res, err := exec.Query(db, w.Pattern, algo)
 			if err != nil {
 				t.Fatalf("%s %s: %v", w.Name, algo, err)

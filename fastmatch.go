@@ -107,10 +107,6 @@ const (
 	// DPS interleaves R-joins with R-semijoins (Section 4.2); the default
 	// and usually the fastest.
 	DPS = exec.DPS
-	// DPSMerged is DPS over a reduced status space (B_in and B_out merged
-	// — the paper's O(3^n) variant): faster planning, slightly coarser
-	// plans.
-	DPSMerged = exec.DPSMerged
 	// WCOJ forces a single worst-case-optimal multiway R-join over the
 	// whole pattern (leapfrog intersection in one global variable order).
 	// The DP/DPS planners already consider WCOJ steps for cyclic cores and
@@ -119,8 +115,8 @@ const (
 	WCOJ = exec.WCOJ
 )
 
-// ParseAlgorithm maps an algorithm name ("dp", "dps", "dps-merged", "wcoj";
-// empty selects DPS) to an Algorithm. It is the parser behind the -algo
+// ParseAlgorithm maps an algorithm name ("dp", "dps", "wcoj"; empty
+// selects DPS) to an Algorithm. It is the parser behind the -algo
 // flags and the HTTP API's "algorithm" field.
 func ParseAlgorithm(name string) (Algorithm, error) { return exec.ParseAlgorithm(name) }
 

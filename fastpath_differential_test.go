@@ -64,7 +64,7 @@ var fastpathBattery = []string{
 	"Z->A; A->B",
 }
 
-var allPlanners = []exec.Algorithm{exec.DP, exec.DPS, exec.DPSMerged, exec.WCOJ}
+var allPlanners = []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ}
 
 // servedBattery is what the served-path benchmark sends: the paper's path,
 // tree and graph patterns plus the cyclic battery, over XMark labels.

@@ -6,7 +6,6 @@ import (
 
 	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
-	"fastmatch/internal/optimizer"
 	"fastmatch/internal/twohop"
 	"fastmatch/internal/workload"
 )
@@ -15,7 +14,7 @@ import (
 // not paper artifacts; run them with `fgmbench -exp ablations` or by ID.
 
 // AblationIDs lists the ablation experiment IDs.
-var AblationIDs = []string{"ablation-order", "ablation-pool", "ablation-merged", "ablation-naive"}
+var AblationIDs = []string{"ablation-order", "ablation-pool", "ablation-naive"}
 
 // ablationScale is the mid ladder point, enough to show the effects without
 // slow rebuilds (each ablation builds several database variants).
@@ -91,55 +90,6 @@ func (r *Runner) AblationPoolSize() (*Report, error) {
 		db.Close()
 		rep.AddRow(fmt.Sprintf("%dKB", poolBytes>>10), ms(m.ElapsedMS),
 			fmt.Sprintf("%d", m.IO), fmt.Sprintf("%d", stats.reads), fmt.Sprintf("%d", stats.writes))
-	}
-	return rep, nil
-}
-
-// AblationDPSMerged compares full DPS (O(5^n) statuses) with the merged-B
-// variant (O(3^n)): planning time, estimated cost, and actual execution.
-func (r *Runner) AblationDPSMerged() (*Report, error) {
-	rep := &Report{
-		ID:    "ablation-merged",
-		Title: "DPS vs DPS-merged (B_in∪B_out): planning and execution",
-		Header: []string{"query", "plan µs (DPS)", "plan µs (merged)",
-			"exec ms (DPS)", "exec ms (merged)", "io (DPS)", "io (merged)"},
-	}
-	db, err := r.db(r.ablationScale())
-	if err != nil {
-		return nil, err
-	}
-	snap, release := db.Pin()
-	defer release()
-	for _, w := range workload.Graphs5B() {
-		bind, err := optimizer.Bind(snap, w.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		startFull := time.Now()
-		if _, err := optimizer.OptimizeDPS(bind, optimizer.DefaultCostParams()); err != nil {
-			return nil, err
-		}
-		fullPlanUS := time.Since(startFull).Microseconds()
-		startMerged := time.Now()
-		if _, err := optimizer.OptimizeDPSMerged(bind, optimizer.DefaultCostParams()); err != nil {
-			return nil, err
-		}
-		mergedPlanUS := time.Since(startMerged).Microseconds()
-
-		mFull, err := r.timeQuery(db, w.Pattern, exec.DPS)
-		if err != nil {
-			return nil, err
-		}
-		mMerged, err := r.timeQuery(db, w.Pattern, exec.DPSMerged)
-		if err != nil {
-			return nil, err
-		}
-		if mFull.Rows != mMerged.Rows {
-			return nil, fmt.Errorf("ablation-merged %s: row mismatch %d vs %d", w.Name, mFull.Rows, mMerged.Rows)
-		}
-		rep.AddRow(w.Name, fmt.Sprintf("%d", fullPlanUS), fmt.Sprintf("%d", mergedPlanUS),
-			ms(mFull.ElapsedMS), ms(mMerged.ElapsedMS),
-			fmt.Sprintf("%d", mFull.IO), fmt.Sprintf("%d", mMerged.IO))
 	}
 	return rep, nil
 }

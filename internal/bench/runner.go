@@ -317,8 +317,6 @@ func (r *Runner) ByID(id string) (*Report, error) {
 		return r.AblationCenterOrder()
 	case "ablation-pool":
 		return r.AblationPoolSize()
-	case "ablation-merged":
-		return r.AblationDPSMerged()
 	case "ablation-naive":
 		return r.AblationNaive()
 	default:

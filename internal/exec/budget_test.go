@@ -21,7 +21,7 @@ func TestBudgetCrosscheck(t *testing.T) {
 
 	for _, ps := range execPatterns {
 		p := pattern.MustParse(ps)
-		for _, algo := range []Algorithm{DP, DPS, DPSMerged} {
+		for _, algo := range []Algorithm{DP, DPS} {
 			plan, err := BuildPlanSnapConfig(snap, p, algo, PlanConfig{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", ps, algo, err)

@@ -446,9 +446,6 @@ const (
 	DPS Algorithm = iota
 	// DP is R-join order selection only (Section 4.1).
 	DP
-	// DPSMerged is DPS over the reduced status space with B_in and B_out
-	// merged (the O(3^n) variant of Section 4.2).
-	DPSMerged
 	// WCOJ forces the whole pattern through one worst-case-optimal multiway
 	// R-join (leapfrog intersection), bypassing cost-based selection. The
 	// DP/DPS planners already consider WCOJ steps for cyclic cores; this
@@ -460,8 +457,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case DP:
 		return "DP"
-	case DPSMerged:
-		return "DPS-merged"
 	case WCOJ:
 		return "WCOJ"
 	default:
@@ -469,20 +464,18 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm maps the common spellings ("dp", "dps", "dps-merged",
-// "wcoj") to an Algorithm; empty selects the default (DPS).
+// ParseAlgorithm maps the common spellings ("dp", "dps", "wcoj") to an
+// Algorithm; empty selects the default (DPS).
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
 	case "", "dps", "DPS":
 		return DPS, nil
 	case "dp", "DP":
 		return DP, nil
-	case "dps-merged", "dpsmerged", "DPS-merged":
-		return DPSMerged, nil
 	case "wcoj", "WCOJ":
 		return WCOJ, nil
 	default:
-		return DPS, fmt.Errorf("exec: unknown algorithm %q (want dp, dps, dps-merged, or wcoj)", s)
+		return DPS, fmt.Errorf("exec: unknown algorithm %q (want dp, dps, or wcoj)", s)
 	}
 }
 
@@ -523,8 +516,6 @@ func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc Pla
 	switch algo {
 	case DP:
 		plan, err = optimizer.OptimizeDP(b, params)
-	case DPSMerged:
-		plan, err = optimizer.OptimizeDPSMerged(b, params)
 	case WCOJ:
 		plan, err = optimizer.OptimizeWCOJ(b, params)
 	default:

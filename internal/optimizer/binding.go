@@ -9,6 +9,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -17,6 +18,23 @@ import (
 	"fastmatch/internal/pattern"
 	"fastmatch/internal/rjoin"
 )
+
+// ErrPattern marks planning failures the pattern itself causes: a label
+// the data graph lacks, or a pattern too large or too disconnected for the
+// chosen planner. Any other error from Prefilter, Bind or a planner — a
+// closed database or a failed page read while binding, a planner producing
+// an invalid plan — is not the query's fault. Match with errors.Is.
+var ErrPattern = errors.New("optimizer: pattern cannot be planned")
+
+// patternError is an ErrPattern with its own message.
+type patternError struct{ msg string }
+
+func (e *patternError) Error() string        { return e.msg }
+func (e *patternError) Is(target error) bool { return target == ErrPattern }
+
+func patternErrorf(format string, args ...any) error {
+	return &patternError{msg: fmt.Sprintf(format, args...)}
+}
 
 // Binding resolves a pattern against a database: pattern nodes to data
 // labels, pattern edges to operator conditions, and the statistics the cost
@@ -62,7 +80,7 @@ func Bind(db *gdb.Snap, p *pattern.Pattern) (*Binding, error) {
 	for i, name := range p.Nodes {
 		l := g.Labels().Lookup(name)
 		if l == graph.InvalidLabel {
-			return nil, fmt.Errorf("optimizer: label %q not in data graph", name)
+			return nil, patternErrorf("optimizer: label %q not in data graph", name)
 		}
 		b.Labels[i] = l
 		b.Ext[i] = float64(g.ExtentSize(l))

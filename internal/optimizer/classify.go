@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
-
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 	"fastmatch/internal/pattern"
@@ -141,7 +139,7 @@ func Prefilter(db *gdb.Snap, p *pattern.Pattern) (*Plan, error) {
 	for i, name := range p.Nodes {
 		l := g.Labels().Lookup(name)
 		if l == graph.InvalidLabel {
-			return nil, fmt.Errorf("optimizer: label %q not in data graph", name)
+			return nil, patternErrorf("optimizer: label %q not in data graph", name)
 		}
 		labels[i] = l
 		ext[i] = float64(g.ExtentSize(l))

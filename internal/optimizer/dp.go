@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -14,7 +13,7 @@ func OptimizeDP(b *Binding, params CostParams) (*Plan, error) {
 	pat := b.Pattern
 	m := pat.NumEdges()
 	if m > 30 {
-		return nil, fmt.Errorf("optimizer: pattern with %d edges too large for DP", m)
+		return nil, patternErrorf("optimizer: pattern with %d edges too large for DP", m)
 	}
 	full := (uint32(1) << m) - 1
 
@@ -127,7 +126,7 @@ func OptimizeDP(b *Binding, params CostParams) (*Plan, error) {
 
 	final := states[full]
 	if final == nil || !final.set {
-		return nil, fmt.Errorf("optimizer: DP found no complete plan (pattern disconnected?)")
+		return nil, patternErrorf("optimizer: DP found no complete plan (pattern disconnected?)")
 	}
 	// Reconstruct, annotating each step with its cumulative estimates.
 	var rev []Step
@@ -161,6 +160,3 @@ func ratio(num, den float64) float64 {
 	}
 	return num / den
 }
-
-// sanity guard referenced by tests.
-var _ = math.Inf

@@ -52,7 +52,7 @@ func OptimizeDPS(b *Binding, params CostParams) (*Plan, error) {
 	m := pat.NumEdges()
 	n := pat.NumNodes()
 	if m > 16 || n > 16 {
-		return nil, fmt.Errorf("optimizer: pattern with %d nodes/%d edges too large for DPS", n, m)
+		return nil, patternErrorf("optimizer: pattern with %d nodes/%d edges too large for DPS", n, m)
 	}
 	fullE := (uint32(1) << m) - 1
 
@@ -248,7 +248,7 @@ func OptimizeDPS(b *Binding, params CostParams) (*Plan, error) {
 		}
 	}
 	if bestInfo == nil {
-		return nil, fmt.Errorf("optimizer: DPS found no complete plan")
+		return nil, patternErrorf("optimizer: DPS found no complete plan")
 	}
 
 	// Reconstruct the move chain, annotating each step with the cumulative

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -210,12 +211,31 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hpsj0 := Step{Kind: StepHPSJ, Edges: []int{0}}
+	wcoj := func(edges, order []int) Step { return Step{Kind: StepWCOJ, Edges: edges, VarOrder: order} }
 	bad := []*Plan{
-		{Binding: b, Steps: []Step{{Kind: StepHPSJ, Edges: []int{0}}}},                                                 // edge 1 never done
-		{Binding: b, Steps: []Step{{Kind: StepFetch, Edges: []int{0}}}},                                                // fetch with nothing bound
-		{Binding: b, Steps: []Step{{Kind: StepHPSJ, Edges: []int{0}}, {Kind: StepHPSJ, Edges: []int{1}}}},              // HPSJ mid-plan
-		{Binding: b, Steps: []Step{{Kind: StepHPSJ, Edges: []int{0}}, {Kind: StepSelection, Edges: []int{1}}}},         // selection with unbound side
-		{Binding: b, Steps: []Step{{Kind: StepHPSJ, Edges: []int{0}}, {Kind: StepSemijoinGroup, Node: 0, Edges: nil}}}, // empty group
+		{Binding: b, Steps: []Step{hpsj0}},                                                                     // edge 1 never done
+		{Binding: b, Steps: []Step{{Kind: StepFetch, Edges: []int{0}}}},                                        // fetch with nothing bound
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepHPSJ, Edges: []int{1}}}},                                  // HPSJ mid-plan
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSelection, Edges: []int{1}}}},                             // selection with unbound side
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 0, Edges: nil}}},                     // empty group
+		{Binding: b, Steps: []Step{{Kind: StepHPSJ, Edges: []int{0, 1}}}},                                      // HPSJ over two edges
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepFetch, Edges: []int{0}}}},                                 // edge fetched twice
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepFetch, Edges: []int{1, 0}}}},                              // fetch over two edges
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSelection, Edges: []int{0}}}},                             // selection of a done edge
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSelection, Edges: []int{0, 1}}}},                          // selection over two edges
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 2, Edges: []int{1}}}},                // group on an unbound node
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, OutSide: true, Edges: []int{0}}}}, // group on a done edge
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, Edges: []int{1}}}},                // edge not on the in-side
+		{Binding: b, Steps: []Step{hpsj0, wcoj([]int{1}, []int{1, 2})}},                                        // WCOJ mid-plan
+		{Binding: b, Steps: []Step{wcoj([]int{0}, []int{0})}},                                                  // WCOJ over one variable
+		{Binding: b, Steps: []Step{wcoj([]int{0, 1}, []int{0, 1, 1})}},                                         // repeated variable
+		{Binding: b, Steps: []Step{wcoj([]int{0, 1, 0}, []int{0, 1, 2})}},                                      // edge twice
+		{Binding: b, Steps: []Step{wcoj([]int{0, 1}, []int{0, 1})}},                                            // edge outside the order
+		{Binding: b, Steps: []Step{wcoj([]int{0}, []int{0, 1, 2}), {Kind: StepFetch, Edges: []int{1}}}},        // variable with no edge
+		{Binding: b, Steps: []Step{{Kind: StepFastPath}}},                                                      // fastpath without a label
+		{Binding: b, Steps: []Step{{Kind: StepFastPath}, hpsj0}, Fast: &FastPath{Kind: FPImpossible}},          // fastpath not alone
+		{Binding: b, Steps: []Step{{Kind: StepKind(99)}}},                                                      // unknown kind
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -225,10 +245,104 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 }
 
 func TestStepKindString(t *testing.T) {
-	kinds := []StepKind{StepHPSJ, StepSemijoinGroup, StepFetch, StepJoinFilterFetch, StepSelection, StepKind(99)}
+	kinds := []StepKind{StepHPSJ, StepSemijoinGroup, StepFetch, StepJoinFilterFetch, StepSelection, StepWCOJ, StepFastPath, StepKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Fatalf("empty string for kind %d", int(k))
+		}
+	}
+}
+
+// TestPatternErrors: the failures a pattern causes — an unknown label, a
+// disconnected pattern for DP or forced WCOJ, too many nodes for DPS — are
+// ErrPattern, so a caller can tell them from storage errors met in Bind.
+func TestPatternErrors(t *testing.T) {
+	g := randomGraph(11, 200, 600, 17)
+	db := mustDB(t, g)
+	if _, err := Bind(db, pattern.MustParse("A->Z")); !errors.Is(err, ErrPattern) {
+		t.Fatalf("unknown label: %v, want ErrPattern", err)
+	}
+	// The parser refuses a disconnected pattern; a caller building one by
+	// hand still gets a typed error.
+	disconnected, err := Bind(db, &pattern.Pattern{Nodes: []string{"A", "B", "C", "D"}, Edges: []pattern.Edge{{From: 0, To: 1}, {From: 2, To: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func(*Binding, CostParams) (*Plan, error){"DP": OptimizeDP, "WCOJ": OptimizeWCOJ} {
+		if _, err := f(disconnected, DefaultCostParams()); !errors.Is(err, ErrPattern) {
+			t.Fatalf("%s on a disconnected pattern: %v, want ErrPattern", name, err)
+		}
+	}
+	var chain []string
+	for c := 'A'; c < 'Q'; c++ {
+		chain = append(chain, string(c)+"->"+string(c+1))
+	}
+	long, err := Bind(db, pattern.MustParse(strings.Join(chain, "; ")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OptimizeDPS(long, DefaultCostParams()); !errors.Is(err, ErrPattern) {
+		t.Fatalf("DPS over 17 nodes: %v, want ErrPattern", err)
+	}
+	if _, err := OptimizeWCOJ(&Binding{Pattern: &pattern.Pattern{Nodes: []string{"A"}}}, DefaultCostParams()); !errors.Is(err, ErrPattern) {
+		t.Fatalf("WCOJ over no edges: %v, want ErrPattern", err)
+	}
+}
+
+// TestWCOJPlansValid: the forced multiway plan is one WCOJ step over every
+// edge and every node.
+func TestWCOJPlansValid(t *testing.T) {
+	g := randomGraph(12, 120, 300, 5)
+	db := mustDB(t, g)
+	for _, ps := range testPatterns {
+		b, err := Bind(db, pattern.MustParse(ps))
+		if err != nil {
+			t.Fatalf("%s: %v", ps, err)
+		}
+		plan, err := OptimizeWCOJ(b, DefaultCostParams())
+		if err != nil {
+			t.Fatalf("%s: %v", ps, err)
+		}
+		if err := plan.Validate(); err != nil {
+			t.Fatalf("%s: invalid WCOJ plan: %v\n%s", ps, err, plan)
+		}
+		s := plan.Steps
+		if plan.Algorithm != "WCOJ" || len(s) != 1 || s[0].Kind != StepWCOJ || len(s[0].VarOrder) != b.Pattern.NumNodes() {
+			t.Fatalf("%s: not one WCOJ step over the whole pattern:\n%s", ps, plan)
+		}
+		if !strings.Contains(plan.String(), " order ") {
+			t.Fatalf("%s: plan string lacks the variable order:\n%s", ps, plan)
+		}
+	}
+}
+
+// TestSameStats: two bindings of one pattern on one snapshot agree, and
+// any changed statistic tells them apart.
+func TestSameStats(t *testing.T) {
+	g := randomGraph(13, 100, 250, 5)
+	db := mustDB(t, g)
+	p := pattern.MustParse("A->B; B->C")
+	b1, err := Bind(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []func(*Binding) []float64{
+		func(b *Binding) []float64 { return b.Ext },
+		func(b *Binding) []float64 { return b.JS },
+		func(b *Binding) []float64 { return b.DF },
+		func(b *Binding) []float64 { return b.DT },
+		func(b *Binding) []float64 { return b.WCount },
+	} {
+		b2, err := Bind(db, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b1.SameStats(b2) {
+			t.Fatal("two bindings of one snapshot differ")
+		}
+		field(b2)[0]++
+		if b1.SameStats(b2) {
+			t.Fatal("a changed statistic went unnoticed")
 		}
 	}
 }

@@ -309,10 +309,10 @@ func OptimizeWCOJ(b *Binding, params CostParams) (*Plan, error) {
 	pat := b.Pattern
 	m := pat.NumEdges()
 	if m == 0 {
-		return nil, fmt.Errorf("optimizer: WCOJ needs at least one edge")
+		return nil, patternErrorf("optimizer: WCOJ needs at least one edge")
 	}
 	if m > 30 || pat.NumNodes() > 30 {
-		return nil, fmt.Errorf("optimizer: pattern with %d nodes/%d edges too large for WCOJ", pat.NumNodes(), m)
+		return nil, patternErrorf("optimizer: pattern with %d nodes/%d edges too large for WCOJ", pat.NumNodes(), m)
 	}
 	edges := make([]int, m)
 	for i := range edges {
@@ -320,7 +320,7 @@ func OptimizeWCOJ(b *Binding, params CostParams) (*Plan, error) {
 	}
 	order := wcojVarOrder(b, edges)
 	if len(order) != pat.NumNodes() {
-		return nil, fmt.Errorf("optimizer: WCOJ requires a connected pattern")
+		return nil, patternErrorf("optimizer: WCOJ requires a connected pattern")
 	}
 	cost, rows := wcojEstimate(b, edges, order, params)
 	plan := &Plan{

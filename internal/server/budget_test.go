@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fastmatch/internal/gdb"
+	"fastmatch/internal/optimizer"
 	"fastmatch/internal/rjoin"
 	"fastmatch/internal/storage"
 )
@@ -228,8 +229,8 @@ func TestPlanSingleflight(t *testing.T) {
 func TestPlanSingleflightError(t *testing.T) {
 	s := testServer(t, Config{})
 	_, err := s.Query(context.Background(), "A->Z; Z->B", "")
-	if !errors.Is(err, ErrBadQuery) {
-		t.Fatalf("unknown label: %v, want ErrBadQuery", err)
+	if !errors.Is(err, ErrBadQuery) || !errors.Is(err, optimizer.ErrPattern) {
+		t.Fatalf("unknown label: %v, want ErrBadQuery wrapping optimizer.ErrPattern", err)
 	}
 	if statusFor(err) != http.StatusBadRequest {
 		t.Fatalf("unknown label status %d, want 400", statusFor(err))

@@ -53,16 +53,27 @@ func (e *OverloadError) Error() string {
 // Is makes errors.Is(err, ErrOverloaded) true for *OverloadError.
 func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 
-// ErrBadQuery marks client faults — pattern parse, algorithm, bind, and
-// plan errors. The HTTP layer maps it to 400; everything not explicitly
+// ErrBadQuery marks client faults — pattern parse and algorithm errors, a
+// pattern the planner cannot plan (optimizer.ErrPattern), a bad edge in a
+// write batch. The HTTP layer maps it to 400; everything not explicitly
 // classified (storage I/O, executor invariants) is a server fault and maps
 // to 500. Match with errors.Is.
 var ErrBadQuery = errors.New("server: invalid query")
 
-// badQuery wraps a parse/bind/plan error so it classifies as a client
-// fault while keeping the original message.
+// badQuery wraps a client-fault error so it classifies as ErrBadQuery
+// while keeping the cause in the chain.
 func badQuery(err error) error {
-	return fmt.Errorf("%w: %v", ErrBadQuery, err)
+	return fmt.Errorf("%w: %w", ErrBadQuery, err)
+}
+
+// planError classifies a Prefilter/Bind/planner error: only a pattern the
+// planner cannot plan is the client's fault. A closed database or a failed
+// page read while binding keeps its own class (503 or 500).
+func planError(err error) error {
+	if errors.Is(err, optimizer.ErrPattern) {
+		return badQuery(err)
+	}
+	return err
 }
 
 // Config tunes a Server. The zero value selects sensible defaults.
@@ -205,7 +216,7 @@ func (s *Server) DB() *gdb.DB { return s.db }
 func (s *Server) Config() Config { return s.cfg }
 
 // Query parses and evaluates a pattern. algo is a planner name ("dp",
-// "dps", "dps-merged", "wcoj"); empty selects the configured default.
+// "dps", "wcoj"); empty selects the configured default.
 func (s *Server) Query(ctx context.Context, patternText, algo string) (*Result, error) {
 	return s.QueryOpts(ctx, patternText, algo, QueryOptions{})
 }
@@ -369,7 +380,7 @@ func (s *Server) acquire(ctx context.Context) error {
 // across epochs, since any plan answers correctly on any snapshot.
 func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, algo exec.Algorithm) (*optimizer.Plan, bool, error) {
 	if empty, err := optimizer.Prefilter(snap, p); err != nil {
-		return nil, false, badQuery(err)
+		return nil, false, planError(err)
 	} else if empty != nil {
 		return empty, false, nil
 	}
@@ -407,9 +418,8 @@ func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, a
 	}
 	c.plan, c.err = exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
 	if c.err != nil {
-		// Bind/plan failures are malformed or unanswerable queries —
-		// client faults, and shared verbatim with coalesced waiters.
-		c.err = badQuery(c.err)
+		// Shared verbatim with coalesced waiters.
+		c.err = planError(c.err)
 	} else {
 		s.plans.put(key, c.plan)
 	}

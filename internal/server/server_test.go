@@ -382,6 +382,22 @@ func TestClosedDatabase(t *testing.T) {
 	if st := s.Stats(); st.Queries != 0 {
 		t.Fatalf("stats on closed db: %+v", st)
 	}
+
+	// Closed while the plan is being built: the planner's storage error
+	// keeps its cause and class (503), it is not the client's fault.
+	db, err = gdb.Build(testGraph(2, 40), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = New(db, Config{})
+	s.planBuildHook = func() { db.Close() }
+	_, err = s.Query(context.Background(), "A->B", "")
+	if !errors.Is(err, gdb.ErrClosed) || errors.Is(err, ErrBadQuery) || statusFor(err) != http.StatusServiceUnavailable {
+		t.Fatalf("closed during planning: %v (status %d), want gdb.ErrClosed, 503", err, statusFor(err))
+	}
+	if n := s.plans.len(); n != 0 {
+		t.Fatalf("failed plan cached: %d entries", n)
+	}
 }
 
 // TestHTTP exercises the JSON API over a real socket.
@@ -423,6 +439,11 @@ func TestHTTP(t *testing.T) {
 	// Parse error → 400.
 	if resp, body = post(`{"pattern": "A->"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad pattern: %d %s", resp.StatusCode, body)
+	}
+	// The retired merged-status DPS is an unknown algorithm → 400.
+	resp, body = post(`{"pattern": "A->B", "algorithm": "dps-merged"}`)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`unknown algorithm \"dps-merged\"`)) {
+		t.Fatalf("dps-merged: %d %s", resp.StatusCode, body)
 	}
 	// Missing pattern → 400.
 	if resp, body = post(`{}`); resp.StatusCode != http.StatusBadRequest {

@@ -102,7 +102,7 @@ func TestParallelQueries(t *testing.T) {
 				wg.Add(1)
 				go func(worker int) {
 					defer wg.Done()
-					algos := []fastmatch.Algorithm{fastmatch.DP, fastmatch.DPS, fastmatch.DPSMerged}
+					algos := []fastmatch.Algorithm{fastmatch.DP, fastmatch.DPS}
 					for i := 0; i < itersPerWorker; i++ {
 						e := want[(worker+3*i)%len(want)]
 						res, err := eng.QueryPattern(e.w.Pattern, algos[(worker+i)%len(algos)])
