@@ -8,10 +8,9 @@ GO ?= go
 # fused against the step-by-step pipeline (ns per input row) and the
 # response encoder (ns per row from a served-shaped and a synthetic
 # factorised result and from a plain one) — the hot paths a perf PR must
-# not regress — plus the open strategy question of binary vs
-# worst-case-optimal plans on cyclic cores.
-BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/exec ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult|BenchmarkCyclicPlans'
+# not regress.
+BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/server
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -29,11 +28,10 @@ test-short:
 # fresh random sequences on every verify run, not just the checked-in
 # seeds, and the response encoder gets random results to match against
 # encoding/json. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The
-# last four lines run benchmarks once for the checks they carry: the strategy
-# benchmark's cross-variant row counts (it replaces a harness that had its
-# own, and must not rot), the read path's allocation-free hit path,
-# the fused Fetch's row count against the step-by-step pipeline's and the
-# response encoder's allocation-free warm buffer.
+# last three lines run benchmarks once for the checks they carry: the read
+# path's allocation-free hit path, the fused Fetch's row count against the
+# step-by-step pipeline's and the response encoder's allocation-free warm
+# buffer.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -43,7 +41,6 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzIncrementalDelete -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
 	$(GO) test -run XXX -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run XXX -bench BenchmarkCyclicPlans -benchtime 1x ./internal/exec
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
 	$(GO) test -run XXX -bench BenchmarkFetchFilters -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server

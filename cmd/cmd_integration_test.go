@@ -393,40 +393,53 @@ func TestCLIErrors(t *testing.T) {
 	}
 	fails(t, "run", "./cmd/fgmatch", "-query", "A->B")
 	fails(t, "run", "./cmd/fgmbench", "-exp", "nope")
-	// Both binaries parse -algo with fastmatch.ParseAlgorithm before they
-	// open the graph: a known spelling gets as far as the missing -graph,
-	// an unknown one — including the retired "dps-merged" — is refused with
-	// the parser's message.
-	for _, c := range [][2]string{{"./cmd/fgmserve", "wcoj"}, {"./cmd/fgmatch", "dp"}} {
-		if out := fails(t, "run", c[0], "-algo", c[1]); !strings.Contains(out, "-graph is required") {
-			t.Fatalf("%s -algo %s should be accepted: %s", c[0], c[1], out)
+	dir := t.TempDir()
+	bin := func(cmd string) string {
+		path := filepath.Join(dir, cmd)
+		if _, err := os.Stat(path); err != nil {
+			run(t, "build", "-o", path, "./cmd/"+cmd)
 		}
-		for _, bad := range []string{"nope", "dps-merged"} {
-			want := fmt.Sprintf("unknown algorithm %q (want dp, dps, or wcoj)", bad)
-			if out := fails(t, "run", c[0], "-algo", bad); !strings.Contains(out, want) {
-				t.Fatalf("%s -algo %s: %s", c[0], bad, out)
+		return path
+	}
+	usageError := func(cmd, want string, args ...string) {
+		t.Helper()
+		out, err := exec.Command(bin(cmd), args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), want) {
+			t.Fatalf("%s %v: err %v, want a usage error (status 2) saying %q:\n%s", cmd, args, err, want, out)
+		}
+	}
+	// Both binaries parse -algo with fastmatch.ParseAlgorithm as a flag
+	// value: a known spelling gets as far as the missing -graph, an unknown
+	// one — including the retired "dps-merged" and "wcoj" — is a usage
+	// error carrying the parser's message.
+	for _, cmd := range []string{"fgmserve", "fgmatch"} {
+		for _, good := range []string{"dp", "dps"} {
+			if out, err := exec.Command(bin(cmd), "-algo", good).CombinedOutput(); err == nil || !strings.Contains(string(out), "-graph is required") {
+				t.Fatalf("%s -algo %s should be accepted: %v\n%s", cmd, good, err, out)
 			}
+		}
+		for _, bad := range []string{"nope", "dps-merged", "wcoj"} {
+			usageError(cmd, fmt.Sprintf("unknown algorithm %q (want dp or dps)", bad), "-algo", bad)
+		}
+	}
+	// fgmatch -explain only plans and -analyze runs unbudgeted, so a budget
+	// flag beside either would be ignored: the combination is refused.
+	for _, mode := range []string{"-analyze", "-explain"} {
+		for _, budget := range [][2]string{{"-budget-rows", "5"}, {"-budget-bytes", "1000"}} {
+			usageError("fgmatch", "cannot be combined with -explain or -analyze", mode, budget[0], budget[1], "-query", "A->B")
 		}
 	}
 	// Removed flags are usage errors (status 2): operators run on the
 	// query's goroutine, so there is no worker degree, and the engine has
 	// one reachability labeling, so there is no backend to choose.
-	dir := t.TempDir()
 	for _, c := range []struct{ cmd, flag, value string }{
 		{"fgmserve", "parallelism", "2"},
 		{"fgmserve", "reach-index", "pll"},
 		{"fgmatch", "reach-index", "pll"},
 		{"fgmgen", "reach-index", "pll"},
 	} {
-		bin := filepath.Join(dir, c.cmd)
-		if _, err := os.Stat(bin); err != nil {
-			run(t, "build", "-o", bin, "./cmd/"+c.cmd)
-		}
-		out, err := exec.Command(bin, "-"+c.flag, c.value).CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -"+c.flag) {
-			t.Fatalf("%s -%s %s: err %v, want a usage error (status 2):\n%s", c.cmd, c.flag, c.value, err, out)
-		}
+		usageError(c.cmd, "flag provided but not defined: -"+c.flag, "-"+c.flag, c.value)
 	}
 }
 

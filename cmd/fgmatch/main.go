@@ -33,11 +33,15 @@ func main() {
 }
 
 func run() error {
+	algorithm := fastmatch.DPS
+	flag.Func("algo", "`planner`: dp or dps (default dps)", func(s string) (err error) {
+		algorithm, err = fastmatch.ParseAlgorithm(s)
+		return err
+	})
 	var (
 		graphPath   = flag.String("graph", "", "data graph file (text format; required)")
 		query       = flag.String("query", "", "pattern, e.g. \"A->C; B->C\"")
-		algo        = flag.String("algo", "dps", "optimizer: dp, dps, or wcoj (forced multiway join)")
-		explain     = flag.Bool("explain", false, "print the chosen plan (operator kinds, variable order, cost estimates) instead of running it")
+		explain     = flag.Bool("explain", false, "print the chosen plan (operator kinds, cost estimates) instead of running it")
 		analyze     = flag.Bool("analyze", false, "run and print per-step rows/IO/time")
 		stats       = flag.Bool("stats", false, "print index statistics")
 		limit       = flag.Int("limit", 20, "max result rows to print (0 = all)")
@@ -57,9 +61,12 @@ func run() error {
 		}
 		return runRepack(*dbPath, *repack)
 	}
-	algorithm, err := fastmatch.ParseAlgorithm(*algo)
-	if err != nil {
-		return err
+	// -explain only plans and -analyze runs unbudgeted: neither would apply
+	// a budget, so asking for one with them is refused, not ignored.
+	if (*explain || *analyze) && (*budgetRows > 0 || *budgetBytes > 0) {
+		fmt.Fprintln(flag.CommandLine.Output(), "fgmatch: -budget-rows and -budget-bytes cannot be combined with -explain or -analyze")
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *graphPath == "" {
 		return fmt.Errorf("-graph is required")
@@ -132,9 +139,6 @@ func run() error {
 			}
 			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d chits=%-6d %s",
 				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.CenterCacheHits, elapsed)
-			if tr.Seeks > 0 || tr.IterNexts > 0 {
-				fmt.Printf(" seeks=%d nexts=%d", tr.Seeks, tr.IterNexts)
-			}
 			if tr.Tier != 0 && tr.Tier != 3 {
 				fmt.Printf(" tier=%d index=%q", tr.Tier, tr.FastIndex)
 			}

@@ -46,6 +46,11 @@ func main() {
 }
 
 func run() error {
+	defaultAlgo := fastmatch.DPS
+	flag.Func("algo", "default `planner`: dp or dps (default dps)", func(s string) (err error) {
+		defaultAlgo, err = fastmatch.ParseAlgorithm(s)
+		return err
+	})
 	var (
 		graphPath    = flag.String("graph", "", "data graph file (text format; required)")
 		addr         = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
@@ -53,7 +58,6 @@ func run() error {
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently executing queries (default 8)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max wait for an execution slot before 429 (default 100ms)")
 		planCache    = flag.Int("plancache", 0, "plan cache entries (default 256; -1 disables)")
-		algo         = flag.String("algo", "dps", "default optimizer: dp, dps, or wcoj")
 		timeout      = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
 		maxTableRows = flag.Int("max-table-rows", 0, "per-query intermediate-table row budget (0 = unbounded; exceeding answers 422)")
 		maxIMBytes   = flag.Int64("max-intermediate-bytes", 0, "per-query intermediate-result byte budget (0 = unbounded; exceeding answers 422)")
@@ -62,10 +66,6 @@ func run() error {
 		readonly     = flag.Bool("readonly", false, "reject every mutating endpoint (POST /insert, /delete) with 403; the graph stays immutable")
 	)
 	flag.Parse()
-	defaultAlgo, err := fastmatch.ParseAlgorithm(*algo)
-	if err != nil {
-		return err
-	}
 	if *graphPath == "" {
 		return fmt.Errorf("-graph is required")
 	}

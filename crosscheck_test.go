@@ -73,10 +73,7 @@ func TestAllSystemsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s bind: %v", w.Name, err)
 		}
-		// IGMJ executes binary R-join plans only; keep WCOJ steps out.
-		igmjParams := optimizer.DefaultCostParams()
-		igmjParams.NoWCOJ = true
-		dpPlan, err := optimizer.OptimizeDP(bind, igmjParams)
+		dpPlan, err := optimizer.OptimizeDP(bind, optimizer.DefaultCostParams())
 		if err != nil {
 			t.Fatalf("%s DP plan: %v", w.Name, err)
 		}
@@ -145,10 +142,7 @@ func TestAllSystemsAgreeCyclic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// IGMJ executes binary R-join plans only; keep WCOJ steps out.
-		igmjParams := optimizer.DefaultCostParams()
-		igmjParams.NoWCOJ = true
-		dpPlan, err := optimizer.OptimizeDP(bind, igmjParams)
+		dpPlan, err := optimizer.OptimizeDP(bind, optimizer.DefaultCostParams())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,10 +22,10 @@ import (
 // The deletion half of the differential harness: an incrementally
 // maintained database fed a mixed insert/delete stream must stay
 // query-equivalent to a from-scratch rebuild over the same mutated graph —
-// DP, DPS, and WCOJ, plus sampled reachability —
-// at every checkpoint. This is the correctness story for the over-delete/
-// re-insert repair path (2-hop removal deltas → base tables → cluster
-// index → W-table retraction); see DESIGN.md.
+// DP and DPS, plus sampled reachability — at every checkpoint. This is the
+// correctness story for the over-delete/re-insert repair path (2-hop
+// removal deltas → base tables → cluster index → W-table retraction); see
+// DESIGN.md.
 
 // pickPresentEdge returns a uniformly-ish random present edge of g, or
 // ok=false when g has none.

@@ -107,15 +107,9 @@ const (
 	// DPS interleaves R-joins with R-semijoins (Section 4.2); the default
 	// and usually the fastest.
 	DPS = exec.DPS
-	// WCOJ forces a single worst-case-optimal multiway R-join over the
-	// whole pattern (leapfrog intersection in one global variable order).
-	// The DP/DPS planners already consider WCOJ steps for cyclic cores and
-	// pick them when cheaper; forcing the full-pattern form exists for
-	// benchmarking and differential testing. Requires a connected pattern.
-	WCOJ = exec.WCOJ
 )
 
-// ParseAlgorithm maps an algorithm name ("dp", "dps", "wcoj"; empty
+// ParseAlgorithm maps an algorithm name ("dp", "dps"; empty
 // selects DPS) to an Algorithm. It is the parser behind the -algo
 // flags and the HTTP API's "algorithm" field.
 func ParseAlgorithm(name string) (Algorithm, error) { return exec.ParseAlgorithm(name) }

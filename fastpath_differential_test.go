@@ -64,7 +64,7 @@ var fastpathBattery = []string{
 	"Z->A; A->B",
 }
 
-var allPlanners = []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ}
+var allPlanners = []exec.Algorithm{exec.DP, exec.DPS}
 
 // servedBattery is what the served-path benchmark sends: the paper's path,
 // tree and graph patterns plus the cyclic battery, over XMark labels.
@@ -170,8 +170,8 @@ func runBoth(t testing.TB, snap *gdb.Snap, def, ref *optimizer.Plan, c caps, wha
 // TestFastPathTierClassification pins the tier labels that do not depend
 // on cost estimates: a single-edge pattern always labels tier 1, a pattern
 // with a signature-refuted edge always short-circuits to tier 2, a cyclic
-// pattern — whose plans need a Selection or a multi-edge WCOJ core — is
-// always tier 3, and a reference plan is never classified.
+// pattern — whose plans need a Selection — is always tier 3, and a
+// reference plan is never classified.
 func TestFastPathTierClassification(t *testing.T) {
 	g := fastpathRandomGraph(41, 100, 130, 5)
 	db, err := gdb.Build(g, gdb.Options{})
@@ -509,7 +509,7 @@ func FuzzFastPathDifferential(f *testing.F) {
 		defer db.Close()
 		snap, release := db.Pin()
 		defer release()
-		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ} {
+		for _, algo := range allPlanners {
 			def, ref := planPair(t, snap, p, algo)
 			runBoth(t, snap, def, ref, caps{}, p.String()+" "+algo.String())
 		}

@@ -194,10 +194,7 @@ func TestRunMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ps, err)
 		}
-		// IGMJ executes binary R-join plans only; keep WCOJ steps out.
-		igmjParams := optimizer.DefaultCostParams()
-		igmjParams.NoWCOJ = true
-		plan, err := optimizer.OptimizeDP(bind, igmjParams)
+		plan, err := optimizer.OptimizeDP(bind, optimizer.DefaultCostParams())
 		if err != nil {
 			t.Fatalf("%s: %v", ps, err)
 		}

@@ -219,10 +219,7 @@ func (r *Runner) timeINTDP(db *gdb.DB, ix *igmj.Index, p *pattern.Pattern) (Meas
 		if err != nil {
 			return Measure{}, err
 		}
-		// IGMJ executes binary R-join plans only; keep WCOJ steps out.
-		igmjParams := optimizer.DefaultCostParams()
-		igmjParams.NoWCOJ = true
-		plan, err := optimizer.OptimizeDP(bind, igmjParams)
+		plan, err := optimizer.OptimizeDP(bind, optimizer.DefaultCostParams())
 		if err != nil {
 			return Measure{}, err
 		}

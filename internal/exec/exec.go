@@ -32,11 +32,9 @@ type StepTrace struct {
 	// getCenters intersection and subcluster union an earlier operator or
 	// query on the epoch had already computed (see rjoin.RuntimeStats).
 	CenterCacheHits int64
-	// Seeks/IterNexts are the step's sorted-iterator counters: positioning
-	// operations and candidate values advanced through, respectively.
-	// Nonzero only for WCOJ steps (see rjoin.RuntimeStats).
-	Seeks     int64
-	IterNexts int64
+	// Seeks is always 0: it counted the retired multiway join's list
+	// seeks. It is kept for benchmark/trace.go until ROADMAP 2(c).
+	Seeks int64
 	// Fused marks a step that did not run as an operator of its own: a
 	// Selection or R-semijoin group on the node the preceding Fetch binds,
 	// which that Fetch applied to its partner lists (rjoin.FetchFiltered).
@@ -214,12 +212,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			}
 			pushLimit()
 			t, err = rt.HPSJ(ctx, db, b.Conds[s.Edges[0]])
-		case optimizer.StepWCOJ:
-			if t != nil {
-				return nil, nil, fmt.Errorf("exec: step %d: WCOJ mid-plan", si+1)
-			}
-			pushLimit()
-			t, err = rt.WCOJ(ctx, db, stepConds(b, s), s.VarOrder)
 		case optimizer.StepSemijoinGroup:
 			if t == nil {
 				t = extentTable(db.Graph(), b, s.Node)
@@ -285,8 +277,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				IO:              db.IOStats().Logical() - ioBefore,
 				ElapsedMS:       float64(time.Since(stepStart).Microseconds()) / 1000,
 				CenterCacheHits: statsAfter.CenterCacheHits - statsBefore.CenterCacheHits,
-				Seeks:           statsAfter.Seeks - statsBefore.Seeks,
-				IterNexts:       statsAfter.IterNexts - statsBefore.IterNexts,
 				Tier:            plan.Tier(),
 			}
 			if plan.Fast != nil {
@@ -312,8 +302,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	if t == nil {
 		return nil, nil, fmt.Errorf("exec: empty plan")
 	}
-	// Every operator preserves pairwise-distinct rows (HPSJ and WCOJ emit
-	// distinct tuples, Fetch extends distinct rows by distinct nodes,
+	// Every operator preserves pairwise-distinct rows (HPSJ emits distinct
+	// pairs, Fetch extends distinct rows by distinct nodes,
 	// filters and selections take subsets) and the final table binds each
 	// pattern node exactly once, so the dedup projection is a pure column
 	// permutation, which the result's consumer applies as it writes.
@@ -446,36 +436,25 @@ const (
 	DPS Algorithm = iota
 	// DP is R-join order selection only (Section 4.1).
 	DP
-	// WCOJ forces the whole pattern through one worst-case-optimal multiway
-	// R-join (leapfrog intersection), bypassing cost-based selection. The
-	// DP/DPS planners already consider WCOJ steps for cyclic cores; this
-	// forced mode exists for differential testing and benchmarking.
-	WCOJ
 )
 
 func (a Algorithm) String() string {
-	switch a {
-	case DP:
+	if a == DP {
 		return "DP"
-	case WCOJ:
-		return "WCOJ"
-	default:
-		return "DPS"
 	}
+	return "DPS"
 }
 
-// ParseAlgorithm maps the common spellings ("dp", "dps", "wcoj") to an
-// Algorithm; empty selects the default (DPS).
+// ParseAlgorithm maps the common spellings ("dp", "dps") to an Algorithm;
+// empty selects the default (DPS).
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
 	case "", "dps", "DPS":
 		return DPS, nil
 	case "dp", "DP":
 		return DP, nil
-	case "wcoj", "WCOJ":
-		return WCOJ, nil
 	default:
-		return DPS, fmt.Errorf("exec: unknown algorithm %q (want dp, dps, or wcoj)", s)
+		return DPS, fmt.Errorf("exec: unknown algorithm %q (want dp or dps)", s)
 	}
 }
 
@@ -513,12 +492,9 @@ func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc Pla
 	}
 	params := optimizer.DefaultCostParams()
 	var plan *optimizer.Plan
-	switch algo {
-	case DP:
+	if algo == DP {
 		plan, err = optimizer.OptimizeDP(b, params)
-	case WCOJ:
-		plan, err = optimizer.OptimizeWCOJ(b, params)
-	default:
+	} else {
 		plan, err = optimizer.OptimizeDPS(b, params)
 	}
 	if err != nil {

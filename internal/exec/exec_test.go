@@ -261,8 +261,18 @@ func TestDPSLowerIO(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if DP.String() != "DP" || DPS.String() != "DPS" || WCOJ.String() != "WCOJ" {
+	if DP.String() != "DP" || DPS.String() != "DPS" {
 		t.Fatal("Algorithm String wrong")
+	}
+	for _, s := range []string{"dp", "DP", "dps", "DPS", ""} {
+		if a, err := ParseAlgorithm(s); err != nil || (a == DP) != (s == "dp" || s == "DP") {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", s, a, err)
+		}
+	}
+	for _, s := range []string{"wcoj", "WCOJ", "dps-merged"} {
+		if _, err := ParseAlgorithm(s); err == nil {
+			t.Fatalf("ParseAlgorithm(%q) accepted a retired planner", s)
+		}
 	}
 }
 

@@ -591,8 +591,8 @@ func Contains(s []graph.NodeID, v graph.NodeID) bool {
 }
 
 // IntersectTo is Intersect writing into dst (reset to length zero), reusing
-// its capacity. The leapfrog multiway R-join calls it once per trie level
-// per binding, where a fresh allocation per intersection would dominate.
+// its capacity: a fused Fetch calls it once per filter per input row, where
+// a fresh allocation per intersection would dominate.
 //
 // dst may start where an input starts — IntersectTo(cur[:0], cur, other)
 // intersects cur in place, which is how a Fetch applies one filter after

@@ -168,10 +168,11 @@ func BenchmarkIntersectLinearReference(b *testing.B) {
 	}
 }
 
-// FuzzLeapfrogMultiwayIntersect drives the leapfrog fold the WCOJ
-// operator's candidate stage uses — sort the constraint lists by length,
-// then fold IntersectTo pairwise with buffer reuse — against a naive
-// membership-count oracle over k sorted unique lists.
+// FuzzLeapfrogMultiwayIntersect drives a k-way fold of IntersectTo — sort
+// the lists by length, then intersect pairwise with buffer reuse, the way a
+// fused Fetch narrows a partner list by one filter after another — against
+// a naive membership-count oracle over k sorted unique lists. (The name is
+// kept from the retired leapfrog join, which folded its lists the same way.)
 func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 0, 0, 1, 1})
@@ -221,7 +222,7 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 			cur, buf = next, cur
 		}
 		if !reflect.DeepEqual(cur, want) && !(len(cur) == 0 && len(want) == 0) {
-			t.Fatalf("leapfrog fold of %v = %v, oracle %v", lists, cur, want)
+			t.Fatalf("fold of %v = %v, oracle %v", lists, cur, want)
 		}
 	})
 }

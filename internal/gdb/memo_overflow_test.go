@@ -42,7 +42,7 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 		"A->B", "A->B; B->C", "A->B; A->C; A->D", "A->B; B->C; C->A", "A->B; A->C; B->D; C->D",
 	} {
 		p := pattern.MustParse(ps)
-		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS, exec.WCOJ} {
+		for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
 			ref, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{NoFastPath: true})
 			if err != nil {
 				t.Fatal(err)

@@ -63,8 +63,8 @@ type Snap struct {
 
 	// projFrom/projTo memoize the sorted distinct projections
 	// π_X(T_X ⋈ T_Y) and π_Y(T_X ⋈ T_Y): the optimizer's DistinctFrom/To
-	// statistics are their lengths, and they are the per-edge unary
-	// iterators of the worst-case-optimal multiway R-join.
+	// statistics are their lengths, and an R-semijoin on the decoded read
+	// path is membership in them.
 	statMu   sync.Mutex // guards the two maps
 	projFrom map[wKey][]graph.NodeID
 	projTo   map[wKey][]graph.NodeID
@@ -364,9 +364,7 @@ func (s *Snap) DistinctTo(x, y graph.Label) (int64, error) {
 // ProjectFrom returns π_X(T_X ⋈_{X→Y} T_Y) as a sorted ascending list: every
 // X-labeled node that reaches at least one Y-labeled node, computed as the
 // sorted-set union of the X-labeled F-subclusters over W(X, Y). The list is
-// memoized per snapshot and shared — callers must not mutate it. It is the
-// unary (first trie level) iterator of edge X→Y in the worst-case-optimal
-// multiway R-join.
+// memoized per snapshot and shared — callers must not mutate it.
 func (s *Snap) ProjectFrom(x, y graph.Label) ([]graph.NodeID, error) {
 	return s.projection(x, y, dirF, x, s.projFrom)
 }

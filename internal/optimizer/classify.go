@@ -14,7 +14,7 @@ import (
 //	         (single edges, stars, point probes).
 //	tier 2 — fan-signature prefilter: the pattern is provably empty; the
 //	         executor answers it with zero operator work.
-//	tier 3 — any other DP/DPS/WCOJ plan.
+//	tier 3 — any other DP/DPS plan.
 //
 // Only tier 2 executes differently. Tiers 1 and 3 run the same operators
 // over the same decoded read path; the label survives because the two
@@ -55,14 +55,12 @@ func (f *FastPath) Describe() string {
 
 // Classify labels an optimized plan tier 1 when its shape is index-only:
 //
-//   - the head step is an HPSJ, a single-edge WCOJ, or a semijoin group,
-//     and
+//   - the head step is an HPSJ or a semijoin group, and
 //   - every remaining step is a Fetch whose bound side was bound by the
 //     head step (no chained fetches) — covering single-edge patterns and
 //     stars around the head's bindings.
 //
-// Selection and JoinFilterFetch steps, multi-edge WCOJ cores, and fetch
-// chains stay tier 3. The label is descriptive only: the executor runs
+// Selection and JoinFilterFetch steps and fetch chains stay tier 3. The label is descriptive only: the executor runs
 // every plan the same way.
 func Classify(p *Plan) {
 	if p.Fast != nil || len(p.Steps) == 0 {
@@ -77,13 +75,6 @@ func Classify(p *Plan) {
 		e := pat.Edges[head.Edges[0]]
 		bound0[e.From], bound0[e.To] = true, true
 		index = "W-table center list + cluster index"
-	case StepWCOJ:
-		if len(head.Edges) != 1 {
-			return
-		}
-		e := pat.Edges[head.Edges[0]]
-		bound0[e.From], bound0[e.To] = true, true
-		index = "distinct projections + cluster index"
 	case StepSemijoinGroup:
 		bound0[head.Node] = true
 		index = "graph codes + W-table + cluster index"

@@ -97,10 +97,8 @@ func TestClassifyHandBuiltShapes(t *testing.T) {
 		index string // "" = stays tier 3
 	}{
 		{"hpsj head, fetches from its bindings", []Step{hpsj(1), fetch(0), fetch(2)}, "W-table center list"},
-		{"single-edge wcoj head", []Step{{Kind: StepWCOJ, Edges: []int{1}, VarOrder: []int{1, 2}}, fetch(0), fetch(2)}, "distinct projections"},
 		{"semijoin head", []Step{{Kind: StepSemijoinGroup, Node: 1, OutSide: true, Edges: []int{1}}, fetch(0), fetch(1)}, "graph codes"},
 		{"fetch chain", []Step{hpsj(0), fetch(1), fetch(2)}, ""},
-		{"multi-edge wcoj head", []Step{{Kind: StepWCOJ, Edges: []int{0, 1}, VarOrder: []int{0, 1, 2}}, fetch(2)}, ""},
 		{"selection after the head", []Step{hpsj(1), fetch(0), {Kind: StepSelection, Edges: []int{2}}}, ""},
 		{"fetch head", []Step{fetch(0)}, ""},
 	} {

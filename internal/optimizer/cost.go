@@ -17,11 +17,6 @@ type CostParams struct {
 	// CPU is the per-row in-memory processing cost (intersections,
 	// hashing); small relative to a page access.
 	CPU float64
-	// NoWCOJ disables seeding the planners with worst-case-optimal
-	// multiway-join steps for cyclic cores, forcing pure binary pipelines.
-	// Benchmarks use it to measure the hybrid against the binary baseline
-	// on identical statistics.
-	NoWCOJ bool
 }
 
 // DefaultCostParams returns parameters calibrated against the storage

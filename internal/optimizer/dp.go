@@ -51,21 +51,6 @@ func OptimizeDP(b *Binding, params CostParams) (*Plan, error) {
 			set:  true,
 		}
 	}
-	// Seed: one WCOJ step per cyclic core, competing against every binary
-	// path to the same edge set (the seed's rows are the same independence
-	// estimate a binary path computes, so downstream costs compose
-	// identically).
-	for _, s := range wcojSeeds(b, params) {
-		cur := states[s.mask]
-		if cur == nil || !cur.set || s.cost < cur.cost {
-			states[s.mask] = &state{
-				cost: s.cost,
-				rows: s.rows,
-				step: Step{Kind: StepWCOJ, Edges: s.edges, VarOrder: s.order},
-				set:  true,
-			}
-		}
-	}
 
 	// Expand masks in ascending popcount order.
 	masks := make([]uint32, 0, 1<<m)

@@ -30,7 +30,6 @@ const (
 	moveRJoin           // HPSJ between two base tables; only from S0
 	moveFilter          // R-semijoin group sharing one scan (Remark 3.1)
 	moveFetch           // Fetch of one included edge (or selection when both sides bound)
-	moveWCOJ            // multiway join of a cyclic core; only from S0
 )
 
 type move struct {
@@ -38,9 +37,8 @@ type move struct {
 	edge    int   // moveRJoin / moveFetch
 	node    int   // moveFilter: the scanned column
 	outSide bool  // moveFilter: out-codes vs in-codes
-	edges   []int // moveFilter: the semijoin group; moveWCOJ: the core
+	edges   []int // moveFilter: the semijoin group
 	isSel   bool  // moveFetch: both sides were bound (selection)
-	order   []int // moveWCOJ: the global variable order
 }
 
 // OptimizeDPS selects a plan by interleaving R-joins with R-semijoins
@@ -138,14 +136,6 @@ func OptimizeDPS(b *Binding, params CostParams) (*Plan, error) {
 				for ei := 0; ei < m; ei++ {
 					cost := st.cost + params.hpsjCost(b.WCount[ei], b.JS[ei])
 					relax(key, makeKey(1<<uint(ei), 0, 0), cost, move{kind: moveRJoin, edge: ei})
-				}
-				// WCOJ-moves: each cyclic core as one multiway step. rowsOf
-				// already yields the independence estimate for the seeded
-				// status, so downstream moves compose identically to a
-				// binary path reaching it.
-				for _, s := range wcojSeeds(b, params) {
-					relax(key, makeKey(s.mask, 0, 0), st.cost+s.cost,
-						move{kind: moveWCOJ, edges: s.edges, order: s.order})
 				}
 			}
 
@@ -289,8 +279,6 @@ func OptimizeDPS(b *Binding, params CostParams) (*Plan, error) {
 				kind = StepSelection
 			}
 			step = Step{Kind: kind, Edges: []int{mv.edge}}
-		case moveWCOJ:
-			step = Step{Kind: StepWCOJ, Edges: mv.edges, VarOrder: mv.order}
 		}
 		step.EstCost, step.EstRows = movesRev[i].cost, movesRev[i].rows
 		plan.Steps = append(plan.Steps, step)

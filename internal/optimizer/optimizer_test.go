@@ -101,8 +101,8 @@ func TestDPPlansValid(t *testing.T) {
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("%s: invalid DP plan: %v\n%s", ps, err, plan)
 		}
-		if k := plan.Steps[0].Kind; k != StepHPSJ && k != StepWCOJ {
-			t.Fatalf("%s: DP plan must start with HPSJ or WCOJ:\n%s", ps, plan)
+		if plan.Steps[0].Kind != StepHPSJ {
+			t.Fatalf("%s: DP plan must start with HPSJ:\n%s", ps, plan)
 		}
 		if plan.EstimatedCost <= 0 {
 			t.Fatalf("%s: nonpositive cost %v", ps, plan.EstimatedCost)
@@ -212,7 +212,6 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	hpsj0 := Step{Kind: StepHPSJ, Edges: []int{0}}
-	wcoj := func(edges, order []int) Step { return Step{Kind: StepWCOJ, Edges: edges, VarOrder: order} }
 	bad := []*Plan{
 		{Binding: b, Steps: []Step{hpsj0}},                                                                     // edge 1 never done
 		{Binding: b, Steps: []Step{{Kind: StepFetch, Edges: []int{0}}}},                                        // fetch with nothing bound
@@ -227,12 +226,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 2, Edges: []int{1}}}},                // group on an unbound node
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, OutSide: true, Edges: []int{0}}}}, // group on a done edge
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, Edges: []int{1}}}},                // edge not on the in-side
-		{Binding: b, Steps: []Step{hpsj0, wcoj([]int{1}, []int{1, 2})}},                                        // WCOJ mid-plan
-		{Binding: b, Steps: []Step{wcoj([]int{0}, []int{0})}},                                                  // WCOJ over one variable
-		{Binding: b, Steps: []Step{wcoj([]int{0, 1}, []int{0, 1, 1})}},                                         // repeated variable
-		{Binding: b, Steps: []Step{wcoj([]int{0, 1, 0}, []int{0, 1, 2})}},                                      // edge twice
-		{Binding: b, Steps: []Step{wcoj([]int{0, 1}, []int{0, 1})}},                                            // edge outside the order
-		{Binding: b, Steps: []Step{wcoj([]int{0}, []int{0, 1, 2}), {Kind: StepFetch, Edges: []int{1}}}},        // variable with no edge
+		{Binding: b, Steps: []Step{{Kind: StepWCOJ, Edges: []int{0, 1}}}},                                      // retired multiway join
 		{Binding: b, Steps: []Step{{Kind: StepFastPath}}},                                                      // fastpath without a label
 		{Binding: b, Steps: []Step{{Kind: StepFastPath}, hpsj0}, Fast: &FastPath{Kind: FPImpossible}},          // fastpath not alone
 		{Binding: b, Steps: []Step{{Kind: StepKind(99)}}},                                                      // unknown kind
@@ -245,7 +239,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 }
 
 func TestStepKindString(t *testing.T) {
-	kinds := []StepKind{StepHPSJ, StepSemijoinGroup, StepFetch, StepJoinFilterFetch, StepSelection, StepWCOJ, StepFastPath, StepKind(99)}
+	kinds := []StepKind{StepHPSJ, StepSemijoinGroup, StepFetch, StepJoinFilterFetch, StepSelection, StepFastPath, StepKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Fatalf("empty string for kind %d", int(k))
@@ -254,8 +248,8 @@ func TestStepKindString(t *testing.T) {
 }
 
 // TestPatternErrors: the failures a pattern causes — an unknown label, a
-// disconnected pattern for DP or forced WCOJ, too many nodes for DPS — are
-// ErrPattern, so a caller can tell them from storage errors met in Bind.
+// disconnected pattern for DP, too many nodes for DPS — are ErrPattern, so
+// a caller can tell them from storage errors met in Bind.
 func TestPatternErrors(t *testing.T) {
 	g := randomGraph(11, 200, 600, 17)
 	db := mustDB(t, g)
@@ -268,10 +262,8 @@ func TestPatternErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, f := range map[string]func(*Binding, CostParams) (*Plan, error){"DP": OptimizeDP, "WCOJ": OptimizeWCOJ} {
-		if _, err := f(disconnected, DefaultCostParams()); !errors.Is(err, ErrPattern) {
-			t.Fatalf("%s on a disconnected pattern: %v, want ErrPattern", name, err)
-		}
+	if _, err := OptimizeDP(disconnected, DefaultCostParams()); !errors.Is(err, ErrPattern) {
+		t.Fatalf("DP on a disconnected pattern: %v, want ErrPattern", err)
 	}
 	var chain []string
 	for c := 'A'; c < 'Q'; c++ {
@@ -283,36 +275,6 @@ func TestPatternErrors(t *testing.T) {
 	}
 	if _, err := OptimizeDPS(long, DefaultCostParams()); !errors.Is(err, ErrPattern) {
 		t.Fatalf("DPS over 17 nodes: %v, want ErrPattern", err)
-	}
-	if _, err := OptimizeWCOJ(&Binding{Pattern: &pattern.Pattern{Nodes: []string{"A"}}}, DefaultCostParams()); !errors.Is(err, ErrPattern) {
-		t.Fatalf("WCOJ over no edges: %v, want ErrPattern", err)
-	}
-}
-
-// TestWCOJPlansValid: the forced multiway plan is one WCOJ step over every
-// edge and every node.
-func TestWCOJPlansValid(t *testing.T) {
-	g := randomGraph(12, 120, 300, 5)
-	db := mustDB(t, g)
-	for _, ps := range testPatterns {
-		b, err := Bind(db, pattern.MustParse(ps))
-		if err != nil {
-			t.Fatalf("%s: %v", ps, err)
-		}
-		plan, err := OptimizeWCOJ(b, DefaultCostParams())
-		if err != nil {
-			t.Fatalf("%s: %v", ps, err)
-		}
-		if err := plan.Validate(); err != nil {
-			t.Fatalf("%s: invalid WCOJ plan: %v\n%s", ps, err, plan)
-		}
-		s := plan.Steps
-		if plan.Algorithm != "WCOJ" || len(s) != 1 || s[0].Kind != StepWCOJ || len(s[0].VarOrder) != b.Pattern.NumNodes() {
-			t.Fatalf("%s: not one WCOJ step over the whole pattern:\n%s", ps, plan)
-		}
-		if !strings.Contains(plan.String(), " order ") {
-			t.Fatalf("%s: plan string lacks the variable order:\n%s", ps, plan)
-		}
 	}
 }
 

@@ -26,10 +26,9 @@ const (
 	// StepSelection processes a self R-join (Eq. 5): a condition whose two
 	// pattern nodes are both already bound.
 	StepSelection
-	// StepWCOJ evaluates a set of edges (a cyclic core, or the whole
-	// pattern) as one worst-case-optimal multiway R-join, binding the
-	// nodes of VarOrder by leapfrog intersection; always the first step of
-	// a plan when present.
+	// StepWCOJ named the retired worst-case-optimal multiway join. No
+	// planner produces it, Validate rejects it and the executor refuses it;
+	// the name is kept for benchmark/trace.go until ROADMAP 2(c).
 	StepWCOJ
 	// StepFastPath is the single step of a plan the tier-2 fan-signature
 	// prefilter proved empty (some pattern edge (X, Y) has W(X, Y) = ∅):
@@ -50,8 +49,6 @@ func (k StepKind) String() string {
 		return "join"
 	case StepSelection:
 		return "selection"
-	case StepWCOJ:
-		return "wcoj"
 	case StepFastPath:
 		return "fastpath"
 	default:
@@ -72,9 +69,6 @@ type Step struct {
 	// out-codes (conditions Node→Y), false for in-codes (conditions
 	// X→Node).
 	OutSide bool
-	// VarOrder is a WCOJ step's global variable-binding order (pattern
-	// node indexes); empty for every other kind.
-	VarOrder []int
 	// EstCost/EstRows are the cost model's cumulative cost and estimated
 	// temporal-table rows after this step, filled during plan
 	// reconstruction so -explain can show where a plan expects to spend.
@@ -132,23 +126,12 @@ func (p *Plan) String() string {
 	}
 	for i, s := range p.Steps {
 		fmt.Fprintf(&sb, "  %2d. %-9s", i+1, s.Kind)
-		switch s.Kind {
-		case StepSemijoinGroup:
+		if s.Kind == StepSemijoinGroup {
 			side := "out"
 			if !s.OutSide {
 				side = "in"
 			}
 			fmt.Fprintf(&sb, " on %s (%s-codes):", p.Binding.Pattern.Nodes[s.Node], side)
-		case StepWCOJ:
-			sb.WriteString(" order")
-			for j, v := range s.VarOrder {
-				sep := " "
-				if j > 0 {
-					sep = "<"
-				}
-				fmt.Fprintf(&sb, "%s%s", sep, p.Binding.Pattern.Nodes[v])
-			}
-			sb.WriteString(", edges:")
 		}
 		for _, e := range s.Edges {
 			pe := p.Binding.Pattern.Edges[e]
@@ -222,39 +205,6 @@ func (p *Plan) Validate() error {
 			}
 			done[s.Edges[0]] = true
 			bound[e.From], bound[e.To] = true, true
-		case StepWCOJ:
-			if si != 0 {
-				return fmt.Errorf("plan: WCOJ at step %d (only valid first)", si+1)
-			}
-			if len(s.Edges) == 0 || len(s.VarOrder) < 2 {
-				return fmt.Errorf("plan: WCOJ with %d edges over %d variables", len(s.Edges), len(s.VarOrder))
-			}
-			inOrder := make([]bool, pat.NumNodes())
-			for _, v := range s.VarOrder {
-				if inOrder[v] {
-					return fmt.Errorf("plan: WCOJ repeats node %d in variable order", v)
-				}
-				inOrder[v] = true
-			}
-			incident := make(map[int]bool, len(s.VarOrder))
-			for _, e := range s.Edges {
-				if done[e] {
-					return fmt.Errorf("plan: edge %d completed twice", e)
-				}
-				pe := pat.Edges[e]
-				if !inOrder[pe.From] || !inOrder[pe.To] {
-					return fmt.Errorf("plan: WCOJ edge %d endpoint outside variable order %v", e, s.VarOrder)
-				}
-				done[e] = true
-				incident[pe.From], incident[pe.To] = true, true
-			}
-			for _, v := range s.VarOrder {
-				if !incident[v] {
-					return fmt.Errorf("plan: WCOJ variable %d has no incident edge", v)
-				}
-				bound[v] = true
-			}
-			anyBound = true
 		case StepFastPath:
 			if si != 0 || len(p.Steps) != 1 {
 				return fmt.Errorf("plan: fastpath step must be the only step")

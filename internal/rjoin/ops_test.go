@@ -372,14 +372,13 @@ func (c *pollCounter) Err() error {
 // its first poll — which comes after at most cancelStride work units — with
 // the context's error, not a partial result, so a large join cannot run to
 // completion after its caller gave up. Every input is above the size at
-// which operators used to split across workers: 64 HPSJ centers, 2,048
-// rows, 512 first-level WCOJ candidates.
+// which operators used to split across workers: 64 HPSJ centers and 2,048
+// rows.
 func TestOperatorCancellation(t *testing.T) {
 	g := fusedDAG(16, 5000, 15000)
 	db := mustDB(t, g)
 	ctx := context.Background()
 	ab, bc := cond(g, "A", "B", 0, 1), cond(g, "B", "C", 1, 2)
-	_, tri := triangle(g)
 
 	rows := extentOf(g, ab.FromLabel, 0, 1+2048/g.ExtentSize(ab.FromLabel))
 	pairs := NewTable(0, 1)
@@ -392,20 +391,8 @@ func TestOperatorCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := buildWCOJPlan(db, tri, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed, err := newWCOJRun(new(Runtime), new(Runtime).open(db), plan, newCancelCheck(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, err := seed.candidates(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) < 64 || rows.Len() < 2048 || pairs.Len() < 2048 || len(c0) < 512 {
-		t.Fatalf("inputs too small: %d centers, %d rows, %d pairs, %d WCOJ candidates", len(ws), rows.Len(), pairs.Len(), len(c0))
+	if len(ws) < 64 || rows.Len() < 2048 || pairs.Len() < 2048 {
+		t.Fatalf("inputs too small: %d centers, %d rows, %d pairs", len(ws), rows.Len(), pairs.Len())
 	}
 
 	semijoinC := []NodeFilter{{Conds: []Cond{bc}, Semijoin: true, OutSide: true}}
@@ -426,7 +413,6 @@ func TestOperatorCancellation(t *testing.T) {
 			return err
 		}},
 		{"Selection", func(ctx context.Context) error { _, err := Selection(ctx, db, pairs, ab); return err }},
-		{"WCOJ", func(ctx context.Context) error { _, err := WCOJ(ctx, db, tri, []int{0, 1, 2}); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.run(ctx); err != nil {

@@ -6,7 +6,7 @@ package rjoin
 // query's operators run one after another; concurrency lives across queries,
 // not inside one. Every operator reads the index through the snapshot's
 // decoded per-epoch memos (see reads.go), which outlive the query — a Fetch
-// reuses the partner lists an earlier Fetch or WCOJ filled, and so does the
+// reuses the partner lists an earlier Fetch filled, and so does the
 // next query on the epoch. A Runtime is scoped to a single query and is not
 // safe for concurrent use; its zero value is ready to use.
 type Runtime struct {
@@ -28,8 +28,6 @@ type Runtime struct {
 	memoMisses   int64
 	centerHits   int64
 	centerMisses int64
-	seeks        int64
-	iterNexts    int64
 }
 
 // NewRuntime returns a fresh Runtime; its argument, once the operator
@@ -140,13 +138,6 @@ type RuntimeStats struct {
 	MemoMisses        int64
 	CenterCacheHits   int64
 	CenterCacheMisses int64
-	// Seeks counts the sorted lists WCOJ opened: one per constraint list
-	// entering a leapfrog intersection plus one per partner list looked up
-	// for a bound constraint's new value.
-	Seeks int64
-	// IterNexts counts candidate values the leapfrog intersections
-	// produced (values the enumeration advanced through).
-	IterNexts int64
 }
 
 // Stats snapshots the runtime's counters.
@@ -159,7 +150,5 @@ func (rt *Runtime) Stats() RuntimeStats {
 		MemoMisses:        rt.memoMisses,
 		CenterCacheHits:   rt.centerHits,
 		CenterCacheMisses: rt.centerMisses,
-		Seeks:             rt.seeks,
-		IterNexts:         rt.iterNexts,
 	}
 }

@@ -516,7 +516,7 @@ func TestServedBodyAndEncodeStats(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var shipped int64
-	for _, algo := range []string{"dp", "dps", "wcoj"} {
+	for _, algo := range []string{"dp", "dps"} {
 		for _, q := range []string{"A->B", "A->B; B->C", "A->B; A->C; C->D", "A->B; B->C; C->A", "B->A"} {
 			for _, limit := range []int{0, 5} {
 				want, err := s.QueryOpts(context.Background(), q, algo, QueryOptions{Limit: limit})

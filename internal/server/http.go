@@ -20,7 +20,7 @@ import (
 type QueryRequest struct {
 	// Pattern is the query, e.g. "A->B; B->C".
 	Pattern string `json:"pattern"`
-	// Algorithm selects the planner: "dp", "dps" (default), "wcoj".
+	// Algorithm selects the planner: "dp" or "dps" (default).
 	Algorithm string `json:"algorithm,omitempty"`
 	// TimeoutMS bounds the query's server-side execution in milliseconds.
 	TimeoutMS int `json:"timeout_ms,omitempty"`

@@ -57,11 +57,6 @@ type metrics struct {
 	memoHits     atomic.Int64 // decoded-memo hits (subclusters + partner slots)
 	memoMisses   atomic.Int64 // decoded-memo misses
 
-	// Worst-case-optimal multiway join (leapfrog) observability.
-	wcojQueries atomic.Int64 // queries whose plan opened with a WCOJ step
-	wcojSeeks   atomic.Int64 // trie-iterator lists opened across WCOJ steps
-	wcojNexts   atomic.Int64 // candidate values produced across WCOJ steps
-
 	// Plan tiers (see optimizer.Classify/Prefilter): descriptive shape
 	// labels. Each successful query is attributed to exactly one; the
 	// latency sums (µs) divide by the tier counters for per-tier means.
@@ -95,8 +90,6 @@ func (m *metrics) recordRuntime(rs rjoin.RuntimeStats) {
 	m.centerMisses.Add(rs.CenterCacheMisses)
 	m.memoHits.Add(rs.MemoHits)
 	m.memoMisses.Add(rs.MemoMisses)
-	m.wcojSeeks.Add(rs.Seeks)
-	m.wcojNexts.Add(rs.IterNexts)
 }
 
 func (m *metrics) recordQuery(elapsed time.Duration, rowCount int, planCached bool) {
@@ -289,14 +282,6 @@ type Stats struct {
 	ProjectionScans      int64 `json:"projection_scans"`
 	ProjectionsInherited int64 `json:"projections_inherited"`
 	ProjectionsPatched   int64 `json:"projections_patched"`
-	// WCOJQueries counts queries whose chosen plan opened with a
-	// worst-case-optimal multiway join step (the hybrid planner picked a
-	// leapfrog core over a binary pipeline, or the client forced algo=wcoj);
-	// WCOJSeeks/WCOJIterNexts aggregate the leapfrog trie-iterator work —
-	// sorted lists opened for intersection and candidate values produced.
-	WCOJQueries   int64 `json:"wcoj_queries"`
-	WCOJSeeks     int64 `json:"wcoj_seeks"`
-	WCOJIterNexts int64 `json:"wcoj_iter_nexts"`
 	// FastpathTier1Queries counts successful queries whose plan had the
 	// tier-1 index-only shape; FastpathTier2Prunes patterns the
 	// fan-signature prefilter proved empty (tier 2); Tier3Queries every
@@ -359,9 +344,6 @@ func (s *Server) Stats() Stats {
 		CenterCacheMisses:      s.met.centerMisses.Load(),
 		DecodedMemoHits:        s.met.memoHits.Load(),
 		DecodedMemoMisses:      s.met.memoMisses.Load(),
-		WCOJQueries:            s.met.wcojQueries.Load(),
-		WCOJSeeks:              s.met.wcojSeeks.Load(),
-		WCOJIterNexts:          s.met.wcojNexts.Load(),
 		FastpathTier1Queries:   s.met.tier1Queries.Load(),
 		FastpathTier2Prunes:    s.met.tier2Prunes.Load(),
 		Tier3Queries:           s.met.tier3Queries.Load(),

@@ -215,8 +215,8 @@ func (s *Server) DB() *gdb.DB { return s.db }
 // Config returns the effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Query parses and evaluates a pattern. algo is a planner name ("dp",
-// "dps", "wcoj"); empty selects the configured default.
+// Query parses and evaluates a pattern. algo is a planner name ("dp" or
+// "dps"); empty selects the configured default.
 func (s *Server) Query(ctx context.Context, patternText, algo string) (*Result, error) {
 	return s.QueryOpts(ctx, patternText, algo, QueryOptions{})
 }
@@ -312,9 +312,6 @@ func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorith
 		ResultRows:   opts.Limit,
 		MaxTableRows: s.cfg.MaxTableRows,
 		MaxBytes:     s.cfg.MaxIntermediateBytes,
-	}
-	if len(plan.Steps) > 0 && plan.Steps[0].Kind == optimizer.StepWCOJ {
-		s.met.wcojQueries.Add(1)
 	}
 	rows, _, err := exec.Run(ctx, snap, plan, false, exec.RunConfig{Runtime: rt, Budget: bdg})
 	s.met.recordRuntime(rt.Stats())

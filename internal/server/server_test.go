@@ -440,10 +440,13 @@ func TestHTTP(t *testing.T) {
 	if resp, body = post(`{"pattern": "A->"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad pattern: %d %s", resp.StatusCode, body)
 	}
-	// The retired merged-status DPS is an unknown algorithm → 400.
-	resp, body = post(`{"pattern": "A->B", "algorithm": "dps-merged"}`)
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`unknown algorithm \"dps-merged\"`)) {
-		t.Fatalf("dps-merged: %d %s", resp.StatusCode, body)
+	// The retired planners — merged-status DPS and the worst-case-optimal
+	// multiway join — are unknown algorithms → 400.
+	for _, algo := range []string{"dps-merged", "wcoj"} {
+		resp, body = post(`{"pattern": "A->B", "algorithm": "` + algo + `"}`)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`unknown algorithm \"`+algo+`\"`)) {
+			t.Fatalf("%s: %d %s", algo, resp.StatusCode, body)
+		}
 	}
 	// Missing pattern → 400.
 	if resp, body = post(`{}`); resp.StatusCode != http.StatusBadRequest {

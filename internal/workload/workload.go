@@ -99,10 +99,8 @@ func Graphs5B() []Workload {
 }
 
 // Cyclic returns CY1–CY5: patterns whose condition graphs contain
-// undirected cycles — triangles, a diamond, and a 4-clique. These are the
-// shapes where the hybrid optimizer can open with a worst-case-optimal
-// multiway R-join over the cyclic core instead of a binary join pipeline;
-// the acyclic batteries above never trigger it. Every pattern is
+// undirected cycles — triangles, a diamond, and a 4-clique — so every
+// plan closes a cycle with a Selection. Every pattern is
 // non-empty on xmark graphs: site reaches every element of its document,
 // person reaches categories via profile/interest and open auctions/items
 // via watches, and open_auction reaches persons (bidder/seller/author)

@@ -44,7 +44,7 @@ func TestShapes(t *testing.T) {
 	}
 	for _, w := range Cyclic() {
 		if w.Pattern.NumEdges() < w.Pattern.NumNodes() {
-			t.Errorf("%s is acyclic (%d nodes, %d edges): %s — the WCOJ battery needs a cycle",
+			t.Errorf("%s is acyclic (%d nodes, %d edges): %s — the cyclic battery needs a cycle",
 				w.Name, w.Pattern.NumNodes(), w.Pattern.NumEdges(), w.Pattern)
 		}
 	}
