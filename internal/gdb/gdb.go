@@ -88,8 +88,8 @@ type DB struct {
 	// once, when the first snapshot is published.
 	rank []int32
 
-	// Projection-list accounting across all epochs: full computations
-	// (Snap.projection), lists a publish carried into the successor epoch,
+	// Projection-set accounting across all epochs: full computations
+	// (Snap.projection), sets a publish carried into the successor epoch,
 	// and those of them whose content the batch changed.
 	projScans, projInherited, projPatched atomic.Int64
 
@@ -193,8 +193,8 @@ func (db *DB) newSnap(g *graph.Graph) *Snap {
 		sig:       newSignature(),
 		wcache:    make(map[wKey][]graph.NodeID),
 		codeCache: newCodeCache(g.NumNodes(), db.codeCacheEntries),
-		projFrom:  make(map[wKey][]graph.NodeID),
-		projTo:    make(map[wKey][]graph.NodeID),
+		projFrom:  make(map[wKey]*NodeSet),
+		projTo:    make(map[wKey]*NodeSet),
 	}
 }
 
@@ -276,12 +276,16 @@ func (db *DB) DecodedMemoStats() (nodes, tables int, resets int64) {
 	return nodes, tables, db.memoResets.Load()
 }
 
-// ProjectionStats reports, across all epochs, how many projection lists
+// ProjectionStats reports, across all epochs, how many projection sets
 // were computed in full (scans), carried by a publish into the successor
 // epoch (inherited), and of those changed by the batch (patched).
 func (db *DB) ProjectionStats() (scans, inherited, patched int64) {
 	return db.projScans.Load(), db.projInherited.Load(), db.projPatched.Load()
 }
+
+// ProjectionBytes returns the memory the current epoch's memoized
+// projection sets occupy: 8·⌈|V|/64⌉ bytes each.
+func (db *DB) ProjectionBytes() int { return db.mgr.Current().projectionBytes() }
 
 // ResetIOStats zeroes the buffer pool counters (e.g. after Build, before a
 // measured query).
@@ -582,12 +586,6 @@ func IntersectNonEmpty(a, b []graph.NodeID) bool {
 // galloping through the larger slice when the sizes are heavily skewed.
 func Intersect(a, b []graph.NodeID) []graph.NodeID {
 	return IntersectTo(nil, a, b)
-}
-
-// Contains reports whether the ascending NodeID slice holds v.
-func Contains(s []graph.NodeID, v graph.NodeID) bool {
-	_, found := gallopSearch(s, 0, v)
-	return found
 }
 
 // IntersectTo is Intersect writing into dst (reset to length zero), reusing

@@ -181,8 +181,8 @@ func (w *snapWriter) publish(cur *Snap) {
 	if w.torn {
 		// An edge failed inside its tree updates: the trees may disagree
 		// with each other, so nothing derived from several of them is kept.
-		next.projFrom = make(map[wKey][]graph.NodeID)
-		next.projTo = make(map[wKey][]graph.NodeID)
+		next.projFrom = make(map[wKey]*NodeSet)
+		next.projTo = make(map[wKey]*NodeSet)
 	} else {
 		touched := w.touchedByLabel()
 		w.inheritPartners(cur, next, touched)
@@ -275,22 +275,22 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 	}
 }
 
-// inheritProjections seeds next's projection memos with cur's lists,
+// inheritProjections seeds next's projection memos with cur's sets,
 // patched to next's content. The rule is exact: π_X(X→Y) = {x ∈ ext(X) :
 // out(x) ∩ W(X, Y) ≠ ∅} (in(y) for π_Y), so a node's membership can only
 // have changed if the batch changed its code (touchedNodes) or changed the
 // W row (touchedW) — and then only for members of the centers that entered
-// or left the row. Those candidates are re-tested against next; a list
-// none of them moved is shared between the epochs, one that changed is
-// copied. A list that cannot be patched is left out, and Snap.projection
-// recomputes it on first use. Not called after a torn batch.
+// or left the row. Those candidates are re-tested against next; a set none
+// of them moved is shared between the epochs, one that changed is copied.
+// A set that cannot be patched is left out, and Snap.projection recomputes
+// it on first use. Not called after a torn batch.
 func (w *snapWriter) inheritProjections(cur, next *Snap, touched map[graph.Label][]graph.NodeID) {
 	cur.statMu.Lock()
 	next.projFrom, next.projTo = maps.Clone(cur.projFrom), maps.Clone(cur.projTo)
 	cur.statMu.Unlock()
-	patchAll := func(memo map[wKey][]graph.NodeID, forward bool) {
-		for k, list := range memo {
-			patched, changed, err := w.patchProjection(cur, next, k, list, forward, touched)
+	patchAll := func(memo map[wKey]*NodeSet, forward bool) {
+		for k, set := range memo {
+			patched, changed, err := w.patchProjection(cur, next, k, set, forward, touched)
 			if err != nil {
 				delete(memo, k)
 				continue
@@ -306,10 +306,10 @@ func (w *snapWriter) inheritProjections(cur, next *Snap, touched map[graph.Label
 	patchAll(next.projTo, false)
 }
 
-// patchProjection returns next's version of one projection list of cur:
-// list itself when no candidate's membership moved, else a patched copy.
+// patchProjection returns next's version of one projection set of cur: set
+// itself when no candidate's membership moved, else a patched copy.
 // forward selects π_X (F-side members, out-codes) over π_Y (T-side, in-).
-func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, list []graph.NodeID, forward bool, touched map[graph.Label][]graph.NodeID) (_ []graph.NodeID, changed bool, _ error) {
+func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forward bool, touched map[graph.Label][]graph.NodeID) (_ *NodeSet, changed bool, _ error) {
 	side, dir, code := k.x, dirF, next.OutCode
 	if !forward {
 		side, dir, code = k.y, dirT, next.InCode
@@ -354,35 +354,29 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, list []graph.NodeI
 		slices.Sort(cands)
 		cands = slices.Compact(cands)
 	}
-	var add, rem []graph.NodeID
+	var out *NodeSet
 	for _, v := range cands {
 		c, err := code(v)
 		if err != nil {
 			return nil, false, err
 		}
-		had := Contains(list, v)
-		switch in := IntersectNonEmpty(c, ws); {
-		case in && !had:
-			add = append(add, v)
-		case had && !in:
-			rem = append(rem, v)
-		}
-	}
-	if len(add) == 0 && len(rem) == 0 {
-		return list, false, nil
-	}
-	out := make([]graph.NodeID, 0, len(list)+len(add)-len(rem))
-	for _, v := range list {
-		for len(add) > 0 && add[0] < v {
-			out, add = append(out, add[0]), add[1:]
-		}
-		if len(rem) > 0 && rem[0] == v {
-			rem = rem[1:]
+		in := IntersectNonEmpty(c, ws)
+		if in == set.Has(v) {
 			continue
 		}
-		out = append(out, v)
+		if out == nil {
+			out = set.clone()
+		}
+		if in {
+			out.add(v)
+		} else {
+			out.remove(v)
+		}
 	}
-	return append(out, add...), true, nil
+	if out == nil {
+		return set, false, nil
+	}
+	return out, true, nil
 }
 
 func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -168,16 +169,23 @@ func BenchmarkIntersectLinearReference(b *testing.B) {
 	}
 }
 
-// FuzzLeapfrogMultiwayIntersect drives a k-way fold of IntersectTo — sort
-// the lists by length, then intersect pairwise with buffer reuse, the way a
-// fused Fetch narrows a partner list by one filter after another — against
-// a naive membership-count oracle over k sorted unique lists. (The name is
-// kept from the retired leapfrog join, which folded its lists the same way.)
+// FuzzLeapfrogMultiwayIntersect drives two k-way folds against a naive
+// membership-count oracle over k sorted unique lists. The first is of
+// IntersectTo — sort the lists by length, then intersect pairwise with
+// buffer reuse. The second is a fused Fetch's: the first list is a shared
+// partner list that must not be written, and each later one is, by a bit of
+// data[0], either a Selection's list (IntersectTo) or a semijoin
+// projection (NodeSet.FilterTo); the first filter writes to fresh space and
+// the rest shrink that list in place. Every set's Has, Len and Members are
+// checked against its list. (The name is kept from the retired leapfrog
+// join, which folded its lists the same way.)
 func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 0, 0, 1, 1})
 	f.Add([]byte{3, 10, 20, 30, 40, 50, 1, 1, 1})
 	f.Add([]byte{2})
+	f.Add([]byte{0x17, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 15})
+	f.Add([]byte{0xfb, 0, 0, 0, 0, 3, 3, 3, 3, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -224,7 +232,102 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 		if !reflect.DeepEqual(cur, want) && !(len(cur) == 0 && len(want) == 0) {
 			t.Fatalf("fold of %v = %v, oracle %v", lists, cur, want)
 		}
+
+		numNodes := 1
+		for _, l := range lists {
+			if len(l) > 0 {
+				numNodes = max(numNodes, int(l[len(l)-1])+1)
+			}
+		}
+		shared := append([]graph.NodeID(nil), lists[0]...)
+		cur, owned := shared, false
+		for i, l := range lists[1:] {
+			dst := cur[:0]
+			if !owned {
+				dst, owned = make([]graph.NodeID, 0, len(cur)), true
+			}
+			if data[0]>>(2+i)&1 == 0 {
+				cur = IntersectTo(dst, cur, l)
+				continue
+			}
+			set := newNodeSet(numNodes)
+			in := make(map[graph.NodeID]bool, len(l))
+			for _, v := range l {
+				set.add(v)
+				in[v] = true
+			}
+			if got := set.Members(); set.Len() != len(l) || !reflect.DeepEqual(got, l) && len(l) > 0 {
+				t.Fatalf("set of %v: Len %d, Members %v", l, set.Len(), got)
+			}
+			for v := graph.NodeID(-1); v <= graph.NodeID(numNodes); v++ {
+				if set.Has(v) != in[v] {
+					t.Fatalf("set of %v: Has(%d) = %v", l, v, !in[v])
+				}
+			}
+			cur = set.FilterTo(dst, cur)
+		}
+		if !reflect.DeepEqual(cur, want) && !(len(cur) == 0 && len(want) == 0) {
+			t.Fatalf("fused fold of %v (sets by %08b) = %v, oracle %v", lists, data[0]>>2, cur, want)
+		}
+		if !reflect.DeepEqual(shared, lists[0]) && len(shared) > 0 {
+			t.Fatalf("the fused fold wrote the shared list: %v, was %v", shared, lists[0])
+		}
 	})
+}
+
+// TestNodeSetBoundaries pins a set's edges: node 0, node N−1 and the IDs
+// either side of a word boundary, in graphs of one word, one word exactly
+// filled and a partial last word, and the empty set. Has, Len, Members,
+// sizeBytes and FilterTo — fresh and in place — agree with the member list, and
+// no ID outside [0, N) is a member.
+func TestNodeSetBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		members []graph.NodeID
+	}{
+		{1, nil}, {1, []graph.NodeID{0}},
+		{64, nil}, {64, []graph.NodeID{0, 63}},
+		{65, []graph.NodeID{63, 64}}, {65, []graph.NodeID{64}},
+		{129, nil}, {129, []graph.NodeID{0, 63, 64, 128}}, {129, []graph.NodeID{127, 128}},
+	} {
+		s := newNodeSet(tc.n)
+		for _, v := range tc.members {
+			s.add(v)
+			s.add(v) // a second add is no new member
+		}
+		what := fmt.Sprintf("N=%d members %v", tc.n, tc.members)
+		if want := 8 * ((tc.n + 63) / 64); s.sizeBytes() != want {
+			t.Fatalf("%s: sizeBytes %d, want %d", what, s.sizeBytes(), want)
+		}
+		if s.Len() != len(tc.members) || !reflect.DeepEqual(s.Members(), append([]graph.NodeID{}, tc.members...)) {
+			t.Fatalf("%s: Len %d, Members %v", what, s.Len(), s.Members())
+		}
+		all := make([]graph.NodeID, 0, tc.n+2)
+		all = append(all, -1)
+		for v := graph.NodeID(0); int(v) <= tc.n; v++ {
+			all = append(all, v)
+			if want := slices.Contains(tc.members, v); s.Has(v) != want {
+				t.Fatalf("%s: Has(%d) = %v", what, v, !want)
+			}
+		}
+		if s.Has(-1) || s.Has(graph.NodeID(tc.n)) || s.Has(graph.NodeID(64*len(s.words))) {
+			t.Fatalf("%s: an ID outside the graph is a member", what)
+		}
+		if got := s.FilterTo(nil, all); !reflect.DeepEqual(got, s.Members()) && len(got)+s.Len() > 0 {
+			t.Fatalf("%s: FilterTo(all) = %v", what, got)
+		}
+		if got := s.FilterTo(all[:0], all); !reflect.DeepEqual(got, s.Members()) && len(got)+s.Len() > 0 {
+			t.Fatalf("%s: FilterTo in place = %v", what, got)
+		}
+		c := s.clone()
+		for _, v := range tc.members {
+			c.remove(v)
+			c.remove(v)
+		}
+		if c.Len() != 0 || len(c.Members()) != 0 || s.Len() != len(tc.members) {
+			t.Fatalf("%s: emptied clone holds %d, original %d", what, c.Len(), s.Len())
+		}
+	}
 }
 
 // TestIntersectToInPlace pins the one overlap IntersectTo supports: a

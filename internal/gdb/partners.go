@@ -201,6 +201,28 @@ func UnionOver(cs []graph.NodeID, get func(w graph.NodeID) ([]graph.NodeID, erro
 	return union, owned, nil
 }
 
+// mergeUnionNodes appends the sorted-set union of two ascending duplicate-
+// free slices to dst.
+func mergeUnionNodes(dst, a, b []graph.NodeID) []graph.NodeID {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			dst = append(dst, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		default:
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
 // Reaches is Snap.Reaches: graph codes come from the dense code cache, so a
 // Selection row takes no lock either.
 func (r *Reader) Reaches(u, v graph.NodeID) (bool, error) { return r.s.Reaches(u, v) }

@@ -51,33 +51,29 @@ func warmProjections(t testing.TB, s *Snap) {
 	}
 }
 
-// checkProjections compares every projection list s has memoized with a
-// full recomputation on a cold view of the same trees, and returns how many
-// lists it compared.
+// checkProjections compares every projection set s has memoized — members
+// and member count — with a full recomputation on a cold view of the same
+// trees, and returns how many sets it compared.
 func checkProjections(t testing.TB, s *Snap, what string) int {
 	t.Helper()
 	cold := coldView(s)
 	s.statMu.Lock()
 	from, to := maps.Clone(s.projFrom), maps.Clone(s.projTo)
 	s.statMu.Unlock()
-	for k, got := range from {
-		want, err := cold.ProjectFrom(k.x, k.y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: memoized π_X(%d→%d) = %v, recomputed %v", what, k.x, k.y, got, want)
-		}
-	}
-	for k, got := range to {
-		want, err := cold.ProjectTo(k.x, k.y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: memoized π_Y(%d→%d) = %v, recomputed %v", what, k.x, k.y, got, want)
+	check := func(memo map[wKey]*NodeSet, side string, project func(x, y graph.Label) (*NodeSet, error)) {
+		for k, got := range memo {
+			want, err := project(k.x, k.y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Members(), want.Members()) || got.Len() != want.Len() {
+				t.Fatalf("%s: memoized π_%s(%d→%d) = %v (%d members), recomputed %v (%d)",
+					what, side, k.x, k.y, got.Members(), got.Len(), want.Members(), want.Len())
+			}
 		}
 	}
+	check(from, "X", cold.ProjectFrom)
+	check(to, "Y", cold.ProjectTo)
 	return len(from) + len(to)
 }
 
@@ -158,7 +154,7 @@ func wRowSizes(t testing.TB, s *Snap) map[wKey]int {
 	return sizes
 }
 
-// TestProjectionsExactAfterEveryPublish: the projection lists a successor
+// TestProjectionsExactAfterEveryPublish: the projection sets a successor
 // epoch inherits equal a cold recomputation after every publish of a mixed
 // insert/delete stream — on both labelings, through center births
 // and deaths, W rows that empty and rows that are created — and the stream
@@ -174,7 +170,7 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 			warmProjections(t, first)
 			rows := wRowSizes(t, first)
 			release()
-			lists := 2 * labels * labels
+			sets := 2 * labels * labels
 
 			rng := rand.New(rand.NewSource(17))
 			cur := g
@@ -187,8 +183,8 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 					t.Fatalf("step %d: the publish ran %d full projection scans", step, after-scans)
 				}
 				s, release := db.Pin()
-				if got := checkProjections(t, s, "after publish"); got != lists {
-					t.Fatalf("step %d: successor holds %d projection lists, want %d inherited", step, got, lists)
+				if got := checkProjections(t, s, "after publish"); got != sets {
+					t.Fatalf("step %d: successor holds %d projection sets, want %d inherited", step, got, sets)
 				}
 				now := wRowSizes(t, s)
 				release()
@@ -197,8 +193,8 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 			}
 			checkIndexConsistent(t, db, cur)
 			_, inherited, patched := db.ProjectionStats()
-			if inherited != int64(200*lists) || patched == 0 {
-				t.Fatalf("inherited %d lists (want %d), patched %d (want > 0)", inherited, 200*lists, patched)
+			if inherited != int64(200*sets) || patched == 0 {
+				t.Fatalf("inherited %d sets (want %d), patched %d (want > 0)", inherited, 200*sets, patched)
 			}
 			if births == 0 || deaths == 0 || emptied == 0 || created == 0 {
 				t.Fatalf("stream covered %d center births, %d deaths, %d W rows emptied, %d created; want all > 0",
@@ -238,8 +234,8 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 			}
 			s, release := db.Pin()
 			defer release()
-			if got := checkProjections(t, s, "after failed batches"); got != lists {
-				t.Fatalf("after failed batches: %d projection lists, want %d", got, lists)
+			if got := checkProjections(t, s, "after failed batches"); got != sets {
+				t.Fatalf("after failed batches: %d projection sets, want %d", got, sets)
 			}
 			checkIndexConsistent(t, db, cur.WithEdge(u, v).WithoutEdge(present[0], present[1]))
 		})
@@ -248,15 +244,18 @@ func TestProjectionsExactAfterEveryPublish(t *testing.T) {
 
 // TestSuccessorInheritsProjections: after a warm epoch, a publish followed
 // by the same projection reads performs no full scan — the successor serves
-// inherited lists, exact for the new epoch — while a reader still pinned to
-// the old epoch keeps the lists it memoized.
+// inherited sets, exact for the new epoch — while a reader still pinned to
+// the old epoch keeps the sets it memoized.
 func TestSuccessorInheritsProjections(t *testing.T) {
 	g := randomGraph(14, 40, 70, 3)
 	db := mustBuild(t, g, Options{})
 	old, releaseOld := db.Pin()
 	defer releaseOld()
 	warmProjections(t, old)
-	before := maps.Clone(old.projFrom)
+	before := make(map[wKey][]graph.NodeID, len(old.projFrom))
+	for k, p := range old.projFrom {
+		before[k] = p.Members()
+	}
 	warmScans, _, _ := db.ProjectionStats()
 	if want := int64(2 * len(before)); warmScans != want {
 		t.Fatalf("warming ran %d scans, want %d", warmScans, want)
@@ -285,8 +284,8 @@ func TestSuccessorInheritsProjections(t *testing.T) {
 	checkProjections(t, next, "inherited")
 	checkProjections(t, old, "old epoch")
 	for k, pre := range before {
-		if got, _ := old.ProjectFrom(k.x, k.y); !slices.Equal(got, pre) {
-			t.Fatalf("old epoch's π_X(%d→%d) changed under a pinned reader: %v -> %v", k.x, k.y, pre, got)
+		if got, _ := old.ProjectFrom(k.x, k.y); !slices.Equal(got.Members(), pre) || got.Len() != len(pre) {
+			t.Fatalf("old epoch's π_X(%d→%d) changed under a pinned reader: %v -> %v", k.x, k.y, pre, got.Members())
 		}
 	}
 }

@@ -61,13 +61,13 @@ type Snap struct {
 	ptabs  map[partnerKey]*partnerTable
 	pNodes int
 
-	// projFrom/projTo memoize the sorted distinct projections
-	// π_X(T_X ⋈ T_Y) and π_Y(T_X ⋈ T_Y): the optimizer's DistinctFrom/To
-	// statistics are their lengths, and an R-semijoin on the decoded read
+	// projFrom/projTo memoize the distinct projections π_X(T_X ⋈ T_Y) and
+	// π_Y(T_X ⋈ T_Y) as node sets: the optimizer's DistinctFrom/To
+	// statistics are their sizes, and an R-semijoin on the decoded read
 	// path is membership in them.
 	statMu   sync.Mutex // guards the two maps
-	projFrom map[wKey][]graph.NodeID
-	projTo   map[wKey][]graph.NodeID
+	projFrom map[wKey]*NodeSet
+	projTo   map[wKey]*NodeSet
 }
 
 // Epoch returns this snapshot's epoch number (0 for the build).
@@ -204,17 +204,22 @@ func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeI
 	if err != nil {
 		return nil, err
 	}
-	s.memoPut(k, nodes)
-	return nodes, nil
+	return s.memoPut(k, nodes), nil
 }
 
 // memoPut stores one decoded subcluster in the memo, charging its length
-// against the bound. A memo that would overflow is emptied first: it is an
-// epoch-local cache, not a second index. Readers hold the lists, not the
-// map, so a reset never disturbs a running query.
-func (s *Snap) memoPut(k clKey, list []graph.NodeID) {
+// against the bound, and returns the list the memo holds for k: list, or
+// the one a reader that decoded the same key at the same time stored first.
+// Callers use the returned list, so every reader of a key shares one charged
+// copy. A memo that would overflow is emptied first: it is an epoch-local
+// cache, not a second index. Readers hold the lists, not the map, so a reset
+// never disturbs a running query.
+func (s *Snap) memoPut(k clKey, list []graph.NodeID) []graph.NodeID {
 	s.clmu.Lock()
 	defer s.clmu.Unlock()
+	if kept, dup := s.clcache[k]; dup {
+		return kept
+	}
 	if s.clNodes+len(list) > s.db.memoBound {
 		s.clcache, s.clNodes = nil, 0
 		s.db.memoResets.Add(1)
@@ -222,10 +227,9 @@ func (s *Snap) memoPut(k clKey, list []graph.NodeID) {
 	if s.clcache == nil {
 		s.clcache = make(map[clKey][]graph.NodeID)
 	}
-	if _, dup := s.clcache[k]; !dup {
-		s.clcache[k] = list
-		s.clNodes += len(list)
-	}
+	s.clcache[k] = list
+	s.clNodes += len(list)
+	return list
 }
 
 // DecodedMemoNodes returns what this epoch's decoded memos hold
@@ -351,35 +355,41 @@ func (s *Snap) JoinSize(x, y graph.Label) (int64, error) {
 // union of the X-labeled F-subclusters over W(X, Y). Memoized.
 func (s *Snap) DistinctFrom(x, y graph.Label) (int64, error) {
 	p, err := s.ProjectFrom(x, y)
-	return int64(len(p)), err
+	if err != nil {
+		return 0, err
+	}
+	return int64(p.Len()), nil
 }
 
 // DistinctTo returns |π_Y(T_X ⋈_{X→Y} T_Y)|: the number of Y-labeled nodes
 // reached from at least one X-labeled node. Memoized.
 func (s *Snap) DistinctTo(x, y graph.Label) (int64, error) {
 	p, err := s.ProjectTo(x, y)
-	return int64(len(p)), err
+	if err != nil {
+		return 0, err
+	}
+	return int64(p.Len()), nil
 }
 
-// ProjectFrom returns π_X(T_X ⋈_{X→Y} T_Y) as a sorted ascending list: every
-// X-labeled node that reaches at least one Y-labeled node, computed as the
-// sorted-set union of the X-labeled F-subclusters over W(X, Y). The list is
-// memoized per snapshot and shared — callers must not mutate it.
-func (s *Snap) ProjectFrom(x, y graph.Label) ([]graph.NodeID, error) {
+// ProjectFrom returns π_X(T_X ⋈_{X→Y} T_Y) as a node set: every X-labeled
+// node that reaches at least one Y-labeled node, computed as the union of
+// the X-labeled F-subclusters over W(X, Y). The set is memoized per
+// snapshot and shared — callers must not mutate it.
+func (s *Snap) ProjectFrom(x, y graph.Label) (*NodeSet, error) {
 	return s.projection(x, y, dirF, x, s.projFrom)
 }
 
-// ProjectTo returns π_Y(T_X ⋈_{X→Y} T_Y) as a sorted ascending list: every
-// Y-labeled node reached from at least one X-labeled node (union of the
-// Y-labeled T-subclusters over W(X, Y)). Memoized and shared; do not mutate.
-func (s *Snap) ProjectTo(x, y graph.Label) ([]graph.NodeID, error) {
+// ProjectTo returns π_Y(T_X ⋈_{X→Y} T_Y) as a node set: every Y-labeled
+// node reached from at least one X-labeled node (union of the Y-labeled
+// T-subclusters over W(X, Y)). Memoized and shared; do not mutate.
+func (s *Snap) ProjectTo(x, y graph.Label) (*NodeSet, error) {
 	return s.projection(x, y, dirT, y, s.projTo)
 }
 
-// projection is the one full computation of a projection list: the cold
-// start of an epoch's memo, and the reference the lists a successor epoch
+// projection is the one full computation of a projection set: the cold
+// start of an epoch's memo, and the reference the sets a successor epoch
 // inherits (inheritProjections) are tested against.
-func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map[wKey][]graph.NodeID) ([]graph.NodeID, error) {
+func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map[wKey]*NodeSet) (*NodeSet, error) {
 	k := wKey{x, y}
 	s.statMu.Lock()
 	p, ok := memo[k]
@@ -392,48 +402,34 @@ func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map
 	if err != nil {
 		return nil, err
 	}
-	var union, scratch []graph.NodeID
+	set := newNodeSet(s.g.NumNodes())
 	for _, w := range ws {
 		nodes, err := s.clusterLookup(w, dir, side)
 		if err != nil {
 			return nil, err
 		}
-		if len(nodes) == 0 {
-			continue
+		for _, v := range nodes {
+			set.add(v)
 		}
-		if len(union) == 0 {
-			union = append(union, nodes...)
-			continue
-		}
-		scratch = mergeUnionNodes(scratch[:0], union, nodes)
-		union, scratch = scratch, union
 	}
 	s.statMu.Lock()
-	memo[k] = union
+	memo[k] = set
 	s.statMu.Unlock()
-	return union, nil
+	return set, nil
 }
 
-// mergeUnionNodes appends the sorted-set union of two ascending duplicate-
-// free slices to dst.
-func mergeUnionNodes(dst, a, b []graph.NodeID) []graph.NodeID {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
+// projectionBytes returns the memory the epoch's memoized projection sets
+// occupy.
+func (s *Snap) projectionBytes() int {
+	s.statMu.Lock()
+	defer s.statMu.Unlock()
+	total := 0
+	for _, memo := range []map[wKey]*NodeSet{s.projFrom, s.projTo} {
+		for _, p := range memo {
+			total += p.sizeBytes()
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	return total
 }
 
 // clearCaches empties this epoch's derived data caches (cold-start

@@ -247,12 +247,16 @@ func TestFetchFilteredErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkFetchFilters measures the last operator group of two served
-// cyclic queries on XMark 20k — Q1 "site->item; site->person;
-// item->category; person->category" (Fetch category from item, Selection
-// person->category) and CY2 "site->person; site->open_auction;
-// person->watches; open_auction->watches" — fused against the Fetch then
-// Selection it replaces, in ns and bytes per input row of the group.
+// BenchmarkFetchFilters measures operator groups of served queries on
+// XMark 20k, fused against the Fetch and filters they replace, in ns and
+// bytes per input row of the group. Q1 and CY2 are the last groups of two
+// cyclic queries — Q1 "site->item; site->person; item->category;
+// person->category" (Fetch category from item, Selection person->category)
+// and CY2 "site->person; site->open_auction; person->watches;
+// open_auction->watches" — and P8 is the path battery's "site->people;
+// people->person; person->profile; profile->interest" at its Fetch of
+// profile from person and the R-semijoin group profile->interest it
+// absorbs, the shape every P and T query fuses.
 func BenchmarkFetchFilters(b *testing.B) {
 	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 7}).Graph
 	dbx, err := gdb.Build(g, gdb.Options{PoolBytes: 16 << 20})
@@ -264,8 +268,15 @@ func BenchmarkFetchFilters(b *testing.B) {
 	defer release()
 	ctx := context.Background()
 
-	// Each group's input is the three-column table its plan builds first:
-	// root->x, then root->y fetched from root.
+	// A cyclic group's input is the three-column table its plan builds
+	// first: root->x, then root->y fetched from root. P8's is people->person.
+	type group struct {
+		name    string
+		in      *Table
+		fetch   Cond
+		filters []NodeFilter
+	}
+	var groups []group
 	for _, q := range []struct{ name, root, x, y, z string }{
 		{"Q1", "site", "item", "person", "category"},
 		{"CY2", "site", "open_auction", "person", "watches"},
@@ -277,8 +288,18 @@ func BenchmarkFetchFilters(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fetch, sel := cond(g, q.x, q.z, 1, 3), cond(g, q.y, q.z, 2, 3)
-		filters := []NodeFilter{{Conds: []Cond{sel}}}
+		groups = append(groups, group{q.name, in, cond(g, q.x, q.z, 1, 3),
+			[]NodeFilter{{Conds: []Cond{cond(g, q.y, q.z, 2, 3)}}}})
+	}
+	in, err := HPSJ(ctx, db, cond(g, "people", "person", 0, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups = append(groups, group{"P8", in, cond(g, "person", "profile", 1, 2),
+		[]NodeFilter{{Conds: []Cond{cond(g, "profile", "interest", 2, 3)}, Semijoin: true, OutSide: true}}})
+
+	for _, q := range groups {
+		in, fetch, filters, newNode := q.in, q.fetch, q.filters, q.fetch.ToNode
 		variants := []struct {
 			name string
 			run  func() (int, error)
@@ -291,7 +312,7 @@ func BenchmarkFetchFilters(b *testing.B) {
 				return res.N, nil
 			}},
 			{"stepwise", func() (int, error) {
-				out, _, err := stepwise(ctx, new(Runtime), db, in, fetch, 3, filters, 0)
+				out, _, err := stepwise(ctx, new(Runtime), db, in, fetch, newNode, filters, 0)
 				if err != nil {
 					return 0, err
 				}

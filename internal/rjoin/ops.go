@@ -297,12 +297,13 @@ type NodeFilter struct {
 // FetchFiltered is Fetch followed by the given filters on the node it
 // binds — Selections between that node and a bound column (Eq. 5),
 // R-semijoin groups on it (Eq. 6, Remark 3.1) — run as one operator: every
-// such filter is membership of the new value in an ascending list (a
-// Selection's is the bound endpoint's partner list under its condition,
-// exactly the nodes of the new label that endpoint reaches or is reached
-// from; a semijoin condition's is its distinct projection), so per input
-// row the Fetch's partner list is intersected with each filter's list, in
-// the order given, and only the survivors ever become rows. The output is
+// such filter is membership of the new value in a set (a Selection's is the
+// bound endpoint's partner list under its condition, exactly the nodes of
+// the new label that endpoint reaches or is reached from; a semijoin
+// condition's is its distinct projection), so per input row the Fetch's
+// partner list is cut down by each filter, in the order given — intersected
+// with a Selection's list, tested bit by bit against a projection — and
+// only the survivors ever become rows. The output is
 // what Fetch, then Selection/FilterGroup per filter, returns: the same rows
 // in the same order (input order × ascending survivors).
 //
@@ -328,12 +329,12 @@ func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Table, c 
 // nodeFilter is a NodeFilter resolved against the Fetch's input: a
 // Selection reads the partner list of the value in column col under cond
 // (looked up per row, through a partner table resolved once per operator);
-// a semijoin group intersects with fixed lists, loaded once per operator.
+// a semijoin group tests membership in fixed sets, loaded once per operator.
 type nodeFilter struct {
 	cond    Cond
 	forward bool
 	col     int
-	lists   [][]graph.NodeID
+	sets    []*gdb.NodeSet
 }
 
 // resolveFilters binds filters on newNode to the columns of t.
@@ -346,11 +347,11 @@ func resolveFilters(db *gdb.Snap, t *Table, newNode int, filters []NodeFilter) (
 					return nil, err
 				}
 			}
-			lists, err := projections(db, f.Conds, f.OutSide)
+			sets, err := projections(db, f.Conds, f.OutSide)
 			if err != nil {
 				return nil, err
 			}
-			out[i].lists = lists
+			out[i].sets = sets
 			continue
 		}
 		if len(f.Conds) != 1 {
@@ -380,7 +381,6 @@ type fetchFilters struct {
 	fs    []nodeFilter
 	sel   []partnerFunc // per filter; nil for a semijoin group
 	arena []graph.NodeID
-	one   [1][]graph.NodeID
 }
 
 // listArenaChunk is the arena's chunk size in node IDs (32 KB).
@@ -389,7 +389,7 @@ const listArenaChunk = 8192
 func openFilters(rd reads, fs []nodeFilter) (*fetchFilters, error) {
 	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs))}
 	for k, f := range fs {
-		if f.lists != nil {
+		if f.sets != nil {
 			continue
 		}
 		var err error
@@ -402,35 +402,29 @@ func openFilters(rd reads, fs []nodeFilter) (*fetchFilters, error) {
 
 // apply returns the members of targets — row's partner list, shared and
 // left untouched — that pass every filter, adding the count left after
-// filter k to counts[k+1]. The first intersection writes to fresh arena
-// space and later ones shrink that list in place (gdb.IntersectTo allows a
-// destination that starts where an input does); bound is the most the rest
-// of the input can still keep, which sizes a new chunk.
+// filter k to counts[k+1]. The first filter to run writes to fresh arena
+// space and later ones shrink that list in place (gdb.IntersectTo and
+// NodeSet.FilterTo both allow a destination that starts where their input
+// does); bound is the most the rest of the input can still keep, which
+// sizes a new chunk.
 func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	for k, f := range p.fs {
-		lists := f.lists
-		if lists == nil && len(cur) > 0 {
+		if f.sets != nil {
+			for _, set := range f.sets {
+				if len(cur) == 0 {
+					break
+				}
+				cur = set.FilterTo(p.dst(cur, owned, len(cur), bound), cur)
+				owned = true
+			}
+		} else if len(cur) > 0 {
 			other, err := p.sel[k](row[f.col])
 			if err != nil {
 				return nil, err
 			}
-			p.one[0] = other
-			lists = p.one[:]
-		}
-		for _, other := range lists {
-			if len(cur) == 0 {
-				break
-			}
-			dst := cur[:0]
-			if !owned {
-				n := min(len(cur), len(other))
-				if cap(p.arena)-len(p.arena) < n {
-					p.arena = make([]graph.NodeID, 0, max(n, min(listArenaChunk, bound)))
-				}
-				dst, owned = p.arena[len(p.arena):len(p.arena):len(p.arena)+n], true
-			}
-			cur = gdb.IntersectTo(dst, cur, other)
+			cur = gdb.IntersectTo(p.dst(cur, owned, min(len(cur), len(other)), bound), cur, other)
+			owned = true
 		}
 		counts[k+1] += len(cur)
 	}
@@ -440,6 +434,19 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound in
 		cur = cur[:len(cur):len(cur)]
 	}
 	return cur, nil
+}
+
+// dst returns where a filter writes what it keeps of cur, at most n
+// entries: cur's own storage once apply owns it, else n entries of fresh
+// arena space.
+func (p *fetchFilters) dst(cur []graph.NodeID, owned bool, n, bound int) []graph.NodeID {
+	if owned {
+		return cur[:0]
+	}
+	if cap(p.arena)-len(p.arena) < n {
+		p.arena = make([]graph.NodeID, 0, max(n, min(listArenaChunk, bound)))
+	}
+	return p.arena[len(p.arena) : len(p.arena) : len(p.arena)+n]
 }
 
 // fetch is the one loop behind Fetch, FetchResult and FetchFiltered: expand

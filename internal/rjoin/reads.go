@@ -41,7 +41,7 @@ type semijoinGroup struct {
 	conds   []Cond
 	outSide bool
 	wss     [][]graph.NodeID
-	projs   [][]graph.NodeID
+	projs   []*gdb.NodeSet
 }
 
 // open returns the read path for one operator over db: the snapshot's
@@ -85,10 +85,10 @@ func (d *decodedReads) prepare(g *semijoinGroup) (err error) {
 
 // projections loads each condition's bound-side distinct projection — π_X
 // of X→Y for out-codes, π_Y for in-codes — from the snapshot's memo: the
-// ascending list of values that pass the condition's R-semijoin (see
-// semijoin). The lists are shared and must not be mutated.
-func projections(db *gdb.Snap, conds []Cond, outSide bool) ([][]graph.NodeID, error) {
-	projs := make([][]graph.NodeID, len(conds))
+// set of values that pass the condition's R-semijoin (see semijoin). The
+// sets are shared and must not be mutated.
+func projections(db *gdb.Snap, conds []Cond, outSide bool) ([]*gdb.NodeSet, error) {
+	projs := make([]*gdb.NodeSet, len(conds))
 	for i, c := range conds {
 		var err error
 		if outSide {
@@ -109,11 +109,11 @@ func projections(db *gdb.Snap, conds []Cond, outSide bool) ([][]graph.NodeID, er
 // cluster index defines F(w) = {u : w ∈ out(u)}, so some center of W lies
 // in out(v) iff v is in some X-labeled F-subcluster over W (dually for
 // in-codes and π_Y). Bound columns only ever hold values of their pattern
-// node's label, so the group reduces to sorted-list searches with no
+// node's label, so the group reduces to one bit test per condition, with no
 // per-row code fetch at all.
 func (d *decodedReads) semijoin(g *semijoinGroup, v graph.NodeID) (bool, error) {
 	for _, p := range g.projs {
-		if !gdb.Contains(p, v) {
+		if !p.Has(v) {
 			return false, nil
 		}
 	}

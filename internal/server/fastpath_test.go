@@ -3,10 +3,14 @@ package server
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
+	"fastmatch/internal/optimizer"
+	"fastmatch/internal/pattern"
 )
 
 // fastpathTestServer builds a server over a layered DAG plus one isolated
@@ -105,5 +109,45 @@ func TestStatsDecodedMemo(t *testing.T) {
 	}
 	if warm.DecodedMemoResets != 0 {
 		t.Fatalf("memo reset %d times on a 61-node graph", warm.DecodedMemoResets)
+	}
+}
+
+// TestStatsProjectionBytes: /stats projection_bytes is what the current
+// epoch's memoized projection sets occupy, 8·⌈N/64⌉ bytes each. Planning a
+// query memoizes both projections of each of its label pairs, which its
+// semijoin groups then read.
+func TestStatsProjectionBytes(t *testing.T) {
+	db, err := gdb.Build(testGraph(1, 200), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := New(db, Config{})
+	ctx := context.Background()
+	setBytes := 8 * ((db.Graph().NumNodes() + 63) / 64)
+	if got := s.Stats().ProjectionBytes; got != 0 {
+		t.Fatalf("projection_bytes = %d before any query", got)
+	}
+
+	const q = "A->B; B->C"
+	snap, release := db.Pin()
+	plan, _, err := s.plan(ctx, snap, pattern.MustParse(q), exec.DPS)
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(plan.Steps, func(st optimizer.Step) bool { return st.Kind == optimizer.StepSemijoinGroup }) {
+		t.Fatalf("%s: plan %v has no semijoin group; the test proves nothing", q, plan.Steps)
+	}
+	if _, err := s.Query(ctx, q, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Stats().ProjectionBytes, 2*2*setBytes; got != want {
+		t.Fatalf("after %s: projection_bytes = %d, want 4 sets of %d bytes", q, got, setBytes)
+	}
+	checkProjectionsExact(t, s) // memoizes both sets of every label pair
+	nl := db.Graph().Labels().Len()
+	if got, want := s.Stats().ProjectionBytes, 2*nl*nl*setBytes; got != want {
+		t.Fatalf("all pairs memoized: projection_bytes = %d, want %d sets of %d bytes", got, 2*nl*nl, setBytes)
 	}
 }

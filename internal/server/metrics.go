@@ -275,13 +275,16 @@ type Stats struct {
 	DecodedMemoHits   int64 `json:"decoded_memo_hits"`
 	DecodedMemoMisses int64 `json:"decoded_memo_misses"`
 	DecodedMemoResets int64 `json:"decoded_memo_resets"`
-	// ProjectionScans counts full computations of a projection list
+	// ProjectionScans counts full computations of a projection set
 	// (π_X or π_Y of a label pair's R-join), ProjectionsInherited the
-	// lists publishes carried into their successor epoch instead, and
+	// sets publishes carried into their successor epoch instead, and
 	// ProjectionsPatched those of them whose content the batch changed.
+	// ProjectionBytes is what the current epoch's memoized sets occupy:
+	// one bit per node of the graph each.
 	ProjectionScans      int64 `json:"projection_scans"`
 	ProjectionsInherited int64 `json:"projections_inherited"`
 	ProjectionsPatched   int64 `json:"projections_patched"`
+	ProjectionBytes      int   `json:"projection_bytes"`
 	// FastpathTier1Queries counts successful queries whose plan had the
 	// tier-1 index-only shape; FastpathTier2Prunes patterns the
 	// fan-signature prefilter proved empty (tier 2); Tier3Queries every
@@ -359,6 +362,7 @@ func (s *Server) Stats() Stats {
 		st.DecodedMemoNodes, st.PartnerTables, st.DecodedMemoResets = s.db.DecodedMemoStats()
 		st.DecodedMemoBytes = 4 * st.DecodedMemoNodes
 		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
+		st.ProjectionBytes = s.db.ProjectionBytes()
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current
 		st.PinnedEpochs = es.Pinned

@@ -64,7 +64,7 @@ func checkQuiesced(t testing.TB, db *gdb.DB) {
 	}
 }
 
-// checkProjectionsExact compares both projection lists of every label pair
+// checkProjectionsExact compares both projection sets of every label pair
 // on s's current epoch — memoized, inherited or computed on the spot — with
 // a recomputation from the epoch's own trees: the union of the W row's
 // subclusters, read unmemoized.
@@ -101,9 +101,10 @@ func checkProjectionsExact(t testing.TB, s *Server) {
 			}
 			wantFrom := union(ws, func(w graph.NodeID) ([]graph.NodeID, error) { return snap.GetF(w, x) })
 			wantTo := union(ws, func(w graph.NodeID) ([]graph.NodeID, error) { return snap.GetT(w, y) })
-			if !slices.Equal(from, wantFrom) || !slices.Equal(to, wantTo) {
-				t.Fatalf("epoch %d, pair (%d,%d): projections %v / %v, index holds %v / %v",
-					snap.Epoch(), x, y, from, to, wantFrom, wantTo)
+			if !slices.Equal(from.Members(), wantFrom) || !slices.Equal(to.Members(), wantTo) ||
+				from.Len() != len(wantFrom) || to.Len() != len(wantTo) {
+				t.Fatalf("epoch %d, pair (%d,%d): projections %v / %v (%d / %d members), index holds %v / %v",
+					snap.Epoch(), x, y, from.Members(), to.Members(), from.Len(), to.Len(), wantFrom, wantTo)
 			}
 		}
 	}
