@@ -248,7 +248,11 @@ func TestFastPathDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				projected, err := want.Project(rev)
+				proj, err := want.Result().Project(rev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				projected, err := proj.Table(rev)
 				if err != nil {
 					t.Fatal(err)
 				}

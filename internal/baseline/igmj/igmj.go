@@ -267,7 +267,7 @@ func mergeJoin(xs []xEntry, ys []yEntry, emit func(x, y graph.NodeID)) {
 
 // Join computes the base-table R-join T_X ⋈_{X→Y} T_Y with IGMJ, reading
 // both persisted lists through the buffer pool.
-func (ix *Index) Join(c rjoin.Cond) (*rjoin.Table, error) {
+func (ix *Index) Join(c rjoin.Cond) (*rjoin.Result, error) {
 	xs, err := ix.readXList(c.FromLabel)
 	if err != nil {
 		return nil, err
@@ -276,9 +276,10 @@ func (ix *Index) Join(c rjoin.Cond) (*rjoin.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := rjoin.NewTable(c.FromNode, c.ToNode)
+	out := &rjoin.Result{Cols: []int{c.FromNode, c.ToNode}}
 	mergeJoin(xs, ys, func(x, y graph.NodeID) {
-		out.Rows = append(out.Rows, []graph.NodeID{x, y})
+		out.Data = append(out.Data, x, y)
+		out.N++
 	})
 	return out, nil
 }
@@ -286,7 +287,7 @@ func (ix *Index) Join(c rjoin.Cond) (*rjoin.Table, error) {
 // JoinTemporal joins a temporal table against a base table. The temporal
 // side's distinct bound values must be extracted and sorted first — IGMJ's
 // per-join sorting cost.
-func (ix *Index) JoinTemporal(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error) {
+func (ix *Index) JoinTemporal(t *rjoin.Result, c rjoin.Cond) (*rjoin.Result, error) {
 	hasFrom, hasTo := t.HasCol(c.FromNode), t.HasCol(c.ToNode)
 	switch {
 	case hasFrom && hasTo:
@@ -300,11 +301,12 @@ func (ix *Index) JoinTemporal(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error
 	}
 }
 
-func (ix *Index) joinForward(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error) {
+func (ix *Index) joinForward(t *rjoin.Result, c rjoin.Cond) (*rjoin.Result, error) {
 	col := t.ColIndex(c.FromNode)
 	rowsByX := make(map[graph.NodeID][]int)
-	for ri, row := range t.Rows {
-		rowsByX[row[col]] = append(rowsByX[row[col]], ri)
+	for ri := 0; ri < t.N; ri++ {
+		v := t.Row(ri)[col]
+		rowsByX[v] = append(rowsByX[v], ri)
 	}
 	// Build and sort the temporal interval list (the resorting step).
 	var xs []xEntry
@@ -318,24 +320,22 @@ func (ix *Index) joinForward(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error)
 	if err != nil {
 		return nil, err
 	}
-	out := rjoin.NewTable(append(append([]int(nil), t.Cols...), c.ToNode)...)
+	out := &rjoin.Result{Cols: append(append([]int(nil), t.Cols...), c.ToNode)}
 	mergeJoin(xs, ys, func(x, y graph.NodeID) {
 		for _, ri := range rowsByX[x] {
-			row := t.Rows[ri]
-			nr := make([]graph.NodeID, len(row)+1)
-			copy(nr, row)
-			nr[len(row)] = y
-			out.Rows = append(out.Rows, nr)
+			out.Data = append(append(out.Data, t.Row(ri)...), y)
+			out.N++
 		}
 	})
 	return out, nil
 }
 
-func (ix *Index) joinReverse(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error) {
+func (ix *Index) joinReverse(t *rjoin.Result, c rjoin.Cond) (*rjoin.Result, error) {
 	col := t.ColIndex(c.ToNode)
 	rowsByY := make(map[graph.NodeID][]int)
-	for ri, row := range t.Rows {
-		rowsByY[row[col]] = append(rowsByY[row[col]], ri)
+	for ri := 0; ri < t.N; ri++ {
+		v := t.Row(ri)[col]
+		rowsByY[v] = append(rowsByY[v], ri)
 	}
 	var ys []yEntry
 	for y := range rowsByY {
@@ -346,25 +346,23 @@ func (ix *Index) joinReverse(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error)
 	if err != nil {
 		return nil, err
 	}
-	out := rjoin.NewTable(append(append([]int(nil), t.Cols...), c.FromNode)...)
+	out := &rjoin.Result{Cols: append(append([]int(nil), t.Cols...), c.FromNode)}
 	mergeJoin(xs, ys, func(x, y graph.NodeID) {
 		for _, ri := range rowsByY[y] {
-			row := t.Rows[ri]
-			nr := make([]graph.NodeID, len(row)+1)
-			copy(nr, row)
-			nr[len(row)] = x
-			out.Rows = append(out.Rows, nr)
+			out.Data = append(append(out.Data, t.Row(ri)...), x)
+			out.N++
 		}
 	})
 	return out, nil
 }
 
-func (ix *Index) selection(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error) {
+func (ix *Index) selection(t *rjoin.Result, c rjoin.Cond) (*rjoin.Result, error) {
 	fi, ti := t.ColIndex(c.FromNode), t.ColIndex(c.ToNode)
-	out := rjoin.NewTable(t.Cols...)
-	for _, row := range t.Rows {
-		if ix.Reaches(row[fi], row[ti]) {
-			out.Rows = append(out.Rows, row)
+	out := &rjoin.Result{Cols: t.Cols}
+	for i := 0; i < t.N; i++ {
+		if row := t.Row(i); ix.Reaches(row[fi], row[ti]) {
+			out.Data = append(out.Data, row...)
+			out.N++
 		}
 	}
 	return out, nil
@@ -374,7 +372,7 @@ func (ix *Index) selection(t *rjoin.Table, c rjoin.Cond) (*rjoin.Table, error) {
 // the INT-DP strategy of Section 6. Plans containing semijoin or fetch
 // steps are rejected — IGMJ has no filter/fetch decomposition.
 func Run(ix *Index, plan *optimizer.Plan) (*rjoin.Table, error) {
-	var t *rjoin.Table
+	var t *rjoin.Result
 	for si, s := range plan.Steps {
 		var err error
 		switch s.Kind {
@@ -412,12 +410,16 @@ func Run(ix *Index, plan *optimizer.Plan) (*rjoin.Table, error) {
 	for i := range nodes {
 		nodes[i] = i
 	}
-	return t.Project(nodes)
+	out, err := t.Project(nodes)
+	if err != nil {
+		return nil, err
+	}
+	return out.Table(nodes)
 }
 
 // spill round-trips a temporal table through the heap (see exec's spill).
-func (ix *Index) spill(t *rjoin.Table) error {
-	if t == nil || len(t.Rows) == 0 {
+func (ix *Index) spill(t *rjoin.Result) error {
+	if t == nil || t.Len() == 0 {
 		return nil
 	}
 	rid, err := ix.heap.Insert(t.EncodeRows())

@@ -102,7 +102,7 @@ func TestJoinMatchesTruth(t *testing.T) {
 					return false
 				}
 				seen := map[[2]graph.NodeID]bool{}
-				for _, r := range got.Rows {
+				for _, r := range rowsOf(got) {
 					p := [2]graph.NodeID{r[0], r[1]}
 					if seen[p] {
 						return false // duplicate pair
@@ -123,6 +123,15 @@ func TestJoinMatchesTruth(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rowsOf writes a result out as rows in its own column order.
+func rowsOf(r *rjoin.Result) [][]graph.NodeID {
+	t, err := r.Table(r.Cols)
+	if err != nil {
+		panic(err)
+	}
+	return t.Rows
 }
 
 // buildBoth builds a gdb database (for DP planning) and an IGMJ index over
@@ -299,12 +308,12 @@ func TestJoinTemporalForward(t *testing.T) {
 			tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
 		}
 	}
-	got, err := ix.JoinTemporal(tbl, rjoin.Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl})
+	got, err := ix.JoinTemporal(tbl.Result(), rjoin.Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[[2]graph.NodeID]bool{}
-	for _, r := range got.Rows {
+	for _, r := range rowsOf(got) {
 		seen[[2]graph.NodeID{r[0], r[1]}] = true
 	}
 	for _, row := range tbl.Rows {
@@ -318,7 +327,7 @@ func TestJoinTemporalForward(t *testing.T) {
 		t.Fatal("Graph accessor wrong")
 	}
 	// No side bound → error.
-	if _, err := ix.JoinTemporal(rjoin.NewTable(7), rjoin.Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl}); err == nil {
+	if _, err := ix.JoinTemporal(&rjoin.Result{Cols: []int{7}}, rjoin.Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl}); err == nil {
 		t.Fatal("expected error for unbound condition")
 	}
 }
@@ -338,13 +347,13 @@ func TestJoinTemporalReverse(t *testing.T) {
 			tbl.Rows = append(tbl.Rows, []graph.NodeID{y})
 		}
 	}
-	got, err := ix.JoinTemporal(tbl, rjoin.Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl})
+	got, err := ix.JoinTemporal(tbl.Result(), rjoin.Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Columns are [to, from] after a reverse join.
 	seen := map[[2]graph.NodeID]bool{}
-	for _, r := range got.Rows {
+	for _, r := range rowsOf(got) {
 		seen[[2]graph.NodeID{r[1], r[0]}] = true
 	}
 	for _, row := range tbl.Rows {

@@ -2,61 +2,14 @@ package exec
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"fastmatch/internal/gdb"
-	"fastmatch/internal/graph"
 	"fastmatch/internal/optimizer"
 	"fastmatch/internal/pattern"
 	"fastmatch/internal/workload"
 	"fastmatch/internal/xmark"
 )
-
-// powerLawDAG is the shape of the served benchmark's read_skew dataset: a
-// preferential-attachment DAG where node i points at up to two earlier
-// nodes drawn in proportion to in-degree+1, labelled Zipf(1.3) over
-// L0..L11, so a few old hubs collect most in-edges.
-func powerLawDAG(seed int64, nodes int) *graph.Graph {
-	r := rand.New(rand.NewSource(seed))
-	zipf := rand.NewZipf(r, 1.3, 1, 11)
-	b := graph.NewBuilder()
-	labels := make([]graph.Label, 12)
-	for i := range labels {
-		labels[i] = b.Intern(fmt.Sprintf("L%d", i))
-	}
-	urn := make([]graph.NodeID, 0, 3*nodes)
-	for i := 0; i < nodes; i++ {
-		v := b.AddNodeLabel(labels[zipf.Uint64()])
-		if i > 0 {
-			first := urn[r.Intn(len(urn))]
-			b.AddEdge(v, first)
-			urn = append(urn, first)
-			if i > 1 {
-				second := first
-				for second == first {
-					second = urn[r.Intn(len(urn))]
-				}
-				b.AddEdge(v, second)
-				urn = append(urn, second)
-			}
-		}
-		urn = append(urn, v)
-	}
-	return b.Build()
-}
-
-// skewPatterns are read_skew's cyclic queries: triangles, diamonds and a
-// tailed triangle on hub-heavy labels.
-var skewPatterns = []string{
-	"L3->L1; L1->L0; L3->L0",
-	"L5->L2; L2->L0; L5->L0",
-	"L6->L4; L4->L2; L6->L2",
-	"L4->L2; L4->L3; L2->L1; L3->L1",
-	"L7->L5; L7->L6; L5->L3; L6->L3",
-	"L9->L6; L6->L4; L9->L4; L4->L8",
-}
 
 // TestPlansAreBinary: DP and DPS plan every workload battery, and the
 // read_skew patterns on a graph of read_skew's shape and size, with the
@@ -65,7 +18,7 @@ var skewPatterns = []string{
 // that kind is refused by Plan.Validate and by Run.
 func TestPlansAreBinary(t *testing.T) {
 	xm := mustSnap(t, xmark.Generate(xmark.Config{Nodes: 3000, Seed: 1}).Graph)
-	skew := mustSnap(t, powerLawDAG(1, 20000))
+	skew := mustSnap(t, workload.PowerLawDAG(1, 20000))
 	type query struct {
 		snap    *gdb.Snap
 		pattern *pattern.Pattern
@@ -74,8 +27,8 @@ func TestPlansAreBinary(t *testing.T) {
 	for _, w := range workload.All() {
 		qs = append(qs, query{xm, w.Pattern})
 	}
-	for _, ps := range skewPatterns {
-		qs = append(qs, query{skew, pattern.MustParse(ps)})
+	for _, w := range workload.Skew() {
+		qs = append(qs, query{skew, w.Pattern})
 	}
 	for _, q := range qs {
 		for _, algo := range []Algorithm{DP, DPS} {
@@ -91,7 +44,7 @@ func TestPlansAreBinary(t *testing.T) {
 		}
 	}
 
-	bind, err := optimizer.Bind(skew, pattern.MustParse(skewPatterns[0]))
+	bind, err := optimizer.Bind(skew, workload.Skew()[0].Pattern)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"fastmatch/internal/gdb"
@@ -147,10 +148,10 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	}
 	bdg := cfg.Budget
 	var traces []StepTrace
-	var t *rjoin.Table
-	// res is set by a last step that leaves its expansion factorised;
-	// every other step leaves a table.
-	var res *rjoin.Result
+	// t is the temporal table between steps, flat (see rjoin.Result); each
+	// operator consumes it and returns the next. res is set by a last step
+	// that leaves its expansion factorised.
+	var t, res *rjoin.Result
 	last := len(plan.Steps) - 1
 	for si := 0; si < len(plan.Steps); si++ {
 		s := plan.Steps[si]
@@ -197,7 +198,7 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			if end == last {
 				res = r
 			} else {
-				t = &rjoin.Table{Cols: r.Cols, Rows: r.Rows}
+				t = r
 			}
 			return nil
 		}
@@ -314,9 +315,9 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		if err != nil {
 			return nil, nil, err
 		}
-		res = out.Result()
+		res = out
 	} else if res == nil {
-		res = t.Result()
+		res = t
 	}
 	return res, traces, nil
 }
@@ -347,8 +348,8 @@ func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoi
 // paper's 1 MB buffer pool, tables larger than the pool incur real
 // evictions and re-reads — charging intermediate-result size as I/O exactly
 // as a disk-based executor does.
-func spill(scratch *storage.HeapFile, t *rjoin.Table) error {
-	if t == nil || len(t.Rows) == 0 {
+func spill(scratch *storage.HeapFile, t *rjoin.Result) error {
+	if t == nil || t.Len() == 0 {
 		return nil
 	}
 	rid, err := scratch.Insert(t.EncodeRows())
@@ -376,13 +377,14 @@ func stepConds(b *optimizer.Binding, s optimizer.Step) []rjoin.Cond {
 // the node it binds — a Selection with that node as one endpoint (the other
 // is bound, or the step would not be a Selection), an R-semijoin group on
 // it. Such a step reads nothing of the Fetch's output but the new column,
-// and its keep-test is membership in a sorted list, so the Fetch applies it
-// to its partner lists before any row exists (rjoin.FetchFiltered). The
-// steps stay in plan order, which is what lets the trace report the row
-// count each one left. A filter on an older column is not absorbed: it
-// would have to be evaluated per input row, which is the operator it
-// already is.
-func absorbed(plan *optimizer.Plan, si int, t *rjoin.Table, cond rjoin.Cond) []rjoin.NodeFilter {
+// and its keep-test is a membership test of the new value — in a partner
+// list for a Selection, in a gdb.NodeSet projection for a semijoin group —
+// so the Fetch applies it to its partner lists before any row exists
+// (rjoin.FetchFiltered). The steps stay in plan order, which is what lets
+// the trace report the row count each one left. A filter on an older
+// column is not absorbed: it would have to be evaluated per input row,
+// which is the operator it already is.
+func absorbed(plan *optimizer.Plan, si int, t *rjoin.Result, cond rjoin.Cond) []rjoin.NodeFilter {
 	newNode := cond.ToNode
 	if t.HasCol(newNode) {
 		newNode = cond.FromNode
@@ -403,7 +405,7 @@ func absorbed(plan *optimizer.Plan, si int, t *rjoin.Table, cond rjoin.Cond) []r
 	return filters
 }
 
-func requireTable(t *rjoin.Table, si int) (*rjoin.Table, error) {
+func requireTable(t *rjoin.Result, si int) (*rjoin.Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("exec: step %d needs a temporal table", si+1)
 	}
@@ -411,20 +413,12 @@ func requireTable(t *rjoin.Table, si int) (*rjoin.Table, error) {
 }
 
 // extentTable builds the single-column temporal table holding ext(X) for a
-// pattern node (the base table a leading Filter-move scans).
-func extentTable(g *graph.Graph, b *optimizer.Binding, node int) *rjoin.Table {
-	t := rjoin.NewTable(node)
-	ext := g.Extent(b.Labels[node])
-	// One flat backing array for all the single-element rows: the extent
-	// can be the query's largest table, and a per-row allocation here
-	// shows up in every leading-semijoin plan.
-	arena := make([]graph.NodeID, len(ext))
-	copy(arena, ext)
-	t.Rows = make([][]graph.NodeID, len(ext))
-	for i := range ext {
-		t.Rows[i] = arena[i : i+1 : i+1]
-	}
-	return t
+// pattern node (the base table a leading Filter-move scans): one copy of
+// the extent, which the filter then compacts in place — the graph's own
+// extent is shared and must not be written.
+func extentTable(g *graph.Graph, b *optimizer.Binding, node int) *rjoin.Result {
+	ext := slices.Clone(g.Extent(b.Labels[node]))
+	return &rjoin.Result{Cols: []int{node}, Data: ext, N: len(ext)}
 }
 
 // Algorithm selects a planner for Query.

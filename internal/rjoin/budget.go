@@ -24,8 +24,8 @@ var (
 // intermediate rows allocated across all operators. Deadlines are not part
 // of the budget — they ride the context, as before.
 //
-// Accounting happens where rows are produced (Table.NewRow arena carving,
-// HPSJ's center cross-products, Fetch's per-row expansions) and counts their
+// Accounting happens where rows are produced (HPSJ's center cross-products
+// and its output, Fetch's per-row expansions) and counts their
 // logical size, 4 bytes per cell, whether the rows are written out or — the
 // plan's last expansion — left factorised in the Result. A Fetch that
 // absorbed the filters following it (FetchFiltered) is charged, and its

@@ -163,7 +163,7 @@ func TestLimitPushdownPrefix(t *testing.T) {
 		if got.Len() != wantLen {
 			t.Fatalf("limit=%d: %d rows, want %d", n, got.Len(), wantLen)
 		}
-		if !reflect.DeepEqual(got.Rows, full.Rows[:wantLen]) {
+		if !reflect.DeepEqual(got.Data, full.Data[:2*wantLen]) {
 			t.Fatalf("limit=%d: rows are not the unlimited prefix", n)
 		}
 		if wantTrunc := n < full.Len(); b.Truncated() != wantTrunc {
@@ -182,7 +182,7 @@ func TestLimitPushdownPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantLen := min(n, fullFetch.Len())
-		if got.Len() != wantLen || !reflect.DeepEqual(got.Rows, fullFetch.Rows[:wantLen]) {
+		if got.Len() != wantLen || !reflect.DeepEqual(got.Data, fullFetch.Data[:2*wantLen]) {
 			t.Fatalf("Fetch limit=%d: not the unlimited prefix (%d rows, want %d)", n, got.Len(), wantLen)
 		}
 	}

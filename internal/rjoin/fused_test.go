@@ -40,7 +40,7 @@ func fusedDAG(seed int64, n, m int) *graph.Graph {
 // so the operator's loops cross several cancellation polls — and the Fetch
 // that binds node 3 to the C nodes a row's b reaches. Node 4 (E) and node 5
 // (Z) stay unbound.
-func fusedInput(t testing.TB, g *graph.Graph, db *gdb.Snap) (*Table, Cond) {
+func fusedInput(t testing.TB, g *graph.Graph, db *gdb.Snap) (*Result, Cond) {
 	t.Helper()
 	ctx := context.Background()
 	in, err := HPSJ(ctx, db, cond(g, "A", "B", 0, 1))
@@ -50,8 +50,8 @@ func fusedInput(t testing.TB, g *graph.Graph, db *gdb.Snap) (*Table, Cond) {
 	if err != nil || in.Len() == 0 {
 		t.Fatalf("fused input: %d rows, %v", in.Len(), err)
 	}
-	for len(in.Rows) < 2048 {
-		in.Rows = append(in.Rows, in.Rows...)
+	for in.N < 2048 {
+		in.Data, in.N = append(in.Data, in.Data...), 2*in.N
 	}
 	return in, cond(g, "B", "C", 1, 3)
 }
@@ -59,7 +59,7 @@ func fusedInput(t testing.TB, g *graph.Graph, db *gdb.Snap) (*Table, Cond) {
 // stepwise is the unfused pipeline FetchFiltered replaces: Fetch, then one
 // Selection or FilterGroup per filter, the row limit pushed into the last
 // of them only. It returns the rows and the row count after every step.
-func stepwise(ctx context.Context, rt *Runtime, db *gdb.Snap, t *Table, c Cond, newNode int, filters []NodeFilter, limit int) (*Table, []int, error) {
+func stepwise(ctx context.Context, rt *Runtime, db *gdb.Snap, t *Result, c Cond, newNode int, filters []NodeFilter, limit int) (*Result, []int, error) {
 	if len(filters) == 0 {
 		rt.PushLimit(limit)
 	}
@@ -105,7 +105,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		in      *Table
+		in      *Result
 		filters []NodeFilter
 		empties bool
 	}{
@@ -116,7 +116,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		{"groups then selection", in, []NodeFilter{semiIn, semiOut, selDC}, false},
 		{"filter that empties every list", in, []NodeFilter{semiOut, selCA, semiIn}, true},
 		{"group with empty W", in, []NodeFilter{semiEmptyW, selDC}, true},
-		{"zero input rows", NewTable(0, 1, 2), []NodeFilter{selDC, semiOut}, true},
+		{"zero input rows", &Result{Cols: []int{0, 1, 2}}, []NodeFilter{selDC, semiOut}, true},
 	}
 	for _, tc := range cases {
 		unfiltered, err := Fetch(ctx, db, tc.in, fetch)
@@ -157,7 +157,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Len() != res.N || !reflect.DeepEqual(got.Rows, want.Rows) && (got.Len() != 0 || want.Len() != 0) {
+				if got.Len() != res.N || !reflect.DeepEqual(got.Rows, tab(want).Rows) && (got.Len() != 0 || want.Len() != 0) {
 					t.Fatalf("%s: %d rows, the stepwise pipeline %d", what, got.Len(), want.Len())
 				}
 				if limit == 0 && !reflect.DeepEqual(counts, wantCounts) {
@@ -182,7 +182,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(again.Rows, unfiltered.Rows) {
+		if !reflect.DeepEqual(again.Data, unfiltered.Data) {
 			t.Fatalf("%s: the shared partner lists changed under the fused operator", tc.name)
 		}
 	}
@@ -272,7 +272,7 @@ func BenchmarkFetchFilters(b *testing.B) {
 	// first: root->x, then root->y fetched from root. P8's is people->person.
 	type group struct {
 		name    string
-		in      *Table
+		in      *Result
 		fetch   Cond
 		filters []NodeFilter
 	}

@@ -55,28 +55,28 @@ func (c *cancelCheck) tickN(n int) error {
 
 // HPSJ processes an R-join between two base tables (Algorithm 1). See
 // Runtime.HPSJ.
-func HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Table, error) {
+func HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Result, error) {
 	return new(Runtime).HPSJ(ctx, db, c)
 }
 
 // Filter is the R-semijoin (Algorithm 2, Filter). See Runtime.Filter.
-func Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+func Filter(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	return new(Runtime).Filter(ctx, db, t, c)
 }
 
 // FilterGroup applies a group of R-semijoins sharing one bound column and
 // code side. See Runtime.FilterGroup.
-func FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond, node int, outSide bool) (*Table, error) {
+func FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, conds []Cond, node int, outSide bool) (*Result, error) {
 	return new(Runtime).FilterGroup(ctx, db, t, conds, node, outSide)
 }
 
 // Fetch completes an HPSJ+ R-join (Algorithm 2, Fetch). See Runtime.Fetch.
-func Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+func Fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	return new(Runtime).Fetch(ctx, db, t, c)
 }
 
 // Selection processes a self R-join (Eq. 5). See Runtime.Selection.
-func Selection(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+func Selection(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	return new(Runtime).Selection(ctx, db, t, c)
 }
 
@@ -96,8 +96,9 @@ func pairNodes(k uint64) (x, y graph.NodeID) {
 // several centers are deduplicated by one sort and compaction of the packed
 // pair keys, so the result is ordered by (from, to). Base tables are never
 // touched — the answer comes entirely from the W-table and the
-// cluster-based index.
-func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Table, error) {
+// cluster-based index. The sorted pairs are written straight into the
+// output's flat data.
+func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Result, error) {
 	ws, err := db.Centers(c.FromLabel, c.ToLabel)
 	if err != nil {
 		return nil, err
@@ -144,18 +145,19 @@ func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Table, erro
 		pairs = pairs[:rt.rowTarget]
 		rt.budget.MarkTruncated()
 	}
-	out := rt.newTable(c.FromNode, c.ToNode)
-	for _, k := range pairs {
-		row := out.NewRow()
-		row[0], row[1] = pairNodes(k)
-		out.Rows = append(out.Rows, row)
+	// The rows are charged at their logical size, 4 bytes per cell.
+	rt.budget.AddBytes(int64(len(pairs)) * 2 * nodeIDBytes)
+	out := &Result{Cols: []int{c.FromNode, c.ToNode}, N: len(pairs)}
+	out.Data = make([]graph.NodeID, 2*len(pairs))
+	for i, k := range pairs {
+		out.Data[2*i], out.Data[2*i+1] = pairNodes(k)
 	}
-	return rt.finishOp(out)
+	return rt.finishResult(out)
 }
 
 // boundSide resolves which side of cond is bound in t. Exactly one side
 // must be bound (use Selection when both are).
-func boundSide(t *Table, c Cond) (boundNode int, forward bool, err error) {
+func boundSide(t *Result, c Cond) (boundNode int, forward bool, err error) {
 	hasFrom, hasTo := t.HasCol(c.FromNode), t.HasCol(c.ToNode)
 	switch {
 	case hasFrom && hasTo:
@@ -173,7 +175,7 @@ func boundSide(t *Table, c Cond) (boundNode int, forward bool, err error) {
 // rows of t whose bound value can join some node of the other side's base
 // table, determined from the W-table and graph codes alone. It is a
 // one-condition FilterGroup on the condition's bound side.
-func (rt *Runtime) Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+func (rt *Runtime) Filter(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	node, forward, err := boundSide(t, c)
 	if err != nil {
 		return nil, err
@@ -188,10 +190,13 @@ func (rt *Runtime) Filter(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (
 // every condition. It accepts conditions whose other endpoint is already
 // bound — the semijoin then still prunes soundly against the other side's
 // base table, with the residual condition left to a later Selection. Rows
-// keep their input order.
-func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, conds []Cond, node int, outSide bool) (*Table, error) {
+// keep their input order; t is consumed (see compact).
+func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, conds []Cond, node int, outSide bool) (*Result, error) {
 	if len(conds) == 0 {
 		return t, nil
+	}
+	if err := plain(t); err != nil {
+		return nil, err
 	}
 	col := t.ColIndex(node)
 	if col < 0 {
@@ -208,7 +213,8 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 		}
 		if len(ws) == 0 {
 			// Some condition can never be satisfied: the group empties t.
-			return NewTable(t.Cols...), nil
+			t.Data, t.N = t.Data[:0], 0
+			return t, nil
 		}
 		g.wss[i] = ws
 	}
@@ -219,23 +225,50 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Table, cond
 	}
 	rt.ops++
 	cc := rt.check(ctx)
-	out := NewTable(t.Cols...)
-	for _, row := range t.Rows {
+	return rt.compact(t, func(row []graph.NodeID) (bool, error) {
 		if err := cc.tick(); err != nil {
-			return nil, err
+			return false, err
 		}
-		keep, err := rd.semijoin(g, row[col])
+		return rd.semijoin(g, row[col])
+	})
+}
+
+// compact is the loop behind FilterGroup and Selection: it keeps the rows
+// of t that keep accepts, in input order, writing each survivor over t's
+// own data — row k lands at an index no greater than the one it was read
+// from, the rule gdb.IntersectTo and NodeSet.FilterTo follow in place — so
+// a filter allocates nothing. It stops at limit+1 survivors and returns t,
+// cut to them, through the operator checkpoint.
+func (rt *Runtime) compact(t *Result, keep func(row []graph.NodeID) (bool, error)) (*Result, error) {
+	w, kept := t.Width(), 0
+	for i := 0; i < t.N; i++ {
+		row := t.Data[i*w : (i+1)*w]
+		ok, err := keep(row)
 		if err != nil {
 			return nil, err
 		}
-		if keep {
-			out.Rows = append(out.Rows, row)
-			if rt.pastLimit(len(out.Rows)) {
-				break
-			}
+		if !ok {
+			continue
+		}
+		if kept < i {
+			copy(t.Data[kept*w:], row)
+		}
+		kept++
+		if rt.pastLimit(kept) {
+			break
 		}
 	}
-	return rt.finishOp(out)
+	t.Data, t.N = t.Data[:kept*w], kept
+	return rt.finishResult(t)
+}
+
+// plain refuses a factorised Result as an operator's input: only a plan's
+// last Fetch leaves one, and nothing runs after it.
+func plain(t *Result) error {
+	if t.Exp != nil {
+		return fmt.Errorf("rjoin: operator input over %v is factorised", t.Cols)
+	}
+	return nil
 }
 
 // incident checks that c is read from node's given code side: node→Y for
@@ -262,13 +295,10 @@ func side(out bool) string {
 // the subcluster lists), so rows come in input order × ascending partners.
 // Rows whose center set is empty produce nothing, so Fetch subsumes Filter;
 // running Filter first simply prunes earlier. The output is sized exactly
-// before it is written (see expand).
-func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+// before it is written (see expand): one pointer-free slice of N×w cells.
+func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	res, _, err := rt.fetch(ctx, db, t, c, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{Cols: res.Cols, Rows: res.Rows}, nil
+	return res, err
 }
 
 // FetchResult is Fetch for a plan's last step: the same rows in the same
@@ -276,8 +306,8 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*
 // one shared partner list each — instead of being written out. Limit,
 // budget and cancellation behave as in Fetch: the same logical bytes and
 // rows are charged at the same points, so every counter and typed kill is
-// the materialising run's.
-func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Result, error) {
+// the materialising run's. The Result's prefix rows are t's data, shared.
+func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	res, _, err := rt.fetch(ctx, db, t, c, nil, false)
 	return res, err
 }
@@ -318,11 +348,12 @@ type NodeFilter struct {
 // With no filters this is Fetch, or with last set FetchResult. With last
 // set the group ends the plan and the survivors stay factorised:
 // t's rows and one list each, owned by the Result (shared partner lists are
-// never written). Otherwise they are written out at their exact size.
+// never written). Otherwise they are written out at their exact size, into
+// one pointer-free slice.
 // counts holds the Fetch's logical row count and then the row count after
 // each filter, for per-step traces; under a limit the latter cover only the
 // rows intersected.
-func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Table, c Cond, filters []NodeFilter, last bool) (res *Result, counts []int, err error) {
+func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, last bool) (res *Result, counts []int, err error) {
 	return rt.fetch(ctx, db, t, c, filters, !last)
 }
 
@@ -338,7 +369,7 @@ type nodeFilter struct {
 }
 
 // resolveFilters binds filters on newNode to the columns of t.
-func resolveFilters(db *gdb.Snap, t *Table, newNode int, filters []NodeFilter) ([]nodeFilter, error) {
+func resolveFilters(db *gdb.Snap, t *Result, newNode int, filters []NodeFilter) ([]nodeFilter, error) {
 	out := make([]nodeFilter, len(filters))
 	for i, f := range filters {
 		if f.Semijoin {
@@ -455,7 +486,10 @@ func (p *fetchFilters) dst(cur []graph.NodeID, owned bool, n, bound int) []graph
 // its survivors as it is charged. emit says whether the rows are then
 // written out (an intermediate step, whose consumer is the next operator)
 // or left factorised (the last step, whose consumer iterates).
-func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
+func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
+	if err := plain(t); err != nil {
+		return nil, nil, err
+	}
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
 		return nil, nil, err
@@ -490,16 +524,29 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, fi
 	if pf != nil {
 		expandLimit = 0
 	}
-	exp, total, err := rt.expand(ctx, partners, t.Rows, col, len(cols), expandLimit)
+	// An emitting Fetch's lists live only until its rows are written, so
+	// they go in the runtime's scratch, which the query's next emitting
+	// Fetch reuses; a factorised Result keeps its own.
+	var exp [][]graph.NodeID
+	if emit {
+		exp = rt.exp[:0]
+	}
+	exp, total, err := rt.expand(ctx, partners, t, col, len(cols), expandLimit, exp)
+	if emit {
+		rt.exp = exp[:0]
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	counts := make([]int, 1+len(fs))
 	res := &Result{Cols: cols}
 	if total > 0 {
-		res = &Result{Cols: cols, Rows: t.Rows[:len(exp)], Exp: exp, N: total}
-		if err := rt.fill(ctx, res, pf, counts, emit); err != nil {
+		res = &Result{Cols: cols, Data: t.Data[:len(exp)*t.Width()], Exp: exp, N: total}
+		if err := rt.fill(ctx, res, pf, counts); err != nil {
 			return nil, nil, err
+		}
+		if emit {
+			res.Data, res.Exp = res.flat(nil), nil
 		}
 	}
 	if pf != nil {
@@ -514,19 +561,13 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Table, c Cond, fi
 
 // fill is fetch's charging loop over the expansion in res: per prefix row
 // it charges the budget for every row the partner list stands for — whether
-// or not the row is written out or, under filters pf, survives — cuts the
-// list to its survivors when pf is set, and with emit writes the rows out
-// into one exact row-header slice and one exact arena (counting first is
-// what removes append growth from this loop). counts[0] receives the
+// or not the row is written out or, under filters pf, survives — and cuts
+// the list to its survivors when pf is set. counts[0] receives the
 // expansion's logical row count, counts[k+1] the count after filter k.
-func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, counts []int, emit bool) error {
+// Counting first is what lets fetch then write the rows out at their exact
+// size.
+func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, counts []int) error {
 	width := len(res.Cols)
-	var rows [][]graph.NodeID
-	var arena []graph.NodeID
-	if emit && pf == nil {
-		rows = make([][]graph.NodeID, 0, res.N)
-		arena = make([]graph.NodeID, res.N*width)
-	}
 	cc := rt.check(ctx)
 	n, kept := 0, 0
 	for i, targets := range res.Exp {
@@ -543,12 +584,10 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 			res.Exp[i] = nil
 		case pf != nil:
 			var err error
-			if res.Exp[i], err = pf.apply(res.Rows[i], targets, counts, res.N-n); err != nil {
+			if res.Exp[i], err = pf.apply(res.Row(i), targets, counts, res.N-n); err != nil {
 				return err
 			}
 			kept += len(res.Exp[i])
-		case emit:
-			rows, arena = res.appendRows(rows, arena, i, nil)
 		}
 		n += len(targets)
 		if err := rt.budget.CheckRows(n); err != nil {
@@ -558,12 +597,6 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 	counts[0] = n
 	if pf != nil {
 		res.N = kept
-		if emit {
-			rows = res.rows(nil)
-		}
-	}
-	if emit {
-		res.Rows, res.Exp = rows, nil
 	}
 	return nil
 }
@@ -578,21 +611,25 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 // (the loop's CheckRows then fails on exactly that row), or where its bytes
 // alone would blow the byte budget (the loop charges them and the next poll
 // or the final checkpoint fails the query) — so a doomed query never
-// allocates its full output.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]graph.NodeID, col, width, limit int) (exp [][]graph.NodeID, total int, err error) {
-	n := len(rows)
+// allocates its full output. The lists are appended to exp, which is
+// allocated at its final size when it has no room.
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, col, width, limit int, exp [][]graph.NodeID) ([][]graph.NodeID, int, error) {
+	n := t.N
 	if limit > 0 && limit < n {
 		n = limit + 1
 	}
-	exp = make([][]graph.NodeID, 0, n)
+	if cap(exp) < n {
+		exp = make([][]graph.NodeID, 0, n)
+	}
 	cc := newCancelCheck(ctx)
-	for _, row := range rows {
+	w, total := t.Width(), 0
+	for i := 0; i < t.N; i++ {
 		if err := cc.tick(); err != nil {
-			return nil, 0, err
+			return exp, 0, err
 		}
-		targets, err := partners(row[col])
+		targets, err := partners(t.Data[i*w+col])
 		if err != nil {
-			return nil, 0, err
+			return exp, 0, err
 		}
 		exp = append(exp, targets)
 		total += len(targets)
@@ -607,8 +644,12 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, rows [][]gr
 
 // Selection processes a self R-join (Eq. 5): both pattern nodes of the
 // condition are already bound in t, so the condition reduces to checking
-// out(x) ∩ in(y) ≠ ∅ per row from graph codes. Rows keep their input order.
-func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Table, c Cond) (*Table, error) {
+// out(x) ∩ in(y) ≠ ∅ per row from graph codes. Rows keep their input
+// order; t is consumed (see compact).
+func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
+	if err := plain(t); err != nil {
+		return nil, err
+	}
 	fi, ti := t.ColIndex(c.FromNode), t.ColIndex(c.ToNode)
 	if fi < 0 || ti < 0 {
 		return nil, fmt.Errorf("rjoin: selection %v needs both sides bound in %v", c, t.Cols)
@@ -617,32 +658,21 @@ func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Table, c Cond
 	cc := rt.check(ctx)
 	rd := rt.open(db)
 	defer rd.done()
-	out := NewTable(t.Cols...)
-	for _, row := range t.Rows {
+	return rt.compact(t, func(row []graph.NodeID) (bool, error) {
 		if err := cc.tick(); err != nil {
-			return nil, err
+			return false, err
 		}
-		ok, err := rd.reaches(row[fi], row[ti])
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-			if rt.pastLimit(len(out.Rows)) {
-				break
-			}
-		}
-	}
-	return rt.finishOp(out)
+		return rd.reaches(row[fi], row[ti])
+	})
 }
 
 // NestedLoopJoin is the reference R-join used by tests and as a measurable
 // worst-case baseline: it checks reachability via graph codes for every
 // pair of extents, bypassing the cluster index.
-func NestedLoopJoin(ctx context.Context, db *gdb.Snap, c Cond) (*Table, error) {
+func NestedLoopJoin(ctx context.Context, db *gdb.Snap, c Cond) (*Result, error) {
 	g := db.Graph()
 	cc := newCancelCheck(ctx)
-	out := NewTable(c.FromNode, c.ToNode)
+	out := &Result{Cols: []int{c.FromNode, c.ToNode}}
 	for _, x := range g.Extent(c.FromLabel) {
 		for _, y := range g.Extent(c.ToLabel) {
 			if err := cc.tick(); err != nil {
@@ -653,9 +683,8 @@ func NestedLoopJoin(ctx context.Context, db *gdb.Snap, c Cond) (*Table, error) {
 				return nil, err
 			}
 			if ok {
-				row := out.NewRow()
-				row[0], row[1] = x, y
-				out.Rows = append(out.Rows, row)
+				out.Data = append(out.Data, x, y)
+				out.N++
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,16 +64,27 @@ func truthJoin(g *graph.Graph, from, to graph.Label) map[[2]graph.NodeID]bool {
 	return out
 }
 
-func tableToSet(t *Table) map[string][]graph.NodeID {
-	out := make(map[string][]graph.NodeID, len(t.Rows))
-	for _, r := range t.Rows {
-		var k []byte
-		for _, v := range r {
-			k = appendNodeKey(k, v)
-		}
-		out[string(k)] = r
+// tab writes a result out as a table in its own column order.
+func tab(r *Result) *Table {
+	t, err := r.Table(r.Cols)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return t
+}
+
+// clone copies a result, for a caller that runs a consuming operator on an
+// input it still needs.
+func clone(r *Result) *Result {
+	c := *r
+	c.Data = slices.Clone(r.Data)
+	c.Exp = slices.Clone(r.Exp)
+	return &c
+}
+
+// column builds a one-column plain result over node holding vs.
+func column(node int, vs []graph.NodeID) *Result {
+	return &Result{Cols: []int{node}, Data: slices.Clone(vs), N: len(vs)}
 }
 
 // TestHPSJMatchesTruth: Algorithm 1 returns exactly the reachable pairs,
@@ -97,10 +109,10 @@ func TestHPSJMatchesTruth(t *testing.T) {
 					return false
 				}
 				want := truthJoin(g, x, y)
-				if len(got.Rows) != len(want) {
+				if got.Len() != len(want) {
 					return false
 				}
-				for _, r := range got.Rows {
+				for _, r := range tab(got).Rows {
 					if !want[[2]graph.NodeID{r[0], r[1]}] {
 						return false
 					}
@@ -126,10 +138,11 @@ func TestHPSJEqualsNestedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SortRows()
-	b.SortRows()
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Fatalf("HPSJ %d rows != nested loop %d rows", len(a.Rows), len(b.Rows))
+	at, bt := tab(a), tab(b)
+	at.SortRows()
+	bt.SortRows()
+	if !reflect.DeepEqual(at.Rows, bt.Rows) {
+		t.Fatalf("HPSJ %d rows != nested loop %d rows", a.Len(), b.Len())
 	}
 }
 
@@ -150,17 +163,13 @@ func TestFilterSemanticsForward(t *testing.T) {
 			return true // degenerate label draw; skip
 		}
 		// Temporal table with one column: all A nodes.
-		tbl := NewTable(0)
-		for _, x := range g.Extent(a) {
-			tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
-		}
-		got, err := Filter(context.Background(), db, tbl, Cond{0, 1, a, b})
+		got, err := Filter(context.Background(), db, column(0, g.Extent(a)), Cond{0, 1, a, b})
 		if err != nil {
 			return false
 		}
 		kept := map[graph.NodeID]bool{}
-		for _, r := range got.Rows {
-			kept[r[0]] = true
+		for _, v := range got.Data {
+			kept[v] = true
 		}
 		for _, x := range g.Extent(a) {
 			want := false
@@ -186,17 +195,14 @@ func TestFilterSemanticsReverse(t *testing.T) {
 	g := randomGraph(8, 40, 85, 3)
 	db := mustDB(t, g)
 	a, b := g.Labels().Lookup("A"), g.Labels().Lookup("B")
-	tbl := NewTable(1) // Y side bound
-	for _, y := range g.Extent(b) {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{y})
-	}
+	tbl := column(1, g.Extent(b)) // Y side bound
 	got, err := Filter(context.Background(), db, tbl, Cond{0, 1, a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := map[graph.NodeID]bool{}
-	for _, r := range got.Rows {
-		kept[r[0]] = true
+	for _, v := range got.Data {
+		kept[v] = true
 	}
 	for _, y := range g.Extent(b) {
 		want := false
@@ -218,11 +224,7 @@ func TestFetchEqualsHPSJ(t *testing.T) {
 	g := randomGraph(10, 45, 95, 3)
 	db := mustDB(t, g)
 	c := cond(g, "A", "C", 0, 1)
-	tbl := NewTable(0)
-	for _, x := range g.Extent(c.FromLabel) {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
-	}
-	fetched, err := Fetch(context.Background(), db, tbl, c)
+	fetched, err := Fetch(context.Background(), db, column(0, g.Extent(c.FromLabel)), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +232,11 @@ func TestFetchEqualsHPSJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetched.SortRows()
-	want.SortRows()
-	if !reflect.DeepEqual(fetched.Rows, want.Rows) {
-		t.Fatalf("fetch %d rows != hpsj %d rows", len(fetched.Rows), len(want.Rows))
+	ft, wt := tab(fetched), tab(want)
+	ft.SortRows()
+	wt.SortRows()
+	if !reflect.DeepEqual(ft.Rows, wt.Rows) {
+		t.Fatalf("fetch %d rows != hpsj %d rows", ft.Len(), wt.Len())
 	}
 }
 
@@ -242,11 +245,7 @@ func TestFetchReverse(t *testing.T) {
 	g := randomGraph(11, 45, 95, 3)
 	db := mustDB(t, g)
 	c := cond(g, "A", "C", 0, 1)
-	tbl := NewTable(1)
-	for _, y := range g.Extent(c.ToLabel) {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{y})
-	}
-	fetched, err := Fetch(context.Background(), db, tbl, c)
+	fetched, err := Fetch(context.Background(), db, column(1, g.Extent(c.ToLabel)), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +258,11 @@ func TestFetchReverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj.SortRows()
-	want.SortRows()
-	if !reflect.DeepEqual(proj.Rows, want.Rows) {
-		t.Fatalf("reverse fetch mismatch: %d vs %d rows", len(proj.Rows), len(want.Rows))
+	pt, wt := tab(proj), tab(want)
+	pt.SortRows()
+	wt.SortRows()
+	if !reflect.DeepEqual(pt.Rows, wt.Rows) {
+		t.Fatalf("reverse fetch mismatch: %d vs %d rows", pt.Len(), wt.Len())
 	}
 }
 
@@ -272,15 +272,12 @@ func TestFilterThenFetchEqualsFetch(t *testing.T) {
 	g := randomGraph(12, 50, 100, 4)
 	db := mustDB(t, g)
 	c := cond(g, "B", "D", 0, 1)
-	tbl := NewTable(0)
-	for _, x := range g.Extent(c.FromLabel) {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
-	}
+	tbl := column(0, g.Extent(c.FromLabel))
 	direct, err := Fetch(context.Background(), db, tbl, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := Filter(context.Background(), db, tbl, c)
+	filtered, err := Filter(context.Background(), db, clone(tbl), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,10 +288,8 @@ func TestFilterThenFetchEqualsFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.SortRows()
-	two.SortRows()
-	if !reflect.DeepEqual(direct.Rows, two.Rows) {
-		t.Fatalf("filter+fetch != fetch: %d vs %d rows", len(two.Rows), len(direct.Rows))
+	if !reflect.DeepEqual(tab(direct).Rows, tab(two).Rows) {
+		t.Fatalf("filter+fetch != fetch: %d vs %d rows", two.Len(), direct.Len())
 	}
 }
 
@@ -307,15 +302,11 @@ func TestFilterGroupEqualsSequential(t *testing.T) {
 	cl := g.Labels().Lookup("C")
 	cd := Cond{0, 1, cl, g.Labels().Lookup("D")}
 	ce := Cond{0, 2, cl, g.Labels().Lookup("E")}
-	tbl := NewTable(0)
-	for _, x := range g.Extent(cl) {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
-	}
-	multi, err := FilterGroup(context.Background(), db, tbl, []Cond{cd, ce}, 0, true)
+	multi, err := FilterGroup(context.Background(), db, column(0, g.Extent(cl)), []Cond{cd, ce}, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Filter(context.Background(), db, tbl, cd)
+	seq, err := Filter(context.Background(), db, column(0, g.Extent(cl)), cd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +314,7 @@ func TestFilterGroupEqualsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi.SortRows()
-	seq.SortRows()
-	if !reflect.DeepEqual(multi.Rows, seq.Rows) {
+	if !reflect.DeepEqual(multi.Data, seq.Data) {
 		t.Fatalf("FilterGroup %d rows != sequential %d rows", multi.Len(), seq.Len())
 	}
 }
@@ -336,10 +325,11 @@ func TestSelection(t *testing.T) {
 	db := mustDB(t, g)
 	a, b := g.Labels().Lookup("A"), g.Labels().Lookup("B")
 	// Cartesian product of extents, then select A→B.
-	tbl := NewTable(0, 1)
+	tbl := &Result{Cols: []int{0, 1}}
 	for _, x := range g.Extent(a) {
 		for _, y := range g.Extent(b) {
-			tbl.Rows = append(tbl.Rows, []graph.NodeID{x, y})
+			tbl.Data = append(tbl.Data, x, y)
+			tbl.N++
 		}
 	}
 	sel, err := Selection(context.Background(), db, tbl, Cond{0, 1, a, b})
@@ -350,9 +340,9 @@ func TestSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel.SortRows()
-	want.SortRows()
-	if !reflect.DeepEqual(sel.Rows, want.Rows) {
+	// The product is in (x, y) order and HPSJ's pairs are sorted, so the
+	// survivors come in HPSJ's order.
+	if !reflect.DeepEqual(sel.Data, want.Data) {
 		t.Fatalf("selection %d rows != hpsj %d rows", sel.Len(), want.Len())
 	}
 }
@@ -381,10 +371,11 @@ func TestOperatorCancellation(t *testing.T) {
 	ab, bc := cond(g, "A", "B", 0, 1), cond(g, "B", "C", 1, 2)
 
 	rows := extentOf(g, ab.FromLabel, 0, 1+2048/g.ExtentSize(ab.FromLabel))
-	pairs := NewTable(0, 1)
+	pairs := &Result{Cols: []int{0, 1}}
 	for _, x := range g.Extent(ab.FromLabel) {
 		for _, y := range g.Extent(ab.ToLabel)[:4] {
-			pairs.Rows = append(pairs.Rows, []graph.NodeID{x, y})
+			pairs.Data = append(pairs.Data, x, y)
+			pairs.N++
 		}
 	}
 	ws, err := db.Centers(ab.FromLabel, ab.ToLabel)
@@ -401,9 +392,9 @@ func TestOperatorCancellation(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"HPSJ", func(ctx context.Context) error { _, err := HPSJ(ctx, db, ab); return err }},
-		{"Filter", func(ctx context.Context) error { _, err := Filter(ctx, db, rows, ab); return err }},
+		{"Filter", func(ctx context.Context) error { _, err := Filter(ctx, db, clone(rows), ab); return err }},
 		{"FilterGroup", func(ctx context.Context) error {
-			_, err := FilterGroup(ctx, db, rows, []Cond{ab, cond(g, "A", "C", 0, 2)}, 0, true)
+			_, err := FilterGroup(ctx, db, clone(rows), []Cond{ab, cond(g, "A", "C", 0, 2)}, 0, true)
 			return err
 		}},
 		{"Fetch", func(ctx context.Context) error { _, err := Fetch(ctx, db, rows, ab); return err }},
@@ -412,7 +403,7 @@ func TestOperatorCancellation(t *testing.T) {
 			_, _, err := new(Runtime).FetchFiltered(ctx, db, rows, ab, semijoinC, true)
 			return err
 		}},
-		{"Selection", func(ctx context.Context) error { _, err := Selection(ctx, db, pairs, ab); return err }},
+		{"Selection", func(ctx context.Context) error { _, err := Selection(ctx, db, clone(pairs), ab); return err }},
 	}
 	for _, tc := range cases {
 		if err := tc.run(ctx); err != nil {
@@ -433,34 +424,46 @@ func TestOperatorErrors(t *testing.T) {
 	a, b := g.Labels().Lookup("A"), g.Labels().Lookup("B")
 	c := Cond{0, 1, a, b}
 
-	both := NewTable(0, 1)
+	both := &Result{Cols: []int{0, 1}}
 	if _, err := Filter(context.Background(), db, both, c); err == nil {
 		t.Fatal("Filter with both sides bound should error")
 	}
 	if _, err := Fetch(context.Background(), db, both, c); err == nil {
 		t.Fatal("Fetch with both sides bound should error")
 	}
-	neither := NewTable(7)
+	neither := &Result{Cols: []int{7}}
 	if _, err := Filter(context.Background(), db, neither, c); err == nil {
 		t.Fatal("Filter with no side bound should error")
 	}
-	one := NewTable(0)
+	one := &Result{Cols: []int{0}}
 	if _, err := Selection(context.Background(), db, one, c); err == nil {
 		t.Fatal("Selection with one side bound should error")
 	}
 	if _, err := one.Project([]int{5}); err == nil {
 		t.Fatal("Project of unbound column should error")
 	}
+	factorised := &Result{Cols: []int{0, 1}, Data: []graph.NodeID{3}, Exp: [][]graph.NodeID{{4}}, N: 1}
+	if _, err := Selection(context.Background(), db, factorised, c); err == nil {
+		t.Fatal("Selection over a factorised result should error")
+	}
+	if _, err := Fetch(context.Background(), db, factorised, Cond{1, 2, b, a}); err == nil {
+		t.Fatal("Fetch over a factorised result should error")
+	}
+	if _, err := factorised.Project([]int{0}); err == nil {
+		t.Fatal("Project of a factorised result should error")
+	}
 }
 
 func TestTableHelpers(t *testing.T) {
-	tbl := NewTable(3, 1)
-	tbl.Rows = append(tbl.Rows, []graph.NodeID{10, 20}, []graph.NodeID{10, 20}, []graph.NodeID{11, 21})
+	tbl := &Result{Cols: []int{3, 1}, Data: []graph.NodeID{10, 20, 10, 20, 11, 21}, N: 3}
 	if tbl.ColIndex(1) != 1 || tbl.ColIndex(3) != 0 || tbl.ColIndex(9) != -1 {
 		t.Fatal("ColIndex wrong")
 	}
 	if !tbl.HasCol(3) || tbl.HasCol(9) {
 		t.Fatal("HasCol wrong")
+	}
+	if tt := tab(tbl); tt.ColIndex(1) != 1 || !tt.HasCol(3) || tt.HasCol(9) || tt.String() == "" {
+		t.Fatal("Table helpers wrong")
 	}
 	p, err := tbl.Project([]int{1})
 	if err != nil {
@@ -468,9 +471,6 @@ func TestTableHelpers(t *testing.T) {
 	}
 	if p.Len() != 2 {
 		t.Fatalf("Project should dedup: %d rows", p.Len())
-	}
-	if tbl.String() == "" {
-		t.Fatal("empty String")
 	}
 	// FilterGroup with no conditions is the identity.
 	got, err := FilterGroup(context.Background(), nil, tbl, nil, 0, true)
@@ -507,13 +507,12 @@ func BenchmarkFilterFetch(b *testing.B) {
 	db, release := dbx.Pin()
 	defer release()
 	c := cond(g, "A", "B", 0, 1)
-	tbl := NewTable(0)
-	for _, x := range g.Extent(c.FromLabel) {
-		tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
-	}
+	tbl := column(0, g.Extent(c.FromLabel))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := Filter(context.Background(), db, tbl, c)
+		// Filter consumes its input, so each iteration filters a copy.
+		f, err := Filter(context.Background(), db, clone(tbl), c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -535,10 +534,11 @@ func TestFilterGroupExplicitSides(t *testing.T) {
 	el := g.Labels().Lookup("E")
 
 	// Table with both C (col 0) and D (col 1) bound.
-	tbl := NewTable(0, 1)
+	tbl := &Result{Cols: []int{0, 1}}
 	for _, c := range g.Extent(cl) {
 		for _, d := range g.Extent(dl) {
-			tbl.Rows = append(tbl.Rows, []graph.NodeID{c, d})
+			tbl.Data = append(tbl.Data, c, d)
+			tbl.N++
 		}
 	}
 	conds := []Cond{
@@ -549,7 +549,8 @@ func TestFilterGroupExplicitSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range got.Rows {
+	rows := tab(got).Rows
+	for _, row := range rows {
 		c := row[0]
 		reachesSomeD, reachesSomeE := false, false
 		for _, d := range g.Extent(dl) {
@@ -570,7 +571,7 @@ func TestFilterGroupExplicitSides(t *testing.T) {
 	}
 	// Completeness: every c passing both semijoins keeps all its rows.
 	kept := map[graph.NodeID]int{}
-	for _, row := range got.Rows {
+	for _, row := range rows {
 		kept[row[0]]++
 	}
 	for _, c := range g.Extent(cl) {
@@ -602,13 +603,13 @@ func TestFilterGroupErrors(t *testing.T) {
 	db := mustDB(t, g)
 	al := g.Labels().Lookup("A")
 	bl := g.Labels().Lookup("B")
-	tbl := NewTable(0)
+	tbl := &Result{Cols: []int{0}}
 	// Bound node not in table.
 	if _, err := FilterGroup(context.Background(), db, tbl, []Cond{{FromNode: 5, ToNode: 6, FromLabel: al, ToLabel: bl}}, 5, true); err == nil {
 		t.Fatal("expected error for unbound group node")
 	}
 	// Condition not incident on the declared side.
-	tbl2 := NewTable(0)
+	tbl2 := &Result{Cols: []int{0}}
 	if _, err := FilterGroup(context.Background(), db, tbl2, []Cond{{FromNode: 1, ToNode: 0, FromLabel: al, ToLabel: bl}}, 0, true); err == nil {
 		t.Fatal("expected error for wrong-side condition")
 	}
@@ -626,8 +627,7 @@ func TestFilterGroupImpossibleCondition(t *testing.T) {
 	b.AddNode("Y") // never connected
 	g := b.Build()
 	db := mustDB(t, g)
-	tbl := NewTable(0)
-	tbl.Rows = append(tbl.Rows, []graph.NodeID{x})
+	tbl := column(0, []graph.NodeID{x})
 	got, err := FilterGroup(context.Background(), db, tbl, []Cond{{
 		FromNode: 0, ToNode: 1,
 		FromLabel: g.Labels().Lookup("X"), ToLabel: g.Labels().Lookup("Y"),

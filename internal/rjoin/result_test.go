@@ -23,13 +23,13 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 	ctx := context.Background()
 	c := Cond{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl}
 
-	for name, in := range map[string]*Table{"forward": extentOf(g, al, 0, 24), "reverse": extentOf(g, bl, 1, 24)} {
+	for name, in := range map[string]*Result{"forward": extentOf(g, al, 0, 24), "reverse": extentOf(g, bl, 1, 24)} {
 		full, err := new(Runtime).FetchResult(ctx, db, in, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.Exp == nil || full.N < 100 || len(full.Rows) != len(in.Rows) {
-			t.Fatalf("%s: unlimited FetchResult is not factorised over its input: %d rows, %d prefixes", name, full.N, len(full.Rows))
+		if full.Exp == nil || full.N < 100 || len(full.Exp) != in.N || &full.Data[0] != &in.Data[0] {
+			t.Fatalf("%s: unlimited FetchResult is not factorised over its input: %d rows, %d prefixes", name, full.N, len(full.Exp))
 		}
 		// The first list of two or more rows with rows after it gives a limit
 		// inside a list and one exactly on its end.
@@ -50,10 +50,11 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 			rtR.SetBudget(br)
 			rtT.PushLimit(limit)
 			rtR.PushLimit(limit)
-			want, err := rtT.Fetch(ctx, db, in, c)
+			wantRes, err := rtT.Fetch(ctx, db, in, c)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := tab(wantRes)
 			res, err := rtR.FetchResult(ctx, db, in, c)
 			if err != nil {
 				t.Fatal(err)
@@ -133,13 +134,13 @@ func TestFetchResultBudgetKill(t *testing.T) {
 
 // TestResultTableAndOrder covers the column-order contract: Order rejects
 // anything but a permutation of the result's columns, a plain result in
-// the requested order is shared rather than copied, and truncate re-slices
-// the result's own list entry, never the shared list.
+// the requested order keeps its data (only row headers are new), and
+// truncate re-slices the result's own list entry, never the shared list.
 func TestResultTableAndOrder(t *testing.T) {
 	shared := []graph.NodeID{7, 8, 9}
 	r := &Result{
 		Cols: []int{2, 0, 1},
-		Rows: [][]graph.NodeID{{1, 2}, {3, 4}, {5, 6}},
+		Data: []graph.NodeID{1, 2, 3, 4, 5, 6},
 		Exp:  [][]graph.NodeID{shared, nil, shared[:2]},
 		N:    5,
 	}
@@ -159,12 +160,12 @@ func TestResultTableAndOrder(t *testing.T) {
 	if !r.truncate(4) || r.N != 4 || len(r.Exp) != 3 || len(r.Exp[2]) != 1 || len(shared) != 3 {
 		t.Fatalf("truncate(4): %+v", r)
 	}
-	if !r.truncate(3) || len(r.Rows) != 1 || len(r.Exp) != 1 || r.truncate(3) || r.truncate(0) {
+	if !r.truncate(3) || len(r.Data) != 2 || len(r.Exp) != 1 || r.truncate(3) || r.truncate(0) {
 		t.Fatalf("truncate(3) on a list boundary: %+v", r)
 	}
 	plain := (&Table{Cols: []int{1, 0}, Rows: [][]graph.NodeID{{1, 2}}}).Result()
 	same, err := plain.Table([]int{1, 0})
-	if err != nil || &same.Rows[0][0] != &plain.Rows[0][0] {
+	if err != nil || &same.Rows[0][0] != &plain.Data[0] {
 		t.Fatalf("a plain result in the requested order was copied (%v)", err)
 	}
 	if flipped, err := plain.Table([]int{0, 1}); err != nil || !reflect.DeepEqual(flipped.Rows, [][]graph.NodeID{{2, 1}}) {

@@ -1,5 +1,7 @@
 package rjoin
 
+import "fastmatch/internal/graph"
+
 // Runtime carries one query's operator execution state: its read path, its
 // budget, and its counters. Every operator is one loop on the calling
 // goroutine — the paper's Algorithms 1–2 and Eq. 5 as written — and a
@@ -21,6 +23,10 @@ type Runtime struct {
 	// truncate their output to it (see PushLimit). The executor sets it only
 	// for a plan's final step.
 	rowTarget int
+
+	// exp is the scratch an emitting Fetch resolves its per-input-row
+	// partner lists into (see fetch); each emitting Fetch reuses it.
+	exp [][]graph.NodeID
 
 	ops          int64
 	fusedFilters int64
@@ -74,14 +80,6 @@ func (rt *Runtime) PushLimit(n int) { rt.rowTarget = n }
 // limit+1 rows prove truncation, so an operator stops there.
 func (rt *Runtime) pastLimit(n int) bool { return rt.rowTarget > 0 && n > rt.rowTarget }
 
-// newTable is NewTable with the runtime's budget attached, so rows carved
-// from the table's arena are charged to the query.
-func (rt *Runtime) newTable(cols ...int) *Table {
-	t := NewTable(cols...)
-	t.budget = rt.budget
-	return t
-}
-
 // finishResult is the checkpoint every operator returns through: it
 // applies the pushed-down row limit to the output and validates its size
 // against the budget's row and byte caps.
@@ -103,16 +101,6 @@ func (rt *Runtime) checkpoint(n int) error {
 		return err
 	}
 	return rt.budget.CheckBytes()
-}
-
-// finishOp is finishResult for an operator whose output is a table.
-func (rt *Runtime) finishOp(t *Table) (*Table, error) {
-	r, err := rt.finishResult(t.Result())
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = r.Rows
-	return t, nil
 }
 
 // RuntimeStats are cumulative counters of one Runtime's activity.

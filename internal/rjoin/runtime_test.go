@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"fastmatch/internal/gdb"
@@ -13,13 +14,12 @@ import (
 
 // extentOf builds a single-column temporal table holding every node of the
 // given label, replicated replicas times.
-func extentOf(g *graph.Graph, l graph.Label, node, replicas int) *Table {
-	t := NewTable(node)
+func extentOf(g *graph.Graph, l graph.Label, node, replicas int) *Result {
+	t := &Result{Cols: []int{node}}
 	for r := 0; r < replicas; r++ {
-		for _, v := range g.Extent(l) {
-			t.Rows = append(t.Rows, []graph.NodeID{v})
-		}
+		t.Data = append(t.Data, g.Extent(l)...)
 	}
+	t.N = len(t.Data)
 	return t
 }
 
@@ -57,7 +57,7 @@ func TestCenterCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Len() == 0 || !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Rows, refRows.Rows) {
+	if want.Len() == 0 || !reflect.DeepEqual(got.Data, want.Data) || !reflect.DeepEqual(got.Data, refRows.Data) {
 		t.Fatalf("Fetch rows differ: first %d, second %d, reference %d", want.Len(), got.Len(), refRows.Len())
 	}
 }
@@ -92,7 +92,7 @@ func TestFetchForeignLabelColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
+			if !reflect.DeepEqual(got.Data, want.Data) {
 				t.Fatalf("%v, %s table: Fetch over a C-labeled column returned %d rows, reference %d", tc.c, state, got.Len(), want.Len())
 			}
 			// Warm the table with its own label's values for the second round.
@@ -118,7 +118,7 @@ func TestRuntimeStats(t *testing.T) {
 	ctx := context.Background()
 
 	rt := NewRuntime(4)
-	if _, err := rt.Filter(ctx, db, tbl, c); err != nil {
+	if _, err := rt.Filter(ctx, db, clone(tbl), c); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.Fetch(ctx, db, tbl, c); err != nil {
@@ -157,7 +157,7 @@ func TestParallelCancellation(t *testing.T) {
 	close(started)
 	out, err := new(Runtime).Fetch(ctx, db, tbl, c)
 	if err == nil {
-		if !reflect.DeepEqual(out.Rows, want.Rows) {
+		if !reflect.DeepEqual(out.Data, want.Data) {
 			t.Fatal("Fetch raced cancellation and returned a partial result")
 		}
 	} else if !errors.Is(err, context.Canceled) {
@@ -198,23 +198,26 @@ func BenchmarkOperators(b *testing.B) {
 		}
 	}
 	bound := extentOf(g, c.FromLabel, 0, 2)
-	pairs := NewTable(0, 1)
+	pairs := &Result{Cols: []int{0, 1}}
 	ys := g.Extent(c.ToLabel)
 	for _, x := range g.Extent(c.FromLabel) {
 		for k := 0; k < 4 && k < len(ys); k++ {
-			pairs.Rows = append(pairs.Rows, []graph.NodeID{x, ys[k]})
+			pairs.Data = append(pairs.Data, x, ys[k])
+			pairs.N++
 		}
 	}
 	ctx := context.Background()
 
+	// Filter and Selection consume their input, so each run gets a copy;
+	// the copy's bytes are in their B/op.
 	ops := []struct {
 		name string
 		run  func(rt *Runtime) error
 	}{
 		{"HPSJ", func(rt *Runtime) error { _, err := rt.HPSJ(ctx, db, c); return err }},
-		{"Filter", func(rt *Runtime) error { _, err := rt.Filter(ctx, db, bound, c); return err }},
+		{"Filter", func(rt *Runtime) error { _, err := rt.Filter(ctx, db, clone(bound), c); return err }},
 		{"Fetch", func(rt *Runtime) error { _, err := rt.Fetch(ctx, db, bound, c); return err }},
-		{"Selection", func(rt *Runtime) error { _, err := rt.Selection(ctx, db, pairs, c); return err }},
+		{"Selection", func(rt *Runtime) error { _, err := rt.Selection(ctx, db, clone(pairs), c); return err }},
 	}
 	for _, o := range ops {
 		b.Run(o.name, func(b *testing.B) {
@@ -225,5 +228,89 @@ func BenchmarkOperators(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestFlatTablesAllocate: an emitting Fetch writes its output into one
+// exact pointer-free slice, so its allocations do not grow with its rows
+// and its bytes are the output's N×w×4 (no 24-byte header per row), once
+// the runtime's expansion scratch is warm; FilterGroup and Selection
+// compact in place and allocate nothing per row.
+func TestFlatTablesAllocate(t *testing.T) {
+	g := randomGraph(45, 600, 1600, 2)
+	db := mustDB(t, g)
+	ctx := context.Background()
+	c := cond(g, "A", "B", 0, 1)
+	fetchOver := func(replicas int) (*Runtime, *Result) {
+		return new(Runtime), extentOf(g, c.FromLabel, 0, replicas)
+	}
+	// measure runs f once warm and returns its allocations and bytes.
+	measure := func(f func()) (allocs float64, bytes uint64) {
+		f()
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		f()
+		goruntime.ReadMemStats(&after)
+		return testing.AllocsPerRun(20, f), after.TotalAlloc - before.TotalAlloc
+	}
+
+	rt, in := fetchOver(1)
+	one, err := rt.Fetch(ctx, db, in, c)
+	if err != nil || one.N == 0 {
+		t.Fatalf("Fetch: %d rows, %v", one.N, err)
+	}
+	replicas := 1 + 10000/one.N
+	var allocs [2]float64
+	for k, r := range []int{replicas, 2 * replicas} {
+		rt, in := fetchOver(r)
+		var out *Result
+		a, bytes := measure(func() {
+			if out, err = rt.Fetch(ctx, db, in, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The slack is a page of size-class rounding and the operator's
+		// fixed state; a header per row would be 24 bytes × N.
+		cells := uint64(out.N * len(out.Cols))
+		if out.N < 10000 || bytes < 4*cells || bytes > 4*cells+12<<10 {
+			t.Fatalf("Fetch of %d rows × %d columns allocated %d bytes, want %d (+ a constant)", out.N, len(out.Cols), bytes, 4*cells)
+		}
+		allocs[k] = a
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("Fetch allocations grow with its output: %v", allocs)
+	}
+
+	// Inputs every row of which survives are left as they were, so each
+	// run filters the same rows.
+	pairs, err := HPSJ(ctx, db, c)
+	if err != nil || pairs.N == 0 {
+		t.Fatalf("HPSJ: %v", err)
+	}
+	for name, op := range map[string]func(in *Result) (*Result, error){
+		"FilterGroup": func(in *Result) (*Result, error) {
+			return new(Runtime).FilterGroup(ctx, db, in, []Cond{c}, c.FromNode, true)
+		},
+		"Selection": func(in *Result) (*Result, error) { return new(Runtime).Selection(ctx, db, in, c) },
+	} {
+		var allocs [2]float64
+		for k, r := range []int{1, 8} {
+			in := &Result{Cols: pairs.Cols, N: r * pairs.N}
+			for range r {
+				in.Data = append(in.Data, pairs.Data...)
+			}
+			a, bytes := measure(func() {
+				if out, err := op(in); err != nil || out.N != in.N {
+					t.Fatalf("%s: %v rows of %d, %v", name, out, in.N, err)
+				}
+			})
+			if bytes > 4096 {
+				t.Fatalf("%s over %d rows allocated %d bytes", name, in.N, bytes)
+			}
+			allocs[k] = a
+		}
+		if allocs[0] != allocs[1] {
+			t.Fatalf("%s allocations grow with its input: %v", name, allocs)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +167,51 @@ func TestStatsDropsParallelismKeys(t *testing.T) {
 		if v, ok := st[key]; ok {
 			t.Errorf("/stats still reports %s = %v", key, v)
 		}
+	}
+}
+
+// TestStatsGoRuntimeCounters: /stats reports the process's cumulative heap
+// allocation and GC cycles; both are non-zero, and across a query the
+// allocation grows and the cycle count does not fall.
+func TestStatsGoRuntimeCounters(t *testing.T) {
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	stats := func() (alloc, cycles uint64) {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Alloc  *uint64 `json:"go_alloc_bytes"`
+			Cycles *uint64 `json:"go_gc_cycles"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Alloc == nil || st.Cycles == nil {
+			t.Fatal("/stats lacks go_alloc_bytes or go_gc_cycles")
+		}
+		return *st.Alloc, *st.Cycles
+	}
+	runtime.GC() // at least one completed cycle, whatever ran before
+	alloc0, cycles0 := stats()
+	if alloc0 == 0 || cycles0 == 0 {
+		t.Fatalf("go_alloc_bytes %d, go_gc_cycles %d: want both non-zero", alloc0, cycles0)
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"pattern": "A->B; B->C"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d", resp.StatusCode)
+	}
+	alloc1, cycles1 := stats()
+	if alloc1 <= alloc0 || cycles1 < cycles0 {
+		t.Fatalf("across a query go_alloc_bytes %d -> %d, go_gc_cycles %d -> %d: want growth and no fall", alloc0, alloc1, cycles0, cycles1)
 	}
 }
 

@@ -93,7 +93,8 @@ func (e *encoder) response(res *Result, src []int) {
 func rowRoom(width int) int { return 11*width + 2 + 15 }
 
 // rows appends r's rows as JSON arrays, comma-separated, with output
-// column j taken from source column src[j]. Every cell is written by
+// column j taken from source column src[j]; prefix row i is
+// r.Data[i*w:(i+1)*w]. Every cell is written by
 // putNodeID. For a factorised result each prefix row's cells are formatted
 // once, as the text before and after the expanded column, and every row it
 // stands for is a 16-byte store of the head, one number and a 16-byte store
@@ -106,7 +107,8 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	b, n := e.buf[:cap(e.buf)], len(e.buf)
 	first := true
 	if r.Exp == nil {
-		for _, row := range r.Rows {
+		for i := 0; i < r.N; i++ {
+			row := r.Data[i*width : (i+1)*width]
 			if len(b)-n < need {
 				if b, n = e.grow(b, n, need); b == nil {
 					return
@@ -140,7 +142,7 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 		if len(list) == 0 {
 			continue
 		}
-		prefix := r.Rows[i]
+		prefix := r.Row(i)
 		h := e.head[:cap(e.head)]
 		h[0], h[1] = ',', '['
 		hn := 2

@@ -24,10 +24,9 @@ import (
 // count, including NodeID 0 and math.MaxInt32.
 func plainResult(cols []int, n int) *rjoin.Result {
 	w := len(cols)
-	t := rjoin.NewTable(cols...)
-	arena := make([]graph.NodeID, n*w)
+	r := &rjoin.Result{Cols: cols, Data: make([]graph.NodeID, n*w), N: n}
 	for i := 0; i < n; i++ {
-		row := arena[i*w : (i+1)*w : (i+1)*w]
+		row := r.Row(i)
 		for j := range row {
 			switch j % 3 {
 			case 0:
@@ -38,9 +37,8 @@ func plainResult(cols []int, n int) *rjoin.Result {
 				row[j] = graph.NodeID(math.MaxInt32 - i)
 			}
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	return t.Result()
+	return r
 }
 
 // factorisedResult is a Result over cols whose last column is expanded: one
@@ -64,7 +62,7 @@ func factorisedResult(cols []int, lens ...int) *rjoin.Result {
 		if n > 1 {
 			list[n-1] = math.MaxInt32
 		}
-		r.Rows = append(r.Rows, prefix)
+		r.Data = append(r.Data, prefix...)
 		r.Exp = append(r.Exp, list)
 		r.N += n
 	}
@@ -146,7 +144,7 @@ func encodingCases() map[string]*Result {
 		for k := range list {
 			list[k] = graph.NodeID(1e9 + i*1000 + k)
 		}
-		widest.Rows = append(widest.Rows, []graph.NodeID{math.MaxInt32 - graph.NodeID(i)})
+		widest.Data = append(widest.Data, math.MaxInt32-graph.NodeID(i))
 		widest.Exp = append(widest.Exp, list)
 		widest.N += len(list)
 	}
@@ -210,7 +208,7 @@ func digitBoundaryResult(cols []int) *rjoin.Result {
 			prefix[j] = ids[(i+j)%len(ids)]
 		}
 		list := ids[i%3:]
-		r.Rows = append(r.Rows, prefix)
+		r.Data = append(r.Data, prefix...)
 		r.Exp = append(r.Exp, list)
 		r.N += len(list)
 	}
@@ -285,7 +283,7 @@ func FuzzEncodeResult(f *testing.F) {
 		if factorised {
 			r.Exp, prefixWidth = [][]graph.NodeID{}, width-1
 		}
-		for len(data) > 0 && len(r.Rows) < 64 {
+		for rows := 0; len(data) > 0 && rows < 64; rows++ {
 			n := 1
 			if factorised {
 				n = int(next() % 6)
@@ -294,7 +292,7 @@ func FuzzEncodeResult(f *testing.F) {
 			for j := range row {
 				row[j] = id()
 			}
-			r.Rows = append(r.Rows, row)
+			r.Data = append(r.Data, row...)
 			if factorised {
 				list := make([]graph.NodeID, n)
 				for k := range list {
@@ -567,7 +565,7 @@ func servedResult() *rjoin.Result {
 		for k := range list {
 			list[k] = graph.NodeID(k*185 + rnd.Intn(185))
 		}
-		r.Rows = append(r.Rows, []graph.NodeID{graph.NodeID(i*1052 + rnd.Intn(1052))})
+		r.Data = append(r.Data, graph.NodeID(i*1052+rnd.Intn(1052)))
 		r.Exp = append(r.Exp, list)
 		r.N += len(list)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -306,6 +307,13 @@ type Stats struct {
 	P99ms         float64 `json:"p99_ms"`
 	EncodeMs      float64 `json:"encode_ms"`
 	ResponseBytes int64   `json:"response_bytes"`
+	// GoAllocBytes and GoGCCycles are the process's cumulative heap
+	// allocation in bytes and its completed GC cycles, read from
+	// runtime/metrics (/gc/heap/allocs:bytes, /gc/cycles/total:gc-cycles)
+	// when the snapshot is taken. Their difference between two snapshots,
+	// over the queries between them, is the allocation per query.
+	GoAllocBytes uint64 `json:"go_alloc_bytes"`
+	GoGCCycles   uint64 `json:"go_gc_cycles"`
 	// IO is the database buffer pool's accumulated counters.
 	IO storage.IOStats `json:"io"`
 	// UptimeSeconds is time since New.
@@ -369,6 +377,7 @@ func (s *Server) Stats() Stats {
 		st.OldestPinnedAgeSeconds = es.OldestAge.Seconds()
 		st.SnapshotsRetired = es.Retired
 	}
+	st.GoAllocBytes, st.GoGCCycles = goRuntimeCounters()
 	if p := s.met.quantile(0.50); !math.IsNaN(p) {
 		st.P50ms = p
 	}
@@ -376,4 +385,12 @@ func (s *Server) Stats() Stats {
 		st.P99ms = p
 	}
 	return st
+}
+
+// goRuntimeCounters reads the process's cumulative heap allocation and
+// completed GC cycles from runtime/metrics.
+func goRuntimeCounters() (allocBytes, gcCycles uint64) {
+	samples := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	rtmetrics.Read(samples)
+	return samples[0].Value.Uint64(), samples[1].Value.Uint64()
 }

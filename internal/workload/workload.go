@@ -3,10 +3,17 @@
 // P1–P9 (3/4/5 nodes), nine tree patterns T1–T9, and two batteries of five
 // graph patterns Q1–Q5 with |V_q| = 4 and |V_q| = 5 used in Figure 6.
 // Every pattern is non-empty by construction on graphs from
-// internal/xmark.
+// internal/xmark. Skew and PowerLawDAG are the cyclic patterns and the
+// hub-skewed dataset of the served read_skew workload.
 package workload
 
-import "fastmatch/internal/pattern"
+import (
+	"fmt"
+	"math/rand"
+
+	"fastmatch/internal/graph"
+	"fastmatch/internal/pattern"
+)
 
 // Workload names one benchmark pattern.
 type Workload struct {
@@ -152,4 +159,54 @@ func All() []Workload {
 	out = append(out, Cyclic()...)
 	out = append(out, ScalabilityPath(), ScalabilityTree(), ScalabilityGraph())
 	return out
+}
+
+// Skew returns S1–S7, the served read_skew workload's queries over the
+// labels of PowerLawDAG: triangles, diamonds, a path and a tailed triangle
+// on hub-heavy labels.
+func Skew() []Workload {
+	return []Workload{
+		mk("S1-triangle", "L3->L1; L1->L0; L3->L0"),
+		mk("S2-triangle", "L5->L2; L2->L0; L5->L0"),
+		mk("S3-triangle", "L6->L4; L4->L2; L6->L2"),
+		mk("S4-diamond", "L4->L2; L4->L3; L2->L1; L3->L1"),
+		mk("S5-diamond", "L7->L5; L7->L6; L5->L3; L6->L3"),
+		mk("S6-path", "L2->L1; L1->L0"),
+		mk("S7-tailed", "L9->L6; L6->L4; L9->L4; L4->L8"),
+	}
+}
+
+// PowerLawDAG is the served read_skew dataset: a preferential-attachment
+// DAG where node i points at up to two distinct earlier nodes drawn in
+// proportion to in-degree+1, labelled Zipf(1.3) over L0..L11, so a few old
+// hubs collect most in-edges. A seed fixes the graph.
+func PowerLawDAG(seed int64, nodes int) *graph.Graph {
+	r := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(r, 1.3, 1, 11)
+	b := graph.NewBuilder()
+	labels := make([]graph.Label, 12)
+	for i := range labels {
+		labels[i] = b.Intern(fmt.Sprintf("L%d", i))
+	}
+	// urn holds one ticket per node plus one per in-edge: a uniform draw
+	// from it is a draw proportional to in-degree+1.
+	urn := make([]graph.NodeID, 0, 3*nodes)
+	for i := 0; i < nodes; i++ {
+		v := b.AddNodeLabel(labels[zipf.Uint64()])
+		if i > 0 {
+			first := urn[r.Intn(len(urn))]
+			b.AddEdge(v, first)
+			urn = append(urn, first)
+			if i > 1 {
+				second := first
+				for second == first {
+					second = urn[r.Intn(len(urn))]
+				}
+				b.AddEdge(v, second)
+				urn = append(urn, second)
+			}
+		}
+		urn = append(urn, v)
+	}
+	return b.Build()
 }
