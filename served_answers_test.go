@@ -80,7 +80,10 @@ func servedDatasets() []servedDataset {
 // hash of the rows, a SHA-256 of the body in order (elapsed_ms and
 // plan_cached cut off) and the DPS plan. A changed row hash is a wrong
 // answer; a changed body hash or plan is a changed row order or plan, which
-// a change must explain. -update rewrites the file.
+// a change must explain. Each dataset's first line pins the build itself:
+// the cover size |H|, the center count and the page-file size, so a change
+// to the labeling or the page layout fails here too. -update rewrites the
+// file.
 func TestServedAnswers(t *testing.T) {
 	want := readServedAnswers(t)
 	var got []string
@@ -89,7 +92,7 @@ func TestServedAnswers(t *testing.T) {
 	}
 	if *updateServed {
 		var b bytes.Buffer
-		b.WriteString("# dataset query row_count row_hash body_sha256 | DPS plan; go test -run TestServedAnswers -update . rewrites this file\n")
+		b.WriteString("# dataset query row_count row_hash body_sha256 | DPS plan; dataset build |H| centers size_bytes; go test -run TestServedAnswers -update . rewrites this file\n")
 		for _, line := range got {
 			b.WriteString(line + "\n")
 		}
@@ -132,7 +135,7 @@ func readServedAnswers(t *testing.T) []string {
 }
 
 // serveBattery builds ds's database and answers its queries through a
-// server's HTTP handler, one golden line per query.
+// server's HTTP handler: one golden line for the build, then one per query.
 func serveBattery(t *testing.T, ds servedDataset) []string {
 	db, err := gdb.Build(ds.graph(), gdb.Options{PoolBytes: 64 << 20})
 	if err != nil {
@@ -141,7 +144,8 @@ func serveBattery(t *testing.T, ds servedDataset) []string {
 	defer db.Close()
 	srv := server.New(db, server.Config{})
 	h := srv.Handler()
-	var lines []string
+	lines := []string{fmt.Sprintf("%s build |H|=%d centers=%d size_bytes=%d",
+		ds.name, db.CoverSize(), db.NumCenters(), db.SizeBytes())}
 	for _, q := range ds.queries() {
 		req, _ := json.Marshal(server.QueryRequest{Pattern: q.pattern, Limit: q.limit}) // strings and ints cannot fail
 		rec := httptest.NewRecorder()
