@@ -41,8 +41,8 @@ func TestGenerateThenQuery(t *testing.T) {
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "g.fgm")
 
-	out := run(t, "run", "./cmd/fgmgen", "-nodes", "2500", "-seed", "5", "-out", graphPath)
-	if !strings.Contains(out, "nodes") {
+	out := run(t, "run", "./cmd/fgmgen", "-nodes", "2500", "-seed", "5", "-out", graphPath, "-cover-stats")
+	if !strings.Contains(out, "nodes") || !strings.Contains(out, "twohop{") || strings.Contains(out, "workers") {
 		t.Fatalf("fgmgen output: %q", out)
 	}
 	if st, err := os.Stat(graphPath); err != nil || st.Size() == 0 {
@@ -431,13 +431,18 @@ func TestCLIErrors(t *testing.T) {
 		}
 	}
 	// Removed flags are usage errors (status 2): operators run on the
-	// query's goroutine, so there is no worker degree, and the engine has
-	// one reachability labeling, so there is no backend to choose.
+	// query's goroutine and the index build is serial, so there is no
+	// worker degree, and the engine has one reachability labeling, so there
+	// is no backend to choose.
 	for _, c := range []struct{ cmd, flag, value string }{
 		{"fgmserve", "parallelism", "2"},
 		{"fgmserve", "reach-index", "pll"},
 		{"fgmatch", "reach-index", "pll"},
 		{"fgmgen", "reach-index", "pll"},
+		{"fgmatch", "build-parallelism", "2"},
+		{"fgmserve", "build-parallelism", "2"},
+		{"fgmgen", "build-parallelism", "2"},
+		{"fgmbench", "build-parallelism", "2"},
 	} {
 		usageError(c.cmd, "flag provided but not defined: -"+c.flag, "-"+c.flag, c.value)
 	}

@@ -48,7 +48,6 @@ func run() error {
 		budgetRows  = flag.Int("budget-rows", 0, "kill the query once an intermediate table exceeds this many rows (0 = unbounded)")
 		budgetBytes = flag.Int64("budget-bytes", 0, "kill the query once intermediate results exceed this many bytes (0 = unbounded)")
 		pool        = flag.Int("pool", 0, "buffer pool bytes (default 1 MB)")
-		buildPar    = flag.Int("build-parallelism", 0, "index-build workers (0/1 = serial, -1 = GOMAXPROCS)")
 		dot         = flag.String("dot", "", "write the data graph in Graphviz DOT format to this file and exit")
 		dotMax      = flag.Int("dotmax", 200, "max nodes in -dot output (0 = all)")
 		dbPath      = flag.String("db", "", "persisted database file (for -repack)")
@@ -91,7 +90,7 @@ func run() error {
 		return graph.WriteDOT(f, g, *dotMax)
 	}
 
-	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool, BuildParallelism: *buildPar})
+	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool})
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,6 @@ func main() {
 		seed = flag.Int64("seed", 1, "data generation seed")
 		reps = flag.Int("reps", 2, "timed repetitions per query (minimum reported)")
 		list = flag.Bool("list", false, "list experiment IDs and exit")
-		bp   = flag.Int("build-parallelism", 0, "workers for experiment database builds (0/1 = serial, -1 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	ids := append(append([]string{}, bench.PaperIDs...), bench.AblationIDs...)
@@ -50,13 +49,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Stamp every text artifact with the machine context: build
-	// parallelism reads differently on 1 CPU than on 16.
+	// Stamp every text artifact with the machine context the timings
+	// were taken on.
 	fmt.Println(bench.CurrentEnv())
 
 	r := bench.NewRunner(*mult, *seed)
 	r.Reps = *reps
-	r.BuildParallelism = *bp
 	defer r.Close()
 
 	reports, err := r.Run(run)

@@ -29,7 +29,6 @@ func main() {
 		dag    = flag.Bool("dag", false, "generate an acyclic graph (references point to later documents)")
 		out    = flag.String("out", "", "output file (default stdout)")
 		stats  = flag.Bool("cover-stats", false, "also compute the 2-hop cover and print its statistics to stderr")
-		par    = flag.Int("build-parallelism", 0, "cover-computation workers for -cover-stats (0/1 = serial, -1 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if (*nodes <= 0) == (*factor <= 0) {
@@ -60,8 +59,8 @@ func main() {
 		d.Docs, d.Graph.NumNodes(), d.Graph.NumEdges(), d.Graph.Labels().Len())
 	if *stats {
 		start := time.Now()
-		cover := twohop.Compute(d.Graph, twohop.Options{Parallelism: *par})
-		fmt.Fprintf(os.Stderr, "fgmgen: %v (computed in %s, %d workers)\n",
-			cover.Stats(), time.Since(start).Round(time.Millisecond), *par)
+		cover := twohop.Compute(d.Graph, twohop.Options{})
+		fmt.Fprintf(os.Stderr, "fgmgen: %v (computed in %s)\n",
+			cover.Stats(), time.Since(start).Round(time.Millisecond))
 	}
 }

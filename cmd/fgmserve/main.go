@@ -62,7 +62,6 @@ func run() error {
 		maxTableRows = flag.Int("max-table-rows", 0, "per-query intermediate-table row budget (0 = unbounded; exceeding answers 422)")
 		maxIMBytes   = flag.Int64("max-intermediate-bytes", 0, "per-query intermediate-result byte budget (0 = unbounded; exceeding answers 422)")
 		maxReqBytes  = flag.Int64("max-request-bytes", 0, "max request body bytes (default 1 MB; larger answers 413)")
-		buildPar     = flag.Int("build-parallelism", 0, "index-build workers (0/1 = serial, -1 = GOMAXPROCS)")
 		readonly     = flag.Bool("readonly", false, "reject every mutating endpoint (POST /insert, /delete) with 403; the graph stays immutable")
 	)
 	flag.Parse()
@@ -81,7 +80,7 @@ func run() error {
 	}
 
 	build := time.Now()
-	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool, BuildParallelism: *buildPar})
+	eng, err := fastmatch.NewEngine(g, fastmatch.Options{PoolBytes: *pool})
 	if err != nil {
 		return err
 	}

@@ -126,14 +126,6 @@ type Options struct {
 	// CodeCacheEntries bounds the working cache of decoded graph codes
 	// (default 65536; negative disables).
 	CodeCacheEntries int
-	// BuildParallelism is the worker count for NewEngine's index build:
-	// batched 2-hop labeling, code encoding, and the sharded cover
-	// inversion all fan out across this many goroutines. 0 or 1 builds
-	// serially (the reference path, byte-identical to previous versions),
-	// n > 1 uses n workers, < 0 uses GOMAXPROCS. Query results are
-	// identical at every setting. Ignored by OpenEngine (nothing is
-	// rebuilt).
-	BuildParallelism int
 }
 
 // Engine is a queryable graph database built from a data graph. Build
@@ -159,7 +151,6 @@ func NewEngine(g *Graph, opt Options) (*Engine, error) {
 		Path:             opt.Path,
 		PoolBytes:        opt.PoolBytes,
 		CodeCacheEntries: opt.CodeCacheEntries,
-		BuildParallelism: opt.BuildParallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -61,10 +61,6 @@ type Runner struct {
 	// Reps is the number of timed repetitions per query; the minimum is
 	// reported (default 2).
 	Reps int
-	// BuildParallelism is the worker count used to build the cached
-	// experiment databases (0/1 = serial, -1 = GOMAXPROCS). It shortens
-	// experiment setup on multi-core hosts.
-	BuildParallelism int
 
 	dbs    map[string]*gdb.DB
 	dsets  map[string]*xmark.Dataset
@@ -110,7 +106,7 @@ func (r *Runner) db(s Scale) (*gdb.DB, error) {
 	if db, ok := r.dbs[s.Name]; ok {
 		return db, nil
 	}
-	db, err := gdb.Build(r.dataset(s).Graph, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096, BuildParallelism: r.BuildParallelism})
+	db, err := gdb.Build(r.dataset(s).Graph, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +131,7 @@ func (r *Runner) dagSetup() (*gdb.DB, *twigstackd.Index, *igmj.Index, error) {
 		return r.dagDB, r.tsdIx, r.igmjIx, nil
 	}
 	d := xmark.Generate(xmark.Config{Nodes: int(DAGNodes * r.Mult), Seed: r.Seed, DAG: true})
-	db, err := gdb.Build(d.Graph, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096, BuildParallelism: r.BuildParallelism})
+	db, err := gdb.Build(d.Graph, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096})
 	if err != nil {
 		return nil, nil, nil, err
 	}

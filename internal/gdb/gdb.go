@@ -47,13 +47,6 @@ type Options struct {
 	// CodeCacheEntries bounds the working cache of decoded graph codes
 	// (the paper's getCenters cache). Default 65536; negative disables.
 	CodeCacheEntries int
-	// BuildParallelism is the worker count for the build pipeline: batched
-	// reachability labeling, code encoding, and the sharded cover inversion
-	// feeding the cluster index. 0 or 1 builds serially, n > 1 uses n
-	// workers, < 0 uses GOMAXPROCS. The built database is identical at every
-	// setting except the labeling itself, which at parallelism > 1 may carry
-	// a few extra (still valid) entries — see twohop.Options.Parallelism.
-	BuildParallelism int
 }
 
 // DB is a built graph database, maintained as a sequence of immutable
@@ -130,7 +123,7 @@ const (
 // Build constructs the database for g: computes the 2-hop cover, then
 // writes the base tables, the cluster-based R-join index, and the W-table.
 func Build(g *graph.Graph, opt Options) (*DB, error) {
-	return BuildFromIndex(g, twohop.Compute(g, twohop.Options{Parallelism: opt.BuildParallelism}), opt)
+	return BuildFromIndex(g, twohop.Compute(g, twohop.Options{}), opt)
 }
 
 // BuildFromIndex is Build with a precomputed cover of g (to share one
@@ -165,12 +158,11 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 	db.bulkBuilt = true
 	s := db.newSnap(g)
 	s.coverSize = idx.Size()
-	workers := buildWorkers(opt.BuildParallelism)
-	if err := db.buildBaseTables(s, workers); err != nil {
+	if err := db.buildBaseTables(s); err != nil {
 		db.Close()
 		return nil, err
 	}
-	if err := db.buildClusterIndexAndWTable(s, workers); err != nil {
+	if err := db.buildClusterIndexAndWTable(s); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -320,30 +312,20 @@ func (db *DB) SizeBytes() int { return db.pager.NumPages() * storage.PageSize }
 // buffer-to-data ratio on scaled-down data).
 func (db *DB) ResizePool(bytes int) error { return db.pool.Resize(bytes) }
 
-func (db *DB) buildBaseTables(s *Snap, workers int) error {
+func (db *DB) buildBaseTables(s *Snap) error {
 	g := s.g
 	n := g.NumNodes()
-	// Encode every node's stored code up front: encoding is pure CPU and
-	// embarrassingly parallel, while the heap appends stay serial (the heap
-	// is single-writer) and in node order, so record placement is
-	// deterministic and independent of the worker count.
-	recs := make([][]byte, n)
-	parallelRanges(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			recs[v] = encodeCodes(db.idx.In(graph.NodeID(v)), db.idx.Out(graph.NodeID(v)))
-		}
-	})
+	// Heap appends go in node order, so record placement is deterministic.
 	rids := make([]uint64, n)
 	byLabel := make([][]graph.NodeID, g.Labels().Len())
-	for v := 0; v < n; v++ {
-		rid, err := db.heap.Insert(recs[v])
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		rid, err := db.heap.Insert(encodeCodes(db.idx.In(v), db.idx.Out(v)))
 		if err != nil {
 			return err
 		}
-		recs[v] = nil
 		rids[v] = rid.Encode()
-		l := g.LabelOf(graph.NodeID(v))
-		byLabel[l] = append(byLabel[l], graph.NodeID(v))
+		l := g.LabelOf(v)
+		byLabel[l] = append(byLabel[l], v)
 	}
 	// Node IDs ascend within each label, so each base table's primary index
 	// is a sorted key stream — bulk-load it bottom-up instead of descending
@@ -365,8 +347,8 @@ func (db *DB) buildBaseTables(s *Snap, workers int) error {
 	return nil
 }
 
-func (db *DB) buildClusterIndexAndWTable(s *Snap, workers int) error {
-	inv := db.invertCover(s.g, workers)
+func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
+	inv := db.invertCover(s.g)
 	s.numCenters = len(inv.centers)
 	L := inv.nLabels
 

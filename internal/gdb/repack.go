@@ -14,11 +14,10 @@ import (
 // graph, typically shrinking the file and the I/O per range scan.
 //
 // Repack is offline: it opens src read-only (nothing in src is modified),
-// computes the 2-hop cover from scratch serially — deterministic, so
-// repacking the same source twice yields byte-identical page files and
-// manifests — and replaces any existing file at dst. src and dst must
-// differ; to repack in place, write to a temp path and rename over src
-// afterwards.
+// computes the 2-hop cover from scratch — deterministic, so repacking the
+// same source twice yields byte-identical page files and manifests — and
+// replaces any existing file at dst. src and dst must differ; to repack in
+// place, write to a temp path and rename over src afterwards.
 func Repack(src, dst string, opt Options) error {
 	if src == dst {
 		return fmt.Errorf("gdb: repack in place is not supported (src == dst); write to a temp path and rename")
@@ -39,11 +38,7 @@ func Repack(src, dst string, opt Options) error {
 			return err
 		}
 	}
-	// Serial build everywhere: parallel labeling may emit a slightly
-	// different (still valid) labeling per run, which would break the
-	// byte-stability contract.
 	opt.Path = dst
-	opt.BuildParallelism = 0
 	db, err := Build(g, opt)
 	if err != nil {
 		return fmt.Errorf("gdb: repack build %s: %w", dst, err)

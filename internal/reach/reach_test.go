@@ -35,58 +35,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestBatchedLabelingMatchesSerial drives the pruned-labeling core in both
-// landmark orders at several worker degrees: the batched build must verify
-// against BFS truth and answer Reaches exactly like the serial reference
-// build at every degree.
-func TestBatchedLabelingMatchesSerial(t *testing.T) {
-	graphs := []*graph.Graph{
-		randomGraph(31, 180, 540, 3),
-		randomGraph(32, 220, 260, 2),
-		chainGraph(30),
-	}
-	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
-		for gi, g := range graphs {
-			opt.Parallelism = 1
-			serial := twohop.Compute(g, opt)
-			for _, workers := range []int{2, 3, 4, 8} {
-				opt.Parallelism = workers
-				par := twohop.Compute(g, opt)
-				if err := par.Verify(); err != nil {
-					t.Fatalf("graph %d workers=%d: %v", gi, workers, err)
-				}
-				for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-					for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-						if par.Reaches(u, v) != serial.Reaches(u, v) {
-							t.Fatalf("graph %d workers=%d: Reaches(%d,%d) differs from serial",
-								gi, workers, u, v)
-						}
-					}
-				}
-				// Same degree twice → identical labeling, entry for entry.
-				again := twohop.Compute(g, opt)
-				for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-					if !reflect.DeepEqual(par.In(v), again.In(v)) || !reflect.DeepEqual(par.Out(v), again.Out(v)) {
-						t.Fatalf("graph %d workers=%d: build is not deterministic at node %d", gi, workers, v)
-					}
-				}
-			}
-		}
-	})
-}
-
-// TestNegativeParallelismMeansGOMAXPROCS: < 0 resolves to a machine-wide
-// degree and still verifies.
-func TestNegativeParallelismMeansGOMAXPROCS(t *testing.T) {
-	g := randomGraph(33, 120, 360, 3)
-	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
-		opt.Parallelism = -1
-		if err := twohop.Compute(g, opt).Verify(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestVerifyIndex: the cover Lookup's Builder returns passes Verify, and
 // Verify reports the first pair a corrupted labeling stops covering. The
 // corruption goes through In, whose slice aliases the cover's storage.

@@ -209,6 +209,10 @@ func TestStatsGoRuntimeCounters(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: status %d", resp.StatusCode)
 	}
+	// runtime/metrics counts a small allocation only once its span leaves
+	// the per-P cache (a refill or the end of a GC cycle), so a query that
+	// fits in cached spans would not show yet: end a cycle first.
+	runtime.GC()
 	alloc1, cycles1 := stats()
 	if alloc1 <= alloc0 || cycles1 < cycles0 {
 		t.Fatalf("across a query go_alloc_bytes %d -> %d, go_gc_cycles %d -> %d: want growth and no fall", alloc0, alloc1, cycles0, cycles1)

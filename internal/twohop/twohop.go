@@ -15,11 +15,10 @@
 // centers in a configurable rank order; a forward (backward) pruned BFS from
 // center w adds w to L_in (L_out) of every component whose reachability
 // from (to) w is not already answerable from previously assigned labels.
-// The labeling core itself (serial reference construction and the
-// batch-parallel construction with serial reconciliation) lives in
-// labeling.go. Every valid 2-hop cover supports the same R-join
-// semantics; this construction keeps |H|/|V| in the small-constant band
-// the paper reports.
+// The labeling core itself lives in labeling.go. Compute is serial and
+// deterministic: one graph and one Options give the same cover, entry for
+// entry. Every valid 2-hop cover supports the same R-join semantics; this
+// construction keeps |H|/|V| in the small-constant band the paper reports.
 //
 // Following Example 3.1 of the paper, the labels returned by In and Out are
 // "compact": the node itself is removed. Full graph codes are
@@ -30,9 +29,7 @@ package twohop
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 
 	"fastmatch/internal/graph"
 )
@@ -71,29 +68,6 @@ type Options struct {
 	Order CenterOrder
 	// Seed seeds OrderRandom.
 	Seed int64
-	// Parallelism is the number of workers that process landmark centers in
-	// rank-ordered batches: within a batch the forward/backward pruned BFS
-	// pairs run concurrently against the labels committed by earlier
-	// batches, then a serial reconciliation pass re-prunes entries made
-	// redundant by same-batch centers (see DESIGN.md). 0 or 1 selects the
-	// serial reference construction — its cover is byte-identical to what
-	// previous versions computed. n > 1 uses n workers; < 0 uses
-	// GOMAXPROCS. Parallel covers are always valid (Verify-clean) and
-	// deterministic for a fixed degree, but contain slightly more entries
-	// than the serial cover (redundancies a serial build would have pruned
-	// by not expanding past covered frontiers).
-	Parallelism int
-}
-
-// buildWorkers resolves Options.Parallelism to a worker count.
-func buildWorkers(p int) int {
-	if p < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if p <= 1 {
-		return 1
-	}
-	return p
 }
 
 // Cover is a computed 2-hop reachability labeling for a graph.
@@ -139,8 +113,7 @@ func Compute(g *graph.Graph, opt Options) *Cover {
 		rank[c] = int32(r)
 	}
 
-	workers := buildWorkers(opt.Parallelism)
-	compIn, compOut := prunedLabeling(nc, scc.CondSuccessors, scc.CondPredecessors, order, rank, workers)
+	compIn, compOut := prunedLabeling(nc, scc.CondSuccessors, scc.CondPredecessors, order, rank)
 
 	cov := &Cover{
 		g:      g,
@@ -158,39 +131,12 @@ func Compute(g *graph.Graph, opt Options) *Cover {
 	}
 
 	// Materialise compact per-node lists: map component labels to
-	// representative node IDs, drop the node itself, sort ascending. The
-	// per-node work is independent, so with workers > 1 it runs over node
-	// ranges concurrently (sizes summed after the join — the result does not
-	// depend on the worker count).
-	materialize := func(lo, hi int) int {
-		sz := 0
-		for v := lo; v < hi; v++ {
-			c := scc.Comp[v]
-			cov.in[v] = nodeList(compIn[c], rep, graph.NodeID(v))
-			cov.out[v] = nodeList(compOut[c], rep, graph.NodeID(v))
-			sz += len(cov.in[v]) + len(cov.out[v])
-		}
-		return sz
-	}
-	n := g.NumNodes()
-	if workers <= 1 || n < 2*workers {
-		cov.size = materialize(0, n)
-	} else {
-		sizes := make([]int, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				sizes[w] = materialize(lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, s := range sizes {
-			cov.size += s
-		}
+	// representative node IDs, drop the node itself, sort ascending.
+	for v := range cov.in {
+		c := scc.Comp[v]
+		cov.in[v] = nodeList(compIn[c], rep, graph.NodeID(v))
+		cov.out[v] = nodeList(compOut[c], rep, graph.NodeID(v))
+		cov.size += len(cov.in[v]) + len(cov.out[v])
 	}
 	return cov
 }
