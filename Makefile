@@ -37,6 +37,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
 	$(GO) test -run XXX -fuzz FuzzEdgeDeleteDifferential -fuzztime $(FUZZTIME) .
 	$(GO) test -run XXX -fuzz FuzzFastPathDifferential -fuzztime $(FUZZTIME) .
+	$(GO) test -run XXX -fuzz FuzzReachCrossBackend -fuzztime $(FUZZTIME) .
 	$(GO) test -run XXX -fuzz FuzzIncrementalInsert -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzIncrementalDelete -fuzztime $(FUZZTIME) ./internal/reach
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb

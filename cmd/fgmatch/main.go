@@ -136,12 +136,8 @@ func run() error {
 			if tr.Fused {
 				elapsed = "fused"
 			}
-			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d chits=%-6d %s",
+			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d chits=%-6d %s\n",
 				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.CenterCacheHits, elapsed)
-			if tr.Tier != 0 && tr.Tier != 3 {
-				fmt.Printf(" tier=%d index=%q", tr.Tier, tr.FastIndex)
-			}
-			fmt.Println()
 		}
 	} else if *budgetRows > 0 || *budgetBytes > 0 {
 		b := &fastmatch.Budget{MaxTableRows: *budgetRows, MaxBytes: *budgetBytes}

@@ -123,9 +123,6 @@ type Options struct {
 	Path string
 	// PoolBytes sizes the buffer pool (default 1 MB, the paper's setting).
 	PoolBytes int
-	// CodeCacheEntries bounds the working cache of decoded graph codes
-	// (default 65536; negative disables).
-	CodeCacheEntries int
 }
 
 // Engine is a queryable graph database built from a data graph. Build
@@ -147,11 +144,7 @@ type Engine struct {
 // engine. With a non-empty Options.Path the database (including the graph)
 // is persisted and can later be reattached with OpenEngine.
 func NewEngine(g *Graph, opt Options) (*Engine, error) {
-	db, err := gdb.Build(g, gdb.Options{
-		Path:             opt.Path,
-		PoolBytes:        opt.PoolBytes,
-		CodeCacheEntries: opt.CodeCacheEntries,
-	})
+	db, err := gdb.Build(g, gdb.Options{Path: opt.Path, PoolBytes: opt.PoolBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +155,7 @@ func NewEngine(g *Graph, opt Options) (*Engine, error) {
 // the same path, without recomputing the 2-hop cover or any index.
 // opt.Path is ignored (the argument path wins).
 func OpenEngine(path string, opt Options) (*Engine, error) {
-	db, err := gdb.Open(path, gdb.Options{
-		PoolBytes:        opt.PoolBytes,
-		CodeCacheEntries: opt.CodeCacheEntries,
-	})
+	db, err := gdb.Open(path, gdb.Options{PoolBytes: opt.PoolBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -48,9 +48,8 @@ func fastpathRandomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	return b.Build()
 }
 
-// fastpathBattery spans the plan shapes on the random graphs: index-only
-// shapes (single edges, stars), pipelines (paths, cycles, cliques), and
-// signature-refuted patterns.
+// fastpathBattery spans the plan shapes on the random graphs: single
+// edges, stars, paths, cycles, cliques, and signature-refuted patterns.
 var fastpathBattery = []string{
 	"A->B",
 	"B->A",
@@ -167,11 +166,11 @@ func runBoth(t testing.TB, snap *gdb.Snap, def, ref *optimizer.Plan, c caps, wha
 	return got
 }
 
-// TestFastPathTierClassification pins the tier labels that do not depend
-// on cost estimates: a single-edge pattern always labels tier 1, a pattern
-// with a signature-refuted edge always short-circuits to tier 2, a cyclic
-// pattern — whose plans need a Selection — is always tier 3, and a
-// reference plan is never classified.
+// TestFastPathTierClassification pins the split between prefilter plans
+// and all others, which does not depend on cost estimates: a pattern with
+// a signature-refuted edge always short-circuits to the prefilter's
+// one-step plan (tier 2), single edges and cyclic patterns plan the
+// operator pipeline (tier 3), and a reference plan is never prefiltered.
 func TestFastPathTierClassification(t *testing.T) {
 	g := fastpathRandomGraph(41, 100, 130, 5)
 	db, err := gdb.Build(g, gdb.Options{})
@@ -186,8 +185,8 @@ func TestFastPathTierClassification(t *testing.T) {
 		text string
 		tier int
 	}{
-		{"A->B", 1},
-		{"B->A", 1},
+		{"A->B", 3},
+		{"B->A", 3},
 		{"A->Z", 2},
 		{"Z->A; A->B", 2},
 		{"A->B; B->C; C->A", 3},
@@ -199,7 +198,7 @@ func TestFastPathTierClassification(t *testing.T) {
 				t.Errorf("%v %q: tier %d, want %d", algo, c.text, def.Tier(), c.tier)
 			}
 			if ref.Tier() != 3 {
-				t.Errorf("%v %q: reference plan labelled tier %d", algo, c.text, ref.Tier())
+				t.Errorf("%v %q: reference plan is tier %d", algo, c.text, ref.Tier())
 			}
 		}
 	}
@@ -219,7 +218,7 @@ func TestFastPathTierClassification(t *testing.T) {
 // reference plan must never take it: it is the step-by-step pipeline the
 // fused one is held against.
 func TestFastPathDifferential(t *testing.T) {
-	tiers := map[int]bool{}
+	prefiltered := map[bool]bool{}
 	factorised := 0
 	fused := map[exec.Algorithm]int64{}
 	ctx := context.Background()
@@ -236,7 +235,7 @@ func TestFastPathDifferential(t *testing.T) {
 		for _, p := range dc.patterns {
 			for _, algo := range allPlanners {
 				def, ref := planPair(t, snap, p, algo)
-				tiers[def.Tier()] = true
+				prefiltered[def.Prefiltered()] = true
 				what := dc.name + " " + p.String() + " " + algo.String()
 				got := runBoth(t, snap, def, ref, caps{}, what)
 				totalRows += got.Len()
@@ -281,8 +280,8 @@ func TestFastPathDifferential(t *testing.T) {
 			t.Fatalf("%s: whole battery empty — graph too sparse to prove anything", dc.name)
 		}
 	}
-	if !tiers[1] || !tiers[2] || !tiers[3] {
-		t.Fatalf("batteries covered tiers %v, want all three plan shapes", tiers)
+	if !prefiltered[true] || !prefiltered[false] {
+		t.Fatalf("batteries covered prefiltered=%v, want prefilter and non-prefilter plans", prefiltered)
 	}
 	if factorised == 0 {
 		t.Fatal("no plan ended on a Fetch: the factorised result was never exercised")

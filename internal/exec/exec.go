@@ -44,16 +44,6 @@ type StepTrace struct {
 	// Rows is the Fetch's logical output, the rows it would have written
 	// had the filters run after it. Reference plans never fuse.
 	Fused bool
-	// Tier is the plan's descriptive shape label (see optimizer.Plan.Tier):
-	// 1 = index-only shape, 2 = fan-signature prefilter (impossible
-	// pattern), 3 = general pipeline. Tiers 1 and 3 execute identically:
-	// on either, a Selection or R-semijoin group directly after the Fetch
-	// that binds its node is absorbed by that Fetch (see Fused), and every
-	// other step runs as its own operator.
-	Tier int
-	// FastIndex names the index structure a tier-1/2 answer is read from
-	// (empty on tier 3). It labels the plan, so a fused entry repeats it.
-	FastIndex string
 }
 
 // RunConfig tunes one plan execution.
@@ -125,7 +115,7 @@ func patternOrder(plan *optimizer.Plan) []int {
 // steps run one after another on the calling goroutine and share one
 // rjoin.Runtime — its budget and counters.
 func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Result, []StepTrace, error) {
-	if plan.Fast != nil && plan.Fast.Kind == optimizer.FPImpossible {
+	if plan.Prefiltered() {
 		return runImpossible(ctx, plan, trace)
 	}
 	rt := cfg.runtime()
@@ -278,10 +268,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				IO:              db.IOStats().Logical() - ioBefore,
 				ElapsedMS:       float64(time.Since(stepStart).Microseconds()) / 1000,
 				CenterCacheHits: statsAfter.CenterCacheHits - statsBefore.CenterCacheHits,
-				Tier:            plan.Tier(),
-			}
-			if plan.Fast != nil {
-				st.FastIndex = plan.Fast.Index
 			}
 			// A Fetch that absorbed steps reports its logical output and
 			// carries the group's time; each absorbed step keeps its own
@@ -294,7 +280,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			for k := si + 1; k <= end; k++ {
 				traces = append(traces, StepTrace{
 					Step: plan.Steps[k], Rows: counts[k-si], Fused: true,
-					Tier: st.Tier, FastIndex: st.FastIndex,
 				})
 			}
 		}
@@ -322,10 +307,10 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	return res, traces, nil
 }
 
-// runImpossible answers a tier-2 plan — one the fan-signature prefilter
-// proved empty — with zero operator work: an empty table with one column
-// per pattern node, exactly what the full pipeline's final projection of
-// an empty temporal table produces.
+// runImpossible answers a prefiltered plan — one the fan-signature
+// prefilter proved empty — with zero operator work: an empty table with
+// one column per pattern node, exactly what the full pipeline's final
+// projection of an empty temporal table produces.
 func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoin.Result, []StepTrace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -333,12 +318,7 @@ func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoi
 	out := &rjoin.Result{Cols: patternOrder(plan)}
 	var traces []StepTrace
 	if trace {
-		traces = []StepTrace{{
-			Step:      plan.Steps[0],
-			Rows:      0,
-			Tier:      2,
-			FastIndex: plan.Fast.Index,
-		}}
+		traces = []StepTrace{{Step: plan.Steps[0]}}
 	}
 	return out, traces, nil
 }
@@ -468,10 +448,8 @@ type PlanConfig struct {
 // optimizes it with the chosen planner under default cost parameters. It is
 // the single planning entry point shared by Query, the Engine and the query
 // server's plan cache. Unless pc.NoFastPath is set, the pattern first
-// passes the tier-2 fan-signature prefilter (provably empty patterns get a
-// single-step plan with no statistics scans at all), and the optimized plan
-// is labelled with its tier for -explain and /stats. The label describes
-// the plan's shape; it does not change how the plan executes.
+// passes the fan-signature prefilter: a provably empty pattern gets a
+// single-step plan with no statistics scans at all.
 func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc PlanConfig) (*optimizer.Plan, error) {
 	if !pc.NoFastPath {
 		if plan, err := optimizer.Prefilter(s, p); err != nil {
@@ -494,11 +472,7 @@ func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc Pla
 	if err != nil {
 		return nil, err
 	}
-	if pc.NoFastPath {
-		plan.Reference = true
-	} else {
-		optimizer.Classify(plan)
-	}
+	plan.Reference = pc.NoFastPath
 	return plan, nil
 }
 

@@ -10,7 +10,7 @@ import (
 // getCenters cache, Section 3.3): one atomic slot per node ID, so a cached
 // code costs one load and no lock, however many queries share it. It holds
 // at most max codes; on overflow an arbitrary entry — the next filled slot
-// after a shared sweep hand — is dropped. A disabled cache has no slots.
+// after a shared sweep hand — is dropped.
 type codeCache struct {
 	slots []atomic.Pointer[codes]
 	max   int64
@@ -19,9 +19,6 @@ type codeCache struct {
 }
 
 func newCodeCache(nodes, entries int) *codeCache {
-	if entries < 0 {
-		return &codeCache{}
-	}
 	return &codeCache{slots: make([]atomic.Pointer[codes], nodes), max: int64(entries)}
 }
 
@@ -75,11 +72,7 @@ func (c *codeCache) clear() {
 // dropped nodes — the warm start for the next epoch's cache, minus the
 // nodes a write batch touched. The codes themselves are shared.
 func (c *codeCache) cloneWithout(drop map[graph.NodeID]struct{}) *codeCache {
-	n := &codeCache{max: c.max}
-	if c.slots == nil {
-		return n
-	}
-	n.slots = make([]atomic.Pointer[codes], len(c.slots))
+	n := &codeCache{slots: make([]atomic.Pointer[codes], len(c.slots)), max: c.max}
 	held := int64(0)
 	for i := range c.slots {
 		if p := c.slots[i].Load(); p != nil {

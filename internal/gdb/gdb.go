@@ -45,7 +45,7 @@ type Options struct {
 	// the paper's 1 MB).
 	PoolBytes int
 	// CodeCacheEntries bounds the working cache of decoded graph codes
-	// (the paper's getCenters cache). Default 65536; negative disables.
+	// (the paper's getCenters cache). Zero or negative selects 65536.
 	CodeCacheEntries int
 }
 
@@ -133,7 +133,7 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
 	}
-	if opt.CodeCacheEntries == 0 {
+	if opt.CodeCacheEntries <= 0 {
 		opt.CodeCacheEntries = 65536
 	}
 	var pager storage.Pager

@@ -63,7 +63,8 @@ func (l *partnerList) cost() int {
 var noPartners = new(partnerList)
 
 // Partners is a Reader's handle on one partner table, resolved once per
-// operator partition.
+// operator: by a Fetch for its own condition and for each Selection it
+// absorbed.
 type Partners struct {
 	r *Reader
 	t *partnerTable

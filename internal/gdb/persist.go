@@ -152,7 +152,7 @@ func Open(path string, opt Options) (*DB, error) {
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
 	}
-	if opt.CodeCacheEntries == 0 {
+	if opt.CodeCacheEntries <= 0 {
 		opt.CodeCacheEntries = 65536
 	}
 	pager, err := storage.OpenFilePager(path)

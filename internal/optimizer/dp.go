@@ -12,7 +12,10 @@ import (
 func OptimizeDP(b *Binding, params CostParams) (*Plan, error) {
 	pat := b.Pattern
 	m := pat.NumEdges()
-	if m > 30 {
+	// DP visits all 2^m edge masks without polling a context, so it takes
+	// DPS's bound: past 16 edges one request would cost seconds and
+	// gigabytes.
+	if m > 16 {
 		return nil, patternErrorf("optimizer: pattern with %d edges too large for DP", m)
 	}
 	full := (uint32(1) << m) - 1

@@ -227,8 +227,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, OutSide: true, Edges: []int{0}}}}, // group on a done edge
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, Edges: []int{1}}}},                // edge not on the in-side
 		{Binding: b, Steps: []Step{{Kind: StepWCOJ, Edges: []int{0, 1}}}},                                      // retired multiway join
-		{Binding: b, Steps: []Step{{Kind: StepFastPath}}},                                                      // fastpath without a label
-		{Binding: b, Steps: []Step{{Kind: StepFastPath}, hpsj0}, Fast: &FastPath{Kind: FPImpossible}},          // fastpath not alone
+		{Binding: b, Steps: []Step{{Kind: StepFastPath}, hpsj0}},                                               // fastpath not alone
+		{Binding: b, Steps: []Step{hpsj0, {Kind: StepFastPath}}},                                               // fastpath not first
 		{Binding: b, Steps: []Step{{Kind: StepKind(99)}}},                                                      // unknown kind
 	}
 	for i, p := range bad {

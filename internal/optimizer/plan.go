@@ -13,9 +13,11 @@ const (
 	// first step of a plan when present.
 	StepHPSJ StepKind = iota
 	// StepSemijoinGroup applies one or more R-semijoins that bind the same
-	// temporal column, sharing a single scan and one graph-code retrieval
-	// per row (Remark 3.1). When it is the first step, the temporal table
-	// is the bound label's base table.
+	// temporal column in one shared scan (Remark 3.1). A reference plan
+	// retrieves each row's graph code once for the whole group; the
+	// decoded read path tests one bit per condition, in that condition's
+	// projection set. When it is the first step, the temporal table is the
+	// bound label's base table.
 	StepSemijoinGroup
 	// StepFetch completes an HPSJ+ R-join whose filter was already applied
 	// by an earlier StepSemijoinGroup (Algorithm 2, Fetch).
@@ -85,12 +87,6 @@ type Plan struct {
 	EstimatedRows float64
 	// Algorithm names the planner that produced the plan ("DP" or "DPS").
 	Algorithm string
-	// Fast is the plan's shape label, set by Classify (tier 1) or the
-	// prefilter (tier 2); nil labels a general pipeline plan (tier 3). Only
-	// the tier-2 label changes execution (a proven-empty pattern runs no
-	// operator); tiers 1 and 3 run the same operators over the same read
-	// path. See classify.go.
-	Fast *FastPath
 	// Reference marks a plan the executor must run in the paper's
 	// counted-I/O mode (pool reads per access, per-step spill, hash-dedup
 	// projection) rather than over the decoded read path. Set only by
@@ -98,18 +94,20 @@ type Plan struct {
 	Reference bool
 }
 
-// Tier returns the plan's descriptive label for -explain and /stats: 1 for
-// an index-only shape (see Classify), 2 for a pattern the fan-signature
-// prefilter proved empty, 3 for everything else.
+// Prefiltered reports whether p is the fan-signature prefilter's plan:
+// the single StepFastPath step of a pattern proven empty, which the
+// executor answers with no operator work (see Prefilter).
+func (p *Plan) Prefiltered() bool {
+	return len(p.Steps) == 1 && p.Steps[0].Kind == StepFastPath
+}
+
+// Tier is 2 for a prefiltered plan and 3 for every other; benchmark/
+// counts plans by it.
 func (p *Plan) Tier() int {
-	switch {
-	case p.Fast == nil:
-		return 3
-	case p.Fast.Kind == FPImpossible:
+	if p.Prefiltered() {
 		return 2
-	default:
-		return 1
 	}
+	return 3
 }
 
 // String renders the plan one step per line.
@@ -117,8 +115,8 @@ func (p *Plan) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s plan (est cost %.1f, est rows %.1f)\n", p.Algorithm, p.EstimatedCost, p.EstimatedRows)
 	switch {
-	case p.Fast != nil:
-		fmt.Fprintf(&sb, "  tier %d: %s\n", p.Tier(), p.Fast.Describe())
+	case p.Prefiltered():
+		sb.WriteString("  tier 2: impossible pattern (fan-signature prefilter)\n")
 	case p.Reference:
 		sb.WriteString("  tier 3: operator pipeline, counted-I/O reference mode\n")
 	default:
@@ -206,11 +204,8 @@ func (p *Plan) Validate() error {
 			done[s.Edges[0]] = true
 			bound[e.From], bound[e.To] = true, true
 		case StepFastPath:
-			if si != 0 || len(p.Steps) != 1 {
+			if !p.Prefiltered() {
 				return fmt.Errorf("plan: fastpath step must be the only step")
-			}
-			if p.Fast == nil || p.Fast.Kind != FPImpossible {
-				return fmt.Errorf("plan: fastpath step without an impossible-pattern classification")
 			}
 			for e := range done {
 				done[e] = true

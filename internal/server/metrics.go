@@ -58,15 +58,7 @@ type metrics struct {
 	memoHits     atomic.Int64 // decoded-memo hits (subclusters + partner slots)
 	memoMisses   atomic.Int64 // decoded-memo misses
 
-	// Plan tiers (see optimizer.Classify/Prefilter): descriptive shape
-	// labels. Each successful query is attributed to exactly one; the
-	// latency sums (µs) divide by the tier counters for per-tier means.
-	tier1Queries   atomic.Int64 // index-only shape (tier 1)
-	tier2Prunes    atomic.Int64 // proven empty by the signature prefilter
-	tier3Queries   atomic.Int64 // any other plan
-	tier1LatencyUS atomic.Int64
-	tier2LatencyUS atomic.Int64
-	tier3LatencyUS atomic.Int64
+	prefilterPrunes atomic.Int64 // queries the signature prefilter proved empty
 
 	// Result shipping (POST /query's encode + write, after the query's own
 	// latency is recorded).
@@ -101,25 +93,6 @@ func (m *metrics) recordQuery(elapsed time.Duration, rowCount int, planCached bo
 		us = 0
 	}
 	m.latency[bits.Len64(uint64(us))].Add(1)
-}
-
-// recordTier attributes one successful query to its plan's tier label.
-func (m *metrics) recordTier(tier int, elapsed time.Duration) {
-	us := elapsed.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	switch tier {
-	case 1:
-		m.tier1Queries.Add(1)
-		m.tier1LatencyUS.Add(us)
-	case 2:
-		m.tier2Prunes.Add(1)
-		m.tier2LatencyUS.Add(us)
-	default:
-		m.tier3Queries.Add(1)
-		m.tier3LatencyUS.Add(us)
-	}
 }
 
 func (m *metrics) recordError(err error) {
@@ -286,18 +259,9 @@ type Stats struct {
 	ProjectionsInherited int64 `json:"projections_inherited"`
 	ProjectionsPatched   int64 `json:"projections_patched"`
 	ProjectionBytes      int   `json:"projection_bytes"`
-	// FastpathTier1Queries counts successful queries whose plan had the
-	// tier-1 index-only shape; FastpathTier2Prunes patterns the
-	// fan-signature prefilter proved empty (tier 2); Tier3Queries every
-	// other plan. The tiers are descriptive labels — tiers 1 and 3 execute
-	// identically. The latency fields are per-tier cumulative server-side
-	// latency in milliseconds — divide by the matching counter for a mean.
-	FastpathTier1Queries   int64   `json:"fastpath_tier1_queries"`
-	FastpathTier2Prunes    int64   `json:"fastpath_tier2_prunes"`
-	Tier3Queries           int64   `json:"tier3_queries"`
-	FastpathTier1LatencyMs float64 `json:"fastpath_tier1_latency_ms"`
-	FastpathTier2LatencyMs float64 `json:"fastpath_tier2_latency_ms"`
-	Tier3LatencyMs         float64 `json:"tier3_latency_ms"`
+	// FastpathTier2Prunes counts successful queries the fan-signature
+	// prefilter proved empty: they ran no operator.
+	FastpathTier2Prunes int64 `json:"fastpath_tier2_prunes"`
 	// P50ms and P99ms are approximate latency quantiles in milliseconds
 	// (histogram-bucketed; 0 when no queries completed). Like every latency
 	// here and a response's elapsed_ms they stop when the query's result is
@@ -324,46 +288,41 @@ type Stats struct {
 // counter is read atomically; the set is not cut at one instant).
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Queries:                s.met.queries.Load(),
-		Errors:                 s.met.errs.Load(),
-		Rejections:             s.met.rejected.Load(),
-		Deadline:               s.met.deadline.Load(),
-		BudgetKills:            s.met.budgetKills.Load(),
-		TruncatedQueries:       s.met.truncated.Load(),
-		IntermediateBytes:      s.met.imBytes.Load(),
-		PeakIntermediateBytes:  s.met.peakImBytes.Load(),
-		PeakIntermediateRows:   s.met.peakImRows.Load(),
-		Queued:                 s.met.queued.Load(),
-		InFlight:               s.InFlight(),
-		MaxInFlight:            s.cfg.MaxInFlight,
-		PlanCacheHits:          s.met.planHits.Load(),
-		PlanCacheMisses:        s.met.planMisses.Load(),
-		PlanCoalesced:          s.met.planCoalesced.Load(),
-		PlanCacheSize:          s.plans.len(),
-		RowsReturned:           s.met.rows.Load(),
-		EdgeInserts:            s.met.edgeInserts.Load(),
-		InsertDuplicates:       s.met.insertDuplicates.Load(),
-		InsertLabelEntries:     s.met.insertLabelEntries.Load(),
-		InsertErrors:           s.met.insertErrors.Load(),
-		EdgeDeletes:            s.met.edgeDeletes.Load(),
-		DeleteNoops:            s.met.deleteNoops.Load(),
-		DeleteLabelEntries:     s.met.deleteLabelEntries.Load(),
-		DeleteErrors:           s.met.deleteErrors.Load(),
-		OperatorOps:            s.met.operatorOps.Load(),
-		FusedFilters:           s.met.fusedFilters.Load(),
-		CenterCacheHits:        s.met.centerHits.Load(),
-		CenterCacheMisses:      s.met.centerMisses.Load(),
-		DecodedMemoHits:        s.met.memoHits.Load(),
-		DecodedMemoMisses:      s.met.memoMisses.Load(),
-		FastpathTier1Queries:   s.met.tier1Queries.Load(),
-		FastpathTier2Prunes:    s.met.tier2Prunes.Load(),
-		Tier3Queries:           s.met.tier3Queries.Load(),
-		FastpathTier1LatencyMs: float64(s.met.tier1LatencyUS.Load()) / 1000,
-		FastpathTier2LatencyMs: float64(s.met.tier2LatencyUS.Load()) / 1000,
-		Tier3LatencyMs:         float64(s.met.tier3LatencyUS.Load()) / 1000,
-		EncodeMs:               float64(s.met.encodeNS.Load()) / 1e6,
-		ResponseBytes:          s.met.responseBytes.Load(),
-		UptimeSeconds:          time.Since(s.start).Seconds(),
+		Queries:               s.met.queries.Load(),
+		Errors:                s.met.errs.Load(),
+		Rejections:            s.met.rejected.Load(),
+		Deadline:              s.met.deadline.Load(),
+		BudgetKills:           s.met.budgetKills.Load(),
+		TruncatedQueries:      s.met.truncated.Load(),
+		IntermediateBytes:     s.met.imBytes.Load(),
+		PeakIntermediateBytes: s.met.peakImBytes.Load(),
+		PeakIntermediateRows:  s.met.peakImRows.Load(),
+		Queued:                s.met.queued.Load(),
+		InFlight:              s.InFlight(),
+		MaxInFlight:           s.cfg.MaxInFlight,
+		PlanCacheHits:         s.met.planHits.Load(),
+		PlanCacheMisses:       s.met.planMisses.Load(),
+		PlanCoalesced:         s.met.planCoalesced.Load(),
+		PlanCacheSize:         s.plans.len(),
+		RowsReturned:          s.met.rows.Load(),
+		EdgeInserts:           s.met.edgeInserts.Load(),
+		InsertDuplicates:      s.met.insertDuplicates.Load(),
+		InsertLabelEntries:    s.met.insertLabelEntries.Load(),
+		InsertErrors:          s.met.insertErrors.Load(),
+		EdgeDeletes:           s.met.edgeDeletes.Load(),
+		DeleteNoops:           s.met.deleteNoops.Load(),
+		DeleteLabelEntries:    s.met.deleteLabelEntries.Load(),
+		DeleteErrors:          s.met.deleteErrors.Load(),
+		OperatorOps:           s.met.operatorOps.Load(),
+		FusedFilters:          s.met.fusedFilters.Load(),
+		CenterCacheHits:       s.met.centerHits.Load(),
+		CenterCacheMisses:     s.met.centerMisses.Load(),
+		DecodedMemoHits:       s.met.memoHits.Load(),
+		DecodedMemoMisses:     s.met.memoMisses.Load(),
+		FastpathTier2Prunes:   s.met.prefilterPrunes.Load(),
+		EncodeMs:              float64(s.met.encodeNS.Load()) / 1e6,
+		ResponseBytes:         s.met.responseBytes.Load(),
+		UptimeSeconds:         time.Since(s.start).Seconds(),
 	}
 	if !s.db.Closed() {
 		st.IO = s.db.IOStats()

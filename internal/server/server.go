@@ -322,7 +322,9 @@ func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorith
 	}
 	elapsed := time.Since(start)
 	s.met.recordQuery(elapsed, rows.N, cached)
-	s.met.recordTier(plan.Tier(), elapsed)
+	if plan.Prefiltered() {
+		s.met.prefilterPrunes.Add(1)
+	}
 	// Column labels come from the plan's own pattern: a cache hit may have
 	// been planned for an equivalent pattern whose nodes were declared in
 	// a different order.

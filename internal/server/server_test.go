@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -543,6 +544,52 @@ func TestHTTPClosed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("query after close: %d", resp.StatusCode)
+	}
+}
+
+// TestDPEdgeCap: DP enumerates every edge subset, so a chain pattern past
+// 16 edges is a pattern error (400) before any enumeration, while a
+// 16-edge chain still plans with DP and is answered.
+func TestDPEdgeCap(t *testing.T) {
+	const nodes = 18
+	b := graph.NewBuilder()
+	for i := 0; i < nodes; i++ {
+		b.AddNode(fmt.Sprintf("L%d", i))
+		if i > 0 {
+			b.AddEdge(graph.NodeID(i-1), graph.NodeID(i))
+		}
+	}
+	db, err := gdb.Build(b.Build(), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ts := httptest.NewServer(New(db, Config{}).Handler())
+	defer ts.Close()
+
+	chain := func(edges int) string {
+		parts := make([]string, edges)
+		for i := range parts {
+			parts[i] = fmt.Sprintf("L%d->L%d", i, i+1)
+		}
+		return strings.Join(parts, "; ")
+	}
+	for _, tc := range []struct {
+		edges, status int
+	}{{16, http.StatusOK}, {17, http.StatusBadRequest}} {
+		body := fmt.Sprintf(`{"pattern": %q, "algorithm": "dp", "timeout_ms": 100}`, chain(tc.edges))
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%d-edge dp chain: %d %s, want %d", tc.edges, resp.StatusCode, out, tc.status)
+		}
+		if tc.status == http.StatusOK && !bytes.Contains(out, []byte(`"row_count":1`)) {
+			t.Fatalf("%d-edge dp chain: %s, want one row", tc.edges, out)
+		}
 	}
 }
 

@@ -201,7 +201,7 @@ func rowSetHash(rows [][]graph.NodeID) uint64 {
 
 // planLine is a plan's steps on one line: kind, group node and side, edges.
 func planLine(p *optimizer.Plan) string {
-	if p.Fast != nil && p.Fast.Kind == optimizer.FPImpossible {
+	if p.Prefiltered() {
 		return "impossible"
 	}
 	nodes := p.Binding.Pattern.Nodes
