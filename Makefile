@@ -66,12 +66,14 @@ test-cover:
 # test-race-stress repeats the MVCC snapshot-epoch stress tests under the
 # race detector: concurrent insert batches against lock-free readers
 # (prefix consistency, epoch retirement), the stalled-writer
-# no-reader-blocking probe, and readers racing to fill one partner table.
+# no-reader-blocking probe, readers racing to fill one partner table,
+# readers filling the old epoch's tables while a publish carries them, and
+# the partner slots a publish carries checked after every mixed batch.
 # The full -race suite runs them once; the elevated count shakes out more
 # interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
-	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestCodeCacheBound' ./internal/gdb
+	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestCodeCacheBound' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
 

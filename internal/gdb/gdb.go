@@ -85,6 +85,10 @@ type DB struct {
 	// (Snap.projection), sets a publish carried into the successor epoch,
 	// and those of them whose content the batch changed.
 	projScans, projInherited, projPatched atomic.Int64
+	// Partner-slot accounting across all publishes: filled slots carried
+	// into the successor epoch, and filled slots cleared (or left behind
+	// with their table) because the batch may have changed their list.
+	partnerSlotsKept, partnerSlotsDropped atomic.Int64
 
 	closed atomic.Bool
 
@@ -273,6 +277,14 @@ func (db *DB) DecodedMemoStats() (nodes, tables int, resets int64) {
 // epoch (inherited), and of those changed by the batch (patched).
 func (db *DB) ProjectionStats() (scans, inherited, patched int64) {
 	return db.projScans.Load(), db.projInherited.Load(), db.projPatched.Load()
+}
+
+// PartnerSlotStats reports, summed over all publishes, how many filled
+// partner-table slots were carried into the successor epoch (inherited)
+// and how many were cleared there because the batch may have changed
+// their list (dropped).
+func (db *DB) PartnerSlotStats() (inherited, dropped int64) {
+	return db.partnerSlotsKept.Load(), db.partnerSlotsDropped.Load()
 }
 
 // ProjectionBytes returns the memory the current epoch's memoized

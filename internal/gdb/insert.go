@@ -228,51 +228,108 @@ func (w *snapWriter) touchedByLabel() map[graph.Label][]graph.NodeID {
 	return touched
 }
 
-// inheritPartners carries into next every partner table of cur the batch
-// cannot have changed. A slot holds ∪ T_Y(w) over w ∈ out(v) ∩ W(X, Y)
-// (dually F_X, in(v)), so it stands unless the batch changed v's code, the
-// W row, or some center's subcluster on the table's target side. The rule is
-// per table, not per slot: a table whose W row or target (direction, label)
-// the batch touched starts over — empty, refilled slot by slot from the
-// inherited subclusters, codes and W rows — and any other table is copied
-// minus the slots of the touched nodes of its bound label. next gets its own
-// slot arrays, so readers pinned to cur never see the copy. Not called
-// after a torn batch: nothing is carried then.
+// inheritPartners carries every partner table of cur into next, with
+// next's W row, minus the slots the batch can have changed. A forward slot
+// of v holds ∪ T_Y(w) over w ∈ out(v) ∩ W(X, Y). For a v whose code the
+// batch left alone that moves only through a center w ∈ out(v) whose
+// T_Y(w) the batch rewrote (a touchedCl key on the table's target side):
+// the list itself changed, or w entered or left the row. The latter is a
+// rewrite too: v ∈ F_X(w) keeps F_X(w) non-empty, so w moves only when
+// T_Y(w) empties or fills. A changed W row therefore needs no test of its
+// own. w ∈ out(v) holds exactly when v ∈ F_X(w) in an epoch where w is a
+// center; w may be born or die in the batch (its self entry then exists in
+// one epoch only), so the owners are read in cur and in next. A carried
+// table thus clears the slots of its bound label's touched nodes and of the
+// F_X(w) members of every such w (dually the T_Y(w) members for a reverse
+// table, whose target side is F_X); every other slot is next's list as
+// copied. A table whose W row or owners cannot be read is left out and
+// refills from empty. next gets its own slot arrays, so readers pinned to
+// cur never see the copy, and each table is charged for the slots it
+// copied. Not called after a torn batch: nothing is carried then.
 func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]graph.NodeID) {
 	cur.pmu.Lock()
 	tabs := maps.Clone(cur.ptabs)
 	cur.pmu.Unlock()
 	next.ptabs = make(map[partnerKey]*partnerTable, len(tabs))
-	targets := make(map[clusterSlot]struct{}, len(w.touchedCl))
+	moved := make(map[clusterSlot][]graph.NodeID)
 	for k := range w.touchedCl {
-		targets[clusterSlot{k.dir, k.l}] = struct{}{}
+		s := clusterSlot{k.dir, k.l}
+		moved[s] = append(moved[s], k.w)
 	}
-	for k, t := range tabs {
-		target := clusterSlot{dirT, k.y}
-		if !k.forward {
-			target = clusterSlot{dirF, k.x}
+	owners := make(map[clKey][]graph.NodeID) // shared by the tables of one bound side
+	ownersOf := func(k clKey) ([]graph.NodeID, error) {
+		if o, ok := owners[k]; ok {
+			return o, nil
 		}
-		_, staleW := w.touchedW[wKey{k.x, k.y}]
-		if _, staleCl := targets[target]; staleW || staleCl {
-			continue
+		o, err := next.clusterLookup(k.w, k.dir, k.l)
+		if err != nil {
+			return nil, err
 		}
-		nt := &partnerTable{key: k, bound: t.bound, ws: t.ws, slots: make([]atomic.Pointer[partnerList], len(t.slots))}
-		for i := range t.slots {
-			nt.slots[i].Store(t.slots[i].Load())
-		}
-		// Read after the copy: a slot filled meanwhile is at worst charged
-		// without having been copied.
-		cur.pmu.Lock()
-		nt.nodes = t.nodes
-		cur.pmu.Unlock()
-		for _, v := range touched[t.bound] {
-			if l := nt.slots[w.db.rank[v]].Swap(nil); l != nil {
-				nt.nodes -= l.cost()
+		if _, rewritten := w.touchedCl[k]; rewritten { // else cur holds the same list
+			o0, err := cur.clusterLookup(k.w, k.dir, k.l)
+			if err != nil {
+				return nil, err
 			}
+			o = mergeUnionNodes(make([]graph.NodeID, 0, len(o0)+len(o)), o0, o)
+		}
+		owners[k] = o
+		return o, nil
+	}
+	var kept, dropped int
+	for k, t := range tabs {
+		nt, n, err := w.carryPartners(next, t, touched[t.bound], moved, ownersOf)
+		if err != nil {
+			dropped += t.filled()
+			continue
 		}
 		next.ptabs[k] = nt
 		next.pNodes += nt.nodes
+		kept, dropped = kept+nt.filled(), dropped+n
 	}
+	w.db.partnerSlotsKept.Add(int64(kept))
+	w.db.partnerSlotsDropped.Add(int64(dropped))
+}
+
+// carryPartners copies one table of cur for next, as inheritPartners
+// describes, and returns it with the number of filled slots it cleared.
+func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) ([]graph.NodeID, error)) (*partnerTable, int, error) {
+	k := t.key
+	ws, err := next.Centers(k.x, k.y)
+	if err != nil {
+		return nil, 0, err
+	}
+	target, bound := clusterSlot{dirT, k.y}, clusterSlot{dirF, k.x}
+	if !k.forward {
+		target, bound = clusterSlot{dirF, k.x}, clusterSlot{dirT, k.y}
+	}
+	nt := &partnerTable{key: k, bound: t.bound, ws: ws, slots: make([]atomic.Pointer[partnerList], len(t.slots))}
+	// Charged for what is copied: a slot a reader on cur fills after its
+	// Load is cur's alone.
+	nt.nodes = partnerSlotCost * len(nt.slots)
+	for i := range t.slots {
+		if l := t.slots[i].Load(); l != nil {
+			nt.slots[i].Store(l)
+			nt.nodes += l.cost()
+		}
+	}
+	dropped := 0
+	drop := func(vs []graph.NodeID) {
+		for _, v := range vs {
+			if l := nt.slots[w.db.rank[v]].Swap(nil); l != nil {
+				nt.nodes -= l.cost()
+				dropped++
+			}
+		}
+	}
+	drop(touched)
+	for _, c := range moved[target] {
+		o, err := ownersOf(clKey{c, bound.dir, bound.l})
+		if err != nil {
+			return nil, 0, err
+		}
+		drop(o)
+	}
+	return nt, dropped, nil
 }
 
 // inheritProjections seeds next's projection memos with cur's sets,

@@ -15,8 +15,10 @@ import (
 // row costs two array loads and one atomic load, with no hashing and no
 // lock. A slot goes from nil to its list exactly once (compare-and-swap) and
 // the list is immutable, so any load sees either nothing or the whole
-// answer. A successor epoch gets its own slot arrays (snapWriter.
-// inheritPartners), so a publish never writes a slot a reader can see.
+// answer. A publish carries every table into the successor epoch with its
+// own slot arrays (snapWriter.inheritPartners): the filled slots whose list
+// the batch cannot have changed are copied, the others start nil again, and
+// no slot a reader can see is ever written.
 
 // partnerKey names a table: condition X→Y read from its From side
 // (forward: Y-labeled partners through out-codes and T-subclusters) or its
@@ -48,6 +50,17 @@ const (
 	partnerSlotCost = 2
 	partnerListCost = 8
 )
+
+// filled counts the table's filled slots.
+func (t *partnerTable) filled() int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 func (l *partnerList) cost() int {
 	switch {

@@ -197,6 +197,157 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 	}
 }
 
+// TestPartnerSlotsSurviveTargetGrowth: an insert that grows one center's
+// T-subcluster and nothing else carries every partner table and clears
+// exactly the slots whose list can have changed: the new member's own
+// (its code changed) and, in the forward tables whose target is that
+// subcluster's label, the members of the center's F-subcluster on the
+// bound side — the center itself included, through its self entry.
+func TestPartnerSlotsSurviveTargetGrowth(t *testing.T) {
+	// a0..a3 → c → b0..b2 and a4..a6 → d → b3..b4 make c and d the only
+	// centers; b5 is isolated until c → b5 puts c into in(b5) alone.
+	b := graph.NewBuilder()
+	node := func(l string, n int) []graph.NodeID {
+		vs := make([]graph.NodeID, n)
+		for i := range vs {
+			vs[i] = b.AddNode(l)
+		}
+		return vs
+	}
+	as, bs := node("A", 7), node("B", 6)
+	c, d := b.AddNode("C"), b.AddNode("C")
+	for i, a := range as {
+		if i < 4 {
+			b.AddEdge(a, c)
+		} else {
+			b.AddEdge(a, d)
+		}
+	}
+	for i, v := range bs[:5] {
+		if i < 3 {
+			b.AddEdge(c, v)
+		} else {
+			b.AddEdge(d, v)
+		}
+	}
+	g := b.Build()
+	db := mustBuild(t, g, Options{})
+	cur, releaseCur := db.Pin()
+	defer releaseCur()
+	warmReadPath(t, cur)
+	nl := g.Labels().Len()
+	if slots, _ := checkReadPath(t, cur, "warm"); slots != 2*nl*g.NumNodes() {
+		t.Fatalf("warm epoch holds %d slots, want %d", slots, 2*nl*g.NumNodes())
+	}
+	kept0, dropped0 := db.PartnerSlotStats()
+
+	newB := bs[5]
+	st, err := db.ApplyEdgeInsert(c, newB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LabelEntries != 1 || st.NewCenter || st.NewWPairs != 0 {
+		t.Fatalf("insert %+v: want one label entry (c into in(b5)), no center or W change", st)
+	}
+	next, releaseNext := db.Pin()
+	defer releaseNext()
+	bl := g.Labels().Lookup("B")
+	var want, kept int
+	for k, t0 := range cur.ptabs {
+		t1 := next.ptabs[k]
+		if t1 == nil {
+			t.Fatalf("table %+v was not carried", k)
+		}
+		var owners []graph.NodeID
+		if k.forward && k.y == bl {
+			if owners, err = next.GetF(c, k.x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, v := range g.Extent(t0.bound) {
+			stale := v == newB || slices.Contains(owners, v)
+			if got := t1.slots[i].Load(); (got == nil) != stale {
+				t.Fatalf("table %+v, node %d: carried %v, want the slot cleared = %v", k, v, got, stale)
+			}
+			if stale {
+				want++
+			} else {
+				kept++
+			}
+		}
+	}
+	// F_A(c) = {a0..a3} in A→B, F_C(c) = {c} in C→B, and b5 in the 2·nl
+	// tables bound to B.
+	if want != 4+1+2*nl {
+		t.Fatalf("cleared %d slots, want %d", want, 4+1+2*nl)
+	}
+	if kept1, dropped1 := db.PartnerSlotStats(); kept1-kept0 != int64(kept) || dropped1-dropped0 != int64(want) {
+		t.Fatalf("PartnerSlotStats moved by %d kept and %d dropped, want %d and %d", kept1-kept0, dropped1-dropped0, kept, want)
+	}
+	checkReadPath(t, next, "inherited")
+	warmReadPath(t, next)
+	checkReadPath(t, next, "refilled")
+}
+
+// TestPartnerChargeWhileReadersFillDuringPublish: readers pinned to the
+// old epoch fill its partner tables while a batch publishes; each carried
+// table must be charged for exactly the slots and lists it copied, not for
+// what the old table held once the copy was done.
+func TestPartnerChargeWhileReadersFillDuringPublish(t *testing.T) {
+	g := randomGraph(31, 300, 500, 3)
+	db := mustBuild(t, g, Options{})
+	rng := rand.New(rand.NewSource(5))
+	cur := g
+	nl := g.Labels().Len()
+	for round := 0; round < 12; round++ {
+		s, release := db.Pin()
+		// Every table exists before the publish, so it is carried.
+		for x := graph.Label(0); int(x) < nl; x++ {
+			for y := graph.Label(0); int(y) < nl; y++ {
+				for _, fwd := range []bool{true, false} {
+					if _, err := s.Reader().Partners(x, y, fwd); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		const readers = 3
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				r := s.Reader()
+				for x := graph.Label(0); int(x) < nl; x++ {
+					for y := graph.Label(0); int(y) < nl; y++ {
+						p, err := r.Partners(x, y, (int(x)+i)%2 == 0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						ext := s.g.Extent(p.t.bound)
+						for j := range ext {
+							if _, err := p.Of(ext[(j+i*len(ext)/readers)%len(ext)]); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}
+			}(i)
+		}
+		cur, _, _ = mixedOp(t, db, rng, cur, round)
+		wg.Wait()
+		release()
+		if t.Failed() {
+			return
+		}
+		next, release := db.Pin()
+		checkReadPath(t, next, "carried while filled")
+		release()
+	}
+}
+
 // TestPartnerTableConcurrentFill: eight readers filling one cold table at
 // once all return the recomputed lists, every slot is charged once, and a
 // second pass hits every slot.

@@ -115,6 +115,69 @@ func TestStatsDecodedMemo(t *testing.T) {
 	}
 }
 
+// TestStatsPartnerSlots: a publish carries the warm epoch's partner slots
+// into the successor and clears only the ones the batch may have changed,
+// so after a 1-edge insert /stats counts slots inherited and dropped, and
+// re-running the battery refills only dropped slots, fewer than the tables
+// held.
+func TestStatsPartnerSlots(t *testing.T) {
+	s := fastpathTestServer(t, Config{})
+	ctx := context.Background()
+	battery := []string{"A->B; B->C", "A->B; A->C", "A->B; B->C; C->A", "B->D; C->D", "D->A"}
+	run := func() {
+		for _, q := range battery {
+			if _, err := s.Query(ctx, q, ""); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	run()
+	run()
+	warm := s.Stats()
+	if warm.PartnerSlotsInherited != 0 || warm.PartnerSlotsDropped != 0 {
+		t.Fatalf("no publish yet, but partner_slots_inherited/dropped = %d/%d", warm.PartnerSlotsInherited, warm.PartnerSlotsDropped)
+	}
+	// A forward edge from the middle of the DAG between two nodes that do
+	// not reach each other yet: it changes the cover but keeps the DAG.
+	snap, release := s.db.Pin()
+	var e [2]graph.NodeID
+	for u := graph.NodeID(20); u < 59 && e == ([2]graph.NodeID{}); u++ {
+		for v := u + 1; v < 60; v++ {
+			if ok, err := snap.Reaches(u, v); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				e = [2]graph.NodeID{u, v}
+				break
+			}
+		}
+	}
+	release()
+	if e == ([2]graph.NodeID{}) {
+		t.Fatal("every node from 20 on reaches every later node; no edge to insert")
+	}
+	ir, err := s.InsertEdges(ctx, [][2]graph.NodeID{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir.Applied != 1 || ir.LabelEntries == 0 {
+		t.Fatalf("insert %+v: want one applied edge that changes the cover", ir)
+	}
+	after := s.Stats()
+	kept, dropped := after.PartnerSlotsInherited, after.PartnerSlotsDropped
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("1-edge insert: partner_slots_inherited = %d, partner_slots_dropped = %d; want both > 0", kept, dropped)
+	}
+	if after.PartnerTables != warm.PartnerTables {
+		t.Fatalf("the publish carried %d of %d partner tables", after.PartnerTables, warm.PartnerTables)
+	}
+	run()
+	refills := s.Stats().CenterCacheMisses - after.CenterCacheMisses
+	if refills >= kept+dropped || refills > dropped {
+		t.Fatalf("re-running the battery filled %d slots; the tables held %d and the publish dropped %d", refills, kept+dropped, dropped)
+	}
+	checkPartnersExact(t, s)
+}
+
 // TestStatsProjectionBytes: /stats projection_bytes is what the current
 // epoch's memoized projection sets occupy, 8·⌈N/64⌉ bytes each. Planning a
 // query memoizes both projections of each of its label pairs, which its

@@ -259,6 +259,12 @@ type Stats struct {
 	ProjectionsInherited int64 `json:"projections_inherited"`
 	ProjectionsPatched   int64 `json:"projections_patched"`
 	ProjectionBytes      int   `json:"projection_bytes"`
+	// PartnerSlotsInherited counts the filled partner-table slots
+	// publishes carried into their successor epoch, PartnerSlotsDropped
+	// those they cleared there because the batch may have changed the
+	// slot's list (the successor refills them on demand).
+	PartnerSlotsInherited int64 `json:"partner_slots_inherited"`
+	PartnerSlotsDropped   int64 `json:"partner_slots_dropped"`
 	// FastpathTier2Prunes counts successful queries the fan-signature
 	// prefilter proved empty: they ran no operator.
 	FastpathTier2Prunes int64 `json:"fastpath_tier2_prunes"`
@@ -330,6 +336,7 @@ func (s *Server) Stats() Stats {
 		st.DecodedMemoBytes = 4 * st.DecodedMemoNodes
 		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
 		st.ProjectionBytes = s.db.ProjectionBytes()
+		st.PartnerSlotsInherited, st.PartnerSlotsDropped = s.db.PartnerSlotStats()
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current
 		st.PinnedEpochs = es.Pinned
