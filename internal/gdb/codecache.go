@@ -7,49 +7,55 @@ import (
 )
 
 // codeCache is the working cache of decoded graph codes (the paper's
-// getCenters cache, Section 3.3): one atomic slot per node ID, so a cached
-// code costs one load and no lock, however many queries share it. It holds
-// at most max codes; on overflow an arbitrary entry — the next filled slot
-// after a shared sweep hand — is dropped.
+// getCenters cache, Section 3.3): one slot per node ID in a copy-on-write
+// slot array, so a cached code costs two loads and no lock, however many
+// queries share it. It holds at most max codes; on overflow an arbitrary
+// entry — the next filled slot after a shared sweep hand — is dropped. A
+// dropped code is a miss in every epoch that shares its chunk, and the
+// chunk's count stays exact.
 type codeCache struct {
-	slots []atomic.Pointer[codes]
+	slots atomic.Pointer[slotArray[codes]]
 	max   int64
 	n     atomic.Int64  // slots filled, plus puts between reserving and storing
 	hand  atomic.Uint32 // where the next eviction sweep starts
+	size  int           // node IDs
 }
 
 func newCodeCache(nodes, entries int) *codeCache {
-	return &codeCache{slots: make([]atomic.Pointer[codes], nodes), max: int64(entries)}
+	c := &codeCache{max: int64(entries), size: nodes}
+	c.slots.Store(newSlotArray[codes](nodes))
+	return c
 }
 
 func (c *codeCache) get(x graph.NodeID) *codes {
-	if uint(x) >= uint(len(c.slots)) {
+	if uint(x) >= uint(c.size) {
 		return nil
 	}
-	return c.slots[x].Load()
+	return c.slots.Load().load(int(x))
 }
 
 // put caches x's codes. It reserves its place in the count before storing
 // and evicts first when that overflows, so the cache never holds more than
 // max codes, not even between two concurrent puts.
 func (c *codeCache) put(x graph.NodeID, v *codes) {
-	if uint(x) >= uint(len(c.slots)) {
+	if uint(x) >= uint(c.size) {
 		return
 	}
 	if c.n.Add(1) > c.max && !c.evict() {
 		c.n.Add(-1) // every other entry is still in flight: do not cache
 		return
 	}
-	if !c.slots[x].CompareAndSwap(nil, v) {
+	if !c.slots.Load().replace(int(x), nil, v, 1) {
 		c.n.Add(-1) // a concurrent reader cached x first
 	}
 }
 
 // evict drops one cached entry, looking at each slot at most once.
 func (c *codeCache) evict() bool {
-	for range c.slots {
-		slot := &c.slots[int(c.hand.Add(1))%len(c.slots)]
-		if p := slot.Load(); p != nil && slot.CompareAndSwap(p, nil) {
+	slots := c.slots.Load()
+	for range c.size {
+		i := int(c.hand.Add(1)) % c.size
+		if p := slots.load(i); p != nil && slots.replace(i, p, nil, -1) {
 			c.n.Add(-1)
 			return true
 		}
@@ -60,31 +66,20 @@ func (c *codeCache) evict() bool {
 // len returns the number of cached entries.
 func (c *codeCache) len() int { return int(c.n.Load()) }
 
+// clear empties the cache by giving it an empty directory.
 func (c *codeCache) clear() {
-	for i := range c.slots {
-		if c.slots[i].Swap(nil) != nil {
-			c.n.Add(-1)
-		}
-	}
+	c.slots.Store(newSlotArray[codes](c.size))
+	c.n.Store(0)
 }
 
-// cloneWithout returns a new cache holding every entry of c except the
-// dropped nodes — the warm start for the next epoch's cache, minus the
-// nodes a write batch touched. The codes themselves are shared.
-func (c *codeCache) cloneWithout(drop map[graph.NodeID]struct{}) *codeCache {
-	n := &codeCache{slots: make([]atomic.Pointer[codes], len(c.slots)), max: c.max}
-	held := int64(0)
-	for i := range c.slots {
-		if p := c.slots[i].Load(); p != nil {
-			n.slots[i].Store(p)
-			held++
-		}
-	}
-	for x := range drop {
-		if n.slots[x].Swap(nil) != nil {
-			held--
-		}
-	}
-	n.n.Store(held)
-	return n
+// successor returns the next epoch's cache: c's slots minus those of the
+// nodes whose codes the batch changed (ascending), sharing every chunk that
+// holds none of them. It also returns the bytes copied.
+func (c *codeCache) successor(touched []int) (*codeCache, int) {
+	slots, copied, _ := c.slots.Load().successor(touched, func(*codes) int64 { return 1 })
+	n := &codeCache{max: c.max, size: c.size}
+	n.slots.Store(slots)
+	filled, _ := slots.held()
+	n.n.Store(filled)
+	return n, copied
 }

@@ -105,7 +105,7 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 	if u < 0 || v < 0 || u >= n || v >= n {
 		return st, fmt.Errorf("%w: edge %d->%d, graph has %d nodes", ErrBadDelete, u, v, n)
 	}
-	if !slices.Contains(w.g.Successors(u), v) {
+	if !w.has(u, v) {
 		st.Missing = true
 		return st, nil
 	}
@@ -114,7 +114,8 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 	}
 
 	deltas := w.db.inc.DeleteEdge(u, v)
-	w.g = w.g.WithoutEdge(u, v)
+	w.removed = append(w.removed, [2]graph.NodeID{u, v})
+	w.pending[[2]graph.NodeID{u, v}]--
 	w.changed = true // the edge list shrank even if no label moved
 	for _, d := range deltas {
 		if d.Removed {

@@ -89,6 +89,12 @@ type DB struct {
 	// into the successor epoch, and filled slots cleared (or left behind
 	// with their table) because the batch may have changed their list.
 	partnerSlotsKept, partnerSlotsDropped atomic.Int64
+	// What carrying the decoded caches into a successor epoch cost, summed
+	// over all publishes: the bytes of new chunk directories and copied
+	// chunks, and the time per publish as a log2 histogram (entry i counts
+	// publishes that took [2^(i-1), 2^i) µs).
+	publishCopied    atomic.Int64
+	publishInheritUS [64]atomic.Int64
 
 	closed atomic.Bool
 
@@ -182,16 +188,17 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 
 // newSnap returns an empty snapshot shell with fresh caches.
 func (db *DB) newSnap(g *graph.Graph) *Snap {
-	return &Snap{
+	s := &Snap{
 		db:        db,
 		g:         g,
 		base:      make(map[graph.Label]*storage.BTree),
 		sig:       newSignature(),
-		wcache:    make(map[wKey][]graph.NodeID),
 		codeCache: newCodeCache(g.NumNodes(), db.codeCacheEntries),
 		projFrom:  make(map[wKey]*NodeSet),
 		projTo:    make(map[wKey]*NodeSet),
 	}
+	s.clmemo.Store(newSlotArray[centerMemo](g.NumNodes()))
+	return s
 }
 
 // publishInitial seals the heap, ranks the nodes, and installs s as epoch
@@ -287,6 +294,17 @@ func (db *DB) PartnerSlotStats() (inherited, dropped int64) {
 	return db.partnerSlotsKept.Load(), db.partnerSlotsDropped.Load()
 }
 
+// PublishStats reports, summed over all publishes, the bytes the decoded
+// caches' carry into the successor epoch allocated (chunk directories plus
+// copied chunks) and the log2 histogram of the time it took per publish:
+// inheritUS[i] counts publishes that took [2^(i-1), 2^i) µs.
+func (db *DB) PublishStats() (copiedBytes int64, inheritUS [64]int64) {
+	for i := range db.publishInheritUS {
+		inheritUS[i] = db.publishInheritUS[i].Load()
+	}
+	return db.publishCopied.Load(), inheritUS
+}
+
 // ProjectionBytes returns the memory the current epoch's memoized
 // projection sets occupy: 8·⌈|V|/64⌉ bytes each.
 func (db *DB) ProjectionBytes() int { return db.mgr.Current().projectionBytes() }
@@ -295,8 +313,8 @@ func (db *DB) ProjectionBytes() int { return db.mgr.Current().projectionBytes() 
 // measured query).
 func (db *DB) ResetIOStats() { db.pool.ResetStats() }
 
-// ClearCaches empties the current epoch's in-memory W-table, graph-code,
-// and statistics caches so a measured query starts cold.
+// ClearCaches empties the current epoch's in-memory graph-code, subcluster
+// and partner caches so a measured query starts cold.
 func (db *DB) ClearCaches() { db.mgr.Current().clearCaches() }
 
 // NumCenters returns the number of centers in the cluster-based index as

@@ -310,16 +310,8 @@ func TestIOAccountingAndCaches(t *testing.T) {
 	if _, err := db.Centers(a, bLbl); err != nil {
 		t.Fatal(err)
 	}
-	io1 := db.IOStats().Logical()
-	if io1 == 0 {
-		t.Fatal("first W-table probe should touch pages")
-	}
-	// Cached probe: no additional I/O.
-	if _, err := db.Centers(a, bLbl); err != nil {
-		t.Fatal(err)
-	}
-	if db.IOStats().Logical() != io1 {
-		t.Fatal("cached W-table probe should not touch pages")
+	if db.IOStats().Logical() == 0 {
+		t.Fatal("a W-table probe should touch pages")
 	}
 
 	// Code cache: second OutCode on the same node is free.
@@ -347,8 +339,8 @@ func TestCodeCacheBound(t *testing.T) {
 		t.Helper()
 		c := db.mgr.Current().codeCache
 		filled := 0
-		for i := range c.slots {
-			if c.slots[i].Load() != nil {
+		for i := 0; i < c.size; i++ {
+			if c.slots.Load().load(i) != nil {
 				filled++
 			}
 		}
@@ -369,8 +361,8 @@ func TestCodeCacheBound(t *testing.T) {
 	}
 	// A cached node read again costs no eviction: the cache stays full.
 	var cached graph.NodeID
-	for v := range db.mgr.Current().codeCache.slots {
-		if db.mgr.Current().codeCache.slots[v].Load() != nil {
+	for v := 0; v < g.NumNodes(); v++ {
+		if db.mgr.Current().codeCache.get(graph.NodeID(v)) != nil {
 			cached = graph.NodeID(v)
 		}
 	}

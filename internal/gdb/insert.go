@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
-	"sync/atomic"
+	"time"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/reach"
@@ -98,12 +99,17 @@ func (db *DB) ApplyEdgeInserts(edges [][2]graph.NodeID) ([]EdgeInsertStats, erro
 }
 
 // snapWriter accumulates one insert batch's private next snapshot: the
-// evolving copy-on-write tree versions, the graph successor, and the
-// bookkeeping needed to seed the next epoch's caches.
+// evolving copy-on-write tree versions, the edges the graph successor gains
+// and loses, and the bookkeeping needed to seed the next epoch's caches.
 type snapWriter struct {
 	db  *DB
 	cow *storage.Cow
-	g   *graph.Graph
+	g   *graph.Graph // the published graph; publish builds its successor once
+
+	// added/removed are the batch's edges in order, and pending counts, per
+	// edge, the copies the batch added minus those it removed.
+	added, removed [][2]graph.NodeID
+	pending        map[[2]graph.NodeID]int
 
 	base    map[graph.Label]*storage.BTree
 	wtable  *storage.BTree
@@ -119,10 +125,17 @@ type snapWriter struct {
 	curSig *Signature
 
 	touchedNodes map[graph.NodeID]struct{} // stale graph codes
-	touchedW     map[wKey]struct{}         // stale W-cache entries
+	touchedW     map[wKey]struct{}         // W rows the batch changed
 	touchedCl    map[clKey]struct{}        // stale decoded subclusters
 	changed      bool
 	torn         bool // an edge failed partway through its tree updates
+}
+
+// clKey names one subcluster: center w's dir-side, l-labeled members.
+type clKey struct {
+	w   graph.NodeID
+	dir byte
+	l   graph.Label
 }
 
 func newSnapWriter(db *DB, cur *Snap) *snapWriter {
@@ -140,6 +153,7 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 		numCenters:   cur.numCenters,
 		coverSize:    cur.coverSize,
 		curSig:       cur.sig,
+		pending:      make(map[[2]graph.NodeID]int),
 		touchedNodes: make(map[graph.NodeID]struct{}),
 		touchedW:     make(map[wKey]struct{}),
 		touchedCl:    make(map[clKey]struct{}),
@@ -147,9 +161,10 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 }
 
 // publish seals the heap (so no later batch appends to pages this snapshot
-// can see), assembles the next snapshot — warm-starting its caches from
-// the survivors of cur's — and installs it as the new epoch, handing the
-// superseded pages to the epoch manager for deferred reclamation.
+// can see), assembles the next snapshot — its graph built once from the
+// batch's edges, its caches carried from cur's (see slotArray) — and
+// installs it as the new epoch, handing the superseded pages to the epoch
+// manager for deferred reclamation.
 func (w *snapWriter) publish(cur *Snap) {
 	db := w.db
 	db.heap.Seal()
@@ -157,9 +172,16 @@ func (w *snapWriter) publish(cur *Snap) {
 	if sig == nil {
 		sig = cur.sig // no cluster slot changed: share the table
 	}
+	g := w.g
+	if len(w.removed) > 0 {
+		g = g.WithoutEdges(w.removed)
+	}
+	if len(w.added) > 0 {
+		g = g.WithEdges(w.added)
+	}
 	next := &Snap{
 		db:         db,
-		g:          w.g,
+		g:          g,
 		base:       w.base,
 		wtable:     w.wtable,
 		cluster:    w.cluster,
@@ -167,17 +189,9 @@ func (w *snapWriter) publish(cur *Snap) {
 		coverSize:  w.coverSize,
 		sig:        sig,
 		epoch:      db.mgr.CurrentEpoch() + 1,
-		codeCache:  cur.codeCache.cloneWithout(w.touchedNodes),
 	}
-	cur.wmu.RLock()
-	next.wcache = make(map[wKey][]graph.NodeID, len(cur.wcache))
-	for k, v := range cur.wcache {
-		if _, stale := w.touchedW[k]; !stale {
-			next.wcache[k] = v
-		}
-	}
-	cur.wmu.RUnlock()
-	w.inheritDecoded(cur, next)
+	start := time.Now()
+	copied := w.inheritDecoded(cur, next)
 	if w.torn {
 		// An edge failed inside its tree updates: the trees may disagree
 		// with each other, so nothing derived from several of them is kept.
@@ -185,9 +199,11 @@ func (w *snapWriter) publish(cur *Snap) {
 		next.projTo = make(map[wKey]*NodeSet)
 	} else {
 		touched := w.touchedByLabel()
-		w.inheritPartners(cur, next, touched)
+		copied += w.inheritPartners(cur, next, touched)
 		w.inheritProjections(cur, next, touched)
 	}
+	db.publishCopied.Add(int64(copied))
+	db.publishInheritUS[bits.Len64(uint64(time.Since(start).Microseconds()))].Add(1)
 	if db.insertPublishHook != nil {
 		db.insertPublishHook()
 	}
@@ -196,22 +212,42 @@ func (w *snapWriter) publish(cur *Snap) {
 	db.bulkBuilt = false
 }
 
-// inheritDecoded seeds next's subcluster memo with cur's survivors: every
-// decoded subcluster whose slot the batch did not rewrite. The lists are
-// immutable, so the two epochs share them; a reader still pinned to cur
-// keeps reading cur's own map. cur's lock is held for one map clone — no
-// per-row read takes it (those are partner-table slots and dense codes) —
-// and the batch's keys are dropped from the private copy.
-func (w *snapWriter) inheritDecoded(cur, next *Snap) {
-	cur.clmu.RLock()
-	next.clcache, next.clNodes = maps.Clone(cur.clcache), cur.clNodes
-	cur.clmu.RUnlock()
-	for k := range w.touchedCl {
-		if nodes, ok := next.clcache[k]; ok {
-			delete(next.clcache, k)
-			next.clNodes -= len(nodes)
+// has reports whether the batch's graph so far holds an edge u→v: the
+// published graph's copies plus the batch's pending count (edges are a
+// multiset).
+func (w *snapWriter) has(u, v graph.NodeID) bool {
+	n := w.pending[[2]graph.NodeID{u, v}]
+	for _, x := range w.g.Successors(u) {
+		if x == v {
+			n++
 		}
 	}
+	return n > 0
+}
+
+// inheritDecoded carries cur's code cache and subcluster memo into next on
+// new chunk directories: the chunks holding a code the batch changed, or
+// the memo slot of a center whose subclusters it rewrote, are copied
+// without those slots; every other chunk is shared, and a reader of either
+// epoch may fill it for both (see slotArray). It returns the bytes copied.
+func (w *snapWriter) inheritDecoded(cur, next *Snap) int {
+	nodes := make([]int, 0, len(w.touchedNodes))
+	for v := range w.touchedNodes {
+		nodes = append(nodes, int(v))
+	}
+	slices.Sort(nodes)
+	var copied int
+	next.codeCache, copied = cur.codeCache.successor(nodes)
+	centers := make([]int, 0, len(w.touchedCl))
+	for k := range w.touchedCl {
+		centers = append(centers, int(k.w))
+	}
+	slices.Sort(centers)
+	memo, n, _ := cur.clmemo.Load().successor(centers, (*centerMemo).cost)
+	next.clmemo.Store(memo)
+	_, held := memo.held()
+	next.clNodes = int(held)
+	return copied + n
 }
 
 // touchedByLabel groups the nodes whose codes the batch changed by label,
@@ -242,11 +278,11 @@ func (w *snapWriter) touchedByLabel() map[graph.Label][]graph.NodeID {
 // table thus clears the slots of its bound label's touched nodes and of the
 // F_X(w) members of every such w (dually the T_Y(w) members for a reverse
 // table, whose target side is F_X); every other slot is next's list as
-// copied. A table whose W row or owners cannot be read is left out and
-// refills from empty. next gets its own slot arrays, so readers pinned to
-// cur never see the copy, and each table is charged for the slots it
-// copied. Not called after a torn batch: nothing is carried then.
-func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]graph.NodeID) {
+// shared or copied. A table whose W row or owners cannot be read is left
+// out and refills from empty. next gets its own chunk directories, and each
+// table is charged for what its chunks hold. Not called after a torn
+// batch: nothing is carried then. It returns the bytes copied.
+func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]graph.NodeID) int {
 	cur.pmu.Lock()
 	tabs := maps.Clone(cur.ptabs)
 	cur.pmu.Unlock()
@@ -275,61 +311,57 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 		owners[k] = o
 		return o, nil
 	}
-	var kept, dropped int
+	var kept, dropped int64
+	copied := 0
 	for k, t := range tabs {
-		nt, n, err := w.carryPartners(next, t, touched[t.bound], moved, ownersOf)
+		nt, n, c, err := w.carryPartners(next, t, touched[t.bound], moved, ownersOf)
 		if err != nil {
-			dropped += t.filled()
+			filled, _ := t.slots.held()
+			dropped += filled
 			continue
 		}
 		next.ptabs[k] = nt
-		next.pNodes += nt.nodes
-		kept, dropped = kept+nt.filled(), dropped+n
+		filled, lists := nt.slots.held()
+		next.pNodes += partnerSlotCost*nt.n + int(lists)
+		kept, dropped, copied = kept+filled, dropped+int64(n), copied+c
 	}
-	w.db.partnerSlotsKept.Add(int64(kept))
-	w.db.partnerSlotsDropped.Add(int64(dropped))
+	w.db.partnerSlotsKept.Add(kept)
+	w.db.partnerSlotsDropped.Add(dropped)
+	return copied
 }
 
-// carryPartners copies one table of cur for next, as inheritPartners
-// describes, and returns it with the number of filled slots it cleared.
-func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) ([]graph.NodeID, error)) (*partnerTable, int, error) {
+// carryPartners carries one table of cur into next, as inheritPartners
+// describes, and returns it with the number of filled slots it cleared and
+// the bytes it copied.
+func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) ([]graph.NodeID, error)) (_ *partnerTable, dropped, copied int, _ error) {
 	k := t.key
-	ws, err := next.Centers(k.x, k.y)
-	if err != nil {
-		return nil, 0, err
+	ws := t.ws
+	if _, ok := w.touchedW[wKey{k.x, k.y}]; ok {
+		var err error
+		if ws, err = next.Centers(k.x, k.y); err != nil {
+			return nil, 0, 0, err
+		}
 	}
 	target, bound := clusterSlot{dirT, k.y}, clusterSlot{dirF, k.x}
 	if !k.forward {
 		target, bound = clusterSlot{dirF, k.x}, clusterSlot{dirT, k.y}
 	}
-	nt := &partnerTable{key: k, bound: t.bound, ws: ws, slots: make([]atomic.Pointer[partnerList], len(t.slots))}
-	// Charged for what is copied: a slot a reader on cur fills after its
-	// Load is cur's alone.
-	nt.nodes = partnerSlotCost * len(nt.slots)
-	for i := range t.slots {
-		if l := t.slots[i].Load(); l != nil {
-			nt.slots[i].Store(l)
-			nt.nodes += l.cost()
-		}
+	ranks := make([]int, 0, len(touched))
+	for _, v := range touched {
+		ranks = append(ranks, int(w.db.rank[v]))
 	}
-	dropped := 0
-	drop := func(vs []graph.NodeID) {
-		for _, v := range vs {
-			if l := nt.slots[w.db.rank[v]].Swap(nil); l != nil {
-				nt.nodes -= l.cost()
-				dropped++
-			}
-		}
-	}
-	drop(touched)
 	for _, c := range moved[target] {
 		o, err := ownersOf(clKey{c, bound.dir, bound.l})
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		drop(o)
+		for _, v := range o {
+			ranks = append(ranks, int(w.db.rank[v]))
+		}
 	}
-	return nt, dropped, nil
+	slices.Sort(ranks)
+	slots, copied, dropped := t.slots.successor(ranks, (*partnerList).cost)
+	return &partnerTable{key: k, bound: t.bound, ws: ws, n: t.n, slots: slots}, dropped, copied, nil
 }
 
 // inheritProjections seeds next's projection memos with cur's sets,
@@ -442,7 +474,7 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 	if u < 0 || v < 0 || u >= n || v >= n {
 		return st, fmt.Errorf("%w: edge %d->%d, graph has %d nodes", ErrBadInsert, u, v, n)
 	}
-	if slices.Contains(w.g.Successors(u), v) {
+	if w.has(u, v) {
 		st.Duplicate = true
 		return st, nil
 	}
@@ -451,7 +483,8 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 	}
 
 	deltas := w.db.inc.InsertEdge(u, v)
-	w.g = w.g.WithEdge(u, v)
+	w.added = append(w.added, [2]graph.NodeID{u, v})
+	w.pending[[2]graph.NodeID{u, v}]++
 	w.changed = true
 	st.LabelEntries = len(deltas)
 	if len(deltas) == 0 {
@@ -472,7 +505,8 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 // the build-time index when present, otherwise (a database reattached with
 // Open) by scanning the stored compact codes back out of the base tables.
 // The seed state persists on the DB across batches; it is only read and
-// mutated under writeMu.
+// mutated under writeMu. It runs before the batch's first edge is applied,
+// so the published graph it seeds from is the batch's graph so far.
 func (w *snapWriter) ensureIncremental() error {
 	db := w.db
 	if db.inc != nil {

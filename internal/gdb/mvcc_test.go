@@ -1,7 +1,6 @@
 package gdb
 
 import (
-	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -151,18 +150,21 @@ func TestBatchPublishesOneEpoch(t *testing.T) {
 
 // TestSuccessorInheritsDecodedMemos: a published epoch starts with its
 // predecessor's decoded subclusters and graph codes minus exactly what
-// the write batch changed, and fills its partner tables from them. The new epoch must serve post-batch lists
-// (from inherited entries where the batch left them alone, from storage
-// where it did not) while a reader still pinned to the old epoch keeps
-// serving pre-batch lists.
+// the write batch changed, and fills its partner tables from them. The new
+// epoch must serve post-batch lists (from inherited entries where the batch
+// left them alone, from storage where it did not) while a reader still
+// pinned to the old epoch keeps serving pre-batch lists. Across insert
+// batches — where a code or subcluster the batch touched always changes —
+// a chunk holding nothing that changed is the old epoch's own chunk, and
+// one holding something that did is a fresh copy.
 func TestSuccessorInheritsDecodedMemos(t *testing.T) {
-	g := randomGraph(14, 40, 70, 3)
+	g := randomGraph(14, 1500, 1400, 3)
 	db := mustBuild(t, g, Options{})
 	old, releaseOld := db.Pin()
 	defer releaseOld()
 	warmReadPath(t, old)
-	before := maps.Clone(old.clcache)
-	clBefore, codesBefore := len(old.clcache), old.codeCache.len()
+	before := memoEntries(old)
+	clBefore, codesBefore := len(before), old.codeCache.len()
 
 	// One batch that both adds and removes label entries: insert edges
 	// until the cover grows, then delete an existing edge.
@@ -177,6 +179,9 @@ func TestSuccessorInheritsDecodedMemos(t *testing.T) {
 		cur = cur.WithEdge(u, v)
 		grew = st.LabelEntries > 0
 	}
+	mid, releaseMid := db.Pin()
+	checkChunksShared(t, old, mid)
+	releaseMid()
 	var del [2]graph.NodeID
 	for u := graph.NodeID(0); ; u++ {
 		if succ := g.Successors(u); len(succ) > 0 {
@@ -195,9 +200,7 @@ func TestSuccessorInheritsDecodedMemos(t *testing.T) {
 	}
 	// Nothing has read through next yet: whatever its memos hold was
 	// inherited, and every inherited entry must be post-batch truth.
-	next.clmu.RLock()
-	clInherited, codesInherited := len(next.clcache), next.codeCache.len()
-	next.clmu.RUnlock()
+	clInherited, codesInherited := len(memoEntries(next)), next.codeCache.len()
 	if clInherited == 0 || codesInherited == 0 || codesInherited >= codesBefore {
 		t.Fatalf("successor inherited %d subclusters and %d codes of %d and %d", clInherited, codesInherited, clBefore, codesBefore)
 	}
@@ -239,4 +242,75 @@ func TestSuccessorInheritsDecodedMemos(t *testing.T) {
 	if r.Misses != 0 {
 		t.Fatalf("old epoch lost %d memo entries to the publish", r.Misses)
 	}
+}
+
+// checkChunksShared checks, between an epoch and a successor that only
+// insert batches separate, that the code cache and the subcluster memo
+// share exactly the chunks holding no code or subcluster that changed, and
+// that each side copied something and shared something.
+func checkChunksShared(t *testing.T, old, next *Snap) {
+	t.Helper()
+	coldOld, coldNext := coldView(old), coldView(next)
+	n := old.g.NumNodes()
+	changedCode := make([]bool, n)
+	changedCenter := make([]bool, n)
+	for v := 0; v < n; v++ {
+		a, err := coldOld.getCodes(graph.NodeID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := coldNext.getCodes(graph.NodeID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		changedCode[v] = !slices.Equal(a.in, b.in) || !slices.Equal(a.out, b.out)
+		for _, dir := range []byte{dirF, dirT} {
+			for l := 0; l < old.g.Labels().Len(); l++ {
+				a, err := coldOld.clusterLookup(graph.NodeID(v), dir, graph.Label(l))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := coldNext.clusterLookup(graph.NodeID(v), dir, graph.Label(l))
+				if err != nil {
+					t.Fatal(err)
+				}
+				changedCenter[v] = changedCenter[v] || !slices.Equal(a, b)
+			}
+		}
+	}
+	check := func(what string, a, b []any, changed []bool) {
+		shared, copied := 0, 0
+		for ci := range a {
+			if a[ci] == nil {
+				continue
+			}
+			touched := slices.Contains(changed[ci*chunkSize:min(n, (ci+1)*chunkSize)], true)
+			switch same := a[ci] == b[ci]; {
+			case same && touched:
+				t.Fatalf("%s chunk %d holds a changed slot but is shared", what, ci)
+			case !same && !touched:
+				t.Fatalf("%s chunk %d holds no changed slot but was copied", what, ci)
+			case same:
+				shared++
+			default:
+				copied++
+			}
+		}
+		if shared == 0 || copied == 0 {
+			t.Fatalf("%s: %d chunks shared and %d copied; want both", what, shared, copied)
+		}
+	}
+	check("code cache", chunkPtrs(old.codeCache.slots.Load()), chunkPtrs(next.codeCache.slots.Load()), changedCode)
+	check("subcluster memo", chunkPtrs(old.clmemo.Load()), chunkPtrs(next.clmemo.Load()), changedCenter)
+}
+
+// chunkPtrs returns a's chunk pointers, nil where none is allocated.
+func chunkPtrs[T any](a *slotArray[T]) []any {
+	out := make([]any, len(a.chunks))
+	for i := range a.chunks {
+		if c := a.chunks[i].Load(); c != nil {
+			out[i] = c
+		}
+	}
+	return out
 }

@@ -1,10 +1,6 @@
 package gdb
 
-import (
-	"sync/atomic"
-
-	"fastmatch/internal/graph"
-)
+import "fastmatch/internal/graph"
 
 // Partner tables are the per-row half of the decoded read path. What HPSJ+
 // computes for a row (Algorithm 2) is a pure function of the epoch and the
@@ -15,10 +11,10 @@ import (
 // row costs two array loads and one atomic load, with no hashing and no
 // lock. A slot goes from nil to its list exactly once (compare-and-swap) and
 // the list is immutable, so any load sees either nothing or the whole
-// answer. A publish carries every table into the successor epoch with its
-// own slot arrays (snapWriter.inheritPartners): the filled slots whose list
-// the batch cannot have changed are copied, the others start nil again, and
-// no slot a reader can see is ever written.
+// answer. A publish carries every table into the successor epoch on a new
+// chunk directory (snapWriter.inheritPartners): chunks holding no slot the
+// batch can have changed are shared, the others are copied with those slots
+// nil again, and no slot a reader can see is ever cleared.
 
 // partnerKey names a table: condition X→Y read from its From side
 // (forward: Y-labeled partners through out-codes and T-subclusters) or its
@@ -32,8 +28,8 @@ type partnerTable struct {
 	key   partnerKey
 	bound graph.Label    // whose nodes own the slots: x forward, y reverse
 	ws    []graph.NodeID // W(X, Y)
-	slots []atomic.Pointer[partnerList]
-	nodes int // this table's share of Snap.pNodes (pmu)
+	n     int            // slots: the bound label's extent
+	slots *slotArray[partnerList]
 }
 
 // partnerList is what a filled slot points to. A value with one center
@@ -51,23 +47,19 @@ const (
 	partnerListCost = 8
 )
 
-// filled counts the table's filled slots.
-func (t *partnerTable) filled() int {
-	n := 0
-	for i := range t.slots {
-		if t.slots[i].Load() != nil {
-			n++
-		}
-	}
-	return n
+// charge is the table's memo-budget charge: its slots, plus the lists its
+// chunks hold.
+func (t *partnerTable) charge() int64 {
+	_, lists := t.slots.held()
+	return int64(partnerSlotCost*t.n) + lists
 }
 
-func (l *partnerList) cost() int {
+func (l *partnerList) cost() int64 {
 	switch {
 	case l == noPartners:
 		return 0
 	case l.owned:
-		return partnerListCost + cap(l.nodes)
+		return int64(partnerListCost + cap(l.nodes))
 	}
 	return partnerListCost
 }
@@ -99,20 +91,20 @@ func (r *Reader) Partners(x, y graph.Label, forward bool) (Partners, error) {
 		if !forward {
 			t.bound = y
 		}
-		t.slots = make([]atomic.Pointer[partnerList], s.g.ExtentSize(t.bound))
-		t.nodes = partnerSlotCost * len(t.slots)
+		t.n = s.g.ExtentSize(t.bound)
+		t.slots = newSlotArray[partnerList](t.n)
 		s.pmu.Lock()
 		if won := s.ptabs[k]; won != nil {
 			t = won
 		} else {
-			if s.pNodes+t.nodes > s.db.memoBound {
+			if s.pNodes+partnerSlotCost*t.n > s.db.memoBound {
 				s.forgetPartners()
 			}
 			if s.ptabs == nil {
 				s.ptabs = make(map[partnerKey]*partnerTable)
 			}
 			s.ptabs[k] = t
-			s.pNodes += t.nodes
+			s.pNodes += partnerSlotCost * t.n
 		}
 		s.pmu.Unlock()
 	}
@@ -139,16 +131,16 @@ func (p Partners) Of(v graph.NodeID) ([]graph.NodeID, error) {
 		list, _, err := p.compute(v)
 		return list, err
 	}
-	slot := &p.t.slots[s.db.rank[v]]
-	if l := slot.Load(); l != nil {
+	i := int(s.db.rank[v])
+	if l := p.t.slots.load(i); l != nil {
 		p.r.Hits++
 		p.r.CenterHits++
 		return l.nodes, nil
 	}
-	return p.fill(slot, v)
+	return p.fill(i, v)
 }
 
-func (p Partners) fill(slot *atomic.Pointer[partnerList], v graph.NodeID) ([]graph.NodeID, error) {
+func (p Partners) fill(i int, v graph.NodeID) ([]graph.NodeID, error) {
 	p.r.Misses++
 	p.r.CenterMisses++
 	list, owned, err := p.compute(v)
@@ -159,16 +151,15 @@ func (p Partners) fill(slot *atomic.Pointer[partnerList], v graph.NodeID) ([]gra
 	if len(list) > 0 {
 		l = &partnerList{list, owned}
 	}
-	if !slot.CompareAndSwap(nil, l) {
-		return slot.Load().nodes, nil // a concurrent reader filled it first
-	}
 	s, t := p.r.s, p.t
+	if !t.slots.replace(i, nil, l, l.cost()) {
+		return t.slots.load(i).nodes, nil // a concurrent reader filled it first
+	}
 	s.pmu.Lock()
 	if s.ptabs[t.key] == t {
-		if cost := l.cost(); s.pNodes+cost > s.db.memoBound {
+		if cost := int(l.cost()); s.pNodes+cost > s.db.memoBound {
 			s.forgetPartners()
 		} else {
-			t.nodes += cost
 			s.pNodes += cost
 		}
 	}

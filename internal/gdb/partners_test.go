@@ -1,7 +1,6 @@
 package gdb
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -86,18 +85,30 @@ func coldPartners(t testing.TB, cold *Snap, k partnerKey, v graph.NodeID) []grap
 	return list
 }
 
+// memoEntries returns every subcluster s's memo holds, by key.
+func memoEntries(s *Snap) map[clKey][]graph.NodeID {
+	memo := s.clmemo.Load()
+	out := make(map[clKey][]graph.NodeID)
+	for w := 0; w < s.g.NumNodes(); w++ {
+		if m := memo.load(w); m != nil {
+			for _, sc := range *m {
+				out[clKey{graph.NodeID(w), sc.dir, sc.l}] = sc.nodes
+			}
+		}
+	}
+	return out
+}
+
 // checkReadPath compares everything s's decoded read path holds — every
 // memoized subcluster, every cached graph code, every filled partner slot —
-// with a recomputation on a cold view of the same trees, and the partner
-// tables' memo-budget charge with what they hold. It returns how many slots
-// and codes it compared. No reader may be filling s meanwhile.
+// with a recomputation on a cold view of the same trees, and the memos'
+// chunk charges with what they hold. It returns how many slots and codes it
+// compared. No reader may be filling s meanwhile.
 func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 	t.Helper()
 	cold := coldView(s)
-	s.clmu.RLock()
-	cl := maps.Clone(s.clcache)
-	s.clmu.RUnlock()
-	for k, got := range cl {
+	held := 0
+	for k, got := range memoEntries(s) {
 		want, err := cold.clusterLookup(k.w, k.dir, k.l)
 		if err != nil {
 			t.Fatal(err)
@@ -105,9 +116,14 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: memoised subcluster %+v = %v, index holds %v", what, k, got, want)
 		}
+		held += len(got)
 	}
-	for v := range s.codeCache.slots {
-		got := s.codeCache.slots[v].Load()
+	if _, charge := s.clmemo.Load().held(); charge != int64(held) {
+		t.Fatalf("%s: the subcluster memo's chunks are charged %d units, its lists hold %d", what, charge, held)
+	}
+	cc := s.codeCache.slots.Load()
+	for v := 0; v < s.g.NumNodes(); v++ {
+		got := cc.load(v)
 		if got == nil {
 			continue
 		}
@@ -122,11 +138,10 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 	}
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	held := 0
 	for k, tab := range s.ptabs {
-		cost := partnerSlotCost * len(tab.slots)
+		cost := int64(partnerSlotCost * tab.n)
 		for i, v := range s.g.Extent(tab.bound) {
-			got := tab.slots[i].Load()
+			got := tab.slots.load(i)
 			if got == nil {
 				continue
 			}
@@ -136,13 +151,9 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 				t.Fatalf("%s: partner slot %+v of node %d = %v, recomputed %v", what, k, v, got.nodes, want)
 			}
 		}
-		if tab.nodes != cost {
-			t.Fatalf("%s: partner table %+v is charged %d units, its slots and lists cost %d", what, k, tab.nodes, cost)
+		if c := tab.charge(); c != cost {
+			t.Fatalf("%s: partner table %+v is charged %d units, its slots and lists cost %d", what, k, c, cost)
 		}
-		held += cost
-	}
-	if s.pNodes != held {
-		t.Fatalf("%s: partner tables are charged %d units in all, they cost %d", what, s.pNodes, held)
 	}
 	return slots, codes
 }
@@ -266,7 +277,7 @@ func TestPartnerSlotsSurviveTargetGrowth(t *testing.T) {
 		}
 		for i, v := range g.Extent(t0.bound) {
 			stale := v == newB || slices.Contains(owners, v)
-			if got := t1.slots[i].Load(); (got == nil) != stale {
+			if got := t1.slots.load(i); (got == nil) != stale {
 				t.Fatalf("table %+v, node %d: carried %v, want the slot cleared = %v", k, v, got, stale)
 			}
 			if stale {
@@ -291,8 +302,9 @@ func TestPartnerSlotsSurviveTargetGrowth(t *testing.T) {
 
 // TestPartnerChargeWhileReadersFillDuringPublish: readers pinned to the
 // old epoch fill its partner tables while a batch publishes; each carried
-// table must be charged for exactly the slots and lists it copied, not for
-// what the old table held once the copy was done.
+// table's chunks must be charged for exactly what they hold: a copied chunk
+// for the slots and lists it copied, not for what the old chunk held once
+// the copy was done.
 func TestPartnerChargeWhileReadersFillDuringPublish(t *testing.T) {
 	g := randomGraph(31, 300, 500, 3)
 	db := mustBuild(t, g, Options{})
@@ -421,14 +433,14 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	// Charged once per slot: the slot array, a partnerList per non-empty
 	// slot, and the lists that are unions rather than a memoised subcluster.
 	shared := make(map[*graph.NodeID]bool)
-	for _, nodes := range s.clcache {
+	for _, nodes := range memoEntries(s) {
 		if len(nodes) > 0 {
 			shared[&nodes[0]] = true
 		}
 	}
 	want, unions := partnerSlotCost*len(ext)+partnerListCost*nonEmpty, 0
-	for i := range p.t.slots {
-		l := p.t.slots[i].Load()
+	for i := range ext {
+		l := p.t.slots.load(i)
 		if len(l.nodes) > 0 && l.owned == shared[&l.nodes[0]] {
 			t.Fatalf("slot %d: owned = %v, aliases a memoised subcluster = %v", i, l.owned, !l.owned)
 		}
@@ -440,8 +452,8 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if unions == 0 || unions == nonEmpty {
 		t.Fatalf("%d of %d lists are unions; want both kinds", unions, nonEmpty)
 	}
-	if s.pNodes != want || p.t.nodes != want {
-		t.Fatalf("table charged %d units (epoch: %d), its slots, lists and %d unions cost %d", p.t.nodes, s.pNodes, unions, want)
+	if s.pNodes != want || p.t.charge() != int64(want) {
+		t.Fatalf("table charged %d units (epoch: %d), its slots, lists and %d unions cost %d", p.t.charge(), s.pNodes, unions, want)
 	}
 }
 
@@ -480,8 +492,8 @@ func TestPartnersOfForeignLabel(t *testing.T) {
 		if r.CenterHits+r.CenterMisses != 0 {
 			t.Fatalf("forward=%v: foreign values touched %d slots", fwd, r.CenterHits+r.CenterMisses)
 		}
-		for i := range p.t.slots {
-			if p.t.slots[i].Load() != nil {
+		for i := 0; i < p.t.n; i++ {
+			if p.t.slots.load(i) != nil {
 				t.Fatalf("forward=%v: a foreign value filled slot %d", fwd, i)
 			}
 		}

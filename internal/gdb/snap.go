@@ -2,7 +2,9 @@ package gdb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/storage"
@@ -17,9 +19,9 @@ import (
 // publishes it atomically.
 //
 // Index content is immutable within an epoch, so the caches memoizing
-// decoded content (W lists, graph codes, decoded subclusters, partner
-// tables) are never invalidated; a successor epoch starts from the survivors
-// of its predecessor minus the entries the write batch touched (see
+// decoded content (graph codes, decoded subclusters, partner tables) are
+// never invalidated; a successor epoch shares its predecessor's slot chunks
+// except those holding an entry the write batch touched (see slotArray and
 // snapWriter.publish). The memoized projections are inherited
 // too, patched from the batch's label deltas rather than dropped
 // (inheritProjections); the fan signature is maintained by the writer. What
@@ -43,17 +45,18 @@ type Snap struct {
 	// snapshot writer.
 	sig *Signature
 
-	wmu       sync.RWMutex
-	wcache    map[wKey][]graph.NodeID
 	codeCache *codeCache
 
-	// clmu guards the decoded-subcluster memo: what HPSJ reads per center
-	// and what fills a partner-table slot (see Reader). Only the counted-I/O
-	// reference mode bypasses it, fetching every subcluster and code through
-	// the buffer pool as the paper's disk-resident executor does.
-	clmu    sync.RWMutex
-	clcache map[clKey][]graph.NodeID
-	clNodes int // total node IDs held, for the memo's size bound
+	// clmemo is the decoded-subcluster memo: what HPSJ reads per center and
+	// what fills a partner-table slot (see Reader), one slot per center node
+	// ID. Only the counted-I/O reference mode bypasses it, fetching every
+	// subcluster and code through the buffer pool as the paper's
+	// disk-resident executor does. clmu serialises this epoch's fills and
+	// resets, never a hit; clNodes is the node IDs they added, for the
+	// memo's size bound.
+	clmu    sync.Mutex
+	clmemo  atomic.Pointer[slotArray[centerMemo]]
+	clNodes int
 
 	// pmu guards the set of partner tables and its share of the memo
 	// budget, never a slot (see partners.go).
@@ -102,28 +105,15 @@ func (s *Snap) Centers(x, y graph.Label) ([]graph.NodeID, error) {
 	if s.db.closed.Load() {
 		return nil, ErrClosed
 	}
-	k := wKey{x, y}
-	s.wmu.RLock()
-	ws, ok := s.wcache[k]
-	s.wmu.RUnlock()
-	if ok {
-		return ws, nil
-	}
 	v, ok, err := s.wtable.Get(wtableKey(x, y))
+	if err != nil || !ok {
+		return nil, err
+	}
+	rec, err := s.db.heap.Read(storage.DecodeRID(v))
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		rec, err := s.db.heap.Read(storage.DecodeRID(v))
-		if err != nil {
-			return nil, err
-		}
-		ws = decodeNodeList(rec)
-	}
-	s.wmu.Lock()
-	s.wcache[k] = ws
-	s.wmu.Unlock()
-	return ws, nil
+	return decodeNodeList(rec), nil
 }
 
 // GetF returns the X-labeled F-subcluster of center w (nodes u with
@@ -138,16 +128,41 @@ func (s *Snap) GetT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
 	return s.clusterLookup(w, dirT, y)
 }
 
-// clKey identifies one decoded subcluster in the memo.
-type clKey struct {
-	w   graph.NodeID
-	dir byte
-	l   graph.Label
+// centerMemo is what a subcluster-memo slot holds: the decoded
+// subclusters of one center read so far, sorted by (dir, label). It is
+// immutable; a fill replaces it with a copy one subcluster longer.
+type centerMemo []subcluster
+
+type subcluster struct {
+	dir   byte
+	l     graph.Label
+	nodes []graph.NodeID
+}
+
+func (m *centerMemo) find(dir byte, l graph.Label) (int, bool) {
+	if m == nil {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(*m, subcluster{dir: dir, l: l}, func(a, b subcluster) int {
+		if a.dir != b.dir {
+			return int(a.dir) - int(b.dir)
+		}
+		return int(a.l) - int(b.l)
+	})
+}
+
+// cost is the memo-budget charge of the memo's lists, in node IDs.
+func (m *centerMemo) cost() int64 {
+	n := 0
+	for _, sc := range *m {
+		n += len(sc.nodes)
+	}
+	return int64(n)
 }
 
 // fastClusterCacheNodes bounds each decoded memo: the total node IDs held
 // across all cached lists (≈4 MB at the 1M default). On overflow the memo
-// resets — an epoch-local cache, not a second index.
+// starts an empty directory — an epoch-local cache, not a second index.
 const fastClusterCacheNodes = 1 << 20
 
 // Reader is one goroutine's handle on a snapshot's decoded read path: the
@@ -191,45 +206,59 @@ func (s *Snap) FastT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
 
 func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
 	s := r.s
-	k := clKey{w, dir, l}
-	s.clmu.RLock()
-	nodes, ok := s.clcache[k]
-	s.clmu.RUnlock()
-	if ok {
+	if uint(w) >= uint(s.g.NumNodes()) {
+		return s.clusterLookup(w, dir, l)
+	}
+	m := s.clmemo.Load().load(int(w))
+	if i, ok := m.find(dir, l); ok {
 		r.Hits++
-		return nodes, nil
+		return (*m)[i].nodes, nil
 	}
 	r.Misses++
 	nodes, err := s.clusterLookup(w, dir, l)
 	if err != nil {
 		return nil, err
 	}
-	return s.memoPut(k, nodes), nil
+	return s.memoPut(w, subcluster{dir, l, nodes}), nil
 }
 
-// memoPut stores one decoded subcluster in the memo, charging its length
-// against the bound, and returns the list the memo holds for k: list, or
-// the one a reader that decoded the same key at the same time stored first.
-// Callers use the returned list, so every reader of a key shares one charged
-// copy. A memo that would overflow is emptied first: it is an epoch-local
-// cache, not a second index. Readers hold the lists, not the map, so a reset
-// never disturbs a running query.
-func (s *Snap) memoPut(k clKey, list []graph.NodeID) []graph.NodeID {
+// memoPut stores one decoded subcluster of center w in the memo, charging
+// its length against the bound, and returns the list the memo holds for it:
+// sc's, or the one a reader that decoded the same key at the same time
+// stored first. Callers use the returned list, so every reader of a key
+// shares one charged copy. A memo that would overflow starts an empty
+// directory first: it is an epoch-local cache, not a second index, and
+// chunks another epoch shares are never cleared. Readers hold the lists,
+// not the directory, so a reset never disturbs a running query.
+func (s *Snap) memoPut(w graph.NodeID, sc subcluster) []graph.NodeID {
 	s.clmu.Lock()
 	defer s.clmu.Unlock()
-	if kept, dup := s.clcache[k]; dup {
-		return kept
+	for {
+		memo := s.clmemo.Load()
+		m := memo.load(int(w))
+		i, dup := m.find(sc.dir, sc.l)
+		if dup {
+			return (*m)[i].nodes
+		}
+		if s.clNodes > 0 && s.clNodes+len(sc.nodes) > s.db.memoBound {
+			s.clmemo.Store(newSlotArray[centerMemo](s.g.NumNodes()))
+			s.clNodes = 0
+			s.db.memoResets.Add(1)
+			continue
+		}
+		var next centerMemo
+		if m != nil {
+			next = slices.Insert(slices.Clip(*m), i, sc)
+		} else {
+			next = centerMemo{sc}
+		}
+		// A reader of another epoch sharing the chunk may have filled the
+		// slot since the load: then look again.
+		if memo.replace(int(w), m, &next, int64(len(sc.nodes))) {
+			s.clNodes += len(sc.nodes)
+			return sc.nodes
+		}
 	}
-	if s.clNodes+len(list) > s.db.memoBound {
-		s.clcache, s.clNodes = nil, 0
-		s.db.memoResets.Add(1)
-	}
-	if s.clcache == nil {
-		s.clcache = make(map[clKey][]graph.NodeID)
-	}
-	s.clcache[k] = list
-	s.clNodes += len(list)
-	return list
 }
 
 // DecodedMemoNodes returns what this epoch's decoded memos hold
@@ -240,13 +269,17 @@ func (s *Snap) DecodedMemoNodes() int {
 	return nodes
 }
 
+// decodedMemo recounts what the epoch's memos hold from the charges of the
+// chunks its directories point at, each counted once, whichever epoch
+// filled it.
 func (s *Snap) decodedMemo() (nodes, tables int) {
-	s.clmu.RLock()
-	nodes = s.clNodes
-	s.clmu.RUnlock()
+	_, held := s.clmemo.Load().held()
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	return nodes + s.pNodes, len(s.ptabs)
+	for _, t := range s.ptabs {
+		held += t.charge()
+	}
+	return int(held), len(s.ptabs)
 }
 
 func (s *Snap) clusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
@@ -437,11 +470,9 @@ func (s *Snap) projectionBytes() int {
 // values that cannot go stale within an epoch, and benchmarks charge their
 // cost on first access only.
 func (s *Snap) clearCaches() {
-	s.wmu.Lock()
-	s.wcache = make(map[wKey][]graph.NodeID)
-	s.wmu.Unlock()
 	s.clmu.Lock()
-	s.clcache, s.clNodes = nil, 0
+	s.clmemo.Store(newSlotArray[centerMemo](s.g.NumNodes()))
+	s.clNodes = 0
 	s.clmu.Unlock()
 	s.pmu.Lock()
 	s.ptabs, s.pNodes = nil, 0

@@ -1,52 +1,21 @@
 package graph
 
-import "slices"
-
-// WithoutEdge returns a new Graph equal to g minus one occurrence of the
-// edge u→v. Like WithEdge it never mutates the receiver: label table, node
-// labels, and extents are shared, while both CSR adjacency arrays are
-// copied with the endpoint spliced out, so readers holding the old Graph
-// keep a consistent snapshot. When parallel u→v edges exist exactly one is
-// removed.
+// WithoutEdges returns a new Graph equal to g minus one occurrence of each
+// edge u→v listed (an edge listed twice loses two parallel copies). Like
+// WithEdges it never mutates the receiver and copies both CSR adjacency
+// arrays once, so readers holding the old Graph keep a consistent snapshot.
 //
-// The edge must exist; callers check presence first (the database's delete
+// The edges must exist; callers check presence first (the database's delete
 // path treats an absent edge as a no-op before ever getting here).
-func (g *Graph) WithoutEdge(u, v NodeID) *Graph {
-	n := g.NumNodes()
-	if int(u) >= n || int(v) >= n || u < 0 || v < 0 {
-		panic("graph: WithoutEdge endpoint out of range")
-	}
-	if !slices.Contains(g.Successors(u), v) {
-		panic("graph: WithoutEdge on absent edge")
-	}
-	ng := &Graph{
-		labels:    g.labels,
-		nodeLabel: g.nodeLabel,
-		extent:    g.extent,
-	}
-	ng.fwdHead, ng.fwdAdj = removeAdj(g.fwdHead, g.fwdAdj, u, v)
-	ng.revHead, ng.revAdj = removeAdj(g.revHead, g.revAdj, v, u)
+func (g *Graph) WithoutEdges(edges [][2]NodeID) *Graph {
+	ng := g.successor(edges, "graph: WithoutEdge endpoint out of range")
+	ng.fwdHead, ng.fwdAdj = spliceAdj(g.fwdHead, g.fwdAdj, sortedPairs(edges, false), false)
+	ng.revHead, ng.revAdj = spliceAdj(g.revHead, g.revAdj, sortedPairs(edges, true), false)
 	return ng
 }
 
-// removeAdj copies a CSR (head, adj) pair with one occurrence of dst
-// spliced out of src's segment.
-func removeAdj(head []int32, adj []NodeID, src, dst NodeID) ([]int32, []NodeID) {
-	nh := make([]int32, len(head))
-	for i := range head {
-		nh[i] = head[i]
-		if i > int(src) {
-			nh[i]--
-		}
-	}
-	seg := adj[head[src]:head[src+1]]
-	at, found := slices.BinarySearch(seg, dst)
-	if !found {
-		panic("graph: removeAdj on absent edge")
-	}
-	pos := int(head[src]) + at
-	na := make([]NodeID, len(adj)-1)
-	copy(na, adj[:pos])
-	copy(na[pos:], adj[pos+1:])
-	return nh, na
+// WithoutEdge returns a new Graph equal to g minus one occurrence of the
+// edge u→v: WithoutEdges with one edge.
+func (g *Graph) WithoutEdge(u, v NodeID) *Graph {
+	return g.WithoutEdges([][2]NodeID{{u, v}})
 }

@@ -277,3 +277,49 @@ func BenchmarkIncrementalDelete(b *testing.B) {
 		}
 	}
 }
+
+// TestDeleteEdgeExactAcrossStampWrap: the BFS visit stamp wraps at every
+// step of a mixed stream, so each step's runs reuse the small stamps the
+// previous step's runs left in the visit array; deletes must stay exact,
+// so a wrap must forget those marks.
+func TestDeleteEdgeExactAcrossStampWrap(t *testing.T) {
+	forEachLabeling(t, func(t *testing.T, opt twohop.Options) {
+		const n = 24
+		rng := rand.New(rand.NewSource(3))
+		g := randomGraph(11, n, 34, 3)
+		inc := newInc(opt, g)
+		truth := newMutableTruth(g)
+		deletes := 0
+		for step := 0; step < 40; step++ {
+			inc.SetStamp(^uint32(0)) // the step's first run wraps
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if inc.HasEdge(u, v) || rng.Intn(2) > 0 {
+				// Delete an existing edge: u's first, if it has one.
+				if !inc.HasEdge(u, v) {
+					succ := truth.build().Successors(u)
+					if len(succ) == 0 {
+						continue
+					}
+					v = succ[0]
+				}
+				truth.delete(u, v)
+				inc.DeleteEdge(u, v)
+				deletes++
+			} else {
+				truth.insert(u, v)
+				inc.InsertEdge(u, v)
+			}
+			tg := truth.build()
+			for x := graph.NodeID(0); x < n; x++ {
+				for y := graph.NodeID(0); y < n; y++ {
+					if inc.Reaches(x, y) != graph.Reaches(tg, x, y) {
+						t.Fatalf("step %d: Reaches(%d, %d) = %v after mutating %d->%d", step, x, y, inc.Reaches(x, y), u, v)
+					}
+				}
+			}
+		}
+		if deletes < 10 {
+			t.Fatalf("stream deleted %d edges; want a delete-heavy stream", deletes)
+		}
+	})
+}

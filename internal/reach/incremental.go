@@ -42,6 +42,11 @@ type Incremental struct {
 	fwd, rev [][]graph.NodeID
 	in, out  [][]graph.NodeID
 	size     int
+
+	// seen[v] == stamp marks v visited by the running bfs; each bfs takes a
+	// fresh stamp, so the array is cleared only when the stamp wraps.
+	seen  []uint32
+	stamp uint32
 }
 
 // NewIncremental seeds an updatable labeling from a computed cover and its
@@ -175,24 +180,21 @@ func (inc *Incremental) DeleteEdge(u, v graph.NodeID) []LabelDelta {
 		return nil
 	}
 	// Ru / Fv in the pre-deletion graph: the only nodes whose labels or
-	// pair coverage the removal can affect.
-	ruSet := toSet(inc.bfs(inc.rev, u))
-	fvSet := toSet(inc.bfs(inc.fwd, v))
+	// pair coverage the removal can affect. Membership is a binary search.
+	ru := inc.sortedBFS(inc.rev, u)
+	fv := inc.sortedBFS(inc.fwd, v)
 	inc.fwd[u] = slices.Delete(inc.fwd[u], i, i+1)
 	j := slices.Index(inc.rev[v], u)
 	inc.rev[v] = slices.Delete(inc.rev[v], j, j+1)
 
-	ru := sortedKeys(ruSet)
-	fv := sortedKeys(fvSet)
-
-	// Post-deletion reach sets, one pruned BFS per distinct root, shared
-	// between validation and re-cover.
-	fwdReach := make(map[graph.NodeID]map[graph.NodeID]struct{})
-	revReach := make(map[graph.NodeID]map[graph.NodeID]struct{})
-	reach := func(memo map[graph.NodeID]map[graph.NodeID]struct{}, adj [][]graph.NodeID, s graph.NodeID) map[graph.NodeID]struct{} {
+	// Post-deletion reach sets, one pruned BFS per distinct root, sorted
+	// and shared between validation and re-cover.
+	fwdReach := make(map[graph.NodeID][]graph.NodeID)
+	revReach := make(map[graph.NodeID][]graph.NodeID)
+	reach := func(memo map[graph.NodeID][]graph.NodeID, adj [][]graph.NodeID, s graph.NodeID) []graph.NodeID {
 		r, ok := memo[s]
 		if !ok {
-			r = toSet(inc.bfs(adj, s))
+			r = inc.sortedBFS(adj, s)
 			memo[s] = r
 		}
 		return r
@@ -203,10 +205,10 @@ func (inc *Incremental) DeleteEdge(u, v graph.NodeID) []LabelDelta {
 	for _, x := range ru {
 		var drop []graph.NodeID
 		for _, c := range inc.out[x] {
-			if _, suspect := fvSet[c]; !suspect {
+			if !containsSorted(fv, c) {
 				continue
 			}
-			if _, still := reach(revReach, inc.rev, c)[x]; !still {
+			if !containsSorted(reach(revReach, inc.rev, c), x) {
 				drop = append(drop, c)
 			}
 		}
@@ -219,10 +221,10 @@ func (inc *Incremental) DeleteEdge(u, v graph.NodeID) []LabelDelta {
 	for _, y := range fv {
 		var drop []graph.NodeID
 		for _, c := range inc.in[y] {
-			if _, suspect := ruSet[c]; !suspect {
+			if !containsSorted(ru, c) {
 				continue
 			}
-			if _, still := reach(fwdReach, inc.fwd, c)[y]; !still {
+			if !containsSorted(reach(fwdReach, inc.fwd, c), y) {
 				drop = append(drop, c)
 			}
 		}
@@ -239,10 +241,7 @@ func (inc *Incremental) DeleteEdge(u, v graph.NodeID) []LabelDelta {
 	for _, x := range ru {
 		r := reach(fwdReach, inc.fwd, x)
 		for _, y := range fv {
-			if y == x {
-				continue
-			}
-			if _, reachable := r[y]; !reachable {
+			if y == x || !containsSorted(r, y) {
 				continue
 			}
 			if inc.Reaches(x, y) {
@@ -257,34 +256,31 @@ func (inc *Incremental) DeleteEdge(u, v graph.NodeID) []LabelDelta {
 	return deltas
 }
 
-// toSet converts a node list to a membership set.
-func toSet(nodes []graph.NodeID) map[graph.NodeID]struct{} {
-	s := make(map[graph.NodeID]struct{}, len(nodes))
-	for _, v := range nodes {
-		s[v] = struct{}{}
-	}
-	return s
+// sortedBFS is bfs with its result sorted ascending.
+func (inc *Incremental) sortedBFS(adj [][]graph.NodeID, start graph.NodeID) []graph.NodeID {
+	r := inc.bfs(adj, start)
+	slices.Sort(r)
+	return r
 }
 
-// sortedKeys returns the set's members ascending.
-func sortedKeys(s map[graph.NodeID]struct{}) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// bfs returns all nodes reachable from start over adj (including start).
+// bfs returns all nodes reachable from start over adj (including start),
+// in visiting order.
 func (inc *Incremental) bfs(adj [][]graph.NodeID, start graph.NodeID) []graph.NodeID {
-	visited := make(map[graph.NodeID]struct{}, 64)
-	visited[start] = struct{}{}
+	if inc.seen == nil {
+		inc.seen = make([]uint32, len(adj))
+	}
+	inc.stamp++
+	if inc.stamp == 0 { // wrapped: marks of old runs would read as visits
+		clear(inc.seen)
+		inc.stamp = 1
+	}
+	mark := inc.stamp
+	inc.seen[start] = mark
 	queue := []graph.NodeID{start}
 	for i := 0; i < len(queue); i++ {
 		for _, w := range adj[queue[i]] {
-			if _, ok := visited[w]; !ok {
-				visited[w] = struct{}{}
+			if inc.seen[w] != mark {
+				inc.seen[w] = mark
 				queue = append(queue, w)
 			}
 		}

@@ -202,26 +202,22 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 	if col < 0 {
 		return nil, fmt.Errorf("rjoin: filter group on unbound node %d in %v", node, t.Cols)
 	}
-	g := &semijoinGroup{conds: conds, outSide: outSide, wss: make([][]graph.NodeID, len(conds))}
-	for i, c := range conds {
+	g := &semijoinGroup{conds: conds, outSide: outSide}
+	for _, c := range conds {
 		if err := incident(c, node, outSide); err != nil {
 			return nil, err
 		}
-		ws, err := db.Centers(c.FromLabel, c.ToLabel)
-		if err != nil {
-			return nil, err
-		}
-		if len(ws) == 0 {
-			// Some condition can never be satisfied: the group empties t.
-			t.Data, t.N = t.Data[:0], 0
-			return t, nil
-		}
-		g.wss[i] = ws
 	}
 	rd := rt.open(db)
 	defer rd.done()
-	if err := rd.prepare(g); err != nil {
+	empty, err := rd.prepare(g)
+	if err != nil {
 		return nil, err
+	}
+	if empty {
+		// Some condition can never be satisfied: the group empties t.
+		t.Data, t.N = t.Data[:0], 0
+		return t, nil
 	}
 	rt.ops++
 	cc := rt.check(ctx)

@@ -24,9 +24,10 @@ type reads interface {
 	// reaches tests u ⇝ v from graph codes.
 	reaches(u, v graph.NodeID) (bool, error)
 	// prepare loads what semijoin needs for one R-semijoin group, once per
-	// operator; semijoin then reports whether a value bound to the group's
-	// node survives every condition (see Runtime.FilterGroup).
-	prepare(g *semijoinGroup) error
+	// operator, and reports whether some condition can never be satisfied;
+	// semijoin then reports whether a value bound to the group's node
+	// survives every condition (see Runtime.FilterGroup).
+	prepare(g *semijoinGroup) (empty bool, err error)
 	semijoin(g *semijoinGroup, v graph.NodeID) (bool, error)
 	// done folds the reader's lookup counters into the runtime's.
 	done()
@@ -35,8 +36,8 @@ type reads interface {
 type partnerFunc func(v graph.NodeID) ([]graph.NodeID, error)
 
 // semijoinGroup is one R-semijoin group's state: its conditions, which
-// code side they read, each condition's W(X, Y), and — on the decoded
-// path — each condition's bound-side distinct projection.
+// code side they read, and each condition's W(X, Y) — on the decoded path
+// its bound-side distinct projection instead.
 type semijoinGroup struct {
 	conds   []Cond
 	outSide bool
@@ -78,9 +79,15 @@ func (d *decodedReads) partners(c Cond, forward bool) (partnerFunc, error) {
 
 func (d *decodedReads) reaches(u, v graph.NodeID) (bool, error) { return d.r.Reaches(u, v) }
 
-func (d *decodedReads) prepare(g *semijoinGroup) (err error) {
+// prepare needs no W row: a condition's projection is empty exactly when
+// its W row is, since every center of W(X, Y) has a non-empty X-labeled
+// F-subcluster and Y-labeled T-subcluster.
+func (d *decodedReads) prepare(g *semijoinGroup) (empty bool, err error) {
 	g.projs, err = projections(d.db, g.conds, g.outSide)
-	return err
+	for _, p := range g.projs {
+		empty = empty || p.Len() == 0
+	}
+	return empty, err
 }
 
 // projections loads each condition's bound-side distinct projection — π_X
@@ -172,7 +179,15 @@ func (p pooledReads) code(v graph.NodeID, out bool) ([]graph.NodeID, error) {
 	return p.db.InCode(v)
 }
 
-func (pooledReads) prepare(*semijoinGroup) error { return nil }
+func (p pooledReads) prepare(g *semijoinGroup) (empty bool, err error) {
+	g.wss = make([][]graph.NodeID, len(g.conds))
+	for i, c := range g.conds {
+		if g.wss[i], err = p.db.Centers(c.FromLabel, c.ToLabel); err != nil || len(g.wss[i]) == 0 {
+			return true, err
+		}
+	}
+	return false, nil
+}
 
 // semijoin is Algorithm 2's Filter as written: one code retrieval per row,
 // shared by the group's conditions (Remark 3.1).

@@ -265,6 +265,15 @@ type Stats struct {
 	// slot's list (the successor refills them on demand).
 	PartnerSlotsInherited int64 `json:"partner_slots_inherited"`
 	PartnerSlotsDropped   int64 `json:"partner_slots_dropped"`
+	// PublishCopiedBytes sums, over all publishes, what carrying the
+	// decoded caches (code cache, subcluster memo, partner tables) into the
+	// successor epoch allocated: new chunk directories plus the chunks that
+	// held a slot the batch touched. PublishInheritUS is the log2 histogram
+	// of the time each publish spent on that carry and on patching the
+	// projections: entry i counts publishes that took [2^(i-1), 2^i) µs
+	// (entry 0: under 1 µs), cut after the last non-zero entry.
+	PublishCopiedBytes int64   `json:"publish_copied_bytes"`
+	PublishInheritUS   []int64 `json:"publish_inherit_us"`
 	// FastpathTier2Prunes counts successful queries the fan-signature
 	// prefilter proved empty: they ran no operator.
 	FastpathTier2Prunes int64 `json:"fastpath_tier2_prunes"`
@@ -337,6 +346,13 @@ func (s *Server) Stats() Stats {
 		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
 		st.ProjectionBytes = s.db.ProjectionBytes()
 		st.PartnerSlotsInherited, st.PartnerSlotsDropped = s.db.PartnerSlotStats()
+		var hist [64]int64
+		st.PublishCopiedBytes, hist = s.db.PublishStats()
+		n := len(hist)
+		for n > 0 && hist[n-1] == 0 {
+			n--
+		}
+		st.PublishInheritUS = hist[:n:n]
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current
 		st.PinnedEpochs = es.Pinned
