@@ -67,13 +67,15 @@ test-cover:
 # race detector: concurrent insert batches against lock-free readers
 # (prefix consistency, epoch retirement), the stalled-writer
 # no-reader-blocking probe, readers racing to fill one partner table,
-# readers filling the old epoch's tables while a publish carries them, and
-# the partner slots a publish carries checked after every mixed batch.
+# readers filling the old epoch's tables while a publish carries them, the
+# partner slots a publish carries checked after every mixed batch, readers
+# filling chunks shared by several pinned epochs, and the memo charge of
+# chunks those epochs share.
 # The full -race suite runs them once; the elevated count shakes out more
 # interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
-	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestCodeCacheBound' ./internal/gdb
+	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestCodeCacheBound|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
 
@@ -113,10 +115,13 @@ bench-served-trace:
 # alternating which side goes first, and prints one block per workload:
 # per end-to-end metric each side's median and quartiles and how many pairs
 # the working tree won. A comma-separated list makes a "must not move"
-# table one command.
+# table one command. OUT=<file> also writes the comparison as JSON (the
+# BENCH_*.json a performance claim commits); CLAIM=<metric> records there
+# whether that metric improved on every workload run.
 PAIRS ?= 10
 bench-served-pair:
-	$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS)
+	$(GO) run ./scripts/benchpair -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS) \
+		$(if $(OUT),-out '$(OUT)') $(if $(CLAIM),-claim '$(CLAIM)')
 
 # bench-baseline records the kernel benchmarks (10 runs, for benchstat
 # confidence intervals) into $(BENCH_BASE); run it on the commit you want

@@ -14,7 +14,7 @@ import (
 // dropped code is a miss in every epoch that shares its chunk, and the
 // chunk's count stays exact.
 type codeCache struct {
-	slots atomic.Pointer[slotArray[codes]]
+	slots slotArray[codes]
 	max   int64
 	n     atomic.Int64  // slots filled, plus puts between reserving and storing
 	hand  atomic.Uint32 // where the next eviction sweep starts
@@ -22,16 +22,14 @@ type codeCache struct {
 }
 
 func newCodeCache(nodes, entries int) *codeCache {
-	c := &codeCache{max: int64(entries), size: nodes}
-	c.slots.Store(newSlotArray[codes](nodes))
-	return c
+	return &codeCache{slots: newSlotArray[codes](nodes), max: int64(entries), size: nodes}
 }
 
 func (c *codeCache) get(x graph.NodeID) *codes {
 	if uint(x) >= uint(c.size) {
 		return nil
 	}
-	return c.slots.Load().load(int(x))
+	return c.slots.load(int(x))
 }
 
 // put caches x's codes. It reserves its place in the count before storing
@@ -45,17 +43,16 @@ func (c *codeCache) put(x graph.NodeID, v *codes) {
 		c.n.Add(-1) // every other entry is still in flight: do not cache
 		return
 	}
-	if !c.slots.Load().replace(int(x), nil, v, 1) {
+	if !c.slots.replace(int(x), nil, v, 1) {
 		c.n.Add(-1) // a concurrent reader cached x first
 	}
 }
 
 // evict drops one cached entry, looking at each slot at most once.
 func (c *codeCache) evict() bool {
-	slots := c.slots.Load()
 	for range c.size {
 		i := int(c.hand.Add(1)) % c.size
-		if p := slots.load(i); p != nil && slots.replace(i, p, nil, -1) {
+		if p := c.slots.load(i); p != nil && c.slots.replace(i, p, nil, -1) {
 			c.n.Add(-1)
 			return true
 		}
@@ -66,9 +63,9 @@ func (c *codeCache) evict() bool {
 // len returns the number of cached entries.
 func (c *codeCache) len() int { return int(c.n.Load()) }
 
-// clear empties the cache by giving it an empty directory.
+// clear empties the cache's directory.
 func (c *codeCache) clear() {
-	c.slots.Store(newSlotArray[codes](c.size))
+	c.slots.reset()
 	c.n.Store(0)
 }
 
@@ -76,9 +73,8 @@ func (c *codeCache) clear() {
 // nodes whose codes the batch changed (ascending), sharing every chunk that
 // holds none of them. It also returns the bytes copied.
 func (c *codeCache) successor(touched []int) (*codeCache, int) {
-	slots, copied, _ := c.slots.Load().successor(touched, func(*codes) int64 { return 1 })
-	n := &codeCache{max: c.max, size: c.size}
-	n.slots.Store(slots)
+	slots, copied, _ := c.slots.successor(touched, func(*codes) int64 { return 1 })
+	n := &codeCache{slots: slots, max: c.max, size: c.size}
 	filled, _ := slots.held()
 	n.n.Store(filled)
 	return n, copied

@@ -188,17 +188,16 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 
 // newSnap returns an empty snapshot shell with fresh caches.
 func (db *DB) newSnap(g *graph.Graph) *Snap {
-	s := &Snap{
+	return &Snap{
 		db:        db,
 		g:         g,
 		base:      make(map[graph.Label]*storage.BTree),
 		sig:       newSignature(),
 		codeCache: newCodeCache(g.NumNodes(), db.codeCacheEntries),
+		clmemo:    newSlotArray[centerMemo](g.NumNodes()),
 		projFrom:  make(map[wKey]*NodeSet),
 		projTo:    make(map[wKey]*NodeSet),
 	}
-	s.clmemo.Store(newSlotArray[centerMemo](g.NumNodes()))
-	return s
 }
 
 // publishInitial seals the heap, ranks the nodes, and installs s as epoch

@@ -340,7 +340,7 @@ func TestCodeCacheBound(t *testing.T) {
 		c := db.mgr.Current().codeCache
 		filled := 0
 		for i := 0; i < c.size; i++ {
-			if c.slots.Load().load(i) != nil {
+			if c.slots.load(i) != nil {
 				filled++
 			}
 		}

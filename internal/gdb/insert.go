@@ -126,6 +126,7 @@ type snapWriter struct {
 
 	touchedNodes map[graph.NodeID]struct{} // stale graph codes
 	touchedW     map[wKey]struct{}         // W rows the batch changed
+	rows         map[wKey][]graph.NodeID   // next's W rows publish has read
 	touchedCl    map[clKey]struct{}        // stale decoded subclusters
 	changed      bool
 	torn         bool // an edge failed partway through its tree updates
@@ -212,6 +213,23 @@ func (w *snapWriter) publish(cur *Snap) {
 	db.bulkBuilt = false
 }
 
+// row returns next's W(X, Y) row, read once per publish: the projections
+// of both sides and the partner tables of both directions ask for it.
+func (w *snapWriter) row(next *Snap, k wKey) ([]graph.NodeID, error) {
+	if ws, ok := w.rows[k]; ok {
+		return ws, nil
+	}
+	ws, err := next.Centers(k.x, k.y)
+	if err != nil {
+		return nil, err
+	}
+	if w.rows == nil {
+		w.rows = make(map[wKey][]graph.NodeID)
+	}
+	w.rows[k] = ws
+	return ws, nil
+}
+
 // has reports whether the batch's graph so far holds an edge u→v: the
 // published graph's copies plus the batch's pending count (edges are a
 // multiset).
@@ -243,8 +261,8 @@ func (w *snapWriter) inheritDecoded(cur, next *Snap) int {
 		centers = append(centers, int(k.w))
 	}
 	slices.Sort(centers)
-	memo, n, _ := cur.clmemo.Load().successor(centers, (*centerMemo).cost)
-	next.clmemo.Store(memo)
+	memo, n, _ := cur.clmemo.successor(centers, (*centerMemo).cost)
+	next.clmemo = memo
 	_, held := memo.held()
 	next.clNodes = int(held)
 	return copied + n
@@ -338,7 +356,7 @@ func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.
 	ws := t.ws
 	if _, ok := w.touchedW[wKey{k.x, k.y}]; ok {
 		var err error
-		if ws, err = next.Centers(k.x, k.y); err != nil {
+		if ws, err = w.row(next, wKey{k.x, k.y}); err != nil {
 			return nil, 0, 0, err
 		}
 	}
@@ -403,12 +421,16 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forw
 	if !forward {
 		side, dir, code = k.y, dirT, next.InCode
 	}
-	ws, err := next.Centers(k.x, k.y)
+	cands := touched[side]
+	_, rowMoved := w.touchedW[k]
+	if len(cands) == 0 && !rowMoved {
+		return set, false, nil
+	}
+	ws, err := w.row(next, k)
 	if err != nil {
 		return nil, false, err
 	}
-	cands := touched[side]
-	if _, ok := w.touchedW[k]; ok {
+	if rowMoved {
 		cands = slices.Clone(cands)
 		ws0, err := cur.Centers(k.x, k.y)
 		if err != nil {

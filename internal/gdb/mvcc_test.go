@@ -300,8 +300,8 @@ func checkChunksShared(t *testing.T, old, next *Snap) {
 			t.Fatalf("%s: %d chunks shared and %d copied; want both", what, shared, copied)
 		}
 	}
-	check("code cache", chunkPtrs(old.codeCache.slots.Load()), chunkPtrs(next.codeCache.slots.Load()), changedCode)
-	check("subcluster memo", chunkPtrs(old.clmemo.Load()), chunkPtrs(next.clmemo.Load()), changedCenter)
+	check("code cache", chunkPtrs(&old.codeCache.slots), chunkPtrs(&next.codeCache.slots), changedCode)
+	check("subcluster memo", chunkPtrs(&old.clmemo), chunkPtrs(&next.clmemo), changedCenter)
 }
 
 // chunkPtrs returns a's chunk pointers, nil where none is allocated.

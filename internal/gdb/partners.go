@@ -29,7 +29,7 @@ type partnerTable struct {
 	bound graph.Label    // whose nodes own the slots: x forward, y reverse
 	ws    []graph.NodeID // W(X, Y)
 	n     int            // slots: the bound label's extent
-	slots *slotArray[partnerList]
+	slots slotArray[partnerList]
 }
 
 // partnerList is what a filled slot points to. A value with one center

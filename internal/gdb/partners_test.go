@@ -87,7 +87,7 @@ func coldPartners(t testing.TB, cold *Snap, k partnerKey, v graph.NodeID) []grap
 
 // memoEntries returns every subcluster s's memo holds, by key.
 func memoEntries(s *Snap) map[clKey][]graph.NodeID {
-	memo := s.clmemo.Load()
+	memo := s.clmemo
 	out := make(map[clKey][]graph.NodeID)
 	for w := 0; w < s.g.NumNodes(); w++ {
 		if m := memo.load(w); m != nil {
@@ -118,10 +118,10 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 		}
 		held += len(got)
 	}
-	if _, charge := s.clmemo.Load().held(); charge != int64(held) {
+	if _, charge := s.clmemo.held(); charge != int64(held) {
 		t.Fatalf("%s: the subcluster memo's chunks are charged %d units, its lists hold %d", what, charge, held)
 	}
-	cc := s.codeCache.slots.Load()
+	cc := &s.codeCache.slots
 	for v := 0; v < s.g.NumNodes(); v++ {
 		got := cc.load(v)
 		if got == nil {

@@ -18,8 +18,8 @@ import (
 // A chunk is allocated on the first fill of one of its slots. It carries
 // the memo-budget charge of what its slots hold, so a chunk shared by k
 // epochs is charged once, and an epoch's resident size is the sum over its
-// directory (charge). A cache that overflows its bound starts an empty
-// directory; it never clears a shared chunk in place.
+// directory (held). A cache that overflows its bound empties its own
+// directory (reset); it never clears a shared chunk in place.
 type slotArray[T any] struct {
 	chunks []atomic.Pointer[chunk[T]]
 }
@@ -37,8 +37,16 @@ type chunk[T any] struct {
 }
 
 // newSlotArray returns an empty array of n slots.
-func newSlotArray[T any](n int) *slotArray[T] {
-	return &slotArray[T]{chunks: make([]atomic.Pointer[chunk[T]], (n+chunkMask)>>chunkBits)}
+func newSlotArray[T any](n int) slotArray[T] {
+	return slotArray[T]{chunks: make([]atomic.Pointer[chunk[T]], (n+chunkMask)>>chunkBits)}
+}
+
+// reset empties the directory: the chunks stay as they are for every other
+// epoch that holds them.
+func (a *slotArray[T]) reset() {
+	for i := range a.chunks {
+		a.chunks[i].Store(nil)
+	}
 }
 
 // load returns slot i's value, nil when empty.
@@ -100,8 +108,8 @@ const (
 // cost of each value it took, so it never counts a slot it did not copy.
 // It also returns the bytes the new directory and the copies occupy, and
 // how many filled slots the copies left out.
-func (a *slotArray[T]) successor(touched []int, cost func(*T) int64) (_ *slotArray[T], copied, dropped int) {
-	next := &slotArray[T]{chunks: make([]atomic.Pointer[chunk[T]], len(a.chunks))}
+func (a *slotArray[T]) successor(touched []int, cost func(*T) int64) (next slotArray[T], copied, dropped int) {
+	next = newSlotArray[T](len(a.chunks) << chunkBits)
 	for i := range a.chunks {
 		next.chunks[i].Store(a.chunks[i].Load())
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/storage"
@@ -55,7 +54,7 @@ type Snap struct {
 	// resets, never a hit; clNodes is the node IDs they added, for the
 	// memo's size bound.
 	clmu    sync.Mutex
-	clmemo  atomic.Pointer[slotArray[centerMemo]]
+	clmemo  slotArray[centerMemo]
 	clNodes int
 
 	// pmu guards the set of partner tables and its share of the memo
@@ -209,7 +208,7 @@ func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeI
 	if uint(w) >= uint(s.g.NumNodes()) {
 		return s.clusterLookup(w, dir, l)
 	}
-	m := s.clmemo.Load().load(int(w))
+	m := s.clmemo.load(int(w))
 	if i, ok := m.find(dir, l); ok {
 		r.Hits++
 		return (*m)[i].nodes, nil
@@ -226,22 +225,21 @@ func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeI
 // its length against the bound, and returns the list the memo holds for it:
 // sc's, or the one a reader that decoded the same key at the same time
 // stored first. Callers use the returned list, so every reader of a key
-// shares one charged copy. A memo that would overflow starts an empty
-// directory first: it is an epoch-local cache, not a second index, and
-// chunks another epoch shares are never cleared. Readers hold the lists,
-// not the directory, so a reset never disturbs a running query.
+// shares one charged copy. A memo that would overflow empties its directory
+// first: it is an epoch-local cache, not a second index, and chunks another
+// epoch shares are never cleared. Readers hold the lists, not the
+// directory, so a reset never disturbs a running query.
 func (s *Snap) memoPut(w graph.NodeID, sc subcluster) []graph.NodeID {
 	s.clmu.Lock()
 	defer s.clmu.Unlock()
 	for {
-		memo := s.clmemo.Load()
-		m := memo.load(int(w))
+		m := s.clmemo.load(int(w))
 		i, dup := m.find(sc.dir, sc.l)
 		if dup {
 			return (*m)[i].nodes
 		}
 		if s.clNodes > 0 && s.clNodes+len(sc.nodes) > s.db.memoBound {
-			s.clmemo.Store(newSlotArray[centerMemo](s.g.NumNodes()))
+			s.clmemo.reset()
 			s.clNodes = 0
 			s.db.memoResets.Add(1)
 			continue
@@ -254,7 +252,7 @@ func (s *Snap) memoPut(w graph.NodeID, sc subcluster) []graph.NodeID {
 		}
 		// A reader of another epoch sharing the chunk may have filled the
 		// slot since the load: then look again.
-		if memo.replace(int(w), m, &next, int64(len(sc.nodes))) {
+		if s.clmemo.replace(int(w), m, &next, int64(len(sc.nodes))) {
 			s.clNodes += len(sc.nodes)
 			return sc.nodes
 		}
@@ -273,7 +271,7 @@ func (s *Snap) DecodedMemoNodes() int {
 // chunks its directories point at, each counted once, whichever epoch
 // filled it.
 func (s *Snap) decodedMemo() (nodes, tables int) {
-	_, held := s.clmemo.Load().held()
+	_, held := s.clmemo.held()
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	for _, t := range s.ptabs {
@@ -471,7 +469,7 @@ func (s *Snap) projectionBytes() int {
 // cost on first access only.
 func (s *Snap) clearCaches() {
 	s.clmu.Lock()
-	s.clmemo.Store(newSlotArray[centerMemo](s.g.NumNodes()))
+	s.clmemo.reset()
 	s.clNodes = 0
 	s.clmu.Unlock()
 	s.pmu.Lock()

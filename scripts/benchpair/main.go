@@ -6,6 +6,14 @@
 // (BENCHMARK.json names the metrics and which direction is better; ties
 // count for neither side).
 //
+// With -out it also writes the comparison to a JSON file — the record a
+// performance claim commits: both revisions, the host (GOMAXPROCS, NumCPU,
+// Go version), per workload and metric each side's samples, median and
+// quartiles and the pairs the working tree won, and, with -claim, whether
+// the claimed metric improved: won in at least 9 of 10 pairs (the same
+// share of any other count) by a median gap larger than the base's
+// interquartile distance.
+//
 // The base revision is exported with `git archive` into a temporary
 // directory, so an interrupted run leaves nothing behind in .git.
 package main
@@ -17,6 +25,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,12 +35,14 @@ func main() {
 	base := flag.String("base", "", "revision to compare the working tree against")
 	workloads := flag.String("workload", "", "benchmark workloads to run, comma-separated")
 	pairs := flag.Int("pairs", 10, "number of base/head pairs (seeds 1..pairs)")
+	out := flag.String("out", "", "also write the comparison to this JSON file")
+	claim := flag.String("claim", "", "end-to-end metric the working tree claims to improve on every workload (recorded with -out)")
 	flag.Parse()
 	if *base == "" || *workloads == "" || *pairs < 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchpair -base <rev> -workload <name>[,<name>...] [-pairs 10]")
+		fmt.Fprintln(os.Stderr, "usage: benchpair -base <rev> -workload <name>[,<name>...] [-pairs 10] [-out <file> [-claim <metric>]]")
 		os.Exit(2)
 	}
-	if err := run(*base, strings.Split(*workloads, ","), *pairs); err != nil {
+	if err := run(*base, strings.Split(*workloads, ","), *pairs, *out, *claim); err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
@@ -42,7 +54,7 @@ type metricSpec struct {
 	Better string `json:"better"`
 }
 
-func run(base string, workloads []string, pairs int) error {
+func run(base string, workloads []string, pairs int, out, claim string) error {
 	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -52,6 +64,13 @@ func run(base string, workloads []string, pairs int) error {
 	}
 	if err := json.Unmarshal(data, &manifest); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	rec, err := newRecord(base, pairs)
+	if err != nil {
+		return err
+	}
+	if claim != "" && !slices.ContainsFunc(manifest.EndToEnd, func(m metricSpec) bool { return m.Name == claim }) {
+		return fmt.Errorf("-claim %s is not an end-to-end metric of BENCHMARK.json", claim)
 	}
 
 	tmp, err := os.MkdirTemp("", "benchpair-")
@@ -75,16 +94,28 @@ func run(base string, workloads []string, pairs int) error {
 	}
 
 	for _, workload := range workloads {
-		if err := compare(bins, tmp, base, workload, pairs, manifest.EndToEnd); err != nil {
+		res, err := compare(bins, tmp, base, workload, pairs, manifest.EndToEnd)
+		if err != nil {
 			return fmt.Errorf("%s: %w", workload, err)
 		}
+		rec.Workloads[workload] = res
+		if claim != "" {
+			rec.Claims = append(rec.Claims, judge(workload, res[claim]))
+		}
 	}
-	return nil
+	if out == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, append(b, '\n'), 0o644)
 }
 
-// compare runs one workload's pairs on the two binaries and prints its
-// block.
-func compare(bins map[string]string, tmp, base, workload string, pairs int, metrics []metricSpec) error {
+// compare runs one workload's pairs on the two binaries, prints its block
+// and returns it per metric.
+func compare(bins map[string]string, tmp, base, workload string, pairs int, metrics []metricSpec) (map[string]*metricResult, error) {
 	samples := map[string]map[string][]float64{"base": {}, "head": {}}
 	for seed := 1; seed <= pairs; seed++ {
 		order := []string{"base", "head"}
@@ -94,7 +125,7 @@ func compare(bins map[string]string, tmp, base, workload string, pairs int, metr
 		for _, side := range order {
 			m, err := runOnce(bins[side], tmp, workload, seed)
 			if err != nil {
-				return fmt.Errorf("%s, seed %d: %w", side, seed, err)
+				return nil, fmt.Errorf("%s, seed %d: %w", side, seed, err)
 			}
 			for name, v := range m {
 				samples[side][name] = append(samples[side][name], v)
@@ -104,6 +135,7 @@ func compare(bins map[string]string, tmp, base, workload string, pairs int, metr
 	}
 
 	fmt.Printf("%s, %d pairs, base %s → working tree; median [q1, q3]\n", workload, pairs, base)
+	res := make(map[string]*metricResult, len(metrics))
 	for _, spec := range metrics {
 		b, h := samples["base"][spec.Name], samples["head"][spec.Name]
 		wins := 0
@@ -114,14 +146,107 @@ func compare(bins map[string]string, tmp, base, workload string, pairs int, metr
 		}
 		fmt.Printf("%-20s %-6s base %s  head %s  head better in %d/%d\n",
 			spec.Name, spec.Unit, summary(b), summary(h), wins, len(b))
+		res[spec.Name] = &metricResult{Unit: spec.Unit, Better: spec.Better, Base: describe(b), Head: describe(h), HeadWon: wins}
 	}
-	return nil
+	return res, nil
+}
+
+// record is what -out writes.
+type record struct {
+	Base      revision                            `json:"base"`
+	Head      revision                            `json:"head"`
+	Env       env                                 `json:"env"`
+	Pairs     int                                 `json:"pairs"`
+	Seconds   int                                 `json:"seconds"`
+	Claims    []claimResult                       `json:"claims,omitempty"`
+	Workloads map[string]map[string]*metricResult `json:"workloads"`
+}
+
+type revision struct {
+	Rev    string `json:"rev,omitempty"`
+	Commit string `json:"commit"`
+	Dirty  bool   `json:"dirty,omitempty"` // the working tree had uncommitted changes
+}
+
+type env struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Go         string `json:"go"`
+}
+
+type metricResult struct {
+	Unit    string     `json:"unit"`
+	Better  string     `json:"better"`
+	Base    sampleStat `json:"base"`
+	Head    sampleStat `json:"head"`
+	HeadWon int        `json:"head_won"`
+}
+
+type sampleStat struct {
+	Median  float64   `json:"median"`
+	Q1      float64   `json:"q1"`
+	Q3      float64   `json:"q3"`
+	Samples []float64 `json:"samples"` // by seed
+}
+
+// claimResult is the verdict on a claimed metric of one workload.
+type claimResult struct {
+	Workload  string  `json:"workload"`
+	Metric    string  `json:"metric"`
+	HeadWon   int     `json:"head_won"`
+	Pairs     int     `json:"pairs"`
+	MedianGap float64 `json:"median_gap"` // head − base, signed so that positive is better
+	BaseIQR   float64 `json:"base_iqr"`
+	Holds     bool    `json:"holds"`
+}
+
+func newRecord(base string, pairs int) (*record, error) {
+	baseCommit, err := git("rev-parse", base+"^{commit}")
+	if err != nil {
+		return nil, err
+	}
+	headCommit, err := git("rev-parse", "HEAD")
+	if err != nil {
+		return nil, err
+	}
+	status, err := git("status", "--porcelain", "--untracked-files=no")
+	if err != nil {
+		return nil, err
+	}
+	return &record{
+		Base:      revision{Rev: base, Commit: baseCommit},
+		Head:      revision{Commit: headCommit, Dirty: status != ""},
+		Env:       env{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Go: runtime.Version()},
+		Pairs:     pairs,
+		Seconds:   windowSeconds,
+		Workloads: make(map[string]map[string]*metricResult),
+	}, nil
+}
+
+func git(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// judge applies the claim rule to one workload's metric.
+func judge(workload string, m *metricResult) claimResult {
+	gap := m.Head.Median - m.Base.Median
+	if m.Better == "lower" {
+		gap = -gap
+	}
+	pairs := len(m.Base.Samples)
+	c := claimResult{Workload: workload, HeadWon: m.HeadWon, Pairs: pairs, MedianGap: gap, BaseIQR: m.Base.Q3 - m.Base.Q1}
+	c.Holds = 10*m.HeadWon >= 9*pairs && gap > c.BaseIQR
+	return c
 }
 
 // runOnce runs one untraced 15 s window and returns the metrics of the
 // JSON object on the run's last stdout line.
 func runOnce(bin, dir, workload string, seed int) (map[string]float64, error) {
-	cmd := exec.Command(bin, "--workload", workload, "--trace", "0", "--seconds", "15", "--seed", fmt.Sprint(seed))
+	cmd := exec.Command(bin, "--workload", workload, "--trace", "0", "--seconds", fmt.Sprint(windowSeconds), "--seed", fmt.Sprint(seed))
 	cmd.Dir = dir // benchmark/out lands in the temporary directory
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -149,9 +274,12 @@ func runOnce(bin, dir, workload string, seed int) (map[string]float64, error) {
 	return m, nil
 }
 
-// summary formats a sample's median and quartiles, interpolated linearly
+// windowSeconds is each run's measured window.
+const windowSeconds = 15
+
+// describe returns a sample's median and quartiles, interpolated linearly
 // between neighbours of the sorted sample.
-func summary(xs []float64) string {
+func describe(xs []float64) sampleStat {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	q := func(p float64) float64 {
@@ -162,7 +290,13 @@ func summary(xs []float64) string {
 		}
 		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 	}
-	return fmt.Sprintf("%9.3f [%9.3f, %9.3f]", q(0.5), q(0.25), q(0.75))
+	return sampleStat{Median: q(0.5), Q1: q(0.25), Q3: q(0.75), Samples: xs}
+}
+
+// summary formats a sample's median and quartiles.
+func summary(xs []float64) string {
+	d := describe(xs)
+	return fmt.Sprintf("%9.3f [%9.3f, %9.3f]", d.Median, d.Q1, d.Q3)
 }
 
 // export unpacks revision rev of the repository into dir.
