@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"encoding/binary"
+	"maps"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/storage"
@@ -9,8 +10,7 @@ import (
 
 // Signature is the per-label degree/fan-signature table of one epoch: for
 // every ordered label pair (X, Y) it carries |W(X, Y)| and the exact
-// R-join size estimate Σ_{w∈W(X,Y)} |F_X(w)|·|T_Y(w)|, and per label the
-// total F-/T-subcluster mass (out-fan / in-fan) across all centers.
+// R-join size estimate Σ_{w∈W(X,Y)} |F_X(w)|·|T_Y(w)|.
 //
 // The table is built for free during the cluster-index sweep of Build,
 // recomputed by one cluster-index scan on Open, and maintained
@@ -24,9 +24,7 @@ import (
 // Like every other Snap structure it is immutable within an epoch; the
 // snapshot writer clones it lazily before the first mutation.
 type Signature struct {
-	pairs  map[wKey]PairStat
-	outFan map[graph.Label]int64 // Σ_w |F_X(w)|: total X-labeled F mass
-	inFan  map[graph.Label]int64 // Σ_w |T_Y(w)|: total Y-labeled T mass
+	pairs map[wKey]PairStat
 }
 
 // PairStat is the fan signature of one ordered label pair (X, Y).
@@ -41,22 +39,12 @@ type PairStat struct {
 }
 
 func newSignature() *Signature {
-	return &Signature{
-		pairs:  make(map[wKey]PairStat),
-		outFan: make(map[graph.Label]int64),
-		inFan:  make(map[graph.Label]int64),
-	}
+	return &Signature{pairs: make(map[wKey]PairStat)}
 }
 
 // Pair returns the fan signature of (x, y); the zero PairStat when the
 // pair has no centers (W(x, y) = ∅).
 func (sig *Signature) Pair(x, y graph.Label) PairStat { return sig.pairs[wKey{x, y}] }
-
-// OutFan returns the total X-labeled F-subcluster mass Σ_w |F_X(w)|.
-func (sig *Signature) OutFan(x graph.Label) int64 { return sig.outFan[x] }
-
-// InFan returns the total Y-labeled T-subcluster mass Σ_w |T_Y(w)|.
-func (sig *Signature) InFan(y graph.Label) int64 { return sig.inFan[y] }
 
 // NumPairs returns the number of label pairs with at least one center.
 func (sig *Signature) NumPairs() int { return len(sig.pairs) }
@@ -65,43 +53,11 @@ func (sig *Signature) NumPairs() int { return len(sig.pairs) }
 // (the differential-test predicate: incrementally maintained ==
 // recomputed from scratch).
 func (sig *Signature) Equal(o *Signature) bool {
-	if len(sig.pairs) != len(o.pairs) || len(sig.outFan) != len(o.outFan) || len(sig.inFan) != len(o.inFan) {
-		return false
-	}
-	for k, v := range sig.pairs {
-		if o.pairs[k] != v {
-			return false
-		}
-	}
-	for l, v := range sig.outFan {
-		if o.outFan[l] != v {
-			return false
-		}
-	}
-	for l, v := range sig.inFan {
-		if o.inFan[l] != v {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(sig.pairs, o.pairs)
 }
 
 func (sig *Signature) clone() *Signature {
-	n := &Signature{
-		pairs:  make(map[wKey]PairStat, len(sig.pairs)),
-		outFan: make(map[graph.Label]int64, len(sig.outFan)),
-		inFan:  make(map[graph.Label]int64, len(sig.inFan)),
-	}
-	for k, v := range sig.pairs {
-		n.pairs[k] = v
-	}
-	for l, v := range sig.outFan {
-		n.outFan[l] = v
-	}
-	for l, v := range sig.inFan {
-		n.inFan[l] = v
-	}
-	return n
+	return &Signature{pairs: maps.Clone(sig.pairs)}
 }
 
 // addCenter adds one center's contribution: its non-empty F-subcluster
@@ -128,18 +84,6 @@ func (sig *Signature) applyCenter(sign int64, fls []graph.Label, fsz []int, tls 
 			} else {
 				sig.pairs[k] = ps
 			}
-		}
-		if m := sig.outFan[x] + sign*int64(fsz[i]); m == 0 {
-			delete(sig.outFan, x)
-		} else {
-			sig.outFan[x] = m
-		}
-	}
-	for j, y := range tls {
-		if m := sig.inFan[y] + sign*int64(tsz[j]); m == 0 {
-			delete(sig.inFan, y)
-		} else {
-			sig.inFan[y] = m
 		}
 	}
 }

@@ -5,21 +5,16 @@ import (
 	"unsafe"
 )
 
-// A slotArray is one epoch's view of an array of cache slots, each nil or
-// an immutable value: the code cache (one slot per node ID), a partner
-// table (one per rank in the bound label) and the subcluster memo (one per
-// center node ID). The slots sit in fixed-size chunks; the array itself is
-// only a directory of chunk pointers. A publish gives the successor epoch a
-// new directory (successor) that shares every chunk by pointer except those
-// holding a slot the batch touched, which it copies without those slots.
-// So a chunk shared by two epochs holds only slots whose value is the same
-// in both, and a reader of either epoch may fill it for both (DESIGN §3).
-//
-// A chunk is allocated on the first fill of one of its slots. It carries
-// the memo-budget charge of what its slots hold, so a chunk shared by k
-// epochs is charged once, and an epoch's resident size is the sum over its
-// directory (held). A cache that overflows its bound empties its own
-// directory (reset); it never clears a shared chunk in place.
+// A slotArray is one epoch's directory over the chunks of an array of cache
+// slots, each nil or an immutable value: the code cache (by node ID), a
+// partner table (by rank in the bound label), the subcluster memo (by
+// center). A chunk is allocated on the first fill of one of its slots. A
+// publish gives the successor a new directory sharing every chunk except
+// those holding a slot the batch touched, which it copies without them, so
+// a shared chunk holds only slots equal in both epochs and a reader of
+// either may fill it for both. A chunk carries the charge of what it holds,
+// so k epochs sharing it are charged once; an overflowing cache empties its
+// own directory, never a shared chunk (DESIGN §3).
 type slotArray[T any] struct {
 	chunks []atomic.Pointer[chunk[T]]
 }
@@ -41,8 +36,7 @@ func newSlotArray[T any](n int) slotArray[T] {
 	return slotArray[T]{chunks: make([]atomic.Pointer[chunk[T]], (n+chunkMask)>>chunkBits)}
 }
 
-// reset empties the directory: the chunks stay as they are for every other
-// epoch that holds them.
+// reset empties the directory; other epochs' directories keep the chunks.
 func (a *slotArray[T]) reset() {
 	for i := range a.chunks {
 		a.chunks[i].Store(nil)
@@ -62,21 +56,17 @@ func (a *slotArray[T]) load(i int) *T {
 // no longer holds old: another reader filled it first.
 func (a *slotArray[T]) replace(i int, old, v *T, delta int64) bool {
 	p := &a.chunks[i>>chunkBits]
-	c := p.Load()
-	if c == nil {
-		if old != nil {
-			return false
-		}
+	if p.Load() == nil {
 		p.CompareAndSwap(nil, new(chunk[T])) // a loser uses the winner's chunk
-		c = p.Load()
 	}
+	c := p.Load()
 	if !c.slots[i&chunkMask].CompareAndSwap(old, v) {
 		return false
 	}
-	switch {
-	case old == nil && v != nil:
+	if old == nil {
 		c.filled.Add(1)
-	case old != nil && v == nil:
+	}
+	if v == nil {
 		c.filled.Add(-1)
 	}
 	c.charge.Add(delta)
@@ -95,8 +85,7 @@ func (a *slotArray[T]) held() (filled, charge int64) {
 	return filled, charge
 }
 
-// chunkBytes is the memory one chunk occupies; a directory entry is a
-// pointer.
+// The memory a chunk and a directory entry occupy.
 const (
 	chunkBytes = int(unsafe.Sizeof(chunk[struct{}]{}))
 	dirEntry   = int(unsafe.Sizeof(uintptr(0)))
@@ -114,33 +103,37 @@ func (a *slotArray[T]) successor(touched []int, cost func(*T) int64) (next slotA
 		next.chunks[i].Store(a.chunks[i].Load())
 	}
 	copied = dirEntry * len(a.chunks)
-	for j := 0; j < len(touched); {
-		ci := touched[j] >> chunkBits
-		k := j
-		for k < len(touched) && touched[k]>>chunkBits == ci {
-			k++
+	last := -1
+	for _, t := range touched {
+		ci := t >> chunkBits
+		c := next.chunks[ci].Load()
+		if c == nil {
+			continue
 		}
-		if old := next.chunks[ci].Load(); old != nil {
-			c := new(chunk[T])
-			var filled, charge int64
-			for s := range old.slots {
-				if v := old.slots[s].Load(); v != nil {
-					c.slots[s].Store(v)
-					filled, charge = filled+1, charge+cost(v)
-				}
-			}
-			for _, t := range touched[j:k] {
-				if v := c.slots[t&chunkMask].Swap(nil); v != nil {
-					filled, charge = filled-1, charge-cost(v)
-					dropped++
-				}
-			}
-			c.filled.Store(filled)
-			c.charge.Store(charge)
+		if ci != last {
+			last, c, copied = ci, c.copy(cost), copied+chunkBytes
 			next.chunks[ci].Store(c)
-			copied += chunkBytes
 		}
-		j = k
+		if v := c.slots[t&chunkMask].Swap(nil); v != nil {
+			c.filled.Add(-1)
+			c.charge.Add(-cost(v))
+			dropped++
+		}
 	}
 	return next, copied, dropped
+}
+
+// copy returns a new chunk holding c's values, charged for them.
+func (c *chunk[T]) copy(cost func(*T) int64) *chunk[T] {
+	n := new(chunk[T])
+	var filled, charge int64
+	for s := range c.slots {
+		if v := c.slots[s].Load(); v != nil {
+			n.slots[s].Store(v)
+			filled, charge = filled+1, charge+cost(v)
+		}
+	}
+	n.filled.Store(filled)
+	n.charge.Store(charge)
+	return n
 }

@@ -198,11 +198,6 @@ func (s *Snap) FastF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
 	return s.Reader().F(w, x)
 }
 
-// FastT is GetT through the epoch's decoded-subcluster memo (see FastF).
-func (s *Snap) FastT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
-	return s.Reader().T(w, y)
-}
-
 func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
 	s := r.s
 	if uint(w) >= uint(s.g.NumNodes()) {

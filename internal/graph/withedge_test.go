@@ -132,3 +132,50 @@ func equalNodeIDs(a, b []NodeID) bool {
 	}
 	return true
 }
+
+// TestWithEdgesBatchEqualsOneAtATime: a batch spliced in or out in one
+// copy — several edges per source, parallel copies, an edge listed twice —
+// leaves the same adjacency as applying its edges one at a time, and
+// leaves the receiver untouched.
+func TestWithEdgesBatchEqualsOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	n := 10
+	g := buildRandom(t, 3, n, 20)
+	same := func(what string, a, b *Graph) {
+		t.Helper()
+		if a.NumEdges() != b.NumEdges() {
+			t.Fatalf("%s: %d edges, one at a time %d", what, a.NumEdges(), b.NumEdges())
+		}
+		for x := NodeID(0); int(x) < n; x++ {
+			if !equalNodeIDs(a.Successors(x), b.Successors(x)) || !equalNodeIDs(a.Predecessors(x), b.Predecessors(x)) {
+				t.Fatalf("%s: node %d has %v / %v, one at a time %v / %v", what, x,
+					a.Successors(x), a.Predecessors(x), b.Successors(x), b.Predecessors(x))
+			}
+		}
+	}
+	for round := 0; round < 30; round++ {
+		before := g.NumEdges()
+		var batch [][2]NodeID
+		for len(batch) < 1+rng.Intn(6) {
+			batch = append(batch, [2]NodeID{NodeID(rng.Intn(3)), NodeID(rng.Intn(n))})
+		}
+		batch = append(batch, batch[0]) // a parallel copy within the batch
+		seq := g
+		for _, e := range batch {
+			seq = seq.WithEdge(e[0], e[1])
+		}
+		grown := g.WithEdges(batch)
+		same("insert", grown, seq)
+		if g.NumEdges() != before {
+			t.Fatalf("WithEdges mutated its receiver: %d edges, want %d", g.NumEdges(), before)
+		}
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		drop := batch[:1+rng.Intn(len(batch))]
+		seq = grown
+		for _, e := range drop {
+			seq = seq.WithoutEdge(e[0], e[1])
+		}
+		same("delete", grown.WithoutEdges(drop), seq)
+		g = grown.WithoutEdges(drop)
+	}
+}

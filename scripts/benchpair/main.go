@@ -100,7 +100,7 @@ func run(base string, workloads []string, pairs int, out, claim string) error {
 		}
 		rec.Workloads[workload] = res
 		if claim != "" {
-			rec.Claims = append(rec.Claims, judge(workload, res[claim]))
+			rec.Claims = append(rec.Claims, judge(workload, claim, res[claim]))
 		}
 	}
 	if out == "" {
@@ -232,13 +232,13 @@ func git(args ...string) (string, error) {
 }
 
 // judge applies the claim rule to one workload's metric.
-func judge(workload string, m *metricResult) claimResult {
+func judge(workload, metric string, m *metricResult) claimResult {
 	gap := m.Head.Median - m.Base.Median
 	if m.Better == "lower" {
 		gap = -gap
 	}
 	pairs := len(m.Base.Samples)
-	c := claimResult{Workload: workload, HeadWon: m.HeadWon, Pairs: pairs, MedianGap: gap, BaseIQR: m.Base.Q3 - m.Base.Q1}
+	c := claimResult{Workload: workload, Metric: metric, HeadWon: m.HeadWon, Pairs: pairs, MedianGap: gap, BaseIQR: m.Base.Q3 - m.Base.Q1}
 	c.Holds = 10*m.HeadWon >= 9*pairs && gap > c.BaseIQR
 	return c
 }
