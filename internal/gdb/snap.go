@@ -161,7 +161,7 @@ func (m *centerMemo) cost() int64 {
 
 // fastClusterCacheNodes bounds each decoded memo: the total node IDs held
 // across all cached lists (≈4 MB at the 1M default). On overflow the memo
-// starts an empty directory — an epoch-local cache, not a second index.
+// empties its directory — an epoch-local cache, not a second index.
 const fastClusterCacheNodes = 1 << 20
 
 // Reader is one goroutine's handle on a snapshot's decoded read path: the
