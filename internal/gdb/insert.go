@@ -158,6 +158,7 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 		touchedNodes: make(map[graph.NodeID]struct{}),
 		touchedW:     make(map[wKey]struct{}),
 		touchedCl:    make(map[clKey]struct{}),
+		rows:         make(map[wKey][]graph.NodeID),
 	}
 }
 
@@ -214,7 +215,9 @@ func (w *snapWriter) publish(cur *Snap) {
 }
 
 // row returns next's W(X, Y) row, read once per publish: the projections
-// of both sides and the partner tables of both directions ask for it.
+// of both sides and the partner tables of both directions ask for it. A
+// row the batch left alone is the one a carried partner table of cur
+// already holds (inheritPartners records those first).
 func (w *snapWriter) row(next *Snap, k wKey) ([]graph.NodeID, error) {
 	if ws, ok := w.rows[k]; ok {
 		return ws, nil
@@ -223,11 +226,14 @@ func (w *snapWriter) row(next *Snap, k wKey) ([]graph.NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.rows == nil {
-		w.rows = make(map[wKey][]graph.NodeID)
-	}
 	w.rows[k] = ws
 	return ws, nil
+}
+
+// rowMoved reports whether the batch changed W(k.x, k.y).
+func (w *snapWriter) rowMoved(k wKey) bool {
+	_, ok := w.touchedW[k]
+	return ok
 }
 
 // has reports whether the batch's graph so far holds an edge u→v: the
@@ -304,6 +310,11 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 	cur.pmu.Lock()
 	tabs := maps.Clone(cur.ptabs)
 	cur.pmu.Unlock()
+	for _, t := range tabs {
+		if k := (wKey{t.key.x, t.key.y}); !w.rowMoved(k) {
+			w.rows[k] = t.ws
+		}
+	}
 	next.ptabs = make(map[partnerKey]*partnerTable, len(tabs))
 	moved := make(map[clusterSlot][]graph.NodeID)
 	for k := range w.touchedCl {
@@ -353,12 +364,9 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 // the bytes it copied.
 func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) ([]graph.NodeID, error)) (_ *partnerTable, dropped, copied int, _ error) {
 	k := t.key
-	ws := t.ws
-	if _, ok := w.touchedW[wKey{k.x, k.y}]; ok {
-		var err error
-		if ws, err = w.row(next, wKey{k.x, k.y}); err != nil {
-			return nil, 0, 0, err
-		}
+	ws, err := w.row(next, wKey{k.x, k.y})
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	target, bound := clusterSlot{dirT, k.y}, clusterSlot{dirF, k.x}
 	if !k.forward {
@@ -379,7 +387,7 @@ func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.
 	}
 	slices.Sort(ranks)
 	slots, copied, dropped := t.slots.successor(ranks, (*partnerList).cost)
-	return &partnerTable{key: k, bound: t.bound, ws: ws, n: t.n, slots: slots}, dropped, copied, nil
+	return &partnerTable{key: k, bound: t.bound, ws: ws, n: t.n, rank: t.rank, slots: slots}, dropped, copied, nil
 }
 
 // inheritProjections seeds next's projection memos with cur's sets,
@@ -422,15 +430,14 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forw
 		side, dir, code = k.y, dirT, next.InCode
 	}
 	cands := touched[side]
-	_, rowMoved := w.touchedW[k]
-	if len(cands) == 0 && !rowMoved {
+	if len(cands) == 0 && !w.rowMoved(k) {
 		return set, false, nil
 	}
 	ws, err := w.row(next, k)
 	if err != nil {
 		return nil, false, err
 	}
-	if rowMoved {
+	if w.rowMoved(k) {
 		cands = slices.Clone(cands)
 		ws0, err := cur.Centers(k.x, k.y)
 		if err != nil {

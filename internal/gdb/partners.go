@@ -29,6 +29,7 @@ type partnerTable struct {
 	bound graph.Label    // whose nodes own the slots: x forward, y reverse
 	ws    []graph.NodeID // W(X, Y)
 	n     int            // slots: the bound label's extent
+	rank  []int32        // DB.rank, kept here to shorten a row's loads
 	slots slotArray[partnerList]
 }
 
@@ -87,7 +88,7 @@ func (r *Reader) Partners(x, y graph.Label, forward bool) (Partners, error) {
 		if err != nil {
 			return Partners{}, err
 		}
-		t = &partnerTable{key: k, bound: x, ws: ws}
+		t = &partnerTable{key: k, bound: x, ws: ws, rank: s.db.rank}
 		if !forward {
 			t.bound = y
 		}
@@ -131,7 +132,7 @@ func (p Partners) Of(v graph.NodeID) ([]graph.NodeID, error) {
 		list, _, err := p.compute(v)
 		return list, err
 	}
-	i := int(s.db.rank[v])
+	i := int(p.t.rank[v])
 	if l := p.t.slots.load(i); l != nil {
 		p.r.Hits++
 		p.r.CenterHits++
