@@ -117,9 +117,9 @@ func TestStatsDecodedMemo(t *testing.T) {
 
 // TestStatsPartnerSlots: a publish carries the warm epoch's partner slots
 // into the successor and clears only the ones the batch may have changed,
-// so after a 1-edge insert /stats counts slots inherited and dropped, and
-// re-running the battery refills only dropped slots, fewer than the tables
-// held.
+// so after a 1-edge insert /stats counts slots inherited and dropped (and
+// the publish's copied bytes and inherit time), and re-running the battery
+// refills only dropped slots, fewer than the tables held.
 func TestStatsPartnerSlots(t *testing.T) {
 	s := fastpathTestServer(t, Config{})
 	ctx := context.Background()
@@ -136,6 +136,9 @@ func TestStatsPartnerSlots(t *testing.T) {
 	warm := s.Stats()
 	if warm.PartnerSlotsInherited != 0 || warm.PartnerSlotsDropped != 0 {
 		t.Fatalf("no publish yet, but partner_slots_inherited/dropped = %d/%d", warm.PartnerSlotsInherited, warm.PartnerSlotsDropped)
+	}
+	if warm.PublishCopiedBytes != 0 || len(warm.PublishInheritUS) != 0 {
+		t.Fatalf("no publish yet, but publish_copied_bytes = %d, publish_inherit_us = %v", warm.PublishCopiedBytes, warm.PublishInheritUS)
 	}
 	// A forward edge from the middle of the DAG between two nodes that do
 	// not reach each other yet: it changes the cover but keeps the DAG.
@@ -169,6 +172,13 @@ func TestStatsPartnerSlots(t *testing.T) {
 	}
 	if after.PartnerTables != warm.PartnerTables {
 		t.Fatalf("the publish carried %d of %d partner tables", after.PartnerTables, warm.PartnerTables)
+	}
+	publishes := int64(0)
+	for _, n := range after.PublishInheritUS {
+		publishes += n
+	}
+	if after.PublishCopiedBytes == 0 || publishes != 1 {
+		t.Fatalf("1-edge insert: publish_copied_bytes = %d, publish_inherit_us = %v; want bytes and one publish", after.PublishCopiedBytes, after.PublishInheritUS)
 	}
 	run()
 	refills := s.Stats().CenterCacheMisses - after.CenterCacheMisses
