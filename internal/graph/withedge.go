@@ -17,7 +17,7 @@ import (
 // gains a parallel copy; callers that need set semantics must check
 // beforehand.
 func (g *Graph) WithEdges(edges [][2]NodeID) *Graph {
-	ng := g.successor(edges, "graph: WithEdge endpoint out of range")
+	ng := g.successor(edges)
 	ng.fwdHead, ng.fwdAdj = spliceAdj(g.fwdHead, g.fwdAdj, sortedPairs(edges, false), true)
 	ng.revHead, ng.revAdj = spliceAdj(g.revHead, g.revAdj, sortedPairs(edges, true), true)
 	return ng
@@ -31,11 +31,11 @@ func (g *Graph) WithEdge(u, v NodeID) *Graph {
 
 // successor returns a Graph sharing g's labels and extents, with no
 // adjacency yet, after checking every endpoint of edges.
-func (g *Graph) successor(edges [][2]NodeID, outOfRange string) *Graph {
+func (g *Graph) successor(edges [][2]NodeID) *Graph {
 	n := NodeID(g.NumNodes())
 	for _, e := range edges {
 		if e[0] < 0 || e[1] < 0 || e[0] >= n || e[1] >= n {
-			panic(outOfRange)
+			panic("graph: edge endpoint out of range")
 		}
 	}
 	return &Graph{labels: g.labels, nodeLabel: g.nodeLabel, extent: g.extent}

@@ -8,7 +8,7 @@ package graph
 // The edges must exist; callers check presence first (the database's delete
 // path treats an absent edge as a no-op before ever getting here).
 func (g *Graph) WithoutEdges(edges [][2]NodeID) *Graph {
-	ng := g.successor(edges, "graph: WithoutEdge endpoint out of range")
+	ng := g.successor(edges)
 	ng.fwdHead, ng.fwdAdj = spliceAdj(g.fwdHead, g.fwdAdj, sortedPairs(edges, false), false)
 	ng.revHead, ng.revAdj = spliceAdj(g.revHead, g.revAdj, sortedPairs(edges, true), false)
 	return ng
