@@ -82,12 +82,11 @@ func BenchmarkFig7c(b *testing.B) { runExperiment(b, "fig7c") }
 func BenchmarkIOCost(b *testing.B) { runExperiment(b, "iocost") }
 
 // BenchmarkParallelQuery measures query throughput through the serving
-// layer at 1, 4, and 8 workers, with and without the plan cache. Workers
-// rotate through a mix of path and tree patterns, so the cached variant
-// also measures plan-cache contention, not just a single hot entry. The
-// sequential/parallel ratio shows read-path scaling (on multi-core
-// hardware; a single-CPU machine pins all variants to one core), and the
-// cache=off column isolates the cost of re-planning every query.
+// layer at 1, 4, and 8 workers. Workers rotate through a mix of path and
+// tree patterns, so it also measures plan-cache contention, not just a
+// single hot entry. The sequential/parallel ratio shows read-path scaling
+// (on multi-core hardware; a single-CPU machine pins all variants to one
+// core).
 func BenchmarkParallelQuery(b *testing.B) {
 	d := xmark.Generate(xmark.Config{Nodes: 6000, Seed: 7, DAG: true})
 	eng, err := fastmatch.NewEngine(d.Graph, fastmatch.Options{})
@@ -109,44 +108,34 @@ func BenchmarkParallelQuery(b *testing.B) {
 	}
 
 	for _, workers := range []int{1, 4, 8} {
-		for _, cache := range []bool{true, false} {
-			name := fmt.Sprintf("workers=%d/cache=%v", workers, cache)
-			b.Run(name, func(b *testing.B) {
-				size := 0
-				if !cache {
-					size = -1
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			svc := eng.Parallel(fastmatch.ServeConfig{MaxInFlight: workers})
+			prev := runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(prev)
+			// Warm the buffer pool and code cache (shared across
+			// sub-benchmarks) so the first variant isn't charged the
+			// cold-start I/O; the plan cache itself stays cold.
+			for _, p := range patterns {
+				if _, err := eng.QueryPattern(p, fastmatch.DPS); err != nil {
+					b.Fatal(err)
 				}
-				svc := eng.Parallel(fastmatch.ServeConfig{
-					MaxInFlight:   workers,
-					PlanCacheSize: size,
-				})
-				prev := runtime.GOMAXPROCS(workers)
-				defer runtime.GOMAXPROCS(prev)
-				// Warm the buffer pool and code cache (shared across
-				// sub-benchmarks) so the first variant isn't charged the
-				// cold-start I/O; the plan cache itself stays cold.
-				for _, p := range patterns {
-					if _, err := eng.QueryPattern(p, fastmatch.DPS); err != nil {
+			}
+			var next atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				ctx := context.Background()
+				for pb.Next() {
+					p := patterns[int(next.Add(1))%len(patterns)]
+					if _, err := svc.QueryPattern(ctx, p, fastmatch.DPS); err != nil {
 						b.Fatal(err)
 					}
 				}
-				var next atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					ctx := context.Background()
-					for pb.Next() {
-						p := patterns[int(next.Add(1))%len(patterns)]
-						if _, err := svc.QueryPattern(ctx, p, fastmatch.DPS); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.StopTimer()
-				st := svc.Stats()
-				if st.Queries > 0 {
-					b.ReportMetric(float64(st.PlanCacheHits)/float64(st.Queries), "cachehit/op")
-				}
 			})
-		}
+			b.StopTimer()
+			st := svc.Stats()
+			if st.Queries > 0 {
+				b.ReportMetric(float64(st.PlanCacheHits)/float64(st.Queries), "cachehit/op")
+			}
+		})
 	}
 }

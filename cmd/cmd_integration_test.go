@@ -432,19 +432,20 @@ func TestCLIErrors(t *testing.T) {
 	}
 	// Removed flags are usage errors (status 2): operators run on the
 	// query's goroutine and the index build is serial, so there is no
-	// worker degree, and the engine has one reachability labeling, so there
-	// is no backend to choose.
+	// worker degree; the engine has one reachability labeling, so there is
+	// no backend to choose; and the plan cache has a fixed size.
 	for _, c := range []struct{ cmd, flag, value string }{
-		{"fgmserve", "parallelism", "2"},
-		{"fgmserve", "reach-index", "pll"},
-		{"fgmatch", "reach-index", "pll"},
-		{"fgmgen", "reach-index", "pll"},
-		{"fgmatch", "build-parallelism", "2"},
-		{"fgmserve", "build-parallelism", "2"},
-		{"fgmgen", "build-parallelism", "2"},
-		{"fgmbench", "build-parallelism", "2"},
+		{"fgmserve", "-parallelism", "2"},
+		{"fgmserve", "-reach-index", "pll"},
+		{"fgmatch", "-reach-index", "pll"},
+		{"fgmgen", "-reach-index", "pll"},
+		{"fgmatch", "-build-parallelism", "2"},
+		{"fgmserve", "-build-parallelism", "2"},
+		{"fgmgen", "-build-parallelism", "2"},
+		{"fgmbench", "-build-parallelism", "2"},
+		{"fgmserve", "-plancache", "256"},
 	} {
-		usageError(c.cmd, "flag provided but not defined: -"+c.flag, "-"+c.flag, c.value)
+		usageError(c.cmd, "flag provided but not defined: "+c.flag, c.flag, c.value)
 	}
 }
 

@@ -57,7 +57,6 @@ func run() error {
 		pool         = flag.Int("pool", 0, "buffer pool bytes (default 1 MB)")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently executing queries (default 8)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max wait for an execution slot before 429 (default 100ms)")
-		planCache    = flag.Int("plancache", 0, "plan cache entries (default 256; -1 disables)")
 		timeout      = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
 		maxTableRows = flag.Int("max-table-rows", 0, "per-query intermediate-table row budget (0 = unbounded; exceeding answers 422)")
 		maxIMBytes   = flag.Int64("max-intermediate-bytes", 0, "per-query intermediate-result byte budget (0 = unbounded; exceeding answers 422)")
@@ -90,7 +89,6 @@ func run() error {
 	svc := eng.Parallel(fastmatch.ServeConfig{
 		MaxInFlight:          *maxInFlight,
 		QueueTimeout:         *queueTimeout,
-		PlanCacheSize:        *planCache,
 		DefaultAlgorithm:     defaultAlgo,
 		DefaultTimeout:       *timeout,
 		MaxTableRows:         *maxTableRows,

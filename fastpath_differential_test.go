@@ -30,8 +30,8 @@ import (
 
 // fastpathRandomGraph builds a labeled random digraph (labels A..E,
 // possibly cyclic), plus one isolated Z-labeled node: Z participates in no
-// edge, so any pattern touching Z is provably empty and must be answered
-// by the tier-2 prefilter.
+// edge, so W(X, Z) and W(Z, X) are empty for every X, and any pattern
+// touching Z has no matches.
 func fastpathRandomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
@@ -49,7 +49,7 @@ func fastpathRandomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 }
 
 // fastpathBattery spans the plan shapes on the random graphs: single
-// edges, stars, paths, cycles, cliques, and signature-refuted patterns.
+// edges, stars, paths, cycles, cliques, and patterns with an empty-W edge.
 var fastpathBattery = []string{
 	"A->B",
 	"B->A",
@@ -97,9 +97,9 @@ func differentialCases() []diffCase {
 	}
 }
 
-// planPair builds p's default plan and its reference twin. Apart from the
-// prefilter's one-step plan, the two must be the same plan: NoFastPath
-// selects how a plan is executed, never which plan is chosen.
+// planPair builds p's default plan and its reference twin. The two must be
+// the same plan: NoFastPath selects how a plan is executed, never which
+// plan is chosen.
 func planPair(t testing.TB, snap *gdb.Snap, p *pattern.Pattern, algo exec.Algorithm) (def, ref *optimizer.Plan) {
 	t.Helper()
 	def, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
@@ -113,7 +113,7 @@ func planPair(t testing.TB, snap *gdb.Snap, p *pattern.Pattern, algo exec.Algori
 	if !ref.Reference || def.Reference {
 		t.Fatalf("%v %v: Reference flags %v/%v, want false/true", p, algo, def.Reference, ref.Reference)
 	}
-	if def.Tier() != 2 && !reflect.DeepEqual(def.Steps, ref.Steps) {
+	if !reflect.DeepEqual(def.Steps, ref.Steps) {
 		t.Fatalf("%v %v: default and reference plans differ:\n%v\n%v", p, algo, def, ref)
 	}
 	return def, ref
@@ -166,48 +166,18 @@ func runBoth(t testing.TB, snap *gdb.Snap, def, ref *optimizer.Plan, c caps, wha
 	return got
 }
 
-// TestFastPathTierClassification pins the split between prefilter plans
-// and all others, which does not depend on cost estimates: a pattern with
-// a signature-refuted edge always short-circuits to the prefilter's
-// one-step plan (tier 2), single edges and cyclic patterns plan the
-// operator pipeline (tier 3), and a reference plan is never prefiltered.
-func TestFastPathTierClassification(t *testing.T) {
-	g := fastpathRandomGraph(41, 100, 130, 5)
-	db, err := gdb.Build(g, gdb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	snap, release := db.Pin()
-	defer release()
-
-	cases := []struct {
-		text string
-		tier int
-	}{
-		{"A->B", 3},
-		{"B->A", 3},
-		{"A->Z", 2},
-		{"Z->A; A->B", 2},
-		{"A->B; B->C; C->A", 3},
-	}
-	for _, algo := range allPlanners {
-		for _, c := range cases {
-			def, ref := planPair(t, snap, pattern.MustParse(c.text), algo)
-			if def.Tier() != c.tier {
-				t.Errorf("%v %q: tier %d, want %d", algo, c.text, def.Tier(), c.tier)
-			}
-			if ref.Tier() != 3 {
-				t.Errorf("%v %q: reference plan is tier %d", algo, c.text, ref.Tier())
-			}
-		}
-	}
+// emptyWRun is what one planner's run of an empty-W pattern returned.
+type emptyWRun struct {
+	rows            [][]graph.NodeID
+	bytes, peakRows int64
 }
 
 // TestFastPathDifferential is the result-identity proof: for every battery
 // pattern and every planner, default execution returns exactly the
 // reference mode's rows in exactly its order, charges the same bytes, and
-// notes the same peak. The final projection is checked on its own too: on
+// notes the same peak. The batteries must hold a pattern with an edge whose
+// W row is empty: it runs the pipeline like any other, and DP and DPS must
+// answer it with the same rows, order and budget counters. The final projection is checked on its own too: on
 // every result, the default plan's Result written out in a column order
 // that is not the identity equals the reference plan's hash-dedup Project
 // into that order, rows and order.
@@ -218,7 +188,7 @@ func TestFastPathTierClassification(t *testing.T) {
 // reference plan must never take it: it is the step-by-step pipeline the
 // fused one is held against.
 func TestFastPathDifferential(t *testing.T) {
-	prefiltered := map[bool]bool{}
+	emptyW := 0
 	factorised := 0
 	fused := map[exec.Algorithm]int64{}
 	ctx := context.Background()
@@ -233,12 +203,19 @@ func TestFastPathDifferential(t *testing.T) {
 
 		totalRows := 0
 		for _, p := range dc.patterns {
+			var perPlanner []emptyWRun
 			for _, algo := range allPlanners {
 				def, ref := planPair(t, snap, p, algo)
-				prefiltered[def.Prefiltered()] = true
 				what := dc.name + " " + p.String() + " " + algo.String()
 				got := runBoth(t, snap, def, ref, caps{}, what)
 				totalRows += got.Len()
+				if slices.Contains(def.Binding.WCount, 0) {
+					bdg := new(rjoin.Budget)
+					if _, err := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Budget: bdg}); err != nil {
+						t.Fatal(err)
+					}
+					perPlanner = append(perPlanner, emptyWRun{got.Rows, bdg.Bytes(), bdg.PeakRows()})
+				}
 
 				rev := slices.Clone(got.Cols)
 				slices.Reverse(rev)
@@ -275,13 +252,21 @@ func TestFastPathDifferential(t *testing.T) {
 						what, projected.Len(), written.Len())
 				}
 			}
+			if len(perPlanner) > 0 {
+				emptyW++
+				for _, r := range perPlanner[1:] {
+					if !reflect.DeepEqual(r, perPlanner[0]) {
+						t.Fatalf("%s %v: an empty-W pattern answers %+v under DP and %+v under DPS", dc.name, p, perPlanner[0], r)
+					}
+				}
+			}
 		}
 		if totalRows == 0 {
 			t.Fatalf("%s: whole battery empty — graph too sparse to prove anything", dc.name)
 		}
 	}
-	if !prefiltered[true] || !prefiltered[false] {
-		t.Fatalf("batteries covered prefiltered=%v, want prefilter and non-prefilter plans", prefiltered)
+	if emptyW == 0 {
+		t.Fatal("no battery pattern has an edge whose W row is empty")
 	}
 	if factorised == 0 {
 		t.Fatal("no plan ended on a Fetch: the factorised result was never exercised")

@@ -115,9 +115,6 @@ func patternOrder(plan *optimizer.Plan) []int {
 // steps run one after another on the calling goroutine and share one
 // rjoin.Runtime — its budget and counters.
 func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Result, []StepTrace, error) {
-	if plan.Prefiltered() {
-		return runImpossible(ctx, plan, trace)
-	}
 	rt := cfg.runtime()
 	b := plan.Binding
 	// The plan, not the caller's runtime, chooses the read path. By default
@@ -307,22 +304,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	return res, traces, nil
 }
 
-// runImpossible answers a prefiltered plan — one the fan-signature
-// prefilter proved empty — with zero operator work: an empty table with
-// one column per pattern node, exactly what the full pipeline's final
-// projection of an empty temporal table produces.
-func runImpossible(ctx context.Context, plan *optimizer.Plan, trace bool) (*rjoin.Result, []StepTrace, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	out := &rjoin.Result{Cols: patternOrder(plan)}
-	var traces []StepTrace
-	if trace {
-		traces = []StepTrace{{Step: plan.Steps[0]}}
-	}
-	return out, traces, nil
-}
-
 // spill writes a temporal table to the query's scratch heap and reads it
 // back, replacing the table's rows with the materialised copy. With the
 // paper's 1 MB buffer pool, tables larger than the pool incur real
@@ -434,9 +415,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 
 // PlanConfig tunes plan construction.
 type PlanConfig struct {
-	// NoFastPath builds a reference plan: the fan-signature prefilter is
-	// skipped, and the executor runs the plan in the paper's counted-I/O
-	// mode — index reads through the buffer pool per access, a scratch-heap
+	// NoFastPath builds a reference plan: the executor runs it in the
+	// paper's counted-I/O mode — index reads through the buffer pool per access, a scratch-heap
 	// spill after every step, a hash-dedup final projection — instead of
 	// the decoded in-memory read path. It is the differential tests'
 	// reference and the measurement mode of the paper experiments
@@ -447,17 +427,8 @@ type PlanConfig struct {
 // BuildPlanSnapConfig binds a pattern against a pinned snapshot epoch and
 // optimizes it with the chosen planner under default cost parameters. It is
 // the single planning entry point shared by Query, the Engine and the query
-// server's plan cache. Unless pc.NoFastPath is set, the pattern first
-// passes the fan-signature prefilter: a provably empty pattern gets a
-// single-step plan with no statistics scans at all.
+// server's plan cache.
 func BuildPlanSnapConfig(s *gdb.Snap, p *pattern.Pattern, algo Algorithm, pc PlanConfig) (*optimizer.Plan, error) {
-	if !pc.NoFastPath {
-		if plan, err := optimizer.Prefilter(s, p); err != nil {
-			return nil, err
-		} else if plan != nil {
-			return plan, nil
-		}
-	}
 	b, err := optimizer.Bind(s, p)
 	if err != nil {
 		return nil, err

@@ -1,10 +1,10 @@
-// Package pll holds no code any more: the pruned-landmark-labeling backend
-// it implemented was removed when the engine kept one reachability
-// labeling, twohop.Compute. Databases that backend wrote still open and
-// keep working, because gdb.Open resumes from the stored codes, which are a
-// valid 2-hop labeling whatever computed them. These tests hold that
-// promise on files the pll backend wrote.
-package pll
+package gdb_test
+
+// The pruned-landmark-labeling ("pll") reachability backend was removed
+// when the engine kept one labeling, twohop.Compute. Databases that backend
+// wrote still open and keep working, because gdb.Open resumes from the
+// stored codes, which are a valid 2-hop labeling whatever computed them.
+// These tests hold that promise on files the pll backend wrote.
 
 import (
 	"compress/gzip"
@@ -21,29 +21,29 @@ import (
 	"fastmatch/internal/twohop"
 )
 
-// The databases under testdata were written by the pll backend before its
+// The databases under testdata/pll were written by the pll backend before its
 // removal, with gdb.Build(g, gdb.Options{Path: path, ReachIndex: "pll"})
 // on the graphs below. Each page file is gzipped; each manifest still
 // carries "reach_backend": "pll". want is the labeling summary the backend
 // reported for the graph (its Index.Stats).
-var fixtures = []struct {
+var pllFixtures = []struct {
 	name  string
 	graph func() *graph.Graph
-	want  stats
+	want  pllStats
 }{
-	{"cyclic", func() *graph.Graph { return randomGraph(1, 120, 360, 3) },
-		stats{Nodes: 120, Edges: 360, Components: 15, Size: 225, MaxIn: 2, MaxOut: 2}},
-	{"sparse", func() *graph.Graph { return randomGraph(2, 150, 170, 4) },
-		stats{Nodes: 150, Edges: 170, Components: 145, Size: 332, MaxIn: 7, MaxOut: 8}},
-	{"chain", func() *graph.Graph { return chainGraph(40) },
-		stats{Nodes: 40, Edges: 39, Components: 40, Size: 742, MaxIn: 38, MaxOut: 1}},
+	{"cyclic", func() *graph.Graph { return pllRandomGraph(1, 120, 360, 3) },
+		pllStats{Nodes: 120, Edges: 360, Components: 15, Size: 225, MaxIn: 2, MaxOut: 2}},
+	{"sparse", func() *graph.Graph { return pllRandomGraph(2, 150, 170, 4) },
+		pllStats{Nodes: 150, Edges: 170, Components: 145, Size: 332, MaxIn: 7, MaxOut: 8}},
+	{"chain", func() *graph.Graph { return pllChainGraph(40) },
+		pllStats{Nodes: 40, Edges: 39, Components: 40, Size: 742, MaxIn: 38, MaxOut: 1}},
 }
 
-type stats struct {
+type pllStats struct {
 	Nodes, Edges, Components, Size, MaxIn, MaxOut int
 }
 
-func randomGraph(seed int64, n, m, nlabels int) *graph.Graph {
+func pllRandomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
 	labels := make([]graph.Label, nlabels)
@@ -59,7 +59,7 @@ func randomGraph(seed int64, n, m, nlabels int) *graph.Graph {
 	return b.Build()
 }
 
-func chainGraph(n int) *graph.Graph {
+func pllChainGraph(n int) *graph.Graph {
 	b := graph.NewBuilder()
 	l := b.Intern("A")
 	for i := 0; i < n; i++ {
@@ -71,11 +71,11 @@ func chainGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-// unpack copies fixture name into a fresh directory and returns the path
+// unpackPLL copies fixture name into a fresh directory and returns the path
 // of its page file.
-func unpack(t *testing.T, name string) string {
+func unpackPLL(t *testing.T, name string) string {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", name+".fdb.gz"))
+	f, err := os.Open(filepath.Join("testdata", "pll", name+".fdb.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func unpack(t *testing.T, name string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := os.ReadFile(filepath.Join("testdata", name+".fdb.manifest"))
+	man, err := os.ReadFile(filepath.Join("testdata", "pll", name+".fdb.manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func unpack(t *testing.T, name string) string {
 	return path
 }
 
-// openFixture opens fixture name and checks that it holds the graph the
+// openPLLFixture opens fixture name and checks that it holds the graph the
 // file was built from.
-func openFixture(t *testing.T, name string, want *graph.Graph) *gdb.DB {
+func openPLLFixture(t *testing.T, name string, want *graph.Graph) *gdb.DB {
 	t.Helper()
-	db, err := gdb.Open(unpack(t, name), gdb.Options{})
+	db, err := gdb.Open(unpackPLL(t, name), gdb.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -124,7 +124,7 @@ func openFixture(t *testing.T, name string, want *graph.Graph) *gdb.DB {
 	return db
 }
 
-func reaches(t *testing.T, db *gdb.DB, u, v graph.NodeID) bool {
+func pllReaches(t *testing.T, db *gdb.DB, u, v graph.NodeID) bool {
 	t.Helper()
 	ok, err := db.Reaches(u, v)
 	if err != nil {
@@ -133,19 +133,19 @@ func reaches(t *testing.T, db *gdb.DB, u, v graph.NodeID) bool {
 	return ok
 }
 
-// TestVerifyAgainstBFS: a database the pll backend wrote answers Reaches
+// TestPLLFileVerifyAgainstBFS: a database the pll backend wrote answers Reaches
 // like BFS on every pair, on a cycle-heavy graph, a sparse one and a chain,
 // and at least one of them stores a labeling whose size differs from the
 // cover gdb.Build computes.
-func TestVerifyAgainstBFS(t *testing.T) {
+func TestPLLFileVerifyAgainstBFS(t *testing.T) {
 	foreign := 0
-	for _, fx := range fixtures {
+	for _, fx := range pllFixtures {
 		g := fx.graph()
-		db := openFixture(t, fx.name, g)
+		db := openPLLFixture(t, fx.name, g)
 		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
 			truth := graph.ReachableFrom(g, u)
 			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-				if got := reaches(t, db, u, v); got != truth[v] {
+				if got := pllReaches(t, db, u, v); got != truth[v] {
 					t.Fatalf("%s: Reaches(%d,%d)=%v, BFS %v", fx.name, u, v, got, truth[v])
 				}
 			}
@@ -159,15 +159,14 @@ func TestVerifyAgainstBFS(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossParallelism checks that rebuilding the labeling
-// of a pll-written graph is deterministic (two builds agree entry for
-// entry), verifies against BFS, and answers Reaches exactly as the stored
-// pll labeling does. The name dates from when the build had a worker
-// degree; the build is serial now.
-func TestDeterministicAcrossParallelism(t *testing.T) {
-	fx := fixtures[0]
+// TestPLLFileRebuildDeterministic checks that rebuilding the labeling of a
+// pll-written graph is deterministic (two builds agree entry for entry),
+// verifies against BFS, and answers Reaches exactly as the stored pll
+// labeling does.
+func TestPLLFileRebuildDeterministic(t *testing.T) {
+	fx := pllFixtures[0]
 	g := fx.graph()
-	db := openFixture(t, fx.name, g)
+	db := openPLLFixture(t, fx.name, g)
 	a := twohop.Compute(g, twohop.Options{})
 	b := twohop.Compute(g, twohop.Options{})
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
@@ -180,21 +179,21 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	}
 	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if a.Reaches(u, v) != reaches(t, db, u, v) {
+			if a.Reaches(u, v) != pllReaches(t, db, u, v) {
 				t.Fatalf("Reaches(%d,%d) differs from the pll labeling", u, v)
 			}
 		}
 	}
 }
 
-// TestStats: the labeling read back from a pll-written database has the
+// TestPLLFileStats: the labeling read back from a pll-written database has the
 // size and list maxima the backend reported when it wrote the file, and the
 // persisted cover size agrees with the stored codes.
-func TestStats(t *testing.T) {
-	for _, fx := range fixtures {
+func TestPLLFileStats(t *testing.T) {
+	for _, fx := range pllFixtures {
 		g := fx.graph()
-		db := openFixture(t, fx.name, g)
-		got := stats{
+		db := openPLLFixture(t, fx.name, g)
+		got := pllStats{
 			Nodes:      g.NumNodes(),
 			Edges:      g.NumEdges(),
 			Components: graph.NewSCC(g).NumComponents(),
@@ -226,12 +225,12 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestPersistOpenPersistByteStable: a database the pll backend wrote
+// TestPLLFilePersistOpenPersistByteStable: a database the pll backend wrote
 // opens, and re-persisting it leaves the page file byte-identical; the
 // manifest loses only its "reach_backend" key. A second open→persist
 // leaves both files byte-identical.
-func TestPersistOpenPersistByteStable(t *testing.T) {
-	path := unpack(t, "cyclic")
+func TestPLLFilePersistOpenPersistByteStable(t *testing.T) {
+	path := unpackPLL(t, "cyclic")
 	page0, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,9 @@ import (
 // The table is built for free during the cluster-index sweep of Build,
 // recomputed by one cluster-index scan on Open, and maintained
 // incrementally on edge inserts and deletes by retracting and re-adding
-// the contribution of every center a batch touches. It powers the tier-2
-// prefilter — a pattern edge (X, Y) whose pair entry is absent has
-// W(X, Y) = ∅ and therefore provably no matches — and seeds the
-// optimizer's cost model with exact fan statistics without any W-table
-// or cluster scans at plan time.
+// the contribution of every center a batch touches. It seeds the
+// optimizer's cost model with exact fan statistics (|W(X, Y)| and the
+// join size per edge) without any W-table or cluster scans at plan time.
 //
 // Like every other Snap structure it is immutable within an epoch; the
 // snapshot writer clones it lazily before the first mutation.

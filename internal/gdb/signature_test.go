@@ -79,8 +79,7 @@ func TestSignatureBuildMatchesScan(t *testing.T) {
 // TestSignatureMaintainedUnderMixedStream: per-center retract/re-add under
 // a random insert/delete stream keeps the table equal to the from-scratch
 // recomputation at every step, including zeroed pairs being deleted (not
-// left as zero entries, which would break Equal and the tier-2 prefilter's
-// absence test).
+// left as zero entries, which would break Equal).
 func TestSignatureMaintainedUnderMixedStream(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Nodes: 600, Seed: 11})
 	g := d.Graph
@@ -133,8 +132,8 @@ func TestSignatureMaintainedUnderMixedStream(t *testing.T) {
 }
 
 // TestSignatureDeadPairDropped: deleting the only edge between two labels
-// must remove the pair entry entirely — Pair reports zero Centers and the
-// tier-2 prefilter may again prove patterns on the pair empty.
+// must remove the pair entry entirely — Pair reports zero Centers, and the
+// cost model sees W(X, Y) empty again.
 func TestSignatureDeadPairDropped(t *testing.T) {
 	b := graph.NewBuilder()
 	a0 := b.AddNode("A")

@@ -21,7 +21,7 @@ import (
 
 // ErrPattern marks planning failures the pattern itself causes: a label
 // the data graph lacks, or a pattern too large or too disconnected for the
-// chosen planner. Any other error from Prefilter, Bind or a planner — a
+// chosen planner. Any other error from Bind or a planner — a
 // closed database or a failed page read while binding, a planner producing
 // an invalid plan — is not the query's fault. Match with errors.Is.
 var ErrPattern = errors.New("optimizer: pattern cannot be planned")

@@ -227,8 +227,6 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, OutSide: true, Edges: []int{0}}}}, // group on a done edge
 		{Binding: b, Steps: []Step{hpsj0, {Kind: StepSemijoinGroup, Node: 1, Edges: []int{1}}}},                // edge not on the in-side
 		{Binding: b, Steps: []Step{{Kind: StepWCOJ, Edges: []int{0, 1}}}},                                      // retired multiway join
-		{Binding: b, Steps: []Step{{Kind: StepFastPath}, hpsj0}},                                               // fastpath not alone
-		{Binding: b, Steps: []Step{hpsj0, {Kind: StepFastPath}}},                                               // fastpath not first
 		{Binding: b, Steps: []Step{{Kind: StepKind(99)}}},                                                      // unknown kind
 	}
 	for i, p := range bad {
@@ -239,7 +237,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 }
 
 func TestStepKindString(t *testing.T) {
-	kinds := []StepKind{StepHPSJ, StepSemijoinGroup, StepFetch, StepJoinFilterFetch, StepSelection, StepFastPath, StepKind(99)}
+	kinds := []StepKind{StepHPSJ, StepSemijoinGroup, StepFetch, StepJoinFilterFetch, StepSelection, StepKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Fatalf("empty string for kind %d", int(k))

@@ -32,11 +32,6 @@ const (
 	// planner produces it, Validate rejects it and the executor refuses it;
 	// the name is kept for benchmark/trace.go until ROADMAP 2(c).
 	StepWCOJ
-	// StepFastPath is the single step of a plan the tier-2 fan-signature
-	// prefilter proved empty (some pattern edge (X, Y) has W(X, Y) = ∅):
-	// the executor answers it with an empty, correctly-columned result in
-	// O(pattern) with no operator work.
-	StepFastPath
 )
 
 func (k StepKind) String() string {
@@ -51,8 +46,6 @@ func (k StepKind) String() string {
 		return "join"
 	case StepSelection:
 		return "selection"
-	case StepFastPath:
-		return "fastpath"
 	default:
 		return fmt.Sprintf("StepKind(%d)", int(k))
 	}
@@ -94,32 +87,17 @@ type Plan struct {
 	Reference bool
 }
 
-// Prefiltered reports whether p is the fan-signature prefilter's plan:
-// the single StepFastPath step of a pattern proven empty, which the
-// executor answers with no operator work (see Prefilter).
-func (p *Plan) Prefiltered() bool {
-	return len(p.Steps) == 1 && p.Steps[0].Kind == StepFastPath
-}
-
-// Tier is 2 for a prefiltered plan and 3 for every other; benchmark/
-// counts plans by it.
-func (p *Plan) Tier() int {
-	if p.Prefiltered() {
-		return 2
-	}
-	return 3
-}
+// Tier is 3 for every plan: each one runs the operator pipeline. The
+// name is kept for benchmark/trace.go, which counts plans by it.
+func (p *Plan) Tier() int { return 3 }
 
 // String renders the plan one step per line.
 func (p *Plan) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s plan (est cost %.1f, est rows %.1f)\n", p.Algorithm, p.EstimatedCost, p.EstimatedRows)
-	switch {
-	case p.Prefiltered():
-		sb.WriteString("  tier 2: impossible pattern (fan-signature prefilter)\n")
-	case p.Reference:
+	if p.Reference {
 		sb.WriteString("  tier 3: operator pipeline, counted-I/O reference mode\n")
-	default:
+	} else {
 		sb.WriteString("  tier 3: operator pipeline\n")
 	}
 	for i, s := range p.Steps {
@@ -203,17 +181,6 @@ func (p *Plan) Validate() error {
 			}
 			done[s.Edges[0]] = true
 			bound[e.From], bound[e.To] = true, true
-		case StepFastPath:
-			if !p.Prefiltered() {
-				return fmt.Errorf("plan: fastpath step must be the only step")
-			}
-			for e := range done {
-				done[e] = true
-			}
-			for v := range bound {
-				bound[v] = true
-			}
-			anyBound = true
 		case StepSelection:
 			if len(s.Edges) != 1 {
 				return fmt.Errorf("plan: selection with %d edges", len(s.Edges))

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"fastmatch/internal/gdb"
@@ -219,64 +218,9 @@ func TestStatsGoRuntimeCounters(t *testing.T) {
 	}
 }
 
-// TestPlanSingleflight: concurrent misses for the same pattern run DP/DPS
-// once; the rest coalesce onto the leader's in-flight planning.
-func TestPlanSingleflight(t *testing.T) {
-	const waiters = 8
-	s := testServer(t, Config{MaxInFlight: waiters + 1})
-
-	// The hook parks the planning leader until every other goroutine has
-	// had time to reach the flight map, making the race deterministic.
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
-	s.planBuildHook = func() {
-		close(leaderIn)
-		<-release
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, waiters+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, errs[waiters] = s.Query(context.Background(), "A->B; B->C", "")
-	}()
-	<-leaderIn
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = s.Query(context.Background(), "A->B; B->C", "")
-		}(i)
-	}
-	// Let every waiter either coalesce or (losing a tiny race with the
-	// leader's registration) miss the flight map; then free the leader.
-	for s.met.planCoalesced.Load() < waiters {
-		if s.met.planMisses.Load() > 1 {
-			break
-		}
-	}
-	close(release)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.PlanCacheMisses != 1 {
-		t.Fatalf("plan built %d times, want 1 (coalesced=%d hits=%d)",
-			st.PlanCacheMisses, st.PlanCoalesced, st.PlanCacheHits)
-	}
-	if st.PlanCoalesced != waiters {
-		t.Fatalf("coalesced %d, want %d", st.PlanCoalesced, waiters)
-	}
-}
-
-// TestPlanSingleflightError: a failed build is shared with coalesced
-// waiters and never cached, and classifies as a client fault.
-func TestPlanSingleflightError(t *testing.T) {
+// TestPlanErrorNotCached: a failed plan classifies as a client fault
+// (400) and is never cached.
+func TestPlanErrorNotCached(t *testing.T) {
 	s := testServer(t, Config{})
 	_, err := s.Query(context.Background(), "A->Z; Z->B", "")
 	if !errors.Is(err, ErrBadQuery) || !errors.Is(err, optimizer.ErrPattern) {
@@ -287,27 +231,6 @@ func TestPlanSingleflightError(t *testing.T) {
 	}
 	if n := s.plans.len(); n != 0 {
 		t.Fatalf("failed plan cached: %d entries", n)
-	}
-}
-
-// TestPlanCacheZeroCapacity: newPlanCache treats zero capacity as disabled
-// (Config maps 0 to the 256 default before it gets here, so only an
-// explicit negative — or a direct zero — disables).
-func TestPlanCacheZeroCapacity(t *testing.T) {
-	c := newPlanCache(0)
-	k := "k"
-	c.put(k, nil)
-	if _, ok := c.get(k); ok {
-		t.Fatal("zero-capacity cache stored an entry")
-	}
-	if c.len() != 0 {
-		t.Fatalf("len = %d, want 0", c.len())
-	}
-	if cfg := (Config{}).withDefaults(); cfg.PlanCacheSize != 256 {
-		t.Fatalf("Config zero PlanCacheSize → %d, want 256", cfg.PlanCacheSize)
-	}
-	if cfg := (Config{PlanCacheSize: -1}).withDefaults(); cfg.PlanCacheSize != -1 {
-		t.Fatalf("Config negative PlanCacheSize → %d, want -1 (disabled)", cfg.PlanCacheSize)
 	}
 }
 

@@ -183,9 +183,10 @@ func TestReadOnlyRejectsAllMutatingRoutes(t *testing.T) {
 // TestPlanCacheAcrossEpochs: a cached plan is reused across a publish
 // exactly while its statistics hold. A write elsewhere in the graph leaves
 // the plan cached (the same plan, not an equal one); a write that moves the
-// pattern's statistics re-plans and replaces the entry; and the tier-2
-// "proven empty" answer is never cached, so a write that makes an
-// impossible pattern possible (or back) is visible on the next query.
+// pattern's statistics re-plans and replaces the entry. An impossible
+// pattern (an edge whose W row is empty) is planned and cached like any
+// other, and an insert or a delete that makes it possible (or back) moves
+// its statistics, so the next query re-plans and answers exactly.
 func TestPlanCacheAcrossEpochs(t *testing.T) {
 	b := graph.NewBuilder()
 	for _, l := range []string{"A", "A", "A", "B", "B", "B", "C", "C"} {
@@ -203,7 +204,7 @@ func TestPlanCacheAcrossEpochs(t *testing.T) {
 		t.Helper()
 		snap, release := db.Pin()
 		defer release()
-		plan, cached, err := s.plan(ctx, snap, pattern.MustParse(pat), exec.DPS)
+		plan, cached, err := s.plan(snap, pattern.MustParse(pat), exec.DPS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,18 +250,27 @@ func TestPlanCacheAcrossEpochs(t *testing.T) {
 		t.Fatalf("re-planning left %d cache entries, want 1 (replaced)", n)
 	}
 
-	// No B reaches a C yet: tier 2 answers, and must not be remembered.
+	// No B reaches a C yet: W(B, C) is empty, and the plan is cached.
 	query("B->C", 0, false)
-	query("B->C", 0, false)
-	insert(3, 6) // B0->C0
+	query("B->C", 0, true)
+	empty, _ := planOf("B->C")
+	insert(3, 6) // B0->C0, and C0->C1 from above
 	query("B->C", 2, false)
 	query("B->C", 2, true)
+	possible, _ := planOf("B->C")
+	if possible == empty {
+		t.Fatal("an insert into W(B, C) kept the impossible pattern's plan")
+	}
 	if _, err := s.DeleteEdges(ctx, [][2]graph.NodeID{{3, 6}}); err != nil {
 		t.Fatal(err)
 	}
-	query("B->C", 0, false) // impossible again, although a plan is cached
-	if st := s.Stats(); st.FastpathTier2Prunes != 3 {
-		t.Fatalf("tier-2 prunes = %d, want 3", st.FastpathTier2Prunes)
+	query("B->C", 0, false) // impossible again: the delete moved the statistics
+	query("B->C", 0, true)
+	if again, _ := planOf("B->C"); again == possible {
+		t.Fatal("a delete that emptied W(B, C) kept the possible pattern's plan")
+	}
+	if n := s.plans.len(); n != 2 {
+		t.Fatalf("%d cache entries, want 2 (A->B and B->C)", n)
 	}
 }
 

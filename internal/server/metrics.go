@@ -21,16 +21,15 @@ const latencyBuckets = 64
 // metrics aggregates per-server counters with atomics so the query hot
 // path never takes a lock.
 type metrics struct {
-	queries       atomic.Int64 // completed successfully
-	errs          atomic.Int64 // failed for any reason
-	rejected      atomic.Int64 // failed with ErrOverloaded
-	deadline      atomic.Int64 // failed with context deadline/cancellation
-	budgetKills   atomic.Int64 // failed with ErrRowLimit/ErrBudgetExceeded
-	queued        atomic.Int64 // waited for an execution slot
-	planHits      atomic.Int64
-	planMisses    atomic.Int64
-	planCoalesced atomic.Int64 // misses that waited on another's planning
-	rows          atomic.Int64
+	queries     atomic.Int64 // completed successfully
+	errs        atomic.Int64 // failed for any reason
+	rejected    atomic.Int64 // failed with ErrOverloaded
+	deadline    atomic.Int64 // failed with context deadline/cancellation
+	budgetKills atomic.Int64 // failed with ErrRowLimit/ErrBudgetExceeded
+	queued      atomic.Int64 // waited for an execution slot
+	planHits    atomic.Int64
+	planMisses  atomic.Int64
+	rows        atomic.Int64
 
 	// Per-query resource-budget accounting (see rjoin.Budget).
 	truncated   atomic.Int64 // queries whose result was cut at the limit
@@ -57,8 +56,6 @@ type metrics struct {
 	centerMisses atomic.Int64 // partner-slot fills
 	memoHits     atomic.Int64 // decoded-memo hits (subclusters + partner slots)
 	memoMisses   atomic.Int64 // decoded-memo misses
-
-	prefilterPrunes atomic.Int64 // queries the signature prefilter proved empty
 
 	// Result shipping (POST /query's encode + write, after the query's own
 	// latency is recorded).
@@ -191,9 +188,9 @@ type Stats struct {
 	InFlight int `json:"in_flight"`
 	// MaxInFlight is the configured concurrency limit.
 	MaxInFlight int `json:"max_in_flight"`
-	// PlanCacheHits/Misses/Size describe the plan cache; PlanCoalesced
-	// counts misses that waited on another request's in-flight planning
-	// instead of running DP/DPS themselves (single-flight).
+	// PlanCacheHits/Misses/Size describe the plan cache. PlanCoalesced
+	// is always 0: concurrent misses each plan for themselves. The field
+	// is kept for benchmark/perlayer.go.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
 	PlanCoalesced   int64 `json:"plan_coalesced"`
@@ -274,9 +271,6 @@ type Stats struct {
 	// (entry 0: under 1 µs), cut after the last non-zero entry.
 	PublishCopiedBytes int64   `json:"publish_copied_bytes"`
 	PublishInheritUS   []int64 `json:"publish_inherit_us"`
-	// FastpathTier2Prunes counts successful queries the fan-signature
-	// prefilter proved empty: they ran no operator.
-	FastpathTier2Prunes int64 `json:"fastpath_tier2_prunes"`
 	// P50ms and P99ms are approximate latency quantiles in milliseconds
 	// (histogram-bucketed; 0 when no queries completed). Like every latency
 	// here and a response's elapsed_ms they stop when the query's result is
@@ -317,7 +311,6 @@ func (s *Server) Stats() Stats {
 		MaxInFlight:           s.cfg.MaxInFlight,
 		PlanCacheHits:         s.met.planHits.Load(),
 		PlanCacheMisses:       s.met.planMisses.Load(),
-		PlanCoalesced:         s.met.planCoalesced.Load(),
 		PlanCacheSize:         s.plans.len(),
 		RowsReturned:          s.met.rows.Load(),
 		EdgeInserts:           s.met.edgeInserts.Load(),
@@ -334,7 +327,6 @@ func (s *Server) Stats() Stats {
 		CenterCacheMisses:     s.met.centerMisses.Load(),
 		DecodedMemoHits:       s.met.memoHits.Load(),
 		DecodedMemoMisses:     s.met.memoMisses.Load(),
-		FastpathTier2Prunes:   s.met.prefilterPrunes.Load(),
 		EncodeMs:              float64(s.met.encodeNS.Load()) / 1e6,
 		ResponseBytes:         s.met.responseBytes.Load(),
 		UptimeSeconds:         time.Since(s.start).Seconds(),

@@ -17,7 +17,6 @@ import (
 // only reads them), so one plan is shared by any number of concurrent runs.
 type planCache struct {
 	mu    sync.Mutex
-	cap   int
 	ll    *list.List // of *planCacheEntry, front = most recently used
 	items map[string]*list.Element
 }
@@ -27,23 +26,14 @@ type planCacheEntry struct {
 	plan *optimizer.Plan
 }
 
-// newPlanCache returns a cache bounded to capacity entries; capacity <= 0
-// disables caching (every get misses). Note the distinction from
-// Config.PlanCacheSize, where 0 means "use the default size" — only an
-// explicitly negative Config value reaches here as disabled.
-func newPlanCache(capacity int) *planCache {
-	c := &planCache{cap: capacity}
-	if capacity > 0 {
-		c.ll = list.New()
-		c.items = make(map[string]*list.Element, capacity)
-	}
-	return c
+// planCacheSize bounds the plan cache in entries.
+const planCacheSize = 256
+
+func newPlanCache() *planCache {
+	return &planCache{ll: list.New(), items: make(map[string]*list.Element, planCacheSize)}
 }
 
 func (c *planCache) get(key string) (*optimizer.Plan, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -55,9 +45,6 @@ func (c *planCache) get(key string) (*optimizer.Plan, bool) {
 }
 
 func (c *planCache) put(key string, plan *optimizer.Plan) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -66,7 +53,7 @@ func (c *planCache) put(key string, plan *optimizer.Plan) {
 		return
 	}
 	c.items[key] = c.ll.PushFront(&planCacheEntry{key: key, plan: plan})
-	if c.ll.Len() > c.cap {
+	if c.ll.Len() > planCacheSize {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		delete(c.items, el.Value.(*planCacheEntry).key)
@@ -74,9 +61,6 @@ func (c *planCache) put(key string, plan *optimizer.Plan) {
 }
 
 func (c *planCache) len() int {
-	if c.cap <= 0 {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

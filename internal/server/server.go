@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"fastmatch/internal/exec"
@@ -66,7 +65,7 @@ func badQuery(err error) error {
 	return fmt.Errorf("%w: %w", ErrBadQuery, err)
 }
 
-// planError classifies a Prefilter/Bind/planner error: only a pattern the
+// planError classifies a Bind/planner error: only a pattern the
 // planner cannot plan is the client's fault. A closed database or a failed
 // page read while binding keeps its own class (503 or 500).
 func planError(err error) error {
@@ -83,9 +82,6 @@ type Config struct {
 	// QueueTimeout is how long an admitted-over-capacity query may wait
 	// for a slot before it is rejected with ErrOverloaded (default 100ms).
 	QueueTimeout time.Duration
-	// PlanCacheSize bounds the LRU plan cache in entries (default 256;
-	// negative disables caching).
-	PlanCacheSize int
 	// DefaultAlgorithm is the planner used by Query when the request does
 	// not choose one (default exec.DPS).
 	DefaultAlgorithm exec.Algorithm
@@ -117,9 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 100 * time.Millisecond
 	}
-	if c.PlanCacheSize == 0 {
-		c.PlanCacheSize = 256
-	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 1 << 20
 	}
@@ -131,8 +124,7 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	Cols []string
 	Rows [][]graph.NodeID
-	// PlanCached reports whether planning was skipped via the plan cache
-	// (or coalesced onto another request's in-flight planning).
+	// PlanCached reports whether planning was skipped via the plan cache.
 	PlanCached bool
 	// Truncated reports that Rows was cut at the request's row limit; the
 	// rows beyond it were never materialised.
@@ -175,22 +167,9 @@ type Server struct {
 	met   metrics
 	start time.Time
 
-	// flight coalesces concurrent plan-cache misses on one canonical key:
-	// one goroutine plans, the rest wait for its result (single-flight).
-	flightMu sync.Mutex
-	flight   map[string]*planCall
-	// planBuildHook, when non-nil, runs on the planning goroutine after it
-	// claims the flight slot and before it builds — a test seam for
-	// forcing misses to overlap.
+	// planBuildHook, when non-nil, runs after a plan-cache miss and before
+	// the plan is built — a test seam for acting mid-planning.
 	planBuildHook func()
-}
-
-// planCall is one in-flight planning computation; done closes once plan
-// and err are set.
-type planCall struct {
-	done chan struct{}
-	plan *optimizer.Plan
-	err  error
 }
 
 // New wraps db in a query server. Writes must go through the server's own
@@ -200,12 +179,11 @@ type planCall struct {
 func New(db *gdb.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
-		db:     db,
-		cfg:    cfg,
-		sem:    make(chan struct{}, cfg.MaxInFlight),
-		plans:  newPlanCache(cfg.PlanCacheSize),
-		flight: make(map[string]*planCall),
-		start:  time.Now(),
+		db:    db,
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.MaxInFlight),
+		plans: newPlanCache(),
+		start: time.Now(),
 	}
 }
 
@@ -299,7 +277,7 @@ func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorith
 	snap, release := s.db.Pin()
 	defer release()
 
-	plan, cached, err := s.plan(ctx, snap, p, algo)
+	plan, cached, err := s.plan(snap, p, algo)
 	if err != nil {
 		s.met.recordError(err)
 		return nil, err
@@ -322,9 +300,6 @@ func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorith
 	}
 	elapsed := time.Since(start)
 	s.met.recordQuery(elapsed, rows.N, cached)
-	if plan.Prefiltered() {
-		s.met.prefilterPrunes.Add(1)
-	}
 	// Column labels come from the plan's own pattern: a cache hit may have
 	// been planned for an equivalent pattern whose nodes were declared in
 	// a different order.
@@ -367,66 +342,28 @@ func (s *Server) acquire(ctx context.Context) error {
 }
 
 // plan returns the execution plan for (p, algo) against the pinned
-// snapshot. The tier-2 prefilter runs on every request and is never
-// cached: "proven empty" holds for one epoch only, and costs O(pattern).
-// Every other plan comes from the LRU plan cache keyed by (algorithm,
+// snapshot. Plans come from the LRU plan cache keyed by (algorithm,
 // canonical pattern), reused across epochs for as long as the pinned
-// snapshot's statistics equal the ones it was costed with, so repeated
+// snapshot's statistics equal the ones they were costed with, so repeated
 // patterns skip DP/DPS planning whether or not a write published in
-// between. Concurrent misses on the same key coalesce: exactly one
-// goroutine runs the exponential DP/DPS search and the others share its
-// result (or its error) instead of racing N identical planners — also
-// across epochs, since any plan answers correctly on any snapshot.
-func (s *Server) plan(ctx context.Context, snap *gdb.Snap, p *pattern.Pattern, algo exec.Algorithm) (*optimizer.Plan, bool, error) {
-	if empty, err := optimizer.Prefilter(snap, p); err != nil {
-		return nil, false, planError(err)
-	} else if empty != nil {
-		return empty, false, nil
-	}
+// between. A miss binds and optimizes, then caches the plan; a failed plan
+// is never cached.
+func (s *Server) plan(snap *gdb.Snap, p *pattern.Pattern, algo exec.Algorithm) (*optimizer.Plan, bool, error) {
 	key := algo.String() + "|" + p.Canonical()
-	if e, ok := s.cachedPlan(snap, key); ok {
+	if plan, ok := s.cachedPlan(snap, key); ok {
 		s.met.planHits.Add(1)
-		return e, true, nil
+		return plan, true, nil
 	}
-	s.flightMu.Lock()
-	if c, ok := s.flight[key]; ok {
-		s.flightMu.Unlock()
-		s.met.planCoalesced.Add(1)
-		select {
-		case <-c.done:
-			// The waiter skipped planning, same as a cache hit.
-			return c.plan, true, c.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	// Re-check the cache under the flight lock: a previous leader may have
-	// filled it between our miss and claiming the slot.
-	if e, ok := s.cachedPlan(snap, key); ok {
-		s.flightMu.Unlock()
-		s.met.planHits.Add(1)
-		return e, true, nil
-	}
-	c := &planCall{done: make(chan struct{})}
-	s.flight[key] = c
-	s.flightMu.Unlock()
-
 	s.met.planMisses.Add(1)
 	if s.planBuildHook != nil {
 		s.planBuildHook()
 	}
-	c.plan, c.err = exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
-	if c.err != nil {
-		// Shared verbatim with coalesced waiters.
-		c.err = planError(c.err)
-	} else {
-		s.plans.put(key, c.plan)
+	plan, err := exec.BuildPlanSnapConfig(snap, p, algo, exec.PlanConfig{})
+	if err != nil {
+		return nil, false, planError(err)
 	}
-	s.flightMu.Lock()
-	delete(s.flight, key)
-	s.flightMu.Unlock()
-	close(c.done)
-	return c.plan, false, c.err
+	s.plans.put(key, plan)
+	return plan, false, nil
 }
 
 // cachedPlan returns the cached plan for key when the statistics it was

@@ -256,29 +256,12 @@ func TestZeroConfigPlansWithDPS(t *testing.T) {
 	s := testServer(t, Config{})
 	snap, release := s.db.Pin()
 	defer release()
-	plan, _, err := s.plan(context.Background(), snap, pattern.MustParse("A->B; B->C"), s.Config().DefaultAlgorithm)
+	plan, _, err := s.plan(snap, pattern.MustParse("A->B; B->C"), s.Config().DefaultAlgorithm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Algorithm != "DPS" {
 		t.Fatalf("server.Config{} planned with %s, want DPS", plan.Algorithm)
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	s := testServer(t, Config{PlanCacheSize: -1})
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		res, err := s.Query(ctx, "A->B", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.PlanCached {
-			t.Fatal("disabled cache served a plan")
-		}
-	}
-	if n := s.plans.len(); n != 0 {
-		t.Fatalf("disabled cache holds %d entries", n)
 	}
 }
 
@@ -549,7 +532,10 @@ func TestHTTPClosed(t *testing.T) {
 
 // TestDPEdgeCap: DP enumerates every edge subset, so a chain pattern past
 // 16 edges is a pattern error (400) before any enumeration, while a
-// 16-edge chain still plans with DP and is answered.
+// 16-edge chain still plans with DP and is answered. The cap depends on the
+// pattern only: a 17-edge pattern with an edge whose W row is empty (here
+// L16->L0 on a chain graph) is a 400 under DP and DPS alike, although it
+// has no matches.
 func TestDPEdgeCap(t *testing.T) {
 	const nodes = 18
 	b := graph.NewBuilder()
@@ -575,9 +561,15 @@ func TestDPEdgeCap(t *testing.T) {
 		return strings.Join(parts, "; ")
 	}
 	for _, tc := range []struct {
-		edges, status int
-	}{{16, http.StatusOK}, {17, http.StatusBadRequest}} {
-		body := fmt.Sprintf(`{"pattern": %q, "algorithm": "dp", "timeout_ms": 100}`, chain(tc.edges))
+		what, pattern, algo string
+		status              int
+	}{
+		{"16-edge chain", chain(16), "dp", http.StatusOK},
+		{"17-edge chain", chain(17), "dp", http.StatusBadRequest},
+		{"17 edges, one empty-W", chain(16) + "; L16->L0", "dp", http.StatusBadRequest},
+		{"17 edges, one empty-W", chain(16) + "; L16->L0", "dps", http.StatusBadRequest},
+	} {
+		body := fmt.Sprintf(`{"pattern": %q, "algorithm": %q, "timeout_ms": 100}`, tc.pattern, tc.algo)
 		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -585,10 +577,10 @@ func TestDPEdgeCap(t *testing.T) {
 		out, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.status {
-			t.Fatalf("%d-edge dp chain: %d %s, want %d", tc.edges, resp.StatusCode, out, tc.status)
+			t.Fatalf("%s, %s: %d %s, want %d", tc.what, tc.algo, resp.StatusCode, out, tc.status)
 		}
 		if tc.status == http.StatusOK && !bytes.Contains(out, []byte(`"row_count":1`)) {
-			t.Fatalf("%d-edge dp chain: %s, want one row", tc.edges, out)
+			t.Fatalf("%s, %s: %s, want one row", tc.what, tc.algo, out)
 		}
 	}
 }

@@ -186,13 +186,10 @@ func TestServiceParallel(t *testing.T) {
 	if st.Queries != clients || st.Errors != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	// A lookup that finds another client planning the same pattern waits
-	// for it and counts as coalesced, neither hit nor miss.
-	if n := st.PlanCacheHits + st.PlanCacheMisses + st.PlanCoalesced; n != clients {
+	// Every lookup is a hit or a miss; concurrent misses on one pattern
+	// each plan, so the misses are not bounded by the distinct patterns.
+	if n := st.PlanCacheHits + st.PlanCacheMisses; n != clients {
 		t.Fatalf("plan cache accounted %d lookups, want %d", n, clients)
-	}
-	if st.PlanCacheMisses > int64(len(batteries)) {
-		t.Fatalf("%d plan cache misses for %d distinct patterns", st.PlanCacheMisses, len(batteries))
 	}
 }
 

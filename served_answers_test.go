@@ -201,9 +201,6 @@ func rowSetHash(rows [][]graph.NodeID) uint64 {
 
 // planLine is a plan's steps on one line: kind, group node and side, edges.
 func planLine(p *optimizer.Plan) string {
-	if p.Prefiltered() {
-		return "impossible"
-	}
 	nodes := p.Binding.Pattern.Nodes
 	var parts []string
 	for _, s := range p.Steps {
