@@ -177,10 +177,11 @@ type emptyWRun struct {
 // reference mode's rows in exactly its order, charges the same bytes, and
 // notes the same peak. The batteries must hold a pattern with an edge whose
 // W row is empty: it runs the pipeline like any other, and DP and DPS must
-// answer it with the same rows, order and budget counters. The final projection is checked on its own too: on
-// every result, the default plan's Result written out in a column order
-// that is not the identity equals the reference plan's hash-dedup Project
-// into that order, rows and order.
+// answer it with the same rows, order and budget counters. The final
+// projection is checked on its own too: on every result, the default
+// plan's Result written out in a column order that is not the identity
+// equals the reference plan's hash-dedup Project into that order, rows and
+// order.
 //
 // The batteries must reach the fused operator — a Fetch running the
 // Selections and R-semijoin groups on the node it binds as intersections of

@@ -254,6 +254,11 @@ func TestPlanCacheAcrossEpochs(t *testing.T) {
 	query("B->C", 0, false)
 	query("B->C", 0, true)
 	empty, _ := planOf("B->C")
+	insert(2, 5) // A2->B2 leaves every B->C statistic alone
+	query("B->C", 0, true)
+	if same, _ := planOf("B->C"); same != empty {
+		t.Fatal("an unrelated publish replaced the impossible pattern's plan")
+	}
 	insert(3, 6) // B0->C0, and C0->C1 from above
 	query("B->C", 2, false)
 	query("B->C", 2, true)
