@@ -173,11 +173,13 @@ func BenchmarkIntersectLinearReference(b *testing.B) {
 // membership-count oracle over k sorted unique lists. The first is of
 // IntersectTo — sort the lists by length, then intersect pairwise with
 // buffer reuse. The second is a fused Fetch's: the first list is a shared
-// partner list that must not be written, and each later one is, by a bit of
-// data[0], either a Selection's list (IntersectTo) or a semijoin
-// projection (NodeSet.FilterTo); the first filter writes to fresh space and
-// the rest shrink that list in place. Every set's Has, Len and Members are
-// checked against its list. (The name is kept from the retired leapfrog
+// partner list that must not be written, and each later one is, by a
+// base-3 digit of data[0]>>2, a Selection's list (IntersectTo), a semijoin
+// projection (NodeSet.FilterTo) or a Selection's bitmap of its list
+// (RankSet.FilterTo, under a rank that reverses the node order); the first
+// filter writes to fresh space and the rest shrink that list in place.
+// Every set's Has and Len, and a NodeSet's Members, are checked against its
+// list. (The name is kept from the retired leapfrog
 // join, which folded its lists the same way.)
 func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -239,6 +241,12 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 				numNodes = max(numNodes, int(l[len(l)-1])+1)
 			}
 		}
+		// Every node is of one label, ranked in reverse, so a RankSet's bit
+		// order is the opposite of the lists'.
+		rank := make([]int32, numNodes)
+		for v := range rank {
+			rank[v] = int32(numNodes - 1 - v)
+		}
 		shared := append([]graph.NodeID(nil), lists[0]...)
 		cur, owned := shared, false
 		for i, l := range lists[1:] {
@@ -246,28 +254,42 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 			if !owned {
 				dst, owned = make([]graph.NodeID, 0, len(cur)), true
 			}
-			if data[0]>>(2+i)&1 == 0 {
-				cur = IntersectTo(dst, cur, l)
-				continue
-			}
-			set := newNodeSet(numNodes)
 			in := make(map[graph.NodeID]bool, len(l))
 			for _, v := range l {
-				set.add(v)
 				in[v] = true
 			}
-			if got := set.Members(); set.Len() != len(l) || !reflect.DeepEqual(got, l) && len(l) > 0 {
-				t.Fatalf("set of %v: Len %d, Members %v", l, set.Len(), got)
-			}
-			for v := graph.NodeID(-1); v <= graph.NodeID(numNodes); v++ {
-				if set.Has(v) != in[v] {
-					t.Fatalf("set of %v: Has(%d) = %v", l, v, !in[v])
+			switch int(data[0]>>2) / []int{1, 3, 9, 27}[i] % 3 {
+			case 0:
+				cur = IntersectTo(dst, cur, l)
+			case 1:
+				set := newNodeSet(numNodes)
+				for _, v := range l {
+					set.add(v)
 				}
+				if got := set.Members(); set.Len() != len(l) || !reflect.DeepEqual(got, l) && len(l) > 0 {
+					t.Fatalf("set of %v: Len %d, Members %v", l, set.Len(), got)
+				}
+				for v := graph.NodeID(-1); v <= graph.NodeID(numNodes); v++ {
+					if set.Has(v) != in[v] {
+						t.Fatalf("set of %v: Has(%d) = %v", l, v, !in[v])
+					}
+				}
+				cur = set.FilterTo(dst, cur)
+			case 2:
+				set := newRankSet(rank, numNodes, l)
+				if set.Len() != len(l) || len(set.words) != RankWords(numNodes) {
+					t.Fatalf("rank set of %v: Len %d, %d words", l, set.Len(), len(set.words))
+				}
+				for v := graph.NodeID(0); v < graph.NodeID(numNodes); v++ {
+					if set.Has(v) != in[v] {
+						t.Fatalf("rank set of %v: Has(%d) = %v", l, v, !in[v])
+					}
+				}
+				cur = set.FilterTo(dst, cur)
 			}
-			cur = set.FilterTo(dst, cur)
 		}
 		if !reflect.DeepEqual(cur, want) && !(len(cur) == 0 && len(want) == 0) {
-			t.Fatalf("fused fold of %v (sets by %08b) = %v, oracle %v", lists, data[0]>>2, cur, want)
+			t.Fatalf("fused fold of %v (filters by %d) = %v, oracle %v", lists, data[0]>>2, cur, want)
 		}
 		if !reflect.DeepEqual(shared, lists[0]) && len(shared) > 0 {
 			t.Fatalf("the fused fold wrote the shared list: %v, was %v", shared, lists[0])

@@ -412,6 +412,16 @@ func (s *Snap) ProjectTo(x, y graph.Label) (*NodeSet, error) {
 	return s.projection(x, y, dirT, y, s.projTo)
 }
 
+// RankSet returns the nodes of list, all of label l, as a RankSet over l's
+// extent: a fused Selection's bitmap of one partner list. The set is the
+// caller's.
+func (s *Snap) RankSet(l graph.Label, list []graph.NodeID) RankSet {
+	return newRankSet(s.db.rank, s.g.ExtentSize(l), list)
+}
+
+// Rank returns v's position in the extent of its label.
+func (s *Snap) Rank(v graph.NodeID) int { return int(s.db.rank[v]) }
+
 // projection is the one full computation of a projection set: the cold
 // start of an epoch's memo, and the reference the sets a successor epoch
 // inherits (inheritProjections) are tested against.

@@ -85,20 +85,90 @@ func stepwise(ctx context.Context, rt *Runtime, db *gdb.Snap, t *Result, c Cond,
 	return out, counts, nil
 }
 
+// shuffled returns a copy of t with its rows in a random order, so that the
+// values of every column recur out of order.
+func shuffled(t *Result, seed int64) *Result {
+	w := t.Width()
+	out := &Result{Cols: t.Cols, Data: make([]graph.NodeID, 0, len(t.Data)), N: t.N}
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(t.N) {
+		out.Data = append(out.Data, t.Data[i*w:(i+1)*w]...)
+	}
+	return out
+}
+
+// rankPaths counts how a fused Fetch of in under fetch, with the one
+// Selection sel as its filter, tests the rows with candidates: by the bound
+// value's bitmap, or by IntersectTo because the bitmap would be larger than
+// the partner list (sparse) or the candidates outnumber the partners
+// (longer). gated reports whether the operator builds bitmaps at all.
+func rankPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFilter) (gated bool, bitmap, sparse, longer int) {
+	t.Helper()
+	boundNode, forward, err := boundSide(in, fetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newNode, target := fetch.ToNode, fetch.ToLabel
+	if !forward {
+		newNode, target = fetch.FromNode, fetch.FromLabel
+	}
+	fs, err := resolveFilters(db, in, newNode, []NodeFilter{sel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := new(Runtime).open(db)
+	partners, err := rd.partners(fetch, forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := openFilters(rd, fs, in.N, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := pf.ranks[0]
+	for i := 0; i < in.N; i++ {
+		row := in.Row(i)
+		cur, err := partners(row[in.ColIndex(boundNode)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		list, err := pf.sel[0](row[fs[0].col])
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch set := rs.of(row[fs[0].col], cur, list); {
+		case len(cur) == 0 || rs == nil:
+		case set != nil:
+			bitmap++
+		case len(cur) > len(list):
+			longer++
+		default:
+			sparse++
+		}
+	}
+	return rs != nil, bitmap, sparse, longer
+}
+
 // TestFetchFilteredMatchesStepwise: a Fetch that absorbs the filters on the
 // node it binds is the Fetch followed by those filters — same rows, same
 // order, same per-step counts, same budget — written out or left
-// factorised, unlimited or limited, and it never writes to a shared partner
-// list.
+// factorised, unlimited or limited, killed by its budget midway or not, and
+// it never writes to a shared partner list. The shuffled input has about
+// 25 rows per node of the Selections' bound label D, in random order, so
+// its Selections test candidates against bitmaps of the bound values'
+// partner lists, built on a value's first row; the first 64 rows are too
+// few and merge every list.
 func TestFetchFilteredMatchesStepwise(t *testing.T) {
 	g := fusedDAG(7, 400, 1200)
 	db := mustDB(t, g)
 	ctx := context.Background()
 
 	in, fetch := fusedInput(t, g, db)
+	mixed := shuffled(in, 1)
+	few := &Result{Cols: in.Cols, Data: mixed.Data[:64*mixed.Width()], N: 64}
 	selDC := NodeFilter{Conds: []Cond{cond(g, "D", "C", 2, 3)}}
 	selCD := NodeFilter{Conds: []Cond{cond(g, "C", "D", 3, 2)}}
 	selCA := NodeFilter{Conds: []Cond{cond(g, "C", "A", 3, 0)}} // a ⇝ b ⇝ c: never holds on a DAG
+	selAC := NodeFilter{Conds: []Cond{cond(g, "A", "C", 0, 3)}} // always holds, for the same reason
 	semiOut := NodeFilter{Conds: []Cond{cond(g, "C", "E", 3, 4)}, Semijoin: true, OutSide: true}
 	semiIn := NodeFilter{Conds: []Cond{cond(g, "E", "C", 4, 3), cond(g, "D", "C", 2, 3)}, Semijoin: true}
 	semiEmptyW := NodeFilter{Conds: []Cond{cond(g, "C", "E", 3, 4), cond(g, "C", "Z", 3, 5)}, Semijoin: true, OutSide: true}
@@ -117,6 +187,22 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		{"filter that empties every list", in, []NodeFilter{semiOut, selCA, semiIn}, true},
 		{"group with empty W", in, []NodeFilter{semiEmptyW, selDC}, true},
 		{"zero input rows", &Result{Cols: []int{0, 1, 2}}, []NodeFilter{selDC, semiOut}, true},
+		{"bitmap selection", mixed, []NodeFilter{selDC}, false},
+		{"reverse bitmap selection", mixed, []NodeFilter{selCD}, false},
+		{"bitmap selection then groups", mixed, []NodeFilter{selDC, semiOut, semiIn}, false},
+		{"groups then bitmap selection", mixed, []NodeFilter{semiIn, semiOut, selCD}, false},
+		{"two bitmap selections", mixed, []NodeFilter{selDC, selAC}, false},
+		{"selection on too few rows", few, []NodeFilter{selDC}, false},
+	}
+	for _, sel := range []NodeFilter{selDC, selCD} {
+		gated, bitmap, sparse, longer := rankPaths(t, db, mixed, fetch, sel)
+		if !gated || bitmap == 0 || sparse == 0 || longer == 0 {
+			t.Fatalf("%v over %d rows: gated=%v, %d rows by bitmap, %d sparse and %d longer merges — not every path is taken",
+				sel.Conds[0], mixed.N, gated, bitmap, sparse, longer)
+		}
+		if gated, _, _, _ := rankPaths(t, db, few, fetch, sel); gated {
+			t.Fatalf("%v over %d rows builds bitmaps", sel.Conds[0], few.N)
+		}
 	}
 	for _, tc := range cases {
 		unfiltered, err := Fetch(ctx, db, tc.in, fetch)
@@ -176,6 +262,23 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 				if rtW.Stats().FusedFilters != 0 {
 					t.Fatalf("%s: the stepwise pipeline counted fused filters", what)
 				}
+			}
+			// A row cap at half the Fetch's output kills both runs midway,
+			// after the first bound values have their bitmaps, on the same
+			// row and with the same charge.
+			if fullCounts[0] < 2 {
+				continue
+			}
+			bw, bg := &Budget{MaxTableRows: fullCounts[0] / 2}, &Budget{MaxTableRows: fullCounts[0] / 2}
+			rtW, rtG := new(Runtime), new(Runtime)
+			rtW.SetBudget(bw)
+			rtG.SetBudget(bg)
+			_, _, errW := stepwise(ctx, rtW, db, tc.in, fetch, 3, tc.filters, 0)
+			_, _, errG := rtG.FetchFiltered(ctx, db, tc.in, fetch, tc.filters, last)
+			if !errors.Is(errW, ErrRowLimit) || !errors.Is(errG, ErrRowLimit) ||
+				bg.Bytes() != bw.Bytes() || bg.PeakRows() != bw.PeakRows() {
+				t.Fatalf("%s last=%v killed at %d rows: %v bytes=%d peak=%d, stepwise %v bytes=%d peak=%d",
+					tc.name, last, fullCounts[0]/2, errG, bg.Bytes(), bg.PeakRows(), errW, bw.Bytes(), bw.PeakRows())
 			}
 		}
 		again, err := Fetch(ctx, db, tc.in, fetch)
@@ -256,7 +359,8 @@ func TestFetchFilteredErrors(t *testing.T) {
 // open_auction->watches" — and P8 is the path battery's "site->people;
 // people->person; person->profile; profile->interest" at its Fetch of
 // profile from person and the R-semijoin group profile->interest it
-// absorbs, the shape every P and T query fuses.
+// absorbs, the shape every P and T query fuses. Q1served is Q1 as the DPS
+// plan serves it, below.
 func BenchmarkFetchFilters(b *testing.B) {
 	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 7}).Graph
 	dbx, err := gdb.Build(g, gdb.Options{PoolBytes: 16 << 20})
@@ -291,7 +395,20 @@ func BenchmarkFetchFilters(b *testing.B) {
 		groups = append(groups, group{q.name, in, cond(g, q.x, q.z, 1, 3),
 			[]NodeFilter{{Conds: []Cond{cond(g, q.y, q.z, 2, 3)}}}})
 	}
-	in, err := HPSJ(ctx, db, cond(g, "people", "person", 0, 1))
+	// Q1served is the served plan's last group of Q1: the rows (item,
+	// category, site) — item->category, then site fetched from item — and
+	// the Fetch of person from category that absorbs site->person, whose
+	// few bound values (sites) recur across many rows.
+	in, err := HPSJ(ctx, db, cond(g, "item", "category", 1, 3))
+	if err == nil {
+		in, err = Fetch(ctx, db, in, cond(g, "site", "item", 0, 1))
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups = append(groups, group{"Q1served", in, cond(g, "person", "category", 2, 3),
+		[]NodeFilter{{Conds: []Cond{cond(g, "site", "person", 0, 2)}}}})
+	in, err = HPSJ(ctx, db, cond(g, "people", "person", 0, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,7 +416,11 @@ func BenchmarkFetchFilters(b *testing.B) {
 		[]NodeFilter{{Conds: []Cond{cond(g, "profile", "interest", 2, 3)}, Semijoin: true, OutSide: true}}})
 
 	for _, q := range groups {
-		in, fetch, filters, newNode := q.in, q.fetch, q.filters, q.fetch.ToNode
+		in, fetch, filters := q.in, q.fetch, q.filters
+		newNode := fetch.ToNode
+		if in.ColIndex(newNode) >= 0 {
+			newNode = fetch.FromNode
+		}
 		variants := []struct {
 			name string
 			run  func() (int, error)

@@ -401,20 +401,23 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, filters []NodeFilter) 
 }
 
 // fetchFilters is a Fetch's state for its filters: each Selection's partner
-// table, resolved once like the Fetch's own, and the arena the surviving
-// lists are written to — append-only chunks, so a list never moves once it
-// is in a Result.
+// table, resolved once like the Fetch's own, its bitmaps where they pay
+// (see rankSets), and the arena the surviving lists are written to —
+// append-only chunks, so a list never moves once it is in a Result.
 type fetchFilters struct {
 	fs    []nodeFilter
 	sel   []partnerFunc // per filter; nil for a semijoin group
+	ranks []*rankSets   // per filter; nil where every row merges
 	arena []graph.NodeID
 }
 
 // listArenaChunk is the arena's chunk size in node IDs (32 KB).
 const listArenaChunk = 8192
 
-func openFilters(rd reads, fs []nodeFilter) (*fetchFilters, error) {
-	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs))}
+// openFilters resolves fs for a Fetch of rows input rows whose new node
+// has label target.
+func openFilters(rd reads, fs []nodeFilter, rows int, target graph.Label) (*fetchFilters, error) {
+	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs)), ranks: make([]*rankSets, len(fs))}
 	for k, f := range fs {
 		if f.sets != nil {
 			continue
@@ -423,15 +426,76 @@ func openFilters(rd reads, fs []nodeFilter) (*fetchFilters, error) {
 		if p.sel[k], err = rd.partners(f.cond, f.forward); err != nil {
 			return nil, err
 		}
+		if d, ok := rd.(*decodedReads); ok {
+			p.ranks[k] = newRankSets(d.db, f, rows, target)
+		}
 	}
 	return p, nil
+}
+
+// rankSets is one fused Selection's bitmaps of its partner lists
+// (gdb.RankSet, over the target label's ranks), built on a bound value's
+// first row and indexed by its rank. A bitmap filters a candidate with one
+// rank load and one bit test, where IntersectTo walks the partner list; it
+// keeps exactly the candidates IntersectTo keeps, in the same ascending
+// order, because every candidate is a node of the target label — a partner
+// of the Fetch's own condition — and so is every node of the list, and
+// ranks are distinct within a label.
+type rankSets struct {
+	db            *gdb.Snap
+	bound, target graph.Label
+	words         int // one bitmap's length
+	sets          []gdb.RankSet
+}
+
+// rankReuse is how many input rows per node of its bound label a Fetch must
+// have before a Selection builds bitmaps: enough that each bound value is
+// expected to recur and pay back its bitmap.
+const rankReuse = 8
+
+// newRankSets returns the bitmaps of Selection f on a Fetch of rows input
+// rows into label target, or nil where they would not pay: too few rows
+// per bound value, or a condition whose list is over another label than
+// the candidates'.
+func newRankSets(db *gdb.Snap, f nodeFilter, rows int, target graph.Label) *rankSets {
+	bound, other := f.cond.FromLabel, f.cond.ToLabel
+	if !f.forward {
+		bound, other = other, bound
+	}
+	g := db.Graph()
+	if other != target || rows < rankReuse*g.ExtentSize(bound) {
+		return nil
+	}
+	return &rankSets{db: db, bound: bound, target: target, words: gdb.RankWords(g.ExtentSize(target))}
+}
+
+// of returns the bitmap of list, bound value v's partner list, for
+// filtering cur, building it on v's first use, or nil where the merge is
+// the cheaper test: a bitmap larger than the list, or more candidates than
+// partners.
+func (r *rankSets) of(v graph.NodeID, cur, list []graph.NodeID) *gdb.RankSet {
+	if r == nil || len(cur) > len(list) || 2*r.words > len(list) {
+		return nil
+	}
+	g := r.db.Graph()
+	if g.LabelOf(v) != r.bound {
+		return nil
+	}
+	if r.sets == nil {
+		r.sets = make([]gdb.RankSet, g.ExtentSize(r.bound))
+	}
+	set := &r.sets[r.db.Rank(v)]
+	if set.Len() == 0 {
+		*set = r.db.RankSet(r.target, list)
+	}
+	return set
 }
 
 // apply returns the members of targets — row's partner list, shared and
 // left untouched — that pass every filter, adding the count left after
 // filter k to counts[k+1]. The first filter to run writes to fresh arena
-// space and later ones shrink that list in place (gdb.IntersectTo and
-// NodeSet.FilterTo both allow a destination that starts where their input
+// space and later ones shrink that list in place (gdb.IntersectTo and the
+// two sets' FilterTo all allow a destination that starts where their input
 // does); bound is the most the rest of the input can still keep, which
 // sizes a new chunk.
 func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound int) ([]graph.NodeID, error) {
@@ -450,7 +514,12 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound in
 			if err != nil {
 				return nil, err
 			}
-			cur = gdb.IntersectTo(p.dst(cur, owned, min(len(cur), len(other)), bound), cur, other)
+			dst := p.dst(cur, owned, min(len(cur), len(other)), bound)
+			if set := p.ranks[k].of(row[f.col], cur, other); set != nil {
+				cur = set.FilterTo(dst, cur)
+			} else {
+				cur = gdb.IntersectTo(dst, cur, other)
+			}
 			owned = true
 		}
 		counts[k+1] += len(cur)
@@ -508,7 +577,11 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	}
 	var pf *fetchFilters
 	if len(fs) > 0 {
-		if pf, err = openFilters(rd, fs); err != nil {
+		target := c.ToLabel
+		if !forward {
+			target = c.FromLabel
+		}
+		if pf, err = openFilters(rd, fs, t.N, target); err != nil {
 			return nil, nil, err
 		}
 		rt.fusedFilters += int64(len(fs))
