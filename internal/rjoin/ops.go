@@ -444,7 +444,7 @@ func openFilters(rd reads, fs []nodeFilter, rows int, target graph.Label) (*fetc
 type rankSets struct {
 	db            *gdb.Snap
 	bound, target graph.Label
-	words         int // one bitmap's length
+	minList       int // the shortest list whose bitmap is no larger: 2 × words per bitmap
 	sets          []gdb.RankSet
 }
 
@@ -466,17 +466,22 @@ func newRankSets(db *gdb.Snap, f nodeFilter, rows int, target graph.Label) *rank
 	if other != target || rows < rankReuse*g.ExtentSize(bound) {
 		return nil
 	}
-	return &rankSets{db: db, bound: bound, target: target, words: gdb.RankWords(g.ExtentSize(target))}
+	return &rankSets{db: db, bound: bound, target: target, minList: 2 * gdb.RankWords(g.ExtentSize(target))}
 }
 
 // of returns the bitmap of list, bound value v's partner list, for
 // filtering cur, building it on v's first use, or nil where the merge is
 // the cheaper test: a bitmap larger than the list, or more candidates than
-// partners.
+// partners. It is kept small enough to inline, so a Selection without
+// bitmaps pays one nil test per row.
 func (r *rankSets) of(v graph.NodeID, cur, list []graph.NodeID) *gdb.RankSet {
-	if r == nil || len(cur) > len(list) || 2*r.words > len(list) {
+	if r == nil || len(cur) > len(list) || len(list) < r.minList {
 		return nil
 	}
+	return r.lookup(v, list)
+}
+
+func (r *rankSets) lookup(v graph.NodeID, list []graph.NodeID) *gdb.RankSet {
 	g := r.db.Graph()
 	if g.LabelOf(v) != r.bound {
 		return nil
