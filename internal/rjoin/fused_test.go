@@ -153,7 +153,7 @@ func rankPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFilte
 // order, same per-step counts, same budget — written out or left
 // factorised, unlimited or limited, killed by its budget midway or not, and
 // it never writes to a shared partner list. The shuffled input has about
-// 25 rows per node of the Selections' bound label D, in random order, so
+// 70 rows per node of the Selections' bound label D, in random order, so
 // its Selections test candidates against bitmaps of the bound values'
 // partner lists, built on a value's first row; the first 64 rows are too
 // few and merge every list.

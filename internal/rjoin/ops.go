@@ -481,6 +481,9 @@ func (r *rankSets) of(v graph.NodeID, cur, list []graph.NodeID) *gdb.RankSet {
 	return r.lookup(v, list)
 }
 
+// lookup is of's slow path: v's bitmap of list, built on first use, or nil
+// for a v outside the bound label, whose rank would name another node's
+// slot.
 func (r *rankSets) lookup(v graph.NodeID, list []graph.NodeID) *gdb.RankSet {
 	g := r.db.Graph()
 	if g.LabelOf(v) != r.bound {

@@ -89,6 +89,9 @@ func trajectory(w io.Writer, dir string) error {
 	fmt.Fprintf(w, "| claim file | base | head | %s |\n", strings.Join(workloads, " | "))
 	fmt.Fprintf(w, "|---|---|---|%s\n", strings.Repeat("---|", len(workloads)))
 	chain := make(map[string]float64, len(workloads))
+	for _, name := range workloads {
+		chain[name] = 1
+	}
 	for i, f := range files {
 		cells := []string{filepath.Base(paths[i]), short(f.Base.Commit), short(f.Head.Commit)}
 		for _, name := range workloads {
@@ -98,9 +101,6 @@ func trajectory(w io.Writer, dir string) error {
 				continue
 			}
 			ratio := qps.Head.Median / qps.Base.Median
-			if _, ok := chain[name]; !ok {
-				chain[name] = 1
-			}
 			chain[name] *= ratio
 			cell := fmt.Sprintf("%.3f", ratio)
 			if slices.Contains(f.Claims, claim{name, "qps", true}) {
