@@ -243,9 +243,9 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 		}
 		// Every node is of one label, ranked in reverse, so a RankSet's bit
 		// order is the opposite of the lists'.
-		rank := make([]int32, numNodes)
-		for v := range rank {
-			rank[v] = int32(numNodes - 1 - v)
+		ranks := Ranks{make([]int32, numNodes)}
+		for v := range ranks.rank {
+			ranks.rank[v] = int32(numNodes - 1 - v)
 		}
 		shared := append([]graph.NodeID(nil), lists[0]...)
 		cur, owned := shared, false
@@ -276,16 +276,16 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 				}
 				cur = set.FilterTo(dst, cur)
 			case 2:
-				set := newRankSet(rank, numNodes, l)
+				set := newRankSet(ranks, numNodes, l)
 				if set.Len() != len(l) || len(set.words) != RankWords(numNodes) {
 					t.Fatalf("rank set of %v: Len %d, %d words", l, set.Len(), len(set.words))
 				}
 				for v := graph.NodeID(0); v < graph.NodeID(numNodes); v++ {
-					if set.Has(v) != in[v] {
+					if set.Has(ranks, v) != in[v] {
 						t.Fatalf("rank set of %v: Has(%d) = %v", l, v, !in[v])
 					}
 				}
-				cur = set.FilterTo(dst, cur)
+				cur = set.FilterTo(ranks, dst, cur)
 			}
 		}
 		if !reflect.DeepEqual(cur, want) && !(len(cur) == 0 && len(want) == 0) {

@@ -82,14 +82,21 @@ func (s *NodeSet) clone() *NodeSet {
 	return &NodeSet{words: append([]uint64(nil), s.words...), n: s.n}
 }
 
+// Ranks is the rank table of a graph's nodes: a node's position in the
+// extent of its label (DB.rank). A RankSet is tested through it, so a
+// caller holding many sets over one label keeps the table once.
+type Ranks struct{ rank []int32 }
+
+// Of returns v's rank.
+func (r Ranks) Of(v graph.NodeID) int { return int(r.rank[v]) }
+
 // RankSet is a set of nodes of one label: bit i stands for the label's
-// i-th node, the node of rank i (DB.rank). It spends one bit per node of
-// the label rather than of the graph, so a fused Fetch can afford one per
-// bound value of a Selection, and membership is one rank load and one word
-// load. Only a node of the set's label may be tested: another label's node
-// has a rank that names one of this label's nodes.
+// i-th node, the node of rank i. It spends one bit per node of the label
+// rather than of the graph, so a fused Fetch can afford one per bound
+// value of a Selection, and membership is one rank load and one word load.
+// Only a node of the set's label may be tested: another label's node has a
+// rank that names one of this label's nodes.
 type RankSet struct {
-	rank  []int32
 	words []uint64
 	n     int
 }
@@ -99,32 +106,33 @@ type RankSet struct {
 func RankWords(n int) int { return (n + 63) / 64 }
 
 // newRankSet returns the set of list's nodes — nodes of one label of n
-// nodes, with ranks from rank.
-func newRankSet(rank []int32, n int, list []graph.NodeID) RankSet {
-	s := RankSet{rank: rank, words: make([]uint64, RankWords(n)), n: len(list)}
+// nodes, ranked by r.
+func newRankSet(r Ranks, n int, list []graph.NodeID) RankSet {
+	s := RankSet{words: make([]uint64, RankWords(n)), n: len(list)}
 	for _, v := range list {
-		r := uint(rank[v])
-		s.words[r/64] |= 1 << (r % 64)
+		i := uint(r.rank[v])
+		s.words[i/64] |= 1 << (i % 64)
 	}
 	return s
 }
 
-// Has reports whether v, a node of the set's label, is a member.
-func (s *RankSet) Has(v graph.NodeID) bool {
-	r := uint(s.rank[v])
-	return s.words[r/64]&(1<<(r%64)) != 0
+// Has reports whether v, a node of the set's label, is a member; r is the
+// table the set was built with.
+func (s *RankSet) Has(r Ranks, v graph.NodeID) bool {
+	i := uint(r.rank[v])
+	return s.words[i/64]&(1<<(i%64)) != 0
 }
 
 // Len returns the number of members.
 func (s *RankSet) Len() int { return s.n }
 
-// FilterTo is NodeSet.FilterTo for a RankSet: the entries of src that are
-// members, in src's order, written to dst — which may start where src
-// does. Every entry of src must be a node of the set's label.
-func (s *RankSet) FilterTo(dst, src []graph.NodeID) []graph.NodeID {
+// FilterTo is NodeSet.FilterTo for a RankSet ranked by r: the entries of
+// src that are members, in src's order, written to dst — which may start
+// where src does. Every entry of src must be a node of the set's label.
+func (s *RankSet) FilterTo(r Ranks, dst, src []graph.NodeID) []graph.NodeID {
 	dst = dst[:0]
 	for _, v := range src {
-		if s.Has(v) {
+		if s.Has(r, v) {
 			dst = append(dst, v)
 		}
 	}

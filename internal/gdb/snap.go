@@ -416,11 +416,11 @@ func (s *Snap) ProjectTo(x, y graph.Label) (*NodeSet, error) {
 // extent: a fused Selection's bitmap of one partner list. The set is the
 // caller's.
 func (s *Snap) RankSet(l graph.Label, list []graph.NodeID) RankSet {
-	return newRankSet(s.db.rank, s.g.ExtentSize(l), list)
+	return newRankSet(s.Ranks(), s.g.ExtentSize(l), list)
 }
 
-// Rank returns v's position in the extent of its label.
-func (s *Snap) Rank(v graph.NodeID) int { return int(s.db.rank[v]) }
+// Ranks returns the graph's rank table, which RankSets are tested through.
+func (s *Snap) Ranks() Ranks { return Ranks{s.db.rank} }
 
 // projection is the one full computation of a projection set: the cold
 // start of an epoch's memo, and the reference the sets a successor epoch

@@ -443,6 +443,7 @@ func openFilters(rd reads, fs []nodeFilter, rows int, target graph.Label) (*fetc
 // ranks are distinct within a label.
 type rankSets struct {
 	db            *gdb.Snap
+	rank          gdb.Ranks
 	bound, target graph.Label
 	minList       int // the shortest list whose bitmap is no larger: 2 × words per bitmap
 	sets          []gdb.RankSet
@@ -466,7 +467,7 @@ func newRankSets(db *gdb.Snap, f nodeFilter, rows int, target graph.Label) *rank
 	if other != target || rows < rankReuse*g.ExtentSize(bound) {
 		return nil
 	}
-	return &rankSets{db: db, bound: bound, target: target, minList: 2 * gdb.RankWords(g.ExtentSize(target))}
+	return &rankSets{db: db, rank: db.Ranks(), bound: bound, target: target, minList: 2 * gdb.RankWords(g.ExtentSize(target))}
 }
 
 // of returns the bitmap of list, bound value v's partner list, for
@@ -492,7 +493,7 @@ func (r *rankSets) lookup(v graph.NodeID, list []graph.NodeID) *gdb.RankSet {
 	if r.sets == nil {
 		r.sets = make([]gdb.RankSet, g.ExtentSize(r.bound))
 	}
-	set := &r.sets[r.db.Rank(v)]
+	set := &r.sets[r.rank.Of(v)]
 	if set.Len() == 0 {
 		*set = r.db.RankSet(r.target, list)
 	}
@@ -523,8 +524,9 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound in
 				return nil, err
 			}
 			dst := p.dst(cur, owned, min(len(cur), len(other)), bound)
-			if set := p.ranks[k].of(row[f.col], cur, other); set != nil {
-				cur = set.FilterTo(dst, cur)
+			r := p.ranks[k]
+			if set := r.of(row[f.col], cur, other); set != nil {
+				cur = set.FilterTo(r.rank, dst, cur)
 			} else {
 				cur = gdb.IntersectTo(dst, cur, other)
 			}

@@ -1,11 +1,11 @@
 // Command trajectory prints the served-path trajectory the committed claim
-// files record: one Markdown table row per BENCH_<n>.json in a directory
-// (default: the working directory, the repository root), in order of n —
-// parent to child — with the file's base and head commits and, per
-// workload it measured, the head/base ratio of the median qps and the
-// product of those ratios down the chain so far.
+// files record: one Markdown table row per BENCH_<n>.json in the working
+// directory, the repository root, in order of n — parent to child — with
+// the file's base and head commits and, per workload it measured, the
+// head/base ratio of the median qps and the product of those ratios down
+// the chain so far.
 //
-//	go run ./scripts/trajectory [-dir .]
+//	go run ./scripts/trajectory
 //
 // The product covers only measured steps: commits between one file's head
 // and the next file's base are not in it.
@@ -13,7 +13,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -24,9 +23,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", ".", "directory holding the BENCH_*.json claim files")
-	flag.Parse()
-	if err := trajectory(os.Stdout, *dir); err != nil {
+	if err := trajectory(os.Stdout, "."); err != nil {
 		fmt.Fprintln(os.Stderr, "trajectory:", err)
 		os.Exit(1)
 	}
