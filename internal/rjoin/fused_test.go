@@ -280,6 +280,32 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 				t.Fatalf("%s last=%v killed at %d rows: %v bytes=%d peak=%d, stepwise %v bytes=%d peak=%d",
 					tc.name, last, fullCounts[0]/2, errG, bg.Bytes(), bg.PeakRows(), errW, bw.Bytes(), bw.PeakRows())
 			}
+			// A byte cap anywhere from nothing to past the whole charge: both
+			// runs see the same count at every check, so they fail on the
+			// same check with the same message — exactly when the cap is
+			// below the Fetch's charge — or both pass having charged all of
+			// it, with the same peak.
+			charge := int64(fullCounts[0]) * 4 * nodeIDBytes
+			var caps []int64
+			for k := int64(0); k <= 40; k++ {
+				c := charge * k / 32
+				caps = append(caps, c-1, c, c+1)
+			}
+			for _, maxBytes := range caps {
+				bw, bg := &Budget{MaxBytes: maxBytes}, &Budget{MaxBytes: maxBytes}
+				rtW, rtG := new(Runtime), new(Runtime)
+				rtW.SetBudget(bw)
+				rtG.SetBudget(bg)
+				_, _, errW := stepwise(ctx, rtW, db, tc.in, fetch, 3, tc.filters, 0)
+				_, _, errG := rtG.FetchFiltered(ctx, db, tc.in, fetch, tc.filters, last)
+				killed := maxBytes > 0 && maxBytes < charge // a cap of 0 or less is none
+				if fmt.Sprint(errG) != fmt.Sprint(errW) || killed != errors.Is(errG, ErrBudgetExceeded) ||
+					!killed && (errG != nil || bg.Bytes() != charge) ||
+					bg.Bytes() != bw.Bytes() || bg.PeakRows() != bw.PeakRows() {
+					t.Fatalf("%s last=%v under %d bytes: %v bytes=%d peak=%d, stepwise %v bytes=%d peak=%d",
+						tc.name, last, maxBytes, errG, bg.Bytes(), bg.PeakRows(), errW, bw.Bytes(), bw.PeakRows())
+				}
+			}
 		}
 		again, err := Fetch(ctx, db, tc.in, fetch)
 		if err != nil {

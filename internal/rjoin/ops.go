@@ -17,11 +17,15 @@ const cancelStride = 1024
 
 // cancelCheck polls its context — and, when the query is budgeted, the
 // byte budget — every cancelStride work units, counting down instead of
-// taking a modulo so the per-tick cost is one decrement.
+// taking a modulo so the per-tick cost is one decrement. Bytes an operator
+// charges through it are held locally and added to the budget at the next
+// poll or flush, so a per-row charge costs no atomic add, and every check
+// sees every byte charged before it.
 type cancelCheck struct {
-	ctx  context.Context
-	b    *Budget
-	left int
+	ctx   context.Context
+	b     *Budget
+	left  int
+	bytes int64
 }
 
 func newCancelCheck(ctx context.Context) cancelCheck {
@@ -45,10 +49,24 @@ func (c *cancelCheck) tickN(n int) error {
 		return nil
 	}
 	c.left = cancelStride
+	c.flush()
 	if err := c.ctx.Err(); err != nil {
 		return err
 	}
 	return c.b.CheckBytes()
+}
+
+// charge records n bytes of intermediate-result allocation, to be added to
+// the budget at the next poll or flush.
+func (c *cancelCheck) charge(n int64) { c.bytes += n }
+
+// flush adds the bytes charged since the last poll to the budget. An
+// operator that charges flushes on every return.
+func (c *cancelCheck) flush() {
+	if c.bytes != 0 {
+		c.b.AddBytes(c.bytes)
+		c.bytes = 0
+	}
 }
 
 // Package-level operator functions run on a fresh, unbudgeted Runtime.
@@ -648,6 +666,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, counts []int) error {
 	width := len(res.Cols)
 	cc := rt.check(ctx)
+	defer cc.flush()
 	n, kept := 0, 0
 	for i, targets := range res.Exp {
 		// One cancellation charge per row unit: the scan itself plus every
@@ -655,7 +674,7 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 		if err := cc.tickN(1 + len(targets)); err != nil {
 			return err
 		}
-		rt.budget.AddBytes(int64(len(targets)) * int64(width) * nodeIDBytes)
+		cc.charge(int64(len(targets)) * int64(width) * nodeIDBytes)
 		switch {
 		case pf != nil && rt.pastLimit(kept):
 			// limit+1 survivors prove truncation; the rest of the input is
@@ -680,6 +699,9 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 	return nil
 }
 
+// limitedExp is the list count a limited expand reserves first.
+const limitedExp = 16
+
 // expand is Fetch's counting pass: it resolves each input row's expansion
 // list — its bound value's partners, shared with the read path and never
 // copied — and the total rows they stand for at the given output width,
@@ -690,12 +712,14 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 // (the loop's CheckRows then fails on exactly that row), or where its bytes
 // alone would blow the byte budget (the loop charges them and the next poll
 // or the final checkpoint fails the query) — so a doomed query never
-// allocates its full output. The lists are appended to exp, which is
-// allocated at its final size when it has no room.
+// allocates its full output. The lists are appended to exp. Without a limit
+// every input row gets one, so exp is allocated at its final size when it
+// has no room; under a limit one list may already pass it, so exp starts
+// at limitedExp entries and grows by append.
 func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, col, width, limit int, exp [][]graph.NodeID) ([][]graph.NodeID, int, error) {
 	n := t.N
 	if limit > 0 && limit < n {
-		n = limit + 1
+		n = min(limit+1, limitedExp)
 	}
 	if cap(exp) < n {
 		exp = make([][]graph.NodeID, 0, n)

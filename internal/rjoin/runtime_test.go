@@ -235,7 +235,10 @@ func BenchmarkOperators(b *testing.B) {
 // exact pointer-free slice, so its allocations do not grow with its rows
 // and its bytes are the output's N×w×4 (no 24-byte header per row), once
 // the runtime's expansion scratch is warm; FilterGroup and Selection
-// compact in place and allocate nothing per row.
+// compact in place and allocate nothing per row. Under a pushed-down
+// limit that the first row's list already passes, a Fetch allocates the
+// same bytes whatever the limit: it reserves no list per row the limit
+// would allow.
 func TestFlatTablesAllocate(t *testing.T) {
 	g := randomGraph(45, 600, 1600, 2)
 	db := mustDB(t, g)
@@ -311,6 +314,37 @@ func TestFlatTablesAllocate(t *testing.T) {
 		}
 		if allocs[0] != allocs[1] {
 			t.Fatalf("%s allocations grow with its input: %v", name, allocs)
+		}
+	}
+
+	// One A node reaching 3,000 B nodes, bound in each of 5,000 input rows.
+	b := graph.NewBuilder()
+	hub := b.AddNode("A")
+	for range 3000 {
+		b.AddEdge(hub, b.AddNode("B"))
+	}
+	star := b.Build()
+	sdb := mustDB(t, star)
+	sc := cond(star, "A", "B", 0, 1)
+	hubRows := extentOf(star, sc.FromLabel, 0, 5000)
+	for name, fetch := range map[string]func(rt *Runtime) (*Result, error){
+		"Fetch":       func(rt *Runtime) (*Result, error) { return rt.Fetch(ctx, sdb, hubRows, sc) },
+		"FetchResult": func(rt *Runtime) (*Result, error) { return rt.FetchResult(ctx, sdb, hubRows, sc) },
+	} {
+		var bytes [2]uint64
+		for k, limit := range []int{1, 2000} {
+			_, bytes[k] = measure(func() {
+				rt := new(Runtime)
+				rt.SetBudget(&Budget{ResultRows: limit})
+				rt.PushLimit(limit)
+				if out, err := fetch(rt); err != nil || out.N != limit || !rt.Budget().Truncated() {
+					t.Fatalf("%s limit %d: %v, %v", name, limit, out, err)
+				}
+			})
+		}
+		// A list slot per allowed row would be 24 bytes × 2,000.
+		if bytes[1] > bytes[0]+1024 {
+			t.Fatalf("%s allocated %d bytes under limit 1 and %d under limit 2000", name, bytes[0], bytes[1])
 		}
 	}
 }

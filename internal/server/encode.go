@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/rjoin"
@@ -85,20 +86,21 @@ func (e *encoder) response(res *Result, src []int) {
 	e.flush()
 }
 
-// rowRoom is the room rows reserves before writing a row of width cells:
-// the widest row text — ten digits per cell, a comma before each cell and
-// the brackets — and the 15 bytes past it that the 16-byte store of a
+// rowRoom is the room rows reserves for a row of width cells: the widest
+// row text — ten digits per cell, a comma before each cell and the
+// brackets — and the 31 bytes past it that the 32-byte store of a
 // factorised row's tail can write. Every fixed-width store of a row falls
-// inside it.
-func rowRoom(width int) int { return 11*width + 2 + 15 }
+// inside it, so a run of k rows needs k·rowRoom bytes at most.
+func rowRoom(width int) int { return 11*width + 2 + 31 }
 
 // rows appends r's rows as JSON arrays, comma-separated, with output
 // column j taken from source column src[j]; prefix row i is
-// r.Data[i*w:(i+1)*w]. Every cell is written by
-// putNodeID. For a factorised result each prefix row's cells are formatted
-// once, as the text before and after the expanded column, and every row it
-// stands for is a 16-byte store of the head, one number and a 16-byte store
-// of the tail (a copy finishes a head or tail longer than 16 bytes).
+// r.Data[i*w:(i+1)*w]. Plain rows are written cell by cell with putNodeID.
+// For a factorised result each prefix row's cells are formatted once, as
+// the text before and after the expanded column, and its partner list is
+// written a run at a time: as many rows as the buffer has room for, each
+// a 32-byte store of the head, the partner's digits and a 32-byte store of
+// the tail (a copy finishes a head or tail longer than 32 bytes).
 func (e *encoder) rows(r *rjoin.Result, src []int) {
 	width := len(src)
 	need := rowRoom(width)
@@ -171,26 +173,63 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 			n += copy(b[n:], tail)
 			list, first = list[1:], false
 		}
-		h16, t16 := [16]byte(h), [16]byte(t)
-		for _, v := range list {
-			if len(b)-n < need {
+		for len(list) > 0 {
+			fit := (len(b) - n) / need
+			if fit == 0 {
 				if b, n = e.grow(b, n, need); b == nil {
 					return
 				}
+				fit = (len(b) - n) / need
 			}
-			*(*[16]byte)(b[n:]) = h16
-			if hn > 16 {
-				copy(b[n+16:], head[16:])
-			}
-			n = putNodeID(b, n+hn, v)
-			*(*[16]byte)(b[n:]) = t16
-			if tn > 16 {
-				copy(b[n+16:], tail[16:])
-			}
-			n += tn
+			run := list[:min(fit, len(list))]
+			list = list[len(run):]
+			n = putRun(b, n, run, head, tail)
 		}
 	}
 	e.buf = b[:n]
+}
+
+// putRun writes one row per partner in run at b[n:] — head, the
+// partner's digits, tail — and returns the index after the last. Each row
+// is a 32-byte store of head (a copy finishes one longer than that), the
+// digits (putNodeID's two cases under 10⁸ inline, the third a call) and a
+// 32-byte store of tail; head and tail must have 32 bytes of capacity. The
+// stores write past their text, into bytes the next store or the buffer's
+// length covers, and are unchecked: a row advances at most hn+10+tn bytes
+// and stores at most 31 past its text, so the one slice check of the run's
+// len(run)·(hn+10+tn)+31 bytes bounds them all.
+func putRun(b []byte, n int, run []graph.NodeID, head, tail []byte) int {
+	hn, tn := len(head), len(tail)
+	_ = b[n : n+len(run)*(hn+10+tn)+31]
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	h32, t32 := [32]byte(head[:32:32]), [32]byte(tail[:32:32])
+	for _, v := range run {
+		*(*[32]byte)(unsafe.Add(p, n)) = h32
+		if hn > 32 {
+			copy(b[n+32:], head[32:])
+		}
+		n += hn
+		switch u := uint32(v); {
+		case u < 1e4:
+			x := digits[u]
+			*(*uint64)(unsafe.Add(p, n)) = x
+			n += int(x >> 56)
+		case u < 1e8:
+			x := digits[u/1e4]
+			*(*uint64)(unsafe.Add(p, n)) = x
+			n += int(x >> 56)
+			*(*uint32)(unsafe.Add(p, n)) = padded[u%1e4]
+			n += 4
+		default:
+			n = putNodeID(b, n, v)
+		}
+		*(*[32]byte)(unsafe.Add(p, n)) = t32
+		if tn > 32 {
+			copy(b[n+32:], tail[32:])
+		}
+		n += tn
+	}
+	return n
 }
 
 // grow is room for rows, which writes into b — e.buf up to its capacity —

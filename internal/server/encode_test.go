@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -103,7 +104,7 @@ func wantBody(t *testing.T, res *Result) []byte {
 }
 
 func encodingCases() map[string]*Result {
-	names := []string{"A", "B", "C", "D"}
+	names := []string{"A", "B", "C", "D", "E"}
 	fact := func(cols []int, lens ...int) *Result {
 		return &Result{Cols: names[:len(cols)], rows: factorisedResult(cols, lens...), nodes: identityNodes(len(cols))}
 	}
@@ -134,6 +135,25 @@ func encodingCases() map[string]*Result {
 		"digit boundaries pair":   {1, 0},
 	} {
 		cases[name] = &Result{Cols: names[:len(cols)], rows: digitBoundaryResult(cols), nodes: identityNodes(len(cols))}
+	}
+	// Heads and tails of 17–32 bytes, one 32-byte store, and of 33–45,
+	// finished by a copy: 3 or 4 prefix cells of 6, 8 or 10 digits with the
+	// expanded column first, in the middle and last.
+	for _, tc := range []struct {
+		where  string
+		cols   []int
+		digits []int
+	}{
+		{"first", []int{1, 2, 3, 0}, []int{6, 8, 10}},
+		{"middle", []int{0, 2, 3, 1}, []int{10}},
+		{"last", []int{0, 1, 2, 3}, []int{6, 8, 10}},
+		{"middle of 5", []int{0, 2, 3, 4, 1}, []int{6, 10}},
+		{"centre of 5", []int{0, 1, 3, 4, 2}, []int{10}},
+	} {
+		for _, d := range tc.digits {
+			name := fmt.Sprintf("wide %d-digit cells, expanded %s", d, tc.where)
+			cases[name] = &Result{Cols: names[:len(tc.cols)], rows: wideCellResult(tc.cols, d), nodes: identityNodes(len(tc.cols))}
+		}
 	}
 	// Rows as wide as rowRoom allows — every cell ten digits, the expanded
 	// column last so the tail is "]" — whose tail stores reach the end of
@@ -197,8 +217,10 @@ func TestPutNodeID(t *testing.T) {
 // digitBoundaryResult is a factorised Result over cols whose prefix cells
 // and list values cross every digit-count boundary the formatter's table
 // splits at — 9/10, 9999/10000, 99,999,999/100,000,000 — and reach
-// math.MaxInt32. At width 4 a head or tail of three cells is longer than
-// the 16 bytes one store writes.
+// math.MaxInt32. Every list value but the response's first is written by
+// the run loop, so its inline digit cases see each side of 10⁴ and of 10⁸.
+// At width 4 a head or tail of three cells can be longer than the 32 bytes
+// one store writes.
 func digitBoundaryResult(cols []int) *rjoin.Result {
 	ids := []graph.NodeID{0, 9, 10, 9999, 10_000, 99_999_999, 100_000_000, 999_999_999, 1_000_000_000, math.MaxInt32}
 	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
@@ -209,6 +231,33 @@ func digitBoundaryResult(cols []int) *rjoin.Result {
 		}
 		list := ids[i%3:]
 		r.Data = append(r.Data, prefix...)
+		r.Exp = append(r.Exp, list)
+		r.N += len(list)
+	}
+	return r
+}
+
+// wideCellResult is a factorised Result over cols whose prefix cells all
+// have the given number of digits, so its heads and tails are as long as
+// the served tree patterns' or longer than one 32-byte store. Its lists
+// cross every digit-count boundary, with a value of 10⁸ or more in each.
+func wideCellResult(cols []int, digits int) *rjoin.Result {
+	lo := int64(1)
+	for range digits - 1 {
+		lo *= 10
+	}
+	span := min(9*lo, math.MaxInt32-lo+1)
+	ids := []graph.NodeID{0, 7, 42, 9999, 10_000, 123_456, 99_999_999, 100_000_000, 1_000_000_000, math.MaxInt32}
+	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
+	for i := range 12 {
+		for j := range len(cols) - 1 {
+			r.Data = append(r.Data, graph.NodeID(lo+int64(i*7919+j*104_729)*1_000_003%span))
+		}
+		list := make([]graph.NodeID, 0, 40)
+		for k := range cap(list) {
+			list = append(list, ids[(i+k)%len(ids)])
+		}
+		slices.Sort(list)
 		r.Exp = append(r.Exp, list)
 		r.N += len(list)
 	}
@@ -252,6 +301,34 @@ func FuzzEncodeResult(f *testing.F) {
 	f.Add([]byte{0x83, 2, 1, 3, 9, 0xff, 0xff, 0xff, 0x7f, 0, 1, 0, 0, 0, 4, 8, 7, 6, 5})
 	f.Add([]byte{0x82, 0, 1, 5, 0, 0, 0, 0, 0, 9, 9, 9, 9, 9, 1, 1, 2, 3, 4})
 	f.Add([]byte{0x03, 1, 0, 2, 7, 1, 2, 3, 4, 9, 4, 3, 2, 1, 3, 0, 0, 0, 0})
+	// Wide rows: width 4, three prefix cells of the given digit count, the
+	// shuffle bytes placing the expanded column, and five partners of 9
+	// and 10 digits per row.
+	wide := func(shuffle []byte, cellDigits byte) []byte {
+		seed := append([]byte{0x83}, shuffle...)
+		for r := range byte(3) {
+			seed = append(seed, 5)
+			for c := range byte(3) {
+				seed = append(seed, cellDigits-1, r, c, 0x5a, 0x3c)
+			}
+			for k := range byte(5) {
+				seed = append(seed, 8+k%2, k, 0x11*r, 0xc3, 0x7e)
+			}
+		}
+		return seed
+	}
+	f.Add(wide([]byte{3, 2, 1}, 10)) // expanded last: a 35-byte head
+	f.Add(wide([]byte{0, 2, 1}, 10)) // expanded first: a 34-byte tail
+	f.Add(wide([]byte{1, 2, 1}, 6))  // expanded second: 9-byte head, 15-byte tail
+	f.Add(wide([]byte{3, 2, 1}, 7))  // expanded last: a 26-byte head
+	// Plain rows of four 9- and 10-digit cells.
+	plainWide := []byte{0x03, 3, 2, 1}
+	for r := range byte(4) {
+		for c := range byte(4) {
+			plainWide = append(plainWide, 8+c%2, r, c, 0xe1, 0x4b)
+		}
+	}
+	f.Add(plainWide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -371,8 +448,11 @@ func TestEncodeBufferBounded(t *testing.T) {
 
 // TestEncodeRowRoom: the fixed-width stores of a row stay inside the room
 // reserved for it. Each result is encoded into buffers whose capacity ends
-// at every offset across two rows' reserve; a store past the reserve would
-// panic, and the rows must be those json.Marshal writes.
+// at every offset across the first four rows' reserve, so a run of rows
+// ends at every offset of its last row's room before the buffer grows.
+// The stores of a run are unchecked: bytes of the backing array past the
+// capacity must come back untouched, and the rows must be those
+// json.Marshal writes.
 func TestEncodeRowRoom(t *testing.T) {
 	for name, res := range encodingCases() {
 		if res.rows.N > 10_000 {
@@ -384,12 +464,18 @@ func TestEncodeRowRoom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		backing := make([]byte, 2*rowRoom(len(src)))
-		for c := range backing {
+		backing := make([]byte, 4*rowRoom(len(src))+64)
+		for c := range 4 * rowRoom(len(src)) {
+			for i := range backing {
+				backing[i] = '#'
+			}
 			e := &encoder{w: io.Discard, max: maxPooledResponse, buf: backing[:0:c]}
 			e.rows(res.rows, src)
 			if !bytes.Equal(e.buf, rows) {
 				t.Fatalf("%s: rows from a %d-byte buffer differ from json.Marshal's\n got %.200s\nwant %.200s", name, c, e.buf, rows)
+			}
+			if i := bytes.IndexFunc(backing[c:], func(r rune) bool { return r != '#' }); i >= 0 {
+				t.Fatalf("%s: a %d-byte buffer was written %d bytes past its capacity", name, c, i+1)
 			}
 		}
 	}
@@ -572,10 +658,32 @@ func servedResult() *rjoin.Result {
 	return r
 }
 
+// wideResult is shaped like the last Fetch of a served tree pattern (T4,
+// T6): 3 prefix cells of served IDs before the expanded column, so each
+// row's head is 20–23 bytes, and 190 prefix rows of 270 ascending
+// partners — as many rows as servedResult.
+func wideResult() *rjoin.Result {
+	rnd := rand.New(rand.NewSource(2))
+	r := &rjoin.Result{Cols: []int{0, 1, 2, 3}}
+	for range 190 {
+		for range 3 {
+			r.Data = append(r.Data, graph.NodeID(10_000+rnd.Intn(90_000)))
+		}
+		list := make([]graph.NodeID, 270)
+		for k := range list {
+			list[k] = graph.NodeID(k*370 + rnd.Intn(370))
+		}
+		r.Exp = append(r.Exp, list)
+		r.N += len(list)
+	}
+	return r
+}
+
 // BenchmarkEncodeResult times the row encoder into a warm buffer: a
 // site->name-shaped factorised result with served IDs, the same shape with
-// small consecutive IDs and math.MaxInt32, and a 4-column plain result of
-// the same size. It fails if encoding allocates.
+// small consecutive IDs and math.MaxInt32, a tree-shaped one whose rows
+// carry 3 prefix cells (wideResult), and a 4-column plain result of the
+// same size. It fails if encoding allocates.
 func BenchmarkEncodeResult(b *testing.B) {
 	lens := make([]int, 95)
 	for i := range lens {
@@ -588,6 +696,7 @@ func BenchmarkEncodeResult(b *testing.B) {
 	}{
 		{"served", servedResult()},
 		{"factorised", fact},
+		{"wide", wideResult()},
 		{"plain4", plainResult([]int{2, 0, 3, 1}, fact.N)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
