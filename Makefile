@@ -6,9 +6,9 @@ GO ?= go
 # kernels, the two per-row index reads (partner slot, reachability test),
 # the four binary R-join operators, a Fetch with the filters on its new node
 # fused against the step-by-step pipeline (ns per input row) and the
-# response encoder (ns per row from a served-shaped and a synthetic
-# factorised result and from a plain one) — the hot paths a perf PR must
-# not regress.
+# response encoder (ns per row from a served-shaped, a synthetic and a
+# tree-shaped wide factorised result and from a plain one) — the hot paths
+# a perf PR must not regress.
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/server
 BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult'
 BENCH_BASE   = bench-baseline.txt

@@ -196,8 +196,9 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 // 32-byte store of tail; head and tail must have 32 bytes of capacity. The
 // stores write past their text, into bytes the next store or the buffer's
 // length covers, and are unchecked: a row advances at most hn+10+tn bytes
-// and stores at most 31 past its text, so the one slice check of the run's
-// len(run)·(hn+10+tn)+31 bytes bounds them all.
+// and, its tail holding at least the closing bracket, stores at most 31
+// past its text, so the one slice check of the run's len(run)·(hn+10+tn)+31
+// bytes bounds them all.
 func putRun(b []byte, n int, run []graph.NodeID, head, tail []byte) int {
 	hn, tn := len(head), len(tail)
 	_ = b[n : n+len(run)*(hn+10+tn)+31]
