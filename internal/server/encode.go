@@ -174,14 +174,12 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 			list, first = list[1:], false
 		}
 		for len(list) > 0 {
-			fit := (len(b) - n) / need
-			if fit == 0 {
+			if len(b)-n < need {
 				if b, n = e.grow(b, n, need); b == nil {
 					return
 				}
-				fit = (len(b) - n) / need
 			}
-			run := list[:min(fit, len(list))]
+			run := list[:min((len(b)-n)/need, len(list))]
 			list = list[len(run):]
 			n = putRun(b, n, run, head, tail)
 		}
