@@ -112,7 +112,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 			svc := eng.Parallel(fastmatch.ServeConfig{MaxInFlight: workers})
 			prev := runtime.GOMAXPROCS(workers)
 			defer runtime.GOMAXPROCS(prev)
-			// Warm the buffer pool and code cache (shared across
+			// Warm the buffer pool and partner tables (shared across
 			// sub-benchmarks) so the first variant isn't charged the
 			// cold-start I/O; the plan cache itself stays cold.
 			for _, p := range patterns {

@@ -33,7 +33,7 @@ func (r *Runner) AblationCenterOrder() (*Report, error) {
 	for _, ord := range []twohop.CenterOrder{twohop.OrderDegreeProduct, twohop.OrderTopological, twohop.OrderRandom} {
 		start := time.Now()
 		cover := twohop.Compute(g, twohop.Options{Order: ord, Seed: 7})
-		db, err := gdb.BuildFromIndex(g, cover, gdb.Options{CodeCacheEntries: 4096})
+		db, err := gdb.BuildFromIndex(g, cover, gdb.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func (r *Runner) AblationPoolSize() (*Report, error) {
 	g := r.dataset(r.ablationScale()).Graph
 	w := workload.ScalabilityGraph()
 	for _, poolBytes := range []int{64 << 10, 256 << 10, 1 << 20, 4 << 20} {
-		db, err := gdb.Build(g, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096})
+		db, err := gdb.Build(g, gdb.Options{PoolBytes: 16 << 20})
 		if err != nil {
 			return nil, err
 		}

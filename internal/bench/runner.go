@@ -106,7 +106,7 @@ func (r *Runner) db(s Scale) (*gdb.DB, error) {
 	if db, ok := r.dbs[s.Name]; ok {
 		return db, nil
 	}
-	db, err := gdb.Build(r.dataset(s).Graph, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096})
+	db, err := gdb.Build(r.dataset(s).Graph, gdb.Options{PoolBytes: 16 << 20})
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (r *Runner) dagSetup() (*gdb.DB, *twigstackd.Index, *igmj.Index, error) {
 		return r.dagDB, r.tsdIx, r.igmjIx, nil
 	}
 	d := xmark.Generate(xmark.Config{Nodes: int(DAGNodes * r.Mult), Seed: r.Seed, DAG: true})
-	db, err := gdb.Build(d.Graph, gdb.Options{PoolBytes: 16 << 20, CodeCacheEntries: 4096})
+	db, err := gdb.Build(d.Graph, gdb.Options{PoolBytes: 16 << 20})
 	if err != nil {
 		return nil, nil, nil, err
 	}

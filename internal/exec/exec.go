@@ -118,7 +118,7 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	rt := cfg.runtime()
 	b := plan.Binding
 	// The plan, not the caller's runtime, chooses the read path. By default
-	// every operator reads the snapshot's decoded per-epoch memos and the
+	// every operator reads the snapshot's decoded index and the
 	// temporal table stays in memory between steps. A reference plan
 	// (PlanConfig.NoFastPath) instead runs the paper's counted-I/O model:
 	// every index read goes through the buffer pool, and intermediate

@@ -190,64 +190,49 @@ type clusterSlot struct {
 }
 
 func (w *snapWriter) applyOneCenter(c graph.NodeID, ds []reach.LabelDelta, cs *centerChangeStats) error {
-	allF0, fsz0, err := w.clusterSlotSizes(c, dirF, true)
-	if err != nil {
-		return err
-	}
-	allT0, tsz0, err := w.clusterSlotSizes(c, dirT, true)
-	if err != nil {
-		return err
-	}
+	allF0, fsz0 := w.slotSizes(c, dirF)
+	allT0, tsz0 := w.slotSizes(c, dirT)
 	liveBefore := len(allF0) > 0 // a live center always has its self F entry
 
 	// The fan signature is maintained by contribution replacement: retract
 	// c's pre-update slot sizes now, re-add the post-update sizes below.
 	w.ensureSig()
-	w.sig.removeCenter(allF0, fsz0, allT0, tsz0)
+	w.sig.addCenter(-1, allF0, fsz0, allT0, tsz0)
 
-	rem := make(map[clusterSlot][]graph.NodeID)
-	add := make(map[clusterSlot][]graph.NodeID)
+	rem := make(map[uint32][]graph.NodeID) // by slotKey
+	add := make(map[uint32][]graph.NodeID)
 	hadRemovals := false
 	for _, d := range ds {
 		dir := dirT
 		if d.Out {
 			dir = dirF
 		}
-		s := clusterSlot{dir, w.g.LabelOf(d.Node)}
+		k := slotKey(dir, w.g.LabelOf(d.Node))
 		if d.Removed {
-			rem[s] = append(rem[s], d.Node)
+			rem[k] = append(rem[k], d.Node)
 			hadRemovals = true
 		} else {
-			add[s] = append(add[s], d.Node)
+			add[k] = append(add[k], d.Node)
 		}
 	}
 	if !liveBefore && len(add) > 0 {
 		cs.born++
 		w.numCenters++
-		lc := w.g.LabelOf(c)
-		add[clusterSlot{dirF, lc}] = append(add[clusterSlot{dirF, lc}], c)
-		add[clusterSlot{dirT, lc}] = append(add[clusterSlot{dirT, lc}], c)
+		for _, k := range []uint32{slotKey(dirF, w.g.LabelOf(c)), slotKey(dirT, w.g.LabelOf(c))} {
+			add[k] = append(add[k], c)
+		}
 	}
 
-	slots := make(map[clusterSlot]struct{}, len(rem)+len(add))
-	for s := range rem {
-		slots[s] = struct{}{}
+	order := make([]uint32, 0, len(rem)+len(add))
+	for k := range rem {
+		order = append(order, k)
 	}
-	for s := range add {
-		slots[s] = struct{}{}
+	for k := range add {
+		order = append(order, k)
 	}
-	order := make([]clusterSlot, 0, len(slots))
-	for s := range slots {
-		order = append(order, s)
-	}
-	slices.SortFunc(order, func(a, b clusterSlot) int {
-		if a.dir != b.dir {
-			return int(a.dir) - int(b.dir)
-		}
-		return int(a.l) - int(b.l)
-	})
-	for _, s := range order {
-		if err := w.updateClusterSlot(c, s, rem[s], add[s]); err != nil {
+	slices.Sort(order)
+	for _, k := range slices.Compact(order) {
+		if err := w.updateClusterSlot(c, k, rem[k], add[k]); err != nil {
 			return err
 		}
 	}
@@ -255,51 +240,27 @@ func (w *snapWriter) applyOneCenter(c graph.NodeID, ds []reach.LabelDelta, cs *c
 	// Death check: removals may have left the center with no member but
 	// itself, in which case it must not survive — a spurious center would
 	// add (c, c) rows to the W pair of its own label and change results.
-	if liveBefore && hadRemovals {
-		dead, err := w.centerIsDead(c)
-		if err != nil {
+	if liveBefore && hadRemovals && w.centerIsDead(c) {
+		if err := w.dropCenterKeys(c); err != nil {
 			return err
 		}
-		if dead {
-			if err := w.dropCenterKeys(c); err != nil {
-				return err
-			}
-			cs.died++
-			w.numCenters--
-		}
+		cs.died++
+		w.numCenters--
 	}
 
-	allF1, fsz1, err := w.clusterSlotSizes(c, dirF, true)
-	if err != nil {
-		return err
-	}
-	allT1, tsz1, err := w.clusterSlotSizes(c, dirT, true)
-	if err != nil {
-		return err
-	}
-	w.sig.addCenter(allF1, fsz1, allT1, tsz1)
+	allF1, fsz1 := w.slotSizes(c, dirF)
+	allT1, tsz1 := w.slotSizes(c, dirT)
+	w.sig.addCenter(1, allF1, fsz1, allT1, tsz1)
 	if slices.Equal(allF0, allF1) && slices.Equal(allT0, allT1) {
 		return nil
 	}
 	return w.updateWTablePairs(c, allF0, allT0, allF1, allT1, cs)
 }
 
-// updateClusterSlot applies member removals then additions to one
-// subcluster slot, deleting its key when it empties.
-func (w *snapWriter) updateClusterSlot(c graph.NodeID, s clusterSlot, rem, add []graph.NodeID) error {
-	key := clusterKey(c, s.dir, s.l)
-	var members []graph.NodeID
-	rid, ok, err := w.cluster.Get(key)
-	if err != nil {
-		return err
-	}
-	if ok {
-		rec, err := w.db.heap.Read(storage.DecodeRID(rid))
-		if err != nil {
-			return err
-		}
-		members = decodeNodeList(rec)
-	}
+// updateClusterSlot applies member removals then additions to center c's
+// key subcluster, deleting its key when it empties.
+func (w *snapWriter) updateClusterSlot(c graph.NodeID, key uint32, rem, add []graph.NodeID) error {
+	members := slices.Clone(w.subcluster(c, key))
 	changed := false
 	for _, x := range rem {
 		n0 := len(members)
@@ -314,75 +275,54 @@ func (w *snapWriter) updateClusterSlot(c graph.NodeID, s clusterSlot, rem, add [
 	if !changed {
 		return nil
 	}
-	w.touchedCl[clKey{c, s.dir, s.l}] = struct{}{}
+	dir, l := splitKey(key)
 	if len(members) == 0 {
-		if !ok {
-			return nil
-		}
-		nt, _, derr := w.cluster.DeleteCow(w.cow, key)
-		if derr != nil {
-			return derr
+		nt, _, err := w.cluster.DeleteCow(w.cow, clusterKey(c, dir, l))
+		if err != nil {
+			return err
 		}
 		w.cluster = nt
+		w.setSubcluster(c, key, nil)
 		return nil
 	}
 	nrid, err := w.db.heap.Insert(encodeNodeList(members))
 	if err != nil {
 		return err
 	}
-	nt, err := w.cluster.InsertCow(w.cow, key, nrid.Encode())
+	nt, err := w.cluster.InsertCow(w.cow, clusterKey(c, dir, l), nrid.Encode())
 	if err != nil {
 		return err
 	}
 	w.cluster = nt
+	w.setSubcluster(c, key, members)
 	return nil
 }
 
 // centerIsDead reports whether c's subclusters hold no node but c itself.
-func (w *snapWriter) centerIsDead(c graph.NodeID) (bool, error) {
-	for _, dir := range []byte{dirF, dirT} {
-		ls, err := w.clusterLabels(c, dir)
-		if err != nil {
-			return false, err
-		}
-		for _, l := range ls {
-			rid, ok, err := w.cluster.Get(clusterKey(c, dir, l))
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				continue
-			}
-			rec, err := w.db.heap.Read(storage.DecodeRID(rid))
-			if err != nil {
-				return false, err
-			}
-			for _, m := range decodeNodeList(rec) {
-				if m != c {
-					return false, nil
-				}
+func (w *snapWriter) centerIsDead(c graph.NodeID) bool {
+	_, lists := w.subclusters(c)
+	for _, nodes := range lists {
+		for _, m := range nodes {
+			if m != c {
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }
 
 // dropCenterKeys deletes every cluster-index key of center c (after a
 // death check these are exactly its self entries).
 func (w *snapWriter) dropCenterKeys(c graph.NodeID) error {
-	for _, dir := range []byte{dirF, dirT} {
-		ls, err := w.clusterLabels(c, dir)
+	keys, _ := w.subclusters(c)
+	for _, key := range keys {
+		dir, l := splitKey(key)
+		nt, _, err := w.cluster.DeleteCow(w.cow, clusterKey(c, dir, l))
 		if err != nil {
 			return err
 		}
-		for _, l := range ls {
-			w.touchedCl[clKey{c, dir, l}] = struct{}{}
-			nt, _, err := w.cluster.DeleteCow(w.cow, clusterKey(c, dir, l))
-			if err != nil {
-				return err
-			}
-			w.cluster = nt
-		}
+		w.cluster = nt
+		w.setSubcluster(c, key, nil)
 	}
 	return nil
 }

@@ -44,9 +44,6 @@ type Options struct {
 	// PoolBytes sizes the buffer pool (default storage.DefaultPoolBytes,
 	// the paper's 1 MB).
 	PoolBytes int
-	// CodeCacheEntries bounds the working cache of decoded graph codes
-	// (the paper's getCenters cache). Zero or negative selects 65536.
-	CodeCacheEntries int
 }
 
 // DB is a built graph database, maintained as a sequence of immutable
@@ -69,10 +66,8 @@ type DB struct {
 	// mgr publishes snapshot epochs; garbage is superseded page IDs.
 	mgr *epoch.Manager[*Snap, storage.PageID]
 
-	codeCacheEntries int
-	// memoBound is each decoded memo's size bound in node-ID units — the
-	// subcluster memo's and the partner tables' alike
-	// (fastClusterCacheNodes; tests shrink it to force resets) — and
+	// memoBound is the partner tables' size bound in node-ID units
+	// (fastClusterCacheNodes; tests shrink it to force resets), and
 	// memoResets counts the overflow resets across all epochs.
 	memoBound  int
 	memoResets atomic.Int64
@@ -143,9 +138,6 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
 	}
-	if opt.CodeCacheEntries <= 0 {
-		opt.CodeCacheEntries = 65536
-	}
 	var pager storage.Pager
 	if opt.Path == "" {
 		pager = storage.NewMemPager()
@@ -157,17 +149,17 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 		pager = fp
 	}
 	db := &DB{
-		idx:              idx,
-		pager:            pager,
-		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
-		codeCacheEntries: opt.CodeCacheEntries,
-		memoBound:        fastClusterCacheNodes,
+		idx:       idx,
+		pager:     pager,
+		pool:      storage.NewBufferPool(pager, opt.PoolBytes),
+		memoBound: fastClusterCacheNodes,
 	}
 	db.heap = storage.NewHeapFile(db.pool)
 	db.path = opt.Path
 	db.bulkBuilt = true
 	s := db.newSnap(g)
 	s.coverSize = idx.Size()
+	s.codes = newCodeChunks(g.NumNodes(), idx)
 	if err := db.buildBaseTables(s); err != nil {
 		db.Close()
 		return nil, err
@@ -189,14 +181,12 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 // newSnap returns an empty snapshot shell with fresh caches.
 func (db *DB) newSnap(g *graph.Graph) *Snap {
 	return &Snap{
-		db:        db,
-		g:         g,
-		base:      make(map[graph.Label]*storage.BTree),
-		sig:       newSignature(),
-		codeCache: newCodeCache(g.NumNodes(), db.codeCacheEntries),
-		clmemo:    newSlotArray[centerMemo](g.NumNodes()),
-		projFrom:  make(map[wKey]*NodeSet),
-		projTo:    make(map[wKey]*NodeSet),
+		db:       db,
+		g:        g,
+		base:     make(map[graph.Label]*storage.BTree),
+		sig:      newSignature(),
+		projFrom: make(map[wKey]*NodeSet),
+		projTo:   make(map[wKey]*NodeSet),
 	}
 }
 
@@ -269,10 +259,10 @@ func (db *DB) CoverSize() int { return db.mgr.Current().coverSize }
 // IOStats returns the buffer pool counters.
 func (db *DB) IOStats() storage.IOStats { return db.pool.Stats() }
 
-// DecodedMemoStats reports the decoded read path's memos: what the current
-// epoch's subcluster memo and partner tables hold, in node-ID (4-byte)
-// units, how many partner tables there are, and how often a memo overflowed
-// its bound and reset, across all epochs.
+// DecodedMemoStats reports the decoded read path's lazy part: what the
+// current epoch's partner tables hold, in node-ID (4-byte) units, how many
+// there are, and how often they overflowed their bound and were dropped,
+// across all epochs.
 func (db *DB) DecodedMemoStats() (nodes, tables int, resets int64) {
 	nodes, tables = db.mgr.Current().decodedMemo()
 	return nodes, tables, db.memoResets.Load()
@@ -312,8 +302,8 @@ func (db *DB) ProjectionBytes() int { return db.mgr.Current().projectionBytes() 
 // measured query).
 func (db *DB) ResetIOStats() { db.pool.ResetStats() }
 
-// ClearCaches empties the current epoch's in-memory graph-code, subcluster
-// and partner caches so a measured query starts cold.
+// ClearCaches drops the current epoch's partner tables so a measured query
+// starts cold.
 func (db *DB) ClearCaches() { db.mgr.Current().clearCaches() }
 
 // NumCenters returns the number of centers in the cluster-based index as
@@ -377,8 +367,10 @@ func (db *DB) buildBaseTables(s *Snap) error {
 }
 
 func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
-	inv := db.invertCover(s.g)
+	inv := invertCover(s.g, db.idx)
 	s.numCenters = len(inv.centers)
+	s.clusters = inv.clusterChunks(s.g.NumNodes())
+	s.sig = inv.signature()
 	L := inv.nLabels
 
 	// The inversion lays subcluster segments out in exactly cluster-key
@@ -387,18 +379,13 @@ func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 	// same sweep: centers are visited ascending, keeping every W list
 	// sorted without a per-list sort.
 	wmap := make(map[wKey][]graph.NodeID)
-	sig := newSignature()
 	var err error
 	s.cluster, err = storage.BulkLoad(db.pool, func(emit func([]byte, uint64) error) error {
 		var fls, tls []graph.Label
-		var fsz, tsz []int
 		for ci, w := range inv.centers {
-			fls, tls = fls[:0], tls[:0]
-			fsz, tsz = fsz[:0], tsz[:0]
 			for dir := 0; dir < 2; dir++ {
 				for l := 0; l < L; l++ {
-					s := (ci*2+dir)*L + l
-					seg := inv.members[inv.offsets[s]:inv.offsets[s+1]]
+					seg := inv.segment(ci, dir, l)
 					if len(seg) == 0 {
 						continue
 					}
@@ -409,18 +396,11 @@ func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 					if err := emit(clusterKey(w, byte(dir), graph.Label(l)), rid.Encode()); err != nil {
 						return err
 					}
-					if dir == int(dirF) {
-						fls = append(fls, graph.Label(l))
-						fsz = append(fsz, len(seg))
-					} else {
-						tls = append(tls, graph.Label(l))
-						tsz = append(tsz, len(seg))
-					}
 				}
 			}
 			// W-table contributions: every (X-labeled F, Y-labeled T) pair.
-			// The fan signature accumulates from the same segment sizes.
-			sig.addCenter(fls, fsz, tls, tsz)
+			fls, _ = inv.labels(ci, int(dirF), fls[:0], nil)
+			tls, _ = inv.labels(ci, int(dirT), tls[:0], nil)
 			for _, lx := range fls {
 				for _, ly := range tls {
 					k := wKey{lx, ly}
@@ -433,7 +413,6 @@ func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 	if err != nil {
 		return err
 	}
-	s.sig = sig
 
 	keys := make([]wKey, 0, len(wmap))
 	for k := range wmap {
@@ -506,6 +485,9 @@ func (db *DB) GetT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
 // OutCode returns the full graph code out(x) = stored X_out ∪ {x}, sorted
 // ascending.
 func (db *DB) OutCode(x graph.NodeID) ([]graph.NodeID, error) {
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
 	s, release := db.Pin()
 	defer release()
 	return s.OutCode(x)
@@ -514,6 +496,9 @@ func (db *DB) OutCode(x graph.NodeID) ([]graph.NodeID, error) {
 // InCode returns the full graph code in(x) = stored X_in ∪ {x}, sorted
 // ascending.
 func (db *DB) InCode(x graph.NodeID) ([]graph.NodeID, error) {
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
 	s, release := db.Pin()
 	defer release()
 	return s.InCode(x)
@@ -521,6 +506,9 @@ func (db *DB) InCode(x graph.NodeID) ([]graph.NodeID, error) {
 
 // Reaches evaluates u ⇝ v from graph codes: out(u) ∩ in(v) ≠ ∅.
 func (db *DB) Reaches(u, v graph.NodeID) (bool, error) {
+	if db.closed.Load() {
+		return false, ErrClosed
+	}
 	s, release := db.Pin()
 	defer release()
 	return s.Reaches(u, v)
@@ -736,11 +724,13 @@ func encodeCodes(in, out []graph.NodeID) []byte {
 	return b
 }
 
+// decodeCodes decodes a base-table record into one allocation, with room
+// for one more entry on each side (the node itself, or a delta).
 func decodeCodes(b []byte) (in, out []graph.NodeID) {
 	ni := binary.LittleEndian.Uint32(b)
 	no := binary.LittleEndian.Uint32(b[4:])
-	in = make([]graph.NodeID, ni)
-	out = make([]graph.NodeID, no)
+	buf := make([]graph.NodeID, ni+no+2)
+	in, out = buf[:ni:ni+1], buf[ni+1:ni+1+no:ni+no+2]
 	o := 8
 	for i := range in {
 		in[i] = graph.NodeID(binary.LittleEndian.Uint32(b[o:]))

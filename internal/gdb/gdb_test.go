@@ -3,7 +3,7 @@ package gdb
 import (
 	"math/rand"
 	"path/filepath"
-	"sync"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +299,8 @@ func TestFileBackedDB(t *testing.T) {
 	}
 }
 
+// TestIOAccountingAndCaches: the pool-reading reads (W-table probes,
+// GetOut/GetIn) touch pages on every call, and the decoded codes touch none.
 func TestIOAccountingAndCaches(t *testing.T) {
 	g, _ := figure1Graph()
 	db := mustBuild(t, g, Options{})
@@ -314,84 +316,33 @@ func TestIOAccountingAndCaches(t *testing.T) {
 		t.Fatal("a W-table probe should touch pages")
 	}
 
-	// Code cache: second OutCode on the same node is free.
-	if _, err := db.OutCode(0); err != nil {
-		t.Fatal(err)
-	}
-	io2 := db.IOStats().Logical()
-	if _, err := db.OutCode(0); err != nil {
-		t.Fatal(err)
-	}
-	if db.IOStats().Logical() != io2 {
-		t.Fatal("cached code read should not touch pages")
-	}
-}
-
-// TestCodeCacheBound: CodeCacheEntries is the number of codes the cache
-// holds at most — also while entries are re-read (a put over a cached node
-// evicts nothing), under concurrent fills, and in the epoch a publish seeds
-// from this one.
-func TestCodeCacheBound(t *testing.T) {
-	const entries = 10
-	g := randomGraph(5, 200, 400, 4)
-	db := mustBuild(t, g, Options{CodeCacheEntries: entries})
-	check := func(what string) {
-		t.Helper()
-		c := db.mgr.Current().codeCache
-		filled := 0
-		for i := 0; i < c.size; i++ {
-			if c.slots.load(i) != nil {
-				filled++
-			}
+	s, release := db.Pin()
+	defer release()
+	io1 := db.IOStats().Logical()
+	for range 2 {
+		if _, err := s.OutCode(0); err != nil {
+			t.Fatal(err)
 		}
-		if filled != c.len() || filled > entries {
-			t.Fatalf("%s: code cache holds %d codes and counts %d, bound %d", what, filled, c.len(), entries)
+		if _, err := s.Reaches(0, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for round := 0; round < 2; round++ {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if _, err := db.OutCode(v); err != nil {
-				t.Fatal(err)
-			}
-			check("serial fill")
+	if db.IOStats().Logical() != io1 {
+		t.Fatal("a decoded code read should not touch pages")
+	}
+	for range 2 {
+		before := db.IOStats().Logical()
+		got, err := s.GetOut(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.IOStats().Logical() == before {
+			t.Fatal("GetOut should read its base-table record through the pool on every call")
+		}
+		if want, _ := s.OutCode(0); !slices.Equal(got, want) {
+			t.Fatalf("GetOut(0) = %v, OutCode(0) = %v", got, want)
 		}
 	}
-	if n := db.mgr.Current().codeCache.len(); n != entries {
-		t.Fatalf("code cache holds %d codes after reading %d nodes, want the bound %d", n, g.NumNodes(), entries)
-	}
-	// A cached node read again costs no eviction: the cache stays full.
-	var cached graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		if db.mgr.Current().codeCache.get(graph.NodeID(v)) != nil {
-			cached = graph.NodeID(v)
-		}
-	}
-	if _, err := db.InCode(cached); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.mgr.Current().codeCache.len(); n != entries {
-		t.Fatalf("re-reading a cached node left %d codes, want %d", n, entries)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < g.NumNodes(); i++ {
-				if _, err := db.OutCode(graph.NodeID((i*7 + w*31) % g.NumNodes())); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	check("concurrent fill")
-	u, v := freshEdge(t, g)
-	if _, err := db.ApplyEdgeInsert(u, v); err != nil {
-		t.Fatal(err)
-	}
-	check("successor epoch")
 }
 
 func TestCentersEmptyPair(t *testing.T) {

@@ -1,7 +1,6 @@
 package gdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -103,6 +102,7 @@ func (db *DB) ApplyEdgeInserts(edges [][2]graph.NodeID) ([]EdgeInsertStats, erro
 // and loses, and the bookkeeping needed to seed the next epoch's caches.
 type snapWriter struct {
 	db  *DB
+	cur *Snap // the published epoch the batch starts from
 	cow *storage.Cow
 	g   *graph.Graph // the published graph; publish builds its successor once
 
@@ -124,12 +124,18 @@ type snapWriter struct {
 	sig    *Signature
 	curSig *Signature
 
-	touchedNodes map[graph.NodeID]struct{} // stale graph codes
-	touchedW     map[wKey]struct{}         // W rows the batch changed
-	rows         map[wKey][]graph.NodeID   // next's W rows publish has read
-	touchedCl    map[clKey]struct{}        // stale decoded subclusters
-	changed      bool
-	torn         bool // an edge failed partway through its tree updates
+	// codes and clusters are what the batch wrote to next's trees: the
+	// stored codes of every node whose base-table record it rewrote, and
+	// per center the members of every subcluster it rewrote, by slotKey
+	// (nil once emptied). Each is recorded once its tree update has
+	// succeeded.
+	codes    map[graph.NodeID]codes
+	clusters map[graph.NodeID]map[uint32][]graph.NodeID
+
+	touchedW map[wKey]struct{}       // W rows the batch changed
+	rows     map[wKey][]graph.NodeID // next's W rows publish has read
+	changed  bool
+	torn     bool // an edge failed partway through its tree updates
 }
 
 // clKey names one subcluster: center w's dir-side, l-labeled members.
@@ -145,20 +151,21 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 		base[l] = t
 	}
 	return &snapWriter{
-		db:           db,
-		cow:          storage.NewCow(db.pool),
-		g:            cur.g,
-		base:         base,
-		wtable:       cur.wtable,
-		cluster:      cur.cluster,
-		numCenters:   cur.numCenters,
-		coverSize:    cur.coverSize,
-		curSig:       cur.sig,
-		pending:      make(map[[2]graph.NodeID]int),
-		touchedNodes: make(map[graph.NodeID]struct{}),
-		touchedW:     make(map[wKey]struct{}),
-		touchedCl:    make(map[clKey]struct{}),
-		rows:         make(map[wKey][]graph.NodeID),
+		db:         db,
+		cur:        cur,
+		cow:        storage.NewCow(db.pool),
+		g:          cur.g,
+		base:       base,
+		wtable:     cur.wtable,
+		cluster:    cur.cluster,
+		numCenters: cur.numCenters,
+		coverSize:  cur.coverSize,
+		curSig:     cur.sig,
+		pending:    make(map[[2]graph.NodeID]int),
+		codes:      make(map[graph.NodeID]codes),
+		clusters:   make(map[graph.NodeID]map[uint32][]graph.NodeID),
+		touchedW:   make(map[wKey]struct{}),
+		rows:       make(map[wKey][]graph.NodeID),
 	}
 }
 
@@ -249,36 +256,11 @@ func (w *snapWriter) has(u, v graph.NodeID) bool {
 	return n > 0
 }
 
-// inheritDecoded carries cur's code cache and subcluster memo into next on
-// new chunk directories: the chunks holding a code the batch changed, or
-// the memo slot of a center whose subclusters it rewrote, are copied
-// without those slots; every other chunk is shared, and a reader of either
-// epoch may fill it for both (see slotArray). It returns the bytes copied.
-func (w *snapWriter) inheritDecoded(cur, next *Snap) int {
-	nodes := make([]int, 0, len(w.touchedNodes))
-	for v := range w.touchedNodes {
-		nodes = append(nodes, int(v))
-	}
-	slices.Sort(nodes)
-	var copied int
-	next.codeCache, copied = cur.codeCache.successor(nodes)
-	centers := make([]int, 0, len(w.touchedCl))
-	for k := range w.touchedCl {
-		centers = append(centers, int(k.w))
-	}
-	slices.Sort(centers)
-	memo, n, _ := cur.clmemo.successor(centers, (*centerMemo).cost)
-	next.clmemo = memo
-	_, held := memo.held()
-	next.clNodes = int(held)
-	return copied + n
-}
-
 // touchedByLabel groups the nodes whose codes the batch changed by label,
 // ascending within each.
 func (w *snapWriter) touchedByLabel() map[graph.Label][]graph.NodeID {
 	touched := make(map[graph.Label][]graph.NodeID)
-	for v := range w.touchedNodes {
+	for v := range w.codes {
 		l := w.g.LabelOf(v)
 		touched[l] = append(touched[l], v)
 	}
@@ -292,7 +274,7 @@ func (w *snapWriter) touchedByLabel() map[graph.Label][]graph.NodeID {
 // next's W row, minus the slots the batch can have changed. A forward slot
 // of v holds ∪ T_Y(w) over w ∈ out(v) ∩ W(X, Y). For a v whose code the
 // batch left alone that moves only through a center w ∈ out(v) whose
-// T_Y(w) the batch rewrote (a touchedCl key on the table's target side):
+// T_Y(w) the batch rewrote (a clusters key on the table's target side):
 // the list itself changed, or w entered or left the row. The latter is a
 // rewrite too: v ∈ F_X(w) keeps F_X(w) non-empty, so w moves only when
 // T_Y(w) empties or fills. A changed W row therefore needs no test of its
@@ -317,28 +299,24 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 	}
 	next.ptabs = make(map[partnerKey]*partnerTable, len(tabs))
 	moved := make(map[clusterSlot][]graph.NodeID)
-	for k := range w.touchedCl {
-		s := clusterSlot{k.dir, k.l}
-		moved[s] = append(moved[s], k.w)
+	for c, m := range w.clusters {
+		for key := range m {
+			dir, l := splitKey(key)
+			moved[clusterSlot{dir, l}] = append(moved[clusterSlot{dir, l}], c)
+		}
 	}
 	owners := make(map[clKey][]graph.NodeID) // shared by the tables of one bound side
-	ownersOf := func(k clKey) ([]graph.NodeID, error) {
+	ownersOf := func(k clKey) []graph.NodeID {
 		if o, ok := owners[k]; ok {
-			return o, nil
+			return o
 		}
-		o, err := next.clusterLookup(k.w, k.dir, k.l)
-		if err != nil {
-			return nil, err
-		}
-		if _, rewritten := w.touchedCl[k]; rewritten { // else cur holds the same list
-			o0, err := cur.clusterLookup(k.w, k.dir, k.l)
-			if err != nil {
-				return nil, err
-			}
+		o := next.subcluster(k.w, k.dir, k.l)
+		if _, rewritten := w.clusters[k.w][slotKey(k.dir, k.l)]; rewritten { // else cur holds the same list
+			o0 := cur.subcluster(k.w, k.dir, k.l)
 			o = mergeUnionNodes(make([]graph.NodeID, 0, len(o0)+len(o)), o0, o)
 		}
 		owners[k] = o
-		return o, nil
+		return o
 	}
 	var kept, dropped int64
 	copied := 0
@@ -362,7 +340,7 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 // carryPartners carries one table of cur into next, as inheritPartners
 // describes, and returns it with the number of filled slots it cleared and
 // the bytes it copied.
-func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) ([]graph.NodeID, error)) (_ *partnerTable, dropped, copied int, _ error) {
+func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) []graph.NodeID) (_ *partnerTable, dropped, copied int, _ error) {
 	k := t.key
 	ws, err := w.row(next, wKey{k.x, k.y})
 	if err != nil {
@@ -377,11 +355,7 @@ func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.
 		ranks = append(ranks, int(w.db.rank[v]))
 	}
 	for _, c := range moved[target] {
-		o, err := ownersOf(clKey{c, bound.dir, bound.l})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for _, v := range o {
+		for _, v := range ownersOf(clKey{c, bound.dir, bound.l}) {
 			ranks = append(ranks, int(w.db.rank[v]))
 		}
 	}
@@ -393,7 +367,7 @@ func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.
 // inheritProjections seeds next's projection memos with cur's sets,
 // patched to next's content. The rule is exact: π_X(X→Y) = {x ∈ ext(X) :
 // out(x) ∩ W(X, Y) ≠ ∅} (in(y) for π_Y), so a node's membership can only
-// have changed if the batch changed its code (touchedNodes) or changed the
+// have changed if the batch changed its code (codes) or changed the
 // W row (touchedW) — and then only for members of the centers that entered
 // or left the row. Those candidates are re-tested against next; a set none
 // of them moved is shared between the epochs, one that changed is copied.
@@ -425,9 +399,9 @@ func (w *snapWriter) inheritProjections(cur, next *Snap, touched map[graph.Label
 // itself when no candidate's membership moved, else a patched copy.
 // forward selects π_X (F-side members, out-codes) over π_Y (T-side, in-).
 func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forward bool, touched map[graph.Label][]graph.NodeID) (_ *NodeSet, changed bool, _ error) {
-	side, dir, code := k.x, dirF, next.OutCode
+	side, dir := k.x, dirF
 	if !forward {
-		side, dir, code = k.y, dirT, next.InCode
+		side, dir = k.y, dirT
 	}
 	cands := touched[side]
 	if len(cands) == 0 && !w.rowMoved(k) {
@@ -446,7 +420,7 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forw
 		// A center that left the row takes its old members' support with
 		// it; one that entered brings its new members. Members that differ
 		// between the two epochs' subclusters are touched nodes already.
-		membersOfMoved := func(s *Snap, row, other []graph.NodeID) error {
+		membersOfMoved := func(s *Snap, row, other []graph.NodeID) {
 			j := 0
 			for _, c := range row {
 				for j < len(other) && other[j] < c {
@@ -455,37 +429,28 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forw
 				if j < len(other) && other[j] == c {
 					continue // c is in both rows
 				}
-				members, err := s.clusterLookup(c, dir, side)
-				if err != nil {
-					return err
-				}
-				cands = append(cands, members...)
+				cands = append(cands, s.subcluster(c, dir, side)...)
 			}
-			return nil
 		}
-		if err := membersOfMoved(cur, ws0, ws); err != nil {
-			return nil, false, err
-		}
-		if err := membersOfMoved(next, ws, ws0); err != nil {
-			return nil, false, err
-		}
+		membersOfMoved(cur, ws0, ws)
+		membersOfMoved(next, ws, ws0)
 		slices.Sort(cands)
 		cands = slices.Compact(cands)
 	}
 	var out *NodeSet
 	for _, v := range cands {
-		c, err := code(v)
-		if err != nil {
-			return nil, false, err
+		in, oc := next.codesOf(v)
+		if forward {
+			in = oc
 		}
-		in := IntersectNonEmpty(c, ws)
-		if in == set.Has(v) {
+		member := IntersectNonEmpty(in, ws)
+		if member == set.Has(v) {
 			continue
 		}
 		if out == nil {
 			out = set.clone()
 		}
-		if in {
+		if member {
 			out.add(v)
 		} else {
 			out.remove(v)
@@ -545,22 +510,15 @@ func (w *snapWriter) ensureIncremental() error {
 		db.inc = reach.NewIncremental(db.idx)
 		return nil
 	}
+	list, err := db.storedCodes(w.g, w.base, w.coverSize)
+	if err != nil {
+		return err
+	}
 	n := w.g.NumNodes()
 	in := make([][]graph.NodeID, n)
 	out := make([][]graph.NodeID, n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		rid, ok, err := w.base[w.g.LabelOf(v)].Get(nodeKey(v))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("gdb: node %d missing from base table", v)
-		}
-		rec, err := db.heap.Read(storage.DecodeRID(rid))
-		if err != nil {
-			return err
-		}
-		in[v], out[v] = decodeCodes(rec)
+		in[v], out[v] = list.In(v), list.Out(v)
 	}
 	db.inc = reach.NewIncrementalFromLabels(w.g, in, out)
 	return nil
@@ -569,11 +527,6 @@ func (w *snapWriter) ensureIncremental() error {
 // applyDeltas applies one edge's label deltas to the base tables, the
 // cluster index and the W-table.
 func (w *snapWriter) applyDeltas(deltas []reach.LabelDelta) (centerChangeStats, error) {
-	// Marked before the trees change: a batch that fails midway still
-	// publishes its applied prefix, and no cache may outlive that.
-	for _, d := range deltas {
-		w.touchedNodes[d.Node] = struct{}{}
-	}
 	err := w.applyBaseDeltas(deltas)
 	var cs centerChangeStats
 	if err == nil {
@@ -599,16 +552,7 @@ func (w *snapWriter) applyBaseDeltas(deltas []reach.LabelDelta) error {
 	}
 	slices.Sort(order)
 	for _, x := range order {
-		l := w.g.LabelOf(x)
-		tree := w.base[l]
-		rid, ok, err := tree.Get(nodeKey(x))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("gdb: node %d missing from base table", x)
-		}
-		rec, err := w.db.heap.Read(storage.DecodeRID(rid))
+		rec, err := w.db.codeRecord(w.base, w.g, x)
 		if err != nil {
 			return err
 		}
@@ -629,55 +573,65 @@ func (w *snapWriter) applyBaseDeltas(deltas []reach.LabelDelta) error {
 		if err != nil {
 			return err
 		}
-		nt, err := tree.InsertCow(w.cow, nodeKey(x), nrid.Encode())
+		l := w.g.LabelOf(x)
+		nt, err := w.base[l].InsertCow(w.cow, nodeKey(x), nrid.Encode())
 		if err != nil {
 			return err
 		}
 		w.base[l] = nt
+		w.codes[x] = codes{in, out}
 	}
 	return nil
 }
 
-// clusterLabels returns the labels of center c's non-empty dir-side
-// subclusters, ascending, by scanning the writer's private cluster version
-// over c's key range.
-func (w *snapWriter) clusterLabels(c graph.NodeID, dir byte) ([]graph.Label, error) {
-	ls, _, err := w.clusterSlotSizes(c, dir, false)
-	return ls, err
+// subcluster returns center c's key subcluster as the batch has left it so
+// far: the one it wrote, else cur's. The trees hold the same, so the writer
+// reads no cluster-index page.
+func (w *snapWriter) subcluster(c graph.NodeID, key uint32) []graph.NodeID {
+	if nodes, ok := w.clusters[c][key]; ok {
+		return nodes
+	}
+	return w.cur.clusters[c>>chunkBits].get(int(c&chunkMask), key)
 }
 
-// clusterSlotSizes is clusterLabels plus, when sizes is set, the member
-// count of each slot (read from the node-list record's length prefix) —
-// the per-center contribution the fan signature retracts and re-adds
-// around a cluster mutation.
-func (w *snapWriter) clusterSlotSizes(c graph.NodeID, dir byte, sizes bool) ([]graph.Label, []int, error) {
-	var ls []graph.Label
-	var rids []uint64
-	start := clusterKey(c, dir, 0)
-	err := w.cluster.Scan(start, func(key []byte, val uint64) bool {
-		if len(key) != 9 {
-			return false
-		}
-		kw := graph.NodeID(binary.BigEndian.Uint32(key[0:4]))
-		if kw != c || key[4] != dir {
-			return false
-		}
-		ls = append(ls, graph.Label(binary.BigEndian.Uint32(key[5:9])))
-		rids = append(rids, val)
-		return true
-	})
-	if err != nil || !sizes {
-		return ls, nil, err
+// subclusters returns center c's non-empty subclusters as the batch has
+// left them so far, by ascending key.
+func (w *snapWriter) subclusters(c graph.NodeID) (keys []uint32, lists [][]graph.NodeID) {
+	old, i := w.cur.clusters[c>>chunkBits], int(c&chunkMask)
+	all := slices.Clone(old.keys[old.first[i]:old.first[i+1]])
+	for key := range w.clusters[c] {
+		all = append(all, key)
 	}
-	ns := make([]int, len(rids))
-	for i, rid := range rids {
-		rec, err := w.db.heap.Read(storage.DecodeRID(rid))
-		if err != nil {
-			return nil, nil, err
+	slices.Sort(all)
+	for _, key := range slices.Compact(all) {
+		if nodes := w.subcluster(c, key); len(nodes) > 0 {
+			keys, lists = append(keys, key), append(lists, nodes)
 		}
-		ns[i] = int(binary.LittleEndian.Uint32(rec))
 	}
-	return ls, ns, nil
+	return keys, lists
+}
+
+// setSubcluster records the members the batch wrote for center c's key
+// subcluster, nil once it emptied.
+func (w *snapWriter) setSubcluster(c graph.NodeID, key uint32, nodes []graph.NodeID) {
+	if w.clusters[c] == nil {
+		w.clusters[c] = make(map[uint32][]graph.NodeID)
+	}
+	w.clusters[c][key] = nodes
+}
+
+// slotSizes returns the labels and sizes of center c's non-empty dir-side
+// subclusters as the batch has left them so far, ascending by label: the
+// contribution the fan signature retracts and re-adds around a cluster
+// mutation.
+func (w *snapWriter) slotSizes(c graph.NodeID, dir byte) (ls []graph.Label, sz []int) {
+	keys, lists := w.subclusters(c)
+	for j, key := range keys {
+		if d, l := splitKey(key); d == dir {
+			ls, sz = append(ls, l), append(sz, len(lists[j]))
+		}
+	}
+	return ls, sz
 }
 
 // ensureSig clones the published epoch's fan-signature table into the

@@ -19,7 +19,7 @@ type inversion struct {
 }
 
 // invertCover computes the per-center, per-label F-/T-subclusters of the
-// cover with a counting sort instead of a map-of-maps:
+// stored codes src with a counting sort instead of a map-of-maps:
 //
 //	Phase 0  mark the center set — every node appearing in at least one
 //	         stored code — and assign dense center indices in ascending
@@ -33,8 +33,7 @@ type inversion struct {
 //	Phase 3  re-walk the nodes and scatter their IDs through the cursors.
 //	         Nodes are walked ascending, so every segment comes out sorted
 //	         with no per-subcluster sort.
-func (db *DB) invertCover(g *graph.Graph) *inversion {
-	cover := db.idx
+func invertCover(g *graph.Graph, cover codeSource) *inversion {
 	n := g.NumNodes()
 	L := g.Labels().Len()
 
@@ -111,4 +110,74 @@ func (db *DB) invertCover(g *graph.Graph) *inversion {
 	}
 
 	return &inversion{centers: centers, nLabels: L, offsets: offsets, members: members}
+}
+
+// segment returns the l-labeled dir-side subcluster of center index ci.
+func (inv *inversion) segment(ci, dir, l int) []graph.NodeID {
+	s := (ci*2+dir)*inv.nLabels + l
+	return inv.members[inv.offsets[s]:inv.offsets[s+1]]
+}
+
+// labels appends to ls and sz the labels and sizes of center index ci's
+// non-empty dir-side subclusters, ascending by label.
+func (inv *inversion) labels(ci, dir int, ls []graph.Label, sz []int) ([]graph.Label, []int) {
+	for l := 0; l < inv.nLabels; l++ {
+		if n := len(inv.segment(ci, dir, l)); n > 0 {
+			ls, sz = append(ls, graph.Label(l)), append(sz, n)
+		}
+	}
+	return ls, sz
+}
+
+// signature returns the fan signature of the inverted clusters, summed in
+// a dense label-pair table rather than the signature's map.
+func (inv *inversion) signature() *Signature {
+	L := inv.nLabels
+	pairs := make([]PairStat, L*L)
+	var fls, tls []graph.Label
+	var fsz, tsz []int
+	for ci := range inv.centers {
+		fls, fsz = inv.labels(ci, int(dirF), fls[:0], fsz[:0])
+		tls, tsz = inv.labels(ci, int(dirT), tls[:0], tsz[:0])
+		for i, x := range fls {
+			for j, y := range tls {
+				p := &pairs[int(x)*L+int(y)]
+				p.Centers++
+				p.JoinSize += int64(fsz[i]) * int64(tsz[j])
+			}
+		}
+	}
+	sig := newSignature()
+	for k, p := range pairs {
+		if p.Centers > 0 {
+			sig.pairs[wKey{graph.Label(k / L), graph.Label(k % L)}] = p
+		}
+	}
+	return sig
+}
+
+// clusterChunks lays the inverted clusters out as the decoded index's
+// cluster chunks over n node IDs.
+func (inv *inversion) clusterChunks(n int) []*clusterChunk {
+	chunks := make([]*clusterChunk, (n+chunkMask)>>chunkBits)
+	ci := 0 // the next center's index
+	for k := range chunks {
+		lo, hi := chunkRange(k, n)
+		c := newClusterChunk()
+		for v := lo; v < hi; v++ {
+			if ci < len(inv.centers) && int(inv.centers[ci]) == v {
+				for dir := 0; dir < 2; dir++ {
+					for l := 0; l < inv.nLabels; l++ {
+						if seg := inv.segment(ci, dir, l); len(seg) > 0 {
+							c.add(slotKey(byte(dir), graph.Label(l)), seg)
+						}
+					}
+				}
+				ci++
+			}
+			c.next()
+		}
+		chunks[k] = c
+	}
+	return chunks
 }

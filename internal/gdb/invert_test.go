@@ -45,7 +45,7 @@ func TestInvertCoverMatchesReference(t *testing.T) {
 		want[key{w, dirT, lw}] = insertSorted(want[key{w, dirT, lw}], w)
 	}
 
-	inv := db.invertCover(db.Graph())
+	inv := invertCover(db.Graph(), cover)
 	if len(inv.centers) != len(centerSet) {
 		t.Fatalf("%d centers, want %d", len(inv.centers), len(centerSet))
 	}

@@ -13,10 +13,11 @@ import (
 	"fastmatch/internal/xmark"
 )
 
-// TestDecodedMemoOverflowMidQuery shrinks the decoded memos' bound until
-// they overflow and reset many times inside every operator, and checks
-// that nothing observable changes: the memos are a cache, so a query that
-// keeps losing them returns the reference executor's rows in its order.
+// TestDecodedMemoOverflowMidQuery shrinks the partner tables' bound until
+// they overflow and are dropped many times inside every operator, and
+// checks that nothing observable changes: the tables are a cache, so a
+// query that keeps losing them returns the reference executor's rows in
+// its order.
 func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := graph.NewBuilder()

@@ -34,8 +34,8 @@ type partnerTable struct {
 }
 
 // partnerList is what a filled slot points to. A value with one center
-// aliases that center's memoized subcluster; a union of several is owned
-// by the slot and charged to the memo budget.
+// aliases that center's subcluster in the decoded index; a union of
+// several is owned by the slot and charged to the memo budget.
 type partnerList struct {
 	nodes []graph.NodeID
 	owned bool
@@ -134,7 +134,6 @@ func (p Partners) Of(v graph.NodeID) ([]graph.NodeID, error) {
 	}
 	i := int(p.t.rank[v])
 	if l := p.t.slots.load(i); l != nil {
-		p.r.Hits++
 		p.r.CenterHits++
 		return l.nodes, nil
 	}
@@ -142,7 +141,6 @@ func (p Partners) Of(v graph.NodeID) ([]graph.NodeID, error) {
 }
 
 func (p Partners) fill(i int, v graph.NodeID) ([]graph.NodeID, error) {
-	p.r.Misses++
 	p.r.CenterMisses++
 	list, owned, err := p.compute(v)
 	if err != nil {
@@ -169,19 +167,16 @@ func (p Partners) fill(i int, v graph.NodeID) ([]graph.NodeID, error) {
 }
 
 // compute is the cold path: getCenters from v's code and W(X, Y), then the
-// union of the centers' subclusters through the decoded-subcluster memo.
+// union of the centers' subclusters, all from the decoded index.
 func (p Partners) compute(v graph.NodeID) (list []graph.NodeID, owned bool, err error) {
-	r, t := p.r, p.t
-	code, dir, target := r.s.OutCode, dirT, t.key.y
+	s, t := p.r.s, p.t
+	in, out := s.codesOf(v)
+	code, dir, target := out, dirT, t.key.y
 	if !t.key.forward {
-		code, dir, target = r.s.InCode, dirF, t.key.x
+		code, dir, target = in, dirF, t.key.x
 	}
-	c, err := code(v)
-	if err != nil {
-		return nil, false, err
-	}
-	return UnionOver(Intersect(c, t.ws), func(w graph.NodeID) ([]graph.NodeID, error) {
-		return r.cluster(w, dir, target)
+	return UnionOver(Intersect(code, t.ws), func(w graph.NodeID) ([]graph.NodeID, error) {
+		return s.subcluster(w, dir, target), nil
 	})
 }
 
@@ -229,6 +224,6 @@ func mergeUnionNodes(dst, a, b []graph.NodeID) []graph.NodeID {
 	return append(dst, b[j:]...)
 }
 
-// Reaches is Snap.Reaches: graph codes come from the dense code cache, so a
-// Selection row takes no lock either.
+// Reaches is Snap.Reaches: both codes come from the decoded index, so a
+// Selection row takes no lock and no atomic load.
 func (r *Reader) Reaches(u, v graph.NodeID) (bool, error) { return r.s.Reaches(u, v) }

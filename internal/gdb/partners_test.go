@@ -10,28 +10,15 @@ import (
 	"fastmatch/internal/xmark"
 )
 
-// warmReadPath reads, through s's decoded read path, every subcluster of
-// every center and the partners of every node under every label pair and
-// direction, so the subcluster memo, the code cache and the partner tables
-// hold everything they can.
+// warmReadPath reads, through s's decoded read path, the partners of every
+// node under every label pair and direction, so the partner tables hold
+// everything they can.
 func warmReadPath(t testing.TB, s *Snap) {
 	t.Helper()
 	r := s.Reader()
 	nl := s.g.Labels().Len()
 	for x := graph.Label(0); int(x) < nl; x++ {
 		for y := graph.Label(0); int(y) < nl; y++ {
-			ws, err := s.Centers(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range ws {
-				if _, err := r.F(w, x); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.T(w, y); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for _, fwd := range []bool{true, false} {
 				p, err := r.Partners(x, y, fwd)
 				if err != nil {
@@ -85,57 +72,15 @@ func coldPartners(t testing.TB, cold *Snap, k partnerKey, v graph.NodeID) []grap
 	return list
 }
 
-// memoEntries returns every subcluster s's memo holds, by key.
-func memoEntries(s *Snap) map[clKey][]graph.NodeID {
-	memo := s.clmemo
-	out := make(map[clKey][]graph.NodeID)
-	for w := 0; w < s.g.NumNodes(); w++ {
-		if m := memo.load(w); m != nil {
-			for _, sc := range *m {
-				out[clKey{graph.NodeID(w), sc.dir, sc.l}] = sc.nodes
-			}
-		}
-	}
-	return out
-}
-
-// checkReadPath compares everything s's decoded read path holds — every
-// memoized subcluster, every cached graph code, every filled partner slot —
-// with a recomputation on a cold view of the same trees, and the memos'
-// chunk charges with what they hold. It returns how many slots and codes it
-// compared. No reader may be filling s meanwhile.
-func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
+// checkReadPath compares everything s's decoded read path holds with a
+// cold recomputation on the same trees: the decoded index in full
+// (checkDecoded), every filled partner slot, and the partner tables' chunk
+// charges with what they hold. It returns how many slots it compared. No
+// reader may be filling s meanwhile.
+func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 	t.Helper()
-	cold := coldView(s)
-	held := 0
-	for k, got := range memoEntries(s) {
-		want, err := cold.clusterLookup(k.w, k.dir, k.l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: memoised subcluster %+v = %v, index holds %v", what, k, got, want)
-		}
-		held += len(got)
-	}
-	if _, charge := s.clmemo.held(); charge != int64(held) {
-		t.Fatalf("%s: the subcluster memo's chunks are charged %d units, its lists hold %d", what, charge, held)
-	}
-	cc := &s.codeCache.slots
-	for v := 0; v < s.g.NumNodes(); v++ {
-		got := cc.load(v)
-		if got == nil {
-			continue
-		}
-		codes++
-		want, err := cold.getCodes(graph.NodeID(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.in, want.in) || !slices.Equal(got.out, want.out) {
-			t.Fatalf("%s: cached codes of node %d = %v, base table holds %v", what, v, *got, *want)
-		}
-	}
+	cold := coldView(t, s)
+	checkDecoded(t, s, cold, what)
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	for k, tab := range s.ptabs {
@@ -155,14 +100,16 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots, codes int) {
 			t.Fatalf("%s: partner table %+v is charged %d units, its slots and lists cost %d", what, k, c, cost)
 		}
 	}
-	return slots, codes
+	return slots
 }
 
 // TestReadPathExactAfterEveryPublish: after every publish of a mixed
 // insert/delete stream — on both labelings, through center births
 // and deaths, W rows that empty and rows that are created — everything the
-// successor epoch inherited (subclusters, graph codes, partner slots) and
-// every slot it then refills equals a cold recomputation on the same trees.
+// successor epoch inherited (its decoded index, partner slots) and every
+// slot it then refills equals a cold recomputation on the same trees, and
+// the decoded index's chunks were shared by some publishes and rebuilt by
+// others.
 func TestReadPathExactAfterEveryPublish(t *testing.T) {
 	for _, l := range labelings {
 		t.Run(l.name, func(t *testing.T) {
@@ -172,22 +119,30 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 			first, release := db.Pin()
 			warmReadPath(t, first)
 			rows := wRowSizes(t, first)
+			prev := first
 			release()
 
 			rng := rand.New(rand.NewSource(17))
 			cur := g
-			var births, deaths, emptied, created, codesKept, slotsKept int
+			var births, deaths, emptied, created, slotsKept int
+			var codesShared, clustersShared int
 			for step := 0; step < 200; step++ {
 				next, b, d := mixedOp(t, db, rng, cur, step)
 				cur, births, deaths = next, births+b, deaths+d
 				s, release := db.Pin()
-				slots, codes := checkReadPath(t, s, "inherited")
-				codesKept, slotsKept = codesKept+codes, slotsKept+slots
+				slotsKept += checkReadPath(t, s, "inherited")
+				if s.codes[0] == prev.codes[0] {
+					codesShared++
+				}
+				if s.clusters[0] == prev.clusters[0] {
+					clustersShared++
+				}
 				warmReadPath(t, s)
-				if slots, codes := checkReadPath(t, s, "refilled"); slots != 2*labels*n || codes != n {
-					t.Fatalf("step %d: warm epoch holds %d partner slots and %d codes, want %d and %d", step, slots, codes, 2*labels*n, n)
+				if slots := checkReadPath(t, s, "refilled"); slots != 2*labels*n {
+					t.Fatalf("step %d: warm epoch holds %d partner slots, want %d", step, slots, 2*labels*n)
 				}
 				now := wRowSizes(t, s)
+				prev = s
 				release()
 				e, c := wRowMoves(rows, now)
 				emptied, created, rows = emptied+e, created+c, now
@@ -197,9 +152,14 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 				t.Fatalf("stream covered %d center births, %d deaths, %d W rows emptied, %d created; want all > 0",
 					births, deaths, emptied, created)
 			}
-			if codesKept == 0 || codesKept >= 200*n || slotsKept == 0 || slotsKept >= 200*2*labels*n {
-				t.Fatalf("200 successors inherited %d cached codes of %d and %d partner slots of %d; want some, not all",
-					codesKept, 200*n, slotsKept, 200*2*labels*n)
+			// The graph fits one chunk: a publish shares it exactly when the
+			// batch rewrote no code (no subcluster) in it.
+			if codesShared == 0 || codesShared == 200 || clustersShared == 0 || clustersShared == 200 {
+				t.Fatalf("200 successors shared the code chunk %d times and the cluster chunk %d times; want some, not all",
+					codesShared, clustersShared)
+			}
+			if slotsKept == 0 || slotsKept >= 200*2*labels*n {
+				t.Fatalf("200 successors inherited %d partner slots of %d; want some, not all", slotsKept, 200*2*labels*n)
 			}
 			if _, _, resets := db.DecodedMemoStats(); resets != 0 {
 				t.Fatalf("memos reset %d times on a %d-node graph", resets, n)
@@ -247,7 +207,7 @@ func TestPartnerSlotsSurviveTargetGrowth(t *testing.T) {
 	defer releaseCur()
 	warmReadPath(t, cur)
 	nl := g.Labels().Len()
-	if slots, _ := checkReadPath(t, cur, "warm"); slots != 2*nl*g.NumNodes() {
+	if slots := checkReadPath(t, cur, "warm"); slots != 2*nl*g.NumNodes() {
 		t.Fatalf("warm epoch holds %d slots, want %d", slots, 2*nl*g.NumNodes())
 	}
 	kept0, dropped0 := db.PartnerSlotStats()
@@ -397,7 +357,7 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	cold, k := coldView(s), partnerKey{x, y, true}
+	cold, k := coldView(t, s), partnerKey{x, y, true}
 	nonEmpty := 0
 	for j, v := range ext {
 		want := coldPartners(t, cold, k, v)
@@ -424,17 +384,18 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.CenterHits != int64(len(ext)) || r.Misses != 0 {
-		t.Fatalf("second pass: %d slot hits, %d misses over %d nodes", r.CenterHits, r.Misses, len(ext))
+	if r.CenterHits != int64(len(ext)) || r.CenterMisses != 0 {
+		t.Fatalf("second pass: %d slot hits, %d misses over %d nodes", r.CenterHits, r.CenterMisses, len(ext))
 	}
 	if after, _, _ := db.DecodedMemoStats(); after != held || tables != 1 {
 		t.Fatalf("second pass moved the memo accounting %d -> %d (%d tables)", held, after, tables)
 	}
 	// Charged once per slot: the slot array, a partnerList per non-empty
-	// slot, and the lists that are unions rather than a memoised subcluster.
+	// slot, and the lists that are unions rather than a decoded subcluster.
 	shared := make(map[*graph.NodeID]bool)
-	for _, nodes := range memoEntries(s) {
-		if len(nodes) > 0 {
+	for w := graph.NodeID(0); int(w) < g.NumNodes(); w++ {
+		_, lists := subclusters(s, w)
+		for _, nodes := range lists {
 			shared[&nodes[0]] = true
 		}
 	}
@@ -442,7 +403,7 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	for i := range ext {
 		l := p.t.slots.load(i)
 		if len(l.nodes) > 0 && l.owned == shared[&l.nodes[0]] {
-			t.Fatalf("slot %d: owned = %v, aliases a memoised subcluster = %v", i, l.owned, !l.owned)
+			t.Fatalf("slot %d: owned = %v, aliases a decoded subcluster = %v", i, l.owned, !l.owned)
 		}
 		if l.owned {
 			want += cap(l.nodes)
@@ -471,7 +432,7 @@ func TestPartnersOfForeignLabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, k := coldView(s), partnerKey{x, y, fwd}
+		cold, k := coldView(t, s), partnerKey{x, y, fwd}
 		nonEmpty := 0
 		for _, v := range g.Extent(z) {
 			got, err := p.Of(v)
@@ -501,7 +462,7 @@ func TestPartnersOfForeignLabel(t *testing.T) {
 }
 
 // BenchmarkReadPathParallel measures the two per-row reads of the served
-// path — a partner-table slot and a reachability test from cached codes —
+// path — a partner-table slot and a reachability test from decoded codes —
 // from GOMAXPROCS goroutines at once on a warm XMark snapshot (run it with
 // -cpu 1,2: per-op time must not grow with the second core). The hit path
 // must allocate nothing.

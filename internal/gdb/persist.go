@@ -152,18 +152,14 @@ func Open(path string, opt Options) (*DB, error) {
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
 	}
-	if opt.CodeCacheEntries <= 0 {
-		opt.CodeCacheEntries = 65536
-	}
 	pager, err := storage.OpenFilePager(path)
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{
-		pager:            pager,
-		pool:             storage.NewBufferPool(pager, opt.PoolBytes),
-		codeCacheEntries: opt.CodeCacheEntries,
-		memoBound:        fastClusterCacheNodes,
+		pager:     pager,
+		pool:      storage.NewBufferPool(pager, opt.PoolBytes),
+		memoBound: fastClusterCacheNodes,
 	}
 	db.heap = storage.NewHeapFile(db.pool)
 
@@ -227,15 +223,14 @@ func Open(path string, opt Options) (*DB, error) {
 		}
 		s.base[l] = storage.OpenBTree(db.pool, storage.PageID(root))
 	}
-	// The fan-signature table is derived state: recompute it from the
-	// cluster index (one scan) instead of persisting it, so the manifest
-	// format and byte-stability are untouched.
-	sig, err := s.ComputeSignature()
-	if err != nil {
+	// The decoded index and the fan-signature table are derived state:
+	// decode them from the stored codes and their inversion instead of
+	// persisting them, so the manifest format and byte-stability are
+	// untouched.
+	if err := s.decode(); err != nil {
 		db.Close()
 		return nil, err
 	}
-	s.sig = sig
 	db.publishInitial(s)
 	return db, nil
 }

@@ -56,7 +56,7 @@ func warmProjections(t testing.TB, s *Snap) {
 // trees, and returns how many sets it compared.
 func checkProjections(t testing.TB, s *Snap, what string) int {
 	t.Helper()
-	cold := coldView(s)
+	cold := coldView(t, s)
 	s.statMu.Lock()
 	from, to := maps.Clone(s.projFrom), maps.Clone(s.projTo)
 	s.statMu.Unlock()
@@ -77,11 +77,17 @@ func checkProjections(t testing.TB, s *Snap, what string) int {
 	return len(from) + len(to)
 }
 
-// coldView returns a snapshot over s's trees with empty caches: the
-// reference every inherited or memoized structure of s is compared with.
-func coldView(s *Snap) *Snap {
+// coldView returns a snapshot over s's trees with empty caches and its
+// decoded index decoded afresh from them, as Open does: the reference every
+// inherited or memoized structure of s is compared with.
+func coldView(t testing.TB, s *Snap) *Snap {
+	t.Helper()
 	cold := s.db.newSnap(s.g)
 	cold.base, cold.wtable, cold.cluster = s.base, s.wtable, s.cluster
+	cold.coverSize = s.coverSize
+	if err := cold.decode(); err != nil {
+		t.Fatal(err)
+	}
 	return cold
 }
 

@@ -12,8 +12,8 @@ import (
 // every ordered label pair (X, Y) it carries |W(X, Y)| and the exact
 // R-join size estimate Σ_{w∈W(X,Y)} |F_X(w)|·|T_Y(w)|.
 //
-// The table is built for free during the cluster-index sweep of Build,
-// recomputed by one cluster-index scan on Open, and maintained
+// The table is built from the cover's inversion at Build and from the
+// stored codes' inversion on Open, and maintained
 // incrementally on edge inserts and deletes by retracting and re-adding
 // the contribution of every center a batch touches. It seeds the
 // optimizer's cost model with exact fan statistics (|W(X, Y)| and the
@@ -58,19 +58,11 @@ func (sig *Signature) clone() *Signature {
 	return &Signature{pairs: maps.Clone(sig.pairs)}
 }
 
-// addCenter adds one center's contribution: its non-empty F-subcluster
-// labels/sizes and T-subcluster labels/sizes (parallel slices).
-func (sig *Signature) addCenter(fls []graph.Label, fsz []int, tls []graph.Label, tsz []int) {
-	sig.applyCenter(1, fls, fsz, tls, tsz)
-}
-
-// removeCenter retracts a contribution previously added with the same
-// slot sizes.
-func (sig *Signature) removeCenter(fls []graph.Label, fsz []int, tls []graph.Label, tsz []int) {
-	sig.applyCenter(-1, fls, fsz, tls, tsz)
-}
-
-func (sig *Signature) applyCenter(sign int64, fls []graph.Label, fsz []int, tls []graph.Label, tsz []int) {
+// addCenter adds (sign 1) or retracts (sign -1) one center's
+// contribution: its non-empty F-subcluster labels/sizes and T-subcluster
+// labels/sizes (parallel slices). A retraction passes the sizes the
+// contribution was added with.
+func (sig *Signature) addCenter(sign int64, fls []graph.Label, fsz []int, tls []graph.Label, tsz []int) {
 	for i, x := range fls {
 		for j, y := range tls {
 			k := wKey{x, y}
@@ -91,9 +83,8 @@ func (sig *Signature) applyCenter(sign int64, fls []graph.Label, fsz []int, tls 
 func (s *Snap) Signature() *Signature { return s.sig }
 
 // ComputeSignature rebuilds the fan-signature table from scratch by one
-// scan of the cluster index. It is the reattachment path of Open (no
-// manifest format change) and the oracle the differential tests compare
-// the incrementally maintained table against.
+// scan of the cluster index: the oracle the differential tests compare the
+// built, reopened and incrementally maintained tables against.
 func (s *Snap) ComputeSignature() (*Signature, error) {
 	if s.db.closed.Load() {
 		return nil, ErrClosed
@@ -108,54 +99,31 @@ func (s *Snap) ComputeSignature() (*Signature, error) {
 	// reads do not happen inside the tree scan.
 	var slots []slotRef
 	err := s.cluster.Scan(clusterKey(0, dirF, 0), func(key []byte, val uint64) bool {
-		if len(key) != 9 {
-			return true
+		if len(key) == 9 {
+			w, l := binary.BigEndian.Uint32(key[0:4]), binary.BigEndian.Uint32(key[5:9])
+			slots = append(slots, slotRef{graph.NodeID(w), key[4], graph.Label(l), val})
 		}
-		slots = append(slots, slotRef{
-			w:   graph.NodeID(binary.BigEndian.Uint32(key[0:4])),
-			dir: key[4],
-			l:   graph.Label(binary.BigEndian.Uint32(key[5:9])),
-			rid: val,
-		})
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
+	// Keys scan in (center, dir, label) order, so one pass groups each
+	// center's slots; dir indexes ls and sz.
 	sig := newSignature()
-	var fls, tls []graph.Label
-	var fsz, tsz []int
-	flush := func() {
-		if len(fls) > 0 || len(tls) > 0 {
-			sig.addCenter(fls, fsz, tls, tsz)
-		}
-		fls, tls, fsz, tsz = fls[:0], tls[:0], fsz[:0], tsz[:0]
-	}
-	// Keys scan in (center, dir, label) order, so one pass groups
-	// per-center slots.
-	cur := graph.NodeID(0)
-	started := false
-	for _, sl := range slots {
-		if started && sl.w != cur {
-			flush()
-		}
-		cur, started = sl.w, true
+	var ls [2][]graph.Label
+	var sz [2][]int
+	for i, sl := range slots {
 		rec, err := s.db.heap.Read(storage.DecodeRID(sl.rid))
 		if err != nil {
 			return nil, err
 		}
-		n := int(binary.LittleEndian.Uint32(rec))
-		if n == 0 {
-			continue
-		}
-		if sl.dir == dirF {
-			fls = append(fls, sl.l)
-			fsz = append(fsz, n)
-		} else {
-			tls = append(tls, sl.l)
-			tsz = append(tsz, n)
+		ls[sl.dir] = append(ls[sl.dir], sl.l)
+		sz[sl.dir] = append(sz[sl.dir], int(binary.LittleEndian.Uint32(rec)))
+		if i+1 == len(slots) || slots[i+1].w != sl.w {
+			sig.addCenter(1, ls[dirF], sz[dirF], ls[dirT], sz[dirT])
+			ls, sz = [2][]graph.Label{ls[0][:0], ls[1][:0]}, [2][]int{sz[0][:0], sz[1][:0]}
 		}
 	}
-	flush()
 	return sig, nil
 }

@@ -5,16 +5,16 @@ import (
 	"unsafe"
 )
 
-// A slotArray is one epoch's directory over the chunks of an array of cache
-// slots, each nil or an immutable value: the code cache (by node ID), a
-// partner table (by rank in the bound label), the subcluster memo (by
-// center). A chunk is allocated on the first fill of one of its slots. A
-// publish gives the successor a new directory sharing every chunk except
-// those holding a slot the batch touched, which it copies without them, so
-// a shared chunk holds only slots equal in both epochs and a reader of
-// either may fill it for both. A chunk carries the charge of what it holds,
-// so k epochs sharing it are charged once; an overflowing cache empties its
-// own directory, never a shared chunk (DESIGN §3).
+// A slotArray is one epoch's directory over the chunks of a partner table's
+// slots (by rank in the bound label), each nil or an immutable list. A
+// chunk is allocated on the first fill of one of its slots. A publish gives
+// the successor a new directory sharing every chunk except those holding a
+// slot the batch touched, which it copies without them, so a shared chunk
+// holds only slots equal in both epochs and a reader of either may fill it
+// for both. A chunk carries the charge of what it holds, so k epochs
+// sharing it are charged once; an overflowing epoch forgets its own tables,
+// never a shared chunk (DESIGN §3). chunkBits also sizes the decoded
+// index's chunks (decoded.go), which are immutable and need none of this.
 type slotArray[T any] struct {
 	chunks []atomic.Pointer[chunk[T]]
 }
@@ -34,13 +34,6 @@ type chunk[T any] struct {
 // newSlotArray returns an empty array of n slots.
 func newSlotArray[T any](n int) slotArray[T] {
 	return slotArray[T]{chunks: make([]atomic.Pointer[chunk[T]], (n+chunkMask)>>chunkBits)}
-}
-
-// reset empties the directory; other epochs' directories keep the chunks.
-func (a *slotArray[T]) reset() {
-	for i := range a.chunks {
-		a.chunks[i].Store(nil)
-	}
 }
 
 // load returns slot i's value, nil when empty.

@@ -50,22 +50,13 @@ func publishBatch(t *testing.T, db *DB, rng *rand.Rand, cur *graph.Graph, i int)
 	return cur
 }
 
-// readSome reads, through s's decoded read path, the subclusters, codes
-// and partners of a few random nodes.
+// readSome reads, through s's decoded read path, the partners of a few
+// random nodes.
 func readSome(t testing.TB, s *Snap, rng *rand.Rand) {
 	r := s.Reader()
 	nl := s.g.Labels().Len()
 	for range 20 {
 		x, y := graph.Label(rng.Intn(nl)), graph.Label(rng.Intn(nl))
-		v := graph.NodeID(rng.Intn(s.g.NumNodes()))
-		if _, err := r.F(v, x); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := r.T(v, y); err != nil {
-			t.Error(err)
-			return
-		}
 		p, err := r.Partners(x, y, rng.Intn(2) == 0)
 		if err != nil {
 			t.Error(err)
@@ -84,8 +75,8 @@ func readSome(t testing.TB, s *Snap, rng *rand.Rand) {
 	}
 }
 
-// sharedChunks counts the chunks two epochs' code caches, subcluster memos
-// and partner tables share by pointer.
+// sharedChunks counts the chunks two epochs' decoded indexes and partner
+// tables share by pointer.
 func sharedChunks(a, b *Snap) int {
 	count := func(x, y []any) int {
 		n := 0
@@ -96,8 +87,15 @@ func sharedChunks(a, b *Snap) int {
 		}
 		return n
 	}
-	n := count(chunkPtrs(&a.codeCache.slots), chunkPtrs(&b.codeCache.slots))
-	n += count(chunkPtrs(&a.clmemo), chunkPtrs(&b.clmemo))
+	n := 0
+	for i := range a.codes {
+		if a.codes[i] == b.codes[i] {
+			n++
+		}
+		if a.clusters[i] == b.clusters[i] {
+			n++
+		}
+	}
 	a.pmu.Lock()
 	b.pmu.Lock()
 	defer a.pmu.Unlock()
@@ -114,9 +112,9 @@ func sharedChunks(a, b *Snap) int {
 // eight mixed batches while readers keep filling the first epoch and every
 // epoch published since, each of them pinned. Successive epochs share the
 // chunks holding nothing a batch touched, so a fill a reader makes on one
-// epoch lands in the chunks of others too; afterwards, everything each
-// pinned epoch's read path holds must equal a cold recomputation on that
-// epoch's own trees.
+// epoch lands in the partner-table chunks of others too; afterwards,
+// everything each pinned epoch's read path holds, its decoded index
+// included, must equal a cold recomputation on that epoch's own trees.
 func TestSharedChunkFillsValidInEveryEpoch(t *testing.T) {
 	g := randomGraph(41, 1500, 1400, 3)
 	db := mustBuild(t, g, Options{})
@@ -203,43 +201,44 @@ func TestDecodedMemoChargedOncePerChunk(t *testing.T) {
 			}
 		}
 	}
-	// A fill through the newest epoch into a chunk the one before shares
-	// shows up in both recounts.
+	// A fill through the newest epoch into a partner-table chunk the one
+	// before shares shows up in both recounts.
 	a, b := pinned[len(pinned)-2], pinned[len(pinned)-1]
-	memoA, memoB := &a.clmemo, &b.clmemo
-	for w := 0; w < g.NumNodes(); w++ {
-		ci := w >> chunkBits
-		c := memoB.chunks[ci].Load()
-		if c == nil || c != memoA.chunks[ci].Load() || memoB.load(w) != nil {
+	for k, tb := range b.ptabs {
+		ta := a.ptabs[k]
+		if ta == nil {
 			continue
 		}
-		list, err := b.clusterLookup(graph.NodeID(w), dirF, g.LabelOf(graph.NodeID(w)))
-		if err != nil {
-			t.Fatal(err)
+		for i, v := range g.Extent(tb.bound) {
+			c := tb.slots.chunks[i>>chunkBits].Load()
+			if c == nil || c != ta.slots.chunks[i>>chunkBits].Load() || tb.slots.load(i) != nil {
+				continue
+			}
+			p, err := b.Reader().Partners(k.x, k.y, k.forward)
+			if err != nil {
+				t.Fatal(err)
+			}
+			beforeA, beforeB := a.DecodedMemoNodes(), b.DecodedMemoNodes()
+			if _, err := p.Of(v); err != nil {
+				t.Fatal(err)
+			}
+			cost := int(tb.slots.load(i).cost())
+			if cost == 0 {
+				continue // v joins nothing: the fill charges no list
+			}
+			if da, db := a.DecodedMemoNodes()-beforeA, b.DecodedMemoNodes()-beforeB; da != cost || db != cost {
+				t.Fatalf("filling node %d's slot of table %+v through the newer epoch moved the charges by %d and %d, want %d", v, k, da, db, cost)
+			}
+			return
 		}
-		if len(list) == 0 {
-			continue
-		}
-		beforeA, beforeB := a.DecodedMemoNodes(), b.DecodedMemoNodes()
-		if _, err := b.Reader().F(graph.NodeID(w), g.LabelOf(graph.NodeID(w))); err != nil {
-			t.Fatal(err)
-		}
-		if da, db := a.DecodedMemoNodes()-beforeA, b.DecodedMemoNodes()-beforeB; da != len(list) || db != len(list) {
-			t.Fatalf("filling center %d's %d-node subcluster through the newer epoch moved the charges by %d and %d", w, len(list), da, db)
-		}
-		return
 	}
-	t.Fatal("no empty slot in a chunk the last two epochs share; the test proves nothing")
+	t.Fatal("no empty slot in a partner-table chunk the last two epochs share; the test proves nothing")
 }
 
-// recountMemo sums what s's memos hold by walking every slot its
-// directories reach: the memo's lists, and each partner table's slots plus
-// the lists they point to.
+// recountMemo sums what s's partner tables hold by walking every slot
+// their directories reach: each table's slots plus the lists they point to.
 func recountMemo(s *Snap) int {
 	total := 0
-	for _, nodes := range memoEntries(s) {
-		total += len(nodes)
-	}
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	for _, tab := range s.ptabs {
@@ -251,4 +250,15 @@ func recountMemo(s *Snap) int {
 		}
 	}
 	return total
+}
+
+// chunkPtrs returns a's chunk pointers, nil where none is allocated.
+func chunkPtrs[T any](a *slotArray[T]) []any {
+	out := make([]any, len(a.chunks))
+	for i := range a.chunks {
+		if c := a.chunks[i].Load(); c != nil {
+			out[i] = c
+		}
+	}
+	return out
 }

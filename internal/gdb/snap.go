@@ -1,8 +1,6 @@
 package gdb
 
 import (
-	"fmt"
-	"slices"
 	"sync"
 
 	"fastmatch/internal/graph"
@@ -10,23 +8,25 @@ import (
 )
 
 // Snap is one published epoch of the database: an immutable bundle of the
-// graph handle, the base tables, the cluster index, and the W-table, plus
-// this epoch's derived caches. The entire read path lives on Snap, so a
-// reader that pins an epoch (DB.Pin) sees one consistent version of every
-// structure for as long as it holds the pin — no locks against the writer,
-// which prepares the next version on private copy-on-write pages and
-// publishes it atomically.
+// graph handle, the base tables, the cluster index, the W-table and the
+// decoded index, plus this epoch's derived caches. The entire read path
+// lives on Snap, so a reader that pins an epoch (DB.Pin) sees one
+// consistent version of every structure for as long as it holds the pin —
+// no locks against the writer, which prepares the next version on private
+// copy-on-write pages and publishes it atomically.
 //
-// Index content is immutable within an epoch, so the caches memoizing
-// decoded content (graph codes, decoded subclusters, partner tables) are
-// never invalidated; a successor epoch shares its predecessor's slot chunks
-// except those holding an entry the write batch touched (see slotArray and
-// snapWriter.publish). The memoized projections are inherited
-// too, patched from the batch's label deltas rather than dropped
-// (inheritProjections); the fan signature is maintained by the writer. What
-// a query reads per row — graph codes and partner-table slots — is read with
-// atomic loads and no lock; the locks below only coordinate readers filling
-// the per-operator structures behind them.
+// The decoded index (graph codes and subclusters, see decoded.go) is
+// complete and immutable; a successor epoch shares its chunks except those
+// holding a node or center the batch rewrote. Index content is immutable
+// within an epoch, so the partner tables memoizing unions over it are never
+// invalidated; a successor shares their slot chunks except those holding a
+// slot the batch may have changed (see slotArray and snapWriter.publish).
+// The memoized projections are inherited too, patched from the batch's
+// label deltas rather than dropped (inheritProjections); the fan signature
+// is maintained by the writer. What a query reads per row — graph codes and
+// partner-table slots — is read with plain or atomic loads and no lock; the
+// locks below only coordinate readers filling the per-operator structures
+// behind them.
 type Snap struct {
 	db *DB
 	g  *graph.Graph
@@ -44,18 +44,14 @@ type Snap struct {
 	// snapshot writer.
 	sig *Signature
 
-	codeCache *codeCache
-
-	// clmemo is the decoded-subcluster memo: what HPSJ reads per center and
-	// what fills a partner-table slot (see Reader), one slot per center node
-	// ID. Only the counted-I/O reference mode bypasses it, fetching every
-	// subcluster and code through the buffer pool as the paper's
-	// disk-resident executor does. clmu serialises this epoch's fills and
-	// resets, never a hit; clNodes is the node IDs they added, for the
-	// memo's size bound.
-	clmu    sync.Mutex
-	clmemo  slotArray[centerMemo]
-	clNodes int
+	// codes and clusters are the decoded index, chunkSize node IDs a chunk:
+	// every node's full codes, and every center's subclusters, which HPSJ
+	// reads per center and a partner-table slot is the union of. Only the
+	// counted-I/O reference mode bypasses them, fetching every subcluster
+	// and code through the buffer pool as the paper's disk-resident
+	// executor does.
+	codes    []*codeList
+	clusters []*clusterChunk
 
 	// pmu guards the set of partner tables and its share of the memo
 	// budget, never a slot (see partners.go).
@@ -127,148 +123,58 @@ func (s *Snap) GetT(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
 	return s.clusterLookup(w, dirT, y)
 }
 
-// centerMemo is what a subcluster-memo slot holds: the decoded
-// subclusters of one center read so far, sorted by (dir, label). It is
-// immutable; a fill replaces it with a copy one subcluster longer.
-type centerMemo []subcluster
-
-type subcluster struct {
-	dir   byte
-	l     graph.Label
-	nodes []graph.NodeID
-}
-
-func (m *centerMemo) find(dir byte, l graph.Label) (int, bool) {
-	if m == nil {
-		return 0, false
-	}
-	return slices.BinarySearchFunc(*m, subcluster{dir: dir, l: l}, func(a, b subcluster) int {
-		if a.dir != b.dir {
-			return int(a.dir) - int(b.dir)
-		}
-		return int(a.l) - int(b.l)
-	})
-}
-
-// cost is the memo-budget charge of the memo's lists, in node IDs.
-func (m *centerMemo) cost() int64 {
-	n := 0
-	for _, sc := range *m {
-		n += len(sc.nodes)
-	}
-	return int64(n)
-}
-
-// fastClusterCacheNodes bounds each decoded memo: the total node IDs held
-// across all cached lists (≈4 MB at the 1M default). On overflow the memo
-// empties its directory — an epoch-local cache, not a second index.
+// fastClusterCacheNodes bounds an epoch's partner tables: the total node
+// IDs their slots and lists hold (≈4 MB at the 1M default). On overflow
+// the epoch forgets its tables — an epoch-local cache, not a second index.
 const fastClusterCacheNodes = 1 << 20
 
 // Reader is one goroutine's handle on a snapshot's decoded read path: the
-// per-epoch memo of decoded subclusters and the partner tables that every
-// operator reads through. The first access per key decodes from storage
-// through the buffer pool (GetF/GetT, graph codes); repeats — by any query
-// on the epoch — are served from memory. A Reader counts its own lookups,
-// so the shared structures carry no counter on the hit path. Not safe for
-// concurrent use; returned slices are shared and must not be mutated.
+// decoded index and the partner tables that every operator reads through.
+// A partner slot's first access computes its list from the decoded index;
+// repeats — by any query on the epoch — are served from memory. A Reader
+// counts its own slot lookups, so the shared tables carry no counter on the
+// hit path. Not safe for concurrent use; returned slices are shared and
+// must not be mutated.
 type Reader struct {
 	s *Snap
-	// Hits/Misses count every subcluster-memo and partner-slot lookup this
-	// reader made; CenterHits/CenterMisses the partner-slot share of them.
-	Hits, Misses             int64
+	// CenterHits/CenterMisses count the partner-slot lookups this reader
+	// made: a hit found the slot filled, a miss filled it.
 	CenterHits, CenterMisses int64
 }
 
 // Reader returns a fresh decoded-path reader on this snapshot.
 func (s *Snap) Reader() *Reader { return &Reader{s: s} }
 
-// F is GetF through the epoch's decoded-subcluster memo.
+// F is GetF from the epoch's decoded index.
 func (r *Reader) F(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
-	return r.cluster(w, dirF, x)
+	return r.s.subcluster(w, dirF, x), nil
 }
 
-// T is GetT through the epoch's decoded-subcluster memo.
+// T is GetT from the epoch's decoded index.
 func (r *Reader) T(w graph.NodeID, y graph.Label) ([]graph.NodeID, error) {
-	return r.cluster(w, dirT, y)
+	return r.s.subcluster(w, dirT, y), nil
 }
 
-// FastF is GetF through the epoch's decoded-subcluster memo, for callers
-// that do not keep a Reader.
+// FastF is GetF from the epoch's decoded index, for callers that do not
+// keep a Reader.
 func (s *Snap) FastF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
-	return s.Reader().F(w, x)
+	return s.subcluster(w, dirF, x), nil
 }
 
-func (r *Reader) cluster(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
-	s := r.s
-	if uint(w) >= uint(s.g.NumNodes()) {
-		return s.clusterLookup(w, dir, l)
-	}
-	m := s.clmemo.load(int(w))
-	if i, ok := m.find(dir, l); ok {
-		r.Hits++
-		return (*m)[i].nodes, nil
-	}
-	r.Misses++
-	nodes, err := s.clusterLookup(w, dir, l)
-	if err != nil {
-		return nil, err
-	}
-	return s.memoPut(w, subcluster{dir, l, nodes}), nil
-}
-
-// memoPut stores one decoded subcluster of center w in the memo, charging
-// its length against the bound, and returns the list the memo holds for it:
-// sc's, or the one a reader that decoded the same key at the same time
-// stored first. Callers use the returned list, so every reader of a key
-// shares one charged copy. A memo that would overflow empties its directory
-// first: it is an epoch-local cache, not a second index, and chunks another
-// epoch shares are never cleared. Readers hold the lists, not the
-// directory, so a reset never disturbs a running query.
-func (s *Snap) memoPut(w graph.NodeID, sc subcluster) []graph.NodeID {
-	s.clmu.Lock()
-	defer s.clmu.Unlock()
-	for {
-		m := s.clmemo.load(int(w))
-		i, dup := m.find(sc.dir, sc.l)
-		if dup {
-			return (*m)[i].nodes
-		}
-		if s.clNodes > 0 && s.clNodes+len(sc.nodes) > s.db.memoBound {
-			s.clmemo.reset()
-			s.clNodes = 0
-			s.db.memoResets.Add(1)
-			continue
-		}
-		var next centerMemo
-		if m != nil {
-			next = slices.Insert(slices.Clip(*m), i, sc)
-		} else {
-			next = centerMemo{sc}
-		}
-		// A reader of another epoch sharing the chunk may have filled the
-		// slot since the load: then look again.
-		if s.clmemo.replace(int(w), m, &next, int64(len(sc.nodes))) {
-			s.clNodes += len(sc.nodes)
-			return sc.nodes
-		}
-	}
-}
-
-// DecodedMemoNodes returns what this epoch's decoded memos hold
-// (subcluster lists plus partner tables): their resident size in 4-byte
-// units.
+// DecodedMemoNodes returns what this epoch's partner tables hold: their
+// resident size in 4-byte units.
 func (s *Snap) DecodedMemoNodes() int {
 	nodes, _ := s.decodedMemo()
 	return nodes
 }
 
-// decodedMemo recounts what the epoch's memos hold from the charges of the
-// chunks its directories point at, each counted once, whichever epoch
-// filled it.
+// decodedMemo recounts what the epoch's partner tables hold from the
+// charges of the chunks their directories point at, each counted once,
+// whichever epoch filled it.
 func (s *Snap) decodedMemo() (nodes, tables int) {
-	_, held := s.clmemo.held()
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	var held int64
 	for _, t := range s.ptabs {
 		held += t.charge()
 	}
@@ -291,71 +197,57 @@ func (s *Snap) clusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.N
 }
 
 // OutCode returns the full graph code out(x) = stored X_out ∪ {x}, sorted
-// ascending. Reads the base table through its primary index, with the
-// working cache of Section 3.3.
+// ascending, from the epoch's decoded index. The slice is shared and must
+// not be mutated.
 func (s *Snap) OutCode(x graph.NodeID) ([]graph.NodeID, error) {
-	c, err := s.getCodes(x)
-	if err != nil {
-		return nil, err
-	}
-	return c.out, nil
+	_, out := s.codesOf(x)
+	return out, nil
 }
 
 // InCode returns the full graph code in(x) = stored X_in ∪ {x}, sorted
-// ascending.
+// ascending, from the epoch's decoded index.
 func (s *Snap) InCode(x graph.NodeID) ([]graph.NodeID, error) {
-	c, err := s.getCodes(x)
-	if err != nil {
-		return nil, err
-	}
-	return c.in, nil
+	in, _ := s.codesOf(x)
+	return in, nil
 }
 
-func (s *Snap) getCodes(x graph.NodeID) (*codes, error) {
-	if c := s.codeCache.get(x); c != nil {
-		return c, nil
-	}
-	if s.db.closed.Load() {
-		return nil, ErrClosed
-	}
-	v, ok, err := s.base[s.g.LabelOf(x)].Get(nodeKey(x))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("gdb: node %d missing from base table", x)
-	}
-	rec, err := s.db.heap.Read(storage.DecodeRID(v))
-	if err != nil {
-		return nil, err
-	}
-	in, out := decodeCodes(rec)
-	c := &codes{in: insertSorted(in, x), out: insertSorted(out, x)}
-	s.codeCache.put(x, c)
-	return c, nil
+// GetOut is OutCode read as Algorithm 2 does: x's base-table record,
+// through its primary index and the buffer pool, on every call.
+func (s *Snap) GetOut(x graph.NodeID) ([]graph.NodeID, error) {
+	_, out, err := s.getCodes(x)
+	return out, err
 }
 
-// Reaches evaluates u ⇝ v from graph codes: out(u) ∩ in(v) ≠ ∅.
+// GetIn is InCode read through the buffer pool (see GetOut).
+func (s *Snap) GetIn(x graph.NodeID) ([]graph.NodeID, error) {
+	in, _, err := s.getCodes(x)
+	return in, err
+}
+
+func (s *Snap) getCodes(x graph.NodeID) (in, out []graph.NodeID, err error) {
+	rec, err := s.db.codeRecord(s.base, s.g, x)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, out = decodeCodes(rec)
+	return insertSorted(in, x), insertSorted(out, x), nil
+}
+
+// Reaches evaluates u ⇝ v from the decoded graph codes: out(u) ∩ in(v) ≠ ∅.
 func (s *Snap) Reaches(u, v graph.NodeID) (bool, error) {
 	if u == v {
 		return true, nil
 	}
-	ou, err := s.OutCode(u)
-	if err != nil {
-		return false, err
-	}
-	iv, err := s.InCode(v)
-	if err != nil {
-		return false, err
-	}
+	_, ou := s.codesOf(u)
+	iv, _ := s.codesOf(v)
 	return IntersectNonEmpty(ou, iv), nil
 }
 
 // JoinSize estimates |T_X ⋈_{X→Y} T_Y| as Σ_{w∈W(X,Y)} |F_X(w)|·|T_Y(w)|
 // (an upper bound: a pair may be covered by several centers) by scanning
-// the clusters. The optimizer reads the same value from the maintained fan
-// signature (Signature.Pair); this scan is the reference it is tested
-// against.
+// the clusters through the buffer pool. The optimizer reads the same value
+// from the maintained fan signature (Signature.Pair); this scan is the
+// reference it is tested against.
 func (s *Snap) JoinSize(x, y graph.Label) (int64, error) {
 	ws, err := s.Centers(x, y)
 	if err != nil {
@@ -440,11 +332,7 @@ func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map
 	}
 	set := newNodeSet(s.g.NumNodes())
 	for _, w := range ws {
-		nodes, err := s.clusterLookup(w, dir, side)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range nodes {
+		for _, v := range s.subcluster(w, dir, side) {
 			set.add(v)
 		}
 	}
@@ -468,17 +356,12 @@ func (s *Snap) projectionBytes() int {
 	return total
 }
 
-// clearCaches empties this epoch's derived data caches (cold-start
-// benchmarks). The memoized projections stay: they hold exact per-snapshot
-// values that cannot go stale within an epoch, and benchmarks charge their
-// cost on first access only.
+// clearCaches drops this epoch's partner tables (cold-start benchmarks).
+// The decoded index and the memoized projections stay: they hold exact
+// per-snapshot values that cannot go stale within an epoch, and benchmarks
+// charge their cost on first access only.
 func (s *Snap) clearCaches() {
-	s.clmu.Lock()
-	s.clmemo.reset()
-	s.clNodes = 0
-	s.clmu.Unlock()
 	s.pmu.Lock()
 	s.ptabs, s.pNodes = nil, 0
 	s.pmu.Unlock()
-	s.codeCache.clear()
 }

@@ -46,8 +46,8 @@ type semijoinGroup struct {
 }
 
 // open returns the read path for one operator over db: the snapshot's
-// decoded per-epoch memos, or — for a runtime the executor switched to
-// the counted-I/O reference mode — the buffer pool.
+// decoded index and partner tables, or — for a runtime the executor
+// switched to the counted-I/O reference mode — the buffer pool.
 func (rt *Runtime) open(db *gdb.Snap) reads {
 	if rt.countIO {
 		return pooledReads{db}
@@ -55,8 +55,8 @@ func (rt *Runtime) open(db *gdb.Snap) reads {
 	return &decodedReads{rt: rt, db: db, r: db.Reader()}
 }
 
-// decodedReads reads through gdb.Reader: decoded subclusters, partner
-// tables and graph codes memoised per epoch, shared by every query on the
+// decodedReads reads through gdb.Reader: the epoch's decoded subclusters
+// and graph codes, and its partner tables, shared by every query on the
 // snapshot.
 type decodedReads struct {
 	rt *Runtime
@@ -128,8 +128,6 @@ func (d *decodedReads) semijoin(g *semijoinGroup, v graph.NodeID) (bool, error) 
 }
 
 func (d *decodedReads) done() {
-	d.rt.memoHits += d.r.Hits
-	d.rt.memoMisses += d.r.Misses
 	d.rt.centerHits += d.r.CenterHits
 	d.rt.centerMisses += d.r.CenterMisses
 }
@@ -170,13 +168,25 @@ func (p pooledReads) partners(c Cond, forward bool) (partnerFunc, error) {
 	}, nil
 }
 
-func (p pooledReads) reaches(u, v graph.NodeID) (bool, error) { return p.db.Reaches(u, v) }
+// reaches is the paper's reachability test as written: both codes read
+// through the buffer pool.
+func (p pooledReads) reaches(u, v graph.NodeID) (bool, error) {
+	if u == v {
+		return true, nil
+	}
+	ou, err := p.code(u, true)
+	if err != nil {
+		return false, err
+	}
+	iv, err := p.code(v, false)
+	return err == nil && gdb.IntersectNonEmpty(ou, iv), err
+}
 
 func (p pooledReads) code(v graph.NodeID, out bool) ([]graph.NodeID, error) {
 	if out {
-		return p.db.OutCode(v)
+		return p.db.GetOut(v)
 	}
-	return p.db.InCode(v)
+	return p.db.GetIn(v)
 }
 
 func (p pooledReads) prepare(g *semijoinGroup) (empty bool, err error) {

@@ -7,9 +7,9 @@ import "fastmatch/internal/graph"
 // goroutine — the paper's Algorithms 1–2 and Eq. 5 as written — and a
 // query's operators run one after another; concurrency lives across queries,
 // not inside one. Every operator reads the index through the snapshot's
-// decoded per-epoch memos (see reads.go), which outlive the query — a Fetch
-// reuses the partner lists an earlier Fetch filled, and so does the
-// next query on the epoch. A Runtime is scoped to a single query and is not
+// decoded index and partner tables (see reads.go), which outlive the query
+// — a Fetch reuses the partner lists an earlier Fetch filled, and so does
+// the next query on the epoch. A Runtime is scoped to a single query and is not
 // safe for concurrent use; its zero value is ready to use.
 type Runtime struct {
 	// countIO selects the counted-I/O reference read path (see CountIO).
@@ -30,8 +30,6 @@ type Runtime struct {
 
 	ops          int64
 	fusedFilters int64
-	memoHits     int64
-	memoMisses   int64
 	centerHits   int64
 	centerMisses int64
 }
@@ -50,7 +48,7 @@ func (rt *Runtime) Workers() int { return 1 }
 
 // CountIO switches the runtime to the counted-I/O reference read path:
 // every subcluster and graph code is fetched through the buffer pool per
-// access, with no decoded memo in between, so logical page counts are the
+// access, with no decoded index in between, so logical page counts are the
 // paper's I/O cost. The executor calls it for plans built with
 // exec.PlanConfig{NoFastPath: true} and for nothing else; like SetBudget
 // it must precede the first operator.
@@ -116,14 +114,10 @@ type RuntimeStats struct {
 	// intersections (see FetchFiltered) instead of as operators of their
 	// own; they are not in Ops.
 	FusedFilters int64
-	// MemoHits/Misses count the runtime's lookups in the snapshot's decoded
-	// memos (subclusters and partner-table slots); CenterCacheHits/Misses
-	// are the partner-slot share: a hit is a getCenters intersection and
-	// subcluster union some earlier operator or query on the epoch already
-	// computed. All zero in the counted-I/O reference mode, which bypasses
-	// the memos.
-	MemoHits          int64
-	MemoMisses        int64
+	// CenterCacheHits/Misses count the runtime's partner-table slot
+	// lookups: a hit is a getCenters intersection and subcluster union some
+	// earlier operator or query on the epoch already computed. Both zero in
+	// the counted-I/O reference mode, which bypasses the tables.
 	CenterCacheHits   int64
 	CenterCacheMisses int64
 }
@@ -134,8 +128,6 @@ func (rt *Runtime) Stats() RuntimeStats {
 		Ops:               rt.ops,
 		Tasks:             rt.ops,
 		FusedFilters:      rt.fusedFilters,
-		MemoHits:          rt.memoHits,
-		MemoMisses:        rt.memoMisses,
 		CenterCacheHits:   rt.centerHits,
 		CenterCacheMisses: rt.centerMisses,
 	}

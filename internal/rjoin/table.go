@@ -35,7 +35,7 @@
 //
 // Every operator is one loop on the calling goroutine (see Runtime).
 // Operators read the cluster index and the graph codes through the
-// snapshot's decoded per-epoch memos (reads.go); in the counted-I/O
+// snapshot's decoded index (reads.go); in the counted-I/O
 // reference mode every access instead goes through the graph database's
 // buffer pool and is counted as I/O, as in the paper.
 package rjoin

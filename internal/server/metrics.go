@@ -54,8 +54,6 @@ type metrics struct {
 	fusedFilters atomic.Int64 // plan steps a Fetch ran as list intersections
 	centerHits   atomic.Int64 // partner-slot hits
 	centerMisses atomic.Int64 // partner-slot fills
-	memoHits     atomic.Int64 // decoded-memo hits (subclusters + partner slots)
-	memoMisses   atomic.Int64 // decoded-memo misses
 
 	// Result shipping (POST /query's encode + write, after the query's own
 	// latency is recorded).
@@ -78,8 +76,6 @@ func (m *metrics) recordRuntime(rs rjoin.RuntimeStats) {
 	m.fusedFilters.Add(rs.FusedFilters)
 	m.centerHits.Add(rs.CenterCacheHits)
 	m.centerMisses.Add(rs.CenterCacheMisses)
-	m.memoHits.Add(rs.MemoHits)
-	m.memoMisses.Add(rs.MemoMisses)
 }
 
 func (m *metrics) recordQuery(elapsed time.Duration, rowCount int, planCached bool) {
@@ -233,18 +229,14 @@ type Stats struct {
 	// earlier operator or query on the epoch already computed.
 	CenterCacheHits   int64 `json:"center_cache_hits"`
 	CenterCacheMisses int64 `json:"center_cache_misses"`
-	// DecodedMemoHits/Misses aggregate every decoded-memo lookup served
-	// queries made (decoded subclusters plus partner-table slots); a miss
-	// is a decode or a union. DecodedMemoNodes is what the current epoch's
-	// subcluster memo and its PartnerTables partner tables hold, in 4-byte
-	// node-ID units (DecodedMemoBytes the same in bytes);
-	// DecodedMemoResets counts overflows of the memo bound, each of which
-	// emptied a memo.
+	// DecodedMemoNodes is what the current epoch's PartnerTables partner
+	// tables hold, in 4-byte node-ID units (DecodedMemoBytes the same in
+	// bytes); DecodedMemoResets counts overflows of their bound, each of
+	// which dropped an epoch's tables. The decoded index they are computed
+	// from is complete in every epoch and counted in none of these.
 	DecodedMemoNodes  int   `json:"decoded_memo_nodes"`
 	DecodedMemoBytes  int   `json:"decoded_memo_bytes"`
 	PartnerTables     int   `json:"partner_tables"`
-	DecodedMemoHits   int64 `json:"decoded_memo_hits"`
-	DecodedMemoMisses int64 `json:"decoded_memo_misses"`
 	DecodedMemoResets int64 `json:"decoded_memo_resets"`
 	// ProjectionScans counts full computations of a projection set
 	// (π_X or π_Y of a label pair's R-join), ProjectionsInherited the
@@ -263,9 +255,9 @@ type Stats struct {
 	PartnerSlotsInherited int64 `json:"partner_slots_inherited"`
 	PartnerSlotsDropped   int64 `json:"partner_slots_dropped"`
 	// PublishCopiedBytes sums, over all publishes, what carrying the
-	// decoded caches (code cache, subcluster memo, partner tables) into the
-	// successor epoch allocated: new chunk directories plus the chunks that
-	// held a slot the batch touched. PublishInheritUS is the log2 histogram
+	// decoded index and the partner tables into the successor epoch
+	// allocated: new chunk directories plus the chunks that held a node,
+	// center or slot the batch touched. PublishInheritUS is the log2 histogram
 	// of the time each publish spent on that carry and on patching the
 	// projections: entry i counts publishes that took [2^(i-1), 2^i) µs
 	// (entry 0: under 1 µs), cut after the last non-zero entry.
@@ -325,8 +317,6 @@ func (s *Server) Stats() Stats {
 		FusedFilters:          s.met.fusedFilters.Load(),
 		CenterCacheHits:       s.met.centerHits.Load(),
 		CenterCacheMisses:     s.met.centerMisses.Load(),
-		DecodedMemoHits:       s.met.memoHits.Load(),
-		DecodedMemoMisses:     s.met.memoMisses.Load(),
 		EncodeMs:              float64(s.met.encodeNS.Load()) / 1e6,
 		ResponseBytes:         s.met.responseBytes.Load(),
 		UptimeSeconds:         time.Since(s.start).Seconds(),
