@@ -91,8 +91,15 @@ func splitKey(key uint32) (dir byte, l graph.Label) {
 	return byte(key >> 31), graph.Label(key &^ (1 << 31))
 }
 
-func newClusterChunk() *clusterChunk {
-	return &clusterChunk{first: make([]int32, 1, chunkSize+1), off: []int32{0}}
+// newClusterChunk returns an empty chunk with room for subs subclusters
+// holding members node IDs.
+func newClusterChunk(subs, members int) *clusterChunk {
+	return &clusterChunk{
+		first:   make([]int32, 1, chunkSize+1),
+		keys:    make([]uint32, 0, subs),
+		off:     make([]int32, 1, subs+1),
+		members: make([]graph.NodeID, 0, members),
+	}
 }
 
 // add appends a subcluster of the current center.
@@ -130,17 +137,17 @@ func chunkRange(ci, n int) (lo, hi int) {
 func newCodeChunks(n int, src codeSource) []*codeList {
 	chunks := make([]*codeList, (n+chunkMask)>>chunkBits)
 	for ci := range chunks {
-		chunks[ci] = codeChunk(ci, n, func(v graph.NodeID) ([]graph.NodeID, []graph.NodeID) { return src.In(v), src.Out(v) })
+		chunks[ci] = codeChunk(ci, n, 0, func(v graph.NodeID) ([]graph.NodeID, []graph.NodeID) { return src.In(v), src.Out(v) })
 	}
 	return chunks
 }
 
 // codeChunk builds chunk ci of an n-node code array: node v's full codes
 // in ∪ {v} and out ∪ {v}, where code(v) returns in and out with or without
-// v.
-func codeChunk(ci, n int, code func(v graph.NodeID) (in, out []graph.NodeID)) *codeList {
+// v. entries sizes the chunk.
+func codeChunk(ci, n, entries int, code func(v graph.NodeID) (in, out []graph.NodeID)) *codeList {
 	lo, hi := chunkRange(ci, n)
-	c := newCodeList(hi-lo, 0)
+	c := newCodeList(hi-lo, entries)
 	for v := graph.NodeID(lo); int(v) < hi; v++ {
 		in, out := code(v)
 		for _, l := range [][]graph.NodeID{in, out} {
@@ -244,7 +251,7 @@ func (w *snapWriter) inheritDecoded(cur, next *Snap) int {
 	copied := dirEntry * (len(next.codes) + len(next.clusters))
 
 	for _, ci := range chunksOf(w.codes) {
-		next.codes[ci] = codeChunk(ci, n, func(v graph.NodeID) ([]graph.NodeID, []graph.NodeID) {
+		next.codes[ci] = codeChunk(ci, n, len(cur.codes[ci].ents)+64, func(v graph.NodeID) ([]graph.NodeID, []graph.NodeID) {
 			if nc, ok := w.codes[v]; ok {
 				return nc.in, nc.out
 			}
@@ -255,11 +262,18 @@ func (w *snapWriter) inheritDecoded(cur, next *Snap) int {
 
 	for _, ci := range chunksOf(w.clusters) {
 		lo, hi := chunkRange(ci, n)
-		c := newClusterChunk()
-		for v := graph.NodeID(lo); int(v) < hi; v++ {
-			keys, lists := w.subclusters(v)
-			for j, key := range keys {
-				c.add(key, lists[j])
+		old := cur.clusters[ci]
+		c := newClusterChunk(len(old.keys)+16, len(old.members)+64)
+		for i := 0; i < hi-lo; i++ {
+			if _, ok := w.clusters[graph.NodeID(lo+i)]; !ok {
+				for j := old.first[i]; j < old.first[i+1]; j++ {
+					c.add(old.keys[j], old.members[old.off[j]:old.off[j+1]])
+				}
+			} else {
+				keys, lists := w.subclusters(graph.NodeID(lo + i))
+				for j, key := range keys {
+					c.add(key, lists[j])
+				}
 			}
 			c.next()
 		}

@@ -163,7 +163,7 @@ func (inv *inversion) clusterChunks(n int) []*clusterChunk {
 	ci := 0 // the next center's index
 	for k := range chunks {
 		lo, hi := chunkRange(k, n)
-		c := newClusterChunk()
+		c := newClusterChunk(0, 0)
 		for v := lo; v < hi; v++ {
 			if ci < len(inv.centers) && int(inv.centers[ci]) == v {
 				for dir := 0; dir < 2; dir++ {
