@@ -119,7 +119,12 @@ func (c *clusterChunk) get(i int, key uint32) []graph.NodeID {
 	if !ok {
 		return nil
 	}
-	a, b := c.off[lo+j], c.off[lo+j+1]
+	return c.list(int32(lo + j))
+}
+
+// list returns subcluster j's members.
+func (c *clusterChunk) list(j int32) []graph.NodeID {
+	a, b := c.off[j], c.off[j+1]
 	return c.members[a:b:b]
 }
 
@@ -137,7 +142,12 @@ func chunkRange(ci, n int) (lo, hi int) {
 func newCodeChunks(n int, src codeSource) []*codeList {
 	chunks := make([]*codeList, (n+chunkMask)>>chunkBits)
 	for ci := range chunks {
-		chunks[ci] = codeChunk(ci, n, 0, func(v graph.NodeID) ([]graph.NodeID, []graph.NodeID) { return src.In(v), src.Out(v) })
+		lo, hi := chunkRange(ci, n)
+		entries := 2 * (hi - lo)
+		for v := graph.NodeID(lo); int(v) < hi; v++ {
+			entries += len(src.In(v)) + len(src.Out(v))
+		}
+		chunks[ci] = codeChunk(ci, n, entries, func(v graph.NodeID) ([]graph.NodeID, []graph.NodeID) { return src.In(v), src.Out(v) })
 	}
 	return chunks
 }
@@ -184,10 +194,8 @@ func (s *Snap) decode() error {
 	if err != nil {
 		return err
 	}
-	inv := invertCover(s.g, src)
 	s.codes = newCodeChunks(s.g.NumNodes(), src)
-	s.clusters = inv.clusterChunks(s.g.NumNodes())
-	s.sig = inv.signature()
+	s.clusters, s.sig = invertCover(s.g, src).clusters(s.g.NumNodes())
 	return nil
 }
 
@@ -267,7 +275,7 @@ func (w *snapWriter) inheritDecoded(cur, next *Snap) int {
 		for i := 0; i < hi-lo; i++ {
 			if _, ok := w.clusters[graph.NodeID(lo+i)]; !ok {
 				for j := old.first[i]; j < old.first[i+1]; j++ {
-					c.add(old.keys[j], old.members[old.off[j]:old.off[j+1]])
+					c.add(old.keys[j], old.list(j))
 				}
 			} else {
 				keys, lists := w.subclusters(graph.NodeID(lo + i))

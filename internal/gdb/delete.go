@@ -184,11 +184,6 @@ func (w *snapWriter) applyCenterDeltas(deltas []reach.LabelDelta) (centerChangeS
 	return cs, nil
 }
 
-type clusterSlot struct {
-	dir byte
-	l   graph.Label
-}
-
 func (w *snapWriter) applyOneCenter(c graph.NodeID, ds []reach.LabelDelta, cs *centerChangeStats) error {
 	allF0, fsz0 := w.slotSizes(c, dirF)
 	allT0, tsz0 := w.slotSizes(c, dirT)

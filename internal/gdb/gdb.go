@@ -369,8 +369,7 @@ func (db *DB) buildBaseTables(s *Snap) error {
 func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 	inv := invertCover(s.g, db.idx)
 	s.numCenters = len(inv.centers)
-	s.clusters = inv.clusterChunks(s.g.NumNodes())
-	s.sig = inv.signature()
+	s.clusters, s.sig = inv.clusters(s.g.NumNodes())
 	L := inv.nLabels
 
 	// The inversion lays subcluster segments out in exactly cluster-key
@@ -383,6 +382,7 @@ func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 	s.cluster, err = storage.BulkLoad(db.pool, func(emit func([]byte, uint64) error) error {
 		var fls, tls []graph.Label
 		for ci, w := range inv.centers {
+			fls, tls = fls[:0], tls[:0]
 			for dir := 0; dir < 2; dir++ {
 				for l := 0; l < L; l++ {
 					seg := inv.segment(ci, dir, l)
@@ -396,11 +396,14 @@ func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 					if err := emit(clusterKey(w, byte(dir), graph.Label(l)), rid.Encode()); err != nil {
 						return err
 					}
+					if dir == int(dirF) {
+						fls = append(fls, graph.Label(l))
+					} else {
+						tls = append(tls, graph.Label(l))
+					}
 				}
 			}
 			// W-table contributions: every (X-labeled F, Y-labeled T) pair.
-			fls, _ = inv.labels(ci, int(dirF), fls[:0], nil)
-			tls, _ = inv.labels(ci, int(dirT), tls[:0], nil)
 			for _, lx := range fls {
 				for _, ly := range tls {
 					k := wKey{lx, ly}

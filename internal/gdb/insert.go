@@ -138,11 +138,10 @@ type snapWriter struct {
 	torn     bool // an edge failed partway through its tree updates
 }
 
-// clKey names one subcluster: center w's dir-side, l-labeled members.
+// clKey names one subcluster: center w's, by slotKey.
 type clKey struct {
 	w   graph.NodeID
-	dir byte
-	l   graph.Label
+	key uint32
 }
 
 func newSnapWriter(db *DB, cur *Snap) *snapWriter {
@@ -298,11 +297,10 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 		}
 	}
 	next.ptabs = make(map[partnerKey]*partnerTable, len(tabs))
-	moved := make(map[clusterSlot][]graph.NodeID)
+	moved := make(map[uint32][]graph.NodeID) // slotKey → centers
 	for c, m := range w.clusters {
 		for key := range m {
-			dir, l := splitKey(key)
-			moved[clusterSlot{dir, l}] = append(moved[clusterSlot{dir, l}], c)
+			moved[key] = append(moved[key], c)
 		}
 	}
 	owners := make(map[clKey][]graph.NodeID) // shared by the tables of one bound side
@@ -310,9 +308,10 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 		if o, ok := owners[k]; ok {
 			return o
 		}
-		o := next.subcluster(k.w, k.dir, k.l)
-		if _, rewritten := w.clusters[k.w][slotKey(k.dir, k.l)]; rewritten { // else cur holds the same list
-			o0 := cur.subcluster(k.w, k.dir, k.l)
+		i := int(k.w & chunkMask)
+		o := next.clusters[k.w>>chunkBits].get(i, k.key)
+		if _, rewritten := w.clusters[k.w][k.key]; rewritten { // else cur holds the same list
+			o0 := cur.clusters[k.w>>chunkBits].get(i, k.key)
 			o = mergeUnionNodes(make([]graph.NodeID, 0, len(o0)+len(o)), o0, o)
 		}
 		owners[k] = o
@@ -340,22 +339,22 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 // carryPartners carries one table of cur into next, as inheritPartners
 // describes, and returns it with the number of filled slots it cleared and
 // the bytes it copied.
-func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[clusterSlot][]graph.NodeID, ownersOf func(clKey) []graph.NodeID) (_ *partnerTable, dropped, copied int, _ error) {
+func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[uint32][]graph.NodeID, ownersOf func(clKey) []graph.NodeID) (_ *partnerTable, dropped, copied int, _ error) {
 	k := t.key
 	ws, err := w.row(next, wKey{k.x, k.y})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	target, bound := clusterSlot{dirT, k.y}, clusterSlot{dirF, k.x}
+	target, bound := slotKey(dirT, k.y), slotKey(dirF, k.x)
 	if !k.forward {
-		target, bound = clusterSlot{dirF, k.x}, clusterSlot{dirT, k.y}
+		target, bound = slotKey(dirF, k.x), slotKey(dirT, k.y)
 	}
 	ranks := make([]int, 0, len(touched))
 	for _, v := range touched {
 		ranks = append(ranks, int(w.db.rank[v]))
 	}
 	for _, c := range moved[target] {
-		for _, v := range ownersOf(clKey{c, bound.dir, bound.l}) {
+		for _, v := range ownersOf(clKey{c, bound}) {
 			ranks = append(ranks, int(w.db.rank[v]))
 		}
 	}

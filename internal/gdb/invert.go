@@ -1,6 +1,10 @@
 package gdb
 
-import "fastmatch/internal/graph"
+import (
+	"slices"
+
+	"fastmatch/internal/graph"
+)
 
 // inversion is the cover inverted into subcluster segments: for dense
 // center index ci, direction dir ∈ {dirF, dirT}, and label l, the
@@ -118,47 +122,12 @@ func (inv *inversion) segment(ci, dir, l int) []graph.NodeID {
 	return inv.members[inv.offsets[s]:inv.offsets[s+1]]
 }
 
-// labels appends to ls and sz the labels and sizes of center index ci's
-// non-empty dir-side subclusters, ascending by label.
-func (inv *inversion) labels(ci, dir int, ls []graph.Label, sz []int) ([]graph.Label, []int) {
-	for l := 0; l < inv.nLabels; l++ {
-		if n := len(inv.segment(ci, dir, l)); n > 0 {
-			ls, sz = append(ls, graph.Label(l)), append(sz, n)
-		}
-	}
-	return ls, sz
-}
-
-// signature returns the fan signature of the inverted clusters, summed in
-// a dense label-pair table rather than the signature's map.
-func (inv *inversion) signature() *Signature {
+// clusters lays the inverted clusters out as the decoded index's cluster
+// chunks over n node IDs, and sums their fan signature in a dense
+// label-pair table rather than the signature's map.
+func (inv *inversion) clusters(n int) ([]*clusterChunk, *Signature) {
 	L := inv.nLabels
 	pairs := make([]PairStat, L*L)
-	var fls, tls []graph.Label
-	var fsz, tsz []int
-	for ci := range inv.centers {
-		fls, fsz = inv.labels(ci, int(dirF), fls[:0], fsz[:0])
-		tls, tsz = inv.labels(ci, int(dirT), tls[:0], tsz[:0])
-		for i, x := range fls {
-			for j, y := range tls {
-				p := &pairs[int(x)*L+int(y)]
-				p.Centers++
-				p.JoinSize += int64(fsz[i]) * int64(tsz[j])
-			}
-		}
-	}
-	sig := newSignature()
-	for k, p := range pairs {
-		if p.Centers > 0 {
-			sig.pairs[wKey{graph.Label(k / L), graph.Label(k % L)}] = p
-		}
-	}
-	return sig
-}
-
-// clusterChunks lays the inverted clusters out as the decoded index's
-// cluster chunks over n node IDs.
-func (inv *inversion) clusterChunks(n int) []*clusterChunk {
 	chunks := make([]*clusterChunk, (n+chunkMask)>>chunkBits)
 	ci := 0 // the next center's index
 	for k := range chunks {
@@ -166,11 +135,22 @@ func (inv *inversion) clusterChunks(n int) []*clusterChunk {
 		c := newClusterChunk(0, 0)
 		for v := lo; v < hi; v++ {
 			if ci < len(inv.centers) && int(inv.centers[ci]) == v {
+				first := int32(len(c.keys))
 				for dir := 0; dir < 2; dir++ {
-					for l := 0; l < inv.nLabels; l++ {
+					for l := 0; l < L; l++ {
 						if seg := inv.segment(ci, dir, l); len(seg) > 0 {
 							c.add(slotKey(byte(dir), graph.Label(l)), seg)
 						}
+					}
+				}
+				// F keys sort before T keys: pair each with each.
+				t, _ := slices.BinarySearch(c.keys[first:], slotKey(dirT, 0))
+				for f := first; f < first+int32(t); f++ {
+					for j := first + int32(t); j < int32(len(c.keys)); j++ {
+						_, y := splitKey(c.keys[j])
+						p := &pairs[int(c.keys[f])*L+int(y)]
+						p.Centers++
+						p.JoinSize += int64(len(c.list(f))) * int64(len(c.list(j)))
 					}
 				}
 				ci++
@@ -179,5 +159,11 @@ func (inv *inversion) clusterChunks(n int) []*clusterChunk {
 		}
 		chunks[k] = c
 	}
-	return chunks
+	sig := newSignature()
+	for k, p := range pairs {
+		if p.Centers > 0 {
+			sig.pairs[wKey{graph.Label(k / L), graph.Label(k % L)}] = p
+		}
+	}
+	return chunks, sig
 }
