@@ -283,7 +283,7 @@ func (w *snapWriter) touchedByLabel() map[graph.Label][]graph.NodeID {
 // table thus clears the slots of its bound label's touched nodes and of the
 // F_X(w) members of every such w (dually the T_Y(w) members for a reverse
 // table, whose target side is F_X); every other slot is next's list as
-// shared or copied. A table whose W row or owners cannot be read is left
+// shared or copied. A table whose W row cannot be read is left
 // out and refills from empty. next gets its own chunk directories, and each
 // table is charged for what its chunks hold. Not called after a torn
 // batch: nothing is carried then. It returns the bytes copied.
