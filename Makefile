@@ -5,12 +5,13 @@ GO ?= go
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels, the two per-row index reads (partner slot, reachability test),
 # the four binary R-join operators, a Fetch with the filters on its new node
-# fused against the step-by-step pipeline (ns per input row) and the
-# response encoder (ns per row from a served-shaped, a synthetic and a
-# tree-shaped wide factorised result and from a plain one) — the hot paths
-# a perf PR must not regress.
+# fused against the step-by-step pipeline (ns per input row), a plan's last
+# two Fetches as a factorised tail against written out (ns per result row)
+# and the response encoder (ns per row from a served-shaped, a synthetic, a
+# tree-shaped wide and a two-list product factorised result and from a
+# plain one) — the hot paths a perf PR must not regress.
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkEncodeResult'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFactorisedTail|BenchmarkEncodeResult'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -28,10 +29,10 @@ test-short:
 # fresh random sequences on every verify run, not just the checked-in
 # seeds, and the response encoder gets random results to match against
 # encoding/json. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The
-# last three lines run benchmarks once for the checks they carry: the read
-# path's allocation-free hit path, the fused Fetch's row count against the
-# step-by-step pipeline's and the response encoder's allocation-free warm
-# buffer.
+# last four lines run benchmarks once for the checks they carry: the read
+# path's allocation-free hit path, the fused Fetch's and the factorised
+# tail's row counts against the step-by-step pipeline's and the response
+# encoder's allocation-free warm buffer.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -44,6 +45,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
 	$(GO) test -run XXX -bench BenchmarkFetchFilters -benchtime 1x ./internal/rjoin
+	$(GO) test -run XXX -bench BenchmarkFactorisedTail -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 
 # test-cover enforces a per-package statement-coverage floor on the

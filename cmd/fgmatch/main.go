@@ -132,9 +132,13 @@ func run() error {
 		for i, tr := range traces {
 			// A step the Fetch before it absorbed ran as intersections of
 			// that Fetch's partner lists: its time is on the Fetch's line.
+			// A Fetch of the factorised tail kept its lists unexpanded.
 			elapsed := fmt.Sprintf("%.2fms", tr.ElapsedMS)
 			if tr.Fused {
 				elapsed = "fused"
+			}
+			if tr.Factorised {
+				elapsed += " factorised"
 			}
 			fmt.Printf("  step %d %-9s rows=%-8d io=%-8d chits=%-6d %s\n",
 				i+1, tr.Step.Kind, tr.Rows, tr.IO, tr.CenterCacheHits, elapsed)

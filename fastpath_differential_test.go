@@ -277,17 +277,18 @@ func TestFastPathDifferential(t *testing.T) {
 	}
 }
 
-// TestFactorisedLimits: a limit on a plan whose last expansion stays
-// factorised cuts inside one partner list — a shared one after a plain
+// TestFactorisedLimits: a limit on a plan whose factorised tail keeps its
+// lists cuts inside one prefix row's product — a shared list after a plain
 // Fetch, an intersected one the result owns after a Fetch that absorbed the
 // filters following it. For every such plan of the batteries, with the
-// limit at 1, inside a list, exactly on a list boundary, at N and at N+1,
-// the rows are the unlimited run's prefix, and
+// limit at 1, inside an inner list, exactly on an inner list's end, on an
+// outer list's boundary and on a prefix row's (tails of two or more
+// Fetches), at N and at N+1, the rows are the unlimited run's prefix, and
 // Truncated, Bytes() and PeakRows() are the reference plan's (runBoth),
-// whose Fetch ran unlimited and whose last filter took the limit.
+// whose Fetches ran unlimited and whose last filter took the limit.
 func TestFactorisedLimits(t *testing.T) {
 	ctx := context.Background()
-	fusedInside, fusedOnBoundary := 0, 0
+	fusedInside, fusedOnBoundary, outer, prefix := 0, 0, 0, 0
 	for _, dc := range differentialCases()[2:] { // one random graph, and xmark
 		db, err := gdb.Build(dc.g, gdb.Options{})
 		if err != nil {
@@ -315,32 +316,29 @@ func TestFactorisedLimits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// A limit inside the first list of two or more rows, and one
-				// exactly on the end of the first list with rows after it.
-				in, on := 0, 0
-				for i, n := 0, 0; i < len(res.Exp); i++ {
-					l := len(res.Exp[i])
-					if in == 0 && l >= 2 {
-						in = n + 1
-					}
-					if n += l; on == 0 && l > 0 && n < res.N {
-						on = n
-					}
-				}
+				cuts := productCuts(res)
 				limits := []int{1, res.N, res.N + 1}
-				if in > 0 {
-					limits = append(limits, in)
+				if cuts.inside > 0 {
+					limits = append(limits, cuts.inside)
 					inside++
 					if fused {
 						fusedInside++
 					}
 				}
-				if on > 0 {
-					limits = append(limits, on)
+				if cuts.inner > 0 {
+					limits = append(limits, cuts.inner)
 					onBoundary++
 					if fused {
 						fusedOnBoundary++
 					}
+				}
+				if cuts.outer > 0 {
+					limits = append(limits, cuts.outer)
+					outer++
+				}
+				if cuts.prefix > 0 {
+					limits = append(limits, cuts.prefix)
+					prefix++
 				}
 				for _, limit := range limits {
 					what := fmt.Sprintf("%s %v %v limit=%d of %d", dc.name, p, algo, limit, res.N)
@@ -358,6 +356,48 @@ func TestFactorisedLimits(t *testing.T) {
 	if fusedInside == 0 || fusedOnBoundary == 0 {
 		t.Fatalf("plans ending on a fused group: %d limits inside an intersected list and %d on a boundary — batteries too small", fusedInside, fusedOnBoundary)
 	}
+	if outer == 0 || prefix == 0 {
+		t.Fatalf("tails of two or more Fetches: %d limits on an outer list's boundary and %d on a prefix row's — batteries too small", outer, prefix)
+	}
+}
+
+// limitCuts are row counts at which a limit cuts a factorised result in
+// a telling place, each 0 where the result has none.
+type limitCuts struct {
+	inside int // one row into an inner list of two or more rows
+	inner  int // on the end of an inner list, with rows after it
+	outer  int // on the end of an outer list's entry, the outer list going on (K ≥ 2)
+	prefix int // on the end of a prefix row's product, with rows after it (K ≥ 2)
+}
+
+// productCuts finds res's limitCuts in its first prefix rows whose
+// products stand for rows.
+func productCuts(res *rjoin.Result) limitCuts {
+	var c limitCuts
+	for i, n := 0, 0; i < len(res.Exp)/res.K; i++ {
+		lists := res.Exp[i*res.K : (i+1)*res.K]
+		rows := 1
+		for _, l := range lists {
+			rows *= len(l)
+		}
+		if rows == 0 {
+			continue
+		}
+		inner := len(lists[res.K-1])
+		if c.inside == 0 && inner >= 2 {
+			c.inside = n + 1
+		}
+		if c.inner == 0 && n+inner < res.N {
+			c.inner = n + inner
+		}
+		if res.K >= 2 && c.outer == 0 && rows > inner {
+			c.outer = n + inner
+		}
+		if n += rows; res.K >= 2 && c.prefix == 0 && n < res.N {
+			c.prefix = n
+		}
+	}
+	return c
 }
 
 // TestFastPathBudgetIdentity: limits and budgets behave identically in both

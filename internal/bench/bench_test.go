@@ -34,13 +34,17 @@ func TestAllExperimentsSmoke(t *testing.T) {
 
 // TestExpectedShapes asserts the paper's qualitative findings at half
 // scale: TSD is slower than DP in aggregate, and DPS needs no more I/O
-// than DP in aggregate over the graph-pattern batteries.
+// than DP in aggregate over the graph-pattern batteries. The two timed
+// shapes take each query's best of 3 runs, so a run slowed by parallel
+// test packages does not flip them; the I/O count does not vary and runs
+// once.
 func TestExpectedShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	r := NewRunner(0.5, 1)
 	defer r.Close()
+	r.Reps = 3
 
 	for _, id := range []string{"fig5a", "fig5b"} {
 		rep, err := r.ByID(id)
@@ -65,6 +69,7 @@ func TestExpectedShapes(t *testing.T) {
 		}
 	}
 
+	r.Reps = 1
 	rep, err := r.ByID("iocost")
 	if err != nil {
 		t.Fatal(err)

@@ -44,6 +44,11 @@ type StepTrace struct {
 	// Rows is the Fetch's logical output, the rows it would have written
 	// had the filters run after it. Reference plans never fuse.
 	Fused bool
+	// Factorised marks a Fetch of the plan's factorised tail (see Run): it
+	// kept its partner lists as one more expanded column of the result
+	// instead of writing its rows out. Rows is still the logical row count
+	// the step left. Reference plans never factorise.
+	Factorised bool
 }
 
 // RunConfig tunes one plan execution.
@@ -106,14 +111,15 @@ func patternOrder(plan *optimizer.Plan) []int {
 // Run executes a plan against a pinned snapshot epoch and returns its
 // result, with per-step actual row counts, I/O and elapsed time when trace
 // is true. The result's columns stand in the order the plan bound them and
-// its last expansion is left factorised (see rjoin.Result); callers choose
-// the column order when they consume it. Execution is abandoned
-// mid-operator (with ctx.Err()) once ctx is cancelled or past its deadline.
-// Callers pin once and pass the same snapshot to BuildPlanSnapConfig and
-// here, so a query plans and executes on one index version — concurrent
-// edge inserts publish new epochs without blocking or tearing the run. The
-// steps run one after another on the calling goroutine and share one
-// rjoin.Runtime — its budget and counters.
+// the plan's factorised tail is left as products (see tailStart and
+// rjoin.Result); callers choose the column order when they consume it.
+// Execution is abandoned mid-operator (with ctx.Err()) once ctx is
+// cancelled or past its deadline. Callers pin once and pass the same
+// snapshot to BuildPlanSnapConfig and here, so a query plans and executes
+// on one index version — concurrent edge inserts publish new epochs
+// without blocking or tearing the run. The steps run one after another on
+// the calling goroutine and share one rjoin.Runtime — its budget and
+// counters.
 func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cfg RunConfig) (*rjoin.Result, []StepTrace, error) {
 	rt := cfg.runtime()
 	b := plan.Binding
@@ -136,10 +142,10 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	bdg := cfg.Budget
 	var traces []StepTrace
 	// t is the temporal table between steps, flat (see rjoin.Result); each
-	// operator consumes it and returns the next. res is set by a last step
-	// that leaves its expansion factorised.
-	var t, res *rjoin.Result
-	last := len(plan.Steps) - 1
+	// operator consumes it and returns the next. From step tail on it is
+	// factorised: each Fetch adds one expanded column instead of rows.
+	var t *rjoin.Result
+	last, tail := len(plan.Steps)-1, tailStart(plan)
 	for si := 0; si < len(plan.Steps); si++ {
 		s := plan.Steps[si]
 		if err := ctx.Err(); err != nil {
@@ -163,8 +169,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		// after each step it absorbed.
 		var counts []int
 		// A Fetch takes over the filters that follow it on the node it binds
-		// (absorbed), and the group that ends the plan hands its expansion up
-		// as the operator resolved it, not written out. A reference plan
+		// (absorbed), and a group of the factorised tail hands its expansion
+		// up as the operator resolved it, not written out. A reference plan
 		// writes every step out and runs every step on its own: its spill and
 		// hash-dedup projection are what the paper's executor does and what
 		// the differential tests hold the fused, factorised result against.
@@ -175,19 +181,11 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				t, err = rt.Fetch(ctx, db, t, cond)
 				return err
 			}
-			filters := absorbed(plan, si, t, cond)
+			filters := absorbed(plan, si, fetchNode(cond, t.HasCol(cond.ToNode)))
 			end = si + len(filters)
 			pushLimit()
-			var r *rjoin.Result
-			if r, counts, err = rt.FetchFiltered(ctx, db, t, cond, filters, end == last); err != nil {
-				return err
-			}
-			if end == last {
-				res = r
-			} else {
-				t = r
-			}
-			return nil
+			t, counts, err = rt.FetchFiltered(ctx, db, t, cond, filters, si >= tail)
+			return err
 		}
 		stepStart := time.Now()
 		ioBefore := db.IOStats().Logical()
@@ -235,9 +233,6 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			return nil, nil, fmt.Errorf("exec: step %d (%v): %w", si+1, s.Kind, err)
 		}
 		rows := t.Len()
-		if res != nil {
-			rows = res.N
-		}
 		// Per-step budget checkpoint: operators check when they finish;
 		// this additionally covers tables the executor builds
 		// itself (extent tables) and keeps the peak-rows statistic exact.
@@ -265,6 +260,7 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				IO:              db.IOStats().Logical() - ioBefore,
 				ElapsedMS:       float64(time.Since(stepStart).Microseconds()) / 1000,
 				CenterCacheHits: statsAfter.CenterCacheHits - statsBefore.CenterCacheHits,
+				Factorised:      si >= tail,
 			}
 			// A Fetch that absorbed steps reports its logical output and
 			// carries the group's time; each absorbed step keeps its own
@@ -297,11 +293,9 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		if err != nil {
 			return nil, nil, err
 		}
-		res = out
-	} else if res == nil {
-		res = t
+		return out, traces, nil
 	}
-	return res, traces, nil
+	return t, traces, nil
 }
 
 // spill writes a temporal table to the query's scratch heap and reads it
@@ -333,37 +327,130 @@ func stepConds(b *optimizer.Binding, s optimizer.Step) []rjoin.Cond {
 	return conds
 }
 
-// absorbed returns the filters the Fetch of cond at step si takes over from
-// the plan: the maximal run of directly following steps that constrain only
-// the node it binds — a Selection with that node as one endpoint (the other
-// is bound, or the step would not be a Selection), an R-semijoin group on
-// it. Such a step reads nothing of the Fetch's output but the new column,
-// and its keep-test is a membership test of the new value — in a partner
-// list for a Selection, in a gdb.NodeSet projection for a semijoin group —
-// so the Fetch applies it to its partner lists before any row exists
-// (rjoin.FetchFiltered). The steps stay in plan order, which is what lets
-// the trace report the row count each one left. A filter on an older
-// column is not absorbed: it would have to be evaluated per input row,
-// which is the operator it already is.
-func absorbed(plan *optimizer.Plan, si int, t *rjoin.Result, cond rjoin.Cond) []rjoin.NodeFilter {
-	newNode := cond.ToNode
-	if t.HasCol(newNode) {
-		newNode = cond.FromNode
+// absorbedSteps returns how many of the steps directly following step si
+// the Fetch there, which binds node, takes over from the plan: the maximal
+// run of steps that constrain only that node — a Selection with it as one
+// endpoint (the other is bound, or the step would not be a Selection), an
+// R-semijoin group on it. Such a step reads nothing of the Fetch's output
+// but the new column, and its keep-test is a membership test of the new
+// value — in a partner list for a Selection, in a gdb.NodeSet projection
+// for a semijoin group — so the Fetch applies it to its partner lists
+// before any row exists (rjoin.FetchFiltered). The steps stay in plan
+// order, which is what lets the trace report the row count each one left.
+// A filter on an older column is not absorbed: it would have to be
+// evaluated per input row, which is the operator it already is.
+func absorbedSteps(plan *optimizer.Plan, si, node int) int {
+	n := 0
+	for _, s := range plan.Steps[si+1:] {
+		c := plan.Binding.Conds[s.Edges[0]]
+		if s.Kind == optimizer.StepSelection && (c.FromNode == node || c.ToNode == node) ||
+			s.Kind == optimizer.StepSemijoinGroup && s.Node == node {
+			n++
+			continue
+		}
+		break
 	}
+	return n
+}
+
+// absorbed returns the filters of the steps the Fetch at step si, which
+// binds node, takes over (see absorbedSteps).
+func absorbed(plan *optimizer.Plan, si, node int) []rjoin.NodeFilter {
 	b := plan.Binding
 	var filters []rjoin.NodeFilter
-	for _, s := range plan.Steps[si+1:] {
-		switch {
-		case s.Kind == optimizer.StepSelection &&
-			(b.Conds[s.Edges[0]].FromNode == newNode || b.Conds[s.Edges[0]].ToNode == newNode):
-			filters = append(filters, rjoin.NodeFilter{Conds: stepConds(b, s)})
-		case s.Kind == optimizer.StepSemijoinGroup && s.Node == newNode:
-			filters = append(filters, rjoin.NodeFilter{Conds: stepConds(b, s), Semijoin: true, OutSide: s.OutSide})
-		default:
-			return filters
+	for _, s := range plan.Steps[si+1 : si+1+absorbedSteps(plan, si, node)] {
+		f := rjoin.NodeFilter{Conds: stepConds(b, s)}
+		if s.Kind == optimizer.StepSemijoinGroup {
+			f.Semijoin, f.OutSide = true, s.OutSide
 		}
+		filters = append(filters, f)
 	}
 	return filters
+}
+
+// fetchNode returns the node a Fetch of cond binds: the endpoint that is
+// not yet bound, given whether its To endpoint is.
+func fetchNode(cond rjoin.Cond, toBound bool) int {
+	if toBound {
+		return cond.FromNode
+	}
+	return cond.ToNode
+}
+
+// other returns the endpoint of cond that is not node.
+func other(cond rjoin.Cond, node int) int {
+	if cond.FromNode == node {
+		return cond.ToNode
+	}
+	return cond.FromNode
+}
+
+// tailStart returns the first step of plan's factorised tail, or
+// len(plan.Steps) when it has none. The tail is the longest run of Fetch
+// groups — a Fetch and the filters it absorbs — that ends the plan and in
+// which every group reads only nodes bound before the run: the Fetch's
+// bound node and each absorbed Selection's other endpoint. The table that
+// enters the run is the prefix. Every row a prefix row stands for then
+// expands by the same partner list, cut by the same filters, so each Fetch
+// of the run adds one expanded column of K lists per prefix row
+// (rjoin.FetchResult) instead of writing its product out. A JoinFilterFetch
+// may open the run, its Filter running on the prefix; Selections and
+// semijoin groups a Fetch did not absorb end it, as does a reference plan,
+// which writes every step out. Node sets are bitmasks, so a query pays no
+// allocation for this; a pattern of more than 64 nodes (no planner accepts
+// one) has no tail.
+func tailStart(plan *optimizer.Plan) int {
+	steps, b := plan.Steps, plan.Binding
+	if plan.Reference || b.Pattern.NumNodes() > 64 {
+		return len(steps)
+	}
+	// A group is a step, or a Fetch and the steps it absorbs: where it
+	// starts, the node it binds (-1 for anything but a Fetch) and the nodes
+	// it reads.
+	type group struct {
+		start, node int
+		reads       uint64
+		opens       bool // a JoinFilterFetch: only the run's first group
+	}
+	var buf [32]group
+	groups := buf[:0]
+	var bound uint64
+	for si := 0; si < len(steps); si++ {
+		s := steps[si]
+		g := group{start: si, node: -1}
+		switch s.Kind {
+		case optimizer.StepHPSJ:
+			c := b.Conds[s.Edges[0]]
+			bound |= 1<<c.FromNode | 1<<c.ToNode
+		case optimizer.StepSemijoinGroup:
+			bound |= 1 << s.Node
+		case optimizer.StepFetch, optimizer.StepJoinFilterFetch:
+			c := b.Conds[s.Edges[0]]
+			g.node, g.opens = fetchNode(c, bound>>c.ToNode&1 != 0), s.Kind == optimizer.StepJoinFilterFetch
+			g.reads = 1 << other(c, g.node)
+			k := absorbedSteps(plan, si, g.node)
+			for _, f := range steps[si+1 : si+1+k] {
+				if f.Kind == optimizer.StepSelection {
+					g.reads |= 1 << other(b.Conds[f.Edges[0]], g.node)
+				}
+			}
+			bound |= 1 << g.node
+			si += k
+		}
+		groups = append(groups, g)
+	}
+	start, read := len(steps), uint64(0)
+	for gi := len(groups) - 1; gi >= 0; gi-- {
+		g := groups[gi]
+		if g.node < 0 || read>>g.node&1 != 0 {
+			break
+		}
+		start, read = g.start, read|g.reads
+		if g.opens {
+			break
+		}
+	}
+	return start
 }
 
 func requireTable(t *rjoin.Result, si int) (*rjoin.Result, error) {

@@ -168,6 +168,29 @@ func codeChunk(ci, n, entries int, code func(v graph.NodeID) (in, out []graph.No
 	return c
 }
 
+// storedCodes returns every node's stored compact codes, in and out: its
+// decoded full codes minus the node itself. No stored code holds its own
+// node — twohop.Compute and reach.Incremental both keep the compact self
+// convention, and so did every file the retired pll backend wrote
+// (TestStoredCodesFromDecoded) — so these are exactly the base tables'
+// records, which DB.storedCodes would read back through the buffer pool.
+func (s *Snap) storedCodes() (in, out [][]graph.NodeID) {
+	n := s.g.NumNodes()
+	in, out = make([][]graph.NodeID, n), make([][]graph.NodeID, n)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		fin, fout := s.codesOf(v)
+		in[v], out[v] = without(fin, v), without(fout, v)
+	}
+	return in, out
+}
+
+// without returns code, which holds v, without it; the result may share
+// code and must not be mutated.
+func without(code []graph.NodeID, v graph.NodeID) []graph.NodeID {
+	i, _ := slices.BinarySearch(code, v)
+	return append(code[:i:i], code[i+1:]...)
+}
+
 // codesOf returns x's full codes in(x) and out(x), ascending; x must be a
 // node of the epoch's graph. The slices are shared and must not be
 // mutated.

@@ -496,10 +496,11 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 
 // ensureIncremental lazily seeds the updatable reachability labeling: from
 // the build-time index when present, otherwise (a database reattached with
-// Open) by scanning the stored compact codes back out of the base tables.
-// The seed state persists on the DB across batches; it is only read and
-// mutated under writeMu. It runs before the batch's first edge is applied,
-// so the published graph it seeds from is the batch's graph so far.
+// Open) from the stored compact codes, which the published epoch holds
+// decoded (Snap.storedCodes). The seed state persists on the DB across
+// batches; it is only read and mutated under writeMu. It runs before the
+// batch's first edge is applied, so the published graph it seeds from is
+// the batch's graph so far.
 func (w *snapWriter) ensureIncremental() error {
 	db := w.db
 	if db.inc != nil {
@@ -509,16 +510,7 @@ func (w *snapWriter) ensureIncremental() error {
 		db.inc = reach.NewIncremental(db.idx)
 		return nil
 	}
-	list, err := db.storedCodes(w.g, w.base, w.coverSize)
-	if err != nil {
-		return err
-	}
-	n := w.g.NumNodes()
-	in := make([][]graph.NodeID, n)
-	out := make([][]graph.NodeID, n)
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		in[v], out[v] = list.In(v), list.Out(v)
-	}
+	in, out := w.cur.storedCodes()
 	db.inc = reach.NewIncrementalFromLabels(w.g, in, out)
 	return nil
 }

@@ -3,6 +3,7 @@ package rjoin
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"fastmatch/internal/gdb"
@@ -276,10 +277,11 @@ func (rt *Runtime) compact(t *Result, keep func(row []graph.NodeID) (bool, error
 	return rt.finishResult(t)
 }
 
-// plain refuses a factorised Result as an operator's input: only a plan's
-// last Fetch leaves one, and nothing runs after it.
+// plain refuses a factorised Result as an operator's input: only the
+// Fetches of a plan's factorised tail leave one, and only the tail's next
+// Fetch (FetchResult) runs after them.
 func plain(t *Result) error {
-	if t.Exp != nil {
+	if t.K != 0 {
 		return fmt.Errorf("rjoin: operator input over %v is factorised", t.Cols)
 	}
 	return nil
@@ -315,12 +317,16 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (
 	return res, err
 }
 
-// FetchResult is Fetch for a plan's last step: the same rows in the same
-// order, handed up as the factorised Result expand resolved — t's rows and
-// one shared partner list each — instead of being written out. Limit,
-// budget and cancellation behave as in Fetch: the same logical bytes and
-// rows are charged at the same points, so every counter and typed kill is
-// the materialising run's. The Result's prefix rows are t's data, shared.
+// FetchResult is Fetch for a step of a plan's factorised tail: the same
+// rows in the same order, handed up as the factorised Result expand
+// resolved — t's prefix rows with one more list each, the bound value's
+// shared partner list — instead of being written out. t may itself be
+// factorised, as long as the bound column is one of its prefix columns:
+// every row a prefix row stands for then expands by the same list. Limit,
+// budget and cancellation behave as in Fetch over t written out: the same
+// logical bytes and rows are charged at the same points, so every counter
+// and typed kill is the materialising run's. The Result's prefix rows are
+// t's data, shared.
 func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	res, _, err := rt.fetch(ctx, db, t, c, nil, false)
 	return res, err
@@ -359,16 +365,17 @@ type NodeFilter struct {
 // accounting for the rest of its input (the unfused Fetch was not the last
 // step and ran unlimited).
 //
-// With no filters this is Fetch, or with last set FetchResult. With last
-// set the group ends the plan and the survivors stay factorised:
-// t's rows and one list each, owned by the Result (shared partner lists are
-// never written). Otherwise they are written out at their exact size, into
-// one pointer-free slice.
+// With no filters this is Fetch, or with factorise set FetchResult. With
+// factorise set the group is a step of the plan's factorised tail and the
+// survivors stay factorised: t's prefix rows and one more list each, owned
+// by the Result (shared partner lists are never written), and t may be
+// factorised as FetchResult allows. Otherwise they are written out at their
+// exact size, into one pointer-free slice.
 // counts holds the Fetch's logical row count and then the row count after
 // each filter, for per-step traces; under a limit the latter cover only the
-// rows intersected.
-func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, last bool) (res *Result, counts []int, err error) {
-	return rt.fetch(ctx, db, t, c, filters, !last)
+// rows of the prefix rows filtered.
+func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, factorise bool) (res *Result, counts []int, err error) {
+	return rt.fetch(ctx, db, t, c, filters, !factorise)
 }
 
 // nodeFilter is a NodeFilter resolved against the Fetch's input: a
@@ -410,8 +417,8 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, filters []NodeFilter) 
 		case c.FromNode:
 			nf.col = t.ColIndex(c.ToNode)
 		}
-		if nf.col < 0 {
-			return nil, fmt.Errorf("rjoin: fused selection %v needs node %d and a column of %v", c, newNode, t.Cols)
+		if nf.col < 0 || nf.col >= t.Width() {
+			return nil, fmt.Errorf("rjoin: fused selection %v needs node %d and a prefix column of %v", c, newNode, t.Cols)
 		}
 		out[i] = nf
 	}
@@ -432,8 +439,8 @@ type fetchFilters struct {
 // listArenaChunk is the arena's chunk size in node IDs (32 KB).
 const listArenaChunk = 8192
 
-// openFilters resolves fs for a Fetch of rows input rows whose new node
-// has label target.
+// openFilters resolves fs for a Fetch over rows prefix rows (one filter
+// pass each) whose new node has label target.
 func openFilters(rd reads, fs []nodeFilter, rows int, target graph.Label) (*fetchFilters, error) {
 	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs)), ranks: make([]*rankSets, len(fs))}
 	for k, f := range fs {
@@ -519,13 +526,13 @@ func (r *rankSets) lookup(v graph.NodeID, list []graph.NodeID) *gdb.RankSet {
 }
 
 // apply returns the members of targets — row's partner list, shared and
-// left untouched — that pass every filter, adding the count left after
-// filter k to counts[k+1]. The first filter to run writes to fresh arena
+// left untouched — that pass every filter, setting lens[k] to the count
+// left after filter k. The first filter to run writes to fresh arena
 // space and later ones shrink that list in place (gdb.IntersectTo and the
 // two sets' FilterTo all allow a destination that starts where their input
 // does); bound is the most the rest of the input can still keep, which
 // sizes a new chunk.
-func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound int) ([]graph.NodeID, error) {
+func (p *fetchFilters) apply(row, targets []graph.NodeID, lens []int, bound int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	for k, f := range p.fs {
 		if f.sets != nil {
@@ -550,7 +557,7 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, bound in
 			}
 			owned = true
 		}
-		counts[k+1] += len(cur)
+		lens[k] = len(cur)
 	}
 	if owned {
 		// Commit the arena's newest list at its final length.
@@ -574,14 +581,23 @@ func (p *fetchFilters) dst(cur []graph.NodeID, owned bool, n, bound int) []graph
 }
 
 // fetch is the one loop behind Fetch, FetchResult and FetchFiltered: expand
-// resolves each row's partner list, the loop charges the budget for every
-// row the lists stand for, and — with filters — each list is cut down to
-// its survivors as it is charged. emit says whether the rows are then
-// written out (an intermediate step, whose consumer is the next operator)
-// or left factorised (the last step, whose consumer iterates).
+// resolves each prefix row's partner list, the loop charges the budget for
+// every row the lists stand for, and — with filters — each list is cut
+// down to its survivors as it is charged. emit says whether the rows are
+// then written out (an intermediate step, whose consumer is the next
+// operator) or left factorised (a step of the plan's factorised tail, whose
+// consumer is the next tail step or iterates).
+//
+// Over a factorised t the work is per prefix row — one partner lookup, one
+// filter pass — while the accounting is per logical input row: every one
+// of the rows a prefix row stands for is ticked, charged and row-checked
+// as the step-by-step Fetch over t written out would, in the same order
+// (see chargeRows), so its counters, kills and limit stop are that run's.
 func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
-	if err := plain(t); err != nil {
-		return nil, nil, err
+	if emit {
+		if err := plain(t); err != nil {
+			return nil, nil, err
+		}
 	}
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
@@ -592,6 +608,9 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 		newNode = c.FromNode
 	}
 	col := t.ColIndex(boundNode)
+	if col >= t.Width() {
+		return nil, nil, fmt.Errorf("rjoin: fetch of %v reads expanded column %d of %v", c, boundNode, t.Cols)
+	}
 	cols := append(append([]int(nil), t.Cols...), newNode)
 	fs, err := resolveFilters(db, t, newNode, filters)
 	if err != nil {
@@ -609,12 +628,15 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 		if !forward {
 			target = c.FromLabel
 		}
-		if pf, err = openFilters(rd, fs, t.N, target); err != nil {
+		if pf, err = openFilters(rd, fs, t.prefixRows(), target); err != nil {
 			return nil, nil, err
 		}
 		rt.fusedFilters += int64(len(fs))
 	}
 	rt.ops++
+	if !emit {
+		rt.factorised++
+	}
 	// The limit is on the operator's output: the expansion's without
 	// filters, the survivors' with them.
 	expandLimit := rt.rowTarget
@@ -628,7 +650,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if emit {
 		exp = rt.exp[:0]
 	}
-	exp, total, err := rt.expand(ctx, partners, t, col, len(cols), expandLimit, exp)
+	exp, total, part, err := rt.expand(ctx, partners, t, col, len(cols), expandLimit, exp)
 	if emit {
 		rt.exp = exp[:0]
 	}
@@ -638,12 +660,13 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	counts := make([]int, 1+len(fs))
 	res := &Result{Cols: cols}
 	if total > 0 {
-		res = &Result{Cols: cols, Data: t.Data[:len(exp)*t.Width()], Exp: exp, N: total}
-		if err := rt.fill(ctx, res, pf, counts); err != nil {
+		k := t.K + 1
+		res = &Result{Cols: cols, Data: t.Data[:len(exp)/k*t.Width()], Exp: exp, K: k, N: total}
+		if err := rt.fill(ctx, res, part, pf, counts); err != nil {
 			return nil, nil, err
 		}
 		if emit {
-			res.Data, res.Exp = res.flat(nil), nil
+			res.Data, res.Exp, res.K = res.flat(nil), nil, 0
 		}
 	}
 	if pf != nil {
@@ -656,21 +679,39 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	return res, counts, err
 }
 
-// fill is fetch's charging loop over the expansion in res: per prefix row
-// it charges the budget for every row the partner list stands for — whether
-// or not the row is written out or, under filters pf, survives — and cuts
-// the list to its survivors when pf is set. counts[0] receives the
-// expansion's logical row count, counts[k+1] the count after filter k.
-// Counting first is what lets fetch then write the rows out at their exact
-// size.
-func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, counts []int) error {
-	width := len(res.Cols)
+// fill is fetch's charging loop over the expansion in res, whose
+// innermost lists expand just resolved: per prefix row it charges the
+// budget for every row the partner list stands for — once per logical
+// input row, whether or not the row is written out or, under filters pf,
+// survives — and cuts the list to its survivors when pf is set. The last
+// prefix row stands for only part of its input rows when expand stopped
+// inside it. counts[0] receives the expansion's logical row count,
+// counts[k+1] the count after filter k, and res.N the output's. Counting
+// first is what lets fetch then write the rows out at their exact size.
+func (rt *Runtime) fill(ctx context.Context, res *Result, part int, pf *fetchFilters, counts []int) error {
+	width, inner := len(res.Cols), res.K-1
 	cc := rt.check(ctx)
 	defer cc.flush()
+	var lens []int
+	if pf != nil {
+		lens = make([]int, len(pf.fs))
+	}
+	rows := res.prefixRows()
 	n, kept := 0, 0
-	for i, targets := range res.Exp {
-		// One cancellation charge per row unit: the scan itself plus every
-		// row it stands for.
+	for i := 0; i < rows; i++ {
+		lists := res.lists(i)
+		targets := lists[inner]
+		// m input rows stand on prefix row i: the product of its outer
+		// lists, each expanding to targets.
+		m := product(lists[:inner])
+		if i == rows-1 {
+			m = part
+		}
+		if m == 0 {
+			continue
+		}
+		// The first input row: one cancellation charge for the scan itself
+		// plus every row it stands for, and its bytes.
 		if err := cc.tickN(1 + len(targets)); err != nil {
 			return err
 		}
@@ -679,71 +720,157 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, pf *fetchFilters, coun
 		case pf != nil && rt.pastLimit(kept):
 			// limit+1 survivors prove truncation; the rest of the input is
 			// only accounted for.
-			res.Exp[i] = nil
+			lists[inner] = nil
 		case pf != nil:
 			var err error
-			if res.Exp[i], err = pf.apply(res.Row(i), targets, counts, res.N-n); err != nil {
+			if lists[inner], err = pf.apply(res.Row(i), targets, lens, res.N-n); err != nil {
 				return err
 			}
-			kept += len(res.Exp[i])
+			kept += m * len(lists[inner])
+			for f, l := range lens {
+				counts[f+1] += m * l
+			}
 		}
 		n += len(targets)
 		if err := rt.budget.CheckRows(n); err != nil {
 			return err
 		}
+		if err := rt.chargeRows(&cc, m-1, len(targets), width, &n); err != nil {
+			return err
+		}
 	}
 	counts[0] = n
+	res.N = n
 	if pf != nil {
 		res.N = kept
 	}
 	return nil
 }
 
-// limitedExp is the list count a limited expand reserves first.
+// chargeRows is fill's accounting for r more input rows that each expand
+// to l rows of width cells: per row one tick of 1+l work units, l·width
+// cells charged and the running row count n checked against the row cap,
+// exactly as the loop over those rows written out would, but in bulk
+// between the rows whose tick polls (the context, and the bytes charged
+// before it), so it costs one step per poll, not one per row. Only the
+// last of the rows can pass MaxTableRows: expand stopped at the first
+// that does.
+func (rt *Runtime) chargeRows(cc *cancelCheck, r, l, width int, n *int) error {
+	bytes := int64(l) * int64(width) * nodeIDBytes
+	for r > 0 {
+		// j is the next row whose tick polls, or the last: rows before it
+		// only add up.
+		j := min(r, (cc.left+l)/(1+l))
+		q := j - 1
+		cc.left -= q * (1 + l)
+		cc.bytes += int64(q) * bytes
+		*n += q * l
+		if err := cc.tickN(1 + l); err != nil {
+			return err
+		}
+		cc.charge(bytes)
+		*n += l
+		if err := rt.budget.CheckRows(*n); err != nil {
+			return err
+		}
+		r -= j
+	}
+	return nil
+}
+
+// limitedExp is the prefix-row count a limited expand reserves lists for
+// first.
 const limitedExp = 16
 
-// expand is Fetch's counting pass: it resolves each input row's expansion
+// expand is Fetch's counting pass: it resolves each prefix row's expansion
 // list — its bound value's partners, shared with the read path and never
 // copied — and the total rows they stand for at the given output width,
-// without emitting anything. It stops after the first row at which the
-// charging loop would stop anyway: where the given limit is exceeded
-// (limit+1 rows prove truncation, and whole-row expansions keep the output
-// a prefix of the unlimited one), where the output outgrows the row budget
-// (the loop's CheckRows then fails on exactly that row), or where its bytes
-// alone would blow the byte budget (the loop charges them and the next poll
-// or the final checkpoint fails the query) — so a doomed query never
-// allocates its full output. The lists are appended to exp. Without a limit
-// every input row gets one, so exp is allocated at its final size when it
-// has no room; under a limit one list may already pass it, so exp starts
-// at limitedExp entries and grows by append.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, col, width, limit int, exp [][]graph.NodeID) ([][]graph.NodeID, int, error) {
-	n := t.N
+// without emitting anything. A prefix row of a factorised t stands for the
+// product of its lists, each an input row expanding by the same list, so
+// the lookup is once per prefix row and the rows are counted per input
+// row. It stops after the first input row at which the charging loop would
+// stop anyway: where the given limit is exceeded (limit+1 rows prove
+// truncation, and whole-row expansions keep the output a prefix of the
+// unlimited one), where the output outgrows the row budget (the loop's
+// CheckRows then fails on exactly that row), or where its bytes alone
+// would blow the byte budget (the loop charges them and the next poll or
+// the final checkpoint fails the query) — so a doomed query never
+// allocates its full output. Each of these is a bound on the running
+// total, so the row it stops at is found by division, not by a walk.
+//
+// The lists are appended to exp with stride t.K+1: per prefix row t's own
+// lists, then the new one (nil for a prefix row that stands for no rows,
+// which is not looked up). part is the number of input rows of the last
+// prefix row the total covers: all of them unless expand stopped inside
+// it. Without a limit every prefix row gets an entry, so exp is allocated
+// at its final size when it has no room; under a limit one list may
+// already pass it, so exp starts at limitedExp prefix rows and grows by
+// append.
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, col, width, limit int, exp [][]graph.NodeID) ([][]graph.NodeID, int, int, error) {
+	rows, k := t.prefixRows(), t.K
+	n := rows
 	if limit > 0 && limit < n {
 		n = min(limit+1, limitedExp)
 	}
-	if cap(exp) < n {
-		exp = make([][]graph.NodeID, 0, n)
+	if cap(exp) < n*(k+1) {
+		exp = make([][]graph.NodeID, 0, n*(k+1))
+	}
+	// bound is the largest total at which expand goes on; past maxRows
+	// with no limit or budget below it, the result is refused.
+	bound := maxRows
+	if limit > 0 {
+		bound = min(bound, limit)
+	}
+	if b := rt.budget; b != nil {
+		if b.MaxTableRows > 0 {
+			bound = min(bound, b.MaxTableRows)
+		}
+		if b.MaxBytes > 0 {
+			bound = min(bound, max(-1, int((b.MaxBytes-b.bytes.Load())/(int64(width)*nodeIDBytes))))
+		}
 	}
 	cc := newCancelCheck(ctx)
-	w, total := t.Width(), 0
-	for i := 0; i < t.N; i++ {
-		if err := cc.tick(); err != nil {
-			return exp, 0, err
+	w, total, part := t.Width(), 0, 0
+	for i := 0; i < rows; i++ {
+		m := 1
+		if k > 0 {
+			lists := t.lists(i)
+			exp = append(exp, lists...)
+			if m = product(lists); m == 0 {
+				exp, part = append(exp, nil), 0
+				continue
+			}
+		}
+		if err := cc.tickN(m); err != nil {
+			return exp, 0, 0, err
 		}
 		targets, err := partners(t.Data[i*w+col])
 		if err != nil {
-			return exp, 0, err
+			return exp, 0, 0, err
 		}
 		exp = append(exp, targets)
-		total += len(targets)
-		if limit > 0 && total > limit ||
-			rt.budget.CheckRows(total) != nil ||
-			rt.budget.overBytes(int64(total)*int64(width)*nodeIDBytes) {
-			break
+		l := len(targets)
+		if total > bound || l > 0 && m > (bound-total)/l {
+			// The input row, counting from 1, after which the total
+			// passes bound.
+			stop := 1
+			if total <= bound {
+				stop = (bound-total)/l + 1
+			}
+			if bound == maxRows {
+				return exp, 0, 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", t.Cols, maxRows)
+			}
+			return exp, total + stop*l, stop, nil
 		}
+		total, part = total+m*l, m
 	}
-	return exp, total, nil
+	return exp, total, part, nil
 }
+
+// maxRows bounds the rows a Fetch may stand for, so the products stay
+// inside an int on every platform; the step-by-step Fetch would have
+// written them out, at 4 bytes a cell.
+const maxRows = math.MaxInt32
 
 // Selection processes a self R-join (Eq. 5): both pattern nodes of the
 // condition are already bound in t, so the condition reduces to checking

@@ -442,12 +442,15 @@ func TestOperatorErrors(t *testing.T) {
 	if _, err := one.Project([]int{5}); err == nil {
 		t.Fatal("Project of unbound column should error")
 	}
-	factorised := &Result{Cols: []int{0, 1}, Data: []graph.NodeID{3}, Exp: [][]graph.NodeID{{4}}, N: 1}
+	factorised := &Result{Cols: []int{0, 1}, Data: []graph.NodeID{3}, Exp: [][]graph.NodeID{{4}}, K: 1, N: 1}
 	if _, err := Selection(context.Background(), db, factorised, c); err == nil {
 		t.Fatal("Selection over a factorised result should error")
 	}
 	if _, err := Fetch(context.Background(), db, factorised, Cond{1, 2, b, a}); err == nil {
 		t.Fatal("Fetch over a factorised result should error")
+	}
+	if _, err := new(Runtime).FetchResult(context.Background(), db, factorised, Cond{1, 2, b, a}); err == nil {
+		t.Fatal("a factorised Fetch bound on an expanded column should error")
 	}
 	if _, err := factorised.Project([]int{0}); err == nil {
 		t.Fatal("Project of a factorised result should error")

@@ -9,14 +9,16 @@ import (
 
 // Result is the temporal relation operators take and return, and what a
 // plan run returns: rows of fixed width stored flat, row-major, in one
-// []graph.NodeID. A plan's last expansion is kept as the product the
-// operator computed it as: Fetch's output is row × partners(row[col]) per
-// input row (Algorithm 2), and the partner list is a shared immutable slice
-// of the epoch's partner table, so a factorised Result holds the input rows
-// and one list per row instead of the rows of their product; the consumer —
-// the server's encoder, or Table for callers that want rows — writes each
-// output cell once, in the order it wants them, and nothing is copied in
-// between.
+// []graph.NodeID. A plan's factorised tail (see exec.Run) is kept as the
+// products the operators computed it as: Fetch's output is row ×
+// partners(row[col]) per input row (Algorithm 2), and when the bound value
+// sits in the table that entered the tail, every row a prefix row stands
+// for expands by the same list. So a factorised Result holds the prefix
+// rows and K lists per prefix row — each a shared immutable slice of the
+// epoch's partner table, or the survivors of its absorbed filters — instead
+// of the rows of their product; the consumer — the server's encoder, or
+// Table for callers that want rows — writes each output cell once, in the
+// order it wants them, and nothing is copied in between.
 //
 // The lists are ordinary heap slices that nothing mutates after they are
 // published to a slot, so a Result stays valid after the epoch it was read
@@ -24,35 +26,57 @@ import (
 // the garbage collector keeps for it.
 type Result struct {
 	// Cols holds pattern node indexes, one per column, in the order the
-	// plan bound them (the source-column order). When Exp is set the last
-	// of them is the expanded column.
+	// plan bound them (the source-column order). The last K of them are
+	// the expanded columns.
 	Cols []int
 	// Data holds the prefix rows row-major with stride Width(): row i is
-	// Data[i*w : (i+1)*w]. They are whole rows when Exp is nil, otherwise
-	// rows over Cols minus its last column, one per entry of Exp.
+	// Data[i*w : (i+1)*w]. They are whole rows when K is 0, otherwise rows
+	// over the first Width() columns, one per K entries of Exp.
 	Data []graph.NodeID
-	// Exp, when non-nil, holds per prefix row the values of the last column
-	// it expands to, ascending; row i stands for len(Exp[i]) result rows, in
-	// list order. The lists are shared with the read path and must not be
-	// mutated (the slice of lists itself belongs to the Result).
+	// Exp holds K lists per prefix row, row-major with stride K: prefix row
+	// i's are Exp[i*K : (i+1)*K], the k-th holding the values of column
+	// Width()+k, ascending. Row i stands for the product of its lists, the
+	// column bound first the outermost loop and the last the innermost. The
+	// lists are shared with the read path and must not be mutated (the
+	// slice of lists itself belongs to the Result). Nil when K is 0.
 	Exp [][]graph.NodeID
-	// N is the number of result rows: the number of prefix rows when Exp
-	// is nil, otherwise the summed list lengths.
+	// K is the number of expanded columns: 0 for a plain result.
+	K int
+	// N is the number of result rows: the number of prefix rows when K is
+	// 0, otherwise the result is the first N rows of the prefix rows'
+	// products, concatenated in prefix-row order (a pushed-down limit can
+	// cut inside one product).
 	N int
 }
 
 // Width is the stride of Data: the number of columns of a prefix row.
-func (r *Result) Width() int {
-	if r.Exp != nil {
-		return len(r.Cols) - 1
-	}
-	return len(r.Cols)
-}
+func (r *Result) Width() int { return len(r.Cols) - r.K }
 
 // Row returns prefix row i, sharing Data.
 func (r *Result) Row(i int) []graph.NodeID {
 	w := r.Width()
 	return r.Data[i*w : (i+1)*w : (i+1)*w]
+}
+
+// prefixRows returns the number of prefix rows.
+func (r *Result) prefixRows() int {
+	if r.K == 0 {
+		return r.N
+	}
+	return len(r.Exp) / r.K
+}
+
+// lists returns prefix row i's K lists.
+func (r *Result) lists(i int) [][]graph.NodeID { return r.Exp[i*r.K : (i+1)*r.K] }
+
+// product returns the number of rows lists stand for: the product of their
+// lengths (1 for no lists).
+func product(lists [][]graph.NodeID) int {
+	n := 1
+	for _, l := range lists {
+		n *= len(l)
+	}
+	return n
 }
 
 // Len returns the number of result rows.
@@ -99,7 +123,7 @@ func (r *Result) Table(nodes []int) (*Table, error) {
 	for j, s := range src {
 		identity = identity && s == j
 	}
-	if identity && r.Exp == nil {
+	if identity && r.K == 0 {
 		return &Table{Cols: r.Cols, Rows: rowHeaders(r.Data, len(r.Cols), r.N)}, nil
 	}
 	if identity {
@@ -125,41 +149,52 @@ func rowHeaders(data []graph.NodeID, w, n int) [][]graph.NodeID {
 
 // flat writes the result's N rows out row-major into one exact slice,
 // output column j taken from source column src[j] (a nil src is the
-// identity).
+// identity). A factorised result's products are walked like an odometer:
+// row holds the current source row, and the innermost list turns fastest.
 func (r *Result) flat(src []int) []graph.NodeID {
 	w := len(r.Cols)
 	out := make([]graph.NodeID, r.N*w)
-	o := 0
-	if r.Exp == nil {
+	put := func(o int, row []graph.NodeID) {
+		if src == nil {
+			copy(out[o:o+w], row)
+			return
+		}
+		for j, s := range src {
+			out[o+j] = row[s]
+		}
+	}
+	if r.K == 0 {
 		for i := 0; i < r.N; i++ {
-			prefix := r.Row(i)
-			if src == nil {
-				copy(out[o:], prefix)
-			}
-			for j, s := range src {
-				out[o+j] = prefix[s]
-			}
-			o += w
+			put(i*w, r.Row(i))
 		}
 		return out
 	}
-	last := w - 1
-	for i, list := range r.Exp {
-		prefix := r.Row(i)
-		for _, n := range list {
-			row := out[o : o+w]
+	pw, o := r.Width(), 0
+	row, idx := make([]graph.NodeID, w), make([]int, r.K)
+	for i := 0; o < len(out); i++ {
+		lists := r.lists(i)
+		if product(lists) == 0 {
+			continue
+		}
+		copy(row, r.Row(i))
+		for k, l := range lists {
+			idx[k], row[pw+k] = 0, l[0]
+		}
+		for o < len(out) {
+			put(o, row)
 			o += w
-			if src == nil {
-				copy(row, prefix)
-				row[last] = n
-				continue
-			}
-			for j, s := range src {
-				if s == last {
-					row[j] = n
-				} else {
-					row[j] = prefix[s]
+			// Advance the odometer: the innermost list turns, and a list
+			// that wraps carries into the one outside it.
+			k := r.K - 1
+			for ; k >= 0; k-- {
+				if idx[k]++; idx[k] < len(lists[k]) {
+					row[pw+k] = lists[k][idx[k]]
+					break
 				}
+				idx[k], row[pw+k] = 0, lists[k][0]
+			}
+			if k < 0 {
+				break
 			}
 		}
 	}
@@ -168,23 +203,21 @@ func (r *Result) flat(src []int) []graph.NodeID {
 
 // truncate cuts the result to its first limit rows (limit <= 0 is no
 // limit) and reports whether rows were dropped. In a factorised result the
-// cut lands inside one list: that entry of Exp is re-sliced, the shared
-// list is untouched.
+// cut lands inside one prefix row's product: the prefix rows after it are
+// dropped, and N stops the consumer inside it — the shared lists are
+// untouched.
 func (r *Result) truncate(limit int) bool {
 	if limit <= 0 || r.N <= limit {
 		return false
 	}
-	if r.Exp == nil {
+	if r.K == 0 {
 		r.Data = r.Data[:limit*r.Width()]
 	} else {
-		n := 0
-		for i, list := range r.Exp {
-			if n+len(list) >= limit {
-				r.Exp[i] = list[:limit-n]
-				r.Data, r.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:i+1]
+		for i, n := 0, 0; ; i++ {
+			if n += product(r.lists(i)); n >= limit {
+				r.Data, r.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:(i+1)*r.K]
 				break
 			}
-			n += len(list)
 		}
 	}
 	r.N = limit
@@ -195,7 +228,7 @@ func (r *Result) truncate(limit int) bool {
 // columns, in the given order, with duplicate rows removed; r must be
 // plain.
 func (r *Result) Project(nodes []int) (*Result, error) {
-	if r.Exp != nil {
+	if r.K != 0 {
 		return nil, fmt.Errorf("rjoin: project of a factorised result")
 	}
 	idx := make([]int, len(nodes))
@@ -260,6 +293,6 @@ func (r *Result) DecodeRows(b []byte) error {
 	for i := range data {
 		data[i] = graph.NodeID(u32(body[4*i:]))
 	}
-	r.Data, r.Exp, r.N = data, nil, n
+	r.Data, r.Exp, r.K, r.N = data, nil, 0, n
 	return nil
 }

@@ -135,13 +135,15 @@ func TestFetchResultBudgetKill(t *testing.T) {
 // TestResultTableAndOrder covers the column-order contract: Order rejects
 // anything but a permutation of the result's columns, a plain result in
 // the requested order keeps its data (only row headers are new), and
-// truncate re-slices the result's own list entry, never the shared list.
+// truncate drops the prefix rows past the cut and leaves every list,
+// shared or not, as it was: N stops the consumer inside the last one.
 func TestResultTableAndOrder(t *testing.T) {
 	shared := []graph.NodeID{7, 8, 9}
 	r := &Result{
 		Cols: []int{2, 0, 1},
 		Data: []graph.NodeID{1, 2, 3, 4, 5, 6},
 		Exp:  [][]graph.NodeID{shared, nil, shared[:2]},
+		K:    1,
 		N:    5,
 	}
 	for _, bad := range [][]int{{0, 1}, {0, 1, 3}, {0, 1, 1}, {0, 1, 2, 2}} {
@@ -157,8 +159,11 @@ func TestResultTableAndOrder(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want) || !reflect.DeepEqual(got.Cols, []int{0, 1, 2}) {
 		t.Fatalf("Table = %v %v, want %v", got.Cols, got.Rows, want)
 	}
-	if !r.truncate(4) || r.N != 4 || len(r.Exp) != 3 || len(r.Exp[2]) != 1 || len(shared) != 3 {
+	if !r.truncate(4) || r.N != 4 || len(r.Exp) != 3 || len(r.Exp[2]) != 2 || len(shared) != 3 {
 		t.Fatalf("truncate(4): %+v", r)
+	}
+	if cut, err := r.Table([]int{0, 1, 2}); err != nil || !reflect.DeepEqual(cut.Rows, want[:4]) {
+		t.Fatalf("Table after truncate(4) = %v, %v", cut, err)
 	}
 	if !r.truncate(3) || len(r.Data) != 2 || len(r.Exp) != 1 || r.truncate(3) || r.truncate(0) {
 		t.Fatalf("truncate(3) on a list boundary: %+v", r)

@@ -30,6 +30,7 @@ type Runtime struct {
 
 	ops          int64
 	fusedFilters int64
+	factorised   int64
 	centerHits   int64
 	centerMisses int64
 }
@@ -114,6 +115,10 @@ type RuntimeStats struct {
 	// intersections (see FetchFiltered) instead of as operators of their
 	// own; they are not in Ops.
 	FusedFilters int64
+	// FactorisedSteps counts the Fetches that ran as a step of a plan's
+	// factorised tail (see FetchResult): each kept its partner lists as one
+	// more expanded column of the Result instead of writing its rows out.
+	FactorisedSteps int64
 	// CenterCacheHits/Misses count the runtime's partner-table slot
 	// lookups: a hit is a getCenters intersection and subcluster union some
 	// earlier operator or query on the epoch already computed. Both zero in
@@ -128,6 +133,7 @@ func (rt *Runtime) Stats() RuntimeStats {
 		Ops:               rt.ops,
 		Tasks:             rt.ops,
 		FusedFilters:      rt.fusedFilters,
+		FactorisedSteps:   rt.factorised,
 		CenterCacheHits:   rt.centerHits,
 		CenterCacheMisses: rt.centerMisses,
 	}

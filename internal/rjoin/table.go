@@ -25,13 +25,17 @@
 //
 // Temporal tables are in-memory and flat: a Result holds its rows as one
 // row-major []graph.NodeID whose stride is the row width, so a table of N
-// rows is one pointer-free slice, not N row headers. Operators consume
-// their input: FilterGroup and Selection compact the survivors over the
-// input's own data (row k is written at an index no greater than the one
-// it was read from), and a plan's last Fetch shares its input's data as
-// the prefix rows of its factorised Result. A caller that still needs an
-// input after an operator ran must pass a copy. Table is the materialised
-// answer, one slice per row, for callers that want rows (Result.Table).
+// rows is one pointer-free slice, not N row headers. The Fetches of a
+// plan's factorised tail — the run that ends the plan and reads only nodes
+// bound before it — write no rows: each adds one expanded column, a
+// partner list per prefix row (FetchResult), and the Result stands for
+// the first N rows of the prefix rows' products. Operators consume their
+// input: FilterGroup and Selection compact the survivors over the input's
+// own data (row k is written at an index no greater than the one it was
+// read from), and a tail Fetch shares its input's data as the prefix rows
+// of its factorised Result. A caller that still needs an input after an
+// operator ran must pass a copy. Table is the materialised answer, one
+// slice per row, for callers that want rows (Result.Table).
 //
 // Every operator is one loop on the calling goroutine (see Runtime).
 // Operators read the cluster index and the graph codes through the

@@ -53,23 +53,26 @@ func TestDecodeRowsErrors(t *testing.T) {
 	}
 }
 
-// TestFlatLayout: at prefix widths 1–5, with zero and with several rows, a
-// plain and a factorised Result hold row i at Data[i*w:(i+1)*w]; Table
-// writes the same rows a slice-per-row model holds, in the result's own and
-// in reversed column order; a limit cuts both layouts to the model's
-// prefix, including one that lands inside a list; Table.Result copies
-// back; and a plain result survives the spill encoding.
+// TestFlatLayout: at prefix widths 1–5, with zero and with several rows,
+// a plain Result and one factorised over K = 1, 2 and 3 expanded columns
+// hold prefix row i at Data[i*w:(i+1)*w]; Table writes the same rows a
+// slice-per-row model holds (the products with the column bound first
+// outermost), in the result's own and in reversed column order; a limit
+// cuts every layout to the model's prefix, including one that lands inside
+// an inner list, on an outer list's boundary and inside a product;
+// Table.Result copies back; and a plain result survives the spill
+// encoding.
 func TestFlatLayout(t *testing.T) {
 	lists := [][]graph.NodeID{{100, 101, 102}, nil, {103}, {104, 105}}
 	for w := 1; w <= 5; w++ {
 		for _, rows := range []int{0, 4} {
-			for _, factorised := range []bool{false, true} {
-				name := fmt.Sprintf("width=%d rows=%d factorised=%v", w, rows, factorised)
+			for k := 0; k <= 3; k++ {
+				name := fmt.Sprintf("width=%d rows=%d K=%d", w, rows, k)
 				cols := make([]int, w)
 				for j := range cols {
 					cols[j] = 10 + j
 				}
-				r := &Result{Cols: cols}
+				r := &Result{Cols: cols, K: k}
 				var model [][]graph.NodeID
 				for i := 0; i < rows; i++ {
 					prefix := make([]graph.NodeID, w)
@@ -77,17 +80,31 @@ func TestFlatLayout(t *testing.T) {
 						prefix[j] = graph.NodeID(10*i + j)
 					}
 					r.Data = append(r.Data, prefix...)
-					if !factorised {
+					if k == 0 {
 						model = append(model, prefix)
 						continue
 					}
-					r.Exp = append(r.Exp, lists[i])
-					for _, v := range lists[i] {
-						model = append(model, append(slices.Clone(prefix), v))
+					// Prefix row i's k-th list is lists[(i+k)%4], shifted so
+					// the columns differ.
+					prod := [][]graph.NodeID{prefix}
+					for j := 0; j < k; j++ {
+						list := slices.Clone(lists[(i+j)%len(lists)])
+						for x := range list {
+							list[x] += graph.NodeID(1000 * j)
+						}
+						r.Exp = append(r.Exp, list)
+						var next [][]graph.NodeID
+						for _, row := range prod {
+							for _, v := range list {
+								next = append(next, append(slices.Clone(row), v))
+							}
+						}
+						prod = next
 					}
+					model = append(model, prod...)
 				}
-				if factorised {
-					r.Cols = append(r.Cols, 99)
+				for j := 0; j < k; j++ {
+					r.Cols = append(r.Cols, 99-j)
 				}
 				r.N = len(model)
 				for i := 0; i < rows; i++ {
@@ -96,23 +113,23 @@ func TestFlatLayout(t *testing.T) {
 					}
 				}
 				checkTable(t, name, r, model)
-				if !factorised {
+				if k == 0 {
 					enc := r.EncodeRows()
 					dec := &Result{Cols: r.Cols}
 					if err := dec.DecodeRows(enc); err != nil || dec.N != r.N || !slices.Equal(dec.Data, r.Data) {
 						t.Fatalf("%s: spill round trip: %+v, %v", name, dec, err)
 					}
 				}
-				for _, limit := range []int{1, 2, 4, 5} {
-					if limit >= len(model) {
-						continue
-					}
+				for limit := 1; limit < len(model); limit++ {
 					cut := *r
 					cut.Exp = slices.Clone(r.Exp)
 					if !cut.truncate(limit) {
 						t.Fatalf("%s: truncate(%d) dropped nothing", name, limit)
 					}
 					checkTable(t, fmt.Sprintf("%s limit=%d", name, limit), &cut, model[:limit])
+					if k > 0 && !slices.EqualFunc(cut.Exp, r.Exp[:len(cut.Exp)], slices.Equal[[]graph.NodeID]) {
+						t.Fatalf("%s limit=%d: truncate changed a list", name, limit)
+					}
 				}
 			}
 		}

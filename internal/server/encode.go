@@ -33,10 +33,14 @@ type encoder struct {
 	// the response is abandoned.
 	n   int64
 	err error
-	// head and tail hold the current prefix row's share of each of its
-	// rows, formatted once; each is rowRoom bytes, the formatter's
-	// overshoot included.
+	// head and tail hold the text of the current row before and after its
+	// innermost expanded column, formatted once per run of that column's
+	// list; each is rowRoom bytes, the formatter's overshoot included. cur
+	// is that row in source-column order and idx the position in each outer
+	// list.
 	head, tail []byte
+	cur        []graph.NodeID
+	idx        []int
 }
 
 var encoders = sync.Pool{New: func() any { return &encoder{max: maxPooledResponse} }}
@@ -93,14 +97,16 @@ func (e *encoder) response(res *Result, src []int) {
 // inside it, so a run of k rows needs k·rowRoom bytes at most.
 func rowRoom(width int) int { return 11*width + 2 + 31 }
 
-// rows appends r's rows as JSON arrays, comma-separated, with output
-// column j taken from source column src[j]; prefix row i is
+// rows appends r's first r.N rows as JSON arrays, comma-separated, with
+// output column j taken from source column src[j]; prefix row i is
 // r.Data[i*w:(i+1)*w]. Plain rows are written cell by cell with putNodeID.
-// For a factorised result each prefix row's cells are formatted once, as
-// the text before and after the expanded column, and its partner list is
-// written a run at a time: as many rows as the buffer has room for, each
-// a 32-byte store of the head, the partner's digits and a 32-byte store of
-// the tail (a copy finishes a head or tail longer than 32 bytes).
+// For a factorised result each prefix row's product is walked like an
+// odometer over its outer lists, and per position of the odometer the
+// innermost list is written a run at a time: the row's cells but the
+// innermost column are formatted once, as the text before and after it,
+// and each row of the run is a 32-byte store of the head, the partner's
+// digits and a 32-byte store of the tail (a copy finishes a head or tail
+// longer than 32 bytes).
 func (e *encoder) rows(r *rjoin.Result, src []int) {
 	width := len(src)
 	need := rowRoom(width)
@@ -108,7 +114,7 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	// fixed-width stores write past n, inside the room reserved for the row.
 	b, n := e.buf[:cap(e.buf)], len(e.buf)
 	first := true
-	if r.Exp == nil {
+	if r.K == 0 {
 		for i := 0; i < r.N; i++ {
 			row := r.Data[i*width : (i+1)*width]
 			if len(b)-n < need {
@@ -139,53 +145,88 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	if cap(e.head) < need {
 		e.head, e.tail = make([]byte, need), make([]byte, need)
 	}
+	if cap(e.cur) < width {
+		e.cur = make([]graph.NodeID, width)
+	}
+	if cap(e.idx) < r.K {
+		e.idx = make([]int, r.K)
+	}
+	pw, outer, left := r.Width(), r.K-1, r.N
+	cur, idx := e.cur[:width], e.idx[:outer]
 	pos := slices.Index(src, width-1)
-	for i, list := range r.Exp {
-		if len(list) == 0 {
+	for i := 0; left > 0; i++ {
+		lists := r.Exp[i*r.K : (i+1)*r.K]
+		if slices.ContainsFunc(lists, isEmpty) {
 			continue
 		}
-		prefix := r.Row(i)
-		h := e.head[:cap(e.head)]
-		h[0], h[1] = ',', '['
-		hn := 2
-		for _, s := range src[:pos] {
-			hn = putNodeID(h, hn, prefix[s])
-			h[hn] = ','
-			hn++
+		copy(cur, r.Row(i))
+		for k := range idx {
+			idx[k], cur[pw+k] = 0, lists[k][0]
 		}
-		t := e.tail[:cap(e.tail)]
-		tn := 0
-		for _, s := range src[pos+1:] {
-			t[tn] = ','
-			tn = putNodeID(t, tn+1, prefix[s])
-		}
-		t[tn] = ']'
-		tn++
-		head, tail := h[:hn], t[:tn]
-		if first {
-			if len(b)-n < need {
-				if b, n = e.grow(b, n, need); b == nil {
-					return
-				}
+		for {
+			h := e.head[:cap(e.head)]
+			h[0], h[1] = ',', '['
+			hn := 2
+			for _, s := range src[:pos] {
+				hn = putNodeID(h, hn, cur[s])
+				h[hn] = ','
+				hn++
 			}
-			n += copy(b[n:], head[1:])
-			n = putNodeID(b, n, list[0])
-			n += copy(b[n:], tail)
-			list, first = list[1:], false
-		}
-		for len(list) > 0 {
-			if len(b)-n < need {
-				if b, n = e.grow(b, n, need); b == nil {
-					return
-				}
+			t := e.tail[:cap(e.tail)]
+			tn := 0
+			for _, s := range src[pos+1:] {
+				t[tn] = ','
+				tn = putNodeID(t, tn+1, cur[s])
 			}
-			run := list[:min((len(b)-n)/need, len(list))]
-			list = list[len(run):]
-			n = putRun(b, n, run, head, tail)
+			t[tn] = ']'
+			tn++
+			head, tail := h[:hn], t[:tn]
+			list := lists[outer][:min(len(lists[outer]), left)]
+			left -= len(list)
+			if first {
+				if len(b)-n < need {
+					if b, n = e.grow(b, n, need); b == nil {
+						return
+					}
+				}
+				n += copy(b[n:], head[1:])
+				n = putNodeID(b, n, list[0])
+				n += copy(b[n:], tail)
+				list, first = list[1:], false
+			}
+			for len(list) > 0 {
+				if len(b)-n < need {
+					if b, n = e.grow(b, n, need); b == nil {
+						return
+					}
+				}
+				run := list[:min((len(b)-n)/need, len(list))]
+				list = list[len(run):]
+				n = putRun(b, n, run, head, tail)
+			}
+			if left == 0 {
+				break
+			}
+			// Advance the odometer over the outer lists: the innermost of
+			// them turns, and a list that wraps carries into the one
+			// outside it.
+			k := outer - 1
+			for ; k >= 0; k-- {
+				if idx[k]++; idx[k] < len(lists[k]) {
+					cur[pw+k] = lists[k][idx[k]]
+					break
+				}
+				idx[k], cur[pw+k] = 0, lists[k][0]
+			}
+			if k < 0 {
+				break
+			}
 		}
 	}
 	e.buf = b[:n]
 }
+
+func isEmpty(l []graph.NodeID) bool { return len(l) == 0 }
 
 // putRun writes one row per partner in run at b[n:] — head, the
 // partner's digits, tail — and returns the index after the last. Each row

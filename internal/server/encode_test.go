@@ -45,9 +45,24 @@ func plainResult(cols []int, n int) *rjoin.Result {
 // factorisedResult is a Result over cols whose last column is expanded: one
 // prefix row per entry of lens, standing for that many rows.
 func factorisedResult(cols []int, lens ...int) *rjoin.Result {
-	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
+	k1 := make([][]int, len(lens))
 	for i, n := range lens {
-		prefix := make([]graph.NodeID, len(cols)-1)
+		k1[i] = []int{n}
+	}
+	return productResult(cols, k1)
+}
+
+// productResult is a Result over cols whose last k columns are expanded,
+// k being the length of each entry of lens: one prefix row per entry,
+// whose lists have those lengths, standing for their product.
+func productResult(cols []int, lens [][]int) *rjoin.Result {
+	k := 1
+	if len(lens) > 0 {
+		k = len(lens[0])
+	}
+	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}, K: k}
+	for i, ls := range lens {
+		prefix := make([]graph.NodeID, len(cols)-k)
 		for j := range prefix {
 			prefix[j] = graph.NodeID((i*31 + j) * (j*1009 + 1))
 		}
@@ -56,18 +71,40 @@ func factorisedResult(cols []int, lens ...int) *rjoin.Result {
 				prefix[j] = math.MaxInt32 - graph.NodeID(j)
 			}
 		}
-		list := make([]graph.NodeID, n)
-		for k := range list {
-			list[k] = graph.NodeID(k * (i + 1))
-		}
-		if n > 1 {
-			list[n-1] = math.MaxInt32
-		}
 		r.Data = append(r.Data, prefix...)
-		r.Exp = append(r.Exp, list)
-		r.N += n
+		rows := 1
+		for c, n := range ls {
+			list := make([]graph.NodeID, n)
+			for x := range list {
+				list[x] = graph.NodeID(x*(i+1) + c*7)
+			}
+			if n > 1 {
+				list[n-1] = math.MaxInt32 - graph.NodeID(c)
+			}
+			r.Exp = append(r.Exp, list)
+			rows *= n
+		}
+		r.N += rows
 	}
 	return r
+}
+
+// cut is r with only its first n rows: the prefix rows past them dropped,
+// as a pushed-down limit leaves it.
+func cut(r *rjoin.Result, n int) *rjoin.Result {
+	c := *r
+	for i, rows := 0, 0; rows < n; i++ {
+		ls := r.Exp[i*r.K : (i+1)*r.K]
+		p := 1
+		for _, l := range ls {
+			p *= len(l)
+		}
+		if rows += p; rows >= n {
+			c.Data, c.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:(i+1)*r.K]
+		}
+	}
+	c.N = n
+	return &c
 }
 
 func identityNodes(n int) []int {
@@ -111,6 +148,11 @@ func encodingCases() map[string]*Result {
 	plain := func(cols []int, n int) *Result {
 		return &Result{Cols: names[:len(cols)], rows: plainResult(cols, n), nodes: identityNodes(len(cols))}
 	}
+	prod := func(r *rjoin.Result) *Result {
+		return &Result{Cols: names[:len(r.Cols)], rows: r, nodes: identityNodes(len(r.Cols))}
+	}
+	k2 := productResult([]int{1, 0, 2}, [][]int{{2, 3}, {0, 4}, {3, 1}, {4, 0}, {1, 5}})
+	k3 := productResult([]int{3, 0, 2, 1}, [][]int{{2, 2, 3}, {1, 0, 2}, {3, 1, 2}, {1, 1, 1}})
 	cases := map[string]*Result{
 		"plain empty":       plain([]int{0, 1}, 0),
 		"plain one row":     plain([]int{0}, 1),
@@ -127,6 +169,19 @@ func encodingCases() map[string]*Result {
 		"factorised 1 row":  fact([]int{2, 1, 0}, 1),
 		"factorised 100k":   fact([]int{3, 0, 2, 1}, 60_000, 0, 1, 39_999),
 		"many short blocks": fact([]int{1, 0}, make([]int, 3000)...),
+		// Two and three expanded columns, wherever they land, whole and cut
+		// by a limit inside an inner list, on an outer list's boundary and
+		// inside a prefix row's product.
+		"product K=2":                 prod(k2),
+		"product K=2 expanded first":  prod(productResult([]int{2, 1, 0}, [][]int{{3, 2}, {1, 1}, {2, 4}})),
+		"product K=2 cut in inner":    prod(cut(k2, 4)),
+		"product K=2 cut on outer":    prod(cut(k2, 9)),
+		"product K=2 cut at 1":        prod(cut(k2, 1)),
+		"product K=3":                 prod(k3),
+		"product K=3 cut in product":  prod(cut(k3, 7)),
+		"product K=3 cut on boundary": prod(cut(k3, 12)),
+		"product K=3 no prefix":       prod(productResult([]int{2, 0, 1}, [][]int{{2, 1, 3}, {3, 2, 2}})),
+		"product 100k":                prod(cut(productResult([]int{0, 2, 1}, [][]int{{95, 540}, {432, 540}}), 100_000)),
 	}
 	for name, cols := range map[string][]int{
 		"digit boundaries first":  {1, 2, 3, 0},
@@ -158,7 +213,7 @@ func encodingCases() map[string]*Result {
 	// Rows as wide as rowRoom allows — every cell ten digits, the expanded
 	// column last so the tail is "]" — whose tail stores reach the end of
 	// the reserved room.
-	widest := &rjoin.Result{Cols: []int{0, 1}, Exp: [][]graph.NodeID{}}
+	widest := &rjoin.Result{Cols: []int{0, 1}, Exp: [][]graph.NodeID{}, K: 1}
 	for i := range 20 {
 		list := make([]graph.NodeID, 300)
 		for k := range list {
@@ -223,7 +278,7 @@ func TestPutNodeID(t *testing.T) {
 // one store writes.
 func digitBoundaryResult(cols []int) *rjoin.Result {
 	ids := []graph.NodeID{0, 9, 10, 9999, 10_000, 99_999_999, 100_000_000, 999_999_999, 1_000_000_000, math.MaxInt32}
-	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
+	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}, K: 1}
 	for i := range ids {
 		prefix := make([]graph.NodeID, len(cols)-1)
 		for j := range prefix {
@@ -248,7 +303,7 @@ func wideCellResult(cols []int, digits int) *rjoin.Result {
 	}
 	span := min(9*lo, math.MaxInt32-lo+1)
 	ids := []graph.NodeID{0, 7, 42, 9999, 10_000, 123_456, 99_999_999, 100_000_000, 1_000_000_000, math.MaxInt32}
-	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}}
+	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}, K: 1}
 	for i := range 12 {
 		for j := range len(cols) - 1 {
 			r.Data = append(r.Data, graph.NodeID(lo+int64(i*7919+j*104_729)*1_000_003%span))
@@ -293,9 +348,10 @@ func TestQueryResponseEncoding(t *testing.T) {
 }
 
 // FuzzEncodeResult: for a random Result — width 1 to 4 in any column
-// order, plain or factorised with lists of any length including 0, IDs of
-// every digit count — the body is json.Marshal's plus a newline, whether
-// it leaves in one write or through a buffer smaller than a few rows.
+// order, plain or factorised over 1 to 3 expanded columns with lists of
+// any length including 0, whole or cut by a limit, IDs of every digit
+// count — the body is json.Marshal's plus a newline, whether it leaves in
+// one write or through a buffer smaller than a few rows.
 func FuzzEncodeResult(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0x83, 2, 1, 3, 9, 0xff, 0xff, 0xff, 0x7f, 0, 1, 0, 0, 0, 4, 8, 7, 6, 5})
@@ -329,6 +385,9 @@ func FuzzEncodeResult(f *testing.F) {
 		}
 	}
 	f.Add(plainWide)
+	// Two and three expanded columns, the second cut by a limit.
+	f.Add([]byte{0x93, 2, 1, 3, 9, 0xff, 0xff, 0xff, 0x7f, 2, 3, 0, 1, 0, 0, 0, 4, 8, 7, 6, 5, 9, 1, 2, 3, 4, 0, 5, 5, 5, 5})
+	f.Add([]byte{0xe3, 1, 0, 2, 7, 1, 2, 3, 4, 3, 2, 2, 9, 4, 3, 2, 1, 3, 0, 0, 0, 0, 8, 1, 1, 1, 1, 2, 2, 2, 2, 2, 17})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -349,6 +408,9 @@ func FuzzEncodeResult(f *testing.F) {
 			v := int64(next()) | int64(next())<<8 | int64(next())<<16 | int64(next())<<24
 			return graph.NodeID(lo + v%(hi-lo))
 		}
+		// The shape byte: width in its low bits, factorised in its top bit,
+		// the number of expanded columns in bits 4–5 and a cut by a limit
+		// in bit 6.
 		shape := next()
 		width, factorised := 1+int(shape%4), shape&0x80 != 0
 		cols := identityNodes(width)
@@ -356,29 +418,30 @@ func FuzzEncodeResult(f *testing.F) {
 			j := int(next()) % (i + 1)
 			cols[i], cols[j] = cols[j], cols[i]
 		}
-		r, prefixWidth := &rjoin.Result{Cols: cols}, width
+		r := &rjoin.Result{Cols: cols}
 		if factorised {
-			r.Exp, prefixWidth = [][]graph.NodeID{}, width-1
+			r.Exp, r.K = [][]graph.NodeID{}, 1+int(shape>>4&3)%min(3, width)
 		}
 		for rows := 0; len(data) > 0 && rows < 64; rows++ {
-			n := 1
-			if factorised {
-				n = int(next() % 6)
-			}
-			row := make([]graph.NodeID, prefixWidth)
+			row := make([]graph.NodeID, r.Width())
 			for j := range row {
 				row[j] = id()
 			}
 			r.Data = append(r.Data, row...)
-			if factorised {
-				list := make([]graph.NodeID, n)
+			n := 1
+			for range r.K {
+				list := make([]graph.NodeID, int(next()%6))
 				for k := range list {
 					list[k] = id()
 				}
 				slices.Sort(list)
 				r.Exp = append(r.Exp, list)
+				n *= len(list)
 			}
 			r.N += n
+		}
+		if shape&0x40 != 0 && r.N > 0 {
+			r = cut(r, 1+int(next())%r.N)
 		}
 		res := &Result{Cols: []string{"A", "B", "C", "D"}[:width], rows: r, nodes: identityNodes(width)}
 		want := wantBody(t, res)
@@ -594,7 +657,7 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 // TestServedBodyAndEncodeStats: over HTTP, every planner's answer is the
 // in-process answer (the same Result, written out instead of encoded), and
 // /stats response_bytes is exactly the bytes of the 200 bodies — an error
-// response adds nothing — with encode_ms moving too.
+// response adds nothing — with encode_ms and factorised_steps moving too.
 func TestServedBodyAndEncodeStats(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -638,6 +701,11 @@ func TestServedBodyAndEncodeStats(t *testing.T) {
 	if st := s.Stats(); st.ResponseBytes != shipped || st.EncodeMs <= 0 || resp.StatusCode != 400 {
 		t.Fatalf("response_bytes %d for %d body bytes, encode_ms %v", st.ResponseBytes, shipped, st.EncodeMs)
 	}
+	// Every planner ends some of these plans on a Fetch, which keeps its
+	// lists: /stats counts those steps.
+	if st := s.Stats(); st.FactorisedSteps == 0 {
+		t.Fatalf("factorised_steps %d after plans ending on a Fetch", st.FactorisedSteps)
+	}
 }
 
 // servedResult is shaped like site->name on the 100k-node XMark graph the
@@ -645,7 +713,7 @@ func TestServedBodyAndEncodeStats(t *testing.T) {
 // about 185 apart across the whole node range.
 func servedResult() *rjoin.Result {
 	rnd := rand.New(rand.NewSource(1))
-	r := &rjoin.Result{Cols: []int{0, 1}}
+	r := &rjoin.Result{Cols: []int{0, 1}, K: 1}
 	for i := range 95 {
 		list := make([]graph.NodeID, 540)
 		for k := range list {
@@ -664,7 +732,7 @@ func servedResult() *rjoin.Result {
 // partners — as many rows as servedResult.
 func wideResult() *rjoin.Result {
 	rnd := rand.New(rand.NewSource(2))
-	r := &rjoin.Result{Cols: []int{0, 1, 2, 3}}
+	r := &rjoin.Result{Cols: []int{0, 1, 2, 3}, K: 1}
 	for range 190 {
 		for range 3 {
 			r.Data = append(r.Data, graph.NodeID(10_000+rnd.Intn(90_000)))
@@ -679,11 +747,27 @@ func wideResult() *rjoin.Result {
 	return r
 }
 
+// productServedResult is shaped like F7-limit's factorised tail on the
+// 100k-node XMark graph: a site's 432 descriptions × 540 names, served
+// IDs, cut by the served limit at 10,000 rows.
+func productServedResult() *rjoin.Result {
+	rnd := rand.New(rand.NewSource(3))
+	list := func(n, gap int) []graph.NodeID {
+		l := make([]graph.NodeID, n)
+		for k := range l {
+			l[k] = graph.NodeID(k*gap + rnd.Intn(gap))
+		}
+		return l
+	}
+	return &rjoin.Result{Cols: []int{0, 1, 2}, Data: []graph.NodeID{1052}, Exp: [][]graph.NodeID{list(432, 230), list(540, 185)}, K: 2, N: 10000}
+}
+
 // BenchmarkEncodeResult times the row encoder into a warm buffer: a
 // site->name-shaped factorised result with served IDs, the same shape with
 // small consecutive IDs and math.MaxInt32, a tree-shaped one whose rows
-// carry 3 prefix cells (wideResult), and a 4-column plain result of the
-// same size. It fails if encoding allocates.
+// carry 3 prefix cells (wideResult), an F7-limit-shaped product of two
+// lists (productServedResult), and a 4-column plain result of the size of
+// the first. It fails if encoding allocates.
 func BenchmarkEncodeResult(b *testing.B) {
 	lens := make([]int, 95)
 	for i := range lens {
@@ -697,6 +781,7 @@ func BenchmarkEncodeResult(b *testing.B) {
 		{"served", servedResult()},
 		{"factorised", fact},
 		{"wide", wideResult()},
+		{"product", productServedResult()},
 		{"plain4", plainResult([]int{2, 0, 3, 1}, fact.N)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -52,6 +52,7 @@ type metrics struct {
 	// Operator activity (aggregated rjoin.RuntimeStats).
 	operatorOps  atomic.Int64 // operator executions
 	fusedFilters atomic.Int64 // plan steps a Fetch ran as list intersections
+	factorised   atomic.Int64 // Fetches of a factorised tail, rows not written out
 	centerHits   atomic.Int64 // partner-slot hits
 	centerMisses atomic.Int64 // partner-slot fills
 
@@ -74,6 +75,7 @@ func (m *metrics) recordEncode(d time.Duration, bytes int64) {
 func (m *metrics) recordRuntime(rs rjoin.RuntimeStats) {
 	m.operatorOps.Add(rs.Ops)
 	m.fusedFilters.Add(rs.FusedFilters)
+	m.factorised.Add(rs.FactorisedSteps)
 	m.centerHits.Add(rs.CenterCacheHits)
 	m.centerMisses.Add(rs.CenterCacheMisses)
 }
@@ -222,8 +224,12 @@ type Stats struct {
 	// FusedFilters counts the plan steps that ran as no operator of their
 	// own: Selections and R-semijoin groups on the node a Fetch binds,
 	// applied by that Fetch to its partner lists (rjoin.FetchFiltered).
-	OperatorOps  int64 `json:"operator_ops"`
-	FusedFilters int64 `json:"fused_filters"`
+	// FactorisedSteps counts the Fetches of plans' factorised tails: each
+	// kept its partner lists as one more expanded column of the result
+	// instead of writing its rows out (rjoin.FetchResult).
+	OperatorOps     int64 `json:"operator_ops"`
+	FusedFilters    int64 `json:"fused_filters"`
+	FactorisedSteps int64 `json:"factorised_steps"`
 	// CenterCacheHits/Misses aggregate the queries' partner-table slot
 	// lookups: a hit is a getCenters intersection and subcluster union an
 	// earlier operator or query on the epoch already computed.
@@ -315,6 +321,7 @@ func (s *Server) Stats() Stats {
 		DeleteErrors:          s.met.deleteErrors.Load(),
 		OperatorOps:           s.met.operatorOps.Load(),
 		FusedFilters:          s.met.fusedFilters.Load(),
+		FactorisedSteps:       s.met.factorised.Load(),
 		CenterCacheHits:       s.met.centerHits.Load(),
 		CenterCacheMisses:     s.met.centerMisses.Load(),
 		EncodeMs:              float64(s.met.encodeNS.Load()) / 1e6,
