@@ -526,13 +526,13 @@ func (r *rankSets) lookup(v graph.NodeID, list []graph.NodeID) *gdb.RankSet {
 }
 
 // apply returns the members of targets — row's partner list, shared and
-// left untouched — that pass every filter, setting lens[k] to the count
-// left after filter k. The first filter to run writes to fresh arena
+// left untouched — that pass every filter, adding m times the count left
+// after filter k to counts[k+1]: the m input rows that stand on row. The first filter to run writes to fresh arena
 // space and later ones shrink that list in place (gdb.IntersectTo and the
 // two sets' FilterTo all allow a destination that starts where their input
 // does); bound is the most the rest of the input can still keep, which
 // sizes a new chunk.
-func (p *fetchFilters) apply(row, targets []graph.NodeID, lens []int, bound int) ([]graph.NodeID, error) {
+func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	for k, f := range p.fs {
 		if f.sets != nil {
@@ -557,7 +557,7 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, lens []int, bound int)
 			}
 			owned = true
 		}
-		lens[k] = len(cur)
+		counts[k+1] += m * len(cur)
 	}
 	if owned {
 		// Commit the arena's newest list at its final length.
@@ -689,23 +689,21 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // counts[k+1] the count after filter k, and res.N the output's. Counting
 // first is what lets fetch then write the rows out at their exact size.
 func (rt *Runtime) fill(ctx context.Context, res *Result, part int, pf *fetchFilters, counts []int) error {
-	width, inner := len(res.Cols), res.K-1
+	width, k := len(res.Cols), res.K
 	cc := rt.check(ctx)
 	defer cc.flush()
-	var lens []int
-	if pf != nil {
-		lens = make([]int, len(pf.fs))
-	}
 	rows := res.prefixRows()
 	n, kept := 0, 0
 	for i := 0; i < rows; i++ {
-		lists := res.lists(i)
-		targets := lists[inner]
+		inner := &res.Exp[(i+1)*k-1]
+		targets := *inner
 		// m input rows stand on prefix row i: the product of its outer
 		// lists, each expanding to targets.
-		m := product(lists[:inner])
-		if i == rows-1 {
-			m = part
+		m := 1
+		if k > 1 {
+			if m = product(res.Exp[i*k : (i+1)*k-1]); i == rows-1 {
+				m = part
+			}
 		}
 		if m == 0 {
 			continue
@@ -720,23 +718,22 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, part int, pf *fetchFil
 		case pf != nil && rt.pastLimit(kept):
 			// limit+1 survivors prove truncation; the rest of the input is
 			// only accounted for.
-			lists[inner] = nil
+			*inner = nil
 		case pf != nil:
 			var err error
-			if lists[inner], err = pf.apply(res.Row(i), targets, lens, res.N-n); err != nil {
+			if *inner, err = pf.apply(res.Row(i), targets, counts, m, res.N-n); err != nil {
 				return err
 			}
-			kept += m * len(lists[inner])
-			for f, l := range lens {
-				counts[f+1] += m * l
-			}
+			kept += m * len(*inner)
 		}
 		n += len(targets)
 		if err := rt.budget.CheckRows(n); err != nil {
 			return err
 		}
-		if err := rt.chargeRows(&cc, m-1, len(targets), width, &n); err != nil {
-			return err
+		if m > 1 {
+			if err := rt.chargeRows(&cc, m-1, len(targets), width, &n); err != nil {
+				return err
+			}
 		}
 	}
 	counts[0] = n
@@ -850,7 +847,8 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		}
 		exp = append(exp, targets)
 		l := len(targets)
-		if total > bound || l > 0 && m > (bound-total)/l {
+		// m and l are below 2³¹, so the product fits an int64.
+		if int64(total)+int64(m)*int64(l) > int64(bound) || total > bound {
 			// The input row, counting from 1, after which the total
 			// passes bound.
 			stop := 1

@@ -69,6 +69,11 @@ func (r *Result) prefixRows() int {
 // lists returns prefix row i's K lists.
 func (r *Result) lists(i int) [][]graph.NodeID { return r.Exp[i*r.K : (i+1)*r.K] }
 
+// RowsAt returns the number of result rows prefix row i stands for: the
+// product of its lists' lengths (1 for a plain result), before the cut at
+// N.
+func (r *Result) RowsAt(i int) int { return product(r.lists(i)) }
+
 // product returns the number of rows lists stand for: the product of their
 // lengths (1 for no lists).
 func product(lists [][]graph.NodeID) int {
@@ -154,38 +159,50 @@ func rowHeaders(data []graph.NodeID, w, n int) [][]graph.NodeID {
 func (r *Result) flat(src []int) []graph.NodeID {
 	w := len(r.Cols)
 	out := make([]graph.NodeID, r.N*w)
-	put := func(o int, row []graph.NodeID) {
-		if src == nil {
-			copy(out[o:o+w], row)
-			return
-		}
-		for j, s := range src {
-			out[o+j] = row[s]
-		}
-	}
 	if r.K == 0 {
-		for i := 0; i < r.N; i++ {
-			put(i*w, r.Row(i))
+		for i, o := 0, 0; i < r.N; i, o = i+1, o+w {
+			permute(out[o:o+w], r.Row(i), src)
 		}
 		return out
 	}
-	pw, o := r.Width(), 0
-	row, idx := make([]graph.NodeID, w), make([]int, r.K)
+	pw, inner, o := r.Width(), w-1, 0
+	// A plan binds at most 17 pattern nodes (16 edges), so row and idx
+	// live on the stack.
+	var rowBuf [32]graph.NodeID
+	var idxBuf [32]int
+	row, idx := rowBuf[:0], idxBuf[:0]
+	if w > len(rowBuf) {
+		row, idx = make([]graph.NodeID, 0, w), make([]int, 0, w)
+	}
+	row, idx = row[:w], idx[:r.K]
 	for i := 0; o < len(out); i++ {
-		lists := r.lists(i)
-		if product(lists) == 0 {
+		if r.RowsAt(i) == 0 {
 			continue
 		}
+		lists := r.lists(i)
 		copy(row, r.Row(i))
 		for k, l := range lists {
 			idx[k], row[pw+k] = 0, l[0]
 		}
-		for o < len(out) {
-			put(o, row)
-			o += w
-			// Advance the odometer: the innermost list turns, and a list
-			// that wraps carries into the one outside it.
-			k := r.K - 1
+		for {
+			// The innermost list, as far as N reaches. In source order the
+			// row is copied first and the list's value stored after it: a
+			// copy that read the value just stored into row would stall.
+			last := lists[r.K-1]
+			for _, v := range last[:min(len(last), (len(out)-o)/w)] {
+				if src == nil {
+					copy(out[o:o+inner], row)
+					out[o+inner] = v
+				} else {
+					row[inner] = v
+					permute(out[o:o+w], row, src)
+				}
+				o += w
+			}
+			// Advance the odometer over the outer lists: the innermost of
+			// them turns, and a list that wraps carries into the one
+			// outside it.
+			k := r.K - 2
 			for ; k >= 0; k-- {
 				if idx[k]++; idx[k] < len(lists[k]) {
 					row[pw+k] = lists[k][idx[k]]
@@ -193,12 +210,24 @@ func (r *Result) flat(src []int) []graph.NodeID {
 				}
 				idx[k], row[pw+k] = 0, lists[k][0]
 			}
-			if k < 0 {
+			if k < 0 || o == len(out) {
 				break
 			}
 		}
 	}
 	return out
+}
+
+// permute writes row into dst with dst[j] = row[src[j]], or a copy for a
+// nil src.
+func permute(dst, row []graph.NodeID, src []int) {
+	if src == nil {
+		copy(dst, row)
+		return
+	}
+	for j, s := range src {
+		dst[j] = row[s]
+	}
 }
 
 // truncate cuts the result to its first limit rows (limit <= 0 is no
@@ -214,7 +243,7 @@ func (r *Result) truncate(limit int) bool {
 		r.Data = r.Data[:limit*r.Width()]
 	} else {
 		for i, n := 0, 0; ; i++ {
-			if n += product(r.lists(i)); n >= limit {
+			if n += r.RowsAt(i); n >= limit {
 				r.Data, r.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:(i+1)*r.K]
 				break
 			}

@@ -35,9 +35,9 @@ type encoder struct {
 	err error
 	// head and tail hold the text of the current row before and after its
 	// innermost expanded column, formatted once per run of that column's
-	// list; each is rowRoom bytes, the formatter's overshoot included. cur
-	// is that row in source-column order and idx the position in each outer
-	// list.
+	// list; each is rowRoom bytes, the formatter's overshoot included. With
+	// two or more expanded columns, cur is that row in source-column order
+	// and idx the position in each outer list.
 	head, tail []byte
 	cur        []graph.NodeID
 	idx        []int
@@ -145,23 +145,26 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	if cap(e.head) < need {
 		e.head, e.tail = make([]byte, need), make([]byte, need)
 	}
-	if cap(e.cur) < width {
-		e.cur = make([]graph.NodeID, width)
-	}
-	if cap(e.idx) < r.K {
-		e.idx = make([]int, r.K)
+	if r.K > 1 && cap(e.cur) < width {
+		e.cur, e.idx = make([]graph.NodeID, width), make([]int, width)
 	}
 	pw, outer, left := r.Width(), r.K-1, r.N
-	cur, idx := e.cur[:width], e.idx[:outer]
+	idx := e.idx[:outer]
 	pos := slices.Index(src, width-1)
 	for i := 0; left > 0; i++ {
-		lists := r.Exp[i*r.K : (i+1)*r.K]
-		if slices.ContainsFunc(lists, isEmpty) {
+		if r.RowsAt(i) == 0 {
 			continue
 		}
-		copy(cur, r.Row(i))
-		for k := range idx {
-			idx[k], cur[pw+k] = 0, lists[k][0]
+		lists := r.Exp[i*r.K : (i+1)*r.K]
+		// cur is the row but its innermost cell: with one list, the prefix
+		// row itself.
+		cur := r.Row(i)
+		if outer > 0 {
+			cur = e.cur[:width]
+			copy(cur, r.Row(i))
+			for k := range idx {
+				idx[k], cur[pw+k] = 0, lists[k][0]
+			}
 		}
 		for {
 			h := e.head[:cap(e.head)]
@@ -225,8 +228,6 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	}
 	e.buf = b[:n]
 }
-
-func isEmpty(l []graph.NodeID) bool { return len(l) == 0 }
 
 // putRun writes one row per partner in run at b[n:] — head, the
 // partner's digits, tail — and returns the index after the last. Each row
