@@ -69,10 +69,10 @@ func (r *Result) prefixRows() int {
 // lists returns prefix row i's K lists.
 func (r *Result) lists(i int) [][]graph.NodeID { return r.Exp[i*r.K : (i+1)*r.K] }
 
-// RowsAt returns the number of result rows prefix row i stands for: the
+// rowsAt returns the number of result rows prefix row i stands for: the
 // product of its lists' lengths (1 for a plain result), before the cut at
 // N.
-func (r *Result) RowsAt(i int) int { return product(r.lists(i)) }
+func (r *Result) rowsAt(i int) int { return product(r.lists(i)) }
 
 // product returns the number of rows lists stand for: the product of their
 // lengths (1 for no lists).
@@ -176,7 +176,7 @@ func (r *Result) flat(src []int) []graph.NodeID {
 	}
 	row, idx = row[:w], idx[:r.K]
 	for i := 0; o < len(out); i++ {
-		if r.RowsAt(i) == 0 {
+		if r.rowsAt(i) == 0 {
 			continue
 		}
 		lists := r.lists(i)
@@ -243,7 +243,7 @@ func (r *Result) truncate(limit int) bool {
 		r.Data = r.Data[:limit*r.Width()]
 	} else {
 		for i, n := 0, 0; ; i++ {
-			if n += r.RowsAt(i); n >= limit {
+			if n += r.rowsAt(i); n >= limit {
 				r.Data, r.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:(i+1)*r.K]
 				break
 			}

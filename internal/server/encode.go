@@ -148,22 +148,25 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	if r.K > 1 && cap(e.cur) < width {
 		e.cur, e.idx = make([]graph.NodeID, width), make([]int, width)
 	}
-	pw, outer, left := r.Width(), r.K-1, r.N
-	idx := e.idx[:outer]
+	pw, k, left := r.Width(), r.K, r.N
+	idx := e.idx[:k-1]
 	pos := slices.Index(src, width-1)
+rows:
 	for i := 0; left > 0; i++ {
-		if r.RowsAt(i) == 0 {
-			continue
+		lists := r.Exp[i*k : i*k+k]
+		for _, l := range lists {
+			if len(l) == 0 {
+				continue rows
+			}
 		}
-		lists := r.Exp[i*r.K : (i+1)*r.K]
 		// cur is the row but its innermost cell: with one list, the prefix
 		// row itself.
-		cur := r.Row(i)
-		if outer > 0 {
+		cur := r.Data[i*pw : i*pw+pw]
+		if k > 1 {
 			cur = e.cur[:width]
-			copy(cur, r.Row(i))
-			for k := range idx {
-				idx[k], cur[pw+k] = 0, lists[k][0]
+			copy(cur, r.Data[i*pw:i*pw+pw])
+			for j := range idx {
+				idx[j], cur[pw+j] = 0, lists[j][0]
 			}
 		}
 		for {
@@ -184,7 +187,10 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 			t[tn] = ']'
 			tn++
 			head, tail := h[:hn], t[:tn]
-			list := lists[outer][:min(len(lists[outer]), left)]
+			list := lists[k-1]
+			if len(list) > left {
+				list = list[:left]
+			}
 			left -= len(list)
 			if first {
 				if len(b)-n < need {
@@ -207,21 +213,21 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 				list = list[len(run):]
 				n = putRun(b, n, run, head, tail)
 			}
-			if left == 0 {
+			if k == 1 || left == 0 {
 				break
 			}
 			// Advance the odometer over the outer lists: the innermost of
 			// them turns, and a list that wraps carries into the one
 			// outside it.
-			k := outer - 1
-			for ; k >= 0; k-- {
-				if idx[k]++; idx[k] < len(lists[k]) {
-					cur[pw+k] = lists[k][idx[k]]
+			j := k - 2
+			for ; j >= 0; j-- {
+				if idx[j]++; idx[j] < len(lists[j]) {
+					cur[pw+j] = lists[j][idx[j]]
 					break
 				}
-				idx[k], cur[pw+k] = 0, lists[k][0]
+				idx[j], cur[pw+j] = 0, lists[j][0]
 			}
-			if k < 0 {
+			if j < 0 {
 				break
 			}
 		}
