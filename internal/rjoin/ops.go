@@ -694,14 +694,14 @@ func (rt *Runtime) fill(ctx context.Context, res *Result, part int, pf *fetchFil
 	defer cc.flush()
 	rows := res.prefixRows()
 	n, kept := 0, 0
-	for i := 0; i < rows; i++ {
-		inner := &res.Exp[(i+1)*k-1]
+	for i, j := 0, k-1; i < rows; i, j = i+1, j+k {
+		inner := &res.Exp[j]
 		targets := *inner
 		// m input rows stand on prefix row i: the product of its outer
 		// lists, each expanding to targets.
 		m := 1
 		if k > 1 {
-			if m = product(res.Exp[i*k : (i+1)*k-1]); i == rows-1 {
+			if m = product(res.Exp[j-k+1 : j]); i == rows-1 {
 				m = part
 			}
 		}

@@ -165,7 +165,23 @@ func (r *Result) flat(src []int) []graph.NodeID {
 		}
 		return out
 	}
-	pw, inner, o := r.Width(), w-1, 0
+	if r.K == 1 && src == nil {
+		// An emitting Fetch's rows: each prefix row, then its partner.
+		pw, o, left := w-1, 0, r.N
+		for i, list := range r.Exp {
+			list = list[:min(len(list), left)]
+			left -= len(list)
+			prefix := r.Data[i*pw : i*pw+pw]
+			for _, v := range list {
+				row := out[o : o+w]
+				copy(row, prefix)
+				row[pw] = v
+				o += w
+			}
+		}
+		return out
+	}
+	pw, inner, o, left := r.Width(), w-1, 0, r.N
 	// A plan binds at most 17 pattern nodes (16 edges), so row and idx
 	// live on the stack.
 	var rowBuf [32]graph.NodeID
@@ -175,7 +191,7 @@ func (r *Result) flat(src []int) []graph.NodeID {
 		row, idx = make([]graph.NodeID, 0, w), make([]int, 0, w)
 	}
 	row, idx = row[:w], idx[:r.K]
-	for i := 0; o < len(out); i++ {
+	for i := 0; left > 0; i++ {
 		if r.rowsAt(i) == 0 {
 			continue
 		}
@@ -189,7 +205,9 @@ func (r *Result) flat(src []int) []graph.NodeID {
 			// row is copied first and the list's value stored after it: a
 			// copy that read the value just stored into row would stall.
 			last := lists[r.K-1]
-			for _, v := range last[:min(len(last), (len(out)-o)/w)] {
+			last = last[:min(len(last), left)]
+			left -= len(last)
+			for _, v := range last {
 				if src == nil {
 					copy(out[o:o+inner], row)
 					out[o+inner] = v
@@ -210,7 +228,7 @@ func (r *Result) flat(src []int) []graph.NodeID {
 				}
 				idx[k], row[pw+k] = 0, lists[k][0]
 			}
-			if k < 0 || o == len(out) {
+			if k < 0 || left == 0 {
 				break
 			}
 		}

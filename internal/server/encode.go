@@ -151,9 +151,10 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	pw, k, left := r.Width(), r.K, r.N
 	idx := e.idx[:k-1]
 	pos := slices.Index(src, width-1)
+	exp, data := r.Exp, r.Data
 rows:
-	for i := 0; left > 0; i++ {
-		lists := r.Exp[i*k : i*k+k]
+	for ; left > 0; exp, data = exp[k:], data[pw:] {
+		lists := exp[:k:k]
 		for _, l := range lists {
 			if len(l) == 0 {
 				continue rows
@@ -161,10 +162,10 @@ rows:
 		}
 		// cur is the row but its innermost cell: with one list, the prefix
 		// row itself.
-		cur := r.Data[i*pw : i*pw+pw]
+		cur := data[:pw:pw]
 		if k > 1 {
 			cur = e.cur[:width]
-			copy(cur, r.Data[i*pw:i*pw+pw])
+			copy(cur, data[:pw])
 			for j := range idx {
 				idx[j], cur[pw+j] = 0, lists[j][0]
 			}
