@@ -27,7 +27,8 @@ var (
 // Accounting happens where rows are produced (HPSJ's center cross-products
 // and its output, Fetch's per-row expansions) and counts their
 // logical size, 4 bytes per cell, whether the rows are written out or — the
-// plan's last expansion — left factorised in the Result. A Fetch that
+// plan's factorised tail — left as products in the Result, where every
+// input row a prefix row stands for is charged as if it were written. A Fetch that
 // absorbed the filters following it (FetchFiltered) is charged, and its
 // row counts are checked and noted, for its whole expansion — the rows it
 // would have written had the filters run after it — not for the survivors,
@@ -86,11 +87,6 @@ func (b *Budget) CheckBytes() error {
 		return fmt.Errorf("%w (%d bytes > budget %d)", ErrBudgetExceeded, n, b.MaxBytes)
 	}
 	return nil
-}
-
-// overBytes reports whether charging n more bytes would pass MaxBytes.
-func (b *Budget) overBytes(n int64) bool {
-	return b != nil && b.MaxBytes > 0 && b.bytes.Load()+n > b.MaxBytes
 }
 
 // CheckRows returns ErrRowLimit when an intermediate table holds more than

@@ -174,7 +174,7 @@ type Stats struct {
 	TruncatedQueries int64 `json:"truncated_queries"`
 	// IntermediateBytes is the cumulative size of the rows queries'
 	// operators produced (4 bytes per cell), whether they were written out
-	// or, like a plan's last expansion, handed to the encoder factorised;
+	// or, like a plan's factorised tail, handed to the encoder as products;
 	// PeakIntermediateBytes/Rows are the largest a single query charged
 	// (high-water marks, including killed queries).
 	IntermediateBytes     int64 `json:"intermediate_bytes"`
