@@ -166,7 +166,10 @@ func (r *Result) flat(src []int) []graph.NodeID {
 		return out
 	}
 	if r.K == 1 && src == nil {
-		// An emitting Fetch's rows: each prefix row, then its partner.
+		// An emitting Fetch's rows: each prefix row, then its partner. The
+		// odometer below costs a few nanoseconds more per prefix row, which
+		// every plan's written-out Fetches pay (EXPERIMENTS.md, "Served
+		// path — factorised tail").
 		pw, o, left := w-1, 0, r.N
 		for i, list := range r.Exp {
 			list = list[:min(len(list), left)]
