@@ -5,7 +5,8 @@ GO ?= go
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels, the two per-row index reads (partner slot, reachability test),
 # the four binary R-join operators, a Fetch with the filters on its new node
-# fused against the step-by-step pipeline (ns per input row), a plan's last
+# fused against the step-by-step pipeline (ns per input row; XMark groups
+# and the read_skew groups S1served and S4served), a plan's last
 # two Fetches as a factorised tail against written out (ns per result row)
 # and the response encoder (ns per row from a served-shaped, a synthetic, a
 # tree-shaped wide and a two-list product factorised result and from a
@@ -32,7 +33,8 @@ test-short:
 # last four lines run benchmarks once for the checks they carry: the read
 # path's allocation-free hit path, the fused Fetch's and the factorised
 # tail's row counts against the step-by-step pipeline's and the response
-# encoder's allocation-free warm buffer.
+# encoder's allocation-free warm buffer. BenchmarkFetchFilters includes
+# the read_skew groups S1served and S4served on the power-law DAG.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEdgeInsertDifferential -fuzztime $(FUZZTIME) .
@@ -84,13 +86,19 @@ test-race-stress:
 # verify is the gating tier: vet plus the full suite under the race
 # detector, so concurrency regressions in the query-serving path cannot
 # land silently, the differential and prefix-consistency suites again on
-# one core (the suite must be green at any core count), then the coverage
-# floor on the reachability packages, the MVCC stress smoke, and a fuzz
-# smoke over the incremental-maintenance harnesses.
+# one core (the suite must be green at any core count), the served answers,
+# the encoder tests and a short encoder fuzz built with -tags fgmcheck
+# (every unchecked store of the response encoder bounds-checked, which
+# neither -race nor -d=checkptr does), then the coverage floor on the
+# reachability packages, the MVCC stress smoke, and a fuzz smoke over the
+# incremental-maintenance harnesses.
 verify:
 	$(GO) vet ./...
+	$(GO) vet -tags fgmcheck ./internal/server
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -run 'Differential|Crosscheck|PrefixConsistency' . ./internal/server
+	$(GO) test -tags fgmcheck -run 'TestServedAnswers|TestEncode|TestPutNodeID|TestQueryResponseEncoding' . ./internal/server
+	$(GO) test -tags fgmcheck -run XXX -fuzz FuzzEncodeResult -fuzztime 10s ./internal/server
 	$(MAKE) test-cover
 	$(MAKE) test-race-stress
 	$(MAKE) test-fuzz-smoke

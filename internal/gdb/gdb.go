@@ -261,11 +261,11 @@ func (db *DB) IOStats() storage.IOStats { return db.pool.Stats() }
 
 // DecodedMemoStats reports the decoded read path's lazy part: what the
 // current epoch's partner tables hold, in node-ID (4-byte) units, how many
-// there are, and how often they overflowed their bound and were dropped,
-// across all epochs.
-func (db *DB) DecodedMemoStats() (nodes, tables int, resets int64) {
-	nodes, tables = db.mgr.Current().decodedMemo()
-	return nodes, tables, db.memoResets.Load()
+// there are, how many list bitmaps they hold, and how often they
+// overflowed their bound and were dropped, across all epochs.
+func (db *DB) DecodedMemoStats() (nodes, tables, bitmaps int, resets int64) {
+	nodes, tables, bitmaps = db.mgr.Current().decodedMemo()
+	return nodes, tables, bitmaps, db.memoResets.Load()
 }
 
 // ProjectionStats reports, across all epochs, how many projection sets

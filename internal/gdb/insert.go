@@ -327,8 +327,8 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 			continue
 		}
 		next.ptabs[k] = nt
-		filled, lists := nt.slots.held()
-		next.pNodes += partnerSlotCost*nt.n + int(lists)
+		filled, _ := nt.slots.held()
+		next.pNodes += int(nt.charge())
 		kept, dropped, copied = kept+filled, dropped+int64(n), copied+c
 	}
 	w.db.partnerSlotsKept.Add(kept)
@@ -337,8 +337,8 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 }
 
 // carryPartners carries one table of cur into next, as inheritPartners
-// describes, and returns it with the number of filled slots it cleared and
-// the bytes it copied.
+// describes — its bitmaps by the same rule as its lists — and returns it
+// with the number of filled list slots it cleared and the bytes it copied.
 func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.NodeID, moved map[uint32][]graph.NodeID, ownersOf func(clKey) []graph.NodeID) (_ *partnerTable, dropped, copied int, _ error) {
 	k := t.key
 	ws, err := w.row(next, wKey{k.x, k.y})
@@ -359,8 +359,12 @@ func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.
 		}
 	}
 	slices.Sort(ranks)
-	slots, copied, dropped := t.slots.successor(ranks, (*partnerList).cost)
-	return &partnerTable{key: k, bound: t.bound, ws: ws, n: t.n, rank: t.rank, slots: slots}, dropped, copied, nil
+	nt := *t
+	nt.ws = ws
+	nt.slots, copied, dropped = t.slots.successor(ranks, (*partnerList).cost)
+	var setsCopied int
+	nt.sets, setsCopied, _ = t.sets.successor(ranks, (*RankSet).cost)
+	return &nt, dropped, copied + setsCopied, nil
 }
 
 // inheritProjections seeds next's projection memos with cur's sets,

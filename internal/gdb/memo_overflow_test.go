@@ -69,7 +69,7 @@ func TestDecodedMemoOverflowMidQuery(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("whole battery empty: graph too sparse to prove anything")
 	}
-	if _, _, resets := db.DecodedMemoStats(); resets < 10 {
+	if _, _, _, resets := db.DecodedMemoStats(); resets < 10 {
 		t.Fatalf("memo reset only %d times; the bound hook did not bite", resets)
 	}
 }
@@ -118,7 +118,7 @@ func TestDecodedMemoFusedSelectionTable(t *testing.T) {
 				largest = max(largest, g.ExtentSize(g.Labels().Lookup(name)))
 			}
 			db.SetDecodedMemoBound(2*largest + 32)
-			_, _, before := db.DecodedMemoStats()
+			_, _, _, before := db.DecodedMemoStats()
 			res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{})
 			if err != nil {
 				t.Fatalf("%q %v: %v", ps, algo, err)
@@ -133,7 +133,7 @@ func TestDecodedMemoFusedSelectionTable(t *testing.T) {
 			}
 			if last := traces[len(traces)-1]; last.Fused && want.Len() > 0 {
 				fused++
-				if _, _, after := db.DecodedMemoStats(); after == before {
+				if _, _, _, after := db.DecodedMemoStats(); after == before {
 					t.Fatalf("%q %v: both tables fit a bound of %d units; the case proves nothing", ps, algo, 2*largest+32)
 				}
 			}

@@ -105,16 +105,25 @@ type RankSet struct {
 // occupies.
 func RankWords(n int) int { return (n + 63) / 64 }
 
-// newRankSet returns the set of list's nodes — nodes of one label of n
-// nodes, ranked by r.
+// newRankSet returns the set of list's nodes — distinct nodes of one label
+// of n nodes, ranked by r.
 func newRankSet(r Ranks, n int, list []graph.NodeID) RankSet {
 	s := RankSet{words: make([]uint64, RankWords(n)), n: len(list)}
+	s.fill(r, list)
+	return s
+}
+
+// fill sets the bits of list's nodes, ranked by r.
+func (s *RankSet) fill(r Ranks, list []graph.NodeID) {
 	for _, v := range list {
 		i := uint(r.rank[v])
 		s.words[i/64] |= 1 << (i % 64)
 	}
-	return s
 }
+
+// cost is a partner table's memo-budget charge for the set, in node-ID
+// units: a header the size of a partnerList's and two units a word.
+func (s *RankSet) cost() int64 { return partnerListCost + 2*int64(len(s.words)) }
 
 // Has reports whether v, a node of the set's label, is a member; r is the
 // table the set was built with.

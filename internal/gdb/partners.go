@@ -15,6 +15,13 @@ import "fastmatch/internal/graph"
 // chunk directory (snapWriter.inheritPartners): chunks holding no slot the
 // batch can have changed are shared, the others are copied with those slots
 // nil again, and no slot a reader can see is ever cleared.
+//
+// A table keeps a second slot array beside the lists: the rank bitmap
+// (RankSet) of a slot's list, built on a fused Selection's first use of it
+// and only for a list long enough that its bitmap is no larger than the
+// list itself. A bitmap is published, charged and carried by the same
+// rules as its list — the same touched slots are cleared in both arrays —
+// and ranks never change, so a carried bitmap stays exact.
 
 // partnerKey names a table: condition X→Y read from its From side
 // (forward: Y-labeled partners through out-codes and T-subclusters) or its
@@ -31,6 +38,12 @@ type partnerTable struct {
 	n     int            // slots: the bound label's extent
 	rank  []int32        // DB.rank, kept here to shorten a row's loads
 	slots slotArray[partnerList]
+
+	// sets holds the bitmaps of the slots' lists, by the same rank. A
+	// bitmap spans the target label's extent in words words, so only a
+	// list of at least minList = 2·words entries gets one.
+	sets           slotArray[RankSet]
+	words, minList int
 }
 
 // partnerList is what a filled slot points to. A value with one center
@@ -48,11 +61,26 @@ const (
 	partnerListCost = 8
 )
 
-// charge is the table's memo-budget charge: its slots, plus the lists its
-// chunks hold.
+// charge is the table's memo-budget charge: its slots, plus the lists and
+// bitmaps its chunks hold.
 func (t *partnerTable) charge() int64 {
 	_, lists := t.slots.held()
-	return int64(partnerSlotCost*t.n) + lists
+	_, sets := t.sets.held()
+	return int64(partnerSlotCost*t.n) + lists + sets
+}
+
+// newPartnerTable returns the empty table of key over W row ws.
+func (s *Snap) newPartnerTable(k partnerKey, ws []graph.NodeID) *partnerTable {
+	t := &partnerTable{key: k, bound: k.x, ws: ws, rank: s.db.rank}
+	target := k.y
+	if !k.forward {
+		t.bound, target = k.y, k.x
+	}
+	t.n = s.g.ExtentSize(t.bound)
+	t.slots, t.sets = newSlotArray[partnerList](t.n), newSlotArray[RankSet](t.n)
+	t.words = RankWords(s.g.ExtentSize(target))
+	t.minList = max(2*t.words, 1)
+	return t
 }
 
 func (l *partnerList) cost() int64 {
@@ -88,12 +116,7 @@ func (r *Reader) Partners(x, y graph.Label, forward bool) (Partners, error) {
 		if err != nil {
 			return Partners{}, err
 		}
-		t = &partnerTable{key: k, bound: x, ws: ws, rank: s.db.rank}
-		if !forward {
-			t.bound = y
-		}
-		t.n = s.g.ExtentSize(t.bound)
-		t.slots = newSlotArray[partnerList](t.n)
+		t = s.newPartnerTable(k, ws)
 		s.pmu.Lock()
 		if won := s.ptabs[k]; won != nil {
 			t = won
@@ -150,20 +173,59 @@ func (p Partners) fill(i int, v graph.NodeID) ([]graph.NodeID, error) {
 	if len(list) > 0 {
 		l = &partnerList{list, owned}
 	}
-	s, t := p.r.s, p.t
-	if !t.slots.replace(i, nil, l, l.cost()) {
-		return t.slots.load(i).nodes, nil // a concurrent reader filled it first
+	if !p.t.slots.replace(i, nil, l, l.cost()) {
+		return p.t.slots.load(i).nodes, nil // a concurrent reader filled it first
 	}
+	p.r.s.chargeFill(p.t, l.cost())
+	return list, nil
+}
+
+// chargeFill charges the epoch for cost units that a fill just published
+// in t, forgetting every table if that would pass the memo bound. A table
+// the epoch no longer holds is not charged: it dies with its queries.
+func (s *Snap) chargeFill(t *partnerTable, cost int64) {
 	s.pmu.Lock()
 	if s.ptabs[t.key] == t {
-		if cost := int(l.cost()); s.pNodes+cost > s.db.memoBound {
+		if s.pNodes+int(cost) > s.db.memoBound {
 			s.forgetPartners()
 		} else {
-			s.pNodes += cost
+			s.pNodes += int(cost)
 		}
 	}
 	s.pmu.Unlock()
-	return list, nil
+}
+
+// Bitmap returns the rank bitmap of list, which must be what Of(v)
+// returned: a set over the target label's ranks (see RankSet) that tests a
+// candidate with one rank load and one word load where IntersectTo walks
+// the list. The first call for v builds and publishes it; later calls, by
+// any query on the epoch or on a successor that carried it, load it. It
+// returns nil for a list shorter than twice the bitmap's words, whose
+// bitmap would be larger than the list, and for a v outside the bound
+// label, which owns no slot. A zero Partners has no bitmaps.
+func (p Partners) Bitmap(v graph.NodeID, list []graph.NodeID) *RankSet {
+	if p.t == nil || len(list) < p.t.minList {
+		return nil
+	}
+	return p.bitmap(v, list)
+}
+
+func (p Partners) bitmap(v graph.NodeID, list []graph.NodeID) *RankSet {
+	s, t := p.r.s, p.t
+	if s.g.LabelOf(v) != t.bound {
+		return nil
+	}
+	i := int(t.rank[v])
+	if set := t.sets.load(i); set != nil {
+		return set
+	}
+	set := &RankSet{words: make([]uint64, t.words), n: len(list)}
+	set.fill(Ranks{t.rank}, list)
+	if !t.sets.replace(i, nil, set, set.cost()) {
+		return t.sets.load(i) // a concurrent reader built it first
+	}
+	s.chargeFill(t, set.cost())
+	return set
 }
 
 // compute is the cold path: getCenters from v's code and W(X, Y), then the

@@ -11,8 +11,8 @@ import (
 )
 
 // warmReadPath reads, through s's decoded read path, the partners of every
-// node under every label pair and direction, so the partner tables hold
-// everything they can.
+// node under every label pair and direction, and their bitmaps, so the
+// partner tables hold everything they can.
 func warmReadPath(t testing.TB, s *Snap) {
 	t.Helper()
 	r := s.Reader()
@@ -25,12 +25,44 @@ func warmReadPath(t testing.TB, s *Snap) {
 					t.Fatal(err)
 				}
 				for _, v := range s.g.Extent(p.t.bound) {
-					if _, err := p.Of(v); err != nil {
+					list, err := p.Of(v)
+					if err != nil {
 						t.Fatal(err)
 					}
+					p.Bitmap(v, list)
 				}
 			}
 		}
+	}
+}
+
+// heldBitmaps returns how many bitmap slots s's partner tables hold.
+func heldBitmaps(s *Snap) int {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	var n int64
+	for _, tab := range s.ptabs {
+		filled, _ := tab.sets.held()
+		n += filled
+	}
+	return int(n)
+}
+
+// checkBitmap fails unless set, the bitmap slot of table tab's node v, is
+// the bitmap of its list — want, recomputed cold — and that list is long
+// enough to have one.
+func checkBitmap(t testing.TB, s *Snap, tab *partnerTable, v graph.NodeID, set *RankSet, want []graph.NodeID, what string) {
+	t.Helper()
+	if len(want) < tab.minList {
+		t.Fatalf("%s: table %+v holds a bitmap of node %d's %d-entry list, below the size rule %d", what, tab.key, v, len(want), tab.minList)
+	}
+	target := tab.key.y
+	if !tab.key.forward {
+		target = tab.key.x
+	}
+	cold := newRankSet(s.Ranks(), s.g.ExtentSize(target), want)
+	if !slices.Equal(set.words, cold.words) || set.Len() != cold.Len() {
+		t.Fatalf("%s: table %+v, node %d: bitmap %x of %d members, recomputed %x of %d", what, tab.key, v, set.words, set.Len(), cold.words, cold.Len())
 	}
 }
 
@@ -74,9 +106,9 @@ func coldPartners(t testing.TB, cold *Snap, k partnerKey, v graph.NodeID) []grap
 
 // checkReadPath compares everything s's decoded read path holds with a
 // cold recomputation on the same trees: the decoded index in full
-// (checkDecoded), every filled partner slot, and the partner tables' chunk
-// charges with what they hold. It returns how many slots it compared. No
-// reader may be filling s meanwhile.
+// (checkDecoded), every filled partner slot and bitmap slot, and the
+// partner tables' chunk charges with what they hold. It returns how many
+// list slots it compared. No reader may be filling s meanwhile.
 func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 	t.Helper()
 	cold := coldView(t, s)
@@ -86,13 +118,21 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 	for k, tab := range s.ptabs {
 		cost := int64(partnerSlotCost * tab.n)
 		for i, v := range s.g.Extent(tab.bound) {
-			got := tab.slots.load(i)
+			got, set := tab.slots.load(i), tab.sets.load(i)
+			if got == nil && set == nil {
+				continue
+			}
+			want := coldPartners(t, cold, k, v)
+			if set != nil {
+				cost += set.cost()
+				checkBitmap(t, s, tab, v, set, want, what)
+			}
 			if got == nil {
 				continue
 			}
 			slots++
 			cost += got.cost()
-			if want := coldPartners(t, cold, k, v); !slices.Equal(got.nodes, want) {
+			if !slices.Equal(got.nodes, want) {
 				t.Fatalf("%s: partner slot %+v of node %d = %v, recomputed %v", what, k, v, got.nodes, want)
 			}
 		}
@@ -106,10 +146,10 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 // TestReadPathExactAfterEveryPublish: after every publish of a mixed
 // insert/delete stream — on both labelings, through center births
 // and deaths, W rows that empty and rows that are created — everything the
-// successor epoch inherited (its decoded index, partner slots) and every
-// slot it then refills equals a cold recomputation on the same trees, and
-// the decoded index's chunks were shared by some publishes and rebuilt by
-// others.
+// successor epoch inherited (its decoded index, partner slots and their
+// bitmaps) and every slot it then refills equals a cold recomputation on
+// the same trees, the decoded index's chunks were shared by some publishes
+// and rebuilt by others, and some bitmaps were carried and some dropped.
 func TestReadPathExactAfterEveryPublish(t *testing.T) {
 	for _, l := range labelings {
 		t.Run(l.name, func(t *testing.T) {
@@ -125,12 +165,15 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			cur := g
 			var births, deaths, emptied, created, slotsKept int
-			var codesShared, clustersShared int
+			var codesShared, clustersShared, bitmapsKept, bitmapsDropped int
+			warmBitmaps := heldBitmaps(first)
 			for step := 0; step < 200; step++ {
 				next, b, d := mixedOp(t, db, rng, cur, step)
 				cur, births, deaths = next, births+b, deaths+d
 				s, release := db.Pin()
 				slotsKept += checkReadPath(t, s, "inherited")
+				kept := heldBitmaps(s)
+				bitmapsKept, bitmapsDropped = bitmapsKept+kept, bitmapsDropped+warmBitmaps-kept
 				if s.codes[0] == prev.codes[0] {
 					codesShared++
 				}
@@ -141,6 +184,7 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 				if slots := checkReadPath(t, s, "refilled"); slots != 2*labels*n {
 					t.Fatalf("step %d: warm epoch holds %d partner slots, want %d", step, slots, 2*labels*n)
 				}
+				warmBitmaps = heldBitmaps(s)
 				now := wRowSizes(t, s)
 				prev = s
 				release()
@@ -161,7 +205,10 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 			if slotsKept == 0 || slotsKept >= 200*2*labels*n {
 				t.Fatalf("200 successors inherited %d partner slots of %d; want some, not all", slotsKept, 200*2*labels*n)
 			}
-			if _, _, resets := db.DecodedMemoStats(); resets != 0 {
+			if bitmapsKept == 0 || bitmapsDropped == 0 {
+				t.Fatalf("200 successors carried %d bitmaps and dropped %d; want some of each", bitmapsKept, bitmapsDropped)
+			}
+			if _, _, _, resets := db.DecodedMemoStats(); resets != 0 {
 				t.Fatalf("memos reset %d times on a %d-node graph", resets, n)
 			}
 		})
@@ -320,9 +367,10 @@ func TestPartnerChargeWhileReadersFillDuringPublish(t *testing.T) {
 	}
 }
 
-// TestPartnerTableConcurrentFill: eight readers filling one cold table at
-// once all return the recomputed lists, every slot is charged once, and a
-// second pass hits every slot.
+// TestPartnerTableConcurrentFill: eight readers filling one cold table —
+// its lists and their bitmaps — at once all return the recomputed lists
+// and the same bitmap per slot, every slot and bitmap is charged once, and
+// a second pass hits every slot.
 func TestPartnerTableConcurrentFill(t *testing.T) {
 	g := randomGraph(23, 400, 900, 3)
 	db := mustBuild(t, g, Options{})
@@ -333,6 +381,7 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 
 	const readers = 8
 	lists := make([][][]graph.NodeID, readers)
+	sets := make([][]*RankSet, readers)
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
@@ -343,13 +392,14 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			lists[i] = make([][]graph.NodeID, len(ext))
+			lists[i], sets[i] = make([][]graph.NodeID, len(ext)), make([]*RankSet, len(ext))
 			for j := range ext {
 				j = (j + i*len(ext)/readers) % len(ext) // start apart, collide in the middle
 				if lists[i][j], err = p.Of(ext[j]); err != nil {
 					t.Error(err)
 					return
 				}
+				sets[i][j] = p.Bitmap(ext[j], lists[i][j])
 			}
 		}(i)
 	}
@@ -358,22 +408,35 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 		return
 	}
 	cold, k := coldView(t, s), partnerKey{x, y, true}
-	nonEmpty := 0
+	s.pmu.Lock()
+	tab := s.ptabs[k]
+	s.pmu.Unlock()
+	nonEmpty, bitmaps := 0, 0
 	for j, v := range ext {
 		want := coldPartners(t, cold, k, v)
 		for i := range lists {
 			if !slices.Equal(lists[i][j], want) {
 				t.Fatalf("reader %d: partners of node %d = %v, recomputed %v", i, v, lists[i][j], want)
 			}
+			if sets[i][j] != sets[0][j] {
+				t.Fatalf("readers 0 and %d got different bitmaps of node %d's list", i, v)
+			}
 		}
 		if len(want) > 0 {
 			nonEmpty++
+		}
+		if set := sets[0][j]; set != nil {
+			checkBitmap(t, s, tab, v, set, want, "concurrent fill")
+			bitmaps++
 		}
 	}
 	if nonEmpty == 0 {
 		t.Fatal("no A node reaches a B node; the test proves nothing")
 	}
-	held, tables, _ := db.DecodedMemoStats()
+	if bitmaps == 0 || bitmaps == nonEmpty {
+		t.Fatalf("%d of %d lists have a bitmap; want some, not all", bitmaps, nonEmpty)
+	}
+	held, tables, _, _ := db.DecodedMemoStats()
 	r := s.Reader()
 	p, err := r.Partners(x, y, true)
 	if err != nil {
@@ -387,11 +450,12 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if r.CenterHits != int64(len(ext)) || r.CenterMisses != 0 {
 		t.Fatalf("second pass: %d slot hits, %d misses over %d nodes", r.CenterHits, r.CenterMisses, len(ext))
 	}
-	if after, _, _ := db.DecodedMemoStats(); after != held || tables != 1 {
+	if after, _, _, _ := db.DecodedMemoStats(); after != held || tables != 1 {
 		t.Fatalf("second pass moved the memo accounting %d -> %d (%d tables)", held, after, tables)
 	}
 	// Charged once per slot: the slot array, a partnerList per non-empty
-	// slot, and the lists that are unions rather than a decoded subcluster.
+	// slot, the lists that are unions rather than a decoded subcluster,
+	// and the bitmaps.
 	shared := make(map[*graph.NodeID]bool)
 	for w := graph.NodeID(0); int(w) < g.NumNodes(); w++ {
 		_, lists := subclusters(s, w)
@@ -409,12 +473,15 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 			want += cap(l.nodes)
 			unions++
 		}
+		if set := p.t.sets.load(i); set != nil {
+			want += int(set.cost())
+		}
 	}
 	if unions == 0 || unions == nonEmpty {
 		t.Fatalf("%d of %d lists are unions; want both kinds", unions, nonEmpty)
 	}
 	if s.pNodes != want || p.t.charge() != int64(want) {
-		t.Fatalf("table charged %d units (epoch: %d), its slots, lists and %d unions cost %d", p.t.charge(), s.pNodes, unions, want)
+		t.Fatalf("table charged %d units (epoch: %d), its slots, lists, %d unions and %d bitmaps cost %d", p.t.charge(), s.pNodes, unions, bitmaps, want)
 	}
 }
 

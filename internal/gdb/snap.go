@@ -164,21 +164,23 @@ func (s *Snap) FastF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
 // DecodedMemoNodes returns what this epoch's partner tables hold: their
 // resident size in 4-byte units.
 func (s *Snap) DecodedMemoNodes() int {
-	nodes, _ := s.decodedMemo()
+	nodes, _, _ := s.decodedMemo()
 	return nodes
 }
 
 // decodedMemo recounts what the epoch's partner tables hold from the
 // charges of the chunks their directories point at, each counted once,
-// whichever epoch filled it.
-func (s *Snap) decodedMemo() (nodes, tables int) {
+// whichever epoch filled it, and how many bitmaps they hold.
+func (s *Snap) decodedMemo() (nodes, tables, bitmaps int) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	var held int64
+	var held, sets int64
 	for _, t := range s.ptabs {
 		held += t.charge()
+		n, _ := t.sets.held()
+		sets += n
 	}
-	return int(held), len(s.ptabs)
+	return int(held), len(s.ptabs), int(sets)
 }
 
 func (s *Snap) clusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {
@@ -302,13 +304,6 @@ func (s *Snap) ProjectFrom(x, y graph.Label) (*NodeSet, error) {
 // T-subclusters over W(X, Y)). Memoized and shared; do not mutate.
 func (s *Snap) ProjectTo(x, y graph.Label) (*NodeSet, error) {
 	return s.projection(x, y, dirT, y, s.projTo)
-}
-
-// RankSet returns the nodes of list, all of label l, as a RankSet over l's
-// extent: a fused Selection's bitmap of one partner list. The set is the
-// caller's.
-func (s *Snap) RankSet(l graph.Label, list []graph.NodeID) RankSet {
-	return newRankSet(s.Ranks(), s.g.ExtentSize(l), list)
 }
 
 // Ranks returns the graph's rank table, which RankSets are tested through.

@@ -10,6 +10,7 @@ import (
 
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
+	"fastmatch/internal/workload"
 	"fastmatch/internal/xmark"
 )
 
@@ -96,22 +97,29 @@ func shuffled(t *Result, seed int64) *Result {
 	return out
 }
 
-// rankPaths counts how a fused Fetch of in under fetch, with the one
-// Selection sel as its filter, tests the rows with candidates: by the bound
-// value's bitmap, or by IntersectTo because the bitmap would be larger than
-// the partner list (sparse) or the candidates outnumber the partners
-// (longer). gated reports whether the operator builds bitmaps at all.
-func rankPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFilter) (gated bool, bitmap, sparse, longer int) {
+// rankPaths counts how a fused Fetch with one Selection as its only filter
+// tests the rows that have candidates (see fetchFilters.apply): against
+// the bitmap of the Selection's list (list), against the candidates' own
+// bitmap (own), or with IntersectTo because the longer operand is below
+// the size rule — the Selection's list (sparse) or the candidates (short)
+// — or because the candidates, long enough for a bitmap, belong to a value
+// outside their table's bound label (foreign).
+type rankPaths struct{ list, own, sparse, short, foreign int }
+
+// censusPaths is rankPaths for the Fetch of in under fetch with the
+// Selection sel.
+func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFilter) rankPaths {
 	t.Helper()
 	boundNode, forward, err := boundSide(in, fetch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newNode, target := fetch.ToNode, fetch.ToLabel
+	newNode, target, bound := fetch.ToNode, fetch.ToLabel, fetch.FromLabel
 	if !forward {
-		newNode, target = fetch.FromNode, fetch.FromLabel
+		newNode, target, bound = fetch.FromNode, fetch.FromLabel, fetch.ToLabel
 	}
-	fs, err := resolveFilters(db, in, newNode, []NodeFilter{sel})
+	col := in.ColIndex(boundNode)
+	fs, err := resolveFilters(db, in, newNode, target, []NodeFilter{sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,43 +128,55 @@ func rankPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFilte
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := openFilters(rd, fs, in.N, target)
+	pf, err := openFilters(rd, db, fs, fetch, forward, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := pf.ranks[0]
+	g := db.Graph()
+	minList := 2 * gdb.RankWords(g.ExtentSize(target))
+	var p rankPaths
 	for i := 0; i < in.N; i++ {
 		row := in.Row(i)
-		cur, err := partners(row[in.ColIndex(boundNode)])
+		cur, err := partners(row[col])
 		if err != nil {
 			t.Fatal(err)
 		}
-		list, err := pf.sel[0](row[fs[0].col])
+		if len(cur) == 0 {
+			continue
+		}
+		v := row[fs[0].col]
+		other, err := pf.sel[0](v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch set := rs.of(row[fs[0].col], cur, list); {
-		case len(cur) == 0 || rs == nil:
-		case set != nil:
-			bitmap++
-		case len(cur) > len(list):
-			longer++
+		switch {
+		case len(cur) <= len(other) && pf.sets[0].Bitmap(v, other) != nil:
+			p.list++
+		case len(cur) <= len(other):
+			p.sparse++
+		case pf.own.Bitmap(row[col], cur) != nil:
+			p.own++
+		case g.LabelOf(row[col]) != bound && len(cur) >= minList:
+			p.foreign++
 		default:
-			sparse++
+			p.short++
 		}
 	}
-	return rs != nil, bitmap, sparse, longer
+	return p
 }
 
 // TestFetchFilteredMatchesStepwise: a Fetch that absorbs the filters on the
 // node it binds is the Fetch followed by those filters — same rows, same
 // order, same per-step counts, same budget — written out or left
 // factorised, unlimited or limited, killed by its budget midway or not, and
-// it never writes to a shared partner list. The shuffled input has about
-// 70 rows per node of the Selections' bound label D, in random order, so
-// its Selections test candidates against bitmaps of the bound values'
-// partner lists, built on a value's first row; the first 64 rows are too
-// few and merge every list.
+// it never writes to a shared partner list. Its Selections take every
+// path: the shorter operand bit-tested against the bitmap of the
+// Selection's list or of the candidates, and IntersectTo where the longer
+// one is below the size rule, where the candidates are no longer the
+// Fetch's own list (a semijoin group or Selection filtered them first) and
+// where the Fetch's bound value is of another label than its table's bound
+// label. The bitmaps live in the epoch's partner tables, so later cases
+// find them built; the shuffled input meets each bound value out of order.
 func TestFetchFilteredMatchesStepwise(t *testing.T) {
 	g := fusedDAG(7, 400, 1200)
 	db := mustDB(t, g)
@@ -164,7 +184,14 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 
 	in, fetch := fusedInput(t, g, db)
 	mixed := shuffled(in, 1)
-	few := &Result{Cols: in.Cols, Data: mixed.Data[:64*mixed.Width()], N: 64}
+	// foreign binds every third row's B column to its A value: a node
+	// outside the bound label of the Fetch's table, whose partners are
+	// computed and have no bitmap.
+	foreign := &Result{Cols: in.Cols, Data: append([]graph.NodeID(nil), in.Data...), N: in.N}
+	for i := 0; i < foreign.N; i += 3 {
+		row := foreign.Row(i)
+		row[1] = row[0]
+	}
 	selDC := NodeFilter{Conds: []Cond{cond(g, "D", "C", 2, 3)}}
 	selCD := NodeFilter{Conds: []Cond{cond(g, "C", "D", 3, 2)}}
 	selCA := NodeFilter{Conds: []Cond{cond(g, "C", "A", 3, 0)}} // a ⇝ b ⇝ c: never holds on a DAG
@@ -187,21 +214,23 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		{"filter that empties every list", in, []NodeFilter{semiOut, selCA, semiIn}, true},
 		{"group with empty W", in, []NodeFilter{semiEmptyW, selDC}, true},
 		{"zero input rows", &Result{Cols: []int{0, 1, 2}}, []NodeFilter{selDC, semiOut}, true},
-		{"bitmap selection", mixed, []NodeFilter{selDC}, false},
-		{"reverse bitmap selection", mixed, []NodeFilter{selCD}, false},
-		{"bitmap selection then groups", mixed, []NodeFilter{selDC, semiOut, semiIn}, false},
-		{"groups then bitmap selection", mixed, []NodeFilter{semiIn, semiOut, selCD}, false},
-		{"two bitmap selections", mixed, []NodeFilter{selDC, selAC}, false},
-		{"selection on too few rows", few, []NodeFilter{selDC}, false},
+		{"shuffled selection", mixed, []NodeFilter{selDC}, false},
+		{"shuffled reverse selection", mixed, []NodeFilter{selCD}, false},
+		{"shuffled selection then groups", mixed, []NodeFilter{selDC, semiOut, semiIn}, false},
+		{"shuffled groups then selection", mixed, []NodeFilter{semiIn, semiOut, selCD}, false},
+		{"selection after a semijoin group", mixed, []NodeFilter{semiOut, selDC}, false},
+		{"two selections", mixed, []NodeFilter{selDC, selAC}, false},
+		{"two selections, the other order", mixed, []NodeFilter{selAC, selCD}, false},
+		{"foreign fetch value", foreign, []NodeFilter{selDC}, false},
+		{"foreign fetch value, reverse selection", foreign, []NodeFilter{selCD, semiOut}, false},
 	}
 	for _, sel := range []NodeFilter{selDC, selCD} {
-		gated, bitmap, sparse, longer := rankPaths(t, db, mixed, fetch, sel)
-		if !gated || bitmap == 0 || sparse == 0 || longer == 0 {
-			t.Fatalf("%v over %d rows: gated=%v, %d rows by bitmap, %d sparse and %d longer merges — not every path is taken",
-				sel.Conds[0], mixed.N, gated, bitmap, sparse, longer)
+		p := censusPaths(t, db, mixed, fetch, sel)
+		if p.list == 0 || p.own == 0 || p.sparse == 0 || p.short == 0 || p.foreign != 0 {
+			t.Fatalf("%v over %d rows: paths %+v — not every path is taken", sel.Conds[0], mixed.N, p)
 		}
-		if gated, _, _, _ := rankPaths(t, db, few, fetch, sel); gated {
-			t.Fatalf("%v over %d rows builds bitmaps", sel.Conds[0], few.N)
+		if p := censusPaths(t, db, foreign, fetch, sel); p.foreign == 0 {
+			t.Fatalf("%v over the foreign input: paths %+v — no foreign value has long candidates", sel.Conds[0], p)
 		}
 	}
 	for _, tc := range cases {
@@ -264,8 +293,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 				}
 			}
 			// A row cap at half the Fetch's output kills both runs midway,
-			// after the first bound values have their bitmaps, on the same
-			// row and with the same charge.
+			// on the same row and with the same charge.
 			if fullCounts[0] < 2 {
 				continue
 			}
@@ -369,6 +397,7 @@ func TestFetchFilteredErrors(t *testing.T) {
 		"selection with two conditions":   {Conds: []Cond{cond(g, "D", "C", 2, 3), cond(g, "A", "C", 0, 3)}},
 		"group on another node":           {Conds: []Cond{cond(g, "B", "E", 1, 4)}, Semijoin: true, OutSide: true},
 		"group on the wrong side":         {Conds: []Cond{cond(g, "C", "E", 3, 4)}, Semijoin: true},
+		"selection of another label":      {Conds: []Cond{cond(g, "D", "E", 2, 3)}},
 	} {
 		if _, _, err := new(Runtime).FetchFiltered(ctx, db, in, fetch, []NodeFilter{f}, true); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -386,7 +415,9 @@ func TestFetchFilteredErrors(t *testing.T) {
 // people->person; person->profile; profile->interest" at its Fetch of
 // profile from person and the R-semijoin group profile->interest it
 // absorbs, the shape every P and T query fuses. Q1served is Q1 as the DPS
-// plan serves it, below.
+// plan serves it, below, and S1served and S4served are the last groups of
+// two read_skew queries as the DPS plan serves them on the 20k power-law
+// DAG, where a Selection's two operands differ most in length.
 func BenchmarkFetchFilters(b *testing.B) {
 	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 7}).Graph
 	dbx, err := gdb.Build(g, gdb.Options{PoolBytes: 16 << 20})
@@ -396,6 +427,7 @@ func BenchmarkFetchFilters(b *testing.B) {
 	defer dbx.Close()
 	db, release := dbx.Pin()
 	defer release()
+	xdb := db
 	ctx := context.Background()
 
 	// A cyclic group's input is the three-column table its plan builds
@@ -405,6 +437,7 @@ func BenchmarkFetchFilters(b *testing.B) {
 		in      *Result
 		fetch   Cond
 		filters []NodeFilter
+		db      *gdb.Snap // nil: XMark's
 	}
 	var groups []group
 	for _, q := range []struct{ name, root, x, y, z string }{
@@ -419,7 +452,7 @@ func BenchmarkFetchFilters(b *testing.B) {
 			b.Fatal(err)
 		}
 		groups = append(groups, group{q.name, in, cond(g, q.x, q.z, 1, 3),
-			[]NodeFilter{{Conds: []Cond{cond(g, q.y, q.z, 2, 3)}}}})
+			[]NodeFilter{{Conds: []Cond{cond(g, q.y, q.z, 2, 3)}}}, nil})
 	}
 	// Q1served is the served plan's last group of Q1: the rows (item,
 	// category, site) — item->category, then site fetched from item — and
@@ -433,16 +466,65 @@ func BenchmarkFetchFilters(b *testing.B) {
 		b.Fatal(err)
 	}
 	groups = append(groups, group{"Q1served", in, cond(g, "person", "category", 2, 3),
-		[]NodeFilter{{Conds: []Cond{cond(g, "site", "person", 0, 2)}}}})
+		[]NodeFilter{{Conds: []Cond{cond(g, "site", "person", 0, 2)}}}, nil})
 	in, err = HPSJ(ctx, db, cond(g, "people", "person", 0, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	groups = append(groups, group{"P8", in, cond(g, "person", "profile", 1, 2),
-		[]NodeFilter{{Conds: []Cond{cond(g, "profile", "interest", 2, 3)}, Semijoin: true, OutSide: true}}})
+		[]NodeFilter{{Conds: []Cond{cond(g, "profile", "interest", 2, 3)}, Semijoin: true, OutSide: true}}, nil})
+
+	// The read_skew groups. S1 "L3->L1; L1->L0; L3->L0" fetches L3 from the
+	// L0 of its (L1, L0) rows — several hundred candidates a row — and
+	// absorbs L3->L1, whose lists hold a handful: the candidates' own
+	// bitmap is the longer operand. S4 "L4->L2; L4->L3; L2->L1; L3->L1"
+	// fetches L2 from the L4 of its (L3, L1, L4) rows — a few candidates —
+	// and absorbs L2->L1, whose lists are hub lists of hundreds: the
+	// Selection's bitmap is.
+	sg := workload.PowerLawDAG(1, 20000)
+	sdbx, err := gdb.Build(sg, gdb.Options{PoolBytes: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sdbx.Close()
+	sdb, srelease := sdbx.Pin()
+	defer srelease()
+	in, err = HPSJ(ctx, sdb, cond(sg, "L1", "L0", 1, 0))
+	if err == nil {
+		in, err = FilterGroup(ctx, sdb, in, []Cond{cond(sg, "L3", "L1", 2, 1)}, 1, false)
+	}
+	if err == nil {
+		in, err = FilterGroup(ctx, sdb, in, []Cond{cond(sg, "L3", "L0", 2, 0)}, 0, false)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups = append(groups, group{"S1served", in, cond(sg, "L3", "L0", 2, 0),
+		[]NodeFilter{{Conds: []Cond{cond(sg, "L3", "L1", 2, 1)}}}, sdb})
+	in, err = HPSJ(ctx, sdb, cond(sg, "L3", "L1", 0, 1))
+	if err == nil {
+		in, err = FilterGroup(ctx, sdb, in, []Cond{cond(sg, "L4", "L3", 2, 0)}, 0, false)
+	}
+	if err == nil {
+		in, err = FilterGroup(ctx, sdb, in, []Cond{cond(sg, "L2", "L1", 3, 1)}, 1, false)
+	}
+	if err == nil {
+		in, err = Fetch(ctx, sdb, in, cond(sg, "L4", "L3", 2, 0))
+	}
+	if err == nil {
+		in, err = FilterGroup(ctx, sdb, in, []Cond{cond(sg, "L4", "L2", 2, 3)}, 2, true)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups = append(groups, group{"S4served", in, cond(sg, "L4", "L2", 2, 3),
+		[]NodeFilter{{Conds: []Cond{cond(sg, "L2", "L1", 3, 1)}}}, sdb})
 
 	for _, q := range groups {
-		in, fetch, filters := q.in, q.fetch, q.filters
+		in, fetch, filters, db := q.in, q.fetch, q.filters, q.db
+		if db == nil {
+			db = xdb
+		}
 		newNode := fetch.ToNode
 		if in.ColIndex(newNode) >= 0 {
 			newNode = fetch.FromNode

@@ -389,8 +389,9 @@ type nodeFilter struct {
 	sets    []*gdb.NodeSet
 }
 
-// resolveFilters binds filters on newNode to the columns of t.
-func resolveFilters(db *gdb.Snap, t *Result, newNode int, filters []NodeFilter) ([]nodeFilter, error) {
+// resolveFilters binds filters on newNode, of label target, to the columns
+// of t.
+func resolveFilters(db *gdb.Snap, t *Result, newNode int, target graph.Label, filters []NodeFilter) ([]nodeFilter, error) {
 	out := make([]nodeFilter, len(filters))
 	for i, f := range filters {
 		if f.Semijoin {
@@ -411,14 +412,20 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, filters []NodeFilter) 
 		}
 		c := f.Conds[0]
 		nf := nodeFilter{cond: c, col: -1}
+		label := c.FromLabel
 		switch newNode {
 		case c.ToNode:
-			nf.forward, nf.col = true, t.ColIndex(c.FromNode)
+			nf.forward, nf.col, label = true, t.ColIndex(c.FromNode), c.ToLabel
 		case c.FromNode:
 			nf.col = t.ColIndex(c.ToNode)
 		}
 		if nf.col < 0 || nf.col >= t.Width() {
 			return nil, fmt.Errorf("rjoin: fused selection %v needs node %d and a prefix column of %v", c, newNode, t.Cols)
+		}
+		if label != target {
+			// Its lists would hold nodes of another label than the
+			// candidates, whose ranks no bitmap of either can test.
+			return nil, fmt.Errorf("rjoin: fused selection %v labels node %d %d, the fetch %d", c, newNode, label, target)
 		}
 		out[i] = nf
 	}
@@ -426,112 +433,62 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, filters []NodeFilter) 
 }
 
 // fetchFilters is a Fetch's state for its filters: each Selection's partner
-// table, resolved once like the Fetch's own, its bitmaps where they pay
-// (see rankSets), and the arena the surviving lists are written to —
-// append-only chunks, so a list never moves once it is in a Result.
+// table, resolved once like the Fetch's own, the epoch's bitmaps of the
+// Selections' lists and of the Fetch's own (see apply), and the arena the
+// surviving lists are written to — append-only chunks, so a list never
+// moves once it is in a Result.
 type fetchFilters struct {
 	fs    []nodeFilter
-	sel   []partnerFunc // per filter; nil for a semijoin group
-	ranks []*rankSets   // per filter; nil where every row merges
+	sel   []partnerFunc  // per filter; nil for a semijoin group
+	sets  []gdb.Partners // per filter: the bitmaps of a Selection's lists
+	own   gdb.Partners   // the bitmaps of the Fetch's lists
+	col   int            // the Fetch's bound column
+	rank  gdb.Ranks
 	arena []graph.NodeID
 }
 
 // listArenaChunk is the arena's chunk size in node IDs (32 KB).
 const listArenaChunk = 8192
 
-// openFilters resolves fs for a Fetch over rows prefix rows (one filter
-// pass each) whose new node has label target.
-func openFilters(rd reads, fs []nodeFilter, rows int, target graph.Label) (*fetchFilters, error) {
-	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs)), ranks: make([]*rankSets, len(fs))}
+// openFilters resolves fs for the Fetch of condition c, read forward or in
+// reverse, whose bound value is in column col.
+func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, col int) (*fetchFilters, error) {
+	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs)), sets: make([]gdb.Partners, len(fs)), col: col, rank: db.Ranks()}
+	var err error
+	if p.own, err = rd.bitmaps(c, forward); err != nil {
+		return nil, err
+	}
 	for k, f := range fs {
 		if f.sets != nil {
 			continue
 		}
-		var err error
 		if p.sel[k], err = rd.partners(f.cond, f.forward); err != nil {
 			return nil, err
 		}
-		if d, ok := rd.(*decodedReads); ok {
-			p.ranks[k] = newRankSets(d.db, f, rows, target)
+		if p.sets[k], err = rd.bitmaps(f.cond, f.forward); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// rankSets is one fused Selection's bitmaps of its partner lists
-// (gdb.RankSet, over the target label's ranks), built on a bound value's
-// first row and indexed by its rank. A bitmap filters a candidate with one
-// rank load and one bit test, where IntersectTo walks the partner list; it
-// keeps exactly the candidates IntersectTo keeps, in the same ascending
-// order, because every candidate is a node of the target label — a partner
-// of the Fetch's own condition — and so is every node of the list, and
-// ranks are distinct within a label.
-type rankSets struct {
-	db            *gdb.Snap
-	rank          gdb.Ranks
-	bound, target graph.Label
-	minList       int // the shortest list whose bitmap is no larger: 2 × words per bitmap
-	sets          []gdb.RankSet
-}
-
-// rankReuse is how many input rows per node of its bound label a Fetch must
-// have before a Selection builds bitmaps: enough that each bound value is
-// expected to recur and pay back its bitmap.
-const rankReuse = 8
-
-// newRankSets returns the bitmaps of Selection f on a Fetch of rows input
-// rows into label target, or nil where they would not pay: too few rows
-// per bound value, or a condition whose list is over another label than
-// the candidates'.
-func newRankSets(db *gdb.Snap, f nodeFilter, rows int, target graph.Label) *rankSets {
-	bound, other := f.cond.FromLabel, f.cond.ToLabel
-	if !f.forward {
-		bound, other = other, bound
-	}
-	g := db.Graph()
-	if other != target || rows < rankReuse*g.ExtentSize(bound) {
-		return nil
-	}
-	return &rankSets{db: db, rank: db.Ranks(), bound: bound, target: target, minList: 2 * gdb.RankWords(g.ExtentSize(target))}
-}
-
-// of returns the bitmap of list, bound value v's partner list, for
-// filtering cur, building it on v's first use, or nil where the merge is
-// the cheaper test: a bitmap larger than the list, or more candidates than
-// partners. It is kept small enough to inline, so a Selection without
-// bitmaps pays one nil test per row.
-func (r *rankSets) of(v graph.NodeID, cur, list []graph.NodeID) *gdb.RankSet {
-	if r == nil || len(cur) > len(list) || len(list) < r.minList {
-		return nil
-	}
-	return r.lookup(v, list)
-}
-
-// lookup is of's slow path: v's bitmap of list, built on first use, or nil
-// for a v outside the bound label, whose rank would name another node's
-// slot.
-func (r *rankSets) lookup(v graph.NodeID, list []graph.NodeID) *gdb.RankSet {
-	g := r.db.Graph()
-	if g.LabelOf(v) != r.bound {
-		return nil
-	}
-	if r.sets == nil {
-		r.sets = make([]gdb.RankSet, g.ExtentSize(r.bound))
-	}
-	set := &r.sets[r.rank.Of(v)]
-	if set.Len() == 0 {
-		*set = r.db.RankSet(r.target, list)
-	}
-	return set
-}
-
 // apply returns the members of targets — row's partner list, shared and
 // left untouched — that pass every filter, adding m times the count left
-// after filter k to counts[k+1]: the m input rows that stand on row. The first filter to run writes to fresh arena
-// space and later ones shrink that list in place (gdb.IntersectTo and the
-// two sets' FilterTo all allow a destination that starts where their input
-// does); bound is the most the rest of the input can still keep, which
-// sizes a new chunk.
+// after filter k to counts[k+1]: the m input rows that stand on row. The
+// first filter to run writes to fresh arena space and later ones shrink
+// that list in place (gdb.IntersectTo and the two sets' FilterTo all allow
+// a destination that starts where their input does); bound is the most
+// the rest of the input can still keep, which sizes a new chunk.
+//
+// A Selection iterates the shorter of the candidates and its bound value's
+// list and bit-tests each entry against the longer one's bitmap (gdb.
+// Partners.Bitmap): the list's, or the candidates' while they are still
+// the Fetch's own list — a bitmap is of a partner-table list, never of a
+// list a filter wrote. Both operands are ascending lists of distinct nodes
+// of the new node's label, whose ranks are distinct, so this keeps exactly
+// the entries IntersectTo keeps, in the same order. Where the longer one
+// has no bitmap (it is below the size rule, or its bound value is outside
+// its table's bound label), IntersectTo merges the two.
 func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	for k, f := range p.fs {
@@ -544,14 +501,20 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound
 				owned = true
 			}
 		} else if len(cur) > 0 {
-			other, err := p.sel[k](row[f.col])
+			v := row[f.col]
+			other, err := p.sel[k](v)
 			if err != nil {
 				return nil, err
 			}
 			dst := p.dst(cur, owned, min(len(cur), len(other)), bound)
-			r := p.ranks[k]
-			if set := r.of(row[f.col], cur, other); set != nil {
-				cur = set.FilterTo(r.rank, dst, cur)
+			short, set := cur, (*gdb.RankSet)(nil)
+			if len(cur) <= len(other) {
+				set = p.sets[k].Bitmap(v, other)
+			} else if !owned {
+				short, set = other, p.own.Bitmap(row[p.col], cur)
+			}
+			if set != nil {
+				cur = set.FilterTo(p.rank, dst, short)
 			} else {
 				cur = gdb.IntersectTo(dst, cur, other)
 			}
@@ -612,7 +575,11 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 		return nil, nil, fmt.Errorf("rjoin: fetch of %v reads expanded column %d of %v", c, boundNode, t.Cols)
 	}
 	cols := append(append([]int(nil), t.Cols...), newNode)
-	fs, err := resolveFilters(db, t, newNode, filters)
+	target := c.ToLabel
+	if !forward {
+		target = c.FromLabel
+	}
+	fs, err := resolveFilters(db, t, newNode, target, filters)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -624,11 +591,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	}
 	var pf *fetchFilters
 	if len(fs) > 0 {
-		target := c.ToLabel
-		if !forward {
-			target = c.FromLabel
-		}
-		if pf, err = openFilters(rd, fs, t.prefixRows(), target); err != nil {
+		if pf, err = openFilters(rd, db, fs, c, forward, col); err != nil {
 			return nil, nil, err
 		}
 		rt.fusedFilters += int64(len(fs))

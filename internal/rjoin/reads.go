@@ -21,6 +21,10 @@ type reads interface {
 	// centers out(v) ∩ W(X, Y) (F_X and in(v) reverse). The lists are
 	// shared and must not be mutated.
 	partners(c Cond, forward bool) (partnerFunc, error)
+	// bitmaps resolves, once per operator, the same lists' rank bitmaps
+	// (gdb.Partners.Bitmap); the zero Partners, which has none, where the
+	// read path keeps no bitmaps.
+	bitmaps(c Cond, forward bool) (gdb.Partners, error)
 	// reaches tests u ⇝ v from graph codes.
 	reaches(u, v graph.NodeID) (bool, error)
 	// prepare loads what semijoin needs for one R-semijoin group, once per
@@ -75,6 +79,10 @@ func (d *decodedReads) getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, erro
 func (d *decodedReads) partners(c Cond, forward bool) (partnerFunc, error) {
 	p, err := d.r.Partners(c.FromLabel, c.ToLabel, forward)
 	return p.Of, err
+}
+
+func (d *decodedReads) bitmaps(c Cond, forward bool) (gdb.Partners, error) {
+	return d.r.Partners(c.FromLabel, c.ToLabel, forward)
 }
 
 func (d *decodedReads) reaches(u, v graph.NodeID) (bool, error) { return d.r.Reaches(u, v) }
@@ -167,6 +175,9 @@ func (p pooledReads) partners(c Cond, forward bool) (partnerFunc, error) {
 		return list, err
 	}, nil
 }
+
+// bitmaps: the reference mode intersects every list with IntersectTo.
+func (pooledReads) bitmaps(Cond, bool) (gdb.Partners, error) { return gdb.Partners{}, nil }
 
 // reaches is the paper's reachability test as written: both codes read
 // through the buffer pool.

@@ -245,14 +245,15 @@ rows:
 // length covers, and are unchecked: a row advances at most hn+10+tn bytes
 // and, its tail holding at least the closing bracket, stores at most 31
 // past its text, so the one slice check of the run's len(run)·(hn+10+tn)+31
-// bytes bounds them all.
+// bytes bounds them all. (Built with -tags fgmcheck, each store is
+// bounds-checked instead: see store_checked.go.)
 func putRun(b []byte, n int, run []graph.NodeID, head, tail []byte) int {
 	hn, tn := len(head), len(tail)
 	_ = b[n : n+len(run)*(hn+10+tn)+31]
 	p := unsafe.Pointer(unsafe.SliceData(b))
 	h32, t32 := [32]byte(head[:32:32]), [32]byte(tail[:32:32])
 	for _, v := range run {
-		*(*[32]byte)(unsafe.Add(p, n)) = h32
+		*(*[32]byte)(at(b, p, n, 32)) = h32
 		if hn > 32 {
 			copy(b[n+32:], head[32:])
 		}
@@ -260,18 +261,18 @@ func putRun(b []byte, n int, run []graph.NodeID, head, tail []byte) int {
 		switch u := uint32(v); {
 		case u < 1e4:
 			x := digits[u]
-			*(*uint64)(unsafe.Add(p, n)) = x
+			*(*uint64)(at(b, p, n, 8)) = x
 			n += int(x >> 56)
 		case u < 1e8:
 			x := digits[u/1e4]
-			*(*uint64)(unsafe.Add(p, n)) = x
+			*(*uint64)(at(b, p, n, 8)) = x
 			n += int(x >> 56)
-			*(*uint32)(unsafe.Add(p, n)) = padded[u%1e4]
+			*(*uint32)(at(b, p, n, 4)) = padded[u%1e4]
 			n += 4
 		default:
 			n = putNodeID(b, n, v)
 		}
-		*(*[32]byte)(unsafe.Add(p, n)) = t32
+		*(*[32]byte)(at(b, p, n, 32)) = t32
 		if tn > 32 {
 			copy(b[n+32:], tail[32:])
 		}

@@ -236,13 +236,16 @@ type Stats struct {
 	CenterCacheHits   int64 `json:"center_cache_hits"`
 	CenterCacheMisses int64 `json:"center_cache_misses"`
 	// DecodedMemoNodes is what the current epoch's PartnerTables partner
-	// tables hold, in 4-byte node-ID units (DecodedMemoBytes the same in
-	// bytes); DecodedMemoResets counts overflows of their bound, each of
-	// which dropped an epoch's tables. The decoded index they are computed
-	// from is complete in every epoch and counted in none of these.
+	// tables hold — their slots, lists and the PartnerBitmaps rank bitmaps
+	// of their longer lists — in 4-byte node-ID units (DecodedMemoBytes the
+	// same in bytes); DecodedMemoResets counts overflows of their bound,
+	// each of which dropped an epoch's tables. The decoded index they are
+	// computed from is complete in every epoch and counted in none of
+	// these.
 	DecodedMemoNodes  int   `json:"decoded_memo_nodes"`
 	DecodedMemoBytes  int   `json:"decoded_memo_bytes"`
 	PartnerTables     int   `json:"partner_tables"`
+	PartnerBitmaps    int   `json:"partner_bitmaps"`
 	DecodedMemoResets int64 `json:"decoded_memo_resets"`
 	// ProjectionScans counts full computations of a projection set
 	// (π_X or π_Y of a label pair's R-join), ProjectionsInherited the
@@ -330,7 +333,7 @@ func (s *Server) Stats() Stats {
 	}
 	if !s.db.Closed() {
 		st.IO = s.db.IOStats()
-		st.DecodedMemoNodes, st.PartnerTables, st.DecodedMemoResets = s.db.DecodedMemoStats()
+		st.DecodedMemoNodes, st.PartnerTables, st.PartnerBitmaps, st.DecodedMemoResets = s.db.DecodedMemoStats()
 		st.DecodedMemoBytes = 4 * st.DecodedMemoNodes
 		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
 		st.ProjectionBytes = s.db.ProjectionBytes()

@@ -180,6 +180,14 @@ func serveBattery(t *testing.T, ds servedDataset) []string {
 		lines = append(lines, fmt.Sprintf("%s %s %d %016x %x | %s",
 			ds.name, q.name, resp.RowCount, rowSetHash(resp.Rows), sha256.Sum256(body[:cut]), planLine(plan)))
 	}
+	// Every partner list and bitmap the battery built fits the epoch's
+	// memo bound: none was dropped and rebuilt.
+	st := srv.Stats()
+	if st.DecodedMemoResets != 0 || st.PartnerBitmaps == 0 {
+		t.Fatalf("%s: after the battery the partner tables reset %d times and hold %d bitmaps (%d bytes in all)",
+			ds.name, st.DecodedMemoResets, st.PartnerBitmaps, st.DecodedMemoBytes)
+	}
+	t.Logf("%s: %d partner tables, %d bitmaps, %d bytes", ds.name, st.PartnerTables, st.PartnerBitmaps, st.DecodedMemoBytes)
 	return lines
 }
 
