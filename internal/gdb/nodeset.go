@@ -87,9 +87,6 @@ func (s *NodeSet) clone() *NodeSet {
 // caller holding many sets over one label keeps the table once.
 type Ranks struct{ rank []int32 }
 
-// Of returns v's rank.
-func (r Ranks) Of(v graph.NodeID) int { return int(r.rank[v]) }
-
 // RankSet is a set of nodes of one label: bit i stands for the label's
 // i-th node, the node of rank i. It spends one bit per node of the label
 // rather than of the graph, so a fused Fetch can afford one per bound
@@ -107,18 +104,13 @@ func RankWords(n int) int { return (n + 63) / 64 }
 
 // newRankSet returns the set of list's nodes — distinct nodes of one label
 // of n nodes, ranked by r.
-func newRankSet(r Ranks, n int, list []graph.NodeID) RankSet {
-	s := RankSet{words: make([]uint64, RankWords(n)), n: len(list)}
-	s.fill(r, list)
-	return s
-}
-
-// fill sets the bits of list's nodes, ranked by r.
-func (s *RankSet) fill(r Ranks, list []graph.NodeID) {
+func newRankSet(r Ranks, n int, list []graph.NodeID) *RankSet {
+	s := &RankSet{words: make([]uint64, RankWords(n)), n: len(list)}
 	for _, v := range list {
 		i := uint(r.rank[v])
 		s.words[i/64] |= 1 << (i % 64)
 	}
+	return s
 }
 
 // cost is a partner table's memo-budget charge for the set, in node-ID

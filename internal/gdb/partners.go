@@ -40,10 +40,10 @@ type partnerTable struct {
 	slots slotArray[partnerList]
 
 	// sets holds the bitmaps of the slots' lists, by the same rank. A
-	// bitmap spans the target label's extent in words words, so only a
-	// list of at least minList = 2·words entries gets one.
-	sets           slotArray[RankSet]
-	words, minList int
+	// bitmap spans the target label's extent of targets nodes, so only a
+	// list of at least minList = 2·RankWords(targets) entries gets one.
+	sets             slotArray[RankSet]
+	targets, minList int
 }
 
 // partnerList is what a filled slot points to. A value with one center
@@ -78,8 +78,8 @@ func (s *Snap) newPartnerTable(k partnerKey, ws []graph.NodeID) *partnerTable {
 	}
 	t.n = s.g.ExtentSize(t.bound)
 	t.slots, t.sets = newSlotArray[partnerList](t.n), newSlotArray[RankSet](t.n)
-	t.words = RankWords(s.g.ExtentSize(target))
-	t.minList = max(2*t.words, 1)
+	t.targets = s.g.ExtentSize(target)
+	t.minList = max(2*RankWords(t.targets), 1)
 	return t
 }
 
@@ -219,8 +219,7 @@ func (p Partners) bitmap(v graph.NodeID, list []graph.NodeID) *RankSet {
 	if set := t.sets.load(i); set != nil {
 		return set
 	}
-	set := &RankSet{words: make([]uint64, t.words), n: len(list)}
-	set.fill(Ranks{t.rank}, list)
+	set := newRankSet(Ranks{t.rank}, t.targets, list)
 	if !t.sets.replace(i, nil, set, set.cost()) {
 		return t.sets.load(i) // a concurrent reader built it first
 	}
