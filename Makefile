@@ -73,13 +73,15 @@ test-cover:
 # no-reader-blocking probe, readers racing to fill one partner table,
 # readers filling the old epoch's tables while a publish carries them, the
 # partner slots a publish carries checked after every mixed batch, readers
-# filling chunks shared by several pinned epochs, and the memo charge of
-# chunks those epochs share.
+# filling chunks shared by several pinned epochs, the memo charge of
+# chunks those epochs share, and the projection sets a publish carries or
+# patches — rank sets shared between pinned epochs as partner chunks are —
+# checked after every publish and under a reader pinned to the old epoch.
 # The full -race suite runs them once; the elevated count shakes out more
 # interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
-	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk' ./internal/gdb
+	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
 

@@ -333,7 +333,7 @@ func stepConds(b *optimizer.Binding, s optimizer.Step) []rjoin.Cond {
 // endpoint (the other is bound, or the step would not be a Selection), an
 // R-semijoin group on it. Such a step reads nothing of the Fetch's output
 // but the new column, and its keep-test is a membership test of the new
-// value — in a partner list for a Selection, in a gdb.NodeSet projection
+// value — in a partner list for a Selection, in a gdb.RankSet projection
 // for a semijoin group — so the Fetch applies it to its partner lists
 // before any row exists (rjoin.FetchFiltered). The steps stay in plan
 // order, which is what lets the trace report the row count each one left.

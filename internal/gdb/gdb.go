@@ -185,8 +185,8 @@ func (db *DB) newSnap(g *graph.Graph) *Snap {
 		g:        g,
 		base:     make(map[graph.Label]*storage.BTree),
 		sig:      newSignature(),
-		projFrom: make(map[wKey]*NodeSet),
-		projTo:   make(map[wKey]*NodeSet),
+		projFrom: make(map[wKey]*RankSet),
+		projTo:   make(map[wKey]*RankSet),
 	}
 }
 

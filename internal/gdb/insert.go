@@ -203,8 +203,8 @@ func (w *snapWriter) publish(cur *Snap) {
 	if w.torn {
 		// An edge failed inside its tree updates: the trees may disagree
 		// with each other, so nothing derived from several of them is kept.
-		next.projFrom = make(map[wKey]*NodeSet)
-		next.projTo = make(map[wKey]*NodeSet)
+		next.projFrom = make(map[wKey]*RankSet)
+		next.projTo = make(map[wKey]*RankSet)
 	} else {
 		touched := w.touchedByLabel()
 		copied += w.inheritPartners(cur, next, touched)
@@ -380,7 +380,7 @@ func (w *snapWriter) inheritProjections(cur, next *Snap, touched map[graph.Label
 	cur.statMu.Lock()
 	next.projFrom, next.projTo = maps.Clone(cur.projFrom), maps.Clone(cur.projTo)
 	cur.statMu.Unlock()
-	patchAll := func(memo map[wKey]*NodeSet, forward bool) {
+	patchAll := func(memo map[wKey]*RankSet, forward bool) {
 		for k, set := range memo {
 			patched, changed, err := w.patchProjection(cur, next, k, set, forward, touched)
 			if err != nil {
@@ -401,7 +401,7 @@ func (w *snapWriter) inheritProjections(cur, next *Snap, touched map[graph.Label
 // patchProjection returns next's version of one projection set of cur: set
 // itself when no candidate's membership moved, else a patched copy.
 // forward selects π_X (F-side members, out-codes) over π_Y (T-side, in-).
-func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forward bool, touched map[graph.Label][]graph.NodeID) (_ *NodeSet, changed bool, _ error) {
+func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *RankSet, forward bool, touched map[graph.Label][]graph.NodeID) (_ *RankSet, changed bool, _ error) {
 	side, dir := k.x, dirF
 	if !forward {
 		side, dir = k.y, dirT
@@ -440,23 +440,24 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *NodeSet, forw
 		slices.Sort(cands)
 		cands = slices.Compact(cands)
 	}
-	var out *NodeSet
+	var out *RankSet
+	r := next.Ranks()
 	for _, v := range cands {
 		in, oc := next.codesOf(v)
 		if forward {
 			in = oc
 		}
 		member := IntersectNonEmpty(in, ws)
-		if member == set.Has(v) {
+		if member == set.Has(r, v) {
 			continue
 		}
 		if out == nil {
 			out = set.clone()
 		}
 		if member {
-			out.add(v)
+			out.add(r, v)
 		} else {
-			out.remove(v)
+			out.remove(r, v)
 		}
 	}
 	if out == nil {

@@ -175,12 +175,13 @@ func BenchmarkIntersectLinearReference(b *testing.B) {
 // buffer reuse. The second is a fused Fetch's: the first list is a shared
 // partner list that must not be written, and each later one is, by a
 // base-3 digit of data[0]>>2, a Selection's list (IntersectTo), a semijoin
-// projection (NodeSet.FilterTo) or a Selection's bitmap of its list
-// (RankSet.FilterTo, under a rank that reverses the node order); the first
+// projection built by add as Snap.projection builds one, or a Selection's
+// bitmap of its list built by newRankSet — both filtering by
+// RankSet.FilterTo, under a rank that reverses the node order; the first
 // filter writes to fresh space and the rest shrink that list in place.
-// Every set's Has and Len, and a NodeSet's Members, are checked against its
-// list. (The name is kept from the retired leapfrog
-// join, which folded its lists the same way.)
+// Every set's Has, Len and members are checked against its list. (The
+// name is kept from the retired leapfrog join, which folded its lists the
+// same way.)
 func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 0, 0, 1, 1})
@@ -243,9 +244,9 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 		}
 		// Every node is of one label, ranked in reverse, so a RankSet's bit
 		// order is the opposite of the lists'.
-		ranks := Ranks{make([]int32, numNodes)}
+		ranks, ext := Ranks{make([]int32, numNodes)}, make([]graph.NodeID, numNodes)
 		for v := range ranks.rank {
-			ranks.rank[v] = int32(numNodes - 1 - v)
+			ranks.rank[v], ext[v] = int32(numNodes-1-v), graph.NodeID(v)
 		}
 		shared := append([]graph.NodeID(nil), lists[0]...)
 		cur, owned := shared, false
@@ -258,35 +259,29 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 			for _, v := range l {
 				in[v] = true
 			}
+			var set *RankSet
 			switch int(data[0]>>2) / []int{1, 3, 9, 27}[i] % 3 {
 			case 0:
 				cur = IntersectTo(dst, cur, l)
+				continue
 			case 1:
-				set := newNodeSet(numNodes)
+				set = newRankSet(ranks, numNodes, nil)
 				for _, v := range l {
-					set.add(v)
+					set.add(ranks, v)
 				}
-				if got := set.Members(); set.Len() != len(l) || !reflect.DeepEqual(got, l) && len(l) > 0 {
-					t.Fatalf("set of %v: Len %d, Members %v", l, set.Len(), got)
-				}
-				for v := graph.NodeID(-1); v <= graph.NodeID(numNodes); v++ {
-					if set.Has(v) != in[v] {
-						t.Fatalf("set of %v: Has(%d) = %v", l, v, !in[v])
-					}
-				}
-				cur = set.FilterTo(dst, cur)
 			case 2:
-				set := newRankSet(ranks, numNodes, l)
-				if set.Len() != len(l) || len(set.words) != RankWords(numNodes) {
-					t.Fatalf("rank set of %v: Len %d, %d words", l, set.Len(), len(set.words))
-				}
-				for v := graph.NodeID(0); v < graph.NodeID(numNodes); v++ {
-					if set.Has(ranks, v) != in[v] {
-						t.Fatalf("rank set of %v: Has(%d) = %v", l, v, !in[v])
-					}
-				}
-				cur = set.FilterTo(ranks, dst, cur)
+				set = newRankSet(ranks, numNodes, l)
 			}
+			got := set.FilterTo(ranks, nil, ext)
+			if set.Len() != len(l) || len(set.words) != RankWords(numNodes) || !reflect.DeepEqual(got, l) && len(l) > 0 {
+				t.Fatalf("set of %v: Len %d, %d words, members %v", l, set.Len(), len(set.words), got)
+			}
+			for _, v := range ext {
+				if set.Has(ranks, v) != in[v] {
+					t.Fatalf("set of %v: Has(%d) = %v", l, v, !in[v])
+				}
+			}
+			cur = set.FilterTo(ranks, dst, cur)
 		}
 		if !reflect.DeepEqual(cur, want) && !(len(cur) == 0 && len(want) == 0) {
 			t.Fatalf("fused fold of %v (filters by %d) = %v, oracle %v", lists, data[0]>>2, cur, want)
@@ -297,57 +292,69 @@ func FuzzLeapfrogMultiwayIntersect(f *testing.F) {
 	})
 }
 
-// TestNodeSetBoundaries pins a set's edges: node 0, node N−1 and the IDs
-// either side of a word boundary, in graphs of one word, one word exactly
-// filled and a partial last word, and the empty set. Has, Len, Members,
-// sizeBytes and FilterTo — fresh and in place — agree with the member list, and
-// no ID outside [0, N) is a member.
-func TestNodeSetBoundaries(t *testing.T) {
+// TestRankSetBoundaries pins a set's edges: ranks 0, 63, 64 and the last
+// rank, over extents of one node, one word exactly filled, a partial last
+// word and three words, and the empty set. The graph's two labels
+// interleave — one holds the even IDs, the other the odd — so a node's
+// rank is not its ID. Built by add (twice a member) or by newRankSet, the
+// set has the same bits, and Has, Len, sizeBytes and FilterTo — fresh and
+// in place — agree with the member list; a clone emptied by remove (twice
+// a member) leaves the original as it was.
+func TestRankSetBoundaries(t *testing.T) {
 	for _, tc := range []struct {
-		n       int
-		members []graph.NodeID
+		n     int
+		ranks []int
 	}{
-		{1, nil}, {1, []graph.NodeID{0}},
-		{64, nil}, {64, []graph.NodeID{0, 63}},
-		{65, []graph.NodeID{63, 64}}, {65, []graph.NodeID{64}},
-		{129, nil}, {129, []graph.NodeID{0, 63, 64, 128}}, {129, []graph.NodeID{127, 128}},
+		{1, nil}, {1, []int{0}},
+		{64, nil}, {64, []int{0, 63}},
+		{65, []int{63, 64}}, {65, []int{64}},
+		{129, nil}, {129, []int{0, 63, 64, 128}}, {129, []int{127, 128}},
 	} {
-		s := newNodeSet(tc.n)
-		for _, v := range tc.members {
-			s.add(v)
-			s.add(v) // a second add is no new member
+		r := Ranks{make([]int32, 2*tc.n)}
+		for i := range tc.n {
+			r.rank[2*i], r.rank[2*i+1] = int32(i), int32(i)
 		}
-		what := fmt.Sprintf("N=%d members %v", tc.n, tc.members)
-		if want := 8 * ((tc.n + 63) / 64); s.sizeBytes() != want {
-			t.Fatalf("%s: sizeBytes %d, want %d", what, s.sizeBytes(), want)
-		}
-		if s.Len() != len(tc.members) || !reflect.DeepEqual(s.Members(), append([]graph.NodeID{}, tc.members...)) {
-			t.Fatalf("%s: Len %d, Members %v", what, s.Len(), s.Members())
-		}
-		all := make([]graph.NodeID, 0, tc.n+2)
-		all = append(all, -1)
-		for v := graph.NodeID(0); int(v) <= tc.n; v++ {
-			all = append(all, v)
-			if want := slices.Contains(tc.members, v); s.Has(v) != want {
-				t.Fatalf("%s: Has(%d) = %v", what, v, !want)
+		for odd := range 2 {
+			ext := make([]graph.NodeID, tc.n)
+			for i := range ext {
+				ext[i] = graph.NodeID(2*i + odd)
 			}
-		}
-		if s.Has(-1) || s.Has(graph.NodeID(tc.n)) || s.Has(graph.NodeID(64*len(s.words))) {
-			t.Fatalf("%s: an ID outside the graph is a member", what)
-		}
-		if got := s.FilterTo(nil, all); !reflect.DeepEqual(got, s.Members()) && len(got)+s.Len() > 0 {
-			t.Fatalf("%s: FilterTo(all) = %v", what, got)
-		}
-		if got := s.FilterTo(all[:0], all); !reflect.DeepEqual(got, s.Members()) && len(got)+s.Len() > 0 {
-			t.Fatalf("%s: FilterTo in place = %v", what, got)
-		}
-		c := s.clone()
-		for _, v := range tc.members {
-			c.remove(v)
-			c.remove(v)
-		}
-		if c.Len() != 0 || len(c.Members()) != 0 || s.Len() != len(tc.members) {
-			t.Fatalf("%s: emptied clone holds %d, original %d", what, c.Len(), s.Len())
+			var members []graph.NodeID
+			for _, i := range tc.ranks {
+				members = append(members, ext[i])
+			}
+			what := fmt.Sprintf("|ext|=%d members %v", tc.n, members)
+			s := newRankSet(r, tc.n, nil)
+			for _, v := range members {
+				s.add(r, v)
+				s.add(r, v) // a second add is no new member
+			}
+			if !slices.Equal(s.words, newRankSet(r, tc.n, members).words) {
+				t.Fatalf("%s: add built %x, newRankSet %x", what, s.words, newRankSet(r, tc.n, members).words)
+			}
+			if want := 8 * ((tc.n + 63) / 64); s.sizeBytes() != want {
+				t.Fatalf("%s: sizeBytes %d, want %d", what, s.sizeBytes(), want)
+			}
+			if got := s.FilterTo(r, nil, ext); s.Len() != len(members) || !slices.Equal(got, members) {
+				t.Fatalf("%s: Len %d, FilterTo(ext) %v", what, s.Len(), got)
+			}
+			for _, v := range ext {
+				if want := slices.Contains(members, v); s.Has(r, v) != want {
+					t.Fatalf("%s: Has(%d) = %v", what, v, !want)
+				}
+			}
+			all := slices.Clone(ext)
+			if got := s.FilterTo(r, all[:0], all); !slices.Equal(got, members) {
+				t.Fatalf("%s: FilterTo in place = %v", what, got)
+			}
+			c := s.clone()
+			for _, v := range members {
+				c.remove(r, v)
+				c.remove(r, v)
+			}
+			if got := s.FilterTo(r, nil, ext); c.Len() != 0 || len(c.FilterTo(r, nil, ext)) != 0 || s.Len() != len(members) || !slices.Equal(got, members) {
+				t.Fatalf("%s: emptied clone holds %d, original %d: %v", what, c.Len(), s.Len(), got)
+			}
 		}
 	}
 }

@@ -21,8 +21,9 @@ import (
 // within an epoch, so the partner tables memoizing unions over it are never
 // invalidated; a successor shares their slot chunks except those holding a
 // slot the batch may have changed (see slotArray and snapWriter.publish).
-// The memoized projections are inherited too, patched from the batch's
-// label deltas rather than dropped (inheritProjections); the fan signature
+// The memoized projections — rank sets over one label's extent (RankSet) —
+// are inherited too, patched by rank from the batch's label deltas rather
+// than dropped (inheritProjections); the fan signature
 // is maintained by the writer. What a query reads per row — graph codes and
 // partner-table slots — is read with plain or atomic loads and no lock; the
 // locks below only coordinate readers filling the per-operator structures
@@ -60,12 +61,12 @@ type Snap struct {
 	pNodes int
 
 	// projFrom/projTo memoize the distinct projections π_X(T_X ⋈ T_Y) and
-	// π_Y(T_X ⋈ T_Y) as node sets: the optimizer's DistinctFrom/To
-	// statistics are their sizes, and an R-semijoin on the decoded read
-	// path is membership in them.
+	// π_Y(T_X ⋈ T_Y) as rank sets over ext(X) and ext(Y): the optimizer's
+	// DistinctFrom/To statistics are their sizes, and an R-semijoin on the
+	// decoded read path is membership in them.
 	statMu   sync.Mutex // guards the two maps
-	projFrom map[wKey]*NodeSet
-	projTo   map[wKey]*NodeSet
+	projFrom map[wKey]*RankSet
+	projTo   map[wKey]*RankSet
 }
 
 // Epoch returns this snapshot's epoch number (0 for the build).
@@ -291,18 +292,19 @@ func (s *Snap) DistinctTo(x, y graph.Label) (int64, error) {
 	return int64(p.Len()), nil
 }
 
-// ProjectFrom returns π_X(T_X ⋈_{X→Y} T_Y) as a node set: every X-labeled
-// node that reaches at least one Y-labeled node, computed as the union of
-// the X-labeled F-subclusters over W(X, Y). The set is memoized per
-// snapshot and shared — callers must not mutate it.
-func (s *Snap) ProjectFrom(x, y graph.Label) (*NodeSet, error) {
+// ProjectFrom returns π_X(T_X ⋈_{X→Y} T_Y) as a set over ext(X), ranked by
+// Ranks: every X-labeled node that reaches at least one Y-labeled node,
+// computed as the union of the X-labeled F-subclusters over W(X, Y). The
+// set is memoized per snapshot and shared — callers must not mutate it.
+func (s *Snap) ProjectFrom(x, y graph.Label) (*RankSet, error) {
 	return s.projection(x, y, dirF, x, s.projFrom)
 }
 
-// ProjectTo returns π_Y(T_X ⋈_{X→Y} T_Y) as a node set: every Y-labeled
-// node reached from at least one X-labeled node (union of the Y-labeled
-// T-subclusters over W(X, Y)). Memoized and shared; do not mutate.
-func (s *Snap) ProjectTo(x, y graph.Label) (*NodeSet, error) {
+// ProjectTo returns π_Y(T_X ⋈_{X→Y} T_Y) as a set over ext(Y), ranked by
+// Ranks: every Y-labeled node reached from at least one X-labeled node
+// (union of the Y-labeled T-subclusters over W(X, Y)). Memoized and shared;
+// do not mutate.
+func (s *Snap) ProjectTo(x, y graph.Label) (*RankSet, error) {
 	return s.projection(x, y, dirT, y, s.projTo)
 }
 
@@ -312,7 +314,7 @@ func (s *Snap) Ranks() Ranks { return Ranks{s.db.rank} }
 // projection is the one full computation of a projection set: the cold
 // start of an epoch's memo, and the reference the sets a successor epoch
 // inherits (inheritProjections) are tested against.
-func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map[wKey]*NodeSet) (*NodeSet, error) {
+func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map[wKey]*RankSet) (*RankSet, error) {
 	k := wKey{x, y}
 	s.statMu.Lock()
 	p, ok := memo[k]
@@ -325,10 +327,11 @@ func (s *Snap) projection(x, y graph.Label, dir byte, side graph.Label, memo map
 	if err != nil {
 		return nil, err
 	}
-	set := newNodeSet(s.g.NumNodes())
+	r := s.Ranks()
+	set := newRankSet(r, s.g.ExtentSize(side), nil)
 	for _, w := range ws {
 		for _, v := range s.subcluster(w, dir, side) {
-			set.add(v)
+			set.add(r, v)
 		}
 	}
 	s.statMu.Lock()
@@ -343,7 +346,7 @@ func (s *Snap) projectionBytes() int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
 	total := 0
-	for _, memo := range []map[wKey]*NodeSet{s.projFrom, s.projTo} {
+	for _, memo := range []map[wKey]*RankSet{s.projFrom, s.projTo} {
 		for _, p := range memo {
 			total += p.sizeBytes()
 		}

@@ -384,8 +384,9 @@ func TestFetchFilteredBudgetKill(t *testing.T) {
 	}
 }
 
-// TestFetchFilteredErrors: a filter that is not on the node the Fetch binds
-// is refused, not misapplied.
+// TestFetchFilteredErrors: a filter that is not on the node the Fetch binds,
+// or that gives it another label than the Fetch does, is refused, not
+// misapplied.
 func TestFetchFilteredErrors(t *testing.T) {
 	g := fusedDAG(7, 120, 300)
 	db := mustDB(t, g)
@@ -398,6 +399,7 @@ func TestFetchFilteredErrors(t *testing.T) {
 		"group on another node":           {Conds: []Cond{cond(g, "B", "E", 1, 4)}, Semijoin: true, OutSide: true},
 		"group on the wrong side":         {Conds: []Cond{cond(g, "C", "E", 3, 4)}, Semijoin: true},
 		"selection of another label":      {Conds: []Cond{cond(g, "D", "E", 2, 3)}},
+		"group of another label":          {Conds: []Cond{cond(g, "D", "E", 3, 4)}, Semijoin: true, OutSide: true},
 	} {
 		if _, _, err := new(Runtime).FetchFiltered(ctx, db, in, fetch, []NodeFilter{f}, true); err == nil {
 			t.Errorf("%s: accepted", name)

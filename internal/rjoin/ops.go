@@ -223,7 +223,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 	}
 	g := &semijoinGroup{conds: conds, outSide: outSide}
 	for _, c := range conds {
-		if err := incident(c, node, outSide); err != nil {
+		if err := incident(c, node, outSide, sideLabel(conds[0], outSide)); err != nil {
 			return nil, err
 		}
 	}
@@ -251,7 +251,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 // compact is the loop behind FilterGroup and Selection: it keeps the rows
 // of t that keep accepts, in input order, writing each survivor over t's
 // own data — row k lands at an index no greater than the one it was read
-// from, the rule gdb.IntersectTo and NodeSet.FilterTo follow in place — so
+// from, the rule gdb.IntersectTo and RankSet.FilterTo follow in place — so
 // a filter allocates nothing. It stops at limit+1 survivors and returns t,
 // cut to them, through the operator checkpoint.
 func (rt *Runtime) compact(t *Result, keep func(row []graph.NodeID) (bool, error)) (*Result, error) {
@@ -287,13 +287,26 @@ func plain(t *Result) error {
 	return nil
 }
 
-// incident checks that c is read from node's given code side: node→Y for
-// out-codes, X→node for in-codes.
-func incident(c Cond, node int, outSide bool) error {
+// incident checks that c is read from node's given code side — node→Y for
+// out-codes, X→node for in-codes — and gives node the label l. A
+// condition's projection is a set over its label's ranks (gdb.RankSet),
+// which can test no node of another label.
+func incident(c Cond, node int, outSide bool, l graph.Label) error {
 	if outSide && c.FromNode != node || !outSide && c.ToNode != node {
 		return fmt.Errorf("rjoin: condition %v not incident on node %d's %s side", c, node, side(outSide))
 	}
+	if got := sideLabel(c, outSide); got != l {
+		return fmt.Errorf("rjoin: condition %v labels node %d %d, not %d", c, node, got, l)
+	}
 	return nil
+}
+
+// sideLabel returns the label c gives its endpoint on the given code side.
+func sideLabel(c Cond, outSide bool) graph.Label {
+	if outSide {
+		return c.FromLabel
+	}
+	return c.ToLabel
 }
 
 func side(out bool) string {
@@ -386,7 +399,7 @@ type nodeFilter struct {
 	cond    Cond
 	forward bool
 	col     int
-	sets    []*gdb.NodeSet
+	sets    []*gdb.RankSet
 }
 
 // resolveFilters binds filters on newNode, of label target, to the columns
@@ -396,7 +409,7 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, target graph.Label, fi
 	for i, f := range filters {
 		if f.Semijoin {
 			for _, c := range f.Conds {
-				if err := incident(c, newNode, f.OutSide); err != nil {
+				if err := incident(c, newNode, f.OutSide, target); err != nil {
 					return nil, err
 				}
 			}
@@ -476,9 +489,13 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 // left untouched — that pass every filter, adding m times the count left
 // after filter k to counts[k+1]: the m input rows that stand on row. The
 // first filter to run writes to fresh arena space and later ones shrink
-// that list in place (gdb.IntersectTo and the two sets' FilterTo all allow
-// a destination that starts where their input does); bound is the most
-// the rest of the input can still keep, which sizes a new chunk.
+// that list in place (gdb.IntersectTo and RankSet.FilterTo both allow a
+// destination that starts where their input does); bound is the most the
+// rest of the input can still keep, which sizes a new chunk.
+//
+// A semijoin group keeps the candidates in each condition's projection, a
+// set over the new node's ranks, with the kernel a Selection runs against
+// a bitmap (RankSet.FilterTo).
 //
 // A Selection iterates the shorter of the candidates and its bound value's
 // list and bit-tests each entry against the longer one's bitmap (gdb.
@@ -497,7 +514,7 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound
 				if len(cur) == 0 {
 					break
 				}
-				cur = set.FilterTo(p.dst(cur, owned, len(cur), bound), cur)
+				cur = set.FilterTo(p.rank, p.dst(cur, owned, len(cur), bound), cur)
 				owned = true
 			}
 		} else if len(cur) > 0 {

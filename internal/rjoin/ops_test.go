@@ -616,6 +616,16 @@ func TestFilterGroupErrors(t *testing.T) {
 	if _, err := FilterGroup(context.Background(), db, tbl2, []Cond{{FromNode: 1, ToNode: 0, FromLabel: al, ToLabel: bl}}, 0, true); err == nil {
 		t.Fatal("expected error for wrong-side condition")
 	}
+	// Conditions that disagree on the node's label: a projection over one
+	// label's ranks cannot test the other's nodes.
+	cl := g.Labels().Lookup("C")
+	tbl3 := &Result{Cols: []int{0}, Data: []graph.NodeID{g.Extent(al)[0]}, N: 1}
+	if _, err := FilterGroup(context.Background(), db, tbl3, []Cond{
+		{FromNode: 0, ToNode: 1, FromLabel: al, ToLabel: bl},
+		{FromNode: 0, ToNode: 2, FromLabel: cl, ToLabel: bl},
+	}, 0, true); err == nil {
+		t.Fatal("expected error for conditions that label the node differently")
+	}
 	// Empty condition list is the identity.
 	if got, err := FilterGroup(context.Background(), db, tbl2, nil, 0, true); err != nil || got != tbl2 {
 		t.Fatal("empty FilterGroup should return the input table")

@@ -41,12 +41,14 @@ type partnerFunc func(v graph.NodeID) ([]graph.NodeID, error)
 
 // semijoinGroup is one R-semijoin group's state: its conditions, which
 // code side they read, and each condition's W(X, Y) — on the decoded path
-// its bound-side distinct projection instead.
+// its bound-side distinct projection instead, and the rank table the
+// projections are tested through.
 type semijoinGroup struct {
 	conds   []Cond
 	outSide bool
 	wss     [][]graph.NodeID
-	projs   []*gdb.NodeSet
+	projs   []*gdb.RankSet
+	rank    gdb.Ranks
 }
 
 // open returns the read path for one operator over db: the snapshot's
@@ -92,6 +94,7 @@ func (d *decodedReads) reaches(u, v graph.NodeID) (bool, error) { return d.r.Rea
 // F-subcluster and Y-labeled T-subcluster.
 func (d *decodedReads) prepare(g *semijoinGroup) (empty bool, err error) {
 	g.projs, err = projections(d.db, g.conds, g.outSide)
+	g.rank = d.db.Ranks()
 	for _, p := range g.projs {
 		empty = empty || p.Len() == 0
 	}
@@ -102,8 +105,8 @@ func (d *decodedReads) prepare(g *semijoinGroup) (empty bool, err error) {
 // of X→Y for out-codes, π_Y for in-codes — from the snapshot's memo: the
 // set of values that pass the condition's R-semijoin (see semijoin). The
 // sets are shared and must not be mutated.
-func projections(db *gdb.Snap, conds []Cond, outSide bool) ([]*gdb.NodeSet, error) {
-	projs := make([]*gdb.NodeSet, len(conds))
+func projections(db *gdb.Snap, conds []Cond, outSide bool) ([]*gdb.RankSet, error) {
+	projs := make([]*gdb.RankSet, len(conds))
 	for i, c := range conds {
 		var err error
 		if outSide {
@@ -124,11 +127,12 @@ func projections(db *gdb.Snap, conds []Cond, outSide bool) ([]*gdb.NodeSet, erro
 // cluster index defines F(w) = {u : w ∈ out(u)}, so some center of W lies
 // in out(v) iff v is in some X-labeled F-subcluster over W (dually for
 // in-codes and π_Y). Bound columns only ever hold values of their pattern
-// node's label, so the group reduces to one bit test per condition, with no
-// per-row code fetch at all.
+// node's label, which every condition of the group gives it (FilterGroup
+// checks), so the group reduces to one rank load and one bit test per
+// condition, with no per-row code fetch at all.
 func (d *decodedReads) semijoin(g *semijoinGroup, v graph.NodeID) (bool, error) {
 	for _, p := range g.projs {
-		if !p.Has(v) {
+		if !p.Has(g.rank, v) {
 			return false, nil
 		}
 	}

@@ -18,10 +18,11 @@
 // step. When it is the column the Fetch just before them binds, the
 // executor hands them to that Fetch instead (FetchFiltered): each is then
 // a membership test of the new value — in the other endpoint's partner list
-// for a Selection, in the condition's distinct projection (a gdb.NodeSet,
-// one bit per node) for an R-semijoin — and the Fetch cuts its partner
-// lists down with them before any row exists. The counted-I/O reference
-// mode never does this; it runs the paper's pipeline step by step.
+// for a Selection, in the condition's distinct projection (a gdb.RankSet,
+// one bit per node of the label) for an R-semijoin — and the Fetch cuts
+// its partner lists down with them before any row exists. The counted-I/O
+// reference mode never does this; it runs the paper's pipeline step by
+// step.
 //
 // Temporal tables are in-memory and flat: a Result holds its rows as one
 // row-major []graph.NodeID whose stride is the row width, so a table of N

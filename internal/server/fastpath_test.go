@@ -149,9 +149,10 @@ func TestStatsPartnerSlots(t *testing.T) {
 }
 
 // TestStatsProjectionBytes: /stats projection_bytes is what the current
-// epoch's memoized projection sets occupy, 8·⌈N/64⌉ bytes each. Planning a
-// query memoizes both projections of each of its label pairs, which its
-// semijoin groups then read.
+// epoch's memoized projection sets occupy, 8·RankWords(|ext(side)|) bytes
+// each — a set over X for π_X(X→Y), over Y for π_Y. Planning a query
+// memoizes both projections of each of its label pairs, which its semijoin
+// groups then read.
 func TestStatsProjectionBytes(t *testing.T) {
 	db, err := gdb.Build(testGraph(1, 200), gdb.Options{})
 	if err != nil {
@@ -160,7 +161,8 @@ func TestStatsProjectionBytes(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	s := New(db, Config{})
 	ctx := context.Background()
-	setBytes := 8 * ((db.Graph().NumNodes() + 63) / 64)
+	g := db.Graph()
+	setBytes := func(name string) int { return 8 * gdb.RankWords(g.ExtentSize(g.Labels().Lookup(name))) }
 	if got := s.Stats().ProjectionBytes; got != 0 {
 		t.Fatalf("projection_bytes = %d before any query", got)
 	}
@@ -178,12 +180,17 @@ func TestStatsProjectionBytes(t *testing.T) {
 	if _, err := s.Query(ctx, q, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Stats().ProjectionBytes, 2*2*setBytes; got != want {
-		t.Fatalf("after %s: projection_bytes = %d, want 4 sets of %d bytes", q, got, setBytes)
+	// π_A(A→B), π_B(A→B), π_B(B→C) and π_C(B→C).
+	if got, want := s.Stats().ProjectionBytes, setBytes("A")+2*setBytes("B")+setBytes("C"); got != want {
+		t.Fatalf("after %s: projection_bytes = %d, want %d", q, got, want)
 	}
 	checkProjectionsExact(t, s) // memoizes both sets of every label pair
-	nl := db.Graph().Labels().Len()
-	if got, want := s.Stats().ProjectionBytes, 2*nl*nl*setBytes; got != want {
-		t.Fatalf("all pairs memoized: projection_bytes = %d, want %d sets of %d bytes", got, 2*nl*nl, setBytes)
+	// Every label is the X of nl pairs and the Y of nl.
+	nl, want := g.Labels().Len(), 0
+	for l := graph.Label(0); int(l) < nl; l++ {
+		want += 2 * nl * 8 * gdb.RankWords(g.ExtentSize(l))
+	}
+	if got := s.Stats().ProjectionBytes; got != want {
+		t.Fatalf("all pairs memoized: projection_bytes = %d, want %d", got, want)
 	}
 }

@@ -252,7 +252,8 @@ type Stats struct {
 	// sets publishes carried into their successor epoch instead, and
 	// ProjectionsPatched those of them whose content the batch changed.
 	// ProjectionBytes is what the current epoch's memoized sets occupy:
-	// one bit per node of the graph each.
+	// one bit per node of the projected side's label each, in whole words
+	// (8·⌈|ext(X)|/64⌉ bytes for a π_X).
 	ProjectionScans      int64 `json:"projection_scans"`
 	ProjectionsInherited int64 `json:"projections_inherited"`
 	ProjectionsPatched   int64 `json:"projections_patched"`
