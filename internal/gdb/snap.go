@@ -23,11 +23,10 @@ import (
 // slot the batch may have changed (see slotArray and snapWriter.publish).
 // The memoized projections — rank sets over one label's extent (RankSet) —
 // are inherited too, patched by rank from the batch's label deltas rather
-// than dropped (inheritProjections); the fan signature
-// is maintained by the writer. What a query reads per row — graph codes and
-// partner-table slots — is read with plain or atomic loads and no lock; the
-// locks below only coordinate readers filling the per-operator structures
-// behind them.
+// than dropped (inheritProjections); the fan signature is maintained by
+// the writer. What a query reads per row — graph codes and partner-table
+// slots — is read with plain or atomic loads and no lock; the locks below
+// only coordinate readers filling the per-operator structures behind them.
 type Snap struct {
 	db *DB
 	g  *graph.Graph
