@@ -13,10 +13,12 @@ type Ranks struct{ rank []int32 }
 // and membership is one rank load and one word load — what an R-semijoin
 // asks of a projection, and a fused Selection of a partner list's bitmap,
 // once per row. A graph's node set never changes (edge updates only add
-// and remove edges), so ranks never change and a set built in one epoch
-// stays exact in every later one. Only a node of the set's label may be
-// tested: another label's node has a rank that names one of this label's
-// nodes, or none. Sets a snapshot hands out are shared and never change.
+// and remove edges), so ranks never change, and a set built in one epoch
+// names the same nodes in every later one, which is what lets a publish
+// carry or patch it (inheritProjections). Only a node of the set's label
+// may be tested: another label's node has a rank that names one of this
+// label's nodes, or none. Sets a snapshot hands out are shared and never
+// change.
 type RankSet struct {
 	words []uint64
 	n     int
@@ -31,8 +33,8 @@ func RankWords(n int) int { return (n + 63) / 64 }
 func newRankSet(r Ranks, n int, list []graph.NodeID) *RankSet {
 	s := &RankSet{words: make([]uint64, RankWords(n)), n: len(list)}
 	for _, v := range list {
-		i := uint(r.rank[v])
-		s.words[i/64] |= 1 << (i % 64)
+		w, bit := s.word(r, v)
+		*w |= bit
 	}
 	return s
 }
