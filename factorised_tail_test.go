@@ -89,9 +89,9 @@ func TestFactorisedTail(t *testing.T) {
 						k++
 					}
 				}
-				if k != res.K || k < 2 {
-					if k != res.K && res.N > 0 {
-						t.Fatalf("%s: %d factorised steps but %d expanded columns", what, k, res.K)
+				if k != res.K() || k < 2 {
+					if k != res.K() && res.N > 0 {
+						t.Fatalf("%s: %d factorised steps but %d expanded columns", what, k, res.K())
 					}
 					continue
 				}

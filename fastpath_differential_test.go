@@ -271,7 +271,7 @@ func TestFastPathDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Exp != nil {
+				if res.K() > 0 {
 					factorised++
 				}
 				if n := rtRef.Stats().FusedFilters; n != 0 {
@@ -340,7 +340,7 @@ func TestFactorisedLimits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Exp == nil || res.N == 0 {
+				if res.K() == 0 || res.N == 0 {
 					continue
 				}
 				// The plan's last step ran inside the Fetch before it: the
@@ -408,26 +408,20 @@ type limitCuts struct {
 // products stand for rows.
 func productCuts(res *rjoin.Result) limitCuts {
 	var c limitCuts
-	for i, n := 0, 0; i < len(res.Exp)/res.K; i++ {
-		lists := res.Exp[i*res.K : (i+1)*res.K]
-		rows := 1
-		for _, l := range lists {
-			rows *= len(l)
-		}
-		if rows == 0 {
-			continue
-		}
-		inner := len(lists[res.K-1])
+	k := res.K()
+	for wk, n := res.Walk(), 0; wk.Next(); {
+		lists, rows := wk.Lists(), wk.Product()
+		inner := len(lists[k-1])
 		if c.inside == 0 && inner >= 2 {
 			c.inside = n + 1
 		}
 		if c.inner == 0 && n+inner < res.N {
 			c.inner = n + inner
 		}
-		if res.K >= 2 && c.outer == 0 && rows > inner {
+		if k >= 2 && c.outer == 0 && rows > inner {
 			c.outer = n + inner
 		}
-		if n += rows; res.K >= 2 && c.prefix == 0 && n < res.N {
+		if n += rows; k >= 2 && c.prefix == 0 && n < res.N {
 			c.prefix = n
 		}
 	}

@@ -152,8 +152,8 @@ func (p Partners) Of(v graph.NodeID) ([]graph.NodeID, error) {
 	if s.g.LabelOf(v) != p.t.bound {
 		// Not a node of the bound label: its rank would name another
 		// node's slot. Compute the list as Algorithm 2 does, unmemoized.
-		list, _, err := p.compute(v)
-		return list, err
+		list, _ := p.t.compute(s, v)
+		return list, nil
 	}
 	i := int(p.t.rank[v])
 	if l := p.t.slots.load(i); l != nil {
@@ -165,10 +165,7 @@ func (p Partners) Of(v graph.NodeID) ([]graph.NodeID, error) {
 
 func (p Partners) fill(i int, v graph.NodeID) ([]graph.NodeID, error) {
 	p.r.CenterMisses++
-	list, owned, err := p.compute(v)
-	if err != nil {
-		return nil, err
-	}
+	list, owned := p.t.compute(p.r.s, v)
 	l := noPartners
 	if len(list) > 0 {
 		l = &partnerList{list, owned}
@@ -227,18 +224,49 @@ func (p Partners) bitmap(v graph.NodeID, list []graph.NodeID) *RankSet {
 	return set
 }
 
+// Lists returns the table's re-read handle (see PartnerLists).
+func (p Partners) Lists() PartnerLists { return PartnerLists{p.r.s, p.t} }
+
+// PartnerLists re-reads the lists a Partners handle returned, for a
+// consumer that keeps the bound values instead of the lists: a factorised
+// result's expanded column. Of(v) returns the very slice Partners.Of(v)
+// returned once that call was made — a filled slot never changes within a
+// table (a publish gives the successor new chunks, and forgetting a table
+// only unmaps it) — and holds the table itself, so it stays valid after the
+// epoch is retired or its tables are forgotten. It counts nothing and never
+// fills a slot, so any goroutine may use it at any time.
+type PartnerLists struct {
+	s *Snap
+	t *partnerTable
+}
+
+// Of returns v's partners: the slot's list, or — for a value of another
+// label, or one no Partners.Of call has looked up — the same list computed
+// from the epoch's decoded index, unmemoized. The slice is shared and must
+// not be mutated.
+func (l PartnerLists) Of(v graph.NodeID) []graph.NodeID {
+	if l.s.g.LabelOf(v) == l.t.bound {
+		if pl := l.t.slots.load(int(l.t.rank[v])); pl != nil {
+			return pl.nodes
+		}
+	}
+	list, _ := l.t.compute(l.s, v)
+	return list
+}
+
 // compute is the cold path: getCenters from v's code and W(X, Y), then the
-// union of the centers' subclusters, all from the decoded index.
-func (p Partners) compute(v graph.NodeID) (list []graph.NodeID, owned bool, err error) {
-	s, t := p.r.s, p.t
+// union of the centers' subclusters, all from s's decoded index.
+func (t *partnerTable) compute(s *Snap, v graph.NodeID) (list []graph.NodeID, owned bool) {
 	in, out := s.codesOf(v)
 	code, dir, target := out, dirT, t.key.y
 	if !t.key.forward {
 		code, dir, target = in, dirF, t.key.x
 	}
-	return UnionOver(Intersect(code, t.ws), func(w graph.NodeID) ([]graph.NodeID, error) {
+	// The decoded index cannot fail a read, so neither can the union.
+	list, owned, _ = UnionOver(Intersect(code, t.ws), func(w graph.NodeID) ([]graph.NodeID, error) {
 		return s.subcluster(w, dir, target), nil
 	})
+	return list, owned
 }
 
 // UnionOver returns the ascending union of the lists get yields for the

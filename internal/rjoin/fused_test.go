@@ -265,7 +265,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				if factorised := res.Exp != nil; factorised != (last && counts[0] > 0) {
+				if factorised := res.K() > 0; factorised != (last && counts[0] > 0) {
 					t.Fatalf("%s: factorised=%v", what, factorised)
 				}
 				got, err := res.Table(want.Cols)

@@ -281,7 +281,7 @@ func (rt *Runtime) compact(t *Result, keep func(row []graph.NodeID) (bool, error
 // Fetches of a plan's factorised tail leave one, and only the tail's next
 // Fetch (FetchResult) runs after them.
 func plain(t *Result) error {
-	if t.K != 0 {
+	if t.K() != 0 {
 		return fmt.Errorf("rjoin: operator input over %v is factorised", t.Cols)
 	}
 	return nil
@@ -446,22 +446,17 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, target graph.Label, fi
 }
 
 // fetchFilters is a Fetch's state for its filters: each Selection's partner
-// table, resolved once like the Fetch's own, the epoch's bitmaps of the
-// Selections' lists and of the Fetch's own (see apply), and the arena the
-// surviving lists are written to — append-only chunks, so a list never
-// moves once it is in a Result.
+// table, resolved once like the Fetch's own, and the epoch's bitmaps of the
+// Selections' lists and of the Fetch's own (see apply). The survivors are
+// written to the Fetch's expanded column.
 type fetchFilters struct {
-	fs    []nodeFilter
-	sel   []partnerFunc  // per filter; nil for a semijoin group
-	sets  []gdb.Partners // per filter: the bitmaps of a Selection's lists
-	own   gdb.Partners   // the bitmaps of the Fetch's lists
-	col   int            // the Fetch's bound column
-	rank  gdb.Ranks
-	arena []graph.NodeID
+	fs   []nodeFilter
+	sel  []partnerFunc  // per filter; nil for a semijoin group
+	sets []gdb.Partners // per filter: the bitmaps of a Selection's lists
+	own  gdb.Partners   // the bitmaps of the Fetch's lists
+	col  int            // the Fetch's bound column
+	rank gdb.Ranks
 }
-
-// listArenaChunk is the arena's chunk size in node IDs (32 KB).
-const listArenaChunk = 8192
 
 // openFilters resolves fs for the Fetch of condition c, read forward or in
 // reverse, whose bound value is in column col.
@@ -485,13 +480,13 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 	return p, nil
 }
 
-// apply returns the members of targets — row's partner list, shared and
-// left untouched — that pass every filter, adding m times the count left
-// after filter k to counts[k+1]: the m input rows that stand on row. The
-// first filter to run writes to fresh arena space and later ones shrink
-// that list in place (gdb.IntersectTo and RankSet.FilterTo both allow a
-// destination that starts where their input does); bound is the most the
-// rest of the input can still keep, which sizes a new chunk.
+// apply stores as prefix row i's list of out the members of targets —
+// row's partner list, shared and left untouched — that pass every filter,
+// adding m times the count left after filter k to counts[k+1]: the m input
+// rows that stand on row. It returns the survivors. The first filter to
+// run writes to fresh space at the end of out's chunks and later ones
+// shrink that list in place (gdb.IntersectTo and RankSet.FilterTo both
+// allow a destination that starts where their input does).
 //
 // A semijoin group keeps the candidates in each condition's projection, a
 // set over the new node's ranks, with the kernel a Selection runs against
@@ -506,15 +501,23 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 // the entries IntersectTo keeps, in the same order. Where the longer one
 // has no bitmap (it is below the size rule, or its bound value is outside
 // its table's bound label), IntersectTo merges the two.
-func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound int) ([]graph.NodeID, error) {
+func (p *fetchFilters) apply(out *expanded, i int, row, targets []graph.NodeID, counts []int, m int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
+	// dst is where a filter writes what it keeps of cur, at most n
+	// entries: cur's own storage once apply owns it, else fresh space.
+	dst := func(n int) []graph.NodeID {
+		if owned {
+			return cur[:0]
+		}
+		return out.room(n)
+	}
 	for k, f := range p.fs {
 		if f.sets != nil {
 			for _, set := range f.sets {
 				if len(cur) == 0 {
 					break
 				}
-				cur = set.FilterTo(p.rank, p.dst(cur, owned, len(cur), bound), cur)
+				cur = set.FilterTo(p.rank, dst(len(cur)), cur)
 				owned = true
 			}
 		} else if len(cur) > 0 {
@@ -523,7 +526,7 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound
 			if err != nil {
 				return nil, err
 			}
-			dst := p.dst(cur, owned, min(len(cur), len(other)), bound)
+			d := dst(min(len(cur), len(other)))
 			short, set := cur, (*gdb.RankSet)(nil)
 			if len(cur) <= len(other) {
 				set = p.sets[k].Bitmap(v, other)
@@ -531,48 +534,41 @@ func (p *fetchFilters) apply(row, targets []graph.NodeID, counts []int, m, bound
 				short, set = other, p.own.Bitmap(row[p.col], cur)
 			}
 			if set != nil {
-				cur = set.FilterTo(p.rank, dst, short)
+				cur = set.FilterTo(p.rank, d, short)
 			} else {
-				cur = gdb.IntersectTo(dst, cur, other)
+				cur = gdb.IntersectTo(d, cur, other)
 			}
 			owned = true
 		}
 		counts[k+1] += m * len(cur)
 	}
 	if owned {
-		// Commit the arena's newest list at its final length.
-		p.arena = p.arena[:len(p.arena)+len(cur)]
-		cur = cur[:len(cur):len(cur)]
+		out.commit(i, cur)
+	} else {
+		// No filter wrote: a group of no conditions keeps every candidate.
+		out.keep(i, cur)
 	}
 	return cur, nil
 }
 
-// dst returns where a filter writes what it keeps of cur, at most n
-// entries: cur's own storage once apply owns it, else n entries of fresh
-// arena space.
-func (p *fetchFilters) dst(cur []graph.NodeID, owned bool, n, bound int) []graph.NodeID {
-	if owned {
-		return cur[:0]
-	}
-	if cap(p.arena)-len(p.arena) < n {
-		p.arena = make([]graph.NodeID, 0, max(n, min(listArenaChunk, bound)))
-	}
-	return p.arena[len(p.arena) : len(p.arena) : len(p.arena)+n]
-}
-
-// fetch is the one loop behind Fetch, FetchResult and FetchFiltered: expand
-// resolves each prefix row's partner list, the loop charges the budget for
-// every row the lists stand for, and — with filters — each list is cut
-// down to its survivors as it is charged. emit says whether the rows are
+// fetch is the one loop behind Fetch, FetchResult and FetchFiltered: per
+// prefix row of t it resolves the bound value's partner list, charges the
+// budget for every row the list stands for and — with filters — cuts the
+// list to its survivors as it is charged. emit says whether the rows are
 // then written out (an intermediate step, whose consumer is the next
 // operator) or left factorised (a step of the plan's factorised tail, whose
-// consumer is the next tail step or iterates).
+// consumer is the next tail step or iterates): either way the Fetch's
+// output is first t's prefix rows with one more expanded column, holding
+// nothing per row for an unfiltered Fetch on the decoded read path (its
+// consumer re-reads each list from the partner table) and the survivors
+// otherwise. A tail Fetch shares t's prefix rows and columns and adds only
+// its own.
 //
 // Over a factorised t the work is per prefix row — one partner lookup, one
 // filter pass — while the accounting is per logical input row: every one
 // of the rows a prefix row stands for is ticked, charged and row-checked
 // as the step-by-step Fetch over t written out would, in the same order
-// (see chargeRows), so its counters, kills and limit stop are that run's.
+// (see expand), so its counters, kills and limit stop are that run's.
 func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
 	if emit {
 		if err := plain(t); err != nil {
@@ -591,6 +587,9 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if col >= t.Width() {
 		return nil, nil, fmt.Errorf("rjoin: fetch of %v reads expanded column %d of %v", c, boundNode, t.Cols)
 	}
+	if t.K() >= maxExpanded {
+		return nil, nil, fmt.Errorf("rjoin: fetch of %v over %d expanded columns", c, t.K())
+	}
 	cols := append(append([]int(nil), t.Cols...), newNode)
 	target := c.ToLabel
 	if !forward {
@@ -606,6 +605,11 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if err != nil {
 		return nil, nil, err
 	}
+	out := expanded{bound: col}
+	var reread bool
+	if out.lists, reread, err = rd.lists(c, forward); err != nil {
+		return nil, nil, err
+	}
 	var pf *fetchFilters
 	if len(fs) > 0 {
 		if pf, err = openFilters(rd, db, fs, c, forward, col); err != nil {
@@ -619,34 +623,24 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	}
 	// The limit is on the operator's output: the expansion's without
 	// filters, the survivors' with them.
-	expandLimit := rt.rowTarget
+	limit := rt.rowTarget
 	if pf != nil {
-		expandLimit = 0
+		limit = 0
 	}
-	// An emitting Fetch's lists live only until its rows are written, so
-	// they go in the runtime's scratch, which the query's next emitting
-	// Fetch reuses; a factorised Result keeps its own.
-	var exp [][]graph.NodeID
-	if emit {
-		exp = rt.exp[:0]
-	}
-	exp, total, part, err := rt.expand(ctx, partners, t, col, len(cols), expandLimit, exp)
-	if emit {
-		rt.exp = exp[:0]
-	}
-	if err != nil {
-		return nil, nil, err
+	if out.stored = pf != nil || !reread; out.stored {
+		out.lens = make([]uint32, t.prefixRows())
 	}
 	counts := make([]int, 1+len(fs))
 	res := &Result{Cols: cols}
-	if total > 0 {
-		k := t.K + 1
-		res = &Result{Cols: cols, Data: t.Data[:len(exp)/k*t.Width()], Exp: exp, K: k, N: total}
-		if err := rt.fill(ctx, res, part, pf, counts); err != nil {
-			return nil, nil, err
-		}
+	rows, err := rt.expand(ctx, partners, t, &out, len(cols), limit, pf, counts, res)
+	if err != nil {
+		return nil, nil, err
+	}
+	if counts[0] > 0 {
+		res.Data = t.Data[:rows*t.Width()]
+		res.exp = append(append(make([]expanded, 0, t.K()+1), t.exp...), out)
 		if emit {
-			res.Data, res.Exp, res.K = res.flat(nil), nil, 0
+			res.Data, res.exp = res.flat(nil), nil
 		}
 	}
 	if pf != nil {
@@ -659,79 +653,118 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	return res, counts, err
 }
 
-// fill is fetch's charging loop over the expansion in res, whose
-// innermost lists expand just resolved: per prefix row it charges the
-// budget for every row the partner list stands for — once per logical
-// input row, whether or not the row is written out or, under filters pf,
-// survives — and cuts the list to its survivors when pf is set. The last
-// prefix row stands for only part of its input rows when expand stopped
-// inside it. counts[0] receives the expansion's logical row count,
-// counts[k+1] the count after filter k, and res.N the output's. Counting
-// first is what lets fetch then write the rows out at their exact size.
-func (rt *Runtime) fill(ctx context.Context, res *Result, part int, pf *fetchFilters, counts []int) error {
-	width, k := len(res.Cols), res.K
+// expand is fetch's pass over t: per prefix row that stands for input
+// rows, it resolves the bound value's partner list — shared with the read
+// path and never copied — and charges the budget for every row the list
+// stands for: once per logical input row, whether or not the row is
+// written out or, under filters pf, survives. With pf it cuts the list to
+// its survivors and stores them in out, and so it does with the whole
+// list for a stored out without filters. A prefix row of a factorised t
+// stands for the product of its lists, each an input row expanding by the
+// same list, so the lookup is once per prefix row and the rows are counted
+// per input row. counts[0] receives the expansion's logical row count,
+// counts[k+1] the count after filter k, and res.N the output's. It returns
+// the number of t's prefix rows the output covers.
+//
+// It stops after the first input row at which the step-by-step Fetch would
+// stop anyway: where the given limit is exceeded (limit+1 rows prove
+// truncation, and whole-row expansions keep the output a prefix of the
+// unlimited one), where the output outgrows the row budget (CheckRows then
+// fails on exactly that row), or where its bytes alone would blow the byte
+// budget (they are charged and the next poll or the final checkpoint fails
+// the query) — so a doomed query never allocates its full output. Each of
+// these is a bound on the running total, found by division, not by a walk:
+// the last prefix row covered then stands for only part of its input rows.
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, out *expanded, width, limit int, pf *fetchFilters, counts []int, res *Result) (int, error) {
+	// bound is the largest total at which expand goes on; past maxRows
+	// with no limit or budget below it, the result is refused.
+	bound := maxRows
+	if limit > 0 {
+		bound = min(bound, limit)
+	}
+	if b := rt.budget; b != nil {
+		if b.MaxTableRows > 0 {
+			bound = min(bound, b.MaxTableRows)
+		}
+		if b.MaxBytes > 0 {
+			bound = min(bound, max(-1, int((b.MaxBytes-b.bytes.Load())/(int64(width)*nodeIDBytes))))
+		}
+	}
 	cc := rt.check(ctx)
 	defer cc.flush()
-	rows := res.prefixRows()
-	n, kept := 0, 0
-	for i, j := 0, k-1; i < rows; i, j = i+1, j+k {
-		inner := &res.Exp[j]
-		targets := *inner
-		// m input rows stand on prefix row i: the product of its outer
-		// lists, each expanding to targets.
-		m := 1
-		if k > 1 {
-			if m = product(res.Exp[j-k+1 : j]); i == rows-1 {
-				m = part
-			}
+	rows, w := t.prefixRows(), t.Width()
+	n, kept, last := 0, 0, false
+	for in := t.Walk(); in.Next(); {
+		i, m := in.Row(), in.Product()
+		targets, err := partners(t.Data[i*w+out.bound])
+		if err != nil {
+			return 0, err
 		}
-		if m == 0 {
-			continue
+		l := len(targets)
+		// m and l are below 2³¹, so the product fits an int64.
+		if int64(n)+int64(m)*int64(l) > int64(bound) || n > bound {
+			if bound == maxRows {
+				return 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", t.Cols, maxRows)
+			}
+			// The input row, counting from 1, after which the total passes
+			// bound: the last this prefix row stands for here.
+			m = 1
+			if n <= bound {
+				m = (bound-n)/l + 1
+			}
+			rows, last = i+1, true
 		}
 		// The first input row: one cancellation charge for the scan itself
 		// plus every row it stands for, and its bytes.
-		if err := cc.tickN(1 + len(targets)); err != nil {
-			return err
+		if err := cc.tickN(1 + l); err != nil {
+			return 0, err
 		}
-		cc.charge(int64(len(targets)) * int64(width) * nodeIDBytes)
+		cc.charge(int64(l) * int64(width) * nodeIDBytes)
 		switch {
 		case pf != nil && rt.pastLimit(kept):
 			// limit+1 survivors prove truncation; the rest of the input is
 			// only accounted for.
-			*inner = nil
 		case pf != nil:
-			var err error
-			if *inner, err = pf.apply(res.Row(i), targets, counts, m, res.N-n); err != nil {
-				return err
+			keep, err := pf.apply(out, i, t.Row(i), targets, counts, m)
+			if err != nil {
+				return 0, err
 			}
-			kept += m * len(*inner)
+			kept += m * len(keep)
+		case out.stored:
+			out.keep(i, targets)
 		}
-		n += len(targets)
+		n += l
 		if err := rt.budget.CheckRows(n); err != nil {
-			return err
+			return 0, err
 		}
 		if m > 1 {
-			if err := rt.chargeRows(&cc, m-1, len(targets), width, &n); err != nil {
-				return err
+			if err := rt.chargeRows(&cc, m-1, l, width, &n); err != nil {
+				return 0, err
 			}
 		}
+		if last {
+			break
+		}
+	}
+	if out.stored {
+		out.lens = out.lens[:rows]
 	}
 	counts[0] = n
 	res.N = n
 	if pf != nil {
 		res.N = kept
 	}
-	return nil
+	return rows, nil
 }
 
-// chargeRows is fill's accounting for r more input rows that each expand
+// chargeRows is expand's accounting for r more input rows that each expand
 // to l rows of width cells: per row one tick of 1+l work units, l·width
 // cells charged and the running row count n checked against the row cap,
 // exactly as the loop over those rows written out would, but in bulk
 // between the rows whose tick polls (the context, and the bytes charged
 // before it), so it costs one step per poll, not one per row. Only the
-// last of the rows can pass MaxTableRows: expand stopped at the first
-// that does.
+// last of the rows can pass MaxTableRows: expand stops at the first that
+// does.
 func (rt *Runtime) chargeRows(cc *cancelCheck, r, l, width int, n *int) error {
 	bytes := int64(l) * int64(width) * nodeIDBytes
 	for r > 0 {
@@ -753,96 +786,6 @@ func (rt *Runtime) chargeRows(cc *cancelCheck, r, l, width int, n *int) error {
 		r -= j
 	}
 	return nil
-}
-
-// limitedExp is the prefix-row count a limited expand reserves lists for
-// first.
-const limitedExp = 16
-
-// expand is Fetch's counting pass: it resolves each prefix row's expansion
-// list — its bound value's partners, shared with the read path and never
-// copied — and the total rows they stand for at the given output width,
-// without emitting anything. A prefix row of a factorised t stands for the
-// product of its lists, each an input row expanding by the same list, so
-// the lookup is once per prefix row and the rows are counted per input
-// row. It stops after the first input row at which the charging loop would
-// stop anyway: where the given limit is exceeded (limit+1 rows prove
-// truncation, and whole-row expansions keep the output a prefix of the
-// unlimited one), where the output outgrows the row budget (the loop's
-// CheckRows then fails on exactly that row), or where its bytes alone
-// would blow the byte budget (the loop charges them and the next poll or
-// the final checkpoint fails the query) — so a doomed query never
-// allocates its full output. Each of these is a bound on the running
-// total, so the row it stops at is found by division, not by a walk.
-//
-// The lists are appended to exp with stride t.K+1: per prefix row t's own
-// lists, then the new one (nil for a prefix row that stands for no rows,
-// which is not looked up). part is the number of input rows of the last
-// prefix row the total covers: all of them unless expand stopped inside
-// it. Without a limit every prefix row gets an entry, so exp is allocated
-// at its final size when it has no room; under a limit one list may
-// already pass it, so exp starts at limitedExp prefix rows and grows by
-// append.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, col, width, limit int, exp [][]graph.NodeID) ([][]graph.NodeID, int, int, error) {
-	rows, k := t.prefixRows(), t.K
-	n := rows
-	if limit > 0 && limit < n {
-		n = min(limit+1, limitedExp)
-	}
-	if cap(exp) < n*(k+1) {
-		exp = make([][]graph.NodeID, 0, n*(k+1))
-	}
-	// bound is the largest total at which expand goes on; past maxRows
-	// with no limit or budget below it, the result is refused.
-	bound := maxRows
-	if limit > 0 {
-		bound = min(bound, limit)
-	}
-	if b := rt.budget; b != nil {
-		if b.MaxTableRows > 0 {
-			bound = min(bound, b.MaxTableRows)
-		}
-		if b.MaxBytes > 0 {
-			bound = min(bound, max(-1, int((b.MaxBytes-b.bytes.Load())/(int64(width)*nodeIDBytes))))
-		}
-	}
-	cc := newCancelCheck(ctx)
-	w, total, part := t.Width(), 0, 0
-	for i := 0; i < rows; i++ {
-		m := 1
-		if k > 0 {
-			lists := t.lists(i)
-			exp = append(exp, lists...)
-			if m = product(lists); m == 0 {
-				exp, part = append(exp, nil), 0
-				continue
-			}
-		}
-		if err := cc.tickN(m); err != nil {
-			return exp, 0, 0, err
-		}
-		targets, err := partners(t.Data[i*w+col])
-		if err != nil {
-			return exp, 0, 0, err
-		}
-		exp = append(exp, targets)
-		l := len(targets)
-		// m and l are below 2³¹, so the product fits an int64.
-		if int64(total)+int64(m)*int64(l) > int64(bound) || total > bound {
-			// The input row, counting from 1, after which the total
-			// passes bound.
-			stop := 1
-			if total <= bound {
-				stop = (bound-total)/l + 1
-			}
-			if bound == maxRows {
-				return exp, 0, 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", t.Cols, maxRows)
-			}
-			return exp, total + stop*l, stop, nil
-		}
-		total, part = total+m*l, m
-	}
-	return exp, total, part, nil
 }
 
 // maxRows bounds the rows a Fetch may stand for, so the products stay

@@ -78,7 +78,7 @@ func tab(r *Result) *Table {
 func clone(r *Result) *Result {
 	c := *r
 	c.Data = slices.Clone(r.Data)
-	c.Exp = slices.Clone(r.Exp)
+	c.exp = slices.Clone(r.exp)
 	return &c
 }
 
@@ -442,7 +442,7 @@ func TestOperatorErrors(t *testing.T) {
 	if _, err := one.Project([]int{5}); err == nil {
 		t.Fatal("Project of unbound column should error")
 	}
-	factorised := &Result{Cols: []int{0, 1}, Data: []graph.NodeID{3}, Exp: [][]graph.NodeID{{4}}, K: 1, N: 1}
+	factorised := Factorised([]int{0, 1}, []graph.NodeID{3}, 1, [][]graph.NodeID{{4}}, 1)
 	if _, err := Selection(context.Background(), db, factorised, c); err == nil {
 		t.Fatal("Selection over a factorised result should error")
 	}

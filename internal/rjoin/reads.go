@@ -21,6 +21,11 @@ type reads interface {
 	// centers out(v) ∩ W(X, Y) (F_X and in(v) reverse). The lists are
 	// shared and must not be mutated.
 	partners(c Cond, forward bool) (partnerFunc, error)
+	// lists resolves the handle a factorised result re-reads the same
+	// lists through (gdb.PartnerLists), or reports false where the read
+	// path keeps no lists a result could re-read: the result then stores
+	// them.
+	lists(c Cond, forward bool) (gdb.PartnerLists, bool, error)
 	// bitmaps resolves, once per operator, the same lists' rank bitmaps
 	// (gdb.Partners.Bitmap); the zero Partners, which has none, where the
 	// read path keeps no bitmaps.
@@ -81,6 +86,11 @@ func (d *decodedReads) getT(w graph.NodeID, y graph.Label) ([]graph.NodeID, erro
 func (d *decodedReads) partners(c Cond, forward bool) (partnerFunc, error) {
 	p, err := d.r.Partners(c.FromLabel, c.ToLabel, forward)
 	return p.Of, err
+}
+
+func (d *decodedReads) lists(c Cond, forward bool) (gdb.PartnerLists, bool, error) {
+	p, err := d.r.Partners(c.FromLabel, c.ToLabel, forward)
+	return p.Lists(), true, err
 }
 
 func (d *decodedReads) bitmaps(c Cond, forward bool) (gdb.Partners, error) {
@@ -178,6 +188,13 @@ func (p pooledReads) partners(c Cond, forward bool) (partnerFunc, error) {
 		list, _, err := gdb.UnionOver(gdb.Intersect(code, ws), get)
 		return list, err
 	}, nil
+}
+
+// lists: a list read through the buffer pool is decoded afresh per call,
+// so reading it again would count its I/O twice and need the database
+// still open.
+func (pooledReads) lists(Cond, bool) (gdb.PartnerLists, bool, error) {
+	return gdb.PartnerLists{}, false, nil
 }
 
 // bitmaps: the reference mode intersects every list with IntersectTo.

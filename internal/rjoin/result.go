@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 )
 
@@ -14,43 +15,131 @@ import (
 // partners(row[col]) per input row (Algorithm 2), and when the bound value
 // sits in the table that entered the tail, every row a prefix row stands
 // for expands by the same list. So a factorised Result holds the prefix
-// rows and K lists per prefix row — each a shared immutable slice of the
-// epoch's partner table, or the survivors of its absorbed filters — instead
-// of the rows of their product; the consumer — the server's encoder, or
-// Table for callers that want rows — writes each output cell once, in the
-// order it wants them, and nothing is copied in between.
+// rows and K expanded columns, each standing for one list per prefix row,
+// instead of the rows of their product; the consumer — the server's
+// encoder, or Table for callers that want rows — walks the prefix rows with
+// their lists (Walk) and writes each output cell once, in the order it
+// wants them, and nothing is copied in between.
 //
-// The lists are ordinary heap slices that nothing mutates after they are
-// published to a slot, so a Result stays valid after the epoch it was read
-// on is released and retired: it holds no page, pin or slot, only memory
-// the garbage collector keeps for it.
+// An expanded column stores no list header. An unfiltered one is its bound
+// prefix column and the Fetch's partner table: every consumer re-reads a
+// row's list from the table by the bound value (gdb.PartnerLists), which
+// returns the very slice the Fetch saw. A column whose Fetch absorbed
+// filters keeps its survivors back to back in append-only chunks, plus one
+// length per prefix row. Both are ordinary heap memory that nothing mutates
+// once the Result is returned, so a Result stays valid after the epoch it
+// was read on is released and retired: it holds no page, pin or slot, and
+// any number of goroutines may consume it at once.
 type Result struct {
 	// Cols holds pattern node indexes, one per column, in the order the
-	// plan bound them (the source-column order). The last K of them are
+	// plan bound them (the source-column order). The last K() of them are
 	// the expanded columns.
 	Cols []int
 	// Data holds the prefix rows row-major with stride Width(): row i is
-	// Data[i*w : (i+1)*w]. They are whole rows when K is 0, otherwise rows
-	// over the first Width() columns, one per K entries of Exp.
+	// Data[i*w : (i+1)*w]. They are whole rows when K() is 0, otherwise rows
+	// over the first Width() columns, each standing for the product of its
+	// lists (see Walker), the column bound first the outermost loop and the
+	// last the innermost.
 	Data []graph.NodeID
-	// Exp holds K lists per prefix row, row-major with stride K: prefix row
-	// i's are Exp[i*K : (i+1)*K], the k-th holding the values of column
-	// Width()+k, ascending. Row i stands for the product of its lists, the
-	// column bound first the outermost loop and the last the innermost. The
-	// lists are shared with the read path and must not be mutated (the
-	// slice of lists itself belongs to the Result). Nil when K is 0.
-	Exp [][]graph.NodeID
-	// K is the number of expanded columns: 0 for a plain result.
-	K int
-	// N is the number of result rows: the number of prefix rows when K is
+	// N is the number of result rows: the number of prefix rows when K() is
 	// 0, otherwise the result is the first N rows of the prefix rows'
 	// products, concatenated in prefix-row order (a pushed-down limit can
 	// cut inside one product).
 	N int
+
+	// exp holds the expanded columns, the k-th binding Cols[Width()+k].
+	exp []expanded
 }
 
+// expanded is one expanded column of a factorised Result: per prefix row, an
+// ascending list of the column's values. An unfiltered column re-reads the
+// list from its partner table by the value in prefix column bound; a stored
+// one — a Fetch that absorbed filters, or one on the counted-I/O read path,
+// whose lists live in pages — keeps the lists back to back in append-only
+// chunks, with each prefix row's length in lens. A list is never split
+// across chunks, so a walk finds row i's list where row i-1's ended, or at
+// the start of the next chunk it fits.
+type expanded struct {
+	bound  int
+	lists  gdb.PartnerLists
+	stored bool
+	lens   []uint32
+	chunks [][]graph.NodeID
+}
+
+// maxExpanded bounds K(): a plan binds at most 17 pattern nodes, at least
+// one of them in the prefix.
+const maxExpanded = 16
+
+// columnChunk bounds a stored column's chunk, in node IDs (32 KB). A
+// column's first chunk holds 64 and each next one twice its predecessor,
+// so a column that keeps a few survivors allocates a few.
+const columnChunk = 8192
+
+// room returns space for n entries at the end of the column's chunks, in
+// a new chunk when the last one has no room: a list is written there and
+// then committed.
+func (c *expanded) room(n int) []graph.NodeID {
+	last := len(c.chunks) - 1
+	if last < 0 || cap(c.chunks[last])-len(c.chunks[last]) < n {
+		size := 64
+		if last >= 0 {
+			size = min(2*cap(c.chunks[last]), columnChunk)
+		}
+		c.chunks = append(c.chunks, make([]graph.NodeID, 0, max(n, size)))
+		last++
+	}
+	a := c.chunks[last]
+	return a[len(a) : len(a) : len(a)+n]
+}
+
+// commit records prefix row i's list: l, which starts where room's space
+// started unless it is empty.
+func (c *expanded) commit(i int, l []graph.NodeID) {
+	if len(l) > 0 {
+		last := len(c.chunks) - 1
+		c.chunks[last] = c.chunks[last][:len(c.chunks[last])+len(l)]
+	}
+	c.lens[i] = uint32(len(l))
+}
+
+// keep stores a copy of prefix row i's list l.
+func (c *expanded) keep(i int, l []graph.NodeID) {
+	if len(l) > 0 {
+		l = append(c.room(len(l)), l...)
+	}
+	c.commit(i, l)
+}
+
+// Factorised returns a factorised result over cols: prefix rows data,
+// row-major, and k expanded columns whose lists are given with stride k —
+// prefix row i's are lists[i*k:(i+1)*k], the j-th that of column
+// Width()+j, ascending — standing for the first n rows of the products.
+// The lists are copied into stored columns. It is how a caller builds a
+// factorised result without running the operators; it panics unless k is
+// between 1 and 16 and lists holds k per prefix row.
+func Factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *Result {
+	w := len(cols) - k
+	if k < 1 || k > maxExpanded || w < 1 || len(data)%w != 0 || len(lists) != len(data)/w*k {
+		panic(fmt.Sprintf("rjoin: %d lists and %d cells for %d columns, %d expanded", len(lists), len(data), len(cols), k))
+	}
+	rows := len(data) / w
+	r := &Result{Cols: cols, Data: data, N: n, exp: make([]expanded, k)}
+	for j := range r.exp {
+		c := &r.exp[j]
+		c.stored, c.lens = true, make([]uint32, rows)
+		for i := 0; i < rows; i++ {
+			c.keep(i, lists[i*k+j])
+		}
+	}
+	return r
+}
+
+// K returns the number of expanded columns: 0 for a plain result.
+func (r *Result) K() int { return len(r.exp) }
+
 // Width is the stride of Data: the number of columns of a prefix row.
-func (r *Result) Width() int { return len(r.Cols) - r.K }
+func (r *Result) Width() int { return len(r.Cols) - len(r.exp) }
 
 // Row returns prefix row i, sharing Data.
 func (r *Result) Row(i int) []graph.NodeID {
@@ -60,29 +149,92 @@ func (r *Result) Row(i int) []graph.NodeID {
 
 // prefixRows returns the number of prefix rows.
 func (r *Result) prefixRows() int {
-	if r.K == 0 {
+	if len(r.exp) == 0 {
 		return r.N
 	}
-	return len(r.Exp) / r.K
+	return len(r.Data) / r.Width()
 }
 
-// lists returns prefix row i's K lists.
-func (r *Result) lists(i int) [][]graph.NodeID { return r.Exp[i*r.K : (i+1)*r.K] }
+// A Walker visits a result's prefix rows in order, each with its K lists:
+// the one sequential pass the server's encoder, Table and truncate make
+// over a factorised result, and a tail Fetch over its input. It skips a
+// prefix row that stands for no rows, and looks up no list after the first
+// empty one of a row. Each list is shared and must not be mutated; the
+// consumer stops at the result's N rows. For a plain result it visits every
+// row with no lists.
+type Walker struct {
+	r          *Result
+	i, rows, w int
+	n          int
+	lists      [maxExpanded][]graph.NodeID
+	at         [maxExpanded]struct{ chunk, off int }
+}
 
-// rowsAt returns the number of result rows prefix row i stands for: the
-// product of its lists' lengths (1 for a plain result), before the cut at
-// N.
-func (r *Result) rowsAt(i int) int { return product(r.lists(i)) }
+// Walk returns a Walker before r's first prefix row.
+func (r *Result) Walk() Walker {
+	return Walker{r: r, i: -1, rows: r.prefixRows(), w: r.Width()}
+}
 
-// product returns the number of rows lists stand for: the product of their
-// lengths (1 for no lists).
-func product(lists [][]graph.NodeID) int {
-	n := 1
-	for _, l := range lists {
-		n *= len(l)
+// Next advances to the next prefix row that stands for at least one row,
+// reporting false once there is none.
+func (w *Walker) Next() bool {
+	r := w.r
+	for w.i+1 < w.rows {
+		w.i++
+		i, n := w.i, 1
+		for k := range r.exp {
+			c := &r.exp[k]
+			var l []graph.NodeID
+			switch {
+			case c.stored:
+				// Stored lists are read in order, the empty ones too.
+				l = w.stored(k, int(c.lens[i]))
+			case n > 0:
+				l = c.lists.Of(r.Data[i*w.w+c.bound])
+			}
+			w.lists[k] = l
+			n *= len(l)
+		}
+		if n > 0 {
+			w.n = n
+			return true
+		}
 	}
-	return n
+	return false
 }
+
+// stored returns the next n entries of stored column k: where its last
+// list ended, or at the start of the next chunk that holds them.
+func (w *Walker) stored(k, n int) []graph.NodeID {
+	if n == 0 {
+		return nil
+	}
+	c, at := &w.r.exp[k], &w.at[k]
+	for at.off+n > len(c.chunks[at.chunk]) {
+		at.chunk, at.off = at.chunk+1, 0
+	}
+	l := c.chunks[at.chunk][at.off : at.off+n : at.off+n]
+	at.off += n
+	return l
+}
+
+// Row returns the index of the current prefix row.
+func (w *Walker) Row() int { return w.i }
+
+// Prefix returns the current prefix row, sharing Data.
+func (w *Walker) Prefix() []graph.NodeID {
+	return w.r.Data[w.i*w.w : (w.i+1)*w.w : (w.i+1)*w.w]
+}
+
+// Lists returns the current prefix row's K lists, the k-th holding the
+// values of column Width()+k. The slice is the Walker's and is overwritten
+// by the next call to Next.
+func (w *Walker) Lists() [][]graph.NodeID { return w.lists[:len(w.r.exp)] }
+
+// Product returns the number of rows the current prefix row stands for:
+// the product of its lists' lengths (1 for a plain result), before the cut
+// at N.
+func (w *Walker) Product() int { return w.n }
 
 // Len returns the number of result rows.
 func (r *Result) Len() int { return r.N }
@@ -128,7 +280,7 @@ func (r *Result) Table(nodes []int) (*Table, error) {
 	for j, s := range src {
 		identity = identity && s == j
 	}
-	if identity && r.K == 0 {
+	if identity && len(r.exp) == 0 {
 		return &Table{Cols: r.Cols, Rows: rowHeaders(r.Data, len(r.Cols), r.N)}, nil
 	}
 	if identity {
@@ -159,22 +311,24 @@ func rowHeaders(data []graph.NodeID, w, n int) [][]graph.NodeID {
 func (r *Result) flat(src []int) []graph.NodeID {
 	w := len(r.Cols)
 	out := make([]graph.NodeID, r.N*w)
-	if r.K == 0 {
+	k := len(r.exp)
+	if k == 0 {
 		for i, o := 0, 0; i < r.N; i, o = i+1, o+w {
 			permute(out[o:o+w], r.Row(i), src)
 		}
 		return out
 	}
-	if r.K == 1 && src == nil {
+	if k == 1 && src == nil {
 		// An emitting Fetch's rows: each prefix row, then its partner. The
 		// odometer below costs a few nanoseconds more per prefix row, which
 		// every plan's written-out Fetches pay (EXPERIMENTS.md, "Served
 		// path — factorised tail").
 		pw, o, left := w-1, 0, r.N
-		for i, list := range r.Exp {
+		for wk := r.Walk(); left > 0 && wk.Next(); {
+			list := wk.lists[0]
 			list = list[:min(len(list), left)]
 			left -= len(list)
-			prefix := r.Data[i*pw : i*pw+pw]
+			prefix := wk.Prefix()
 			for _, v := range list {
 				row := out[o : o+w]
 				copy(row, prefix)
@@ -193,21 +347,18 @@ func (r *Result) flat(src []int) []graph.NodeID {
 	if w > len(rowBuf) {
 		row, idx = make([]graph.NodeID, 0, w), make([]int, 0, w)
 	}
-	row, idx = row[:w], idx[:r.K]
-	for i := 0; left > 0; i++ {
-		if r.rowsAt(i) == 0 {
-			continue
-		}
-		lists := r.lists(i)
-		copy(row, r.Row(i))
-		for k, l := range lists {
-			idx[k], row[pw+k] = 0, l[0]
+	row, idx = row[:w], idx[:k]
+	for wk := r.Walk(); left > 0 && wk.Next(); {
+		lists := wk.Lists()
+		copy(row, wk.Prefix())
+		for j, l := range lists {
+			idx[j], row[pw+j] = 0, l[0]
 		}
 		for {
 			// The innermost list, as far as N reaches. In source order the
 			// row is copied first and the list's value stored after it: a
 			// copy that read the value just stored into row would stall.
-			last := lists[r.K-1]
+			last := lists[k-1]
 			last = last[:min(len(last), left)]
 			left -= len(last)
 			for _, v := range last {
@@ -223,15 +374,15 @@ func (r *Result) flat(src []int) []graph.NodeID {
 			// Advance the odometer over the outer lists: the innermost of
 			// them turns, and a list that wraps carries into the one
 			// outside it.
-			k := r.K - 2
-			for ; k >= 0; k-- {
-				if idx[k]++; idx[k] < len(lists[k]) {
-					row[pw+k] = lists[k][idx[k]]
+			j := k - 2
+			for ; j >= 0; j-- {
+				if idx[j]++; idx[j] < len(lists[j]) {
+					row[pw+j] = lists[j][idx[j]]
 					break
 				}
-				idx[k], row[pw+k] = 0, lists[k][0]
+				idx[j], row[pw+j] = 0, lists[j][0]
 			}
-			if k < 0 || left == 0 {
+			if j < 0 || left == 0 {
 				break
 			}
 		}
@@ -254,23 +405,21 @@ func permute(dst, row []graph.NodeID, src []int) {
 // truncate cuts the result to its first limit rows (limit <= 0 is no
 // limit) and reports whether rows were dropped. In a factorised result the
 // cut lands inside one prefix row's product: the prefix rows after it are
-// dropped, and N stops the consumer inside it — the shared lists are
-// untouched.
+// dropped, and N stops the consumer inside it — the lists are untouched.
 func (r *Result) truncate(limit int) bool {
 	if limit <= 0 || r.N <= limit {
 		return false
 	}
-	if r.K == 0 {
-		r.Data = r.Data[:limit*r.Width()]
-	} else {
-		for i, n := 0, 0; ; i++ {
-			if n += r.rowsAt(i); n >= limit {
-				r.Data, r.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:(i+1)*r.K]
+	rows := limit
+	if len(r.exp) > 0 {
+		for wk, n := r.Walk(), 0; wk.Next(); {
+			if n += wk.Product(); n >= limit {
+				rows = wk.Row() + 1
 				break
 			}
 		}
 	}
-	r.N = limit
+	r.Data, r.N = r.Data[:rows*r.Width()], limit
 	return true
 }
 
@@ -278,7 +427,7 @@ func (r *Result) truncate(limit int) bool {
 // columns, in the given order, with duplicate rows removed; r must be
 // plain.
 func (r *Result) Project(nodes []int) (*Result, error) {
-	if r.K != 0 {
+	if len(r.exp) != 0 {
 		return nil, fmt.Errorf("rjoin: project of a factorised result")
 	}
 	idx := make([]int, len(nodes))
@@ -343,6 +492,6 @@ func (r *Result) DecodeRows(b []byte) error {
 	for i := range data {
 		data[i] = graph.NodeID(u32(body[4*i:]))
 	}
-	r.Data, r.Exp, r.K, r.N = data, nil, 0, n
+	r.Data, r.exp, r.N = data, nil, n
 	return nil
 }

@@ -28,17 +28,17 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.Exp == nil || full.N < 100 || len(full.Exp) != in.N || &full.Data[0] != &in.Data[0] {
-			t.Fatalf("%s: unlimited FetchResult is not factorised over its input: %d rows, %d prefixes", name, full.N, len(full.Exp))
+		if full.K() != 1 || full.N < 100 || full.prefixRows() != in.N || &full.Data[0] != &in.Data[0] {
+			t.Fatalf("%s: unlimited FetchResult is not factorised over its input: %d rows, %d prefixes", name, full.N, full.prefixRows())
 		}
 		// The first list of two or more rows with rows after it gives a limit
 		// inside a list and one exactly on its end.
 		inside, boundary := 0, 0
-		for i, n := 0, 0; i < len(full.Exp) && boundary == 0; i++ {
-			if l := len(full.Exp[i]); l >= 2 && n > 0 {
+		for wk, n := full.Walk(), 0; boundary == 0 && wk.Next(); {
+			if l := wk.Product(); l >= 2 && n > 0 {
 				inside, boundary = n+1, n+l
 			}
-			n += len(full.Exp[i])
+			n += wk.Product()
 		}
 		if boundary == 0 || boundary >= full.N {
 			t.Fatalf("%s: no interior list boundary in %d rows", name, full.N)
@@ -139,13 +139,7 @@ func TestFetchResultBudgetKill(t *testing.T) {
 // shared or not, as it was: N stops the consumer inside the last one.
 func TestResultTableAndOrder(t *testing.T) {
 	shared := []graph.NodeID{7, 8, 9}
-	r := &Result{
-		Cols: []int{2, 0, 1},
-		Data: []graph.NodeID{1, 2, 3, 4, 5, 6},
-		Exp:  [][]graph.NodeID{shared, nil, shared[:2]},
-		K:    1,
-		N:    5,
-	}
+	r := Factorised([]int{2, 0, 1}, []graph.NodeID{1, 2, 3, 4, 5, 6}, 1, [][]graph.NodeID{shared, nil, shared[:2]}, 5)
 	for _, bad := range [][]int{{0, 1}, {0, 1, 3}, {0, 1, 1}, {0, 1, 2, 2}} {
 		if _, err := r.Order(bad); err == nil {
 			t.Fatalf("Order(%v) over columns %v should fail", bad, r.Cols)
@@ -159,13 +153,13 @@ func TestResultTableAndOrder(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want) || !reflect.DeepEqual(got.Cols, []int{0, 1, 2}) {
 		t.Fatalf("Table = %v %v, want %v", got.Cols, got.Rows, want)
 	}
-	if !r.truncate(4) || r.N != 4 || len(r.Exp) != 3 || len(r.Exp[2]) != 2 || len(shared) != 3 {
+	if !r.truncate(4) || r.N != 4 || r.prefixRows() != 3 || !reflect.DeepEqual(walkLists(r), [][]graph.NodeID{shared, shared[:2]}) || len(shared) != 3 {
 		t.Fatalf("truncate(4): %+v", r)
 	}
 	if cut, err := r.Table([]int{0, 1, 2}); err != nil || !reflect.DeepEqual(cut.Rows, want[:4]) {
 		t.Fatalf("Table after truncate(4) = %v, %v", cut, err)
 	}
-	if !r.truncate(3) || len(r.Data) != 2 || len(r.Exp) != 1 || r.truncate(3) || r.truncate(0) {
+	if !r.truncate(3) || len(r.Data) != 2 || r.prefixRows() != 1 || r.truncate(3) || r.truncate(0) {
 		t.Fatalf("truncate(3) on a list boundary: %+v", r)
 	}
 	plain := (&Table{Cols: []int{1, 0}, Rows: [][]graph.NodeID{{1, 2}}}).Result()
@@ -176,4 +170,14 @@ func TestResultTableAndOrder(t *testing.T) {
 	if flipped, err := plain.Table([]int{0, 1}); err != nil || !reflect.DeepEqual(flipped.Rows, [][]graph.NodeID{{2, 1}}) {
 		t.Fatalf("Table([0 1]) = %v, %v", flipped, err)
 	}
+}
+
+// walkLists returns the lists a walk of r yields, K per prefix row that
+// stands for rows.
+func walkLists(r *Result) [][]graph.NodeID {
+	var out [][]graph.NodeID
+	for wk := r.Walk(); wk.Next(); {
+		out = append(out, wk.Lists()...)
+	}
+	return out
 }

@@ -1,7 +1,5 @@
 package rjoin
 
-import "fastmatch/internal/graph"
-
 // Runtime carries one query's operator execution state: its read path, its
 // budget, and its counters. Every operator is one loop on the calling
 // goroutine — the paper's Algorithms 1–2 and Eq. 5 as written — and a
@@ -23,10 +21,6 @@ type Runtime struct {
 	// truncate their output to it (see PushLimit). The executor sets it only
 	// for a plan's final step.
 	rowTarget int
-
-	// exp is the scratch an emitting Fetch resolves its per-input-row
-	// partner lists into (see fetch); each emitting Fetch reuses it.
-	exp [][]graph.NodeID
 
 	ops          int64
 	fusedFilters int64

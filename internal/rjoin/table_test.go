@@ -72,8 +72,8 @@ func TestFlatLayout(t *testing.T) {
 				for j := range cols {
 					cols[j] = 10 + j
 				}
-				r := &Result{Cols: cols, K: k}
-				var model [][]graph.NodeID
+				r := &Result{Cols: cols}
+				var model, exp [][]graph.NodeID
 				for i := 0; i < rows; i++ {
 					prefix := make([]graph.NodeID, w)
 					for j := range prefix {
@@ -92,7 +92,7 @@ func TestFlatLayout(t *testing.T) {
 						for x := range list {
 							list[x] += graph.NodeID(1000 * j)
 						}
-						r.Exp = append(r.Exp, list)
+						exp = append(exp, list)
 						var next [][]graph.NodeID
 						for _, row := range prod {
 							for _, v := range list {
@@ -107,6 +107,9 @@ func TestFlatLayout(t *testing.T) {
 					r.Cols = append(r.Cols, 99-j)
 				}
 				r.N = len(model)
+				if k > 0 {
+					r = Factorised(r.Cols, r.Data, k, exp, r.N)
+				}
 				for i := 0; i < rows; i++ {
 					if got := r.Row(i); !slices.Equal(got, r.Data[i*w:(i+1)*w]) || cap(got) != w {
 						t.Fatalf("%s: Row(%d) = %v", name, i, got)
@@ -122,12 +125,11 @@ func TestFlatLayout(t *testing.T) {
 				}
 				for limit := 1; limit < len(model); limit++ {
 					cut := *r
-					cut.Exp = slices.Clone(r.Exp)
 					if !cut.truncate(limit) {
 						t.Fatalf("%s: truncate(%d) dropped nothing", name, limit)
 					}
 					checkTable(t, fmt.Sprintf("%s limit=%d", name, limit), &cut, model[:limit])
-					if k > 0 && !slices.EqualFunc(cut.Exp, r.Exp[:len(cut.Exp)], slices.Equal[[]graph.NodeID]) {
+					if got := walkLists(&cut); k > 0 && !slices.EqualFunc(got, walkLists(r)[:len(got)], slices.Equal[[]graph.NodeID]) {
 						t.Fatalf("%s limit=%d: truncate changed a list", name, limit)
 					}
 				}
@@ -148,7 +150,7 @@ func checkTable(t *testing.T, name string, r *Result, model [][]graph.NodeID) {
 		t.Fatalf("%s: rows %v, want %v", name, got.Rows, model)
 	}
 	back := got.Result()
-	if back.N != r.N || back.Exp != nil || len(back.Data) != r.N*len(r.Cols) {
+	if back.N != r.N || back.K() != 0 || len(back.Data) != r.N*len(r.Cols) {
 		t.Fatalf("%s: Table.Result = %+v", name, back)
 	}
 	rev := slices.Clone(r.Cols)

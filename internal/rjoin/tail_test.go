@@ -107,8 +107,8 @@ func TestFetchResultTail(t *testing.T) {
 			if werr != nil {
 				return
 			}
-			if g.K != len(steps) && g.N > 0 || !reflect.DeepEqual(grows, wrows) {
-				t.Fatalf("%s %s: %d expanded columns, step rows %v, step by step %v", name, what, g.K, grows, wrows)
+			if g.K() != len(steps) && g.N > 0 || !reflect.DeepEqual(grows, wrows) {
+				t.Fatalf("%s %s: %d expanded columns, step rows %v, step by step %v", name, what, g.K(), grows, wrows)
 			}
 			if got := tab(g); got.Len() != w.Len() || w.Len() > 0 && !reflect.DeepEqual(got.Rows, tab(w).Rows) {
 				t.Fatalf("%s %s: %d rows, step by step %d", name, what, got.Len(), w.Len())

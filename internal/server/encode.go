@@ -100,8 +100,9 @@ func rowRoom(width int) int { return 11*width + 2 + 31 }
 // rows appends r's first r.N rows as JSON arrays, comma-separated, with
 // output column j taken from source column src[j]; prefix row i is
 // r.Data[i*w:(i+1)*w]. Plain rows are written cell by cell with putNodeID.
-// For a factorised result each prefix row's product is walked like an
-// odometer over its outer lists, and per position of the odometer the
+// A factorised result's prefix rows and their lists come from its Walker,
+// and each prefix row's product is walked like an odometer over its outer
+// lists, and per position of the odometer the
 // innermost list is written a run at a time: the row's cells but the
 // innermost column are formatted once, as the text before and after it,
 // and each row of the run is a 32-byte store of the head, the partner's
@@ -114,7 +115,8 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	// fixed-width stores write past n, inside the room reserved for the row.
 	b, n := e.buf[:cap(e.buf)], len(e.buf)
 	first := true
-	if r.K == 0 {
+	k := r.K()
+	if k == 0 {
 		for i := 0; i < r.N; i++ {
 			row := r.Data[i*width : (i+1)*width]
 			if len(b)-n < need {
@@ -145,27 +147,20 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	if cap(e.head) < need {
 		e.head, e.tail = make([]byte, need), make([]byte, need)
 	}
-	if r.K > 1 && cap(e.cur) < width {
+	if k > 1 && cap(e.cur) < width {
 		e.cur, e.idx = make([]graph.NodeID, width), make([]int, width)
 	}
-	pw, k, left := r.Width(), r.K, r.N
+	pw, left := r.Width(), r.N
 	idx := e.idx[:k-1]
 	pos := slices.Index(src, width-1)
-	exp, data := r.Exp, r.Data
-rows:
-	for ; left > 0; exp, data = exp[k:], data[pw:] {
-		lists := exp[:k:k]
-		for _, l := range lists {
-			if len(l) == 0 {
-				continue rows
-			}
-		}
+	for wk := r.Walk(); left > 0 && wk.Next(); {
+		lists := wk.Lists()
 		// cur is the row but its innermost cell: with one list, the prefix
 		// row itself.
-		cur := data[:pw:pw]
+		cur := wk.Prefix()
 		if k > 1 {
 			cur = e.cur[:width]
-			copy(cur, data[:pw])
+			copy(cur, wk.Prefix())
 			for j := range idx {
 				idx[j], cur[pw+j] = 0, lists[j][0]
 			}

@@ -60,7 +60,9 @@ func productResult(cols []int, lens [][]int) *rjoin.Result {
 	if len(lens) > 0 {
 		k = len(lens[0])
 	}
-	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}, K: k}
+	var data []graph.NodeID
+	var exp [][]graph.NodeID
+	n := 0
 	for i, ls := range lens {
 		prefix := make([]graph.NodeID, len(cols)-k)
 		for j := range prefix {
@@ -71,7 +73,7 @@ func productResult(cols []int, lens [][]int) *rjoin.Result {
 				prefix[j] = math.MaxInt32 - graph.NodeID(j)
 			}
 		}
-		r.Data = append(r.Data, prefix...)
+		data = append(data, prefix...)
 		rows := 1
 		for c, n := range ls {
 			list := make([]graph.NodeID, n)
@@ -81,26 +83,21 @@ func productResult(cols []int, lens [][]int) *rjoin.Result {
 			if n > 1 {
 				list[n-1] = math.MaxInt32 - graph.NodeID(c)
 			}
-			r.Exp = append(r.Exp, list)
+			exp = append(exp, list)
 			rows *= n
 		}
-		r.N += rows
+		n += rows
 	}
-	return r
+	return rjoin.Factorised(cols, data, k, exp, n)
 }
 
 // cut is r with only its first n rows: the prefix rows past them dropped,
 // as a pushed-down limit leaves it.
 func cut(r *rjoin.Result, n int) *rjoin.Result {
 	c := *r
-	for i, rows := 0, 0; rows < n; i++ {
-		ls := r.Exp[i*r.K : (i+1)*r.K]
-		p := 1
-		for _, l := range ls {
-			p *= len(l)
-		}
-		if rows += p; rows >= n {
-			c.Data, c.Exp = r.Data[:(i+1)*r.Width()], r.Exp[:(i+1)*r.K]
+	for wk, rows := r.Walk(), 0; rows < n && wk.Next(); {
+		if rows += wk.Product(); rows >= n {
+			c.Data = r.Data[:(wk.Row()+1)*r.Width()]
 		}
 	}
 	c.N = n
@@ -180,7 +177,7 @@ func encodingCases() map[string]*Result {
 		"product K=3":                 prod(k3),
 		"product K=3 cut in product":  prod(cut(k3, 7)),
 		"product K=3 cut on boundary": prod(cut(k3, 12)),
-		"product K=3 no prefix":       prod(productResult([]int{2, 0, 1}, [][]int{{2, 1, 3}, {3, 2, 2}})),
+		"product K=3 prefix last":     prod(productResult([]int{3, 2, 0, 1}, [][]int{{2, 1, 3}, {3, 2, 2}})),
 		"product 100k":                prod(cut(productResult([]int{0, 2, 1}, [][]int{{95, 540}, {432, 540}}), 100_000)),
 	}
 	for name, cols := range map[string][]int{
@@ -213,21 +210,23 @@ func encodingCases() map[string]*Result {
 	// Rows as wide as rowRoom allows — every cell ten digits, the expanded
 	// column last so the tail is "]" — whose tail stores reach the end of
 	// the reserved room.
-	widest := &rjoin.Result{Cols: []int{0, 1}, Exp: [][]graph.NodeID{}, K: 1}
+	var widest, short []graph.NodeID
+	var widestExp, shortExp [][]graph.NodeID
 	for i := range 20 {
 		list := make([]graph.NodeID, 300)
 		for k := range list {
 			list[k] = graph.NodeID(1e9 + i*1000 + k)
 		}
-		widest.Data = append(widest.Data, math.MaxInt32-graph.NodeID(i))
-		widest.Exp = append(widest.Exp, list)
-		widest.N += len(list)
+		widest = append(widest, math.MaxInt32-graph.NodeID(i))
+		widestExp = append(widestExp, list)
 	}
-	cases["widest rows"] = &Result{Cols: names[:2], rows: widest, nodes: identityNodes(2)}
-	for i, list := range cases["many short blocks"].rows.Exp {
-		cases["many short blocks"].rows.Exp[i] = append(list, graph.NodeID(i), graph.NodeID(i+1))
-		cases["many short blocks"].rows.N += 2
+	cases["widest rows"] = prod(rjoin.Factorised([]int{0, 1}, widest, 1, widestExp, 20*300))
+	many := cases["many short blocks"].rows
+	for i := range 3000 {
+		short = append(short, many.Row(i)...)
+		shortExp = append(shortExp, []graph.NodeID{graph.NodeID(i), graph.NodeID(i + 1)})
 	}
+	cases["many short blocks"].rows = rjoin.Factorised(many.Cols, short, 1, shortExp, 6000)
 	meta := &Result{
 		Cols: []string{"a\"b", "<c>", "é"}, rows: plainResult([]int{0, 1, 2}, 2), nodes: identityNodes(3),
 		Truncated: true, PlanCached: true, Elapsed: 1234567891 * time.Microsecond,
@@ -278,18 +277,20 @@ func TestPutNodeID(t *testing.T) {
 // one store writes.
 func digitBoundaryResult(cols []int) *rjoin.Result {
 	ids := []graph.NodeID{0, 9, 10, 9999, 10_000, 99_999_999, 100_000_000, 999_999_999, 1_000_000_000, math.MaxInt32}
-	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}, K: 1}
+	var data []graph.NodeID
+	var exp [][]graph.NodeID
+	n := 0
 	for i := range ids {
 		prefix := make([]graph.NodeID, len(cols)-1)
 		for j := range prefix {
 			prefix[j] = ids[(i+j)%len(ids)]
 		}
 		list := ids[i%3:]
-		r.Data = append(r.Data, prefix...)
-		r.Exp = append(r.Exp, list)
-		r.N += len(list)
+		data = append(data, prefix...)
+		exp = append(exp, list)
+		n += len(list)
 	}
-	return r
+	return rjoin.Factorised(cols, data, 1, exp, n)
 }
 
 // wideCellResult is a factorised Result over cols whose prefix cells all
@@ -303,20 +304,22 @@ func wideCellResult(cols []int, digits int) *rjoin.Result {
 	}
 	span := min(9*lo, math.MaxInt32-lo+1)
 	ids := []graph.NodeID{0, 7, 42, 9999, 10_000, 123_456, 99_999_999, 100_000_000, 1_000_000_000, math.MaxInt32}
-	r := &rjoin.Result{Cols: cols, Exp: [][]graph.NodeID{}, K: 1}
+	var data []graph.NodeID
+	var exp [][]graph.NodeID
+	n := 0
 	for i := range 12 {
 		for j := range len(cols) - 1 {
-			r.Data = append(r.Data, graph.NodeID(lo+int64(i*7919+j*104_729)*1_000_003%span))
+			data = append(data, graph.NodeID(lo+int64(i*7919+j*104_729)*1_000_003%span))
 		}
 		list := make([]graph.NodeID, 0, 40)
 		for k := range cap(list) {
 			list = append(list, ids[(i+k)%len(ids)])
 		}
 		slices.Sort(list)
-		r.Exp = append(r.Exp, list)
-		r.N += len(list)
+		exp = append(exp, list)
+		n += len(list)
 	}
-	return r
+	return rjoin.Factorised(cols, data, 1, exp, n)
 }
 
 // TestQueryResponseEncoding: the encoder must write, straight from the
@@ -418,27 +421,31 @@ func FuzzEncodeResult(f *testing.F) {
 			j := int(next()) % (i + 1)
 			cols[i], cols[j] = cols[j], cols[i]
 		}
-		r := &rjoin.Result{Cols: cols}
+		r, k := &rjoin.Result{Cols: cols}, 0
 		if factorised {
-			r.Exp, r.K = [][]graph.NodeID{}, 1+int(shape>>4&3)%min(3, width)
+			k = 1 + int(shape>>4&3)%min(3, width)
 		}
+		var exp [][]graph.NodeID
 		for rows := 0; len(data) > 0 && rows < 64; rows++ {
-			row := make([]graph.NodeID, r.Width())
+			row := make([]graph.NodeID, width-k)
 			for j := range row {
 				row[j] = id()
 			}
 			r.Data = append(r.Data, row...)
 			n := 1
-			for range r.K {
+			for range k {
 				list := make([]graph.NodeID, int(next()%6))
 				for k := range list {
 					list[k] = id()
 				}
 				slices.Sort(list)
-				r.Exp = append(r.Exp, list)
+				exp = append(exp, list)
 				n *= len(list)
 			}
 			r.N += n
+		}
+		if factorised {
+			r = rjoin.Factorised(cols, r.Data, k, exp, r.N)
 		}
 		if shape&0x40 != 0 && r.N > 0 {
 			r = cut(r, 1+int(next())%r.N)
@@ -600,7 +607,7 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.rows.Exp != nil && r.rows.N > 0 && (s.Stats().FusedFilters > fusedBefore) == tc.fused {
+				if r.rows.K() > 0 && r.rows.N > 0 && (s.Stats().FusedFilters > fusedBefore) == tc.fused {
 					res = r
 					break
 				}
@@ -713,17 +720,17 @@ func TestServedBodyAndEncodeStats(t *testing.T) {
 // about 185 apart across the whole node range.
 func servedResult() *rjoin.Result {
 	rnd := rand.New(rand.NewSource(1))
-	r := &rjoin.Result{Cols: []int{0, 1}, K: 1}
+	var data []graph.NodeID
+	var exp [][]graph.NodeID
 	for i := range 95 {
 		list := make([]graph.NodeID, 540)
 		for k := range list {
 			list[k] = graph.NodeID(k*185 + rnd.Intn(185))
 		}
-		r.Data = append(r.Data, graph.NodeID(i*1052+rnd.Intn(1052)))
-		r.Exp = append(r.Exp, list)
-		r.N += len(list)
+		data = append(data, graph.NodeID(i*1052+rnd.Intn(1052)))
+		exp = append(exp, list)
 	}
-	return r
+	return rjoin.Factorised([]int{0, 1}, data, 1, exp, 95*540)
 }
 
 // wideResult is shaped like the last Fetch of a served tree pattern (T4,
@@ -732,19 +739,19 @@ func servedResult() *rjoin.Result {
 // partners — as many rows as servedResult.
 func wideResult() *rjoin.Result {
 	rnd := rand.New(rand.NewSource(2))
-	r := &rjoin.Result{Cols: []int{0, 1, 2, 3}, K: 1}
+	var data []graph.NodeID
+	var exp [][]graph.NodeID
 	for range 190 {
 		for range 3 {
-			r.Data = append(r.Data, graph.NodeID(10_000+rnd.Intn(90_000)))
+			data = append(data, graph.NodeID(10_000+rnd.Intn(90_000)))
 		}
 		list := make([]graph.NodeID, 270)
 		for k := range list {
 			list[k] = graph.NodeID(k*370 + rnd.Intn(370))
 		}
-		r.Exp = append(r.Exp, list)
-		r.N += len(list)
+		exp = append(exp, list)
 	}
-	return r
+	return rjoin.Factorised([]int{0, 1, 2, 3}, data, 1, exp, 190*270)
 }
 
 // productServedResult is shaped like F7-limit's factorised tail on the
@@ -759,7 +766,7 @@ func productServedResult() *rjoin.Result {
 		}
 		return l
 	}
-	return &rjoin.Result{Cols: []int{0, 1, 2}, Data: []graph.NodeID{1052}, Exp: [][]graph.NodeID{list(432, 230), list(540, 185)}, K: 2, N: 10000}
+	return rjoin.Factorised([]int{0, 1, 2}, []graph.NodeID{1052}, 2, [][]graph.NodeID{list(432, 230), list(540, 185)}, 10000)
 }
 
 // BenchmarkEncodeResult times the row encoder into a warm buffer: a
