@@ -77,10 +77,11 @@ func TestServeQuery(t *testing.T) {
 	}
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "g.fgm")
-	// Big enough that the heavy pattern runs tens of milliseconds — past
-	// the runtime's preemption quantum, so concurrent requests genuinely
-	// overlap at the admission gate even on a single-CPU machine.
-	run(t, "run", "./cmd/fgmgen", "-nodes", "20000", "-seed", "7", "-out", graphPath)
+	// Big enough that the heavy pattern holds the execution slot tens of
+	// milliseconds — past the runtime's preemption quantum and far past the
+	// 1 ms queue timeout, so concurrent requests genuinely overlap at the
+	// admission gate (checked below, before the burst).
+	run(t, "run", "./cmd/fgmgen", "-nodes", "40000", "-seed", "7", "-out", graphPath)
 
 	// Build a real binary (not `go run`) so signals reach the server.
 	bin := filepath.Join(dir, "fgmserve")
@@ -204,7 +205,28 @@ func TestServeQuery(t *testing.T) {
 	if resp, body = post(`{"pattern": "site->x"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown label: %d %s", resp.StatusCode, body)
 	}
-	const heavy = `"person->profile; profile->interest; person->watches; site->person"`
+	// The heavy pattern writes out a product of the site's persons and
+	// items, each person with its watches (several hundred thousand rows on
+	// this graph) before its last Fetches; the limit keeps its response
+	// small without cutting that work.
+	const heavy = `"site->person; site->item; person->watches; item->incategory; incategory->category", "limit": 10`
+
+	// The burst below sheds only if one heavy query holds the slot well
+	// past the queue timeout: check that on a warm run (the first fills
+	// the epoch's partner tables).
+	for i := 0; i < 2; i++ {
+		resp, body = post(`{"pattern": ` + heavy + `}`)
+		var hr struct {
+			ElapsedMS float64 `json:"elapsed_ms"`
+			RowCount  int     `json:"row_count"`
+		}
+		if err := json.Unmarshal(body, &hr); err != nil || resp.StatusCode != http.StatusOK || hr.RowCount != 10 {
+			t.Fatalf("heavy query: %d %s (%v)", resp.StatusCode, body, err)
+		}
+		if i == 1 && hr.ElapsedMS < 20 {
+			t.Fatalf("the heavy query held the execution slot %.2f ms, under the 20 ms the burst needs to overlap", hr.ElapsedMS)
+		}
+	}
 
 	// Load shedding: burst 12 concurrent heavy queries at the single
 	// execution slot; whatever is not absorbed within the 1ms queue timeout
@@ -248,7 +270,7 @@ func TestServeQuery(t *testing.T) {
 		t.Fatal("burst: nothing was shed with 429 in 3 rounds")
 	}
 	// A rejected client that backs off must succeed once the burst drains.
-	resp, body = post(`{"pattern": ` + heavy + `, "limit": 1}`)
+	resp, body = post(`{"pattern": ` + heavy + `}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-burst query: %d %s", resp.StatusCode, body)
 	}

@@ -166,7 +166,8 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // BenchmarkOperators measures HPSJ, Filter, Fetch and Selection on an
-// XMark-derived dataset, on the label pair with the largest R-join.
+// XMark-derived dataset, on the label pair with the largest R-join; the
+// last three also in ns per input row.
 func BenchmarkOperators(b *testing.B) {
 	d := xmark.Generate(xmark.Config{Nodes: 8000, Seed: 7, DAG: true})
 	g := d.Graph
@@ -197,10 +198,14 @@ func BenchmarkOperators(b *testing.B) {
 			}
 		}
 	}
-	bound := extentOf(g, c.FromLabel, 0, 2)
+	// Filter, Fetch and Selection run over the pair's whole From extent,
+	// repeated to at least 4,096 rows, so their per-row kernels and not
+	// their set-up are what ns/row reports.
+	ext := len(g.Extent(c.FromLabel))
+	bound := extentOf(g, c.FromLabel, 0, (4096+ext-1)/ext)
 	pairs := &Result{Cols: []int{0, 1}}
 	ys := g.Extent(c.ToLabel)
-	for _, x := range g.Extent(c.FromLabel) {
+	for _, x := range bound.Data {
 		for k := 0; k < 4 && k < len(ys); k++ {
 			pairs.Data = append(pairs.Data, x, ys[k])
 			pairs.N++
@@ -209,15 +214,16 @@ func BenchmarkOperators(b *testing.B) {
 	ctx := context.Background()
 
 	// Filter and Selection consume their input, so each run gets a copy;
-	// the copy's bytes are in their B/op.
+	// the copy's bytes are in their B/op. HPSJ has no input rows.
 	ops := []struct {
 		name string
+		rows int
 		run  func(rt *Runtime) error
 	}{
-		{"HPSJ", func(rt *Runtime) error { _, err := rt.HPSJ(ctx, db, c); return err }},
-		{"Filter", func(rt *Runtime) error { _, err := rt.Filter(ctx, db, clone(bound), c); return err }},
-		{"Fetch", func(rt *Runtime) error { _, err := rt.Fetch(ctx, db, bound, c); return err }},
-		{"Selection", func(rt *Runtime) error { _, err := rt.Selection(ctx, db, clone(pairs), c); return err }},
+		{"HPSJ", 0, func(rt *Runtime) error { _, err := rt.HPSJ(ctx, db, c); return err }},
+		{"Filter", bound.N, func(rt *Runtime) error { _, err := rt.Filter(ctx, db, clone(bound), c); return err }},
+		{"Fetch", bound.N, func(rt *Runtime) error { _, err := rt.Fetch(ctx, db, bound, c); return err }},
+		{"Selection", pairs.N, func(rt *Runtime) error { _, err := rt.Selection(ctx, db, clone(pairs), c); return err }},
 	}
 	for _, o := range ops {
 		b.Run(o.name, func(b *testing.B) {
@@ -227,18 +233,21 @@ func BenchmarkOperators(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			if o.rows > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*o.rows), "ns/row")
+			}
 		})
 	}
 }
 
 // TestFlatTablesAllocate: an emitting Fetch writes its output into one
 // exact pointer-free slice, so its allocations do not grow with its rows
-// and its bytes are the output's N×w×4 (no 24-byte header per row), once
-// the runtime's expansion scratch is warm; FilterGroup and Selection
-// compact in place and allocate nothing per row. Under a pushed-down
-// limit that the first row's list already passes, a Fetch allocates the
-// same bytes whatever the limit: it reserves no list per row the limit
-// would allow.
+// and its bytes are the output's N×w×4 (no 24-byte header per row: it
+// looks each list up again as it writes the rows); FilterGroup and
+// Selection compact in place and allocate nothing per row. Under a
+// pushed-down limit that the first row's list already passes, a Fetch
+// allocates the same bytes whatever the limit: it stores nothing per row
+// the limit would allow.
 func TestFlatTablesAllocate(t *testing.T) {
 	g := randomGraph(45, 600, 1600, 2)
 	db := mustDB(t, g)
