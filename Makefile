@@ -7,7 +7,8 @@ GO ?= go
 # the four binary R-join operators, a Fetch with the filters on its new node
 # fused against the step-by-step pipeline (ns per input row; XMark groups
 # and the read_skew groups S1served and S4served), a plan's last
-# two Fetches as a factorised tail against written out (ns per result row)
+# Fetches as a factorised tail against written out (ns per result row and
+# B/op: F7, T9, T5 and T6's tails, and one emitting Fetch)
 # and the response encoder (ns per row from a served-shaped, a synthetic, a
 # tree-shaped wide and a two-list product factorised result and from a
 # plain one) — the hot paths a perf PR must not regress.

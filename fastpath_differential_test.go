@@ -312,18 +312,28 @@ func TestFastPathDifferential(t *testing.T) {
 }
 
 // TestFactorisedLimits: a limit on a plan whose factorised tail keeps its
-// lists cuts inside one prefix row's product — a shared list after a plain
-// Fetch, an intersected one the result owns after a Fetch that absorbed the
-// filters following it. For every such plan of the batteries, with the
-// limit at 1, inside an inner list, exactly on an inner list's end, on an
-// outer list's boundary and on a prefix row's (tails of two or more
-// Fetches), at N and at N+1, the rows are the unlimited run's prefix, and
-// Truncated, Bytes() and PeakRows() are the reference plan's (runBoth),
-// whose Fetches ran unlimited and whose last filter took the limit.
+// lists cuts inside one prefix row's product — a list its column re-reads
+// from the partner table after a plain Fetch, one it keeps after a Fetch
+// that absorbed the filters following it. For every such plan of the
+// batteries, with the limit at 1, inside an inner list, exactly on an
+// inner list's end, on an outer list's boundary and on a prefix row's
+// (tails of two or more Fetches), at N and at N+1, the rows are the
+// unlimited run's prefix, and Truncated, Bytes() and PeakRows() are the
+// reference plan's (runBoth), whose Fetches ran unlimited and whose last
+// filter took the limit; so is the typed kill of a row cap and of a byte
+// cap at half of what the limited run needs. The batteries must reach
+// T6's tail — K = 3, two of its Fetches 1:1 — and a tail that mixes
+// columns with and without absorbed filters.
 func TestFactorisedLimits(t *testing.T) {
 	ctx := context.Background()
 	fusedInside, fusedOnBoundary, outer, prefix := 0, 0, 0, 0
+	t6, mixed := false, false
 	for _, dc := range differentialCases()[2:] { // one random graph, and xmark
+		if dc.name == "xmark" {
+			// DPS ends this on a Fetch absorbing a Selection, then a plain
+			// Fetch: a tail mixing the two kinds of column.
+			dc.patterns = append(dc.patterns, pattern.MustParse("site->name; site->description; site->person; person->name"))
+		}
 		db, err := gdb.Build(dc.g, gdb.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -346,6 +356,15 @@ func TestFactorisedLimits(t *testing.T) {
 				// The plan's last step ran inside the Fetch before it: the
 				// lists are intersections the result owns.
 				fused := traces[len(traces)-1].Fused
+				t6 = t6 || p.String() == workloadPattern(workload.Trees(), "T6") && res.K() == 3
+				var plainCol, filteredCol bool
+				for i, tr := range traces {
+					if tr.Factorised && !tr.Fused {
+						filtered := i+1 < len(traces) && traces[i+1].Fused
+						plainCol, filteredCol = plainCol || !filtered, filteredCol || filtered
+					}
+				}
+				mixed = mixed || plainCol && filteredCol
 				full, err := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{})
 				if err != nil {
 					t.Fatal(err)
@@ -380,6 +399,16 @@ func TestFactorisedLimits(t *testing.T) {
 					if want := full.Rows[:min(limit, res.N)]; !reflect.DeepEqual(got.Rows, want) {
 						t.Fatalf("%s: %d rows are not the unlimited result's prefix", what, got.Len())
 					}
+					need := &rjoin.Budget{ResultRows: limit}
+					if _, err := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Budget: need}); err != nil {
+						t.Fatal(err)
+					}
+					if peak := int(need.PeakRows()); peak > 1 && runBoth(t, snap, def, ref, caps{ResultRows: limit, MaxTableRows: peak / 2}, what+" row cap") != nil {
+						t.Fatalf("%s: a row cap of %d under a %d-row peak did not kill", what, peak/2, peak)
+					}
+					if b := need.Bytes(); b > 1 && runBoth(t, snap, def, ref, caps{ResultRows: limit, MaxBytes: b / 2}, what+" byte cap") != nil {
+						t.Fatalf("%s: a byte cap of %d under %d bytes charged did not kill", what, b/2, b)
+					}
 				}
 			}
 		}
@@ -392,6 +421,9 @@ func TestFactorisedLimits(t *testing.T) {
 	}
 	if outer == 0 || prefix == 0 {
 		t.Fatalf("tails of two or more Fetches: %d limits on an outer list's boundary and %d on a prefix row's — batteries too small", outer, prefix)
+	}
+	if !t6 || !mixed {
+		t.Fatalf("T6's K = 3 tail reached: %v; a tail mixing filtered and plain columns reached: %v", t6, mixed)
 	}
 }
 

@@ -6,10 +6,6 @@ import (
 	"fastmatch/internal/graph"
 )
 
-// SetDecodedMemoBound shrinks (or restores) the partner tables' size bound
-// so a test can force overflow resets on a small graph.
-func (db *DB) SetDecodedMemoBound(nodes int) { db.memoBound = nodes }
-
 // CheckStoredCodes reports whether a stored code in the base tables of the
 // current epoch holds its own node, and whether the codes the writer seeds
 // its labeling from on a reattached database (the decoded codes minus the

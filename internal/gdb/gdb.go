@@ -268,6 +268,12 @@ func (db *DB) DecodedMemoStats() (nodes, tables, bitmaps int, resets int64) {
 	return nodes, tables, bitmaps, db.memoResets.Load()
 }
 
+// SetDecodedMemoBound shrinks (or restores) the partner tables' size bound,
+// in node-ID units, so a test can force overflow resets on a small graph:
+// the tables a query is reading are then forgotten while it runs. Call it
+// only while no query or write runs.
+func (db *DB) SetDecodedMemoBound(nodes int) { db.memoBound = nodes }
+
 // ProjectionStats reports, across all epochs, how many projection sets
 // were computed in full (scans), carried by a publish into the successor
 // epoch (inherited), and of those changed by the batch (patched).

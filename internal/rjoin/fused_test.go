@@ -233,6 +233,33 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 			t.Fatalf("%v over the foreign input: paths %+v — no foreign value has long candidates", sel.Conds[0], p)
 		}
 	}
+	// The same filters on the middle Fetch of a K = 3 tail, between two
+	// plain Fetches: a result mixing columns that re-read their partner
+	// tables with one that keeps survivors, held against the step-by-step
+	// run under limits and both caps. The prefix is 12 input rows with
+	// survivors and 4 spread over the input, most of them with none.
+	for _, filters := range [][]NodeFilter{{selDC, semiOut}, {semiIn, selCD}} {
+		kept, _, err := stepwise(ctx, new(Runtime), db, clone(in), fetch, 3, filters, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := &Result{Cols: in.Cols}
+		seen := map[[3]graph.NodeID]bool{}
+		for i := 0; i < kept.N && prefix.N < 12; i++ {
+			if r := kept.Row(i); !seen[[3]graph.NodeID(r[:3])] {
+				seen[[3]graph.NodeID(r[:3])] = true
+				prefix.Data, prefix.N = append(prefix.Data, r[:3]...), prefix.N+1
+			}
+		}
+		for i := 0; i < 4; i++ {
+			prefix.Data, prefix.N = append(prefix.Data, in.Row(i*in.N/4)...), prefix.N+1
+		}
+		checkTail(t, db, prefix, fmt.Sprintf("tail %v", filters), []tailStep{
+			{cond(g, "A", "D", 0, 6), 6, nil},
+			{fetch, 3, filters},
+			{cond(g, "A", "B", 0, 5), 5, nil},
+		}, 50)
+	}
 	for _, tc := range cases {
 		unfiltered, err := Fetch(ctx, db, tc.in, fetch)
 		if err != nil {

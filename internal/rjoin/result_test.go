@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"fastmatch/internal/graph"
+	"fastmatch/internal/xmark"
 )
 
 // TestFetchResultMatchesFetch: the factorised Fetch and the materialising
@@ -15,8 +18,10 @@ import (
 // limit at 1, inside a partner list, exactly on a list boundary, at N and
 // past it, FetchResult written out equals Fetch's rows (the unlimited
 // prefix), in any column order, and the budget saw the same bytes, peak
-// and truncation.
+// and truncation. So do T6-shaped tails of three (checkT6Tails).
 func TestFetchResultMatchesFetch(t *testing.T) {
+	checkT6Tails(t)
+
 	g := randomGraph(41, 300, 700, 3)
 	al, bl := g.Labels().Lookup("A"), g.Labels().Lookup("B")
 	db := mustDB(t, g)
@@ -93,6 +98,47 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkT6Tails holds tails of FetchResult steps over a factorised input, on
+// XMark, against the step-by-step Fetches written out (checkTail): T6's
+// tail — K = 3, reading both prefix columns, two of its Fetches 1:1 — and
+// the same tail with its last Fetch absorbing a Selection, so the result
+// mixes two columns that re-read their partner tables with one that keeps
+// its survivors.
+func checkT6Tails(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 1500, Seed: 5}).Graph
+	db := mustDB(t, g)
+	// T6 is person->name; person->address; address->city;
+	// address->country: the prefix binds person (0) and address (1).
+	in, err := Fetch(context.Background(), db, extentOf(g, g.Labels().Lookup("person"), 0, 1), cond(g, "person", "address", 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := tailStep{cond(g, "person", "name", 0, 2), 2, nil}
+	city := tailStep{cond(g, "address", "city", 1, 3), 3, nil}
+	country := tailStep{cond(g, "address", "country", 1, 4), 4, nil}
+	checked := tailStep{cond(g, "address", "country", 1, 4), 4, []NodeFilter{{Conds: []Cond{cond(g, "person", "country", 0, 4)}}}}
+	for name, steps := range map[string][]tailStep{
+		"T6":               {name, city, country},
+		"T6 last filtered": {name, city, checked},
+	} {
+		full, _, _, err := runTail(db, in, steps, true, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// city and country are 1:1 expansions of the address; name is not
+		// (a person reaches the names its references lead to).
+		for wk := full.Walk(); wk.Next(); {
+			if l := wk.Lists(); len(l[1]) != 1 || len(l[2]) != 1 {
+				t.Fatalf("%s: prefix row %d expands to %d cities and %d countries", name, wk.Row(), len(l[1]), len(l[2]))
+			}
+		}
+		if full.prefixRows() != in.N {
+			t.Fatalf("%s: %d prefix rows of %d", name, full.prefixRows(), in.N)
+		}
+		checkTail(t, db, in, name, steps, 50)
 	}
 }
 
@@ -180,4 +226,72 @@ func walkLists(r *Result) [][]graph.NodeID {
 		out = append(out, wk.Lists()...)
 	}
 	return out
+}
+
+// TestFactorisedFootprint pins what a factorised result holds besides its
+// prefix rows and the survivors of absorbed filters: for T6's tail on
+// XMark, nothing per prefix row in a column that re-reads its partner
+// table, and one 4-byte length per prefix row in one that keeps
+// survivors — at most 4 bytes per prefix row and column in all. The three
+// tail Fetches together allocate no more than that per prefix row either,
+// plus a constant: none copies an earlier column.
+func TestFactorisedFootprint(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 5}).Graph
+	db := mustDB(t, g)
+	ctx := context.Background()
+	in, err := Fetch(ctx, db, extentOf(g, g.Labels().Lookup("person"), 0, 1), cond(g, "person", "address", 0, 1))
+	if err != nil || in.N < 500 {
+		t.Fatalf("T6 prefix: %d rows, %v", in.N, err)
+	}
+	name := tailStep{cond(g, "person", "name", 0, 2), 2, nil}
+	city := tailStep{cond(g, "address", "city", 1, 3), 3, nil}
+	country := tailStep{cond(g, "address", "country", 1, 4), 4, nil}
+	checked := tailStep{cond(g, "address", "country", 1, 4), 4, []NodeFilter{{Conds: []Cond{cond(g, "person", "country", 0, 4)}}}}
+	for _, tc := range []struct {
+		name  string
+		steps []tailStep
+	}{{"T6", []tailStep{name, city, country}}, {"T6 last filtered", []tailStep{name, city, checked}}} {
+		run := func() *Result {
+			rt, r := new(Runtime), in
+			for _, s := range tc.steps {
+				var err error
+				if r, _, err = rt.FetchFiltered(ctx, db, r, s.fetch, s.filters, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return r
+		}
+		res := run() // fills the partner slots
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		res = run()
+		goruntime.ReadMemStats(&after)
+		rows, k := res.prefixRows(), res.K()
+		if rows != in.N || k != 3 {
+			t.Fatalf("%s: %d prefix rows, K = %d", tc.name, rows, k)
+		}
+		held, survivors := 0, 0
+		for j, c := range res.exp {
+			if c.stored != (len(tc.steps[j].filters) > 0) {
+				t.Fatalf("%s: column %d stored=%v", tc.name, j, c.stored)
+			}
+			held += 4 * cap(c.lens)
+			for _, ch := range c.chunks {
+				survivors += 4 * cap(ch)
+			}
+		}
+		if held > 4*rows*k {
+			t.Fatalf("%s: columns hold %d bytes over %d prefix rows, K = %d", tc.name, held, rows, k)
+		}
+		// The operators' fixed state: Results, columns, counts, readers
+		// and the survivors' chunk headers.
+		const fixed = 8 << 10
+		alloc := int(after.TotalAlloc - before.TotalAlloc)
+		if alloc > 4*rows*k+survivors+fixed {
+			t.Fatalf("%s: the tail allocated %d bytes for %d prefix rows (%d in survivors); a list header per row would be %d",
+				tc.name, alloc, rows, survivors, 24*rows*k)
+		}
+		t.Logf("%s: %d prefix rows, %d bytes of lengths, %d of survivors, %d allocated, columns of %d bytes",
+			tc.name, rows, held, survivors, alloc, int(unsafe.Sizeof(expanded{})))
+	}
 }

@@ -65,7 +65,8 @@ func TestCenterCacheReuse(t *testing.T) {
 // TestFetchForeignLabelColumn: package-level callers may hand Fetch a column
 // whose values do not carry the condition's bound label. Such a value must
 // not index another node's partner slot: both directions return the
-// counted-I/O reference path's rows, before and after the table is warm.
+// counted-I/O reference path's rows, before and after the table is warm,
+// written out or factorised, however often the factorised column is read.
 func TestFetchForeignLabelColumn(t *testing.T) {
 	g := randomGraph(44, 500, 1400, 3)
 	db := mustDB(t, g)
@@ -94,6 +95,15 @@ func TestFetchForeignLabelColumn(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Data, want.Data) {
 				t.Fatalf("%v, %s table: Fetch over a C-labeled column returned %d rows, reference %d", tc.c, state, got.Len(), want.Len())
+			}
+			// A factorised column re-reads each list by the bound value:
+			// a foreign one is computed again, the same list every time.
+			res, err := new(Runtime).FetchResult(ctx, db, foreign, tc.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := walkLists(res); !reflect.DeepEqual(tab(res).Rows, tab(want).Rows) || !reflect.DeepEqual(walkLists(res), first) {
+				t.Fatalf("%v, %s table: the factorised Fetch over a C-labeled column re-reads other lists", tc.c, state)
 			}
 			// Warm the table with its own label's values for the second round.
 			own := tc.c.FromLabel

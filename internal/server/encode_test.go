@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -575,21 +576,27 @@ func TestEncodeStopsOnWriteError(t *testing.T) {
 	}
 }
 
-// TestEncodeAfterEpochRetired: a query's result holds the partner lists it
-// loaded, not the epoch. Take a factorised result (its epoch is released
-// when run returns), publish insert and delete batches that touch the
-// partner tables it read — the successor's tables restart and the old epoch
-// retires — and only then encode: the bytes are those encoded before the
-// writes. So for a plain last Fetch, whose lists are the partner table's
-// own, and for a fused one (the triangle's Fetch absorbs its closing
-// Selection), whose lists are intersections the result owns.
+// TestEncodeAfterEpochRetired: a query's result holds the partner tables it
+// read or the survivors it kept, not the epoch. Take a factorised result
+// (its epoch is released when run returns), publish insert and delete
+// batches that touch the partner tables it read — the successor's tables
+// restart and the old epoch retires — and only then encode: the bytes are
+// those encoded before the writes. So for a plain last Fetch, whose
+// column re-reads the partner table's own lists, and for a fused one (the
+// triangle's Fetch absorbs its closing Selection), whose column keeps the
+// intersections. In the third case the query runs under a memo bound so
+// small that every table fill forgets the epoch's tables, the one the
+// result re-reads included, mid-query: its bytes are still those of the
+// same query run with the tables kept.
 func TestEncodeAfterEpochRetired(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
 		fused       bool
+		forget      bool
 	}{
-		{"shared lists", "A->B; B->C", false},
-		{"intersected lists", "A->B; B->C; A->C", true},
+		{"shared lists", "A->B; B->C", false, false},
+		{"intersected lists", "A->B; B->C; A->C", true, false},
+		{"forgotten tables", "A->B; B->C", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := gdb.Build(testGraph(1, 60), gdb.Options{})
@@ -601,7 +608,12 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 			ctx := context.Background()
 
 			var res *Result
-			for _, algo := range []exec.Algorithm{exec.DP, exec.DPS} {
+			var algo exec.Algorithm
+			_, _, _, resets := db.DecodedMemoStats()
+			if tc.forget {
+				db.SetDecodedMemoBound(1)
+			}
+			for _, algo = range []exec.Algorithm{exec.DP, exec.DPS} {
 				fusedBefore := s.Stats().FusedFilters
 				r, err := s.run(ctx, pattern.MustParse(tc.query), algo, QueryOptions{})
 				if err != nil {
@@ -615,14 +627,28 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 			if res == nil {
 				t.Fatalf("no planner ended %s on a Fetch (fused=%v): nothing factorised to test", tc.query, tc.fused)
 			}
-			encode := func() []byte {
+			encode := func(res *Result) []byte {
 				rec := httptest.NewRecorder()
 				if _, err := writeQueryResponse(rec, res); err != nil {
 					t.Fatal(err)
 				}
 				return rec.Body.Bytes()
 			}
-			before := encode()
+			before := encode(res)
+			if tc.forget {
+				db.SetDecodedMemoBound(1 << 20)
+				if _, _, _, now := db.DecodedMemoStats(); now <= resets {
+					t.Fatalf("no table was forgotten while %s ran (%d resets)", tc.query, now)
+				}
+				kept, err := s.run(ctx, pattern.MustParse(tc.query), algo, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept.Elapsed, kept.PlanCached = res.Elapsed, res.PlanCached
+				if want := encode(kept); !bytes.Equal(before, want) {
+					t.Fatalf("a result whose tables were forgotten encodes %d bytes, %d with the tables kept", len(before), len(want))
+				}
+			}
 
 			// B and C nodes the result joins, and an A node: the new B→C, A→B
 			// and A→C edges change W rows and subclusters of every table the
@@ -654,10 +680,71 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 			if st := s.Stats(); st.CurrentEpoch < epoch+2 || st.PinnedEpochs != 1 || st.SnapshotsRetired != st.CurrentEpoch {
 				t.Fatalf("the result's epoch did not retire: %+v", st)
 			}
-			if after := encode(); !bytes.Equal(after, before) {
+			if after := encode(res); !bytes.Equal(after, before) {
 				t.Fatalf("body changed after its epoch retired (%d vs %d bytes)", len(after), len(before))
 			}
 		})
+	}
+}
+
+// TestEncodeConcurrentConsumers: a Result may be consumed by any number of
+// goroutines at once — its unfiltered columns re-read the partner tables
+// through a lookup that counts nothing — so Table and the encoder walking
+// one result side by side give what each gives alone (run under -race).
+func TestEncodeConcurrentConsumers(t *testing.T) {
+	db, err := gdb.Build(testGraph(1, 60), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := New(db, Config{})
+	ctx := context.Background()
+	tested := 0
+	for _, q := range []string{"A->B; B->C", "A->B; A->C", "A->B; B->C; A->C"} {
+		res, err := s.run(ctx, pattern.MustParse(q), exec.DPS, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.rows.K() == 0 || res.rows.N == 0 {
+			continue
+		}
+		tested++
+		want := wantBody(t, res)
+		rows, err := res.rows.Table(res.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 20 {
+					if g == 0 {
+						got, err := res.rows.Table(res.nodes)
+						if err != nil || !slices.EqualFunc(got.Rows, rows.Rows, slices.Equal[[]graph.NodeID]) {
+							errs <- fmt.Sprintf("%s: Table beside the encoder: %d rows of %d (%v)", q, got.Len(), rows.Len(), err)
+							return
+						}
+						continue
+					}
+					rec := httptest.NewRecorder()
+					if _, err := writeQueryResponse(rec, res); err != nil || !bytes.Equal(rec.Body.Bytes(), want) {
+						errs <- fmt.Sprintf("%s: encoder beside Table: %d bytes of %d (%v)", q, rec.Body.Len(), len(want), err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+	}
+	if tested == 0 {
+		t.Fatal("no query ended factorised: nothing consumed")
 	}
 }
 
