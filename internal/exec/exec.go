@@ -112,7 +112,11 @@ func patternOrder(plan *optimizer.Plan) []int {
 // result, with per-step actual row counts, I/O and elapsed time when trace
 // is true. The result's columns stand in the order the plan bound them and
 // the plan's factorised tail is left as products (see tailStart and
-// rjoin.Result); callers choose the column order when they consume it.
+// rjoin.Result): each tail Fetch adds one expanded column that re-reads its
+// partner table by a prefix column, or keeps the survivors of the filters
+// it absorbed, and copies none of the columns before it. The result stays
+// valid after the snapshot is released, and any number of goroutines may
+// consume it; callers choose the column order when they do.
 // Execution is abandoned mid-operator (with ctx.Err()) once ctx is
 // cancelled or past its deadline. Callers pin once and pass the same
 // snapshot to BuildPlanSnapConfig and here, so a query plans and executes
@@ -392,8 +396,9 @@ func other(cond rjoin.Cond, node int) int {
 // bound node and each absorbed Selection's other endpoint. The table that
 // enters the run is the prefix. Every row a prefix row stands for then
 // expands by the same partner list, cut by the same filters, so each Fetch
-// of the run adds one expanded column of K lists per prefix row
-// (rjoin.FetchResult) instead of writing its product out. A JoinFilterFetch
+// of the run adds one expanded column — one list per prefix row, stored
+// only when filters cut it (rjoin.FetchResult) — instead of writing its
+// product out. A JoinFilterFetch
 // may open the run, its Filter running on the prefix; Selections and
 // semijoin groups a Fetch did not absorb end it, as does a reference plan,
 // which writes every step out. Node sets are bitmasks, so a query pays no
