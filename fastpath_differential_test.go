@@ -441,7 +441,8 @@ type limitCuts struct {
 func productCuts(res *rjoin.Result) limitCuts {
 	var c limitCuts
 	k := res.K()
-	for wk, n := res.Walk(), 0; wk.Next(); {
+	wk, n := res.Walk(), 0
+	for wk.Next() {
 		lists, rows := wk.Lists(), wk.Product()
 		inner := len(lists[k-1])
 		if c.inside == 0 && inner >= 2 {

@@ -694,7 +694,8 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 	defer cc.flush()
 	rows, w := t.prefixRows(), t.Width()
 	n, kept, last := 0, 0, false
-	for in := t.Walk(); in.Next(); {
+	in := t.Walk()
+	for in.Next() {
 		i, m := in.Row(), in.Product()
 		targets, err := partners(t.Data[i*w+out.bound])
 		if err != nil {

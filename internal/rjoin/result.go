@@ -161,7 +161,8 @@ func (r *Result) prefixRows() int {
 // prefix row that stands for no rows, and looks up no list after the first
 // empty one of a row. Each list is shared and must not be mutated; the
 // consumer stops at the result's N rows. For a plain result it visits every
-// row with no lists.
+// row with no lists. Declare a Walker outside the loop that advances it: a
+// variable of a for clause is copied into every iteration.
 type Walker struct {
 	r          *Result
 	i, rows, w int
@@ -324,7 +325,8 @@ func (r *Result) flat(src []int) []graph.NodeID {
 		// every plan's written-out Fetches pay (EXPERIMENTS.md, "Served
 		// path — factorised tail").
 		pw, o, left := w-1, 0, r.N
-		for wk := r.Walk(); left > 0 && wk.Next(); {
+		wk := r.Walk()
+		for left > 0 && wk.Next() {
 			list := wk.lists[0]
 			list = list[:min(len(list), left)]
 			left -= len(list)
@@ -348,7 +350,8 @@ func (r *Result) flat(src []int) []graph.NodeID {
 		row, idx = make([]graph.NodeID, 0, w), make([]int, 0, w)
 	}
 	row, idx = row[:w], idx[:k]
-	for wk := r.Walk(); left > 0 && wk.Next(); {
+	wk := r.Walk()
+	for left > 0 && wk.Next() {
 		lists := wk.Lists()
 		copy(row, wk.Prefix())
 		for j, l := range lists {
@@ -412,7 +415,8 @@ func (r *Result) truncate(limit int) bool {
 	}
 	rows := limit
 	if len(r.exp) > 0 {
-		for wk, n := r.Walk(), 0; wk.Next(); {
+		wk, n := r.Walk(), 0
+		for wk.Next() {
 			if n += wk.Product(); n >= limit {
 				rows = wk.Row() + 1
 				break

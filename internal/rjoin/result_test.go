@@ -39,7 +39,8 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 		// The first list of two or more rows with rows after it gives a limit
 		// inside a list and one exactly on its end.
 		inside, boundary := 0, 0
-		for wk, n := full.Walk(), 0; boundary == 0 && wk.Next(); {
+		wk, n := full.Walk(), 0
+		for boundary == 0 && wk.Next() {
 			if l := wk.Product(); l >= 2 && n > 0 {
 				inside, boundary = n+1, n+l
 			}
@@ -130,7 +131,8 @@ func checkT6Tails(t *testing.T) {
 		}
 		// city and country are 1:1 expansions of the address; name is not
 		// (a person reaches the names its references lead to).
-		for wk := full.Walk(); wk.Next(); {
+		wk := full.Walk()
+		for wk.Next() {
 			if l := wk.Lists(); len(l[1]) != 1 || len(l[2]) != 1 {
 				t.Fatalf("%s: prefix row %d expands to %d cities and %d countries", name, wk.Row(), len(l[1]), len(l[2]))
 			}
@@ -222,7 +224,8 @@ func TestResultTableAndOrder(t *testing.T) {
 // stands for rows.
 func walkLists(r *Result) [][]graph.NodeID {
 	var out [][]graph.NodeID
-	for wk := r.Walk(); wk.Next(); {
+	wk := r.Walk()
+	for wk.Next() {
 		out = append(out, wk.Lists()...)
 	}
 	return out

@@ -153,7 +153,8 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	pw, left := r.Width(), r.N
 	idx := e.idx[:k-1]
 	pos := slices.Index(src, width-1)
-	for wk := r.Walk(); left > 0 && wk.Next(); {
+	wk := r.Walk()
+	for left > 0 && wk.Next() {
 		lists := wk.Lists()
 		// cur is the row but its innermost cell: with one list, the prefix
 		// row itself.

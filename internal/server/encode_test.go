@@ -96,7 +96,8 @@ func productResult(cols []int, lens [][]int) *rjoin.Result {
 // as a pushed-down limit leaves it.
 func cut(r *rjoin.Result, n int) *rjoin.Result {
 	c := *r
-	for wk, rows := r.Walk(), 0; rows < n && wk.Next(); {
+	wk, rows := r.Walk(), 0
+	for rows < n && wk.Next() {
 		if rows += wk.Product(); rows >= n {
 			c.Data = r.Data[:(wk.Row()+1)*r.Width()]
 		}
