@@ -631,11 +631,11 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 		out.lens = make([]uint32, t.prefixRows())
 	}
 	counts := make([]int, 1+len(fs))
-	res := &Result{Cols: cols}
-	rows, err := rt.expand(ctx, partners, t, &out, len(cols), limit, pf, counts, res)
+	rows, n, err := rt.expand(ctx, partners, t, &out, len(cols), limit, pf, counts)
 	if err != nil {
 		return nil, nil, err
 	}
+	res := &Result{Cols: cols, N: n}
 	if counts[0] > 0 {
 		res.Data = t.Data[:rows*t.Width()]
 		res.exp = append(append(make([]expanded, 0, t.K()+1), t.exp...), out)
@@ -662,9 +662,9 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // list for a stored out without filters. A prefix row of a factorised t
 // stands for the product of its lists, each an input row expanding by the
 // same list, so the lookup is once per prefix row and the rows are counted
-// per input row. counts[0] receives the expansion's logical row count,
-// counts[k+1] the count after filter k, and res.N the output's. It returns
-// the number of t's prefix rows the output covers.
+// per input row. counts[0] receives the expansion's logical row count and
+// counts[k+1] the count after filter k. It returns the number of t's
+// prefix rows the output covers and the output's row count.
 //
 // It stops after the first input row at which the step-by-step Fetch would
 // stop anyway: where the given limit is exceeded (limit+1 rows prove
@@ -675,7 +675,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // the query) — so a doomed query never allocates its full output. Each of
 // these is a bound on the running total, found by division, not by a walk:
 // the last prefix row covered then stands for only part of its input rows.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, out *expanded, width, limit int, pf *fetchFilters, counts []int, res *Result) (int, error) {
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, out *expanded, width, limit int, pf *fetchFilters, counts []int) (rows, n int, err error) {
 	// bound is the largest total at which expand goes on; past maxRows
 	// with no limit or budget below it, the result is refused.
 	bound := maxRows
@@ -693,19 +693,19 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 	cc := rt.check(ctx)
 	defer cc.flush()
 	rows, w := t.prefixRows(), t.Width()
-	n, kept, last := 0, 0, false
+	kept, last := 0, false
 	in := t.Walk()
 	for in.Next() {
 		i, m := in.Row(), in.Product()
 		targets, err := partners(t.Data[i*w+out.bound])
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		l := len(targets)
 		// m and l are below 2³¹, so the product fits an int64.
 		if int64(n)+int64(m)*int64(l) > int64(bound) || n > bound {
 			if bound == maxRows {
-				return 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", t.Cols, maxRows)
+				return 0, 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", t.Cols, maxRows)
 			}
 			// The input row, counting from 1, after which the total passes
 			// bound: the last this prefix row stands for here.
@@ -718,7 +718,7 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		// The first input row: one cancellation charge for the scan itself
 		// plus every row it stands for, and its bytes.
 		if err := cc.tickN(1 + l); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		cc.charge(int64(l) * int64(width) * nodeIDBytes)
 		switch {
@@ -728,7 +728,7 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		case pf != nil:
 			keep, err := pf.apply(out, i, t.Row(i), targets, counts, m)
 			if err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			kept += m * len(keep)
 		case out.stored:
@@ -736,11 +736,11 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		}
 		n += l
 		if err := rt.budget.CheckRows(n); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if m > 1 {
 			if err := rt.chargeRows(&cc, m-1, l, width, &n); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		if last {
@@ -751,11 +751,10 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		out.lens = out.lens[:rows]
 	}
 	counts[0] = n
-	res.N = n
 	if pf != nil {
-		res.N = kept
+		return rows, kept, nil
 	}
-	return rows, nil
+	return rows, n, nil
 }
 
 // chargeRows is expand's accounting for r more input rows that each expand
