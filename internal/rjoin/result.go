@@ -115,15 +115,18 @@ func (c *expanded) keep(i int, l []graph.NodeID) {
 // row-major, and k expanded columns whose lists are given with stride k —
 // prefix row i's are lists[i*k:(i+1)*k], the j-th that of column
 // Width()+j, ascending — standing for the first n rows of the products.
-// The lists are copied into stored columns. It is how a caller builds a
+// The lists are copied into stored columns, so the prefix rows may be
+// empty (Width() 0), as no operator's are. It is how a caller builds a
 // factorised result without running the operators; it panics unless k is
-// between 1 and 16 and lists holds k per prefix row.
+// between 1 and 16 and data and lists hold the same number of prefix rows.
 func Factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *Result {
-	w := len(cols) - k
-	if k < 1 || k > maxExpanded || w < 1 || len(data)%w != 0 || len(lists) != len(data)/w*k {
+	w, rows := len(cols)-k, 0
+	if k >= 1 {
+		rows = len(lists) / k
+	}
+	if k < 1 || k > maxExpanded || w < 0 || len(lists)%k != 0 || len(data) != rows*w {
 		panic(fmt.Sprintf("rjoin: %d lists and %d cells for %d columns, %d expanded", len(lists), len(data), len(cols), k))
 	}
-	rows := len(data) / w
 	r := &Result{Cols: cols, Data: data, N: n, exp: make([]expanded, k)}
 	for j := range r.exp {
 		c := &r.exp[j]
@@ -147,12 +150,18 @@ func (r *Result) Row(i int) []graph.NodeID {
 	return r.Data[i*w : (i+1)*w : (i+1)*w]
 }
 
-// prefixRows returns the number of prefix rows.
+// prefixRows returns the number of prefix rows: of a factorised result
+// whose prefix rows are empty, every column is stored, with one length per
+// prefix row.
 func (r *Result) prefixRows() int {
-	if len(r.exp) == 0 {
+	switch w := r.Width(); {
+	case len(r.exp) == 0:
 		return r.N
+	case w == 0:
+		return len(r.exp[0].lens)
+	default:
+		return len(r.Data) / w
 	}
-	return len(r.Data) / r.Width()
 }
 
 // A Walker visits a result's prefix rows in order, each with its K lists:

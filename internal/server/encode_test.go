@@ -179,7 +179,7 @@ func encodingCases() map[string]*Result {
 		"product K=3":                 prod(k3),
 		"product K=3 cut in product":  prod(cut(k3, 7)),
 		"product K=3 cut on boundary": prod(cut(k3, 12)),
-		"product K=3 prefix last":     prod(productResult([]int{3, 2, 0, 1}, [][]int{{2, 1, 3}, {3, 2, 2}})),
+		"product K=3 no prefix":       prod(productResult([]int{2, 0, 1}, [][]int{{2, 1, 3}, {3, 2, 2}})),
 		"product 100k":                prod(cut(productResult([]int{0, 2, 1}, [][]int{{95, 540}, {432, 540}}), 100_000)),
 	}
 	for name, cols := range map[string][]int{
