@@ -80,6 +80,9 @@ const columnChunk = 8192
 // a new chunk when the last one has no room: a list is written there and
 // then committed.
 func (c *expanded) room(n int) []graph.NodeID {
+	if n == 0 {
+		return nil
+	}
 	last := len(c.chunks) - 1
 	if last < 0 || cap(c.chunks[last])-len(c.chunks[last]) < n {
 		size := 64
