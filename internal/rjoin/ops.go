@@ -331,15 +331,15 @@ func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (
 }
 
 // FetchResult is Fetch for a step of a plan's factorised tail: the same
-// rows in the same order, handed up as the factorised Result expand
-// resolved — t's prefix rows with one more list each, the bound value's
-// shared partner list — instead of being written out. t may itself be
-// factorised, as long as the bound column is one of its prefix columns:
-// every row a prefix row stands for then expands by the same list. Limit,
-// budget and cancellation behave as in Fetch over t written out: the same
-// logical bytes and rows are charged at the same points, so every counter
-// and typed kill is the materialising run's. The Result's prefix rows are
-// t's data, shared.
+// rows in the same order, handed up factorised — t's prefix rows with one
+// more expanded column, whose list for a prefix row is the bound value's
+// partner list, re-read from the partner table by every consumer — instead
+// of being written out. t may itself be factorised, as long as the bound
+// column is one of its prefix columns: every row a prefix row stands for
+// then expands by the same list. Limit, budget and cancellation behave as
+// in Fetch over t written out: the same logical bytes and rows are charged
+// at the same points, so every counter and typed kill is the materialising
+// run's. The Result's prefix rows and t's columns are shared with t.
 func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
 	res, _, err := rt.fetch(ctx, db, t, c, nil, false)
 	return res, err
@@ -380,8 +380,9 @@ type NodeFilter struct {
 //
 // With no filters this is Fetch, or with factorise set FetchResult. With
 // factorise set the group is a step of the plan's factorised tail and the
-// survivors stay factorised: t's prefix rows and one more list each, owned
-// by the Result (shared partner lists are never written), and t may be
+// survivors stay factorised: t's prefix rows and one more column that
+// keeps them, with a length per prefix row (shared partner lists are never
+// written), and t may be
 // factorised as FetchResult allows. Otherwise they are written out at their
 // exact size, into one pointer-free slice.
 // counts holds the Fetch's logical row count and then the row count after
