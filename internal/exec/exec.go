@@ -398,12 +398,11 @@ func other(cond rjoin.Cond, node int) int {
 // expands by the same partner list, cut by the same filters, so each Fetch
 // of the run adds one expanded column — one list per prefix row, stored
 // only when filters cut it (rjoin.FetchResult) — instead of writing its
-// product out. A JoinFilterFetch
-// may open the run, its Filter running on the prefix; Selections and
-// semijoin groups a Fetch did not absorb end it, as does a reference plan,
-// which writes every step out. Node sets are bitmasks, so a query pays no
-// allocation for this; a pattern of more than 64 nodes (no planner accepts
-// one) has no tail.
+// product out. A JoinFilterFetch may open the run, its Filter running on
+// the prefix; Selections and semijoin groups a Fetch did not absorb end it,
+// as does a reference plan, which writes every step out. Node sets are
+// bitmasks, so a query pays no allocation for this; a pattern of more than
+// 64 nodes (no planner accepts one) has no tail.
 func tailStart(plan *optimizer.Plan) int {
 	steps, b := plan.Steps, plan.Binding
 	if plan.Reference || b.Pattern.NumNodes() > 64 {

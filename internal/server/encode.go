@@ -100,14 +100,13 @@ func rowRoom(width int) int { return 11*width + 2 + 31 }
 // rows appends r's first r.N rows as JSON arrays, comma-separated, with
 // output column j taken from source column src[j]; prefix row i is
 // r.Data[i*w:(i+1)*w]. Plain rows are written cell by cell with putNodeID.
-// A factorised result's prefix rows and their lists come from its Walker,
-// and each prefix row's product is walked like an odometer over its outer
-// lists, and per position of the odometer the
-// innermost list is written a run at a time: the row's cells but the
-// innermost column are formatted once, as the text before and after it,
-// and each row of the run is a 32-byte store of the head, the partner's
-// digits and a 32-byte store of the tail (a copy finishes a head or tail
-// longer than 32 bytes).
+// A factorised result's prefix rows and their lists come from its Walker;
+// each prefix row's product is walked like an odometer over its outer
+// lists, and per position of the odometer the innermost list is written a
+// run at a time: the row's cells but the innermost column are formatted
+// once, as the text before and after it, and each row of the run is a
+// 32-byte store of the head, the partner's digits and a 32-byte store of
+// the tail (a copy finishes a head or tail longer than 32 bytes).
 func (e *encoder) rows(r *rjoin.Result, src []int) {
 	width := len(src)
 	need := rowRoom(width)
