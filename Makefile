@@ -6,9 +6,9 @@ GO ?= go
 # kernels, the two per-row index reads (partner slot, reachability test),
 # the four binary R-join operators, a Fetch with the filters on its new node
 # fused against the step-by-step pipeline (ns per input row; XMark groups
-# and the read_skew groups S1served and S4served), a plan's last
-# Fetches as a factorised tail against written out (ns per result row and
-# B/op: F7, T9, T5 and T6's tails, and one emitting Fetch)
+# and the read_skew groups S1served and S4served), a plan's Fetches left
+# factorised against written out (ns per result row and B/op: F7, T9, T5,
+# T6, P8 and Q1, and one flatten point)
 # and the response encoder (ns per row from a served-shaped, a synthetic, a
 # tree-shaped wide and a two-list product factorised result and from a
 # plain one) — the hot paths a perf PR must not regress.
@@ -89,7 +89,10 @@ test-race-stress:
 # verify is the gating tier: vet plus the full suite under the race
 # detector, so concurrency regressions in the query-serving path cannot
 # land silently, the differential and prefix-consistency suites again on
-# one core (the suite must be green at any core count), the served answers,
+# one core (the suite must be green at any core count), every served
+# answer held against the index-free oracle (exec.NaiveMatch over the
+# transitive closure; the XMark 100k closure takes about 1.25 GB and the
+# run about a minute), the served answers,
 # the encoder tests and a short encoder fuzz built with -tags fgmcheck
 # (every unchecked store of the response encoder bounds-checked, which
 # neither -race nor -d=checkptr does), then the coverage floor on the
@@ -100,6 +103,7 @@ verify:
 	$(GO) vet -tags fgmcheck ./internal/server
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -run 'Differential|Crosscheck|PrefixConsistency' . ./internal/server
+	$(GO) test -run TestServedAnswers -oracle .
 	$(GO) test -tags fgmcheck -run 'TestServedAnswers|TestEncode|TestPutNodeID|TestQueryResponseEncoding' . ./internal/server
 	$(GO) test -tags fgmcheck -run XXX -fuzz FuzzEncodeResult -fuzztime 10s ./internal/server
 	$(MAKE) test-cover

@@ -132,7 +132,7 @@ func run() error {
 		for i, tr := range traces {
 			// A step the Fetch before it absorbed ran as intersections of
 			// that Fetch's partner lists: its time is on the Fetch's line.
-			// A Fetch of the factorised tail kept its lists unexpanded.
+			// A Fetch whose column the result kept wrote no rows.
 			elapsed := fmt.Sprintf("%.2fms", tr.ElapsedMS)
 			if tr.Fused {
 				elapsed = "fused"

@@ -8,6 +8,7 @@ import (
 	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
+	"fastmatch/internal/optimizer"
 	"fastmatch/internal/pattern"
 	"fastmatch/internal/rjoin"
 	"fastmatch/internal/workload"
@@ -160,4 +161,42 @@ func rowCaps(peak int) []int {
 		caps = append(caps, peak-1, peak, peak+1)
 	}
 	return caps
+}
+
+// TestEveryFetchFactorised: under the served planner no Fetch of the path
+// and tree batteries writes rows on the served XMark 100k — every Fetch
+// traces Factorised, its column kept in the result, and the result binds
+// one expanded column per Fetch. T5's semijoin group on a prefix column
+// drops prefix rows of the factorised result instead of writing it out.
+func TestEveryFetchFactorised(t *testing.T) {
+	ctx := context.Background()
+	db, err := gdb.Build(xmark.Generate(xmark.Config{Nodes: 100000, Seed: 1}).Graph, gdb.Options{PoolBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap, release := db.Pin()
+	defer release()
+	for _, w := range append(workload.Paths(), workload.Trees()...) {
+		plan, err := exec.BuildPlanSnapConfig(snap, w.Pattern, exec.DPS, exec.PlanConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetches := 0
+		for i, tr := range traces {
+			if tr.Step.Kind == optimizer.StepFetch || tr.Step.Kind == optimizer.StepJoinFilterFetch {
+				fetches++
+				if !tr.Factorised {
+					t.Errorf("%s: step %d (%v) wrote its rows out", w.Name, i+1, tr.Step.Kind)
+				}
+			}
+		}
+		if res.N == 0 || res.K() != fetches {
+			t.Errorf("%s: %d rows, %d expanded columns for %d Fetches", w.Name, res.N, res.K(), fetches)
+		}
+	}
 }

@@ -322,8 +322,9 @@ func TestFastPathDifferential(t *testing.T) {
 // reference plan's (runBoth), whose Fetches ran unlimited and whose last
 // filter took the limit; so is the typed kill of a row cap and of a byte
 // cap at half of what the limited run needs. The batteries must reach
-// T6's tail — K = 3, two of its Fetches 1:1 — and a tail that mixes
-// columns with and without absorbed filters.
+// T6 with every Fetch factorised — K = 4, city and country nested under
+// address — and a result that mixes columns with and without absorbed
+// filters.
 func TestFactorisedLimits(t *testing.T) {
 	ctx := context.Background()
 	fusedInside, fusedOnBoundary, outer, prefix := 0, 0, 0, 0
@@ -356,7 +357,7 @@ func TestFactorisedLimits(t *testing.T) {
 				// The plan's last step ran inside the Fetch before it: the
 				// lists are intersections the result owns.
 				fused := traces[len(traces)-1].Fused
-				t6 = t6 || p.String() == workloadPattern(workload.Trees(), "T6") && res.K() == 3
+				t6 = t6 || p.String() == workloadPattern(workload.Trees(), "T6") && res.K() == 4
 				var plainCol, filteredCol bool
 				for i, tr := range traces {
 					if tr.Factorised && !tr.Fused {
@@ -423,7 +424,7 @@ func TestFactorisedLimits(t *testing.T) {
 		t.Fatalf("tails of two or more Fetches: %d limits on an outer list's boundary and %d on a prefix row's — batteries too small", outer, prefix)
 	}
 	if !t6 || !mixed {
-		t.Fatalf("T6's K = 3 tail reached: %v; a tail mixing filtered and plain columns reached: %v", t6, mixed)
+		t.Fatalf("T6 at K = 4 reached: %v; a tail mixing filtered and plain columns reached: %v", t6, mixed)
 	}
 }
 
@@ -436,27 +437,29 @@ type limitCuts struct {
 	prefix int // on the end of a prefix row's product, with rows after it (K ≥ 2)
 }
 
-// productCuts finds res's limitCuts in its first prefix rows whose
-// products stand for rows.
+// productCuts finds res's limitCuts in the runs of its walk (rjoin.Walker):
+// a run ends an inner list, and one that starts in the same prefix row as
+// the run before it ends an outer list's entry.
 func productCuts(res *rjoin.Result) limitCuts {
 	var c limitCuts
 	k := res.K()
-	wk, n := res.Walk(), 0
+	wk, n, row := res.Walk(), 0, -1
 	for wk.Next() {
-		lists, rows := wk.Lists(), wk.Product()
-		inner := len(lists[k-1])
+		switch {
+		case wk.Row() != row && row >= 0 && k >= 2 && c.prefix == 0:
+			c.prefix = n
+		case wk.Row() == row && k >= 2 && c.outer == 0:
+			c.outer = n
+		}
+		row = wk.Row()
+		inner := len(wk.Run())
 		if c.inside == 0 && inner >= 2 {
 			c.inside = n + 1
 		}
 		if c.inner == 0 && n+inner < res.N {
 			c.inner = n + inner
 		}
-		if k >= 2 && c.outer == 0 && rows > inner {
-			c.outer = n + inner
-		}
-		if n += rows; k >= 2 && c.prefix == 0 && n < res.N {
-			c.prefix = n
-		}
+		n += inner
 	}
 	return c
 }

@@ -44,10 +44,10 @@ type StepTrace struct {
 	// Rows is the Fetch's logical output, the rows it would have written
 	// had the filters run after it. Reference plans never fuse.
 	Fused bool
-	// Factorised marks a Fetch of the plan's factorised tail (see Run): it
-	// kept its partner lists as one more expanded column of the result
-	// instead of writing its rows out. Rows is still the logical row count
-	// the step left. Reference plans never factorise.
+	// Factorised marks a Fetch whose rows were never written out (see Run):
+	// it kept its partner lists as one more expanded column of the result,
+	// and no later step flattened the result. Rows is still the logical row
+	// count the step left. Reference plans never factorise.
 	Factorised bool
 }
 
@@ -111,10 +111,13 @@ func patternOrder(plan *optimizer.Plan) []int {
 // Run executes a plan against a pinned snapshot epoch and returns its
 // result, with per-step actual row counts, I/O and elapsed time when trace
 // is true. The result's columns stand in the order the plan bound them and
-// the plan's factorised tail is left as products (see tailStart and
-// rjoin.Result): each tail Fetch adds one expanded column that re-reads its
-// partner table by a prefix column, or keeps the survivors of the filters
-// it absorbed, and copies none of the columns before it. The result stays
+// no Fetch writes rows (see rjoin.Result): each adds one expanded column
+// under the column of the node it reads — re-reading its partner table by
+// that column's value, or keeping the survivors of the filters it
+// absorbed — and copies none of the columns before it. Only a step that
+// reads two values no list holds together — a semijoin group, a Selection
+// the Fetch before it did not absorb, a Fetch reading two branches of the
+// forest — writes the result out first (rjoin.Result.Flatten). It stays
 // valid after the snapshot is released, and any number of goroutines may
 // consume it; callers choose the column order when they do.
 // Execution is abandoned mid-operator (with ctx.Err()) once ctx is
@@ -145,11 +148,10 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	}
 	bdg := cfg.Budget
 	var traces []StepTrace
-	// t is the temporal table between steps, flat (see rjoin.Result); each
-	// operator consumes it and returns the next. From step tail on it is
-	// factorised: each Fetch adds one expanded column instead of rows.
+	// t is the temporal table between steps (see rjoin.Result); each
+	// operator consumes it and returns the next.
 	var t *rjoin.Result
-	last, tail := len(plan.Steps)-1, tailStart(plan)
+	last := len(plan.Steps) - 1
 	for si := 0; si < len(plan.Steps); si++ {
 		s := plan.Steps[si]
 		if err := ctx.Err(); err != nil {
@@ -173,9 +175,8 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 		// after each step it absorbed.
 		var counts []int
 		// A Fetch takes over the filters that follow it on the node it binds
-		// (absorbed), and a group of the factorised tail hands its expansion
-		// up as the operator resolved it, not written out. A reference plan
-		// writes every step out and runs every step on its own: its spill and
+		// (absorbed) and leaves its rows factorised. A reference plan writes
+		// every step out and runs every step on its own: its spill and
 		// hash-dedup projection are what the paper's executor does and what
 		// the differential tests hold the fused, factorised result against.
 		fetch := func() (err error) {
@@ -185,10 +186,14 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				t, err = rt.Fetch(ctx, db, t, cond)
 				return err
 			}
-			filters := absorbed(plan, si, fetchNode(cond, t.HasCol(cond.ToNode)))
+			node := cond.ToNode
+			if t.HasCol(node) {
+				node = cond.FromNode
+			}
+			filters := absorbed(plan, si, node)
 			end = si + len(filters)
 			pushLimit()
-			t, counts, err = rt.FetchFiltered(ctx, db, t, cond, filters, si >= tail)
+			t, counts, err = rt.FetchFiltered(ctx, db, t, cond, filters, true)
 			return err
 		}
 		stepStart := time.Now()
@@ -264,7 +269,7 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 				IO:              db.IOStats().Logical() - ioBefore,
 				ElapsedMS:       float64(time.Since(stepStart).Microseconds()) / 1000,
 				CenterCacheHits: statsAfter.CenterCacheHits - statsBefore.CenterCacheHits,
-				Factorised:      si >= tail,
+				Factorised:      !plan.Reference && (s.Kind == optimizer.StepFetch || s.Kind == optimizer.StepJoinFilterFetch),
 			}
 			// A Fetch that absorbed steps reports its logical output and
 			// carries the group's time; each absorbed step keeps its own
@@ -284,6 +289,14 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 	}
 	if t == nil {
 		return nil, nil, fmt.Errorf("exec: empty plan")
+	}
+	// The result's expanded columns are the last K() Fetches'; a step that
+	// read rows wrote each earlier one out (rjoin.Result.Flatten).
+	for i, k := len(traces)-1, t.K(); i >= 0; i-- {
+		if traces[i].Factorised {
+			traces[i].Factorised = k > 0
+			k--
+		}
 	}
 	// Every operator preserves pairwise-distinct rows (HPSJ emits distinct
 	// pairs, Fetch extends distinct rows by distinct nodes,
@@ -331,130 +344,29 @@ func stepConds(b *optimizer.Binding, s optimizer.Step) []rjoin.Cond {
 	return conds
 }
 
-// absorbedSteps returns how many of the steps directly following step si
-// the Fetch there, which binds node, takes over from the plan: the maximal
-// run of steps that constrain only that node — a Selection with it as one
-// endpoint (the other is bound, or the step would not be a Selection), an
-// R-semijoin group on it. Such a step reads nothing of the Fetch's output
-// but the new column, and its keep-test is a membership test of the new
-// value — in a partner list for a Selection, in a gdb.RankSet projection
-// for a semijoin group — so the Fetch applies it to its partner lists
-// before any row exists (rjoin.FetchFiltered). The steps stay in plan
-// order, which is what lets the trace report the row count each one left.
-// A filter on an older column is not absorbed: it would have to be
-// evaluated per input row, which is the operator it already is.
-func absorbedSteps(plan *optimizer.Plan, si, node int) int {
-	n := 0
-	for _, s := range plan.Steps[si+1:] {
-		c := plan.Binding.Conds[s.Edges[0]]
-		if s.Kind == optimizer.StepSelection && (c.FromNode == node || c.ToNode == node) ||
-			s.Kind == optimizer.StepSemijoinGroup && s.Node == node {
-			n++
-			continue
-		}
-		break
-	}
-	return n
-}
-
-// absorbed returns the filters of the steps the Fetch at step si, which
-// binds node, takes over (see absorbedSteps).
+// absorbed returns the filters the Fetch at step si, which binds node,
+// takes over from the plan: those of the maximal run of steps after it
+// that constrain only that node — a Selection with it as one endpoint (the
+// other is bound, or the step would not be a Selection), an R-semijoin
+// group on it. Such a step reads nothing of the Fetch's output but the new
+// column, and its keep-test is a membership test of the new value — in a
+// partner list for a Selection, in a gdb.RankSet projection for a semijoin
+// group — so the Fetch applies it to its partner lists before any row
+// exists (rjoin.FetchFiltered). The filters stay in plan order, which is
+// what lets the trace report the row count each one left. A filter on an
+// older column is not absorbed: it would have to be evaluated per input
+// row, which is the operator it already is.
 func absorbed(plan *optimizer.Plan, si, node int) []rjoin.NodeFilter {
 	b := plan.Binding
 	var filters []rjoin.NodeFilter
-	for _, s := range plan.Steps[si+1 : si+1+absorbedSteps(plan, si, node)] {
-		f := rjoin.NodeFilter{Conds: stepConds(b, s)}
-		if s.Kind == optimizer.StepSemijoinGroup {
-			f.Semijoin, f.OutSide = true, s.OutSide
+	for _, s := range plan.Steps[si+1:] {
+		c, semijoin := b.Conds[s.Edges[0]], s.Kind == optimizer.StepSemijoinGroup
+		if semijoin && s.Node != node || !semijoin && (s.Kind != optimizer.StepSelection || c.FromNode != node && c.ToNode != node) {
+			break
 		}
-		filters = append(filters, f)
+		filters = append(filters, rjoin.NodeFilter{Conds: stepConds(b, s), Semijoin: semijoin, OutSide: semijoin && s.OutSide})
 	}
 	return filters
-}
-
-// fetchNode returns the node a Fetch of cond binds: the endpoint that is
-// not yet bound, given whether its To endpoint is.
-func fetchNode(cond rjoin.Cond, toBound bool) int {
-	if toBound {
-		return cond.FromNode
-	}
-	return cond.ToNode
-}
-
-// other returns the endpoint of cond that is not node.
-func other(cond rjoin.Cond, node int) int {
-	if cond.FromNode == node {
-		return cond.ToNode
-	}
-	return cond.FromNode
-}
-
-// tailStart returns the first step of plan's factorised tail, or
-// len(plan.Steps) when it has none. The tail is the longest run of Fetch
-// groups — a Fetch and the filters it absorbs — that ends the plan and in
-// which every group reads only nodes bound before the run: the Fetch's
-// bound node and each absorbed Selection's other endpoint. The table that
-// enters the run is the prefix. Every row a prefix row stands for then
-// expands by the same partner list, cut by the same filters, so each Fetch
-// of the run adds one expanded column — one list per prefix row, stored
-// only when filters cut it (rjoin.FetchResult) — instead of writing its
-// product out. A JoinFilterFetch may open the run, its Filter running on
-// the prefix; Selections and semijoin groups a Fetch did not absorb end it,
-// as does a reference plan, which writes every step out. Node sets are
-// bitmasks, so a query pays no allocation for this; a pattern of more than
-// 64 nodes (no planner accepts one) has no tail.
-func tailStart(plan *optimizer.Plan) int {
-	steps, b := plan.Steps, plan.Binding
-	if plan.Reference || b.Pattern.NumNodes() > 64 {
-		return len(steps)
-	}
-	// A group is a step, or a Fetch and the steps it absorbs: where it
-	// starts, the node it binds (-1 for anything but a Fetch) and the nodes
-	// it reads.
-	type group struct {
-		start, node int
-		reads       uint64
-		opens       bool // a JoinFilterFetch: only the run's first group
-	}
-	var buf [32]group
-	groups := buf[:0]
-	var bound uint64
-	for si := 0; si < len(steps); si++ {
-		s := steps[si]
-		g := group{start: si, node: -1}
-		switch s.Kind {
-		case optimizer.StepHPSJ:
-			c := b.Conds[s.Edges[0]]
-			bound |= 1<<c.FromNode | 1<<c.ToNode
-		case optimizer.StepSemijoinGroup:
-			bound |= 1 << s.Node
-		case optimizer.StepFetch, optimizer.StepJoinFilterFetch:
-			c := b.Conds[s.Edges[0]]
-			g.node, g.opens = fetchNode(c, bound>>c.ToNode&1 != 0), s.Kind == optimizer.StepJoinFilterFetch
-			g.reads = 1 << other(c, g.node)
-			k := absorbedSteps(plan, si, g.node)
-			for _, f := range steps[si+1 : si+1+k] {
-				if f.Kind == optimizer.StepSelection {
-					g.reads |= 1 << other(b.Conds[f.Edges[0]], g.node)
-				}
-			}
-			bound |= 1 << g.node
-			si += k
-		}
-		groups = append(groups, g)
-	}
-	start, read := len(steps), uint64(0)
-	for gi := len(groups) - 1; gi >= 0; gi-- {
-		g := groups[gi]
-		if g.node < 0 || read>>g.node&1 != 0 {
-			break
-		}
-		start, read = g.start, read|g.reads
-		if g.opens {
-			break
-		}
-	}
-	return start
 }
 
 func requireTable(t *rjoin.Result, si int) (*rjoin.Result, error) {

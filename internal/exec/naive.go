@@ -9,10 +9,17 @@ import (
 )
 
 // NaiveMatch enumerates all matches of p in g by backtracking over extents,
-// checking reachability conditions against a precomputed transitive
-// closure. It is exponential in memory-friendly form and serves as ground
-// truth in tests and as a no-index baseline on small graphs.
+// checking reachability conditions against g's transitive closure. It is
+// exponential in memory-friendly form and serves as ground truth in tests
+// and as a no-index baseline on small graphs.
 func NaiveMatch(g *graph.Graph, p *pattern.Pattern) (*rjoin.Table, error) {
+	return NaiveMatchClosure(g, graph.NewTransitiveClosure(g), p)
+}
+
+// NaiveMatchClosure is NaiveMatch against tc, g's transitive closure, built
+// once for any number of patterns: it reads neither the 2-hop cover nor
+// the cluster index, so it checks the engine's answers independently.
+func NaiveMatchClosure(g *graph.Graph, tc *graph.TransitiveClosure, p *pattern.Pattern) (*rjoin.Table, error) {
 	labels := make([]graph.Label, p.NumNodes())
 	for i, name := range p.Nodes {
 		l := g.Labels().Lookup(name)
@@ -21,7 +28,6 @@ func NaiveMatch(g *graph.Graph, p *pattern.Pattern) (*rjoin.Table, error) {
 		}
 		labels[i] = l
 	}
-	tc := graph.NewTransitiveClosure(g)
 
 	// Order pattern nodes so each (after the first) connects to an earlier
 	// node, letting partial assignments be checked incrementally.

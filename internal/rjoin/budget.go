@@ -26,9 +26,9 @@ var (
 //
 // Accounting happens where rows are produced (HPSJ's center cross-products
 // and its output, Fetch's per-row expansions) and counts their
-// logical size, 4 bytes per cell, whether the rows are written out or — the
-// plan's factorised tail — left as products in the Result, where every
-// input row a prefix row stands for is charged as if it were written. A Fetch that
+// logical size, 4 bytes per cell, whether the rows are written out or left
+// as nested products in the Result, where every input row is charged as if
+// it were written. A Fetch that
 // absorbed the filters following it (FetchFiltered) is charged, and its
 // row counts are checked and noted, for its whole expansion — the rows it
 // would have written had the filters run after it — not for the survivors,

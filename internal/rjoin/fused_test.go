@@ -258,7 +258,7 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 			{cond(g, "A", "D", 0, 6), 6, nil},
 			{fetch, 3, filters},
 			{cond(g, "A", "B", 0, 5), 5, nil},
-		}, 50)
+		}, nil, 50)
 	}
 	for _, tc := range cases {
 		unfiltered, err := Fetch(ctx, db, tc.in, fetch)

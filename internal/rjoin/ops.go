@@ -214,9 +214,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 	if len(conds) == 0 {
 		return t, nil
 	}
-	if err := plain(t); err != nil {
-		return nil, err
-	}
+	t = t.rowsOf(node)
 	col := t.ColIndex(node)
 	if col < 0 {
 		return nil, fmt.Errorf("rjoin: filter group on unbound node %d in %v", node, t.Cols)
@@ -239,11 +237,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 		return t, nil
 	}
 	rt.ops++
-	cc := rt.check(ctx)
-	return rt.compact(t, func(row []graph.NodeID) (bool, error) {
-		if err := cc.tick(); err != nil {
-			return false, err
-		}
+	return rt.compact(ctx, t, func(row []graph.NodeID) (bool, error) {
 		return rd.semijoin(g, row[col])
 	})
 }
@@ -252,11 +246,28 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 // of t that keep accepts, in input order, writing each survivor over t's
 // own data — row k lands at an index no greater than the one it was read
 // from, the rule gdb.IntersectTo and RankSet.FilterTo follow in place — so
-// a filter allocates nothing. It stops at limit+1 survivors and returns t,
-// cut to them, through the operator checkpoint.
-func (rt *Runtime) compact(t *Result, keep func(row []graph.NodeID) (bool, error)) (*Result, error) {
-	w, kept := t.Width(), 0
-	for i := 0; i < t.N; i++ {
+// a filter allocates nothing. Over a factorised t (see rowsOf) it keeps or
+// drops prefix rows, ticking each for the rows it stands for. It stops at
+// limit+1 survivors and returns t, cut to them, through the operator
+// checkpoint.
+func (rt *Runtime) compact(ctx context.Context, t *Result, keep func(row []graph.NodeID) (bool, error)) (*Result, error) {
+	cc := rt.check(ctx)
+	w, rows, kept := t.Width(), 0, 0
+	wk := t.Walk()
+	more := t.K() > 0 && wk.Next()
+	for i := range t.prefixRows() {
+		n := 1
+		if t.K() > 0 {
+			for n = 0; more && wk.Row() == i; more = wk.Next() {
+				n += len(wk.Run())
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		if err := cc.tickN(n); err != nil {
+			return nil, err
+		}
 		row := t.Data[i*w : (i+1)*w]
 		ok, err := keep(row)
 		if err != nil {
@@ -265,26 +276,16 @@ func (rt *Runtime) compact(t *Result, keep func(row []graph.NodeID) (bool, error
 		if !ok {
 			continue
 		}
-		if kept < i {
-			copy(t.Data[kept*w:], row)
+		if rows < i {
+			copy(t.Data[rows*w:], row)
 		}
-		kept++
+		rows, kept = rows+1, kept+n
 		if rt.pastLimit(kept) {
 			break
 		}
 	}
-	t.Data, t.N = t.Data[:kept*w], kept
+	t.Data, t.N = t.Data[:rows*w], kept
 	return rt.finishResult(t)
-}
-
-// plain refuses a factorised Result as an operator's input: only the
-// Fetches of a plan's factorised tail leave one, and only the tail's next
-// Fetch (FetchResult) runs after them.
-func plain(t *Result) error {
-	if t.K() != 0 {
-		return fmt.Errorf("rjoin: operator input over %v is factorised", t.Cols)
-	}
-	return nil
 }
 
 // incident checks that c is read from node's given code side — node→Y for
@@ -323,25 +324,21 @@ func side(out bool) string {
 // expansion nodes are emitted in ascending order (the sorted-set union of
 // the subcluster lists), so rows come in input order × ascending partners.
 // Rows whose center set is empty produce nothing, so Fetch subsumes Filter;
-// running Filter first simply prunes earlier. The output is sized exactly
-// before it is written (see expand): one pointer-free slice of N×w cells.
+// running Filter first simply prunes earlier. It is FetchResult written out
+// (Result.Flatten): one pointer-free slice of N×w cells.
 func (rt *Runtime) Fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
-	res, _, err := rt.fetch(ctx, db, t, c, nil, true)
+	res, _, err := rt.FetchFiltered(ctx, db, t, c, nil, false)
 	return res, err
 }
 
-// FetchResult is Fetch for a step of a plan's factorised tail: the same
-// rows in the same order, handed up factorised — t's prefix rows with one
-// more expanded column, whose list for a prefix row is the bound value's
-// partner list, re-read from the partner table by every consumer — instead
-// of being written out. t may itself be factorised, as long as the bound
-// column is one of its prefix columns: every row a prefix row stands for
-// then expands by the same list. Limit, budget and cancellation behave as
-// in Fetch over t written out: the same logical bytes and rows are charged
-// at the same points, so every counter and typed kill is the materialising
-// run's. The Result's prefix rows and t's columns are shared with t.
+// FetchResult is Fetch with its rows left factorised: t's prefix rows and
+// columns, shared, and one more expanded column under the bound node's,
+// whose lists every consumer re-reads from the partner table. t may be
+// factorised itself. Limit, budget and cancellation behave as in Fetch over
+// t written out: the same logical bytes and rows are charged at the same
+// points, so every counter and typed kill is the materialising run's.
 func (rt *Runtime) FetchResult(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
-	res, _, err := rt.fetch(ctx, db, t, c, nil, false)
+	res, _, err := rt.FetchFiltered(ctx, db, t, c, nil, true)
 	return res, err
 }
 
@@ -378,18 +375,22 @@ type NodeFilter struct {
 // accounting for the rest of its input (the unfused Fetch was not the last
 // step and ran unlimited).
 //
-// With no filters this is Fetch, or with factorise set FetchResult. With
-// factorise set the group is a step of the plan's factorised tail and the
-// survivors stay factorised: t's prefix rows and one more column that
-// keeps them, with a length per prefix row (shared partner lists are never
-// written), and t may be
-// factorised as FetchResult allows. Otherwise they are written out at their
-// exact size, into one pointer-free slice.
+// With no filters this is FetchResult, or without factorise Fetch. With
+// factorise set the survivors stay factorised, in one more column that
+// keeps them per element of its parent: the deepest of the columns the
+// group reads (the bound one and each Selection's other endpoint). Where
+// two of those lie on different branches, t is written out first.
 // counts holds the Fetch's logical row count and then the row count after
 // each filter, for per-step traces; under a limit the latter cover only the
-// rows of the prefix rows filtered.
-func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, factorise bool) (res *Result, counts []int, err error) {
-	return rt.fetch(ctx, db, t, c, filters, !factorise)
+// rows filtered.
+func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, factorise bool) (*Result, []int, error) {
+	res, counts, err := rt.fetch(ctx, db, t, c, filters)
+	if err == nil && !factorise {
+		res = res.Flatten()
+	} else if err == nil {
+		rt.factorised++
+	}
+	return res, counts, err
 }
 
 // nodeFilter is a NodeFilter resolved against the Fetch's input: a
@@ -433,8 +434,8 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, target graph.Label, fi
 		case c.FromNode:
 			nf.col = t.ColIndex(c.ToNode)
 		}
-		if nf.col < 0 || nf.col >= t.Width() {
-			return nil, fmt.Errorf("rjoin: fused selection %v needs node %d and a prefix column of %v", c, newNode, t.Cols)
+		if nf.col < 0 {
+			return nil, fmt.Errorf("rjoin: fused selection %v needs node %d and a column of %v", c, newNode, t.Cols)
 		}
 		if label != target {
 			// Its lists would hold nodes of another label than the
@@ -448,8 +449,7 @@ func resolveFilters(db *gdb.Snap, t *Result, newNode int, target graph.Label, fi
 
 // fetchFilters is a Fetch's state for its filters: each Selection's partner
 // table, resolved once like the Fetch's own, and the epoch's bitmaps of the
-// Selections' lists and of the Fetch's own (see apply). The survivors are
-// written to the Fetch's expanded column.
+// Selections' lists and of the Fetch's own (see apply).
 type fetchFilters struct {
 	fs   []nodeFilter
 	sel  []partnerFunc  // per filter; nil for a semijoin group
@@ -457,6 +457,7 @@ type fetchFilters struct {
 	own  gdb.Partners   // the bitmaps of the Fetch's lists
 	col  int            // the Fetch's bound column
 	rank gdb.Ranks
+	buf  []graph.NodeID // the survivors, before a stored column copies them
 }
 
 // openFilters resolves fs for the Fetch of condition c, read forward or in
@@ -481,13 +482,14 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 	return p, nil
 }
 
-// apply stores as prefix row i's list of out the members of targets —
-// row's partner list, shared and left untouched — that pass every filter,
-// adding m times the count left after filter k to counts[k+1]: the m input
-// rows that stand on row. It returns the survivors. The first filter to
-// run writes to fresh space at the end of out's chunks and later ones
-// shrink that list in place (gdb.IntersectTo and RankSet.FilterTo both
-// allow a destination that starts where their input does).
+// apply returns the members of targets — the partner list of the Fetch's
+// bound value, shared and left untouched — that pass every filter, reading
+// the filters' bound values off the walk wk, and adds m times the count
+// left after filter k to counts[k+1]: the m input rows that stand on the
+// walk's position. The first filter to run writes to the operator's
+// scratch list and later ones shrink that list in place (gdb.IntersectTo
+// and RankSet.FilterTo both allow a destination that starts where their
+// input does).
 //
 // A semijoin group keeps the candidates in each condition's projection, a
 // set over the new node's ranks, with the kernel a Selection runs against
@@ -502,15 +504,16 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 // the entries IntersectTo keeps, in the same order. Where the longer one
 // has no bitmap (it is below the size rule, or its bound value is outside
 // its table's bound label), IntersectTo merges the two.
-func (p *fetchFilters) apply(out *expanded, i int, row, targets []graph.NodeID, counts []int, m int) ([]graph.NodeID, error) {
+func (p *fetchFilters) apply(wk *Walker, targets []graph.NodeID, counts []int, m int) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	// dst is where a filter writes what it keeps of cur, at most n
-	// entries: cur's own storage once apply owns it, else fresh space.
+	// entries: cur's own storage once apply owns it, else the scratch list.
 	dst := func(n int) []graph.NodeID {
 		if owned {
 			return cur[:0]
 		}
-		return out.room(n)
+		p.buf = slices.Grow(p.buf[:0], n)
+		return p.buf
 	}
 	for k, f := range p.fs {
 		if f.sets != nil {
@@ -522,7 +525,7 @@ func (p *fetchFilters) apply(out *expanded, i int, row, targets []graph.NodeID, 
 				owned = true
 			}
 		} else if len(cur) > 0 {
-			v := row[f.col]
+			v := wk.Cell(f.col)
 			other, err := p.sel[k](v)
 			if err != nil {
 				return nil, err
@@ -532,7 +535,7 @@ func (p *fetchFilters) apply(out *expanded, i int, row, targets []graph.NodeID, 
 			if len(cur) <= len(other) {
 				set = p.sets[k].Bitmap(v, other)
 			} else if !owned {
-				short, set = other, p.own.Bitmap(row[p.col], cur)
+				short, set = other, p.own.Bitmap(wk.Cell(p.col), cur)
 			}
 			if set != nil {
 				cur = set.FilterTo(p.rank, d, short)
@@ -543,39 +546,16 @@ func (p *fetchFilters) apply(out *expanded, i int, row, targets []graph.NodeID, 
 		}
 		counts[k+1] += m * len(cur)
 	}
-	if owned {
-		out.commit(i, cur)
-	} else {
-		// No filter wrote: a group of no conditions keeps every candidate.
-		out.keep(i, cur)
-	}
 	return cur, nil
 }
 
-// fetch is the one loop behind Fetch, FetchResult and FetchFiltered: per
-// prefix row of t it resolves the bound value's partner list, charges the
-// budget for every row the list stands for and — with filters — cuts the
-// list to its survivors as it is charged. emit says whether the rows are
-// then written out (an intermediate step, whose consumer is the next
-// operator) or left factorised (a step of the plan's factorised tail, whose
-// consumer is the next tail step or iterates): either way the Fetch's
-// output is first t's prefix rows with one more expanded column, holding
-// nothing per row for an unfiltered Fetch on the decoded read path (its
-// consumer re-reads each list from the partner table) and the survivors
-// otherwise. A tail Fetch shares t's prefix rows and columns and adds only
-// its own.
-//
-// Over a factorised t the work is per prefix row — one partner lookup, one
-// filter pass — while the accounting is per logical input row: every one
-// of the rows a prefix row stands for is ticked, charged and row-checked
-// as the step-by-step Fetch over t written out would, in the same order
-// (see expand), so its counters, kills and limit stop are that run's.
-func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, emit bool) (*Result, []int, error) {
-	if emit {
-		if err := plain(t); err != nil {
-			return nil, nil, err
-		}
-	}
+// fetch is the one loop behind Fetch, FetchResult and FetchFiltered. Its
+// output is t's prefix rows and columns, shared, and one more expanded
+// column, holding nothing for an unfiltered Fetch on the decoded read path
+// (its consumer re-reads each list from the partner table) and the
+// survivors otherwise. The work is per element of the column's parent,
+// the accounting per logical input row (see expand).
+func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter) (*Result, []int, error) {
 	boundNode, forward, err := boundSide(t, c)
 	if err != nil {
 		return nil, nil, err
@@ -585,9 +565,6 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 		newNode = c.FromNode
 	}
 	col := t.ColIndex(boundNode)
-	if col >= t.Width() {
-		return nil, nil, fmt.Errorf("rjoin: fetch of %v reads expanded column %d of %v", c, boundNode, t.Cols)
-	}
 	if t.K() >= maxExpanded {
 		return nil, nil, fmt.Errorf("rjoin: fetch of %v over %d expanded columns", c, t.K())
 	}
@@ -600,13 +577,26 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if err != nil {
 		return nil, nil, err
 	}
+	var buf [maxExpanded + 1]int
+	reads := append(buf[:0], col)
+	for _, f := range fs {
+		if f.sets == nil {
+			reads = append(reads, f.col)
+		}
+	}
+	parent, ok := t.branch(reads...)
+	if !ok {
+		// Only rows hold values of two branches together.
+		t, parent = t.Flatten(), -1
+	}
 	rd := rt.open(db)
 	defer rd.done()
 	partners, err := rd.partners(c, forward)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := expanded{bound: col}
+	res := &Result{Cols: cols, Data: t.Data, exp: append(append(make([]expanded, 0, t.K()+1), t.exp...), expanded{bound: col, parent: parent})}
+	out := &res.exp[t.K()]
 	var reread bool
 	if out.lists, reread, err = rd.lists(c, forward); err != nil {
 		return nil, nil, err
@@ -619,30 +609,21 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 		rt.fusedFilters += int64(len(fs))
 	}
 	rt.ops++
-	if !emit {
-		rt.factorised++
-	}
 	// The limit is on the operator's output: the expansion's without
 	// filters, the survivors' with them.
 	limit := rt.rowTarget
 	if pf != nil {
 		limit = 0
 	}
-	if out.stored = pf != nil || !reread; out.stored {
-		out.lens = make([]uint32, t.prefixRows())
-	}
+	out.stored = pf != nil || !reread
 	counts := make([]int, 1+len(fs))
-	rows, n, err := rt.expand(ctx, partners, t, &out, len(cols), limit, pf, counts)
+	rows, n, err := rt.expand(ctx, partners, res, limit, pf, counts)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Cols: cols, N: n}
-	if counts[0] > 0 {
-		res.Data = t.Data[:rows*t.Width()]
-		res.exp = append(append(make([]expanded, 0, t.K()+1), t.exp...), out)
-		if emit {
-			res.Data, res.exp = res.flat(nil), nil
-		}
+	res.Data, res.N = t.Data[:rows*t.Width()], n
+	if counts[0] == 0 {
+		res.Data, res.exp = nil, nil
 	}
 	if pf != nil {
 		// The unfused Fetch's checkpoint, on the rows it would have produced.
@@ -654,17 +635,16 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	return res, counts, err
 }
 
-// expand is fetch's pass over t: per prefix row that stands for input
-// rows, it resolves the bound value's partner list — shared with the read
-// path and never copied — and charges the budget for every row the list
-// stands for: once per logical input row, whether or not the row is
-// written out or, under filters pf, survives. With pf it cuts the list to
-// its survivors and stores them in out, and so it does with the whole
-// list for a stored out without filters. A prefix row of a factorised t
-// stands for the product of its lists, each an input row expanding by the
-// same list, so the lookup is once per prefix row and the rows are counted
-// per input row. counts[0] receives the expansion's logical row count and
-// counts[k+1] the count after filter k. It returns the number of t's
+// expand is fetch's pass over its input, the columns of res before the
+// last, which it builds. Per unit of input rows that reach one element of
+// the new column's parent (see units) it resolves the bound value's
+// partner list — shared with the read path, never copied — and charges the
+// budget for every row of the unit, as the step-by-step Fetch over the
+// input written out would, in the same order: whether or not the row is
+// written out or, under filters pf, survives. A stored column keeps the
+// list, or with pf its survivors, as its next block the first time the
+// walk reaches the element. counts[0] receives the expansion's logical row
+// count and counts[k+1] the count after filter k. It returns the number of
 // prefix rows the output covers and the output's row count.
 //
 // It stops after the first input row at which the step-by-step Fetch would
@@ -674,9 +654,10 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // fails on exactly that row), or where its bytes alone would blow the byte
 // budget (they are charged and the next poll or the final checkpoint fails
 // the query) — so a doomed query never allocates its full output. Each of
-// these is a bound on the running total, found by division, not by a walk:
-// the last prefix row covered then stands for only part of its input rows.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, out *expanded, width, limit int, pf *fetchFilters, counts []int) (rows, n int, err error) {
+// these is a bound on the running total, found by division, not by a walk.
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, res *Result, limit int, pf *fetchFilters, counts []int) (rows, n int, err error) {
+	k, width := len(res.exp)-1, len(res.Cols)
+	out := &res.exp[k]
 	// bound is the largest total at which expand goes on; past maxRows
 	// with no limit or budget below it, the result is refused.
 	bound := maxRows
@@ -693,28 +674,38 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 	}
 	cc := rt.check(ctx)
 	defer cc.flush()
-	rows, w := t.prefixRows(), t.Width()
-	kept, last := 0, false
-	in := t.Walk()
-	for in.Next() {
-		i, m := in.Row(), in.Product()
-		targets, err := partners(t.Data[i*w+out.bound])
+	rows = res.prefixRows()
+	if out.stored {
+		// The parent's elements: the prefix rows, or a stored parent's entries.
+		if out.elems = rows; out.parent >= 0 {
+			out.elems = 0
+			for _, ch := range res.exp[out.parent].chunks {
+				out.elems += len(ch)
+			}
+		}
+		out.lens = make([]uint32, 0, out.elems)
+	}
+	var u units
+	kept := 0
+	u.init(res, k, rows)
+	for m := u.next(); m > 0; m = u.next() {
+		targets, err := partners(u.Cell(out.bound))
 		if err != nil {
 			return 0, 0, err
 		}
-		l := len(targets)
+		l, last := len(targets), false
 		// m and l are below 2³¹, so the product fits an int64.
 		if int64(n)+int64(m)*int64(l) > int64(bound) || n > bound {
 			if bound == maxRows {
-				return 0, 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", t.Cols, maxRows)
+				return 0, 0, fmt.Errorf("rjoin: fetch of %v: more than %d rows", res.Cols[:width-1], maxRows)
 			}
 			// The input row, counting from 1, after which the total passes
-			// bound: the last this prefix row stands for here.
+			// bound: the last this unit stands for here.
 			m = 1
 			if n <= bound {
 				m = (bound-n)/l + 1
 			}
-			rows, last = i+1, true
+			rows, last = u.Row()+1, true
 		}
 		// The first input row: one cancellation charge for the scan itself
 		// plus every row it stands for, and its bytes.
@@ -726,14 +717,19 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		case pf != nil && rt.pastLimit(kept):
 			// limit+1 survivors prove truncation; the rest of the input is
 			// only accounted for.
-		case pf != nil:
-			keep, err := pf.apply(out, i, t.Row(i), targets, counts, m)
-			if err != nil {
-				return 0, 0, err
-			}
-			kept += m * len(keep)
 		case out.stored:
-			out.keep(i, targets)
+			// A block the column holds already is counted, not kept twice.
+			keep := targets
+			if pf != nil {
+				if keep, err = pf.apply(&u.Walker, targets, counts, m); err != nil {
+					return 0, 0, err
+				}
+				kept += m * len(keep)
+			}
+			if u.fresh(k) {
+				out.keep(keep)
+			}
+			u.block(k)
 		}
 		n += l
 		if err := rt.budget.CheckRows(n); err != nil {
@@ -747,9 +743,6 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, t *Result, 
 		if last {
 			break
 		}
-	}
-	if out.stored {
-		out.lens = out.lens[:rows]
 	}
 	counts[0] = n
 	if pf != nil {
@@ -799,21 +792,15 @@ const maxRows = math.MaxInt32
 // out(x) ∩ in(y) ≠ ∅ per row from graph codes. Rows keep their input
 // order; t is consumed (see compact).
 func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
-	if err := plain(t); err != nil {
-		return nil, err
-	}
+	t = t.rowsOf(c.FromNode, c.ToNode)
 	fi, ti := t.ColIndex(c.FromNode), t.ColIndex(c.ToNode)
 	if fi < 0 || ti < 0 {
 		return nil, fmt.Errorf("rjoin: selection %v needs both sides bound in %v", c, t.Cols)
 	}
 	rt.ops++
-	cc := rt.check(ctx)
 	rd := rt.open(db)
 	defer rd.done()
-	return rt.compact(t, func(row []graph.NodeID) (bool, error) {
-		if err := cc.tick(); err != nil {
-			return false, err
-		}
+	return rt.compact(ctx, t, func(row []graph.NodeID) (bool, error) {
 		return rd.reaches(row[fi], row[ti])
 	})
 }

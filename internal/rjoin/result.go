@@ -2,6 +2,7 @@ package rjoin
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"fastmatch/internal/gdb"
@@ -10,26 +11,18 @@ import (
 
 // Result is the temporal relation operators take and return, and what a
 // plan run returns: rows of fixed width stored flat, row-major, in one
-// []graph.NodeID. A plan's factorised tail (see exec.Run) is kept as the
-// products the operators computed it as: Fetch's output is row ×
-// partners(row[col]) per input row (Algorithm 2), and when the bound value
-// sits in the table that entered the tail, every row a prefix row stands
-// for expands by the same list. So a factorised Result holds the prefix
-// rows and K expanded columns, each standing for one list per prefix row,
-// instead of the rows of their product; the consumer — the server's
-// encoder, or Table for callers that want rows — walks the prefix rows with
-// their lists (Walk) and writes each output cell once, in the order it
-// wants them, and nothing is copied in between.
-//
-// An expanded column stores no list header. An unfiltered one is its bound
-// prefix column and the Fetch's partner table: every consumer re-reads a
-// row's list from the table by the bound value (gdb.PartnerLists), which
-// returns the very slice the Fetch saw. A column whose Fetch absorbed
-// filters keeps its survivors back to back in append-only chunks, plus one
-// length per prefix row. Both are ordinary heap memory that nothing mutates
-// once the Result is returned, so a Result stays valid after the epoch it
-// was read on is released and retired: it holds no page, pin or slot, and
-// any number of goroutines may consume it at once.
+// []graph.NodeID. A factorised Result keeps its Fetches' output as the
+// nested products Algorithm 2 computes: prefix rows and a forest of K
+// expanded columns over them, an f-tree (Olteanu and Závodný). Each column
+// hangs under its parent — the prefix row or an earlier column, the one
+// that binds the node its Fetch reads — and holds one list per element of
+// that parent. The rows are a nested odometer over the columns in bind
+// order, the innermost turning fastest: the step-by-step rows, in their
+// order. A consumer — the server's encoder, or Table — walks them (Walker)
+// and writes each output cell once, in the order it wants them. Nothing in
+// a Result is mutated once it is returned, and it holds no page, pin or
+// slot: it stays valid after its epoch is retired, and any number of
+// goroutines may consume it at once.
 type Result struct {
 	// Cols holds pattern node indexes, one per column, in the order the
 	// plan bound them (the source-column order). The last K() of them are
@@ -37,105 +30,97 @@ type Result struct {
 	Cols []int
 	// Data holds the prefix rows row-major with stride Width(): row i is
 	// Data[i*w : (i+1)*w]. They are whole rows when K() is 0, otherwise rows
-	// over the first Width() columns, each standing for the product of its
-	// lists (see Walker), the column bound first the outermost loop and the
-	// last the innermost.
+	// over the first Width() columns.
 	Data []graph.NodeID
 	// N is the number of result rows: the number of prefix rows when K() is
-	// 0, otherwise the result is the first N rows of the prefix rows'
-	// products, concatenated in prefix-row order (a pushed-down limit can
-	// cut inside one product).
+	// 0, otherwise the result is the first N rows the prefix rows stand for
+	// (a pushed-down limit can cut inside one list).
 	N int
 
 	// exp holds the expanded columns, the k-th binding Cols[Width()+k].
 	exp []expanded
 }
 
-// expanded is one expanded column of a factorised Result: per prefix row, an
-// ascending list of the column's values. An unfiltered column re-reads the
-// list from its partner table by the value in prefix column bound; a stored
-// one — a Fetch that absorbed filters, or one on the counted-I/O read path,
-// whose lists live in pages — keeps the lists back to back in append-only
-// chunks, with each prefix row's length in lens. A list is never split
-// across chunks, so a walk finds row i's list where row i-1's ended, or at
-// the start of the next chunk it fits.
+// expanded is one expanded column: per element of its parent (expanded
+// column parent, or the prefix row for -1), an ascending list. An
+// unfiltered column stores nothing: every consumer re-reads the list from
+// the partner table by the value in column bound (gdb.PartnerLists), the
+// very slice the Fetch saw. A stored one — a Fetch that absorbed filters,
+// or one on the counted-I/O read path — keeps its lists as blocks in
+// append-only chunks, each block's length in lens, in the order a walk
+// first reaches them; a block is never split across chunks. elems, where
+// known, is the number of elements of the parent, the most blocks it holds.
 type expanded struct {
-	bound  int
-	lists  gdb.PartnerLists
-	stored bool
-	lens   []uint32
-	chunks [][]graph.NodeID
+	bound, parent int
+	lists         gdb.PartnerLists
+	stored        bool
+	elems         int
+	lens          []uint32
+	chunks        [][]graph.NodeID
 }
 
 // maxExpanded bounds K(): a plan binds at most 17 pattern nodes, at least
 // one of them in the prefix.
 const maxExpanded = 16
 
-// columnChunk bounds a stored column's chunk, in node IDs (32 KB). A
-// column's first chunk holds 64 and each next one twice its predecessor,
-// so a column that keeps a few survivors allocates a few.
+// columnChunk bounds a stored column's chunk, in node IDs (32 KB), unless
+// one list is longer.
 const columnChunk = 8192
 
-// room returns space for n entries at the end of the column's chunks, in
-// a new chunk when the last one has no room: a list is written there and
-// then committed.
-func (c *expanded) room(n int) []graph.NodeID {
+// keep stores a copy of l as the next block, at the end of the last chunk
+// or in a new one. A new chunk holds what the elems blocks need if the rest
+// are like those so far, but at most four times what the column holds (the
+// first blocks may be unlike the rest); where elems is not known, twice
+// its predecessor.
+func (c *expanded) keep(l []graph.NodeID) {
+	c.lens = append(c.lens, uint32(len(l)))
+	n, last := len(l), len(c.chunks)-1
 	if n == 0 {
-		return nil
+		return
 	}
-	last := len(c.chunks) - 1
 	if last < 0 || cap(c.chunks[last])-len(c.chunks[last]) < n {
 		size := 64
 		if last >= 0 {
-			size = min(2*cap(c.chunks[last]), columnChunk)
+			size = 2 * cap(c.chunks[last])
 		}
-		c.chunks = append(c.chunks, make([]graph.NodeID, 0, max(n, size)))
+		if b := len(c.lens); c.elems >= b {
+			kept := n
+			for _, ch := range c.chunks {
+				kept += len(ch)
+			}
+			size = n + int(min(4*int64(kept)+64, int64(kept)*int64(c.elems-b)/int64(b)))
+		}
+		c.chunks = append(c.chunks, make([]graph.NodeID, 0, max(n, min(size, columnChunk))))
 		last++
 	}
-	a := c.chunks[last]
-	return a[len(a) : len(a) : len(a)+n]
+	c.chunks[last] = append(c.chunks[last], l...)
 }
 
-// commit records prefix row i's list: l, which starts where room's space
-// started unless it is empty.
-func (c *expanded) commit(i int, l []graph.NodeID) {
-	if len(l) > 0 {
-		last := len(c.chunks) - 1
-		c.chunks[last] = c.chunks[last][:len(c.chunks[last])+len(l)]
+// Nested builds a factorised result without running the operators: rows
+// prefix rows in data (Width() may be 0) and stored expanded columns, the
+// k-th under column parents[k] (an earlier one, or -1 for the prefix row)
+// with the list list(k, i, row): i is the prefix row, and row holds it and
+// the current value of each column before k, of which only k's ancestors
+// may count. It stands for the first n rows, and panics on a bad shape.
+func Nested(cols []int, data []graph.NodeID, rows int, parents []int, list func(k, i int, row []graph.NodeID) []graph.NodeID, n int) *Result {
+	w := len(cols) - len(parents)
+	if len(parents) < 1 || len(parents) > maxExpanded || w < 0 || len(data) != rows*w {
+		panic(fmt.Sprintf("rjoin: %d prefix rows in %d cells for %d columns, %d expanded", rows, len(data), len(cols), len(parents)))
 	}
-	c.lens[i] = uint32(len(l))
-}
-
-// keep stores a copy of prefix row i's list l.
-func (c *expanded) keep(i int, l []graph.NodeID) {
-	if len(l) > 0 {
-		l = append(c.room(len(l)), l...)
-	}
-	c.commit(i, l)
-}
-
-// Factorised returns a factorised result over cols: prefix rows data,
-// row-major, and k expanded columns whose lists are given with stride k —
-// prefix row i's are lists[i*k:(i+1)*k], the j-th that of column
-// Width()+j, ascending — standing for the first n rows of the products.
-// The lists are copied into stored columns, so the prefix rows may be
-// empty (Width() 0), as no operator's are. It is how a caller builds a
-// factorised result without running the operators; it panics unless k is
-// between 1 and 16 and data and lists hold the same number of prefix rows.
-func Factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *Result {
-	w, rows := len(cols)-k, 0
-	if k >= 1 {
-		rows = len(lists) / k
-	}
-	if k < 1 || k > maxExpanded || w < 0 || len(lists)%k != 0 || len(data) != rows*w {
-		panic(fmt.Sprintf("rjoin: %d lists and %d cells for %d columns, %d expanded", len(lists), len(data), len(cols), k))
-	}
-	r := &Result{Cols: cols, Data: data, N: n, exp: make([]expanded, k)}
-	for j := range r.exp {
-		c := &r.exp[j]
-		c.stored, c.lens = true, make([]uint32, rows)
-		for i := 0; i < rows; i++ {
-			c.keep(i, lists[i*k+j])
+	r, row := &Result{Cols: cols, Data: data, N: n}, make([]graph.NodeID, len(cols))
+	for k, p := range parents {
+		if p < -1 || p >= k {
+			panic(fmt.Sprintf("rjoin: expanded column %d under %d", k, p))
+		}
+		r.Cols, r.exp = cols[:w+k+1], append(r.exp, expanded{parent: p, stored: true})
+		var u units
+		for u.init(r, k, rows); u.next() > 0; u.block(k) {
+			if u.fresh(k) {
+				for j := range w + k {
+					row[j] = u.Cell(j)
+				}
+				r.exp[k].keep(list(k, u.i, row[:w+k]))
+			}
 		}
 	}
 	return r
@@ -154,8 +139,8 @@ func (r *Result) Row(i int) []graph.NodeID {
 }
 
 // prefixRows returns the number of prefix rows: of a factorised result
-// whose prefix rows are empty, every column is stored, with one length per
-// prefix row.
+// whose prefix rows are empty, the first column is stored, with a block for
+// each.
 func (r *Result) prefixRows() int {
 	switch w := r.Width(); {
 	case len(r.exp) == 0:
@@ -167,63 +152,154 @@ func (r *Result) prefixRows() int {
 	}
 }
 
-// A Walker visits a result's prefix rows in order, each with its K lists:
-// the one sequential pass the server's encoder, Table and truncate make
-// over a factorised result, and a tail Fetch over its input. It skips a
-// prefix row that stands for no rows, and looks up no list after the first
-// empty one of a row. Each list is shared and must not be mutated; the
-// consumer stops at the result's N rows. For a plain result it visits every
-// row with no lists. Declare a Walker outside the loop that advances it: a
-// variable of a for clause is copied into every iteration.
-type Walker struct {
-	r          *Result
-	i, rows, w int
-	n          int
-	lists      [maxExpanded][]graph.NodeID
-	at         [maxExpanded]struct{ chunk, off int }
-}
-
-// Walk returns a Walker before r's first prefix row.
-func (r *Result) Walk() Walker {
-	return Walker{r: r, i: -1, rows: r.prefixRows(), w: r.Width()}
-}
-
-// Next advances to the next prefix row that stands for at least one row,
-// reporting false once there is none.
-func (w *Walker) Next() bool {
-	r := w.r
-	for w.i+1 < w.rows {
-		w.i++
-		i, n := w.i, 1
-		for k := range r.exp {
-			c := &r.exp[k]
-			var l []graph.NodeID
-			switch {
-			case c.stored:
-				// Stored lists are read in order, the empty ones too.
-				l = w.stored(k, int(c.lens[i]))
-			case n > 0:
-				l = c.lists.Of(r.Data[i*w.w+c.bound])
-			}
-			w.lists[k] = l
-			n *= len(l)
+// branch returns the expanded column a step reading the given columns of r
+// hangs under: the deepest of them, or -1 for prefix columns only. It
+// reports false when two of them lie on different branches of the forest.
+func (r *Result) branch(cols ...int) (int, bool) {
+	w, deepest := r.Width(), -1
+	for _, c := range cols {
+		deepest = max(deepest, c-w)
+	}
+	for _, c := range cols {
+		k := deepest
+		for k > max(c-w, -1) {
+			k = r.exp[k].parent
 		}
-		if n > 0 {
-			w.n = n
-			return true
+		if c >= w && k != c-w {
+			return 0, false
 		}
 	}
-	return false
+	return deepest, true
 }
 
-// stored returns the next n entries of stored column k: where its last
-// list ended, or at the start of the next chunk that holds them.
-func (w *Walker) stored(k, n int) []graph.NodeID {
+// cursor is where a walk reads a stored column's next block: its index in
+// lens, and the chunk and offset it starts at unless it does not fit.
+type cursor struct{ blk, chunk, off int32 }
+
+// A Walker visits a factorised result's rows a run at a time: one position
+// of the prefix row and every expanded column but the last, with the
+// last's current list (Run). It is the rows' nested odometer, skipping each
+// position some list leaves empty, and the one pass the encoder, Table,
+// truncate and a Fetch over its input make. Lists are shared and must not
+// be mutated; a consumer stops at the result's N rows. For a plain result
+// each run is a prefix row standing for itself. Declare a Walker outside
+// the loop that advances it: a for-clause variable is copied every
+// iteration. A stored column is read block after block, except that when a
+// column before it that it does not hang under advances, it rewinds to
+// where it stood when that column's list was set, and once that column is
+// done it resumes past the furthest block it reached: rewinds[j] names the
+// columns j rewinds, marks[j] and ends[j] those two places.
+type Walker struct {
+	r               *Result
+	i, rows, w, top int
+	lists           [maxExpanded][]graph.NodeID
+	pos             [maxExpanded]int32
+	at              [maxExpanded]cursor
+	rewinds         [maxExpanded]uint32
+	marks, ends     [maxExpanded][maxExpanded]cursor
+}
+
+// Walk returns a Walker before r's first run.
+func (r *Result) Walk() Walker {
+	var w Walker
+	w.init(r, len(r.exp), r.prefixRows())
+	return w
+}
+
+// init readies w for a walk of r's first top expanded columns over rows
+// prefix rows.
+func (w *Walker) init(r *Result, top, rows int) {
+	w.r, w.i, w.rows, w.w, w.top = r, -1, rows, r.Width(), top
+	var under [maxExpanded]uint32
+	for k := range r.exp {
+		c := &r.exp[k]
+		under[k] = 1 << k
+		if c.parent >= 0 {
+			under[k] |= under[c.parent]
+		}
+		for j := range k {
+			if c.stored && under[k]>>j&1 == 0 {
+				w.rewinds[j] |= 1 << k
+			}
+		}
+	}
+}
+
+// Next advances to the next run, reporting false once there is none.
+func (w *Walker) Next() bool {
+	j := w.top - 2
+	if w.i < 0 {
+		j = -1
+	}
+	for {
+		switch {
+		case j < 0:
+			if w.i+1 >= w.rows {
+				w.top = 0
+				return false
+			}
+			w.i, j = w.i+1, -1
+		case int(w.pos[j])+1 < len(w.lists[j]):
+			w.pos[j]++
+			for m := w.rewinds[j]; m != 0; m &= m - 1 {
+				s := bits.TrailingZeros32(m)
+				if w.at[s].blk > w.ends[j][s].blk {
+					w.ends[j][s] = w.at[s]
+				}
+				w.at[s] = w.marks[j][s]
+			}
+		default:
+			// Column j is done: what it rewinds resumes past the blocks
+			// its first element reached, read or not since.
+			for m := w.rewinds[j]; m != 0; m &= m - 1 {
+				s := bits.TrailingZeros32(m)
+				if w.ends[j][s].blk > w.at[s].blk {
+					w.at[s] = w.ends[j][s]
+				}
+			}
+			j--
+			continue
+		}
+		// Set the lists below the column that advanced, stopping at an
+		// empty one: the column before it advances next.
+		k := j + 1
+		for ; k < w.top; k++ {
+			var l []graph.NodeID
+			if c := &w.r.exp[k]; c.stored {
+				l = w.block(k)
+			} else {
+				l = c.lists.Of(w.Cell(c.bound))
+			}
+			w.lists[k], w.pos[k] = l, 0
+			if len(l) == 0 {
+				break
+			}
+			for m := w.rewinds[k]; m != 0; m &= m - 1 {
+				s := bits.TrailingZeros32(m)
+				w.marks[k][s], w.ends[k][s] = w.at[s], w.at[s]
+			}
+		}
+		if k == w.top {
+			return true
+		}
+		j = k - 1
+	}
+}
+
+// fresh reports whether stored column k has no block yet where the walk
+// reads its next one: a Fetch building column k stores it there.
+func (w *Walker) fresh(k int) bool { return int(w.at[k].blk) == len(w.r.exp[k].lens) }
+
+// block returns stored column k's next block and moves its cursor past
+// it.
+func (w *Walker) block(k int) []graph.NodeID {
+	c, at := &w.r.exp[k], &w.at[k]
+	n := int32(c.lens[at.blk])
+	at.blk++
 	if n == 0 {
 		return nil
 	}
-	c, at := &w.r.exp[k], &w.at[k]
-	for at.off+n > len(c.chunks[at.chunk]) {
+	for at.off+n > int32(len(c.chunks[at.chunk])) {
 		at.chunk, at.off = at.chunk+1, 0
 	}
 	l := c.chunks[at.chunk][at.off : at.off+n : at.off+n]
@@ -234,20 +310,60 @@ func (w *Walker) stored(k, n int) []graph.NodeID {
 // Row returns the index of the current prefix row.
 func (w *Walker) Row() int { return w.i }
 
-// Prefix returns the current prefix row, sharing Data.
-func (w *Walker) Prefix() []graph.NodeID {
-	return w.r.Data[w.i*w.w : (w.i+1)*w.w : (w.i+1)*w.w]
+// Cell returns the current value of source column col: a prefix cell, or
+// an expanded column's current element. The last expanded column's is the
+// first of its run.
+func (w *Walker) Cell(col int) graph.NodeID {
+	if col < w.w {
+		return w.r.Data[w.i*w.w+col]
+	}
+	k := col - w.w
+	return w.lists[k][w.pos[k]]
 }
 
-// Lists returns the current prefix row's K lists, the k-th holding the
-// values of column Width()+k. The slice is the Walker's and is overwritten
-// by the next call to Next.
-func (w *Walker) Lists() [][]graph.NodeID { return w.lists[:len(w.r.exp)] }
+// Run returns the last expanded column's current list: the run's rows,
+// one per entry, before the cut at N. It is nil for a plain result, whose
+// run is its prefix row.
+func (w *Walker) Run() []graph.NodeID {
+	if len(w.r.exp) == 0 {
+		return nil
+	}
+	return w.lists[len(w.r.exp)-1]
+}
 
-// Product returns the number of rows the current prefix row stands for:
-// the product of its lists' lengths (1 for a plain result), before the cut
-// at N.
-func (w *Walker) Product() int { return w.n }
+// units walks the first k expanded columns of a result, the input of
+// column k, a unit at a time: the input rows that reach one element of
+// column k's parent — an element of the last input column when k hangs
+// under it, else all of its run, or a prefix row when k is 0.
+type units struct {
+	Walker
+	k, n int
+	each bool
+}
+
+func (u *units) init(r *Result, k, rows int) {
+	u.Walker.init(r, k, rows)
+	u.k, u.each = k, k > 0 && r.exp[k].parent == k-1
+}
+
+// next moves to the next unit and returns its number of input rows, or 0
+// once there is none.
+func (u *units) next() int {
+	if u.each && int(u.pos[u.k-1])+1 < u.n {
+		u.pos[u.k-1]++
+		return 1
+	}
+	if !u.Next() {
+		return 0
+	}
+	if u.n = 1; u.k > 0 {
+		u.n = len(u.lists[u.k-1])
+	}
+	if u.each {
+		return 1
+	}
+	return u.n
+}
 
 // Len returns the number of result rows.
 func (r *Result) Len() int { return r.N }
@@ -319,90 +435,71 @@ func rowHeaders(data []graph.NodeID, w, n int) [][]graph.NodeID {
 
 // flat writes the result's N rows out row-major into one exact slice,
 // output column j taken from source column src[j] (a nil src is the
-// identity). A factorised result's products are walked like an odometer:
-// row holds the current source row, and the innermost list turns fastest.
+// identity). A factorised result is written a run at a time (see Walker):
+// row holds the run's cells but the last, and each entry of its list ends
+// one row.
 func (r *Result) flat(src []int) []graph.NodeID {
 	w := len(r.Cols)
 	out := make([]graph.NodeID, r.N*w)
-	k := len(r.exp)
-	if k == 0 {
+	if len(r.exp) == 0 {
 		for i, o := 0, 0; i < r.N; i, o = i+1, o+w {
 			permute(out[o:o+w], r.Row(i), src)
 		}
 		return out
 	}
-	if k == 1 && src == nil {
-		// An emitting Fetch's rows: each prefix row, then its partner. The
-		// odometer below costs a few nanoseconds more per prefix row, which
-		// every plan's written-out Fetches pay (EXPERIMENTS.md, "Served
-		// path — factorised tail").
-		pw, o, left := w-1, 0, r.N
-		wk := r.Walk()
-		for left > 0 && wk.Next() {
-			list := wk.lists[0]
-			list = list[:min(len(list), left)]
-			left -= len(list)
-			prefix := wk.Prefix()
-			for _, v := range list {
-				row := out[o : o+w]
-				copy(row, prefix)
-				row[pw] = v
-				o += w
-			}
-		}
-		return out
-	}
-	pw, inner, o, left := r.Width(), w-1, 0, r.N
-	// A plan binds at most 17 pattern nodes (16 edges), so row and idx
-	// live on the stack.
+	inner, o, left := w-1, 0, r.N
+	// A plan binds at most 17 pattern nodes (16 edges), so row lives on the
+	// stack.
 	var rowBuf [32]graph.NodeID
-	var idxBuf [32]int
-	row, idx := rowBuf[:0], idxBuf[:0]
+	row := rowBuf[:0]
 	if w > len(rowBuf) {
-		row, idx = make([]graph.NodeID, 0, w), make([]int, 0, w)
+		row = make([]graph.NodeID, 0, w)
 	}
-	row, idx = row[:w], idx[:k]
+	row = row[:w]
 	wk := r.Walk()
 	for left > 0 && wk.Next() {
-		lists := wk.Lists()
-		copy(row, wk.Prefix())
-		for j, l := range lists {
-			idx[j], row[pw+j] = 0, l[0]
+		for j := range inner {
+			row[j] = wk.Cell(j)
 		}
-		for {
-			// The innermost list, as far as N reaches. In source order the
-			// row is copied first and the list's value stored after it: a
-			// copy that read the value just stored into row would stall.
-			last := lists[k-1]
-			last = last[:min(len(last), left)]
-			left -= len(last)
-			for _, v := range last {
-				if src == nil {
-					copy(out[o:o+inner], row)
-					out[o+inner] = v
-				} else {
-					row[inner] = v
-					permute(out[o:o+w], row, src)
-				}
-				o += w
+		last := wk.Run()
+		last = last[:min(len(last), left)]
+		left -= len(last)
+		for _, v := range last {
+			// In source order the row is copied first and the list's value
+			// stored after it: a copy that read the value just stored into
+			// row would stall.
+			if src == nil {
+				copy(out[o:o+inner], row)
+				out[o+inner] = v
+			} else {
+				row[inner] = v
+				permute(out[o:o+w], row, src)
 			}
-			// Advance the odometer over the outer lists: the innermost of
-			// them turns, and a list that wraps carries into the one
-			// outside it.
-			j := k - 2
-			for ; j >= 0; j-- {
-				if idx[j]++; idx[j] < len(lists[j]) {
-					row[pw+j] = lists[j][idx[j]]
-					break
-				}
-				idx[j], row[pw+j] = 0, lists[j][0]
-			}
-			if j < 0 || left == 0 {
-				break
-			}
+			o += w
 		}
 	}
 	return out
+}
+
+// rowsOf returns r as a filter of the given pattern nodes reads it: as it
+// is where they are prefix columns and no column stores lists — the filter
+// then keeps or drops whole prefix rows — else written out.
+func (r *Result) rowsOf(nodes ...int) *Result {
+	expandedCol := func(n int) bool { return r.ColIndex(n) >= r.Width() }
+	if slices.ContainsFunc(nodes, expandedCol) || slices.ContainsFunc(r.exp, func(c expanded) bool { return c.stored }) {
+		return r.Flatten()
+	}
+	return r
+}
+
+// Flatten returns r written out: a plain result over the same columns, in
+// the same order, with the same rows. A plain r is returned as it is. It is
+// what a plan does where a step reads rows, not lists (see exec.Run).
+func (r *Result) Flatten() *Result {
+	if len(r.exp) == 0 {
+		return r
+	}
+	return &Result{Cols: r.Cols, Data: r.flat(nil), N: r.N}
 }
 
 // permute writes row into dst with dst[j] = row[src[j]], or a copy for a
@@ -419,7 +516,7 @@ func permute(dst, row []graph.NodeID, src []int) {
 
 // truncate cuts the result to its first limit rows (limit <= 0 is no
 // limit) and reports whether rows were dropped. In a factorised result the
-// cut lands inside one prefix row's product: the prefix rows after it are
+// cut lands inside one prefix row's rows: the prefix rows after it are
 // dropped, and N stops the consumer inside it — the lists are untouched.
 func (r *Result) truncate(limit int) bool {
 	if limit <= 0 || r.N <= limit {
@@ -429,7 +526,7 @@ func (r *Result) truncate(limit int) bool {
 	if len(r.exp) > 0 {
 		wk, n := r.Walk(), 0
 		for wk.Next() {
-			if n += wk.Product(); n >= limit {
+			if n += len(wk.Run()); n >= limit {
 				rows = wk.Row() + 1
 				break
 			}

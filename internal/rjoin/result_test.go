@@ -3,6 +3,7 @@ package rjoin
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	goruntime "runtime"
 	"slices"
@@ -41,10 +42,10 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 		inside, boundary := 0, 0
 		wk, n := full.Walk(), 0
 		for boundary == 0 && wk.Next() {
-			if l := wk.Product(); l >= 2 && n > 0 {
+			if l := len(wk.Run()); l >= 2 && n > 0 {
 				inside, boundary = n+1, n+l
 			}
-			n += wk.Product()
+			n += len(wk.Run())
 		}
 		if boundary == 0 || boundary >= full.N {
 			t.Fatalf("%s: no interior list boundary in %d rows", name, full.N)
@@ -133,14 +134,14 @@ func checkT6Tails(t *testing.T) {
 		// (a person reaches the names its references lead to).
 		wk := full.Walk()
 		for wk.Next() {
-			if l := wk.Lists(); len(l[1]) != 1 || len(l[2]) != 1 {
+			if l := wk.lists[:len(wk.r.exp)]; len(l[1]) != 1 || len(l[2]) != 1 {
 				t.Fatalf("%s: prefix row %d expands to %d cities and %d countries", name, wk.Row(), len(l[1]), len(l[2]))
 			}
 		}
 		if full.prefixRows() != in.N {
 			t.Fatalf("%s: %d prefix rows of %d", name, full.prefixRows(), in.N)
 		}
-		checkTail(t, db, in, name, steps, 50)
+		checkTail(t, db, in, name, steps, nil, 50)
 	}
 }
 
@@ -187,7 +188,7 @@ func TestFetchResultBudgetKill(t *testing.T) {
 // shared or not, as it was: N stops the consumer inside the last one.
 func TestResultTableAndOrder(t *testing.T) {
 	shared := []graph.NodeID{7, 8, 9}
-	r := Factorised([]int{2, 0, 1}, []graph.NodeID{1, 2, 3, 4, 5, 6}, 1, [][]graph.NodeID{shared, nil, shared[:2]}, 5)
+	r := factorised([]int{2, 0, 1}, []graph.NodeID{1, 2, 3, 4, 5, 6}, 1, [][]graph.NodeID{shared, nil, shared[:2]}, 5)
 	for _, bad := range [][]int{{0, 1}, {0, 1, 3}, {0, 1, 1}, {0, 1, 2, 2}} {
 		if _, err := r.Order(bad); err == nil {
 			t.Fatalf("Order(%v) over columns %v should fail", bad, r.Cols)
@@ -226,7 +227,7 @@ func walkLists(r *Result) [][]graph.NodeID {
 	var out [][]graph.NodeID
 	wk := r.Walk()
 	for wk.Next() {
-		out = append(out, wk.Lists()...)
+		out = append(out, wk.lists[:len(wk.r.exp)]...)
 	}
 	return out
 }
@@ -296,5 +297,78 @@ func TestFactorisedFootprint(t *testing.T) {
 		}
 		t.Logf("%s: %d prefix rows, %d bytes of lengths, %d of survivors, %d allocated, columns of %d bytes",
 			tc.name, rows, held, survivors, alloc, int(unsafe.Sizeof(expanded{})))
+	}
+}
+
+// factorised builds a factorised result whose k expanded columns all hang
+// under the prefix rows in data: prefix row i's lists are
+// lists[i*k:(i+1)*k], the j-th that of column Width()+j, and the result
+// stands for the first n rows of their products.
+func factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *Result {
+	parents := make([]int, k)
+	for j := range parents {
+		parents[j] = -1
+	}
+	return Nested(cols, data, len(lists)/k, parents, func(j, i int, _ []graph.NodeID) []graph.NodeID { return lists[i*k+j] }, n)
+}
+
+// TestNestedWalk holds the Walker against nested loops over random forests
+// of up to six expanded columns — lists of 0 to 3 entries chosen by the
+// prefix row and the column's ancestors, so that columns rewind under
+// siblings that advance and skip under lists that empty — written out
+// whole and cut at every row count.
+func TestNestedWalk(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, k, rows := rng.Intn(3), 1+rng.Intn(6), 1+rng.Intn(4)
+		parents := make([]int, k)
+		for j := range parents {
+			parents[j] = rng.Intn(j+1) - 1
+		}
+		pool := make([][]graph.NodeID, 1+rng.Intn(5))
+		for p := range pool {
+			for v := range rng.Intn(4) {
+				pool[p] = append(pool[p], graph.NodeID(10*p+v))
+			}
+		}
+		data := make([]graph.NodeID, rows*w)
+		for i := range data {
+			data[i] = graph.NodeID(100 + i)
+		}
+		list := func(j, i int, row []graph.NodeID) []graph.NodeID {
+			h := uint64(i)*7 + uint64(j)*13
+			for p := parents[j]; p >= 0; p = parents[p] {
+				h = h*31 + uint64(row[w+p])
+			}
+			return pool[h%uint64(len(pool))]
+		}
+		var model [][]graph.NodeID
+		row := make([]graph.NodeID, w+k)
+		var enum func(i, j int)
+		enum = func(i, j int) {
+			if j == k {
+				model = append(model, slices.Clone(row))
+				return
+			}
+			for _, v := range list(j, i, row) {
+				row[w+j] = v
+				enum(i, j+1)
+			}
+		}
+		for i := range rows {
+			copy(row, data[i*w:(i+1)*w])
+			enum(i, 0)
+		}
+		cols := make([]int, w+k)
+		for j := range cols {
+			cols[j] = j
+		}
+		for n := len(model); n >= min(1, len(model)); n-- {
+			r := Nested(cols, data, rows, parents, list, len(model))
+			r.truncate(n)
+			if got := tab(r); r.N != n || !slices.EqualFunc(got.Rows, model[:n], slices.Equal[[]graph.NodeID]) {
+				t.Fatalf("seed %d: parents %v over %d prefix rows cut at %d: %v, nested loops %v", seed, parents, rows, n, got.Rows, model[:n])
+			}
+		}
 	}
 }

@@ -109,9 +109,9 @@ type RuntimeStats struct {
 	// intersections (see FetchFiltered) instead of as operators of their
 	// own; they are not in Ops.
 	FusedFilters int64
-	// FactorisedSteps counts the Fetches that ran as a step of a plan's
-	// factorised tail (see FetchResult): each kept its partner lists as one
-	// more expanded column of the Result instead of writing its rows out.
+	// FactorisedSteps counts the Fetches that left their rows factorised
+	// (see FetchResult): one more expanded column of the Result each,
+	// written out only if a later step reads rows.
 	FactorisedSteps int64
 	// CenterCacheHits/Misses count the runtime's partner-table slot
 	// lookups: a hit is a getCenters intersection and subcluster union some

@@ -108,7 +108,7 @@ func TestFlatLayout(t *testing.T) {
 				}
 				r.N = len(model)
 				if k > 0 {
-					r = Factorised(r.Cols, r.Data, k, exp, r.N)
+					r = factorised(r.Cols, r.Data, k, exp, r.N)
 				}
 				for i := 0; i < rows; i++ {
 					if got := r.Row(i); !slices.Equal(got, r.Data[i*w:(i+1)*w]) || cap(got) != w {

@@ -80,17 +80,177 @@ func TestFetchResultTail(t *testing.T) {
 		"K=3 semijoin":             {fetchB, semiB, fetchC},
 		"K=3 reverse and filtered": {revA, fetchB, selC},
 	} {
-		checkTail(t, db, in, name, steps, 50)
+		checkTail(t, db, in, name, steps, nil, 50)
 	}
 }
 
-// checkTail holds steps run as a factorised tail over in against the same
-// steps run step by step: the same rows in the same order, each step's row
-// count, Bytes(), PeakRows() and Truncated at every limit of a sweep up to
-// N+1, and the same typed kill at row caps up to the peak and across a
-// byte sweep, with and without a limit. The unlimited result must have at
-// least min rows.
-func checkTail(t *testing.T, db *gdb.Snap, in *Result, name string, steps []tailStep, min int) {
+// TestNestedTail: chains of Fetches whose columns nest — each hanging under
+// the column of the node it reads — are the step-by-step run (checkTail:
+// rows, order, per-step counts, Bytes(), PeakRows(), Truncated and typed
+// kills across limit, row-cap and byte-cap sweeps, the limits falling
+// inside nested lists and on their ends), and each column hangs where it
+// should: P8's path of four Fetches, Q1's chain whose last Fetch absorbs a
+// Selection on an ancestor column, siblings under an expanded column (T6,
+// T9), stored columns under an outer sibling and a column that sibling is
+// no ancestor of, and a Fetch reading two branches, which writes its input
+// out first.
+func TestNestedTail(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 3000, Seed: 5}).Graph
+	db := mustDB(t, g)
+	ext := func(label string, node int) *Result { return extentOf(g, g.Labels().Lookup(label), node, 1) }
+	semi := func(from, to string, f, tn int, out bool) []NodeFilter {
+		return []NodeFilter{{Conds: []Cond{cond(g, from, to, f, tn)}, Semijoin: true, OutSide: out}}
+	}
+	sel := func(from, to string, f, tn int) []NodeFilter {
+		return []NodeFilter{{Conds: []Cond{cond(g, from, to, f, tn)}}}
+	}
+	for _, tc := range []struct {
+		name    string
+		in      *Result
+		steps   []tailStep
+		parents []int
+	}{
+		{"P8 path", ext("site", 0), []tailStep{
+			{cond(g, "site", "people", 0, 1), 1, nil},
+			{cond(g, "people", "person", 1, 2), 2, semi("person", "profile", 2, 9, true)},
+			{cond(g, "person", "profile", 2, 3), 3, semi("profile", "interest", 3, 8, true)},
+			{cond(g, "profile", "interest", 3, 4), 4, nil},
+		}, []int{-1, 0, 1, 2}},
+		{"Q1 chain", ext("category", 3), []tailStep{
+			{cond(g, "item", "category", 1, 3), 1, semi("site", "item", 0, 1, false)},
+			{cond(g, "site", "item", 0, 1), 0, semi("site", "person", 0, 2, true)},
+			{cond(g, "person", "category", 2, 3), 2, sel("site", "person", 0, 2)},
+		}, []int{-1, 0, 1}},
+		{"T6 siblings", ext("person", 0), []tailStep{
+			{cond(g, "person", "address", 0, 1), 1, semi("address", "city", 1, 9, true)},
+			{cond(g, "address", "city", 1, 2), 2, nil},
+			{cond(g, "address", "country", 1, 3), 3, nil},
+			{cond(g, "person", "name", 0, 4), 4, nil},
+		}, []int{-1, 0, 0, -1}},
+		{"T9 siblings", ext("person", 0), []tailStep{
+			{cond(g, "person", "profile", 0, 1), 1, semi("profile", "interest", 1, 9, true)},
+			{cond(g, "profile", "interest", 1, 2), 2, semi("interest", "category", 2, 8, true)},
+			{cond(g, "person", "watches", 0, 3), 3, nil},
+			{cond(g, "interest", "category", 2, 4), 4, nil},
+		}, []int{-1, 0, -1, 1}},
+		{"stored under an outer sibling", ext("person", 0), []tailStep{
+			{cond(g, "person", "watches", 0, 1), 1, nil},
+			{cond(g, "person", "profile", 0, 2), 2, semi("profile", "interest", 2, 9, true)},
+			{cond(g, "profile", "interest", 2, 3), 3, semi("interest", "category", 3, 8, true)},
+			{cond(g, "interest", "category", 3, 4), 4, nil},
+		}, []int{-1, -1, 1, 2}},
+	} {
+		checkTail(t, db, tc.in, tc.name, tc.steps, tc.parents, 50)
+	}
+	// On a random DAG: D fetched from B absorbs a Selection on C, a sibling
+	// of B — only rows hold both — and E hangs under D after that.
+	dag := fusedDAG(7, 400, 1200)
+	ddb := mustDB(t, dag)
+	checkTail(t, ddb, extentOf(dag, dag.Labels().Lookup("A"), 0, 1), "two branches", []tailStep{
+		{cond(dag, "A", "B", 0, 1), 1, nil},
+		{cond(dag, "A", "C", 0, 2), 2, nil},
+		{cond(dag, "B", "D", 1, 3), 3, []NodeFilter{{Conds: []Cond{cond(dag, "C", "D", 2, 3)}}}},
+		{cond(dag, "D", "E", 3, 4), 4, nil},
+	}, []int{-1, 0}, 50)
+	// A column stored under the prefix row after a sibling whose child is
+	// empty for some of its elements: the walk skips those, and the stored
+	// column must resume past the block it re-read for them.
+	checkTail(t, ddb, extentOf(dag, dag.Labels().Lookup("A"), 0, 1), "stored after an empty child", []tailStep{
+		{cond(dag, "A", "B", 0, 1), 1, nil},
+		{cond(dag, "B", "C", 1, 2), 2, nil},
+		{cond(dag, "A", "D", 0, 3), 3, []NodeFilter{{Conds: []Cond{cond(dag, "D", "E", 3, 4)}, Semijoin: true, OutSide: true}}},
+		{cond(dag, "D", "E", 3, 5), 5, nil},
+	}, []int{-1, 0, -1, 2}, 50)
+	// A column under an outer sibling holds one block per element of its
+	// parent, not one per row of the product above it: a walk rewinds it.
+	steps := []tailStep{
+		{cond(g, "person", "watches", 0, 1), 1, nil},
+		{cond(g, "person", "profile", 0, 2), 2, semi("profile", "interest", 2, 9, true)},
+		{cond(g, "profile", "interest", 2, 3), 3, semi("interest", "category", 3, 8, true)},
+	}
+	res, _, rows, err := runTail(db, ext("person", 0), steps, true, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := 0
+	for _, ch := range res.exp[1].chunks {
+		profiles += len(ch)
+	}
+	if len(res.exp[2].lens) != profiles || profiles >= rows[1] {
+		t.Fatalf("interest holds %d blocks for %d profiles under %d rows of (person, watches, profile)", len(res.exp[2].lens), profiles, rows[1])
+	}
+}
+
+// TestFlattenFilters: a semijoin group or Selection over a factorised
+// result is the step-by-step filter over it written out — on prefix
+// columns of a result whose columns store nothing it drops whole prefix
+// rows and keeps the rest factorised; otherwise it writes the result out.
+func TestFlattenFilters(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 3000, Seed: 5}).Graph
+	db := mustDB(t, g)
+	ctx := context.Background()
+	ext := func(label string) *Result { return extentOf(g, g.Labels().Lookup(label), 0, 1) }
+	mailIn := []Cond{cond(g, "mailbox", "mail", 9, 0)}
+	for _, tc := range []struct {
+		name       string
+		steps      []tailStep
+		filter     func(rt *Runtime, r *Result) (*Result, error)
+		factorised bool
+	}{
+		{"T5 semijoin on the prefix", []tailStep{{cond(g, "mail", "from", 0, 1), 1, nil}, {cond(g, "mail", "to", 0, 2), 2, nil}},
+			func(rt *Runtime, r *Result) (*Result, error) { return rt.FilterGroup(ctx, db, r, mailIn, 0, false) }, true},
+		{"semijoin on an expanded column", []tailStep{{cond(g, "mail", "from", 0, 1), 1, nil}},
+			func(rt *Runtime, r *Result) (*Result, error) {
+				return rt.FilterGroup(ctx, db, r, []Cond{cond(g, "mailbox", "from", 9, 1)}, 1, false)
+			}, false},
+		{"semijoin on the prefix beside a stored column", []tailStep{{cond(g, "mail", "from", 0, 1), 1, []NodeFilter{{Conds: []Cond{cond(g, "mailbox", "from", 9, 1)}, Semijoin: true}}}},
+			func(rt *Runtime, r *Result) (*Result, error) { return rt.FilterGroup(ctx, db, r, mailIn, 0, false) }, false},
+		{"selection across columns", []tailStep{{cond(g, "mail", "from", 0, 1), 1, nil}},
+			func(rt *Runtime, r *Result) (*Result, error) {
+				return rt.Selection(ctx, db, r, cond(g, "mail", "from", 0, 1))
+			}, false},
+	} {
+		for _, limit := range []int{0, 1, 7, 100} {
+			b, bw := &Budget{ResultRows: limit}, &Budget{ResultRows: limit}
+			rt, rtw := new(Runtime), new(Runtime)
+			rt.SetBudget(b)
+			rtw.SetBudget(bw)
+			got, want := ext("mail"), ext("mail")
+			var err error
+			for _, s := range tc.steps {
+				if got, _, err = rt.FetchFiltered(ctx, db, got, s.fetch, s.filters, true); err != nil {
+					t.Fatal(err)
+				}
+				if want, _, err = stepwise(ctx, rtw, db, want, s.fetch, s.node, s.filters, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.PushLimit(limit)
+			rtw.PushLimit(limit)
+			if got, err = tc.filter(rt, got); err != nil {
+				t.Fatal(err)
+			}
+			if want, err = tc.filter(rtw, want); err != nil {
+				t.Fatal(err)
+			}
+			if got.K() > 0 != tc.factorised || want.N < 20 && limit == 0 ||
+				!reflect.DeepEqual(tab(got).Rows, tab(want).Rows) || b.Bytes() != bw.Bytes() || b.PeakRows() != bw.PeakRows() || b.Truncated() != bw.Truncated() {
+				t.Fatalf("%s limit %d: K = %d, %d rows, step by step %d; bytes %d/%d peak %d/%d truncated %v/%v",
+					tc.name, limit, got.K(), got.N, want.N, b.Bytes(), bw.Bytes(), b.PeakRows(), bw.PeakRows(), b.Truncated(), bw.Truncated())
+			}
+		}
+	}
+}
+
+// checkTail holds steps run factorised over in against the same steps run
+// step by step: the same rows in the same order, each step's row count,
+// Bytes(), PeakRows() and Truncated at every limit of a sweep up to N+1,
+// and the same typed kill at row caps up to the peak and across a byte
+// sweep, with and without a limit. The unlimited result must have at least
+// min rows. Its expanded columns are the last steps' — all of them unless
+// parents, the parent each must hang under, names fewer — and a column
+// stores lists exactly when its Fetch absorbed filters.
+func checkTail(t *testing.T, db *gdb.Snap, in *Result, name string, steps []tailStep, parents []int, min int) {
 	t.Helper()
 	want, _, _, err := runTail(db, in, steps, false, 0, 0, 0)
 	if err != nil {
@@ -119,14 +279,17 @@ func checkTail(t *testing.T, db *gdb.Snap, in *Result, name string, steps []tail
 		if werr != nil {
 			return
 		}
-		if g.K() != len(steps) && g.N > 0 || !reflect.DeepEqual(grows, wrows) {
+		k := len(steps)
+		if parents != nil {
+			k = len(parents)
+		}
+		if g.K() != k && g.N > 0 || !reflect.DeepEqual(grows, wrows) {
 			t.Fatalf("%s %s: %d expanded columns, step rows %v, step by step %v", name, what, g.K(), grows, wrows)
 		}
-		// A column keeps lists only when its Fetch absorbed filters; the
-		// others re-read the partner table.
-		for k := 0; k < g.K(); k++ {
-			if g.exp[k].stored != (len(steps[k].filters) > 0) {
-				t.Fatalf("%s %s: column %d stored=%v with %d filters", name, what, k, g.exp[k].stored, len(steps[k].filters))
+		for j, c := range g.exp {
+			s := steps[len(steps)-k+j]
+			if c.stored != (len(s.filters) > 0) || parents != nil && c.parent != parents[j] {
+				t.Fatalf("%s %s: column %d stored=%v under %d with %d filters, want under %v", name, what, j, c.stored, c.parent, len(s.filters), parents)
 			}
 		}
 		if got := tab(g); got.Len() != w.Len() || w.Len() > 0 && !reflect.DeepEqual(got.Rows, tab(w).Rows) {
@@ -164,17 +327,20 @@ func sweep(n int) []int {
 	return out
 }
 
-// BenchmarkFactorisedTail times the served shapes' last Fetches over their
-// prefix as a factorised tail and written out — every Fetch but the last
-// writing its rows, as a plan ran them before tails — in ns per result row
-// and B/op, the per-query work a tail costs. F7 is read_fastpath's
+// BenchmarkFactorisedTail times served shapes' Fetches over their prefix
+// left factorised (tail) and with every Fetch but the last written out
+// (written, as plans ran them before their columns nested), in ns per
+// result row and B/op, the per-query work. F7 is read_fastpath's
 // site->name; site->description with the served limit of 10,000 rows; T9
 // is person->watches and interest->category over (person, profile,
 // interest); T5 is mail->from and mail->to over (item, mailbox, mail) and
 // T6 person->name, address->city and address->country over (person,
-// address): tails of 1:1 expansions, K = 2 and 3. Fetch/emit is one
-// emitting Fetch, T6's person->address over the person extent, written
-// out.
+// address): 1:1 expansions, K = 2 and 3. P8 is the path
+// site->people->person->profile->interest from the site extent, each
+// Fetch absorbing the semijoin group on its node, and Q1 the chain from
+// the category extent whose last Fetch absorbs a Selection on the site
+// column two levels up, as the served plans run them. Fetch/flatten is a
+// flatten point: T6's person->address over the person extent, written out.
 func BenchmarkFactorisedTail(b *testing.B) {
 	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 7}).Graph
 	dbx, err := gdb.Build(g, gdb.Options{})
@@ -185,54 +351,69 @@ func BenchmarkFactorisedTail(b *testing.B) {
 	db, release := dbx.Pin()
 	defer release()
 	ctx := context.Background()
-
-	// prefix runs conds as emitting Fetches from label's extent, bound to
-	// node 0.
-	prefix := func(label string, conds ...Cond) *Result {
-		t := extentOf(g, g.Labels().Lookup(label), 0, 1)
+	ext := func(label string, node int) *Result { return extentOf(g, g.Labels().Lookup(label), node, 1) }
+	semi := func(from, to string, f, tn int, out bool) []NodeFilter {
+		return []NodeFilter{{Conds: []Cond{cond(g, from, to, f, tn)}, Semijoin: true, OutSide: out}}
+	}
+	plain := func(conds ...Cond) []tailStep {
+		var steps []tailStep
 		for _, c := range conds {
-			var err error
-			if t, err = Fetch(ctx, db, t, c); err != nil {
-				b.Fatal(err)
-			}
+			steps = append(steps, tailStep{fetch: c})
+		}
+		return steps
+	}
+
+	// prefix runs steps written out over label's extent, bound to node 0.
+	prefix := func(label string, steps []tailStep) *Result {
+		t, _, _, err := runTail(db, ext(label, 0), steps, false, 0, 0, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
 		return t
 	}
-	t9 := prefix("person", cond(g, "person", "profile", 0, 1), cond(g, "profile", "interest", 1, 2))
-	t5 := prefix("item", cond(g, "item", "mailbox", 0, 1), cond(g, "mailbox", "mail", 1, 2))
-	t6 := prefix("person", cond(g, "person", "address", 0, 1))
+	t9 := prefix("person", plain(cond(g, "person", "profile", 0, 1), cond(g, "profile", "interest", 1, 2)))
+	t5 := prefix("item", plain(cond(g, "item", "mailbox", 0, 1), cond(g, "mailbox", "mail", 1, 2)))
+	t6 := prefix("person", plain(cond(g, "person", "address", 0, 1)))
 	for _, q := range []struct {
 		name     string
 		in       *Result
-		steps    []Cond
+		steps    []tailStep
 		limit    int
 		variants []string
 	}{
-		{"F7", extentOf(g, g.Labels().Lookup("site"), 0, 1),
-			[]Cond{cond(g, "site", "description", 0, 1), cond(g, "site", "name", 0, 2)}, 10000, []string{"tail", "written"}},
-		{"T9", t9, []Cond{cond(g, "person", "watches", 0, 3), cond(g, "interest", "category", 2, 4)}, 0, []string{"tail", "written"}},
-		{"T5", t5, []Cond{cond(g, "mail", "from", 2, 3), cond(g, "mail", "to", 2, 4)}, 0, []string{"tail", "written"}},
-		{"T6", t6, []Cond{cond(g, "person", "name", 0, 2), cond(g, "address", "city", 1, 3), cond(g, "address", "country", 1, 4)}, 0, []string{"tail", "written"}},
-		{"Fetch", extentOf(g, g.Labels().Lookup("person"), 0, 1), []Cond{cond(g, "person", "address", 0, 1)}, 0, []string{"emit"}},
+		{"F7", ext("site", 0), plain(cond(g, "site", "description", 0, 1), cond(g, "site", "name", 0, 2)), 10000, []string{"tail", "written"}},
+		{"T9", t9, plain(cond(g, "person", "watches", 0, 3), cond(g, "interest", "category", 2, 4)), 0, []string{"tail", "written"}},
+		{"T5", t5, plain(cond(g, "mail", "from", 2, 3), cond(g, "mail", "to", 2, 4)), 0, []string{"tail", "written"}},
+		{"T6", t6, plain(cond(g, "person", "name", 0, 2), cond(g, "address", "city", 1, 3), cond(g, "address", "country", 1, 4)), 0, []string{"tail", "written"}},
+		{"P8", ext("site", 0), []tailStep{
+			{fetch: cond(g, "site", "people", 0, 1), filters: semi("people", "person", 1, 9, true)},
+			{fetch: cond(g, "people", "person", 1, 2), filters: semi("person", "profile", 2, 8, true)},
+			{fetch: cond(g, "person", "profile", 2, 3), filters: semi("profile", "interest", 3, 7, true)},
+			{fetch: cond(g, "profile", "interest", 3, 4)},
+		}, 0, []string{"tail", "written"}},
+		{"Q1", ext("category", 3), []tailStep{
+			{fetch: cond(g, "item", "category", 1, 3), filters: semi("site", "item", 0, 1, false)},
+			{fetch: cond(g, "site", "item", 0, 1), filters: semi("site", "person", 0, 2, true)},
+			{fetch: cond(g, "person", "category", 2, 3), filters: []NodeFilter{{Conds: []Cond{cond(g, "site", "person", 0, 2)}}}},
+		}, 0, []string{"tail", "written"}},
+		{"Fetch", ext("person", 0), plain(cond(g, "person", "address", 0, 1)), 0, []string{"flatten"}},
 	} {
-		// run keeps the steps factorised from the first (tail), from the
-		// last (written) or never (emit).
 		run := func(variant string) (*Result, error) {
 			rt := new(Runtime)
 			t := q.in
-			for i, c := range q.steps {
+			for i, s := range q.steps {
 				last := i == len(q.steps)-1
 				if last {
 					rt.PushLimit(q.limit)
 				}
 				var err error
-				if t, _, err = rt.FetchFiltered(ctx, db, t, c, nil, variant == "tail" || variant == "written" && last); err != nil {
+				if t, _, err = rt.FetchFiltered(ctx, db, t, s.fetch, s.filters, variant == "tail" || variant == "written" && last); err != nil {
 					return nil, err
 				}
 			}
 			return t, nil
 		}
-		want, err := run("emit")
+		want, err := run("flatten")
 		if err != nil || want.N == 0 {
 			b.Fatalf("%s: %v", q.name, err)
 		}

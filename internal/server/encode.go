@@ -35,12 +35,8 @@ type encoder struct {
 	err error
 	// head and tail hold the text of the current row before and after its
 	// innermost expanded column, formatted once per run of that column's
-	// list; each is rowRoom bytes, the formatter's overshoot included. With
-	// two or more expanded columns, cur is that row in source-column order
-	// and idx the position in each outer list.
+	// list; each is rowRoom bytes, the formatter's overshoot included.
 	head, tail []byte
-	cur        []graph.NodeID
-	idx        []int
 }
 
 var encoders = sync.Pool{New: func() any { return &encoder{max: maxPooledResponse} }}
@@ -100,13 +96,11 @@ func rowRoom(width int) int { return 11*width + 2 + 31 }
 // rows appends r's first r.N rows as JSON arrays, comma-separated, with
 // output column j taken from source column src[j]; prefix row i is
 // r.Data[i*w:(i+1)*w]. Plain rows are written cell by cell with putNodeID.
-// A factorised result's prefix rows and their lists come from its Walker;
-// each prefix row's product is walked like an odometer over its outer
-// lists, and per position of the odometer the innermost list is written a
-// run at a time: the row's cells but the innermost column are formatted
-// once, as the text before and after it, and each row of the run is a
-// 32-byte store of the head, the partner's digits and a 32-byte store of
-// the tail (a copy finishes a head or tail longer than 32 bytes).
+// A factorised result is written a run at a time, as its Walker yields
+// them: the run's cells but the innermost column are formatted once, as
+// the text before and after it, and each row of the run is a 32-byte store
+// of the head, the partner's digits and a 32-byte store of the tail (a
+// copy finishes a head or tail longer than 32 bytes).
 func (e *encoder) rows(r *rjoin.Result, src []int) {
 	width := len(src)
 	need := rowRoom(width)
@@ -114,8 +108,7 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	// fixed-width stores write past n, inside the room reserved for the row.
 	b, n := e.buf[:cap(e.buf)], len(e.buf)
 	first := true
-	k := r.K()
-	if k == 0 {
+	if r.K() == 0 {
 		for i := 0; i < r.N; i++ {
 			row := r.Data[i*width : (i+1)*width]
 			if len(b)-n < need {
@@ -146,86 +139,52 @@ func (e *encoder) rows(r *rjoin.Result, src []int) {
 	if cap(e.head) < need {
 		e.head, e.tail = make([]byte, need), make([]byte, need)
 	}
-	if k > 1 && cap(e.cur) < width {
-		e.cur, e.idx = make([]graph.NodeID, width), make([]int, width)
-	}
-	pw, left := r.Width(), r.N
-	idx := e.idx[:k-1]
+	left := r.N
 	pos := slices.Index(src, width-1)
 	wk := r.Walk()
 	for left > 0 && wk.Next() {
-		lists := wk.Lists()
-		// cur is the row but its innermost cell: with one list, the prefix
-		// row itself.
-		cur := wk.Prefix()
-		if k > 1 {
-			cur = e.cur[:width]
-			copy(cur, wk.Prefix())
-			for j := range idx {
-				idx[j], cur[pw+j] = 0, lists[j][0]
-			}
+		h := e.head[:cap(e.head)]
+		h[0], h[1] = ',', '['
+		hn := 2
+		for _, s := range src[:pos] {
+			hn = putNodeID(h, hn, wk.Cell(s))
+			h[hn] = ','
+			hn++
 		}
-		for {
-			h := e.head[:cap(e.head)]
-			h[0], h[1] = ',', '['
-			hn := 2
-			for _, s := range src[:pos] {
-				hn = putNodeID(h, hn, cur[s])
-				h[hn] = ','
-				hn++
-			}
-			t := e.tail[:cap(e.tail)]
-			tn := 0
-			for _, s := range src[pos+1:] {
-				t[tn] = ','
-				tn = putNodeID(t, tn+1, cur[s])
-			}
-			t[tn] = ']'
-			tn++
-			head, tail := h[:hn], t[:tn]
-			list := lists[k-1]
-			if len(list) > left {
-				list = list[:left]
-			}
-			left -= len(list)
-			if first {
-				if len(b)-n < need {
-					if b, n = e.grow(b, n, need); b == nil {
-						return
-					}
+		t := e.tail[:cap(e.tail)]
+		tn := 0
+		for _, s := range src[pos+1:] {
+			t[tn] = ','
+			tn = putNodeID(t, tn+1, wk.Cell(s))
+		}
+		t[tn] = ']'
+		tn++
+		head, tail := h[:hn], t[:tn]
+		list := wk.Run()
+		if len(list) > left {
+			list = list[:left]
+		}
+		left -= len(list)
+		if first {
+			if len(b)-n < need {
+				if b, n = e.grow(b, n, need); b == nil {
+					return
 				}
-				n += copy(b[n:], head[1:])
-				n = putNodeID(b, n, list[0])
-				n += copy(b[n:], tail)
-				list, first = list[1:], false
 			}
-			for len(list) > 0 {
-				if len(b)-n < need {
-					if b, n = e.grow(b, n, need); b == nil {
-						return
-					}
+			n += copy(b[n:], head[1:])
+			n = putNodeID(b, n, list[0])
+			n += copy(b[n:], tail)
+			list, first = list[1:], false
+		}
+		for len(list) > 0 {
+			if len(b)-n < need {
+				if b, n = e.grow(b, n, need); b == nil {
+					return
 				}
-				run := list[:min((len(b)-n)/need, len(list))]
-				list = list[len(run):]
-				n = putRun(b, n, run, head, tail)
 			}
-			if k == 1 || left == 0 {
-				break
-			}
-			// Advance the odometer over the outer lists: the innermost of
-			// them turns, and a list that wraps carries into the one
-			// outside it.
-			j := k - 2
-			for ; j >= 0; j-- {
-				if idx[j]++; idx[j] < len(lists[j]) {
-					cur[pw+j] = lists[j][idx[j]]
-					break
-				}
-				idx[j], cur[pw+j] = 0, lists[j][0]
-			}
-			if j < 0 {
-				break
-			}
+			run := list[:min((len(b)-n)/need, len(list))]
+			list = list[len(run):]
+			n = putRun(b, n, run, head, tail)
 		}
 	}
 	e.buf = b[:n]

@@ -89,7 +89,7 @@ func productResult(cols []int, lens [][]int) *rjoin.Result {
 		}
 		n += rows
 	}
-	return rjoin.Factorised(cols, data, k, exp, n)
+	return factorised(cols, data, k, exp, n)
 }
 
 // cut is r with only its first n rows: the prefix rows past them dropped,
@@ -98,7 +98,7 @@ func cut(r *rjoin.Result, n int) *rjoin.Result {
 	c := *r
 	wk, rows := r.Walk(), 0
 	for rows < n && wk.Next() {
-		if rows += wk.Product(); rows >= n {
+		if rows += len(wk.Run()); rows >= n {
 			c.Data = r.Data[:(wk.Row()+1)*r.Width()]
 		}
 	}
@@ -222,13 +222,13 @@ func encodingCases() map[string]*Result {
 		widest = append(widest, math.MaxInt32-graph.NodeID(i))
 		widestExp = append(widestExp, list)
 	}
-	cases["widest rows"] = prod(rjoin.Factorised([]int{0, 1}, widest, 1, widestExp, 20*300))
+	cases["widest rows"] = prod(factorised([]int{0, 1}, widest, 1, widestExp, 20*300))
 	many := cases["many short blocks"].rows
 	for i := range 3000 {
 		short = append(short, many.Row(i)...)
 		shortExp = append(shortExp, []graph.NodeID{graph.NodeID(i), graph.NodeID(i + 1)})
 	}
-	cases["many short blocks"].rows = rjoin.Factorised(many.Cols, short, 1, shortExp, 6000)
+	cases["many short blocks"].rows = factorised(many.Cols, short, 1, shortExp, 6000)
 	meta := &Result{
 		Cols: []string{"a\"b", "<c>", "é"}, rows: plainResult([]int{0, 1, 2}, 2), nodes: identityNodes(3),
 		Truncated: true, PlanCached: true, Elapsed: 1234567891 * time.Microsecond,
@@ -292,7 +292,7 @@ func digitBoundaryResult(cols []int) *rjoin.Result {
 		exp = append(exp, list)
 		n += len(list)
 	}
-	return rjoin.Factorised(cols, data, 1, exp, n)
+	return factorised(cols, data, 1, exp, n)
 }
 
 // wideCellResult is a factorised Result over cols whose prefix cells all
@@ -321,7 +321,7 @@ func wideCellResult(cols []int, digits int) *rjoin.Result {
 		exp = append(exp, list)
 		n += len(list)
 	}
-	return rjoin.Factorised(cols, data, 1, exp, n)
+	return factorised(cols, data, 1, exp, n)
 }
 
 // TestQueryResponseEncoding: the encoder must write, straight from the
@@ -354,9 +354,13 @@ func TestQueryResponseEncoding(t *testing.T) {
 
 // FuzzEncodeResult: for a random Result — width 1 to 4 in any column
 // order, plain or factorised over 1 to 3 expanded columns with lists of
-// any length including 0, whole or cut by a limit, IDs of every digit
-// count — the body is json.Marshal's plus a newline, whether it leaves in
-// one write or through a buffer smaller than a few rows.
+// any length including 0, the columns all under the prefix rows or nested
+// in a random forest (rjoin.Nested), whole or cut by a limit, IDs of every
+// digit count — the body is json.Marshal's plus a newline, whether it
+// leaves in one write or through a buffer smaller than a few rows. A
+// nested result's rows written out (Table) are also held against a
+// nested-loop enumeration of the forest that shares no code with the
+// Walker.
 func FuzzEncodeResult(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0x83, 2, 1, 3, 9, 0xff, 0xff, 0xff, 0x7f, 0, 1, 0, 0, 0, 4, 8, 7, 6, 5})
@@ -393,6 +397,10 @@ func FuzzEncodeResult(f *testing.F) {
 	// Two and three expanded columns, the second cut by a limit.
 	f.Add([]byte{0x93, 2, 1, 3, 9, 0xff, 0xff, 0xff, 0x7f, 2, 3, 0, 1, 0, 0, 0, 4, 8, 7, 6, 5, 9, 1, 2, 3, 4, 0, 5, 5, 5, 5})
 	f.Add([]byte{0xe3, 1, 0, 2, 7, 1, 2, 3, 4, 3, 2, 2, 9, 4, 3, 2, 1, 3, 0, 0, 0, 0, 8, 1, 1, 1, 1, 2, 2, 2, 2, 2, 17})
+	// Forests: three columns in a chain under a one-cell prefix, and two
+	// siblings under the first of three, cut by a limit.
+	f.Add([]byte{0xa7, 0, 0, 1, 2, 0, 1, 2, 3, 4, 5, 3, 1, 2, 3, 4, 9, 4, 3, 2, 1, 5, 0, 0, 0, 0, 7, 1, 1, 1, 1, 2, 2, 2, 2, 4, 9, 8, 7, 6})
+	f.Add([]byte{0xe7, 1, 2, 3, 0, 1, 1, 1, 2, 3, 4, 5, 3, 1, 2, 3, 4, 9, 4, 3, 2, 1, 5, 0, 0, 0, 0, 7, 1, 1, 1, 1, 2, 2, 2, 2, 4, 9, 8, 7, 6, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -414,18 +422,23 @@ func FuzzEncodeResult(f *testing.F) {
 			return graph.NodeID(lo + v%(hi-lo))
 		}
 		// The shape byte: width in its low bits, factorised in its top bit,
-		// the number of expanded columns in bits 4–5 and a cut by a limit
-		// in bit 6.
+		// the number of expanded columns in bits 4–5, a cut by a limit in
+		// bit 6 and a forest in bit 2.
 		shape := next()
-		width, factorised := 1+int(shape%4), shape&0x80 != 0
+		width, isFactorised := 1+int(shape%4), shape&0x80 != 0
 		cols := identityNodes(width)
 		for i := width - 1; i > 0; i-- {
 			j := int(next()) % (i + 1)
 			cols[i], cols[j] = cols[j], cols[i]
 		}
 		r, k := &rjoin.Result{Cols: cols}, 0
-		if factorised {
+		if isFactorised {
 			k = 1 + int(shape>>4&3)%min(3, width)
+		}
+		// A forest spends a byte on each column's parent.
+		var parents []int
+		for j := range k * int(shape>>2&1) {
+			parents = append(parents, int(next())%(j+1)-1)
 		}
 		var exp [][]graph.NodeID
 		for rows := 0; len(data) > 0 && rows < 64; rows++ {
@@ -446,13 +459,22 @@ func FuzzEncodeResult(f *testing.F) {
 			}
 			r.N += n
 		}
-		if factorised {
-			r = rjoin.Factorised(cols, r.Data, k, exp, r.N)
+		var model [][]graph.NodeID
+		if parents != nil {
+			r, model = fuzzForest(cols, r.Data, parents, exp)
+		} else if isFactorised {
+			r = factorised(cols, r.Data, k, exp, r.N)
 		}
 		if shape&0x40 != 0 && r.N > 0 {
 			r = cut(r, 1+int(next())%r.N)
 		}
 		res := &Result{Cols: []string{"A", "B", "C", "D"}[:width], rows: r, nodes: identityNodes(width)}
+		if model != nil {
+			got, err := r.Table(r.Cols)
+			if err != nil || !slices.EqualFunc(got.Rows, model[:r.N], slices.Equal[[]graph.NodeID]) {
+				t.Fatalf("forest written out: %v (%v), enumerated %v", got.Rows, err, model[:r.N])
+			}
+		}
 		want := wantBody(t, res)
 		rec := httptest.NewRecorder()
 		if _, err := writeQueryResponse(rec, res); err != nil {
@@ -700,7 +722,7 @@ func TestEncodeConcurrentConsumers(t *testing.T) {
 	defer db.Close()
 	s := New(db, Config{})
 	ctx := context.Background()
-	tested := 0
+	tested, nested := 0, false
 	for _, q := range []string{"A->B; B->C", "A->B; A->C", "A->B; B->C; A->C"} {
 		res, err := s.run(ctx, pattern.MustParse(q), exec.DPS, QueryOptions{})
 		if err != nil {
@@ -710,6 +732,9 @@ func TestEncodeConcurrentConsumers(t *testing.T) {
 			continue
 		}
 		tested++
+		// A path's second Fetch reads the node the first bound: its column
+		// nests under the first's.
+		nested = nested || q == "A->B; B->C" && res.rows.K() == 2
 		want := wantBody(t, res)
 		rows, err := res.rows.Table(res.nodes)
 		if err != nil {
@@ -744,8 +769,8 @@ func TestEncodeConcurrentConsumers(t *testing.T) {
 			t.Fatal(e)
 		}
 	}
-	if tested == 0 {
-		t.Fatal("no query ended factorised: nothing consumed")
+	if tested == 0 || !nested {
+		t.Fatalf("%d queries ended factorised, a nested one among them: %v", tested, nested)
 	}
 }
 
@@ -818,7 +843,7 @@ func servedResult() *rjoin.Result {
 		data = append(data, graph.NodeID(i*1052+rnd.Intn(1052)))
 		exp = append(exp, list)
 	}
-	return rjoin.Factorised([]int{0, 1}, data, 1, exp, 95*540)
+	return factorised([]int{0, 1}, data, 1, exp, 95*540)
 }
 
 // wideResult is shaped like the last Fetch of a served tree pattern (T4,
@@ -839,7 +864,7 @@ func wideResult() *rjoin.Result {
 		}
 		exp = append(exp, list)
 	}
-	return rjoin.Factorised([]int{0, 1, 2, 3}, data, 1, exp, 190*270)
+	return factorised([]int{0, 1, 2, 3}, data, 1, exp, 190*270)
 }
 
 // productServedResult is shaped like F7-limit's factorised tail on the
@@ -854,7 +879,7 @@ func productServedResult() *rjoin.Result {
 		}
 		return l
 	}
-	return rjoin.Factorised([]int{0, 1, 2}, []graph.NodeID{1052}, 2, [][]graph.NodeID{list(432, 230), list(540, 185)}, 10000)
+	return factorised([]int{0, 1, 2}, []graph.NodeID{1052}, 2, [][]graph.NodeID{list(432, 230), list(540, 185)}, 10000)
 }
 
 // BenchmarkEncodeResult times the row encoder into a warm buffer: a
@@ -901,4 +926,61 @@ func BenchmarkEncodeResult(b *testing.B) {
 			}
 		})
 	}
+}
+
+// factorised builds a factorised result whose k expanded columns all hang
+// under the prefix rows in data: prefix row i's lists are
+// lists[i*k:(i+1)*k], the j-th that of column Width()+j, and the result
+// stands for the first n rows of their products.
+func factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *rjoin.Result {
+	parents := make([]int, k)
+	for j := range parents {
+		parents[j] = -1
+	}
+	return rjoin.Nested(cols, data, len(lists)/k, parents, func(j, i int, _ []graph.NodeID) []graph.NodeID { return lists[i*k+j] }, n)
+}
+
+// fuzzForest builds a nested result over cols from the fuzzer's lists: the
+// prefix rows in data and an expanded column under each of parents (an
+// earlier column or the prefix row), whose list is one of lists chosen by
+// a hash of the prefix row and the column's ancestors' values. It returns
+// the result and its rows in source-column order, enumerated by nested
+// loops over the columns in bind order.
+func fuzzForest(cols []int, data []graph.NodeID, parents []int, lists [][]graph.NodeID) (*rjoin.Result, [][]graph.NodeID) {
+	k := len(parents)
+	w := len(cols) - k
+	list := func(j, i int, row []graph.NodeID) []graph.NodeID {
+		h := uint64(i)*31 + uint64(j)
+		for p := parents[j]; p >= 0; p = parents[p] {
+			h = h*1000003 + uint64(row[w+p])
+		}
+		if len(lists) == 0 {
+			return nil
+		}
+		return lists[h%uint64(len(lists))]
+	}
+	rows := 0
+	if w > 0 {
+		rows = len(data) / w
+	} else if len(lists) > 0 {
+		rows = len(lists) / k
+	}
+	var model [][]graph.NodeID
+	row := make([]graph.NodeID, len(cols))
+	var enum func(i, j int)
+	enum = func(i, j int) {
+		if j == k {
+			model = append(model, slices.Clone(row))
+			return
+		}
+		for _, v := range list(j, i, row) {
+			row[w+j] = v
+			enum(i, j+1)
+		}
+	}
+	for i := range rows {
+		copy(row, data[i*w:(i+1)*w])
+		enum(i, 0)
+	}
+	return rjoin.Nested(cols, data, rows, parents, list, len(model)), model
 }

@@ -52,7 +52,7 @@ type metrics struct {
 	// Operator activity (aggregated rjoin.RuntimeStats).
 	operatorOps  atomic.Int64 // operator executions
 	fusedFilters atomic.Int64 // plan steps a Fetch ran as list intersections
-	factorised   atomic.Int64 // Fetches of a factorised tail, rows not written out
+	factorised   atomic.Int64 // Fetches that left their rows factorised
 	centerHits   atomic.Int64 // partner-slot hits
 	centerMisses atomic.Int64 // partner-slot fills
 
@@ -174,7 +174,7 @@ type Stats struct {
 	TruncatedQueries int64 `json:"truncated_queries"`
 	// IntermediateBytes is the cumulative size of the rows queries'
 	// operators produced (4 bytes per cell), whether they were written out
-	// or, like a plan's factorised tail, handed to the encoder as products;
+	// or, like a Fetch's, handed to the encoder as products;
 	// PeakIntermediateBytes/Rows are the largest a single query charged
 	// (high-water marks, including killed queries).
 	IntermediateBytes     int64 `json:"intermediate_bytes"`
@@ -224,9 +224,9 @@ type Stats struct {
 	// FusedFilters counts the plan steps that ran as no operator of their
 	// own: Selections and R-semijoin groups on the node a Fetch binds,
 	// applied by that Fetch to its partner lists (rjoin.FetchFiltered).
-	// FactorisedSteps counts the Fetches of plans' factorised tails: each
-	// kept its partner lists as one more expanded column of the result
-	// instead of writing its rows out (rjoin.FetchResult).
+	// FactorisedSteps counts the Fetches that kept their partner lists as
+	// one more expanded column of the result instead of writing their rows
+	// out (rjoin.FetchResult); a later step that reads rows writes them out.
 	OperatorOps     int64 `json:"operator_ops"`
 	FusedFilters    int64 `json:"fused_filters"`
 	FactorisedSteps int64 `json:"factorised_steps"`

@@ -131,7 +131,7 @@ type Result struct {
 	Truncated bool
 	// IntermediateBytes is what the query charged against its budget: the
 	// logical size of every row its operators produced, written out or not
-	// (the factorised tail never is); PeakRows the largest temporal table it
+	// (a Fetch's are not); PeakRows the largest temporal table it
 	// held, counted the same way.
 	IntermediateBytes int64
 	PeakRows          int64
@@ -140,7 +140,7 @@ type Result struct {
 	// encoding the HTTP response (/stats encode_ms).
 	Elapsed time.Duration
 
-	// rows is the executor's result, its factorised tail still products,
+	// rows is the executor's result, its Fetches' columns still products,
 	// and nodes the pattern-node order Cols reports it in. Rows is written
 	// out from them for in-process callers; the HTTP handler encodes them
 	// directly and leaves Rows nil.

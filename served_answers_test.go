@@ -24,7 +24,10 @@ import (
 	"fastmatch/internal/xmark"
 )
 
-var updateServed = flag.Bool("update", false, "rewrite testdata/served_answers.txt from this tree's answers")
+var (
+	updateServed = flag.Bool("update", false, "rewrite testdata/served_answers.txt from this tree's answers, each held against exec.NaiveMatch")
+	oracleServed = flag.Bool("oracle", false, "hold every served dataset's answers against exec.NaiveMatch, not only those of the datasets checked by default")
+)
 
 const servedAnswersFile = "testdata/served_answers.txt"
 
@@ -34,11 +37,15 @@ type servedQuery struct {
 	limit         int
 }
 
-// servedDataset is one database the battery is served from.
+// servedDataset is one database the battery is served from. oracle marks
+// a dataset whose answers TestServedAnswers always holds against
+// exec.NaiveMatch; the others are held against it under -oracle or
+// -update (the XMark 100k closure takes about 1.25 GB).
 type servedDataset struct {
 	name    string
 	graph   func() *graph.Graph
 	queries func() []servedQuery
+	oracle  bool
 }
 
 func fromWorkloads(sets ...[]workload.Workload) []servedQuery {
@@ -70,7 +77,7 @@ func servedDatasets() []servedDataset {
 		{name: "xmark100k", queries: xmarkQueries,
 			graph: func() *graph.Graph { return xmark.Generate(xmark.Config{Nodes: 100000, Seed: 1}).Graph }},
 		{name: "skew20k", queries: func() []servedQuery { return fromWorkloads(workload.Skew()) },
-			graph: func() *graph.Graph { return workload.PowerLawDAG(1, 20000) }},
+			graph: func() *graph.Graph { return workload.PowerLawDAG(1, 20000) }, oracle: true},
 	}
 }
 
@@ -82,15 +89,18 @@ func servedDatasets() []servedDataset {
 // answer; a changed body hash or plan is a changed row order or plan, which
 // a change must explain. Each dataset's first line pins the build itself:
 // the cover size |H|, the center count and the page-file size, so a change
-// to the labeling or the page layout fails here too. -update rewrites the
-// file.
+// to the labeling or the page layout fails here too. The row hashes of the
+// skew20k battery — of every dataset under -oracle — are also held against
+// exec.NaiveMatch over the graph's transitive closure, which reads no
+// index at all. -update rewrites the file, and only from answers that
+// oracle agrees with, on every dataset.
 func TestServedAnswers(t *testing.T) {
 	want := readServedAnswers(t)
 	var got []string
 	for _, ds := range servedDatasets() {
-		got = append(got, serveBattery(t, ds)...)
+		got = append(got, serveBattery(t, ds, ds.oracle || *oracleServed || *updateServed)...)
 	}
-	if *updateServed {
+	if *updateServed && !t.Failed() {
 		var b bytes.Buffer
 		b.WriteString("# dataset query row_count row_hash body_sha256 | DPS plan; dataset build |H| centers size_bytes; go test -run TestServedAnswers -update . rewrites this file\n")
 		for _, line := range got {
@@ -136,8 +146,15 @@ func readServedAnswers(t *testing.T) []string {
 
 // serveBattery builds ds's database and answers its queries through a
 // server's HTTP handler: one golden line for the build, then one per query.
-func serveBattery(t *testing.T, ds servedDataset) []string {
-	db, err := gdb.Build(ds.graph(), gdb.Options{PoolBytes: 64 << 20})
+// With oracle set each answer is held against exec.NaiveMatch: the same row
+// hash, or under a limit rows it holds.
+func serveBattery(t *testing.T, ds servedDataset, oracle bool) []string {
+	g := ds.graph()
+	var tc *graph.TransitiveClosure
+	if oracle {
+		tc = graph.NewTransitiveClosure(g)
+	}
+	db, err := gdb.Build(g, gdb.Options{PoolBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +194,9 @@ func serveBattery(t *testing.T, ds servedDataset) []string {
 		if err != nil {
 			t.Fatalf("%s %s: %v", ds.name, q.name, err)
 		}
+		if tc != nil {
+			checkOracle(t, g, tc, p, ds.name+" "+q.name, resp.Rows, q.limit)
+		}
 		lines = append(lines, fmt.Sprintf("%s %s %d %016x %x | %s",
 			ds.name, q.name, resp.RowCount, rowSetHash(resp.Rows), sha256.Sum256(body[:cut]), planLine(plan)))
 	}
@@ -189,6 +209,37 @@ func serveBattery(t *testing.T, ds servedDataset) []string {
 	}
 	t.Logf("%s: %d partner tables, %d bitmaps, %d bytes", ds.name, st.PartnerTables, st.PartnerBitmaps, st.DecodedMemoBytes)
 	return lines
+}
+
+// checkOracle holds rows, a served answer to p, against exec.NaiveMatch
+// over tc: the same row hash, or — under a limit that cut it — that many
+// rows the oracle's answer holds.
+func checkOracle(t *testing.T, g *graph.Graph, tc *graph.TransitiveClosure, p *pattern.Pattern, what string, rows [][]graph.NodeID, limit int) {
+	t.Helper()
+	want, err := exec.NaiveMatchClosure(g, tc, p)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", what, err)
+	}
+	if limit == 0 || want.Len() <= limit {
+		if len(rows) != want.Len() || rowSetHash(rows) != rowSetHash(want.Rows) {
+			t.Errorf("%s: %d rows, hash %016x; the index-free oracle has %d rows, hash %016x",
+				what, len(rows), rowSetHash(rows), want.Len(), rowSetHash(want.Rows))
+		}
+		return
+	}
+	held := map[string]bool{}
+	for _, row := range want.Rows {
+		held[fmt.Sprint(row)] = true
+	}
+	for _, row := range rows {
+		if !held[fmt.Sprint(row)] {
+			t.Errorf("%s: row %v is not in the index-free oracle's answer", what, row)
+			return
+		}
+	}
+	if len(rows) != limit {
+		t.Errorf("%s: %d rows under limit %d; the index-free oracle has %d", what, len(rows), limit, want.Len())
+	}
 }
 
 // rowSetHash is an order-independent hash of rows: the sum of each row's
