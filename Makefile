@@ -6,14 +6,18 @@ GO ?= go
 # kernels, the two per-row index reads (partner slot, reachability test),
 # the four binary R-join operators, a Fetch with the filters on its new node
 # fused against the step-by-step pipeline (ns per input row; XMark groups
-# and the read_skew groups S1served and S4served), a plan's Fetches left
+# and the read_skew groups S1served and S4served; for P8's semijoin-only
+# Fetch also its group folded into a filtered table against every list
+# filtered by RankSet.FilterTo), a leading semijoin group over a whole
+# extent reduced word by word against tested node by node (ns per extent
+# node, XMark and the power-law DAG), a plan's Fetches left
 # factorised against written out (ns per result row and B/op: F7, T9, T5,
 # T6, P8 and Q1, and one flatten point)
 # and the response encoder (ns per row from a served-shaped, a synthetic, a
 # tree-shaped wide and a two-list product factorised result and from a
 # plain one) — the hot paths a perf PR must not regress.
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFactorisedTail|BenchmarkEncodeResult'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFilterExtent|BenchmarkFactorisedTail|BenchmarkEncodeResult'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -47,7 +51,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzLeapfrogMultiwayIntersect -fuzztime $(FUZZTIME) ./internal/gdb
 	$(GO) test -run XXX -fuzz FuzzEncodeResult -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run XXX -bench BenchmarkReadPathParallel -benchtime 1x -cpu 1,2 ./internal/gdb
-	$(GO) test -run XXX -bench BenchmarkFetchFilters -benchtime 1x ./internal/rjoin
+	$(GO) test -run XXX -bench 'BenchmarkFetchFilters|BenchmarkFilterExtent' -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkFactorisedTail -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 

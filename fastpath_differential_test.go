@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -103,8 +104,9 @@ func differentialCases() []diffCase {
 // and reference mode under DP and DPS: same rows, same order, same
 // accounting (runBoth). The default runs must reach the fused operator
 // and build bitmaps. The DAG has 5k nodes: at the served 20k the
-// reference run of S1's DP plan alone takes 46 s; TestServedAnswers pins
-// the 20k answers.
+// reference run of S1's DP plan alone takes 46 s. At 20k the default
+// plans, DP and DPS, are held against the index-free oracle instead
+// (exec.NaiveMatchClosure): the same set of rows.
 func TestSkewDifferential(t *testing.T) {
 	db, err := gdb.Build(workload.PowerLawDAG(1, 5000), gdb.Options{})
 	if err != nil {
@@ -126,8 +128,107 @@ func TestSkewDifferential(t *testing.T) {
 			rows += runBoth(t, snap, def, ref, caps{}, w.Name+" "+algo.String()).Len()
 		}
 	}
-	if _, _, bitmaps, _ := db.DecodedMemoStats(); rows == 0 || fused == 0 || bitmaps == 0 {
+	if bitmaps := db.DecodedMemoStats().Bitmaps; rows == 0 || fused == 0 || bitmaps == 0 {
 		t.Fatalf("the battery returned %d rows, fused %d filters and built %d bitmaps; want all > 0", rows, fused, bitmaps)
+	}
+
+	g := workload.PowerLawDAG(1, 20000)
+	big, err := gdb.Build(g, gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	bsnap, brelease := big.Pin()
+	defer brelease()
+	tc := graph.NewTransitiveClosure(g)
+	rows = 0
+	for _, w := range workload.Skew() {
+		want, err := exec.NaiveMatchClosure(g, tc, w.Pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(want.Rows, slices.Compare)
+		for _, algo := range allPlanners {
+			plan, err := exec.BuildPlanSnapConfig(bsnap, w.Pattern, algo, exec.PlanConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.RunSnapConfig(context.Background(), bsnap, plan, exec.RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(got.Rows, slices.Compare)
+			if got.Len() != want.Len() || want.Len() > 0 && !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s %v at 20k: %d rows, the index-free oracle %d", w.Name, algo, got.Len(), want.Len())
+			}
+			rows += got.Len()
+		}
+	}
+	if rows == 0 {
+		t.Fatal("the 20k battery returned no rows")
+	}
+}
+
+// TestLeadingGroupBudgetIdentity: a plan whose first step is an R-semijoin
+// group over a whole extent — reduced word by word by the default plan,
+// copied and filtered row by row by the reference — dies at that step
+// alike under caps exactly at its boundary: a byte cap of the extent's
+// charge passes it and one byte less kills it, a row cap of its survivors
+// passes it and one row less kills it. Both runs fail with the same error
+// at the same step, or agree on rows, Truncated, Bytes and PeakRows, also
+// under a limit at the first step's survivors. The rjoin operators are held
+// at the limit boundary itself by TestFilterExtentMatchesFilterGroup.
+func TestLeadingGroupBudgetIdentity(t *testing.T) {
+	db, err := gdb.Build(workload.PowerLawDAG(1, 5000), gdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap, release := db.Pin()
+	defer release()
+	ctx := context.Background()
+	plans := 0
+	for _, w := range workload.Skew() {
+		for _, algo := range allPlanners {
+			def, ref := planPair(t, snap, w.Pattern, algo)
+			first := def.Steps[0]
+			if first.Kind != optimizer.StepSemijoinGroup {
+				continue
+			}
+			plans++
+			ext := int64(snap.Graph().ExtentSize(def.Binding.Labels[first.Node]))
+			b := &rjoin.Budget{}
+			_, traces, err := exec.Run(ctx, snap, def, true, exec.RunConfig{Budget: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			survivors := traces[0].Rows
+			for _, c := range []caps{
+				{MaxBytes: 4 * ext}, {MaxBytes: 4*ext - 1},
+				{MaxTableRows: max(survivors, int(b.PeakRows()))}, {MaxTableRows: survivors}, {MaxTableRows: survivors - 1},
+				{ResultRows: survivors}, {ResultRows: survivors + 1},
+			} {
+				what := fmt.Sprintf("%s %v caps %+v", w.Name, algo, c)
+				bd, br := c.budget(), c.budget()
+				got, gotErr := exec.RunSnapConfig(ctx, snap, def, exec.RunConfig{Budget: bd})
+				want, wantErr := exec.RunSnapConfig(ctx, snap, ref, exec.RunConfig{Budget: br})
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || bd.Truncated() != br.Truncated() ||
+					bd.Bytes() != br.Bytes() || bd.PeakRows() != br.PeakRows() {
+					t.Fatalf("%s: default %v truncated=%v bytes=%d peak=%d, reference %v truncated=%v bytes=%d peak=%d",
+						what, gotErr, bd.Truncated(), bd.Bytes(), bd.PeakRows(), wantErr, br.Truncated(), br.Bytes(), br.PeakRows())
+				}
+				killed := c.MaxBytes == 4*ext-1 || c.MaxTableRows == survivors-1 && survivors > 1
+				if killed != (gotErr != nil && strings.Contains(gotErr.Error(), "step 1 ")) {
+					t.Fatalf("%s: %v, want a kill at step 1 = %v", what, gotErr, killed)
+				}
+				if gotErr == nil && !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s: %d rows, the reference %d", what, got.Len(), want.Len())
+				}
+			}
+		}
+	}
+	if plans == 0 {
+		t.Fatal("no read_skew plan starts with a semijoin group; the test proves nothing")
 	}
 }
 

@@ -112,9 +112,10 @@ func patternOrder(plan *optimizer.Plan) []int {
 // result, with per-step actual row counts, I/O and elapsed time when trace
 // is true. The result's columns stand in the order the plan bound them and
 // no Fetch writes rows (see rjoin.Result): each adds one expanded column
-// under the column of the node it reads — re-reading its partner table by
-// that column's value, or keeping the survivors of the filters it
-// absorbed — and copies none of the columns before it. Only a step that
+// under the column of the node it reads — re-reading its partner table, or
+// the filtered table of the semijoin groups it absorbed, by that column's
+// value, or keeping the survivors of a Selection it absorbed — and copies
+// none of the columns before it. Only a step that
 // reads two values no list holds together — a semijoin group, a Selection
 // the Fetch before it did not absorb, a Fetch reading two branches of the
 // forest — writes the result out first (rjoin.Result.Flatten). It stays
@@ -208,11 +209,21 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			pushLimit()
 			t, err = rt.HPSJ(ctx, db, b.Conds[s.Edges[0]])
 		case optimizer.StepSemijoinGroup:
+			// A leading group scans the base table ext(X): charged as one
+			// copy of the extent, which the reference plan makes and
+			// filters row by row, and the default one reduces word by word
+			// without making (rjoin.FilterExtent).
 			if t == nil {
-				t = extentTable(db.Graph(), b, s.Node)
-				if err := bdg.ChargeBytes(int64(t.Len()) * 4); err != nil {
+				if err := bdg.ChargeBytes(int64(db.Graph().ExtentSize(b.Labels[s.Node])) * 4); err != nil {
 					return nil, nil, fmt.Errorf("exec: step %d (%v): %w", si+1, s.Kind, err)
 				}
+				pushLimit()
+				if plan.Reference {
+					t, err = rt.FilterGroup(ctx, db, extentTable(db.Graph(), b, s.Node), stepConds(b, s), s.Node, s.OutSide)
+				} else {
+					t, err = rt.FilterExtent(ctx, db, stepConds(b, s), s.Node, s.OutSide)
+				}
+				break
 			}
 			pushLimit()
 			t, err = rt.FilterGroup(ctx, db, t, stepConds(b, s), s.Node, s.OutSide)

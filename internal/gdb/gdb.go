@@ -260,12 +260,13 @@ func (db *DB) CoverSize() int { return db.mgr.Current().coverSize }
 func (db *DB) IOStats() storage.IOStats { return db.pool.Stats() }
 
 // DecodedMemoStats reports the decoded read path's lazy part: what the
-// current epoch's partner tables hold, in node-ID (4-byte) units, how many
-// there are, how many list bitmaps they hold, and how often they
-// overflowed their bound and were dropped, across all epochs.
-func (db *DB) DecodedMemoStats() (nodes, tables, bitmaps int, resets int64) {
-	nodes, tables, bitmaps = db.mgr.Current().decodedMemo()
-	return nodes, tables, bitmaps, db.memoResets.Load()
+// current epoch's partner tables and filtered tables hold (see MemoStats),
+// and how often they overflowed their bound and were dropped, across all
+// epochs.
+func (db *DB) DecodedMemoStats() MemoStats {
+	st := db.mgr.Current().decodedMemo()
+	st.Resets = db.memoResets.Load()
+	return st
 }
 
 // SetDecodedMemoBound shrinks (or restores) the partner tables' size bound,

@@ -207,8 +207,10 @@ func (w *snapWriter) publish(cur *Snap) {
 		next.projTo = make(map[wKey]*RankSet)
 	} else {
 		touched := w.touchedByLabel()
-		copied += w.inheritPartners(cur, next, touched)
+		// Projections first: a filtered partner table is carried only
+		// with the very sets it was filtered by.
 		w.inheritProjections(cur, next, touched)
+		copied += w.inheritPartners(cur, next, touched)
 	}
 	db.publishCopied.Add(int64(copied))
 	db.publishInheritUS[bits.Len64(uint64(time.Since(start).Microseconds()))].Add(1)
@@ -319,14 +321,29 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 	}
 	var kept, dropped int64
 	copied := 0
-	for k, t := range tabs {
+	// A filtered table follows its base: partner tables first, then each
+	// chain one group deeper (a longer key).
+	keys := make([]partnerKey, 0, len(tabs))
+	for k := range tabs {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b partnerKey) int { return len(a.groups) - len(b.groups) })
+	carried := make(map[*partnerTable]*partnerTable, len(tabs))
+	for _, k := range keys {
+		t := tabs[k]
 		nt, n, c, err := w.carryPartners(next, t, touched[t.bound], moved, ownersOf)
+		if err == nil && t.base != nil {
+			nt.base = carried[t.base]
+			if nt.base == nil || !sameProjections(next, t) {
+				err = errFilterMoved
+			}
+		}
 		if err != nil {
 			filled, _ := t.slots.held()
 			dropped += filled
 			continue
 		}
-		next.ptabs[k] = nt
+		next.ptabs[k], carried[t] = nt, nt
 		filled, _ := nt.slots.held()
 		next.pNodes += int(nt.charge())
 		kept, dropped, copied = kept+filled, dropped+int64(n), copied+c
@@ -334,6 +351,25 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 	w.db.partnerSlotsKept.Add(kept)
 	w.db.partnerSlotsDropped.Add(dropped)
 	return copied
+}
+
+// errFilterMoved drops a filtered table whose base was not carried or one
+// of whose projections the batch changed: its slots would be stale.
+var errFilterMoved = errors.New("gdb: filtered table's base or projections moved")
+
+// sameProjections reports whether next holds, unchanged, every projection
+// filtered table t reads: inheritProjections carried the very set.
+func sameProjections(next *Snap, t *partnerTable) bool {
+	memo := next.projTo
+	if t.out {
+		memo = next.projFrom
+	}
+	for i, k := range t.projKeys {
+		if memo[k] != t.projs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // carryPartners carries one table of cur into next, as inheritPartners
@@ -361,7 +397,7 @@ func (w *snapWriter) carryPartners(next *Snap, t *partnerTable, touched []graph.
 	slices.Sort(ranks)
 	nt := *t
 	nt.ws = ws
-	nt.slots, copied, dropped = t.slots.successor(ranks, (*partnerList).cost)
+	nt.slots, copied, dropped = t.slots.successor(ranks, t.cost)
 	var setsCopied int
 	nt.sets, setsCopied, _ = t.sets.successor(ranks, (*RankSet).cost)
 	return &nt, dropped, copied + setsCopied, nil

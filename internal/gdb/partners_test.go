@@ -36,6 +36,57 @@ func warmReadPath(t testing.TB, s *Snap) {
 	}
 }
 
+// warmFiltered fills, for every partner table of s, the filtered table of
+// its lists by one semijoin group on their label and the table chained on
+// that by a second group, every slot.
+func warmFiltered(t testing.TB, s *Snap) {
+	t.Helper()
+	r := s.Reader()
+	nl := graph.Label(s.g.Labels().Len())
+	for x := graph.Label(0); x < nl; x++ {
+		for y := graph.Label(0); y < nl; y++ {
+			for _, fwd := range []bool{true, false} {
+				p, err := r.Partners(x, y, fwd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := target(p.t.key)
+				if p, err = p.Semijoin([][2]graph.Label{{l, (l + 1) % nl}}, true); err == nil {
+					p, err = p.Semijoin([][2]graph.Label{{(l + 2) % nl, l}}, false)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range s.g.Extent(p.t.bound) {
+					if _, err := p.Of(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// filteredTables returns how many filtered tables s holds, and fails
+// unless each reads the very projection sets s holds: a publish that
+// patched one must not have carried it.
+func filteredTables(t testing.TB, s *Snap, what string) int {
+	t.Helper()
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	n := 0
+	for k, tab := range s.ptabs {
+		if tab.base == nil {
+			continue
+		}
+		if !sameProjections(s, tab) {
+			t.Fatalf("%s: filtered table %+v reads projections the epoch no longer holds", what, k)
+		}
+		n++
+	}
+	return n
+}
+
 // heldBitmaps returns how many bitmap slots s's partner tables hold.
 func heldBitmaps(s *Snap) int {
 	s.pmu.Lock()
@@ -106,9 +157,10 @@ func coldPartners(t testing.TB, cold *Snap, k partnerKey, v graph.NodeID) []grap
 
 // checkReadPath compares everything s's decoded read path holds with a
 // cold recomputation on the same trees: the decoded index in full
-// (checkDecoded), every filled partner slot and bitmap slot, and the
-// partner tables' chunk charges with what they hold. It returns how many
-// list slots it compared. No reader may be filling s meanwhile.
+// (checkDecoded), every filled partner slot and bitmap slot, every filled
+// filtered slot (checkFiltered), and the tables' chunk charges with what
+// they hold. It returns how many partner-table list slots it compared. No
+// reader may be filling s meanwhile.
 func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 	t.Helper()
 	cold := coldView(t, s)
@@ -116,6 +168,10 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	for k, tab := range s.ptabs {
+		if tab.base != nil {
+			checkFiltered(t, s, cold, tab, what)
+			continue
+		}
 		cost := int64(partnerSlotCost * tab.n)
 		for i, v := range s.g.Extent(tab.bound) {
 			got, set := tab.slots.load(i), tab.sets.load(i)
@@ -131,7 +187,7 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 				continue
 			}
 			slots++
-			cost += got.cost()
+			cost += tab.cost(got)
 			if !slices.Equal(got.nodes, want) {
 				t.Fatalf("%s: partner slot %+v of node %d = %v, recomputed %v", what, k, v, got.nodes, want)
 			}
@@ -143,13 +199,57 @@ func checkReadPath(t testing.TB, s *Snap, what string) (slots int) {
 	return slots
 }
 
+// checkFiltered compares every filled slot of filtered table tab with its
+// base list recomputed cold, cut by every group of its chain with the
+// projections recomputed cold, and with that list's length, and the
+// table's charge with what it holds.
+func checkFiltered(t testing.TB, s, cold *Snap, tab *partnerTable, what string) {
+	t.Helper()
+	var chain []*partnerTable
+	for c := tab; c.base != nil; c = c.base {
+		chain = append(chain, c)
+	}
+	root := partnerKey{x: tab.key.x, y: tab.key.y, forward: tab.key.forward}
+	cost := int64(partnerSlotCost * tab.n)
+	for i, v := range s.g.Extent(tab.bound) {
+		got := tab.slots.load(i)
+		if got == nil {
+			continue
+		}
+		want := coldPartners(t, cold, root, v)
+		full := len(want)
+		for j := len(chain) - 1; j >= 0; j-- {
+			for _, wk := range chain[j].projKeys {
+				project := cold.ProjectTo
+				if chain[j].out {
+					project = cold.ProjectFrom
+				}
+				set, err := project(wk.x, wk.y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = set.FilterTo(cold.Ranks(), nil, want)
+			}
+		}
+		if !slices.Equal(got.nodes, want) || int(got.full) != full {
+			t.Fatalf("%s: filtered slot %+v of node %d = %v of %d, recomputed %v of %d", what, tab.key, v, got.nodes, got.full, want, full)
+		}
+		cost += tab.cost(got)
+	}
+	if c := tab.charge(); c != cost {
+		t.Fatalf("%s: filtered table %+v is charged %d units, its slots and lists cost %d", what, tab.key, c, cost)
+	}
+}
+
 // TestReadPathExactAfterEveryPublish: after every publish of a mixed
 // insert/delete stream — on both labelings, through center births
 // and deaths, W rows that empty and rows that are created — everything the
 // successor epoch inherited (its decoded index, partner slots and their
-// bitmaps) and every slot it then refills equals a cold recomputation on
-// the same trees, the decoded index's chunks were shared by some publishes
-// and rebuilt by others, and some bitmaps were carried and some dropped.
+// bitmaps, filtered slots) and every slot it then refills equals a cold
+// recomputation on the same trees, the decoded index's chunks were shared
+// by some publishes and rebuilt by others, some bitmaps were carried and
+// some dropped, and some filtered tables were carried and some dropped —
+// every one carried reading the very projections the successor holds.
 func TestReadPathExactAfterEveryPublish(t *testing.T) {
 	for _, l := range labelings {
 		t.Run(l.name, func(t *testing.T) {
@@ -158,6 +258,7 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 			db := buildLabeled(t, g, l.opt)
 			first, release := db.Pin()
 			warmReadPath(t, first)
+			warmFiltered(t, first)
 			rows := wRowSizes(t, first)
 			prev := first
 			release()
@@ -165,14 +266,15 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			cur := g
 			var births, deaths, emptied, created, slotsKept int
-			var codesShared, clustersShared, bitmapsKept, bitmapsDropped int
-			warmBitmaps := heldBitmaps(first)
+			var codesShared, clustersShared, bitmapsKept, bitmapsDropped, filteredKept, filteredDropped int
+			warmBitmaps, warmFilteredTables := heldBitmaps(first), filteredTables(t, first, "warm")
 			for step := 0; step < 200; step++ {
 				next, b, d := mixedOp(t, db, rng, cur, step)
 				cur, births, deaths = next, births+b, deaths+d
 				s, release := db.Pin()
 				slotsKept += checkReadPath(t, s, "inherited")
-				kept := heldBitmaps(s)
+				kept, fkept := heldBitmaps(s), filteredTables(t, s, "inherited")
+				filteredKept, filteredDropped = filteredKept+fkept, filteredDropped+warmFilteredTables-fkept
 				bitmapsKept, bitmapsDropped = bitmapsKept+kept, bitmapsDropped+warmBitmaps-kept
 				if s.codes[0] == prev.codes[0] {
 					codesShared++
@@ -181,10 +283,11 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 					clustersShared++
 				}
 				warmReadPath(t, s)
+				warmFiltered(t, s)
 				if slots := checkReadPath(t, s, "refilled"); slots != 2*labels*n {
 					t.Fatalf("step %d: warm epoch holds %d partner slots, want %d", step, slots, 2*labels*n)
 				}
-				warmBitmaps = heldBitmaps(s)
+				warmBitmaps, warmFilteredTables = heldBitmaps(s), filteredTables(t, s, "refilled")
 				now := wRowSizes(t, s)
 				prev = s
 				release()
@@ -208,7 +311,10 @@ func TestReadPathExactAfterEveryPublish(t *testing.T) {
 			if bitmapsKept == 0 || bitmapsDropped == 0 {
 				t.Fatalf("200 successors carried %d bitmaps and dropped %d; want some of each", bitmapsKept, bitmapsDropped)
 			}
-			if _, _, _, resets := db.DecodedMemoStats(); resets != 0 {
+			if filteredKept == 0 || filteredDropped == 0 {
+				t.Fatalf("200 successors carried %d filtered tables and dropped %d; want some of each", filteredKept, filteredDropped)
+			}
+			if resets := db.DecodedMemoStats().Resets; resets != 0 {
 				t.Fatalf("memos reset %d times on a %d-node graph", resets, n)
 			}
 		})
@@ -407,7 +513,7 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	cold, k := coldView(t, s), partnerKey{x, y, true}
+	cold, k := coldView(t, s), partnerKey{x: x, y: y, forward: true}
 	s.pmu.Lock()
 	tab := s.ptabs[k]
 	s.pmu.Unlock()
@@ -436,7 +542,8 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if bitmaps == 0 || bitmaps == nonEmpty {
 		t.Fatalf("%d of %d lists have a bitmap; want some, not all", bitmaps, nonEmpty)
 	}
-	held, tables, _, _ := db.DecodedMemoStats()
+	memo := db.DecodedMemoStats()
+	held, tables := memo.Nodes, memo.Tables
 	r := s.Reader()
 	p, err := r.Partners(x, y, true)
 	if err != nil {
@@ -450,7 +557,7 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if r.CenterHits != int64(len(ext)) || r.CenterMisses != 0 {
 		t.Fatalf("second pass: %d slot hits, %d misses over %d nodes", r.CenterHits, r.CenterMisses, len(ext))
 	}
-	if after, _, _, _ := db.DecodedMemoStats(); after != held || tables != 1 {
+	if after := db.DecodedMemoStats().Nodes; after != held || tables != 1 {
 		t.Fatalf("second pass moved the memo accounting %d -> %d (%d tables)", held, after, tables)
 	}
 	// Charged once per slot: the slot array, a partnerList per non-empty
@@ -483,6 +590,83 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 	if s.pNodes != want || p.t.charge() != int64(want) {
 		t.Fatalf("table charged %d units (epoch: %d), its slots, lists, %d unions and %d bitmaps cost %d", p.t.charge(), s.pNodes, unions, bitmaps, want)
 	}
+
+	// Eight readers filling one cold filtered table of the same lists —
+	// the B partners that reach an A node — at once: one list per slot,
+	// the recomputed one, and each slot charged once.
+	group := [][2]graph.Label{{y, x}}
+	proj, err := s.ProjectFrom(y, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, full := make([][][]graph.NodeID, readers), make([][]int, readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := s.Reader().Partners(x, y, true)
+			if err == nil {
+				p, err = p.Semijoin(group, true)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fl[i], full[i] = make([][]graph.NodeID, len(ext)), make([]int, len(ext))
+			for j := range ext {
+				j = (j + i*len(ext)/readers) % len(ext)
+				if fl[i][j], full[i][j], err = p.Lookup(ext[j]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	f, err := r.Partners(x, y, true)
+	if err == nil {
+		f, err = f.Semijoin(group, true)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwant, dropped, kept := partnerSlotCost*len(ext), 0, 0
+	for j, v := range ext {
+		base := coldPartners(t, cold, k, v)
+		cut := proj.FilterTo(s.Ranks(), nil, base)
+		for i := range fl {
+			if !slices.Equal(fl[i][j], cut) || full[i][j] != len(base) {
+				t.Fatalf("reader %d: filtered partners of node %d = %v of %d, recomputed %v of %d", i, v, fl[i][j], full[i][j], cut, len(base))
+			}
+			if len(cut) > 0 && &fl[i][j][0] != &fl[0][j][0] {
+				t.Fatalf("readers 0 and %d got different lists of node %d", i, v)
+			}
+		}
+		l := f.t.slots.load(j)
+		switch {
+		case len(cut) == 0:
+		case len(cut) == len(base):
+			kept++
+			if l != p.t.slots.load(j) {
+				t.Fatalf("node %d: a list that lost nothing is not its base's", v)
+			}
+		default:
+			dropped++
+			fwant += partnerListCost + cap(l.nodes)
+		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("%d filtered lists kept all and %d lost some; want both", kept, dropped)
+	}
+	if f.t.charge() != int64(fwant) || s.pNodes != want+fwant {
+		t.Fatalf("filtered table charged %d units (epoch: %d more), its slots and %d owned lists cost %d", f.t.charge(), s.pNodes-want, dropped, fwant)
+	}
+	if memo := db.DecodedMemoStats(); memo.FilteredTables != 1 || memo.FilteredLists != len(ext) || memo.FilteredBytes != 4*(fwant-partnerSlotCost*len(ext)) {
+		t.Fatalf("memo stats %+v, want one filtered table of %d lists", memo, len(ext))
+	}
 }
 
 // TestPartnersOfForeignLabel: a value that does not carry the table's bound
@@ -499,7 +683,7 @@ func TestPartnersOfForeignLabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, k := coldView(t, s), partnerKey{x, y, fwd}
+		cold, k := coldView(t, s), partnerKey{x: x, y: y, forward: fwd}
 		nonEmpty := 0
 		for _, v := range g.Extent(z) {
 			got, err := p.Of(v)

@@ -1,6 +1,10 @@
 package gdb
 
-import "fastmatch/internal/graph"
+import (
+	"math/bits"
+
+	"fastmatch/internal/graph"
+)
 
 // Ranks is the rank table of a graph's nodes: a node's position in the
 // extent of its label (DB.rank). A RankSet is tested through it, so a
@@ -67,6 +71,28 @@ func (s *RankSet) FilterTo(r Ranks, dst, src []graph.NodeID) []graph.NodeID {
 	for _, v := range src {
 		if s.Has(r, v) {
 			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// AppendCommon appends to dst the members of every set in sets — sets
+// over one label whose extent is ext, so that ext[i] is the node of rank
+// i — whose ranks lie in [lo, hi), in rank order, and returns it. lo must
+// be a multiple of 64. It ANDs the sets' words and lists each surviving
+// bit: an R-semijoin group over a whole extent with one load per set a
+// word, not a rank load and a bit test per node.
+func AppendCommon(dst, ext []graph.NodeID, sets []*RankSet, lo, hi int) []graph.NodeID {
+	for i := lo; i < hi; i += 64 {
+		w := sets[0].words[i/64]
+		for _, s := range sets[1:] {
+			w &= s.words[i/64]
+		}
+		if hi-i < 64 {
+			w &= 1<<(hi-i) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, ext[i+bits.TrailingZeros64(w)])
 		}
 	}
 	return dst

@@ -222,7 +222,7 @@ func TestDecodedMemoChargedOncePerChunk(t *testing.T) {
 			if _, err := p.Of(v); err != nil {
 				t.Fatal(err)
 			}
-			cost := int(tb.slots.load(i).cost())
+			cost := int(tb.cost(tb.slots.load(i)))
 			if cost == 0 {
 				continue // v joins nothing: the fill charges no list
 			}
@@ -245,7 +245,7 @@ func recountMemo(s *Snap) int {
 		total += partnerSlotCost * tab.n
 		for i := 0; i < tab.n; i++ {
 			if l := tab.slots.load(i); l != nil {
-				total += int(l.cost())
+				total += int(tab.cost(l))
 			}
 		}
 	}

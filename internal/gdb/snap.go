@@ -140,6 +140,8 @@ type Reader struct {
 	// CenterHits/CenterMisses count the partner-slot lookups this reader
 	// made: a hit found the slot filled, a miss filled it.
 	CenterHits, CenterMisses int64
+
+	buf []graph.NodeID // a filtered table's fill filters here
 }
 
 // Reader returns a fresh decoded-path reader on this snapshot.
@@ -163,24 +165,45 @@ func (s *Snap) FastF(w graph.NodeID, x graph.Label) ([]graph.NodeID, error) {
 
 // DecodedMemoNodes returns what this epoch's partner tables hold: their
 // resident size in 4-byte units.
-func (s *Snap) DecodedMemoNodes() int {
-	nodes, _, _ := s.decodedMemo()
-	return nodes
+func (s *Snap) DecodedMemoNodes() int { return s.decodedMemo().Nodes }
+
+// MemoStats is what an epoch's partner tables hold (DB.DecodedMemoStats).
+type MemoStats struct {
+	// Nodes is their resident size in 4-byte units: every table's slots,
+	// lists and bitmaps, filtered tables included.
+	Nodes int
+	// Tables counts the partner tables and Bitmaps the list bitmaps they
+	// hold.
+	Tables, Bitmaps int
+	// FilteredTables counts the filtered tables, FilteredLists their
+	// filled slots and FilteredBytes what those lists cost, in bytes.
+	FilteredTables, FilteredLists, FilteredBytes int
+	// Resets counts overflows of the memo bound across all epochs, each
+	// of which dropped an epoch's tables.
+	Resets int64
 }
 
 // decodedMemo recounts what the epoch's partner tables hold from the
 // charges of the chunks their directories point at, each counted once,
-// whichever epoch filled it, and how many bitmaps they hold.
-func (s *Snap) decodedMemo() (nodes, tables, bitmaps int) {
+// whichever epoch filled it.
+func (s *Snap) decodedMemo() MemoStats {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
-	var held, sets int64
+	var st MemoStats
 	for _, t := range s.ptabs {
-		held += t.charge()
-		n, _ := t.sets.held()
-		sets += n
+		st.Nodes += int(t.charge())
+		if t.base == nil {
+			bitmaps, _ := t.sets.held()
+			st.Tables++
+			st.Bitmaps += int(bitmaps)
+			continue
+		}
+		filled, lists := t.slots.held()
+		st.FilteredTables++
+		st.FilteredLists += int(filled)
+		st.FilteredBytes += 4 * int(lists)
 	}
-	return int(held), len(s.ptabs), int(sets)
+	return st
 }
 
 func (s *Snap) clusterLookup(w graph.NodeID, dir byte, l graph.Label) ([]graph.NodeID, error) {

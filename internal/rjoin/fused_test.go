@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastmatch/internal/gdb"
@@ -97,18 +98,20 @@ func shuffled(t *Result, seed int64) *Result {
 	return out
 }
 
-// rankPaths counts how a fused Fetch with one Selection as its only filter
-// tests the rows that have candidates (see fetchFilters.apply): against
-// the bitmap of the Selection's list (list), against the candidates' own
-// bitmap (own), or with IntersectTo because the longer operand is below
-// the size rule — the Selection's list (sparse) or the candidates (short)
-// — or because the candidates, long enough for a bitmap, belong to a value
-// outside their table's bound label (foreign).
-type rankPaths struct{ list, own, sparse, short, foreign int }
+// rankPaths counts how a fused Fetch with one Selection after its folded
+// semijoin groups tests the rows that have candidates (see
+// fetchFilters.apply): against the bitmap of the Selection's list (list),
+// against the candidates' own bitmap (own), or with IntersectTo because
+// the longer operand is below the size rule — the Selection's list
+// (sparse) or the candidates (short) — because the candidates, long enough
+// for a bitmap, belong to a value outside their table's bound label
+// (foreign), or because the groups cut them down, so no bitmap of a
+// partner-table list is theirs (cut).
+type rankPaths struct{ list, own, sparse, short, foreign, cut int }
 
 // censusPaths is rankPaths for the Fetch of in under fetch with the
-// Selection sel.
-func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFilter) rankPaths {
+// semijoin groups lead folded and then the Selection sel.
+func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, lead []NodeFilter, sel NodeFilter) rankPaths {
 	t.Helper()
 	boundNode, forward, err := boundSide(in, fetch)
 	if err != nil {
@@ -119,10 +122,11 @@ func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFil
 		newNode, target, bound = fetch.FromNode, fetch.FromLabel, fetch.ToLabel
 	}
 	col := in.ColIndex(boundNode)
-	fs, err := resolveFilters(db, in, newNode, target, []NodeFilter{sel})
+	fs, err := resolveFilters(db, in, newNode, target, append(slices.Clone(lead), sel))
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups, fs := fs[:len(lead)], fs[len(lead):]
 	rd := new(Runtime).open(db)
 	partners, err := rd.partners(fetch, forward)
 	if err != nil {
@@ -141,6 +145,12 @@ func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFil
 		if err != nil {
 			t.Fatal(err)
 		}
+		full := len(cur)
+		for _, f := range groups {
+			for _, set := range f.sets {
+				cur = set.FilterTo(db.Ranks(), nil, cur)
+			}
+		}
 		if len(cur) == 0 {
 			continue
 		}
@@ -154,6 +164,8 @@ func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, sel NodeFil
 			p.list++
 		case len(cur) <= len(other):
 			p.sparse++
+		case len(cur) < full:
+			p.cut++
 		case pf.own.Bitmap(row[col], cur) != nil:
 			p.own++
 		case g.LabelOf(row[col]) != bound && len(cur) >= minList:
@@ -219,18 +231,27 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		{"shuffled selection then groups", mixed, []NodeFilter{selDC, semiOut, semiIn}, false},
 		{"shuffled groups then selection", mixed, []NodeFilter{semiIn, semiOut, selCD}, false},
 		{"selection after a semijoin group", mixed, []NodeFilter{semiOut, selDC}, false},
+		{"two semijoin groups", mixed, []NodeFilter{semiOut, semiIn}, false},
+		{"two semijoin groups then a selection", mixed, []NodeFilter{semiOut, semiIn, selCD}, false},
 		{"two selections", mixed, []NodeFilter{selDC, selAC}, false},
 		{"two selections, the other order", mixed, []NodeFilter{selAC, selCD}, false},
 		{"foreign fetch value", foreign, []NodeFilter{selDC}, false},
 		{"foreign fetch value, reverse selection", foreign, []NodeFilter{selCD, semiOut}, false},
 	}
 	for _, sel := range []NodeFilter{selDC, selCD} {
-		p := censusPaths(t, db, mixed, fetch, sel)
-		if p.list == 0 || p.own == 0 || p.sparse == 0 || p.short == 0 || p.foreign != 0 {
+		p := censusPaths(t, db, mixed, fetch, nil, sel)
+		if p.list == 0 || p.own == 0 || p.sparse == 0 || p.short == 0 || p.foreign != 0 || p.cut != 0 {
 			t.Fatalf("%v over %d rows: paths %+v — not every path is taken", sel.Conds[0], mixed.N, p)
 		}
-		if p := censusPaths(t, db, foreign, fetch, sel); p.foreign == 0 {
+		if p := censusPaths(t, db, foreign, fetch, nil, sel); p.foreign == 0 {
 			t.Fatalf("%v over the foreign input: paths %+v — no foreign value has long candidates", sel.Conds[0], p)
+		}
+		// Folded runs of one and two groups before the Selection: the
+		// candidates' own bitmap serves only lists the groups left whole
+		// (one group leaves some; after two, none here is long enough).
+		one, two := censusPaths(t, db, mixed, fetch, []NodeFilter{semiIn}, sel), censusPaths(t, db, mixed, fetch, []NodeFilter{semiIn, semiOut}, sel)
+		if one.list == 0 || one.own == 0 || one.cut == 0 || two.list == 0 || two.cut == 0 {
+			t.Fatalf("%v after folded groups: paths %+v after one, %+v after two — not every path is taken", sel.Conds[0], one, two)
 		}
 	}
 	// The same filters on the middle Fetch of a K = 3 tail, between two
@@ -294,6 +315,9 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 				}
 				if factorised := res.K() > 0; factorised != (last && counts[0] > 0) {
 					t.Fatalf("%s: factorised=%v", what, factorised)
+				}
+				if res.K() > 0 && res.exp[0].stored != stores(tc.filters) {
+					t.Fatalf("%s: the column stores its lists = %v", what, res.exp[0].stored)
 				}
 				got, err := res.Table(want.Cols)
 				if err != nil {
@@ -443,7 +467,10 @@ func TestFetchFilteredErrors(t *testing.T) {
 // open_auction->watches" — and P8 is the path battery's "site->people;
 // people->person; person->profile; profile->interest" at its Fetch of
 // profile from person and the R-semijoin group profile->interest it
-// absorbs, the shape every P and T query fuses. Q1served is Q1 as the DPS
+// absorbs, the shape every P and T query fuses: its "fused" row folds the
+// group into a filtered table, and its "filterto" row filters every list
+// by the projection instead (unfolded), as a Fetch did before it folded
+// leading groups. Q1served is Q1 as the DPS
 // plan serves it, below, and S1served and S4served are the last groups of
 // two read_skew queries as the DPS plan serves them on the 20k power-law
 // DAG, where a Selection's two operands differ most in length.
@@ -577,6 +604,12 @@ func BenchmarkFetchFilters(b *testing.B) {
 				return out.Len(), nil
 			}},
 		}
+		if !stores(filters) {
+			variants = append(variants, struct {
+				name string
+				run  func() (int, error)
+			}{"filterto", func() (int, error) { return unfolded(ctx, db, in, fetch, filters) }})
+		}
 		want, err := variants[1].run()
 		if err != nil || want == 0 {
 			b.Fatalf("%s: %d rows, %v", q.name, want, err)
@@ -592,5 +625,145 @@ func BenchmarkFetchFilters(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*in.Len()), "ns/input-row")
 			})
 		}
+	}
+}
+
+// TestFilterExtentMatchesFilterGroup: an R-semijoin group over a whole
+// extent reduced word by word (FilterExtent) is FilterGroup over the
+// extent's one-column table: the same rows in extent order, and under a
+// limit and a row cap at the survivors' count and one either side, the
+// same truncation, peak and typed kill. A group with an empty W row
+// empties the extent without running.
+func TestFilterExtentMatchesFilterGroup(t *testing.T) {
+	// Over a thousand C nodes: the scan crosses a cancellation stride.
+	g := fusedDAG(7, 6000, 5000)
+	db := mustDB(t, g)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		conds   []Cond
+		outSide bool
+	}{
+		{"out", []Cond{cond(g, "C", "E", 0, 1)}, true},
+		{"in, two conditions", []Cond{cond(g, "E", "C", 1, 0), cond(g, "D", "C", 2, 0)}, false},
+		{"empty W", []Cond{cond(g, "C", "E", 0, 1), cond(g, "C", "Z", 0, 2)}, true},
+	} {
+		n := g.ExtentSize(g.Labels().Lookup("C"))
+		full, err := FilterGroup(ctx, db, extentOf(g, g.Labels().Lookup("C"), 0, 1), tc.conds, 0, tc.outSide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := full.Len()
+		if n < cancelStride || tc.name != "empty W" && (s == 0 || s == n) {
+			t.Fatalf("%s: the group keeps %d of %d nodes; the case proves nothing", tc.name, s, n)
+		}
+		for _, c := range []struct{ ResultRows, MaxTableRows int }{{}, {ResultRows: 1}, {ResultRows: s - 1}, {ResultRows: s}, {ResultRows: s + 1},
+			{MaxTableRows: s - 1}, {MaxTableRows: s}, {MaxTableRows: s + 1}} {
+			bw, bg := &Budget{ResultRows: c.ResultRows, MaxTableRows: c.MaxTableRows}, &Budget{ResultRows: c.ResultRows, MaxTableRows: c.MaxTableRows}
+			rtW, rtG := new(Runtime), new(Runtime)
+			rtW.SetBudget(bw)
+			rtG.SetBudget(bg)
+			rtW.PushLimit(c.ResultRows)
+			rtG.PushLimit(c.ResultRows)
+			want, errW := rtW.FilterGroup(ctx, db, extentOf(g, g.Labels().Lookup("C"), 0, 1), tc.conds, 0, tc.outSide)
+			got, errG := rtG.FilterExtent(ctx, db, tc.conds, 0, tc.outSide)
+			what := fmt.Sprintf("%s limit %d row cap %d", tc.name, c.ResultRows, c.MaxTableRows)
+			if fmt.Sprint(errG) != fmt.Sprint(errW) || bg.Truncated() != bw.Truncated() || bg.PeakRows() != bw.PeakRows() ||
+				rtG.Stats().Ops != rtW.Stats().Ops {
+				t.Fatalf("%s: %v truncated=%v peak=%d ops=%d, FilterGroup %v truncated=%v peak=%d ops=%d", what,
+					errG, bg.Truncated(), bg.PeakRows(), rtG.Stats().Ops, errW, bw.Truncated(), bw.PeakRows(), rtW.Stats().Ops)
+			}
+			if errW == nil && (got.Len() != want.Len() || !slices.Equal(got.Data, want.Data) || !slices.Equal(got.Cols, want.Cols)) {
+				t.Fatalf("%s: %d rows, FilterGroup %d", what, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// unfolded is the fused Fetch of in under fetch with the semijoin groups
+// filters as it ran before leading groups folded into filtered tables:
+// the column stored, and every unit's list filtered by the projections
+// (fetchFilters.apply, RankSet.FilterTo). It returns the survivors' count.
+func unfolded(ctx context.Context, db *gdb.Snap, in *Result, fetch Cond, filters []NodeFilter) (int, error) {
+	boundNode, forward, err := boundSide(in, fetch)
+	if err != nil {
+		return 0, err
+	}
+	newNode, target := fetch.ToNode, fetch.ToLabel
+	if !forward {
+		newNode, target = fetch.FromNode, fetch.FromLabel
+	}
+	fs, err := resolveFilters(db, in, newNode, target, filters)
+	if err != nil {
+		return 0, err
+	}
+	rt, col := new(Runtime), in.ColIndex(boundNode)
+	rd := rt.open(db)
+	partners, err := rd.partners(fetch, forward)
+	if err != nil {
+		return 0, err
+	}
+	pf, err := openFilters(rd, db, fs, fetch, forward, col)
+	if err != nil {
+		return 0, err
+	}
+	res := &Result{Cols: append(slices.Clone(in.Cols), newNode), Data: in.Data, exp: []expanded{{bound: col, parent: -1, stored: true}}}
+	_, n, err := rt.expand(ctx, partners, nil, res, 0, pf, make([]int, 1+len(fs)))
+	return n, err
+}
+
+// BenchmarkFilterExtent measures a plan's leading R-semijoin group over a
+// whole extent, in ns per extent node: reduced word by word (FilterExtent,
+// the "words" row) against the extent copied and tested node by node
+// (FilterGroup, the "nodes" row, which the reference plan runs). XMark 20k's
+// person extent keeps the persons with a profile and an address; the 20k
+// power-law DAG's L1 extent keeps the L1 nodes an L3 node reaches.
+func BenchmarkFilterExtent(b *testing.B) {
+	xg := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 7}).Graph
+	sg := workload.PowerLawDAG(1, 20000)
+	ctx := context.Background()
+	for _, q := range []struct {
+		name    string
+		g       *graph.Graph
+		label   string
+		conds   func(g *graph.Graph) []Cond
+		outSide bool
+	}{
+		{"XMark", xg, "person", func(g *graph.Graph) []Cond {
+			return []Cond{cond(g, "person", "profile", 0, 1), cond(g, "person", "address", 0, 2)}
+		}, true},
+		{"Skew", sg, "L1", func(g *graph.Graph) []Cond { return []Cond{cond(g, "L3", "L1", 1, 0)} }, false},
+	} {
+		dbx, err := gdb.Build(q.g, gdb.Options{PoolBytes: 16 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, release := dbx.Pin()
+		conds, l := q.conds(q.g), q.g.Labels().Lookup(q.label)
+		want, err := FilterGroup(ctx, db, extentOf(q.g, l, 0, 1), conds, 0, q.outSide)
+		if err != nil || want.Len() == 0 {
+			b.Fatalf("%s: %d rows, %v", q.name, want.Len(), err)
+		}
+		for _, v := range []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"words", func() (*Result, error) { return new(Runtime).FilterExtent(ctx, db, conds, 0, q.outSide) }},
+			{"nodes", func() (*Result, error) {
+				return new(Runtime).FilterGroup(ctx, db, &Result{Cols: []int{0}, Data: slices.Clone(q.g.Extent(l)), N: q.g.ExtentSize(l)}, conds, 0, q.outSide)
+			}},
+		} {
+			b.Run(q.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if res, err := v.run(); err != nil || res.Len() != want.Len() {
+						b.Fatalf("%d rows, want %d (%v)", res.Len(), want.Len(), err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*q.g.ExtentSize(l)), "ns/node")
+			})
+		}
+		release()
+		dbx.Close()
 	}
 }

@@ -242,6 +242,53 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 	})
 }
 
+// FilterExtent is FilterGroup over the one-column table of ext(X), X the
+// label the group gives node — a plan's leading Filter-move — without the
+// table: it ANDs the group's projections word by word and lists the
+// survivors in rank order, which is extent order (gdb.AppendCommon), so
+// the rows and their order are FilterGroup's over the extent. Like that
+// scan it ticks once per extent node and stops once it holds limit+1
+// survivors; the caller charges the extent's bytes, as for the table.
+func (rt *Runtime) FilterExtent(ctx context.Context, db *gdb.Snap, conds []Cond, node int, outSide bool) (*Result, error) {
+	if len(conds) == 0 {
+		return nil, fmt.Errorf("rjoin: extent filter on node %d with no condition", node)
+	}
+	label := sideLabel(conds[0], outSide)
+	for _, c := range conds {
+		if err := incident(c, node, outSide, label); err != nil {
+			return nil, err
+		}
+	}
+	projs, err := projections(db, conds, outSide)
+	if err != nil {
+		return nil, err
+	}
+	out, ext := &Result{Cols: []int{node}}, db.Graph().Extent(label)
+	n := len(ext)
+	for _, p := range projs {
+		n = min(n, p.Len())
+	}
+	if n == 0 {
+		// Some condition can never be satisfied: the group empties t.
+		return out, nil
+	}
+	rt.ops++
+	if rt.rowTarget > 0 {
+		n = min(n, rt.rowTarget+1)
+	}
+	cc := rt.check(ctx)
+	out.Data = make([]graph.NodeID, 0, n)
+	for lo := 0; lo < len(ext) && !rt.pastLimit(len(out.Data)); lo += cancelStride {
+		hi := min(lo+cancelStride, len(ext))
+		if err := cc.tickN(hi - lo); err != nil {
+			return nil, err
+		}
+		out.Data = gdb.AppendCommon(out.Data, ext, projs, lo, hi)
+	}
+	out.N = len(out.Data)
+	return rt.finishResult(out)
+}
+
 // compact is the loop behind FilterGroup and Selection: it keeps the rows
 // of t that keep accepts, in input order, writing each survivor over t's
 // own data — row k lands at an index no greater than the one it was read
@@ -375,11 +422,18 @@ type NodeFilter struct {
 // accounting for the rest of its input (the unfused Fetch was not the last
 // step and ran unlimited).
 //
-// With no filters this is FetchResult, or without factorise Fetch. With
-// factorise set the survivors stay factorised, in one more column that
-// keeps them per element of its parent: the deepest of the columns the
-// group reads (the bound one and each Selection's other endpoint). Where
-// two of those lie on different branches, t is written out first.
+// With no filters this is FetchResult, or without factorise Fetch. On the
+// decoded read path the leading run of semijoin groups folds into the
+// Fetch's partner handle: each group is a filtered table chained on the
+// one before (gdb.Partners.Semijoin), whose slot holds the list the groups
+// leave and the unfiltered list's length, so those groups test no
+// candidate per row. With factorise set the survivors stay factorised, in
+// one more column: one that only folded groups filtered stores nothing
+// and is re-read from its filtered table like an unfiltered column; one
+// that a Selection filtered keeps its survivors per element of its
+// parent: the deepest of the columns the group reads (the bound one and
+// each Selection's other endpoint). Where two of those lie on different
+// branches, t is written out first.
 // counts holds the Fetch's logical row count and then the row count after
 // each filter, for per-step traces; under a limit the latter cover only the
 // rows filtered.
@@ -483,8 +537,10 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 }
 
 // apply returns the members of targets — the partner list of the Fetch's
-// bound value, shared and left untouched — that pass every filter, reading
-// the filters' bound values off the walk wk, and adds m times the count
+// bound value, or what the groups folded before these filters left of it,
+// shared and left untouched (own: it is still the whole list) — that pass
+// every filter, reading the filters' bound values off the walk wk, and
+// adds m times the count
 // left after filter k to counts[k+1]: the m input rows that stand on the
 // walk's position. The first filter to run writes to the operator's
 // scratch list and later ones shrink that list in place (gdb.IntersectTo
@@ -499,12 +555,13 @@ func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, 
 // list and bit-tests each entry against the longer one's bitmap (gdb.
 // Partners.Bitmap): the list's, or the candidates' while they are still
 // the Fetch's own list — a bitmap is of a partner-table list, never of a
-// list a filter wrote. Both operands are ascending lists of distinct nodes
-// of the new node's label, whose ranks are distinct, so this keeps exactly
+// list a filter wrote or a filtered table cut down. Both operands are
+// ascending lists of distinct nodes of the new node's label, whose ranks
+// are distinct, so this keeps exactly
 // the entries IntersectTo keeps, in the same order. Where the longer one
 // has no bitmap (it is below the size rule, or its bound value is outside
 // its table's bound label), IntersectTo merges the two.
-func (p *fetchFilters) apply(wk *Walker, targets []graph.NodeID, counts []int, m int) ([]graph.NodeID, error) {
+func (p *fetchFilters) apply(wk *Walker, targets []graph.NodeID, counts []int, m int, own bool) ([]graph.NodeID, error) {
 	cur, owned := targets, false
 	// dst is where a filter writes what it keeps of cur, at most n
 	// entries: cur's own storage once apply owns it, else the scratch list.
@@ -534,7 +591,7 @@ func (p *fetchFilters) apply(wk *Walker, targets []graph.NodeID, counts []int, m
 			short, set := cur, (*gdb.RankSet)(nil)
 			if len(cur) <= len(other) {
 				set = p.sets[k].Bitmap(v, other)
-			} else if !owned {
+			} else if !owned && own {
 				short, set = other, p.own.Bitmap(wk.Cell(p.col), cur)
 			}
 			if set != nil {
@@ -595,29 +652,42 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if err != nil {
 		return nil, nil, err
 	}
+	// The leading run of semijoin groups folds into a filtered table
+	// where the read path keeps them (see fold).
+	lead := 0
+	for lead < len(fs) && fs[lead].sets != nil {
+		lead++
+	}
+	folded, err := rd.fold(c, forward, filters[:lead])
+	if err != nil {
+		return nil, nil, err
+	}
 	res := &Result{Cols: cols, Data: t.Data, exp: append(append(make([]expanded, 0, t.K()+1), t.exp...), expanded{bound: col, parent: parent})}
 	out := &res.exp[t.K()]
 	var reread bool
 	if out.lists, reread, err = rd.lists(c, forward); err != nil {
 		return nil, nil, err
 	}
+	if len(folded) > 0 {
+		out.lists = folded[len(folded)-1].Lists()
+	}
 	var pf *fetchFilters
-	if len(fs) > 0 {
-		if pf, err = openFilters(rd, db, fs, c, forward, col); err != nil {
+	if rest := fs[len(folded):]; len(rest) > 0 {
+		if pf, err = openFilters(rd, db, rest, c, forward, col); err != nil {
 			return nil, nil, err
 		}
-		rt.fusedFilters += int64(len(fs))
 	}
+	rt.fusedFilters += int64(len(fs))
 	rt.ops++
 	// The limit is on the operator's output: the expansion's without
 	// filters, the survivors' with them.
 	limit := rt.rowTarget
-	if pf != nil {
+	if len(fs) > 0 {
 		limit = 0
 	}
 	out.stored = pf != nil || !reread
 	counts := make([]int, 1+len(fs))
-	rows, n, err := rt.expand(ctx, partners, res, limit, pf, counts)
+	rows, n, err := rt.expand(ctx, partners, folded, res, limit, pf, counts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -625,7 +695,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if counts[0] == 0 {
 		res.Data, res.exp = nil, nil
 	}
-	if pf != nil {
+	if len(fs) > 0 {
 		// The unfused Fetch's checkpoint, on the rows it would have produced.
 		if err := rt.checkpoint(counts[0]); err != nil {
 			return nil, nil, err
@@ -638,14 +708,18 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // expand is fetch's pass over its input, the columns of res before the
 // last, which it builds. Per unit of input rows that reach one element of
 // the new column's parent (see units) it resolves the bound value's
-// partner list — shared with the read path, never copied — and charges the
-// budget for every row of the unit, as the step-by-step Fetch over the
-// input written out would, in the same order: whether or not the row is
-// written out or, under filters pf, survives. A stored column keeps the
-// list, or with pf its survivors, as its next block the first time the
-// walk reaches the element. counts[0] receives the expansion's logical row
-// count and counts[k+1] the count after filter k. It returns the number of
-// prefix rows the output covers and the output's row count.
+// partner list — shared with the read path, never copied — or, through
+// the filtered tables folded, the list the leading semijoin groups leave
+// and the unfiltered one's length, and charges the budget for every row
+// of the unfiltered expansion of the unit, as the step-by-step Fetch over
+// the input written out would, in the same order: whether or not the row
+// is written out or survives. The filters pf after the folded groups cut
+// the list down further. A stored column keeps the list, or with pf its
+// survivors, as its next block the first time the walk reaches the
+// element. counts[0] receives the expansion's logical row count and
+// counts[k+1] the count after filter k, folded or not; with a filter
+// (len(counts) > 1), the output is the survivors. It returns the number
+// of prefix rows the output covers and the output's row count.
 //
 // It stops after the first input row at which the step-by-step Fetch would
 // stop anyway: where the given limit is exceeded (limit+1 rows prove
@@ -655,9 +729,9 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // budget (they are charged and the next poll or the final checkpoint fails
 // the query) — so a doomed query never allocates its full output. Each of
 // these is a bound on the running total, found by division, not by a walk.
-func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, res *Result, limit int, pf *fetchFilters, counts []int) (rows, n int, err error) {
+func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, folded []gdb.Partners, res *Result, limit int, pf *fetchFilters, counts []int) (rows, n int, err error) {
 	k, width := len(res.exp)-1, len(res.Cols)
-	out := &res.exp[k]
+	out, filtered := &res.exp[k], len(counts) > 1
 	// bound is the largest total at which expand goes on; past maxRows
 	// with no limit or budget below it, the result is refused.
 	bound := maxRows
@@ -676,24 +750,28 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, res *Result
 	defer cc.flush()
 	rows = res.prefixRows()
 	if out.stored {
-		// The parent's elements: the prefix rows, or a stored parent's entries.
-		if out.elems = rows; out.parent >= 0 {
-			out.elems = 0
-			for _, ch := range res.exp[out.parent].chunks {
-				out.elems += len(ch)
-			}
-		}
+		out.elems = res.elements(out.parent)
 		out.lens = make([]uint32, 0, out.elems)
 	}
 	var u units
 	kept := 0
 	u.init(res, k, rows)
 	for m := u.next(); m > 0; m = u.next() {
-		targets, err := partners(u.Cell(out.bound))
+		// limit+1 survivors prove truncation; the rest of the input is
+		// only accounted for.
+		v, done := u.Cell(out.bound), filtered && rt.pastLimit(kept)
+		var targets []graph.NodeID
+		var l int
+		if len(folded) > 0 && !done {
+			targets, l, err = folded[len(folded)-1].Lookup(v)
+		} else {
+			targets, err = partners(v)
+			l = len(targets)
+		}
 		if err != nil {
 			return 0, 0, err
 		}
-		l, last := len(targets), false
+		last := false
 		// m and l are below 2³¹, so the product fits an int64.
 		if int64(n)+int64(m)*int64(l) > int64(bound) || n > bound {
 			if bound == maxRows {
@@ -713,23 +791,32 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, res *Result
 			return 0, 0, err
 		}
 		cc.charge(int64(l) * int64(width) * nodeIDBytes)
-		switch {
-		case pf != nil && rt.pastLimit(kept):
-			// limit+1 survivors prove truncation; the rest of the input is
-			// only accounted for.
-		case out.stored:
-			// A block the column holds already is counted, not kept twice.
+		if !done {
+			for j := range folded {
+				layer := targets
+				if j < len(folded)-1 {
+					if layer, err = folded[j].Of(v); err != nil {
+						return 0, 0, err
+					}
+				}
+				counts[j+1] += m * len(layer)
+			}
 			keep := targets
 			if pf != nil {
-				if keep, err = pf.apply(&u.Walker, targets, counts, m); err != nil {
+				if keep, err = pf.apply(&u.Walker, targets, counts[len(folded):], m, len(targets) == l); err != nil {
 					return 0, 0, err
 				}
+			}
+			if filtered {
 				kept += m * len(keep)
 			}
-			if u.fresh(k) {
-				out.keep(keep)
+			// A block the column holds already is counted, not kept twice.
+			if out.stored {
+				if u.fresh(k) {
+					out.keep(keep)
+				}
+				u.block(k)
 			}
-			u.block(k)
 		}
 		n += l
 		if err := rt.budget.CheckRows(n); err != nil {
@@ -745,7 +832,7 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, res *Result
 		}
 	}
 	counts[0] = n
-	if pf != nil {
+	if filtered {
 		return rows, kept, nil
 	}
 	return rows, n, nil

@@ -26,6 +26,12 @@ type reads interface {
 	// path keeps no lists a result could re-read: the result then stores
 	// them.
 	lists(c Cond, forward bool) (gdb.PartnerLists, bool, error)
+	// fold resolves, once per operator, the filtered tables of the same
+	// lists by the R-semijoin groups on the node they bind, one per group,
+	// each chained on the one before (gdb.Partners.Semijoin); nil where
+	// the read path keeps no tables: the Fetch then filters every list
+	// itself.
+	fold(c Cond, forward bool, groups []NodeFilter) ([]gdb.Partners, error)
 	// bitmaps resolves, once per operator, the same lists' rank bitmaps
 	// (gdb.Partners.Bitmap); the zero Partners, which has none, where the
 	// read path keeps no bitmaps.
@@ -91,6 +97,23 @@ func (d *decodedReads) partners(c Cond, forward bool) (partnerFunc, error) {
 func (d *decodedReads) lists(c Cond, forward bool) (gdb.PartnerLists, bool, error) {
 	p, err := d.r.Partners(c.FromLabel, c.ToLabel, forward)
 	return p.Lists(), true, err
+}
+
+func (d *decodedReads) fold(c Cond, forward bool, groups []NodeFilter) ([]gdb.Partners, error) {
+	p, err := d.r.Partners(c.FromLabel, c.ToLabel, forward)
+	layers := make([]gdb.Partners, len(groups))
+	for i, f := range groups {
+		if err != nil {
+			return nil, err
+		}
+		pairs := make([][2]graph.Label, len(f.Conds))
+		for j, c := range f.Conds {
+			pairs[j] = [2]graph.Label{c.FromLabel, c.ToLabel}
+		}
+		p, err = p.Semijoin(pairs, f.OutSide)
+		layers[i] = p
+	}
+	return layers, err
 }
 
 func (d *decodedReads) bitmaps(c Cond, forward bool) (gdb.Partners, error) {
@@ -196,6 +219,10 @@ func (p pooledReads) partners(c Cond, forward bool) (partnerFunc, error) {
 func (pooledReads) lists(Cond, bool) (gdb.PartnerLists, bool, error) {
 	return gdb.PartnerLists{}, false, nil
 }
+
+// fold: the reference mode filters every list by every projection, per
+// row, as it stores it.
+func (pooledReads) fold(Cond, bool, []NodeFilter) ([]gdb.Partners, error) { return nil, nil }
 
 // bitmaps: the reference mode intersects every list with IntersectTo.
 func (pooledReads) bitmaps(Cond, bool) (gdb.Partners, error) { return gdb.Partners{}, nil }

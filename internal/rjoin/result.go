@@ -45,11 +45,13 @@ type Result struct {
 // column parent, or the prefix row for -1), an ascending list. An
 // unfiltered column stores nothing: every consumer re-reads the list from
 // the partner table by the value in column bound (gdb.PartnerLists), the
-// very slice the Fetch saw. A stored one — a Fetch that absorbed filters,
-// or one on the counted-I/O read path — keeps its lists as blocks in
-// append-only chunks, each block's length in lens, in the order a walk
-// first reaches them; a block is never split across chunks. elems, where
-// known, is the number of elements of the parent, the most blocks it holds.
+// very slice the Fetch saw; one whose Fetch absorbed only semijoin groups
+// re-reads its filtered table. A stored one — a Fetch that absorbed a
+// Selection, or one on the counted-I/O read path — keeps its lists as
+// blocks in append-only chunks, each block's length in lens, in the order
+// a walk first reaches them; a block is never split across chunks. elems
+// is the number of elements of the parent (Result.elements), the most
+// blocks it holds.
 type expanded struct {
 	bound, parent int
 	lists         gdb.PartnerLists
@@ -68,10 +70,10 @@ const maxExpanded = 16
 const columnChunk = 8192
 
 // keep stores a copy of l as the next block, at the end of the last chunk
-// or in a new one. A new chunk holds what the elems blocks need if the rest
-// are like those so far, but at most four times what the column holds (the
-// first blocks may be unlike the rest); where elems is not known, twice
-// its predecessor.
+// or in a new one. A new chunk holds l and what the parent's remaining
+// elements need at the mean of every block so far, but no more than what
+// the column holds already (a hub list among the first blocks says little
+// of the rest); where elems is not known, twice its predecessor.
 func (c *expanded) keep(l []graph.NodeID) {
 	c.lens = append(c.lens, uint32(len(l)))
 	n, last := len(l), len(c.chunks)-1
@@ -88,7 +90,7 @@ func (c *expanded) keep(l []graph.NodeID) {
 			for _, ch := range c.chunks {
 				kept += len(ch)
 			}
-			size = n + int(min(4*int64(kept)+64, int64(kept)*int64(c.elems-b)/int64(b)))
+			size = n + int(min(int64(kept)+64, int64(kept)*int64(c.elems-b)/int64(b)))
 		}
 		c.chunks = append(c.chunks, make([]graph.NodeID, 0, max(n, min(size, columnChunk))))
 		last++
@@ -149,6 +151,53 @@ func (r *Result) prefixRows() int {
 		return len(r.exp[0].lens)
 	default:
 		return len(r.Data) / w
+	}
+}
+
+// elements returns the number of elements of expanded column k, or of
+// prefix rows for -1: the blocks a stored column under it holds. A stored
+// column's are its entries; an unstored one's are counted by re-reading
+// its lists, by the value of its parent at each of the parent's elements.
+func (r *Result) elements(k int) int {
+	if k < 0 {
+		return r.prefixRows()
+	}
+	n, c := 0, &r.exp[k]
+	if c.stored {
+		for _, ch := range c.chunks {
+			n += len(ch)
+		}
+		return n
+	}
+	r.values(c.parent, c.bound, func(v graph.NodeID) { n += len(c.lists.Of(v)) })
+	return n
+}
+
+// values calls f with the value of source column col at each element of
+// expanded column k, or of each prefix row for -1, in walk order; col is
+// k's own column, or a prefix column for -1. An unstored column's bound
+// column is its parent's (fetch hangs it there), so its elements are its
+// lists, re-read per element of its parent.
+func (r *Result) values(k, col int, f func(graph.NodeID)) {
+	w := r.Width()
+	switch {
+	case k < 0:
+		for i := range r.prefixRows() {
+			f(r.Data[i*w+col])
+		}
+	case r.exp[k].stored:
+		for _, ch := range r.exp[k].chunks {
+			for _, v := range ch {
+				f(v)
+			}
+		}
+	default:
+		c := &r.exp[k]
+		r.values(c.parent, c.bound, func(u graph.NodeID) {
+			for _, v := range c.lists.Of(u) {
+				f(v)
+			}
+		})
 	}
 }
 

@@ -632,7 +632,7 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 
 			var res *Result
 			var algo exec.Algorithm
-			_, _, _, resets := db.DecodedMemoStats()
+			resets := db.DecodedMemoStats().Resets
 			if tc.forget {
 				db.SetDecodedMemoBound(1)
 			}
@@ -660,7 +660,7 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 			before := encode(res)
 			if tc.forget {
 				db.SetDecodedMemoBound(1 << 20)
-				if _, _, _, now := db.DecodedMemoStats(); now <= resets {
+				if now := db.DecodedMemoStats().Resets; now <= resets {
 					t.Fatalf("no table was forgotten while %s ran (%d resets)", tc.query, now)
 				}
 				kept, err := s.run(ctx, pattern.MustParse(tc.query), algo, QueryOptions{})

@@ -247,6 +247,13 @@ type Stats struct {
 	PartnerTables     int   `json:"partner_tables"`
 	PartnerBitmaps    int   `json:"partner_bitmaps"`
 	DecodedMemoResets int64 `json:"decoded_memo_resets"`
+	// FilteredTables counts the current epoch's filtered tables — a
+	// partner table's lists cut down by the R-semijoin groups a Fetch
+	// absorbed — FilteredLists their filled slots and FilteredListBytes
+	// what those lists cost; all of it is inside DecodedMemoNodes.
+	FilteredTables    int `json:"filtered_tables"`
+	FilteredLists     int `json:"filtered_lists"`
+	FilteredListBytes int `json:"filtered_list_bytes"`
 	// ProjectionScans counts full computations of a projection set
 	// (π_X or π_Y of a label pair's R-join), ProjectionsInherited the
 	// sets publishes carried into their successor epoch instead, and
@@ -334,7 +341,9 @@ func (s *Server) Stats() Stats {
 	}
 	if !s.db.Closed() {
 		st.IO = s.db.IOStats()
-		st.DecodedMemoNodes, st.PartnerTables, st.PartnerBitmaps, st.DecodedMemoResets = s.db.DecodedMemoStats()
+		memo := s.db.DecodedMemoStats()
+		st.DecodedMemoNodes, st.PartnerTables, st.PartnerBitmaps, st.DecodedMemoResets = memo.Nodes, memo.Tables, memo.Bitmaps, memo.Resets
+		st.FilteredTables, st.FilteredLists, st.FilteredListBytes = memo.FilteredTables, memo.FilteredLists, memo.FilteredBytes
 		st.DecodedMemoBytes = 4 * st.DecodedMemoNodes
 		st.ProjectionScans, st.ProjectionsInherited, st.ProjectionsPatched = s.db.ProjectionStats()
 		st.ProjectionBytes = s.db.ProjectionBytes()

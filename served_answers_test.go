@@ -200,14 +200,15 @@ func serveBattery(t *testing.T, ds servedDataset, oracle bool) []string {
 		lines = append(lines, fmt.Sprintf("%s %s %d %016x %x | %s",
 			ds.name, q.name, resp.RowCount, rowSetHash(resp.Rows), sha256.Sum256(body[:cut]), planLine(plan)))
 	}
-	// Every partner list and bitmap the battery built fits the epoch's
-	// memo bound: none was dropped and rebuilt.
+	// Every partner list, bitmap and filtered list the battery built fits
+	// the epoch's memo bound: none was dropped and rebuilt.
 	st := srv.Stats()
-	if st.DecodedMemoResets != 0 || st.PartnerBitmaps == 0 {
-		t.Fatalf("%s: after the battery the partner tables reset %d times and hold %d bitmaps (%d bytes in all)",
-			ds.name, st.DecodedMemoResets, st.PartnerBitmaps, st.DecodedMemoBytes)
+	if st.DecodedMemoResets != 0 || st.PartnerBitmaps == 0 || st.FilteredLists == 0 {
+		t.Fatalf("%s: after the battery the partner tables reset %d times and hold %d bitmaps and %d filtered lists (%d bytes in all)",
+			ds.name, st.DecodedMemoResets, st.PartnerBitmaps, st.FilteredLists, st.DecodedMemoBytes)
 	}
-	t.Logf("%s: %d partner tables, %d bitmaps, %d bytes", ds.name, st.PartnerTables, st.PartnerBitmaps, st.DecodedMemoBytes)
+	t.Logf("%s: %d partner tables, %d bitmaps, %d filtered tables of %d lists (%d bytes owned), %d bytes", ds.name,
+		st.PartnerTables, st.PartnerBitmaps, st.FilteredTables, st.FilteredLists, st.FilteredListBytes, st.DecodedMemoBytes)
 	return lines
 }
 
