@@ -670,7 +670,8 @@ func TestPartnerTableConcurrentFill(t *testing.T) {
 }
 
 // TestPartnersOfForeignLabel: a value that does not carry the table's bound
-// label gets the computed list, never another node's slot.
+// label gets the computed list, never another node's slot — through a
+// partner table and through a filtered table of its lists alike.
 func TestPartnersOfForeignLabel(t *testing.T) {
 	g := randomGraph(23, 400, 900, 3)
 	db := mustBuild(t, g, Options{})
@@ -708,6 +709,28 @@ func TestPartnersOfForeignLabel(t *testing.T) {
 			if p.t.slots.load(i) != nil {
 				t.Fatalf("forward=%v: a foreign value filled slot %d", fwd, i)
 			}
+		}
+		// The same through a filtered table of those lists: each foreign
+		// list is cut down cold, and no filtered slot is filled.
+		l := target(k)
+		f, err := p.Semijoin([][2]graph.Label{{l, z}}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := s.ProjectFrom(l, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range g.Extent(z) {
+			base := coldPartners(t, cold, k, v)
+			got, full, err := f.Lookup(v)
+			if want := proj.FilterTo(s.Ranks(), nil, base); err != nil || !slices.Equal(got, want) || full != len(base) ||
+				!slices.Equal(f.Lists().Of(v), want) {
+				t.Fatalf("forward=%v: filtered partners of C node %d = %v of %d, recomputed %v of %d (%v)", fwd, v, got, full, want, len(base), err)
+			}
+		}
+		if filled, _ := f.t.slots.held(); filled != 0 || r.CenterHits+r.CenterMisses != 0 {
+			t.Fatalf("forward=%v: foreign values filled %d filtered slots and touched %d", fwd, filled, r.CenterHits+r.CenterMisses)
 		}
 	}
 }

@@ -237,6 +237,8 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		{"two selections, the other order", mixed, []NodeFilter{selAC, selCD}, false},
 		{"foreign fetch value", foreign, []NodeFilter{selDC}, false},
 		{"foreign fetch value, reverse selection", foreign, []NodeFilter{selCD, semiOut}, false},
+		{"foreign fetch value, folded group", foreign, []NodeFilter{semiIn}, false},
+		{"foreign fetch value, folded group then selection", foreign, []NodeFilter{semiIn, selDC}, false},
 	}
 	for _, sel := range []NodeFilter{selDC, selCD} {
 		p := censusPaths(t, db, mixed, fetch, nil, sel)
