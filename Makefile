@@ -15,9 +15,12 @@ GO ?= go
 # T6, P8 and Q1, and one flatten point)
 # and the response encoder (ns per row from a served-shaped, a synthetic, a
 # tree-shaped wide and a two-list product factorised result and from a
-# plain one) — the hot paths a perf PR must not regress.
+# plain one) and the writer (a 4-edge insert batch and the delete batch
+# that undoes it on XMark 100k: ns, B and allocs per pair, pages the store
+# grew per pair and its size over the built size) — the hot paths a perf
+# PR must not regress.
 BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFilterExtent|BenchmarkFactorisedTail|BenchmarkEncodeResult'
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFilterExtent|BenchmarkFactorisedTail|BenchmarkEncodeResult|BenchmarkWriteBatch'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -35,10 +38,11 @@ test-short:
 # fresh random sequences on every verify run, not just the checked-in
 # seeds, and the response encoder gets random results to match against
 # encoding/json. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The
-# last four lines run benchmarks once for the checks they carry: the read
+# last five lines run benchmarks once for the checks they carry: the read
 # path's allocation-free hit path, the fused Fetch's and the factorised
-# tail's row counts against the step-by-step pipeline's and the response
-# encoder's allocation-free warm buffer. BenchmarkFetchFilters includes
+# tail's row counts against the step-by-step pipeline's, the response
+# encoder's allocation-free warm buffer and the writer's insert/delete pair
+# applying every edge. BenchmarkFetchFilters includes
 # the read_skew groups S1served and S4served on the power-law DAG.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
@@ -54,6 +58,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkFetchFilters|BenchmarkFilterExtent' -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkFactorisedTail -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
+	$(GO) test -run XXX -bench BenchmarkWriteBatch -benchtime 1x ./internal/gdb
 
 # test-cover enforces a per-package statement-coverage floor on the
 # reachability packages — the 2-hop cover and its labeling core (twohop)
@@ -81,12 +86,15 @@ test-cover:
 # filling chunks shared by several pinned epochs, the memo charge of
 # chunks those epochs share, and the projection sets a publish carries or
 # patches — rank sets shared between pinned epochs as partner chunks are —
-# checked after every publish and under a reader pinned to the old epoch.
-# The full -race suite runs them once; the elevated count shakes out more
-# interleavings.
+# checked after every publish and under a reader pinned to the old epoch,
+# and page recycling: a reader pinned across 60 batches reading identical
+# rows while the pages they supersede recycle around it, the store staying
+# flat over insert/delete pairs, and a crash after a Sync reopening the
+# synced state. The full -race suite runs them once; the elevated count
+# shakes out more interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
-	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections' ./internal/gdb
+	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections|TestPinnedReaderAcrossRecycling|TestWriteStreamReclaims|TestCrashAfterSyncOpensSyncedState' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
 

@@ -10,13 +10,16 @@
 // deferred garbage a publish hands over (for the graph database, the page
 // IDs a copy-on-write tree update superseded).
 //
-// Reclamation is ordered: garbage attached to the publish that created
-// epoch k is released only once every epoch older than k has retired,
-// because a page superseded at epoch k may still be shared by any earlier
-// snapshot.
+// Garbage attached to the publish that created epoch k is released once
+// no live epoch older than k can reach it: by default once every epoch
+// older than k has retired, because a page superseded at epoch k may be
+// shared by any earlier snapshot. Garbage published as a Span that no
+// epoch before From can reach waits only for the epochs in [From, k), so
+// a reader pinned to an old epoch holds back only what it can see.
 package epoch
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,15 +78,23 @@ type Manager[T, G any] struct {
 
 	mu      sync.Mutex
 	live    map[uint64]*node[T]
-	pending []garbage[G] // ascending by epoch
+	pending []garbage[G]
 	retired uint64
 }
 
-// garbage is the deferred-free list attached to the publish that created
-// epoch: the resources that epoch's predecessor owned exclusively.
+// garbage is a deferred-free list attached to the publish that created
+// epoch: resources only the epochs in [from, epoch) can reach.
 type garbage[G any] struct {
-	epoch uint64
-	items []G
+	from, epoch uint64
+	items       []G
+}
+
+// Span is garbage a publish hands over that no epoch before From can
+// reach: for the graph database, the superseded pages a publish of epoch
+// From allocated.
+type Span[G any] struct {
+	From  uint64
+	Items []G
 }
 
 // NewManager returns a manager whose current snapshot is initial (epoch 0).
@@ -125,6 +136,13 @@ func (m *Manager[T, G]) CurrentEpoch() uint64 { return m.cur.Load().epoch }
 // freed once every epoch older than the new one has retired. It returns
 // the new epoch number. Callers must serialise Publish externally.
 func (m *Manager[T, G]) Publish(v T, garb []G) uint64 {
+	return m.PublishSpans(v, []Span[G]{{Items: garb}})
+}
+
+// PublishSpans is Publish with garbage in spans: each span's items are
+// freed once no live epoch in [From, the new epoch) remains — at once when
+// From is the new epoch, for items no published snapshot ever reached.
+func (m *Manager[T, G]) PublishSpans(v T, spans []Span[G]) uint64 {
 	n := &node[T]{val: v, born: time.Now()}
 	n.refs.Store(1)
 
@@ -132,16 +150,45 @@ func (m *Manager[T, G]) Publish(v T, garb []G) uint64 {
 	old := m.cur.Load()
 	n.epoch = old.epoch + 1
 	m.live[n.epoch] = n
-	if len(garb) > 0 {
-		m.pending = append(m.pending, garbage[G]{epoch: n.epoch, items: garb})
+	for _, sp := range spans {
+		if len(sp.Items) > 0 {
+			m.pending = append(m.pending, garbage[G]{from: sp.From, epoch: n.epoch, items: sp.Items})
+		}
 	}
 	m.cur.Store(n)
+	freeable := m.collectFreeableLocked()
 	m.mu.Unlock()
+	m.freeAll(freeable)
 
 	// Drop the manager's reference to the superseded snapshot; it retires
 	// now if no reader holds it.
 	m.release(old)
 	return n.epoch
+}
+
+// Defer attaches garbage to the current epoch, as if its publish had
+// handed it over: it is freed once every older epoch has retired — at once
+// when none is live. It is for garbage the caller held back past its
+// publish (the graph database keeps superseded pages of a file-backed
+// database until a manifest that cannot reach them is durable). Like
+// Publish, callers must serialise it with Publish externally.
+func (m *Manager[T, G]) Defer(garb []G) {
+	if len(garb) == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.pending = append(m.pending, garbage[G]{epoch: m.cur.Load().epoch, items: garb})
+	freeable := m.collectFreeableLocked()
+	m.mu.Unlock()
+	m.freeAll(freeable)
+}
+
+func (m *Manager[T, G]) freeAll(gs []garbage[G]) {
+	if m.free != nil {
+		for _, g := range gs {
+			m.free(g.items)
+		}
+	}
 }
 
 // release drops one reference; the last one retires the node and releases
@@ -155,41 +202,32 @@ func (m *Manager[T, G]) release(n *node[T]) {
 	m.retired++
 	freeable := m.collectFreeableLocked()
 	m.mu.Unlock()
-	if m.free != nil {
-		for _, g := range freeable {
-			m.free(g.items)
-		}
-	}
+	m.freeAll(freeable)
 }
 
-// minLiveLocked returns the smallest live epoch (the reclamation horizon);
-// with no live epoch — transient between retire and the next publish —
-// it reports the maximum. Caller holds m.mu.
-func (m *Manager[T, G]) minLiveLocked() uint64 {
-	min := ^uint64(0)
-	for e := range m.live {
-		if e < min {
-			min = e
-		}
-	}
-	return min
-}
-
-// collectFreeableLocked removes and returns every pending garbage batch
-// whose epoch is ≤ the minimum live epoch — i.e. all snapshots that could
-// still reference it have retired. Caller holds m.mu.
+// collectFreeableLocked removes and returns every pending garbage list no
+// live epoch can reach: none of [from, epoch) is live. Caller holds m.mu.
 func (m *Manager[T, G]) collectFreeableLocked() []garbage[G] {
-	min := m.minLiveLocked()
-	i := 0
-	for i < len(m.pending) && m.pending[i].epoch <= min {
-		i++
-	}
-	if i == 0 {
+	if len(m.pending) == 0 {
 		return nil
 	}
-	out := make([]garbage[G], i)
-	copy(out, m.pending[:i])
-	m.pending = append(m.pending[:0], m.pending[i:]...)
+	live := make([]uint64, 0, len(m.live))
+	for e := range m.live {
+		live = append(live, e)
+	}
+	slices.Sort(live)
+	var out []garbage[G]
+	keep := m.pending[:0]
+	for _, g := range m.pending {
+		i, _ := slices.BinarySearch(live, g.from) // the oldest live epoch ≥ from
+		if i < len(live) && live[i] < g.epoch {
+			keep = append(keep, g)
+			continue
+		}
+		out = append(out, g)
+	}
+	clear(m.pending[len(keep):])
+	m.pending = keep
 	return out
 }
 

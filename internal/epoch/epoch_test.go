@@ -145,3 +145,60 @@ func TestConcurrentPinPublish(t *testing.T) {
 		t.Fatalf("Retired = %d, want %d", s.Retired, publishes)
 	}
 }
+
+// TestDeferWaitsForOlderEpochs: garbage deferred at epoch k is freed once
+// every epoch older than k has retired, whatever epoch its pages were
+// superseded in, and at once when no older epoch is live.
+func TestDeferWaitsForOlderEpochs(t *testing.T) {
+	var freed []int
+	m := NewManager[int, int](0, func(items []int) { freed = append(freed, items...) })
+	_, r0 := m.Pin()
+	m.Publish(1, nil)
+	_, r1 := m.Pin()
+	m.Publish(2, nil)
+	m.Defer([]int{7, 8})
+	if len(freed) != 0 {
+		t.Fatalf("freed %v while epochs 0 and 1 are pinned", freed)
+	}
+	r0()
+	if len(freed) != 0 {
+		t.Fatalf("freed %v while epoch 1 is pinned", freed)
+	}
+	r1()
+	if len(freed) != 2 {
+		t.Fatalf("freed %v after every older epoch retired, want [7 8]", freed)
+	}
+	m.Defer([]int{9})
+	if len(freed) != 3 || freed[2] != 9 {
+		t.Fatalf("freed %v: garbage deferred with no older epoch live must go at once", freed)
+	}
+	m.Defer(nil)
+}
+
+// TestSpanWaitsOnlyForItsEpochs: garbage no epoch before From can reach is
+// freed once the epochs in [From, its publish) have retired, whatever
+// older epoch a reader still pins; garbage born and superseded by the same
+// publish goes at once.
+func TestSpanWaitsOnlyForItsEpochs(t *testing.T) {
+	var freed []int
+	m := NewManager[int, int](0, func(items []int) { freed = append(freed, items...) })
+	_, r0 := m.Pin() // an old reader, pinned throughout
+	defer r0()
+	m.Publish(1, nil)
+	_, r1 := m.Pin()
+	m.PublishSpans(2, []Span[int]{{From: 1, Items: []int{10}}, {From: 2, Items: []int{20}}, {Items: []int{30}}})
+	if len(freed) != 1 || freed[0] != 20 {
+		t.Fatalf("freed %v, want only [20] (born and superseded by epoch 2's publish)", freed)
+	}
+	r1()
+	if len(freed) != 2 || freed[1] != 10 {
+		t.Fatalf("freed %v after epoch 1 retired, want 10 next: epoch 0 cannot reach it", freed)
+	}
+	m.PublishSpans(3, []Span[int]{{From: 2, Items: []int{40}}})
+	if len(freed) != 3 || freed[2] != 40 {
+		t.Fatalf("freed %v, want 40 once epoch 2 retired at publish", freed)
+	}
+	if s := m.Stats(); s.Pinned != 2 {
+		t.Fatalf("Pinned = %d, want 2 (epoch 0 and the current)", s.Pinned)
+	}
+}

@@ -257,17 +257,26 @@ func (db *DB) storedCodes(g *graph.Graph, base map[graph.Label]*storage.BTree, e
 
 // codeRecord reads node x's base-table record through the buffer pool.
 func (db *DB) codeRecord(base map[graph.Label]*storage.BTree, g *graph.Graph, x graph.NodeID) ([]byte, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	rid, ok, err := base[g.LabelOf(x)].Get(nodeKey(x))
+	rid, err := db.codeRID(base, g, x)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("gdb: node %d missing from base table", x)
+	return db.heap.Read(rid)
+}
+
+// codeRID looks node x's base-table record up in its primary index.
+func (db *DB) codeRID(base map[graph.Label]*storage.BTree, g *graph.Graph, x graph.NodeID) (storage.RID, error) {
+	if db.closed.Load() {
+		return storage.RID{}, ErrClosed
 	}
-	return db.heap.Read(storage.DecodeRID(rid))
+	rid, ok, err := base[g.LabelOf(x)].Get(nodeKey(x))
+	if err != nil {
+		return storage.RID{}, err
+	}
+	if !ok {
+		return storage.RID{}, fmt.Errorf("gdb: node %d missing from base table", x)
+	}
+	return storage.DecodeRID(rid), nil
 }
 
 // inheritDecoded gives next cur's decoded arrays on new chunk directories:

@@ -7,7 +7,6 @@ import (
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/reach"
-	"fastmatch/internal/storage"
 )
 
 // ErrBadDelete reports an edge delete whose endpoints lie outside the
@@ -55,7 +54,7 @@ func (db *DB) ApplyEdgeDelete(u, v graph.NodeID) (EdgeDeleteStats, error) {
 //     centers and removed, then any still-supported pairs the removals
 //     orphaned are re-covered. Both directions are reported as deltas.
 //  2. Each delta rewrites its node's base-table record (T_X in/out codes)
-//     through the append-only heap and a copy-on-write upsert.
+//     through the heap and a copy-on-write upsert.
 //  3. The same deltas, inverted per center, shrink or extend the F-/T-
 //     subclusters in the cluster index. Subcluster slots that empty are
 //     deleted; a center whose every subcluster emptied is dropped
@@ -63,7 +62,8 @@ func (db *DB) ApplyEdgeDelete(u, v graph.NodeID) (EdgeDeleteStats, error) {
 //     created with its self entries.
 //  4. W-table rows are retracted for label pairs (X, Y) a center no
 //     longer completes and extended for pairs it newly completes; rows
-//     whose center list empties are deleted.
+//     whose center list empties are deleted. Each changed row is written
+//     once, after the batch's last edge.
 //
 // Like inserts, the batch is MVCC: all tree updates go to a private next
 // snapshot through page-level copy-on-write and become visible in ONE
@@ -71,8 +71,8 @@ func (db *DB) ApplyEdgeDelete(u, v graph.NodeID) (EdgeDeleteStats, error) {
 // reported via Stats.Missing; a batch that changes nothing (every edge
 // absent, or listed twice — the first occurrence removes it) publishes no
 // epoch. The returned slice covers the successfully applied prefix, which
-// is still published on error. Updates are in-memory-durable only; call
-// Sync to persist them.
+// is still published on error (see ApplyEdgeInserts). Updates are
+// in-memory-durable only; call Sync to persist them.
 func (db *DB) ApplyEdgeDeletes(edges [][2]graph.NodeID) ([]EdgeDeleteStats, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -80,8 +80,7 @@ func (db *DB) ApplyEdgeDeletes(edges [][2]graph.NodeID) ([]EdgeDeleteStats, erro
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 
-	cur := db.mgr.Current() // stable: this goroutine is the only publisher
-	w := newSnapWriter(db, cur)
+	w := newSnapWriter(db, db.mgr.Current()) // stable: this goroutine is the only publisher
 
 	sts := make([]EdgeDeleteStats, 0, len(edges))
 	var firstErr error
@@ -93,8 +92,8 @@ func (db *DB) ApplyEdgeDeletes(edges [][2]graph.NodeID) ([]EdgeDeleteStats, erro
 		}
 		sts = append(sts, st)
 	}
-	if w.changed {
-		w.publish(cur)
+	if err := w.finish(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return sts, firstErr
 }
@@ -270,27 +269,44 @@ func (w *snapWriter) updateClusterSlot(c graph.NodeID, key uint32, rem, add []gr
 	if !changed {
 		return nil
 	}
-	dir, l := splitKey(key)
 	if len(members) == 0 {
-		nt, _, err := w.cluster.DeleteCow(w.cow, clusterKey(c, dir, l))
-		if err != nil {
-			return err
-		}
-		w.cluster = nt
-		w.setSubcluster(c, key, nil)
-		return nil
+		return w.deleteSubcluster(c, key)
+	}
+	dir, l := splitKey(key)
+	ck := clusterKey(c, dir, l)
+	old, had, err := w.cluster.Get(ck)
+	if err != nil {
+		return err
 	}
 	nrid, err := w.db.heap.Insert(encodeNodeList(members))
 	if err != nil {
 		return err
 	}
-	nt, err := w.cluster.InsertCow(w.cow, clusterKey(c, dir, l), nrid.Encode())
+	nt, err := w.cluster.InsertCow(w.cow, ck, nrid.Encode())
 	if err != nil {
 		return err
 	}
 	w.cluster = nt
 	w.setSubcluster(c, key, members)
-	return nil
+	return w.supersede(old, had)
+}
+
+// deleteSubcluster deletes center c's key subcluster from the cluster
+// index, superseding its record.
+func (w *snapWriter) deleteSubcluster(c graph.NodeID, key uint32) error {
+	dir, l := splitKey(key)
+	ck := clusterKey(c, dir, l)
+	old, had, err := w.cluster.Get(ck)
+	if err != nil {
+		return err
+	}
+	nt, _, err := w.cluster.DeleteCow(w.cow, ck)
+	if err != nil {
+		return err
+	}
+	w.cluster = nt
+	w.setSubcluster(c, key, nil)
+	return w.supersede(old, had)
 }
 
 // centerIsDead reports whether c's subclusters hold no node but c itself.
@@ -311,99 +327,54 @@ func (w *snapWriter) centerIsDead(c graph.NodeID) bool {
 func (w *snapWriter) dropCenterKeys(c graph.NodeID) error {
 	keys, _ := w.subclusters(c)
 	for _, key := range keys {
-		dir, l := splitKey(key)
-		nt, _, err := w.cluster.DeleteCow(w.cow, clusterKey(c, dir, l))
-		if err != nil {
+		if err := w.deleteSubcluster(c, key); err != nil {
 			return err
 		}
-		w.cluster = nt
-		w.setSubcluster(c, key, nil)
 	}
 	return nil
 }
 
 // updateWTablePairs moves center c between W rows to match its non-empty
-// subcluster labels going from (allF0, allT0) to (allF1, allT1).
+// subcluster labels going from (allF0, allT0) to (allF1, allT1). It
+// patches the batch's copy of each row (wRowOf); finish writes the rows.
 func (w *snapWriter) updateWTablePairs(c graph.NodeID, allF0, allT0, allF1, allT1 []graph.Label, cs *centerChangeStats) error {
-	before := make(map[wKey]struct{}, len(allF0)*len(allT0))
-	for _, x := range allF0 {
-		for _, y := range allT0 {
-			before[wKey{x, y}] = struct{}{}
-		}
-	}
-	after := make(map[wKey]struct{}, len(allF1)*len(allT1))
-	for _, x := range allF1 {
-		for _, y := range allT1 {
-			after[wKey{x, y}] = struct{}{}
-		}
-	}
-	changed := make([]wKey, 0, len(before)+len(after))
-	for k := range before {
-		if _, ok := after[k]; !ok {
-			changed = append(changed, k)
-		}
-	}
-	for k := range after {
-		if _, ok := before[k]; !ok {
-			changed = append(changed, k)
-		}
-	}
-	slices.SortFunc(changed, func(a, b wKey) int {
-		if a.x != b.x {
-			return int(a.x) - int(b.x)
-		}
-		return int(a.y) - int(b.y)
-	})
-	for _, k := range changed {
-		_, gain := after[k]
-		var ws []graph.NodeID
-		rid, ok, err := w.wtable.Get(wtableKey(k.x, k.y))
-		if err != nil {
-			return err
-		}
-		if ok {
-			rec, err := w.db.heap.Read(storage.DecodeRID(rid))
-			if err != nil {
-				return err
-			}
-			ws = decodeNodeList(rec)
-		}
-		n0 := len(ws)
-		if gain {
-			ws = insertSorted(ws, c)
-		} else {
-			ws = removeSorted(ws, c)
-		}
-		if len(ws) == n0 {
-			continue
-		}
-		if len(ws) == 0 {
-			if ok {
-				nt, _, derr := w.wtable.DeleteCow(w.cow, wtableKey(k.x, k.y))
-				if derr != nil {
-					return derr
+	// move applies, for every label pair of fs × ts that ofs × ots lacks,
+	// c's joining (gain) or leaving the pair's row.
+	move := func(fs, ts, ofs, ots []graph.Label, gain bool) error {
+		for _, x := range fs {
+			for _, y := range ts {
+				if slices.Contains(ofs, x) && slices.Contains(ots, y) {
+					continue
 				}
-				w.wtable = nt
+				k := wKey{x, y}
+				r, err := w.wRowOf(k)
+				if err != nil {
+					return err
+				}
+				n0 := len(r.ws)
+				if gain {
+					r.ws = insertSorted(r.ws, c)
+				} else {
+					r.ws = removeSorted(r.ws, c)
+				}
+				if len(r.ws) == n0 {
+					continue
+				}
+				if gain {
+					cs.wAdded++
+				} else {
+					cs.wRemoved++
+				}
+				r.flips = append(r.flips, c)
+				w.touchedW[k] = struct{}{}
 			}
-		} else {
-			nrid, err := w.db.heap.Insert(encodeNodeList(ws))
-			if err != nil {
-				return err
-			}
-			nt, err := w.wtable.InsertCow(w.cow, wtableKey(k.x, k.y), nrid.Encode())
-			if err != nil {
-				return err
-			}
-			w.wtable = nt
 		}
-		if gain {
-			cs.wAdded++
-		} else {
-			cs.wRemoved++
-		}
-		w.touchedW[k] = struct{}{}
+		return nil
 	}
-	return nil
+	if err := move(allF0, allT0, allF1, allT1, false); err != nil {
+		return err
+	}
+	return move(allF1, allT1, allF0, allT0, true)
 }
 
 // removeSorted removes v from the sorted slice if present, returning the

@@ -114,6 +114,17 @@ type DB struct {
 	graphPersisted bool
 	graphDirty     bool
 	bulkBuilt      bool // trees were bulk-loaded and untouched since
+	// born maps each page a batch allocated to the epoch whose publish
+	// made it visible (absent: the build, epoch 0), so a page superseded
+	// at epoch k waits only for the epochs in [born, k) (epoch.Span).
+	// On a file-backed database the manifest the last Persist wrote, at
+	// epoch persisted, reaches pages born up to that epoch: undurable holds
+	// those of them publishes superseded since, recycled only after the
+	// next Persist has renamed a manifest that cannot reach them (and once
+	// no epoch can). All under writeMu.
+	born      map[storage.PageID]uint64
+	persisted uint64
+	undurable []storage.PageID
 }
 
 type wKey struct{ x, y graph.Label }
@@ -194,6 +205,8 @@ func (db *DB) newSnap(g *graph.Graph) *Snap {
 // 0. Called once, from Build or Open, before any concurrency exists.
 func (db *DB) publishInitial(s *Snap) {
 	db.heap.Seal()
+	db.heap.TakeAllocated()
+	db.born = make(map[storage.PageID]uint64)
 	db.rank = make([]int32, s.g.NumNodes())
 	for l := 0; l < s.g.Labels().Len(); l++ {
 		for i, v := range s.g.Extent(graph.Label(l)) {
@@ -203,9 +216,39 @@ func (db *DB) publishInitial(s *Snap) {
 	db.mgr = epoch.NewManager[*Snap, storage.PageID](s, db.freePages)
 }
 
+// superseded records the pages the batch publishing epoch k allocated as
+// born at k and returns the garbage the publish hands the epoch manager:
+// the pages the batch superseded, in spans by the epoch each was born in,
+// except, on a file-backed database, those the last Persist's manifest
+// reaches, which it holds in undurable until the next Persist.
+func (db *DB) superseded(k uint64, cow *storage.Cow) []epoch.Span[storage.PageID] {
+	for _, id := range cow.Allocated() {
+		db.born[id] = k
+	}
+	for _, id := range db.heap.TakeAllocated() {
+		db.born[id] = k
+	}
+	var spans []epoch.Span[storage.PageID]
+	for _, id := range cow.Freed() {
+		from := db.born[id]
+		delete(db.born, id)
+		if db.path != "" && from <= db.persisted {
+			db.undurable = append(db.undurable, id)
+			continue
+		}
+		i := slices.IndexFunc(spans, func(sp epoch.Span[storage.PageID]) bool { return sp.From == from })
+		if i < 0 {
+			i = len(spans)
+			spans = append(spans, epoch.Span[storage.PageID]{From: from})
+		}
+		spans[i].Items = append(spans[i].Items, id)
+	}
+	return spans
+}
+
 // freePages recycles pages whose reclamation horizon has passed: no live
-// epoch references them anymore. Best-effort — a page that cannot be freed
-// merely stays allocated.
+// epoch (and, file-backed, no durable manifest) references them anymore.
+// Best-effort — a page that cannot be freed merely stays allocated.
 func (db *DB) freePages(ids []storage.PageID) {
 	if db.closed.Load() {
 		return
@@ -333,6 +376,13 @@ func (db *DB) NewScratchHeap() *storage.HeapFile {
 // SizeBytes returns the database's on-disk size (all allocated pages).
 func (db *DB) SizeBytes() int { return db.pager.NumPages() * storage.PageSize }
 
+// PageStats reports the page store's recycling: the pages on the pool's
+// free list, waiting for reuse, and how many pages were returned to it
+// since the database was built or opened.
+func (db *DB) PageStats() (freePages int, recycled int64) {
+	return db.pool.FreePages(), db.pool.Recycled()
+}
+
 // ResizePool changes the buffer pool capacity (see the paper's 1 MB buffer
 // versus 20–100 MB datasets; benchmarks scale the pool to keep the same
 // buffer-to-data ratio on scaled-down data).
@@ -428,12 +478,7 @@ func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
 	for k := range wmap {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b wKey) int {
-		if a.x != b.x {
-			return int(a.x) - int(b.x)
-		}
-		return int(a.y) - int(b.y)
-	})
+	slices.SortFunc(keys, compareWKeys)
 	s.wtable, err = storage.BulkLoad(db.pool, func(emit func([]byte, uint64) error) error {
 		for _, k := range keys {
 			rid, err := db.heap.Insert(encodeNodeList(wmap[k]))
@@ -698,20 +743,38 @@ func clusterKey(w graph.NodeID, dir byte, l graph.Label) []byte {
 	return b[:]
 }
 
+func compareWKeys(a, b wKey) int {
+	if a.x != b.x {
+		return int(a.x) - int(b.x)
+	}
+	return int(a.y) - int(b.y)
+}
+
 // Record encodings.
 
 func encodeNodeList(nodes []graph.NodeID) []byte {
-	b := make([]byte, 4+4*len(nodes))
-	binary.LittleEndian.PutUint32(b, uint32(len(nodes)))
-	for i, v := range nodes {
-		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(v))
+	return appendNodeList(make([]byte, 0, nodeListSize(len(nodes))), nodes)
+}
+
+// appendNodeList appends the node-list record of nodes to b.
+func appendNodeList(b []byte, nodes []graph.NodeID) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
+	for _, v := range nodes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
 	return b
 }
 
-func decodeNodeList(b []byte) []graph.NodeID {
-	n := binary.LittleEndian.Uint32(b)
-	out := make([]graph.NodeID, n)
+// nodeListSize is the size in bytes of the node-list record of n nodes.
+func nodeListSize(n int) int { return 4 + 4*n }
+
+func decodeNodeList(b []byte) []graph.NodeID { return decodeNodeListRoom(b, 0) }
+
+// decodeNodeListRoom decodes a node-list record into a slice with room
+// for that many more entries.
+func decodeNodeListRoom(b []byte, room int) []graph.NodeID {
+	n := int(binary.LittleEndian.Uint32(b))
+	out := make([]graph.NodeID, n, n+room)
 	for i := range out {
 		out[i] = graph.NodeID(binary.LittleEndian.Uint32(b[4+4*i:]))
 	}

@@ -69,8 +69,10 @@ func (db *DB) ApplyEdgeInsert(u, v graph.NodeID) (EdgeInsertStats, error) {
 // Inserting an existing edge is a no-op reported via Stats.Duplicate. The
 // returned slice holds stats for the edges applied, in order; on error it
 // covers the successfully applied prefix, which is still published
-// (earlier edges of a failed batch stay applied). Updates are
-// in-memory-durable only; call Sync to persist them.
+// (earlier edges of a failed batch stay applied). An error writing the
+// batch's W rows, which happens once after its last edge, is returned
+// with the stats of every edge. Updates are in-memory-durable only; call
+// Sync to persist them.
 func (db *DB) ApplyEdgeInserts(edges [][2]graph.NodeID) ([]EdgeInsertStats, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -91,8 +93,8 @@ func (db *DB) ApplyEdgeInserts(edges [][2]graph.NodeID) ([]EdgeInsertStats, erro
 		}
 		sts = append(sts, st)
 	}
-	if w.changed {
-		w.publish(cur)
+	if err := w.finish(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return sts, firstErr
 }
@@ -132,10 +134,47 @@ type snapWriter struct {
 	codes    map[graph.NodeID]codes
 	clusters map[graph.NodeID]map[uint32][]graph.NodeID
 
+	// wrows holds the batch's own copy of every W row it looked at.
+	// finish writes each changed row once, after the batch's last edge;
+	// nothing reads the W-tree before.
+	wrows map[wKey]*wRow
+	// curRows holds the W row of every partner table of cur, gathered
+	// once per batch: a table holds its row as of cur.
+	curRows map[wKey][]graph.NodeID
+	recBuf  []byte // wRowOf reads records here, and finish encodes them
+
 	touchedW map[wKey]struct{}       // W rows the batch changed
-	rows     map[wKey][]graph.NodeID // next's W rows publish has read
+	rows     map[wKey][]graph.NodeID // next's other rows publish has read
 	changed  bool
 	torn     bool // an edge failed partway through its tree updates
+}
+
+// wRow is one W row a batch touched: ws is the batch's copy, patched in
+// place, and flips lists the centers each change moved into or out of it.
+// rid is the record the row's key held before the batch (had: it held one).
+type wRow struct {
+	ws, flips []graph.NodeID
+	rid       uint64
+	had       bool
+}
+
+// moved returns the centers that entered or left the row: those flipped
+// an odd number of times.
+func (r *wRow) moved() []graph.NodeID {
+	fs := slices.Clone(r.flips)
+	slices.Sort(fs)
+	out := fs[:0]
+	for i := 0; i < len(fs); {
+		j := i + 1
+		for j < len(fs) && fs[j] == fs[i] {
+			j++
+		}
+		if (j-i)%2 == 1 {
+			out = append(out, fs[i])
+		}
+		i = j
+	}
+	return out
 }
 
 // clKey names one subcluster: center w's, by slotKey.
@@ -163,9 +202,112 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 		pending:    make(map[[2]graph.NodeID]int),
 		codes:      make(map[graph.NodeID]codes),
 		clusters:   make(map[graph.NodeID]map[uint32][]graph.NodeID),
+		wrows:      make(map[wKey]*wRow),
 		touchedW:   make(map[wKey]struct{}),
 		rows:       make(map[wKey][]graph.NodeID),
 	}
+}
+
+// finish ends the batch: it writes the W rows the batch changed and, if
+// any edge applied, publishes. A row that cannot be written tears the
+// batch (publish then carries no structure derived from several trees).
+func (w *snapWriter) finish() error {
+	err := w.writeWRows()
+	w.torn = w.torn || err != nil
+	if w.changed {
+		w.publish(w.cur)
+	}
+	return err
+}
+
+// gatherCurRows fills curRows, once per batch.
+func (w *snapWriter) gatherCurRows() {
+	if w.curRows != nil {
+		return
+	}
+	w.curRows = make(map[wKey][]graph.NodeID)
+	w.cur.pmu.Lock()
+	for pk, t := range w.cur.ptabs {
+		w.curRows[wKey{pk.x, pk.y}] = t.ws
+	}
+	w.cur.pmu.Unlock()
+}
+
+// wRowOf returns the batch's copy of W(k.x, k.y), made on first touch:
+// cloned from one of cur's partner tables when one holds the row, else
+// read from the W-table and the heap.
+func (w *snapWriter) wRowOf(k wKey) (*wRow, error) {
+	if r, ok := w.wrows[k]; ok {
+		return r, nil
+	}
+	v, had, err := w.wtable.Get(wtableKey(k.x, k.y))
+	if err != nil {
+		return nil, err
+	}
+	r := &wRow{rid: v, had: had}
+	w.gatherCurRows()
+	if ws, ok := w.curRows[k]; ok {
+		r.ws = append(make([]graph.NodeID, 0, len(ws)+wRowRoom), ws...)
+	} else if had {
+		if w.recBuf, err = w.db.heap.ReadTo(w.recBuf, storage.DecodeRID(v)); err != nil {
+			return nil, err
+		}
+		r.ws = decodeNodeListRoom(w.recBuf, wRowRoom)
+	}
+	w.wrows[k] = r
+	return r, nil
+}
+
+// wRowRoom is the room a batch's copy of a W row leaves for centers to
+// join it without a reallocation.
+const wRowRoom = 4
+
+// writeWRows writes each W row the batch changed once, in key order: a
+// new heap record under an upsert of its key, or the key's deletion when
+// the row emptied. The record the row replaces is superseded.
+func (w *snapWriter) writeWRows() error {
+	keys := make([]wKey, 0, len(w.touchedW))
+	for k := range w.touchedW {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareWKeys)
+	for _, k := range keys {
+		r := w.wrows[k]
+		key := wtableKey(k.x, k.y)
+		if len(r.ws) == 0 {
+			if r.had {
+				nt, _, err := w.wtable.DeleteCow(w.cow, key)
+				if err != nil {
+					return err
+				}
+				w.wtable = nt
+			}
+		} else {
+			w.recBuf = appendNodeList(w.recBuf[:0], r.ws)
+			nrid, err := w.db.heap.Insert(w.recBuf)
+			if err != nil {
+				return err
+			}
+			nt, err := w.wtable.InsertCow(w.cow, key, nrid.Encode())
+			if err != nil {
+				return err
+			}
+			w.wtable = nt
+		}
+		if err := w.supersede(r.rid, r.had); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// supersede marks the heap record at the encoded RID v dead, when had:
+// the batch has just replaced or deleted the tree entry holding v.
+func (w *snapWriter) supersede(v uint64, had bool) error {
+	if !had {
+		return nil
+	}
+	return w.cow.Supersede(w.db.heap, storage.DecodeRID(v))
 }
 
 // publish seals the heap (so no later batch appends to pages this snapshot
@@ -207,6 +349,7 @@ func (w *snapWriter) publish(cur *Snap) {
 		next.projTo = make(map[wKey]*RankSet)
 	} else {
 		touched := w.touchedByLabel()
+		w.gatherCurRows()
 		// Projections first: a filtered partner table is carried only
 		// with the very sets it was filtered by.
 		w.inheritProjections(cur, next, touched)
@@ -217,16 +360,22 @@ func (w *snapWriter) publish(cur *Snap) {
 	if db.insertPublishHook != nil {
 		db.insertPublishHook()
 	}
-	db.mgr.Publish(next, w.cow.Freed())
+	db.mgr.PublishSpans(next, db.superseded(next.epoch, w.cow))
 	db.graphDirty = true
 	db.bulkBuilt = false
 }
 
-// row returns next's W(X, Y) row, read once per publish: the projections
-// of both sides and the partner tables of both directions ask for it. A
-// row the batch left alone is the one a carried partner table of cur
-// already holds (inheritPartners records those first).
+// row returns next's W(X, Y) row, decoded at most once per batch: the
+// projections of both sides and the partner tables of both directions ask
+// for it. A row the batch touched is its own copy, and a row it left alone
+// the one a partner table of cur holds, if any.
 func (w *snapWriter) row(next *Snap, k wKey) ([]graph.NodeID, error) {
+	if r, ok := w.wrows[k]; ok {
+		return r.ws[:len(r.ws):len(r.ws)], nil
+	}
+	if ws, ok := w.curRows[k]; ok {
+		return ws, nil
+	}
 	if ws, ok := w.rows[k]; ok {
 		return ws, nil
 	}
@@ -295,7 +444,7 @@ func (w *snapWriter) inheritPartners(cur, next *Snap, touched map[graph.Label][]
 	cur.pmu.Unlock()
 	for _, t := range tabs {
 		if k := (wKey{t.key.x, t.key.y}); !w.rowMoved(k) {
-			w.rows[k] = t.ws
+			w.rows[k] = t.ws // a table a reader added since the batch began
 		}
 	}
 	next.ptabs = make(map[partnerKey]*partnerTable, len(tabs))
@@ -452,27 +601,16 @@ func (w *snapWriter) patchProjection(cur, next *Snap, k wKey, set *RankSet, forw
 	}
 	if w.rowMoved(k) {
 		cands = slices.Clone(cands)
-		ws0, err := cur.Centers(k.x, k.y)
-		if err != nil {
-			return nil, false, err
-		}
 		// A center that left the row takes its old members' support with
 		// it; one that entered brings its new members. Members that differ
 		// between the two epochs' subclusters are touched nodes already.
-		membersOfMoved := func(s *Snap, row, other []graph.NodeID) {
-			j := 0
-			for _, c := range row {
-				for j < len(other) && other[j] < c {
-					j++
-				}
-				if j < len(other) && other[j] == c {
-					continue // c is in both rows
-				}
-				cands = append(cands, s.subcluster(c, dir, side)...)
+		for _, c := range w.wrows[k].moved() {
+			s := cur
+			if _, in := slices.BinarySearch(ws, c); in {
+				s = next
 			}
+			cands = append(cands, s.subcluster(c, dir, side)...)
 		}
-		membersOfMoved(cur, ws0, ws)
-		membersOfMoved(next, ws, ws0)
 		slices.Sort(cands)
 		cands = slices.Compact(cands)
 	}
@@ -570,9 +708,9 @@ func (w *snapWriter) applyDeltas(deltas []reach.LabelDelta) (centerChangeStats, 
 
 // applyBaseDeltas rewrites the base-table record of every node whose
 // stored code gained or lost a center: read-modify-write through the heap
-// (the old record is orphaned; the heap is append-only) and a
-// copy-on-write upsert of the primary index entry. A record whose codes
-// empty is kept — the node still exists and its row anchors reattachment.
+// (the old record is superseded) and a copy-on-write upsert of the primary
+// index entry. A record whose codes empty is kept — the node still exists
+// and its row anchors reattachment.
 func (w *snapWriter) applyBaseDeltas(deltas []reach.LabelDelta) error {
 	byNode := make(map[graph.NodeID][]reach.LabelDelta)
 	order := make([]graph.NodeID, 0, len(deltas))
@@ -584,7 +722,11 @@ func (w *snapWriter) applyBaseDeltas(deltas []reach.LabelDelta) error {
 	}
 	slices.Sort(order)
 	for _, x := range order {
-		rec, err := w.db.codeRecord(w.base, w.g, x)
+		rid, err := w.db.codeRID(w.base, w.g, x)
+		if err != nil {
+			return err
+		}
+		rec, err := w.db.heap.Read(rid)
 		if err != nil {
 			return err
 		}
@@ -612,6 +754,9 @@ func (w *snapWriter) applyBaseDeltas(deltas []reach.LabelDelta) error {
 		}
 		w.base[l] = nt
 		w.codes[x] = codes{in, out}
+		if err := w.supersede(rid.Encode(), true); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -42,11 +42,22 @@ func manifestPath(path string) string { return path + ".manifest" }
 // set, and by Sync after edge inserts. Re-persisting an unchanged database
 // is byte-stable: the graph records written last time are reused (their
 // RIDs are cached on the DB), so Persist→Open→Persist leaves both the page
-// file and the manifest identical.
+// file and the manifest identical. Once the new manifest is in place, the
+// pages only the old one reached — those it reached that publishes
+// superseded since, and the replaced graph records — are handed to the
+// epoch manager for recycling.
 func (db *DB) Persist(path string) error {
 	s := db.mgr.Current() // stable: Build/Open call sites and Sync hold writeMu
 	g := s.g
+	replaced := storage.NewCow(db.pool)
 	if !db.graphPersisted || db.graphDirty {
+		if db.graphPersisted {
+			for _, rid := range []uint64{db.nodesRID, db.edgesRID} {
+				if err := replaced.Supersede(db.heap, storage.DecodeRID(rid)); err != nil {
+					return err
+				}
+			}
+		}
 		// Node labels record.
 		nodeRec := make([]byte, 4+4*g.NumNodes())
 		binary.LittleEndian.PutUint32(nodeRec, uint32(g.NumNodes()))
@@ -111,6 +122,12 @@ func (db *DB) Persist(path string) error {
 		return err
 	}
 	db.path = path
+	db.persisted = s.epoch
+	for _, id := range replaced.Freed() {
+		delete(db.born, id)
+	}
+	db.mgr.Defer(append(db.undurable, replaced.Freed()...))
+	db.undurable = nil
 	return nil
 }
 

@@ -81,23 +81,60 @@ type Graph struct {
 
 	nodeLabel []Label // nodeLabel[v] = φ(v)
 
-	// CSR forward adjacency.
-	fwdHead []int32  // len NumNodes+1
-	fwdAdj  []NodeID // successors, grouped by source
-
-	// CSR reverse adjacency.
-	revHead []int32
-	revAdj  []NodeID
+	// Forward (successor) and reverse (predecessor) adjacency, one CSR
+	// chunk per adjChunkSize node IDs, so a successor graph copies only
+	// the chunks holding an endpoint (see WithEdges).
+	fwd, rev []*adjChunk
+	numEdges int
 
 	// extent[l] lists the nodes with label l, sorted ascending: ext(X).
 	extent [][]NodeID
+}
+
+// adjChunkBits sets the adjacency chunk size, as the database's decoded
+// index chunks node IDs.
+const (
+	adjChunkBits = 8
+	adjChunkSize = 1 << adjChunkBits
+	adjChunkMask = adjChunkSize - 1
+)
+
+// adjChunk is the CSR adjacency of up to adjChunkSize consecutive node
+// IDs: the node at index i has the ascending list adj[head[i]:head[i+1]].
+type adjChunk struct {
+	head []int32
+	adj  []NodeID
+}
+
+// list returns the adjacency list of the node at index i.
+func (c *adjChunk) list(i NodeID) []NodeID {
+	lo, hi := c.head[i], c.head[i+1]
+	return c.adj[lo:hi:hi]
+}
+
+// chunkCSR splits a whole-graph CSR (head, adj) into chunks. Each chunk's
+// adjacency is a slice of adj; its heads are rebased to it.
+func chunkCSR(head []int32, adj []NodeID) []*adjChunk {
+	n := len(head) - 1
+	chunks := make([]*adjChunk, (n+adjChunkSize-1)/adjChunkSize)
+	heads := make([]int32, n+len(chunks))
+	for ci := range chunks {
+		lo, hi := ci*adjChunkSize, min((ci+1)*adjChunkSize, n)
+		h := heads[: hi-lo+1 : hi-lo+1]
+		heads = heads[hi-lo+1:]
+		for i := range h {
+			h[i] = head[lo+i] - head[lo]
+		}
+		chunks[ci] = &adjChunk{head: h, adj: adj[head[lo]:head[hi]:head[hi]]}
+	}
+	return chunks
 }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.nodeLabel) }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int { return len(g.fwdAdj) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Labels returns the graph's label table.
 func (g *Graph) Labels() *LabelTable { return g.labels }
@@ -111,20 +148,20 @@ func (g *Graph) LabelNameOf(v NodeID) string { return g.labels.Name(g.nodeLabel[
 // Successors returns the out-neighbours of v. The returned slice aliases the
 // graph's internal storage and must not be modified.
 func (g *Graph) Successors(v NodeID) []NodeID {
-	return g.fwdAdj[g.fwdHead[v]:g.fwdHead[v+1]]
+	return g.fwd[v>>adjChunkBits].list(v & adjChunkMask)
 }
 
 // Predecessors returns the in-neighbours of v. The returned slice aliases
 // the graph's internal storage and must not be modified.
 func (g *Graph) Predecessors(v NodeID) []NodeID {
-	return g.revAdj[g.revHead[v]:g.revHead[v+1]]
+	return g.rev[v>>adjChunkBits].list(v & adjChunkMask)
 }
 
 // OutDegree returns the number of successors of v.
-func (g *Graph) OutDegree(v NodeID) int { return int(g.fwdHead[v+1] - g.fwdHead[v]) }
+func (g *Graph) OutDegree(v NodeID) int { return len(g.Successors(v)) }
 
 // InDegree returns the number of predecessors of v.
-func (g *Graph) InDegree(v NodeID) int { return int(g.revHead[v+1] - g.revHead[v]) }
+func (g *Graph) InDegree(v NodeID) int { return len(g.Predecessors(v)) }
 
 // Extent returns ext(X): all nodes labeled l, sorted ascending. The returned
 // slice aliases internal storage and must not be modified. It is nil when no
@@ -197,9 +234,10 @@ func (b *Builder) Build() *Graph {
 	g := &Graph{
 		labels:    &b.labels,
 		nodeLabel: b.nodeLabel,
+		numEdges:  len(srcs),
 	}
-	g.fwdHead, g.fwdAdj = buildCSR(n, srcs, dsts)
-	g.revHead, g.revAdj = buildCSR(n, dsts, srcs)
+	g.fwd = chunkCSR(buildCSR(n, srcs, dsts))
+	g.rev = chunkCSR(buildCSR(n, dsts, srcs))
 
 	g.extent = make([][]NodeID, b.labels.Len())
 	counts := make([]int, b.labels.Len())

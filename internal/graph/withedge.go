@@ -7,19 +7,21 @@ import (
 
 // WithEdges returns a new Graph equal to g plus the edges u→v listed. The
 // receiver is never mutated: label table, node labels, and extents are
-// shared (they are unaffected by an edge insert), while both CSR adjacency
-// arrays are copied once, with every new endpoint spliced in at its sorted
-// position. Readers holding the old Graph keep a consistent snapshot,
-// which is what the database's copy-on-write write path relies on: it
-// builds one successor per batch.
+// shared (they are unaffected by an edge insert), and so is every
+// adjacency chunk holding no endpoint; the successor copies the two chunk
+// directories and, once each, the chunks that do, with every new endpoint
+// spliced in at its sorted position. Readers holding the old Graph keep a
+// consistent snapshot, which is what the database's copy-on-write write
+// path relies on: it builds one successor per batch.
 //
 // Edges are a multiset: an edge that already exists, or is listed twice,
 // gains a parallel copy; callers that need set semantics must check
 // beforehand.
 func (g *Graph) WithEdges(edges [][2]NodeID) *Graph {
 	ng := g.successor(edges)
-	ng.fwdHead, ng.fwdAdj = spliceAdj(g.fwdHead, g.fwdAdj, sortedPairs(edges, false), true)
-	ng.revHead, ng.revAdj = spliceAdj(g.revHead, g.revAdj, sortedPairs(edges, true), true)
+	ng.numEdges = g.numEdges + len(edges)
+	ng.fwd = spliceChunks(g.fwd, sortedPairs(edges, false), true)
+	ng.rev = spliceChunks(g.rev, sortedPairs(edges, true), true)
 	return ng
 }
 
@@ -55,6 +57,30 @@ func sortedPairs(edges [][2]NodeID, reversed bool) [][2]NodeID {
 		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	return ps
+}
+
+// spliceChunks returns a copy of the chunk directory with each chunk that
+// holds the source of one of the ascending (src, dst) pairs replaced by a
+// copy spliced by spliceAdj; the other chunks are shared.
+func spliceChunks(chunks []*adjChunk, pairs [][2]NodeID, insert bool) []*adjChunk {
+	out := slices.Clone(chunks)
+	for len(pairs) > 0 {
+		ci := pairs[0][0] >> adjChunkBits
+		lo := ci << adjChunkBits
+		n := 1
+		for n < len(pairs) && pairs[n][0]>>adjChunkBits == ci {
+			n++
+		}
+		local := make([][2]NodeID, n)
+		for i, p := range pairs[:n] {
+			local[i] = [2]NodeID{p[0] - lo, p[1]}
+		}
+		c := chunks[ci]
+		head, adj := spliceAdj(c.head, c.adj, local, insert)
+		out[ci] = &adjChunk{head: head, adj: adj}
+		pairs = pairs[n:]
+	}
+	return out
 }
 
 // spliceAdj copies a CSR (head, adj) pair in one pass, with each of the

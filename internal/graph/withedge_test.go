@@ -179,3 +179,84 @@ func TestWithEdgesBatchEqualsOneAtATime(t *testing.T) {
 		g = grown.WithoutEdges(drop)
 	}
 }
+
+// TestChunkedSpliceMatchesBuilder is the property the chunked adjacency
+// must keep: a chain of WithEdges/WithoutEdges batches over random edge
+// multisets — parallel copies, self-loops, endpoints on both sides of a
+// chunk boundary and in the last, partial chunk — reads exactly like a
+// fresh Builder build of the same multiset, list for list and degree for
+// degree, and shares every chunk the batch did not touch.
+func TestChunkedSpliceMatchesBuilder(t *testing.T) {
+	const n = 3*adjChunkSize + 17
+	rng := rand.New(rand.NewSource(41))
+	node := func() NodeID {
+		if rng.Intn(3) == 0 { // near a chunk boundary
+			b := NodeID(adjChunkSize * (1 + rng.Intn(3)))
+			return b - 2 + NodeID(rng.Intn(4))
+		}
+		return NodeID(rng.Intn(n))
+	}
+	var edges [][2]NodeID
+	b := NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNodeLabel(b.Intern(string(rune('A' + i%3))))
+	}
+	for i := 0; i < 2*n; i++ {
+		e := [2]NodeID{node(), node()}
+		edges = append(edges, e)
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build()
+	for step := 0; step < 60; step++ {
+		batch := make([][2]NodeID, 1+rng.Intn(6))
+		insert := rng.Intn(2) == 0 || len(edges) < len(batch)
+		for i := range batch {
+			if insert {
+				batch[i] = [2]NodeID{node(), node()}
+				if rng.Intn(4) == 0 && len(edges) > 0 { // a parallel copy
+					batch[i] = edges[rng.Intn(len(edges))]
+				}
+				edges = append(edges, batch[i])
+				continue
+			}
+			j := rng.Intn(len(edges))
+			batch[i] = edges[j]
+			edges = append(edges[:j], edges[j+1:]...)
+		}
+		var ng *Graph
+		if insert {
+			ng = g.WithEdges(batch)
+		} else {
+			ng = g.WithoutEdges(batch)
+		}
+		rb := NewBuilder()
+		for i := 0; i < n; i++ {
+			rb.AddNodeLabel(rb.Intern(string(rune('A' + i%3))))
+		}
+		for _, e := range edges {
+			rb.AddEdge(e[0], e[1])
+		}
+		want := rb.Build()
+		if ng.NumEdges() != want.NumEdges() {
+			t.Fatalf("step %d: %d edges, rebuild has %d", step, ng.NumEdges(), want.NumEdges())
+		}
+		for v := NodeID(0); v < n; v++ {
+			if !equalNodeIDs(ng.Successors(v), want.Successors(v)) || ng.OutDegree(v) != want.OutDegree(v) {
+				t.Fatalf("step %d: Successors(%d) = %v, rebuild %v", step, v, ng.Successors(v), want.Successors(v))
+			}
+			if !equalNodeIDs(ng.Predecessors(v), want.Predecessors(v)) || ng.InDegree(v) != want.InDegree(v) {
+				t.Fatalf("step %d: Predecessors(%d) = %v, rebuild %v", step, v, ng.Predecessors(v), want.Predecessors(v))
+			}
+		}
+		touched := make(map[NodeID]bool)
+		for _, e := range batch {
+			touched[e[0]>>adjChunkBits] = true
+		}
+		for ci := range g.fwd {
+			if shared := ng.fwd[ci] == g.fwd[ci]; shared == touched[NodeID(ci)] {
+				t.Fatalf("step %d: forward chunk %d shared=%v, touched=%v", step, ci, shared, touched[NodeID(ci)])
+			}
+		}
+		g = ng
+	}
+}

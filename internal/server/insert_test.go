@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"fastmatch/internal/gdb"
 	"fastmatch/internal/graph"
 	"fastmatch/internal/pattern"
+	"fastmatch/internal/xmark"
 )
 
 // insertTestGraph is a tiny two-layer graph with deliberately missing
@@ -273,4 +275,76 @@ func TestConcurrentInsertAndQueryPrefixConsistency(t *testing.T) {
 		t.Fatalf("final result is not the full-sequence result:\n got %s\nwant %s", got, prefixes[len(inserts)])
 	}
 	checkQuiesced(t, db)
+}
+
+// TestStatsPageStoreStaysFlat: insert/delete round trips over HTTP leave
+// the graph as they found it, and /stats shows the page store recycling
+// what they supersede: pages_recycled grows, free_pages is reported, and
+// page_file_bytes stays within twice its starting value. (Inline records
+// left live on a partly dead slotted page still grow the store by a few
+// pages a round trip, which is why the graph is not smaller.)
+func TestStatsPageStoreStaysFlat(t *testing.T) {
+	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 4}).Graph
+	db, err := gdb.Build(g, gdb.Options{PoolBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ts := httptest.NewServer(New(db, Config{}).Handler())
+	defer ts.Close()
+
+	type pageStats struct {
+		PageFileBytes *int   `json:"page_file_bytes"`
+		FreePages     *int   `json:"free_pages"`
+		PagesRecycled *int64 `json:"pages_recycled"`
+	}
+	stats := func() pageStats {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st pageStats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.PageFileBytes == nil || st.FreePages == nil || st.PagesRecycled == nil {
+			t.Fatalf("/stats lacks page_file_bytes, free_pages or pages_recycled: %+v", st)
+		}
+		return st
+	}
+	post := func(route string, edges [][2]graph.NodeID) {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"edges": edges})
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %v: status %d", route, edges, resp.StatusCode)
+		}
+	}
+
+	before := stats()
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 30; i++ {
+		var batch [][2]graph.NodeID
+		for len(batch) < 4 {
+			u, v := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
+			if u != v && !slices.Contains(g.Successors(u), v) && !slices.Contains(batch, [2]graph.NodeID{u, v}) {
+				batch = append(batch, [2]graph.NodeID{u, v})
+			}
+		}
+		post("/insert", batch)
+		post("/delete", batch)
+	}
+	after := stats()
+	if *after.PagesRecycled <= *before.PagesRecycled {
+		t.Fatalf("pages_recycled %d -> %d over 30 round trips: want growth", *before.PagesRecycled, *after.PagesRecycled)
+	}
+	if *after.PageFileBytes > 2**before.PageFileBytes {
+		t.Fatalf("page_file_bytes %d -> %d over 30 round trips: want at most 2x", *before.PageFileBytes, *after.PageFileBytes)
+	}
 }

@@ -280,6 +280,16 @@ type Stats struct {
 	// (entry 0: under 1 µs), cut after the last non-zero entry.
 	PublishCopiedBytes int64   `json:"publish_copied_bytes"`
 	PublishInheritUS   []int64 `json:"publish_inherit_us"`
+	// PageFileBytes is the page store's size (every allocated page),
+	// FreePages the pages on the buffer pool's free list waiting for reuse
+	// and PagesRecycled how many pages have been returned to that list
+	// since startup: pages a write batch superseded, once no epoch (and,
+	// file-backed, no synced manifest) can reach them, and pages queries
+	// spilled to. Insert/delete round trips recycle what they supersede, so
+	// PageFileBytes stays near its built size.
+	PageFileBytes int   `json:"page_file_bytes"`
+	FreePages     int   `json:"free_pages"`
+	PagesRecycled int64 `json:"pages_recycled"`
 	// P50ms and P99ms are approximate latency quantiles in milliseconds
 	// (histogram-bucketed; 0 when no queries completed). Like every latency
 	// here and a response's elapsed_ms they stop when the query's result is
@@ -355,6 +365,8 @@ func (s *Server) Stats() Stats {
 			n--
 		}
 		st.PublishInheritUS = hist[:n:n]
+		st.PageFileBytes = s.db.SizeBytes()
+		st.FreePages, st.PagesRecycled = s.db.PageStats()
 		es := s.db.EpochStats()
 		st.CurrentEpoch = es.Current
 		st.PinnedEpochs = es.Pinned

@@ -372,28 +372,31 @@ func (t *BTree) splitInternal(f *Frame, sp *splitResult, alloc func() (*Frame, P
 
 // compactKeep rewrites page p keeping only its first keep cells.
 func compactKeep(p []byte, keep int, kind byte) {
-	type kv struct {
-		key  []byte
-		tail []byte
+	rewriteCells(p, kind, func(j int) bool { return j < keep })
+}
+
+// rewriteCells rewrites page p with the cells keep accepts, in order, from
+// a copy of the page, reclaiming the slot and cell space of the others.
+func rewriteCells(p []byte, kind byte, keep func(j int) bool) {
+	tl := 4
+	if kind == btKindLeaf {
+		tl = 8
 	}
-	cells := make([]kv, keep)
-	for i := 0; i < keep; i++ {
-		k := append([]byte(nil), cellKey(p, i)...)
-		var tail []byte
-		if kind == btKindLeaf {
-			tail = make([]byte, 8)
-			binary.LittleEndian.PutUint64(tail, leafValue(p, i))
-		} else {
-			tail = make([]byte, 4)
-			binary.LittleEndian.PutUint32(tail, uint32(childAt(p, i)))
-		}
-		cells[i] = kv{k, tail}
-	}
+	var buf [PageSize]byte
+	old := buf[:]
+	copy(old, p)
 	next := link(p)
 	initNode(p, kind)
 	setLink(p, next)
-	for i, c := range cells {
-		insertCell(p, i, c.key, c.tail)
+	k := 0
+	for j := 0; j < nKeys(old); j++ {
+		if !keep(j) {
+			continue
+		}
+		key := cellKey(old, j)
+		end := slotOff(old, j) + 2 + len(key)
+		insertCell(p, k, key, old[end:end+tl])
+		k++
 	}
 }
 

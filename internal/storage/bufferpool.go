@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,11 +37,48 @@ func (s IOStats) String() string {
 
 // Frame is a buffer pool slot.
 type Frame struct {
-	id    PageID
-	data  [PageSize]byte
-	pins  int
-	dirty bool
-	lru   *list.Element // position in the shard's unpinned-LRU, nil while pinned
+	// prev and next link the frame into its shard's unpinned LRU while
+	// inLRU: the list allocates nothing per unpin. They come first so the
+	// garbage collector scans a frame's pointers without walking its data.
+	prev, next *Frame
+	inLRU      bool
+	dirty      bool
+	id         PageID
+	pins       int
+	data       [PageSize]byte
+}
+
+// frameList is a shard's LRU of unpinned frames, threaded through the
+// frames themselves: front is the most recently unpinned.
+type frameList struct {
+	front, back *Frame
+	n           int
+}
+
+func (l *frameList) pushFront(f *Frame) {
+	f.prev, f.next, f.inLRU = nil, l.front, true
+	if l.front != nil {
+		l.front.prev = f
+	} else {
+		l.back = f
+	}
+	l.front = f
+	l.n++
+}
+
+func (l *frameList) remove(f *Frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.front = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.back = f.prev
+	}
+	f.prev, f.next, f.inLRU = nil, nil, false
+	l.n--
 }
 
 // poolShard is one independently locked partition of the pool. Pages map to
@@ -50,8 +86,12 @@ type Frame struct {
 type poolShard struct {
 	mu     sync.Mutex
 	frames map[PageID]*Frame
-	lru    *list.List // of *Frame, front = most recently unpinned
+	lru    frameList
 	cap    int
+	// spare holds the frames of pages FreePage released, for victim to
+	// hand out before it allocates a new one: len(frames)+len(spare)
+	// never exceeds cap.
+	spare []*Frame
 }
 
 const (
@@ -83,9 +123,11 @@ type BufferPool struct {
 	statMisses atomic.Int64
 
 	// freeIDs holds page IDs released by FreePage for reuse by NewPage, so
-	// per-query scratch allocations do not grow the page file forever.
-	freeMu  sync.Mutex
-	freeIDs []PageID
+	// per-query scratch allocations and the pages a write batch superseded
+	// do not grow the page file forever; recycled counts FreePage calls.
+	freeMu   sync.Mutex
+	freeIDs  []PageID
+	recycled atomic.Int64
 }
 
 // DefaultPoolBytes is 1 MB — the buffer size the paper uses in Section 6.
@@ -117,7 +159,7 @@ func newShards(n int) []*poolShard {
 	shards := make([]*poolShard, shardCount(n))
 	base, rem := n/len(shards), n%len(shards)
 	for i := range shards {
-		shards[i] = &poolShard{frames: make(map[PageID]*Frame), lru: list.New(), cap: base}
+		shards[i] = &poolShard{frames: make(map[PageID]*Frame), cap: base}
 		if i < rem {
 			shards[i].cap++
 		}
@@ -233,9 +275,7 @@ func (bp *BufferPool) NewPage() (*Frame, PageID, error) {
 		}
 		return nil, InvalidPage, err
 	}
-	for i := range f.data {
-		f.data[i] = 0
-	}
+	clear(f.data[:])
 	f.id = id
 	f.pins = 1
 	f.dirty = true
@@ -244,8 +284,10 @@ func (bp *BufferPool) NewPage() (*Frame, PageID, error) {
 }
 
 // FreePage returns an unpinned page to the pool's free list for reuse by a
-// later NewPage. A resident frame is dropped without flushing (the content
-// is dead). Freeing a pinned page is an error.
+// later NewPage. A resident frame is detached without flushing (the content
+// is dead) and kept as its shard's spare, so the NewPage that recycles the
+// ID (the same shard) allocates no frame. Freeing a pinned page is an
+// error.
 func (bp *BufferPool) FreePage(id PageID) error {
 	s := bp.lockShard(id)
 	if f, ok := s.frames[id]; ok {
@@ -253,16 +295,30 @@ func (bp *BufferPool) FreePage(id PageID) error {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: FreePage of pinned page %d", id)
 		}
-		s.lru.Remove(f.lru)
-		f.lru = nil
+		s.lru.remove(f)
+		f.dirty = false
 		delete(s.frames, id)
+		s.spare = append(s.spare, f)
 	}
 	s.mu.Unlock()
 	bp.freeMu.Lock()
 	bp.freeIDs = append(bp.freeIDs, id)
 	bp.freeMu.Unlock()
+	bp.recycled.Add(1)
 	return nil
 }
+
+// FreePages returns the number of page IDs on the free list, waiting for a
+// NewPage to reuse them.
+func (bp *BufferPool) FreePages() int {
+	bp.freeMu.Lock()
+	defer bp.freeMu.Unlock()
+	return len(bp.freeIDs)
+}
+
+// Recycled returns how many pages FreePage has returned to the free list
+// since the pool was created.
+func (bp *BufferPool) Recycled() int64 { return bp.recycled.Load() }
 
 // Unpin releases one pin on f, marking it dirty if the caller modified it.
 func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
@@ -276,8 +332,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		s.lru.PushFront(f)
-		f.lru = s.lru.Front()
+		s.lru.pushFront(f)
 	}
 }
 
@@ -289,27 +344,29 @@ func (f *Frame) ID() PageID { return f.id }
 
 // pin re-pins a resident Frame. Caller holds the shard lock.
 func (s *poolShard) pin(f *Frame) {
-	if f.pins == 0 && f.lru != nil {
-		s.lru.Remove(f.lru)
-		f.lru = nil
+	if f.pins == 0 && f.inLRU {
+		s.lru.remove(f)
 	}
 	f.pins++
 }
 
-// victim returns an unpinned Frame to reuse, evicting the shard's LRU page
-// (and flushing it if dirty), or a brand-new Frame while under capacity.
-// Caller holds the shard lock.
+// victim returns an unpinned Frame to reuse: while under capacity a spare
+// (a freed page's) or a brand-new one, else the shard's LRU page, evicted
+// and flushed if dirty. Caller holds the shard lock.
 func (s *poolShard) victim(bp *BufferPool) (*Frame, error) {
 	if len(s.frames) < s.cap {
+		if n := len(s.spare); n > 0 {
+			f := s.spare[n-1]
+			s.spare = s.spare[:n-1]
+			return f, nil
+		}
 		return &Frame{}, nil
 	}
-	el := s.lru.Back()
-	if el == nil {
+	f := s.lru.back
+	if f == nil {
 		return nil, fmt.Errorf("%w (%d frames all pinned)", ErrPoolExhausted, len(s.frames))
 	}
-	f := el.Value.(*Frame)
-	s.lru.Remove(el)
-	f.lru = nil
+	s.lru.remove(f)
 	delete(s.frames, f.id)
 	if err := bp.flush(f); err != nil {
 		return nil, err
@@ -375,19 +432,18 @@ func (bp *BufferPool) Resize(poolBytes int) error {
 	for _, ns := range next {
 		room[ns] = ns.cap - len(ns.frames)
 	}
-	cursors := make([]*list.Element, len(old))
+	cursors := make([]*Frame, len(old))
 	for i, s := range old {
-		cursors[i] = s.lru.Front()
+		cursors[i] = s.lru.front
 	}
 	for more := true; more; {
 		more = false
-		for i, el := range cursors {
-			if el == nil {
+		for i, f := range cursors {
+			if f == nil {
 				continue
 			}
 			more = true
-			cursors[i] = el.Next()
-			f := el.Value.(*Frame)
+			cursors[i] = f.next
 			if ns := home(f.id); room[ns] > 0 {
 				room[ns]--
 				keep = append(keep, f)
@@ -404,13 +460,13 @@ func (bp *BufferPool) Resize(poolBytes int) error {
 		}
 	}
 	for _, f := range evict {
-		f.lru = nil
+		f.prev, f.next, f.inLRU = nil, nil, false
 	}
-	for i := len(keep) - 1; i >= 0; i-- { // least recent first, so PushFront restores the order
+	for i := len(keep) - 1; i >= 0; i-- { // least recent first, so pushFront restores the order
 		f := keep[i]
 		ns := home(f.id)
 		ns.frames[f.id] = f
-		f.lru = ns.lru.PushFront(f)
+		ns.lru.pushFront(f)
 	}
 	bp.shards.Store(&next)
 	bp.nframes.Store(int64(n))
@@ -439,7 +495,7 @@ func (bp *BufferPool) lruLen() int {
 	n := 0
 	for _, s := range *bp.shards.Load() {
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += s.lru.n
 		s.mu.Unlock()
 	}
 	return n

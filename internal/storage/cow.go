@@ -9,9 +9,10 @@ import (
 // buffer pool. Pages the batch allocates are "fresh": invisible to any
 // published snapshot, so later inserts of the same batch mutate them in
 // place instead of copying again. Pages the batch supersedes (copied from
-// a published tree version) are recorded in Freed; the caller hands them
-// to the epoch manager, which returns them to the pool's free list once no
-// snapshot can reference them.
+// a published tree version, or heap pages left holding no live record,
+// see Supersede) are recorded in Freed; the caller hands
+// them to the epoch manager, which returns them to the pool's free list
+// once no snapshot can reference them.
 //
 // A Cow is single-writer state: it must not be shared between goroutines.
 type Cow struct {
@@ -25,10 +26,30 @@ func NewCow(bp *BufferPool) *Cow {
 	return &Cow{bp: bp, fresh: make(map[PageID]struct{})}
 }
 
+// Allocated returns the pages this batch allocated for its trees, in no
+// particular order.
+func (c *Cow) Allocated() []PageID {
+	ids := make([]PageID, 0, len(c.fresh))
+	for id := range c.fresh {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // Freed returns the pages this batch superseded, in supersession order.
 // They are still referenced by the pre-batch tree versions; free them only
 // once every snapshot holding those versions has retired.
 func (c *Cow) Freed() []PageID { return c.freed }
+
+// Supersede marks the record at rid in h dead — the caller has just
+// replaced or deleted the tree entry that pointed at it — and records the
+// pages that left holding nothing live as superseded (see
+// HeapFile.Supersede).
+func (c *Cow) Supersede(h *HeapFile, rid RID) error {
+	ids, err := h.Supersede(rid)
+	c.freed = append(c.freed, ids...)
+	return err
+}
 
 // newPage allocates a page owned (and therefore mutable in place) by this
 // batch.

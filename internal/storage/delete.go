@@ -1,7 +1,5 @@
 package storage
 
-import "encoding/binary"
-
 // DeleteCow removes key from the tree without modifying any page a
 // published snapshot can see: the root-to-leaf path is copied exactly as
 // in InsertCow, the leaf cell is dropped with a full page compaction (slot
@@ -76,31 +74,5 @@ func (t *BTree) cowDeleteAt(c *Cow, id PageID, key []byte) (PageID, error) {
 // removeCell rewrites page p without cell i (compare compactKeep, which
 // keeps a prefix); both the slot entry and the cell bytes are reclaimed.
 func removeCell(p []byte, i int, kind byte) {
-	type kv struct {
-		key  []byte
-		tail []byte
-	}
-	n := nKeys(p)
-	cells := make([]kv, 0, n-1)
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		k := append([]byte(nil), cellKey(p, j)...)
-		var tail []byte
-		if kind == btKindLeaf {
-			tail = make([]byte, 8)
-			binary.LittleEndian.PutUint64(tail, leafValue(p, j))
-		} else {
-			tail = make([]byte, 4)
-			binary.LittleEndian.PutUint32(tail, uint32(childAt(p, j)))
-		}
-		cells = append(cells, kv{k, tail})
-	}
-	next := link(p)
-	initNode(p, kind)
-	setLink(p, next)
-	for j, cell := range cells {
-		insertCell(p, j, cell.key, cell.tail)
-	}
+	rewriteCells(p, kind, func(j int) bool { return j != i })
 }

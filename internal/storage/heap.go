@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // RID identifies a record in a HeapFile.
@@ -49,9 +50,10 @@ const (
 )
 
 // HeapFile stores variable-length records in pages of a buffer pool and
-// returns stable RIDs. Records are append-only (the graph database is built
-// once and then queried, as in the paper). Read is safe for concurrent use;
-// Insert is single-writer.
+// returns stable RIDs. Records are never rewritten in place: a writer that
+// changes one inserts a new record and marks the old one dead
+// (Supersede), which frees its pages once nothing live is left on them.
+// Read is safe for concurrent use; Insert and Supersede are single-writer.
 type HeapFile struct {
 	bp *BufferPool
 	// cur is the current slotted page being filled, InvalidPage before the
@@ -61,6 +63,12 @@ type HeapFile struct {
 	// pool's free list (scratch heaps for per-query intermediate results).
 	track bool
 	owned []PageID
+	// allocated logs the pages a non-scratch heap allocated since the last
+	// TakeAllocated.
+	allocated []PageID
+	// dead counts, per slotted page, the records on it Supersede marked
+	// dead since the heap was opened.
+	dead map[PageID]int
 }
 
 // NewHeapFile creates an empty heap file on bp.
@@ -99,13 +107,27 @@ func (h *HeapFile) Release() error {
 // written again, which is what makes lock-free readers safe.
 func (h *HeapFile) Seal() { h.cur = InvalidPage }
 
-// newPage allocates a page via the pool, recording it when tracking.
+// newPage allocates a page via the pool, recording it as owned when
+// tracking and in the allocation log otherwise.
 func (h *HeapFile) newPage() (*Frame, PageID, error) {
 	f, id, err := h.bp.NewPage()
-	if err == nil && h.track {
+	switch {
+	case err != nil:
+	case h.track:
 		h.owned = append(h.owned, id)
+	default:
+		h.allocated = append(h.allocated, id)
 	}
 	return f, id, err
+}
+
+// TakeAllocated returns the pages the heap allocated since the last call
+// and empties the log: a snapshot-publishing writer learns from it which
+// heap pages its batch made.
+func (h *HeapFile) TakeAllocated() []PageID {
+	ids := h.allocated
+	h.allocated = nil
+	return ids
 }
 
 // Insert appends rec and returns its RID.
@@ -193,10 +215,57 @@ func (h *HeapFile) insertChain(rec []byte) (RID, error) {
 	return RID{Page: head, Slot: chainSlot}, nil
 }
 
-// Read returns a copy of the record at rid.
-func (h *HeapFile) Read(rid RID) ([]byte, error) {
+// Supersede marks the record at rid dead and returns the pages that hold
+// nothing live any more: an overflow chain's pages, which the record owns,
+// or its slotted page once every record on that page is dead (the heap
+// then stops filling it). The caller frees them once no reader can reach
+// the record (the graph database hands them to its epoch manager through
+// Cow.Supersede). Each record must be superseded once, and only a record
+// nothing reads any more: a page freed twice would be handed out twice.
+// Records dead before the heap was opened are not counted, so their pages
+// merely stay allocated.
+func (h *HeapFile) Supersede(rid RID) ([]PageID, error) {
+	var ids []PageID
 	if rid.IsChain() {
-		return h.readChain(rid.Page)
+		for id := rid.Page; id != InvalidPage; {
+			f, err := h.bp.Fetch(id)
+			if err != nil {
+				return ids, err
+			}
+			next := PageID(binary.LittleEndian.Uint32(f.Data()[0:4]))
+			h.bp.Unpin(f, false)
+			ids = append(ids, id)
+			id = next
+		}
+		return ids, nil
+	}
+	f, err := h.bp.Fetch(rid.Page)
+	if err != nil {
+		return nil, err
+	}
+	nSlots := int(binary.LittleEndian.Uint16(f.Data()[0:2]))
+	h.bp.Unpin(f, false)
+	if h.dead == nil {
+		h.dead = make(map[PageID]int)
+	}
+	if h.dead[rid.Page]++; h.dead[rid.Page] < nSlots {
+		return nil, nil
+	}
+	delete(h.dead, rid.Page)
+	if h.cur == rid.Page {
+		h.cur = InvalidPage
+	}
+	return []PageID{rid.Page}, nil
+}
+
+// Read returns a copy of the record at rid.
+func (h *HeapFile) Read(rid RID) ([]byte, error) { return h.ReadTo(nil, rid) }
+
+// ReadTo is Read into dst's storage (reset to length zero), reusing its
+// capacity.
+func (h *HeapFile) ReadTo(dst []byte, rid RID) ([]byte, error) {
+	if rid.IsChain() {
+		return h.readChain(dst, rid.Page)
 	}
 	f, err := h.bp.Fetch(rid.Page)
 	if err != nil {
@@ -209,20 +278,18 @@ func (h *HeapFile) Read(rid RID) ([]byte, error) {
 		return nil, fmt.Errorf("storage: %v: slot out of range (%d slots)", rid, nSlots)
 	}
 	slotOff := heapHdr + int(rid.Slot)*slotBytes
-	off := binary.LittleEndian.Uint16(p[slotOff:])
-	length := binary.LittleEndian.Uint16(p[slotOff+2:])
-	out := make([]byte, length)
-	copy(out, p[off:int(off)+int(length)])
-	return out, nil
+	off := int(binary.LittleEndian.Uint16(p[slotOff:]))
+	length := int(binary.LittleEndian.Uint16(p[slotOff+2:]))
+	return append(slices.Grow(dst[:0], length), p[off:off+length]...), nil
 }
 
-func (h *HeapFile) readChain(head PageID) ([]byte, error) {
+func (h *HeapFile) readChain(dst []byte, head PageID) ([]byte, error) {
 	f, err := h.bp.Fetch(head)
 	if err != nil {
 		return nil, err
 	}
 	total := binary.LittleEndian.Uint32(f.Data()[4:8])
-	out := make([]byte, 0, total)
+	out := slices.Grow(dst[:0], int(total))
 	id := head
 	for id != InvalidPage {
 		if f == nil {
