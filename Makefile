@@ -90,13 +90,18 @@ test-cover:
 # and page recycling: a reader pinned across 60 batches reading identical
 # rows while the pages they supersede recycle around it, the store staying
 # flat over insert/delete pairs, and a crash after a Sync reopening the
-# synced state. The full -race suite runs them once; the elevated count
-# shakes out more interleavings.
+# synced state; and the buffer pool: readers and scratch heaps sharing one
+# pool, shrinks and regrowths under readers, the single LRU's hits and
+# shrink order, and parallel queries on a pool shrunk after the build. The
+# full -race suite runs them once; the elevated count shakes out more
+# interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
 	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections|TestPinnedReaderAcrossRecycling|TestWriteStreamReclaims|TestCrashAfterSyncOpensSyncedState' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
+	$(GO) test -race -count=3 -run 'TestBufferPoolConcurrentReaders|TestConcurrentScratchHeaps|TestResizeUnderLoad|TestPoolIsOneLRU' ./internal/storage
+	$(GO) test -race -count=3 -run TestParallelQueryAfterPoolShrink ./internal/exec
 
 # verify is the gating tier: vet plus the full suite under the race
 # detector, so concurrency regressions in the query-serving path cannot

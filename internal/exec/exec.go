@@ -197,9 +197,14 @@ func Run(ctx context.Context, db *gdb.Snap, plan *optimizer.Plan, trace bool, cf
 			t, counts, err = rt.FetchFiltered(ctx, db, t, cond, filters, true)
 			return err
 		}
-		stepStart := time.Now()
-		ioBefore := db.IOStats().Logical()
-		statsBefore := rt.Stats()
+		// The per-step counters are read only for a trace: the pool's
+		// counters sit under its lock.
+		var stepStart time.Time
+		var ioBefore int64
+		var statsBefore rjoin.RuntimeStats
+		if trace {
+			stepStart, ioBefore, statsBefore = time.Now(), db.IOStats().Logical(), rt.Stats()
+		}
 		var err error
 		switch s.Kind {
 		case optimizer.StepHPSJ:

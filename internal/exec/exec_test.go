@@ -310,11 +310,10 @@ func BenchmarkQueryDPS(b *testing.B) {
 
 // TestParallelQueryAfterPoolShrink: a database built under a large pool
 // and then shrunk to the paper's buffer-to-data ratio (what the experiment
-// runner does) must still answer parallel queries. The pool used to keep
-// its construction-time 16 shards, so 64 KB left one frame per shard and
-// two readers meeting in a shard failed the query with "buffer pool
-// exhausted" on every multi-core run. Reference mode is what reads the
-// pool per access; each plan runs as two concurrent queries.
+// runner does) must still answer parallel queries: the 16 frames of a
+// 64 KB pool are shared by both readers, so neither runs out of frames
+// while the other holds its pins. Reference mode is what reads the pool
+// per access; each plan runs as two concurrent queries.
 func TestParallelQueryAfterPoolShrink(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	d := xmark.Generate(xmark.Config{Nodes: 8000, Seed: 3})

@@ -4,9 +4,10 @@
 // validated against each pinned epoch's statistics, per-server metrics,
 // and an HTTP front-end. The paper's engine is single-threaded; the
 // storage and database layers were made safe for parallel readers (a
-// sharded buffer pool, lock-free per-epoch partner tables and graph codes),
-// so N queries execute simultaneously with no global engine mutex, each on
-// its own goroutine — this package adds the serving policy on top.
+// mutex-guarded buffer pool, lock-free per-epoch partner tables and graph
+// codes), so N queries execute simultaneously with no global engine
+// mutex, each on its own goroutine — this package adds the serving policy
+// on top.
 //
 // Reads and writes never block each other: each query pins one immutable
 // snapshot epoch (gdb.DB.Pin) for its whole plan+execute lifetime, and

@@ -3,8 +3,13 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// ErrCorrupt reports a page whose bytes do not form a valid node: a tree
+// read through a stale or damaged root. Match with errors.Is.
+var ErrCorrupt = errors.New("storage: corrupt page")
 
 // BTree is a disk-resident B+-tree mapping variable-length byte keys to
 // 8-byte values (typically an encoded RID). All page access goes through
@@ -133,6 +138,33 @@ func search(p []byte, k []byte) (int, bool) {
 	return lo, exact
 }
 
+// checkNode reports, as ErrCorrupt, a node page id that the readers below
+// cannot walk without running off the page: an unknown kind, a slot
+// directory past the cell area, or a cell whose key and 8- or 4-byte tail
+// leave [cellStart, PageSize]. Get and Scan fetch every node through it;
+// the pool runs it once per load of a page, not on every fetch.
+func checkNode(p []byte, id PageID) error {
+	tail := 4
+	switch p[0] {
+	case btKindLeaf:
+		tail = 8
+	case btKindInternal:
+	default:
+		return fmt.Errorf("%w: page %d: node kind %d", ErrCorrupt, id, p[0])
+	}
+	n, start := nKeys(p), cellStart(p)
+	if btHdr+2*n > start || start > PageSize {
+		return fmt.Errorf("%w: page %d: %d slots, cell area at %d", ErrCorrupt, id, n, start)
+	}
+	for i := 0; i < n; i++ {
+		off := slotOff(p, i)
+		if off < start || off+2 > PageSize || off+2+int(binary.LittleEndian.Uint16(p[off:]))+tail > PageSize {
+			return fmt.Errorf("%w: page %d: slot %d at %d outside [%d, %d]", ErrCorrupt, id, i, off, start, PageSize)
+		}
+	}
+	return nil
+}
+
 // insertCell places a cell at sorted position i; the caller guarantees room.
 func insertCell(p []byte, i int, key []byte, tail []byte) {
 	n := nKeys(p)
@@ -152,7 +184,7 @@ func insertCell(p []byte, i int, key []byte, tail []byte) {
 func (t *BTree) Get(key []byte) (uint64, bool, error) {
 	id := t.root
 	for {
-		f, err := t.bp.Fetch(id)
+		f, err := t.bp.fetch(id, checkNode)
 		if err != nil {
 			return 0, false, err
 		}
@@ -417,7 +449,7 @@ func (t *BTree) Scan(start []byte, fn func(key []byte, value uint64) bool) error
 // scanNode emits keys ≥ start under page id; the bool is false once fn
 // stopped the scan.
 func (t *BTree) scanNode(id PageID, start []byte, fn func(key []byte, value uint64) bool) (bool, error) {
-	f, err := t.bp.Fetch(id)
+	f, err := t.bp.fetch(id, checkNode)
 	if err != nil {
 		return false, err
 	}

@@ -12,7 +12,7 @@ import (
 // pressure. Run with -race.
 func TestBufferPoolConcurrentReaders(t *testing.T) {
 	p := NewMemPager()
-	bp := NewBufferPool(p, 64*PageSize) // 64 frames, multiple shards
+	bp := NewBufferPool(p, 64*PageSize) // 64 frames for 256 pages
 	const nPages = 256
 	ids := make([]PageID, nPages)
 	for i := 0; i < nPages; i++ {
@@ -151,15 +151,13 @@ func TestConcurrentScratchHeaps(t *testing.T) {
 	}
 }
 
-// TestResizeReshardsUnderLoad shrinks and regrows the pool while readers
-// pin and unpin through it. Before Resize re-sharded, a pool built with 16
-// shards and shrunk to 16 frames had one frame per shard, and two readers
-// meeting in a shard got "buffer pool exhausted"; now the shard count
-// follows the size, every read must succeed, and content must survive the
-// moves. Run with -race.
-func TestResizeReshardsUnderLoad(t *testing.T) {
+// TestResizeUnderLoad shrinks and regrows the pool while readers pin and
+// unpin through it: every read must succeed (16 frames are enough for 8
+// readers holding one pin each), and content must survive the evictions.
+// Run with -race.
+func TestResizeUnderLoad(t *testing.T) {
 	p := NewMemPager()
-	bp := NewBufferPool(p, 4096*PageSize) // 16 shards
+	bp := NewBufferPool(p, 4096*PageSize)
 	const nPages = 512
 	ids := make([]PageID, nPages)
 	for i := range ids {
@@ -170,9 +168,6 @@ func TestResizeReshardsUnderLoad(t *testing.T) {
 		f.Data()[0], f.Data()[1] = byte(i), byte(i>>8)
 		bp.Unpin(f, true)
 		ids[i] = id
-	}
-	if n := len(*bp.shards.Load()); n != maxPoolShards {
-		t.Fatalf("large pool has %d shards, want %d", n, maxPoolShards)
 	}
 
 	stop := make(chan struct{})
@@ -208,9 +203,6 @@ func TestResizeReshardsUnderLoad(t *testing.T) {
 			if err := bp.Resize(frames * PageSize); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := len(*bp.shards.Load()), shardCount(frames); got != want {
-				t.Fatalf("pool of %d frames has %d shards, want %d", frames, got, want)
-			}
 		}
 	}
 	close(stop)
@@ -224,11 +216,112 @@ func TestResizeReshardsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestBTreeConcurrentGets: readers probing one tree through a pool too
+// small for it reload its nodes again and again, so the node check the
+// pool runs once per load (Frame.checked) races with hits on the same
+// frame. Every probe must find its value. Run with -race.
+func TestBTreeConcurrentGets(t *testing.T) {
+	bp := NewBufferPool(NewMemPager(), 16*PageSize)
+	bt, err := NewBTree(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nKeys = 4000
+	for i := uint32(0); i < nKeys; i++ {
+		if err := bt.Insert(key32(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			for it := 0; it < 500; it++ {
+				k := uint32((seed*7919 + it*131) % nKeys)
+				v, ok, err := bt.Get(key32(k))
+				if err != nil || !ok || v != uint64(k) {
+					errs <- fmt.Errorf("Get(%d) = %d, %v, %v", k, v, ok, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolIsOneLRU: every page competes for every frame, and a shrink keeps
+// the most recently unpinned pages. 33 resident pages with even IDs fit a
+// 64-frame pool, so a second pass over them misses nothing; a pool that
+// split its frames by page ID would crowd them into a part too small for
+// them.
+func TestPoolIsOneLRU(t *testing.T) {
+	p := NewMemPager()
+	const nPages = 33
+	for i := 0; i < 2*nPages; i++ {
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool(p, 64*PageSize)
+	touch := func(id PageID) {
+		f, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(f, false)
+	}
+	for i := 0; i < nPages; i++ {
+		touch(PageID(2 * i))
+	}
+	// The second pass visits the pages out of ID order, so recency differs
+	// from it: order[nPages-1] is the most recently unpinned.
+	order := make([]PageID, nPages)
+	for i := range order {
+		order[i] = PageID(2 * (i * 7 % nPages))
+	}
+	bp.ResetStats()
+	for _, id := range order {
+		touch(id)
+	}
+	if st := bp.Stats(); st.Misses != 0 || st.Hits != nPages {
+		t.Fatalf("second pass over %d resident pages: %v, want %d hits and no miss", nPages, st, nPages)
+	}
+
+	const n = 12
+	if err := bp.Resize(n * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if bp.Capacity() != n || bp.lruLen() != n {
+		t.Fatalf("after shrinking to %d frames: capacity %d, %d resident", n, bp.Capacity(), bp.lruLen())
+	}
+	bp.ResetStats()
+	for _, id := range order[nPages-n:] {
+		touch(id)
+	}
+	if st := bp.Stats(); st.Misses != 0 {
+		t.Fatalf("the %d most recent pages after the shrink: %v, want no miss", n, st)
+	}
+	bp.ResetStats()
+	for _, id := range order[:nPages-n] {
+		touch(id)
+	}
+	if st := bp.Stats(); st.Hits != 0 {
+		t.Fatalf("the %d older pages after the shrink: %v, want no hit", nPages-n, st)
+	}
+}
+
 // TestPoolExhaustionIsTyped: pinning more pages than the pool has frames
-// fails with ErrPoolExhausted, and Resize refuses to shrink below the
-// pinned set without disturbing it.
+// fails with ErrPoolExhausted without growing the pager, and Resize
+// refuses to shrink below the pinned set without disturbing it.
 func TestPoolExhaustionIsTyped(t *testing.T) {
-	bp := NewBufferPool(NewMemPager(), 8*PageSize)
+	p := NewMemPager()
+	bp := NewBufferPool(p, 8*PageSize)
 	var pinned []*Frame
 	for i := 0; i < 8; i++ {
 		f, _, err := bp.NewPage()
@@ -239,6 +332,9 @@ func TestPoolExhaustionIsTyped(t *testing.T) {
 	}
 	if _, _, err := bp.NewPage(); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("ninth pin on an 8-frame pool: %v, want ErrPoolExhausted", err)
+	}
+	if p.NumPages() != 8 {
+		t.Fatalf("a NewPage refused for want of a frame grew the pager to %d pages", p.NumPages())
 	}
 	if err := bp.Resize(64 * PageSize); err != nil {
 		t.Fatal(err)

@@ -197,3 +197,102 @@ func TestResizeFlushesDirtyPages(t *testing.T) {
 		bp.Unpin(f, false)
 	}
 }
+
+// TestFailedEvictionKeepsDirtyPage: when the write-back of the LRU page
+// fails, that frame holds the only copy of the page's newest bytes, so it
+// must stay resident and dirty rather than be dropped for the pager's older
+// copy.
+func TestFailedEvictionKeepsDirtyPage(t *testing.T) {
+	fp := newFaultPager()
+	bp := NewBufferPool(fp, 8*PageSize)
+	var ids []PageID
+	for i := 0; i < 8; i++ {
+		f, id, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Data()[0] = 1
+		bp.Unpin(f, true)
+		ids = append(ids, id)
+	}
+	fp.writesLeft = 0
+	if _, _, err := bp.NewPage(); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want injected fault", err)
+	}
+	fp.writesLeft = -1
+	f, err := bp.Fetch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.Data()[0]
+	bp.Unpin(f, false)
+	if got != 1 {
+		t.Fatalf("page %d reads %d after a failed eviction, want 1", ids[0], got)
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if err := fp.inner.ReadPage(ids[0], buf); err != nil || buf[0] != 1 {
+		t.Fatalf("page %d on the pager after FlushAll: %d (%v), want 1", ids[0], buf[0], err)
+	}
+}
+
+// TestBTreeCorruptNodeIsTyped: a node whose key count or slot offset points
+// off the page fails Get and Scan with ErrCorrupt and leaves no pin behind,
+// for a leaf and for an internal node.
+func TestBTreeCorruptNodeIsTyped(t *testing.T) {
+	flips := []struct {
+		name string
+		flip func(p []byte)
+	}{
+		{"nKeys", func(p []byte) { p[2] ^= 0x80 }},
+		{"slot", func(p []byte) { setSlot(p, nKeys(p)/2, slotOff(p, nKeys(p)/2)^0x8000) }},
+	}
+	for _, node := range []string{"leaf", "internal"} {
+		for _, fl := range flips {
+			t.Run(node+"/"+fl.name, func(t *testing.T) {
+				bp := NewBufferPool(NewMemPager(), 256*PageSize)
+				bt, err := NewBTree(bp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint32(0); i < 2000; i++ {
+					if err := bt.Insert(key32(i), uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				f, err := bp.Fetch(bt.Root())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Data()[0] != btKindInternal || nKeys(f.Data()) < 2 {
+					t.Fatal("want an internal root over several leaves")
+				}
+				id := bt.Root()
+				if node == "leaf" {
+					id = link(f.Data()) // the leftmost leaf, which holds key32(0)
+				}
+				bp.Unpin(f, false)
+				if f, err = bp.Fetch(id); err != nil {
+					t.Fatal(err)
+				}
+				fl.flip(f.Data())
+				bp.Unpin(f, true)
+
+				if _, _, err := bt.Get(key32(0)); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Get: %v, want ErrCorrupt", err)
+				}
+				if err := bt.Scan(nil, func([]byte, uint64) bool { return true }); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Scan: %v, want ErrCorrupt", err)
+				}
+				if err := bp.Resize(8 * PageSize); err != nil {
+					t.Fatalf("shrink after the corrupt reads: %v", err)
+				}
+				if err := bp.FreePage(id); err != nil {
+					t.Fatalf("corrupt page left pinned: %v", err)
+				}
+			})
+		}
+	}
+}

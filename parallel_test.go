@@ -55,7 +55,7 @@ func TestErrClosed(t *testing.T) {
 // TestParallelQueries is the concurrency stress test: 8 goroutines issue
 // mixed path/tree patterns against one engine — memory-backed and
 // file-backed — and every result must equal the naive matcher's. Run under
-// -race this exercises the sharded buffer pool, the partner tables, the stats
+// -race this exercises the shared buffer pool, the partner tables, the stats
 // memos, and per-query scratch heaps.
 func TestParallelQueries(t *testing.T) {
 	if testing.Short() {
