@@ -89,15 +89,16 @@ test-cover:
 # checked after every publish and under a reader pinned to the old epoch,
 # and page recycling: a reader pinned across 60 batches reading identical
 # rows while the pages they supersede recycle around it, the store staying
-# flat over insert/delete pairs, and a crash after a Sync reopening the
-# synced state; and the buffer pool: readers and scratch heaps sharing one
-# pool, shrinks and regrowths under readers, the single LRU's hits and
-# shrink order, and parallel queries on a pool shrunk after the build. The
-# full -race suite runs them once; the elevated count shakes out more
-# interleavings.
+# flat over insert/delete pairs, every base-table record and decoded code
+# equal to the writer's incremental labeling after each mixed batch, and a
+# crash after a Sync reopening the synced state; and the buffer pool:
+# readers and scratch heaps sharing one pool, shrinks and regrowths under
+# readers, the single LRU's hits and shrink order, and parallel queries on
+# a pool shrunk after the build. The full -race suite runs them once; the
+# elevated count shakes out more interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
-	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections|TestPinnedReaderAcrossRecycling|TestWriteStreamReclaims|TestCrashAfterSyncOpensSyncedState' ./internal/gdb
+	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections|TestPinnedReaderAcrossRecycling|TestWriteStreamReclaims|TestBaseRecordsFollowLabeling|TestCrashAfterSyncOpensSyncedState' ./internal/gdb
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertAndQueryPrefixConsistency|TestConcurrentMutateAndQueryPrefixConsistency' ./internal/server
 	$(GO) test -race -count=3 ./internal/epoch
 	$(GO) test -race -count=3 -run 'TestBufferPoolConcurrentReaders|TestConcurrentScratchHeaps|TestResizeUnderLoad|TestPoolIsOneLRU' ./internal/storage

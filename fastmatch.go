@@ -40,7 +40,6 @@ import (
 	"fastmatch/internal/rjoin"
 	"fastmatch/internal/server"
 	"fastmatch/internal/storage"
-	"fastmatch/internal/twohop"
 )
 
 // ErrClosed is returned by Engine and Service methods called after Close.
@@ -397,17 +396,6 @@ func (e *Engine) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("engine{|V|=%d |E|=%d |Σ|=%d |H|=%d (%.2f/node) centers=%d disk=%dKB}",
 		s.Nodes, s.Edges, s.Labels, s.CoverSize, s.CoverRatio, s.Centers, s.SizeBytes/1024)
-}
-
-// CoverStats exposes the full 2-hop cover statistics. The second return is
-// false for an engine reattached with OpenEngine (only the cover's size is
-// persisted; see Stats).
-func (e *Engine) CoverStats() (twohop.Stats, bool) {
-	idx := e.db.Index()
-	if idx == nil {
-		return twohop.Stats{}, false
-	}
-	return idx.Stats(), true
 }
 
 // Service is a concurrent query server over one engine: a bounded worker

@@ -128,7 +128,7 @@ func TestEngineExplain(t *testing.T) {
 }
 
 func TestEngineStats(t *testing.T) {
-	eng, _ := paperEngine(t)
+	eng, ids := paperEngine(t)
 	st := eng.Stats()
 	if st.Nodes != 26 || st.Edges != 25 || st.Labels != 5 {
 		t.Fatalf("stats = %+v", st)
@@ -139,9 +139,14 @@ func TestEngineStats(t *testing.T) {
 	if st.String() == "" {
 		t.Fatal("empty String")
 	}
-	cs, ok := eng.CoverStats()
-	if !ok || cs.Size != st.CoverSize {
-		t.Fatal("CoverStats disagrees with Stats")
+	// Stats follows the writes: e7->a0 adds an edge and label entries.
+	ins, err := eng.InsertEdge(ids["e7"], ids["a0"])
+	if err != nil || ins.LabelEntries == 0 {
+		t.Fatalf("insert e7->a0: %+v, %v", ins, err)
+	}
+	st2 := eng.Stats()
+	if st2.Edges != st.Edges+1 || st2.CoverSize != st.CoverSize+ins.LabelEntries {
+		t.Fatalf("stats after insert = %+v, want |E| %d and |H| %d", st2, st.Edges+1, st.CoverSize+ins.LabelEntries)
 	}
 }
 
@@ -213,9 +218,6 @@ func TestOpenEngineRoundTrip(t *testing.T) {
 	st2 := eng2.Stats()
 	if st2.Nodes != st.Nodes || st2.Edges != st.Edges || st2.CoverSize != st.CoverSize || st2.Centers != st.Centers {
 		t.Fatalf("stats changed after reopen: %+v vs %+v", st2, st)
-	}
-	if _, ok := eng2.CoverStats(); ok {
-		t.Fatal("opened engine should not expose a cover object")
 	}
 }
 

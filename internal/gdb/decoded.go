@@ -174,21 +174,27 @@ func codeChunk(ci, n, entries int, code func(v graph.NodeID) (in, out []graph.No
 // convention, and so did every file the retired pll backend wrote
 // (TestStoredCodesFromDecoded) — so these are exactly the base tables'
 // records, which DB.storedCodes would read back through the buffer pool.
+// The lists share no memory with s or, within their capacity, with each
+// other, so the caller may edit them in place.
 func (s *Snap) storedCodes() (in, out [][]graph.NodeID) {
 	n := s.g.NumNodes()
 	in, out = make([][]graph.NodeID, n), make([][]graph.NodeID, n)
+	ents := make([]graph.NodeID, 0, s.coverSize)
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		fin, fout := s.codesOf(v)
-		in[v], out[v] = without(fin, v), without(fout, v)
+		ents, in[v] = appendWithout(ents, fin, v)
+		ents, out[v] = appendWithout(ents, fout, v)
 	}
 	return in, out
 }
 
-// without returns code, which holds v, without it; the result may share
-// code and must not be mutated.
-func without(code []graph.NodeID, v graph.NodeID) []graph.NodeID {
+// appendWithout appends code, which holds v, without v to ents and returns
+// ents and the appended list, capped at its length.
+func appendWithout(ents, code []graph.NodeID, v graph.NodeID) (_, list []graph.NodeID) {
+	lo := len(ents)
 	i, _ := slices.BinarySearch(code, v)
-	return append(code[:i:i], code[i+1:]...)
+	ents = append(append(ents, code[:i]...), code[i+1:]...)
+	return ents, ents[lo:len(ents):len(ents)]
 }
 
 // codesOf returns x's full codes in(x) and out(x), ascending; x must be a

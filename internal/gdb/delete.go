@@ -53,8 +53,9 @@ func (db *DB) ApplyEdgeDelete(u, v graph.NodeID) (EdgeDeleteStats, error) {
 //     path used u→v are identified by pruned re-BFS from the affected
 //     centers and removed, then any still-supported pairs the removals
 //     orphaned are re-covered. Both directions are reported as deltas.
-//  2. Each delta rewrites its node's base-table record (T_X in/out codes)
-//     through the heap and a copy-on-write upsert.
+//  2. Every node a delta names gets its base-table record (T_X in/out
+//     codes) rewritten from its repaired codes in the incremental
+//     labeling: a new heap record under a copy-on-write upsert.
 //  3. The same deltas, inverted per center, shrink or extend the F-/T-
 //     subclusters in the cluster index. Subcluster slots that empty are
 //     deleted; a center whose every subcluster emptied is dropped
@@ -108,10 +109,7 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 		st.Missing = true
 		return st, nil
 	}
-	if err := w.ensureIncremental(); err != nil {
-		return st, err
-	}
-
+	w.ensureIncremental()
 	deltas := w.db.inc.DeleteEdge(u, v)
 	w.removed = append(w.removed, [2]graph.NodeID{u, v})
 	w.pending[[2]graph.NodeID{u, v}]--
@@ -135,7 +133,6 @@ func (w *snapWriter) applyOneDelete(u, v graph.NodeID) (EdgeDeleteStats, error) 
 	st.DroppedCenters = cs.died
 	st.NewWPairs = cs.wAdded
 	st.RemovedWPairs = cs.wRemoved
-	w.coverSize += st.AddedLabelEntries - st.RemovedLabelEntries
 	return st, nil
 }
 

@@ -56,8 +56,7 @@ type Options struct {
 // publish it atomically. Pages superseded by a publish are returned to the
 // pool's free list once the last epoch referencing them retires.
 type DB struct {
-	idx *twohop.Cover      // nil for a database reattached with Open
-	inc *reach.Incremental // lazily seeded by the first edge update
+	inc *reach.Incremental // seeded by the first edge update, from the published codes
 
 	pager storage.Pager
 	pool  *storage.BufferPool
@@ -144,7 +143,9 @@ func Build(g *graph.Graph, opt Options) (*DB, error) {
 
 // BuildFromIndex is Build with a precomputed cover of g (to share one
 // labeling across several database configurations in benchmarks, or to
-// store a cover in a non-default landmark order).
+// store a cover in a non-default landmark order). The database keeps no
+// reference to idx: its codes live in the base tables and the decoded
+// index, as in a database reattached with Open.
 func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error) {
 	if opt.PoolBytes == 0 {
 		opt.PoolBytes = storage.DefaultPoolBytes
@@ -160,7 +161,6 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 		pager = fp
 	}
 	db := &DB{
-		idx:       idx,
 		pager:     pager,
 		pool:      storage.NewBufferPool(pager, opt.PoolBytes),
 		memoBound: fastClusterCacheNodes,
@@ -171,11 +171,11 @@ func BuildFromIndex(g *graph.Graph, idx *twohop.Cover, opt Options) (*DB, error)
 	s := db.newSnap(g)
 	s.coverSize = idx.Size()
 	s.codes = newCodeChunks(g.NumNodes(), idx)
-	if err := db.buildBaseTables(s); err != nil {
+	if err := db.buildBaseTables(s, idx); err != nil {
 		db.Close()
 		return nil, err
 	}
-	if err := db.buildClusterIndexAndWTable(s); err != nil {
+	if err := db.buildClusterIndexAndWTable(s, idx); err != nil {
 		db.Close()
 		return nil, err
 	}
@@ -290,11 +290,6 @@ func (db *DB) EpochStats() epoch.Stats { return db.mgr.Stats() }
 // was taken.
 func (db *DB) Graph() *graph.Graph { return db.mgr.Current().g }
 
-// Index returns the cover the database was built from, or nil for a
-// database reattached with Open (the labeling's information lives in the
-// stored graph codes; only the object is not reloaded).
-func (db *DB) Index() *twohop.Cover { return db.idx }
-
 // CoverSize returns the labeling size |H| as of the current epoch,
 // available on both built and opened databases.
 func (db *DB) CoverSize() int { return db.mgr.Current().coverSize }
@@ -388,14 +383,14 @@ func (db *DB) PageStats() (freePages int, recycled int64) {
 // buffer-to-data ratio on scaled-down data).
 func (db *DB) ResizePool(bytes int) error { return db.pool.Resize(bytes) }
 
-func (db *DB) buildBaseTables(s *Snap) error {
+func (db *DB) buildBaseTables(s *Snap, idx *twohop.Cover) error {
 	g := s.g
 	n := g.NumNodes()
 	// Heap appends go in node order, so record placement is deterministic.
 	rids := make([]uint64, n)
 	byLabel := make([][]graph.NodeID, g.Labels().Len())
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		rid, err := db.heap.Insert(encodeCodes(db.idx.In(v), db.idx.Out(v)))
+		rid, err := db.heap.Insert(encodeCodes(idx.In(v), idx.Out(v)))
 		if err != nil {
 			return err
 		}
@@ -423,8 +418,8 @@ func (db *DB) buildBaseTables(s *Snap) error {
 	return nil
 }
 
-func (db *DB) buildClusterIndexAndWTable(s *Snap) error {
-	inv := invertCover(s.g, db.idx)
+func (db *DB) buildClusterIndexAndWTable(s *Snap, idx *twohop.Cover) error {
+	inv := invertCover(s.g, idx)
 	s.numCenters = len(inv.centers)
 	s.clusters, s.sig = inv.clusters(s.g.NumNodes())
 	L := inv.nLabels
@@ -798,7 +793,7 @@ func encodeCodes(in, out []graph.NodeID) []byte {
 }
 
 // decodeCodes decodes a base-table record into one allocation, with room
-// for one more entry on each side (the node itself, or a delta).
+// for one more entry on each side (the node itself).
 func decodeCodes(b []byte) (in, out []graph.NodeID) {
 	ni := binary.LittleEndian.Uint32(b)
 	no := binary.LittleEndian.Uint32(b[4:])

@@ -3,9 +3,11 @@ package gdb
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fastmatch/internal/graph"
 	"fastmatch/internal/twohop"
@@ -379,20 +381,39 @@ func TestIntersectHelpers(t *testing.T) {
 	}
 }
 
-func TestBuildFromIndexSharesIndex(t *testing.T) {
-	g, _ := figure1Graph()
+// TestBuildFromIndexKeepsNoCover: the cover handed to BuildFromIndex is
+// garbage once the build returns, while the database stays open and
+// writable — its codes live in the base tables, as in a reopened database.
+func TestBuildFromIndexKeepsNoCover(t *testing.T) {
+	g, ids := figure1Graph()
 	cover := twohop.Compute(g, twohop.Options{})
+	collected := make(chan struct{})
+	runtime.SetFinalizer(cover, func(*twohop.Cover) { close(collected) })
 	db, err := BuildFromIndex(g, cover, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if db.Index() != cover {
-		t.Fatal("DB should retain the provided cover")
+	cover = nil
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("the cover is still reachable from the open database")
+		}
 	}
 	if db.NumCenters() == 0 {
 		t.Fatal("expected some centers")
 	}
+	st, err := db.ApplyEdgeInsert(ids["e7"], ids["a0"])
+	if err != nil || st.LabelEntries == 0 {
+		t.Fatalf("insert after the cover was collected: %+v, %v", st, err)
+	}
+	checkIndexConsistent(t, db, db.Graph())
 }
 
 func BenchmarkBuildDB(b *testing.B) {

@@ -47,8 +47,9 @@ func (db *DB) ApplyEdgeInsert(u, v graph.NodeID) (EdgeInsertStats, error) {
 //
 //  1. The 2-hop cover is updated by center insertion (reach.Incremental),
 //     which reports exactly the label entries added.
-//  2. Each delta "center u joined stored-Out(x)/In(y)" becomes a point
-//     update of x/y's base-table record (T_X in/out codes).
+//  2. Every node x/y a delta "center u joined stored-Out(x)/In(y)" names
+//     gets its base-table record (T_X in/out codes) rewritten from its
+//     codes in the incremental labeling.
 //  3. The same deltas, inverted, extend u's F-/T-subclusters in the
 //     cluster index: x with u ∈ out(x) joins F-subcluster (u, F, label(x)),
 //     y with u ∈ in(y) joins T-subcluster (u, T, label(y)). If u was not a
@@ -118,7 +119,6 @@ type snapWriter struct {
 	cluster *storage.BTree
 
 	numCenters int
-	coverSize  int
 
 	// sig is the batch's private fan-signature table, cloned lazily from
 	// the published epoch's before the first cluster mutation; nil means
@@ -197,7 +197,6 @@ func newSnapWriter(db *DB, cur *Snap) *snapWriter {
 		wtable:     cur.wtable,
 		cluster:    cur.cluster,
 		numCenters: cur.numCenters,
-		coverSize:  cur.coverSize,
 		curSig:     cur.sig,
 		pending:    make(map[[2]graph.NodeID]int),
 		codes:      make(map[graph.NodeID]codes),
@@ -336,7 +335,7 @@ func (w *snapWriter) publish(cur *Snap) {
 		wtable:     w.wtable,
 		cluster:    w.cluster,
 		numCenters: w.numCenters,
-		coverSize:  w.coverSize,
+		coverSize:  db.inc.Size(),
 		sig:        sig,
 		epoch:      db.mgr.CurrentEpoch() + 1,
 	}
@@ -650,10 +649,7 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 		st.Duplicate = true
 		return st, nil
 	}
-	if err := w.ensureIncremental(); err != nil {
-		return st, err
-	}
-
+	w.ensureIncremental()
 	deltas := w.db.inc.InsertEdge(u, v)
 	w.added = append(w.added, [2]graph.NodeID{u, v})
 	w.pending[[2]graph.NodeID{u, v}]++
@@ -669,29 +665,20 @@ func (w *snapWriter) applyOne(u, v graph.NodeID) (EdgeInsertStats, error) {
 	}
 	st.NewCenter = cs.born > 0
 	st.NewWPairs = cs.wAdded
-	w.coverSize += len(deltas)
 	return st, nil
 }
 
-// ensureIncremental lazily seeds the updatable reachability labeling: from
-// the build-time index when present, otherwise (a database reattached with
-// Open) from the stored compact codes, which the published epoch holds
-// decoded (Snap.storedCodes). The seed state persists on the DB across
-// batches; it is only read and mutated under writeMu. It runs before the
-// batch's first edge is applied, so the published graph it seeds from is
-// the batch's graph so far.
-func (w *snapWriter) ensureIncremental() error {
-	db := w.db
-	if db.inc != nil {
-		return nil
+// ensureIncremental lazily seeds the updatable reachability labeling from
+// the stored compact codes, which the published epoch holds decoded
+// (Snap.storedCodes); the labeling adopts the lists. The seed state
+// persists on the DB across batches; it is only read and mutated under
+// writeMu. It runs before the batch's first edge is applied, so the
+// published graph it seeds from is the batch's graph so far.
+func (w *snapWriter) ensureIncremental() {
+	if w.db.inc == nil {
+		in, out := w.cur.storedCodes()
+		w.db.inc = reach.NewIncrementalFromLabels(w.g, in, out)
 	}
-	if db.idx != nil {
-		db.inc = reach.NewIncremental(db.idx)
-		return nil
-	}
-	in, out := w.cur.storedCodes()
-	db.inc = reach.NewIncrementalFromLabels(w.g, in, out)
-	return nil
 }
 
 // applyDeltas applies one edge's label deltas to the base tables, the
@@ -707,42 +694,25 @@ func (w *snapWriter) applyDeltas(deltas []reach.LabelDelta) (centerChangeStats, 
 }
 
 // applyBaseDeltas rewrites the base-table record of every node whose
-// stored code gained or lost a center: read-modify-write through the heap
-// (the old record is superseded) and a copy-on-write upsert of the primary
-// index entry. A record whose codes empty is kept — the node still exists
-// and its row anchors reattachment.
+// stored code gained or lost a center, from the node's codes in the
+// incremental labeling: a new heap record (the old one is superseded) and a
+// copy-on-write upsert of the primary index entry. A record whose codes
+// empty is kept — the node still exists and its row anchors reattachment.
+// The batch records copies of the codes it wrote: the labeling edits its
+// lists in place, and a later edge of a batch that then tears would change
+// them without rewriting the record.
 func (w *snapWriter) applyBaseDeltas(deltas []reach.LabelDelta) error {
-	byNode := make(map[graph.NodeID][]reach.LabelDelta)
-	order := make([]graph.NodeID, 0, len(deltas))
+	nodes := make([]graph.NodeID, 0, len(deltas))
 	for _, d := range deltas {
-		if _, ok := byNode[d.Node]; !ok {
-			order = append(order, d.Node)
-		}
-		byNode[d.Node] = append(byNode[d.Node], d)
+		nodes = append(nodes, d.Node)
 	}
-	slices.Sort(order)
-	for _, x := range order {
+	slices.Sort(nodes)
+	for _, x := range slices.Compact(nodes) {
 		rid, err := w.db.codeRID(w.base, w.g, x)
 		if err != nil {
 			return err
 		}
-		rec, err := w.db.heap.Read(rid)
-		if err != nil {
-			return err
-		}
-		in, out := decodeCodes(rec)
-		for _, d := range byNode[x] {
-			switch {
-			case d.Removed && d.Out:
-				out = removeSorted(out, d.Center)
-			case d.Removed:
-				in = removeSorted(in, d.Center)
-			case d.Out:
-				out = insertSorted(out, d.Center)
-			default:
-				in = insertSorted(in, d.Center)
-			}
-		}
+		in, out := slices.Clone(w.db.inc.In(x)), slices.Clone(w.db.inc.Out(x))
 		nrid, err := w.db.heap.Insert(encodeCodes(in, out))
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fastmatch/internal/graph"
@@ -169,9 +170,6 @@ func TestApplyEdgeInsertOnOpenedDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Index() != nil {
-		t.Fatal("opened db unexpectedly has a cover object")
-	}
 	rng := rand.New(rand.NewSource(23))
 	cur := re.Graph()
 	for i := 0; i < 15; i++ {
@@ -199,4 +197,67 @@ func TestApplyEdgeInsertOnOpenedDB(t *testing.T) {
 	}
 	defer re2.Close()
 	checkIndexConsistent(t, re2, cur)
+}
+
+// TestBaseRecordsFollowLabeling: after every publish of a stream of mixed
+// insert and delete batches, each node's base-table record holds its codes
+// in the incremental labeling, the epoch's decoded codes hold the same
+// (plus the node itself), and the epoch's |H| is the labeling's.
+func TestBaseRecordsFollowLabeling(t *testing.T) {
+	for _, l := range labelings {
+		t.Run(l.name, func(t *testing.T) {
+			const n = 40
+			g := randomGraph(9, n, 45, 5)
+			db := buildLabeled(t, g, l.opt)
+			rng := rand.New(rand.NewSource(31))
+			for step := 0; step < 120; step++ {
+				cur := db.Graph()
+				var batch [][2]graph.NodeID
+				if step%2 == 0 {
+					for len(batch) < 1+rng.Intn(4) {
+						batch = append(batch, [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))})
+					}
+					if _, err := db.ApplyEdgeInserts(batch); err != nil {
+						t.Fatalf("step %d insert %v: %v", step, batch, err)
+					}
+				} else {
+					for len(batch) < 1+rng.Intn(4) {
+						u := graph.NodeID(rng.Intn(n))
+						if succ := cur.Successors(u); len(succ) > 0 {
+							batch = append(batch, [2]graph.NodeID{u, succ[rng.Intn(len(succ))]})
+						}
+					}
+					if _, err := db.ApplyEdgeDeletes(batch); err != nil {
+						t.Fatalf("step %d delete %v: %v", step, batch, err)
+					}
+				}
+				checkRecordsMatchLabeling(t, db, step)
+			}
+		})
+	}
+}
+
+// checkRecordsMatchLabeling holds the current epoch's base-table records
+// and decoded codes against the writer's incremental labeling.
+func checkRecordsMatchLabeling(t *testing.T, db *DB, step int) {
+	t.Helper()
+	s, release := db.Pin()
+	defer release()
+	if s.CoverSize() != db.inc.Size() {
+		t.Fatalf("step %d: epoch |H| %d, labeling %d", step, s.CoverSize(), db.inc.Size())
+	}
+	for x := graph.NodeID(0); int(x) < s.g.NumNodes(); x++ {
+		rec, err := db.codeRecord(s.base, s.g, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, out := decodeCodes(rec)
+		if !slices.Equal(in, db.inc.In(x)) || !slices.Equal(out, db.inc.Out(x)) {
+			t.Fatalf("step %d node %d: record %v/%v, labeling %v/%v", step, x, in, out, db.inc.In(x), db.inc.Out(x))
+		}
+		fin, fout := s.codesOf(x)
+		if !slices.Equal(fin, appendWith(nil, in, x)) || !slices.Equal(fout, appendWith(nil, out, x)) {
+			t.Fatalf("step %d node %d: decoded %v/%v, record %v/%v", step, x, fin, fout, in, out)
+		}
+	}
 }

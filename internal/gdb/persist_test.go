@@ -55,9 +55,6 @@ func TestPersistAndOpen(t *testing.T) {
 	}
 	defer db.Close()
 
-	if db.Index() != nil {
-		t.Fatal("opened DB should have nil cover object")
-	}
 	if db.CoverSize() != wantCover {
 		t.Fatalf("cover size %d, want %d", db.CoverSize(), wantCover)
 	}

@@ -50,50 +50,53 @@ type Incremental struct {
 }
 
 // NewIncremental seeds an updatable labeling from a computed cover and its
-// graph's adjacency.
+// graph's adjacency. The cover's lists are copied.
 func NewIncremental(idx *twohop.Cover) *Incremental {
 	g := idx.Graph()
 	n := g.NumNodes()
-	inc := &Incremental{
-		fwd:  make([][]graph.NodeID, n),
-		rev:  make([][]graph.NodeID, n),
-		in:   make([][]graph.NodeID, n),
-		out:  make([][]graph.NodeID, n),
-		size: idx.Size(),
-	}
+	in, out := make([][]graph.NodeID, n), make([][]graph.NodeID, n)
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		inc.fwd[v] = append([]graph.NodeID(nil), g.Successors(v)...)
-		inc.rev[v] = append([]graph.NodeID(nil), g.Predecessors(v)...)
-		inc.in[v] = append([]graph.NodeID(nil), idx.In(v)...)
-		inc.out[v] = append([]graph.NodeID(nil), idx.Out(v)...)
+		in[v], out[v] = slices.Clone(idx.In(v)), slices.Clone(idx.Out(v))
 	}
-	return inc
+	return NewIncrementalFromLabels(g, in, out)
 }
 
 // NewIncrementalFromLabels seeds an updatable labeling from g's adjacency
 // and already-materialised compact label lists (sorted ascending, excluding
 // the node itself) — the form stored in the graph database's base tables,
-// so a reattached database can resume incremental maintenance without the
-// original index object. The label slices are copied.
+// so a database resumes incremental maintenance from its stored codes. The
+// labeling adopts in, out and their lists and edits the lists in place: the
+// caller must not use them afterwards, and no list may share memory within
+// its capacity with another.
 func NewIncrementalFromLabels(g *graph.Graph, in, out [][]graph.NodeID) *Incremental {
 	n := g.NumNodes()
 	if len(in) != n || len(out) != n {
 		panic("reach: NewIncrementalFromLabels: label lists do not match graph size")
 	}
 	inc := &Incremental{
-		fwd: make([][]graph.NodeID, n),
-		rev: make([][]graph.NodeID, n),
-		in:  make([][]graph.NodeID, n),
-		out: make([][]graph.NodeID, n),
+		fwd: adjacency(n, g.NumEdges(), g.Successors),
+		rev: adjacency(n, g.NumEdges(), g.Predecessors),
+		in:  in,
+		out: out,
 	}
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		inc.fwd[v] = append([]graph.NodeID(nil), g.Successors(v)...)
-		inc.rev[v] = append([]graph.NodeID(nil), g.Predecessors(v)...)
-		inc.in[v] = append([]graph.NodeID(nil), in[v]...)
-		inc.out[v] = append([]graph.NodeID(nil), out[v]...)
+	for v := range n {
 		inc.size += len(in[v]) + len(out[v])
 	}
 	return inc
+}
+
+// adjacency copies the m edges nbrs lists over n nodes into one array, each
+// node's list capped at its length so that growing it reallocates that
+// list alone.
+func adjacency(n, m int, nbrs func(graph.NodeID) []graph.NodeID) [][]graph.NodeID {
+	adj := make([][]graph.NodeID, n)
+	ents := make([]graph.NodeID, 0, m)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		lo := len(ents)
+		ents = append(ents, nbrs(v)...)
+		adj[v] = ents[lo:len(ents):len(ents)]
+	}
+	return adj
 }
 
 // NumNodes returns the number of nodes.

@@ -182,8 +182,11 @@ func insertCell(p []byte, i int, key []byte, tail []byte) {
 
 // Get looks up key, returning its value.
 func (t *BTree) Get(key []byte) (uint64, bool, error) {
-	id := t.root
-	for {
+	id, pages := t.root, t.bp.pager.NumPages()
+	for depth := 0; ; depth++ {
+		if depth >= pages {
+			return 0, false, errLoop(id, pages)
+		}
 		f, err := t.bp.fetch(id, checkNode)
 		if err != nil {
 			return 0, false, err
@@ -201,6 +204,13 @@ func (t *BTree) Get(key []byte) (uint64, bool, error) {
 		id = descend(p, key)
 		t.bp.Unpin(f, false)
 	}
+}
+
+// errLoop reports, as ErrCorrupt, a descent that reached page id after
+// passing as many nodes as the store has pages: a path from the root
+// passes each page at most once, so a child pointer leads back up.
+func errLoop(id PageID, pages int) error {
+	return fmt.Errorf("%w: page %d: descent deeper than the store's %d pages", ErrCorrupt, id, pages)
 }
 
 // descend picks the child to follow for key in internal page p.
@@ -442,13 +452,17 @@ func rewriteCells(p []byte, kind byte, keep func(j int) bool) {
 // version, wrong (and eventually reclaimed) in the new one. Child pointers
 // reached from the version's own root are always consistent.
 func (t *BTree) Scan(start []byte, fn func(key []byte, value uint64) bool) error {
-	_, err := t.scanNode(t.root, start, fn)
+	_, err := t.scanNode(t.root, start, fn, t.bp.pager.NumPages())
 	return err
 }
 
 // scanNode emits keys ≥ start under page id; the bool is false once fn
-// stopped the scan.
-func (t *BTree) scanNode(id PageID, start []byte, fn func(key []byte, value uint64) bool) (bool, error) {
+// stopped the scan. room is how many more levels the descent may pass
+// before it has passed every page of the store.
+func (t *BTree) scanNode(id PageID, start []byte, fn func(key []byte, value uint64) bool, room int) (bool, error) {
+	if room <= 0 {
+		return false, errLoop(id, t.bp.pager.NumPages())
+	}
 	f, err := t.bp.fetch(id, checkNode)
 	if err != nil {
 		return false, err
@@ -501,7 +515,7 @@ func (t *BTree) scanNode(id PageID, start []byte, fn func(key []byte, value uint
 		if j > 0 {
 			s = nil // only the first child can hold keys < start
 		}
-		more, err := t.scanNode(cid, s, fn)
+		more, err := t.scanNode(cid, s, fn, room-1)
 		if err != nil || !more {
 			return more, err
 		}

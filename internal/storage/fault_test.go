@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // faultPager wraps a MemPager and fails operations after a countdown,
@@ -294,5 +295,58 @@ func TestBTreeCorruptNodeIsTyped(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBTreeBadChildIsTyped: an internal node whose child pointer leads back
+// to the root, or past the end of the store, fails Get and Scan with
+// ErrCorrupt instead of descending forever or overflowing the stack.
+func TestBTreeBadChildIsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		child func(bt *BTree, bp *BufferPool) PageID
+	}{
+		{"root", func(bt *BTree, _ *BufferPool) PageID { return bt.Root() }},
+		{"past-end", func(_ *BTree, bp *BufferPool) PageID { return PageID(bp.Pager().NumPages() + 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bp := NewBufferPool(NewMemPager(), 256*PageSize)
+			bt, err := NewBTree(bp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint32(0); i < 2000; i++ {
+				if err := bt.Insert(key32(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := bp.Fetch(bt.Root())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Data()[0] != btKindInternal {
+				t.Fatal("want an internal root")
+			}
+			setLink(f.Data(), tc.child(bt, bp)) // the leftmost child, which holds key32(0)
+			bp.Unpin(f, true)
+
+			done := make(chan [2]error, 1)
+			go func() {
+				_, _, getErr := bt.Get(key32(0))
+				scanErr := bt.Scan(nil, func([]byte, uint64) bool { return true })
+				done <- [2]error{getErr, scanErr}
+			}()
+			select {
+			case errs := <-done:
+				if !errors.Is(errs[0], ErrCorrupt) {
+					t.Fatalf("Get: %v, want ErrCorrupt", errs[0])
+				}
+				if !errors.Is(errs[1], ErrCorrupt) {
+					t.Fatalf("Scan: %v, want ErrCorrupt", errs[1])
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Get or Scan still descending after 10s")
+			}
+		})
 	}
 }

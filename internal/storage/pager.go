@@ -11,7 +11,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -41,8 +40,9 @@ type Pager interface {
 	Close() error
 }
 
-// errPageRange reports an out-of-range page access.
-var errPageRange = errors.New("storage: page id out of range")
+// errPageRange reports an out-of-range page access: a page ID read from
+// damaged or stale bytes, so it is ErrCorrupt.
+var errPageRange = fmt.Errorf("%w: page id out of range", ErrCorrupt)
 
 // MemPager is an in-memory Pager, used for tests and for in-memory graph
 // databases. The zero value is ready to use. Methods are safe for
