@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare clean
+.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare profile-battery clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels, the two per-row index reads (partner slot, reachability test),
@@ -17,10 +17,12 @@ GO ?= go
 # tree-shaped wide and a two-list product factorised result and from a
 # plain one) and the writer (a 4-edge insert batch and the delete batch
 # that undoes it on XMark 100k: ns, B and allocs per pair, pages the store
-# grew per pair and its size over the built size) — the hot paths a perf
-# PR must not regress.
-BENCH_PKGS   = ./internal/gdb ./internal/rjoin ./internal/server
-BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFilterExtent|BenchmarkFactorisedTail|BenchmarkEncodeResult|BenchmarkWriteBatch'
+# grew per pair and its size over the built size), and the served batteries
+# through the HTTP handler (ns, B and allocs per query of every
+# TestServedAnswers query, and per battery) — the hot paths a perf PR must
+# not regress.
+BENCH_PKGS   = . ./internal/gdb ./internal/rjoin ./internal/server
+BENCH_FILTER = 'BenchmarkIntersect|BenchmarkReadPathParallel|BenchmarkOperators|BenchmarkFilterFetch|BenchmarkFetchFilters|BenchmarkFilterExtent|BenchmarkFactorisedTail|BenchmarkEncodeResult|BenchmarkWriteBatch|BenchmarkServedBattery'
 BENCH_BASE   = bench-baseline.txt
 
 build:
@@ -38,11 +40,12 @@ test-short:
 # fresh random sequences on every verify run, not just the checked-in
 # seeds, and the response encoder gets random results to match against
 # encoding/json. Bump FUZZTIME for a deeper soak (e.g. FUZZTIME=10m). The
-# last five lines run benchmarks once for the checks they carry: the read
+# last six lines run benchmarks once for the checks they carry: the read
 # path's allocation-free hit path, the fused Fetch's and the factorised
 # tail's row counts against the step-by-step pipeline's, the response
-# encoder's allocation-free warm buffer and the writer's insert/delete pair
-# applying every edge. BenchmarkFetchFilters includes
+# encoder's allocation-free warm buffer, the writer's insert/delete pair
+# applying every edge and the served batteries' answers against
+# testdata/served_answers.txt. BenchmarkFetchFilters includes
 # the read_skew groups S1served and S4served on the power-law DAG.
 FUZZTIME ?= 30s
 test-fuzz-smoke:
@@ -59,6 +62,7 @@ test-fuzz-smoke:
 	$(GO) test -run XXX -bench BenchmarkFactorisedTail -benchtime 1x ./internal/rjoin
 	$(GO) test -run XXX -bench BenchmarkEncodeResult -benchtime 1x ./internal/server
 	$(GO) test -run XXX -bench BenchmarkWriteBatch -benchtime 1x ./internal/gdb
+	$(GO) test -run XXX -bench BenchmarkServedBattery -benchtime 1x .
 
 # test-cover enforces a per-package statement-coverage floor on the
 # reachability packages — the 2-hop cover and its labeling core (twohop)
@@ -94,8 +98,11 @@ test-cover:
 # crash after a Sync reopening the synced state; and the buffer pool:
 # readers and scratch heaps sharing one pool, shrinks and regrowths under
 # readers, the single LRU's hits and shrink order, and parallel queries on
-# a pool shrunk after the build. The full -race suite runs them once; the
-# elevated count shakes out more interleavings.
+# a pool shrunk after the build; and the served path's buffer reuse: four
+# goroutines serving the skew20k battery through one handler, each query
+# drawing the storage the one before it released, every body checked
+# against testdata/served_answers.txt. The full -race suite runs them once;
+# the elevated count shakes out more interleavings.
 test-race-stress:
 	$(GO) test -race -count=3 -run 'TestConcurrentInsertQueryConsistency' .
 	$(GO) test -race -count=3 -run 'TestInsertDoesNotBlockReaders|TestPinnedEpochOutlivesPublish|TestBatchPublishesOneEpoch|TestPartnerTableConcurrentFill|TestPartnerChargeWhileReadersFillDuringPublish|TestReadPathExactAfterEveryPublish|TestSharedChunkFillsValidInEveryEpoch|TestDecodedMemoChargedOncePerChunk|TestProjectionsExactAfterEveryPublish|TestSuccessorInheritsProjections|TestPinnedReaderAcrossRecycling|TestWriteStreamReclaims|TestBaseRecordsFollowLabeling|TestCrashAfterSyncOpensSyncedState' ./internal/gdb
@@ -103,6 +110,7 @@ test-race-stress:
 	$(GO) test -race -count=3 ./internal/epoch
 	$(GO) test -race -count=3 -run 'TestBufferPoolConcurrentReaders|TestConcurrentScratchHeaps|TestResizeUnderLoad|TestPoolIsOneLRU' ./internal/storage
 	$(GO) test -race -count=3 -run TestParallelQueryAfterPoolShrink ./internal/exec
+	$(GO) test -race -count=3 -run TestServedReuseConcurrent .
 
 # verify is the gating tier: vet plus the full suite under the race
 # detector, so concurrency regressions in the query-serving path cannot
@@ -113,16 +121,18 @@ test-race-stress:
 # run about a minute), the served answers,
 # the encoder tests and a short encoder fuzz built with -tags fgmcheck
 # (every unchecked store of the response encoder bounds-checked, which
-# neither -race nor -d=checkptr does), then the coverage floor on the
+# neither -race nor -d=checkptr does, and every buffer a served query
+# releases poisoned, so an answer read from a reused buffer changes a golden
+# hash), then the coverage floor on the
 # reachability packages, the MVCC stress smoke, and a fuzz smoke over the
 # incremental-maintenance harnesses.
 verify:
 	$(GO) vet ./...
-	$(GO) vet -tags fgmcheck ./internal/server
+	$(GO) vet -tags fgmcheck ./internal/rjoin ./internal/server
 	$(GO) test -race ./...
 	GOMAXPROCS=1 $(GO) test -run 'Differential|Crosscheck|PrefixConsistency' . ./internal/server
 	$(GO) test -run TestServedAnswers -oracle .
-	$(GO) test -tags fgmcheck -run 'TestServedAnswers|TestEncode|TestPutNodeID|TestQueryResponseEncoding' . ./internal/server
+	$(GO) test -tags fgmcheck -run 'TestServedAnswers|TestEncode|TestPutNodeID|TestQueryResponseEncoding|TestReleasePoisons' . ./internal/rjoin ./internal/server
 	$(GO) test -tags fgmcheck -run XXX -fuzz FuzzEncodeResult -fuzztime 10s ./internal/server
 	$(MAKE) test-cover
 	$(MAKE) test-race-stress
@@ -175,6 +185,16 @@ bench-compare:
 	else \
 		echo "benchstat not installed; compare $(BENCH_BASE) vs bench-head.txt by hand" >&2; \
 	fi
+
+# profile-battery writes a CPU profile of BenchmarkServedBattery (both
+# served batteries through the HTTP handler) to $(PROFILE) and prints its
+# top functions: where a served query's CPU goes, allocation and GC
+# included.
+PROFILE          ?= battery.cpu.prof
+PROFILE_BENCHTIME ?= 2s
+profile-battery:
+	$(GO) test -run XXX -bench BenchmarkServedBattery -benchtime $(PROFILE_BENCHTIME) -cpuprofile $(PROFILE) -o battery.test .
+	$(GO) tool pprof -top -nodecount 40 battery.test $(PROFILE)
 
 clean:
 	$(GO) clean ./...

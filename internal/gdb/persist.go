@@ -148,12 +148,12 @@ func (db *DB) Sync() error {
 }
 
 // Open reattaches to a database previously built with a non-empty
-// Options.Path. The reachability-index object itself is not reloaded (its
-// information lives in the stored graph codes); Index returns nil on an
-// opened database and CoverSize reports the persisted size. Incremental
-// maintenance resumes from the stored codes, which are a valid 2-hop
-// labeling whatever computed them; a manifest key naming the labeling's
-// author is ignored like any other unknown key.
+// Options.Path. No 2-hop cover is reloaded — a built database keeps none
+// either: the labeling lives in the stored graph codes, and CoverSize
+// reports the persisted size. Incremental maintenance resumes from the
+// stored codes, which are a valid 2-hop labeling whatever computed them; a
+// manifest key naming the labeling's author is ignored like any other
+// unknown key.
 func Open(path string, opt Options) (*DB, error) {
 	raw, err := os.ReadFile(manifestPath(path))
 	if err != nil {

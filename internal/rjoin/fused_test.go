@@ -132,7 +132,7 @@ func censusPaths(t *testing.T, db *gdb.Snap, in *Result, fetch Cond, lead []Node
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := openFilters(rd, db, fs, fetch, forward, col)
+	pf, err := new(Runtime).openFilters(rd, db, fs, fetch, forward, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,7 +705,7 @@ func unfolded(ctx context.Context, db *gdb.Snap, in *Result, fetch Cond, filters
 	if err != nil {
 		return 0, err
 	}
-	pf, err := openFilters(rd, db, fs, fetch, forward, col)
+	pf, err := rt.openFilters(rd, db, fs, fetch, forward, col)
 	if err != nil {
 		return 0, err
 	}

@@ -150,6 +150,7 @@ func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Result, err
 		if err := cc.tickN(len(xs) * len(ys)); err != nil {
 			return nil, err
 		}
+		pairs = pairPool.grow(&rt.pairs, pairs, len(xs)*len(ys))
 		for _, x := range xs {
 			for _, y := range ys {
 				pairs = append(pairs, pairKey(x, y))
@@ -167,7 +168,7 @@ func (rt *Runtime) HPSJ(ctx context.Context, db *gdb.Snap, c Cond) (*Result, err
 	// The rows are charged at their logical size, 4 bytes per cell.
 	rt.budget.AddBytes(int64(len(pairs)) * 2 * nodeIDBytes)
 	out := &Result{Cols: []int{c.FromNode, c.ToNode}, N: len(pairs)}
-	out.Data = make([]graph.NodeID, 2*len(pairs))
+	out.Data = rt.nodeBuf(2 * len(pairs))[:2*len(pairs)]
 	for i, k := range pairs {
 		out.Data[2*i], out.Data[2*i+1] = pairNodes(k)
 	}
@@ -214,7 +215,7 @@ func (rt *Runtime) FilterGroup(ctx context.Context, db *gdb.Snap, t *Result, con
 	if len(conds) == 0 {
 		return t, nil
 	}
-	t = t.rowsOf(node)
+	t = rt.rowsOf(t, node)
 	col := t.ColIndex(node)
 	if col < 0 {
 		return nil, fmt.Errorf("rjoin: filter group on unbound node %d in %v", node, t.Cols)
@@ -277,7 +278,7 @@ func (rt *Runtime) FilterExtent(ctx context.Context, db *gdb.Snap, conds []Cond,
 		n = min(n, rt.rowTarget+1)
 	}
 	cc := rt.check(ctx)
-	out.Data = make([]graph.NodeID, 0, n)
+	out.Data = rt.nodeBuf(n)
 	for lo := 0; lo < len(ext) && !rt.pastLimit(len(out.Data)); lo += cancelStride {
 		hi := min(lo+cancelStride, len(ext))
 		if err := cc.tickN(hi - lo); err != nil {
@@ -440,7 +441,7 @@ type NodeFilter struct {
 func (rt *Runtime) FetchFiltered(ctx context.Context, db *gdb.Snap, t *Result, c Cond, filters []NodeFilter, factorise bool) (*Result, []int, error) {
 	res, counts, err := rt.fetch(ctx, db, t, c, filters)
 	if err == nil && !factorise {
-		res = res.Flatten()
+		res = rt.flatten(res)
 	} else if err == nil {
 		rt.factorised++
 	}
@@ -512,12 +513,13 @@ type fetchFilters struct {
 	col  int            // the Fetch's bound column
 	rank gdb.Ranks
 	buf  []graph.NodeID // the survivors, before a stored column copies them
+	rt   *Runtime       // whose store buf is drawn from
 }
 
 // openFilters resolves fs for the Fetch of condition c, read forward or in
 // reverse, whose bound value is in column col.
-func openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, col int) (*fetchFilters, error) {
-	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs)), sets: make([]gdb.Partners, len(fs)), col: col, rank: db.Ranks()}
+func (rt *Runtime) openFilters(rd reads, db *gdb.Snap, fs []nodeFilter, c Cond, forward bool, col int) (*fetchFilters, error) {
+	p := &fetchFilters{fs: fs, sel: make([]partnerFunc, len(fs)), sets: make([]gdb.Partners, len(fs)), col: col, rank: db.Ranks(), rt: rt}
 	var err error
 	if p.own, err = rd.bitmaps(c, forward); err != nil {
 		return nil, err
@@ -569,7 +571,7 @@ func (p *fetchFilters) apply(wk *Walker, targets []graph.NodeID, counts []int, m
 		if owned {
 			return cur[:0]
 		}
-		p.buf = slices.Grow(p.buf[:0], n)
+		p.buf = nodePool.grow(&p.rt.nodes, p.buf[:0], n)
 		return p.buf
 	}
 	for k, f := range p.fs {
@@ -644,7 +646,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	parent, ok := t.branch(reads...)
 	if !ok {
 		// Only rows hold values of two branches together.
-		t, parent = t.Flatten(), -1
+		t, parent = rt.flatten(t), -1
 	}
 	rd := rt.open(db)
 	defer rd.done()
@@ -673,7 +675,7 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	}
 	var pf *fetchFilters
 	if rest := fs[len(folded):]; len(rest) > 0 {
-		if pf, err = openFilters(rd, db, rest, c, forward, col); err != nil {
+		if pf, err = rt.openFilters(rd, db, rest, c, forward, col); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -751,7 +753,7 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, folded []gd
 	rows = res.prefixRows()
 	if out.stored {
 		out.elems = res.elements(out.parent)
-		out.lens = make([]uint32, 0, out.elems)
+		out.lens = lenPool.take(&rt.lens, out.elems)
 	}
 	var u units
 	kept := 0
@@ -813,7 +815,7 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, folded []gd
 			// A block the column holds already is counted, not kept twice.
 			if out.stored {
 				if u.fresh(k) {
-					out.keep(keep)
+					out.keep(rt, keep)
 				}
 				u.block(k)
 			}
@@ -879,7 +881,7 @@ const maxRows = math.MaxInt32
 // out(x) ∩ in(y) ≠ ∅ per row from graph codes. Rows keep their input
 // order; t is consumed (see compact).
 func (rt *Runtime) Selection(ctx context.Context, db *gdb.Snap, t *Result, c Cond) (*Result, error) {
-	t = t.rowsOf(c.FromNode, c.ToNode)
+	t = rt.rowsOf(t, c.FromNode, c.ToNode)
 	fi, ti := t.ColIndex(c.FromNode), t.ColIndex(c.ToNode)
 	if fi < 0 || ti < 0 {
 		return nil, fmt.Errorf("rjoin: selection %v needs both sides bound in %v", c, t.Cols)

@@ -22,7 +22,11 @@ import (
 // and writes each output cell once, in the order it wants them. Nothing in
 // a Result is mutated once it is returned, and it holds no page, pin or
 // slot: it stays valid after its epoch is retired, and any number of
-// goroutines may consume it at once.
+// goroutines may consume it at once. Its rows and stored columns are
+// buffers of the Runtime whose operators made it: it is valid until that
+// Runtime is released (Runtime.Release), and only the server releases one,
+// once the response is written; every other caller's Results are the
+// garbage collector's.
 type Result struct {
 	// Cols holds pattern node indexes, one per column, in the order the
 	// plan bound them (the source-column order). The last K() of them are
@@ -74,7 +78,7 @@ const columnChunk = 8192
 // elements need at the mean of every block so far, but no more than what
 // the column holds already (a hub list among the first blocks says little
 // of the rest); where elems is not known, twice its predecessor.
-func (c *expanded) keep(l []graph.NodeID) {
+func (c *expanded) keep(rt *Runtime, l []graph.NodeID) {
 	c.lens = append(c.lens, uint32(len(l)))
 	n, last := len(l), len(c.chunks)-1
 	if n == 0 {
@@ -92,7 +96,7 @@ func (c *expanded) keep(l []graph.NodeID) {
 			}
 			size = n + int(min(int64(kept)+64, int64(kept)*int64(c.elems-b)/int64(b)))
 		}
-		c.chunks = append(c.chunks, make([]graph.NodeID, 0, max(n, min(size, columnChunk))))
+		c.chunks = append(c.chunks, rt.nodeBuf(max(n, min(size, columnChunk))))
 		last++
 	}
 	c.chunks[last] = append(c.chunks[last], l...)
@@ -110,6 +114,7 @@ func Nested(cols []int, data []graph.NodeID, rows int, parents []int, list func(
 		panic(fmt.Sprintf("rjoin: %d prefix rows in %d cells for %d columns, %d expanded", rows, len(data), len(cols), len(parents)))
 	}
 	r, row := &Result{Cols: cols, Data: data, N: n}, make([]graph.NodeID, len(cols))
+	var rt Runtime // never released: r is the caller's
 	for k, p := range parents {
 		if p < -1 || p >= k {
 			panic(fmt.Sprintf("rjoin: expanded column %d under %d", k, p))
@@ -121,7 +126,7 @@ func Nested(cols []int, data []graph.NodeID, rows int, parents []int, list func(
 				for j := range w + k {
 					row[j] = u.Cell(j)
 				}
-				r.exp[k].keep(list(k, u.i, row[:w+k]))
+				r.exp[k].keep(&rt, list(k, u.i, row[:w+k]))
 			}
 		}
 	}
@@ -465,7 +470,7 @@ func (r *Result) Table(nodes []int) (*Table, error) {
 		src = nil
 	}
 	out := NewTable(nodes...)
-	out.Rows = rowHeaders(r.flat(src), len(nodes), r.N)
+	out.Rows = rowHeaders(r.flat(new(Runtime), src), len(nodes), r.N)
 	return out, nil
 }
 
@@ -487,9 +492,9 @@ func rowHeaders(data []graph.NodeID, w, n int) [][]graph.NodeID {
 // identity). A factorised result is written a run at a time (see Walker):
 // row holds the run's cells but the last, and each entry of its list ends
 // one row.
-func (r *Result) flat(src []int) []graph.NodeID {
+func (r *Result) flat(rt *Runtime, src []int) []graph.NodeID {
 	w := len(r.Cols)
-	out := make([]graph.NodeID, r.N*w)
+	out := rt.nodeBuf(r.N * w)[:r.N*w]
 	if len(r.exp) == 0 {
 		for i, o := 0, 0; i < r.N; i, o = i+1, o+w {
 			permute(out[o:o+w], r.Row(i), src)
@@ -533,10 +538,10 @@ func (r *Result) flat(src []int) []graph.NodeID {
 // rowsOf returns r as a filter of the given pattern nodes reads it: as it
 // is where they are prefix columns and no column stores lists — the filter
 // then keeps or drops whole prefix rows — else written out.
-func (r *Result) rowsOf(nodes ...int) *Result {
+func (rt *Runtime) rowsOf(r *Result, nodes ...int) *Result {
 	expandedCol := func(n int) bool { return r.ColIndex(n) >= r.Width() }
 	if slices.ContainsFunc(nodes, expandedCol) || slices.ContainsFunc(r.exp, func(c expanded) bool { return c.stored }) {
-		return r.Flatten()
+		return rt.flatten(r)
 	}
 	return r
 }
@@ -544,11 +549,14 @@ func (r *Result) rowsOf(nodes ...int) *Result {
 // Flatten returns r written out: a plain result over the same columns, in
 // the same order, with the same rows. A plain r is returned as it is. It is
 // what a plan does where a step reads rows, not lists (see exec.Run).
-func (r *Result) Flatten() *Result {
+func (r *Result) Flatten() *Result { return new(Runtime).flatten(r) }
+
+// flatten is Flatten writing into a buffer of rt's.
+func (rt *Runtime) flatten(r *Result) *Result {
 	if len(r.exp) == 0 {
 		return r
 	}
-	return &Result{Cols: r.Cols, Data: r.flat(nil), N: r.N}
+	return &Result{Cols: r.Cols, Data: r.flat(rt, nil), N: r.N}
 }
 
 // permute writes row into dst with dst[j] = row[src[j]], or a copy for a

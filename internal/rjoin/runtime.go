@@ -1,5 +1,7 @@
 package rjoin
 
+import "fastmatch/internal/graph"
+
 // Runtime carries one query's operator execution state: its read path, its
 // budget, and its counters. Every operator is one loop on the calling
 // goroutine — the paper's Algorithms 1–2 and Eq. 5 as written — and a
@@ -8,7 +10,10 @@ package rjoin
 // decoded index and partner tables (see reads.go), which outlive the query
 // — a Fetch reuses the partner lists an earlier Fetch filled, and so does
 // the next query on the epoch. A Runtime is scoped to a single query and is not
-// safe for concurrent use; its zero value is ready to use.
+// safe for concurrent use; its zero value is ready to use. It also holds
+// the buffers its operators' Results are made of (see pool.go): a Result
+// is valid until its Runtime is released, and only the server releases —
+// once the response is written (Release).
 type Runtime struct {
 	// countIO selects the counted-I/O reference read path (see CountIO).
 	countIO bool
@@ -21,6 +26,12 @@ type Runtime struct {
 	// truncate their output to it (see PushLimit). The executor sets it only
 	// for a plan's final step.
 	rowTarget int
+
+	// nodes, lens and pairs are the buffers the operators drew from the
+	// pools, held for Release.
+	nodes []*[]graph.NodeID
+	lens  []*[]uint32
+	pairs []*[]uint64
 
 	ops          int64
 	fusedFilters int64

@@ -638,7 +638,7 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 			}
 			for _, algo = range []exec.Algorithm{exec.DP, exec.DPS} {
 				fusedBefore := s.Stats().FusedFilters
-				r, err := s.run(ctx, pattern.MustParse(tc.query), algo, QueryOptions{})
+				r, err := s.run(ctx, new(rjoin.Runtime), pattern.MustParse(tc.query), algo, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -663,7 +663,7 @@ func TestEncodeAfterEpochRetired(t *testing.T) {
 				if now := db.DecodedMemoStats().Resets; now <= resets {
 					t.Fatalf("no table was forgotten while %s ran (%d resets)", tc.query, now)
 				}
-				kept, err := s.run(ctx, pattern.MustParse(tc.query), algo, QueryOptions{})
+				kept, err := s.run(ctx, new(rjoin.Runtime), pattern.MustParse(tc.query), algo, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -724,7 +724,7 @@ func TestEncodeConcurrentConsumers(t *testing.T) {
 	ctx := context.Background()
 	tested, nested := 0, false
 	for _, q := range []string{"A->B; B->C", "A->B; A->C", "A->B; B->C; A->C"} {
-		res, err := s.run(ctx, pattern.MustParse(q), exec.DPS, QueryOptions{})
+		res, err := s.run(ctx, new(rjoin.Runtime), pattern.MustParse(q), exec.DPS, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

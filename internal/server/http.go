@@ -162,7 +162,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	res, err := s.run(ctx, p, algo, QueryOptions{Limit: req.Limit})
+	// The operators' storage goes back to the pools once the body is
+	// written, or at once on an error: nothing reads the result after.
+	rt := new(rjoin.Runtime)
+	defer rt.Release()
+	res, err := s.run(ctx, rt, p, algo, QueryOptions{Limit: req.Limit})
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return

@@ -238,7 +238,7 @@ func (s *Server) QueryPattern(ctx context.Context, p *pattern.Pattern, algo exec
 // server's intermediate-table caps; budget kills surface as the typed
 // rjoin.ErrRowLimit / rjoin.ErrBudgetExceeded.
 func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo exec.Algorithm, opts QueryOptions) (*Result, error) {
-	res, err := s.run(ctx, p, algo, opts)
+	res, err := s.run(ctx, new(rjoin.Runtime), p, algo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -250,11 +250,12 @@ func (s *Server) QueryPatternOpts(ctx context.Context, p *pattern.Pattern, algo 
 	return res, nil
 }
 
-// run evaluates a parsed pattern and returns its answer with the rows as
-// the executor produced them (Result.rows), for the caller to write out or
-// encode. The execution slot and the epoch are released on return; what the
-// result holds outlives both (see rjoin.Result).
-func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorithm, opts QueryOptions) (*Result, error) {
+// run evaluates a parsed pattern on the operator runtime rt and returns its
+// answer with the rows as the executor produced them (Result.rows), for the
+// caller to write out or encode. The execution slot and the epoch are
+// released on return; what the result holds outlives both, and is valid
+// until the caller releases rt (see rjoin.Result).
+func (s *Server) run(ctx context.Context, rt *rjoin.Runtime, p *pattern.Pattern, algo exec.Algorithm, opts QueryOptions) (*Result, error) {
 	if s.db.Closed() {
 		return nil, gdb.ErrClosed
 	}
@@ -283,10 +284,9 @@ func (s *Server) run(ctx context.Context, p *pattern.Pattern, algo exec.Algorith
 		s.met.recordError(err)
 		return nil, err
 	}
-	// One operator runtime per query, run on this goroutine: its counters
+	// The query's operator runtime runs on this goroutine: its counters
 	// feed the server metrics; the budget governs what the query may
 	// produce.
-	rt := new(rjoin.Runtime)
 	bdg := &rjoin.Budget{
 		ResultRows:   opts.Limit,
 		MaxTableRows: s.cfg.MaxTableRows,

@@ -12,7 +12,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"fastmatch/internal/exec"
 	"fastmatch/internal/gdb"
@@ -122,7 +124,7 @@ func TestServedAnswers(t *testing.T) {
 }
 
 // readServedAnswers returns the golden file's answer lines.
-func readServedAnswers(t *testing.T) []string {
+func readServedAnswers(t testing.TB) []string {
 	f, err := os.Open(servedAnswersFile)
 	if os.IsNotExist(err) && *updateServed {
 		return nil
@@ -164,25 +166,9 @@ func serveBattery(t *testing.T, ds servedDataset, oracle bool) []string {
 	lines := []string{fmt.Sprintf("%s build |H|=%d centers=%d size_bytes=%d",
 		ds.name, db.CoverSize(), db.NumCenters(), db.SizeBytes())}
 	for _, q := range ds.queries() {
-		req, _ := json.Marshal(server.QueryRequest{Pattern: q.pattern, Limit: q.limit}) // strings and ints cannot fail
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(req)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s %s: status %d: %s", ds.name, q.name, rec.Code, rec.Body)
-		}
-		body := rec.Body.Bytes()
-		var resp server.QueryResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
+		resp, answer, err := serveAnswer(h, q, httptest.NewRecorder())
+		if err != nil {
 			t.Fatalf("%s %s: %v", ds.name, q.name, err)
-		}
-		if resp.RowCount != len(resp.Rows) {
-			t.Fatalf("%s %s: row_count %d but %d rows", ds.name, q.name, resp.RowCount, len(resp.Rows))
-		}
-		// The body up to plan_cached is everything but the two fields that
-		// vary between runs.
-		cut := bytes.Index(body, []byte(`,"plan_cached":`))
-		if cut < 0 {
-			t.Fatalf("%s %s: no plan_cached in %.200s", ds.name, q.name, body)
 		}
 		p, err := pattern.Parse(q.pattern)
 		if err != nil {
@@ -197,8 +183,7 @@ func serveBattery(t *testing.T, ds servedDataset, oracle bool) []string {
 		if tc != nil {
 			checkOracle(t, g, tc, p, ds.name+" "+q.name, resp.Rows, q.limit)
 		}
-		lines = append(lines, fmt.Sprintf("%s %s %d %016x %x | %s",
-			ds.name, q.name, resp.RowCount, rowSetHash(resp.Rows), sha256.Sum256(body[:cut]), planLine(plan)))
+		lines = append(lines, fmt.Sprintf("%s %s %s | %s", ds.name, q.name, answer, planLine(plan)))
 	}
 	// Every partner list, bitmap and filtered list the battery built fits
 	// the epoch's memo bound: none was dropped and rebuilt.
@@ -210,6 +195,151 @@ func serveBattery(t *testing.T, ds servedDataset, oracle bool) []string {
 	t.Logf("%s: %d partner tables, %d bitmaps, %d filtered tables of %d lists (%d bytes owned), %d bytes", ds.name,
 		st.PartnerTables, st.PartnerBitmaps, st.FilteredTables, st.FilteredLists, st.FilteredListBytes, st.DecodedMemoBytes)
 	return lines
+}
+
+// serveQuery posts q to h and leaves the response in rec.
+func serveQuery(h http.Handler, q servedQuery, rec *httptest.ResponseRecorder) {
+	req, _ := json.Marshal(server.QueryRequest{Pattern: q.pattern, Limit: q.limit}) // strings and ints cannot fail
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(req)))
+}
+
+// serveAnswer posts q to h, recording into rec, and returns the decoded
+// response and its answer as the golden file records it: the row count,
+// the order-independent row hash and the SHA-256 of the body in order up to
+// plan_cached — everything but the two fields that vary between runs.
+func serveAnswer(h http.Handler, q servedQuery, rec *httptest.ResponseRecorder) (server.QueryResponse, string, error) {
+	var resp server.QueryResponse
+	serveQuery(h, q, rec)
+	if rec.Code != http.StatusOK {
+		return resp, "", fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+	}
+	body := rec.Body.Bytes()
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return resp, "", err
+	}
+	if resp.RowCount != len(resp.Rows) {
+		return resp, "", fmt.Errorf("row_count %d but %d rows", resp.RowCount, len(resp.Rows))
+	}
+	cut := bytes.Index(body, []byte(`,"plan_cached":`))
+	if cut < 0 {
+		return resp, "", fmt.Errorf("no plan_cached in %.200s", body)
+	}
+	return resp, fmt.Sprintf("%d %016x %x", resp.RowCount, rowSetHash(resp.Rows), sha256.Sum256(body[:cut])), nil
+}
+
+// goldenAnswers returns the golden file's answers by "dataset query".
+func goldenAnswers(t testing.TB) map[string]string {
+	want := map[string]string{}
+	for _, line := range readServedAnswers(t) {
+		f := strings.Fields(strings.SplitN(line, " | ", 2)[0])
+		if len(f) == 5 {
+			want[f[0]+" "+f[1]] = strings.Join(f[2:], " ")
+		}
+	}
+	return want
+}
+
+// buildServed builds ds's database as TestServedAnswers does.
+func buildServed(t testing.TB, ds servedDataset) *gdb.DB {
+	db, err := gdb.Build(ds.graph(), gdb.Options{PoolBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestServedReuseConcurrent serves the skew20k battery through one
+// server's handler from 4 goroutines at once, 3 passes each. Every query
+// hands its operators' storage back to the pools once its response is
+// written, and the next draws it again: a buffer released while a response
+// still read it, or drawn by two queries at once, changes a body. Each
+// body's row hash and ordered hash must be the golden file's.
+func TestServedReuseConcurrent(t *testing.T) {
+	want := goldenAnswers(t)
+	ds := servedDatasets()[1]
+	db := buildServed(t, ds)
+	defer db.Close()
+	h := server.New(db, server.Config{MaxInFlight: 4, QueueTimeout: time.Minute}).Handler()
+	qs := ds.queries()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := range 3 {
+				for _, q := range qs {
+					_, got, err := serveAnswer(h, q, httptest.NewRecorder())
+					if key := ds.name + " " + q.name; err != nil || got != want[key] {
+						t.Errorf("goroutine %d pass %d: %s: %q, %v; the golden answer is %q", g, pass, key, got, err, want[key])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkServedBattery serves TestServedAnswers' batteries through a
+// server's HTTP handler, one request per op, response written: ns/op, B/op
+// and allocs/op per query, with its rows/query, and "battery", one op per
+// pass over the dataset's queries. A warm pass first holds every answer
+// against testdata/served_answers.txt and fills the plan cache and the
+// partner tables. Each response is recorded into one reused buffer, so
+// B/op is the server's.
+func BenchmarkServedBattery(b *testing.B) {
+	want := goldenAnswers(b)
+	for _, ds := range servedDatasets() {
+		b.Run(ds.name, func(b *testing.B) {
+			db := buildServed(b, ds)
+			defer db.Close()
+			h := server.New(db, server.Config{}).Handler()
+			qs := ds.queries()
+			var body bytes.Buffer
+			recorder := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				body.Reset()
+				rec.Body = &body
+				return rec
+			}
+			serve := func(q servedQuery) *httptest.ResponseRecorder {
+				rec := recorder()
+				serveQuery(h, q, rec)
+				return rec
+			}
+			rows, total := make([]int, len(qs)), 0
+			for i, q := range qs {
+				resp, got, err := serveAnswer(h, q, recorder())
+				if key := ds.name + " " + q.name; err != nil || got != want[key] {
+					b.Fatalf("%s: %q, %v; the golden answer is %q", key, got, err, want[key])
+				}
+				rows[i] = resp.RowCount
+				total += resp.RowCount
+			}
+			for i, q := range qs {
+				b.Run(q.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for range b.N {
+						if rec := serve(q); rec.Code != http.StatusOK {
+							b.Fatalf("status %d", rec.Code)
+						}
+					}
+					b.ReportMetric(float64(rows[i]), "rows/query")
+				})
+			}
+			b.Run("battery", func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					for _, q := range qs {
+						if rec := serve(q); rec.Code != http.StatusOK {
+							b.Fatalf("%s: status %d", q.name, rec.Code)
+						}
+					}
+				}
+				b.ReportMetric(float64(total), "rows/battery")
+			})
+		})
+	}
 }
 
 // checkOracle holds rows, a served answer to p, against exec.NaiveMatch
