@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare profile-battery clean
+.PHONY: build test test-short test-cover test-fuzz-smoke test-race-stress verify bench bench-served bench-served-trace bench-served-pair bench-baseline bench-compare profile-battery loc clean
 
 # Benchmarks covered by bench-baseline/bench-compare: the sorted-set
 # kernels, the two per-row index reads (partner slot, reachability test),
@@ -195,6 +195,16 @@ PROFILE_BENCHTIME ?= 2s
 profile-battery:
 	$(GO) test -run XXX -bench BenchmarkServedBattery -benchtime $(PROFILE_BENCHTIME) -cpuprofile $(PROFILE) -o battery.test .
 	$(GO) tool pprof -top -nodecount 40 battery.test $(PROFILE)
+
+# loc prints the non-test Go lines of each package outside benchmark/,
+# scripts/ and examples/, then their total: the count a simplicity change
+# reports.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './scripts/*' ! -path './examples/*'
+loc:
+	@for d in $$($(LOC_FILES) -exec dirname {} + | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
+	@printf '%7d total\n' $$($(LOC_FILES) -exec cat {} + | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -163,40 +163,61 @@ func rowCaps(peak int) []int {
 	return caps
 }
 
-// TestEveryFetchFactorised: under the served planner no Fetch of the path
-// and tree batteries writes rows on the served XMark 100k — every Fetch
-// traces Factorised, its column kept in the result, and the result binds
-// one expanded column per Fetch. T5's semijoin group on a prefix column
-// drops prefix rows of the factorised result instead of writing it out.
+// writtenOut pins, per served dataset, planner and query, how many of the
+// plan's Fetches trace not Factorised: a later step read rows, or the
+// Fetch read two branches of the forest, so the result was written out
+// there. Every query not named writes none out. A Fetch that keeps its
+// survivors hangs under every column before it, writing its input out
+// where it would not; no served query reaches that, so it adds nothing
+// here.
+var writtenOut = map[string]int{
+	"xmark100k DP P4": 1, "xmark100k DP P5": 1, "xmark100k DP P6": 1,
+	"xmark100k DP P7": 2, "xmark100k DP P8": 2, "xmark100k DP P9": 1,
+	"xmark100k DP T2": 1, "xmark100k DP T3": 1, "xmark100k DP T4": 2,
+	"xmark100k DP T6": 2, "xmark100k DP T7": 2, "xmark100k DP T8": 1, "xmark100k DP T9": 1,
+	"xmark100k DP Q4": 1, "xmark100k DP Q5": 1, "xmark100k DP CY5": 1,
+	"xmark100k DPS CY5":     1,
+	"skew20k DP S4-diamond": 1, "skew20k DPS S4-diamond": 2,
+	"skew20k DP S5-diamond": 1, "skew20k DP S7-tailed": 1,
+}
+
+// TestEveryFetchFactorised: every query of the served batteries, on both
+// served datasets under DP and DPS, writes out exactly the Fetches
+// writtenOut names — every other Fetch traces Factorised, its column kept
+// in the result, and the result binds one expanded column per such Fetch.
+// T5's semijoin group on a prefix column drops prefix rows of the
+// factorised result instead of writing it out.
 func TestEveryFetchFactorised(t *testing.T) {
 	ctx := context.Background()
-	db, err := gdb.Build(xmark.Generate(xmark.Config{Nodes: 100000, Seed: 1}).Graph, gdb.Options{PoolBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	snap, release := db.Pin()
-	defer release()
-	for _, w := range append(workload.Paths(), workload.Trees()...) {
-		plan, err := exec.BuildPlanSnapConfig(snap, w.Pattern, exec.DPS, exec.PlanConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fetches := 0
-		for i, tr := range traces {
-			if tr.Step.Kind == optimizer.StepFetch || tr.Step.Kind == optimizer.StepJoinFilterFetch {
-				fetches++
-				if !tr.Factorised {
-					t.Errorf("%s: step %d (%v) wrote its rows out", w.Name, i+1, tr.Step.Kind)
+	for _, ds := range servedDatasets() {
+		db := buildServed(t, ds)
+		snap, release := db.Pin()
+		for _, q := range ds.queries() {
+			for _, algo := range allPlanners {
+				key := fmt.Sprintf("%s %v %s", ds.name, algo, q.name)
+				plan, err := exec.BuildPlanSnapConfig(snap, pattern.MustParse(q.pattern), algo, exec.PlanConfig{})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				res, traces, err := exec.Run(ctx, snap, plan, true, exec.RunConfig{Budget: &rjoin.Budget{ResultRows: q.limit}})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				fetches, written := 0, 0
+				for _, tr := range traces {
+					if tr.Step.Kind == optimizer.StepFetch || tr.Step.Kind == optimizer.StepJoinFilterFetch {
+						fetches++
+						if !tr.Factorised {
+							written++
+						}
+					}
+				}
+				if written != writtenOut[key] || res.K() != fetches-written {
+					t.Errorf("%s: %d of %d Fetches written out, want %d; %d expanded columns", key, written, fetches, writtenOut[key], res.K())
 				}
 			}
 		}
-		if res.N == 0 || res.K() != fetches {
-			t.Errorf("%s: %d rows, %d expanded columns for %d Fetches", w.Name, res.N, res.K(), fetches)
-		}
+		release()
+		db.Close()
 	}
 }

@@ -118,7 +118,8 @@ func patternOrder(plan *optimizer.Plan) []int {
 // none of the columns before it. Only a step that
 // reads two values no list holds together — a semijoin group, a Selection
 // the Fetch before it did not absorb, a Fetch reading two branches of the
-// forest — writes the result out first (rjoin.Result.Flatten). It stays
+// forest — and a Fetch keeping survivors that would hang beside an earlier
+// column write the result out first (rjoin.Result.Flatten). It stays
 // valid after the snapshot is released, and any number of goroutines may
 // consume it; callers choose the column order when they do.
 // Execution is abandoned mid-operator (with ctx.Err()) once ctx is

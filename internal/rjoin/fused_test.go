@@ -256,11 +256,14 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 			t.Fatalf("%v after folded groups: paths %+v after one, %+v after two — not every path is taken", sel.Conds[0], one, two)
 		}
 	}
-	// The same filters on the middle Fetch of a K = 3 tail, between two
-	// plain Fetches: a result mixing columns that re-read their partner
-	// tables with one that keeps survivors, held against the step-by-step
-	// run under limits and both caps. The prefix is 12 input rows with
-	// survivors and 4 spread over the input, most of them with none.
+	// The same filters on the first and on the middle Fetch of a K = 3
+	// tail beside two plain Fetches, held against the step-by-step run
+	// under limits and both caps. First, the result mixes columns that
+	// re-read their partner tables with one that keeps survivors; in the
+	// middle, a column that keeps survivors would hang beside the one
+	// before it, so its Fetch writes its input out. The prefix is 12 input
+	// rows with survivors and 4 spread over the input, most of them with
+	// none.
 	for _, filters := range [][]NodeFilter{{selDC, semiOut}, {semiIn, selCD}} {
 		kept, _, err := stepwise(ctx, new(Runtime), db, clone(in), fetch, 3, filters, 0)
 		if err != nil {
@@ -277,11 +280,16 @@ func TestFetchFilteredMatchesStepwise(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			prefix.Data, prefix.N = append(prefix.Data, in.Row(i*in.N/4)...), prefix.N+1
 		}
+		checkTail(t, db, prefix, fmt.Sprintf("tail %v first", filters), []tailStep{
+			{fetch, 3, filters},
+			{cond(g, "A", "D", 0, 6), 6, nil},
+			{cond(g, "A", "B", 0, 5), 5, nil},
+		}, nil, 50)
 		checkTail(t, db, prefix, fmt.Sprintf("tail %v", filters), []tailStep{
 			{cond(g, "A", "D", 0, 6), 6, nil},
 			{fetch, 3, filters},
 			{cond(g, "A", "B", 0, 5), 5, nil},
-		}, nil, 50)
+		}, []int{-1, -1}, 50)
 	}
 	for _, tc := range cases {
 		unfiltered, err := Fetch(ctx, db, tc.in, fetch)

@@ -434,7 +434,9 @@ type NodeFilter struct {
 // that a Selection filtered keeps its survivors per element of its
 // parent: the deepest of the columns the group reads (the bound one and
 // each Selection's other endpoint). Where two of those lie on different
-// branches, t is written out first.
+// branches, t is written out first; so it is where a column that keeps
+// survivors would not hang under every column of t, each under the one
+// before it.
 // counts holds the Fetch's logical row count and then the row count after
 // each filter, for per-step traces; under a limit the latter cover only the
 // rows filtered.
@@ -643,11 +645,6 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 			reads = append(reads, f.col)
 		}
 	}
-	parent, ok := t.branch(reads...)
-	if !ok {
-		// Only rows hold values of two branches together.
-		t, parent = rt.flatten(t), -1
-	}
 	rd := rt.open(db)
 	defer rd.done()
 	partners, err := rd.partners(c, forward)
@@ -664,15 +661,27 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Cols: cols, Data: t.Data, exp: append(append(make([]expanded, 0, t.K()+1), t.exp...), expanded{bound: col, parent: parent})}
-	out := &res.exp[t.K()]
-	var reread bool
-	if out.lists, reread, err = rd.lists(c, forward); err != nil {
+	lists, reread, err := rd.lists(c, forward)
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(folded) > 0 {
-		out.lists = folded[len(folded)-1].Lists()
+		lists = folded[len(folded)-1].Lists()
 	}
+	// Only rows hold values of two branches together. A column that
+	// stores its lists, as blocks in the order its Fetch reaches their
+	// elements, hangs under every column before it: the walk then reaches
+	// each element of its parent once, in that order.
+	stored := len(fs) > len(folded) || !reread
+	parent, ok := t.branch(reads...)
+	chain := parent == t.K()-1
+	for j := range t.K() {
+		chain = chain && t.exp[j].parent == j-1
+	}
+	if !ok || stored && !chain {
+		t, parent = rt.flatten(t), -1
+	}
+	res := &Result{Cols: cols, Data: t.Data, exp: append(append(make([]expanded, 0, t.K()+1), t.exp...), expanded{bound: col, parent: parent, lists: lists, stored: stored})}
 	var pf *fetchFilters
 	if rest := fs[len(folded):]; len(rest) > 0 {
 		if pf, err = rt.openFilters(rd, db, rest, c, forward, col); err != nil {
@@ -687,7 +696,6 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 	if len(fs) > 0 {
 		limit = 0
 	}
-	out.stored = pf != nil || !reread
 	counts := make([]int, 1+len(fs))
 	rows, n, err := rt.expand(ctx, partners, folded, res, limit, pf, counts)
 	if err != nil {
@@ -717,8 +725,9 @@ func (rt *Runtime) fetch(ctx context.Context, db *gdb.Snap, t *Result, c Cond, f
 // the input written out would, in the same order: whether or not the row
 // is written out or survives. The filters pf after the folded groups cut
 // the list down further. A stored column keeps the list, or with pf its
-// survivors, as its next block the first time the walk reaches the
-// element. counts[0] receives the expansion's logical row count and
+// survivors, as its next block: it hangs under the last input column, or
+// the prefix row, and the walk reaches each element of that once.
+// counts[0] receives the expansion's logical row count and
 // counts[k+1] the count after filter k, folded or not; with a filter
 // (len(counts) > 1), the output is the survivors. It returns the number
 // of prefix rows the output covers and the output's row count.
@@ -812,12 +821,8 @@ func (rt *Runtime) expand(ctx context.Context, partners partnerFunc, folded []gd
 			if filtered {
 				kept += m * len(keep)
 			}
-			// A block the column holds already is counted, not kept twice.
 			if out.stored {
-				if u.fresh(k) {
-					out.keep(rt, keep)
-				}
-				u.block(k)
+				out.keep(rt, keep)
 			}
 		}
 		n += l

@@ -2,7 +2,6 @@ package rjoin
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"fastmatch/internal/gdb"
@@ -51,11 +50,11 @@ type Result struct {
 // the partner table by the value in column bound (gdb.PartnerLists), the
 // very slice the Fetch saw; one whose Fetch absorbed only semijoin groups
 // re-reads its filtered table. A stored one — a Fetch that absorbed a
-// Selection, or one on the counted-I/O read path — keeps its lists as
-// blocks in append-only chunks, each block's length in lens, in the order
-// a walk first reaches them; a block is never split across chunks. elems
-// is the number of elements of the parent (Result.elements), the most
-// blocks it holds.
+// Selection, or one on the counted-I/O read path — hangs under every
+// column before it and keeps its lists as blocks in append-only chunks,
+// each block's length in lens, in the order a walk reaches them, once
+// each; a block is never split across chunks. elems is the number of
+// elements of the parent (Result.elements), the most blocks it holds.
 type expanded struct {
 	bound, parent int
 	lists         gdb.PartnerLists
@@ -103,31 +102,26 @@ func (c *expanded) keep(rt *Runtime, l []graph.NodeID) {
 }
 
 // Nested builds a factorised result without running the operators: rows
-// prefix rows in data (Width() may be 0) and stored expanded columns, the
-// k-th under column parents[k] (an earlier one, or -1 for the prefix row)
-// with the list list(k, i, row): i is the prefix row, and row holds it and
-// the current value of each column before k, of which only k's ancestors
-// may count. It stands for the first n rows, and panics on a bad shape.
-func Nested(cols []int, data []graph.NodeID, rows int, parents []int, list func(k, i int, row []graph.NodeID) []graph.NodeID, n int) *Result {
-	w := len(cols) - len(parents)
-	if len(parents) < 1 || len(parents) > maxExpanded || w < 0 || len(data) != rows*w {
-		panic(fmt.Sprintf("rjoin: %d prefix rows in %d cells for %d columns, %d expanded", rows, len(data), len(cols), len(parents)))
+// prefix rows in data (Width() may be 0) and a chain of k stored expanded
+// columns, each under the one before it and the first under the prefix
+// row, the j-th with the list list(j, i, row): i is the prefix row, and row
+// holds it and the current value of each column before j. It stands for
+// the first n rows, and panics on a bad shape.
+func Nested(cols []int, data []graph.NodeID, rows, k int, list func(j, i int, row []graph.NodeID) []graph.NodeID, n int) *Result {
+	w := len(cols) - k
+	if k < 1 || k > maxExpanded || w < 0 || len(data) != rows*w {
+		panic(fmt.Sprintf("rjoin: %d prefix rows in %d cells for %d columns, %d expanded", rows, len(data), len(cols), k))
 	}
 	r, row := &Result{Cols: cols, Data: data, N: n}, make([]graph.NodeID, len(cols))
 	var rt Runtime // never released: r is the caller's
-	for k, p := range parents {
-		if p < -1 || p >= k {
-			panic(fmt.Sprintf("rjoin: expanded column %d under %d", k, p))
-		}
-		r.Cols, r.exp = cols[:w+k+1], append(r.exp, expanded{parent: p, stored: true})
+	for j := range k {
+		r.Cols, r.exp = cols[:w+j+1], append(r.exp, expanded{parent: j - 1, stored: true})
 		var u units
-		for u.init(r, k, rows); u.next() > 0; u.block(k) {
-			if u.fresh(k) {
-				for j := range w + k {
-					row[j] = u.Cell(j)
-				}
-				r.exp[k].keep(&rt, list(k, u.i, row[:w+k]))
+		for u.init(r, j, rows); u.next() > 0; {
+			for c := range w + j {
+				row[c] = u.Cell(c)
 			}
+			r.exp[j].keep(&rt, list(j, u.i, row[:w+j]))
 		}
 	}
 	return r
@@ -238,19 +232,16 @@ type cursor struct{ blk, chunk, off int32 }
 // be mutated; a consumer stops at the result's N rows. For a plain result
 // each run is a prefix row standing for itself. Declare a Walker outside
 // the loop that advances it: a for-clause variable is copied every
-// iteration. A stored column is read block after block, except that when a
-// column before it that it does not hang under advances, it rewinds to
-// where it stood when that column's list was set, and once that column is
-// done it resumes past the furthest block it reached: rewinds[j] names the
-// columns j rewinds, marks[j] and ends[j] those two places.
+// iteration. A stored column hangs under every column before it (fetch
+// writes its input out where it would not), so the walk reaches each
+// element of its parent once, in the order the Fetch stored their blocks:
+// it reads the column block after block.
 type Walker struct {
 	r               *Result
 	i, rows, w, top int
 	lists           [maxExpanded][]graph.NodeID
 	pos             [maxExpanded]int32
 	at              [maxExpanded]cursor
-	rewinds         [maxExpanded]uint32
-	marks, ends     [maxExpanded][maxExpanded]cursor
 }
 
 // Walk returns a Walker before r's first run.
@@ -264,19 +255,6 @@ func (r *Result) Walk() Walker {
 // prefix rows.
 func (w *Walker) init(r *Result, top, rows int) {
 	w.r, w.i, w.rows, w.w, w.top = r, -1, rows, r.Width(), top
-	var under [maxExpanded]uint32
-	for k := range r.exp {
-		c := &r.exp[k]
-		under[k] = 1 << k
-		if c.parent >= 0 {
-			under[k] |= under[c.parent]
-		}
-		for j := range k {
-			if c.stored && under[k]>>j&1 == 0 {
-				w.rewinds[j] |= 1 << k
-			}
-		}
-	}
 }
 
 // Next advances to the next run, reporting false once there is none.
@@ -295,22 +273,7 @@ func (w *Walker) Next() bool {
 			w.i, j = w.i+1, -1
 		case int(w.pos[j])+1 < len(w.lists[j]):
 			w.pos[j]++
-			for m := w.rewinds[j]; m != 0; m &= m - 1 {
-				s := bits.TrailingZeros32(m)
-				if w.at[s].blk > w.ends[j][s].blk {
-					w.ends[j][s] = w.at[s]
-				}
-				w.at[s] = w.marks[j][s]
-			}
 		default:
-			// Column j is done: what it rewinds resumes past the blocks
-			// its first element reached, read or not since.
-			for m := w.rewinds[j]; m != 0; m &= m - 1 {
-				s := bits.TrailingZeros32(m)
-				if w.ends[j][s].blk > w.at[s].blk {
-					w.at[s] = w.ends[j][s]
-				}
-			}
 			j--
 			continue
 		}
@@ -328,10 +291,6 @@ func (w *Walker) Next() bool {
 			if len(l) == 0 {
 				break
 			}
-			for m := w.rewinds[k]; m != 0; m &= m - 1 {
-				s := bits.TrailingZeros32(m)
-				w.marks[k][s], w.ends[k][s] = w.at[s], w.at[s]
-			}
 		}
 		if k == w.top {
 			return true
@@ -339,10 +298,6 @@ func (w *Walker) Next() bool {
 		j = k - 1
 	}
 }
-
-// fresh reports whether stored column k has no block yet where the walk
-// reads its next one: a Fetch building column k stores it there.
-func (w *Walker) fresh(k int) bool { return int(w.at[k].blk) == len(w.r.exp[k].lens) }
 
 // block returns stored column k's next block and moves its cursor past
 // it.

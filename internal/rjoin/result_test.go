@@ -106,9 +106,9 @@ func TestFetchResultMatchesFetch(t *testing.T) {
 // checkT6Tails holds tails of FetchResult steps over a factorised input, on
 // XMark, against the step-by-step Fetches written out (checkTail): T6's
 // tail — K = 3, reading both prefix columns, two of its Fetches 1:1 — and
-// the same tail with its last Fetch absorbing a Selection, so the result
-// mixes two columns that re-read their partner tables with one that keeps
-// its survivors.
+// the same tail with its last Fetch absorbing a Selection. That column
+// keeps its survivors and would hang beside name's, so its Fetch writes
+// the rows of name and city out and the result keeps one column over them.
 func checkT6Tails(t *testing.T) {
 	g := xmark.Generate(xmark.Config{Nodes: 1500, Seed: 5}).Graph
 	db := mustDB(t, g)
@@ -122,11 +122,18 @@ func checkT6Tails(t *testing.T) {
 	city := tailStep{cond(g, "address", "city", 1, 3), 3, nil}
 	country := tailStep{cond(g, "address", "country", 1, 4), 4, nil}
 	checked := tailStep{cond(g, "address", "country", 1, 4), 4, []NodeFilter{{Conds: []Cond{cond(g, "person", "country", 0, 4)}}}}
-	for name, steps := range map[string][]tailStep{
-		"T6":               {name, city, country},
-		"T6 last filtered": {name, city, checked},
+	for name, tc := range map[string]struct {
+		steps   []tailStep
+		parents []int
+	}{
+		"T6":               {[]tailStep{name, city, country}, nil},
+		"T6 last filtered": {[]tailStep{name, city, checked}, []int{-1}},
 	} {
-		full, _, _, err := runTail(db, in, steps, true, 0, 0, 0)
+		full, _, _, err := runTail(db, in, tc.steps, true, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix, _, _, err := runTail(db, in, tc.steps[:len(tc.steps)-len(full.exp)], false, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,14 +141,14 @@ func checkT6Tails(t *testing.T) {
 		// (a person reaches the names its references lead to).
 		wk := full.Walk()
 		for wk.Next() {
-			if l := wk.lists[:len(wk.r.exp)]; len(l[1]) != 1 || len(l[2]) != 1 {
-				t.Fatalf("%s: prefix row %d expands to %d cities and %d countries", name, wk.Row(), len(l[1]), len(l[2]))
+			if l := wk.lists[:len(wk.r.exp)]; len(l[len(l)-1]) != 1 || len(l) == 3 && len(l[1]) != 1 {
+				t.Fatalf("%s: prefix row %d expands to %d lists ending in %d countries", name, wk.Row(), len(l), len(l[len(l)-1]))
 			}
 		}
-		if full.prefixRows() != in.N {
-			t.Fatalf("%s: %d prefix rows of %d", name, full.prefixRows(), in.N)
+		if full.prefixRows() != prefix.N {
+			t.Fatalf("%s: %d prefix rows of %d", name, full.prefixRows(), prefix.N)
 		}
-		checkTail(t, db, in, name, steps, nil, 50)
+		checkTail(t, db, in, name, tc.steps, tc.parents, 50)
 	}
 }
 
@@ -238,8 +245,15 @@ func walkLists(r *Result) [][]graph.NodeID {
 // table, and one 4-byte length per prefix row in one that keeps
 // survivors — at most 4 bytes per prefix row and column in all. The three
 // tail Fetches together allocate no more than that per prefix row either,
-// plus a constant: none copies an earlier column.
+// plus a constant: none copies an earlier column. A Selection absorbed by
+// the first Fetch keeps the same footprint; absorbed by the last, its
+// column would hang beside name's, and the Fetch writes the rows before it
+// out — one column over those rows, whatever that allocates. A Walker,
+// declared on the stack of every consumer, holds no more than a kilobyte.
 func TestFactorisedFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Walker{}); size > 1024 {
+		t.Fatalf("a Walker is %d bytes", size)
+	}
 	g := xmark.Generate(xmark.Config{Nodes: 20000, Seed: 5}).Graph
 	db := mustDB(t, g)
 	ctx := context.Background()
@@ -254,7 +268,12 @@ func TestFactorisedFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		steps []tailStep
-	}{{"T6", []tailStep{name, city, country}}, {"T6 last filtered", []tailStep{name, city, checked}}} {
+		k     int
+	}{
+		{"T6", []tailStep{name, city, country}, 3},
+		{"T6 first filtered", []tailStep{checked, name, city}, 3},
+		{"T6 last filtered", []tailStep{name, city, checked}, 1},
+	} {
 		run := func() *Result {
 			rt, r := new(Runtime), in
 			for _, s := range tc.steps {
@@ -271,8 +290,11 @@ func TestFactorisedFootprint(t *testing.T) {
 		res = run()
 		goruntime.ReadMemStats(&after)
 		rows, k := res.prefixRows(), res.K()
-		if rows != in.N || k != 3 {
-			t.Fatalf("%s: %d prefix rows, K = %d", tc.name, rows, k)
+		if shared := &res.Data[0] == &in.Data[0]; k != tc.k || shared != (k == 3) || shared && rows != in.N {
+			t.Fatalf("%s: K = %d over %d prefix rows of %d, shared %v", tc.name, k, rows, in.N, shared)
+		}
+		if k < 3 {
+			continue
 		}
 		held, survivors := 0, 0
 		for j, c := range res.exp {
@@ -300,23 +322,21 @@ func TestFactorisedFootprint(t *testing.T) {
 	}
 }
 
-// factorised builds a factorised result whose k expanded columns all hang
-// under the prefix rows in data: prefix row i's lists are
-// lists[i*k:(i+1)*k], the j-th that of column Width()+j, and the result
-// stands for the first n rows of their products.
+// factorised builds a factorised result whose k expanded columns' lists
+// depend on the prefix row in data alone: prefix row i's lists are
+// lists[i*k:(i+1)*k], the j-th that of column Width()+j under every
+// element of the column before it, and the result stands for the first n
+// rows of their products.
 func factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *Result {
-	parents := make([]int, k)
-	for j := range parents {
-		parents[j] = -1
-	}
-	return Nested(cols, data, len(lists)/k, parents, func(j, i int, _ []graph.NodeID) []graph.NodeID { return lists[i*k+j] }, n)
+	return Nested(cols, data, len(lists)/k, k, func(j, i int, _ []graph.NodeID) []graph.NodeID { return lists[i*k+j] }, n)
 }
 
-// TestNestedWalk holds the Walker against nested loops over random forests
-// of up to six expanded columns — lists of 0 to 3 entries chosen by the
-// prefix row and the column's ancestors, so that columns rewind under
-// siblings that advance and skip under lists that empty — written out
-// whole and cut at every row count.
+// TestNestedWalk holds the Walker against nested loops over up to six
+// expanded columns whose lists — 0 to 3 entries — are chosen by the prefix
+// row and the column's ancestors in a random forest, so that a chain of
+// stored columns repeats a list under elements it does not depend on and
+// skips under lists that empty, written out whole and cut at every row
+// count.
 func TestNestedWalk(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -364,7 +384,7 @@ func TestNestedWalk(t *testing.T) {
 			cols[j] = j
 		}
 		for n := len(model); n >= min(1, len(model)); n-- {
-			r := Nested(cols, data, rows, parents, list, len(model))
+			r := Nested(cols, data, rows, k, list, len(model))
 			r.truncate(n)
 			if got := tab(r); r.N != n || !slices.EqualFunc(got.Rows, model[:n], slices.Equal[[]graph.NodeID]) {
 				t.Fatalf("seed %d: parents %v over %d prefix rows cut at %d: %v, nested loops %v", seed, parents, rows, n, got.Rows, model[:n])

@@ -57,7 +57,9 @@ func runTail(db *gdb.Snap, in *Result, steps []tailStep, factorised bool, limit,
 // Selection on a prefix column and a semijoin group — are the step-by-step
 // Fetches written out: the same rows in the same order, each step's row
 // count, Bytes(), PeakRows() and Truncated at limits up to N+1, and the
-// same typed kill at row caps up to the peak and across a byte sweep.
+// same typed kill at row caps up to the peak and across a byte sweep. A
+// Selection's column hangs under the prefix row: after a sibling its
+// Fetch writes its input out, and the result keeps that one column.
 func TestFetchResultTail(t *testing.T) {
 	g := randomGraph(43, 200, 240, 4)
 	db := mustDB(t, g)
@@ -75,13 +77,17 @@ func TestFetchResultTail(t *testing.T) {
 	selC := tailStep{cond(g, "A", "C", 0, 3), 3, []NodeFilter{{Conds: []Cond{cond(g, "D", "C", 1, 3)}}}}
 	semiB := tailStep{cond(g, "D", "B", 1, 4), 4, []NodeFilter{{Conds: []Cond{cond(g, "B", "A", 4, 5)}, Semijoin: true, OutSide: true}}}
 	revA := tailStep{cond(g, "A", "D", 5, 1), 5, nil}
-	for name, steps := range map[string][]tailStep{
-		"K=2":                      {fetchB, fetchC},
-		"K=2 selection":            {fetchB, selC},
-		"K=3 semijoin":             {fetchB, semiB, fetchC},
-		"K=3 reverse and filtered": {revA, fetchB, selC},
+	for name, tc := range map[string]struct {
+		steps   []tailStep
+		parents []int
+	}{
+		"K=2":                         {[]tailStep{fetchB, fetchC}, nil},
+		"K=2 selection first":         {[]tailStep{selC, fetchB}, nil},
+		"selection after a sibling":   {[]tailStep{fetchB, selC}, []int{-1}},
+		"K=3 semijoin":                {[]tailStep{fetchB, semiB, fetchC}, nil},
+		"reverse, then filtered last": {[]tailStep{revA, fetchB, selC}, []int{-1}},
 	} {
-		checkTail(t, db, in, name, steps, nil, 50)
+		checkTail(t, db, in, name, tc.steps, tc.parents, 50)
 	}
 }
 
@@ -92,8 +98,9 @@ func TestFetchResultTail(t *testing.T) {
 // inside nested lists and on their ends), and each column hangs where it
 // should: P8's path of four Fetches, Q1's chain whose last Fetch absorbs a
 // Selection on an ancestor column, siblings under an expanded column (T6,
-// T9), stored columns under an outer sibling and a column that sibling is
-// no ancestor of, and a Fetch reading two branches, which writes its input
+// T9), and columns re-reading filtered tables under an outer sibling and
+// a column that sibling is no ancestor of; a Fetch reading two branches,
+// and one keeping survivors beside an outer sibling, write their input
 // out first.
 func TestNestedTail(t *testing.T) {
 	g := xmark.Generate(xmark.Config{Nodes: 3000, Seed: 5}).Graph
@@ -162,24 +169,22 @@ func TestNestedTail(t *testing.T) {
 		{cond(dag, "A", "D", 0, 3), 3, []NodeFilter{{Conds: []Cond{cond(dag, "D", "E", 3, 4)}, Semijoin: true, OutSide: true}}},
 		{cond(dag, "D", "E", 3, 5), 5, nil},
 	}, []int{-1, 0, -1, 2}, 50)
-	// A column under an outer sibling holds one block per element of its
-	// parent, not one per row of the product above it: a walk rewinds it.
+	// A column that keeps survivors hangs under every column before it: one
+	// beside an outer sibling writes the rows of (person, watches) out and
+	// keeps a block per row.
 	steps := []tailStep{
 		{cond(g, "person", "watches", 0, 1), 1, nil},
-		{cond(g, "person", "profile", 0, 2), 2, semi("profile", "interest", 2, 9, true)},
-		{cond(g, "profile", "interest", 2, 3), 3, semi("interest", "category", 3, 8, true)},
+		{cond(g, "person", "profile", 0, 2), 2, sel("person", "profile", 0, 2)},
 	}
 	res, _, rows, err := runTail(db, ext("person", 0), steps, true, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := 0
-	for _, ch := range res.exp[1].chunks {
-		profiles += len(ch)
+	if res.K() != 1 || res.Width() != 2 || res.prefixRows() != rows[0] || len(res.exp[0].lens) != rows[0] || res.exp[0].parent != -1 {
+		t.Fatalf("profile beside watches: K = %d over %d prefix rows of width %d, %d blocks; (person, watches) has %d rows",
+			res.K(), res.prefixRows(), res.Width(), len(res.exp[0].lens), rows[0])
 	}
-	if len(res.exp[2].lens) != profiles || profiles >= rows[1] {
-		t.Fatalf("interest holds %d blocks for %d profiles under %d rows of (person, watches, profile)", len(res.exp[2].lens), profiles, rows[1])
-	}
+	checkTail(t, db, ext("person", 0), "stored beside an outer sibling", steps, []int{-1}, 50)
 }
 
 // TestFlattenFilters: a semijoin group or Selection over a factorised
@@ -253,8 +258,9 @@ func TestFlattenFilters(t *testing.T) {
 // and the same typed kill at row caps up to the peak and across a byte
 // sweep, with and without a limit. The unlimited result must have at least
 // min rows. Its expanded columns are the last steps' — all of them unless
-// parents, the parent each must hang under, names fewer — and a column
-// stores lists exactly when its Fetch absorbed a Selection (stores).
+// parents, the parent each must hang under, names fewer — a column
+// stores lists exactly when its Fetch absorbed a Selection (stores), and
+// a stored column hangs under every column before it.
 func checkTail(t *testing.T, db *gdb.Snap, in *Result, name string, steps []tailStep, parents []int, min int) {
 	t.Helper()
 	want, _, _, err := runTail(db, in, steps, false, 0, 0, 0)
@@ -291,10 +297,14 @@ func checkTail(t *testing.T, db *gdb.Snap, in *Result, name string, steps []tail
 		if g.K() != k && g.N > 0 || !reflect.DeepEqual(grows, wrows) {
 			t.Fatalf("%s %s: %d expanded columns, step rows %v, step by step %v", name, what, g.K(), grows, wrows)
 		}
+		chain := true
 		for j, c := range g.exp {
 			s := steps[len(steps)-k+j]
 			if c.stored != stores(s.filters) || parents != nil && c.parent != parents[j] {
 				t.Fatalf("%s %s: column %d stored=%v under %d with %d filters, want under %v", name, what, j, c.stored, c.parent, len(s.filters), parents)
+			}
+			if chain = chain && c.parent == j-1; c.stored && !chain {
+				t.Fatalf("%s %s: stored column %d does not hang under every column before it", name, what, j)
 			}
 		}
 		if got := tab(g); got.Len() != w.Len() || w.Len() > 0 && !reflect.DeepEqual(got.Rows, tab(w).Rows) {

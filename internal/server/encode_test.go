@@ -928,22 +928,20 @@ func BenchmarkEncodeResult(b *testing.B) {
 	}
 }
 
-// factorised builds a factorised result whose k expanded columns all hang
-// under the prefix rows in data: prefix row i's lists are
-// lists[i*k:(i+1)*k], the j-th that of column Width()+j, and the result
-// stands for the first n rows of their products.
+// factorised builds a factorised result whose k expanded columns' lists
+// depend on the prefix row in data alone: prefix row i's lists are
+// lists[i*k:(i+1)*k], the j-th that of column Width()+j under every
+// element of the column before it, and the result stands for the first n
+// rows of their products.
 func factorised(cols []int, data []graph.NodeID, k int, lists [][]graph.NodeID, n int) *rjoin.Result {
-	parents := make([]int, k)
-	for j := range parents {
-		parents[j] = -1
-	}
-	return rjoin.Nested(cols, data, len(lists)/k, parents, func(j, i int, _ []graph.NodeID) []graph.NodeID { return lists[i*k+j] }, n)
+	return rjoin.Nested(cols, data, len(lists)/k, k, func(j, i int, _ []graph.NodeID) []graph.NodeID { return lists[i*k+j] }, n)
 }
 
 // fuzzForest builds a nested result over cols from the fuzzer's lists: the
-// prefix rows in data and an expanded column under each of parents (an
+// prefix rows in data and one expanded column per entry of parents (an
 // earlier column or the prefix row), whose list is one of lists chosen by
-// a hash of the prefix row and the column's ancestors' values. It returns
+// a hash of the prefix row and the values of the column's ancestors in
+// the forest parents describes. It returns
 // the result and its rows in source-column order, enumerated by nested
 // loops over the columns in bind order.
 func fuzzForest(cols []int, data []graph.NodeID, parents []int, lists [][]graph.NodeID) (*rjoin.Result, [][]graph.NodeID) {
@@ -982,5 +980,5 @@ func fuzzForest(cols []int, data []graph.NodeID, parents []int, lists [][]graph.
 		copy(row, data[i*w:(i+1)*w])
 		enum(i, 0)
 	}
-	return rjoin.Nested(cols, data, rows, parents, list, len(model)), model
+	return rjoin.Nested(cols, data, rows, k, list, len(model)), model
 }
